@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.runner import build_runtime
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.fluid import PaymentGraph, decompose_payment_graph
 from repro.metrics import format_table
 from repro.routing import make_scheme
@@ -43,9 +43,7 @@ def _run_point(scheme_name: str, fraction: float, topology, seed: int = 7):
     records = records_from_demand(demands, duration=DURATION, mean_size=15.0, seed=seed)
     network = topology.build_network(default_capacity=CAPACITY)
     scheme = make_scheme(scheme_name)
-    from repro.core.runtime import RuntimeConfig
-
-    runtime = build_runtime(
+    runtime = SimulationSession(
         network, records, scheme, RuntimeConfig(end_time=DURATION + 15.0)
     )
     metrics = runtime.run()

@@ -17,8 +17,7 @@ Run with::
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.core.runtime import RuntimeConfig
-from repro.experiments.runner import build_runtime
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.metrics import format_table
 from repro.network.faults import random_churn_schedule
 from repro.routing import make_scheme
@@ -35,7 +34,7 @@ DURATION = 30.0
 def _run_point(scheme_name: str, churn_rate: float, topology, records):
     network = topology.build_network(default_capacity=2_000.0)
     scheme = make_scheme(scheme_name)
-    runtime = build_runtime(
+    runtime = SimulationSession(
         network, records, scheme, RuntimeConfig(end_time=DURATION + 10.0)
     )
     schedule = random_churn_schedule(
@@ -131,7 +130,7 @@ def test_outage_recovery_timeline(benchmark):
         schedule = FaultSchedule(
             [NodeOutage(10.0, 14.0, node) for node in victims]
         )
-        runtime = build_runtime(
+        runtime = SimulationSession(
             network,
             records,
             make_scheme("spider-waterfilling"),

@@ -18,7 +18,7 @@ Run with::
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.core.runtime import RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.metrics import (
     IncentiveCollector,
     escrow_by_node,
@@ -42,9 +42,7 @@ def _run_point(fee_rate: float, topology, records):
     )
     initial_escrow = escrow_by_node(network)
     collector = IncentiveCollector()
-    from repro.core.runtime import Runtime
-
-    runtime = Runtime(
+    runtime = SimulationSession(
         network,
         records,
         make_scheme("spider-waterfilling"),

@@ -125,8 +125,7 @@ def test_imbalance_aware_window_ablation(benchmark):
     closer to balance at moderate gain — rate aggressiveness *as a
     rebalancing tool*, exactly the paper's suggestion.
     """
-    from repro.core.runtime import RuntimeConfig
-    from repro.experiments.runner import build_runtime
+    from repro.engine.session import RuntimeConfig, SimulationSession
     from repro.routing import make_scheme
     from repro.topology import cycle_topology
     from repro.workload import records_from_demand
@@ -141,7 +140,7 @@ def test_imbalance_aware_window_ablation(benchmark):
     def run_variant(scheme_name, **params):
         network = cycle_topology(n).build_network(default_capacity=60.0)
         scheme = make_scheme(scheme_name, **params)
-        runtime = build_runtime(
+        runtime = SimulationSession(
             network, records, scheme, RuntimeConfig(end_time=50.0, mtu=10.0)
         )
         return runtime.run()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.fluid import (
     PaymentGraph,
     all_simple_paths,
@@ -69,7 +69,7 @@ def test_prop1_circulation_workload_flows(benchmark):
         demands = circulation_demand(range(8), 60.0, num_cycles=4, seed=3)
         records = records_from_demand(demands, duration=30.0, mean_size=5.0, seed=3)
         network = topology.build_network(default_capacity=5_000.0)
-        runtime = Runtime(
+        runtime = SimulationSession(
             network,
             records,
             make_scheme("spider-waterfilling"),
@@ -94,7 +94,7 @@ def test_prop1_dag_workload_starves(benchmark):
         demands = dag_demand(range(8), 60.0, num_pairs=6, seed=3)
         records = records_from_demand(demands, duration=30.0, mean_size=5.0, seed=3)
         network = topology.build_network(default_capacity=capacity)
-        runtime = Runtime(
+        runtime = SimulationSession(
             network,
             records,
             make_scheme("spider-waterfilling"),

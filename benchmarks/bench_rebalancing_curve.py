@@ -88,16 +88,15 @@ def test_gamma_sweep(benchmark, fig4_paths):
 def test_online_rebalancing_in_simulation(benchmark):
     """Extension: on-chain deposits during the run let a one-way (DAG)
     demand keep flowing — the dynamic counterpart of §5.2.3."""
-    from repro.core.runtime import Runtime, RuntimeConfig
+    from repro.engine.session import RuntimeConfig, SimulationSession
     from repro.routing import make_scheme
-    from repro.simulator.engine import RecurringTimer
     from repro.topology import line_topology
     from repro.workload import records_from_demand
 
     def run(deposit_rate):
         network = line_topology(3).build_network(default_capacity=100.0)
         records = records_from_demand({(0, 2): 20.0}, duration=30.0, mean_size=5.0, seed=1)
-        runtime = Runtime(
+        runtime = SimulationSession(
             network,
             records,
             make_scheme("spider-waterfilling"),
@@ -108,7 +107,7 @@ def test_online_rebalancing_in_simulation(benchmark):
                 for channel in network.channels():
                     channel.deposit(channel.node_a, deposit_rate)
 
-            RecurringTimer(runtime.sim, 1.0, deposit)
+            runtime.sim.every(1.0, deposit)
         return runtime.run()
 
     def both():

@@ -7,14 +7,12 @@ Run with::
 
     pytest benchmarks/bench_substrate_micro.py --benchmark-only
 
-The module is also directly executable as the engine-comparison smoke run
-used by CI (finishes in seconds)::
+The module is also directly executable as the smoke run used by CI
+(finishes in seconds)::
 
     python benchmarks/bench_substrate_micro.py --out BENCH_substrate.json
 
-which times the legacy float-time ``Simulator`` against the new slab-queue
-``TickEngine`` on two event workloads (chained timers = shallow heap,
-pre-scheduled fan-out = deep heap), the hop-by-hop queueing transport
+which times the hop-by-hop queueing transport
 (``spider-queueing`` on a congested line) with scalar vs. vectorised
 path operations, the ``path_ops`` microbenchmark (batch bottleneck
 probes and lock+settle round-trips through the PathTable vs. the scalar
@@ -60,33 +58,16 @@ from repro.fluid import solve_fluid_lp
 from repro.fluid.paths import k_edge_disjoint_paths
 from repro.network.network import PaymentNetwork
 from repro.routing.max_flow import edmonds_karp
-from repro.simulator.engine import Simulator
 from repro.topology import isp_topology, ripple_topology
 from repro.topology.examples import FIG4_DEMANDS, fig4_topology
 from repro.fluid.paths import all_simple_paths
 
 
 # ----------------------------------------------------------------------
-# Event-engine workloads (shared by the pytest benchmarks and the smoke
-# comparison): chained timers keep the heap shallow and stress per-event
-# overhead; the fan-out pre-schedules every event, so the heap is deep and
-# ordering comparisons dominate.
+# Event-engine workloads: chained timers keep the heap shallow and stress
+# per-event overhead; the fan-out pre-schedules every event, so the heap is
+# deep and ordering comparisons dominate.
 # ----------------------------------------------------------------------
-def _chained_legacy(n: int) -> int:
-    sim = Simulator()
-    count = 0
-
-    def tick():
-        nonlocal count
-        count += 1
-        if count < n:
-            sim.call_after(0.001, tick)
-
-    sim.call_after(0.001, tick)
-    sim.run()
-    return count
-
-
 def _chained_tick(n: int) -> int:
     eng = TickEngine()
     count = 0
@@ -99,20 +80,6 @@ def _chained_tick(n: int) -> int:
 
     eng.schedule_after(0.001, tick)
     eng.run()
-    return count
-
-
-def _fanout_legacy(n: int) -> int:
-    sim = Simulator()
-    count = 0
-
-    def fire():
-        nonlocal count
-        count += 1
-
-    for i in range(n):
-        sim.call_at(((i * 2654435761) % n) * 0.001, fire)
-    sim.run()
     return count
 
 
@@ -130,18 +97,13 @@ def _fanout_tick(n: int) -> int:
     return count
 
 
-def test_engine_event_throughput(benchmark):
-    """Schedule-and-run 10k chained events on the legacy engine."""
-    assert benchmark(_chained_legacy, 10_000) == 10_000
-
-
 def test_tick_engine_event_throughput(benchmark):
-    """Schedule-and-run 10k chained events on the new slab-queue engine."""
+    """Schedule-and-run 10k chained events on the slab-queue engine."""
     assert benchmark(_chained_tick, 10_000) == 10_000
 
 
 def test_tick_engine_fanout_throughput(benchmark):
-    """Drain 10k pre-scheduled events (deep heap) on the new engine."""
+    """Drain 10k pre-scheduled events (deep heap)."""
     assert benchmark(_fanout_tick, 10_000) == 10_000
 
 
@@ -244,56 +206,9 @@ def test_fluid_lp_on_fig4(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Engine-comparison smoke run (CI: writes BENCH_substrate.json in seconds)
-# ----------------------------------------------------------------------
-def _events_per_second(fn, n: int, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fired = fn(n)
-        elapsed = time.perf_counter() - start
-        assert fired == n
-        best = min(best, elapsed)
-    return n / best
-
-
-def run_engine_comparison(events: int = 100_000, repeats: int = 3) -> dict:
-    """Legacy vs. tick-engine events/sec on both workloads.
-
-    Returns the result dict written to ``BENCH_substrate.json``; the
-    headline ``speedup`` is total events over total best-case time, so both
-    workloads weigh in.
-    """
-    results = {}
-    for workload, legacy_fn, tick_fn in (
-        ("chained", _chained_legacy, _chained_tick),
-        ("fanout", _fanout_legacy, _fanout_tick),
-    ):
-        legacy_eps = _events_per_second(legacy_fn, events, repeats)
-        tick_eps = _events_per_second(tick_fn, events, repeats)
-        results[workload] = {
-            "events": events,
-            "legacy_events_per_sec": round(legacy_eps),
-            "tick_events_per_sec": round(tick_eps),
-            "speedup": round(tick_eps / legacy_eps, 3),
-        }
-    total_legacy = sum(
-        r["events"] / r["legacy_events_per_sec"] for r in results.values()
-    )
-    total_tick = sum(r["events"] / r["tick_events_per_sec"] for r in results.values())
-    return {
-        "benchmark": "engine_event_throughput",
-        "workloads": results,
-        "speedup": round(total_legacy / total_tick, 3),
-    }
-
-
-# ----------------------------------------------------------------------
 # Hop-by-hop transport comparison: the §4.2 in-network-queue scheme on a
-# congested line through the native session transport, with the scalar
-# per-hop path operations vs. the vectorised PathTable kernels.  (The
-# legacy QueueingRuntime is a thin shim over the same transport now, so
-# the interesting axis is scalar-vs-vectorised path ops, not engines.)
+# congested line through the session's hop transport, with the scalar
+# per-hop path operations vs. the vectorised PathTable kernels.
 # ----------------------------------------------------------------------
 def _hop_config(num_transactions: int):
     from repro.experiments.config import ExperimentConfig
@@ -313,8 +228,7 @@ def _hop_config(num_transactions: int):
 def run_hop_transport_comparison(transactions: int = 1_500, repeats: int = 3) -> dict:
     """Scalar vs. vectorised events/sec on the hop-by-hop workload.
 
-    Both runs replay the identical seeded trace on the native session
-    engine; only ``PaymentNetwork.vectorized_path_ops`` differs, so the
+    Both runs replay the identical seeded trace; only ``PaymentNetwork.vectorized_path_ops`` differs, so the
     ``speedup`` isolates exactly what the PathTable buys end to end.
     Construction stays outside the timed region — the timer covers
     ``run()``, i.e. event dispatch plus the scheme's per-poll routing
@@ -333,8 +247,6 @@ def run_hop_transport_comparison(transactions: int = 1_500, repeats: int = 3) ->
                 start = time.perf_counter()
                 session.run()
                 elapsed = time.perf_counter() - start
-                if session._delegate is not None:  # would time the legacy path
-                    raise RuntimeError("hop scheme fell back to the legacy runtime")
                 events = session.events_processed
                 best_elapsed = min(best_elapsed, elapsed)
         finally:
@@ -1004,7 +916,7 @@ def run_sharding_benchmark(
     express the parallelism.  A 100k-node generated topology leg runs
     when ``REPRO_SLOW_TESTS=1`` (several minutes of graph build alone).
     """
-    from repro.core.runtime import RuntimeConfig
+    from repro.engine.session import RuntimeConfig
     from repro.engine.pathservice import PersistentCache
     from repro.engine.sharding import ShardedSession
     from repro.metrics.report import metrics_to_json
@@ -1272,9 +1184,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_substrate.json", help="result file")
     parser.add_argument(
-        "--events", type=int, default=100_000, help="events per workload per repeat"
-    )
-    parser.add_argument(
         "--hop-transactions",
         type=int,
         default=1_500,
@@ -1340,10 +1249,11 @@ def main(argv=None) -> int:
             baseline = json.load(handle)
     except (OSError, ValueError):
         pass
-    report = run_engine_comparison(events=args.events, repeats=args.repeats)
-    report["hop_by_hop"] = run_hop_transport_comparison(
-        transactions=args.hop_transactions, repeats=args.repeats
-    )
+    report = {
+        "hop_by_hop": run_hop_transport_comparison(
+            transactions=args.hop_transactions, repeats=args.repeats
+        )
+    }
     report["path_ops"] = run_path_ops_microbench(
         iterations=args.path_ops_iterations, repeats=args.repeats
     )
@@ -1379,12 +1289,6 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    for workload, numbers in report["workloads"].items():
-        print(
-            f"{workload:8s} legacy {numbers['legacy_events_per_sec']:>9,} ev/s   "
-            f"tick {numbers['tick_events_per_sec']:>9,} ev/s   "
-            f"{numbers['speedup']:.2f}x"
-        )
     hop = report["hop_by_hop"]
     print(
         f"hop_by_hop scalar {hop['scalar_events_per_sec']:>9,} ev/s   "
@@ -1468,7 +1372,7 @@ def main(argv=None) -> int:
             f"{shard['local_fraction']}, parity "
             f"{'ok' if shard.get('parity') else 'BROKEN'}){waived}"
         )
-    print(f"overall speedup: {report['speedup']:.2f}x  ->  {args.out}")
+    print(f"wrote {args.out}")
     if args.assert_floor:
         error = check_throughput_floor(report, baseline)
         if error:

@@ -16,8 +16,8 @@ section below runs one of them on a small scenario:
 
 from __future__ import annotations
 
-from repro.core.queueing import QueueingRuntime, SpiderQueueingScheme
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.core.queueing import SpiderQueueingScheme
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments import ExperimentConfig, compare_schemes
 from repro.fluid import jain_index, solve_fairness_lp, solve_fluid_lp
 from repro.fluid.paths import all_simple_paths
@@ -34,17 +34,13 @@ def section_queueing() -> None:
         TransactionRecord(0, 1.0, 0, 3, 30.0),  # will park at router 1
         TransactionRecord(1, 2.0, 3, 0, 40.0),  # reverse flow releases it
     ]
-    runtime = QueueingRuntime(
-        network,
-        records,
-        SpiderQueueingScheme(),
-        RuntimeConfig(end_time=20.0),
-        queue_timeout=15.0,
+    runtime = SimulationSession(
+        network, records, SpiderQueueingScheme(), RuntimeConfig(end_time=20.0)
     )
     metrics = runtime.run()
     print(f"payments completed: {metrics.completed}/2")
-    print(f"units queued at routers: {runtime.units_queued}, "
-          f"mean queue delay {runtime.mean_queue_delay:.2f}s")
+    print(f"units queued at routers: {runtime.transport.units_queued}, "
+          f"mean queue delay {runtime.transport.mean_queue_delay:.2f}s")
     print("the 30-unit payment waited mid-path until the reverse payment "
           "refilled the channel\n")
 

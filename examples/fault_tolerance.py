@@ -13,8 +13,7 @@ baseline (single path, atomic) cope.
 
 from __future__ import annotations
 
-from repro.core.runtime import RuntimeConfig
-from repro.experiments.runner import build_runtime
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.metrics import format_table
 from repro.network.faults import FaultSchedule, NodeOutage, random_churn_schedule
 from repro.routing import make_scheme
@@ -27,7 +26,7 @@ DURATION = 30.0
 
 def run(scheme_name: str, topology, records, schedule=None):
     network = topology.build_network(default_capacity=2_000.0)
-    runtime = build_runtime(
+    runtime = SimulationSession(
         network,
         records,
         make_scheme(scheme_name),

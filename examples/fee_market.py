@@ -18,7 +18,7 @@ sender budget (§4.1's "maximum acceptable routing fee") and prints:
 
 from __future__ import annotations
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.metrics import (
     IncentiveCollector,
     escrow_by_node,
@@ -40,7 +40,7 @@ def run_at_rate(fee_rate, topology, records):
     network = topology.build_network(default_capacity=3_000.0, fee_rate=fee_rate)
     initial_escrow = escrow_by_node(network)
     collector = IncentiveCollector()
-    runtime = Runtime(
+    runtime = SimulationSession(
         network,
         records,
         make_scheme("spider-waterfilling"),

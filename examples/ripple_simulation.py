@@ -24,7 +24,7 @@ This example reproduces the mechanism on a Ripple-like scale-free graph:
 
 from __future__ import annotations
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.fluid import PaymentGraph, decompose_payment_graph
 from repro.metrics import format_metrics_table
 from repro.routing import make_scheme
@@ -57,7 +57,7 @@ def make_patterns():
 def run(records, scheme_name):
     end_time = max(r.arrival_time for r in records) + 10.0
     network = ripple_topology("tiny", seed=0).build_network(default_capacity=CAPACITY)
-    runtime = Runtime(
+    runtime = SimulationSession(
         network,
         list(records),
         make_scheme(scheme_name),

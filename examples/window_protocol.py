@@ -15,8 +15,7 @@ rate, then probes back up.
 
 from __future__ import annotations
 
-from repro.core.queueing import QueueingRuntime
-from repro.core.runtime import RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.core.window_control import WindowedSpiderScheme
 from repro.network.network import PaymentNetwork
 from repro.workload.generator import TransactionRecord
@@ -44,12 +43,8 @@ def main() -> None:
         mark_threshold=0.2,
         queue_timeout=10.0,
     )
-    runtime = QueueingRuntime(
-        network,
-        records,
-        scheme,
-        RuntimeConfig(end_time=40.0, mtu=25.0),
-        **scheme.runtime_kwargs(),
+    runtime = SimulationSession(
+        network, records, scheme, RuntimeConfig(end_time=40.0, mtu=25.0)
     )
 
     # Sample the forward path's window once a second.
@@ -58,9 +53,7 @@ def main() -> None:
     def sample():
         samples.append((runtime.now, scheme.window((0, 1, 2)).window))
 
-    from repro.simulator.engine import RecurringTimer
-
-    RecurringTimer(runtime.sim, 1.0, sample)
+    runtime.sim.every(1.0, sample)
     metrics = runtime.run()
 
     print("time   window on path 0-1-2")
@@ -70,7 +63,7 @@ def main() -> None:
     print()
     print(
         f"acks: {scheme.clean_acks} clean, {scheme.marked_acks} marked, "
-        f"{scheme.losses} lost; router marked {runtime.units_marked} units"
+        f"{scheme.losses} lost; router marked {runtime.transport.units_marked} units"
     )
     print(
         f"success ratio {100 * metrics.success_ratio:.1f}%, "

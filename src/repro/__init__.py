@@ -15,16 +15,16 @@ True
 
 Package map
 -----------
-``repro.engine``       unified engine: tick clock, slab event queue,
+``repro.engine``       the engine: tick clock, slab event queue,
                        array-backed channel store, SimulationSession
-``repro.simulator``    legacy discrete-event engine and seeded RNG streams
+``repro.simulator``    seeded RNG streams
 ``repro.network``      payment channels, HTLCs, the network state machine
 ``repro.topology``     evaluation topologies (ISP, Ripple-like, Fig. 4)
 ``repro.workload``     transaction traces, size distributions, demand matrices
 ``repro.fluid``        circulation theory, fluid LPs, primal-dual iterates
 ``repro.routing``      baselines: shortest-path, max-flow, SilentWhispers,
                        SpeedyMurmurs
-``repro.core``         Spider: transport runtime, scheduling, waterfilling,
+``repro.core``         Spider: payments, scheduling, waterfilling,
                        LP routing, online primal-dual protocol
 ``repro.metrics``      success ratio/volume collectors and report tables
 ``repro.experiments``  experiment configs, runners, sweeps
@@ -33,8 +33,6 @@ Package map
 from repro.core import (
     Payment,
     PaymentState,
-    Runtime,
-    RuntimeConfig,
     SpiderLPScheme,
     SpiderPrimalDualScheme,
     WaterfillingScheme,
@@ -50,6 +48,7 @@ from repro.errors import (
     TopologyError,
 )
 from repro.engine import ChannelStateStore, SimulationSession, TickEngine
+from repro.engine.session import RuntimeConfig
 from repro.engine.pathservice import PathService
 from repro.experiments import (
     ExperimentConfig,
@@ -88,7 +87,6 @@ from repro.routing import (
     make_scheme,
     register_scheme,
 )
-from repro.simulator import Simulator
 from repro.topology import Topology, fig4_topology, isp_topology, ripple_topology
 from repro.workload import TransactionRecord, WorkloadConfig, generate_workload
 
@@ -117,10 +115,8 @@ __all__ = [
     "PaymentNetwork",
     "PaymentState",
     "ReproError",
-    "Runtime",
     "RuntimeConfig",
     "SimulationSession",
-    "Simulator",
     "SpiderLPScheme",
     "SpiderPrimalDualScheme",
     "SweepExecutor",

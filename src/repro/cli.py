@@ -31,9 +31,10 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.engine.session import SimulationSession
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import SweepExecutor
-from repro.experiments.runner import compare_schemes, run_experiment
+from repro.experiments.runner import compare_schemes
 from repro.experiments.sweeps import capacity_sweep
 from repro.fluid.circulation import decompose_payment_graph
 from repro.metrics.report import format_metrics_table, format_table
@@ -68,13 +69,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--policy", default="srpt", help="pending-queue scheduling policy"
-    )
-    parser.add_argument(
-        "--engine",
-        default="session",
-        choices=("session", "legacy"),
-        help="execution engine: unified tick-engine session (default) or "
-        "the deprecated Runtime/Simulator pair",
     )
     parser.add_argument(
         "--path-cache-dir",
@@ -248,53 +242,40 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_from_args(args)
 
     if args.command == "run":
-        stats = None
+        config = _config_from_args(args, scheme=args.scheme)
         if args.shards > 0:
             from repro.engine.sharding import ShardedSession
 
-            if args.engine != "session":
-                print("error: --shards requires --engine session", file=sys.stderr)
+            if args.path_cache_dir is not None:
+                print(
+                    "error: --shards cannot use --path-cache-dir "
+                    "(shard lanes do not touch disk)",
+                    file=sys.stderr,
+                )
                 return 2
             session = ShardedSession.from_config(
-                _config_from_args(args, scheme=args.scheme),
+                config,
                 num_shards=args.shards,
                 epoch=args.shard_epoch,
                 sanitize=True if args.sanitize else None,
             )
-            metrics = session.run()
-            stats = session.dispatch_stats()
-        elif args.dispatch_stats and args.engine == "session":
-            from repro.engine.session import SimulationSession
-
-            session = SimulationSession.from_config(
-                _config_from_args(args, scheme=args.scheme),
-                path_cache_dir=args.path_cache_dir,
-            )
-            metrics = session.run()
-            stats = session.dispatch_stats()
         else:
-            metrics = run_experiment(
-                _config_from_args(args, scheme=args.scheme),
-                engine=args.engine,
-                path_cache_dir=args.path_cache_dir,
+            session = SimulationSession.from_config(
+                config, path_cache_dir=args.path_cache_dir
             )
+        metrics = session.run()
         print(format_metrics_table([metrics], title=f"{args.scheme} on {args.topology}"))
         if args.dispatch_stats:
-            if stats is None:
-                print("dispatch stats unavailable on this engine", file=sys.stderr)
-            else:
-                print("dispatch stats:")
-                for key in sorted(stats):
-                    print(f"  {key:20s} {stats[key]}")
+            print("dispatch stats:")
+            stats = session.dispatch_stats()
+            for key in sorted(stats):
+                print(f"  {key:20s} {stats[key]}")
         return 0
 
     if args.command == "compare":
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
         results = compare_schemes(
-            _config_from_args(args),
-            schemes,
-            engine=args.engine,
-            path_cache_dir=args.path_cache_dir,
+            _config_from_args(args), schemes, path_cache_dir=args.path_cache_dir
         )
         print(
             format_metrics_table(
@@ -319,7 +300,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 _config_from_args(args),
                 processes=max(1, args.parallel),
                 cache_dir=args.cache_dir,
-                engine=args.engine,
                 reseed_cells=False,  # match the serial sweep cell for cell
                 path_cache_dir=args.path_cache_dir,
             )

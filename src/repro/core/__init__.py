@@ -1,4 +1,4 @@
-"""Spider core: payments, transport runtime, scheduling, Spider schemes."""
+"""Spider core: payments, scheduling, Spider schemes."""
 
 from repro.core.amp import AmpWaterfillingScheme, waterfill_allocation
 from repro.core.congestion import TokenBucket
@@ -8,10 +8,8 @@ from repro.core.prices import ChannelPriceState, PriceTable
 from repro.core.primal_dual_routing import SpiderPrimalDualScheme
 from repro.core.queueing import (
     QueueGradientWaterfillingScheme,
-    QueueingRuntime,
     SpiderQueueingScheme,
 )
-from repro.core.runtime import Runtime, RuntimeConfig
 from repro.core.scheduling import (
     PendingHeap,
     SCHEDULING_POLICIES,
@@ -35,9 +33,6 @@ __all__ = [
     "PendingHeap",
     "PriceTable",
     "QueueGradientWaterfillingScheme",
-    "QueueingRuntime",
-    "Runtime",
-    "RuntimeConfig",
     "SCHEDULING_POLICIES",
     "SpiderLPScheme",
     "SpiderPrimalDualScheme",

@@ -24,7 +24,7 @@ from repro.routing.registry import make_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
 
 __all__ = ["AdmissionControlScheme"]
 
@@ -68,14 +68,14 @@ class AdmissionControlScheme(RoutingScheme):
         self.atomic = self.inner.atomic
         self.rejected = 0
 
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         # Shared service view: when the inner scheme probes the same k it
         # reuses exactly these pair sets.
         self.path_cache = runtime.network.path_service.view(k=self.num_paths)
         self.rejected = 0
         self.inner.prepare(runtime)
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         if payment.attempts <= 1:  # admission decision happens once
             paths = self.path_cache.paths(payment.source, payment.dest)
             capacity = sum(runtime.network.bottleneck_many(paths))

@@ -28,7 +28,7 @@ from repro.workload.demand import estimate_demand_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
 
 __all__ = ["SpiderLPScheme"]
 
@@ -51,7 +51,7 @@ class SpiderLPScheme(RoutingScheme):
         self.rebalancing_gamma = rebalancing_gamma
         self._weights: Dict[Tuple[int, int], List[Tuple[Path, float]]] = {}
 
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         self.path_cache = runtime.network.path_service.view(k=self.num_paths)
         demands = estimate_demand_matrix(runtime.records, duration=runtime.end_time)
         demands = {pair: rate for pair, rate in demands.items() if rate > _EPS}
@@ -108,7 +108,7 @@ class SpiderLPScheme(RoutingScheme):
                 for weighted in self._weights.values()
             )
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         weighted = self._weights.get((payment.source, payment.dest))
         if not weighted:
             # Zero LP flow: this commodity is never routed (see module doc).

@@ -30,11 +30,11 @@ from repro.core.congestion import TokenBucket
 from repro.core.prices import PriceTable
 from repro.fluid.primal_dual import project_capped_simplex
 from repro.routing.base import RoutingScheme
-from repro.simulator.engine import RecurringTimer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.events import TickTimer
+    from repro.engine.session import SimulationSession
 
 __all__ = ["SpiderPrimalDualScheme"]
 
@@ -108,11 +108,11 @@ class SpiderPrimalDualScheme(RoutingScheme):
         self.demand_headroom = demand_headroom
         self._pairs: Dict[Pair, _PairState] = {}
         self._prices: Optional[PriceTable] = None
-        self._timer: Optional[RecurringTimer] = None
+        self._timer: Optional["TickTimer"] = None
         self._alpha_value: float = 1.0
 
     # ------------------------------------------------------------------
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         self.path_cache = runtime.network.path_service.view(k=self.num_paths)
         delta = max(runtime.config.confirmation_delay, 1e-3)
         self._prices = PriceTable(runtime.network, delta=delta)
@@ -125,12 +125,12 @@ class SpiderPrimalDualScheme(RoutingScheme):
             self._alpha_value = 0.05 * float(mean_cap) / delta
         else:
             self._alpha_value = self.alpha
-        self._timer = RecurringTimer(
-            runtime.sim, self.update_interval, lambda: self._control_step(runtime)
+        self._timer = runtime.sim.every(
+            self.update_interval, lambda: self._control_step(runtime)
         )
 
     # ------------------------------------------------------------------
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         pair = (payment.source, payment.dest)
         state = self._pairs.get(pair)
         if state is None:
@@ -174,7 +174,7 @@ class SpiderPrimalDualScheme(RoutingScheme):
                 self._prices.observe_path(path, budget)
 
     # ------------------------------------------------------------------
-    def _control_step(self, runtime: "Runtime") -> None:
+    def _control_step(self, runtime: "SimulationSession") -> None:
         """One protocol period: dual price update then primal rate update."""
         now = runtime.now
         self._prices.update_all(self.update_interval, self.eta, self.kappa)

@@ -24,12 +24,9 @@ end-to-end pending period as the source-routed model, so results are
 comparable.
 
 The transport machinery itself lives in
-:class:`repro.engine.transport.HopByHopTransport` (this module's original
-float-time implementation was retired to a thin shim once the native
-transport's parity was pinned); this module keeps the shared
-:class:`HopUnit` record, the deprecated :class:`QueueingRuntime`
-construction surface, and :class:`SpiderQueueingScheme`, which pairs the
-transport with waterfilling path selection.
+:class:`repro.engine.transport.HopByHopTransport`; this module keeps the
+:class:`HopUnit` record it moves and :class:`SpiderQueueingScheme`, which
+pairs the transport with waterfilling path selection.
 """
 
 from __future__ import annotations
@@ -37,18 +34,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.payments import Payment
-from repro.core.runtime import Runtime, RuntimeConfig
 from repro.network.htlc import HashLock
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.collectors import MetricsCollector
-    from repro.network.network import PaymentNetwork
+    from repro.engine.session import SimulationSession
 
 __all__ = [
     "HopUnit",
     "QueueGradientWaterfillingScheme",
-    "QueueingRuntime",
     "SpiderQueueingScheme",
 ]
 
@@ -110,103 +104,15 @@ class HopUnit:
         return self.path[self.hop_index + 1]
 
 
-class QueueingRuntime(Runtime):
-    """Thin shim: §4.2 in-network queues on the native session transport.
-
-    .. deprecated::
-        The hop-by-hop machinery this class used to implement (per-direction
-        deques, lazy-cancelled timeouts, SRPT service, marking) lives in
-        :class:`repro.engine.transport.HopByHopTransport` and runs on the
-        tick engine; the parity suite pinned the two implementations
-        against each other for a release cycle before this body was
-        retired.  The class remains as the ``engine="legacy"`` /
-        ``runtime_class`` construction surface: it validates the same
-        parameters, then delegates the entire run to a
-        :class:`~repro.engine.session.SimulationSession` with a forced
-        ``("hop", ...)`` transport and mirrors the transport's statistics
-        (``units_queued``, ``units_timed_out``, ``mean_queue_delay``, ...).
-
-    Parameters on top of :class:`RuntimeConfig`: ``hop_delay``,
-    ``settle_delay``, ``queue_timeout``, ``queue_policy``,
-    ``mark_threshold`` — see
-    :class:`~repro.engine.transport.HopByHopTransport`.
-    """
-
-    def __init__(
-        self,
-        network: "PaymentNetwork",
-        records,
-        scheme: RoutingScheme,
-        config: Optional[RuntimeConfig] = None,
-        collector: Optional["MetricsCollector"] = None,
-        **transport_kwargs,
-    ):
-        from repro.engine.session import SimulationSession
-
-        super().__init__(network, records, scheme, config, collector)
-        self._session = SimulationSession(
-            network,
-            records,
-            scheme,
-            self.config,
-            collector=self.collector,
-            transport_spec=("hop", transport_kwargs),
-        )
-        # Build the transport eagerly: parameter validation happens at
-        # construction (as it always did), and direct-drive tests can use
-        # the primitives before run().
-        self._transport = self._session._ensure_transport()
-        # Alias the session's engine and payment registry so the inherited
-        # Runtime surface (``now``, ``sim.events_processed``,
-        # ``payments[id]``) reads the state the session actually mutates.
-        self.sim = self._session.sim
-        self.payments = self._session.payments
-
-    # -- delegation -----------------------------------------------------
-    def run(self):
-        """Run the trace on the session engine; returns the metrics."""
-        return self._session.run()
-
-    def send_unit_hop_by_hop(self, payment: Payment, path: Path, amount: float) -> bool:
-        """Launch one unit that forwards hop by hop, queueing when starved."""
-        return self._transport.send_unit_hop_by_hop(payment, path, amount)
-
-    # -- mirrored transport statistics ---------------------------------
-    @property
-    def units_queued(self) -> int:
-        return self._transport.units_queued
-
-    @property
-    def units_timed_out(self) -> int:
-        return self._transport.units_timed_out
-
-    @property
-    def units_marked(self) -> int:
-        return self._transport.units_marked
-
-    @property
-    def queue_delays(self) -> List[float]:
-        return self._transport.queue_delays
-
-    @property
-    def mean_queue_delay(self) -> float:
-        """Average time a serviced unit spent queued at routers."""
-        return self._transport.mean_queue_delay
-
-
 class SpiderQueueingScheme(RoutingScheme):
     """Waterfilling path choice over hop-by-hop queueing transport.
 
-    Runs natively on :class:`~repro.engine.session.SimulationSession` via
-    the ``transport = "hop"`` declaration
-    (:class:`~repro.engine.transport.HopByHopTransport`); the legacy
-    ``hop_by_hop`` flag keeps ``engine="legacy"`` runs on
-    :class:`QueueingRuntime` for the determinism parity tests.
+    The ``transport = "hop"`` declaration attaches a
+    :class:`~repro.engine.transport.HopByHopTransport` to the session.
     """
 
     name = "spider-queueing"
     atomic = False
-    hop_by_hop = True
     transport = "hop"
 
     def __init__(self, num_paths: int = 4):
@@ -232,15 +138,11 @@ class SpiderQueueingScheme(RoutingScheme):
         scheme's choice).
         """
 
-    def attempt(self, payment: Payment, runtime: Runtime) -> None:
-        # A session executes hop units through its attached transport; a
-        # legacy runtime executes them itself.
-        executor = getattr(runtime, "transport", runtime)
-        if not hasattr(executor, "send_unit_hop_by_hop"):
+    def attempt(self, payment: Payment, runtime: "SimulationSession") -> None:
+        if not hasattr(getattr(runtime, "transport", None), "send_unit_hop_by_hop"):
             raise TypeError(
-                f"{type(self).__name__} requires a hop-by-hop transport "
-                "(QueueingRuntime or a session with transport='hop'); "
-                "see repro.core.queueing and repro.engine.transport"
+                f"{type(self).__name__} requires a session with "
+                "transport='hop'; see repro.engine.transport"
             )
         paths = self.path_cache.paths(payment.source, payment.dest)
         if not paths:
@@ -302,7 +204,7 @@ class QueueGradientWaterfillingScheme(SpiderQueueingScheme):
         self._control = None
         self._penalty: List[float] = []
 
-    def prepare(self, runtime: Runtime) -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         super().prepare(runtime)
         self._control = runtime.network.control_plane
 

@@ -31,7 +31,7 @@ from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
 
 __all__ = ["WaterfillingScheme"]
 
@@ -50,7 +50,7 @@ class WaterfillingScheme(RoutingScheme):
             raise ValueError(f"num_paths must be positive, got {num_paths}")
         self.num_paths = num_paths
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         paths = self.path_cache.paths(payment.source, payment.dest)
         if not paths:
             runtime.fail_payment(payment)

@@ -33,12 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.core.queueing import HopUnit, QueueingRuntime
+from repro.core.queueing import HopUnit
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
 
 __all__ = ["ImbalanceAwareWindowScheme", "PathWindow", "WindowedSpiderScheme"]
 
@@ -94,7 +94,7 @@ class WindowedSpiderScheme(RoutingScheme):
         Router queueing delay (seconds) beyond which units are marked.
     hop_delay / queue_timeout:
         In-network-queue transport parameters
-        (:class:`~repro.core.queueing.QueueingRuntime`).
+        (:class:`~repro.engine.transport.HopByHopTransport`).
     rtt:
         Decrease guard interval; defaults to ``None`` meaning "use the
         runtime's confirmation delay".
@@ -102,8 +102,7 @@ class WindowedSpiderScheme(RoutingScheme):
 
     name = "spider-window"
     atomic = False
-    runtime_class = QueueingRuntime  # engine="legacy" pairing
-    transport = "hop"  # native tick-engine transport
+    transport = "hop"
     #: The launch loop (window-headroom sort, first-hop clamp, clean-fail
     #: try_lock) is replayed batched by the session's DispatchPlan.
     cohort_rule = "spider-window"
@@ -151,7 +150,7 @@ class WindowedSpiderScheme(RoutingScheme):
         self.losses = 0
 
     def runtime_kwargs(self) -> Dict[str, object]:
-        """Transport parameters for the paired queueing runtime."""
+        """Constructor arguments for the session's transport."""
         return {
             "mark_threshold": self.mark_threshold,
             "hop_delay": self.hop_delay,
@@ -161,7 +160,7 @@ class WindowedSpiderScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # Window state
     # ------------------------------------------------------------------
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         super().prepare(runtime)
         if self.rtt is None:
             # One confirmation delay is the natural RTT of this transport.
@@ -178,13 +177,11 @@ class WindowedSpiderScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
-        executor = getattr(runtime, "transport", runtime)
-        if not hasattr(executor, "send_unit_hop_by_hop"):
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
+        if not hasattr(getattr(runtime, "transport", None), "send_unit_hop_by_hop"):
             raise TypeError(
-                "WindowedSpiderScheme requires a hop-by-hop transport "
-                "(QueueingRuntime or a session with transport='hop'); "
-                "see repro.core.window_control"
+                "WindowedSpiderScheme requires a session with "
+                "transport='hop'; see repro.engine.transport"
             )
         paths = self.path_cache.paths(payment.source, payment.dest)
         if not paths:
@@ -274,7 +271,7 @@ class ImbalanceAwareWindowScheme(WindowedSpiderScheme):
         self._network = None
         self._control = None
 
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         super().prepare(runtime)
         self._network = runtime.network
         self._control = runtime.network.control_plane

@@ -1,4 +1,4 @@
-"""Unified simulation engine.
+"""The simulation engine.
 
 This package is the execution core of the reproduction:
 
@@ -10,12 +10,7 @@ This package is the execution core of the reproduction:
                path discovery (CSR array-frontier BFS + providers)
 ``signals``    :class:`ControlPlane` — array-backed congestion signalling
 ``transport``  hop-by-hop / backpressure transports on the tick engine
-``session``    :class:`SimulationSession` — the one facade that runs a trace
-
-The legacy pair (:class:`repro.simulator.engine.Simulator` +
-:class:`repro.core.runtime.Runtime`) remains as a deprecated
-compatibility path; see :mod:`repro.engine.session` for the migration
-story.
+``session``    :class:`SimulationSession` — runs a trace; :class:`RuntimeConfig`
 """
 
 from repro.engine.clock import DEFAULT_QUANTUM, TickClock
@@ -30,10 +25,10 @@ def __getattr__(name: str) -> object:
     # layers, which themselves build on this package's store — import them
     # lazily so low-level modules (e.g. repro.network.channel) can import
     # repro.engine.store without a cycle.
-    if name == "SimulationSession":
-        from repro.engine.session import SimulationSession
+    if name in ("RuntimeConfig", "SimulationSession"):
+        from repro.engine import session
 
-        return SimulationSession
+        return getattr(session, name)
     if name in ("BackpressureTransport", "HopByHopTransport", "make_transport"):
         from repro.engine import transport
 
@@ -69,6 +64,7 @@ __all__ = [
     "PathService",
     "PathTable",
     "PersistentCache",
+    "RuntimeConfig",
     "ScalarDisjointProvider",
     "SimulationSession",
     "SlabEventQueue",

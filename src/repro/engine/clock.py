@@ -1,9 +1,8 @@
 """Integer-tick simulation clock.
 
-The legacy :class:`~repro.simulator.engine.Simulator` keys its event heap on
-float seconds.  Floats are fine for ordering but awkward for determinism
+Float seconds are fine for ordering events but awkward for determinism
 (accumulated ``now + delay`` round-off) and slow to pack into the slab
-queue's integer keys.  The new engine therefore runs on an integer tick
+queue's integer keys.  The engine therefore runs on an integer tick
 counter with a fixed time quantum; float seconds exist only at the API
 boundary.
 

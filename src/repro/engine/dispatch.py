@@ -88,18 +88,11 @@ mission-control deltas applied at commit), and ``"spider-window"``
 (AIMD-window launch replay; first-hop ``try_lock`` fails clean, so this
 rule never stages failures — launches flush through ``lock_many`` and a
 cohort ``advance_many``).
-
-An optional numba-compiled decision kernel pair sits behind the
-``REPRO_COMPILED_DISPATCH`` environment variable — one kernel for the
-fee-free channel-disjoint fast path, one for the fee-aware residual
-replay; both mirror the Python loops operation for operation and silently
-stay off when numba is not installed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -118,17 +111,14 @@ import numpy as np
 from repro.core.payments import Payment, TransactionUnit
 from repro.core.queueing import HopUnit
 from repro.engine.pathtable import PathLock
+from repro.errors import SimulationError
 from repro.network.htlc import HashLock
-from repro.simulator.engine import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.pathtable import CompiledPath, _ProbeCache
     from repro.engine.session import SimulationSession
 
-__all__ = ["DispatchPlan", "compiled_kernel_enabled"]
-
-#: Initial capacity of the compiled kernel's per-payment output buffers.
-_KERNEL_SLOTS = 64
+__all__ = ["DispatchPlan"]
 
 #: Decision rules the batched driver can replay byte-identically.
 _BATCH_RULES = frozenset(
@@ -142,204 +132,6 @@ _DirKey = Tuple[int, int]
 
 #: Residual-state field indices (per touched ``(cid, side)`` direction).
 _BAL, _INFL, _SENT = 0, 1, 2
-
-
-def _load_compiled_kernels() -> Optional[Tuple[Any, Any]]:
-    """The numba-jitted decision kernels ``(fast, fee)``, or ``None``.
-
-    Enabled only when ``REPRO_COMPILED_DISPATCH`` is truthy *and* numba is
-    importable; the container image does not ship numba, so the import is
-    gated and failure means the pure-NumPy/Python path (which the parity
-    tests pin) runs instead.
-    """
-    flag = os.environ.get("REPRO_COMPILED_DISPATCH", "").strip().lower()
-    if flag not in {"1", "true", "yes", "on"}:
-        return None
-    try:  # pragma: no cover - numba absent in the CI image
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=True)  # pragma: no cover - exercised only when numba exists
-    def decide(
-        est: Any,
-        amount_total: float,
-        delivered: float,
-        inflight: float,
-        mtu: float,
-        min_unit: float,
-        out_idx: Any,
-        out_amt: Any,
-    ) -> int:
-        # Mirrors DispatchPlan's fee-free fast loop operation for
-        # operation so the floats (and therefore the metrics) are
-        # identical.
-        n = 0
-        cap = out_idx.shape[0]
-        remaining = (amount_total - delivered) - inflight
-        if remaining < 0.0:
-            remaining = 0.0
-        while remaining >= min_unit:
-            best = 0
-            headroom = est[0]
-            for i in range(1, est.shape[0]):
-                if est[i] > headroom:
-                    headroom = est[i]
-                    best = i
-            if headroom < min_unit:
-                break
-            amount = headroom
-            if remaining < amount:
-                amount = remaining
-            if mtu < amount:
-                amount = mtu
-            if amount < min_unit:
-                # The scalar send_unit vetoes the dust send; the re-probe
-                # sees an unchanged bottleneck and retires the path.
-                est[best] = 0.0
-                continue
-            if n == cap:
-                return -1  # buffers full: caller reruns the Python loop
-            out_idx[n] = best
-            out_amt[n] = amount
-            n += 1
-            inflight = inflight + amount
-            remaining = (amount_total - delivered) - inflight
-            if remaining < 0.0:
-                remaining = 0.0
-            est[best] = est[best] - amount
-        return n
-
-    @njit(cache=True)  # pragma: no cover - exercised only when numba exists
-    def decide_fee(
-        est: Any,
-        hop_slot: Any,
-        offsets: Any,
-        counts: Any,
-        base_fees: Any,
-        fee_rates: Any,
-        frozen: Any,
-        resid: Any,
-        amount_total: float,
-        delivered: float,
-        inflight: float,
-        mtu: float,
-        min_unit: float,
-        fees_paid: float,
-        max_fee: float,
-        scratch: Any,
-        out_idx: Any,
-        out_amt: Any,
-        out_fee: Any,
-        out_act: Any,
-    ) -> int:
-        # Mirrors DispatchPlan._replay_waterfilling operation for
-        # operation for the success-only prefix of a decision sequence:
-        # fee recurrence, veto re-probes, lock feasibility and residual
-        # updates replicate the Python replay's float sequence.  ``resid``
-        # is the caller's *copy* of the residual balance vector.  Returns
-        # the staged-send count, -1 on buffer overflow or -2 on the first
-        # infeasible lock — both mean "rerun the Python replay", which
-        # additionally replays the scalar lock-failure side effects the
-        # kernel does not model.
-        n = 0
-        act_pos = 0
-        cap = out_idx.shape[0]
-        remaining = (amount_total - delivered) - inflight
-        if remaining < 0.0:
-            remaining = 0.0
-        while remaining >= min_unit:
-            best = 0
-            headroom = est[0]
-            for i in range(1, est.shape[0]):
-                if est[i] > headroom:
-                    headroom = est[i]
-                    best = i
-            if headroom < min_unit:
-                break
-            amount = headroom
-            if remaining < amount:
-                amount = remaining
-            if mtu < amount:
-                amount = mtu
-            start = offsets[best]
-            hops = counts[best]
-            if amount < min_unit:
-                fresh = np.inf
-                for k in range(hops):
-                    s = hop_slot[start + k]
-                    v = 0.0 if frozen[s] == 1 else resid[s]
-                    if v < fresh:
-                        fresh = v
-                if fresh >= amount - 1e-12 or fresh < min_unit:
-                    est[best] = 0.0
-                else:
-                    est[best] = fresh
-                continue
-            scratch[hops - 1] = amount
-            for k in range(hops - 2, -1, -1):
-                downstream = scratch[k + 1]
-                if downstream > 0.0:
-                    fee_step = (
-                        base_fees[start + k + 1]
-                        + fee_rates[start + k + 1] * downstream
-                    )
-                else:
-                    fee_step = 0.0
-                scratch[k] = downstream + fee_step
-            fee = scratch[0] - amount
-            if fee > 0.0 and not (fees_paid + fee <= max_fee + 1e-9):
-                fresh = np.inf
-                for k in range(hops):
-                    s = hop_slot[start + k]
-                    v = 0.0 if frozen[s] == 1 else resid[s]
-                    if v < fresh:
-                        fresh = v
-                if fresh >= amount - 1e-12 or fresh < min_unit:
-                    est[best] = 0.0
-                else:
-                    est[best] = fresh
-                continue
-            for k in range(hops):
-                r = scratch[k]
-                if not (r > 0.0) or r == np.inf or r != r:
-                    return -2  # scalar raises ChannelError: Python decides
-            for k in range(hops):
-                s = hop_slot[start + k]
-                if frozen[s] == 1 or not (scratch[k] <= resid[s] + 1e-9):
-                    return -2  # lock failure: Python replays its effects
-            if n == cap or act_pos + hops > out_act.shape[0]:
-                return -1
-            out_idx[n] = best
-            out_amt[n] = amount
-            out_fee[n] = fee
-            for k in range(hops):
-                s = hop_slot[start + k]
-                r = scratch[k]
-                bal = resid[s]
-                a = r if r <= bal else bal
-                out_act[act_pos + k] = a
-                resid[s] = bal - a
-            act_pos += hops
-            n += 1
-            inflight = inflight + amount
-            remaining = (amount_total - delivered) - inflight
-            if remaining < 0.0:
-                remaining = 0.0
-            est[best] = est[best] - amount
-        return n
-
-    return decide, decide_fee
-
-
-_COMPILED = _load_compiled_kernels()
-_COMPILED_KERNEL = _COMPILED[0] if _COMPILED is not None else None
-_COMPILED_FEE_KERNEL = _COMPILED[1] if _COMPILED is not None else None
-
-
-def compiled_kernel_enabled() -> bool:
-    """Whether the numba cohort kernels are active in this process."""
-    return _COMPILED is not None
 
 
 class _PairProfile:
@@ -359,7 +151,6 @@ class _PairProfile:
         "cid_set",
         "path_cid_sets",
         "fast_exact",
-        "kernel",
     )
 
     def __init__(self) -> None:
@@ -369,8 +160,6 @@ class _PairProfile:
         self.cid_set: FrozenSet[int] = frozenset()
         self.path_cid_sets: List[FrozenSet[int]] = []
         self.fast_exact = False
-        #: Lazily-built arrays for the fee-aware numba kernel.
-        self.kernel: Optional[Tuple[Any, ...]] = None
 
 
 class DispatchPlan:
@@ -412,12 +201,6 @@ class DispatchPlan:
         #: (the fee-free fast path defers its per-hop dict writes until a
         #: later payment actually needs the overlay).
         self._residual_synced = 0
-        if _COMPILED is not None:  # pragma: no cover - numba only
-            self._kernel_idx = np.empty(_KERNEL_SLOTS, dtype=np.int64)
-            self._kernel_amt = np.empty(_KERNEL_SLOTS, dtype=np.float64)
-            self._kernel_fee = np.empty(_KERNEL_SLOTS, dtype=np.float64)
-            self._kernel_act = np.empty(0, dtype=np.float64)
-            self._kernel_scratch = np.empty(0, dtype=np.float64)
         # Observability (surfaced via SimulationSession.dispatch_stats and
         # the dispatch microbenchmark).
         self.cohorts = 0
@@ -719,11 +502,6 @@ class DispatchPlan:
             # hop), so no veto and no lock failure can occur.
             self._fast_waterfilling(payment, prof, est)
             return True
-        if _COMPILED_FEE_KERNEL is not None:  # pragma: no cover - numba only
-            result = self._kernel_waterfilling(payment, prof, est)
-            if result is not None:
-                return result
-            est = self._estimates(prof)  # kernel bailed: redo in Python
         self._sync_residuals()
         cpaths = prof.cpaths
         while payment.remaining >= min_unit:
@@ -778,24 +556,6 @@ class DispatchPlan:
         min_unit = config.min_unit_value
         mtu = config.mtu
         cpaths = prof.cpaths
-        if _COMPILED_KERNEL is not None:  # pragma: no cover - numba only
-            n = _COMPILED_KERNEL(
-                est,
-                payment.amount,
-                payment.delivered,
-                payment.inflight,
-                mtu,
-                min_unit,
-                self._kernel_idx,
-                self._kernel_amt,
-            )
-            if n >= 0:
-                for i in range(n):
-                    best = int(self._kernel_idx[i])
-                    amount = float(self._kernel_amt[i])
-                    self._stage_send(payment, cpaths[best], amount, 0.0, None)
-                return
-            est = self._estimates(prof)  # overflow: redo in Python
         while payment.remaining >= min_unit:
             best = int(np.argmax(est))
             headroom = float(est[best])
@@ -810,112 +570,6 @@ class DispatchPlan:
                 continue
             self._stage_send(payment, cpaths[best], amount, 0.0, None)
             est[best] -= amount
-
-    def _kernel_waterfilling(  # pragma: no cover - numba only
-        self, payment: Payment, prof: _PairProfile, est: np.ndarray
-    ) -> Optional[bool]:
-        """Drive the fee-aware numba kernel; ``None`` means the kernel
-        bailed (buffer overflow or a lock failure the Python replay must
-        handle) and nothing was committed."""
-        self._sync_residuals()
-        data = prof.kernel
-        probe = prof.probe
-        assert probe is not None
-        if data is None:
-            key = probe.cids * 2 + probe.sides
-            uniq, inverse = np.unique(key, return_inverse=True)
-            counts = np.asarray(
-                [len(cpath.hops) for cpath in prof.cpaths], dtype=np.intp
-            )
-            base_fees = np.concatenate(
-                [
-                    np.asarray(cpath.base_fees, dtype=np.float64)
-                    for cpath in prof.cpaths
-                ]
-            )
-            fee_rates = np.concatenate(
-                [
-                    np.asarray(cpath.fee_rates, dtype=np.float64)
-                    for cpath in prof.cpaths
-                ]
-            )
-            data = prof.kernel = (
-                inverse.astype(np.intp),
-                probe.offsets.astype(np.intp),
-                counts,
-                base_fees,
-                fee_rates,
-                (uniq // 2).astype(np.intp),
-                (uniq % 2).astype(np.intp),
-                int(counts.max()),
-            )
-        (
-            hop_slot,
-            offsets,
-            counts,
-            base_fees,
-            fee_rates,
-            slot_cids,
-            slot_sides,
-            max_hops,
-        ) = data
-        store = self.store
-        nslots = slot_cids.shape[0]
-        resid = np.empty(nslots, dtype=np.float64)
-        frozen = np.zeros(nslots, dtype=np.uint8)
-        for j in range(nslots):
-            cid = int(slot_cids[j])
-            side = int(slot_sides[j])
-            resid[j] = self._raw_balance(cid, side)
-            if store.frozen_count and store.frozen[cid]:
-                frozen[j] = 1
-        if self._kernel_scratch.shape[0] < max_hops:
-            self._kernel_scratch = np.empty(max_hops, dtype=np.float64)
-        act_cap = _KERNEL_SLOTS * max_hops
-        if self._kernel_act.shape[0] < act_cap:
-            self._kernel_act = np.empty(act_cap, dtype=np.float64)
-        max_fee = payment.max_fee if payment.max_fee is not None else math.inf
-        n = _COMPILED_FEE_KERNEL(
-            est,
-            hop_slot,
-            offsets,
-            counts,
-            base_fees,
-            fee_rates,
-            frozen,
-            resid,
-            payment.amount,
-            payment.delivered,
-            payment.inflight,
-            self.session.config.mtu,
-            self.session.config.min_unit_value,
-            payment.fees_paid,
-            max_fee,
-            self._kernel_scratch,
-            self._kernel_idx,
-            self._kernel_amt,
-            self._kernel_fee,
-            self._kernel_act,
-        )
-        if n < 0:
-            return None  # overflow or lock failure: redo in Python
-        act_pos = 0
-        for i in range(n):
-            best = int(self._kernel_idx[i])
-            cpath = prof.cpaths[best]
-            hops = int(counts[best])
-            amount = float(self._kernel_amt[i])
-            actuals = self._kernel_act[act_pos : act_pos + hops].tolist()
-            for (cid, side), actual in zip(cpath.hops, actuals):
-                state = self._state(cid, side)
-                state[_BAL] = state[_BAL] - actual
-                state[_INFL] = state[_INFL] + actual
-                state[_SENT] = state[_SENT] + actual
-            self._stage_send(
-                payment, cpath, amount, float(self._kernel_fee[i]), actuals
-            )
-            act_pos += hops
-        return True
 
     # ------------------------------------------------------------------
     # Shortest-path replay

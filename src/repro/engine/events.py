@@ -1,12 +1,9 @@
 """Slab event queue and the integer-tick engine.
 
-The legacy engine allocates two full Python objects per scheduled event —
-an :class:`~repro.simulator.engine.Event` handle plus an ``order=True``
-dataclass heap entry — and orders the heap through generated ``__lt__``
-calls that load three attributes per comparison.  At millions of events
-per run, that object churn dominates the simulation's cost.
-
-Here an event is one flat three-cell record::
+A heap of handle objects ordered through generated ``__lt__`` calls costs
+two allocations and several attribute loads per scheduled event; at
+millions of events per run that object churn dominates the simulation's
+cost.  Here an event is one flat three-cell record::
 
     [key, callback, args]      key = tick·2^44 | priority·2^40 | seq
 
@@ -14,9 +11,7 @@ The packed integer key makes heap ordering a single int comparison (``seq``
 is globally monotonic, so keys are unique and list comparison never looks
 past the first cell), and the record *is* the cancellation handle: firing
 or cancelling just clears the callback cell, with no wrapper object in the
-common fire-and-forget case.  Compared to the legacy engine this measures
-about 3× more events per second on the chained-timer microbenchmark
-(``benchmarks/bench_substrate_micro.py``).
+common fire-and-forget case.
 
 Cancelled records stay in the heap as corpses that pop skips lazily; when
 corpses outnumber live events the heap is compacted wholesale, keeping
@@ -30,7 +25,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.clock import DEFAULT_QUANTUM, TickClock
-from repro.simulator.engine import SimulationError
+from repro.errors import SimulationError
 
 __all__ = ["SlabEventQueue", "TickEngine", "TickHandle", "TickTimer"]
 
@@ -191,12 +186,9 @@ class SlabEventQueue:
 
 
 class TickHandle:
-    """Object handle for events scheduled through the compat API.
-
-    Duck-type compatible with :class:`~repro.simulator.engine.Event` for
-    the subset the codebase uses (``cancel()`` / ``pending``), so helpers
-    like :class:`~repro.simulator.engine.RecurringTimer` work unchanged on
-    a :class:`TickEngine`.  The hot path returns bare records instead.
+    """Object handle (``cancel()`` / ``pending``) for events scheduled
+    through :meth:`TickEngine.call_at` / :meth:`TickEngine.call_after`.
+    The hot path returns bare records instead.
     """
 
     __slots__ = ("_queue", "_entry")
@@ -218,19 +210,17 @@ class TickHandle:
 class TickEngine:
     """Deterministic discrete-event engine on an integer-tick clock.
 
-    Drop-in semantic replacement for the legacy
-    :class:`~repro.simulator.engine.Simulator`: events at equal ticks fire
-    in ``(priority, scheduling order)``, callbacks may schedule and cancel
-    freely, and runs are reproducible bit-for-bit.  Times given to and
-    reported by the public API are float seconds; internally everything is
-    ticks of ``quantum`` seconds.
+    Events at equal ticks fire in ``(priority, scheduling order)``,
+    callbacks may schedule and cancel freely, and runs are reproducible
+    bit-for-bit.  Times given to and reported by the public API are float
+    seconds; internally everything is ticks of ``quantum`` seconds.
 
     Two scheduling surfaces coexist:
 
     * :meth:`schedule_after` / :meth:`schedule_at_tick` — the hot path;
       returns the raw event record (pass it to :meth:`cancel` if needed).
-    * :meth:`call_at` / :meth:`call_after` — legacy-shaped; returns a
-      :class:`TickHandle`.
+    * :meth:`call_at` / :meth:`call_after` — float-seconds convenience;
+      returns a :class:`TickHandle`.
     """
 
     def __init__(self, start_time: float = 0.0, quantum: float = DEFAULT_QUANTUM):
@@ -345,7 +335,7 @@ class TickEngine:
         return self._queue.cancel(entry)
 
     # ------------------------------------------------------------------
-    # Scheduling — legacy-shaped compatibility surface
+    # Scheduling — float-seconds convenience surface (handle objects)
     # ------------------------------------------------------------------
     def call_at(
         self, time: float, callback: Callable[..., Any], *args: Any, priority: int = 0
@@ -379,7 +369,7 @@ class TickEngine:
         self._stopped = True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Fire events in tick order; mirrors ``Simulator.run`` semantics.
+        """Fire events in tick order.
 
         With ``until`` given, events at ``time <= until`` fire and the clock
         then advances to exactly ``until`` (quantised).  Returns the final
@@ -485,8 +475,7 @@ class TickEngine:
 class TickTimer:
     """Recurring timer on :class:`TickEngine` with tick-exact periods.
 
-    Unlike the float-based :class:`~repro.simulator.engine.RecurringTimer`,
-    successive fire times are ``first + k·interval`` in exact integer
+    Successive fire times are ``first + k·interval`` in exact integer
     ticks, so long runs never drift.
     """
 

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.simulator.engine import SimulationError
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.network import PaymentNetwork

@@ -1,31 +1,34 @@
-"""The unified simulation session.
+"""The simulation session: trace replay, unit transmission, settlement.
 
-:class:`SimulationSession` is the single entry point that used to be split
-across three modules: the event engine (:mod:`repro.simulator.engine`), the
-execution runtime (:mod:`repro.core.runtime`) and the pending-queue
-scheduling policies (:mod:`repro.core.scheduling`).  It executes the
-paper's evaluation semantics (§6.1) — immediate routing at arrival,
-confirmation-delay in-flight holds, periodic SRPT-ordered polling of the
-pending queue, deadline withholding — on the integer-tick
-:class:`~repro.engine.events.TickEngine` with its slab-allocated event
-queue, over a network whose channel state lives in the flat arrays of a
-:class:`~repro.engine.store.ChannelStateStore`.
+:class:`SimulationSession` executes the paper's evaluation semantics
+(§6.1) on the integer-tick :class:`~repro.engine.events.TickEngine`, over
+a network whose channel state lives in the flat arrays of a
+:class:`~repro.engine.store.ChannelStateStore`:
 
-Schemes see the exact same surface :class:`~repro.core.runtime.Runtime`
-exposed (``network`` / ``config`` / ``now`` / ``send_unit`` /
-``send_atomic`` / ``fail_payment`` / ``sim`` ...), so every source-routed
-scheme runs unchanged.  Schemes that declare a native ``transport``
-(``"hop"`` for §4.2 in-network queues and the windowed transport,
-``"backpressure"`` for Celer-style gradients) get the matching
-:mod:`repro.engine.transport` layer attached to the session — hop-by-hop
-forwarding then runs through the slab event queue and writes live router
-queue depths into the store's ``queue_depth`` arrays.  Only schemes that
-declare an unknown custom ``runtime_class`` (or a bare ``hop_by_hop``
-flag with no native transport) still fall back to their legacy runtime
-behind the facade.
+* arriving payments are routed immediately if funds allow;
+* routed value incurs a confirmation delay (0.5 s) during which the funds
+  are held in-flight on every hop and unusable by anyone;
+* non-atomic payments that cannot complete immediately wait in a global
+  pending queue, polled periodically and scheduled by a pluggable policy
+  (SRPT by default);
+* atomic payments (the baselines) get exactly one attempt.
 
-The legacy ``Runtime`` + ``Simulator`` pair remains available as a
-deprecated compatibility path; new code should construct sessions::
+Routing schemes interact with the session through two primitives:
+
+* :meth:`SimulationSession.send_unit` — lock one MTU-bounded transaction
+  unit along a path (non-atomic schemes), and
+* :meth:`SimulationSession.send_atomic` — lock a set of (path, amount)
+  allocations all-or-nothing (atomic schemes).
+
+Settlement, refunds, deadline enforcement (the sender withholds the hash
+key for units that would settle after the deadline — §4.1), metrics hooks
+and fund-conservation checks all live here, so schemes stay pure policy.
+Schemes that declare a ``transport`` (``"hop"`` for §4.2 in-network
+queues and the windowed transport, ``"backpressure"`` for Celer-style
+gradients) get the matching :mod:`repro.engine.transport` layer attached
+to the session — hop-by-hop forwarding then runs through the slab event
+queue and writes live router queue depths into the store's
+``queue_depth`` arrays.  Typical use::
 
     session = SimulationSession.from_config(config)
     metrics = session.run()
@@ -33,23 +36,23 @@ deprecated compatibility path; new code should construct sessions::
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.payments import Payment, PaymentState, TransactionUnit
 from repro.core.scheduling import PendingHeap, get_policy
-from repro.core.runtime import Runtime, RuntimeConfig
 from repro.engine.clock import DEFAULT_QUANTUM
 from repro.engine.dispatch import DispatchPlan
 from repro.engine.events import TickEngine, TickTimer
 from repro.engine.pathtable import PathLock
 from repro.engine.transport import Transport, make_transport
-from repro.errors import InsufficientFundsError
+from repro.errors import ConfigError, InsufficientFundsError, SimulationError
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
 from repro.network.htlc import HashLock
 from repro.network.network import PaymentNetwork
-from repro.simulator.engine import SimulationError
 from repro.workload.generator import TransactionRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,41 +60,75 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
     from repro.routing.base import RoutingScheme
 
-__all__ = ["SimulationSession"]
+__all__ = ["RuntimeConfig", "SimulationSession"]
 
 _EPS = 1e-9
 
 
-def _needs_legacy_runtime(scheme: "RoutingScheme") -> bool:
-    """Whether ``scheme`` demands a specialised legacy runtime.
+@dataclass
+class RuntimeConfig:
+    """Knobs of the execution environment (not of any routing scheme).
 
-    Schemes declaring a native ``transport`` run on the tick engine; the
-    fallback only remains for out-of-tree schemes that pin a custom
-    ``runtime_class`` (or a bare ``hop_by_hop`` flag) without one.
-
-    Precedence is resolved per class, most-derived first: a subclass that
-    pins its own ``runtime_class`` without declaring a ``transport`` of
-    its own gets the legacy delegate even when a base scheme declares a
-    native transport — existing runtime customisations keep working
-    unchanged.
+    Attributes
+    ----------
+    confirmation_delay:
+        End-to-end delay Δ before a routed unit's funds are usable at the
+        receiver (paper: 0.5 s).
+    poll_interval:
+        Period of the pending-queue poll.
+    mtu:
+        Maximum transaction-unit value.  ``inf`` disables splitting by size
+        (units are then bounded only by path capacity and remaining value).
+    scheduling_policy:
+        Name from :data:`repro.core.scheduling.SCHEDULING_POLICIES`.
+    end_time:
+        Simulation cut-off in seconds (the paper stops at 200 s / 85 s).
+        ``None`` runs until the last arrival plus ten confirmation delays.
+    min_unit_value:
+        Smallest unit worth sending; avoids floods of dust units.
+    max_fee_fraction:
+        §4.1's "maximum acceptable routing fee", as a fraction of each
+        payment's amount (``None`` disables the budget).  Only relevant on
+        networks with non-zero channel fees.
+    check_invariants:
+        Verify channel fund conservation after every resolution (slower;
+        on by default in tests, off in large benchmarks).
     """
-    transport_resolved = False
-    for klass in type(scheme).__mro__:
-        declared = vars(klass)
-        if not transport_resolved and "transport" in declared:
-            if declared["transport"] is not None:
-                return False
-            transport_resolved = True  # explicit opt-out at this level
-        if declared.get("runtime_class") is not None:
-            return True
-    return bool(getattr(scheme, "hop_by_hop", False))
+
+    confirmation_delay: float = 0.5
+    poll_interval: float = 0.5
+    mtu: float = math.inf
+    scheduling_policy: str = "srpt"
+    end_time: Optional[float] = None
+    min_unit_value: float = 1e-3
+    max_fee_fraction: Optional[float] = None
+    check_invariants: bool = False
+
+    def __post_init__(self) -> None:
+        if self.confirmation_delay < 0:
+            raise ConfigError(
+                f"confirmation_delay must be non-negative, got {self.confirmation_delay!r}"
+            )
+        if self.poll_interval <= 0:
+            raise ConfigError(f"poll_interval must be positive, got {self.poll_interval!r}")
+        if self.mtu <= 0:
+            raise ConfigError(f"mtu must be positive, got {self.mtu!r}")
+        if self.min_unit_value <= 0:
+            raise ConfigError(
+                f"min_unit_value must be positive, got {self.min_unit_value!r}"
+            )
+        if self.max_fee_fraction is not None and self.max_fee_fraction < 0:
+            raise ConfigError(
+                f"max_fee_fraction must be non-negative, got {self.max_fee_fraction!r}"
+            )
+        get_policy(self.scheduling_policy)  # validate eagerly
 
 
 class SimulationSession:
-    """One simulation run of one scheme over one trace, on the new engine.
+    """One simulation run of one scheme over one trace.
 
-    Parameters mirror :class:`~repro.core.runtime.Runtime`:
-
+    Parameters
+    ----------
     network:
         The payment network (mutated in place).
     records:
@@ -99,15 +136,11 @@ class SimulationSession:
     scheme:
         A :class:`~repro.routing.base.RoutingScheme`.
     config:
-        Execution parameters (:class:`~repro.core.runtime.RuntimeConfig`).
+        Execution parameters (:class:`RuntimeConfig`).
     collector:
         Optional custom metrics collector.
     quantum:
         Seconds per engine tick (float times only exist at this boundary).
-    transport_spec:
-        Optional ``(kind, kwargs)`` pair forcing a specific
-        :mod:`repro.engine.transport` layer regardless of the scheme's
-        declarations — the hook the legacy runtime shims use.
     path_cache_dir:
         Optional directory for persistent path-discovery artifacts: the
         network's :class:`~repro.engine.pathservice.PathService` loads
@@ -138,7 +171,6 @@ class SimulationSession:
         config: Optional[RuntimeConfig] = None,
         collector: Optional[MetricsCollector] = None,
         quantum: float = DEFAULT_QUANTUM,
-        transport_spec: Optional[Tuple[str, Dict[str, object]]] = None,
         path_cache_dir: Optional[str] = None,
     ):
         self.network = network
@@ -153,13 +185,10 @@ class SimulationSession:
         #: (replaces the per-poll full sort; see PendingHeap).
         self._pending = PendingHeap(self._policy)
         self._poll_timer: Optional[TickTimer] = None
-        self._delegate: Optional[Runtime] = None  # set when a legacy runtime runs the trace
         self.transport: Optional[Transport] = None  # set when the scheme declares a native transport
-        self._transport_spec = transport_spec
         self._path_cache_dir = path_cache_dir
         self._finished = False
         self._prepared = False
-        self._needs_delegate = False
         #: Macro-tick cohort kernels (None on the scalar parity path).
         self._dispatch: Optional[DispatchPlan] = None
         self._confirm_ticks = self.sim.clock.to_ticks(self.config.confirmation_delay)
@@ -187,9 +216,8 @@ class SimulationSession:
     ) -> "SimulationSession":
         """Build the session one :class:`ExperimentConfig` fully describes.
 
-        Topology, workload and scheme are derived from the config's seed
-        exactly as :func:`repro.experiments.runner.run_experiment` does, so
-        traces are identical across engines and schemes.
+        Topology, workload and scheme are derived from the config's seed,
+        never from the scheme, so traces are identical across schemes.
         """
         network, records, scheme = config.build_simulation_inputs()
         return cls(
@@ -208,8 +236,6 @@ class SimulationSession:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        if self._delegate is not None:
-            return self._delegate.now
         return self.sim.now
 
     @property
@@ -229,8 +255,6 @@ class SimulationSession:
     @property
     def events_processed(self) -> int:
         """Callbacks executed by the underlying engine so far."""
-        if self._delegate is not None:
-            return self._delegate.sim.events_processed
         return self.sim.events_processed
 
     def prepare(self) -> None:
@@ -253,6 +277,17 @@ class SimulationSession:
         """
         if self._prepared:
             return
+        transport_kind = getattr(self.scheme, "transport", None)
+        if transport_kind is None and (
+            getattr(self.scheme, "runtime_class", None) is not None
+            or getattr(self.scheme, "hop_by_hop", False)
+        ):
+            # Such a scheme expects per-hop queues; running it source-routed
+            # would silently produce different numbers.
+            raise ConfigError(
+                f"scheme {self.scheme.name!r} declares runtime_class/hop_by_hop "
+                "but no transport; declare transport = 'hop' or 'backpressure'"
+            )
         self._prepared = True
         if not self.records and self.config.end_time is None:
             # Empty trace, no horizon: nothing can ever arrive.  run()
@@ -264,27 +299,17 @@ class SimulationSession:
             # discovered pair sets are written back at the end of the run.
             # repro-lint: allow[RL006] lane sessions get no path_cache_dir
             self.network.path_service.persist_to(self._path_cache_dir)
-        if self._transport_spec is None and _needs_legacy_runtime(self.scheme):
-            self._needs_delegate = True
-            return
         engine = self.sim
         clock = engine.clock
-        if self._transport_spec is not None:
-            self._ensure_transport()
-        else:
-            transport_kind = getattr(self.scheme, "transport", None)
-            if transport_kind is not None:
-                transport_kwargs = (
-                    self.scheme.runtime_kwargs()
-                    if hasattr(self.scheme, "runtime_kwargs")
-                    else {}
-                )
-                self.transport = make_transport(
-                    transport_kind, self, **transport_kwargs
-                )
-        if self.transport is not None:
-            # Started before the trace is scheduled so timer/arrival event
-            # ordering matches the legacy runtimes tick for tick.
+        if transport_kind is not None:
+            transport_kwargs = (
+                self.scheme.runtime_kwargs()
+                if hasattr(self.scheme, "runtime_kwargs")
+                else {}
+            )
+            self.transport = make_transport(transport_kind, self, **transport_kwargs)
+            # Started before the trace is scheduled: its timers must order
+            # ahead of same-tick arrivals.
             self.transport.start()
         self.scheme.prepare(self)
         if self.vectorized_dispatch:
@@ -365,11 +390,9 @@ class SimulationSession:
     def run(self) -> ExperimentMetrics:
         """Execute the full trace and return the run's metrics.
 
-        Source-routed schemes run natively on the tick engine; schemes
-        declaring a ``transport`` (hop-by-hop queueing, backpressure) run
-        natively too, through the matching
-        :mod:`repro.engine.transport` layer.  Only schemes pinning an
-        unknown custom runtime fall back to the legacy path.
+        Schemes declaring a ``transport`` (hop-by-hop queueing,
+        backpressure) run through the matching
+        :mod:`repro.engine.transport` layer.
         """
         if self._finished:
             raise RuntimeError("a SimulationSession runs exactly once")
@@ -379,20 +402,10 @@ class SimulationSession:
             return self.collector.finalize(
                 scheme=self.scheme.name, network=self.network, duration=0.0
             )
-        if self._needs_delegate:
-            from repro.experiments.runner import build_runtime
-
-            self._delegate = build_runtime(
-                self.network, self.records, self.scheme, self.config, self.collector
-            )
-            metrics = self._delegate.run()
-            if self._path_cache_dir is not None:
-                self.network.path_service.flush()
-            return metrics
-
         self.sim.run(until=self._end_time)
         self._finish()
         if self._path_cache_dir is not None:
+            # repro-lint: allow[RL006] lane sessions get no path_cache_dir
             self.network.path_service.flush()
         control = self.network.peek_control_plane()
         if control is not None:
@@ -421,11 +434,6 @@ class SimulationSession:
         if self._finished:
             raise SimulationError("cannot run a window on a finished session")
         self.prepare()
-        if self._needs_delegate:
-            raise SimulationError(
-                f"scheme {self.scheme.name!r} requires a legacy runtime and "
-                "cannot be driven in windows"
-            )
         self.sim.run(until=until)
 
     def finish_windowed(self) -> None:
@@ -471,21 +479,18 @@ class SimulationSession:
             "scalar_fallbacks": dispatch.scalar_fallbacks,
         }
 
-    def _ensure_transport(self) -> Optional[Transport]:
-        """Instantiate the forced transport once (shims may need it before
-        :meth:`run`, e.g. to inject units directly in tests)."""
-        if self.transport is None and self._transport_spec is not None:
-            kind, kwargs = self._transport_spec
-            self.transport = make_transport(kind, self, **kwargs)
-        return self.transport
-
     # ------------------------------------------------------------------
-    # Scheme-facing primitives (same contract as Runtime)
+    # Scheme-facing primitives
     # ------------------------------------------------------------------
     def send_unit(self, payment: Payment, path: Tuple[int, ...], amount: float) -> bool:
         """Lock one transaction unit delivering ``amount`` along ``path``.
 
-        Semantics identical to :meth:`repro.core.runtime.Runtime.send_unit`.
+        The amount is clipped to the payment's remaining value and the MTU;
+        values below ``min_unit_value`` are not sent.  On fee-charging
+        networks the upstream hops lock ``amount`` plus the intermediaries'
+        fees (§2); units whose fee would blow the payment's ``max_fee``
+        budget are not sent.  Returns ``True`` if the unit was locked (it
+        will settle after the confirmation delay).
         """
         amount = min(amount, payment.remaining, self.config.mtu)
         if amount < self.config.min_unit_value:
@@ -516,7 +521,12 @@ class SimulationSession:
         return True
 
     def send_on_path(self, payment: Payment, path: Tuple[int, ...]) -> float:
-        """Send as many units as fit on ``path`` right now (non-atomic)."""
+        """Send as many units as fit on ``path`` right now.
+
+        Convenience for non-atomic schemes: repeatedly sends MTU-bounded
+        units until the path bottleneck or the payment's remaining value is
+        exhausted.  Returns the total value locked.
+        """
         sent = 0.0
         while payment.remaining >= self.config.min_unit_value:
             available = self.network.bottleneck(path)
@@ -533,7 +543,12 @@ class SimulationSession:
         payment: Payment,
         allocations: Sequence[Tuple[Tuple[int, ...], float]],
     ) -> bool:
-        """Lock ``allocations`` all-or-nothing (AMP-style multi-path)."""
+        """Lock ``allocations`` all-or-nothing (AMP-style multi-path).
+
+        Either every (path, amount) share locks — and the whole payment
+        settles after the confirmation delay — or nothing is locked and
+        ``False`` is returned.
+        """
         total = sum(amount for _, amount in allocations)
         if total < payment.amount - 1e-6:
             return False
@@ -582,12 +597,9 @@ class SimulationSession:
     def send_unit_hop_by_hop(
         self, payment: Payment, path: Tuple[int, ...], amount: float
     ) -> bool:
-        """Launch one §4.2 hop-by-hop unit through the native transport.
-
-        Same contract as
-        :meth:`repro.core.queueing.QueueingRuntime.send_unit_hop_by_hop`;
-        only valid while a hop transport is attached (``transport="hop"``).
-        """
+        """Launch one §4.2 unit that forwards hop by hop, queueing when
+        starved; only valid while a hop transport is attached
+        (``transport="hop"``)."""
         transport = self.transport
         if transport is None or not hasattr(transport, "send_unit_hop_by_hop"):
             raise RuntimeError(
@@ -597,12 +609,8 @@ class SimulationSession:
         return transport.send_unit_hop_by_hop(payment, path, amount)
 
     def inject(self, payment: Payment, amount: float) -> bool:
-        """Park one unit in the backpressure queue network.
-
-        Same contract as
-        :meth:`repro.routing.backpressure.BackpressureRuntime.inject`; only
-        valid while a backpressure transport is attached.
-        """
+        """Park one unit of ``amount`` in the source's backpressure queue;
+        only valid while a backpressure transport is attached."""
         transport = self.transport
         if transport is None or not hasattr(transport, "inject"):
             raise RuntimeError(
@@ -620,7 +628,7 @@ class SimulationSession:
         self.collector.on_payment_failed(payment, self.sim.now)
 
     # ------------------------------------------------------------------
-    # Internal event handlers (ported from Runtime, tick-scheduled)
+    # Internal event handlers
     # ------------------------------------------------------------------
     def _new_payment(self, record: TransactionRecord) -> Payment:
         """Materialise a trace record as a pending payment (no attempt)."""
@@ -742,7 +750,7 @@ class SimulationSession:
         """Resolve every unit that matured at ``tick``.
 
         Payment accounting and collector hooks run per unit in scheduling
-        order (identical to the one-event-per-unit history); the store
+        order; the store
         writes of all :class:`PathLock`-backed units are coalesced into a
         single ordered scatter-add
         (:meth:`~repro.engine.store.ChannelStateStore.apply_resolution_batch`).
@@ -876,7 +884,7 @@ class SimulationSession:
             self._dispatch.assert_drained()
         if self.transport is not None:
             # Drain router queues first (refunds may complete nothing, but
-            # they release in-flight value), mirroring the legacy runtimes.
+            # they release in-flight value).
             self.transport.finish()
         now = self.sim.now
         for pid in list(self._pending):

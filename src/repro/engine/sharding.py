@@ -51,14 +51,13 @@ from multiprocessing.connection import wait as _sentinel_wait
 from threading import BrokenBarrierError
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.runtime import RuntimeConfig
 from repro.engine.clock import DEFAULT_QUANTUM
 from repro.engine.sanitizer import BOUNDARY_LANE, ShardSanitizer
-from repro.engine.session import SimulationSession, _needs_legacy_runtime
+from repro.engine.session import RuntimeConfig, SimulationSession
+from repro.errors import SimulationError
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
 from repro.network.network import PaymentNetwork
 from repro.routing.registry import make_scheme
-from repro.simulator.engine import SimulationError
 from repro.topology.partition import GraphPartition, partition_network
 from repro.workload.generator import TransactionRecord
 
@@ -302,20 +301,15 @@ class ShardedSession:
         store row a lane can touch — which requires a source-routed
         scheme whose probes and locks stay on its declared candidate
         paths.  Transport schemes (in-network queues move units through
-        arbitrary rows on their own events) and legacy-runtime schemes
-        are out; so are schemes without a ``num_paths`` candidate budget
-        (nothing bounds what they probe).
+        arbitrary rows on their own events) are out; so are schemes
+        without a ``num_paths`` candidate budget (nothing bounds what
+        they probe).
         """
         name = getattr(scheme, "name", type(scheme).__name__)
         if getattr(scheme, "transport", None) is not None:
             raise SimulationError(
                 f"scheme {name!r} declares a native transport; hop-by-hop "
                 "unit movement cannot be row-partitioned — run it unsharded"
-            )
-        if _needs_legacy_runtime(scheme):
-            raise SimulationError(
-                f"scheme {name!r} requires a legacy runtime and cannot be "
-                "sharded"
             )
         if getattr(scheme, "num_paths", None) is None:
             raise SimulationError(

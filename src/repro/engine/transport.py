@@ -1,15 +1,8 @@
-"""Native hop-by-hop transports on the tick engine.
+"""Hop-by-hop transports on the tick engine.
 
-Until this module existed, the paper's headline transport — §4.2's
-hop-by-hop transaction-unit forwarding with in-router queues — only ran
-through the deprecated float-time runtimes
-(:class:`~repro.core.queueing.QueueingRuntime`,
-:class:`~repro.routing.backpressure.BackpressureRuntime`), so the slab
-event queue's speedup never reached the schemes that need it most, and the
-:class:`~repro.engine.store.ChannelStateStore` ``queue_depth`` arrays were
-allocated but never written.
-
-Two transports plug into :class:`~repro.engine.session.SimulationSession`
+The paper's headline transport is §4.2's hop-by-hop transaction-unit
+forwarding with in-router queues.  Two transports plug into
+:class:`~repro.engine.session.SimulationSession`
 (selected by the scheme's declarative ``transport`` attribute):
 
 :class:`HopByHopTransport` (``transport = "hop"``)
@@ -30,9 +23,8 @@ Two transports plug into :class:`~repro.engine.session.SimulationSession`
     channel direction — so backlog is reported through the collector's
     queue-depth hook rather than the store's directional arrays.
 
-Both transports drive the same collector hooks and scheme callbacks as
-their legacy counterparts, so metrics are comparable engine to engine (the
-determinism parity tests pin this).
+Both transports drive the same collector hooks as source-routed sends, so
+metrics are comparable across schemes.
 """
 
 from __future__ import annotations
@@ -63,9 +55,7 @@ _EPS = 1e-9
 class HopByHopTransport:
     """§4.2 in-network router queues, scheduled on the slab event queue.
 
-    Semantics mirror :class:`~repro.core.queueing.QueueingRuntime` (the
-    parity tests compare both on the same seeded trace); the mechanics are
-    rebuilt for the tick engine:
+    The model is described in :mod:`repro.core.queueing`; the mechanics:
 
     * per-direction queues are keyed by the store index ``(cid, side)``
       and the live depth is written straight into
@@ -435,12 +425,10 @@ class HopByHopTransport:
 class BackpressureTransport:
     """Celer-style per-destination queue gradients on the tick engine.
 
-    A native port of :class:`~repro.routing.backpressure.BackpressureRuntime`
-    (see that module for the model): queues per (node, destination), a
-    service epoch every ``service_interval`` seconds on a tick-exact
-    :class:`~repro.engine.events.TickTimer`, shortest-path-biased gradient
-    weights, backtracking for stuck units.  Parameters are identical to the
-    legacy runtime's extras.
+    The model is described in :mod:`repro.routing.backpressure`: queues
+    per (node, destination), a service epoch every ``service_interval``
+    seconds on a tick-exact :class:`~repro.engine.events.TickTimer`,
+    shortest-path-biased gradient weights, backtracking for stuck units.
     """
 
     kind = "backpressure"
@@ -507,7 +495,7 @@ class BackpressureTransport:
 
     def start(self) -> None:
         """Arm the service-epoch timer (before the trace is scheduled, so
-        epoch/arrival ordering matches the legacy runtime)."""
+        an epoch fires ahead of same-tick arrivals)."""
         self._service_timer = self.sim.every(self.service_interval, self._service_epoch)
 
     # ------------------------------------------------------------------

@@ -15,6 +15,7 @@ __all__ = [
     "InsufficientFundsError",
     "ChannelError",
     "PaymentError",
+    "SimulationError",
 ]
 
 
@@ -44,3 +45,11 @@ class ChannelError(ReproError):
 
 class PaymentError(ReproError):
     """A payment-level operation was invalid (e.g. double completion)."""
+
+
+class SimulationError(ReproError, RuntimeError):
+    """The engine was used inconsistently.
+
+    Examples include scheduling an event in the simulated past, running a
+    finished session again, or finishing a run with due work still queued.
+    """

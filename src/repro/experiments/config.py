@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.runtime import RuntimeConfig
+from repro.engine.session import RuntimeConfig
 from repro.errors import ConfigError
 from repro.simulator.rng import derive_seed
 from repro.topology import (
@@ -169,12 +169,12 @@ class ExperimentConfig:
         return generate_workload(nodes, workload)
 
     def build_simulation_inputs(self):
-        """``(network, records, scheme)`` exactly as the engines consume them.
+        """``(network, records, scheme)`` exactly as a session consumes them.
 
         The single construction path shared by
-        :meth:`repro.engine.session.SimulationSession.from_config`, the
-        legacy ``run_experiment`` arm and the benchmarks — so engine
-        comparisons always replay the identical network, trace and scheme.
+        :meth:`repro.engine.session.SimulationSession.from_config`,
+        :class:`~repro.engine.sharding.ShardedSession` and the benchmarks
+        — so comparisons always replay the identical network and trace.
         """
         from repro.network.htlc import seed_hash_locks
         from repro.routing.registry import make_scheme

@@ -15,8 +15,7 @@ capacity, scheme × fee rate, ...).  The serial helpers in
   ``cache_dir/<sha256-of-config>.json``; re-running a sweep (or extending
   it with more values) only simulates the missing cells.
 
-Cells execute through :func:`repro.experiments.runner.run_experiment`, by
-default on the :class:`~repro.engine.session.SimulationSession` engine.
+Cells execute through :func:`repro.experiments.runner.run_experiment`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import ExperimentMetrics
 from repro.simulator.rng import derive_seed
@@ -117,24 +115,22 @@ class SweepCell:
     config: ExperimentConfig
 
 
-#: Bumped whenever engine or metrics semantics change, so cached results
-#: computed by older code are recomputed rather than silently served (e.g.
-#: hop-by-hop schemes moved from the legacy fallback — always-zero queue
-#: depths — to the native transport in schema 2).
-_CACHE_SCHEMA_VERSION = 2
+#: Bumped whenever engine or metrics semantics, or the key layout below,
+#: change, so cached results computed by older code are recomputed rather
+#: than silently served.
+_CACHE_SCHEMA_VERSION = 3
 
 
-def _config_fingerprint(config: ExperimentConfig, engine: str) -> str:
-    """Stable cache key: sha256 of the canonical config JSON + engine tag."""
+def _config_fingerprint(config: ExperimentConfig) -> str:
+    """Stable cache key: sha256 of the canonical config JSON + schema tag."""
     payload = dataclasses.asdict(config)
-    payload["__engine__"] = engine
     payload["__schema__"] = _CACHE_SCHEMA_VERSION
     blob = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _run_cell(
-    payload: Tuple[int, ExperimentConfig, str, Optional[str]]
+    payload: Tuple[int, ExperimentConfig, Optional[str]]
 ) -> Tuple[int, Dict[str, object]]:
     """Worker entry point: run one cell, return ``(index, metrics dict)``.
 
@@ -144,13 +140,11 @@ def _run_cell(
     parent converts these payloads to :class:`SweepCellError` with the
     owning cell's identity attached.
     """
-    index, config, engine, path_cache_dir = payload
+    index, config, path_cache_dir = payload
     try:
         from repro.experiments.runner import run_experiment
 
-        metrics = run_experiment(
-            config, engine=engine, path_cache_dir=path_cache_dir
-        )
+        metrics = run_experiment(config, path_cache_dir=path_cache_dir)
         return index, metrics.to_dict()
     except Exception as exc:
         import traceback
@@ -175,8 +169,6 @@ class SweepExecutor:
         tests — results are identical by construction).
     cache_dir:
         Directory for per-cell JSON results.  ``None`` disables caching.
-    engine:
-        ``"session"`` (default, the tick engine) or ``"legacy"``.
     reseed_cells:
         When true (default), each parameter value gets its own derived
         seed via :func:`derive_cell_seed`.  When false, every cell keeps
@@ -196,16 +188,12 @@ class SweepExecutor:
         base_config: ExperimentConfig,
         processes: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        engine: str = "session",
         reseed_cells: bool = True,
         path_cache_dir: Optional[str] = None,
     ):
-        if engine not in ("session", "legacy"):
-            raise ConfigError(f"unknown engine {engine!r}; use 'session' or 'legacy'")
         self.base_config = base_config
         self.processes = os.cpu_count() or 1 if processes is None else int(processes)
         self.cache_dir = cache_dir
-        self.engine = engine
         self.reseed_cells = reseed_cells
         if path_cache_dir is None and cache_dir is not None:
             path_cache_dir = os.path.join(cache_dir, "paths")
@@ -251,10 +239,10 @@ class SweepExecutor:
         """
         by_index: Dict[int, SweepCell] = {cell.index: cell for cell in cells}
         results: Dict[int, ExperimentMetrics] = {}
-        todo: List[Tuple[int, ExperimentConfig, str, Optional[str]]] = []
+        todo: List[Tuple[int, ExperimentConfig, Optional[str]]] = []
         keys: Dict[int, str] = {}
         for cell in cells:
-            key = _config_fingerprint(cell.config, self.engine)
+            key = _config_fingerprint(cell.config)
             keys[cell.index] = key
             cached = self._cache_load(key)
             if cached is not None:
@@ -262,12 +250,10 @@ class SweepExecutor:
                 results[cell.index] = cached
             else:
                 self.cache_misses += 1
-                todo.append(
-                    (cell.index, cell.config, self.engine, self.path_cache_dir)
-                )
+                todo.append((cell.index, cell.config, self.path_cache_dir))
 
         if todo and self.path_cache_dir is not None:
-            self._precompute_paths([config for _, config, _, _ in todo])
+            self._precompute_paths([config for _, config, _ in todo])
         if todo:
             if self.processes <= 1 or len(todo) == 1:
                 finished = [_run_cell(payload) for payload in todo]

@@ -1,60 +1,14 @@
-"""Experiment execution: configs in, metrics out.
-
-``run_experiment`` executes on the unified
-:class:`~repro.engine.session.SimulationSession` engine by default; pass
-``engine="legacy"`` to drive the deprecated ``Runtime``/``Simulator`` pair
-(kept for regression comparison — the determinism tests exercise both).
-"""
+"""Experiment execution: configs in, metrics out."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.queueing import QueueingRuntime
-from repro.core.runtime import Runtime
 from repro.engine.session import SimulationSession
-from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
 
-__all__ = ["build_runtime", "build_session", "run_experiment", "compare_schemes"]
-
-
-def build_runtime(
-    network,
-    records,
-    scheme,
-    runtime_config,
-    collector: Optional[MetricsCollector] = None,
-) -> Runtime:
-    """Pair ``scheme`` with the legacy runtime it declares and construct it.
-
-    Schemes that declare ``hop_by_hop = True`` (in-network queues, §4.2)
-    get a :class:`~repro.core.queueing.QueueingRuntime`; schemes that
-    declare a ``runtime_class`` (backpressure, windowed transport) get
-    that runtime, constructed with the scheme's ``runtime_kwargs()``;
-    everything else runs on the plain :class:`~repro.core.runtime.Runtime`.
-
-    This is the ``engine="legacy"`` construction path; on the default
-    session engine the same schemes run natively through
-    :mod:`repro.engine.transport`.
-    """
-    runtime_class = getattr(scheme, "runtime_class", None)
-    if runtime_class is None:
-        runtime_class = (
-            QueueingRuntime if getattr(scheme, "hop_by_hop", False) else Runtime
-        )
-    runtime_kwargs = (
-        scheme.runtime_kwargs() if hasattr(scheme, "runtime_kwargs") else {}
-    )
-    return runtime_class(
-        network=network,
-        records=records,
-        scheme=scheme,
-        config=runtime_config,
-        collector=collector or MetricsCollector(),
-        **runtime_kwargs,
-    )
+__all__ = ["build_session", "run_experiment", "compare_schemes"]
 
 
 def build_session(
@@ -67,7 +21,6 @@ def build_session(
 
 def run_experiment(
     config: ExperimentConfig,
-    engine: str = "session",
     path_cache_dir: Optional[str] = None,
 ) -> ExperimentMetrics:
     """Run one scheme on one topology/workload; returns the run metrics.
@@ -76,41 +29,18 @@ def run_experiment(
     parameters — never on the scheme — so scheme comparisons see identical
     traces, as in the paper's evaluation.
 
-    ``engine="session"`` (default) runs on the unified tick engine for
-    every in-tree scheme — hop-by-hop queueing, the windowed transport and
-    backpressure included, via the native :mod:`repro.engine.transport`
-    layer.  Only out-of-tree schemes that pin a custom ``runtime_class``
-    without a ``transport`` declaration fall back to the legacy runtime
-    behind the session facade.  ``engine="legacy"`` forces the deprecated
-    float-time path for every scheme (the determinism parity tests compare
-    both).
-
     ``path_cache_dir`` points the run's
     :class:`~repro.engine.pathservice.PathService` at a persistent
     path-artifact directory: pair path sets computed by earlier runs over
     the same topology are loaded instead of recomputed.
     """
-    if engine == "session":
-        return SimulationSession.from_config(
-            config, path_cache_dir=path_cache_dir
-        ).run()
-    if engine != "legacy":
-        raise ConfigError(f"unknown engine {engine!r}; use 'session' or 'legacy'")
-    network, records, scheme = config.build_simulation_inputs()
-    if path_cache_dir is not None:
-        network.path_service.persist_to(path_cache_dir)
-    runtime = build_runtime(network, records, scheme, config.build_runtime_config())
-    metrics = runtime.run()
-    if path_cache_dir is not None:
-        network.path_service.flush()
-    return metrics
+    return SimulationSession.from_config(config, path_cache_dir=path_cache_dir).run()
 
 
 def compare_schemes(
     base_config: ExperimentConfig,
     schemes: Sequence[str],
     scheme_params: Optional[Dict[str, Dict[str, object]]] = None,
-    engine: str = "session",
     path_cache_dir: Optional[str] = None,
 ) -> List[ExperimentMetrics]:
     """Run several schemes against the identical trace (Fig. 6 layout).
@@ -127,7 +57,5 @@ def compare_schemes(
         config = base_config.with_overrides(
             scheme=scheme, scheme_params=scheme_params.get(scheme, {})
         )
-        results.append(
-            run_experiment(config, engine=engine, path_cache_dir=path_cache_dir)
-        )
+        results.append(run_experiment(config, path_cache_dir=path_cache_dir))
     return results

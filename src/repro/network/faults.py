@@ -30,7 +30,7 @@ from repro.network.network import canonical_edge
 from repro.simulator.rng import SeedLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
     from repro.network.network import PaymentNetwork
 
 __all__ = [
@@ -99,7 +99,7 @@ class FaultSchedule:
         return len(self.closures) + len(self.outages)
 
     # ------------------------------------------------------------------
-    def install(self, runtime: "Runtime") -> None:
+    def install(self, runtime: "SimulationSession") -> None:
         """Schedule every fault on the runtime's simulator clock.
 
         Call after constructing the runtime and before ``run()``.

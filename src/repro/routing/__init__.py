@@ -1,6 +1,6 @@
 """Routing schemes: the paper's baselines plus shared infrastructure."""
 
-from repro.routing.backpressure import BackpressureRuntime, CelerScheme
+from repro.routing.backpressure import CelerScheme
 from repro.routing.base import PathCache, RoutingScheme
 from repro.routing.embedding import PrefixEmbedding, SpeedyMurmursScheme, tree_distance
 from repro.routing.landmark import LandmarkScheme, contract_loops
@@ -15,7 +15,6 @@ from repro.routing.registry import (
 from repro.routing.shortest_path import ShortestPathScheme
 
 __all__ = [
-    "BackpressureRuntime",
     "CelerScheme",
     "LandmarkScheme",
     "LndScheme",

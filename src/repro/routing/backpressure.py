@@ -34,10 +34,8 @@ Model
 
 :class:`CelerScheme` injects payment value; the queues, gradients,
 forwarding, settlement and refunds live in
-:class:`repro.engine.transport.BackpressureTransport` (this module's
-original float-time runtime was retired to the thin
-:class:`BackpressureRuntime` shim once the native transport's parity was
-pinned).  The service epoch's gradient weights compute through the
+:class:`repro.engine.transport.BackpressureTransport`.  The service
+epoch's gradient weights compute through the
 network :class:`~repro.engine.signals.ControlPlane` — one vectorised
 expression per candidate batch rather than per-destination Python calls,
 with the per-destination loop preserved behind
@@ -49,16 +47,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.payments import Payment
-from repro.core.runtime import Runtime, RuntimeConfig
 from repro.network.htlc import HashLock, Htlc
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.collectors import MetricsCollector
-    from repro.network.network import PaymentNetwork
+    from repro.engine.session import SimulationSession
 
-__all__ = ["BackpressureUnit", "BackpressureRuntime", "CelerScheme"]
-
+__all__ = ["BackpressureUnit", "CelerScheme"]
 
 
 class BackpressureUnit:
@@ -99,92 +94,6 @@ class BackpressureUnit:
         return self.hops[-1][0] if self.hops else None
 
 
-class BackpressureRuntime(Runtime):
-    """Thin shim: gradient forwarding on the native session transport.
-
-    .. deprecated::
-        The queue-gradient machinery this class used to implement lives in
-        :class:`repro.engine.transport.BackpressureTransport` and runs on
-        the tick engine; the parity suite pinned the two implementations
-        against each other for a release cycle before this body was
-        retired.  The class remains as the ``engine="legacy"`` /
-        ``runtime_class`` construction surface: it validates the same
-        parameters, then delegates the entire run to a
-        :class:`~repro.engine.session.SimulationSession` with a forced
-        ``("backpressure", ...)`` transport and mirrors the transport's
-        statistics and primitives (``inject``, ``backlog``,
-        ``units_injected``, ``total_pops``, ...).
-
-    Parameters on top of :class:`~repro.core.runtime.RuntimeConfig`:
-    ``service_interval``, ``beta``, ``max_hops``, ``stuck_after``,
-    ``settle_delay`` — see
-    :class:`~repro.engine.transport.BackpressureTransport`.
-    """
-
-    def __init__(
-        self,
-        network: "PaymentNetwork",
-        records,
-        scheme: RoutingScheme,
-        config: Optional[RuntimeConfig] = None,
-        collector: Optional["MetricsCollector"] = None,
-        **transport_kwargs,
-    ):
-        from repro.engine.session import SimulationSession
-
-        super().__init__(network, records, scheme, config, collector)
-        self._session = SimulationSession(
-            network,
-            records,
-            scheme,
-            self.config,
-            collector=self.collector,
-            transport_spec=("backpressure", transport_kwargs),
-        )
-        # Built eagerly: parameters validate at construction and the
-        # direct-drive tests can inject units before run().
-        self._transport = self._session._ensure_transport()
-        # Alias the session's engine and payment registry so the inherited
-        # Runtime surface (``now``, ``sim.events_processed``,
-        # ``payments[id]``) reads the state the session actually mutates.
-        self.sim = self._session.sim
-        self.payments = self._session.payments
-
-    # -- delegation -----------------------------------------------------
-    def run(self):
-        """Run the trace on the session engine; returns the metrics."""
-        return self._session.run()
-
-    def inject(self, payment: Payment, amount: float) -> bool:
-        """Park one unit of ``amount`` in the source's queue for routing."""
-        return self._transport.inject(payment, amount)
-
-    def backlog(self, node: int, dest: int) -> float:
-        """Queued value at ``node`` destined for ``dest``."""
-        return self._transport.backlog(node, dest)
-
-    def _pop_hop(self, unit: BackpressureUnit, v: int) -> None:
-        """Backtrack: undo the unit's last hop (transport-delegated)."""
-        self._transport._pop_hop(unit, v)
-
-    # -- mirrored transport statistics ---------------------------------
-    @property
-    def units_injected(self) -> int:
-        return self._transport.units_injected
-
-    @property
-    def units_expired(self) -> int:
-        return self._transport.units_expired
-
-    @property
-    def total_hops(self) -> int:
-        return self._transport.total_hops
-
-    @property
-    def total_pops(self) -> int:
-        return self._transport.total_pops
-
-
 class CelerScheme(RoutingScheme):
     """Backpressure (Celer cRoute-style) packet-switched routing.
 
@@ -194,15 +103,14 @@ class CelerScheme(RoutingScheme):
         Optional per-unit value cap below the runtime MTU (finer queue
         granularity at the cost of more units).
     service_interval, beta, max_hops:
-        Forwarded to :class:`BackpressureRuntime`; the experiment runner
-        instantiates that runtime via the ``runtime_class`` attribute and
-        passes :meth:`runtime_kwargs` through.
+        Forwarded to the session's
+        :class:`~repro.engine.transport.BackpressureTransport` through
+        :meth:`runtime_kwargs`.
     """
 
     name = "celer"
     atomic = False
-    runtime_class = BackpressureRuntime  # engine="legacy" pairing
-    transport = "backpressure"  # native tick-engine transport
+    transport = "backpressure"
 
     def __init__(
         self,
@@ -221,7 +129,7 @@ class CelerScheme(RoutingScheme):
         self.stuck_after = stuck_after
 
     def runtime_kwargs(self) -> Dict[str, object]:
-        """Extra constructor arguments for the paired runtime."""
+        """Constructor arguments for the session's transport."""
         return {
             "service_interval": self.service_interval,
             "beta": self.beta,
@@ -229,13 +137,11 @@ class CelerScheme(RoutingScheme):
             "stuck_after": self.stuck_after,
         }
 
-    def attempt(self, payment: Payment, runtime: Runtime) -> None:
-        executor = getattr(runtime, "transport", runtime)
-        if not hasattr(executor, "inject"):
+    def attempt(self, payment: Payment, runtime: "SimulationSession") -> None:
+        if not hasattr(getattr(runtime, "transport", None), "inject"):
             raise TypeError(
-                "CelerScheme requires a backpressure transport "
-                "(BackpressureRuntime or a session with "
-                "transport='backpressure'); see repro.routing.backpressure"
+                "CelerScheme requires a session with "
+                "transport='backpressure'; see repro.engine.transport"
             )
         injected_any = False
         while payment.remaining >= runtime.config.min_unit_value:

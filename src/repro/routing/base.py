@@ -1,8 +1,8 @@
 """Routing scheme interface.
 
 A scheme is pure policy: it decides *which paths and how much*, and uses the
-runtime's two primitives (``send_unit`` / ``send_atomic``) to move money.
-The runtime calls :meth:`RoutingScheme.attempt`:
+session's two primitives (``send_unit`` / ``send_atomic``) to move money.
+The session (passed as ``runtime``) calls :meth:`RoutingScheme.attempt`:
 
 * once at arrival for **atomic** schemes (``atomic = True``) — if the
   attempt locks nothing, the runtime fails the payment (the paper's
@@ -30,7 +30,7 @@ from repro.fluid.paths import k_edge_disjoint_paths, k_shortest_paths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
 
 __all__ = ["RoutingScheme", "PathCache"]
 
@@ -100,10 +100,9 @@ class RoutingScheme(abc.ABC):
     atomic: bool = False
     #: Native session transport the scheme needs: ``None`` (source-routed),
     #: ``"hop"`` (§4.2 in-network queues / windowed transport) or
-    #: ``"backpressure"`` — see :mod:`repro.engine.transport`.  Precedence
-    #: against ``runtime_class`` is per class, most-derived first: a
-    #: subclass pinning its own ``runtime_class`` (without redeclaring
-    #: ``transport``) keeps the legacy delegate it asks for.
+    #: ``"backpressure"`` — see :mod:`repro.engine.transport`.  Transport
+    #: schemes pass the transport's constructor arguments through an
+    #: optional ``runtime_kwargs()`` method.
     transport: Optional[str] = None
     #: Name of the vectorised cohort decision rule the session's
     #: :class:`~repro.engine.dispatch.DispatchPlan` may use in place of
@@ -117,7 +116,7 @@ class RoutingScheme(abc.ABC):
     #: suite in ``tests/engine/test_dispatch.py`` enforces it.
     cohort_rule: Optional[str] = None
 
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         """One-time setup before the trace starts (path/LP precomputation).
 
         The default implementation binds the network's shared
@@ -131,7 +130,7 @@ class RoutingScheme(abc.ABC):
             self.path_cache = runtime.network.path_service.view(k=num_paths)
 
     @abc.abstractmethod
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         """Try to make progress on ``payment`` given current balances."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -27,7 +27,7 @@ from repro.simulator.rng import SeedLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
     from repro.network.network import PaymentNetwork
 
 __all__ = ["SpeedyMurmursScheme", "PrefixEmbedding", "tree_distance"]
@@ -98,7 +98,7 @@ class SpeedyMurmursScheme(RoutingScheme):
         self._embeddings: List[PrefixEmbedding] = []
         self._adjacency: Dict[int, List[int]] = {}
 
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         # Shared sorted adjacency from the network's PathService (one
         # construction per network; treated as read-only here).
         self._adjacency = runtime.network.path_service.sorted_adjacency()
@@ -156,7 +156,7 @@ class SpeedyMurmursScheme(RoutingScheme):
             path.append(node)
         return None
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         shares = self._split_amount(payment.amount)
         allocations: List[Tuple[Path, float]] = []
         reserved: Dict[Tuple[int, int], float] = {}

@@ -34,7 +34,7 @@ from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
 
 __all__ = ["LandmarkScheme", "contract_loops"]
 
@@ -55,7 +55,7 @@ class LandmarkScheme(RoutingScheme):
         self._landmarks: List[int] = []
         self._provider: Optional[LandmarkProvider] = None
 
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         provider = runtime.network.path_service.landmark_provider(
             self.num_landmarks
         )
@@ -66,7 +66,7 @@ class LandmarkScheme(RoutingScheme):
         """One loop-free path per landmark (deduplicated, memoised)."""
         return self._provider.paths(source, dest)
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         paths = self.landmark_paths(payment.source, payment.dest)
         if not paths:
             runtime.fail_payment(payment)

@@ -33,7 +33,7 @@ from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
     from repro.network.network import PaymentNetwork
 
 __all__ = ["LndScheme"]
@@ -88,7 +88,7 @@ class LndScheme(RoutingScheme):
         self.failures_reported = 0
 
     # ------------------------------------------------------------------
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         """Snapshot the gossip view: adjacency with per-channel capacity.
 
         The sorted adjacency comes from the network's shared
@@ -98,7 +98,7 @@ class LndScheme(RoutingScheme):
             runtime.network.path_service.sorted_adjacency()
         )
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         pruned: set = set()
         now = runtime.now
         for _ in range(self.max_attempts):

@@ -26,7 +26,7 @@ from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
     from repro.network.network import PaymentNetwork
 
 __all__ = ["MaxFlowScheme", "edmonds_karp", "decompose_flow"]
@@ -165,7 +165,7 @@ class MaxFlowScheme(RoutingScheme):
     name = "max-flow"
     atomic = True
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         capacity = self._directional_balances(runtime.network)
         value, flow = edmonds_karp(
             capacity, payment.source, payment.dest, limit=payment.amount

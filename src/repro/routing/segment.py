@@ -29,7 +29,7 @@ from repro.topology.partition import GraphPartition, partition_adjacency
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
 
 __all__ = ["SegmentRoutingScheme"]
 
@@ -79,7 +79,7 @@ class SegmentRoutingScheme(RoutingScheme):
         self._routes: Dict[Tuple[int, int], Optional[Path]] = {}
         self._legs: Dict[Tuple[int, int, int], Optional[Path]] = {}
 
-    def prepare(self, runtime: "Runtime") -> None:
+    def prepare(self, runtime: "SimulationSession") -> None:
         """Bind the path service view and build (or adopt) the partition."""
         super().prepare(runtime)
         service = runtime.network.path_service
@@ -91,7 +91,7 @@ class SegmentRoutingScheme(RoutingScheme):
         self._routes = {}
         self._legs = {}
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         path = self._route(payment.source, payment.dest)
         if path is None:
             runtime.fail_payment(payment)

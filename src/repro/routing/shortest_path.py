@@ -19,7 +19,7 @@ from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
-    from repro.core.runtime import Runtime
+    from repro.engine.session import SimulationSession
 
 __all__ = ["ShortestPathScheme"]
 
@@ -40,7 +40,7 @@ class ShortestPathScheme(RoutingScheme):
     num_paths = 1
     cohort_rule = "shortest-path"
 
-    def attempt(self, payment: "Payment", runtime: "Runtime") -> None:
+    def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         path = self.path_cache.shortest(payment.source, payment.dest)
         if path is None:
             runtime.fail_payment(payment)

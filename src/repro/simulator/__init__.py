@@ -1,13 +1,8 @@
-"""Discrete-event simulation substrate (engine + seeded randomness)."""
+"""Seeded randomness for simulations."""
 
-from repro.simulator.engine import Event, RecurringTimer, SimulationError, Simulator
 from repro.simulator.rng import derive_seed, exponential_weights, make_rng, spawn
 
 __all__ = [
-    "Event",
-    "RecurringTimer",
-    "SimulationError",
-    "Simulator",
     "derive_seed",
     "exponential_weights",
     "make_rng",

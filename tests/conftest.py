@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.events import TickEngine
 from repro.network.network import PaymentNetwork
-from repro.simulator.engine import Simulator
 from repro.topology.examples import FIG4_DEMANDS, fig4_topology
 from repro.topology.generators import line_topology
 
 
 @pytest.fixture
-def sim() -> Simulator:
-    """A fresh simulator starting at t=0."""
-    return Simulator()
+def sim() -> TickEngine:
+    """A fresh engine starting at t=0."""
+    return TickEngine()
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.admission import AdmissionControlScheme
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.metrics.collectors import MetricsCollector
 from repro.topology.generators import line_topology
 from repro.workload.generator import TransactionRecord
@@ -13,7 +13,7 @@ from repro.workload.generator import TransactionRecord
 
 def run(records, scheme, capacity=100.0):
     network = line_topology(3).build_network(default_capacity=capacity)
-    runtime = Runtime(network, records, scheme, RuntimeConfig(end_time=20.0))
+    runtime = SimulationSession(network, records, scheme, RuntimeConfig(end_time=20.0))
     return runtime.run(), runtime
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.amp import AmpWaterfillingScheme, waterfill_allocation
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.topology.generators import line_topology
 from repro.workload.generator import TransactionRecord
 
@@ -49,7 +49,7 @@ class TestWaterfillAllocation:
 
 class TestAmpScheme:
     def _run(self, records, network):
-        runtime = Runtime(
+        runtime = SimulationSession(
             network, records, AmpWaterfillingScheme(), RuntimeConfig(end_time=20.0)
         )
         return runtime.run(), runtime
@@ -79,7 +79,7 @@ class TestAmpScheme:
     def test_single_attempt_no_retry(self):
         network = line_topology(3).build_network(default_capacity=100.0)
         records = [TransactionRecord(0, 1.0, 0, 2, 60.0)]
-        runtime = Runtime(
+        runtime = SimulationSession(
             network, records, AmpWaterfillingScheme(), RuntimeConfig(end_time=20.0)
         )
         metrics = runtime.run()
@@ -90,7 +90,7 @@ class TestAmpScheme:
         """The §4.1 atomicity cost: AMP never contributes partial volume."""
         network = line_topology(3).build_network(default_capacity=100.0)
         records = [TransactionRecord(0, 1.0, 0, 2, 60.0)]
-        runtime = Runtime(
+        runtime = SimulationSession(
             network, records, AmpWaterfillingScheme(), RuntimeConfig(end_time=20.0)
         )
         metrics = runtime.run()

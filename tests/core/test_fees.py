@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.core.waterfilling import WaterfillingScheme
 from repro.routing.shortest_path import ShortestPathScheme
 from repro.topology.generators import line_topology
@@ -19,7 +19,7 @@ def fee_network(base_fee=0.0, fee_rate=0.0, nodes=4, capacity=1000.0):
 
 def run(network, records, **config_kwargs):
     config = RuntimeConfig(end_time=20.0, check_invariants=True, **config_kwargs)
-    runtime = Runtime(network, records, ShortestPathScheme(), config)
+    runtime = SimulationSession(network, records, ShortestPathScheme(), config)
     return runtime.run(), runtime
 
 
@@ -125,7 +125,7 @@ class TestFeesWithMultipath:
         for u, v in [(0, 1), (1, 2), (0, 2)]:
             network.add_channel(u, v, 100.0, base_fee=1.0)
         records = [TransactionRecord(0, 1.0, 0, 1, 70.0)]
-        runtime = Runtime(
+        runtime = SimulationSession(
             network,
             records,
             WaterfillingScheme(num_paths=2),

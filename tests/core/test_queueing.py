@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.queueing import QueueingRuntime, SpiderQueueingScheme
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.core.queueing import SpiderQueueingScheme
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.routing.base import RoutingScheme
 from repro.topology.generators import line_topology
 from repro.workload.generator import TransactionRecord
@@ -16,7 +16,13 @@ class LaunchOnLine(RoutingScheme):
 
     name = "test-hop-launch"
     atomic = False
-    hop_by_hop = True
+    transport = "hop"
+
+    def __init__(self, **transport_kwargs):
+        self.transport_kwargs = transport_kwargs
+
+    def runtime_kwargs(self):
+        return self.transport_kwargs
 
     def attempt(self, payment, runtime):
         step = 1 if payment.dest >= payment.source else -1
@@ -24,20 +30,18 @@ class LaunchOnLine(RoutingScheme):
         runtime.send_unit_hop_by_hop(payment, path, payment.remaining)
 
 
-def make_runtime(records, capacity=100.0, nodes=4, scheme=None, end_time=30.0, **kwargs):
+def make_runtime(records, capacity=100.0, nodes=4, end_time=30.0, **kwargs):
     network = line_topology(nodes).build_network(default_capacity=capacity)
     defaults = dict(
         hop_delay=0.05, queue_timeout=5.0, settle_delay=0.5
     )
     defaults.update(kwargs)
-    runtime = QueueingRuntime(
+    return SimulationSession(
         network,
         records,
-        scheme or LaunchOnLine(),
+        LaunchOnLine(**defaults),
         RuntimeConfig(end_time=end_time, check_invariants=True),
-        **defaults,
     )
-    return runtime
 
 
 def record(txn_id, t, source, dest, amount, deadline=None):
@@ -70,8 +74,8 @@ class TestHopByHopDelivery:
         metrics = runtime.run()
         # The unit queued at router 1 (possibly several times: the pending
         # queue relaunches it after each timeout refund).
-        assert runtime.units_queued >= 1
-        assert runtime.units_timed_out >= 1
+        assert runtime.transport.units_queued >= 1
+        assert runtime.transport.units_timed_out >= 1
         assert metrics.completed == 0
         # All payment funds refunded; only the held test HTLC stays in flight.
         assert runtime.network.total_inflight() == pytest.approx(45.0)
@@ -88,10 +92,10 @@ class TestHopByHopDelivery:
         # Leave only 5 spendable in the 1->2 direction.
         held = runtime.network.channel(1, 2).lock(1, 45.0)
         metrics = runtime.run()
-        assert runtime.units_queued >= 1
+        assert runtime.transport.units_queued >= 1
         assert runtime.payments[0].is_complete
         assert metrics.completed == 2
-        assert runtime.mean_queue_delay > 0.0
+        assert runtime.transport.mean_queue_delay > 0.0
 
     def test_timeout_refunds_upstream_hops(self):
         runtime = make_runtime(
@@ -101,7 +105,7 @@ class TestHopByHopDelivery:
         runtime.run()
         # Hops 0->1 and 1->2 were locked, then refunded on timeout (the
         # relaunch cycle repeats while the run lasts).
-        assert runtime.units_timed_out >= 1
+        assert runtime.transport.units_timed_out >= 1
         assert runtime.network.channel(0, 1).balance(0) == pytest.approx(50.0)
         assert runtime.network.channel(1, 2).balance(1) == pytest.approx(50.0)
 
@@ -151,7 +155,7 @@ class TestHopByHopDelivery:
         runtime = make_runtime(records, queue_timeout=1.0, end_time=3.4)
         runtime.network.channel(1, 2).lock(1, 50.0)  # drain 1->2 fully
         runtime.run()
-        assert runtime.units_timed_out >= 1
+        assert runtime.transport.units_timed_out >= 1
         assert runtime.payments[1].is_complete
         runtime.network.check_invariants()
 
@@ -170,7 +174,7 @@ class TestHopByHopDelivery:
         class LaunchFixedPaths(RoutingScheme):
             name = "test-fixed-paths"
             atomic = False
-            hop_by_hop = True
+            transport = "hop"
 
             def attempt(self, payment, runtime):
                 runtime.send_unit_hop_by_hop(
@@ -178,7 +182,7 @@ class TestHopByHopDelivery:
                 )
 
         network.channel(0, 1).lock(0, 50.0)  # direction (0,1) is dry
-        runtime = QueueingRuntime(
+        runtime = SimulationSession(
             network,
             [
                 record(0, 1.0, 2, 1, 50.0),  # locks 2->0, parks at (0,1)
@@ -200,19 +204,22 @@ class TestHopByHopDelivery:
 
     def test_invalid_parameters(self):
         network = line_topology(3).build_network(default_capacity=10.0)
-        with pytest.raises(ValueError):
-            QueueingRuntime(network, [], LaunchOnLine(), hop_delay=-1.0)
-        with pytest.raises(ValueError):
-            QueueingRuntime(network, [], LaunchOnLine(), queue_timeout=0.0)
-        with pytest.raises(ValueError):
-            QueueingRuntime(network, [], LaunchOnLine(), queue_policy="bogus")
+        config = RuntimeConfig(end_time=1.0)
+        for bad in (
+            dict(hop_delay=-1.0),
+            dict(queue_timeout=0.0),
+            dict(queue_policy="bogus"),
+        ):
+            session = SimulationSession(network, [], LaunchOnLine(**bad), config)
+            with pytest.raises(ValueError):
+                session.prepare()
 
 
 class TestSpiderQueueingScheme:
     def test_runs_under_queueing_runtime(self):
         records = [record(0, 1.0, 0, 3, 30.0), record(1, 2.0, 3, 0, 30.0)]
         network = line_topology(4).build_network(default_capacity=100.0)
-        runtime = QueueingRuntime(
+        runtime = SimulationSession(
             network,
             records,
             SpiderQueueingScheme(),
@@ -222,10 +229,15 @@ class TestSpiderQueueingScheme:
         assert metrics.completed == 2
 
     def test_rejects_plain_runtime(self):
+        """A session with no hop transport attached cannot run the scheme."""
+
+        class NoTransport(SpiderQueueingScheme):
+            transport = None
+
         records = [record(0, 1.0, 0, 2, 10.0)]
         network = line_topology(3).build_network(default_capacity=100.0)
-        runtime = Runtime(
-            network, records, SpiderQueueingScheme(), RuntimeConfig(end_time=5.0)
+        runtime = SimulationSession(
+            network, records, NoTransport(), RuntimeConfig(end_time=5.0)
         )
         with pytest.raises(TypeError):
             runtime.run()

@@ -1,4 +1,4 @@
-"""Tests for the simulation runtime: unit transmission, settlement, deadlines."""
+"""Tests for the session's runtime semantics: unit transmission, settlement, deadlines."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.payments import PaymentState
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.errors import ConfigError
 from repro.routing.base import RoutingScheme
 from repro.topology.generators import line_topology
@@ -53,7 +53,7 @@ class NullScheme(RoutingScheme):
 def make_runtime(records, scheme=None, capacity=100.0, nodes=3, **config_kwargs):
     network = line_topology(nodes).build_network(default_capacity=capacity)
     config = RuntimeConfig(**config_kwargs)
-    return Runtime(network, records, scheme or SingleShotScheme(), config)
+    return SimulationSession(network, records, scheme or SingleShotScheme(), config)
 
 
 def record(txn_id, t, source, dest, amount, deadline=None):

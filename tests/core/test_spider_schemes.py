@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.lp_routing import SpiderLPScheme
 from repro.core.primal_dual_routing import SpiderPrimalDualScheme
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.core.waterfilling import WaterfillingScheme
 from repro.topology.generators import cycle_topology, line_topology
 from repro.topology.isp import isp_topology
@@ -17,7 +17,7 @@ from repro.workload.generator import TransactionRecord
 def run(records, network, scheme, **config_kwargs):
     kwargs = dict(end_time=30.0)
     kwargs.update(config_kwargs)
-    runtime = Runtime(network, records, scheme, RuntimeConfig(**kwargs))
+    runtime = SimulationSession(network, records, scheme, RuntimeConfig(**kwargs))
     return runtime.run(), runtime
 
 

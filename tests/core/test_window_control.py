@@ -5,29 +5,25 @@ from __future__ import annotations
 import pytest
 
 from repro.core.payments import Payment
-from repro.core.queueing import HopUnit, QueueingRuntime
-from repro.core.runtime import RuntimeConfig
+from repro.core.queueing import HopUnit
 from repro.core.window_control import (
     ImbalanceAwareWindowScheme,
     PathWindow,
     WindowedSpiderScheme,
 )
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.network.htlc import HashLock
 from repro.topology.generators import cycle_topology, line_topology
 from repro.workload.generator import TransactionRecord
 
 
-def run(records, network, scheme=None, end_time=30.0, **runtime_kwargs):
-    scheme = scheme or WindowedSpiderScheme()
-    kwargs = dict(scheme.runtime_kwargs())
-    kwargs.update(runtime_kwargs)
-    runtime = QueueingRuntime(
+def run(records, network, scheme=None, end_time=30.0):
+    runtime = SimulationSession(
         network,
         records,
-        scheme,
+        scheme or WindowedSpiderScheme(),
         RuntimeConfig(end_time=end_time, check_invariants=True),
-        **kwargs,
     )
     return runtime.run(), runtime
 
@@ -154,15 +150,14 @@ class TestTransportIntegration:
         ] + [
             TransactionRecord(10 + i, 4.0 + 0.5 * i, 2, 0, 15.0) for i in range(4)
         ]
-        runtime = QueueingRuntime(
+        runtime = SimulationSession(
             network,
             records,
             scheme,
             RuntimeConfig(end_time=60.0, check_invariants=True, mtu=10.0),
-            **scheme.runtime_kwargs(),
         )
         runtime.run()
-        assert runtime.units_marked > 0
+        assert runtime.transport.units_marked > 0
         assert scheme.marked_acks > 0
         window = scheme.window_snapshot()[(0, 1, 2)]
         assert window < 500.0  # congestion shrank it
@@ -178,10 +173,8 @@ class TestTransportIntegration:
         assert runtime.network.channel(0, 5).attempted_flow(0) > 0
 
     def test_requires_queueing_runtime(self):
-        from repro.core.runtime import Runtime
-
         network = line_topology(3).build_network(default_capacity=100.0)
-        runtime = Runtime(network, [], WindowedSpiderScheme())
+        runtime = SimulationSession(network, [], WindowedSpiderScheme())  # no transport attached
         payment = Payment(payment_id=1, source=0, dest=2, amount=1.0, arrival_time=0.0)
         with pytest.raises(TypeError):
             WindowedSpiderScheme().attempt(payment, runtime)
@@ -229,7 +222,7 @@ class TestImbalanceAwareVariant:
         defaults = dict(initial_window=100.0, alpha=10.0, beta=0.5, rtt=0.5)
         defaults.update(kwargs)
         scheme = ImbalanceAwareWindowScheme(**defaults)
-        runtime = QueueingRuntime(network, [], scheme, RuntimeConfig())
+        runtime = SimulationSession(network, [], scheme, RuntimeConfig())
         scheme.prepare(runtime)
         return scheme
 
@@ -333,8 +326,11 @@ class TestConstruction:
 
     def test_queueing_runtime_rejects_negative_mark_threshold(self):
         network = line_topology(3).build_network(default_capacity=100.0)
+        session = SimulationSession(
+            network,
+            [],
+            WindowedSpiderScheme(mark_threshold=-0.1),
+            RuntimeConfig(end_time=1.0),
+        )
         with pytest.raises(ValueError):
-            QueueingRuntime(
-                network, [], WindowedSpiderScheme(), RuntimeConfig(),
-                mark_threshold=-0.1,
-            )
+            session.prepare()

@@ -3,9 +3,8 @@
 The paper's methodology depends on bit-for-bit reproducible runs: scheme
 comparisons only mean something when every scheme sees the identical trace
 and every rerun gives the identical answer.  These tests pin that property
-through *both* execution paths — the deprecated ``Runtime`` shim and the
-new ``SimulationSession`` — by serialising the full metrics object to
-canonical JSON and comparing bytes.
+by serialising the full metrics object to canonical JSON and comparing
+bytes.
 """
 
 from __future__ import annotations
@@ -30,72 +29,27 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
-@pytest.mark.parametrize("engine", ["legacy", "session"])
-def test_same_seed_byte_identical_json(engine):
-    """Two full runs through one engine serialise to identical bytes."""
-    first = metrics_to_json(run_experiment(_config(), engine=engine))
-    second = metrics_to_json(run_experiment(_config(), engine=engine))
+def test_same_seed_byte_identical_json():
+    """Two full runs serialise to identical bytes."""
+    first = metrics_to_json(run_experiment(_config()))
+    second = metrics_to_json(run_experiment(_config()))
     assert first.encode() == second.encode()
 
 
-@pytest.mark.parametrize("engine", ["legacy", "session"])
-def test_different_seed_changes_output(engine):
+def test_different_seed_changes_output():
     """The byte comparison is not vacuous: a new seed changes the JSON."""
-    first = metrics_to_json(run_experiment(_config(), engine=engine))
-    other = metrics_to_json(run_experiment(_config(seed=18), engine=engine))
+    first = metrics_to_json(run_experiment(_config()))
+    other = metrics_to_json(run_experiment(_config(seed=18)))
     assert first != other
-
-
-@pytest.mark.parametrize(
-    "scheme", ["spider-waterfilling", "shortest-path", "speedymurmurs"]
-)
-def test_engines_agree_on_payment_outcomes(scheme):
-    """Legacy and session engines route every payment identically.
-
-    Only completion latencies may differ (the session clock quantises to
-    1 µs ticks); counts and delivered value must match exactly.
-    """
-    config = _config(scheme=scheme)
-    legacy = run_experiment(config, engine="legacy")
-    session = run_experiment(config, engine="session")
-    assert legacy.attempted == session.attempted
-    assert legacy.completed == session.completed
-    assert legacy.failed == session.failed
-    assert legacy.units_settled == session.units_settled
-    assert legacy.delivered_value == pytest.approx(session.delivered_value)
 
 
 @pytest.mark.parametrize("scheme", ["spider-queueing", "spider-window", "celer"])
 def test_native_transport_determinism(scheme):
-    """The native hop-by-hop/backpressure transports are reproducible."""
+    """The hop-by-hop/backpressure transports are reproducible."""
     config = _config(scheme=scheme, num_transactions=120)
-    first = metrics_to_json(run_experiment(config, engine="session"))
-    second = metrics_to_json(run_experiment(config, engine="session"))
+    first = metrics_to_json(run_experiment(config))
+    second = metrics_to_json(run_experiment(config))
     assert first.encode() == second.encode()
-
-
-@pytest.mark.parametrize("scheme", ["spider-queueing", "spider-window"])
-def test_hop_transport_parity_through_runtime_shim(scheme):
-    """``engine="legacy"`` (the QueueingRuntime shim) matches the session.
-
-    The legacy hop-by-hop runtime body was retired after a release cycle
-    of implementation-level parity data; ``engine="legacy"`` now
-    constructs the thin shim, which must plumb config, collector and
-    transport parameters into the native transport so both entry points
-    produce identical headline metrics.
-    """
-    config = _config(scheme=scheme, num_transactions=200)
-    legacy = run_experiment(config, engine="legacy")
-    native = run_experiment(config, engine="session")
-    assert native.attempted == legacy.attempted
-    assert native.completed == legacy.completed
-    assert native.failed == legacy.failed
-    assert native.units_settled == legacy.units_settled
-    assert native.units_cancelled == legacy.units_cancelled
-    assert native.success_ratio == legacy.success_ratio
-    assert native.delivered_value == pytest.approx(legacy.delivered_value)
-    assert native.max_queue_depth == legacy.max_queue_depth
-    assert native.mean_queue_depth == pytest.approx(legacy.mean_queue_depth)
 
 
 @pytest.mark.parametrize(
@@ -121,11 +75,11 @@ def test_vectorised_and_scalar_path_ops_byte_identical(scheme):
     from repro.network.network import PaymentNetwork
 
     config = _config(scheme=scheme, num_transactions=150)
-    vectorised = metrics_to_json(run_experiment(config, engine="session"))
+    vectorised = metrics_to_json(run_experiment(config))
     assert PaymentNetwork.vectorized_path_ops
     PaymentNetwork.vectorized_path_ops = False
     try:
-        scalar = metrics_to_json(run_experiment(config, engine="session"))
+        scalar = metrics_to_json(run_experiment(config))
     finally:
         PaymentNetwork.vectorized_path_ops = True
     assert vectorised.encode() == scalar.encode()
@@ -155,11 +109,11 @@ def test_vectorised_and_scalar_signals_byte_identical(scheme):
     from repro.engine.signals import ControlPlane
 
     config = _config(scheme=scheme, num_transactions=150)
-    vectorised = metrics_to_json(run_experiment(config, engine="session"))
+    vectorised = metrics_to_json(run_experiment(config))
     assert ControlPlane.vectorized_signals
     ControlPlane.vectorized_signals = False
     try:
-        scalar = metrics_to_json(run_experiment(config, engine="session"))
+        scalar = metrics_to_json(run_experiment(config))
     finally:
         ControlPlane.vectorized_signals = True
     assert vectorised.encode() == scalar.encode()
@@ -186,20 +140,3 @@ def test_queue_gradient_scheme_reduces_to_queueing_at_zero_bias():
     assert base_dict.pop("scheme") == "spider-queueing"
     assert qgrad_dict.pop("scheme") == "spider-queueing-qgrad"
     assert base_dict == qgrad_dict
-
-
-def test_backpressure_transport_parity_through_runtime_shim():
-    """``engine="legacy"`` (the BackpressureRuntime shim) matches the session.
-
-    With the float-drift-prone legacy runtime retired, both entry points
-    run the tick-exact native transport, so the comparison is now exact
-    (it was tolerance-bounded while the RecurringTimer-based
-    implementation existed).
-    """
-    config = _config(scheme="celer", num_transactions=200)
-    legacy = run_experiment(config, engine="legacy")
-    native = run_experiment(config, engine="session")
-    assert native.attempted == legacy.attempted
-    assert native.completed == legacy.completed
-    assert native.success_ratio == legacy.success_ratio
-    assert native.success_volume == legacy.success_volume

@@ -28,7 +28,7 @@ from repro.engine.session import SimulationSession
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.report import metrics_to_json
-from repro.simulator.engine import SimulationError
+from repro.errors import SimulationError
 
 PINNED_SCHEMES = [
     "spider-waterfilling",
@@ -77,7 +77,7 @@ def _run_json(config, vectorized, mutate=None):
     SimulationSession.vectorized_dispatch = vectorized
     try:
         if mutate is None:
-            metrics = run_experiment(config, engine="session")
+            metrics = run_experiment(config)
         else:
             network, records, scheme = config.build_simulation_inputs()
             mutate(network)
@@ -344,29 +344,3 @@ def test_truncated_horizon_still_finishes_clean():
     fast = _run_json(config, vectorized=True)
     slow = _run_json(config, vectorized=False)
     assert fast == slow
-
-
-def test_compiled_kernel_flag_is_safely_gated(monkeypatch):
-    """``REPRO_COMPILED_DISPATCH`` only activates when numba imports.
-
-    The container intentionally ships without numba: reloading the module
-    with the flag set must leave the pure-Python kernel in charge rather
-    than raising.  When numba *is* importable the jitted kernel loads and
-    the parity suite covers its output.
-    """
-    import importlib
-
-    import repro.engine.dispatch as dispatch_mod
-
-    monkeypatch.setenv("REPRO_COMPILED_DISPATCH", "1")
-    try:
-        reloaded = importlib.reload(dispatch_mod)
-        try:
-            import numba  # noqa: F401
-
-            assert reloaded.compiled_kernel_enabled()
-        except ImportError:
-            assert not reloaded.compiled_kernel_enabled()
-    finally:
-        monkeypatch.delenv("REPRO_COMPILED_DISPATCH")
-        importlib.reload(dispatch_mod)

@@ -6,8 +6,7 @@ import pytest
 
 from repro.engine.clock import TickClock
 from repro.engine.events import SlabEventQueue, TickEngine
-from repro.errors import ConfigError
-from repro.simulator.engine import RecurringTimer, SimulationError
+from repro.errors import ConfigError, SimulationError
 
 
 class TestTickClock:
@@ -180,15 +179,6 @@ class TestTickEngine:
             eng.schedule_after(0.1 * (i + 1), lambda: None)
         eng.run()
         assert eng.events_processed == 4
-
-    def test_recurring_timer_compat(self):
-        """The legacy RecurringTimer helper runs unchanged on TickEngine."""
-        eng = TickEngine()
-        ticks = []
-        timer = RecurringTimer(eng, 0.5, lambda: ticks.append(eng.now))
-        eng.run(until=2.2)
-        timer.stop()
-        assert ticks == pytest.approx([0.5, 1.0, 1.5, 2.0])
 
     def test_tick_timer_stop_inside_callback(self):
         eng = TickEngine()

@@ -1,14 +1,12 @@
-"""Tests for the SimulationSession facade."""
+"""Tests for SimulationSession."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.queueing import QueueingRuntime
-from repro.core.runtime import RuntimeConfig
-from repro.engine.session import SimulationSession
+from repro.engine.session import RuntimeConfig, SimulationSession
+from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.routing.registry import make_scheme
 from repro.topology import line_topology
 from repro.workload.generator import TransactionRecord
@@ -56,20 +54,8 @@ class TestNativeExecution:
         with pytest.raises(RuntimeError):
             session.run()
 
-    def test_matches_legacy_runtime_counts(self):
-        config = _config()
-        legacy = run_experiment(config, engine="legacy")
-        session = run_experiment(config, engine="session")
-        assert session.attempted == legacy.attempted
-        assert session.completed == legacy.completed
-        assert session.failed == legacy.failed
-        assert session.delivered_value == pytest.approx(legacy.delivered_value)
-        assert session.mean_completion_latency == pytest.approx(
-            legacy.mean_completion_latency, abs=1e-4
-        )
-
     def test_scheme_surface(self):
-        """Schemes read the Runtime attribute surface off the session."""
+        """The attribute surface schemes read off their ``runtime`` argument."""
         network, records, scheme = _line_setup()
         config = RuntimeConfig(end_time=30.0)
         session = SimulationSession(network, records, scheme, config)
@@ -83,27 +69,21 @@ class TestNativeExecution:
 
     def test_atomic_scheme_single_attempt(self):
         config = _config(scheme="speedymurmurs", num_transactions=100)
-        legacy = run_experiment(config, engine="legacy")
-        session = run_experiment(config, engine="session")
-        assert session.attempted == legacy.attempted
-        assert session.completed == legacy.completed
-
-    def test_unknown_engine_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            run_experiment(_config(), engine="warp-drive")
+        session = SimulationSession.from_config(config)
+        metrics = session.run()
+        assert metrics.attempted == 100
+        assert metrics.completed + metrics.failed == 100
+        assert 0 < metrics.failed < 100  # both outcomes are exercised
+        assert all(p.attempts == 1 for p in session.payments.values())
 
 
 class TestNativeTransports:
     def test_hop_by_hop_scheme_runs_natively(self):
-        """spider-queueing no longer falls back to the legacy runtime."""
         from repro.engine.transport import HopByHopTransport
 
         config = _config(scheme="spider-queueing", num_transactions=100)
         session = SimulationSession.from_config(config)
         metrics = session.run()
-        assert session._delegate is None
         assert isinstance(session.transport, HopByHopTransport)
         assert metrics.attempted == 100
 
@@ -113,17 +93,8 @@ class TestNativeTransports:
         config = _config(scheme="celer", num_transactions=100)
         session = SimulationSession.from_config(config)
         metrics = session.run()
-        assert session._delegate is None
         assert isinstance(session.transport, BackpressureTransport)
         assert metrics.attempted == 100
-
-    def test_native_matches_direct_legacy_run(self):
-        config = _config(scheme="spider-queueing", num_transactions=100)
-        via_session = SimulationSession.from_config(config).run()
-        direct = run_experiment(config, engine="legacy")
-        assert via_session.attempted == direct.attempted
-        assert via_session.completed == direct.completed
-        assert via_session.delivered_value == pytest.approx(direct.delivered_value)
 
     def test_transport_primitives_require_a_transport(self):
         """send_unit_hop_by_hop/inject on a plain session are errors."""
@@ -136,43 +107,28 @@ class TestNativeTransports:
             session.inject(payment_stub, 1.0)
 
 
-class TestFacadeFallback:
-    def test_custom_runtime_class_still_delegates(self):
-        """Out-of-tree schemes pinning a runtime_class keep the legacy path."""
+class TestRetiredDeclarations:
+    """``runtime_class`` / ``hop_by_hop`` used to select a second engine;
+    without a ``transport`` they must fail loudly, not run source-routed."""
 
-        from repro.core.queueing import SpiderQueueingScheme
+    def _session(self, **declared):
+        from repro.routing.shortest_path import ShortestPathScheme
 
-        class LegacyPinned(SpiderQueueingScheme):
-            name = "legacy-pinned"
-            transport = None  # no native transport declared
-            runtime_class = QueueingRuntime
-
+        scheme_class = type(
+            "Retired", (ShortestPathScheme,), {"name": "retired", **declared}
+        )
         network, records, _ = _line_setup()
-        session = SimulationSession(network, records, LegacyPinned(num_paths=4))
-        metrics = session.run()
-        assert isinstance(session._delegate, QueueingRuntime)
-        assert session.transport is None
-        assert metrics.attempted == len(records)
+        return SimulationSession(network, records, scheme_class())
 
-    def test_subclass_pinned_runtime_beats_inherited_transport(self):
-        """A subclass pinning only runtime_class must get that runtime,
-        not the transport it inherits from its base scheme."""
-        from repro.routing.backpressure import BackpressureRuntime, CelerScheme
+    def test_runtime_class_without_transport_is_rejected(self):
+        session = self._session(runtime_class=object)
+        with pytest.raises(ConfigError, match="'retired'.*transport = 'hop'"):
+            session.prepare()
 
-        class InstrumentedRuntime(BackpressureRuntime):
-            pass
-
-        class CustomCeler(CelerScheme):
-            name = "celer-custom-runtime"
-            runtime_class = InstrumentedRuntime
-            # note: no transport declaration of its own
-
-        network, records, _ = _line_setup()
-        session = SimulationSession(network, records, CustomCeler())
-        metrics = session.run()
-        assert isinstance(session._delegate, InstrumentedRuntime)
-        assert session.transport is None
-        assert metrics.attempted == len(records)
+    def test_hop_by_hop_without_transport_is_rejected(self):
+        session = self._session(hop_by_hop=True)
+        with pytest.raises(ConfigError, match="'retired'.*transport = 'hop'"):
+            session.run()
 
 
 class TestEmptyTrace:
@@ -207,7 +163,7 @@ class TestEmptyTrace:
 
 class TestPrimalDualOnSession:
     def test_recurring_control_loop_runs_on_tick_engine(self):
-        """spider-primal-dual drives a RecurringTimer off session.sim."""
+        """spider-primal-dual drives a periodic timer off session.sim."""
         config = _config(scheme="spider-primal-dual", num_transactions=120)
         metrics = SimulationSession.from_config(config).run()
         assert metrics.attempted == 120

@@ -30,7 +30,7 @@ from repro.engine.session import SimulationSession
 from repro.engine.store import ChannelStateStore
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import metrics_to_json
-from repro.simulator.engine import SimulationError
+from repro.errors import SimulationError
 from repro.topology import partition_network
 
 RUN_SLOW = os.environ.get("REPRO_SLOW_TESTS") == "1"

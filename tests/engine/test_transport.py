@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import RuntimeConfig
+from repro.engine.session import RuntimeConfig
 from repro.engine.session import SimulationSession
 from repro.engine.transport import BackpressureTransport, HopByHopTransport
 from repro.errors import ConfigError

@@ -154,17 +154,6 @@ class TestCaching:
         assert again.cache_misses == 1
         assert isinstance(next(iter(results.values())), ExperimentMetrics)
 
-    def test_cache_key_distinguishes_engines(self, tmp_path):
-        cache = str(tmp_path / "cells")
-        SweepExecutor(_base(), processes=1, cache_dir=cache).parameter_sweep(
-            "capacity", CAPACITIES[:1], SCHEMES[:1]
-        )
-        legacy = SweepExecutor(
-            _base(), processes=1, cache_dir=cache, engine="legacy"
-        )
-        legacy.parameter_sweep("capacity", CAPACITIES[:1], SCHEMES[:1])
-        assert legacy.cache_hits == 0 and legacy.cache_misses == 1
-
 
 class TestMetricsRoundTrip:
     def test_to_dict_from_dict_is_lossless(self):

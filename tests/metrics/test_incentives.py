@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.metrics.incentives import (
     IncentiveCollector,
     escrow_by_node,
@@ -19,7 +19,7 @@ from repro.workload.generator import TransactionRecord
 
 def run_with_fees(network, records, end_time=30.0):
     collector = IncentiveCollector()
-    runtime = Runtime(
+    runtime = SimulationSession(
         network,
         records,
         make_scheme("shortest-path"),
@@ -129,7 +129,7 @@ class TestYieldReport:
             for i in range(8)
         ]
         collector = IncentiveCollector()
-        runtime = Runtime(
+        runtime = SimulationSession(
             network,
             records,
             make_scheme("shortest-path"),

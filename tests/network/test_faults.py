@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.errors import ConfigError, InsufficientFundsError
 from repro.network.faults import (
     ChannelClosure,
@@ -82,7 +82,7 @@ class TestFaultEvents:
 class TestScheduleExecution:
     def run_with_faults(self, network, records, schedule, scheme="spider-waterfilling",
                         end_time=30.0):
-        runtime = Runtime(
+        runtime = SimulationSession(
             network,
             records,
             make_scheme(scheme),
@@ -148,7 +148,7 @@ class TestScheduleExecution:
         schedule = FaultSchedule(
             [NodeOutage(1.0, 5.0, 1), NodeOutage(2.0, 8.0, 2)]
         )
-        runtime = Runtime(network, [], make_scheme("shortest-path"),
+        runtime = SimulationSession(network, [], make_scheme("shortest-path"),
                           RuntimeConfig(end_time=10.0))
         schedule.install(runtime)
         channel = network.channel(1, 2)

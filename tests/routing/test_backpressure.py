@@ -4,23 +4,30 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.routing.backpressure import BackpressureRuntime, CelerScheme
+from repro.routing.backpressure import CelerScheme
 from repro.topology.generators import cycle_topology, line_topology, star_topology
 from repro.workload.generator import TransactionRecord
 
 
-def run(records, network, scheme=None, end_time=30.0, config=None, **runtime_kwargs):
-    scheme = scheme or CelerScheme()
-    runtime = BackpressureRuntime(
+def run(records, network, scheme=None, end_time=30.0, **transport_kwargs):
+    runtime = SimulationSession(
         network,
         records,
-        scheme,
-        config or RuntimeConfig(end_time=end_time, check_invariants=True),
-        **runtime_kwargs,
+        scheme or CelerScheme(**transport_kwargs),
+        RuntimeConfig(end_time=end_time, check_invariants=True),
     )
     return runtime.run(), runtime
+
+
+def prepared(network, records=(), config=None):
+    """A session with its backpressure transport built, not yet run."""
+    session = SimulationSession(
+        network, list(records), CelerScheme(), config or RuntimeConfig(end_time=30.0)
+    )
+    session.prepare()
+    return session
 
 
 class TestDelivery:
@@ -46,7 +53,7 @@ class TestDelivery:
         network = cycle_topology(5).build_network(default_capacity=100.0)
         metrics, runtime = run([TransactionRecord(0, 1.0, 0, 2, 10.0)], network)
         assert metrics.completed == 1
-        assert runtime.total_hops <= 3  # 0-1-2 or part of the long way
+        assert runtime.transport.total_hops <= 3  # 0-1-2 or part of the long way
 
     def test_splits_into_capped_units(self):
         network = line_topology(3).build_network(default_capacity=200.0)
@@ -55,7 +62,7 @@ class TestDelivery:
             [TransactionRecord(0, 1.0, 0, 2, 50.0)], network, scheme=scheme
         )
         assert metrics.completed == 1
-        assert runtime.units_injected == 5
+        assert runtime.transport.units_injected == 5
 
     def test_gradient_uses_the_second_route_under_contention(self):
         # Two disjoint routes 0→3 on a 6-cycle; a payment too big for one
@@ -95,18 +102,16 @@ class TestBacktracking:
                 self.trails.append(unit.path)
 
         collector = TrailCollector()
-        runtime = BackpressureRuntime(
+        runtime = SimulationSession(
             network,
             [TransactionRecord(0, 1.0, 1, 2, 10.0)],
-            CelerScheme(),
+            CelerScheme(beta=0.0, stuck_after=0.5),
             RuntimeConfig(end_time=30.0, check_invariants=True),
-            beta=0.0,
-            stuck_after=0.5,
             collector=collector,
         )
         metrics = runtime.run()
         assert metrics.completed == 1
-        assert runtime.total_pops >= 1  # it did visit and leave the dead end
+        assert runtime.transport.total_pops >= 1  # it did visit and leave the dead end
         assert collector.trails == [(1, 0, 2)]  # settled trail is the clean path
         # The popped hop refunded: leaf 3's channel is untouched at the end.
         channel = runtime.network.channel(0, 3)
@@ -118,24 +123,18 @@ class TestBacktracking:
         from repro.routing.backpressure import BackpressureUnit
 
         network = line_topology(3).build_network(default_capacity=100.0)
-        runtime = BackpressureRuntime(network, [], CelerScheme(), RuntimeConfig())
+        runtime = prepared(network)
         payment = Payment(payment_id=1, source=0, dest=2, amount=5.0, arrival_time=0.0)
         payment.register_inflight(5.0)
         unit = BackpressureUnit(payment, 5.0, now=0.0)
         with pytest.raises(AssertionError):
-            runtime._pop_hop(unit, 1)  # no hops to pop
+            runtime.transport._pop_hop(unit, 1)  # no hops to pop
 
 
 class TestBookkeeping:
     def test_backlog_tracks_injected_value(self):
         network = line_topology(3).build_network(default_capacity=100.0)
-        scheme = CelerScheme()
-        runtime = BackpressureRuntime(
-            network,
-            [TransactionRecord(0, 1.0, 0, 2, 10.0)],
-            scheme,
-            RuntimeConfig(end_time=30.0),
-        )
+        runtime = prepared(network, [TransactionRecord(0, 1.0, 0, 2, 10.0)])
         payment_records = runtime.records
         assert payment_records  # sanity: the trace is loaded
         # Drive manually: inject then inspect before any service epoch.
@@ -145,14 +144,14 @@ class TestBookkeeping:
             payment_id=7, source=0, dest=2, amount=10.0, arrival_time=0.0
         )
         assert runtime.inject(payment, 10.0)
-        assert runtime.backlog(0, 2) == pytest.approx(10.0)
-        assert runtime.backlog(1, 2) == 0.0
+        assert runtime.transport.backlog(0, 2) == pytest.approx(10.0)
+        assert runtime.transport.backlog(1, 2) == 0.0
         assert payment.remaining == 0.0  # value is owned by the queues
 
     def test_injection_rejects_dust(self):
         network = line_topology(3).build_network(default_capacity=100.0)
-        runtime = BackpressureRuntime(
-            network, [], CelerScheme(), RuntimeConfig(min_unit_value=1.0)
+        runtime = prepared(
+            network, config=RuntimeConfig(min_unit_value=1.0, end_time=30.0)
         )
         from repro.core.payments import Payment
 
@@ -189,7 +188,7 @@ class TestExpiry:
             max_hops=1,
         )
         assert metrics.completed == 0
-        assert runtime.units_expired > 0
+        assert runtime.transport.units_expired > 0
         # Refunds restored every balance: no money evaporated.
         runtime.network.check_invariants()
         assert runtime.network.total_inflight() == pytest.approx(0.0)
@@ -216,19 +215,21 @@ class TestConstructionAndIntegration:
     )
     def test_runtime_rejects_bad_parameters(self, kwargs):
         network = line_topology(3).build_network(default_capacity=100.0)
+        session = SimulationSession(
+            network, [], CelerScheme(**kwargs), RuntimeConfig(end_time=1.0)
+        )
         with pytest.raises(ValueError):
-            BackpressureRuntime(network, [], CelerScheme(), RuntimeConfig(), **kwargs)
+            session.prepare()
 
     def test_scheme_rejects_bad_unit_cap(self):
         with pytest.raises(ValueError):
             CelerScheme(unit_cap=0.0)
 
     def test_scheme_requires_backpressure_runtime(self):
-        from repro.core.runtime import Runtime
         from repro.core.payments import Payment
 
         network = line_topology(3).build_network(default_capacity=100.0)
-        runtime = Runtime(network, [], CelerScheme())
+        runtime = SimulationSession(network, [], CelerScheme())  # no transport attached
         payment = Payment(payment_id=1, source=0, dest=2, amount=1.0, arrival_time=0.0)
         with pytest.raises(TypeError):
             CelerScheme().attempt(payment, runtime)

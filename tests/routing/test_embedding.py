@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.routing.embedding import PrefixEmbedding, SpeedyMurmursScheme, tree_distance
 from repro.topology.generators import grid_topology, line_topology, star_topology
 from repro.topology.isp import isp_topology
@@ -55,7 +55,7 @@ class TestPrefixEmbedding:
 class TestSpeedyMurmursScheme:
     def _run(self, records, network, **kwargs):
         scheme = SpeedyMurmursScheme(**kwargs)
-        runtime = Runtime(network, records, scheme, RuntimeConfig(end_time=20.0))
+        runtime = SimulationSession(network, records, scheme, RuntimeConfig(end_time=20.0))
         return runtime.run(), runtime
 
     def test_simple_delivery(self):

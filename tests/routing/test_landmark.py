@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.routing.landmark import LandmarkScheme, contract_loops
 from repro.topology.generators import star_topology
 from repro.topology.isp import isp_topology
@@ -32,13 +32,13 @@ class TestContractLoops:
 class TestLandmarkScheme:
     def _run(self, records, network, **kwargs):
         scheme = LandmarkScheme(**kwargs)
-        runtime = Runtime(network, records, scheme, RuntimeConfig(end_time=20.0))
+        runtime = SimulationSession(network, records, scheme, RuntimeConfig(end_time=20.0))
         return runtime.run(), runtime
 
     def test_landmarks_are_highest_degree(self):
         network = isp_topology().build_network(default_capacity=1000.0)
         scheme = LandmarkScheme(num_landmarks=3)
-        runtime = Runtime(network, [], scheme, RuntimeConfig(end_time=1.0))
+        runtime = SimulationSession(network, [], scheme, RuntimeConfig(end_time=1.0))
         scheme.prepare(runtime)
         # The ISP core nodes (0-7) have the highest degree.
         assert all(landmark < 8 for landmark in scheme._landmarks)
@@ -82,7 +82,7 @@ class TestLandmarkScheme:
     def test_paths_reach_destination(self):
         network = isp_topology().build_network(default_capacity=1000.0)
         scheme = LandmarkScheme(num_landmarks=3)
-        runtime = Runtime(network, [], scheme, RuntimeConfig(end_time=1.0))
+        runtime = SimulationSession(network, [], scheme, RuntimeConfig(end_time=1.0))
         scheme.prepare(runtime)
         for source, dest in [(8, 20), (10, 31), (9, 15)]:
             for path in scheme.landmark_paths(source, dest):

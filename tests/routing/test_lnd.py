@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.network.network import PaymentNetwork
 from repro.routing.lnd import LndScheme
 from repro.topology.generators import cycle_topology, line_topology
@@ -13,7 +13,7 @@ from repro.workload.generator import TransactionRecord
 
 def run(records, network, scheme=None, **config_kwargs):
     scheme = scheme or LndScheme()
-    runtime = Runtime(
+    runtime = SimulationSession(
         network,
         records,
         scheme,

@@ -107,11 +107,11 @@ class TestMaxFlowScheme:
     def test_scheme_routes_across_parallel_paths(self, triangle):
         """70 > any single path (50) but within max-flow (100) on the
         triangle: direct 0-1 (50) plus 0-2-1 (50)."""
-        from repro.core.runtime import Runtime, RuntimeConfig
+        from repro.engine.session import RuntimeConfig, SimulationSession
         from repro.workload.generator import TransactionRecord
 
         records = [TransactionRecord(0, 1.0, 0, 1, 70.0)]
-        runtime = Runtime(
+        runtime = SimulationSession(
             triangle, records, MaxFlowScheme(), RuntimeConfig(end_time=10.0)
         )
         metrics = runtime.run()
@@ -119,11 +119,11 @@ class TestMaxFlowScheme:
         triangle.check_invariants()
 
     def test_scheme_fails_beyond_max_flow(self, triangle):
-        from repro.core.runtime import Runtime, RuntimeConfig
+        from repro.engine.session import RuntimeConfig, SimulationSession
         from repro.workload.generator import TransactionRecord
 
         records = [TransactionRecord(0, 1.0, 0, 1, 150.0)]
-        runtime = Runtime(
+        runtime = SimulationSession(
             triangle, records, MaxFlowScheme(), RuntimeConfig(end_time=10.0)
         )
         metrics = runtime.run()

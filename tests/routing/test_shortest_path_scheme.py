@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.routing.shortest_path import ShortestPathScheme
 from repro.topology.generators import cycle_topology, line_topology
 from repro.workload.generator import TransactionRecord
 
 
 def run(records, network, **config_kwargs):
-    runtime = Runtime(
+    runtime = SimulationSession(
         network,
         records,
         ShortestPathScheme(),

@@ -1,10 +1,11 @@
-"""Tests for the discrete-event engine."""
+"""Tests for the discrete-event engine's scheduling contract."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simulator.engine import Event, RecurringTimer, SimulationError, Simulator
+from repro.engine.events import TickEngine
+from repro.errors import ConfigError, SimulationError
 
 
 class TestScheduling:
@@ -53,9 +54,9 @@ class TestScheduling:
             sim.call_after(-1.0, lambda: None)
 
     def test_non_finite_time_raises(self, sim):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             sim.call_at(float("inf"), lambda: None)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             sim.call_at(float("nan"), lambda: None)
 
     def test_events_scheduled_during_run_execute(self, sim):
@@ -79,11 +80,11 @@ class TestScheduling:
 
 class TestClock:
     def test_clock_starts_at_start_time(self):
-        assert Simulator(start_time=10.0).now == 10.0
+        assert TickEngine(start_time=10.0).now == 10.0
 
     def test_non_finite_start_time_raises(self):
-        with pytest.raises(SimulationError):
-            Simulator(start_time=float("nan"))
+        with pytest.raises(ConfigError):
+            TickEngine(start_time=float("nan"))
 
     def test_clock_advances_to_event_times(self, sim):
         times = []
@@ -169,13 +170,13 @@ class TestCancellation:
         event.cancel()
         sim.run()
         assert fired == []
-        assert event.cancelled and not event.fired
+        assert not event.pending
 
     def test_cancel_is_idempotent(self, sim):
         event = sim.call_at(1.0, lambda: None)
         event.cancel()
         event.cancel()
-        assert event.cancelled
+        assert not event.pending
 
     def test_cancel_from_earlier_event(self, sim):
         fired = []
@@ -188,39 +189,39 @@ class TestCancellation:
         event = sim.call_at(1.0, lambda: None)
         assert event.pending
         sim.run()
-        assert event.fired and not event.pending
+        assert not event.pending
 
 
 class TestRecurringTimer:
     def test_fires_at_fixed_interval(self, sim):
         times = []
-        timer = RecurringTimer(sim, 1.0, lambda: times.append(sim.now))
+        timer = sim.every(1.0, lambda: times.append(sim.now))
         sim.run(until=3.5)
         assert times == [1.0, 2.0, 3.0]
         assert timer.ticks == 3
 
     def test_start_delay_overrides_first_fire(self, sim):
         times = []
-        RecurringTimer(sim, 1.0, lambda: times.append(sim.now), start_delay=0.25)
+        sim.every(1.0, lambda: times.append(sim.now), start_delay=0.25)
         sim.run(until=2.5)
         assert times == [0.25, 1.25, 2.25]
 
     def test_stop_prevents_future_fires(self, sim):
         times = []
-        timer = RecurringTimer(sim, 1.0, lambda: times.append(sim.now))
+        timer = sim.every(1.0, lambda: times.append(sim.now))
         sim.call_at(2.5, timer.stop)
         sim.run(until=10.0)
         assert times == [1.0, 2.0]
         assert not timer.active
 
     def test_stop_from_within_callback(self, sim):
-        timer = RecurringTimer(sim, 1.0, lambda: timer.stop())
+        timer = sim.every(1.0, lambda: timer.stop())
         sim.run(until=5.0)
         assert timer.ticks == 1
 
     def test_non_positive_interval_raises(self, sim):
         with pytest.raises(SimulationError):
-            RecurringTimer(sim, 0.0, lambda: None)
+            sim.every(0.0, lambda: None)
 
 
 class TestReentrancy:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.engine import Simulator
+from repro.engine.events import TickEngine
 
 schedule = st.lists(
     st.tuples(
@@ -26,19 +26,21 @@ schedule = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(schedule)
 def test_events_fire_in_nondecreasing_time_order(entries):
-    sim = Simulator()
+    sim = TickEngine()
     fired_times = []
     for time, _ in entries:
         sim.call_at(time, lambda t=time: fired_times.append(t))
     sim.run()
-    assert fired_times == sorted(fired_times)
+    # Times closer than one quantum share a tick and fire in scheduling order.
+    fired_ticks = [sim.clock.to_ticks(t) for t in fired_times]
+    assert fired_ticks == sorted(fired_ticks)
     assert len(fired_times) == len(entries)
 
 
 @settings(max_examples=150, deadline=None)
 @given(schedule)
 def test_cancelled_events_never_fire(entries):
-    sim = Simulator()
+    sim = TickEngine()
     fired = []
     handles = []
     for index, (time, cancel) in enumerate(entries):
@@ -56,7 +58,7 @@ def test_cancelled_events_never_fire(entries):
 def test_split_runs_equal_single_run(entries, cut):
     """run(until=cut); run() produces the same firing order as run()."""
     def execute(split: bool):
-        sim = Simulator()
+        sim = TickEngine()
         fired = []
         for index, (time, _) in enumerate(entries):
             sim.call_at(time, fired.append, (time, index))
@@ -73,7 +75,7 @@ def test_split_runs_equal_single_run(entries, cut):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=1, max_size=30))
 def test_chained_relative_delays_accumulate(delays):
-    sim = Simulator()
+    sim = TickEngine()
     times = []
     iterator = iter(delays[1:])
 
@@ -88,14 +90,15 @@ def test_chained_relative_delays_accumulate(delays):
     # One firing per delay; the clock ends at the sum of all delays.
     assert len(times) == len(delays)
     assert times == sorted(times)
-    assert sim.now == pytest.approx(sum(delays))
+    # Each relative delay rounds to the nearest tick.
+    assert sim.now == pytest.approx(sum(delays), abs=len(delays) * sim.clock.quantum)
 
 
 @settings(max_examples=100, deadline=None)
 @given(schedule)
 def test_same_schedule_is_bitwise_deterministic(entries):
     def execute():
-        sim = Simulator()
+        sim = TickEngine()
         order = []
         for index, (time, _) in enumerate(entries):
             sim.call_at(time, order.append, index)

@@ -93,7 +93,7 @@ class TestCommands:
         assert "boundary_crossings" in out
         assert "epoch_barriers" in out
 
-    def test_shards_require_session_engine(self, capsys):
+    def test_shards_reject_path_cache_dir(self, capsys, tmp_path):
         code = main(
             [
                 "run",
@@ -103,12 +103,18 @@ class TestCommands:
                 "10",
                 "--shards",
                 "2",
-                "--engine",
-                "legacy",
+                "--path-cache-dir",
+                str(tmp_path),
             ]
         )
         assert code == 2
-        assert "--engine session" in capsys.readouterr().err
+        assert "--path-cache-dir" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_engine_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--topology", "line-4", "--engine", "legacy"])
+        assert exc.value.code == 2
 
     def test_compare_runs_multiple_schemes(self, capsys):
         code = main(

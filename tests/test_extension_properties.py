@@ -223,9 +223,9 @@ def test_lnd_dijkstra_matches_brute_force(graph_and_n, amount):
     st.integers(min_value=0, max_value=1000),
 )
 def test_backpressure_settled_trails_are_simple(num_nodes, num_payments, seed):
-    from repro.core.runtime import RuntimeConfig
+    from repro.engine.session import RuntimeConfig, SimulationSession
     from repro.metrics.collectors import MetricsCollector
-    from repro.routing.backpressure import BackpressureRuntime, CelerScheme
+    from repro.routing.backpressure import CelerScheme
     from repro.simulator.rng import make_rng
     from repro.topology.generators import cycle_topology
     from repro.workload.generator import TransactionRecord
@@ -250,7 +250,7 @@ def test_backpressure_settled_trails_are_simple(num_nodes, num_payments, seed):
             TransactionRecord(i, 0.5 + 0.3 * i, source, dest, 10.0 + float(rng.integers(0, 20)))
         )
     collector = TrailCollector()
-    runtime = BackpressureRuntime(
+    runtime = SimulationSession(
         network,
         records,
         CelerScheme(),

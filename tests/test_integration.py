@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import compare_schemes, run_experiment
 from repro.routing.registry import available_schemes, make_scheme
@@ -36,15 +36,13 @@ class TestConservationAcrossSchemes:
 
     @pytest.mark.parametrize("scheme", sorted(available_schemes()))
     def test_total_funds_conserved(self, scheme):
-        from repro.experiments.runner import build_runtime
-
         config = small_config(scheme=scheme, num_transactions=120)
         topology = config.build_topology()
         network = topology.build_network(default_capacity=config.capacity)
         total_before = network.total_funds()
         records = config.build_workload(list(topology.nodes))
         scheme_obj = make_scheme(scheme)
-        runtime = build_runtime(
+        runtime = SimulationSession(
             network, records, scheme_obj, config.build_runtime_config()
         )
         runtime.run()
@@ -69,7 +67,7 @@ class TestCirculationIsFullyRoutable:
         topology = cycle_topology(6)
         network = topology.build_network(default_capacity=capacity)
         records = records_from_demand(demands, duration=30.0, mean_size=10.0, seed=2)
-        runtime = Runtime(
+        runtime = SimulationSession(
             network,
             records,
             make_scheme(scheme_name),
