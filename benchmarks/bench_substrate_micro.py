@@ -514,8 +514,7 @@ def run_path_discovery_microbench(
         .items()
     }
     build_start = time.perf_counter()
-    graph = CsrGraph.from_adjacency(adjacency)
-    graph.edge_positions  # the masking index, also built once per graph
+    graph = CsrGraph.from_adjacency(adjacency)  # includes the twin index
     build_elapsed = time.perf_counter() - build_start
     nodes = sorted(adjacency)
     rng = make_rng(3)

@@ -7,7 +7,7 @@ This package is the execution core of the reproduction:
 ``store``      flat NumPy arrays holding every channel's mutable state
 ``pathtable``  compiled-path index cache + vectorised path operations
 ``pathservice`` :class:`PathService` — pluggable, batched, persistent
-               path discovery (CSR array-frontier BFS + providers)
+               path discovery (CSR bidirectional search + providers)
 ``signals``    :class:`ControlPlane` — array-backed congestion signalling
 ``transport``  hop-by-hop / backpressure transports on the tick engine
 ``session``    :class:`SimulationSession` — runs a trace; :class:`RuntimeConfig`

@@ -14,10 +14,12 @@ small provider protocol — ``prepare(pairs)`` / ``paths(src, dst)`` /
 ``paths_many(pairs)``:
 
 * :class:`CsrDisjointProvider` — CSR adjacency (flat ``indptr``/``indices``
-  arrays, rows sorted so the BFS tie-break is explicit) with an
-  array-frontier BFS that expands whole levels as NumPy index operations;
-  the k-edge-disjoint loop runs over masked CSR edge arrays.  Paths are
-  **byte-identical** to the scalar per-pair BFS (pinned by
+  arrays, rows sorted so the BFS tie-break is explicit) searched from both
+  endpoints at once: level sets grow as NumPy index operations until they
+  meet, and the path is read off the distances (the scalar BFS's parent
+  chain is the lexicographically smallest shortest path, so no parent
+  array is needed); the k-edge-disjoint loop masks CSR entries in place.
+  Paths are **byte-identical** to the scalar per-pair BFS (pinned by
   ``tests/engine/test_pathservice.py``).
 * :class:`ScalarDisjointProvider` — the legacy
   :func:`~repro.fluid.paths.k_edge_disjoint_paths` /
@@ -98,7 +100,7 @@ def _sorted_ids(ids: Iterable) -> Tuple[List, bool]:
 
 
 # ----------------------------------------------------------------------
-# CSR graph + array-frontier BFS kernels
+# CSR graph + full-tree array-frontier BFS
 # ----------------------------------------------------------------------
 class CsrGraph:
     """Sorted CSR adjacency over dense node indices.
@@ -108,10 +110,16 @@ class CsrGraph:
     order, so index order and id order agree and the BFS neighbour
     tie-break is the *explicit* sorted order the scalar
     :func:`~repro.fluid.paths.bfs_shortest_path` applies implicitly on
-    every visit.  ``consistent`` is False when the node ids are not
-    totally ordered (repr-sort fallback) — the service then keeps
-    discovery on the scalar provider, whose per-row sort semantics the
-    CSR layout cannot reproduce.
+    every visit.  ``degree[i]`` is row ``i``'s length and ``twin[pos]``
+    the CSR position of entry ``pos``'s reverse edge, so masking an
+    undirected edge is two array writes.
+
+    Two flags keep discovery on the scalar provider when the CSR kernels
+    cannot reproduce it: ``consistent`` is False when the node ids are not
+    totally ordered (repr-sort fallback, whose per-row sort semantics the
+    layout cannot express), ``symmetric`` is False when some edge lacks
+    its reverse (the bidirectional search reads the same entries from
+    both endpoints; ``twin`` is meaningless then).
     """
 
     __slots__ = (
@@ -119,8 +127,10 @@ class CsrGraph:
         "index",
         "indptr",
         "indices",
+        "degree",
+        "twin",
         "consistent",
-        "_edge_positions",
+        "symmetric",
         "_arange",
     )
 
@@ -137,29 +147,20 @@ class CsrGraph:
         self.indptr = indptr
         self.indices = indices
         self.consistent = consistent
-        self._edge_positions: Optional[Dict[Tuple[int, int], int]] = None
+        # Entries are sorted by (owner, neighbour); sorting them by
+        # (neighbour, owner) instead lists every reverse edge in the same
+        # rank order, so on a symmetric graph the permutation itself is
+        # the entry -> reverse-entry map.
+        self.degree = np.diff(indptr)
+        owners = np.repeat(
+            np.arange(indptr.shape[0] - 1, dtype=np.int32), self.degree
+        )
+        self.twin = np.lexsort((owners, indices)).astype(np.int32)
+        self.symmetric = bool(
+            (indices[self.twin] == owners).all()
+            and (owners[self.twin] == indices).all()
+        )
         self._arange: Optional[np.ndarray] = None
-
-    @property
-    def edge_positions(self) -> Dict[Tuple[int, int], int]:
-        """``(u, v) index pair -> CSR entry position`` (built lazily).
-
-        O(1) directed-edge lookups for the k-disjoint edge masking — a
-        binary search per hop costs more in call overhead than the walk
-        it guards.
-        """
-        if self._edge_positions is None:
-            owners = np.repeat(
-                np.arange(self.indptr.shape[0] - 1, dtype=np.int32),
-                np.diff(self.indptr),
-            )
-            self._edge_positions = {
-                edge: pos
-                for pos, edge in enumerate(
-                    zip(owners.tolist(), self.indices.tolist())
-                )
-            }
-        return self._edge_positions
 
     @property
     def arange(self) -> np.ndarray:
@@ -216,30 +217,14 @@ class CsrGraph:
         )
 
 
-def _csr_level_bfs(
-    graph: CsrGraph,
-    source: int,
-    target: int = -1,
-    alive: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Array-frontier BFS over sorted CSR; returns the parent array.
+def _csr_level_bfs(graph: CsrGraph, source: int) -> np.ndarray:
+    """Full array-frontier BFS tree over sorted CSR; returns the parent array.
 
     Whole levels expand as NumPy index operations: gather every frontier
-    node's row, drop visited/masked candidates, and keep each node's
-    *first occurrence* in candidate order — which is exactly the parent
-    the scalar FIFO BFS assigns (frontier order × sorted-neighbour order),
-    so parent chains are bit-identical to
+    node's row and keep each node's *first occurrence* in candidate order
+    — which is exactly the parent the scalar FIFO BFS assigns (frontier
+    order × sorted-neighbour order), so parent chains are bit-identical to
     :func:`~repro.fluid.paths.bfs_shortest_path`.
-
-    ``target=-1`` builds the full tree; otherwise the search stops as soon
-    as a frontier node borders the target — detected against the *target's*
-    CSR row before the frontier is expanded, so the final (largest) level
-    is never gathered at all.  The early exit assigns the exact parent the
-    scalar loop would: the first frontier-order node with a live edge to
-    the target.  ``alive`` masks CSR entries (directed edges) out of the
-    traversal — the k-edge-disjoint loop's removed edges; the early-exit
-    check reads the target's own row positions, which is only equivalent
-    because that loop always masks both directions of an edge.
     """
     indptr, indices = graph.indptr, graph.indices
     ramp = graph.arange
@@ -249,27 +234,8 @@ def _csr_level_bfs(
     # Scratch for the first-occurrence dedup below; never reset — every
     # entry read in a level was scatter-written in that same level.
     stamp = np.empty(num_nodes, dtype=np.int32)
-    if target >= 0:
-        # The target's neighbourhood, for the pre-expansion exit check.
-        # ``fpos`` maps frontier nodes to their frontier position; stale
-        # entries from earlier levels are harmless — a node with a live
-        # edge to the target would already have ended the search when its
-        # level was checked.
-        t_start, t_end = int(indptr[target]), int(indptr[target + 1])
-        row_t = indices[t_start:t_end]
-        alive_t = None if alive is None else alive[t_start:t_end]
-        fpos = np.full(num_nodes, -1, dtype=np.int32)
     frontier = np.array([source], dtype=np.int32)
     while frontier.size:
-        if target >= 0:
-            fpos[frontier] = ramp[: frontier.shape[0]]
-            reach = fpos[row_t]
-            ok = reach >= 0
-            if alive_t is not None:
-                ok &= alive_t
-            if ok.any():
-                parent[target] = frontier[int(reach[ok].min())]
-                break
         starts = indptr[frontier]
         deg = indptr[frontier + 1] - starts
         total = int(deg.sum())
@@ -278,21 +244,13 @@ def _csr_level_bfs(
         csum = deg.cumsum()
         pos = ramp[:total] + (starts - (csum - deg)).repeat(deg)
         cand = indices[pos]
-        keep_idx = None
-        if alive is not None:
-            live = alive[pos]
-            if not live.all():
-                keep_idx = live.nonzero()[0].astype(np.int32)
-                if keep_idx.shape[0] == 0:
-                    break
-                cand = cand[keep_idx]
         # First occurrence of each candidate wins — the scalar FIFO parent
         # assignment — found in O(m) by a reversed scatter (later writes
         # win, so reversing makes the *earliest* position stick) instead
         # of a sort-based unique.  Already-visited candidates dedup too,
         # then drop in the (much smaller) per-node check below; their
         # presence never displaces a new node's first occurrence.
-        order = ramp[: cand.shape[0]]
+        order = ramp[:total]
         stamp[cand[::-1]] = order[::-1]
         sel = (stamp[cand] == order).nonzero()[0].astype(np.int32)
         fresh = cand[sel]
@@ -302,8 +260,7 @@ def _csr_level_bfs(
             sel = sel[new]
         if fresh.shape[0] == 0:
             break
-        level_pos = keep_idx[sel] if keep_idx is not None else sel
-        parent[fresh] = frontier.repeat(deg)[level_pos]
+        parent[fresh] = frontier.repeat(deg)[sel]
         frontier = fresh
     return parent
 
@@ -319,33 +276,6 @@ def _parent_chain(
         chain.append(int(parent[chain[-1]]))
     chain.reverse()
     return chain
-
-
-def _csr_k_edge_disjoint(
-    graph: CsrGraph, source: int, target: int, k: int
-) -> List[List[int]]:
-    """Greedy k edge-disjoint shortest index paths over masked CSR arrays.
-
-    The same construction as
-    :func:`~repro.fluid.paths.k_edge_disjoint_paths`: repeatedly take the
-    BFS shortest path and mask its edges (both directions — the symmetry
-    the BFS early-exit check relies on) before searching again.
-    """
-    alive: Optional[np.ndarray] = None
-    paths: List[List[int]] = []
-    for _ in range(k):
-        parent = _csr_level_bfs(graph, source, target, alive)
-        chain = _parent_chain(parent, source, target)
-        if chain is None:
-            break
-        paths.append(chain)
-        if alive is None:
-            alive = np.ones(graph.indices.shape[0], dtype=bool)
-        edge_positions = graph.edge_positions
-        for u, v in zip(chain, chain[1:]):
-            alive[edge_positions[(u, v)]] = False
-            alive[edge_positions[(v, u)]] = False
-    return paths
 
 
 # ----------------------------------------------------------------------
@@ -378,12 +308,35 @@ class ScalarDisjointProvider:
 
 
 class CsrDisjointProvider:
-    """k edge-disjoint shortest paths via array-frontier BFS over CSR.
+    """k edge-disjoint shortest paths via bidirectional search over CSR.
 
     Output is byte-identical to :class:`ScalarDisjointProvider` with
     ``method="edge-disjoint"`` — including the degenerate cases the scalar
     loop produces (``src == dst`` yields ``k`` copies of the single-node
     path; unknown endpoints yield an empty set).
+
+    **Why a distance-only search returns the scalar BFS's path.**  The
+    scalar FIFO BFS visits neighbours in ascending order, so by induction
+    over levels it dequeues each level in lexicographic order of the
+    nodes' smallest shortest path from the source, and a node's parent is
+    its first-dequeued neighbour: the parent chain of the target is the
+    lexicographically smallest shortest path by node index.  That path
+    needs no parent array.  Among equal-length sequences the smallest is
+    found greedily — from the source, step to the smallest-index neighbour
+    that still lies on *some* shortest path — and "lies on a shortest
+    path" is a statement about distances only.  So :meth:`_lexmin_path`
+    grows level sets from both endpoints until they meet (a few small
+    frontiers instead of a sweep of the component), carries the
+    target-side distances back from the meeting set to the source-side
+    nodes that reach it along shortest paths, and walks from the source
+    down those distances.  The search reads the same CSR entries from
+    both ends, so it needs a symmetric graph (:attr:`CsrGraph.symmetric`)
+    and an edge mask that always covers both directions of an edge.
+
+    The distance and edge-mask scratch arrays live on the provider and
+    every call restores the entries it touched, so a search costs its
+    frontiers, not the graph.  Not re-entrant: one call at a time per
+    provider instance.
     """
 
     kind = "csr"
@@ -391,6 +344,15 @@ class CsrDisjointProvider:
     def __init__(self, graph: CsrGraph, k: int):
         self._graph = graph
         self._k = k
+        num_nodes = graph.num_nodes
+        #: Hop distance from the source / from the target (-1 = unseen).
+        self._dist_s = np.full(num_nodes, -1, dtype=np.int32)
+        self._dist_t = np.full(num_nodes, -1, dtype=np.int32)
+        #: False on CSR entries of edges the pair's earlier paths used.
+        self._alive = np.ones(graph.indices.shape[0], dtype=bool)
+        # Dedup scratch; never reset — every entry read in a level was
+        # scatter-written in that same level.
+        self._stamp = np.empty(num_nodes, dtype=np.int32)
 
     def prepare(self, pairs: Iterable[Pair]) -> None:
         """Eagerly compute every pair (memoisation is the wrapper's job)."""
@@ -407,15 +369,138 @@ class CsrDisjointProvider:
         dst = graph.index.get(dest)
         if src is None or dst is None:
             return []
+        twin, alive = graph.twin, self._alive
         nodes = graph.nodes
-        return [
-            tuple(nodes[i] for i in chain)
-            for chain in _csr_k_edge_disjoint(graph, src, dst, self._k)
-        ]
+        # Every simple path uses up one edge at each endpoint, so the
+        # search after the min(deg)-th path is known to fail.
+        budget = min(self._k, int(graph.degree[src]), int(graph.degree[dst]))
+        paths: List[Path] = []
+        masked: List[int] = []
+        try:
+            while len(paths) < budget:
+                found = self._lexmin_path(src, dst)
+                if found is None:
+                    break
+                chain, hops = found
+                paths.append(tuple(nodes[i] for i in chain))
+                for pos in hops:  # a few scalar writes beat two gathers
+                    alive[pos] = False
+                    alive[twin[pos]] = False
+                masked.extend(hops)
+        finally:
+            if masked:
+                alive[masked] = True
+                alive[twin[masked]] = True
+        return paths
 
     def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
         """Path sets for every pair, in pair order."""
         return [self.paths(source, dest) for source, dest in pairs]
+
+    # -- the kernel -----------------------------------------------------
+    def _live_neighbours(self, nodes: np.ndarray) -> np.ndarray:
+        """Neighbours of ``nodes`` (not empty) over unmasked entries, with
+        repeats.  One node's row is sliced (a view), several are gathered."""
+        graph = self._graph
+        indptr = graph.indptr
+        entries: Union[slice, np.ndarray]
+        if nodes.shape[0] == 1:
+            node = int(nodes[0])
+            entries = slice(int(indptr[node]), int(indptr[node + 1]))
+        else:
+            starts = indptr[nodes]
+            deg = graph.degree[nodes]
+            csum = deg.cumsum()
+            entries = graph.arange[: int(csum[-1])] + (starts - (csum - deg)).repeat(deg)
+        return graph.indices[entries][self._alive[entries]]
+
+    def _grow(self, frontier: np.ndarray, dist: np.ndarray, level: int) -> np.ndarray:
+        """Label ``frontier``'s unseen live neighbours with ``level`` and
+        return them, each once."""
+        cand = self._live_neighbours(frontier)
+        new = cand[dist[cand] < 0]
+        count = new.shape[0]
+        if count > 1 and frontier.shape[0] > 1:
+            # Several rows can offer the same node; order is irrelevant
+            # (distances only), so whichever offer lands last keeps it.
+            order = self._graph.arange[:count]
+            stamp = self._stamp
+            stamp[new] = order
+            new = new[stamp[new] == order]
+        dist[new] = level
+        return new
+
+    def _lexmin_path(
+        self, source: int, target: int
+    ) -> Optional[Tuple[List[int], List[int]]]:
+        """The lexicographically smallest shortest live path, or ``None``.
+
+        Returns ``(node indices, CSR position of each hop)``.  See the
+        class docstring for why this is the scalar BFS's parent chain.
+        """
+        graph = self._graph
+        indptr, indices, degree = graph.indptr, graph.indices, graph.degree
+        alive, dist_s, dist_t = self._alive, self._dist_s, self._dist_t
+        s_levels = [np.array([source], dtype=np.int32)]
+        t_levels = [np.array([target], dtype=np.int32)]
+        dist_s[source] = 0
+        dist_t[target] = 0
+        try:
+            # Grow the cheaper side (smaller frontier degree sum) one full
+            # level at a time.  Before each step the two balls are
+            # disjoint, so a new level can only touch the other ball on
+            # its outermost level, and `meet` is then *every* node at
+            # that depth of any shortest path.
+            s_cost, t_cost = int(degree[source]), int(degree[target])
+            while True:
+                from_source = s_cost <= t_cost
+                if from_source:
+                    levels, dist, other = s_levels, dist_s, dist_t
+                else:
+                    levels, dist, other = t_levels, dist_t, dist_s
+                new = self._grow(levels[-1], dist, len(levels))
+                levels.append(new)
+                if new.shape[0] == 0:
+                    return None  # that endpoint's component is exhausted
+                meet = new[other[new] >= 0]
+                if meet.shape[0]:
+                    break
+                if from_source:
+                    s_cost = int(degree[new].sum())
+                else:
+                    t_cost = int(degree[new].sum())
+            # Carry the target distances back through the source ball,
+            # along shortest paths only: a node one level nearer the
+            # source with a live edge to a labelled node is one hop
+            # further from the target.  Source-side nodes off every
+            # shortest path stay unlabelled.
+            depth_s = int(dist_s[meet[0]])
+            length = depth_s + int(dist_t[meet[0]])
+            ring = meet
+            for level in range(depth_s - 1, 0, -1):
+                cand = self._live_neighbours(ring)
+                dist_t[cand[dist_s[cand] == level]] = length - level
+                ring = s_levels[level]
+                ring = ring[dist_t[ring] >= 0]
+                t_levels.append(ring)
+            # Walk down the target distances, smallest index first (rows
+            # are sorted, so argmax finds it).
+            chain = [source]
+            hops: List[int] = []
+            node = source
+            for remaining in range(length - 1, -1, -1):
+                lo, hi = int(indptr[node]), int(indptr[node + 1])
+                row = indices[lo:hi]
+                step = int((alive[lo:hi] & (dist_t[row] == remaining)).argmax())
+                hops.append(lo + step)
+                node = int(row[step])
+                chain.append(node)
+            return chain, hops
+        finally:
+            for level_nodes in s_levels:
+                dist_s[level_nodes] = -1
+            for level_nodes in t_levels:
+                dist_t[level_nodes] = -1
 
 
 class _ArrayTree:
@@ -744,10 +829,12 @@ class PathService:
     process-wide and optionally persisted via :class:`PersistentCache`.
 
     ``vectorized_discovery`` is the class-wide mode switch: ``True``
-    (default) discovers through the CSR array-frontier BFS, ``False``
-    keeps every provider on the scalar per-pair loops — the parity
-    baseline, mirroring ``PaymentNetwork.vectorized_path_ops`` and
-    ``ControlPlane.vectorized_signals``.
+    (default) discovers through the CSR kernels, ``False`` keeps every
+    provider on the scalar per-pair loops — the parity baseline,
+    mirroring ``PaymentNetwork.vectorized_path_ops`` and
+    ``ControlPlane.vectorized_signals``.  A graph the CSR kernels cannot
+    serve (node ids without a total order, or an edge without its
+    reverse) stays on the scalar loops whatever the switch says.
     """
 
     #: Class-wide default, captured per instance at construction.
@@ -804,7 +891,10 @@ class PathService:
         return self._fingerprint
 
     def _vectorized_ok(self) -> bool:
-        return self.use_vectorized and self.graph.consistent
+        if not self.use_vectorized:
+            return False
+        graph = self.graph
+        return graph.consistent and graph.symmetric
 
     # -- providers ------------------------------------------------------
     def provider(self, k: int, method: str = "edge-disjoint") -> PersistentCache:

@@ -1,13 +1,16 @@
 """PathService: provider parity, persistence, and discovery determinism.
 
-The CSR array-frontier BFS must reproduce the scalar per-pair loops *byte
+The CSR bidirectional search must reproduce the scalar per-pair loops *byte
 for byte* — path discovery feeds every routing decision, so a single
 tie-break divergence would silently change every downstream metric.  These
 tests pin:
 
 * :class:`CsrDisjointProvider` against :class:`ScalarDisjointProvider` on
   random topologies (disconnected pairs, ``src == dst``, ``k`` larger than
-  the graph supports);
+  the graph supports), on hypothesis-drawn G(n, p) and hub-heavy graphs
+  with one long-lived provider whose scratch must come back clean, and on
+  the 10k-node Ripple-like graph;
+* asymmetric adjacencies staying on the scalar provider;
 * the landmark tree provider across vectorised/scalar modes and against
   the legacy two-BFS-per-pair assembly;
 * persistent-cache round trips (disk artifacts serve the exact path sets)
@@ -21,7 +24,10 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.pathservice import (
     CsrDisjointProvider,
@@ -37,7 +43,7 @@ from repro.experiments.runner import run_experiment
 from repro.fluid.paths import bfs_shortest_path, build_path_set
 from repro.metrics.report import metrics_to_json
 from repro.simulator.rng import make_rng
-from repro.topology import isp_topology, ripple_topology
+from repro.topology import isp_topology, ripple_topology, scale_free_topology
 
 
 @pytest.fixture(autouse=True)
@@ -58,6 +64,13 @@ def random_adjacency(seed: int, n: int, p: float) -> dict:
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     return {i: sorted(v) for i, v in adjacency.items()}
+
+
+def assert_scratch_clean(provider: CsrDisjointProvider) -> None:
+    """Every scratch array of the search is back at its sentinel."""
+    assert (provider._dist_s == -1).all()
+    assert (provider._dist_t == -1).all()
+    assert provider._alive.all()
 
 
 class TestCsrParity:
@@ -106,6 +119,103 @@ class TestCsrParity:
         for source in adjacency:
             for dest in adjacency:
                 assert csr.paths(source, dest) == scalar.paths(source, dest)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hubs=st.booleans(),
+        seed=st.integers(0, 10_000),
+        n=st.integers(4, 18),
+        density=st.integers(1, 4),
+        k=st.sampled_from([1, 2, 4, 9]),
+        extra=st.integers(0, 2),
+    )
+    def test_differential_one_provider_serves_every_pair(
+        self, hubs, seed, n, density, k, extra
+    ):
+        """One long-lived provider against the scalar loops and a fresh
+        provider, over every ordered pair of a drawn graph.
+
+        The graph is G(n, p) or preferential attachment (a few hubs carry
+        most edges, so the search alternates sides), plus ``extra`` isolated nodes and a
+        detached edge so some pairs have no path, with every neighbour
+        list doubled (duplicate entries).  Adjacent pairs, endpoints of
+        degree below ``k`` and ``src == dst`` all occur among the pairs.
+        The pair order interleaves directions and connected/disconnected
+        pairs, so state leaked by one call would corrupt the next.
+        """
+        if hubs:
+            adjacency = scale_free_topology(
+                n, min(density, n - 1), seed=seed
+            ).adjacency()
+        else:
+            adjacency = random_adjacency(seed, n, p=0.08 * density)
+        first = len(adjacency)
+        for node in range(first, first + extra):
+            adjacency[node] = []
+        a, b = first + extra, first + extra + 1
+        adjacency[a], adjacency[b] = [b], [a]
+        adjacency = {node: row + row for node, row in adjacency.items()}
+        graph = CsrGraph.from_adjacency(adjacency)
+        assert graph.symmetric
+        scalar = ScalarDisjointProvider(adjacency, k)
+        shared = CsrDisjointProvider(graph, k)
+        total = len(adjacency)
+        rng = make_rng(seed)
+        order = [(s, d) for s in range(total) for d in range(total)]
+        for index in rng.permutation(len(order)):
+            source, dest = order[int(index)]
+            got = shared.paths(source, dest)
+            assert_scratch_clean(shared)
+            assert got == scalar.paths(source, dest), (source, dest)
+            assert got == CsrDisjointProvider(graph, k).paths(source, dest)
+
+    def test_scale_parity_on_ripple_huge(self):
+        """Seeded pairs on the 10k-node graph: hub-sized frontiers, long
+        rows and multi-level searches the small graphs never produce."""
+        adjacency = {
+            node: sorted(neighbours)
+            for node, neighbours in ripple_topology("huge", seed=0)
+            .adjacency()
+            .items()
+        }
+        graph = CsrGraph.from_adjacency(adjacency)
+        csr = CsrDisjointProvider(graph, 4)
+        scalar = ScalarDisjointProvider(adjacency, 4)
+        nodes = sorted(adjacency)
+        rng = make_rng(17)
+        for _ in range(150):
+            a, b = rng.choice(len(nodes), size=2, replace=False)
+            pair = (nodes[int(a)], nodes[int(b)])
+            assert csr.paths(*pair) == scalar.paths(*pair), pair
+        assert_scratch_clean(csr)
+
+    def test_twin_maps_every_entry_to_its_reverse(self):
+        adjacency = random_adjacency(11, 40, p=0.15)
+        graph = CsrGraph.from_adjacency(adjacency)
+        owners = np.repeat(np.arange(40), np.diff(graph.indptr))
+        assert graph.symmetric
+        assert (graph.indices[graph.twin] == owners).all()
+        assert (owners[graph.twin] == graph.indices).all()
+
+    def test_one_way_edge_stays_on_scalar_provider(self):
+        """The bidirectional search is only valid when every edge has its
+        reverse; a one-way edge must route discovery to the scalar loops
+        (which follow edge direction) instead of returning wrong paths."""
+        adjacency = {0: [1, 2], 1: [0, 3], 2: [3], 3: [1, 2]}  # 2 -/-> 0
+        assert not CsrGraph.from_adjacency(adjacency).symmetric
+        # A rotation has equal in- and out-degree everywhere, so only the
+        # pairwise check can tell it from a symmetric graph.
+        assert not CsrGraph.from_adjacency({0: [1], 1: [2], 2: [0]}).symmetric
+        service = PathService.from_adjacency(adjacency)
+        assert service.provider(4).provider.kind == "scalar"
+        scalar = ScalarDisjointProvider(adjacency, 4)
+        for source in adjacency:
+            for dest in adjacency:
+                assert service.paths(source, dest, k=4) == scalar.paths(
+                    source, dest
+                )
+        assert service.paths(2, 0, k=4) == [(2, 3, 1, 0)]
+        assert service.bfs_tree(2).path_from_root(0) == (2, 3, 1, 0)
 
     def test_paths_many_order(self):
         adjacency = random_adjacency(5, 12, p=0.3)
