@@ -34,7 +34,8 @@ asserting byte-identical metrics between the two plans — with a 100k-node
 scale-free leg behind ``REPRO_SLOW_TESTS=1``), recording events/sec and
 speedups for all of them.
 Pass ``--assert-floor`` to fail when native hop-by-hop throughput
-regresses below 0.8x the previously recorded value, when either signals
+regresses below 0.8x the previously recorded value, when the path-ops
+lock+settle round trip drops under 1.0x its scalar loop, when either signals
 kernel drops under its 3x acceptance floor, when CSR path discovery
 falls under 3x the scalar BFS, when macro-tick dispatch at cohort 256
 drops under its 2x floor, when the scale smoke's txn/s falls below
@@ -1045,6 +1046,9 @@ def check_throughput_floor(report: dict, baseline: dict, ratio: float = 0.8):
       speedup.  A slower CI runner scales both measurements equally, so
       only a genuine hot-path regression drops the speedup.
 
+    Path-op coverage: the ``path_ops`` section's lock+settle round trip
+    through the store's direction-indexed kernels must be no slower than
+    the scalar per-hop loop (speedup ≥ 1.0x, same-run ratio).
     Signal-kernel coverage: the ``signals`` section's vectorised-vs-scalar
     speedups must also stay above the 3x acceptance floor (both sides are
     timed on this machine in the same run, so the ratio is
@@ -1053,6 +1057,16 @@ def check_throughput_floor(report: dict, baseline: dict, ratio: float = 0.8):
     graph must stay above its 3x floor (the recorded value documents the
     ≥5x ripple-huge acceptance number).
     """
+    path_ops = report.get("path_ops")
+    if path_ops:
+        # The compiled-path lock+settle round trip must at least match the
+        # per-hop channel-object loop it replaced (both timed in this run).
+        speedup = path_ops["lock_settle"]["speedup"]
+        if speedup < 1.0:
+            return (
+                f"path_ops lock_settle vectorised speedup {speedup:.2f}x "
+                "fell below 1.0x: the store kernels lose to the scalar loop"
+            )
     signals = report.get("signals")
     if signals:
         for section in ("price_update", "mark_scan"):

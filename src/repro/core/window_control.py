@@ -292,10 +292,8 @@ class ImbalanceAwareWindowScheme(WindowedSpiderScheme):
             # balance per hop, normalised by channel capacity.
             cpath = self._network.path_table.compile(path)
             store = self._network.state_store
-            spread = (
-                store.balance[cpath.cids, cpath.sides]
-                - store.balance[cpath.cids, 1 - cpath.sides]
-            )
+            balance = store.balance_flat
+            spread = balance[cpath.dirs] - balance[cpath.dirs ^ 1]
             return float((spread / store.capacity[cpath.cids]).mean())
         scores = []
         for u, v in zip(path, path[1:]):

@@ -34,12 +34,18 @@ EXEMPT_MODULES = (
     "src/repro/engine/dispatch.py",
 )
 
-#: The store's mutable array attributes (see ChannelStateStore.__slots__).
+#: The store's mutable array attributes (see ChannelStateStore.__slots__),
+#: including the direction-indexed 1-D views of the four funds arrays: a
+#: write through ``store.balance_flat[dirs]`` lands in the same memory.
 STORE_ARRAYS = {
     "balance",
     "inflight",
     "sent",
     "settled_flow",
+    "balance_flat",
+    "inflight_flat",
+    "sent_flat",
+    "settled_flow_flat",
     "queue_depth",
     "capacity",
     "total_deposited",

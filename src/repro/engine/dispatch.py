@@ -31,8 +31,10 @@ Byte-identity with the scalar loop (``SimulationSession.vectorized_dispatch
 = False``) is a proved invariant, not a hope.  The proof rests on four
 pillars:
 
-* **Residual replay.**  The plan keeps a per-``(cid, side)`` overlay of
-  *residual* channel state — raw balance, inflight and sent — equal to
+* **Residual replay.**  The plan keeps an overlay of *residual* channel
+  state per hop direction ``d = 2·cid + side`` (the store's hop address,
+  see :class:`~repro.engine.store.ChannelStateStore`; the channel row is
+  ``d >> 1``) — raw balance, inflight and sent — equal to
   the live store values with every staged operation applied in decision
   order, using the same float64 arithmetic the store would use
   (IEEE-754 ops are deterministic functions of their operand bits, so
@@ -128,9 +130,7 @@ _BATCH_RULES = frozenset(
 #: except LND, which searches paths per attempt instead of caching them).
 _PROFILE_RULES = frozenset({"waterfilling", "shortest-path", "spider-window"})
 
-_DirKey = Tuple[int, int]
-
-#: Residual-state field indices (per touched ``(cid, side)`` direction).
+#: Residual-state field indices (per touched direction).
 _BAL, _INFL, _SENT = 0, 1, 2
 
 
@@ -185,9 +185,9 @@ class DispatchPlan:
             Tuple[Payment, "CompiledPath", float, float]
         ] = []
         #: Residual channel state: ``[balance, inflight, sent]`` per
-        #: touched ``(cid, side)``, tracking the live store values with
+        #: touched direction id, tracking the live store values with
         #: every staged operation applied in decision order.
-        self._residual: Dict[_DirKey, List[float]] = {}
+        self._residual: Dict[int, List[float]] = {}
         #: Per-channel ``num_refunded`` increments from replayed failed
         #: locks (applied at flush).
         self._refund_deltas: Dict[int, int] = {}
@@ -290,16 +290,15 @@ class DispatchPlan:
     # ------------------------------------------------------------------
     # Residual overlay
     # ------------------------------------------------------------------
-    def _state(self, cid: int, side: int) -> List[float]:
+    def _state(self, d: int) -> List[float]:
         """The overlay record of one direction (created from live state)."""
-        key = (cid, side)
-        state = self._residual.get(key)
+        state = self._residual.get(d)
         if state is None:
             store = self.store
-            state = self._residual[key] = [
-                float(store.balance[cid, side]),
-                float(store.inflight[cid, side]),
-                float(store.sent[cid, side]),
+            state = self._residual[d] = [
+                float(store.balance_flat[d]),
+                float(store.inflight_flat[d]),
+                float(store.sent_flat[d]),
             ]
         return state
 
@@ -323,31 +322,31 @@ class DispatchPlan:
             cpath = cpaths[i]
             hop_array = hop_arrays[i]
             if hop_array is None:
-                hop_values: Sequence[float] = [amounts[i]] * len(cpath.hops)
+                hop_values: Sequence[float] = [amounts[i]] * len(cpath)
             else:
                 hop_values = hop_array.tolist()
-            for (cid, side), hop_amount in zip(cpath.hops, hop_values):
-                state = self._state(cid, side)
+            for d, hop_amount in zip(cpath.dir_list, hop_values):
+                state = self._state(d)
                 state[_BAL] = state[_BAL] - hop_amount
                 state[_INFL] = state[_INFL] + hop_amount
                 state[_SENT] = state[_SENT] + hop_amount
             i += 1
         self._residual_synced = i
 
-    def _raw_balance(self, cid: int, side: int) -> float:
+    def _raw_balance(self, d: int) -> float:
         """Raw (not frozen-masked) residual balance of one direction."""
-        state = self._residual.get((cid, side))
+        state = self._residual.get(d)
         if state is not None:
             return state[_BAL]
-        return float(self.store.balance[cid, side])
+        return float(self.store.balance_flat[d])
 
-    def _availability(self, cid: int, side: int) -> float:
+    def _availability(self, d: int) -> float:
         """Residual spendable funds (0 where frozen) — what
         ``store.availability`` would report after a flush."""
         store = self.store
-        if store.frozen_count and store.frozen[cid]:
+        if store.frozen_count and store.frozen[d >> 1]:
             return 0.0
-        return self._raw_balance(cid, side)
+        return self._raw_balance(d)
 
     def _cpath_bottleneck(self, cpath: "CompiledPath") -> float:
         """Residual bottleneck of one path — ``network.bottleneck`` as the
@@ -355,8 +354,8 @@ class DispatchPlan:
         so the Python loop matches the vectorised ``.min()`` bit for
         bit)."""
         best = math.inf
-        for cid, side in cpath.hops:
-            value = self._availability(cid, side)
+        for d in cpath.dir_list:
+            value = self._availability(d)
             if value < best:
                 best = value
         return best
@@ -405,18 +404,18 @@ class DispatchPlan:
         store = self.store
         frozen_count = store.frozen_count
         frozen = store.frozen
-        hops = cpath.hops
+        hops = cpath.dir_list
         failing = -1
-        for i, ((cid, side), req) in enumerate(zip(hops, required)):
-            if (frozen_count and frozen[cid]) or not (
-                req <= self._raw_balance(cid, side) + 1e-9
+        for i, (d, req) in enumerate(zip(hops, required)):
+            if (frozen_count and frozen[d >> 1]) or not (
+                req <= self._raw_balance(d) + 1e-9
             ):
                 failing = i
                 break
         if failing < 0:
             actuals: List[float] = []
-            for (cid, side), req in zip(hops, required):
-                state = self._state(cid, side)
+            for d, req in zip(hops, required):
+                state = self._state(d)
                 bal = state[_BAL]
                 actual = req if req <= bal else bal
                 actuals.append(actual)
@@ -427,13 +426,14 @@ class DispatchPlan:
             return actuals
         if failing > 0:
             refunds = self._refund_deltas
-            for (cid, side), req in zip(hops[:failing], required[:failing]):
-                state = self._state(cid, side)
+            for d, req in zip(hops[:failing], required[:failing]):
+                state = self._state(d)
                 bal = state[_BAL]
                 actual = req if req <= bal else bal
                 state[_BAL] = (bal - actual) + actual
                 state[_INFL] = (state[_INFL] + actual) - actual
                 state[_SENT] = state[_SENT] + actual
+                cid = d >> 1
                 refunds[cid] = refunds.get(cid, 0) + 1
                 self._touched_cids.add(cid)
             self._has_failed_locks = True
@@ -647,8 +647,8 @@ class DispatchPlan:
             amount = payment.amount
             required = cpath.hop_amounts(amount)
             failing_index: Optional[int] = None
-            for i, ((cid, side), req) in enumerate(zip(cpath.hops, required)):
-                if self._availability(cid, side) + 1e-9 < req:
+            for i, (d, req) in enumerate(zip(cpath.dir_list, required)):
+                if self._availability(d) + 1e-9 < req:
                     failing_index = i
                     break
             if failing_index is None:
@@ -702,7 +702,7 @@ class DispatchPlan:
     def _available_between(self, u: int, v: int) -> float:
         """Residual ``network.available(u, v)`` for the LND source check."""
         cid, side = self.session.network.channel_id(u, v)
-        return self._availability(cid, side)
+        return self._availability(2 * cid + side)
 
     # ------------------------------------------------------------------
     # Spider-window replay
@@ -733,8 +733,9 @@ class DispatchPlan:
             while (
                 payment.remaining >= min_unit and state.headroom >= min_unit
             ):
-                cid, side = cpath.hops[0]
-                first_hop = self._availability(cid, side)
+                d = cpath.dir_list[0]
+                cid = d >> 1
+                first_hop = self._availability(d)
                 amount = min(
                     payment.remaining, state.headroom, mtu, first_hop
                 )
@@ -744,7 +745,7 @@ class DispatchPlan:
                 # first-hop availability clamp, kept for exactness).
                 if store.frozen_count and store.frozen[cid]:
                     break
-                hop_state = self._state(cid, side)
+                hop_state = self._state(d)
                 bal = hop_state[_BAL]
                 if amount > bal + 1e-9:
                     break
@@ -785,7 +786,7 @@ class DispatchPlan:
             for i, hop_array in enumerate(hop_arrays):
                 if hop_array is None:
                     hop_arrays[i] = np.full(
-                        len(cpaths[i].hops), amounts[i], dtype=np.float64
+                        len(cpaths[i]), amounts[i], dtype=np.float64
                     )
             flat_arrays = cast(List[np.ndarray], hop_arrays)
             if store.sanitizer is not None:
@@ -793,18 +794,17 @@ class DispatchPlan:
                 store.sanitizer.annotate(
                     np.repeat(
                         [payment.payment_id for payment in staged],
-                        [len(cpath.cids) for cpath in cpaths],
+                        [len(cpath) for cpath in cpaths],
                     )
                 )
             if self._has_failed_locks:
                 self._write_back_overlay()
             elif len(staged) == 1:
-                cpath = cpaths[0]
-                store.lock_many(cpath.cids, cpath.sides, flat_arrays[0])
+                # One path is a trail: no direction repeats.
+                store.lock_many(cpaths[0].dirs, flat_arrays[0], distinct=True)
             else:
                 store.lock_many(
-                    np.concatenate([cpath.cids for cpath in cpaths]),
-                    np.concatenate([cpath.sides for cpath in cpaths]),
+                    np.concatenate([cpath.dirs for cpath in cpaths]),
                     np.concatenate(flat_arrays),
                 )
             now = session.sim.now
@@ -840,15 +840,15 @@ class DispatchPlan:
         launches = self._staged_launches
         if launches:
             count = len(launches)
-            cids = np.empty(count, dtype=np.intp)
-            sides = np.empty(count, dtype=np.intp)
-            actuals = np.empty(count, dtype=np.float64)
-            for i, (_, cpath, _, actual) in enumerate(launches):
-                cid, side = cpath.hops[0]
-                cids[i] = cid
-                sides[i] = side
-                actuals[i] = actual
-            store.lock_many(cids, sides, actuals)
+            store.lock_many(
+                np.array(
+                    [cpath.dir_list[0] for _, cpath, _, _ in launches],
+                    dtype=np.intp,
+                ),
+                np.array(
+                    [actual for _, _, _, actual in launches], dtype=np.float64
+                ),
+            )
             transport = cast(Any, session.transport)
             now = session.sim.now
             units: List[HopUnit] = []
@@ -882,18 +882,16 @@ class DispatchPlan:
         if store.sanitizer is not None and self._residual:
             # These writes go straight through the array views below,
             # bypassing the store's guarded entry points — vet them here.
-            keys = list(self._residual)
-            store.sanitizer.check_rows(
-                np.array([cid for cid, _ in keys], dtype=np.intp),
-                np.array([side for _, side in keys], dtype=np.intp),
+            store.sanitizer.check_dirs(
+                np.array(list(self._residual), dtype=np.intp)
             )
-        balance = store.balance
-        inflight = store.inflight
-        sent = store.sent
-        for (cid, side), state in self._residual.items():
-            balance[cid, side] = state[_BAL]
-            inflight[cid, side] = state[_INFL]
-            sent[cid, side] = state[_SENT]
+        balance = store.balance_flat
+        inflight = store.inflight_flat
+        sent = store.sent_flat
+        for d, state in self._residual.items():
+            balance[d] = state[_BAL]
+            inflight[d] = state[_INFL]
+            sent[d] = state[_SENT]
         num_refunded = store.num_refunded
         for cid, delta in self._refund_deltas.items():
             num_refunded[cid] += delta

@@ -8,9 +8,10 @@ lock.  The seed implemented all four as Python loops over
 scale those loops dominate wall time (event dispatch is ~5 % of the
 hop-by-hop bench).
 
-:class:`PathTable` compiles each candidate path **once** into flat
-``(cid, side)`` index arrays over the
-:class:`~repro.engine.store.ChannelStateStore`, after which:
+:class:`PathTable` compiles each candidate path **once** into a flat
+array of hop direction ids (``d = 2·cid + side``, the store's one hop
+address — see :class:`~repro.engine.store.ChannelStateStore`), after
+which:
 
 * :meth:`bottleneck` is a fancy-indexed gather + masked min (frozen
   channels fold into the mask);
@@ -56,18 +57,19 @@ _MISSING = object()
 class CompiledPath:
     """One path flattened into store indices and fee schedules.
 
-    ``cids[i]``/``sides[i]`` index hop ``i``'s channel row and the sender's
-    column in the store arrays; ``hops[i]`` keeps the same pair as Python
-    ints for per-hop forwarding loops.  ``base_fees[i]``/``fee_rates[i]``
-    are the fee schedule *of hop i's channel* (the fee an upstream hop pays
-    to route through it); ``fee_free`` flags the all-zero common case.
+    ``dirs[i]`` is hop ``i``'s sender direction id in the store's flat
+    views and ``cids[i]`` its channel row; ``dir_list`` keeps ``dirs`` as
+    Python ints for per-hop forwarding loops (a side is ``d & 1`` where one
+    is still needed).  ``base_fees[i]``/``fee_rates[i]`` are the fee
+    schedule *of hop i's channel* (the fee an upstream hop pays to route
+    through it); ``fee_free`` flags the all-zero common case.
     """
 
     __slots__ = (
         "nodes",
         "cids",
-        "sides",
-        "hops",
+        "dirs",
+        "dir_list",
         "base_fees",
         "fee_rates",
         "fee_free",
@@ -76,24 +78,21 @@ class CompiledPath:
     def __init__(
         self,
         nodes: Path,
-        cids: np.ndarray,
-        sides: np.ndarray,
-        base_fees: Sequence[float],
-        fee_rates: Sequence[float],
+        dir_list: List[int],
+        base_fees: List[float],
+        fee_rates: List[float],
     ):
         self.nodes = nodes
-        self.cids = cids
-        self.sides = sides
-        self.hops: List[Tuple[int, int]] = list(
-            zip(cids.tolist(), sides.tolist())
-        )
-        self.base_fees = list(base_fees)
-        self.fee_rates = list(fee_rates)
+        self.dirs = np.array(dir_list, dtype=np.intp)
+        self.cids = self.dirs >> 1
+        self.dir_list = dir_list
+        self.base_fees = base_fees
+        self.fee_rates = fee_rates
         self.fee_free = not any(base_fees) and not any(fee_rates)
 
     def __len__(self) -> int:
         """Number of hops."""
-        return len(self.hops)
+        return len(self.dir_list)
 
     def hop_amounts(self, amount: float) -> List[float]:
         """Per-hop lock amounts delivering ``amount``, fees included.
@@ -104,7 +103,7 @@ class CompiledPath:
         layer calls this directly to price staged sends without a path
         re-compile.
         """
-        hops = len(self.hops)
+        hops = len(self.dir_list)
         if hops == 0:
             return []
         if self.fee_free:
@@ -177,7 +176,7 @@ class _ProbeCache:
     __slots__ = (
         "cpaths",
         "cids",
-        "sides",
+        "dirs",
         "offsets",
         "bounds",
         "values",
@@ -189,7 +188,7 @@ class _ProbeCache:
         self.cpaths = cpaths
         hop_counts = [len(c) for c in cpaths]
         self.cids = np.concatenate([c.cids for c in cpaths])
-        self.sides = np.concatenate([c.sides for c in cpaths])
+        self.dirs = np.concatenate([c.dirs for c in cpaths])
         ends = np.cumsum(hop_counts)
         self.offsets = np.concatenate(([0], ends[:-1]))
         self.bounds = list(zip(self.offsets.tolist(), ends.tolist()))
@@ -245,19 +244,16 @@ class PathTable:
                     f"path revisits node {node!r} (paths must be trails)"
                 )
             seen.add(node)
-        hops = len(key) - 1
-        cids = np.empty(hops, dtype=np.intp)
-        sides = np.empty(hops, dtype=np.intp)
+        dir_list: List[int] = []
         base_fees: List[float] = []
         fee_rates: List[float] = []
-        for i, (u, v) in enumerate(zip(key, key[1:])):
-            cid, side = network.channel_id(u, v)
-            cids[i] = cid
-            sides[i] = side
-            channel = network.channel(u, v)
+        direction = network.direction
+        for u, v in zip(key, key[1:]):
+            channel, cid, side = direction(u, v)
+            dir_list.append(2 * cid + side)
             base_fees.append(channel.base_fee)
             fee_rates.append(channel.fee_rate)
-        compiled = CompiledPath(key, cids, sides, base_fees, fee_rates)
+        compiled = CompiledPath(key, dir_list, base_fees, fee_rates)
         self._compiled[key] = compiled
         return compiled
 
@@ -283,9 +279,9 @@ class PathTable:
         cpath = (
             self._compiled.get(path) if type(path) is tuple else None
         ) or self.compile(path)
-        if not cpath.hops:
+        if not cpath.dir_list:
             return math.inf
-        values = self._store.availability(cpath.cids, cpath.sides)
+        values = self._store.availability(cpath.dirs)
         return float(values.min())
 
     def _probe_for(
@@ -374,18 +370,17 @@ class PathTable:
             return
         if len(todo) == 1:
             probe = todo[0]
-            avail = store.availability(probe.cids, probe.sides)
+            avail = store.availability(probe.dirs)
             probe.values = np.minimum.reduceat(avail, probe.offsets)
         else:
             avail = store.availability(
-                np.concatenate([probe.cids for probe in todo]),
-                np.concatenate([probe.sides for probe in todo]),
+                np.concatenate([probe.dirs for probe in todo])
             )
             offset_parts: List[np.ndarray] = []
             base = 0
             for probe in todo:
                 offset_parts.append(probe.offsets + base)
-                base += probe.cids.shape[0]
+                base += probe.dirs.shape[0]
             values = np.minimum.reduceat(avail, np.concatenate(offset_parts))
             pos = 0
             for probe in todo:
@@ -429,12 +424,12 @@ class PathTable:
                     ).tolist():
                         start, end = probe.bounds[index]
                         values[index] = store.availability(
-                            probe.cids[start:end], probe.sides[start:end]
+                            probe.dirs[start:end]
                         ).min()
                     probe.as_of = version
                     probe.values_list = values.tolist()
                     return probe.values_list.copy()
-        avail = store.availability(probe.cids, probe.sides)
+        avail = store.availability(probe.dirs)
         probe.values = np.minimum.reduceat(avail, probe.offsets)
         probe.values_list = probe.values.tolist()
         probe.as_of = version
@@ -443,7 +438,7 @@ class PathTable:
     def availabilities(self, path: Sequence[int]) -> np.ndarray:
         """Per-hop spendable funds along ``path`` (0 where frozen)."""
         cpath = self.compile(path)
-        return self._store.availability(cpath.cids, cpath.sides)
+        return self._store.availability(cpath.dirs)
 
     def unfunded_hop(
         self, path: Sequence[int], amounts: Sequence[float]
@@ -486,14 +481,15 @@ class PathTable:
         :meth:`ChannelStateStore.lock_path_funds`).
         """
         cpath = self.compile(path)
-        if len(cpath.hops) == 0:
+        hops = len(cpath.dir_list)
+        if hops == 0:
             raise ChannelError(
                 "cannot lock funds on a path with fewer than 2 nodes"
             )
         requested = np.asarray(amounts, dtype=np.float64)
-        if requested.shape[0] != len(cpath.hops):
+        if requested.shape[0] != hops:
             raise ChannelError(
-                f"path has {len(cpath.hops)} hops but {requested.shape[0]} "
+                f"path has {hops} hops but {requested.shape[0]} "
                 "amounts were supplied"
             )
         if not (requested > 0).all() or not np.isfinite(requested).all():
@@ -501,7 +497,7 @@ class PathTable:
             raise ChannelError(
                 f"lock amount must be positive and finite, got {amounts[bad]!r}"
             )
-        actual = self._store.lock_path_funds(cpath.cids, cpath.sides, requested)
+        actual = self._store.lock_path_funds(cpath.dirs, requested)
         return PathLock(cpath, actual)
 
     def settle(self, lock: PathLock) -> None:
@@ -518,11 +514,10 @@ class PathTable:
                 f"path lock on {lock.cpath.nodes!r} was already resolved"
             )
         lock.resolved = True
-        cpath = lock.cpath
         if settle:
-            self._store.settle_path_funds(cpath.cids, cpath.sides, lock.amounts)
+            self._store.settle_path_funds(lock.cpath.dirs, lock.amounts)
         else:
-            self._store.refund_path_funds(cpath.cids, cpath.sides, lock.amounts)
+            self._store.refund_path_funds(lock.cpath.dirs, lock.amounts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -34,7 +34,7 @@ low enough to run the sharded parity suite under it in CI.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -48,8 +48,6 @@ __all__ = ["BOUNDARY_LANE", "ShardSanitizer", "ShardViolationError"]
 
 #: Owner value for cut channels; also the boundary lane's id.
 BOUNDARY_LANE = -1
-
-_IndexLike = Union[int, np.integer, np.ndarray, Sequence[int]]
 
 
 class ShardViolationError(SimulationError):
@@ -157,37 +155,30 @@ class ShardSanitizer:
                 owner=owner,
             )
 
-    def check_rows(
-        self, cids: _IndexLike, sides: Optional[_IndexLike] = None
-    ) -> None:
-        """Vet a batch of rows; consumes any pending row annotation."""
+    def check_dirs(self, dirs: np.ndarray) -> None:
+        """Vet a batch of hop directions (``d = 2·cid + side``, see
+        :class:`~repro.engine.store.ChannelStateStore`); consumes any
+        pending row annotation."""
         self.checks += 1
         row_payments, self._row_payments = self._row_payments, None
         lane = self._lane
         if lane is None or lane == BOUNDARY_LANE:
             return
-        cid_array = np.asarray(cids)
-        owners = self.owner[cid_array]
+        owners = self.owner[dirs >> 1]
         bad = owners != lane
         if not bad.any():
             return
         k = int(np.argmax(bad))
         payment = self._payment
-        if row_payments is not None and len(row_payments) == len(
-            np.atleast_1d(cid_array)
-        ):
-            payment = int(np.atleast_1d(row_payments)[k])
-        side: Optional[int] = None
-        if sides is not None:
-            side_array = np.atleast_1d(np.asarray(sides))
-            if len(side_array) == len(np.atleast_1d(cid_array)):
-                side = int(side_array[k])
+        if row_payments is not None and len(row_payments) == len(dirs):
+            payment = int(row_payments[k])
+        d = int(dirs[k])
         raise ShardViolationError(
             lane=lane,
             payment=payment,
-            cid=int(np.atleast_1d(cid_array)[k]),
-            side=side,
-            owner=int(np.atleast_1d(owners)[k]),
+            cid=d >> 1,
+            side=d & 1,
+            owner=int(owners[k]),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -764,9 +764,7 @@ class SimulationSession:
                 self._resolve_unit(unit)
             return
         now = self.sim.now
-        cid_parts: List[np.ndarray] = []
-        side_parts: List[np.ndarray] = []
-        col_parts: List[np.ndarray] = []
+        dir_parts: List[np.ndarray] = []
         amount_parts: List[np.ndarray] = []
         settled_parts: List[bool] = []
         hop_counts: List[int] = []
@@ -780,14 +778,12 @@ class SimulationSession:
             self._resolve_accounting(unit, now, settle)
             lock.resolved = True
             cpath = lock.cpath
-            cid_parts.append(cpath.cids)
-            side_parts.append(cpath.sides)
-            col_parts.append((1 - cpath.sides) if settle else cpath.sides)
+            dir_parts.append(cpath.dirs)
             amount_parts.append(lock.amounts)
             settled_parts.append(settle)
-            hop_counts.append(len(cpath.hops))
+            hop_counts.append(len(cpath))
             unit_payments.append(unit.payment.payment_id)
-        if not cid_parts:
+        if not dir_parts:
             return
         sanitizer = self.network.state_store.sanitizer
         if sanitizer is not None:
@@ -795,9 +791,7 @@ class SimulationSession:
             # just the lane.
             sanitizer.annotate(np.repeat(unit_payments, hop_counts))
         self.network.state_store.apply_resolution_batch(
-            np.concatenate(cid_parts),
-            np.concatenate(side_parts),
-            np.concatenate(col_parts),
+            np.concatenate(dir_parts),
             np.concatenate(amount_parts),
             np.repeat(settled_parts, hop_counts),
         )

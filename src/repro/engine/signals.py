@@ -195,16 +195,18 @@ class ControlPlane:
     def observe_path(self, path: Sequence[int], amount: float) -> None:
         """Record ``amount`` locked along every hop of ``path``.
 
-        One compiled-path scatter (paths are trails, so the ``(cid, side)``
-        pairs are unique and a plain fancy-indexed add is exact).
+        One compiled-path scatter over the path's direction ids (``d =
+        2·cid + side`` indexes the row-major ``(n, 2)`` arrays flat; paths
+        are trails, so directions are unique and a plain fancy-indexed add
+        is exact).
         """
         cpath = self._network.path_table.compile(path)
         state = self._sync()
         if self.vectorized:
-            state.window[cpath.cids, cpath.sides] += amount
+            state.window.reshape(-1)[cpath.dirs] += amount
             return
-        for cid, side in cpath.hops:
-            state.window[cid, side] += amount
+        for d in cpath.dir_list:
+            state.window[d >> 1, d & 1] += amount
 
     def observe_hop(self, u: Hashable, v: Hashable, amount: float) -> None:
         """Record ``amount`` locked in the ``u → v`` direction."""
@@ -232,14 +234,12 @@ class ControlPlane:
             return 0.0
         state = self._sync()
         if self.vectorized:
-            values = (
-                state.lam[cpath.cids]
-                + state.mu[cpath.cids, cpath.sides]
-                - state.mu[cpath.cids, 1 - cpath.sides]
-            )
+            mu = state.mu.reshape(-1)
+            values = state.lam[cpath.cids] + mu[cpath.dirs] - mu[cpath.dirs ^ 1]
             return float(sum(values.tolist()))
         total = 0.0
-        for cid, side in cpath.hops:
+        for d in cpath.dir_list:
+            cid, side = d >> 1, d & 1
             total += float(
                 state.lam[cid] + state.mu[cid, side] - state.mu[cid, 1 - side]
             )
@@ -441,9 +441,9 @@ class ControlPlane:
         out: List[float] = []
         if self.vectorized:
             table = self._network.path_table
+            flat = smoothed.reshape(-1)
             for path in paths:
-                cpath = table.compile(path)
-                out.append(float(sum(smoothed[cpath.cids, cpath.sides].tolist())))
+                out.append(float(sum(flat[table.compile(path).dirs].tolist())))
             return out
         network = self._network
         for path in paths:
@@ -468,9 +468,10 @@ class ControlPlane:
         exact, so the result matches the direct gather bit for bit.
         """
         store = self._store
-        cids, sides = cpath.cids, cpath.sides
+        cids, dirs = cpath.cids, cpath.dirs
         if not self.vectorized:
-            spread = store.balance[cids, sides] - store.balance[cids, 1 - sides]
+            balance = store.balance_flat
+            spread = balance[dirs] - balance[dirs ^ 1]
             return float((spread / store.capacity[cids]).mean())
         state = self._sync()
         stale = store.stamp[cids] > state.imb_stamp[cids]
@@ -481,7 +482,7 @@ class ControlPlane:
             ) / store.capacity[rows]
             state.imb_stamp[rows] = store.stamp[rows]
         values = state.imbalance[cids]
-        return float(np.where(sides == 0, values, -values).mean())
+        return float(np.where(dirs & 1, -values, values).mean())
 
     # ------------------------------------------------------------------
     # The session tick

@@ -7,7 +7,10 @@ value, imbalance statistics, a waterfilling pass over thousands of channels
 
 :class:`ChannelStateStore` flips the layout: one store per network holds
 all mutable per-channel state in flat NumPy arrays indexed by channel id
-(rows) and endpoint side (columns, 0 = ``node_a``, 1 = ``node_b``).
+(rows) and endpoint side (columns, 0 = ``node_a``, 1 = ``node_b``).  The
+batched path kernels address one hop by a single integer, its *direction
+id* ``d = 2·cid + side``, through 1-D views of the same memory (see
+:class:`ChannelStateStore`).
 :class:`~repro.network.channel.PaymentChannel` and
 :class:`~repro.network.network.PaymentNetwork` are thin views over these
 arrays, so routers, the fluid solvers, and metrics collectors can read the
@@ -33,6 +36,10 @@ __all__ = ["ChannelStateStore"]
 
 _INITIAL_CAPACITY = 16
 _LOCK_EPS = 1e-9
+#: ``dirs >> _ONE`` / ``dirs ^ _ONE``: a 0-d intp array operand skips the
+#: Python-int conversion NumPy pays on every ``dirs >> 1`` (about a third
+#: of the op on hop-sized arrays, and the path kernels run per unit).
+_ONE = np.array(1, dtype=np.intp)
 
 #: Arrays re-laid into the shared-memory block by :meth:`share`, in block
 #: order.  Offsets are rounded up to 8 bytes so every float64/int64 array
@@ -55,9 +62,16 @@ _SHARED_ARRAYS = (
 class ChannelStateStore:
     """Flat per-channel state arrays shared by every channel view.
 
-    Side convention: column 0 is the channel's ``node_a``, column 1 its
-    ``node_b``.  All values are float64 except the HTLC counters (int64),
-    the queue depths (int64) and the frozen flags (bool).
+    Direction convention: column 0 is the channel's ``node_a``, column 1
+    its ``node_b``, and the hop "``side`` sends on ``cid``" is the one
+    integer ``d = 2·cid + side`` — the position of ``[cid, side]`` in the
+    row-major ``(n, 2)`` arrays.  ``balance_flat`` / ``inflight_flat`` /
+    ``sent_flat`` / ``settled_flow_flat`` are 1-D views of those arrays
+    indexed by ``d``; the receiving direction of a hop is ``d ^ 1`` and
+    its channel row (``stamp``, ``frozen``, the HTLC counters) ``d >> 1``.
+    Every path kernel below takes ``dirs``; ``store.balance[cid, side]``
+    readers see the same memory.  All values are float64 except the HTLC
+    counters (int64), the queue depths (int64) and the frozen flags (bool).
 
     Every mutation that can change a channel's *availability* (balance or
     frozen flag) stamps the channel with a monotonically increasing
@@ -83,6 +97,10 @@ class ChannelStateStore:
         "version",
         "_shm",
         "_sanitizer",
+        "balance_flat",
+        "inflight_flat",
+        "sent_flat",
+        "settled_flow_flat",
     )
 
     def __init__(self, reserve: int = _INITIAL_CAPACITY):
@@ -105,6 +123,7 @@ class ChannelStateStore:
         self._shm: Optional[shared_memory.SharedMemory] = None
         #: Write-ownership sanitizer vetting mutations (``None`` = off).
         self._sanitizer: Optional["ShardSanitizer"] = None
+        self._bind_flat()
 
     # ------------------------------------------------------------------
     # Allocation
@@ -149,6 +168,16 @@ class ChannelStateStore:
         self.num_refunded = widen(self.num_refunded)
         self.frozen = widen(self.frozen)
         self.stamp = widen(self.stamp)
+        self._bind_flat()
+
+    def _bind_flat(self) -> None:
+        """Re-derive the direction-indexed views; call after every
+        re-binding of the ``(n, 2)`` arrays (a stale view would keep
+        writing the old memory)."""
+        self.balance_flat = self.balance.reshape(-1)
+        self.inflight_flat = self.inflight.reshape(-1)
+        self.sent_flat = self.sent.reshape(-1)
+        self.settled_flow_flat = self.settled_flow.reshape(-1)
 
     # ------------------------------------------------------------------
     # Shared-memory backing (spatial sharding)
@@ -200,6 +229,7 @@ class ChannelStateStore:
             )
             view[...] = arr
             setattr(self, name, view)
+        self._bind_flat()
         self._shm = shm
         return shm.name
 
@@ -215,6 +245,7 @@ class ChannelStateStore:
             return
         for name in _SHARED_ARRAYS:
             setattr(self, name, np.array(getattr(self, name)))
+        self._bind_flat()
         self._shm = None
         shm.close()
         if unlink:
@@ -380,25 +411,26 @@ class ChannelStateStore:
         self.version = version = self.version + 1
         self.stamp[cid] = version
 
-    def try_lock(self, cid: int, side: int, amount: float) -> float:
-        """Lock ``amount`` on ``(cid, side)`` if spendable; else return -1.
+    def try_lock(self, d: int, amount: float) -> float:
+        """Lock ``amount`` on direction ``d`` if spendable; else return -1.
 
         The no-exception twin of :meth:`apply_lock` for hot per-hop
         forwarding: performs the frozen/balance check inline and returns
         the *actual* locked value (clamped to the spendable balance within
         the usual 1e-9 tolerance) or ``-1.0`` on failure.
         """
+        cid = d >> 1
         if self.frozen_count and self.frozen[cid]:
             return -1.0
-        balance = float(self.balance[cid, side])
+        balance = float(self.balance_flat[d])
         if amount > balance + _LOCK_EPS:
             return -1.0
         actual = amount if amount <= balance else balance
         if self._sanitizer is not None:
-            self._sanitizer.check_one(cid, side)
-        self.balance[cid, side] = balance - actual
-        self.inflight[cid, side] += actual
-        self.sent[cid, side] += actual
+            self._sanitizer.check_one(cid, d & 1)
+        self.balance_flat[d] = balance - actual
+        self.inflight_flat[d] += actual
+        self.sent_flat[d] += actual
         self.version = version = self.version + 1
         self.stamp[cid] = version
         return actual
@@ -431,19 +463,17 @@ class ChannelStateStore:
         self.stamp[cid] = version
 
     # ------------------------------------------------------------------
-    # Vectorised path operations (PathTable's backing primitives)
+    # Direction-indexed path kernels (PathTable's backing primitives)
     # ------------------------------------------------------------------
-    def availability(self, cids: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        """Spendable funds per ``(cid, side)`` hop; 0 where frozen."""
-        values = self.balance[cids, sides]
+    def availability(self, dirs: np.ndarray) -> np.ndarray:
+        """Spendable funds per hop direction; 0 where frozen."""
+        values = self.balance_flat[dirs]
         if self.frozen_count:
-            values = np.where(self.frozen[cids], 0.0, values)
+            values = np.where(self.frozen[dirs >> _ONE], 0.0, values)
         return values
 
-    def lock_path_funds(
-        self, cids: np.ndarray, sides: np.ndarray, amounts: np.ndarray
-    ) -> np.ndarray:
-        """Atomically lock ``amounts[i]`` on every hop ``(cids[i], sides[i])``.
+    def lock_path_funds(self, dirs: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+        """Atomically lock ``amounts[i]`` on every hop direction ``dirs[i]``.
 
         Returns the per-hop *actual* locked amounts (clamped exactly as the
         scalar :meth:`~repro.network.channel.PaymentChannel.lock` clamps).
@@ -455,33 +485,34 @@ class ChannelStateStore:
         nothing for funds, but not traceless, exactly like the loop it
         replaces.
 
-        A path is a trail, so ``(cid, side)`` pairs are unique and plain
+        A path is a trail, so its directions are unique and plain
         fancy-indexed updates are safe (no duplicate-index buffering).
         """
         if self._sanitizer is not None:
-            self._sanitizer.check_rows(cids, sides)
-        balance = self.balance[cids, sides]
+            self._sanitizer.check_dirs(dirs)
+        cids = dirs >> _ONE
+        balance = self.balance_flat[dirs]
         ok = amounts <= balance + _LOCK_EPS
         if self.frozen_count:
             ok &= ~self.frozen[cids]
         if ok.all():
             actual = np.minimum(amounts, balance)
-            self.balance[cids, sides] = balance - actual
-            self.inflight[cids, sides] += actual
-            self.sent[cids, sides] += actual
+            self.balance_flat[dirs] = balance - actual
+            self.inflight_flat[dirs] += actual
+            self.sent_flat[dirs] += actual
             self.version = version = self.version + 1
             self.stamp[cids] = version
             return actual
         k = int(np.argmin(ok))  # first failing hop
         if k > 0:
-            pre_c, pre_s = cids[:k], sides[:k]
+            pre_d, pre_c = dirs[:k], cids[:k]
             pre_bal = balance[:k]
             actual = np.minimum(amounts[:k], pre_bal)
-            inflight = self.inflight[pre_c, pre_s]
+            inflight = self.inflight_flat[pre_d]
             # Replicate the scalar rollback float-exactly: lock then refund.
-            self.balance[pre_c, pre_s] = (pre_bal - actual) + actual
-            self.inflight[pre_c, pre_s] = (inflight + actual) - actual
-            self.sent[pre_c, pre_s] += actual
+            self.balance_flat[pre_d] = (pre_bal - actual) + actual
+            self.inflight_flat[pre_d] = (inflight + actual) - actual
+            self.sent_flat[pre_d] += actual
             self.num_refunded[pre_c] += 1
             self.version = version = self.version + 1
             self.stamp[pre_c] = version
@@ -496,7 +527,7 @@ class ChannelStateStore:
         )
 
     def lock_many(
-        self, cids: np.ndarray, sides: np.ndarray, amounts: np.ndarray
+        self, dirs: np.ndarray, amounts: np.ndarray, distinct: bool = False
     ) -> None:
         """Lock a verified cohort of sends in one grouped scatter-add.
 
@@ -508,80 +539,79 @@ class ChannelStateStore:
         :meth:`lock_path_funds`, which must reproduce the scalar
         lock-then-rollback on failure.  Fee-bearing sends therefore pass
         their per-hop fee-inclusive amounts (one entry per hop), not a
-        broadcast delivered amount.  Duplicate ``(cid, side)`` pairs
-        (several units of one cohort crossing the same hop) are applied in
-        array order via ``np.ufunc.at``, matching the scalar per-send lock
-        sequence bit for bit.  One version bump covers the whole cohort:
-        probe caches only compare ``stamp > as_of``, so batch-granular
-        stamping is indistinguishable from per-send stamping.
+        broadcast delivered amount.  Repeated directions (several units of
+        one cohort crossing the same hop) are applied in array order via
+        ``np.ufunc.at``, matching the scalar per-send lock sequence bit for
+        bit; ``distinct=True`` is the caller's promise that no direction
+        repeats (the hops of one path — a trail), which makes a plain
+        fancy-indexed read-modify-write the same arithmetic.  One version
+        bump covers the whole cohort: probe caches only compare ``stamp >
+        as_of``, so batch-granular stamping is indistinguishable from
+        per-send stamping.
         """
         if self._sanitizer is not None:
-            self._sanitizer.check_rows(cids, sides)
-        np.subtract.at(self.balance, (cids, sides), amounts)
-        np.add.at(self.inflight, (cids, sides), amounts)
-        np.add.at(self.sent, (cids, sides), amounts)
+            self._sanitizer.check_dirs(dirs)
+        if distinct:
+            self.balance_flat[dirs] -= amounts
+            self.inflight_flat[dirs] += amounts
+            self.sent_flat[dirs] += amounts
+        else:
+            np.subtract.at(self.balance_flat, dirs, amounts)
+            np.add.at(self.inflight_flat, dirs, amounts)
+            np.add.at(self.sent_flat, dirs, amounts)
         self.version = version = self.version + 1
-        self.stamp[cids] = version
+        self.stamp[dirs >> _ONE] = version
 
-    def settle_path_funds(
-        self, cids: np.ndarray, sides: np.ndarray, amounts: np.ndarray
-    ) -> None:
+    def settle_path_funds(self, dirs: np.ndarray, amounts: np.ndarray) -> None:
         """Settle a previously locked path: credit every receiving side."""
         if self._sanitizer is not None:
-            self._sanitizer.check_rows(cids, sides)
-        self.inflight[cids, sides] -= amounts
-        self.balance[cids, 1 - sides] += amounts
-        self.settled_flow[cids, sides] += amounts
+            self._sanitizer.check_dirs(dirs)
+        cids = dirs >> _ONE
+        self.inflight_flat[dirs] -= amounts
+        self.balance_flat[dirs ^ _ONE] += amounts
+        self.settled_flow_flat[dirs] += amounts
         self.num_settled[cids] += 1
         self.version = version = self.version + 1
         self.stamp[cids] = version
 
-    def refund_path_funds(
-        self, cids: np.ndarray, sides: np.ndarray, amounts: np.ndarray
-    ) -> None:
+    def refund_path_funds(self, dirs: np.ndarray, amounts: np.ndarray) -> None:
         """Refund a previously locked path: return funds to every sender."""
         if self._sanitizer is not None:
-            self._sanitizer.check_rows(cids, sides)
-        self.inflight[cids, sides] -= amounts
-        self.balance[cids, sides] += amounts
+            self._sanitizer.check_dirs(dirs)
+        cids = dirs >> _ONE
+        self.inflight_flat[dirs] -= amounts
+        self.balance_flat[dirs] += amounts
         self.num_refunded[cids] += 1
         self.version = version = self.version + 1
         self.stamp[cids] = version
 
     def apply_resolution_batch(
-        self,
-        infl_cids: np.ndarray,
-        infl_sides: np.ndarray,
-        bal_cols: np.ndarray,
-        amounts: np.ndarray,
-        settled: np.ndarray,
+        self, dirs: np.ndarray, amounts: np.ndarray, settled: np.ndarray
     ) -> None:
         """One coalesced store write for every unit resolving this tick.
 
-        ``infl_cids``/``infl_sides`` index the hop's *sender* direction,
-        ``bal_cols`` the column credited (receiver on settle, sender on
-        refund) and ``settled`` flags which hops settle.  Uses unbuffered
+        ``dirs`` are the hops' *sender* directions and ``settled`` flags
+        which hops settle (crediting the receiver, ``d ^ 1``) rather than
+        refund (crediting the sender, ``d``).  Uses unbuffered
         ``np.ufunc.at`` scatter-adds, which apply repeated indices in array
         order — so hops are listed in resolution order and the float sums
         match the sequential per-unit writes bit for bit.
         """
         if self._sanitizer is not None:
-            self._sanitizer.check_rows(infl_cids, infl_sides)
-        np.subtract.at(self.inflight, (infl_cids, infl_sides), amounts)
-        np.add.at(self.balance, (infl_cids, bal_cols), amounts)
+            self._sanitizer.check_dirs(dirs)
+        cids = dirs >> _ONE
+        np.subtract.at(self.inflight_flat, dirs, amounts)
         if settled.all():
-            np.add.at(self.settled_flow, (infl_cids, infl_sides), amounts)
-            np.add.at(self.num_settled, infl_cids, 1)
+            np.add.at(self.balance_flat, dirs ^ _ONE, amounts)
+            np.add.at(self.settled_flow_flat, dirs, amounts)
+            np.add.at(self.num_settled, cids, 1)
         else:
-            np.add.at(
-                self.settled_flow,
-                (infl_cids[settled], infl_sides[settled]),
-                amounts[settled],
-            )
-            np.add.at(self.num_settled, infl_cids[settled], 1)
-            np.add.at(self.num_refunded, infl_cids[~settled], 1)
+            np.add.at(self.balance_flat, dirs ^ settled, amounts)
+            np.add.at(self.settled_flow_flat, dirs[settled], amounts[settled])
+            np.add.at(self.num_settled, cids[settled], 1)
+            np.add.at(self.num_refunded, cids[~settled], 1)
         self.version = version = self.version + 1
-        self.stamp[infl_cids] = version
+        self.stamp[cids] = version
 
     def describe(self, cid: int) -> Tuple[float, float, float, float, float]:
         """``(capacity, balance_a, balance_b, inflight_a, inflight_b)``."""

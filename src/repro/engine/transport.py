@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BackpressureTransport", "HopByHopTransport", "Transport", "make_transport"]
 
 Path = Tuple[int, ...]
-DirectionKey = Tuple[int, int]  # (store row, sender's store column)
+DirectionKey = int  # the store's hop address, d = 2*cid + side
 _EPS = 1e-9
 
 
@@ -57,8 +57,9 @@ class HopByHopTransport:
 
     The model is described in :mod:`repro.core.queueing`; the mechanics:
 
-    * per-direction queues are keyed by the store index ``(cid, side)``
-      and the live depth is written straight into
+    * per-direction queues are keyed by the store's direction id
+      ``d = 2·cid + side`` (read off ``cpath.dir_list[hop_index]``) and
+      the live depth is written straight into
       ``store.queue_depth[cid, side]``;
     * advances, settlements and timeouts go through the engine's raw-record
       fast path (no handle objects);
@@ -123,7 +124,7 @@ class HopByHopTransport:
         #: branch behind ``ControlPlane.vectorized_signals = False``).
         self.control = session.network.control_plane
         self.control.configure_marking(mark_threshold)
-        #: (cid, side) -> parked units; timed-out corpses are popped lazily.
+        #: direction id -> parked units; timed-out corpses are popped lazily.
         self._queues: Dict[DirectionKey, Deque[HopUnit]] = {}
         self._draining = False  # end-of-run drain: no re-launches
         #: Macro-tick dispatch: coalesce each service batch's advance
@@ -165,8 +166,9 @@ class HopByHopTransport:
     # Hop machinery
     # ------------------------------------------------------------------
     def _try_lock_hop(self, unit: HopUnit) -> bool:
-        cid, side = unit.cpath.hops[unit.hop_index]
-        actual = self.store.try_lock(cid, side, unit.amount)
+        actual = self.store.try_lock(
+            unit.cpath.dir_list[unit.hop_index], unit.amount
+        )
         if actual < 0.0:
             return False
         unit.locked.append(actual)
@@ -241,13 +243,13 @@ class HopByHopTransport:
         self._enqueue(unit)
 
     def _enqueue(self, unit: HopUnit) -> None:
-        key = unit.cpath.hops[unit.hop_index]
+        key = unit.cpath.dir_list[unit.hop_index]
         queue = self._queues.setdefault(key, deque())
         unit.queued_at = self.sim.now
         unit.queue_seq += 1
         queue.append(unit)
         self.units_queued += 1
-        cid, side = key
+        cid, side = key >> 1, key & 1
         depth = int(self.store.queue_depth[cid, side]) + 1
         # repro-lint: allow[RL003] queue_depth is router telemetry, not availability; probe caches never gather it
         self.store.queue_depth[cid, side] = depth
@@ -266,7 +268,7 @@ class HopByHopTransport:
         queue = self._queues.get(key)
         if not queue:
             return
-        cid, side = key
+        cid, side = key >> 1, key & 1
         store = self.store
         if self.queue_policy == "srpt":
             ordered = sorted(
@@ -287,7 +289,7 @@ class HopByHopTransport:
             available = (
                 0.0
                 if store.frozen_count and store.frozen[cid]
-                else float(store.balance[cid, side])
+                else float(store.balance_flat[key])
             )
             if available + _EPS < unit.amount:
                 break
@@ -324,9 +326,9 @@ class HopByHopTransport:
         # re-queued at a later hop) since then carries a newer generation.
         if unit.done or unit.queued_at is None or unit.queue_seq != queue_seq:
             return
-        cid, side = unit.cpath.hops[unit.hop_index]
+        d = unit.cpath.dir_list[unit.hop_index]
         # repro-lint: allow[RL003] queue_depth is router telemetry, not availability; probe caches never gather it
-        self.store.queue_depth[cid, side] -= 1
+        self.store.queue_depth[d >> 1, d & 1] -= 1
         unit.queued_at = None
         self.units_timed_out += 1
         self._abort_unit(unit)  # the deque keeps a corpse; _dequeue skips it
@@ -335,9 +337,9 @@ class HopByHopTransport:
         """Refund all hops locked so far and release the payment value."""
         unit.done = True
         store = self.store
-        for (cid, side), amount in zip(unit.cpath.hops, unit.locked):
-            store.apply_refund(cid, side, amount)
-            self._dequeue((cid, side))
+        for d, amount in zip(unit.cpath.dir_list, unit.locked):
+            store.apply_refund(d >> 1, d & 1, amount)
+            self._dequeue(d)
         unit.payment.register_cancelled(unit.amount)
         if self.config.check_invariants:
             self.network.check_invariants()
@@ -354,12 +356,12 @@ class HopByHopTransport:
         amounts = np.asarray(unit.locked, dtype=np.float64)
         if withhold:
             # One vectorised refund; the sending directions regain funds.
-            self.store.refund_path_funds(cpath.cids, cpath.sides, amounts)
-            credited: List[Tuple[int, int]] = cpath.hops
+            self.store.refund_path_funds(cpath.dirs, amounts)
+            credited: List[DirectionKey] = cpath.dir_list
         else:
             # One vectorised settle; the receiving directions gain funds.
-            self.store.settle_path_funds(cpath.cids, cpath.sides, amounts)
-            credited = [(cid, 1 - side) for cid, side in cpath.hops]
+            self.store.settle_path_funds(cpath.dirs, amounts)
+            credited = [d ^ 1 for d in cpath.dir_list]
         hop_locks = PathLock(cpath, amounts)
         hop_locks.resolved = True  # pure record: the store writes are done
         record = TransactionUnit.create(
@@ -404,13 +406,13 @@ class HopByHopTransport:
     def finish(self) -> None:
         """Drain router queues at end of run, refunding stranded units."""
         self._draining = True
-        for (cid, side), queue in list(self._queues.items()):
+        for d, queue in list(self._queues.items()):
             while queue:
                 unit = queue.popleft()
                 if unit.done:
                     continue
                 # repro-lint: allow[RL003] queue_depth is router telemetry, not availability; probe caches never gather it
-                self.store.queue_depth[cid, side] -= 1
+                self.store.queue_depth[d >> 1, d & 1] -= 1
                 unit.queued_at = None
                 self._abort_unit(unit)
 

@@ -205,6 +205,16 @@ class PaymentNetwork:
         """
         return self._store
 
+    def direction(
+        self, u: NodeId, v: NodeId
+    ) -> Tuple[PaymentChannel, int, int]:
+        """``(channel, store row, u's store column)`` for the ``u → v``
+        direction, in one lookup."""
+        try:
+            return self._directions[(u, v)]
+        except KeyError:
+            raise TopologyError(f"no channel between {u!r} and {v!r}") from None
+
     def channel_id(self, u: NodeId, v: NodeId) -> Tuple[int, int]:
         """``(store row, u's store column)`` for the ``u → v`` direction."""
         try:
@@ -225,7 +235,7 @@ class PaymentNetwork:
     def path_table(self) -> PathTable:
         """The network's compiled-path operation table (created lazily).
 
-        Compiles each distinct path once into flat ``(cid, side)`` index
+        Compiles each distinct path once into flat direction-id index
         arrays over the store, then serves bottleneck probes, fee passes
         and lock/settle/refund as vectorised kernels — see
         :mod:`repro.engine.pathtable`.

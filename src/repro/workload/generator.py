@@ -107,28 +107,29 @@ def generate_workload(
         raise ConfigError("need at least two nodes to generate transactions")
     rng = make_rng(config.seed)
     sizes = config.size_distribution or ripple_isp_sizes()
+    count = len(nodes)
 
-    sender_probs = exponential_weights(len(nodes), config.sender_exponential_scale, rng)
+    sender_cdf = _sender_cdf(count, config.sender_exponential_scale, rng)
     next_rotation = (
         config.rotation_interval if config.rotation_interval is not None else None
     )
 
-    amounts = sizes.sample(rng, config.num_transactions)
-    gaps = rng.exponential(1.0 / config.arrival_rate, size=config.num_transactions)
+    amounts = sizes.sample(rng, config.num_transactions).tolist()
+    gaps = rng.exponential(
+        1.0 / config.arrival_rate, size=config.num_transactions
+    ).tolist()
 
     records: List[TransactionRecord] = []
     now = 0.0
     for txn_id in range(config.num_transactions):
-        now += float(gaps[txn_id])
+        now += gaps[txn_id]
         if next_rotation is not None and now >= next_rotation:
-            sender_probs = exponential_weights(
-                len(nodes), config.sender_exponential_scale, rng
-            )
+            sender_cdf = _sender_cdf(count, config.sender_exponential_scale, rng)
             next_rotation += config.rotation_interval
-        source = nodes[int(rng.choice(len(nodes), p=sender_probs))]
+        source = nodes[int(sender_cdf.searchsorted(rng.random(), side="right"))]
         dest = source
         while dest == source:
-            dest = nodes[int(rng.integers(len(nodes)))]
+            dest = nodes[int(rng.integers(count))]
         deadline = None if config.deadline is None else now + config.deadline
         records.append(
             TransactionRecord(
@@ -136,8 +137,22 @@ def generate_workload(
                 arrival_time=now,
                 source=source,
                 dest=dest,
-                amount=float(amounts[txn_id]),
+                amount=amounts[txn_id],
                 deadline=deadline,
             )
         )
     return records
+
+
+def _sender_cdf(count: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """Normalised CDF of one epoch's exponential sender popularity.
+
+    ``cdf.searchsorted(rng.random(), side="right")`` is exactly the draw
+    ``rng.choice(count, p=weights)`` makes — same cumulative sum, same
+    normalisation, one uniform per draw — so the RNG stream matches a
+    per-record ``choice`` while the O(count) accumulation happens once per
+    rotation epoch instead of once per record.
+    """
+    cdf = exponential_weights(count, scale, rng).cumsum()
+    cdf /= cdf[-1]
+    return cdf

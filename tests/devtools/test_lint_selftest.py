@@ -197,6 +197,33 @@ class TestRL003StoreDiscipline:
         )
         assert report.findings == []
 
+    def test_flat_view_writes_are_store_writes(self):
+        report = lint_sources(
+            {
+                # Direction-indexed views alias the (n, 2) arrays: an
+                # unstamped write through one is the same stale-probe bug.
+                ROUTING: (
+                    "import numpy as np\n"
+                    "def leak(store, dirs, amounts):\n"
+                    "    store.balance_flat[dirs] -= amounts\n"
+                    "    np.add.at(store.inflight_flat, dirs, amounts)\n"
+                ),
+                # Near miss: the same writes stamped in the same function.
+                "src/repro/core/fixture_mod.py": (
+                    "def lock(store, dirs, amounts):\n"
+                    "    store.balance_flat[dirs] -= amounts\n"
+                    "    store.sent_flat[dirs] += amounts\n"
+                    "    store.version = version = store.version + 1\n"
+                    "    store.stamp[dirs >> 1] = version\n"
+                ),
+            },
+            select=["RL003"],
+        )
+        hits = rule_hits(report, "RL003")
+        assert [(hit.path, hit.line) for hit in hits] == [(ROUTING, 3), (ROUTING, 4)]
+        assert ".balance_flat[...]" in hits[0].message
+        assert ".inflight_flat[...]" in hits[1].message
+
 
 # ---------------------------------------------------------------------------
 # RL004 — scalar/vector parity coverage
@@ -512,6 +539,26 @@ class TestRL008LaneConfinement:
             select=["RL008"],
         )
         assert report.findings == []
+
+    def test_flat_view_slice_write_escapes_the_lane(self):
+        source = (
+            "import multiprocessing\n"
+            "def worker(store, dirs, amounts):\n"
+            "    store.balance_flat[dirs] += amounts\n"  # lane's own dirs
+            "    store.inflight_flat[::2] = 0.0\n"  # every channel's side 0
+            "def launch(store):\n"
+            "    multiprocessing.Process(\n"
+            "        target=worker, args=(store, None, None)\n"
+            "    ).start()\n"
+        )
+        report = lint_sources({ENGINE: source}, select=["RL008"])
+        hits = rule_hits(report, "RL008")
+        assert len(hits) == 1 and hits[0].line == 4
+        assert ".inflight_flat" in hits[0].message
+        # Near miss: without the slice write only the fancy-indexed,
+        # provably lane-local write remains.
+        kept = source.replace("    store.inflight_flat[::2] = 0.0\n", "")
+        assert lint_sources({ENGINE: kept}, select=["RL008"]).findings == []
 
 
 # ---------------------------------------------------------------------------

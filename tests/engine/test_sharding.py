@@ -260,8 +260,7 @@ class TestShardSanitizer:
         sanitizer.annotate(np.array([5, 6]))
         with pytest.raises(ShardViolationError) as excinfo:
             store.lock_many(
-                np.array([cid0, cid1]),
-                np.array([0, 0]),
+                np.array([2 * cid0, 2 * cid1]),  # side 0 of each row
                 np.array([1.0, 1.0]),
             )
         message = str(excinfo.value)

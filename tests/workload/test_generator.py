@@ -96,6 +96,60 @@ class TestRotation:
         assert len(halves_rotating) == 2
 
 
+def _trace_by_choice(nodes, config):
+    """The trace as the per-record ``rng.choice(n, p=weights)`` draw
+    produces it — the O(nodes)-per-record loop the cached-CDF draw
+    replaced, kept here as its reference."""
+    from repro.simulator.rng import exponential_weights, make_rng
+    from repro.workload.distributions import ripple_isp_sizes
+
+    nodes = list(nodes)
+    rng = make_rng(config.seed)
+    scale = config.sender_exponential_scale
+    probs = exponential_weights(len(nodes), scale, rng)
+    next_rotation = config.rotation_interval
+    amounts = ripple_isp_sizes().sample(rng, config.num_transactions)
+    gaps = rng.exponential(1.0 / config.arrival_rate, size=config.num_transactions)
+    now = 0.0
+    rows = []
+    for txn_id in range(config.num_transactions):
+        now += float(gaps[txn_id])
+        if next_rotation is not None and now >= next_rotation:
+            probs = exponential_weights(len(nodes), scale, rng)
+            next_rotation += config.rotation_interval
+        source = nodes[int(rng.choice(len(nodes), p=probs))]
+        dest = source
+        while dest == source:
+            dest = nodes[int(rng.integers(len(nodes)))]
+        rows.append((txn_id, now, source, dest, float(amounts[txn_id])))
+    return rows
+
+
+class TestSenderDrawMatchesChoice:
+    """The sender draw keeps one CDF per rotation epoch; the RNG stream —
+    and so the whole trace — must equal a twin generator's ``rng.choice``."""
+
+    @pytest.mark.parametrize("rotation_interval", [None, 0.25])
+    @pytest.mark.parametrize("num_nodes", [32, 3774, 10000])
+    def test_whole_trace_equals_choice_on_a_twin_generator(
+        self, num_nodes, rotation_interval
+    ):
+        config = WorkloadConfig(
+            num_transactions=1500,
+            arrival_rate=1000.0,
+            rotation_interval=rotation_interval,
+            seed=23,
+        )
+        records = generate_workload(range(num_nodes), config)
+        assert [
+            (r.txn_id, r.arrival_time, r.source, r.dest, r.amount) for r in records
+        ] == _trace_by_choice(range(num_nodes), config)
+        assert all(
+            type(r.arrival_time) is float and type(r.amount) is float
+            for r in records
+        )
+
+
 class TestValidation:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ConfigError):
