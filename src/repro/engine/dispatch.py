@@ -800,8 +800,7 @@ class DispatchPlan:
             if self._has_failed_locks:
                 self._write_back_overlay()
             elif len(staged) == 1:
-                # One path is a trail: no direction repeats.
-                store.lock_many(cpaths[0].dirs, flat_arrays[0], distinct=True)
+                store.lock_many(cpaths[0].dirs, flat_arrays[0])
             else:
                 store.lock_many(
                     np.concatenate([cpath.dirs for cpath in cpaths]),

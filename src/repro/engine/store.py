@@ -36,10 +36,6 @@ __all__ = ["ChannelStateStore"]
 
 _INITIAL_CAPACITY = 16
 _LOCK_EPS = 1e-9
-#: ``dirs >> _ONE`` / ``dirs ^ _ONE``: a 0-d intp array operand skips the
-#: Python-int conversion NumPy pays on every ``dirs >> 1`` (about a third
-#: of the op on hop-sized arrays, and the path kernels run per unit).
-_ONE = np.array(1, dtype=np.intp)
 
 #: Arrays re-laid into the shared-memory block by :meth:`share`, in block
 #: order.  Offsets are rounded up to 8 bytes so every float64/int64 array
@@ -469,7 +465,7 @@ class ChannelStateStore:
         """Spendable funds per hop direction; 0 where frozen."""
         values = self.balance_flat[dirs]
         if self.frozen_count:
-            values = np.where(self.frozen[dirs >> _ONE], 0.0, values)
+            values = np.where(self.frozen[dirs >> 1], 0.0, values)
         return values
 
     def lock_path_funds(self, dirs: np.ndarray, amounts: np.ndarray) -> np.ndarray:
@@ -490,7 +486,7 @@ class ChannelStateStore:
         """
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        cids = dirs >> _ONE
+        cids = dirs >> 1
         balance = self.balance_flat[dirs]
         ok = amounts <= balance + _LOCK_EPS
         if self.frozen_count:
@@ -526,9 +522,7 @@ class ChannelStateStore:
             f"cannot lock {float(amounts[k]):.6g}"
         )
 
-    def lock_many(
-        self, dirs: np.ndarray, amounts: np.ndarray, distinct: bool = False
-    ) -> None:
+    def lock_many(self, dirs: np.ndarray, amounts: np.ndarray) -> None:
         """Lock a verified cohort of sends in one grouped scatter-add.
 
         Caller contract (the dispatch layer's residual-replay invariant):
@@ -542,33 +536,25 @@ class ChannelStateStore:
         broadcast delivered amount.  Repeated directions (several units of
         one cohort crossing the same hop) are applied in array order via
         ``np.ufunc.at``, matching the scalar per-send lock sequence bit for
-        bit; ``distinct=True`` is the caller's promise that no direction
-        repeats (the hops of one path — a trail), which makes a plain
-        fancy-indexed read-modify-write the same arithmetic.  One version
-        bump covers the whole cohort: probe caches only compare ``stamp >
-        as_of``, so batch-granular stamping is indistinguishable from
-        per-send stamping.
+        bit.  One version bump covers the whole cohort: probe caches only
+        compare ``stamp > as_of``, so batch-granular stamping is
+        indistinguishable from per-send stamping.
         """
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        if distinct:
-            self.balance_flat[dirs] -= amounts
-            self.inflight_flat[dirs] += amounts
-            self.sent_flat[dirs] += amounts
-        else:
-            np.subtract.at(self.balance_flat, dirs, amounts)
-            np.add.at(self.inflight_flat, dirs, amounts)
-            np.add.at(self.sent_flat, dirs, amounts)
+        np.subtract.at(self.balance_flat, dirs, amounts)
+        np.add.at(self.inflight_flat, dirs, amounts)
+        np.add.at(self.sent_flat, dirs, amounts)
         self.version = version = self.version + 1
-        self.stamp[dirs >> _ONE] = version
+        self.stamp[dirs >> 1] = version
 
     def settle_path_funds(self, dirs: np.ndarray, amounts: np.ndarray) -> None:
         """Settle a previously locked path: credit every receiving side."""
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        cids = dirs >> _ONE
+        cids = dirs >> 1
         self.inflight_flat[dirs] -= amounts
-        self.balance_flat[dirs ^ _ONE] += amounts
+        self.balance_flat[dirs ^ 1] += amounts
         self.settled_flow_flat[dirs] += amounts
         self.num_settled[cids] += 1
         self.version = version = self.version + 1
@@ -578,7 +564,7 @@ class ChannelStateStore:
         """Refund a previously locked path: return funds to every sender."""
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        cids = dirs >> _ONE
+        cids = dirs >> 1
         self.inflight_flat[dirs] -= amounts
         self.balance_flat[dirs] += amounts
         self.num_refunded[cids] += 1
@@ -599,10 +585,10 @@ class ChannelStateStore:
         """
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        cids = dirs >> _ONE
+        cids = dirs >> 1
         np.subtract.at(self.inflight_flat, dirs, amounts)
         if settled.all():
-            np.add.at(self.balance_flat, dirs ^ _ONE, amounts)
+            np.add.at(self.balance_flat, dirs ^ 1, amounts)
             np.add.at(self.settled_flow_flat, dirs, amounts)
             np.add.at(self.num_settled, cids, 1)
         else:

@@ -217,15 +217,11 @@ class PaymentNetwork:
 
     def channel_id(self, u: NodeId, v: NodeId) -> Tuple[int, int]:
         """``(store row, u's store column)`` for the ``u → v`` direction."""
-        try:
-            _, cid, side = self._directions[(u, v)]
-        except KeyError:
-            raise TopologyError(f"no channel between {u!r} and {v!r}") from None
-        return cid, side
+        return self.direction(u, v)[1:]
 
     def available(self, u: NodeId, v: NodeId) -> float:
         """Spendable funds in the ``u → v`` direction."""
-        cid, side = self.channel_id(u, v)
+        _, cid, side = self.direction(u, v)
         store = self._store
         if store.frozen_count and store.frozen[cid]:
             return 0.0

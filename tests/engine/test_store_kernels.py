@@ -149,9 +149,6 @@ def _apply(store: ChannelStateStore, ref: Reference2D, op) -> None:
     elif kind == "lock_many":
         ref.lock_many(hops, amounts)
         store.lock_many(dirs, values)
-    elif kind == "lock_trail":
-        ref.lock_many(hops, amounts)
-        store.lock_many(dirs, values, distinct=True)
     elif kind == "settle":
         ref.resolve(hops, amounts, [True] * len(hops))
         store.settle_path_funds(dirs, values)
@@ -186,7 +183,7 @@ def _replay_through_rebinds(store: ChannelStateStore, ops) -> None:
         store.close_shared()
 
 
-_TRAIL_OPS = ("lock_path", "lock_trail", "settle", "refund")
+_TRAIL_OPS = ("lock_path", "settle", "refund")
 _BATCH_OPS = ("probe", "try_lock", "lock_many", "resolve_batch", "freeze")
 _amount = st.floats(min_value=0.001, max_value=40.0, allow_nan=False)
 
