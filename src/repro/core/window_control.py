@@ -294,7 +294,7 @@ class ImbalanceAwareWindowScheme(WindowedSpiderScheme):
             store = self._network.state_store
             balance = store.balance_flat
             spread = balance[cpath.dirs] - balance[cpath.dirs ^ 1]
-            return float((spread / store.capacity[cpath.cids]).mean())
+            return float((spread / store.capacity[cpath.dirs >> 1]).mean())
         scores = []
         for u, v in zip(path, path[1:]):
             channel = self._network.channel(u, v)

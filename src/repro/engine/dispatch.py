@@ -90,6 +90,19 @@ mission-control deltas applied at commit), and ``"spider-window"``
 (AIMD-window launch replay; first-hop ``try_lock`` fails clean, so this
 rule never stages failures — launches flush through ``lock_many`` and a
 cohort ``advance_many``).
+
+**Profiles are built in bulk.**  The replay works off one
+:class:`_PairProfile` per (source, dest) pair — its probe handle, compiled
+paths and two static facts (``cids``, ``fast_exact``).
+:meth:`DispatchPlan.prime` builds them for every pair of the trace during
+the untimed ``prepare()``: one
+:meth:`PathTable.compile_many <repro.engine.pathtable.PathTable.compile_many>`
+over all their paths (a batch kernel filling the path arena), one probe
+view per pair, then channel-disjointness for all pairs at once as a
+sorted ``(pair, cid)`` key reduction over one flat hop array.  The
+per-path channel sets the overlay needs are only built for a pair once
+staged traffic actually lands on its channels.  A pair first seen
+mid-run goes through the same builder as a batch of one.
 """
 
 from __future__ import annotations
@@ -142,13 +155,16 @@ class _PairProfile:
     the residual overlay.  ``fast_exact`` marks the fee-free,
     channel-disjoint subset where the decremented estimate is provably the
     live bottleneck and the replay collapses to the original argmax loop.
+    ``cids`` is every hop's channel row (what a cohort's touched set is
+    tested against); the per-path ``path_cid_sets`` are only built once
+    staged traffic actually lands on one of them (``None`` until then).
     """
 
     __slots__ = (
         "batchable",
         "probe",
         "cpaths",
-        "cid_set",
+        "cids",
         "path_cid_sets",
         "fast_exact",
     )
@@ -157,8 +173,8 @@ class _PairProfile:
         self.batchable = False
         self.probe: Optional[_ProbeCache] = None
         self.cpaths: List[CompiledPath] = []
-        self.cid_set: FrozenSet[int] = frozenset()
-        self.path_cid_sets: List[FrozenSet[int]] = []
+        self.cids: Tuple[int, ...] = ()
+        self.path_cid_sets: Optional[List[FrozenSet[int]]] = None
         self.fast_exact = False
 
 
@@ -374,9 +390,15 @@ class DispatchPlan:
         assert values is not None
         est = values.copy()
         touched = self._touched_cids
-        if touched and not touched.isdisjoint(prof.cid_set):
+        if touched and not touched.isdisjoint(prof.cids):
             self._sync_residuals()
-            for i, path_cids in enumerate(prof.path_cid_sets):
+            path_cid_sets = prof.path_cid_sets
+            if path_cid_sets is None:
+                path_cid_sets = prof.path_cid_sets = [
+                    frozenset(d >> 1 for d in cpath.dir_list)
+                    for cpath in prof.cpaths
+                ]
+            for i, path_cids in enumerate(path_cid_sets):
                 if not touched.isdisjoint(path_cids):
                     est[i] = self._cpath_bottleneck(prof.cpaths[i])
         return est
@@ -422,7 +444,7 @@ class DispatchPlan:
                 state[_BAL] = bal - actual
                 state[_INFL] = state[_INFL] + actual
                 state[_SENT] = state[_SENT] + actual
-            self._touched_cids.update(cpath.cids.tolist())
+            self._touched_cids.update([d >> 1 for d in cpath.dir_list])
             return actuals
         if failing > 0:
             refunds = self._refund_deltas
@@ -476,7 +498,7 @@ class DispatchPlan:
         self._staged_locks.append(lock)
         if actuals is not None:
             self._residual_synced = len(self._staged_payments)
-        self._touched_cids.update(cpath.cids.tolist())
+        self._touched_cids.update([d >> 1 for d in cpath.dir_list])
 
     # ------------------------------------------------------------------
     # Waterfilling replay
@@ -495,7 +517,7 @@ class DispatchPlan:
         min_unit = config.min_unit_value
         mtu = config.mtu
         est = self._estimates(prof)
-        if prof.fast_exact and self._touched_cids.isdisjoint(prof.cid_set):
+        if prof.fast_exact and self._touched_cids.isdisjoint(prof.cids):
             # Fee-free, channel-disjoint, no staged traffic on its
             # channels: the decremented estimate IS the live bottleneck
             # (monotone IEEE-754 subtraction keeps the min on the locked
@@ -683,7 +705,7 @@ class DispatchPlan:
                 )
                 self._staged_locks.append(lock)
                 self._residual_synced = len(self._staged_payments)
-                self._touched_cids.update(cpath.cids.tolist())
+                self._touched_cids.update([d >> 1 for d in cpath.dir_list])
                 break
             failures_delta += 1
             hop = (path[failing_index], path[failing_index + 1])
@@ -917,32 +939,59 @@ class DispatchPlan:
             return
         if not self.session.network.vectorized_path_ops:
             return
-        for source, dest in pairs:
-            self._profile(source, dest)
+        profiles = self._profiles
+        self._build_profiles(
+            list(dict.fromkeys(pair for pair in pairs if pair not in profiles))
+        )
 
     def _profile(self, source: int, dest: int) -> _PairProfile:
         key = (source, dest)
         prof = self._profiles.get(key)
-        if prof is not None:
-            return prof
-        prof = _PairProfile()
-        paths = self.session.scheme.path_cache.paths(source, dest)
-        if paths:
-            probe = self.table.probe_handle(paths)
+        if prof is None:
+            self._build_profiles([key])
+            prof = self._profiles[key]
+        return prof
+
+    def _build_profiles(self, pairs: List[Tuple[int, int]]) -> None:
+        """Profile ``pairs`` in bulk: one batch compile of all their
+        paths, one probe view per pair, then ``cids``/``fast_exact`` for
+        every batchable pair from one flat array of their hops."""
+        paths_of = self.session.scheme.path_cache.paths
+        path_sets = [paths_of(source, dest) for source, dest in pairs]
+        table = self.table
+        table.compile_many(path_sets)
+        profiles = self._profiles
+        batchable: List[_PairProfile] = []
+        probes: List[_ProbeCache] = []
+        for pair, paths in zip(pairs, path_sets):
+            prof = profiles[pair] = _PairProfile()
+            probe = table.probe_handle(paths) if paths else None
             if probe is not None:
-                cids = probe.cids.tolist()
                 prof.batchable = True
                 prof.probe = probe
                 prof.cpaths = probe.cpaths
-                prof.cid_set = frozenset(cids)
-                prof.path_cid_sets = [
-                    frozenset(cpath.cids.tolist()) for cpath in probe.cpaths
-                ]
-                prof.fast_exact = len(set(cids)) == len(cids) and all(
-                    cpath.fee_free for cpath in probe.cpaths
-                )
-        self._profiles[key] = prof
-        return prof
+                batchable.append(prof)
+                probes.append(probe)
+        if not batchable:
+            return
+        cids = np.concatenate([probe.dirs for probe in probes]) >> 1
+        hop_counts = np.array([probe.dirs.shape[0] for probe in probes])
+        # A channel used twice by one pair is a repeated (pair, cid) key:
+        # adjacent once sorted.
+        keys = np.repeat(np.arange(len(probes)), hop_counts) * len(self.store)
+        keys += cids
+        keys.sort()
+        shared = np.zeros(len(probes), dtype=bool)
+        shared[keys[1:][keys[1:] == keys[:-1]] // len(self.store)] = True
+        cid_list = tuple(cids.tolist())
+        ends = np.cumsum(hop_counts).tolist()
+        for prof, start, end, overlap in zip(
+            batchable, [0] + ends, ends, shared.tolist()
+        ):
+            prof.cids = cid_list[start:end]
+            prof.fast_exact = not overlap and all(
+                cpath.fee_free for cpath in prof.cpaths
+            )
 
     # ------------------------------------------------------------------
     # End-of-run invariant

@@ -725,18 +725,33 @@ class PersistentCache:
         return os.path.join(self._dir, f"paths-{self.key}.json")
 
     def _read_artifact(self) -> Dict[Pair, List[Path]]:
+        """This key's artifact as pair sets, ``{}`` if there is none.
+
+        A file that cannot be read, is not the JSON :meth:`flush` writes
+        (``[source, dest, [path, ...]]`` entries, every path a list),
+        or carries another schema or key (renamed, copied, stale) is
+        treated as absent: its pairs are recomputed and the next
+        :meth:`flush` overwrites it.
+        """
         path = self._artifact_path()
         if path is None or not os.path.exists(path):
             return {}
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            return {
-                (source, dest): [tuple(p) for p in paths]
-                for source, dest, paths in payload["pairs"]
-            }
+            if (
+                payload["schema"] != self._ARTIFACT_SCHEMA
+                or payload["key"] != self.key
+            ):
+                return {}
+            loaded: Dict[Pair, List[Path]] = {}
+            for source, dest, paths in payload["pairs"]:
+                if type(paths) is not list or set(map(type, paths)) - {list}:
+                    return {}
+                loaded[(source, dest)] = [tuple(p) for p in paths]
+            return loaded
         except (OSError, ValueError, KeyError, TypeError):
-            return {}  # unreadable artifacts are simply recomputed
+            return {}
 
     def flush(self) -> None:
         """Write the merged pair sets to the artifact (atomic replace).

@@ -30,11 +30,35 @@ All operations are float-for-float identical to the scalar loops they
 replace (pinned by ``tests/engine/test_pathtable.py``), including the
 partial-lock rollback side effects on a mid-path
 :class:`~repro.errors.InsufficientFundsError`.
+
+**The path arena.**  Set-up compiles tens of thousands of paths before the
+first payment moves, so :meth:`PathTable.compile_many` is a batch kernel,
+not a loop: it flattens every new path of the given path sets, validates
+all of them with array operations against the network's
+:class:`~repro.network.network.DirectionIndex` (one ``searchsorted`` over
+the sorted directed-edge keys answers "channel exists" and "which
+direction" for every hop at once) and lays their hops out in one
+:class:`_PathArena` — a flat ``dirs`` column plus the ``hop_ptr`` row
+boundaries.  What the rest of the engine holds are views of it:
+
+* a :class:`CompiledPath` keeps ``dirs`` as a slice of the arena column
+  and ``dir_list`` as a slice of the one Python tuple the column converts
+  to; it owns no fee schedule — :meth:`CompiledPath.hop_amounts` reads
+  the network-wide per-direction fee lists through ``dir_list``;
+* a :class:`_ProbeCache` over paths that sit on consecutive arena rows
+  (every pair the dispatch layer primes) takes ``dirs`` and ``offsets``
+  as arena slices — no per-pair ``concatenate``/``cumsum``.
+
+:meth:`PathTable.compile` stays the one-path entry for ad-hoc paths (LND
+attempts, hop transport) and the arbiter of error type and text: a batch
+with an invalid path re-runs its first offender through it and registers
+nothing.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,9 +66,9 @@ import numpy as np
 from repro.errors import ChannelError, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.network import PaymentNetwork
+    from repro.network.network import DirectionIndex, PaymentNetwork
 
-__all__ = ["CompiledPath", "HopLock", "PathLock", "PathTable"]
+__all__ = ["CompiledPath", "HopLock", "PathLock", "PathTable", "int_node_array"]
 
 Path = Tuple[int, ...]
 _EPS = 1e-9
@@ -54,41 +78,75 @@ _INCREMENTAL_MIN_HOPS = 64
 _MISSING = object()
 
 
+def int_node_array(values: List[object]) -> Optional[np.ndarray]:
+    """``values`` as an int64 array — ``None`` unless every one is a
+    plain ``int`` that fits (the node ids the batch kernels can rank with
+    ``searchsorted``; anything else resolves through the dictionaries)."""
+    if set(map(type, values)) != {int}:
+        return None
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+class _PathArena:
+    """The hops of one compiled batch as flat columns.
+
+    Row ``r``'s hop direction ids are ``dirs[hop_ptr[r]:hop_ptr[r + 1]]``.
+    Columns are written once and never resized, so the slices
+    :class:`CompiledPath` and :class:`_ProbeCache` take of them stay valid
+    for the life of the table.
+    """
+
+    __slots__ = ("dirs", "hop_ptr")
+
+    def __init__(self, dirs: np.ndarray, hop_ptr: np.ndarray):
+        self.dirs = dirs
+        self.hop_ptr = hop_ptr
+
+
 class CompiledPath:
-    """One path flattened into store indices and fee schedules.
+    """One path flattened into store indices.
 
     ``dirs[i]`` is hop ``i``'s sender direction id in the store's flat
-    views and ``cids[i]`` its channel row; ``dir_list`` keeps ``dirs`` as
-    Python ints for per-hop forwarding loops (a side is ``d & 1`` where one
-    is still needed).  ``base_fees[i]``/``fee_rates[i]`` are the fee
-    schedule *of hop i's channel* (the fee an upstream hop pays to route
-    through it); ``fee_free`` flags the all-zero common case.
+    views (its channel row is ``dirs[i] >> 1``) and ``dir_list`` the same
+    ids as Python ints for per-hop forwarding loops (a side is ``d & 1``
+    where one is still needed).  ``fees`` is the network's
+    :class:`~repro.network.network.DirectionIndex`, whose per-direction
+    lists hold the fee schedule *of hop i's channel* (the fee an upstream
+    hop pays to route through it) at ``dir_list[i]``; ``fee_free`` flags
+    the all-zero common case.  ``arena``/``row`` locate a batch-compiled
+    path in its :class:`_PathArena` (``None`` for a path compiled alone).
     """
 
     __slots__ = (
         "nodes",
-        "cids",
         "dirs",
         "dir_list",
-        "base_fees",
-        "fee_rates",
         "fee_free",
+        "fees",
+        "arena",
+        "row",
     )
 
     def __init__(
         self,
         nodes: Path,
-        dir_list: List[int],
-        base_fees: List[float],
-        fee_rates: List[float],
+        dirs: np.ndarray,
+        dir_list: Tuple[int, ...],
+        fee_free: bool,
+        fees: "DirectionIndex",
+        arena: Optional[_PathArena] = None,
+        row: int = -1,
     ):
         self.nodes = nodes
-        self.dirs = np.array(dir_list, dtype=np.intp)
-        self.cids = self.dirs >> 1
+        self.dirs = dirs
         self.dir_list = dir_list
-        self.base_fees = base_fees
-        self.fee_rates = fee_rates
-        self.fee_free = not any(base_fees) and not any(fee_rates)
+        self.fee_free = fee_free
+        self.fees = fees
+        self.arena = arena
+        self.row = row
 
     def __len__(self) -> int:
         """Number of hops."""
@@ -97,26 +155,28 @@ class CompiledPath:
     def hop_amounts(self, amount: float) -> List[float]:
         """Per-hop lock amounts delivering ``amount``, fees included.
 
-        The reverse fee recurrence over this path's compiled schedule,
-        float-for-float identical to ``PaymentNetwork.hop_amounts`` /
-        ``PathTable.hop_amounts`` (both delegate here).  The dispatch
-        layer calls this directly to price staged sends without a path
-        re-compile.
+        The reverse fee recurrence over the fee schedules of this path's
+        directions, float-for-float identical to
+        ``PaymentNetwork.hop_amounts`` / ``PathTable.hop_amounts`` (both
+        delegate here).  The dispatch layer calls this directly to price
+        staged sends without a path re-compile.
         """
-        hops = len(self.dir_list)
+        dir_list = self.dir_list
+        hops = len(dir_list)
         if hops == 0:
             return []
         if self.fee_free:
             return [amount] * hops
         amounts = [0.0] * hops
         amounts[-1] = amount
-        base_fees = self.base_fees
-        fee_rates = self.fee_rates
+        base_fees = self.fees.base_fees
+        fee_rates = self.fees.fee_rates
         for i in range(hops - 2, -1, -1):
             downstream = amounts[i + 1]
+            d = dir_list[i + 1]
             # forwarding_fee() of the downstream channel, inlined.
             fee = (
-                base_fees[i + 1] + fee_rates[i + 1] * downstream
+                base_fees[d] + fee_rates[d] * downstream
                 if downstream > 0
                 else 0.0
             )
@@ -171,14 +231,18 @@ class PathLock:
 
 
 class _ProbeCache:
-    """Memoised bottlenecks of one path set, refreshed incrementally."""
+    """Memoised bottlenecks of one path set, refreshed incrementally.
+
+    ``dirs`` is the set's hops back to back and ``offsets[i]`` where path
+    ``i`` starts in it.  Paths on consecutive rows of one arena already
+    sit back to back there, so both are arena slices; any other set
+    (ad-hoc paths, paths shared between sets) concatenates its own copy.
+    """
 
     __slots__ = (
         "cpaths",
-        "cids",
         "dirs",
         "offsets",
-        "bounds",
         "values",
         "values_list",
         "as_of",
@@ -186,15 +250,27 @@ class _ProbeCache:
 
     def __init__(self, cpaths: List[CompiledPath]):
         self.cpaths = cpaths
-        hop_counts = [len(c) for c in cpaths]
-        self.cids = np.concatenate([c.cids for c in cpaths])
-        self.dirs = np.concatenate([c.dirs for c in cpaths])
-        ends = np.cumsum(hop_counts)
-        self.offsets = np.concatenate(([0], ends[:-1]))
-        self.bounds = list(zip(self.offsets.tolist(), ends.tolist()))
+        arena, row = cpaths[0].arena, cpaths[0].row
+        if arena is not None and all(
+            cpath.arena is arena and cpath.row == row + i
+            for i, cpath in enumerate(cpaths)
+        ):
+            ptr = arena.hop_ptr
+            self.dirs = arena.dirs[ptr[row] : ptr[row + len(cpaths)]]
+            self.offsets = ptr[row : row + len(cpaths)] - ptr[row]
+        else:
+            self.dirs = np.concatenate([c.dirs for c in cpaths])
+            ends = np.cumsum([len(c) for c in cpaths])
+            self.offsets = np.concatenate(([0], ends[:-1]))
         self.values: Optional[np.ndarray] = None
         self.values_list: List[float] = []
         self.as_of = -1
+
+    @property
+    def bounds(self) -> List[Tuple[int, int]]:
+        """``(start, end)`` of each path's hops in ``dirs``."""
+        starts = self.offsets.tolist()
+        return list(zip(starts, starts[1:] + [self.dirs.shape[0]]))
 
 
 class PathTable:
@@ -216,17 +292,18 @@ class PathTable:
     # Compilation
     # ------------------------------------------------------------------
     def compile(self, path: Sequence[int]) -> CompiledPath:
-        """Compile (and memoise) ``path`` into flat store indices.
+        """Compile (and memoise) one ``path`` into flat store indices.
 
         Validation matches ``PaymentNetwork._validate_path`` — empty paths
         and revisits raise :class:`~repro.errors.ChannelError`, unknown
         nodes/channels :class:`~repro.errors.TopologyError` — but runs
         once per distinct path instead of on every operation.
 
-        The hop fee schedules (``base_fee``/``fee_rate``) are snapshotted
-        at compile time: like the edge set itself, fees are part of the
-        static topology (§2) and must be configured before the first path
-        operation touches the channel.
+        The hop fee schedules (``base_fee``/``fee_rate``) are the ones the
+        network's :class:`~repro.network.network.DirectionIndex`
+        snapshotted: like the edge set itself, fees are part of the static
+        topology (§2) and must be configured before the first path is
+        compiled.
         """
         key = tuple(path)
         cached = self._compiled.get(key)
@@ -245,31 +322,110 @@ class PathTable:
                 )
             seen.add(node)
         dir_list: List[int] = []
-        base_fees: List[float] = []
-        fee_rates: List[float] = []
         direction = network.direction
         for u, v in zip(key, key[1:]):
-            channel, cid, side = direction(u, v)
+            _, cid, side = direction(u, v)
             dir_list.append(2 * cid + side)
-            base_fees.append(channel.base_fee)
-            fee_rates.append(channel.fee_rate)
-        compiled = CompiledPath(key, dir_list, base_fees, fee_rates)
+        fees = network.direction_index()
+        compiled = CompiledPath(
+            key,
+            np.array(dir_list, dtype=np.intp),
+            tuple(dir_list),
+            not any(fees.base_fees[d] or fees.fee_rates[d] for d in dir_list),
+            fees,
+        )
         self._compiled[key] = compiled
         return compiled
 
     def compile_many(
         self, path_sets: Iterable[Sequence[Sequence[int]]]
     ) -> None:
-        """Compile every path of an iterable of path sets.
+        """Compile every path of an iterable of path sets, as one batch.
 
         Accepts :meth:`PathService.paths_many
         <repro.engine.pathservice.PathService.paths_many>` output
         directly, so discovery → compiled store-index arrays is one
         pipeline: ``table.compile_many(service.paths_many(pairs))``.
+
+        Every not-yet-compiled path is flattened into one node array and
+        checked there — known nodes, no revisit, a channel under every hop
+        — against the network's
+        :class:`~repro.network.network.DirectionIndex`; the batch's hops
+        then become one :class:`_PathArena` whose rows the new
+        :class:`CompiledPath` objects view.  All or nothing: if any path
+        is invalid, the first offender in input order is handed to
+        :meth:`compile`, which raises exactly what it raises for that path
+        alone, and no path of the batch is registered.  Batches the index
+        cannot resolve (non-integer node ids) compile path by path under
+        the same rule.
         """
-        for paths in path_sets:
-            for path in paths:
-                self.compile(path)
+        compiled = self._compiled
+        keys: List[Path] = [
+            key
+            for key in dict.fromkeys(map(tuple, chain.from_iterable(path_sets)))
+            if key not in compiled
+        ]
+        if not keys:
+            return
+        index = self._network.direction_index()
+        nodes = index.nodes
+        flat = int_node_array(list(chain.from_iterable(keys)))
+        if nodes is None or flat is None:
+            try:
+                for key in keys:
+                    self.compile(key)
+            except (ChannelError, TopologyError):
+                for key in keys:
+                    compiled.pop(key, None)
+                raise
+            return
+        n = len(nodes)
+        lengths = np.array([len(key) for key in keys])
+        path_of_node = np.repeat(np.arange(len(keys)), lengths)
+        rank = np.minimum(np.searchsorted(nodes, flat), n - 1)
+        known = nodes[rank] == flat
+        # A revisit is a repeated (path, node) visit: adjacent once sorted.
+        visits = path_of_node * n + rank
+        visits.sort()
+        revisit = visits[1:] == visits[:-1]
+        # Hop i -> i + 1 wherever both nodes belong to the same path.
+        heads = np.flatnonzero(path_of_node[1:] == path_of_node[:-1])
+        hop_keys = rank[heads] * n + rank[heads + 1]
+        slot = np.minimum(
+            np.searchsorted(index.keys, hop_keys), len(index.keys) - 1
+        )
+        found = index.keys[slot] == hop_keys
+        offenders = np.concatenate(
+            (
+                np.flatnonzero(lengths == 0)[:1],
+                path_of_node[~known][:1],
+                visits[1:][revisit][:1] // n,
+                path_of_node[heads[~found][:1]],
+            )
+        )
+        if offenders.size:
+            self.compile(keys[int(offenders.min())])  # raises
+            raise AssertionError("compile() accepted a path the batch rejected")
+        dirs = index.dirs[slot]
+        dirs.setflags(write=False)
+        hop_ptr = np.concatenate(([0], np.cumsum(np.maximum(lengths - 1, 0))))
+        arena = _PathArena(dirs, hop_ptr)
+        bearing = np.concatenate(([0], np.cumsum(index.fee_bearing[dirs])))
+        fee_free = (bearing[hop_ptr[1:]] == bearing[hop_ptr[:-1]]).tolist()
+        dir_list = tuple(dirs.tolist())
+        ptr = hop_ptr.tolist()
+        for row, (key, start, end, free) in enumerate(
+            zip(keys, ptr, ptr[1:], fee_free)
+        ):
+            compiled[key] = CompiledPath(
+                key,
+                dirs[start:end],
+                dir_list[start:end],
+                free,
+                index,
+                arena,
+                row,
+            )
 
     # ------------------------------------------------------------------
     # Probes
@@ -297,7 +453,8 @@ class PathTable:
             key = tuple(tuple(p) for p in paths)
             probe = self._probes.get(key, _MISSING)
         if probe is _MISSING:
-            cpaths = [self.compile(p) for p in key]
+            lookup = self._compiled.get
+            cpaths = [lookup(p) or self.compile(p) for p in key]
             probe = _ProbeCache(cpaths) if all(len(c) for c in cpaths) else None
             self._probes[key] = probe
         return probe
@@ -384,7 +541,7 @@ class PathTable:
             values = np.minimum.reduceat(avail, np.concatenate(offset_parts))
             pos = 0
             for probe in todo:
-                count = len(probe.bounds)
+                count = len(probe.cpaths)
                 probe.values = values[pos : pos + count].copy()
                 pos += count
         for probe in todo:
@@ -412,17 +569,18 @@ class PathTable:
         if probe.values is not None and not refresh:
             if probe.as_of == version:
                 return probe.values_list.copy()
-            if probe.cids.shape[0] >= _INCREMENTAL_MIN_HOPS:
-                changed = store.stamp[probe.cids] > probe.as_of
+            if probe.dirs.shape[0] >= _INCREMENTAL_MIN_HOPS:
+                changed = store.stamp[probe.dirs >> 1] > probe.as_of
                 if not changed.any():
                     probe.as_of = version
                     return probe.values_list.copy()
                 if not changed.all():
                     values = probe.values
+                    bounds = probe.bounds
                     for index in np.flatnonzero(
                         np.logical_or.reduceat(changed, probe.offsets)
                     ).tolist():
-                        start, end = probe.bounds[index]
+                        start, end = bounds[index]
                         values[index] = store.availability(
                             probe.dirs[start:end]
                         ).min()

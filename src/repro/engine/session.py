@@ -36,9 +36,11 @@ queue and writes live router queue depths into the store's
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +65,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RuntimeConfig", "SimulationSession"]
 
 _EPS = 1e-9
+#: A bulk build that leaves more GC-tracked objects than this behind ends
+#: with one full collection (see :func:`_collector_paused`); smaller
+#: sessions — every unit test — never pay for one.
+_BULK_BUILD_OBJECTS = 100_000
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector around a bulk build.
+
+    ``from_config`` and ``prepare()`` allocate hundreds of thousands of
+    long-lived, cycle-free objects (records, channels, compiled paths,
+    profiles); the generational collector answers by re-walking that
+    growing heap once per 700 allocations and finds nothing.  The
+    collector's prior state is restored on the way out — it stays off for
+    a caller who had it off.  A build that itself left more than
+    ``_BULK_BUILD_OBJECTS`` tracked objects behind (the allocation
+    counter's own delta) then runs **one** full collection, so the
+    survivors reach the oldest generation in a single traversal instead
+    of being aged through all three during the run.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    before = gc.get_count()[0]
+    try:
+        yield
+    finally:
+        # Read before re-enabling: the count's own tuple is an allocation.
+        grown = gc.get_count()[0] - before
+        if was_enabled:
+            gc.enable()
+            if grown > _BULK_BUILD_OBJECTS:
+                gc.collect()
 
 
 @dataclass
@@ -218,17 +253,20 @@ class SimulationSession:
 
         Topology, workload and scheme are derived from the config's seed,
         never from the scheme, so traces are identical across schemes.
+        The build runs with the cyclic garbage collector paused
+        (:func:`_collector_paused`).
         """
-        network, records, scheme = config.build_simulation_inputs()
-        return cls(
-            network,
-            records,
-            scheme,
-            config.build_runtime_config(),
-            collector=collector,
-            quantum=quantum,
-            path_cache_dir=path_cache_dir,
-        )
+        with _collector_paused():
+            network, records, scheme = config.build_simulation_inputs()
+            return cls(
+                network,
+                records,
+                scheme,
+                config.build_runtime_config(),
+                collector=collector,
+                quantum=quantum,
+                path_cache_dir=path_cache_dir,
+            )
 
     # ------------------------------------------------------------------
     # Public control
@@ -274,56 +312,60 @@ class SimulationSession:
         sets the trace needs are prefetched through the shared
         :class:`~repro.engine.pathservice.PathService` in one batched
         pass, instead of faulting in pair by pair on first attempt.
+
+        Like :meth:`from_config`, the build runs with the cyclic garbage
+        collector paused (:func:`_collector_paused`).
         """
         if self._prepared:
             return
-        transport_kind = getattr(self.scheme, "transport", None)
-        if transport_kind is None and (
-            getattr(self.scheme, "runtime_class", None) is not None
-            or getattr(self.scheme, "hop_by_hop", False)
-        ):
-            # Such a scheme expects per-hop queues; running it source-routed
-            # would silently produce different numbers.
-            raise ConfigError(
-                f"scheme {self.scheme.name!r} declares runtime_class/hop_by_hop "
-                "but no transport; declare transport = 'hop' or 'backpressure'"
-            )
-        self._prepared = True
-        if not self.records and self.config.end_time is None:
-            # Empty trace, no horizon: nothing can ever arrive.  run()
-            # finalizes an empty run instead of arming machinery that
-            # never fires.
-            return
-        if self._path_cache_dir is not None:
-            # Load known path artifacts before the scheme prepares; newly
-            # discovered pair sets are written back at the end of the run.
-            # repro-lint: allow[RL006] lane sessions get no path_cache_dir
-            self.network.path_service.persist_to(self._path_cache_dir)
-        engine = self.sim
-        clock = engine.clock
-        if transport_kind is not None:
-            transport_kwargs = (
-                self.scheme.runtime_kwargs()
-                if hasattr(self.scheme, "runtime_kwargs")
-                else {}
-            )
-            self.transport = make_transport(transport_kind, self, **transport_kwargs)
-            # Started before the trace is scheduled: its timers must order
-            # ahead of same-tick arrivals.
-            self.transport.start()
-        self.scheme.prepare(self)
-        if self.vectorized_dispatch:
-            self._dispatch = DispatchPlan(self)
-            self._prefetch_paths()
-            self._schedule_trace_batched()
-        else:
-            for record in self.records:
-                if record.arrival_time > self._end_time:
-                    break
-                engine.schedule_at_tick(
-                    clock.to_ticks(record.arrival_time), self._arrive, (record,)
+        with _collector_paused():
+            transport_kind = getattr(self.scheme, "transport", None)
+            if transport_kind is None and (
+                getattr(self.scheme, "runtime_class", None) is not None
+                or getattr(self.scheme, "hop_by_hop", False)
+            ):
+                # Such a scheme expects per-hop queues; running it source-routed
+                # would silently produce different numbers.
+                raise ConfigError(
+                    f"scheme {self.scheme.name!r} declares runtime_class/hop_by_hop "
+                    "but no transport; declare transport = 'hop' or 'backpressure'"
                 )
-        self._poll_timer = engine.every(self.config.poll_interval, self._poll)
+            self._prepared = True
+            if not self.records and self.config.end_time is None:
+                # Empty trace, no horizon: nothing can ever arrive.  run()
+                # finalizes an empty run instead of arming machinery that
+                # never fires.
+                return
+            if self._path_cache_dir is not None:
+                # Load known path artifacts before the scheme prepares; newly
+                # discovered pair sets are written back at the end of the run.
+                # repro-lint: allow[RL006] lane sessions get no path_cache_dir
+                self.network.path_service.persist_to(self._path_cache_dir)
+            engine = self.sim
+            clock = engine.clock
+            if transport_kind is not None:
+                transport_kwargs = (
+                    self.scheme.runtime_kwargs()
+                    if hasattr(self.scheme, "runtime_kwargs")
+                    else {}
+                )
+                self.transport = make_transport(transport_kind, self, **transport_kwargs)
+                # Started before the trace is scheduled: its timers must order
+                # ahead of same-tick arrivals.
+                self.transport.start()
+            self.scheme.prepare(self)
+            if self.vectorized_dispatch:
+                self._dispatch = DispatchPlan(self)
+                self._prefetch_paths()
+                self._schedule_trace_batched()
+            else:
+                for record in self.records:
+                    if record.arrival_time > self._end_time:
+                        break
+                    engine.schedule_at_tick(
+                        clock.to_ticks(record.arrival_time), self._arrive, (record,)
+                    )
+            self._poll_timer = engine.every(self.config.poll_interval, self._poll)
 
     def _prefetch_paths(self) -> None:
         """Warm every (source, dest) pair the trace will route, batched.
@@ -359,6 +401,8 @@ class SimulationSession:
         arrival bursts into single cohort events."""
         clock = self.sim.clock
         records = self.records
+        # Bound once: each ``self._arrive`` mints a new method object.
+        arrive, arrive_cohort = self._arrive, self._arrive_cohort
         ticks: List[int] = []
         callbacks: List[object] = []
         args_list: List[tuple] = []
@@ -378,10 +422,10 @@ class SimulationSession:
                 j += 1
             ticks.append(tick)
             if j - i == 1:
-                callbacks.append(self._arrive)
+                callbacks.append(arrive)
                 args_list.append((record,))
             else:
-                callbacks.append(self._arrive_cohort)
+                callbacks.append(arrive_cohort)
                 args_list.append((tuple(records[i:j]),))
             i = j
         if ticks:

@@ -235,7 +235,7 @@ class ControlPlane:
         state = self._sync()
         if self.vectorized:
             mu = state.mu.reshape(-1)
-            values = state.lam[cpath.cids] + mu[cpath.dirs] - mu[cpath.dirs ^ 1]
+            values = state.lam[cpath.dirs >> 1] + mu[cpath.dirs] - mu[cpath.dirs ^ 1]
             return float(sum(values.tolist()))
         total = 0.0
         for d in cpath.dir_list:
@@ -468,7 +468,8 @@ class ControlPlane:
         exact, so the result matches the direct gather bit for bit.
         """
         store = self._store
-        cids, dirs = cpath.cids, cpath.dirs
+        dirs = cpath.dirs
+        cids = dirs >> 1
         if not self.vectorized:
             balance = store.balance_flat
             spread = balance[dirs] - balance[dirs ^ 1]

@@ -30,7 +30,7 @@ metrics are comparable across schemes.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -357,7 +357,7 @@ class HopByHopTransport:
         if withhold:
             # One vectorised refund; the sending directions regain funds.
             self.store.refund_path_funds(cpath.dirs, amounts)
-            credited: List[DirectionKey] = cpath.dir_list
+            credited: Sequence[DirectionKey] = cpath.dir_list
         else:
             # One vectorised settle; the receiving directions gain funds.
             self.store.settle_path_funds(cpath.dirs, amounts)

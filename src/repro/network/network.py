@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.pathtable import PathLock, PathTable
+import numpy as np
+
+from repro.engine.pathtable import PathLock, PathTable, int_node_array
 from repro.engine.signals import ControlPlane
 from repro.engine.store import ChannelStateStore
 from repro.errors import ChannelError, InsufficientFundsError, TopologyError
@@ -30,7 +32,7 @@ from repro.network.channel import PaymentChannel
 from repro.network.htlc import HashLock, Htlc
 from repro.network.node import Node, NodeRole
 
-__all__ = ["PaymentNetwork", "canonical_edge"]
+__all__ = ["DirectionIndex", "PaymentNetwork", "canonical_edge"]
 
 NodeId = Hashable
 Path = Sequence[NodeId]
@@ -46,6 +48,64 @@ def canonical_edge(u: NodeId, v: NodeId) -> Tuple[NodeId, NodeId]:
         return (u, v) if u <= v else (v, u)
     except TypeError:
         return (u, v) if repr(u) <= repr(v) else (v, u)
+
+
+class DirectionIndex:
+    """Array twin of the network's ``(u, v) → direction`` dictionary.
+
+    What the batch path compiler
+    (:meth:`PathTable.compile_many
+    <repro.engine.pathtable.PathTable.compile_many>`) resolves whole
+    batches of hops against, built once per topology (the network drops it
+    whenever a node or channel is added):
+
+    * ``nodes`` — the sorted node ids; a node's *rank* is its position.
+      ``None`` when some id is not a plain integer (or there is no
+      channel yet): paths then compile one by one through the dictionary.
+    * ``keys`` / ``dirs`` — every directed edge ``u → v`` as
+      ``rank(u)·n + rank(v)``, sorted, and the matching direction ids
+      ``d = 2·cid + side``; one ``searchsorted`` answers "does this hop
+      have a channel, and which direction is it".
+    * ``base_fees`` / ``fee_rates`` — the channels' fee schedules as
+      per-direction Python lists (both directions of a channel carry its
+      schedule), read by :meth:`CompiledPath.hop_amounts
+      <repro.engine.pathtable.CompiledPath.hop_amounts>`;
+      ``fee_bearing`` flags the directions with a non-zero schedule.
+
+    Fee schedules are snapshotted here: like the edge set they are part
+    of the static topology (§2) and must be configured before the first
+    path is compiled.
+    """
+
+    __slots__ = ("nodes", "keys", "dirs", "base_fees", "fee_rates", "fee_bearing")
+
+    def __init__(self, network: "PaymentNetwork"):
+        size = 2 * len(network.state_store)
+        self.base_fees: List[float] = [0.0] * size
+        self.fee_rates: List[float] = [0.0] * size
+        for channel in network.channels():
+            d = 2 * channel.channel_id
+            self.base_fees[d] = self.base_fees[d + 1] = channel.base_fee
+            self.fee_rates[d] = self.fee_rates[d + 1] = channel.fee_rate
+        self.fee_bearing = (np.array(self.base_fees) != 0) | (
+            np.array(self.fee_rates) != 0
+        )
+        self.nodes: Optional[np.ndarray] = None
+        self.keys = self.dirs = np.empty(0, dtype=np.intp)
+        nodes = int_node_array(list(network.nodes()))
+        if nodes is None or not network.num_channels:
+            return
+        nodes.sort()
+        self.nodes = nodes
+        directions = network._directions
+        ranks = np.searchsorted(nodes, np.array(list(directions)))
+        keys = ranks[:, 0] * len(nodes) + ranks[:, 1]
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.dirs = np.array(
+            [2 * cid + side for _, cid, side in directions.values()],
+            dtype=np.intp,
+        )[order]
 
 
 class PaymentNetwork:
@@ -78,6 +138,8 @@ class PaymentNetwork:
         self._store = ChannelStateStore()
         # (u, v) -> (channel, store row, u's store column), both directions.
         self._directions: Dict[Tuple[NodeId, NodeId], Tuple[PaymentChannel, int, int]] = {}
+        # Array twin of _directions (+ fee columns), built on demand.
+        self._direction_index: Optional[DirectionIndex] = None
         self._path_table: Optional[PathTable] = None
         self._control_plane: Optional[ControlPlane] = None
         self._path_service = None
@@ -93,6 +155,7 @@ class PaymentNetwork:
         node = Node(node_id=node_id, role=role)
         self._nodes[node_id] = node
         self._adjacency[node_id] = set()
+        self._direction_index = None
         return node
 
     def add_channel(
@@ -132,6 +195,7 @@ class PaymentNetwork:
         cid = channel.channel_id
         self._directions[(u, v)] = (channel, cid, 0)
         self._directions[(v, u)] = (channel, cid, 1)
+        self._direction_index = None
         return channel
 
     # ------------------------------------------------------------------
@@ -218,6 +282,15 @@ class PaymentNetwork:
     def channel_id(self, u: NodeId, v: NodeId) -> Tuple[int, int]:
         """``(store row, u's store column)`` for the ``u → v`` direction."""
         return self.direction(u, v)[1:]
+
+    def direction_index(self) -> DirectionIndex:
+        """The array twin of :meth:`direction` plus the per-direction fee
+        columns (see :class:`DirectionIndex`), rebuilt after the topology
+        grows."""
+        index = self._direction_index
+        if index is None:
+            index = self._direction_index = DirectionIndex(self)
+        return index
 
     def available(self, u: NodeId, v: NodeId) -> float:
         """Spendable funds in the ``u → v`` direction."""

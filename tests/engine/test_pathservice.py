@@ -37,6 +37,8 @@ from repro.engine.pathservice import (
     ScalarDisjointProvider,
     contract_loops,
 )
+from repro.engine.session import SimulationSession
+from repro.errors import TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.runner import run_experiment
@@ -519,6 +521,75 @@ class TestPersistentCache:
         PersistentCache.clear_shared()
         fresh = PathService.from_network(network, cache_dir=str(tmp_path))
         assert fresh.paths(8, 20, k=4)  # silently recomputed
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda payload: payload.update(key="paths-of-another-graph"),
+            lambda payload: payload.update(schema=payload["schema"] + 1),
+            lambda payload: payload["pairs"][0].pop(),  # a 2-element entry
+            lambda payload: payload["pairs"][0].__setitem__(2, ["8-20"]),
+            lambda payload: payload["pairs"][0].__setitem__(2, "8-20"),
+            lambda payload: payload.clear(),
+        ],
+        ids=["key", "schema", "arity", "path-type", "paths-type", "empty"],
+    )
+    def test_mismatched_artifact_recomputed_and_overwritten(self, tmp_path, tamper):
+        """A renamed, stale-schema or misshapen artifact is not trusted:
+        its (poisoned) pair set is never served, and the next flush
+        replaces the file."""
+        network = isp_topology().build_network(default_capacity=100.0)
+        service = PathService.from_network(network, cache_dir=str(tmp_path))
+        service.prepare([(8, 20)], k=4)
+        expected = service.paths(8, 20, k=4)
+        (name,) = os.listdir(tmp_path)
+        good = json.loads((tmp_path / name).read_text())
+        bad = json.loads((tmp_path / name).read_text())
+        bad["pairs"][0][2] = [[8, 20]]  # what trusting the file would serve
+        tamper(bad)
+        (tmp_path / name).write_text(json.dumps(bad))
+        PersistentCache.clear_shared()
+        fresh = PathService.from_network(network, cache_dir=str(tmp_path))
+        fresh.prepare([(8, 20)], k=4)
+        assert fresh.paths(8, 20, k=4) == expected != [(8, 20)]
+        assert json.loads((tmp_path / name).read_text()) == good
+
+    def test_truncated_artifact_recomputed(self, tmp_path):
+        network = isp_topology().build_network(default_capacity=100.0)
+        service = PathService.from_network(network, cache_dir=str(tmp_path))
+        service.prepare([(8, 20)], k=4)
+        (name,) = os.listdir(tmp_path)
+        text = (tmp_path / name).read_text()
+        (tmp_path / name).write_text(text[: len(text) // 2])
+        PersistentCache.clear_shared()
+        fresh = PathService.from_network(network, cache_dir=str(tmp_path))
+        fresh.prepare([(8, 20)], k=4)
+        assert (tmp_path / name).read_text() == text
+
+    def test_artifact_path_over_missing_channel_fails_in_prepare(self, tmp_path):
+        """A well-formed artifact is trusted as far as discovery goes, but
+        every path it serves is validated when ``prepare()`` compiles it:
+        a hop without a channel is a named error there, not mid-run."""
+        config = ExperimentConfig(
+            scheme="spider-waterfilling",
+            topology="ripple-tiny",
+            capacity=200.0,
+            num_transactions=40,
+            arrival_rate=50.0,
+            seed=13,
+        )
+        SimulationSession.from_config(config, path_cache_dir=str(tmp_path)).prepare()
+        (name,) = os.listdir(tmp_path)
+        payload = json.loads((tmp_path / name).read_text())
+        entry = next(e for e in payload["pairs"] if len(e[2][0]) > 2)
+        # The pair's shortest path has an intermediate node, so no channel
+        # joins its endpoints directly.
+        entry[2][0] = [entry[0], entry[1]]
+        (tmp_path / name).write_text(json.dumps(payload))
+        PersistentCache.clear_shared()
+        session = SimulationSession.from_config(config, path_cache_dir=str(tmp_path))
+        with pytest.raises(TopologyError, match="no channel between"):
+            session.prepare()
 
     def test_cold_vs_warm_metrics_byte_identical(self, tmp_path):
         """A run that loads every pair set from disk reproduces the cold

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.pathtable import PathLock
+from repro.engine.pathtable import PathLock, PathTable
 from repro.errors import ChannelError, InsufficientFundsError
 from repro.network.network import PaymentNetwork
 
@@ -213,6 +213,144 @@ def test_batch_probe_refreshes_after_mutations(data, rand):
         else:
             cv.deposit(cv.node_b, 5.0)
             cr.deposit(cr.node_b, 5.0)
+
+
+def _invalid_path(kind, base, joined, position):
+    """The valid trail ``base`` made invalid in one ``kind`` of way
+    (``None`` when the graph has no such path).  ``joined`` holds every
+    directed edge.  An unknown integer id sits right below the id it
+    replaces, which is where a sorted-id lookup would confuse the two."""
+    if kind == "empty":
+        return ()
+    if kind == "unknown":
+        node = base[position % len(base)]
+        alias = node - 1 if isinstance(node, int) else node + "?"
+        return tuple(alias if n == node else n for n in base)
+    if kind == "foreign":  # an id no integer array can hold
+        return base + ("nowhere",)
+    if kind == "revisit":
+        return base + (base[0],)
+    for node in sorted({u for u, _ in joined}):
+        if node not in base and (base[-1], node) not in joined:
+            return base + (node,)  # a hop with no channel under it
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(network_specs(), st.data())
+def test_compile_many_matches_per_path_compile(data, rand):
+    """The batch kernel against ``compile``, path by path: same compiled
+    columns, fees, probes and — for an invalid batch — the same exception
+    as the first offender alone raises, with nothing registered."""
+    (edges, _), trails = data
+    # Sparse integer ids resolve through the array index, any other id
+    # path by path.
+    named = rand.draw(st.booleans())
+    node_of = (lambda n: f"n{n}") if named else (lambda n: 3 * n + 1)
+    network = PaymentNetwork()
+    for u, v, capacity, balance_u, base_fee, fee_rate in edges:
+        network.add_channel(
+            node_of(u), node_of(v), capacity, balance_u=balance_u,
+            base_fee=base_fee, fee_rate=fee_rate,
+        )
+    joined = set(network._directions)
+    trails = [tuple(node_of(n) for n in trail) for trail in trails]
+    # Path sets with paths shared between sets and repeated within one,
+    # a hopless path among them.
+    picks = st.lists(
+        st.sampled_from(trails + [trails[0][:1]]), min_size=1, max_size=4
+    )
+    path_sets = [
+        rand.draw(picks)
+        for _ in range(rand.draw(st.integers(min_value=1, max_value=5)))
+    ]
+    batch, single = PathTable(network), PathTable(network)
+    network.use_path_table = False  # its own path ops: the per-channel loops
+    for paths in path_sets:  # already-compiled paths must be left alone
+        if rand.draw(st.booleans()):
+            batch.compile(paths[0])
+    invalid = False
+    for kind in rand.draw(
+        st.lists(
+            st.sampled_from(["empty", "unknown", "foreign", "revisit", "missing"]),
+            max_size=2,
+            unique=True,
+        )
+    ):
+        bad = _invalid_path(
+            kind,
+            rand.draw(st.sampled_from(trails)),
+            joined,
+            rand.draw(st.integers(min_value=0, max_value=7)),
+        )
+        if bad is not None:
+            invalid = True
+            target = rand.draw(st.sampled_from(path_sets))
+            target.insert(rand.draw(st.integers(0, len(target))), bad)
+    if rand.draw(st.booleans()):
+        path_sets = [[list(path) for path in paths] for paths in path_sets]
+
+    if invalid:
+        before = dict(batch._compiled)
+        expected = None
+        for path in (path for paths in path_sets for path in paths):
+            try:
+                single.compile(path)
+            except Exception as error:  # the first offender, in input order
+                expected = error
+                break
+        with pytest.raises(type(expected)) as raised:
+            batch.compile_many(path_sets)
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)
+        assert batch._compiled == before and not batch._probes
+        return
+
+    batch.compile_many(path_sets)
+    store = network.state_store
+    for paths in path_sets:
+        for path in paths:
+            got, want = batch._compiled[tuple(path)], single.compile(path)
+            assert got.nodes == want.nodes
+            assert got.dirs.dtype == want.dirs.dtype
+            assert got.dirs.tolist() == want.dirs.tolist()
+            assert got.dir_list == want.dir_list
+            assert got.fee_free == want.fee_free
+            for amount in (0.0, 13.7, 1e-3):
+                assert got.hop_amounts(amount) == want.hop_amounts(amount)
+                assert got.hop_amounts(amount) == network.hop_amounts(path, amount)
+        got, want = batch.probe_handle(paths), single.probe_handle(paths)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert got.offsets.tolist() == want.offsets.tolist()
+        assert got.bounds == want.bounds
+        batch.refresh_probes([got])
+        single.refresh_probes([want])
+        assert got.values.tolist() == want.values.tolist()
+        assert got.values_list == [
+            float(store.availability(c.dirs).min()) for c in want.cpaths
+        ]
+
+
+def test_batch_compiled_set_probes_the_arena_in_place():
+    """Paths compiled in one batch are views of its arena, and so is the
+    probe of a set sitting on consecutive rows; a set that mixes in a
+    path compiled elsewhere concatenates its own copy."""
+    network = PaymentNetwork()
+    for u, v in ((0, 1), (1, 2), (0, 3), (3, 2)):
+        network.add_channel(u, v, 100.0)
+    table = network.path_table
+    pair = [(0, 1, 2), (0, 3, 2)]
+    table.compile_many([pair, [(1, 2)]])
+    probe = table.probe_handle(pair)
+    arena = probe.cpaths[0].arena
+    assert all(np.shares_memory(c.dirs, arena.dirs) for c in probe.cpaths)
+    assert np.shares_memory(probe.dirs, arena.dirs)
+    assert not arena.dirs.flags.writeable
+    mixed = table.probe_handle([(0, 1, 2), table.compile((2, 1)).nodes])
+    assert not np.shares_memory(mixed.dirs, arena.dirs)
+    assert network.bottleneck_many(pair) == [50.0, 50.0]
 
 
 class TestMidPathRollback:

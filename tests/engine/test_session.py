@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.engine import session as session_module
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
@@ -168,3 +171,72 @@ class TestPrimalDualOnSession:
         metrics = SimulationSession.from_config(config).run()
         assert metrics.attempted == 120
         assert 0.0 <= metrics.success_ratio <= 1.0
+
+
+class TestCollectorScope:
+    """``from_config`` and ``prepare()`` build with the cyclic collector
+    paused, hand it back as they found it, and force at most one full
+    collection — only after a build that allocated enough to need it."""
+
+    @staticmethod
+    def _state():
+        return gc.isenabled(), gc.get_threshold()
+
+    @pytest.fixture
+    def collections(self, monkeypatch):
+        """Arguments of every explicit ``gc.collect()`` while the test runs."""
+        calls = []
+        monkeypatch.setattr(gc, "collect", lambda *args: calls.append(args) or 0)
+        return calls
+
+    def test_state_restored_and_small_session_never_collects(self, collections):
+        before = self._state()
+        session = SimulationSession.from_config(_config())
+        assert self._state() == before
+        seen = []
+        prepare = session.scheme.prepare
+        session.scheme.prepare = lambda runtime: (
+            seen.append(gc.isenabled()),
+            prepare(runtime),
+        )
+        session.prepare()
+        assert seen == [False]  # the build itself ran with the collector off
+        assert self._state() == before
+        assert collections == []  # far below _BULK_BUILD_OBJECTS
+
+    def test_one_full_collection_after_a_large_build(self, collections, monkeypatch):
+        monkeypatch.setattr(session_module, "_BULK_BUILD_OBJECTS", -1)
+        session = SimulationSession.from_config(_config())
+        assert collections == [()]
+        session.prepare()
+        assert collections == [(), ()]
+        session.prepare()  # already prepared: the scope is not entered again
+        assert collections == [(), ()]
+
+    def test_state_restored_when_scheme_prepare_raises(self, collections):
+        before = self._state()
+        session = SimulationSession.from_config(_config())
+
+        def explode(runtime):
+            raise RuntimeError("scheme.prepare failed")
+
+        session.scheme.prepare = explode
+        with pytest.raises(RuntimeError, match="scheme.prepare failed"):
+            session.prepare()
+        assert self._state() == before
+
+    def test_collector_left_off_for_a_caller_who_had_it_off(
+        self, collections, monkeypatch
+    ):
+        monkeypatch.setattr(session_module, "_BULK_BUILD_OBJECTS", -1)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = self._state()
+            session = SimulationSession.from_config(_config())
+            session.prepare()
+            assert self._state() == before == (False, gc.get_threshold())
+            assert collections == []  # and none forced on them either
+        finally:
+            if was_enabled:
+                gc.enable()
