@@ -37,7 +37,7 @@ Pass ``--assert-floor`` to fail when native hop-by-hop throughput
 regresses below 0.8x the previously recorded value, when the path-ops
 lock+settle round trip drops under 1.0x its scalar loop, when either signals
 kernel drops under its 3x acceptance floor, when CSR path discovery
-falls under 3x the scalar BFS, when macro-tick dispatch at cohort 256
+falls under 28.6x the scalar BFS, when macro-tick dispatch at cohort 256
 drops under its 2x floor, when the scale smoke's txn/s falls below
 0.8x the recorded value with the scalar-vs-macro-tick speedup also
 below 0.8x its recorded ratio, or when the sharding section loses
@@ -481,9 +481,17 @@ def run_signals_microbench(
 # ----------------------------------------------------------------------
 # Path-discovery microbenchmark: k edge-disjoint shortest paths on the
 # 10k-node Ripple-like graph — the per-pair scalar BFS the seed ran vs.
-# the PathService's CSR array-frontier provider, plus the memoised and
-# disk-artifact warm paths (cold vs. cached).
+# the PathService's CSR provider (all pairs through one ``paths_many``,
+# i.e. one lockstep chunk), plus the memoised and disk-artifact warm
+# paths (cold vs. cached).
 # ----------------------------------------------------------------------
+#: Floor of the CSR-vs-scalar ratio: 0.6x the lowest of five local runs
+#: of the lockstep kernel (49.8, 47.7, 49.0, 51.6, 52.2).  The per-pair
+#: search it replaced cleared 16.6x, so a fall back to pair-at-a-time
+#: speed trips the gate.
+DISCOVERY_FLOOR = 28.6
+
+
 def run_path_discovery_microbench(
     num_pairs: int = 48, k: int = 4, repeats: int = 3
 ) -> dict:
@@ -492,7 +500,7 @@ def run_path_discovery_microbench(
     All modes resolve the identical pair list and are asserted
     byte-identical.  ``speedup`` is CSR-cold over scalar-cold — both sides
     timed on this machine in the same run, so the ratio is
-    hardware-independent (the ≥5x ripple-huge acceptance number).
+    hardware-independent (floor-gated at ``DISCOVERY_FLOOR``).
     ``cached`` times the in-process PersistentCache memo hit and
     ``disk_warm`` a fresh process-level store serving the persisted
     artifact.
@@ -1055,8 +1063,7 @@ def check_throughput_floor(report: dict, baseline: dict, ratio: float = 0.8):
     timed on this machine in the same run, so the ratio is
     hardware-independent).  Path-discovery coverage: the
     ``path_discovery`` section's CSR-vs-scalar speedup on the 10k-node
-    graph must stay above its 3x floor (the recorded value documents the
-    ≥5x ripple-huge acceptance number).
+    graph must stay above ``DISCOVERY_FLOOR``.
     """
     path_ops = report.get("path_ops")
     if path_ops:
@@ -1080,10 +1087,11 @@ def check_throughput_floor(report: dict, baseline: dict, ratio: float = 0.8):
     discovery = report.get("path_discovery")
     if discovery:
         speedup = discovery["speedup"]
-        if speedup < 3.0:
+        if speedup < DISCOVERY_FLOOR:
             return (
                 f"path_discovery CSR speedup {speedup:.2f}x fell below "
-                "the 3x acceptance floor"
+                f"the {DISCOVERY_FLOOR}x floor (pair-at-a-time discovery "
+                "measured 16.6x)"
             )
     dispatch = report.get("dispatch")
     if dispatch and not dispatch.get("carried_forward"):

@@ -18,14 +18,17 @@ small provider protocol — ``prepare(pairs)`` / ``paths(src, dst)`` /
   endpoints at once: level sets grow as NumPy index operations until they
   meet, and the path is read off the distances (the scalar BFS's parent
   chain is the lexicographically smallest shortest path, so no parent
-  array is needed); the k-edge-disjoint loop masks CSR entries in place.
-  Paths are **byte-identical** to the scalar per-pair BFS (pinned by
+  array is needed).  One kernel (:class:`_Lockstep`) serves a whole chunk
+  of pairs per NumPy call — every operation is keyed by ``(pair, node)``,
+  each pair has its own labels and edge mask — so cold discovery costs
+  element work, not call overhead; ``paths`` is a batch of one.  Paths are
+  **byte-identical** to the scalar per-pair BFS (pinned by
   ``tests/engine/test_pathservice.py``).
-* :class:`ScalarDisjointProvider` — the legacy
+* :class:`ScalarDisjointProvider` — the per-pair
   :func:`~repro.fluid.paths.k_edge_disjoint_paths` /
-  :func:`~repro.fluid.paths.k_shortest_paths` loops, kept as the parity
-  baseline behind ``PathService.vectorized_discovery = False`` (mirroring
-  the PathTable / ControlPlane pattern).
+  :func:`~repro.fluid.paths.k_shortest_paths` loops: ``method="yen"``, and
+  the graphs the CSR kernel cannot express (one-way edges, node ids
+  without a total order).  The tests use it as the discovery oracle.
 * :class:`LandmarkProvider` — SilentWhispers pair assembly from shared BFS
   trees (one tree per landmark plus one per distinct source) instead of two
   fresh BFS runs per (pair, landmark).
@@ -282,7 +285,14 @@ def _parent_chain(
 # Providers (protocol: prepare(pairs) / paths(src, dst) / paths_many(pairs))
 # ----------------------------------------------------------------------
 class ScalarDisjointProvider:
-    """The legacy per-pair BFS loops — the parity baseline provider."""
+    """The per-pair BFS loops over the adjacency dict.
+
+    Serves what :class:`CsrDisjointProvider` cannot: ``method="yen"``
+    (k shortest, not edge-disjoint), graphs with a one-way edge (the
+    bidirectional search reads each edge from both ends) and node ids
+    without a total order (no sorted CSR layout).  It is also the oracle
+    the CSR kernel is pinned against, path for path.
+    """
 
     kind = "scalar"
 
@@ -307,6 +317,38 @@ class ScalarDisjointProvider:
         return [self.paths(source, dest) for source, dest in pairs]
 
 
+#: Scratch one ``paths_many`` call may allocate for the pairs it searches
+#: side by side.  Throughput is flat from ~50 pairs per chunk up
+#: (ripple-huge: 0.27 ms/pair at 16, 0.16 at 57, 0.15 at 128 and 256),
+#: so the budget buys nothing beyond the point where a 10k-node graph
+#: gets that many, and peak RSS pays for every byte of it.
+_SCRATCH_BUDGET_BYTES = 8 << 20
+
+
+def _label_dtype(num_nodes: int) -> np.dtype:
+    """Narrowest signed dtype that holds every BFS level (< ``num_nodes``)."""
+    return np.dtype(np.int16 if num_nodes <= np.iinfo(np.int16).max else np.int32)
+
+
+def _pair_scratch_bytes(num_nodes: int, num_entries: int) -> int:
+    """Scratch one pair of a chunk needs: a source-side and a target-side
+    label per node, an edge-mask byte per CSR entry, an int32 dedup stamp
+    per node."""
+    return (
+        2 * num_nodes * _label_dtype(num_nodes).itemsize
+        + num_entries
+        + 4 * num_nodes
+    )
+
+
+def _chunk_pairs(num_nodes: int, num_entries: int) -> int:
+    """Pairs searched side by side under the scratch budget (at least one,
+    however large the graph)."""
+    return max(
+        1, _SCRATCH_BUDGET_BYTES // _pair_scratch_bytes(num_nodes, num_entries)
+    )
+
+
 class CsrDisjointProvider:
     """k edge-disjoint shortest paths via bidirectional search over CSR.
 
@@ -324,19 +366,27 @@ class CsrDisjointProvider:
     needs no parent array.  Among equal-length sequences the smallest is
     found greedily — from the source, step to the smallest-index neighbour
     that still lies on *some* shortest path — and "lies on a shortest
-    path" is a statement about distances only.  So :meth:`_lexmin_path`
-    grows level sets from both endpoints until they meet (a few small
-    frontiers instead of a sweep of the component), carries the
-    target-side distances back from the meeting set to the source-side
-    nodes that reach it along shortest paths, and walks from the source
-    down those distances.  The search reads the same CSR entries from
-    both ends, so it needs a symmetric graph (:attr:`CsrGraph.symmetric`)
-    and an edge mask that always covers both directions of an edge.
+    path" is a statement about distances only.  So the search grows level
+    sets from both endpoints until they meet (a few small frontiers
+    instead of a sweep of the component), carries the target-side
+    distances back from the meeting set to the source-side nodes that
+    reach it along shortest paths, and walks from the source down those
+    distances.  It reads the same CSR entries from both ends, so it needs
+    a symmetric graph (:attr:`CsrGraph.symmetric`) and an edge mask that
+    always covers both directions of an edge.
 
-    The distance and edge-mask scratch arrays live on the provider and
-    every call restores the entries it touched, so a search costs its
-    frontiers, not the graph.  Not re-entrant: one call at a time per
-    provider instance.
+    **One kernel, many pairs at a time.**  A search touches a few hundred
+    CSR entries per step, so run pair by pair it is NumPy call overhead,
+    not element work.  :meth:`paths_many` therefore hands its pairs to
+    :class:`_Lockstep` in chunks that advance together: every array
+    operation is keyed by ``(pair, node)`` and serves the whole chunk.
+    Because a path is a function of distances in the pair's own residual
+    graph, and each pair has its own labels and its own edge mask, the
+    order in which the chunk's searches are interleaved cannot change
+    any path.  :meth:`paths` is a batch of one.
+
+    The provider keeps no arrays: scratch is sized to the batch, lives
+    for one :meth:`paths_many` call, and is gone before the run starts.
     """
 
     kind = "csr"
@@ -344,167 +394,310 @@ class CsrDisjointProvider:
     def __init__(self, graph: CsrGraph, k: int):
         self._graph = graph
         self._k = k
-        num_nodes = graph.num_nodes
-        #: Hop distance from the source / from the target (-1 = unseen).
-        self._dist_s = np.full(num_nodes, -1, dtype=np.int32)
-        self._dist_t = np.full(num_nodes, -1, dtype=np.int32)
-        #: False on CSR entries of edges the pair's earlier paths used.
-        self._alive = np.ones(graph.indices.shape[0], dtype=bool)
-        # Dedup scratch; never reset — every entry read in a level was
-        # scatter-written in that same level.
-        self._stamp = np.empty(num_nodes, dtype=np.int32)
 
     def prepare(self, pairs: Iterable[Pair]) -> None:
         """Eagerly compute every pair (memoisation is the wrapper's job)."""
-        for source, dest in pairs:
-            self.paths(source, dest)
+        self.paths_many(list(pairs))
 
     def paths(self, source: int, dest: int) -> List[Path]:
         """The pair's path set (fewer than k when the graph runs out)."""
-        if source == dest:
-            # Parity: the scalar loop re-finds the single-node path k times.
-            return [(source,)] * self._k
-        graph = self._graph
-        src = graph.index.get(source)
-        dst = graph.index.get(dest)
-        if src is None or dst is None:
-            return []
-        twin, alive = graph.twin, self._alive
-        nodes = graph.nodes
-        # Every simple path uses up one edge at each endpoint, so the
-        # search after the min(deg)-th path is known to fail.
-        budget = min(self._k, int(graph.degree[src]), int(graph.degree[dst]))
-        paths: List[Path] = []
-        masked: List[int] = []
-        try:
-            while len(paths) < budget:
-                found = self._lexmin_path(src, dst)
-                if found is None:
-                    break
-                chain, hops = found
-                paths.append(tuple(nodes[i] for i in chain))
-                for pos in hops:  # a few scalar writes beat two gathers
-                    alive[pos] = False
-                    alive[twin[pos]] = False
-                masked.extend(hops)
-        finally:
-            if masked:
-                alive[masked] = True
-                alive[twin[masked]] = True
-        return paths
+        return self.paths_many([(source, dest)])[0]
 
     def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
         """Path sets for every pair, in pair order."""
-        return [self.paths(source, dest) for source, dest in pairs]
-
-    # -- the kernel -----------------------------------------------------
-    def _live_neighbours(self, nodes: np.ndarray) -> np.ndarray:
-        """Neighbours of ``nodes`` (not empty) over unmasked entries, with
-        repeats.  One node's row is sliced (a view), several are gathered."""
         graph = self._graph
-        indptr = graph.indptr
-        entries: Union[slice, np.ndarray]
-        if nodes.shape[0] == 1:
-            node = int(nodes[0])
-            entries = slice(int(indptr[node]), int(indptr[node + 1]))
-        else:
-            starts = indptr[nodes]
-            deg = graph.degree[nodes]
-            csum = deg.cumsum()
-            entries = graph.arange[: int(csum[-1])] + (starts - (csum - deg)).repeat(deg)
-        return graph.indices[entries][self._alive[entries]]
+        index = graph.index
+        out: List[List[Path]] = []
+        slots: List[int] = []
+        ends: List[Tuple[int, int]] = []
+        for source, dest in pairs:
+            if source == dest:
+                # Parity: the scalar loop re-finds the single-node path k times.
+                out.append([(source,)] * self._k)
+                continue
+            src, dst = index.get(source), index.get(dest)
+            if src is not None and dst is not None:
+                slots.append(len(out))
+                ends.append((src, dst))
+            out.append([])
+        if not slots:
+            return out
+        src, dst = np.array(ends, dtype=np.intp).T
+        # Every simple path uses up one edge at each endpoint, so the
+        # search after the min(deg)-th path is known to fail.
+        degree = graph.degree
+        budget = np.minimum(self._k, np.minimum(degree[src], degree[dst]))
+        width = min(
+            len(slots), _chunk_pairs(graph.num_nodes, graph.indices.shape[0])
+        )
+        kernel = _Lockstep(graph, width)
+        for lo in range(0, len(slots), width):
+            hi = lo + width
+            found = kernel.run(src[lo:hi], dst[lo:hi], budget[lo:hi])
+            for slot, paths in zip(slots[lo:hi], found):
+                out[slot] = paths
+        return out
 
-    def _grow(self, frontier: np.ndarray, dist: np.ndarray, level: int) -> np.ndarray:
-        """Label ``frontier``'s unseen live neighbours with ``level`` and
-        return them, each once."""
-        cand = self._live_neighbours(frontier)
-        new = cand[dist[cand] < 0]
-        count = new.shape[0]
-        if count > 1 and frontier.shape[0] > 1:
-            # Several rows can offer the same node; order is irrelevant
-            # (distances only), so whichever offer lands last keeps it.
-            order = self._graph.arange[:count]
-            stamp = self._stamp
-            stamp[new] = order
-            new = new[stamp[new] == order]
-        dist[new] = level
-        return new
 
-    def _lexmin_path(
-        self, source: int, target: int
-    ) -> Optional[Tuple[List[int], List[int]]]:
-        """The lexicographically smallest shortest live path, or ``None``.
+class _Lockstep:
+    """The discovery kernel: up to ``width`` pairs searched side by side.
 
-        Returns ``(node indices, CSR position of each hop)``.  See the
-        class docstring for why this is the scalar BFS's parent chain.
+    Owns the scratch of one ``paths_many`` call.  Everything is addressed
+    by local pair number: hop labels at ``2 * (pair * n + node) + side``
+    (side 0 = hops from the source, 1 = from the target, -1 = unseen, so
+    ``key ^ 1`` is the same node seen from the other end and ``key >> 1``
+    its ``(pair, node)`` slot), the edge mask at ``pair * E + pos``.  One
+    gather, filter or scatter then serves every pair of the chunk, and
+    index arrays are ``intp`` throughout — NumPy converts any other index
+    dtype on every call.
+
+    :meth:`run` finds path 1 of every pair, then path 2 of every pair
+    that can still have one, and so on; a round is four phases, each a
+    loop whose steps advance all pairs still in that phase:
+
+    1. *growth* — each pair grows the cheaper of its two balls (smaller
+       frontier degree sum) by one level, until a new level touches the
+       other ball or finds nothing.  A pair grows **one side per step**,
+       so within a step a ``(pair, node)`` slot identifies a label
+       uniquely and one stamp per slot is enough to keep a single copy
+       of a node several rows offer.
+    2. *carry-back* — from the meeting set down to level 1, the
+       source-side nodes on shortest paths get their target distance.
+    3. *walk* — from the source, the first live row entry whose
+       neighbour is one hop nearer the target; rows are sorted, so that
+       is the smallest index.
+    4. the hops and their twins are masked for that pair, and only the
+       labels the round wrote are reset.
+
+    Pairs leave a phase at different steps (their searches differ in
+    depth) and rejoin at the next; nothing a pair reads was written by
+    another pair.
+    """
+
+    def __init__(self, graph: CsrGraph, width: int):
+        num_nodes, num_entries = graph.num_nodes, graph.indices.shape[0]
+        self.graph = graph
+        self.dist = np.full(2 * width * num_nodes, -1, dtype=_label_dtype(num_nodes))
+        self.alive = np.ones(width * num_entries, dtype=bool)
+        #: Never reset: every stamp read was written in the same step.
+        self.stamp = np.empty(width * num_nodes, dtype=np.int32)
+        #: Per pair, the source-side key of node 0 and the mask of entry 0.
+        self.pair_span = 2 * num_nodes
+        self.pair_key = np.arange(width) * self.pair_span
+        self.pair_pos = np.arange(width) * num_entries
+        self.row_end = graph.indptr[1:]
+        #: Whether any entry is masked, i.e. a round after the first.
+        self.any_dead = False
+
+    def run(
+        self, src: np.ndarray, dst: np.ndarray, budget: np.ndarray
+    ) -> List[List[Path]]:
+        """Up to ``budget`` paths for each ``(src, dst)`` index pair."""
+        nodes, twin = self.graph.nodes, self.graph.twin
+        found: List[List[Path]] = [[] for _ in range(src.shape[0])]
+        masked: List[np.ndarray] = []
+        active = np.arange(src.shape[0])
+        for done in range(int(budget.max())):
+            active = active[budget[active] > done]
+            if active.shape[0] == 0:
+                break
+            self.any_dead = done > 0
+            touched: List[np.ndarray] = []
+            active, depth, rings = self._grow(active, src, dst, touched)
+            if active.shape[0]:
+                length = depth[0] + depth[1]
+                self._carry_back(rings, depth[0] - 1, length, touched)
+                # Longest first, so the pairs still walking are a prefix.
+                active = active[np.argsort(-length[active], kind="stable")]
+                lengths = length[active]
+                chain, hops = self._walk(active, src[active], lengths)
+                used = hops.T[np.arange(hops.shape[0]) < lengths[:, None]]
+                offset = self.pair_pos[active].repeat(lengths)
+                dead = np.concatenate([used + offset, twin.take(used) + offset])
+                self.alive[dead] = False
+                masked.append(dead)
+                for pair, row, hop_count in zip(
+                    active.tolist(), chain.T.tolist(), lengths.tolist()
+                ):
+                    found[pair].append(
+                        tuple([nodes[i] for i in row[: hop_count + 1]])
+                    )
+            self.dist[np.concatenate(touched)] = -1
+        if masked:
+            self.alive[np.concatenate(masked)] = True
+        return found
+
+    # -- shared steps ---------------------------------------------------
+    def _rows(
+        self, nodes: np.ndarray, base: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR rows of ``nodes`` (none empty) laid end to end.
+
+        Returns ``(deg, ends, pos, key)``: each row's length (what
+        ``repeat`` needs to spread a per-row value over it) and end, and
+        per entry its CSR position and its neighbour's label key, given
+        each row's pair-and-side ``base`` key.
         """
-        graph = self._graph
-        indptr, indices, degree = graph.indptr, graph.indices, graph.degree
-        alive, dist_s, dist_t = self._alive, self._dist_s, self._dist_t
-        s_levels = [np.array([source], dtype=np.int32)]
-        t_levels = [np.array([target], dtype=np.int32)]
-        dist_s[source] = 0
-        dist_t[target] = 0
-        try:
-            # Grow the cheaper side (smaller frontier degree sum) one full
-            # level at a time.  Before each step the two balls are
-            # disjoint, so a new level can only touch the other ball on
-            # its outermost level, and `meet` is then *every* node at
-            # that depth of any shortest path.
-            s_cost, t_cost = int(degree[source]), int(degree[target])
-            while True:
-                from_source = s_cost <= t_cost
-                if from_source:
-                    levels, dist, other = s_levels, dist_s, dist_t
-                else:
-                    levels, dist, other = t_levels, dist_t, dist_s
-                new = self._grow(levels[-1], dist, len(levels))
-                levels.append(new)
-                if new.shape[0] == 0:
-                    return None  # that endpoint's component is exhausted
-                meet = new[other[new] >= 0]
-                if meet.shape[0]:
-                    break
-                if from_source:
-                    s_cost = int(degree[new].sum())
-                else:
-                    t_cost = int(degree[new].sum())
-            # Carry the target distances back through the source ball,
-            # along shortest paths only: a node one level nearer the
-            # source with a live edge to a labelled node is one hop
-            # further from the target.  Source-side nodes off every
-            # shortest path stay unlabelled.
-            depth_s = int(dist_s[meet[0]])
-            length = depth_s + int(dist_t[meet[0]])
-            ring = meet
-            for level in range(depth_s - 1, 0, -1):
-                cand = self._live_neighbours(ring)
-                dist_t[cand[dist_s[cand] == level]] = length - level
-                ring = s_levels[level]
-                ring = ring[dist_t[ring] >= 0]
-                t_levels.append(ring)
-            # Walk down the target distances, smallest index first (rows
-            # are sorted, so argmax finds it).
-            chain = [source]
-            hops: List[int] = []
-            node = source
-            for remaining in range(length - 1, -1, -1):
-                lo, hi = int(indptr[node]), int(indptr[node + 1])
-                row = indices[lo:hi]
-                step = int((alive[lo:hi] & (dist_t[row] == remaining)).argmax())
-                hops.append(lo + step)
-                node = int(row[step])
-                chain.append(node)
-            return chain, hops
-        finally:
-            for level_nodes in s_levels:
-                dist_s[level_nodes] = -1
-            for level_nodes in t_levels:
-                dist_t[level_nodes] = -1
+        graph = self.graph
+        deg = graph.degree.take(nodes)
+        ends = deg.cumsum()
+        pos = (self.row_end.take(nodes) - ends).repeat(deg)
+        pos += np.arange(pos.shape[0])
+        key = base.repeat(deg)
+        key += graph.indices.take(pos) << 1
+        return deg, ends, pos, key
+
+    def _drop_dead(
+        self, ok: np.ndarray, pos: np.ndarray, pair: np.ndarray, deg: np.ndarray
+    ) -> None:
+        """Clear ``ok`` on the entries masked for their row's pair."""
+        if self.any_dead:
+            ok &= self.alive.take(pos + self.pair_pos.take(pair).repeat(deg))
+
+    def _one_each(
+        self, ok: np.ndarray, key: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Keys of the entries flagged ``ok``, one per slot, and their pairs.
+
+        Several rows of a pair can offer the same node; which offer is
+        kept is irrelevant (labels only).
+        """
+        key = key.take(ok.nonzero()[0])
+        slot = key >> 1
+        order = np.arange(slot.shape[0], dtype=np.int32)
+        self.stamp[slot] = order
+        key = key.take((self.stamp.take(slot) == order).nonzero()[0])
+        return key, key // self.pair_span
+
+    # -- the phases -----------------------------------------------------
+    def _grow(
+        self,
+        active: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        touched: List[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+        """Grow both balls of every ``active`` pair until they meet.
+
+        Returns the pairs that met, the ``(2, pairs)`` levels grown per
+        side, and the meeting sets as ``(slot, pair)`` arrays.  Before
+        each step a pair's two balls are disjoint, so a new level can only
+        touch the other ball on its outermost level: the path length is
+        the sum of the two depths and the meeting set is *every* node at
+        that depth of any shortest path.
+        """
+        degree, dist, pair_key = self.graph.degree, self.dist, self.pair_key
+        count = src.shape[0]
+        pair_ids = np.arange(count)
+        zero = pair_key[active]
+        f_key = np.concatenate([zero + 2 * src[active], zero + 2 * dst[active] + 1])
+        dist[f_key] = 0
+        touched.append(f_key)
+        depth = np.zeros((2, count), dtype=dist.dtype)
+        cost = np.array([degree[src], degree[dst]], dtype=np.float64)
+        growing = np.zeros(count, dtype=bool)
+        growing[active] = True
+        met = np.zeros(count, dtype=bool)
+        rings: List[Tuple[np.ndarray, np.ndarray]] = []
+        while growing.any():
+            side = (cost[1] < cost[0]).astype(np.intp)  # 1: the target side
+            f_pair = f_key // self.pair_span
+            live = growing[f_pair]
+            turn = (f_key & 1) == side[f_pair]
+            expand = live & turn
+            e_key, e_pair = f_key[expand], f_pair[expand]
+            f_key = f_key[live & ~turn]
+            level = depth[side, pair_ids] + growing
+            depth[side, pair_ids] = level
+            base = pair_key.take(e_pair) + (e_key & 1)
+            deg, _, pos, key = self._rows((e_key - base) >> 1, base)
+            ok = dist.take(key) < 0
+            self._drop_dead(ok, pos, e_pair, deg)
+            u_key, u_pair = self._one_each(ok, key)
+            dist[u_key] = level.take(u_pair)
+            touched.append(u_key)
+            hit = (dist.take(u_key ^ 1) >= 0).nonzero()[0]
+            if hit.shape[0]:
+                rings.append((u_key.take(hit) >> 1, u_pair.take(hit)))
+                met[rings[-1][1]] = True
+            # The grown side now costs its new frontier's degree sum; a
+            # step that found nothing exhausted that side's component.
+            u_node = (u_key - pair_key.take(u_pair)) >> 1
+            new_cost = np.bincount(
+                u_pair, weights=degree.take(u_node), minlength=count
+            )
+            cost[side, pair_ids] = new_cost
+            growing = (new_cost > 0) & ~met
+            f_key = np.concatenate([f_key, u_key])
+        return met.nonzero()[0], depth, rings
+
+    def _carry_back(
+        self,
+        rings: List[Tuple[np.ndarray, np.ndarray]],
+        level: np.ndarray,
+        length: np.ndarray,
+        touched: List[np.ndarray],
+    ) -> None:
+        """Give the source-side nodes on shortest paths their target
+        distance, from the meeting sets down to level 1.
+
+        Each pair counts its own ``level`` down (from its source depth - 1
+        at entry; consumed): a node one level nearer the source with a
+        live edge to a labelled node is one hop further from the target.
+        Source-side nodes off every shortest path stay unlabelled.
+        """
+        dist, pair_key = self.dist, self.pair_key
+        r_slot = np.concatenate([slot for slot, _ in rings])
+        r_pair = np.concatenate([pair for _, pair in rings])
+        while True:
+            on = (level.take(r_pair) >= 1).nonzero()[0]
+            if on.shape[0] == 0:
+                return
+            r_slot, r_pair = r_slot.take(on), r_pair.take(on)
+            base = pair_key.take(r_pair)
+            deg, _, pos, key = self._rows(r_slot - (base >> 1), base)
+            ok = dist.take(key) == level.take(r_pair).repeat(deg)
+            self._drop_dead(ok, pos, r_pair, deg)
+            u_key, r_pair = self._one_each(ok, key)
+            r_slot = u_key >> 1
+            u_key |= 1
+            dist[u_key] = length.take(r_pair) - level.take(r_pair)
+            touched.append(u_key)
+            level -= 1
+
+    def _walk(
+        self, active: np.ndarray, start: np.ndarray, lengths: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The lexicographically smallest shortest live path of each pair.
+
+        ``lengths`` descends, so the pairs still walking at a step are a
+        prefix.  Returns ``(nodes, hops)``, step by pair: the node after
+        each step and the CSR position of each hop (cells past a pair's
+        length are unset).  A step takes the first live entry of the
+        current row whose neighbour is one hop nearer the target.
+        """
+        indices = self.graph.indices
+        num_entries = indices.shape[0]
+        longest = int(lengths[0])
+        walking = np.searchsorted(-lengths, -np.arange(longest)).tolist()
+        chain = np.empty((longest + 1, active.shape[0]), dtype=np.intp)
+        hops = np.empty((longest, active.shape[0]), dtype=np.intp)
+        chain[0] = start
+        base = self.pair_key[active] + 1
+        left = lengths.copy()
+        for step, w in enumerate(walking):
+            deg, ends, pos, key = self._rows(chain[step, :w], base[:w])
+            left -= 1
+            ok = self.dist.take(key) == left[:w].repeat(deg)
+            self._drop_dead(ok, pos, active[:w], deg)
+            hop = np.minimum.reduceat(np.where(ok, pos, num_entries), ends - deg)
+            hops[step, :w] = hop
+            chain[step + 1, :w] = indices.take(hop)
+        return chain, hops
 
 
 class _ArrayTree:
-    """BFS parent tree over CSR indices (vectorised discovery mode)."""
+    """BFS parent tree over CSR indices."""
 
     __slots__ = ("_graph", "_parent", "_root")
 
@@ -524,7 +717,7 @@ class _ArrayTree:
 
 
 class _DictTree:
-    """BFS parent tree as a plain dict (scalar parity mode)."""
+    """BFS parent tree as a plain dict (graphs the CSR layout cannot hold)."""
 
     __slots__ = ("_parent", "_root")
 
@@ -688,21 +881,25 @@ class PersistentCache:
         return self._pairs[key]
 
     def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
-        """Path sets for every pair, in pair order."""
-        return [self.paths(source, dest) for source, dest in pairs]
+        """Path sets for every pair, in pair order (repeats included);
+        the misses go to the provider as one batch."""
+        keys = [(source, dest) for source, dest in pairs]
+        self._discover(keys)
+        known = self._pairs
+        return [known[key] for key in keys]
 
     def prepare(self, pairs: Iterable[Pair]) -> None:
         """Batch-compute every missing pair, then flush the artifact."""
-        missing = [
-            (source, dest)
-            for source, dest in pairs
-            if (source, dest) not in self._pairs
-        ]
-        if missing:
-            for pair, paths in zip(missing, self.provider.paths_many(missing)):
-                self._pairs[pair] = paths
-            self._dirty = True
+        self._discover((source, dest) for source, dest in pairs)
         self.flush()
+
+    def _discover(self, keys: Iterable[Pair]) -> None:
+        """One provider ``paths_many`` over the distinct unknown ``keys``."""
+        known = self._pairs
+        missing = [key for key in dict.fromkeys(keys) if key not in known]
+        if missing:
+            known.update(zip(missing, self.provider.paths_many(missing)))
+            self._dirty = True
 
     # -- disk artifacts -------------------------------------------------
     def persist_to(self, cache_dir: str) -> None:
@@ -843,24 +1040,16 @@ class PathService:
     (k, method) :class:`PairPathView` views whose pair sets are memoised
     process-wide and optionally persisted via :class:`PersistentCache`.
 
-    ``vectorized_discovery`` is the class-wide mode switch: ``True``
-    (default) discovers through the CSR kernels, ``False`` keeps every
-    provider on the scalar per-pair loops — the parity baseline,
-    mirroring ``PaymentNetwork.vectorized_path_ops`` and
-    ``ControlPlane.vectorized_signals``.  A graph the CSR kernels cannot
-    serve (node ids without a total order, or an edge without its
-    reverse) stays on the scalar loops whatever the switch says.
+    Discovery runs on the CSR kernels whenever the graph allows it; a
+    graph they cannot serve (node ids without a total order, or an edge
+    without its reverse) stays on the scalar per-pair loops.
     """
-
-    #: Class-wide default, captured per instance at construction.
-    vectorized_discovery: bool = True
 
     def __init__(self, adjacency: Dict, cache_dir: Optional[str] = None):
         self._adjacency: Dict[object, List] = {
             node: _sorted_ids(neighbours)[0]
             for node, neighbours in adjacency.items()
         }
-        self.use_vectorized = type(self).vectorized_discovery
         self._cache_dir = cache_dir
         self._graph: Optional[CsrGraph] = None
         self._fingerprint: Optional[str] = None
@@ -906,8 +1095,7 @@ class PathService:
         return self._fingerprint
 
     def _vectorized_ok(self) -> bool:
-        if not self.use_vectorized:
-            return False
+        """Whether the CSR kernels can reproduce the scalar loops here."""
         graph = self.graph
         return graph.consistent and graph.symmetric
 
@@ -915,8 +1103,8 @@ class PathService:
     def provider(self, k: int, method: str = "edge-disjoint") -> PersistentCache:
         """The (k, method) discovery provider, wrapped for caching.
 
-        ``edge-disjoint`` runs on the CSR provider in vectorised mode;
-        ``yen`` (and the scalar parity mode) uses the legacy loops.
+        ``edge-disjoint`` runs on the CSR provider when the graph allows
+        it; ``yen`` uses the scalar loops.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -961,10 +1149,10 @@ class PathService:
         return provider
 
     def bfs_tree(self, root: int) -> BfsTree:
-        """A full BFS parent tree rooted at ``root`` (mode-matched).
+        """A full BFS parent tree rooted at ``root``.
 
-        Array-backed in vectorised mode, dict-backed in scalar parity
-        mode; parent chains are identical either way (pinned).
+        Array-backed when the CSR kernels can serve the graph, dict-backed
+        otherwise; parent chains are identical either way (pinned).
         """
         if root not in self._adjacency:
             return _DictTree({root: root}, root)
@@ -1008,6 +1196,5 @@ class PathService:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PathService(nodes={len(self._adjacency)}, "
-            f"views={len(self._views)}, "
-            f"vectorized={self.use_vectorized})"
+            f"views={len(self._views)})"
         )

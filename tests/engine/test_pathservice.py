@@ -5,30 +5,37 @@ for byte* — path discovery feeds every routing decision, so a single
 tie-break divergence would silently change every downstream metric.  These
 tests pin:
 
-* :class:`CsrDisjointProvider` against :class:`ScalarDisjointProvider` on
-  random topologies (disconnected pairs, ``src == dst``, ``k`` larger than
-  the graph supports), on hypothesis-drawn G(n, p) and hub-heavy graphs
-  with one long-lived provider whose scratch must come back clean, and on
-  the 10k-node Ripple-like graph;
+* :class:`CsrDisjointProvider` against :class:`ScalarDisjointProvider` —
+  whole pair lists through **one** ``paths_many`` call, which is how the
+  lockstep kernel is used — on random topologies (disconnected pairs,
+  ``src == dst``, ``k`` larger than the graph supports), on
+  hypothesis-drawn G(n, p) and hub-heavy graphs with the scratch budget
+  patched so chunks hold 1, 2, 3 and 7 pairs, on a line deeper than an
+  int8 label, and on the 10k-node Ripple-like graph;
+* the chunk-size rule, and that scratch does not outlive a call (so a call
+  that raised mid-chunk cannot poison the next);
 * asymmetric adjacencies staying on the scalar provider;
-* the landmark tree provider across vectorised/scalar modes and against
-  the legacy two-BFS-per-pair assembly;
-* persistent-cache round trips (disk artifacts serve the exact path sets)
-  and cold-vs-warm byte-identical metrics JSON;
-* byte-identical metrics with ``PathService.vectorized_discovery`` on and
-  off for the schemes that consume discovery.
+* the landmark tree provider on array and dict trees and against the
+  legacy two-BFS-per-pair assembly;
+* persistent-cache round trips (disk artifacts serve the exact path sets),
+  bulk misses going to the provider as one batch, and cold-vs-warm
+  byte-identical metrics JSON;
+* byte-identical metrics with discovery forced onto the scalar provider,
+  for the schemes that consume discovery.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import pathservice
 from repro.engine.pathservice import (
     CsrDisjointProvider,
     CsrGraph,
@@ -68,11 +75,19 @@ def random_adjacency(seed: int, n: int, p: float) -> dict:
     return {i: sorted(v) for i, v in adjacency.items()}
 
 
-def assert_scratch_clean(provider: CsrDisjointProvider) -> None:
-    """Every scratch array of the search is back at its sentinel."""
-    assert (provider._dist_s == -1).all()
-    assert (provider._dist_t == -1).all()
-    assert provider._alive.all()
+def all_pairs(n: int) -> list:
+    """Every ordered pair over ``range(n)``, self pairs included."""
+    return [(source, dest) for source in range(n) for dest in range(n)]
+
+
+def chunks_of(graph: CsrGraph, pairs: int):
+    """Patch the scratch budget so a lockstep chunk holds ``pairs`` pairs."""
+    per_pair = pathservice._pair_scratch_bytes(
+        graph.num_nodes, graph.indices.shape[0]
+    )
+    return mock.patch.object(
+        pathservice, "_SCRATCH_BUDGET_BYTES", pairs * per_pair
+    )
 
 
 class TestCsrParity:
@@ -83,34 +98,30 @@ class TestCsrParity:
         n = 6 + 2 * seed
         adjacency = random_adjacency(seed, n, p=0.08 + 0.03 * (seed % 5))
         graph = CsrGraph.from_adjacency(adjacency)
+        pairs = all_pairs(n)
         for k in (1, 2, 4, 9):
-            csr = CsrDisjointProvider(graph, k)
-            scalar = ScalarDisjointProvider(adjacency, k)
-            for source in range(n):
-                for dest in range(n):
-                    assert csr.paths(source, dest) == scalar.paths(
-                        source, dest
-                    ), (seed, k, source, dest)
+            got = CsrDisjointProvider(graph, k).paths_many(pairs)
+            expected = ScalarDisjointProvider(adjacency, k).paths_many(pairs)
+            assert dict(zip(pairs, got)) == dict(zip(pairs, expected)), (seed, k)
 
     def test_first_path_matches_bfs_shortest_path(self):
         """The k=1 CSR path is exactly the scalar BFS tie-break."""
         adjacency = random_adjacency(3, 24, p=0.15)
         graph = CsrGraph.from_adjacency(adjacency)
-        csr = CsrDisjointProvider(graph, 1)
-        for source in range(24):
-            for dest in range(24):
-                if source == dest:
-                    continue
-                expected = bfs_shortest_path(adjacency, source, dest)
-                got = csr.paths(source, dest)
-                assert got == ([expected] if expected else [])
+        pairs = [pair for pair in all_pairs(24) if pair[0] != pair[1]]
+        got = CsrDisjointProvider(graph, 1).paths_many(pairs)
+        for (source, dest), paths in zip(pairs, got):
+            expected = bfs_shortest_path(adjacency, source, dest)
+            assert paths == ([expected] if expected else []), (source, dest)
 
     def test_unknown_endpoints_and_self_pairs(self):
         adjacency = {0: [1], 1: [0]}
         csr = CsrDisjointProvider(CsrGraph.from_adjacency(adjacency), 3)
         scalar = ScalarDisjointProvider(adjacency, 3)
-        for pair in [(0, 7), (7, 0), (0, 0), (7, 7)]:
+        pairs = [(0, 7), (7, 0), (0, 0), (7, 7)]
+        for pair in pairs:
             assert csr.paths(*pair) == scalar.paths(*pair)
+        assert csr.paths_many(pairs) == scalar.paths_many(pairs)
 
     def test_duplicate_neighbour_entries_stay_edge_disjoint(self):
         """Parallel entries in the input adjacency must not leave the
@@ -118,9 +129,8 @@ class TestCsrParity:
         adjacency = {0: [1, 1], 1: [0, 0, 2, 3], 2: [1, 3], 3: [1, 2]}
         csr = CsrDisjointProvider(CsrGraph.from_adjacency(adjacency), 3)
         scalar = ScalarDisjointProvider(adjacency, 3)
-        for source in adjacency:
-            for dest in adjacency:
-                assert csr.paths(source, dest) == scalar.paths(source, dest)
+        pairs = all_pairs(len(adjacency))
+        assert csr.paths_many(pairs) == scalar.paths_many(pairs)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -130,20 +140,25 @@ class TestCsrParity:
         density=st.integers(1, 4),
         k=st.sampled_from([1, 2, 4, 9]),
         extra=st.integers(0, 2),
+        chunk=st.sampled_from([1, 2, 3, 7]),
     )
-    def test_differential_one_provider_serves_every_pair(
-        self, hubs, seed, n, density, k, extra
+    def test_differential_one_batch_serves_every_pair(
+        self, hubs, seed, n, density, k, extra, chunk
     ):
-        """One long-lived provider against the scalar loops and a fresh
-        provider, over every ordered pair of a drawn graph.
+        """One ``paths_many`` call over a shuffled pair list against the
+        scalar loops and against pair-at-a-time ``paths()``.
 
         The graph is G(n, p) or preferential attachment (a few hubs carry
-        most edges, so the search alternates sides), plus ``extra`` isolated nodes and a
-        detached edge so some pairs have no path, with every neighbour
-        list doubled (duplicate entries).  Adjacent pairs, endpoints of
-        degree below ``k`` and ``src == dst`` all occur among the pairs.
-        The pair order interleaves directions and connected/disconnected
-        pairs, so state leaked by one call would corrupt the next.
+        most edges, so the search alternates sides), plus ``extra``
+        isolated nodes and a detached edge so some pairs have no path,
+        with every neighbour list doubled (duplicate entries).  The list
+        holds every ordered pair — adjacent pairs, endpoints of degree
+        below ``k``, ``src == dst`` — plus unknown endpoints and one pair
+        twice, shuffled so every chunk mixes directions and
+        connected/disconnected pairs; chunks hold ``chunk`` pairs and the
+        list length is not a multiple of it, so the last chunk is short.
+        Labels or edge masks leaking between the pairs of a chunk, or
+        from one chunk to the next, would corrupt a neighbour's paths.
         """
         if hubs:
             adjacency = scale_free_topology(
@@ -159,21 +174,41 @@ class TestCsrParity:
         adjacency = {node: row + row for node, row in adjacency.items()}
         graph = CsrGraph.from_adjacency(adjacency)
         assert graph.symmetric
-        scalar = ScalarDisjointProvider(adjacency, k)
-        shared = CsrDisjointProvider(graph, k)
         total = len(adjacency)
+        unknown = total + 5
+        pairs = all_pairs(total) + [(0, unknown), (unknown, 0), (unknown, unknown)]
+        pairs.append((0, 1))  # a second time
+        if (total * (total - 1) + 1) % chunk == 0:
+            pairs.append((0, 1))  # the pairs that reach the kernel: a short last chunk
         rng = make_rng(seed)
-        order = [(s, d) for s in range(total) for d in range(total)]
-        for index in rng.permutation(len(order)):
-            source, dest = order[int(index)]
-            got = shared.paths(source, dest)
-            assert_scratch_clean(shared)
-            assert got == scalar.paths(source, dest), (source, dest)
-            assert got == CsrDisjointProvider(graph, k).paths(source, dest)
+        pairs = [pairs[int(i)] for i in rng.permutation(len(pairs))]
+        provider = CsrDisjointProvider(graph, k)
+        with chunks_of(graph, chunk):
+            got = provider.paths_many(pairs)
+        expected = ScalarDisjointProvider(adjacency, k).paths_many(pairs)
+        assert dict(zip(pairs, got)) == dict(zip(pairs, expected))
+        assert got == expected  # and the repeated pair, in place
+        for pair, paths in list(zip(pairs, got))[:12]:
+            assert provider.paths(*pair) == paths, pair
+
+    def test_labels_deeper_than_int8_on_a_line(self):
+        """A 320-node line: levels pass 127 on both sides, the one path is
+        the whole line, and a second path never exists."""
+        n = 320
+        adjacency = {
+            i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)
+        }
+        csr = CsrDisjointProvider(CsrGraph.from_adjacency(adjacency), 2)
+        pairs = [(0, n - 1), (n - 1, 0), (3, 300), (150, 151), (7, 7)]
+        assert csr.paths_many(pairs) == ScalarDisjointProvider(
+            adjacency, 2
+        ).paths_many(pairs)
+        assert csr.paths(0, n - 1) == [tuple(range(n))]
 
     def test_scale_parity_on_ripple_huge(self):
-        """Seeded pairs on the 10k-node graph: hub-sized frontiers, long
-        rows and multi-level searches the small graphs never produce."""
+        """Seeded pairs on the 10k-node graph, one batch: hub-sized
+        frontiers, long rows and multi-level searches the small graphs
+        never produce, across three chunks of the real budget."""
         adjacency = {
             node: sorted(neighbours)
             for node, neighbours in ripple_topology("huge", seed=0)
@@ -181,15 +216,78 @@ class TestCsrParity:
             .items()
         }
         graph = CsrGraph.from_adjacency(adjacency)
-        csr = CsrDisjointProvider(graph, 4)
-        scalar = ScalarDisjointProvider(adjacency, 4)
         nodes = sorted(adjacency)
         rng = make_rng(17)
+        pairs = []
         for _ in range(150):
             a, b = rng.choice(len(nodes), size=2, replace=False)
-            pair = (nodes[int(a)], nodes[int(b)])
-            assert csr.paths(*pair) == scalar.paths(*pair), pair
-        assert_scratch_clean(csr)
+            pairs.append((nodes[int(a)], nodes[int(b)]))
+        assert (
+            1
+            < pathservice._chunk_pairs(graph.num_nodes, graph.indices.shape[0])
+            < len(pairs)
+        )
+        got = CsrDisjointProvider(graph, 4).paths_many(pairs)
+        expected = ScalarDisjointProvider(adjacency, 4).paths_many(pairs)
+        assert dict(zip(pairs, got)) == dict(zip(pairs, expected))
+
+    def test_chunk_size_rule(self):
+        """Pairs per chunk = budget // per-pair scratch, never below one."""
+        budget = pathservice._SCRATCH_BUDGET_BYTES
+        # int16 labels while every level fits: 2 * 2n + E + 4n bytes.
+        assert pathservice._pair_scratch_bytes(10_000, 66_306) == 146_306
+        assert pathservice._chunk_pairs(10_000, 66_306) == budget // 146_306
+        # int32 labels past 32767 nodes: 2 * 4n + E + 4n bytes.
+        assert pathservice._pair_scratch_bytes(32_767, 0) == 8 * 32_767
+        assert pathservice._pair_scratch_bytes(32_768, 10) == 12 * 32_768 + 10
+        # One pair alone over the budget still gets a chunk.
+        assert pathservice._pair_scratch_bytes(10**6, 10**7) > budget
+        assert pathservice._chunk_pairs(10**6, 10**7) == 1
+
+    def test_scratch_is_sized_to_the_batch_and_not_kept(self):
+        """A batch smaller than a chunk allocates for its own pairs only,
+        and nothing of it stays on the provider."""
+        adjacency = random_adjacency(5, 12, p=0.3)
+        graph = CsrGraph.from_adjacency(adjacency)
+        assert pathservice._chunk_pairs(12, graph.indices.shape[0]) > 3
+        widths = []
+        original = pathservice._Lockstep.__init__
+
+        def recording(self, graph, width):
+            original(self, graph, width)
+            widths.append((width, self.dist.shape[0], self.alive.shape[0]))
+
+        csr = CsrDisjointProvider(graph, 4)
+        with mock.patch.object(pathservice._Lockstep, "__init__", recording):
+            csr.paths_many([(0, 5), (5, 0), (2, 2), (2, 9), (0, 99)])
+            with chunks_of(graph, 2):
+                csr.paths_many([(0, 5), (5, 0), (2, 9)])
+        entries = graph.indices.shape[0]
+        # (2, 2) and the unknown endpoint never reach the kernel.
+        assert widths == [(3, 2 * 3 * 12, 3 * entries), (2, 2 * 2 * 12, 2 * entries)]
+        assert not any(
+            isinstance(value, np.ndarray) for value in vars(csr).values()
+        )
+
+    def test_call_after_one_that_raised_mid_chunk(self):
+        """Scratch dies with the call, so a search that blew up half way
+        (here: a corrupt twin index, hit when round one masks its hops)
+        leaves nothing behind for the next call on the same provider."""
+        adjacency = random_adjacency(5, 12, p=0.3)
+        graph = CsrGraph.from_adjacency(adjacency)
+        csr = CsrDisjointProvider(graph, 4)
+        pairs = [(0, 5), (5, 0), (2, 9), (9, 1), (3, 4)]
+        expected = ScalarDisjointProvider(adjacency, 4).paths_many(pairs)
+        twin = graph.twin
+        graph.twin = np.full_like(twin, 10 * twin.shape[0])
+        try:
+            with chunks_of(graph, 2), pytest.raises(IndexError):
+                csr.paths_many(pairs)
+        finally:
+            graph.twin = twin
+        with chunks_of(graph, 2):
+            assert csr.paths_many(pairs) == expected
+        assert csr.paths_many(pairs) == expected
 
     def test_twin_maps_every_entry_to_its_reverse(self):
         adjacency = random_adjacency(11, 40, p=0.15)
@@ -235,8 +333,8 @@ class TestCsrParity:
             row = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
             assert list(row) == sorted(row)
 
-    def test_service_modes_byte_identical_on_ripple(self):
-        """Service-level parity on a real topology, both modes."""
+    def test_service_matches_scalar_provider_on_ripple(self):
+        """Service-level parity on a real topology."""
         network = ripple_topology("small", seed=0).build_network(
             default_capacity=100.0
         )
@@ -248,14 +346,10 @@ class TestCsrParity:
                 rng.choice(len(nodes), size=2, replace=False) for _ in range(25)
             )
         ]
-        vector = PathService.from_network(network).paths_many(pairs, k=4)
-        PersistentCache.clear_shared()
-        PathService.vectorized_discovery = False
-        try:
-            scalar = PathService.from_network(network).paths_many(pairs, k=4)
-        finally:
-            PathService.vectorized_discovery = True
-        assert vector == scalar
+        service = PathService.from_network(network)
+        assert service.provider(4).provider.kind == "csr"
+        scalar = ScalarDisjointProvider(service.sorted_adjacency(), 4)
+        assert service.paths_many(pairs, k=4) == scalar.paths_many(pairs)
 
 
 class TestLandmarkProvider:
@@ -290,14 +384,15 @@ class TestLandmarkProvider:
                     )
                 ), (seed, source, dest)
 
-    def test_modes_agree(self):
+    def test_array_and_dict_trees_agree(self):
         adjacency = random_adjacency(42, 20, p=0.2)
         vector = PathService.from_adjacency(adjacency).landmark_provider(3)
-        PathService.vectorized_discovery = False
-        try:
-            scalar = PathService.from_adjacency(adjacency).landmark_provider(3)
-        finally:
-            PathService.vectorized_discovery = True
+        scalar = PathService.from_adjacency(adjacency).landmark_provider(3)
+        with mock.patch.object(PathService, "_vectorized_ok", lambda self: False):
+            for root in range(20):  # trees are built on first use
+                scalar.paths(root, (root + 1) % 20)
+        assert type(vector._tree(vector.landmarks[0])).__name__ == "_ArrayTree"
+        assert type(scalar._tree(scalar.landmarks[0])).__name__ == "_DictTree"
         assert vector.landmarks == scalar.landmarks
         for source in range(20):
             for dest in range(20):
@@ -391,6 +486,35 @@ class TestPersistentCache:
         warm = PathService.from_network(network, cache_dir=str(tmp_path))
         warm.provider(4).provider = _Boom()
         assert warm.paths_many(pairs, k=4) == expected
+
+    def test_bulk_misses_reach_the_provider_as_one_batch(self):
+        """``paths_many`` sends its misses through one provider
+        ``paths_many`` (never pair by pair, or the lockstep kernel would
+        run as batches of one), keeps input order and repeats, and does
+        not flush."""
+
+        class Counting:
+            def __init__(self):
+                self.batches = []
+
+            def paths(self, source, dest):
+                raise AssertionError("pair-at-a-time discovery")
+
+            def paths_many(self, pairs):
+                self.batches.append(list(pairs))
+                return [[(source, dest)] for source, dest in pairs]
+
+        provider = Counting()
+        cache = PersistentCache(provider, "counting-key")
+        cache._pairs[(9, 9)] = [(9,)]  # already known: not asked for again
+        asked = [(1, 2), (9, 9), (3, 4), (1, 2), [5, 6]]
+        with mock.patch.object(PersistentCache, "flush") as flush:
+            got = cache.paths_many(asked)
+        assert provider.batches == [[(1, 2), (3, 4), (5, 6)]]
+        assert got == [[(1, 2)], [(9,)], [(3, 4)], [(1, 2)], [(5, 6)]]
+        assert got[0] is got[3]
+        assert cache._dirty and not flush.called
+        assert cache.paths_many(asked) == got and len(provider.batches) == 1
 
     def test_artifact_bytes_deterministic(self, tmp_path):
         network = isp_topology().build_network(default_capacity=100.0)
@@ -656,8 +780,9 @@ class TestDiscoveryModeDeterminism:
         "scheme",
         ["spider-waterfilling", "spider-lp", "silentwhispers", "spider-queueing"],
     )
-    def test_metrics_byte_identical_across_modes(self, scheme):
-        """Vectorised and scalar discovery produce byte-identical runs."""
+    def test_metrics_byte_identical_across_providers(self, scheme):
+        """A run whose discovery is forced onto the scalar provider (and
+        dict BFS trees) reproduces the CSR run byte for byte."""
         config = ExperimentConfig(
             scheme=scheme,
             topology="ripple-tiny",
@@ -667,12 +792,11 @@ class TestDiscoveryModeDeterminism:
             seed=29,
         )
         vector = metrics_to_json(run_experiment(config))
+        assert all(key.endswith("-csr") for key in PersistentCache._shared)
         PersistentCache.clear_shared()
-        PathService.vectorized_discovery = False
-        try:
+        with mock.patch.object(PathService, "_vectorized_ok", lambda self: False):
             scalar = metrics_to_json(run_experiment(config))
-        finally:
-            PathService.vectorized_discovery = True
+        assert all(key.endswith("-scalar") for key in PersistentCache._shared)
         assert vector.encode() == scalar.encode()
 
 
@@ -694,17 +818,9 @@ class TestRepeatRunSharing:
         }
         assert store_sizes  # discovery went through the shared store
 
-        calls = {"n": 0}
-        original = CsrDisjointProvider.paths
-
-        def counting(self, source, dest):
-            calls["n"] += 1
-            return original(self, source, dest)
-
-        CsrDisjointProvider.paths = counting
-        try:
+        with mock.patch.object(
+            CsrDisjointProvider, "paths_many", autospec=True
+        ) as discover:  # paths() is a batch of one, so this sees every search
             second = metrics_to_json(run_experiment(config))
-        finally:
-            CsrDisjointProvider.paths = original
-        assert calls["n"] == 0  # every pair served from the shared store
+        assert not discover.called  # every pair served from the shared store
         assert first.encode() == second.encode()
