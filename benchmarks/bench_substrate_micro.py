@@ -586,6 +586,10 @@ def run_path_discovery_microbench(
 # CSR discovery, pair prefetch, trace scheduling — runs outside the timed
 # region in both modes, so the numbers isolate the dispatch loop itself.
 # ----------------------------------------------------------------------
+#: Floor of the fee-bearing workload's batched-vs-scalar ratio: 0.6x the
+#: lowest of four local runs of the seeded-column replay (3.78, 4.07,
+#: 3.63, 4.71).  The dict-of-lists overlay it replaced recorded 2.72x.
+FEE_DISPATCH_FLOOR = 2.18
 def run_dispatch_microbench(
     transactions: int = 600, preset: str = "huge", sweep_total: int = 512
 ) -> dict:
@@ -611,7 +615,8 @@ def run_dispatch_microbench(
     PR 6 envelope every fee-bearing payment took the scalar fallback
     (fallback rate 1.0 by construction — ``batchable`` required
     ``fee_free``); the fee-aware residual replay must hold the rate at
-    least 5x lower and keep a >=2x wall-clock speedup.
+    least 5x lower and keep its wall-clock speedup above
+    ``FEE_DISPATCH_FLOOR``.
     """
     from dataclasses import replace as dc_replace
 
@@ -1107,7 +1112,8 @@ def check_throughput_floor(report: dict, baseline: dict, ratio: float = 0.8):
             # Fee-aware staging acceptance: the PR 6 envelope sent every
             # fee-bearing payment to the scalar fallback (rate 1.0); the
             # residual replay must keep the rate at least 5x lower AND
-            # stay >=2x faster wall-clock than the scalar loop.
+            # stay FEE_DISPATCH_FLOOR faster wall-clock than the scalar
+            # loop.
             rate = fee.get("fallback_rate")
             envelope = fee.get("pr6_envelope_fallback_rate", 1.0)
             if rate is None or rate > envelope / 5.0:
@@ -1117,11 +1123,11 @@ def check_throughput_floor(report: dict, baseline: dict, ratio: float = 0.8):
                     "staging is not absorbing the cohort"
                 )
             fee_speedup = fee["speedup"]
-            if fee_speedup < 2.0:
+            if fee_speedup < FEE_DISPATCH_FLOOR:
                 return (
                     f"fee-bearing dispatch speedup {fee_speedup:.2f}x fell "
-                    "below the 2x acceptance floor (both modes timed on "
-                    "this machine in the same run)"
+                    f"below the {FEE_DISPATCH_FLOOR}x floor (both modes "
+                    "timed on this machine in the same run)"
                 )
     sharding = report.get("sharding")
     if sharding and not sharding.get("carried_forward"):

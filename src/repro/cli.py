@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dispatch-stats",
         action="store_true",
         help="print the engine's dispatch counters after the run "
-        "(cohorts, batched units, scalar fallbacks; plus shard counters "
+        "(cohorts, batched units, scalar fallbacks, replayed and failed "
+        "locks; plus shard counters "
         "with --shards)",
     )
     run_parser.add_argument(

@@ -34,17 +34,34 @@ pillars:
 * **Residual replay.**  The plan keeps an overlay of *residual* channel
   state per hop direction ``d = 2·cid + side`` (the store's hop address,
   see :class:`~repro.engine.store.ChannelStateStore`; the channel row is
-  ``d >> 1``) — raw balance, inflight and sent — equal to
-  the live store values with every staged operation applied in decision
-  order, using the same float64 arithmetic the store would use
-  (IEEE-754 ops are deterministic functions of their operand bits, so
-  replaying the identical op sequence yields identical bits).  A probe,
-  availability read or lock-feasibility check against the overlay
-  therefore returns exactly what the scalar loop — which commits each
-  operation eagerly — would have read from the live store at that
-  payment's turn.  Estimates for paths whose channels carry staged
-  traffic are re-derived from the overlay before a payment's replay
-  starts; all other paths' probe values are live by construction.
+  ``d >> 1``) as three Python columns — ``bal``, ``infl``, ``sent``,
+  dicts of plain floats keyed by ``d`` — equal to the live store values
+  with every staged operation applied in decision order, using the same
+  float64 arithmetic the store would use (a Python float *is* an
+  IEEE-754 double, and its ops are deterministic functions of their
+  operand bits, so replaying the identical op sequence yields identical
+  bits).  ``bal`` is **seeded**: the first replay of a cohort that needs
+  the overlay reads the balance of every direction the cohort's path
+  sets cover with one ``balance_flat[dirs].tolist()`` gather and folds
+  in the sends the fee-free fast path had staged until then; from there
+  to the flush every staged send is booked as it is staged, and a
+  probe, bottleneck or lock-feasibility check is a dict lookup, a
+  ``min(map(bal.__getitem__, dir_list))`` or a float comparison —
+  returning exactly what the scalar loop, which commits each operation
+  eagerly, would have read from the live store at that payment's turn.
+  Waterfilling and shortest-path read every hop of their path sets, so
+  they seed; the window rule reads first hops only and LND finds its
+  paths per attempt, so for them nothing is known up front and ``bal``
+  fills lazily, one live read per direction on first use.
+  ``infl``/``sent`` are opened only for directions a lock writes.  NumPy
+  appears at the cohort boundary alone: the seed gather, and the flush.
+  A seeded balance is only as good as the store is still: every flush
+  drops the overlay, and a store version the cohort probe did not see
+  (a scalar fallback's attempt, an out-of-band mutation) drops it before
+  the next replay, which re-gathers.  Estimates for paths whose channels
+  carry staged traffic are re-derived from the overlay before a
+  payment's replay starts; all other paths' probe values are live by
+  construction.
 * **Fee-aware staging.**  Per-hop lock amounts come from
   :meth:`CompiledPath.hop_amounts
   <repro.engine.pathtable.CompiledPath.hop_amounts>` — the *same* reverse
@@ -65,22 +82,27 @@ pillars:
   not traceless: hops before the failing one round-trip their balance
   through ``(b - a) + a`` and their inflight through ``(i + a) - a``
   (bit-changing in general), grow ``sent`` and tick ``num_refunded``.
-  Those effects are pure float/int arithmetic on values the overlay
-  already tracks, so the replay applies them to the overlay and keeps
-  going exactly as the scheme's retry logic would.  A flush containing
-  failed locks cannot be a plain scatter-add; it writes the tracked final
-  values back verbatim — bit-identical to the scalar op sequence *by
-  construction* — and applies the ``sent``/``num_refunded`` deltas with
-  them.
+  Those effects are pure float/int arithmetic on values the columns
+  already hold, so the replay applies them there and keeps going exactly
+  as the scheme's retry logic would (``replayed_locks``/``failed_locks``
+  in :meth:`SimulationSession.dispatch_stats
+  <repro.engine.session.SimulationSession.dispatch_stats>` count them).
+  A flush containing failed locks cannot be a plain scatter-add — no sum
+  of deltas reproduces a round-trip — so it still writes the tracked
+  final values back verbatim, bit-identical to the scalar op sequence *by
+  construction*: the key set of ``sent`` is the write set, and the three
+  columns land with one fancy-index assignment each, the
+  ``num_refunded`` deltas with them.
 * **Exact fallback.**  Whatever cannot be replayed falls back: staged
   sends flush first, then the scheme's scalar ``attempt`` runs against
   live state, exactly as the scalar loop would have at that payment's
   turn.  After the failed-lock replay this is reduced to degenerate path
-  sets (no probe), non-finite lock amounts (where the scalar path raises
-  ``ChannelError``) and — as a backstop — an out-of-band store mutation
-  detected by the version stamp while sends are staged.  Schemes without
-  a declared ``cohort_rule`` run their scalar ``attempt`` inside the
-  cohort driver, in cohort order.
+  sets (no probe) and non-finite lock amounts (where the scalar path
+  raises ``ChannelError``).  As a backstop, a payment whose probe is
+  older than the store's version stamp — the store moved mid-cohort —
+  lands what is staged, drops the overlay and re-probes before it
+  replays.  Schemes without a declared ``cohort_rule`` run their scalar
+  ``attempt`` inside the cohort driver, in cohort order.
 
 Decision rules covered (``RoutingScheme.cohort_rule``): ``"waterfilling"``
 (argmax/min replay, the original envelope), ``"shortest-path"``
@@ -143,9 +165,6 @@ _BATCH_RULES = frozenset(
 #: except LND, which searches paths per attempt instead of caching them).
 _PROFILE_RULES = frozenset({"waterfilling", "shortest-path", "spider-window"})
 
-#: Residual-state field indices (per touched direction).
-_BAL, _INFL, _SENT = 0, 1, 2
-
 
 class _PairProfile:
     """Static dispatch facts about one (source, dest) pair's path set.
@@ -200,10 +219,23 @@ class DispatchPlan:
         self._staged_launches: List[
             Tuple[Payment, "CompiledPath", float, float]
         ] = []
-        #: Residual channel state: ``[balance, inflight, sent]`` per
-        #: touched direction id, tracking the live store values with
-        #: every staged operation applied in decision order.
-        self._residual: Dict[int, List[float]] = {}
+        #: Residual overlay, one Python column per field, keyed by
+        #: direction id: the live store values with every staged operation
+        #: applied in decision order.  ``_bal`` holds every direction read
+        #: so far (seeded in one gather, see :meth:`_open_overlay`);
+        #: ``_infl``/``_sent`` are opened together, only for directions a
+        #: lock writes — their shared key order is the write-back set.
+        self._bal: Dict[int, float] = {}
+        self._infl: Dict[int, float] = {}
+        self._sent: Dict[int, float] = {}
+        #: Whether the overlay is open: staged sends are applied to it as
+        #: they are staged (before that the fee-free fast path defers
+        #: them, and the common disjoint cohort never opens it at all).
+        self._seeded = False
+        #: Probe caches of the running cohort's path sets — the
+        #: directions :meth:`_open_overlay` seeds ``_bal`` with.  Empty
+        #: for the rules that read lazily (LND, spider-window).
+        self._cohort_probes: Sequence["_ProbeCache"] = ()
         #: Per-channel ``num_refunded`` increments from replayed failed
         #: locks (applied at flush).
         self._refund_deltas: Dict[int, int] = {}
@@ -213,16 +245,15 @@ class DispatchPlan:
         #: Channel ids whose state the overlay has perturbed since the
         #: last flush.
         self._touched_cids: Set[int] = set()
-        #: Staged source-routed sends already folded into ``_residual``
-        #: (the fee-free fast path defers its per-hop dict writes until a
-        #: later payment actually needs the overlay).
-        self._residual_synced = 0
         # Observability (surfaced via SimulationSession.dispatch_stats and
         # the dispatch microbenchmark).
         self.cohorts = 0
         self.cohort_payments = 0
         self.batched_units = 0
         self.scalar_fallbacks = 0
+        #: :meth:`_replay_lock` calls, and how many of them bounced.
+        self.replayed_locks = 0
+        self.failed_locks = 0
 
     # ------------------------------------------------------------------
     # Cohort driver
@@ -268,21 +299,25 @@ class DispatchPlan:
         profiles = [
             self._profile(payment.source, payment.dest) for payment in payments
         ]
-        self.table.refresh_probes(
-            [prof.probe for prof in profiles if prof.probe is not None]
-        )
+        probes = [prof.probe for prof in profiles if prof.probe is not None]
+        self.table.refresh_probes(probes)
+        # What a replay reads decides what the overlay is seeded with:
+        # every hop for waterfilling and shortest-path, nothing for the
+        # window rule (first hops only), which reads lazily like LND.
+        self._cohort_probes = () if rule == "spider-window" else probes
         for payment, prof in zip(payments, profiles):
             probe = prof.probe
             if not prof.batchable or probe is None:
                 self._fallback(payment)
                 continue
             if probe.as_of != store.version:
-                if self._residual or self._staged_payments:
-                    # Version-stamp backstop: the store moved while sends
-                    # were staged, and not by one of our own flushes (those
-                    # clear the overlay).  Land the staged sends, then
-                    # re-probe live state.
-                    self._flush()
+                # Version-stamp backstop: the store moved since the cohort
+                # probe.  Our own flushes drop the overlay themselves, so
+                # this is a scalar fallback's attempt or an out-of-band
+                # mutation — either way every seeded balance is suspect:
+                # land what is staged, drop the overlay, re-probe live
+                # state.
+                self._flush()
                 self.table.refresh_probes((probe,))
             if rule == "waterfilling":
                 ok = self._replay_waterfilling(payment, prof)
@@ -298,7 +333,8 @@ class DispatchPlan:
         """Sequential fallback: land staged sends first so this attempt
         observes exactly the state the scalar loop would have seen at its
         turn, then run the scheme's scalar ``attempt`` against live
-        state."""
+        state.  The flush leaves the overlay unseeded, so the next replay
+        re-gathers whatever the scalar attempt moved."""
         self._flush()
         self.scalar_fallbacks += 1
         self.session.scheme.attempt(payment, self.session)
@@ -306,77 +342,75 @@ class DispatchPlan:
     # ------------------------------------------------------------------
     # Residual overlay
     # ------------------------------------------------------------------
-    def _state(self, d: int) -> List[float]:
-        """The overlay record of one direction (created from live state)."""
-        state = self._residual.get(d)
-        if state is None:
-            store = self.store
-            state = self._residual[d] = [
-                float(store.balance_flat[d]),
-                float(store.inflight_flat[d]),
-                float(store.sent_flat[d]),
-            ]
-        return state
+    def _open_overlay(self) -> None:
+        """Seed the overlay the first time a replay needs it.
 
-    def _sync_residuals(self) -> None:
-        """Fold deferred staged-send deltas into the residual overlay.
-
-        The fee-free fast path appends to the staging buffers without
-        touching ``_residual`` (the common disjoint cohort never reads
-        it); the first replay that *does* need the overlay applies the
-        pending per-hop operations here, in staging order — the same
-        float64 arithmetic ``lock_many`` performs at flush.
+        One gather reads the balance of every direction the cohort's path
+        sets cover, so the replay's reads are plain ``_bal[d]`` lookups;
+        the sends the fee-free fast path staged before this point (it
+        never reads the overlay) are then folded in, in staging order —
+        the same float64 arithmetic ``lock_many`` performs at flush.  From
+        here to the flush :meth:`_stage_send` books such sends as it
+        stages them.
         """
-        i = self._residual_synced
-        staged = self._staged_payments
-        if i >= len(staged):
+        if self._seeded:
             return
-        cpaths = self._staged_cpaths
-        amounts = self._staged_amounts
-        hop_arrays = self._staged_hop_amounts
-        while i < len(staged):
-            cpath = cpaths[i]
-            hop_array = hop_arrays[i]
-            if hop_array is None:
-                hop_values: Sequence[float] = [amounts[i]] * len(cpath)
-            else:
-                hop_values = hop_array.tolist()
-            for d, hop_amount in zip(cpath.dir_list, hop_values):
-                state = self._state(d)
-                state[_BAL] = state[_BAL] - hop_amount
-                state[_INFL] = state[_INFL] + hop_amount
-                state[_SENT] = state[_SENT] + hop_amount
-            i += 1
-        self._residual_synced = i
+        self._seeded = True
+        probes = self._cohort_probes
+        if probes:
+            dirs = (
+                probes[0].dirs
+                if len(probes) == 1
+                else np.concatenate([probe.dirs for probe in probes])
+            )
+            self._bal.update(
+                zip(dirs.tolist(), self.store.balance_flat[dirs].tolist())
+            )
+        for cpath, amount in zip(self._staged_cpaths, self._staged_amounts):
+            self._book(cpath.dir_list, [amount] * len(cpath))
 
-    def _raw_balance(self, d: int) -> float:
-        """Raw (not frozen-masked) residual balance of one direction."""
-        state = self._residual.get(d)
-        if state is not None:
-            return state[_BAL]
-        return float(self.store.balance_flat[d])
+    def _book(self, hops: Sequence[int], amounts: Sequence[float]) -> None:
+        """Apply one lock's per-hop arithmetic to the overlay (``amounts``
+        are pre-clamped actuals; every hop is already in ``_bal``)."""
+        bal = self._bal
+        infl = self._infl
+        sent = self._sent
+        for d, amount in zip(hops, amounts):
+            if d not in sent:
+                self._open_writes(d)
+            bal[d] = bal[d] - amount
+            infl[d] = infl[d] + amount
+            sent[d] = sent[d] + amount
+        self._touched_cids.update([d >> 1 for d in hops])
+
+    def _open_writes(self, d: int) -> None:
+        """Open the written columns of one direction from live state."""
+        store = self.store
+        self._infl[d] = store.inflight_flat.item(d)
+        self._sent[d] = store.sent_flat.item(d)
 
     def _availability(self, d: int) -> float:
         """Residual spendable funds (0 where frozen) — what
-        ``store.availability`` would report after a flush."""
+        ``store.availability`` would report after a flush.  The lazy
+        read: a direction the seed did not cover is read from the live
+        store once and kept."""
         store = self.store
+        value = self._bal.get(d)
+        if value is None:
+            value = self._bal[d] = store.balance_flat.item(d)
         if store.frozen_count and store.frozen[d >> 1]:
             return 0.0
-        return self._raw_balance(d)
+        return value
 
-    def _cpath_bottleneck(self, cpath: "CompiledPath") -> float:
+    def _bottleneck(self, cpath: "CompiledPath") -> float:
         """Residual bottleneck of one path — ``network.bottleneck`` as the
         scalar loop would observe it after a flush (min is comparison-only,
-        so the Python loop matches the vectorised ``.min()`` bit for
-        bit)."""
-        best = math.inf
-        for d in cpath.dir_list:
-            value = self._availability(d)
-            if value < best:
-                best = value
-        return best
+        so it matches the vectorised ``.min()`` bit for bit)."""
+        if self.store.frozen_count:
+            return min(map(self._availability, cpath.dir_list))
+        return min(map(self._bal.__getitem__, cpath.dir_list))
 
-    def _estimates(self, prof: _PairProfile) -> np.ndarray:
+    def _estimates(self, prof: _PairProfile) -> List[float]:
         """The profile's probe values with the residual overlay applied.
 
         Paths free of staged traffic keep their (fresh) probe values —
@@ -386,12 +420,10 @@ class DispatchPlan:
         """
         probe = prof.probe
         assert probe is not None
-        values = probe.values
-        assert values is not None
-        est = values.copy()
+        est = probe.values_list.copy()
         touched = self._touched_cids
         if touched and not touched.isdisjoint(prof.cids):
-            self._sync_residuals()
+            self._open_overlay()
             path_cid_sets = prof.path_cid_sets
             if path_cid_sets is None:
                 path_cid_sets = prof.path_cid_sets = [
@@ -400,7 +432,7 @@ class DispatchPlan:
                 ]
             for i, path_cids in enumerate(path_cid_sets):
                 if not touched.isdisjoint(path_cids):
-                    est[i] = self._cpath_bottleneck(prof.cpaths[i])
+                    est[i] = self._bottleneck(prof.cpaths[i])
         return est
 
     # ------------------------------------------------------------------
@@ -421,43 +453,51 @@ class DispatchPlan:
         scalar ``InsufficientFundsError`` leaves the store.
 
         Callers must have validated ``required`` positive and finite
-        (:meth:`_valid_lock_amounts`) and synced the overlay.
+        (:meth:`_valid_lock_amounts`) and opened the overlay; every hop
+        must be in ``_bal`` (the seed covers the cohort's path sets,
+        LND's unfunded-hop scan loads its own).
         """
         store = self.store
-        frozen_count = store.frozen_count
-        frozen = store.frozen
+        bal = self._bal
         hops = cpath.dir_list
-        failing = -1
-        for i, (d, req) in enumerate(zip(hops, required)):
-            if (frozen_count and frozen[d >> 1]) or not (
-                req <= self._raw_balance(d) + 1e-9
-            ):
-                failing = i
+        self.replayed_locks += 1
+        balances = list(map(bal.__getitem__, hops))
+        funds = balances
+        if store.frozen_count:
+            # A frozen hop fails the lock whatever it holds.
+            frozen = store.frozen
+            funds = [
+                -math.inf if frozen[d >> 1] else balance
+                for d, balance in zip(hops, balances)
+            ]
+        failing = 0
+        for req, available in zip(required, funds):
+            if not (req <= available + 1e-9):
                 break
-        if failing < 0:
-            actuals: List[float] = []
-            for d, req in zip(hops, required):
-                state = self._state(d)
-                bal = state[_BAL]
-                actual = req if req <= bal else bal
-                actuals.append(actual)
-                state[_BAL] = bal - actual
-                state[_INFL] = state[_INFL] + actual
-                state[_SENT] = state[_SENT] + actual
-            self._touched_cids.update([d >> 1 for d in cpath.dir_list])
+            failing += 1
+        else:
+            actuals = [
+                req if req <= balance else balance
+                for req, balance in zip(required, balances)
+            ]
+            self._book(hops, actuals)
             return actuals
+        self.failed_locks += 1
         if failing > 0:
+            infl = self._infl
+            sent = self._sent
             refunds = self._refund_deltas
-            for d, req in zip(hops[:failing], required[:failing]):
-                state = self._state(d)
-                bal = state[_BAL]
-                actual = req if req <= bal else bal
-                state[_BAL] = (bal - actual) + actual
-                state[_INFL] = (state[_INFL] + actual) - actual
-                state[_SENT] = state[_SENT] + actual
+            touched = self._touched_cids
+            for d, req, balance in zip(hops[:failing], required, balances):
+                if d not in sent:
+                    self._open_writes(d)
+                actual = req if req <= balance else balance
+                bal[d] = (balance - actual) + actual
+                infl[d] = (infl[d] + actual) - actual
+                sent[d] = sent[d] + actual
                 cid = d >> 1
                 refunds[cid] = refunds.get(cid, 0) + 1
-                self._touched_cids.add(cid)
+                touched.add(cid)
             self._has_failed_locks = True
         return None
 
@@ -481,10 +521,9 @@ class DispatchPlan:
     ) -> None:
         """Stage one successful send (lock key, then inflight — the scalar
         ``send_unit`` order).  ``actuals=None`` marks the fee-free
-        broadcast case, whose overlay updates stay deferred until
-        :meth:`_sync_residuals`; a non-``None`` value means
-        :meth:`_replay_lock` already applied them, so the sync cursor
-        advances past this record.
+        broadcast case: booked on the overlay here if it is open, folded
+        in by :meth:`_open_overlay` otherwise; a non-``None`` value means
+        :meth:`_replay_lock` already booked it.
         """
         lock = HashLock.generate(payment.payment_id, payment.units_sent)
         payment.register_inflight(amount)
@@ -492,13 +531,17 @@ class DispatchPlan:
         self._staged_cpaths.append(cpath)
         self._staged_amounts.append(amount)
         self._staged_fees.append(fee)
-        self._staged_hop_amounts.append(
-            None if actuals is None else np.asarray(actuals, dtype=np.float64)
-        )
         self._staged_locks.append(lock)
         if actuals is not None:
-            self._residual_synced = len(self._staged_payments)
-        self._touched_cids.update([d >> 1 for d in cpath.dir_list])
+            self._staged_hop_amounts.append(
+                np.asarray(actuals, dtype=np.float64)
+            )
+        else:
+            self._staged_hop_amounts.append(None)
+            if self._seeded:
+                self._book(cpath.dir_list, [amount] * len(cpath))
+            else:
+                self._touched_cids.update([d >> 1 for d in cpath.dir_list])
 
     # ------------------------------------------------------------------
     # Waterfilling replay
@@ -524,53 +567,41 @@ class DispatchPlan:
             # hop), so no veto and no lock failure can occur.
             self._fast_waterfilling(payment, prof, est)
             return True
-        self._sync_residuals()
+        self._open_overlay()
         cpaths = prof.cpaths
-        while payment.remaining >= min_unit:
-            best = int(np.argmax(est))
-            headroom = float(est[best])
+        remaining = payment.remaining  # moves only when a send is staged
+        while remaining >= min_unit:
+            headroom = max(est)
             if headroom < min_unit:
                 break
-            amount = min(headroom, payment.remaining, mtu)
+            best = est.index(headroom)  # first maximum, as np.argmax
+            amount = min(headroom, remaining, mtu)
             cpath = cpaths[best]
-            if amount < min_unit:
-                # send_unit's dust veto: no store effects; the scalar
-                # re-probe is the residual bottleneck.
-                fresh = self._cpath_bottleneck(cpath)
-                if fresh >= amount - 1e-12 or fresh < min_unit:
-                    est[best] = 0.0
-                else:
-                    est[best] = fresh
-                continue
-            required = cpath.hop_amounts(amount)
-            fee = required[0] - amount
-            if fee > 0 and not payment.fee_budget_allows(fee):
-                # Fee-budget veto: send_unit returns False before any
-                # store write; scalar re-probe as above.
-                fresh = self._cpath_bottleneck(cpath)
-                if fresh >= amount - 1e-12 or fresh < min_unit:
-                    est[best] = 0.0
-                else:
-                    est[best] = fresh
-                continue
-            if not self._valid_lock_amounts(required):
-                return False  # scalar lock_path raises ChannelError
-            actuals = self._replay_lock(cpath, required)
-            if actuals is None:
-                # Failed lock, side effects replayed; the scheme re-probes
-                # fresh state and retires or downgrades the path.
-                fresh = self._cpath_bottleneck(cpath)
-                if fresh >= amount - 1e-12 or fresh < min_unit:
-                    est[best] = 0.0
-                else:
-                    est[best] = fresh
-                continue
-            self._stage_send(payment, cpath, amount, fee, actuals)
-            est[best] -= amount
+            if amount >= min_unit:
+                required = cpath.hop_amounts(amount)
+                fee = required[0] - amount
+                if not fee > 0 or payment.fee_budget_allows(fee):
+                    if not self._valid_lock_amounts(required):
+                        return False  # scalar lock_path raises ChannelError
+                    actuals = self._replay_lock(cpath, required)
+                    if actuals is not None:
+                        self._stage_send(payment, cpath, amount, fee, actuals)
+                        est[best] -= amount
+                        remaining = payment.remaining
+                        continue
+            # send_unit's dust veto, its fee-budget veto (neither writes
+            # the store) or a failed lock (side effects replayed): the
+            # scheme re-probes fresh state — the residual bottleneck — and
+            # retires or downgrades the path.
+            fresh = self._bottleneck(cpath)
+            if fresh >= amount - 1e-12 or fresh < min_unit:
+                est[best] = 0.0
+            else:
+                est[best] = fresh
         return True
 
     def _fast_waterfilling(
-        self, payment: Payment, prof: _PairProfile, est: np.ndarray
+        self, payment: Payment, prof: _PairProfile, est: List[float]
     ) -> None:
         """The original exact-estimate loop for fee-free disjoint sets
         (never fails, never falls back)."""
@@ -578,12 +609,13 @@ class DispatchPlan:
         min_unit = config.min_unit_value
         mtu = config.mtu
         cpaths = prof.cpaths
-        while payment.remaining >= min_unit:
-            best = int(np.argmax(est))
-            headroom = float(est[best])
+        remaining = payment.remaining  # moves only when a send is staged
+        while remaining >= min_unit:
+            headroom = max(est)
             if headroom < min_unit:
                 break
-            amount = min(headroom, payment.remaining, mtu)
+            best = est.index(headroom)  # first maximum, as np.argmax
+            amount = min(headroom, remaining, mtu)
             if amount < min_unit:
                 # Scalar parity: send_unit refuses the dust send, the
                 # fresh probe matches the estimate, and the path is
@@ -592,6 +624,7 @@ class DispatchPlan:
                 continue
             self._stage_send(payment, cpaths[best], amount, 0.0, None)
             est[best] -= amount
+            remaining = payment.remaining
 
     # ------------------------------------------------------------------
     # Shortest-path replay
@@ -608,9 +641,9 @@ class DispatchPlan:
         min_unit = config.min_unit_value
         mtu = config.mtu
         cpath = prof.cpaths[0]
-        self._sync_residuals()
+        self._open_overlay()
         while payment.remaining >= min_unit:
-            available = self._cpath_bottleneck(cpath)
+            available = self._bottleneck(cpath)
             amount = min(available, payment.remaining, mtu)
             if amount < min_unit:
                 break
@@ -644,7 +677,7 @@ class DispatchPlan:
         session = self.session
         scheme = cast(Any, session.scheme)
         network = session.network
-        self._sync_residuals()
+        self._open_overlay()
         now = session.now
         pruned: Set[Tuple[int, int]] = set()
         attempts_delta = 0
@@ -704,8 +737,6 @@ class DispatchPlan:
                     np.asarray(actuals, dtype=np.float64)
                 )
                 self._staged_locks.append(lock)
-                self._residual_synced = len(self._staged_payments)
-                self._touched_cids.update([d >> 1 for d in cpath.dir_list])
                 break
             failures_delta += 1
             hop = (path[failing_index], path[failing_index + 1])
@@ -744,8 +775,9 @@ class DispatchPlan:
         config = session.config
         min_unit = config.min_unit_value
         mtu = config.mtu
-        self._sync_residuals()
+        self._open_overlay()
         store = self.store
+        bal = self._bal
         states = sorted(
             ((scheme.window(cpath.nodes), cpath) for cpath in prof.cpaths),
             key=lambda item: item[0].headroom,
@@ -756,7 +788,6 @@ class DispatchPlan:
                 payment.remaining >= min_unit and state.headroom >= min_unit
             ):
                 d = cpath.dir_list[0]
-                cid = d >> 1
                 first_hop = self._availability(d)
                 amount = min(
                     payment.remaining, state.headroom, mtu, first_hop
@@ -765,17 +796,13 @@ class DispatchPlan:
                     break
                 # try_lock replica (clean failure; unreachable after the
                 # first-hop availability clamp, kept for exactness).
-                if store.frozen_count and store.frozen[cid]:
+                if store.frozen_count and store.frozen[d >> 1]:
                     break
-                hop_state = self._state(d)
-                bal = hop_state[_BAL]
-                if amount > bal + 1e-9:
+                balance = bal[d]
+                if amount > balance + 1e-9:
                     break
-                actual = amount if amount <= bal else bal
-                hop_state[_BAL] = bal - actual
-                hop_state[_INFL] = hop_state[_INFL] + actual
-                hop_state[_SENT] = hop_state[_SENT] + actual
-                self._touched_cids.add(cid)
+                actual = amount if amount <= balance else balance
+                self._book((d,), (actual,))
                 self._staged_launches.append((payment, cpath, amount, actual))
                 payment.register_inflight(amount)
                 state.inflight += amount
@@ -890,38 +917,34 @@ class DispatchPlan:
             transport.advance_many(units)
             self.batched_units += count
             launches.clear()
-        self._residual.clear()
+        self._bal.clear()
+        self._infl.clear()
+        self._sent.clear()
+        self._seeded = False
         self._refund_deltas.clear()
         self._has_failed_locks = False
         self._touched_cids.clear()
-        self._residual_synced = 0
 
     def _write_back_overlay(self) -> None:
-        """Land the overlay verbatim (the failed-lock flush path)."""
-        self._sync_residuals()
+        """Land the overlay verbatim (the failed-lock flush path): the
+        written directions' three columns, one fancy-index assignment
+        each (the write set holds each direction once)."""
+        sent = self._sent
         store = self.store
-        if store.sanitizer is not None and self._residual:
+        dirs = np.array(list(sent), dtype=np.intp)
+        if store.sanitizer is not None:
             # These writes go straight through the array views below,
             # bypassing the store's guarded entry points — vet them here.
-            store.sanitizer.check_dirs(
-                np.array(list(self._residual), dtype=np.intp)
-            )
-        balance = store.balance_flat
-        inflight = store.inflight_flat
-        sent = store.sent_flat
-        for d, state in self._residual.items():
-            balance[d] = state[_BAL]
-            inflight[d] = state[_INFL]
-            sent[d] = state[_SENT]
-        num_refunded = store.num_refunded
-        for cid, delta in self._refund_deltas.items():
-            num_refunded[cid] += delta
+            store.sanitizer.check_dirs(dirs)
+        store.balance_flat[dirs] = list(map(self._bal.__getitem__, sent))
+        store.inflight_flat[dirs] = list(self._infl.values())
+        store.sent_flat[dirs] = list(sent.values())
+        refunds = self._refund_deltas
+        # Channel rows of rolled-back hops: a subset of ``dirs >> 1``.
+        refunded = np.array(list(refunds), dtype=np.intp)
+        store.num_refunded[refunded] += list(refunds.values())
         store.version = version = store.version + 1
-        if self._touched_cids:
-            # _touched_cids accumulates only rows of this lane's own staged
-            # cpaths (vetted by the sanitizer check above when attached).
-            # repro-lint: allow[RL008] rows come from the lane's own cpaths
-            store.stamp[list(self._touched_cids)] = version
+        store.stamp[dirs >> 1] = version
 
     # ------------------------------------------------------------------
     # Profiles
@@ -997,26 +1020,28 @@ class DispatchPlan:
     # End-of-run invariant
     # ------------------------------------------------------------------
     def assert_drained(self) -> None:
-        """Fail loudly if any staged send survived its cohort.
+        """Fail loudly if any staged send or overlay state survived its
+        cohort.
 
         ``attempt_cohort`` flushes before returning and cohorts never span
         events, so staged sends found at finish mean in-flight value the
-        metrics would silently drop.  The funds are landed first (so the
-        store stays conserved for post-mortem inspection), then the run is
-        failed.
+        metrics would silently drop — and a surviving overlay means the
+        next cohort would have decided on stale balances without failing
+        anything.  The funds are landed first (so the store stays
+        conserved for post-mortem inspection), then the run is failed.
         """
-        if (
-            self._staged_payments
-            or self._staged_cpaths
-            or self._staged_amounts
-            or self._staged_launches
-        ):
-            counts = {
-                "staged_payments": len(self._staged_payments),
-                "staged_cpaths": len(self._staged_cpaths),
-                "staged_amounts": len(self._staged_amounts),
-                "staged_launches": len(self._staged_launches),
-            }
+        counts = {
+            "staged_payments": len(self._staged_payments),
+            "staged_cpaths": len(self._staged_cpaths),
+            "staged_amounts": len(self._staged_amounts),
+            "staged_launches": len(self._staged_launches),
+            "overlay_bal": len(self._bal),
+            "overlay_infl": len(self._infl),
+            "overlay_sent": len(self._sent),
+            "refund_deltas": len(self._refund_deltas),
+            "overlay_seeded": int(self._seeded),
+        }
+        if any(counts.values()):
             buffers = ", ".join(
                 f"{name}={n}" for name, n in counts.items() if n
             )

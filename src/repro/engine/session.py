@@ -506,9 +506,12 @@ class SimulationSession:
 
         Keys: ``cohorts`` (attempt cohorts driven), ``cohort_payments``
         (payments entering those cohorts), ``batched_units`` (units
-        executed through the staged scatter-add path) and
+        executed through the staged scatter-add path),
         ``scalar_fallbacks`` (payments that dropped to the scheme's
-        sequential ``attempt``).  Deliberately *not* part of
+        sequential ``attempt``), ``replayed_locks`` (path locks the
+        cohort replay attempted against its residual overlay) and
+        ``failed_locks`` (those that bounced off a frozen or under-funded
+        hop — the wasted share of the former).  Deliberately *not* part of
         :class:`~repro.metrics.collectors.ExperimentMetrics`: counters
         differ between scalar and batched runs by construction, while the
         metrics dict is pinned byte-identical across both.
@@ -521,6 +524,8 @@ class SimulationSession:
             "cohort_payments": dispatch.cohort_payments,
             "batched_units": dispatch.batched_units,
             "scalar_fallbacks": dispatch.scalar_fallbacks,
+            "replayed_locks": dispatch.replayed_locks,
+            "failed_locks": dispatch.failed_locks,
         }
 
     # ------------------------------------------------------------------

@@ -599,7 +599,7 @@ class ShardedSession:
     def dispatch_stats(self) -> Dict[str, object]:
         """Shard-extended dispatch counters for observability.
 
-        The four :meth:`SimulationSession.dispatch_stats
+        The :meth:`SimulationSession.dispatch_stats
         <repro.engine.session.SimulationSession.dispatch_stats>` counters
         summed over every lane, plus the shard-layer counters the CLI's
         ``--dispatch-stats`` prints: shard/epoch geometry, boundary
@@ -607,7 +607,14 @@ class ShardedSession:
         event counts.  Like the session counters these are mode-dependent
         diagnostics, deliberately outside the pinned metrics dict.
         """
-        engine_keys = ("cohorts", "cohort_payments", "batched_units", "scalar_fallbacks")
+        engine_keys = (
+            "cohorts",
+            "cohort_payments",
+            "batched_units",
+            "scalar_fallbacks",
+            "replayed_locks",
+            "failed_locks",
+        )
         totals: Dict[str, int] = {key: 0 for key in engine_keys}
         per_shard_events: List[int] = []
         for _collector, events, stats in self._shard_results:

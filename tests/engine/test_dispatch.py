@@ -4,12 +4,14 @@
 :class:`~repro.engine.dispatch.DispatchPlan` (grouped probes, staged
 scatter-add locks, cohort reschedules) and the retired per-payment scalar
 loop, which stays behind the flag as the parity baseline.  Everything here
-pins the two byte-for-byte on serialised metrics — including runs that
+pins the two byte-for-byte on serialised metrics — and, below the
+metrics, bit for bit on the final store arrays — including runs that
 force the interesting regimes: mid-cohort conflict groups (shared-channel
 pairs replayed against the plan's residual-capacity overlay), fee-bearing
 and frozen topologies (staged with per-hop fee schedules), and resolution
 flushes landing on the same tick as the poll that relocks the released
-funds.
+funds.  The overlay's lock replay has its own store-level oracle: a
+hypothesis differential against ``ChannelStateStore.lock_path_funds``.
 
 The bulk-scheduling substrate gets its own order pins:
 :meth:`TickEngine.schedule_many` must pop identically to repeated scalar
@@ -19,16 +21,19 @@ repeated :meth:`add` calls.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.payments import Payment
 from repro.core.scheduling import PendingHeap, get_policy
 from repro.engine.events import TickEngine
 from repro.engine.session import SimulationSession
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.metrics.report import metrics_to_json
-from repro.errors import SimulationError
+from repro.errors import InsufficientFundsError, SimulationError
+from repro.workload.generator import TransactionRecord
 
 PINNED_SCHEMES = [
     "spider-waterfilling",
@@ -66,8 +71,30 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
-def _run_json(config, vectorized, mutate=None):
-    """Serialised metrics of one session run under the given dispatch mode.
+#: The store state a lock, settle or refund can move — what "the same
+#: run" means below the metrics JSON.
+STORE_ARRAYS = (
+    "balance",
+    "inflight",
+    "sent",
+    "settled_flow",
+    "num_settled",
+    "num_refunded",
+)
+
+
+def _store_arrays(store):
+    return {name: getattr(store, name)[: len(store)].copy() for name in STORE_ARRAYS}
+
+
+def _assert_same_store(fast, slow):
+    for name in STORE_ARRAYS:
+        assert np.array_equal(fast[name], slow[name]), name
+
+
+def _run(config, vectorized, mutate=None):
+    """Serialised metrics and final store arrays of one session run under
+    the given dispatch mode.
 
     ``mutate(network)`` runs after the network is built and before the
     session starts — both modes replay the identical mutation because the
@@ -76,18 +103,24 @@ def _run_json(config, vectorized, mutate=None):
     assert SimulationSession.vectorized_dispatch  # default stays vectorised
     SimulationSession.vectorized_dispatch = vectorized
     try:
-        if mutate is None:
-            metrics = run_experiment(config)
-        else:
-            network, records, scheme = config.build_simulation_inputs()
+        network, records, scheme = config.build_simulation_inputs()
+        if mutate is not None:
             mutate(network)
-            session = SimulationSession(
-                network, records, scheme, config.build_runtime_config()
-            )
-            metrics = session.run()
+        session = SimulationSession(
+            network, records, scheme, config.build_runtime_config()
+        )
+        metrics = session.run()
     finally:
         SimulationSession.vectorized_dispatch = True
-    return metrics_to_json(metrics).encode()
+    return metrics_to_json(metrics).encode(), _store_arrays(network.state_store)
+
+
+def _assert_modes_agree(config, mutate=None):
+    """Both dispatch modes: same metrics bytes, same store bits."""
+    fast_json, fast_store = _run(config, vectorized=True, mutate=mutate)
+    slow_json, slow_store = _run(config, vectorized=False, mutate=mutate)
+    assert fast_json == slow_json
+    _assert_same_store(fast_store, slow_store)
 
 
 @pytest.mark.parametrize("scheme", PINNED_SCHEMES)
@@ -99,10 +132,9 @@ def test_dispatch_modes_byte_identical(scheme, topology):
     mid-cohort conflicts, heavy fallback traffic); ``ripple-small`` gives
     channel-disjoint path sets real batched coverage.
     """
-    config = _config(scheme=scheme, topology=topology, num_transactions=150)
-    fast = _run_json(config, vectorized=True)
-    slow = _run_json(config, vectorized=False)
-    assert fast == slow
+    _assert_modes_agree(
+        _config(scheme=scheme, topology=topology, num_transactions=150)
+    )
 
 
 @pytest.mark.parametrize("scheme", BATCHED_SCHEMES + ["celer"])
@@ -132,9 +164,7 @@ def test_dispatch_parity_with_random_fees_and_frozen_channels(scheme):
         fee_rate=0.001,
         max_fee_fraction=0.25,
     )
-    fast = _run_json(config, vectorized=True, mutate=freeze_some)
-    slow = _run_json(config, vectorized=False, mutate=freeze_some)
-    assert fast == slow
+    _assert_modes_agree(config, mutate=freeze_some)
 
 
 @pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
@@ -155,9 +185,7 @@ def test_dispatch_parity_fee_bearing_shared_channels(scheme):
         fee_rate=0.001,
         max_fee_fraction=0.25,
     )
-    fast = _run_json(config, vectorized=True)
-    slow = _run_json(config, vectorized=False)
-    assert fast == slow
+    _assert_modes_agree(config)
 
 
 def test_mid_cohort_conflicts_batch_through_residual_replay():
@@ -189,8 +217,11 @@ def test_mid_cohort_conflicts_batch_through_residual_replay():
             "cohort_payments": plan.cohort_payments,
             "batched_units": plan.batched_units,
             "scalar_fallbacks": plan.scalar_fallbacks,
+            "replayed_locks": plan.replayed_locks,
+            "failed_locks": plan.failed_locks,
         }
         assert stats["cohort_payments"] >= stats["cohorts"]
+        assert stats["replayed_locks"] >= stats["failed_locks"]
 
 
 def test_unbatchable_pair_takes_scalar_fallback():
@@ -215,6 +246,93 @@ def test_unbatchable_pair_takes_scalar_fallback():
     assert payment.units_sent > 0  # the scalar attempt really ran
 
 
+def test_lock_counters_count_the_fee_regime():
+    """``replayed_locks``/``failed_locks`` tell the fee regime apart.
+
+    On the fee-bearing shared-channel line waterfilling offers the
+    bottleneck and the fee-loaded upstream hops then need more than it
+    holds, so locks bounce; on fee-free ``ripple-small`` the offer is the
+    bottleneck itself and none can.
+    """
+
+    def stats(**overrides):
+        config = _config(num_transactions=150, **overrides)
+        session = SimulationSession.from_config(config)
+        session.run()
+        return session.dispatch_stats()
+
+    fees = stats(
+        topology="line-5", base_fee=0.01, fee_rate=0.001, max_fee_fraction=0.25
+    )
+    assert 0 < fees["failed_locks"] < fees["replayed_locks"]
+    free = stats(topology="ripple-small")
+    assert free["replayed_locks"] > 0
+    assert free["failed_locks"] == 0
+
+
+def _prepared(config, vectorized):
+    assert SimulationSession.vectorized_dispatch
+    SimulationSession.vectorized_dispatch = vectorized
+    try:
+        network, records, scheme = config.build_simulation_inputs()
+        session = SimulationSession(
+            network, records, scheme, config.build_runtime_config()
+        )
+        session.prepare()
+    finally:
+        SimulationSession.vectorized_dispatch = True
+    return session, records
+
+
+@pytest.mark.parametrize("scheme", ["spider-waterfilling", "shortest-path"])
+def test_mid_cohort_fallback_drops_the_seeded_overlay(scheme):
+    """A scalar fallback between two replays leaves no stale balance.
+
+    On the fee-bearing line every pair shares channels.  The cohort is
+    (replayed, forged fallback, replayed, replayed): the first replay
+    seeds the overlay with the whole cohort's balances, the fallback's
+    scalar attempt then moves the store behind it, and the replays after
+    it must decide on what that attempt left — the store ends bit for bit
+    where the scalar loop's does.
+    """
+    from repro.engine.dispatch import _PairProfile
+
+    config = _config(
+        scheme=scheme,
+        topology="line-5",
+        num_transactions=40,
+        base_fee=0.01,
+        fee_rate=0.001,
+        max_fee_fraction=0.25,
+    )
+    fast, _ = _prepared(config, vectorized=True)
+    slow, _ = _prepared(config, vectorized=False)
+    # 100 spendable per direction: the first payment takes 60 off every
+    # hop, the fallback 30 more off hops 1 -> 2 -> 3, and the third finds
+    # 10 there — or 40, if it still reads the balances seeded before the
+    # fallback.
+    cohort = [
+        TransactionRecord(900 + i, 0.0, source, dest, amount)
+        for i, (source, dest, amount) in enumerate(
+            [(0, 4, 60.0), (1, 3, 30.0), (0, 4, 60.0), (2, 4, 30.0)]
+        )
+    ]
+    middle = cohort[1]
+    plan = fast._dispatch
+    assert plan is not None and slow._dispatch is None
+    plan._profiles[(middle.source, middle.dest)] = _PairProfile()
+    plan.attempt_cohort([fast._new_payment(r) for r in cohort])
+    for record in cohort:
+        slow.scheme.attempt(slow._new_payment(record), slow)
+    assert plan.scalar_fallbacks == 1
+    assert plan.replayed_locks > 0
+    _assert_same_store(
+        _store_arrays(fast.network.state_store),
+        _store_arrays(slow.network.state_store),
+    )
+    plan.assert_drained()
+
+
 def test_same_tick_settle_then_lock_ordering():
     """Resolution flushes and polls landing on one tick stay ordered.
 
@@ -229,9 +347,7 @@ def test_same_tick_settle_then_lock_ordering():
         confirmation_delay=0.25,
         poll_interval=0.25,
     )
-    fast = _run_json(config, vectorized=True)
-    slow = _run_json(config, vectorized=False)
-    assert fast == slow
+    _assert_modes_agree(config)
 
 
 def test_schedule_many_matches_repeated_scalar_pushes():
@@ -337,10 +453,106 @@ def test_finish_asserts_dispatch_buffers_drained():
     assert not plan._staged_payments  # funds were landed, buffers cleared
 
 
+@pytest.mark.parametrize(
+    "residue", ["_bal", "_infl", "_sent", "_refund_deltas", "_seeded"]
+)
+def test_finish_asserts_overlay_dropped(residue):
+    """An overlay that outlives its cohort fails the run too: nothing is
+    stranded, but the next cohort would decide on stale balances."""
+    config = _config(topology="ripple-small", num_transactions=40)
+    session, _ = _prepared(config, vectorized=True)
+    plan = session._dispatch
+    assert plan is not None
+    plan.assert_drained()  # clean after prepare()
+    if residue == "_seeded":
+        plan._seeded = True
+    else:
+        getattr(plan, residue)[0] = 1
+    with pytest.raises(SimulationError) as excinfo:
+        plan.assert_drained()
+    name = residue.lstrip("_")
+    assert f"{name}=1" in str(excinfo.value)
+    plan.assert_drained()  # dropped by the failing call
+
+
+#: A line of seven nodes: channel ``i`` joins nodes ``i`` and ``i + 1``,
+#: 100 spendable on either side.
+_LINE_CONFIG = dict(topology="line-7", num_transactions=1, capacity=200.0)
+_lock_amount = st.floats(min_value=0.001, max_value=70.0, allow_nan=False)
+_lock = st.tuples(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.lists(_lock_amount, min_size=6, max_size=6),
+).filter(lambda lock: lock[0] != lock[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    locks=st.lists(_lock, min_size=1, max_size=8),
+    frozen=st.sets(st.integers(0, 5), max_size=2),
+)
+@example(locks=[(0, 3, [200.0] * 6)], frozen=set())  # under-funded at hop 0
+@example(locks=[(0, 3, [5.0, 5.0, 200.0] + [1.0] * 3)], frozen=set())  # hop 2
+@example(locks=[(6, 2, [5.0] * 6)], frozen={5})  # frozen hop 0
+@example(locks=[(6, 2, [5.0] * 6), (0, 6, [7.0] * 6)], frozen={3})  # frozen hop 2
+@example(  # two successes drain hop 1, the third bounces there
+    locks=[(0, 4, [60.0] * 6), (1, 3, [39.5] * 6), (0, 2, [0.3, 0.6] + [1.0] * 4)],
+    frozen=set(),
+)
+def test_replay_lock_matches_lock_path_funds(locks, frozen):
+    """``_replay_lock`` + flush ⇔ ``lock_path_funds``, on the store itself.
+
+    A sequence of locks over random trails with random per-hop amounts —
+    some funded, some bouncing off a frozen or under-funded hop ``k``
+    (``k = 0``: traceless; ``k > 0``: lock-then-rollback side effects on
+    hops ``0..k-1``) — is replayed against the seeded overlay and flushed
+    once; its twin store takes the same locks eagerly.  Same six arrays,
+    bit for bit.
+    """
+    session, _ = _prepared(_config(**_LINE_CONFIG), vectorized=True)
+    twin = _config(**_LINE_CONFIG).build_simulation_inputs()[0]
+    for network in (session.network, twin):
+        for cid in sorted(frozen):
+            network.channel(cid, cid + 1).freeze()
+    plan = session._dispatch
+    assert plan is not None
+    table = session.network.path_table
+    paths = [
+        tuple(range(a, b + 1)) if a < b else tuple(range(a, b - 1, -1))
+        for a, b, _ in locks
+    ]
+    payment = Payment(
+        payment_id=10**6, source=0, dest=6, amount=1e9, arrival_time=0.0
+    )
+    plan._cohort_probes = [table.probe_handle(sorted(set(paths)))]
+    plan._open_overlay()
+    for path, (_, _, amounts) in zip(paths, locks):
+        cpath = table.compile(path)
+        required = amounts[: len(cpath)]
+        actuals = plan._replay_lock(cpath, required)
+        twin_dirs = twin.path_table.compile(path).dirs
+        try:
+            expected = twin.state_store.lock_path_funds(
+                twin_dirs, np.array(required)
+            )
+        except InsufficientFundsError:
+            assert actuals is None
+            continue
+        assert actuals == expected.tolist()
+        plan._stage_send(
+            payment, cpath, required[-1], required[0] - required[-1], actuals
+        )
+    plan._flush()
+    plan.assert_drained()
+    _assert_same_store(
+        _store_arrays(session.network.state_store),
+        _store_arrays(twin.state_store),
+    )
+
+
 def test_truncated_horizon_still_finishes_clean():
     """An ``end_time`` cutting the trace mid-flight finishes without
     tripping the drain assertions, in both dispatch modes, identically."""
-    config = _config(topology="ripple-small", num_transactions=250, end_time=1.5)
-    fast = _run_json(config, vectorized=True)
-    slow = _run_json(config, vectorized=False)
-    assert fast == slow
+    _assert_modes_agree(
+        _config(topology="ripple-small", num_transactions=250, end_time=1.5)
+    )
