@@ -4,7 +4,6 @@ from repro.core.amp import AmpWaterfillingScheme, waterfill_allocation
 from repro.core.congestion import TokenBucket
 from repro.core.lp_routing import SpiderLPScheme
 from repro.core.payments import Payment, PaymentState, TransactionUnit, UnitState
-from repro.core.prices import ChannelPriceState, PriceTable
 from repro.core.primal_dual_routing import SpiderPrimalDualScheme
 from repro.core.queueing import (
     QueueGradientWaterfillingScheme,
@@ -25,13 +24,11 @@ from repro.core.window_control import (
 
 __all__ = [
     "AmpWaterfillingScheme",
-    "ChannelPriceState",
     "ImbalanceAwareWindowScheme",
     "PathWindow",
     "Payment",
     "PaymentState",
     "PendingHeap",
-    "PriceTable",
     "QueueGradientWaterfillingScheme",
     "SCHEDULING_POLICIES",
     "SpiderLPScheme",

@@ -99,14 +99,12 @@ class SpiderLPScheme(RoutingScheme):
                 key=lambda item: -item[1],
             )
             self._weights[pair] = weighted
-        if runtime.network.use_path_table:
-            # Precompile every LP-weighted path into store indices so the
-            # first attempt pays no compilation cost and every per-unit
-            # bottleneck probe is a pure vectorised gather.
-            runtime.network.path_table.compile_many(
-                [path for path, _ in weighted]
-                for weighted in self._weights.values()
-            )
+        # Precompile every LP-weighted path into store indices so the first
+        # attempt pays no compilation cost and every per-unit bottleneck
+        # probe is a pure vectorised gather.
+        runtime.network.path_table.compile_many(
+            [path for path, _ in weighted] for weighted in self._weights.values()
+        )
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         weighted = self._weights.get((payment.source, payment.dest))

@@ -6,8 +6,9 @@ implementing in-network queues and rate control to future work") and which
 became the NSDI-version protocol:
 
 * every channel keeps capacity/imbalance prices, updated periodically from
-  the value it observed locking in each direction
-  (:class:`~repro.core.prices.PriceTable`, eqs. 23–24 normalised);
+  the value it observed locking in each direction (the network
+  :class:`~repro.engine.signals.ControlPlane`'s price block, eqs. 23–24
+  normalised);
 * every source keeps a per-path sending rate x_p, nudged by the primal
   update x_p ← Proj[x_p + α(1 − z_p)] where the projection caps the pair's
   total rate at its estimated demand rate (eq. 21);
@@ -27,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.congestion import TokenBucket
-from repro.core.prices import PriceTable
 from repro.fluid.primal_dual import project_capped_simplex
 from repro.routing.base import RoutingScheme
 
@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
     from repro.engine.events import TickTimer
     from repro.engine.session import SimulationSession
+    from repro.engine.signals import ControlPlane
 
 __all__ = ["SpiderPrimalDualScheme"]
 
@@ -107,7 +108,7 @@ class SpiderPrimalDualScheme(RoutingScheme):
         self.update_interval = update_interval
         self.demand_headroom = demand_headroom
         self._pairs: Dict[Pair, _PairState] = {}
-        self._prices: Optional[PriceTable] = None
+        self._prices: Optional["ControlPlane"] = None
         self._timer: Optional["TickTimer"] = None
         self._alpha_value: float = 1.0
 
@@ -115,7 +116,8 @@ class SpiderPrimalDualScheme(RoutingScheme):
     def prepare(self, runtime: "SimulationSession") -> None:
         self.path_cache = runtime.network.path_service.view(k=self.num_paths)
         delta = max(runtime.config.confirmation_delay, 1e-3)
-        self._prices = PriceTable(runtime.network, delta=delta)
+        self._prices = runtime.network.control_plane
+        self._prices.configure_prices(delta)
         self._pairs = {}
         if self.alpha is None:
             # Default primal step: a small fraction of the mean channel
@@ -138,10 +140,9 @@ class SpiderPrimalDualScheme(RoutingScheme):
             if not paths:
                 runtime.fail_payment(payment)
                 return
-            if runtime.network.use_path_table:
-                # Compile the pair's paths once; every subsequent token-
-                # bucket probe is a vectorised gather over store indices.
-                runtime.network.path_table.compile_many([paths])
+            # Compile the pair's paths once; every subsequent token-bucket
+            # probe is a vectorised gather over store indices.
+            runtime.network.path_table.compile_many([paths])
             initial = max(payment.amount / len(paths), 1.0)
             state = _PairState(paths, runtime.now, initial_rate=initial)
             self._pairs[pair] = state
@@ -177,7 +178,7 @@ class SpiderPrimalDualScheme(RoutingScheme):
     def _control_step(self, runtime: "SimulationSession") -> None:
         """One protocol period: dual price update then primal rate update."""
         now = runtime.now
-        self._prices.update_all(self.update_interval, self.eta, self.kappa)
+        self._prices.update_prices(self.update_interval, self.eta, self.kappa)
         for pair, state in self._pairs.items():
             prices = np.array(
                 [self._prices.path_price(p) for p in state.paths]

@@ -280,28 +280,12 @@ class ImbalanceAwareWindowScheme(WindowedSpiderScheme):
         """How much sending on ``path`` rebalances its channels, in [−1, 1]."""
         if self._network is None or len(path) < 2:
             return 0.0
-        if self._control is not None and self._control.vectorized:
-            # The control plane's stamp-cached per-channel imbalance: no
-            # balance arithmetic at all when the path's channels are
-            # unchanged since the last probe.
-            return self._control.path_imbalance(
-                self._network.path_table.compile(path)
-            )
-        if self._network.use_path_table:
-            # One gather over the compiled path: (sender − receiver)
-            # balance per hop, normalised by channel capacity.
-            cpath = self._network.path_table.compile(path)
-            store = self._network.state_store
-            balance = store.balance_flat
-            spread = balance[cpath.dirs] - balance[cpath.dirs ^ 1]
-            return float((spread / store.capacity[cpath.dirs >> 1]).mean())
-        scores = []
-        for u, v in zip(path, path[1:]):
-            channel = self._network.channel(u, v)
-            scores.append(
-                (channel.balance(u) - channel.balance(v)) / channel.capacity
-            )
-        return sum(scores) / len(scores)
+        # The control plane's stamp-cached per-channel imbalance: no
+        # balance arithmetic at all when the path's channels are unchanged
+        # since the last probe.
+        return self._control.path_imbalance(
+            self._network.path_table.compile(path)
+        )
 
     def on_unit_resolved(self, unit: HopUnit, outcome: str, now: float) -> None:
         congested = unit.marked or outcome == "lost"

@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant linter: determinism, ordered iteration, "
-            "store-mutation discipline, scalar/vector parity coverage and "
-            "integer-tick discipline"
+            "store-mutation discipline, integer-tick discipline and "
+            "shard safety"
         ),
     )
     add_lint_arguments(parser)

@@ -11,8 +11,6 @@ RL002     :mod:`.ordering`              no unordered iteration in scheduling /
                                         cohort-building modules
 RL003     :mod:`.store_discipline`      store array writes pair with a
                                         version/stamp bump
-RL004     :mod:`.parity`                every ``vectorized_*`` fast path keeps
-                                        a tested scalar baseline
 RL005     :mod:`.ticks`                 no float arithmetic in schedule tick
                                         arguments
 RL006     :mod:`.fork_safety`           fork-reachable code leaves process-
@@ -36,7 +34,6 @@ from repro.devtools.lint.rules.determinism import DeterminismRule
 from repro.devtools.lint.rules.fork_safety import ForkSafetyRule
 from repro.devtools.lint.rules.lane_confinement import LaneConfinementRule
 from repro.devtools.lint.rules.ordering import OrderedIterationRule
-from repro.devtools.lint.rules.parity import ParityPairRule
 from repro.devtools.lint.rules.shm_lifecycle import ShmLifecycleRule
 from repro.devtools.lint.rules.store_discipline import StoreDisciplineRule
 from repro.devtools.lint.rules.ticks import IntegerTickRule
@@ -44,7 +41,6 @@ from repro.devtools.lint.rules.ticks import IntegerTickRule
 __all__ = [
     "DeterminismRule",
     "OrderedIterationRule",
-    "ParityPairRule",
     "StoreDisciplineRule",
     "IntegerTickRule",
     "ForkSafetyRule",

@@ -1,11 +1,9 @@
 """Macro-tick batched dispatch: cohort kernels over the poll loop.
 
-After the substrate PRs, the per-*operation* kernels are fast — one
-``np.minimum.reduceat`` probes a whole path set, one scatter-add settles a
-whole tick's units — but the poll loop still walks pending payments one at
-a time: every payment re-enters Python glue for its own probe, its own
-decision loop and its own per-unit lock.  At 10k-node scale that glue is
-the hot path.
+The per-*operation* kernels are fast — one ``np.minimum.reduceat`` probes
+a whole path set, one scatter-add settles a whole tick's units — so what
+is left per payment is Python glue: its own probe, its own decision loop
+and its own per-unit lock.  At 10k-node scale that glue is the hot path.
 
 :class:`DispatchPlan` restructures the loop around **macro-ticks**.  The
 session's ``_poll`` (and same-tick arrival bursts) hand the whole cohort of
@@ -27,8 +25,11 @@ attempt-eligible payments here at once; the plan then
    units and registers them with the session's tick-coalesced resolution
    batches (one reschedule per cohort, not per unit).
 
-Byte-identity with the scalar loop (``SimulationSession.vectorized_dispatch
-= False``) is a proved invariant, not a hope.  The proof rests on four
+The reference is the **sequential loop**: the scheme's own ``attempt``
+per payment, in cohort order, each committing its locks eagerly — what
+this driver runs for a scheme whose ``cohort_rule`` is ``None``.
+Byte-identity with it is a proved invariant, not a hope (the dispatch
+tests run every batched rule both ways).  The proof rests on four
 pillars:
 
 * **Residual replay.**  The plan keeps an overlay of *residual* channel
@@ -47,8 +48,8 @@ pillars:
   to the flush every staged send is booked as it is staged, and a
   probe, bottleneck or lock-feasibility check is a dict lookup, a
   ``min(map(bal.__getitem__, dir_list))`` or a float comparison —
-  returning exactly what the scalar loop, which commits each operation
-  eagerly, would have read from the live store at that payment's turn.
+  returning exactly what the sequential loop, which commits each
+  operation eagerly, would have read from the live store at that payment's turn.
   Waterfilling and shortest-path read every hop of their path sets, so
   they seed; the window rule reads first hops only and LND finds its
   paths per attempt, so for them nothing is known up front and ``bal``
@@ -57,7 +58,7 @@ pillars:
   appears at the cohort boundary alone: the seed gather, and the flush.
   A seeded balance is only as good as the store is still: every flush
   drops the overlay, and a store version the cohort probe did not see
-  (a scalar fallback's attempt, an out-of-band mutation) drops it before
+  (a fallback's ``attempt``, an out-of-band mutation) drops it before
   the next replay, which re-gathers.  Estimates for paths whose channels
   carry staged traffic are re-derived from the overlay before a
   payment's replay starts; all other paths' probe values are live by
@@ -65,18 +66,18 @@ pillars:
 * **Fee-aware staging.**  Per-hop lock amounts come from
   :meth:`CompiledPath.hop_amounts
   <repro.engine.pathtable.CompiledPath.hop_amounts>` — the *same* reverse
-  fee recurrence the scalar ``send_unit``/``send_atomic`` path calls — and
-  the scalar lock's semantics are replicated comparison for comparison:
+  fee recurrence ``send_unit``/``send_atomic`` call — and the eager lock's
+  semantics are replicated comparison for comparison:
   feasibility is ``amount <= balance + 1e-9`` on an unfrozen hop, the
   booked actual is ``min(amount, balance)`` (``np.minimum`` bit for bit),
   and the staged per-hop actuals flow unchanged into one ``lock_many``
   scatter whose ``np.ufunc.at`` ordering matches the eager per-send locks.
-  Scalar vetoes with *no* store side effects (dust clamps, fee-budget
+  ``send_unit`` vetoes with *no* store side effects (dust clamps, fee-budget
   rejections) are replayed inline — including waterfilling's
   fresh-bottleneck re-probe — because an overlay read *is* the fresh
   probe.
 * **Failed locks replay too.**  A fee-loaded first hop routinely makes
-  the scalar lock *fail* mid-attempt — and
+  the eager lock *fail* mid-attempt — and
   :meth:`ChannelStateStore.lock_path_funds
   <repro.engine.store.ChannelStateStore.lock_path_funds>`'s failure is
   not traceless: hops before the failing one round-trip their balance
@@ -89,19 +90,19 @@ pillars:
   <repro.engine.session.SimulationSession.dispatch_stats>` count them).
   A flush containing failed locks cannot be a plain scatter-add — no sum
   of deltas reproduces a round-trip — so it still writes the tracked
-  final values back verbatim, bit-identical to the scalar op sequence *by
+  final values back verbatim, bit-identical to the eager op sequence *by
   construction*: the key set of ``sent`` is the write set, and the three
   columns land with one fancy-index assignment each, the
   ``num_refunded`` deltas with them.
 * **Exact fallback.**  Whatever cannot be replayed falls back: staged
-  sends flush first, then the scheme's scalar ``attempt`` runs against
-  live state, exactly as the scalar loop would have at that payment's
+  sends flush first, then the scheme's own ``attempt`` runs against live
+  state, exactly as the sequential loop would have at that payment's
   turn.  After the failed-lock replay this is reduced to degenerate path
-  sets (no probe) and non-finite lock amounts (where the scalar path
+  sets (no probe) and non-finite lock amounts (where ``lock_path``
   raises ``ChannelError``).  As a backstop, a payment whose probe is
   older than the store's version stamp — the store moved mid-cohort —
   lands what is staged, drops the overlay and re-probes before it
-  replays.  Schemes without a declared ``cohort_rule`` run their scalar
+  replays.  Schemes without a declared ``cohort_rule`` run their own
   ``attempt`` inside the cohort driver, in cohort order.
 
 Decision rules covered (``RoutingScheme.cohort_rule``): ``"waterfilling"``
@@ -263,19 +264,17 @@ class DispatchPlan:
 
         Payments are processed in cohort order; the observable effects are
         byte-identical to calling ``scheme.attempt`` per payment in that
-        same order (the scalar dispatch baseline).
+        same order (the sequential loop).
         """
         if not payments:
             return
         session = self.session
         scheme = session.scheme
         rule = getattr(scheme, "cohort_rule", None)
-        if rule not in _BATCH_RULES or not session.network.vectorized_path_ops:
-            # No batched decision rule declared — or the network is pinned
-            # to its scalar per-hop path ops (HTLC objects), whose
-            # accounting the PathLock fast path does not reproduce: the
-            # macro-tick driver still owns triage/reschedule batching, but
-            # decisions run through the scheme's own attempt, sequentially.
+        if rule not in _BATCH_RULES:
+            # No batched decision rule declared: the macro-tick driver
+            # still owns triage/reschedule batching, but decisions run
+            # through the scheme's own attempt, sequentially.
             for payment in payments:
                 scheme.attempt(payment, session)
             return
@@ -289,8 +288,8 @@ class DispatchPlan:
         if rule == "spider-window" and not hasattr(
             getattr(session, "transport", None), "send_unit_hop_by_hop"
         ):
-            # No hop transport attached: the scalar attempt raises the
-            # scheme's own TypeError — reproduce it via the fallback.
+            # No hop transport attached: the scheme's attempt raises its
+            # own TypeError — reproduce it via the fallback.
             for payment in payments:
                 self._fallback(payment)
             self._flush()
@@ -313,7 +312,7 @@ class DispatchPlan:
             if probe.as_of != store.version:
                 # Version-stamp backstop: the store moved since the cohort
                 # probe.  Our own flushes drop the overlay themselves, so
-                # this is a scalar fallback's attempt or an out-of-band
+                # this is a fallback's attempt or an out-of-band
                 # mutation — either way every seeded balance is suspect:
                 # land what is staged, drop the overlay, re-probe live
                 # state.
@@ -331,10 +330,10 @@ class DispatchPlan:
 
     def _fallback(self, payment: Payment) -> None:
         """Sequential fallback: land staged sends first so this attempt
-        observes exactly the state the scalar loop would have seen at its
-        turn, then run the scheme's scalar ``attempt`` against live
+        observes exactly the state the sequential loop would have seen at
+        its turn, then run the scheme's own ``attempt`` against live
         state.  The flush leaves the overlay unseeded, so the next replay
-        re-gathers whatever the scalar attempt moved."""
+        re-gathers whatever that attempt moved."""
         self._flush()
         self.scalar_fallbacks += 1
         self.session.scheme.attempt(payment, self.session)
@@ -404,8 +403,9 @@ class DispatchPlan:
 
     def _bottleneck(self, cpath: "CompiledPath") -> float:
         """Residual bottleneck of one path — ``network.bottleneck`` as the
-        scalar loop would observe it after a flush (min is comparison-only,
-        so it matches the vectorised ``.min()`` bit for bit)."""
+        sequential loop would observe it after a flush (min is
+        comparison-only, so it matches the vectorised ``.min()`` bit for
+        bit)."""
         if self.store.frozen_count:
             return min(map(self._availability, cpath.dir_list))
         return min(map(self._bal.__getitem__, cpath.dir_list))
@@ -446,11 +446,11 @@ class DispatchPlan:
         On success: applies the per-hop lock arithmetic to the overlay and
         returns the actuals (``np.minimum(required, balance)`` bit for
         bit).  On the first frozen/under-funded hop ``k``: applies the
-        scalar failure's lock-then-rollback side effects to hops
+        eager failure's lock-then-rollback side effects to hops
         ``0..k-1`` — the ``(b - a) + a`` balance and ``(i + a) - a``
         inflight round-trips, the ``sent`` growth and the refund tick —
         and returns ``None``, leaving the overlay in exactly the state the
-        scalar ``InsufficientFundsError`` leaves the store.
+        eager ``InsufficientFundsError`` leaves the store.
 
         Callers must have validated ``required`` positive and finite
         (:meth:`_valid_lock_amounts`) and opened the overlay; every hop
@@ -504,7 +504,7 @@ class DispatchPlan:
     @staticmethod
     def _valid_lock_amounts(required: List[float]) -> bool:
         """Whether ``lock_path`` would accept these amounts (positive and
-        finite); a miss means the scalar path raises ``ChannelError``, so
+        finite); a miss means ``lock_path`` raises ``ChannelError``, so
         the caller falls back and lets it."""
         for req in required:
             if not (req > 0.0) or not math.isfinite(req):
@@ -519,7 +519,7 @@ class DispatchPlan:
         fee: float,
         actuals: Optional[List[float]],
     ) -> None:
-        """Stage one successful send (lock key, then inflight — the scalar
+        """Stage one successful send (lock key, then inflight — the
         ``send_unit`` order).  ``actuals=None`` marks the fee-free
         broadcast case: booked on the overlay here if it is open, folded
         in by :meth:`_open_overlay` otherwise; a non-``None`` value means
@@ -554,7 +554,7 @@ class DispatchPlan:
         exactly — same argmax tie-break, same ``min`` clamp, same estimate
         decrement, same fresh-bottleneck re-probe after every veto *or
         failed lock* — against the overlaid cohort estimates.  Returns
-        ``False`` only when the scalar path would raise (non-finite lock
+        ``False`` only when ``lock_path`` would raise (non-finite lock
         amounts)."""
         config = self.session.config
         min_unit = config.min_unit_value
@@ -582,7 +582,7 @@ class DispatchPlan:
                 fee = required[0] - amount
                 if not fee > 0 or payment.fee_budget_allows(fee):
                     if not self._valid_lock_amounts(required):
-                        return False  # scalar lock_path raises ChannelError
+                        return False  # lock_path raises ChannelError
                     actuals = self._replay_lock(cpath, required)
                     if actuals is not None:
                         self._stage_send(payment, cpath, amount, fee, actuals)
@@ -633,9 +633,9 @@ class DispatchPlan:
         """Replay :meth:`ShortestPathScheme.attempt
         <repro.routing.shortest_path.ShortestPathScheme.attempt>` —
         ``send_on_path`` over the pair's single path, re-probing the
-        residual bottleneck before every unit exactly as the scalar loop
-        re-probes the live store.  A failed lock replays its side effects
-        and stops the loop, as the scalar ``send_unit`` → ``False`` →
+        residual bottleneck before every unit exactly as the sequential
+        loop re-probes the live store.  A failed lock replays its side
+        effects and stops the loop, as the ``send_unit`` → ``False`` →
         ``break`` sequence does."""
         config = self.session.config
         min_unit = config.min_unit_value
@@ -652,10 +652,10 @@ class DispatchPlan:
             if fee > 0 and not payment.fee_budget_allows(fee):
                 break  # send_unit returns False → send_on_path stops
             if not self._valid_lock_amounts(required):
-                return False  # scalar lock_path raises ChannelError
+                return False  # lock_path raises ChannelError
             actuals = self._replay_lock(cpath, required)
             if actuals is None:
-                break  # failed lock (effects replayed) → scalar break
+                break  # failed lock (effects replayed) → send_on_path breaks
             self._stage_send(payment, cpath, amount, fee, actuals)
         return True
 
@@ -670,7 +670,7 @@ class DispatchPlan:
         availability callable; retry-loop side effects (attempt counters,
         mission-control failure stamps) accumulate locally and apply once
         the payment reaches its committed outcome — ``pruned`` is
-        payment-local in the scalar code, so the deferral is invisible
+        payment-local in ``LndScheme.attempt``, so the deferral is invisible
         within the payment, and the deltas land before the next payment's
         replay starts.
         """
@@ -715,7 +715,7 @@ class DispatchPlan:
                     failed = True  # fee veto → no lock → fail_payment
                     break
                 if not self._valid_lock_amounts(required):
-                    # scalar lock_path raises ChannelError — let it.
+                    # lock_path raises ChannelError — let it.
                     scheme.attempts_used += attempts_delta - 1
                     self._fallback(payment)
                     return
@@ -768,7 +768,8 @@ class DispatchPlan:
         ``try_lock`` — which *fails clean* (no store effects), so this
         replay never stages failures: every decision either stages a
         launch or replicates a side-effect-free break.  Window state
-        (AIMD inflight) mutates eagerly, exactly as the scalar loop does.
+        (AIMD inflight) mutates eagerly, exactly as the sequential loop
+        does.
         """
         session = self.session
         scheme = cast(Any, session.scheme)
@@ -903,8 +904,8 @@ class DispatchPlan:
             for payment, cpath, amount, actual in launches:
                 # send_unit_hop_by_hop replica, launch half: the lock key
                 # regenerates deterministically from the same units_sent
-                # counter the scalar call would have used (register ran at
-                # stage time), then the HopUnit launches with its
+                # counter the sequential call would have used (register
+                # ran at stage time), then the HopUnit launches with its
                 # first-hop lock booked.
                 lock = HashLock.generate(
                     payment.payment_id, payment.units_sent
@@ -959,8 +960,6 @@ class DispatchPlan:
             getattr(self.session.scheme, "cohort_rule", None)
             not in _PROFILE_RULES
         ):
-            return
-        if not self.session.network.vectorized_path_ops:
             return
         profiles = self._profiles
         self._build_profiles(

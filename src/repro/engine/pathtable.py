@@ -3,10 +3,8 @@
 Every routing scheme in the paper reduces to the same four operations,
 executed thousands of times per simulated second: probe a path's
 bottleneck, price its hops, lock funds along it, and settle or refund the
-lock.  The seed implemented all four as Python loops over
-``PaymentNetwork`` dictionaries and per-hop ``Htlc`` objects — at 10k-node
-scale those loops dominate wall time (event dispatch is ~5 % of the
-hop-by-hop bench).
+lock.  At 10k-node scale per-hop Python loops over channel objects would
+dominate wall time, so they run here as array kernels.
 
 :class:`PathTable` compiles each candidate path **once** into a flat
 array of hop direction ids (``d = 2·cid + side``, the store's one hop
@@ -26,10 +24,11 @@ which:
   scatter-adds with all-or-nothing semantics, returning a
   :class:`PathLock` instead of per-hop HTLC objects.
 
-All operations are float-for-float identical to the scalar loops they
-replace (pinned by ``tests/engine/test_pathtable.py``), including the
-partial-lock rollback side effects on a mid-path
-:class:`~repro.errors.InsufficientFundsError`.
+All operations are float-for-float identical to per-hop loops over
+:class:`~repro.network.channel.PaymentChannel` objects — the reference
+in ``tests/reference/path_ops.py``, pinned by
+``tests/engine/test_pathtable.py`` — including the partial-lock rollback
+side effects on a mid-path :class:`~repro.errors.InsufficientFundsError`.
 
 **The path arena.**  Set-up compiles tens of thousands of paths before the
 first payment moves, so :meth:`PathTable.compile_many` is a batch kernel,
@@ -202,11 +201,11 @@ class HopLock:
 class PathLock:
     """A vectorised in-flight transfer: one record for the whole path.
 
-    Replaces the per-hop ``Htlc`` list the scalar ``lock_path`` returns.
-    Sequence access (``lock[j].amount``, ``len(lock)``) is preserved for
-    consumers like the incentives collector; the amounts themselves live in
-    one float64 array that :meth:`PathTable.settle` / :meth:`refund`
-    scatter straight into the store.
+    One record instead of a per-hop ``Htlc`` list.  Sequence access
+    (``lock[j].amount``, ``len(lock)``) is preserved for consumers like the
+    incentives collector; the amounts themselves live in one float64 array
+    that :meth:`PathTable.settle` / :meth:`refund` scatter straight into
+    the store.
     """
 
     __slots__ = ("cpath", "amounts", "resolved")
@@ -277,8 +276,8 @@ class PathTable:
     """Compiled-path index cache + vectorised path ops for one network.
 
     Owned lazily by :class:`~repro.network.network.PaymentNetwork`
-    (``network.path_table``); the network's scalar path API delegates here,
-    and schemes reach the batch probe through
+    (``network.path_table``); the network's path API delegates here, and
+    schemes reach the batch probe through
     :meth:`PaymentNetwork.bottleneck_many`.
     """
 
@@ -294,10 +293,10 @@ class PathTable:
     def compile(self, path: Sequence[int]) -> CompiledPath:
         """Compile (and memoise) one ``path`` into flat store indices.
 
-        Validation matches ``PaymentNetwork._validate_path`` — empty paths
-        and revisits raise :class:`~repro.errors.ChannelError`, unknown
-        nodes/channels :class:`~repro.errors.TopologyError` — but runs
-        once per distinct path instead of on every operation.
+        Validation — empty paths and revisits raise
+        :class:`~repro.errors.ChannelError`, unknown nodes/channels
+        :class:`~repro.errors.TopologyError` — runs once per distinct path
+        instead of on every operation.
 
         The hop fee schedules (``base_fee``/``fee_rate``) are the ones the
         network's :class:`~repro.network.network.DirectionIndex`
@@ -618,9 +617,8 @@ class PathTable:
     def hop_amounts(self, path: Sequence[int], amount: float) -> List[float]:
         """Per-hop lock amounts delivering ``amount``, fees included.
 
-        Matches ``PaymentNetwork.hop_amounts`` float for float: the
-        fee-free fast path performs no arithmetic at all, and fee-bearing
-        paths run the identical reverse recurrence over the compiled fee
+        The fee-free fast path performs no arithmetic at all, and
+        fee-bearing paths run the reverse recurrence over the compiled fee
         schedule (no channel-object lookups).
         """
         return self.compile(path).hop_amounts(amount)
@@ -635,7 +633,7 @@ class PathTable:
 
         All-or-nothing: a frozen or under-funded hop raises
         :class:`~repro.errors.InsufficientFundsError` and the store is left
-        exactly as the scalar lock-then-rollback loop leaves it (see
+        exactly as a per-hop lock-then-rollback loop leaves it (see
         :meth:`ChannelStateStore.lock_path_funds`).
         """
         cpath = self.compile(path)

@@ -40,7 +40,7 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -126,8 +126,10 @@ class RuntimeConfig:
         payment's amount (``None`` disables the budget).  Only relevant on
         networks with non-zero channel fees.
     check_invariants:
-        Verify channel fund conservation after every resolution (slower;
-        on by default in tests, off in large benchmarks).
+        Verify channel fund conservation after every resolution flush
+        (slower; on by default in tests, off in large benchmarks).  The
+        check runs after the store write and never changes how units
+        resolve.
     """
 
     confirmation_delay: float = 0.5
@@ -182,21 +184,10 @@ class SimulationSession:
         known pair path sets from it before the scheme prepares and
         writes newly discovered ones back when the run finishes.
 
-    Class attributes
-    ----------------
-    vectorized_dispatch:
-        When ``True`` (the default) the session drains same-tick attempt
-        cohorts through the macro-tick
-        :class:`~repro.engine.dispatch.DispatchPlan` kernels — grouped
-        probes, staged decisions, one scatter-add lock per cohort — and
-        bulk-schedules the trace/pending structures.  ``False`` keeps the
-        one-payment-at-a-time scalar dispatch as the parity baseline;
-        metrics are byte-identical either way
-        (``tests/engine/test_dispatch.py`` pins this across schemes).
+    Same-tick attempt cohorts (arrival bursts, poll retries) drain through
+    the macro-tick :class:`~repro.engine.dispatch.DispatchPlan` — grouped
+    probes, staged decisions, one scatter-add lock per cohort.
     """
-
-    #: Flip to ``False`` for the scalar-dispatch parity baseline.
-    vectorized_dispatch: bool = True
 
     def __init__(
         self,
@@ -224,8 +215,8 @@ class SimulationSession:
         self._path_cache_dir = path_cache_dir
         self._finished = False
         self._prepared = False
-        #: Macro-tick cohort kernels (None on the scalar parity path).
-        self._dispatch: Optional[DispatchPlan] = None
+        #: Macro-tick cohort kernels.
+        self._dispatch = DispatchPlan(self)
         self._confirm_ticks = self.sim.clock.to_ticks(self.config.confirmation_delay)
         #: tick -> units resolving at that tick (coalesced store writes).
         self._resolve_batches: Dict[int, List[TransactionUnit]] = {}
@@ -305,7 +296,7 @@ class SimulationSession:
         from discovery and long sweeps can front-load the shared work.
         Nothing here advances the simulated clock.
 
-        On the vectorised-dispatch path the trace is bulk-scheduled via
+        The trace is bulk-scheduled via
         :meth:`TickEngine.schedule_many
         <repro.engine.events.TickEngine.schedule_many>` (same-tick arrival
         bursts coalesce into one cohort event each) and the pair path
@@ -341,8 +332,6 @@ class SimulationSession:
                 # discovered pair sets are written back at the end of the run.
                 # repro-lint: allow[RL006] lane sessions get no path_cache_dir
                 self.network.path_service.persist_to(self._path_cache_dir)
-            engine = self.sim
-            clock = engine.clock
             if transport_kind is not None:
                 transport_kwargs = (
                     self.scheme.runtime_kwargs()
@@ -354,18 +343,9 @@ class SimulationSession:
                 # ahead of same-tick arrivals.
                 self.transport.start()
             self.scheme.prepare(self)
-            if self.vectorized_dispatch:
-                self._dispatch = DispatchPlan(self)
-                self._prefetch_paths()
-                self._schedule_trace_batched()
-            else:
-                for record in self.records:
-                    if record.arrival_time > self._end_time:
-                        break
-                    engine.schedule_at_tick(
-                        clock.to_ticks(record.arrival_time), self._arrive, (record,)
-                    )
-            self._poll_timer = engine.every(self.config.poll_interval, self._poll)
+            self._prefetch_paths()
+            self._schedule_trace_batched()
+            self._poll_timer = self.sim.every(self.config.poll_interval, self._poll)
 
     def _prefetch_paths(self) -> None:
         """Warm every (source, dest) pair the trace will route, batched.
@@ -390,11 +370,10 @@ class SimulationSession:
                 pairs.append(key)
         if pairs:
             self.network.path_service.view(k=num_paths).prepare(pairs)
-            if self._dispatch is not None:
-                # Also pre-build the dispatch profiles (compiled paths +
-                # probe caches) the cohort driver would otherwise fault
-                # in pair by pair during the first attempts.
-                self._dispatch.prime(pairs)
+            # Also pre-build the dispatch profiles (compiled paths + probe
+            # caches) the cohort driver would otherwise fault in pair by
+            # pair during the first attempts.
+            self._dispatch.prime(pairs)
 
     def _schedule_trace_batched(self) -> None:
         """Schedule the trace in one slab append, coalescing same-tick
@@ -453,8 +432,7 @@ class SimulationSession:
             self.network.path_service.flush()
         control = self.network.peek_control_plane()
         if control is not None:
-            # Congestion columns read straight off the control-plane
-            # arrays (identical in vectorised and scalar-parity modes).
+            # Congestion columns read straight off the control-plane arrays.
             self.collector.on_congestion_summary(
                 control.mark_rate(), control.mean_price()
             )
@@ -501,8 +479,7 @@ class SimulationSession:
             self.network.path_service.flush()
 
     def dispatch_stats(self) -> Dict[str, int]:
-        """Batched-dispatch counters for observability (empty when the
-        scalar loop ran).
+        """Batched-dispatch counters for observability.
 
         Keys: ``cohorts`` (attempt cohorts driven), ``cohort_payments``
         (payments entering those cohorts), ``batched_units`` (units
@@ -512,13 +489,12 @@ class SimulationSession:
         cohort replay attempted against its residual overlay) and
         ``failed_locks`` (those that bounced off a frozen or under-funded
         hop — the wasted share of the former).  Deliberately *not* part of
-        :class:`~repro.metrics.collectors.ExperimentMetrics`: counters
-        differ between scalar and batched runs by construction, while the
-        metrics dict is pinned byte-identical across both.
+        :class:`~repro.metrics.collectors.ExperimentMetrics`: they count
+        how the cohort driver reached its decisions, which the metrics are
+        pinned not to depend on (a scheme replayed batched and the same
+        scheme run through its own ``attempt`` serialise identically).
         """
         dispatch = self._dispatch
-        if dispatch is None:
-            return {}
         return {
             "cohorts": dispatch.cohorts,
             "cohort_payments": dispatch.cohort_payments,
@@ -551,9 +527,7 @@ class SimulationSession:
         lock = HashLock.generate(payment.payment_id, payment.units_sent)
         self._attribute_writes(payment.payment_id)
         try:
-            htlcs = self.network.lock_path(
-                path, amount, now=self.sim.now, lock=lock, amounts=amounts
-            )
+            htlcs = self.network.lock_path(path, amount, amounts=amounts)
         except InsufficientFundsError:
             return False
         payment.register_inflight(amount)
@@ -618,9 +592,7 @@ class SimulationSession:
                 if amount <= _EPS:
                     continue
                 amounts = self.network.hop_amounts(path, amount)
-                htlcs = self.network.lock_path(
-                    path, amount, now=self.sim.now, lock=base_lock, amounts=amounts
-                )
+                htlcs = self.network.lock_path(path, amount, amounts=amounts)
                 payment.register_inflight(amount)
                 locked.append(
                     TransactionUnit.create(
@@ -704,18 +676,14 @@ class SimulationSession:
         payment = self._new_payment(record)
         self._pending.add(payment)
         payment.attempts += 1
-        if self._dispatch is not None:
-            self._dispatch.attempt_cohort((payment,))
-        else:
-            self.scheme.attempt(payment, self)
+        self._dispatch.attempt_cohort((payment,))
         self._after_attempt(payment)
 
     def _arrive_cohort(self, records: Tuple[TransactionRecord, ...]) -> None:
         """Handle an arrival burst that landed on one tick as one cohort.
 
         Bookkeeping (payment creation, arrival hooks, pending
-        registration, attempt counters) runs per record in trace order —
-        exactly the state the scalar per-record events would have built —
+        registration, attempt counters) runs per record in trace order,
         then the first attempts drain through
         :meth:`DispatchPlan.attempt_cohort
         <repro.engine.dispatch.DispatchPlan.attempt_cohort>` so
@@ -738,32 +706,11 @@ class SimulationSession:
         if not self._pending:
             return
         now = self.sim.now
-        if self._dispatch is not None:
-            # Macro-tick path: triage the pending order first (each check
-            # reads only that payment's own state, so collecting before
-            # attempting is order-equivalent to the interleaved scalar
-            # loop), then push the eligible cohort through the batched
-            # probe/lock pipeline.
-            eligible: List[Payment] = []
-            for pid in self._pending.ordered():
-                payment = self.payments[pid]
-                if payment.is_terminal:
-                    self._pending.discard(payment.payment_id)
-                    continue
-                if payment.expired(now):
-                    self.fail_payment(payment)
-                    continue
-                if self.scheme.atomic:
-                    continue
-                if payment.remaining < self.config.min_unit_value:
-                    continue  # fully in flight; waiting on settlements
-                payment.attempts += 1
-                eligible.append(payment)
-            if eligible:
-                self._dispatch.attempt_cohort(eligible)
-                for payment in eligible:
-                    self._after_attempt(payment)
-            return
+        # Triage the pending order first (each check reads only that
+        # payment's own state, so collecting before attempting is
+        # order-equivalent to attempting as we go), then push the eligible
+        # cohort through the batched probe/lock pipeline.
+        eligible: List[Payment] = []
         for pid in self._pending.ordered():
             payment = self.payments[pid]
             if payment.is_terminal:
@@ -777,15 +724,18 @@ class SimulationSession:
             if payment.remaining < self.config.min_unit_value:
                 continue  # fully in flight; waiting on settlements
             payment.attempts += 1
-            self.scheme.attempt(payment, self)
-            self._after_attempt(payment)
+            eligible.append(payment)
+        if eligible:
+            self._dispatch.attempt_cohort(eligible)
+            for payment in eligible:
+                self._after_attempt(payment)
 
     def _schedule_resolve(self, unit: TransactionUnit) -> None:
         """Register ``unit`` for resolution one confirmation delay from now.
 
-        Units maturing at the same tick share one flush event — and, on
-        the vectorised path, one batched store write — instead of one
-        event plus one per-hop settle loop each.
+        Units maturing at the same tick share one flush event and one
+        batched store write instead of one event plus one per-hop settle
+        each.
         """
         tick = self.sim.now_tick + self._confirm_ticks
         batch = self._resolve_batches.get(tick)
@@ -799,18 +749,14 @@ class SimulationSession:
         """Resolve every unit that matured at ``tick``.
 
         Payment accounting and collector hooks run per unit in scheduling
-        order; the store
-        writes of all :class:`PathLock`-backed units are coalesced into a
-        single ordered scatter-add
-        (:meth:`~repro.engine.store.ChannelStateStore.apply_resolution_batch`).
-        ``check_invariants`` runs reverts to per-unit resolution so the
-        store is consistent after every settlement, as the invariant check
-        expects.
+        order; the units' store writes are coalesced into a single ordered
+        scatter-add
+        (:meth:`~repro.engine.store.ChannelStateStore.apply_resolution_batch`),
+        after which a ``check_invariants`` run checks conservation once.
         """
         units = self._resolve_batches.pop(tick)
-        if len(units) == 1 or self.config.check_invariants:
-            for unit in units:
-                self._resolve_unit(unit)
+        if len(units) == 1:
+            self._resolve_unit(units[0])
             return
         now = self.sim.now
         dir_parts: List[np.ndarray] = []
@@ -819,10 +765,7 @@ class SimulationSession:
         hop_counts: List[int] = []
         unit_payments: List[int] = []
         for unit in units:
-            lock = unit.htlcs
-            if not isinstance(lock, PathLock):  # scalar-parity mode
-                self._resolve_unit(unit)
-                continue
+            lock = cast(PathLock, unit.htlcs)
             settle = self._resolve_decision(unit, now)
             self._resolve_accounting(unit, now, settle)
             lock.resolved = True
@@ -832,8 +775,6 @@ class SimulationSession:
             settled_parts.append(settle)
             hop_counts.append(len(cpath))
             unit_payments.append(unit.payment.payment_id)
-        if not dir_parts:
-            return
         sanitizer = self.network.state_store.sanitizer
         if sanitizer is not None:
             # Per-row payment ids so a violation names the payment, not
@@ -844,6 +785,8 @@ class SimulationSession:
             np.concatenate(amount_parts),
             np.repeat(settled_parts, hop_counts),
         )
+        if self.config.check_invariants:
+            self.network.check_invariants()
 
     @staticmethod
     def _resolve_decision(unit: TransactionUnit, now: float) -> bool:
@@ -923,8 +866,7 @@ class SimulationSession:
         in-flight units or matured-but-unflushed resolutions would skew
         every completion metric without failing anything.
         """
-        if self._dispatch is not None:
-            self._dispatch.assert_drained()
+        self._dispatch.assert_drained()
         if self.transport is not None:
             # Drain router queues first (refunds may complete nothing, but
             # they release in-flight value).

@@ -435,9 +435,7 @@ class ShardedSession:
 
     def _invalidate_probe_caches(self) -> None:
         """Reset memoised probes before a lane window (see module doc)."""
-        table = self.network.peek_path_table()
-        if table is not None:
-            table.invalidate_probes()
+        self.network.path_table.invalidate_probes()
 
     def _set_lane(self, lane: Optional[int]) -> None:
         """Switch the sanitizer's lane context (no-op when not sanitizing)."""

@@ -2,14 +2,8 @@
 
 Spider's closed loop (§4.2–§4.3) is driven by router congestion state —
 queueing-delay marks that shrink per-path windows, and per-channel prices in
-the fluid/primal-dual view.  Before this module those signals were scattered
-across three disconnected mechanisms: per-unit timestamp marking inside the
-hop transport, a dict-of-objects price table in :mod:`repro.core.prices`,
-and ad-hoc gradient math in the backpressure service epoch — while the
-store's live ``queue_depth`` arrays were only ever read by metrics.
-
-:class:`ControlPlane` centralises them over the
-:class:`~repro.engine.store.ChannelStateStore`:
+the fluid/primal-dual view.  :class:`ControlPlane` keeps all of them over
+the :class:`~repro.engine.store.ChannelStateStore`:
 
 * **marking** — per-``(cid, side)`` mark thresholds, mark/serviced counters
   and EWMA queueing delay; the hop transport hands each service batch to
@@ -31,18 +25,14 @@ store's live ``queue_depth`` arrays were only ever read by metrics.
 :class:`~repro.engine.session.SimulationSession` ticks the plane once per
 poll interval (:meth:`tick`), advancing the smoothed queue-depth signal.
 
-Mirroring the :class:`~repro.engine.pathtable.PathTable` pattern, the
-scalar implementations remain behind ``ControlPlane.vectorized_signals =
-False`` as the parity baseline: with the flag off, the price table keeps
-its per-channel objects, the transport's mark decisions run per unit, and
-every batch helper here falls back to the per-element loop — the
-vectorised kernels are pinned against them float for float by
-``tests/engine/test_signals.py`` and the determinism suite.
+Every kernel is pinned float for float against a per-element reference
+loop (``tests/reference/signals.py``) by ``tests/engine/test_signals.py``
+and the determinism suite.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -137,26 +127,17 @@ class ControlPlane:
 
     Owned lazily by :class:`~repro.network.network.PaymentNetwork`
     (``network.control_plane``), exactly like the path table — the hop
-    transport, the windowed/backpressure schemes, the price table and the
+    transport, the windowed/backpressure/primal-dual schemes and the
     metrics summary all read and write the same flat arrays.
     """
-
-    #: Class-wide default for new planes: run the batch operations through
-    #: the vectorised kernels.  The per-element implementations remain
-    #: behind ``vectorized_signals = False`` — they are the parity baseline
-    #: the kernels are tested against (the PathTable pattern).
-    vectorized_signals: bool = True
 
     def __init__(self, network: "PaymentNetwork", ewma_alpha: float = 0.2):
         if not 0.0 < ewma_alpha <= 1.0:
             raise ConfigError(f"ewma_alpha must be in (0, 1], got {ewma_alpha!r}")
         self._network = network
         self._store = network.state_store
-        self.vectorized = type(self).vectorized_signals
         self.state = CongestionState(len(self._store))
         self.ewma_alpha = ewma_alpha
-        self.prices_configured = False
-        self._delta: Optional[float] = None
         #: Mean λ sampled at every price update (feeds ``mean_price``).
         self.price_samples: List[float] = []
         self.ticks = 0
@@ -178,19 +159,16 @@ class ControlPlane:
     def configure_prices(self, delta: float) -> None:
         """Reset the price block for a run with control period scale ``delta``.
 
-        ``capacity_rate = capacity / delta`` normalises the dual steps the
-        same way :class:`~repro.core.prices.ChannelPriceState` does, so one
-        set of step sizes works across capacity scales.
+        ``capacity_rate = capacity / delta`` normalises the dual steps, so
+        one set of step sizes works across capacity scales.
         """
         if delta <= 0:
             raise ConfigError(f"delta must be positive, got {delta!r}")
         state = self._sync()
-        self._delta = float(delta)
         state.capacity_rate[:] = self._store.capacity_view / delta
         state.lam[:] = 0.0
         state.mu[:] = 0.0
         state.window[:] = 0.0
-        self.prices_configured = True
 
     def observe_path(self, path: Sequence[int], amount: float) -> None:
         """Record ``amount`` locked along every hop of ``path``.
@@ -202,98 +180,45 @@ class ControlPlane:
         """
         cpath = self._network.path_table.compile(path)
         state = self._sync()
-        if self.vectorized:
-            state.window.reshape(-1)[cpath.dirs] += amount
-            return
-        for d in cpath.dir_list:
-            state.window[d >> 1, d & 1] += amount
-
-    def observe_hop(self, u: Hashable, v: Hashable, amount: float) -> None:
-        """Record ``amount`` locked in the ``u → v`` direction."""
-        cid, side = self._network.channel_id(u, v)
-        state = self._sync()
-        state.window[cid, side] += amount
-
-    def hop_price(self, u: Hashable, v: Hashable) -> float:
-        """Directed price ``z_(u,v) = λ + µ_(u,v) − µ_(v,u)``."""
-        cid, side = self._network.channel_id(u, v)
-        state = self._sync()
-        return float(
-            state.lam[cid] + state.mu[cid, side] - state.mu[cid, 1 - side]
-        )
+        state.window.reshape(-1)[cpath.dirs] += amount
 
     def path_price(self, path: Sequence[int]) -> float:
         """``z_p`` — the sum of directed hop prices along ``path``.
 
         A gather over the compiled path; the per-hop prices are summed
-        left to right so the result is bit-identical to the scalar
-        per-state loop it replaces.
+        left to right, as a per-hop loop would sum them.
         """
         cpath = self._network.path_table.compile(path)
         if len(cpath) == 0:
             return 0.0
         state = self._sync()
-        if self.vectorized:
-            mu = state.mu.reshape(-1)
-            values = state.lam[cpath.dirs >> 1] + mu[cpath.dirs] - mu[cpath.dirs ^ 1]
-            return float(sum(values.tolist()))
-        total = 0.0
-        for d in cpath.dir_list:
-            cid, side = d >> 1, d & 1
-            total += float(
-                state.lam[cid] + state.mu[cid, side] - state.mu[cid, 1 - side]
-            )
-        return total
+        mu = state.mu.reshape(-1)
+        values = state.lam[cpath.dirs >> 1] + mu[cpath.dirs] - mu[cpath.dirs ^ 1]
+        return float(sum(values.tolist()))
 
     def update_prices(self, dt: float, eta: float, kappa: float) -> None:
         """One dual step on every channel — a handful of array ops.
 
-        Replaces the per-object ``PriceTable.update_all`` loop; every
-        elementwise operation mirrors
-        :meth:`~repro.core.prices.ChannelPriceState.update` in the same
-        order, so the resulting λ/µ are float-for-float identical to the
-        scalar baseline (orientation does not matter: the λ step is
-        commutative in the two directed rates and the µ steps are exact
-        negations of each other).
+        Every elementwise operation follows the per-channel dual step
+        (eqs. 23–24 normalised) in the same order, so λ/µ are float for
+        float what a per-channel loop computes (orientation does not
+        matter: the λ step is commutative in the two directed rates and
+        the µ steps are exact negations of each other).  Appends the new
+        mean λ to ``price_samples``.
         """
         if dt <= 0:
             raise ConfigError(f"dt must be positive, got {dt!r}")
         state = self._sync()
-        if self.vectorized:
-            rates = state.window / dt
-            scale = np.maximum(state.capacity_rate, 1e-9)
-            total = rates[:, 0] + rates[:, 1]
-            state.lam = np.maximum(0.0, state.lam + eta * (total / scale - 1.0))
-            imbalance = (rates[:, 0] - rates[:, 1]) / scale
-            step = kappa * imbalance
-            state.mu[:, 0] = np.maximum(0.0, state.mu[:, 0] + step)
-            state.mu[:, 1] = np.maximum(0.0, state.mu[:, 1] - step)
-            state.window[:] = 0.0
-        else:
-            for cid in range(state.n):
-                rate_a = float(state.window[cid, 0]) / dt
-                rate_b = float(state.window[cid, 1]) / dt
-                scale = max(float(state.capacity_rate[cid]), 1e-9)
-                state.lam[cid] = max(
-                    0.0,
-                    float(state.lam[cid]) + eta * ((rate_a + rate_b) / scale - 1.0),
-                )
-                imbalance = (rate_a - rate_b) / scale
-                state.mu[cid, 0] = max(
-                    0.0, float(state.mu[cid, 0]) + kappa * imbalance
-                )
-                state.mu[cid, 1] = max(
-                    0.0, float(state.mu[cid, 1]) - kappa * imbalance
-                )
-                state.window[cid, 0] = 0.0
-                state.window[cid, 1] = 0.0
-        self.record_price_sample(
-            float(np.mean(state.lam)) if state.n else 0.0
-        )
-
-    def record_price_sample(self, value: float) -> None:
-        """Log one mean-λ sample (called once per price update)."""
-        self.price_samples.append(float(value))
+        rates = state.window / dt
+        scale = np.maximum(state.capacity_rate, 1e-9)
+        total = rates[:, 0] + rates[:, 1]
+        state.lam = np.maximum(0.0, state.lam + eta * (total / scale - 1.0))
+        imbalance = (rates[:, 0] - rates[:, 1]) / scale
+        step = kappa * imbalance
+        state.mu[:, 0] = np.maximum(0.0, state.mu[:, 0] + step)
+        state.mu[:, 1] = np.maximum(0.0, state.mu[:, 1] - step)
+        state.window[:] = 0.0
+        self.price_samples.append(float(np.mean(state.lam)) if state.n else 0.0)
 
     def mean_price(self) -> float:
         """Run-mean of the per-update mean channel price λ."""
@@ -323,13 +248,12 @@ class ControlPlane:
         already marked at an earlier hop) gets its ``marked`` flag set.
         Returns the number of units newly marked.
 
-        Vectorised mode scans the whole batch with one array comparison
-        and folds the batch's mean delay into the EWMA once; the scalar
-        baseline is the retired per-unit path — one branch, one counter
-        update and one EWMA fold per serviced unit.  Marks and counters
-        are identical between the modes (pinned by the parity tests); only
-        the EWMA delay diagnostic differs in how it weights units inside
-        one batch, which nothing metric-visible consumes.
+        A batch of ``_SCAN_MIN`` or more units is scanned with one array
+        comparison and its mean delay folded into the EWMA once; a smaller
+        one loops — one branch, one counter update and one EWMA fold per
+        unit.  Marks and counters are identical either way; only the EWMA
+        delay diagnostic weights units inside one batch differently, which
+        nothing metric-visible consumes.
         """
         count = len(delays)
         if not count:
@@ -338,7 +262,7 @@ class ControlPlane:
         threshold = state.mark_threshold[cid, side]
         alpha = self.ewma_alpha
         newly = 0
-        if self.vectorized and count >= _SCAN_MIN:
+        if count >= _SCAN_MIN:
             state.serviced[cid, side] += count
             batch = np.asarray(delays)
             late = batch > threshold
@@ -399,17 +323,17 @@ class ControlPlane:
 
         ``backlog − backlog' + beta·(dist − dist')`` per candidate — the
         §backpressure gradient with the shortest-path bias, computed as one
-        vectorised expression instead of a per-destination Python call.
-        A negative distance encodes "unreachable" and zeroes the weight,
-        matching the scalar early return.
+        vectorised expression once there are ``_GRADIENT_MIN`` candidates
+        (fewer loop).  A negative distance encodes "unreachable" and zeroes
+        the weight.
 
         ``dist_from`` / ``dist_to`` accept plain int sequences or int64
         ndarrays — the backpressure transport hands over its cached
-        distance-row gathers directly, so the vectorised branch pays no
-        conversion and the scalar branch iterates int64 scalars whose
-        float arithmetic is value-identical to Python ints.
+        distance-row gathers directly, so the array branch pays no
+        conversion and the loop iterates int64 scalars whose float
+        arithmetic is value-identical to Python ints.
         """
-        if self.vectorized and len(backlog_from) >= _GRADIENT_MIN:
+        if len(backlog_from) >= _GRADIENT_MIN:
             gradient = np.asarray(backlog_from) - np.asarray(backlog_to)
             du = np.asarray(dist_from, dtype=np.int64)
             dv = np.asarray(dist_to, dtype=np.int64)
@@ -433,26 +357,13 @@ class ControlPlane:
         its bottleneck estimates: paths through already-backed-up router
         directions are deprioritised even when their balance headroom looks
         large.  Per-hop values come from ``ewma_qdepth`` (advanced once per
-        session poll by :meth:`tick`) and are summed left to right in both
-        modes, so the two implementations agree bit for bit.
+        session poll by :meth:`tick`) and are summed left to right.
         """
-        state = self._sync()
-        smoothed = state.ewma_qdepth
-        out: List[float] = []
-        if self.vectorized:
-            table = self._network.path_table
-            flat = smoothed.reshape(-1)
-            for path in paths:
-                out.append(float(sum(flat[table.compile(path).dirs].tolist())))
-            return out
-        network = self._network
-        for path in paths:
-            total = 0.0
-            for a, b in zip(path, path[1:]):
-                cid, side = network.channel_id(a, b)
-                total += float(smoothed[cid, side])
-            out.append(total)
-        return out
+        flat = self._sync().ewma_qdepth.reshape(-1)
+        table = self._network.path_table
+        return [
+            float(sum(flat[table.compile(path).dirs].tolist())) for path in paths
+        ]
 
     # ------------------------------------------------------------------
     # Imbalance (stamp-cached)
@@ -461,19 +372,15 @@ class ControlPlane:
         """Mean signed ``(sender − receiver)/capacity`` along ``cpath``.
 
         Positive when sending on the path drains the fuller side of each
-        channel — §4.1's rebalance score.  The vectorised mode reads a
-        per-channel cache refreshed via the store's version stamps, so a
-        probe over unchanged channels performs no balance arithmetic at
-        all; flipping a cached value's sign for reverse-orientation hops is
-        exact, so the result matches the direct gather bit for bit.
+        channel — §4.1's rebalance score.  Reads a per-channel cache
+        refreshed via the store's version stamps, so a probe over unchanged
+        channels performs no balance arithmetic at all; flipping a cached
+        value's sign for reverse-orientation hops is exact, so the result
+        matches a direct balance gather bit for bit.
         """
         store = self._store
         dirs = cpath.dirs
         cids = dirs >> 1
-        if not self.vectorized:
-            balance = store.balance_flat
-            spread = balance[dirs] - balance[dirs ^ 1]
-            return float((spread / store.capacity[cids]).mean())
         state = self._sync()
         stale = store.stamp[cids] > state.imb_stamp[cids]
         if stale.any():
@@ -493,25 +400,14 @@ class ControlPlane:
 
         Called by :class:`~repro.engine.session.SimulationSession` on every
         poll: folds the store's live ``queue_depth`` into ``ewma_qdepth``
-        (one array op; the scalar baseline loops the identical update).
+        in one array op.
         """
         state = self._sync()
         depth = self._store.queue_depth_view
-        alpha = self.ewma_alpha
-        if self.vectorized:
-            state.ewma_qdepth += alpha * (depth - state.ewma_qdepth)
-        else:
-            smoothed = state.ewma_qdepth
-            for cid in range(state.n):
-                for side in (0, 1):
-                    previous = float(smoothed[cid, side])
-                    smoothed[cid, side] = previous + alpha * (
-                        float(depth[cid, side]) - previous
-                    )
+        state.ewma_qdepth += self.ewma_alpha * (depth - state.ewma_qdepth)
         self.ticks += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ControlPlane(channels={self.state.n}, "
-            f"vectorized={self.vectorized}, ticks={self.ticks})"
+            f"ControlPlane(channels={self.state.n}, ticks={self.ticks})"
         )

@@ -120,17 +120,12 @@ class HopByHopTransport:
         self.mark_threshold = mark_threshold
         #: Congestion signalling: thresholds, mark/serviced counters and
         #: delay EWMAs live on the network control plane, which scans each
-        #: service batch in one vectorised comparison (scalar per-unit
-        #: branch behind ``ControlPlane.vectorized_signals = False``).
+        #: service batch in one vectorised comparison.
         self.control = session.network.control_plane
         self.control.configure_marking(mark_threshold)
         #: direction id -> parked units; timed-out corpses are popped lazily.
         self._queues: Dict[DirectionKey, Deque[HopUnit]] = {}
         self._draining = False  # end-of-run drain: no re-launches
-        #: Macro-tick dispatch: coalesce each service batch's advance
-        #: events into per-delay cohort events (see :meth:`advance_many`).
-        #: Pinned off alongside the session's scalar parity baseline.
-        self._batch_advances = bool(session.vectorized_dispatch)
         self.units_queued = 0
         self.units_timed_out = 0
         self.units_marked = 0
@@ -279,7 +274,6 @@ class HopByHopTransport:
             queue.extend(ordered)
         serviced: List[HopUnit] = []
         delays: List[float] = []
-        batch = self._batch_advances
         launched: List[HopUnit] = []
         while queue:
             unit = queue[0]
@@ -303,10 +297,7 @@ class HopByHopTransport:
             delays.append(delay)
             unit.queued_at = None
             if self._try_lock_hop(unit):  # pragma: no branch - funds checked above
-                if batch:
-                    launched.append(unit)
-                else:
-                    self._schedule_advance(unit)
+                launched.append(unit)
         if launched:
             # The service loop scheduled nothing else, so its launches
             # occupy a contiguous seq run — coalescing them after the loop
@@ -623,7 +614,7 @@ class BackpressureTransport:
         (:meth:`_direction_distances`) instead of per-destination dict
         walks, and the gradient arithmetic runs through the control
         plane's kernel — one vectorised expression over the whole
-        candidate batch instead of a per-destination :meth:`_weight` call.
+        candidate batch.
         """
         if not dests:
             return []
@@ -633,18 +624,6 @@ class BackpressureTransport:
         return self.control.gradient_weights(
             backlog_u, backlog_v, dist_u, dist_v, self.beta
         )
-
-    def _weight(self, u: int, v: int, dest: int) -> float:
-        """One destination's service weight — the single-dest reference
-        for the control plane's batch kernel (kept for readability and
-        direct-drive tests; the service epoch uses the batch form)."""
-        gradient = self.backlog(u, dest) - self.backlog(v, dest)
-        distances = self._distance(dest)
-        du = distances.get(u)
-        dv = distances.get(v)
-        if du is None or dv is None:
-            return 0.0
-        return gradient + self.beta * (du - dv)
 
     def _eligible_unit(
         self, queue: Deque[BackpressureUnit], v: int, available: float

@@ -169,9 +169,7 @@ class MetricsCollector:
         """End-of-run congestion columns, read off the control plane.
 
         Called by the session when the run instantiated a
-        :class:`~repro.engine.signals.ControlPlane`; both numbers are
-        identical whether the plane ran its vectorised kernels or the
-        scalar parity baseline.
+        :class:`~repro.engine.signals.ControlPlane`.
         """
         self._mark_rate = mark_rate
         self._mean_price = mean_price

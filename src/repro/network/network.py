@@ -19,7 +19,6 @@ The class deliberately contains no routing policy; schemes live in
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,9 +26,8 @@ import numpy as np
 from repro.engine.pathtable import PathLock, PathTable, int_node_array
 from repro.engine.signals import ControlPlane
 from repro.engine.store import ChannelStateStore
-from repro.errors import ChannelError, InsufficientFundsError, TopologyError
+from repro.errors import ChannelError, TopologyError
 from repro.network.channel import PaymentChannel
-from repro.network.htlc import HashLock, Htlc
 from repro.network.node import Node, NodeRole
 
 __all__ = ["DirectionIndex", "PaymentNetwork", "canonical_edge"]
@@ -122,14 +120,6 @@ class PaymentNetwork:
     toward ``v`` right now.
     """
 
-    #: Class-wide default for new networks: route the path operations
-    #: (``bottleneck`` / ``hop_amounts`` / ``lock_path`` / ``settle_path``
-    #: / ``refund_path``) through the vectorised
-    #: :class:`~repro.engine.pathtable.PathTable`.  The scalar per-hop
-    #: implementations remain behind ``use_path_table = False`` — they are
-    #: the parity baseline the vectorised kernels are tested against.
-    vectorized_path_ops: bool = True
-
     def __init__(self) -> None:
         self._nodes: Dict[NodeId, Node] = {}
         self._channels: Dict[Tuple[NodeId, NodeId], PaymentChannel] = {}
@@ -143,7 +133,6 @@ class PaymentNetwork:
         self._path_table: Optional[PathTable] = None
         self._control_plane: Optional[ControlPlane] = None
         self._path_service = None
-        self.use_path_table = type(self).vectorized_path_ops
 
     # ------------------------------------------------------------------
     # Construction
@@ -313,14 +302,6 @@ class PaymentNetwork:
             self._path_table = PathTable(self)
         return self._path_table
 
-    def peek_path_table(self) -> Optional[PathTable]:
-        """The path table if one was created this run, else ``None``.
-
-        The sharding driver uses this to invalidate probe caches at epoch
-        barriers without forcing a table onto scalar-path-ops runs.
-        """
-        return self._path_table
-
     @property
     def path_service(self):
         """The network's path-discovery service (created lazily).
@@ -367,27 +348,16 @@ class PaymentNetwork:
         This is the quantity waterfilling and the baselines probe as "path
         capacity".  Returns ``inf`` for degenerate single-node paths.
         """
-        if self.use_path_table:
-            return self.path_table.bottleneck(path)
-        self._validate_path(path)
-        if len(path) < 2:
-            return math.inf
-        return min(self.available(a, b) for a, b in zip(path, path[1:]))
+        return self.path_table.bottleneck(path)
 
     def bottleneck_many(self, paths: Sequence[Path]) -> List[float]:
-        """Bottlenecks of a whole path set in one batched probe.
-
-        The vectorised path memoises per path set and refreshes only the
-        paths whose channels changed since the last probe (see
-        :meth:`~repro.engine.pathtable.PathTable.bottleneck_many`); the
-        scalar fallback is the plain per-path loop.  Either way the result
-        is a list of Python floats, element-for-element identical.
-        """
+        """Bottlenecks of a whole path set in one batched probe, as a list
+        of Python floats (memoised per path set and refreshed only where
+        channels changed — see
+        :meth:`~repro.engine.pathtable.PathTable.bottleneck_many`)."""
         if not paths:
             return []
-        if self.use_path_table:
-            return self.path_table.bottleneck_many(paths)
-        return [self.bottleneck(p) for p in paths]
+        return self.path_table.bottleneck_many(paths)
 
     def hop_amounts(self, path: Path, amount: float) -> List[float]:
         """Per-hop lock amounts delivering ``amount``, fees included.
@@ -398,27 +368,14 @@ class PaymentNetwork:
         ``amounts[i] = amounts[i+1] + fee(channel_{i+1}, amounts[i+1])``.
         With fee-free channels every entry equals ``amount``.
         """
-        if self.use_path_table:
-            return self.path_table.hop_amounts(path, amount)
-        self._validate_path(path)
-        hops = list(zip(path, path[1:]))
-        if not hops:
-            return []
-        amounts = [0.0] * len(hops)
-        amounts[-1] = amount
-        for i in range(len(hops) - 2, -1, -1):
-            downstream = self.channel(*hops[i + 1])
-            amounts[i] = amounts[i + 1] + downstream.forwarding_fee(amounts[i + 1])
-        return amounts
+        return self.path_table.hop_amounts(path, amount)
 
     def lock_path(
         self,
         path: Path,
         amount: float,
-        now: float = 0.0,
-        lock: Optional[HashLock] = None,
         amounts: Optional[Sequence[float]] = None,
-    ) -> Sequence:
+    ) -> PathLock:
         """Atomically lock funds on every hop of ``path``.
 
         By default every hop locks ``amount``; passing ``amounts`` locks a
@@ -427,71 +384,34 @@ class PaymentNetwork:
         intermediate hop lacks funds, the already-locked hops are refunded
         and :class:`~repro.errors.InsufficientFundsError` propagates.
 
-        Returns the per-hop lock sequence, ordered from source to
-        destination: a :class:`~repro.engine.pathtable.PathLock` (one
-        vectorised record for the whole path) on the default table-backed
-        path, or the legacy per-hop :class:`~repro.network.htlc.Htlc` list
-        with ``use_path_table = False``.  Both support ``len()`` and
-        ``[j].amount`` and both resolve through :meth:`settle_path` /
-        :meth:`refund_path`.
+        Returns one :class:`~repro.engine.pathtable.PathLock` for the whole
+        path (``len()`` and ``[j].amount`` give the per-hop locks), resolved
+        through :meth:`settle_path` / :meth:`refund_path`.
         """
-        if self.use_path_table:
-            if len(path) < 2:
-                self.path_table.compile(path)  # raise the validation error
-                raise ChannelError(
-                    "cannot lock funds on a path with fewer than 2 nodes"
-                )
-            if amounts is None:
-                amounts = [amount] * (len(path) - 1)
-            return self.path_table.lock_path(path, amounts)
-        self._validate_path(path)
         if len(path) < 2:
+            self.path_table.compile(path)  # raise the validation error
             raise ChannelError("cannot lock funds on a path with fewer than 2 nodes")
-        hops = list(zip(path, path[1:]))
         if amounts is None:
-            amounts = [amount] * len(hops)
-        elif len(amounts) != len(hops):
-            raise ChannelError(
-                f"path has {len(hops)} hops but {len(amounts)} amounts were supplied"
-            )
-        htlcs: List[Htlc] = []
-        try:
-            for (a, b), hop_amount in zip(hops, amounts):
-                htlcs.append(
-                    self.channel(a, b).lock(a, hop_amount, now=now, lock=lock)
-                )
-        except InsufficientFundsError:
-            for htlc, (a, b) in zip(htlcs, hops):
-                self.channel(a, b).refund(htlc)
-            raise
-        return htlcs
+            amounts = [amount] * (len(path) - 1)
+        return self.path_table.lock_path(path, amounts)
 
-    def settle_path(self, path: Path, htlcs: Sequence) -> None:
+    def settle_path(self, path: Path, lock: PathLock) -> None:
         """Settle every hop of a previously locked transfer."""
-        self._resolve_path(path, htlcs, settle=True)
+        self._check_hops(path, lock)
+        self.path_table.settle(lock)
 
-    def refund_path(self, path: Path, htlcs: Sequence) -> None:
+    def refund_path(self, path: Path, lock: PathLock) -> None:
         """Refund every hop of a previously locked transfer."""
-        self._resolve_path(path, htlcs, settle=False)
+        self._check_hops(path, lock)
+        self.path_table.refund(lock)
 
-    def _resolve_path(self, path: Path, htlcs: Sequence, settle: bool) -> None:
-        if len(path) - 1 != len(htlcs):
+    @staticmethod
+    def _check_hops(path: Path, lock: PathLock) -> None:
+        if len(path) - 1 != len(lock):
             raise ChannelError(
-                f"path has {max(len(path) - 1, 0)} hops but {len(htlcs)} "
+                f"path has {max(len(path) - 1, 0)} hops but {len(lock)} "
                 "HTLCs were supplied"
             )
-        if isinstance(htlcs, PathLock):
-            if settle:
-                self.path_table.settle(htlcs)
-            else:
-                self.path_table.refund(htlcs)
-            return
-        for htlc, (a, b) in zip(htlcs, zip(path, path[1:])):
-            channel = self.channel(a, b)
-            if settle:
-                channel.settle(htlc)
-            else:
-                channel.refund(htlc)
 
     # ------------------------------------------------------------------
     # Aggregates & invariants
@@ -526,23 +446,6 @@ class PaymentNetwork:
             key: (c.balance(c.node_a), c.balance(c.node_b))
             for key, c in self._channels.items()
         }
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _validate_path(self, path: Path) -> None:
-        if not path:
-            raise ChannelError("empty path")
-        seen = set()
-        for node in path:
-            if node not in self._nodes:
-                raise TopologyError(f"path mentions unknown node {node!r}")
-            if node in seen:
-                raise ChannelError(f"path revisits node {node!r} (paths must be trails)")
-            seen.add(node)
-        for a, b in zip(path, path[1:]):
-            if canonical_edge(a, b) not in self._channels:
-                raise TopologyError(f"path uses missing channel ({a!r}, {b!r})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PaymentNetwork(nodes={self.num_nodes}, channels={self.num_channels})"

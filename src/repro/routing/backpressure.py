@@ -37,9 +37,7 @@ forwarding, settlement and refunds live in
 :class:`repro.engine.transport.BackpressureTransport`.  The service
 epoch's gradient weights compute through the
 network :class:`~repro.engine.signals.ControlPlane` — one vectorised
-expression per candidate batch rather than per-destination Python calls,
-with the per-destination loop preserved behind
-``ControlPlane.vectorized_signals = False`` as the parity baseline.
+expression per candidate batch rather than per-destination Python calls.
 """
 
 from __future__ import annotations

@@ -211,14 +211,7 @@ class LndScheme(RoutingScheme):
         """The hop whose balance cannot cover its lock, as the onion error
         would report it: the first one scanning from the source."""
         amounts = network.hop_amounts(path, amount)
-        if network.use_path_table:
-            # One gather over the compiled path instead of a per-hop
-            # dictionary walk.
-            index = network.path_table.unfunded_hop(path, amounts)
-            if index is None:
-                return None
-            return (path[index], path[index + 1])
-        for (a, b), hop_amount in zip(zip(path, path[1:]), amounts):
-            if network.available(a, b) + _EPS < hop_amount:
-                return (a, b)
-        return None
+        index = network.path_table.unfunded_hop(path, amounts)
+        if index is None:
+            return None
+        return (path[index], path[index + 1])

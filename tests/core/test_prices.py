@@ -1,12 +1,16 @@
-"""Tests for the online price state (eqs. 23–24, normalised)."""
+"""Tests for the online price state (eqs. 23–24, normalised).
+
+The per-channel model (:class:`ChannelPriceState`, the reference) and the
+network control plane's flat price block, which primal-dual routing uses.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.prices import ChannelPriceState, PriceTable
 from repro.errors import ConfigError
 from repro.network.network import PaymentNetwork
+from tests.reference.signals import ChannelPriceState
 
 
 @pytest.fixture
@@ -15,6 +19,13 @@ def network():
     net.add_channel(0, 1, 100.0)
     net.add_channel(1, 2, 100.0)
     return net
+
+
+@pytest.fixture
+def control(network):
+    control = network.control_plane
+    control.configure_prices(0.5)
+    return control
 
 
 class TestChannelPriceState:
@@ -38,25 +49,6 @@ class TestChannelPriceState:
         state.observe(1, 0, 30.0)
         state.update(dt=1.0, capacity_rate=100.0, eta=0.1, kappa=0.1)
         assert state.mu[(0, 1)] == pytest.approx(0.0)
-        assert state.mu[(1, 0)] == pytest.approx(0.0)
-
-    def test_overload_raises_lambda(self):
-        state = ChannelPriceState(0, 1)
-        state.observe(0, 1, 100.0)
-        state.observe(1, 0, 100.0)
-        state.update(dt=1.0, capacity_rate=100.0, eta=0.1, kappa=0.1)
-        assert state.lam > 0.0
-
-    def test_underload_decays_lambda_to_zero(self):
-        state = ChannelPriceState(0, 1)
-        state.lam = 0.05
-        state.update(dt=1.0, capacity_rate=100.0, eta=0.1, kappa=0.1)
-        assert state.lam == pytest.approx(0.0)  # clamped at zero
-
-    def test_window_resets_after_update(self):
-        state = ChannelPriceState(0, 1)
-        state.observe(0, 1, 10.0)
-        state.update(dt=1.0, capacity_rate=100.0, eta=0.1, kappa=0.1)
         assert state.window[(0, 1)] == 0.0
 
     def test_invalid_dt_rejected(self):
@@ -64,34 +56,36 @@ class TestChannelPriceState:
             ChannelPriceState(0, 1).update(dt=0.0, capacity_rate=1.0, eta=0.1, kappa=0.1)
 
 
-class TestPriceTable:
-    def test_path_price_sums_hops(self, network):
-        table = PriceTable(network, delta=0.5)
-        table.state(0, 1).mu[(0, 1)] = 0.2
-        table.state(1, 2).mu[(1, 2)] = 0.3
-        assert table.path_price([0, 1, 2]) == pytest.approx(0.5)
+class TestControlPlanePrices:
+    def test_path_price_sums_hops(self, network, control):
+        for (u, v), mu in (((0, 1), 0.2), ((1, 2), 0.3)):
+            cid, side = network.channel_id(u, v)
+            control.state.mu[cid, side] = mu
+        assert control.path_price([0, 1, 2]) == pytest.approx(0.5)
 
-    def test_observe_path_feeds_both_hops(self, network):
-        table = PriceTable(network, delta=0.5)
-        table.observe_path([0, 1, 2], 10.0)
-        assert table.state(0, 1).window[(0, 1)] == 10.0
-        assert table.state(1, 2).window[(1, 2)] == 10.0
+    def test_observe_path_feeds_both_hops(self, network, control):
+        control.observe_path([0, 1, 2], 10.0)
+        for u, v in ((0, 1), (1, 2)):
+            assert control.state.window[network.channel_id(u, v)] == 10.0
 
-    def test_update_all_moves_prices(self, network):
-        table = PriceTable(network, delta=0.5)
-        table.observe_path([0, 1], 500.0)
-        table.update_all(dt=1.0, eta=0.1, kappa=0.1)
-        assert table.state(0, 1).price(0, 1) > 0.0
+    def test_update_prices_moves_prices(self, control):
+        control.observe_path([0, 1], 500.0)
+        control.update_prices(dt=1.0, eta=0.1, kappa=0.1)
+        assert control.path_price([0, 1]) > 0.0
+        assert control.price_samples and control.price_samples[-1] > 0.0
 
-    def test_imbalance_price_steers_against_skewed_direction(self, network):
+    def test_imbalance_price_steers_against_skewed_direction(self, control):
         """The §5.3 property: heavy one-way traffic must make that direction
         expensive relative to the reverse, steering senders to rebalance."""
-        table = PriceTable(network, delta=0.5)
         for _ in range(10):
-            table.observe_path([0, 1], 100.0)
-            table.update_all(dt=1.0, eta=0.05, kappa=0.05)
-        assert table.path_price([0, 1]) > table.path_price([1, 0])
+            control.observe_path([0, 1], 100.0)
+            control.update_prices(dt=1.0, eta=0.05, kappa=0.05)
+        assert control.path_price([0, 1]) > control.path_price([1, 0])
 
     def test_invalid_delta_rejected(self, network):
         with pytest.raises(ConfigError):
-            PriceTable(network, delta=0.0)
+            network.control_plane.configure_prices(0.0)
+
+    def test_invalid_dt_rejected(self, control):
+        with pytest.raises(ConfigError):
+            control.update_prices(dt=0.0, eta=0.1, kappa=0.1)

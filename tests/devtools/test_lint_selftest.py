@@ -226,104 +226,6 @@ class TestRL003StoreDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# RL004 — scalar/vector parity coverage
-# ---------------------------------------------------------------------------
-class TestRL004ParityCoverage:
-    SRC = (
-        "class FastThing:\n"
-        "    vectorized_frobnication = True\n"
-        "    def frob(self):\n"
-        "        return 1\n"
-    )
-
-    def test_true_positive_fast_path_without_scalar_coverage(self):
-        report = lint_sources(
-            {
-                ENGINE: self.SRC,
-                # Tests only ever read the flag — the scalar branch is dead.
-                TESTS: (
-                    "from repro.engine.fixture_mod import FastThing\n"
-                    "def test_default():\n"
-                    "    assert FastThing.vectorized_frobnication\n"
-                ),
-            },
-            select=["RL004"],
-        )
-        hits = rule_hits(report, "RL004")
-        assert len(hits) == 1
-        assert hits[0].path == ENGINE and hits[0].line == 2
-        assert "vectorized_frobnication" in hits[0].message
-        assert "scalar baseline" in hits[0].message
-
-    def test_near_miss_both_branches_pinned(self):
-        report = lint_sources(
-            {
-                ENGINE: self.SRC,
-                TESTS: (
-                    "from repro.engine.fixture_mod import FastThing\n"
-                    "def test_parity():\n"
-                    "    assert FastThing.vectorized_frobnication\n"
-                    "    FastThing.vectorized_frobnication = False\n"
-                    "    try:\n"
-                    "        pass\n"
-                    "    finally:\n"
-                    "        FastThing.vectorized_frobnication = True\n"
-                ),
-            },
-            select=["RL004"],
-        )
-        assert report.findings == []
-
-    def test_parametrised_assignment_covers_both_branches(self):
-        report = lint_sources(
-            {
-                ENGINE: self.SRC,
-                TESTS: (
-                    "from repro.engine.fixture_mod import FastThing\n"
-                    "def run_with(flag):\n"
-                    "    FastThing.vectorized_frobnication = flag\n"
-                ),
-            },
-            select=["RL004"],
-        )
-        assert report.findings == []
-
-    def test_sharded_flag_held_to_same_rule(self):
-        # sharded_* parity flags (the spatial-sharding layer) carry the
-        # same proof obligation as vectorized_* ones.
-        src = (
-            "class ShardedThing:\n"
-            "    sharded_frobnication = True\n"
-        )
-        report = lint_sources(
-            {
-                ENGINE: src,
-                TESTS: (
-                    "from repro.engine.fixture_mod import ShardedThing\n"
-                    "def test_default():\n"
-                    "    assert ShardedThing.sharded_frobnication\n"
-                ),
-            },
-            select=["RL004"],
-        )
-        hits = rule_hits(report, "RL004")
-        assert len(hits) == 1
-        assert "sharded_frobnication" in hits[0].message
-        report = lint_sources(
-            {
-                ENGINE: src,
-                TESTS: (
-                    "from repro.engine.fixture_mod import ShardedThing\n"
-                    "def run_with(flag):\n"
-                    "    ShardedThing.sharded_frobnication = flag\n"
-                ),
-            },
-            select=["RL004"],
-        )
-        assert report.findings == []
-
-
-# ---------------------------------------------------------------------------
 # RL005 — integer-tick discipline
 # ---------------------------------------------------------------------------
 class TestRL005IntegerTicks:
@@ -860,7 +762,6 @@ class TestShippedTree:
             "RL001",
             "RL002",
             "RL003",
-            "RL004",
             "RL005",
             "RL006",
             "RL007",

@@ -55,39 +55,6 @@ def test_native_transport_determinism(scheme):
 @pytest.mark.parametrize(
     "scheme",
     [
-        "spider-waterfilling",
-        "spider-amp",
-        "lnd",
-        "silentwhispers",
-        "spider-queueing",
-        "celer",
-    ],
-)
-def test_vectorised_and_scalar_path_ops_byte_identical(scheme):
-    """The PathTable kernels reproduce the scalar path ops bit for bit.
-
-    The same seeded experiment runs once with the vectorised
-    ``PathTable`` operations (the default) and once with
-    ``PaymentNetwork.vectorized_path_ops = False`` (the per-hop scalar
-    loops + HTLC objects); the serialised metrics must match byte for
-    byte.
-    """
-    from repro.network.network import PaymentNetwork
-
-    config = _config(scheme=scheme, num_transactions=150)
-    vectorised = metrics_to_json(run_experiment(config))
-    assert PaymentNetwork.vectorized_path_ops
-    PaymentNetwork.vectorized_path_ops = False
-    try:
-        scalar = metrics_to_json(run_experiment(config))
-    finally:
-        PaymentNetwork.vectorized_path_ops = True
-    assert vectorised.encode() == scalar.encode()
-
-
-@pytest.mark.parametrize(
-    "scheme",
-    [
         "spider-window",
         "spider-window-imbalance",
         "celer",
@@ -95,28 +62,29 @@ def test_vectorised_and_scalar_path_ops_byte_identical(scheme):
         "spider-queueing-qgrad",
     ],
 )
-def test_vectorised_and_scalar_signals_byte_identical(scheme):
-    """The ControlPlane kernels reproduce the scalar signals bit for bit.
+@pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
+def test_signal_kernels_and_reference_loops_byte_identical(
+    scheme, topology, monkeypatch
+):
+    """The ControlPlane kernels reproduce the per-element loops bit for bit.
 
-    The same seeded experiment runs once with the vectorised congestion
-    signalling (the default) and once with
-    ``ControlPlane.vectorized_signals = False`` (per-unit mark branches,
-    per-channel price objects, per-element gradient loops); the serialised
-    metrics — including the new ``mean_mark_rate``/``mean_price`` columns —
-    must match byte for byte across the windowed, backpressure and
-    primal-dual schemes.
+    The same seeded experiment runs once on the kernels and once with
+    every kernel replaced by its reference loop (``tests/reference/
+    signals.py``: per-unit marks, per-channel price steps, per-destination
+    gradients, per-hop penalties and imbalance, per-entry tick); the
+    serialised metrics — including the ``mean_mark_rate``/``mean_price``
+    columns — must match byte for byte across the windowed, backpressure
+    and primal-dual schemes.
     """
     from repro.engine.signals import ControlPlane
+    from tests.reference.signals import KERNELS
 
-    config = _config(scheme=scheme, num_transactions=150)
-    vectorised = metrics_to_json(run_experiment(config))
-    assert ControlPlane.vectorized_signals
-    ControlPlane.vectorized_signals = False
-    try:
-        scalar = metrics_to_json(run_experiment(config))
-    finally:
-        ControlPlane.vectorized_signals = True
-    assert vectorised.encode() == scalar.encode()
+    config = _config(scheme=scheme, topology=topology, num_transactions=150)
+    kernels = metrics_to_json(run_experiment(config))
+    for name, loop in KERNELS.items():
+        monkeypatch.setattr(ControlPlane, name, loop)
+    loops = metrics_to_json(run_experiment(config))
+    assert kernels.encode() == loops.encode()
 
 
 def test_queue_gradient_scheme_reduces_to_queueing_at_zero_bias():

@@ -1,17 +1,18 @@
-"""Macro-tick dispatch parity tests (vectorised cohorts ⇔ scalar loop).
+"""Macro-tick dispatch parity tests (batched replay ⇔ sequential attempts).
 
-``SimulationSession.vectorized_dispatch`` selects between the macro-tick
-:class:`~repro.engine.dispatch.DispatchPlan` (grouped probes, staged
-scatter-add locks, cohort reschedules) and the retired per-payment scalar
-loop, which stays behind the flag as the parity baseline.  Everything here
-pins the two byte-for-byte on serialised metrics — and, below the
-metrics, bit for bit on the final store arrays — including runs that
-force the interesting regimes: mid-cohort conflict groups (shared-channel
-pairs replayed against the plan's residual-capacity overlay), fee-bearing
-and frozen topologies (staged with per-hop fee schedules), and resolution
-flushes landing on the same tick as the poll that relocks the released
-funds.  The overlay's lock replay has its own store-level oracle: a
-hypothesis differential against ``ChannelStateStore.lock_path_funds``.
+The :class:`~repro.engine.dispatch.DispatchPlan` replays each declared
+``cohort_rule`` (grouped probes, staged scatter-add locks); its reference
+is the same session with ``scheme.cohort_rule = None``, where the plan
+runs the scheme's own ``attempt`` per payment, in cohort order.
+Everything here pins the two byte-for-byte on serialised metrics — and,
+below the metrics, bit for bit on the final store arrays — for every
+batched rule, including runs that force the interesting regimes:
+mid-cohort conflict groups (shared-channel pairs replayed against the
+plan's residual-capacity overlay), fee-bearing and frozen topologies
+(staged with per-hop fee schedules), and resolution flushes landing on the
+same tick as the poll that relocks the released funds.  The overlay's lock
+replay has its own store-level oracle: a hypothesis differential against
+``ChannelStateStore.lock_path_funds``.
 
 The bulk-scheduling substrate gets its own order pins:
 :meth:`TickEngine.schedule_many` must pop identically to repeated scalar
@@ -35,20 +36,8 @@ from repro.metrics.report import metrics_to_json
 from repro.errors import InsufficientFundsError, SimulationError
 from repro.workload.generator import TransactionRecord
 
-PINNED_SCHEMES = [
-    "spider-waterfilling",
-    "spider-window",
-    "spider-window-imbalance",
-    "spider-queueing",
-    "spider-queueing-qgrad",
-    "celer",
-    "lnd",
-    "shortest-path",
-]
-
 #: Schemes whose decision rule the DispatchPlan replays batched (every
-#: declared ``cohort_rule``); the fee/shared-channel parity tests sweep
-#: exactly these.
+#: declared ``cohort_rule``); the parity tests sweep exactly these.
 BATCHED_SCHEMES = [
     "spider-waterfilling",
     "shortest-path",
@@ -92,41 +81,49 @@ def _assert_same_store(fast, slow):
         assert np.array_equal(fast[name], slow[name]), name
 
 
-def _run(config, vectorized, mutate=None):
-    """Serialised metrics and final store arrays of one session run under
-    the given dispatch mode.
+def _session(config, batched=True, mutate=None):
+    """A session for ``config``; ``batched=False`` clears the scheme's
+    ``cohort_rule``, so the plan runs its ``attempt`` sequentially.
 
     ``mutate(network)`` runs after the network is built and before the
-    session starts — both modes replay the identical mutation because the
+    session starts — both arms replay the identical mutation because the
     inputs are rebuilt from the config seed each time.
     """
-    assert SimulationSession.vectorized_dispatch  # default stays vectorised
-    SimulationSession.vectorized_dispatch = vectorized
-    try:
-        network, records, scheme = config.build_simulation_inputs()
-        if mutate is not None:
-            mutate(network)
-        session = SimulationSession(
-            network, records, scheme, config.build_runtime_config()
-        )
-        metrics = session.run()
-    finally:
-        SimulationSession.vectorized_dispatch = True
-    return metrics_to_json(metrics).encode(), _store_arrays(network.state_store)
+    network, records, scheme = config.build_simulation_inputs()
+    if not batched:
+        scheme.cohort_rule = None
+    if mutate is not None:
+        mutate(network)
+    return SimulationSession(network, records, scheme, config.build_runtime_config())
+
+
+def _run(config, batched, mutate=None):
+    """Serialised metrics, final store arrays and dispatch counters of one
+    session run."""
+    session = _session(config, batched, mutate)
+    metrics = session.run()
+    return (
+        metrics_to_json(metrics).encode(),
+        _store_arrays(session.network.state_store),
+        session.dispatch_stats(),
+    )
 
 
 def _assert_modes_agree(config, mutate=None):
-    """Both dispatch modes: same metrics bytes, same store bits."""
-    fast_json, fast_store = _run(config, vectorized=True, mutate=mutate)
-    slow_json, slow_store = _run(config, vectorized=False, mutate=mutate)
+    """Batched replay and sequential attempts: same metrics bytes, same
+    store bits — and the batched arm really ran batched."""
+    fast_json, fast_store, fast_stats = _run(config, batched=True, mutate=mutate)
+    slow_json, slow_store, slow_stats = _run(config, batched=False, mutate=mutate)
+    assert fast_stats["cohorts"] > 0
+    assert slow_stats["cohorts"] == 0
     assert fast_json == slow_json
     _assert_same_store(fast_store, slow_store)
 
 
-@pytest.mark.parametrize("scheme", PINNED_SCHEMES)
+@pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
 @pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
 def test_dispatch_modes_byte_identical(scheme, topology):
-    """Vectorised and scalar dispatch serialise to identical bytes.
+    """Batched replay and sequential attempts serialise identically.
 
     ``line-5`` forces every pair through shared channels (constant
     mid-cohort conflicts, heavy fallback traffic); ``ripple-small`` gives
@@ -137,16 +134,15 @@ def test_dispatch_modes_byte_identical(scheme, topology):
     )
 
 
-@pytest.mark.parametrize("scheme", BATCHED_SCHEMES + ["celer"])
+@pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
 def test_dispatch_parity_with_random_fees_and_frozen_channels(scheme):
     """Fee-bearing hops and frozen channels batch byte-identically.
 
     A proportional fee schedule plus a seeded random set of frozen
     channels pushes every regime the fee-aware staging must replay — the
     reverse fee recurrence, frozen-hop availability masking and the
-    predicted-lock-failure fallback — and the two modes must still agree
-    byte for byte.  (``celer`` declares no cohort rule and pins the
-    sequential driver arm.)
+    predicted-lock-failure fallback — and the two arms must still agree
+    byte for byte.
     """
     import random
 
@@ -208,7 +204,7 @@ def test_mid_cohort_conflicts_batch_through_residual_replay():
         )
         session.run()
         plan = session._dispatch
-        assert plan is not None and plan.cohorts > 0
+        assert plan.cohorts > 0
         assert plan.batched_units > 0
         assert plan.scalar_fallbacks == 0
         stats = session.dispatch_stats()
@@ -237,7 +233,6 @@ def test_unbatchable_pair_takes_scalar_fallback():
     )
     session.prepare()
     plan = session._dispatch
-    assert plan is not None
     payment = session._new_payment(records[0])
     # Forge the degenerate profile (no probeable path set) for the pair.
     plan._profiles[(payment.source, payment.dest)] = _PairProfile()
@@ -270,18 +265,10 @@ def test_lock_counters_count_the_fee_regime():
     assert free["failed_locks"] == 0
 
 
-def _prepared(config, vectorized):
-    assert SimulationSession.vectorized_dispatch
-    SimulationSession.vectorized_dispatch = vectorized
-    try:
-        network, records, scheme = config.build_simulation_inputs()
-        session = SimulationSession(
-            network, records, scheme, config.build_runtime_config()
-        )
-        session.prepare()
-    finally:
-        SimulationSession.vectorized_dispatch = True
-    return session, records
+def _prepared(config, batched=True):
+    session = _session(config, batched)
+    session.prepare()
+    return session
 
 
 @pytest.mark.parametrize("scheme", ["spider-waterfilling", "shortest-path"])
@@ -293,7 +280,7 @@ def test_mid_cohort_fallback_drops_the_seeded_overlay(scheme):
     seeds the overlay with the whole cohort's balances, the fallback's
     scalar attempt then moves the store behind it, and the replays after
     it must decide on what that attempt left — the store ends bit for bit
-    where the scalar loop's does.
+    where the sequential attempts leave it.
     """
     from repro.engine.dispatch import _PairProfile
 
@@ -305,8 +292,8 @@ def test_mid_cohort_fallback_drops_the_seeded_overlay(scheme):
         fee_rate=0.001,
         max_fee_fraction=0.25,
     )
-    fast, _ = _prepared(config, vectorized=True)
-    slow, _ = _prepared(config, vectorized=False)
+    fast = _prepared(config)
+    slow = _prepared(config, batched=False)
     # 100 spendable per direction: the first payment takes 60 off every
     # hop, the fallback 30 more off hops 1 -> 2 -> 3, and the third finds
     # 10 there — or 40, if it still reads the balances seeded before the
@@ -319,7 +306,6 @@ def test_mid_cohort_fallback_drops_the_seeded_overlay(scheme):
     ]
     middle = cohort[1]
     plan = fast._dispatch
-    assert plan is not None and slow._dispatch is None
     plan._profiles[(middle.source, middle.dest)] = _PairProfile()
     plan.attempt_cohort([fast._new_payment(r) for r in cohort])
     for record in cohort:
@@ -338,8 +324,8 @@ def test_same_tick_settle_then_lock_ordering():
 
     With ``confirmation_delay == poll_interval`` every unit's maturity
     tick coincides with a poll tick, so each poll's cohort relocks value
-    released by the same tick's settlement flush.  Both dispatch modes
-    must sequence the two identically.
+    released by the same tick's settlement flush.  Batched replay and
+    sequential attempts must sequence the two identically.
     """
     config = _config(
         topology="ripple-small",
@@ -426,7 +412,6 @@ def test_finish_asserts_dispatch_buffers_drained():
     session = SimulationSession(network, records, scheme, config.build_runtime_config())
     session.prepare()
     plan = session._dispatch
-    assert plan is not None
 
     # Forge a staged send the cohort "forgot" to flush.
     from repro.network.htlc import HashLock
@@ -460,9 +445,7 @@ def test_finish_asserts_overlay_dropped(residue):
     """An overlay that outlives its cohort fails the run too: nothing is
     stranded, but the next cohort would decide on stale balances."""
     config = _config(topology="ripple-small", num_transactions=40)
-    session, _ = _prepared(config, vectorized=True)
-    plan = session._dispatch
-    assert plan is not None
+    plan = _prepared(config)._dispatch
     plan.assert_drained()  # clean after prepare()
     if residue == "_seeded":
         plan._seeded = True
@@ -509,13 +492,12 @@ def test_replay_lock_matches_lock_path_funds(locks, frozen):
     once; its twin store takes the same locks eagerly.  Same six arrays,
     bit for bit.
     """
-    session, _ = _prepared(_config(**_LINE_CONFIG), vectorized=True)
+    session = _prepared(_config(**_LINE_CONFIG))
     twin = _config(**_LINE_CONFIG).build_simulation_inputs()[0]
     for network in (session.network, twin):
         for cid in sorted(frozen):
             network.channel(cid, cid + 1).freeze()
     plan = session._dispatch
-    assert plan is not None
     table = session.network.path_table
     paths = [
         tuple(range(a, b + 1)) if a < b else tuple(range(a, b - 1, -1))
@@ -552,7 +534,7 @@ def test_replay_lock_matches_lock_path_funds(locks, frozen):
 
 def test_truncated_horizon_still_finishes_clean():
     """An ``end_time`` cutting the trace mid-flight finishes without
-    tripping the drain assertions, in both dispatch modes, identically."""
+    tripping the drain assertions, batched and sequential, identically."""
     _assert_modes_agree(
         _config(topology="ripple-small", num_transactions=250, end_time=1.5)
     )

@@ -1,12 +1,13 @@
-"""PathTable correctness: vectorised path ops pinned against the scalar ones.
+"""PathTable correctness: the path-op kernels pinned against per-hop loops.
 
-The vectorised kernels (`repro.engine.pathtable`) must be *float-for-float*
-identical to the per-hop scalar implementations they replaced — same
+The kernels (`repro.engine.pathtable`, behind every ``PaymentNetwork``
+path operation) must be *float-for-float* identical to the per-hop
+reference over channel objects (`tests.reference.path_ops`) — same
 results, same side effects, same exceptions — on arbitrary topologies with
 fee-bearing channels, frozen channels and mid-path rollback.  Hypothesis
-drives random networks and operation mixes against a vectorised and a
-scalar twin of the same network and compares the raw store arrays exactly
-(no tolerance).
+drives random networks and operation mixes against two twins of the same
+network, one through the kernels and one through the reference, and
+compares the raw store arrays exactly (no tolerance).
 """
 
 from __future__ import annotations
@@ -19,28 +20,28 @@ from hypothesis import strategies as st
 from repro.engine.pathtable import PathLock, PathTable
 from repro.errors import ChannelError, InsufficientFundsError
 from repro.network.network import PaymentNetwork
+from tests.reference.path_ops import ReferencePathOps
+
+
+def build_network(spec) -> PaymentNetwork:
+    """The network ``spec`` describes: ``(edges, frozen_flags)`` where each
+    edge is ``(u, v, capacity, balance_u, base_fee, fee_rate)``."""
+    network = PaymentNetwork()
+    for u, v, capacity, balance_u, base_fee, fee_rate in spec[0]:
+        network.add_channel(
+            u, v, capacity, balance_u=balance_u,
+            base_fee=base_fee, fee_rate=fee_rate,
+        )
+    for index, frozen in enumerate(spec[1]):
+        if frozen:
+            list(network.channels())[index].freeze()
+    return network
 
 
 def build_twins(spec):
-    """Build two identical networks: one vectorised, one scalar.
-
-    ``spec`` is ``(edges, frozen_flags)`` where each edge is
-    ``(u, v, capacity, balance_u, base_fee, fee_rate)``.
-    """
-    twins = []
-    for use_table in (True, False):
-        network = PaymentNetwork()
-        network.use_path_table = use_table
-        for u, v, capacity, balance_u, base_fee, fee_rate in spec[0]:
-            network.add_channel(
-                u, v, capacity, balance_u=balance_u,
-                base_fee=base_fee, fee_rate=fee_rate,
-            )
-        for index, frozen in enumerate(spec[1]):
-            if frozen:
-                list(network.channels())[index].freeze()
-        twins.append(network)
-    return twins
+    """Two identical networks: one driven through its own (kernel) path
+    ops, the other wrapped in the per-hop reference."""
+    return build_network(spec), ReferencePathOps(build_network(spec))
 
 
 def assert_stores_identical(vec: PaymentNetwork, ref: PaymentNetwork):
@@ -102,13 +103,13 @@ def network_specs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(network_specs())
-def test_bottleneck_and_hop_amounts_match_scalar(data):
+def test_bottleneck_and_hop_amounts_match_reference(data):
     spec, paths = data
     vec, ref = build_twins(spec)
     for path in paths:
         assert vec.bottleneck(path) == ref.bottleneck(path)
         assert vec.hop_amounts(path, 13.7) == ref.hop_amounts(path, 13.7)
-    # The batch probe agrees with the scalar per-path loop, exactly.
+    # The batch probe agrees with the per-path reference, exactly.
     batch = vec.bottleneck_many(paths)
     assert batch == [ref.bottleneck(p) for p in paths]
     # And the memoised re-probe (no mutations in between) is identical.
@@ -137,7 +138,7 @@ def test_lock_settle_refund_parity_under_random_traffic(data, operations):
     vec, ref = build_twins(spec)
     held = []
     channels_vec = list(vec.channels())
-    channels_ref = list(ref.channels())
+    channels_ref = list(ref.network.channels())
     for step, (path_index, amount, resolution, churn) in enumerate(operations):
         path = paths[path_index % len(paths)]
         if churn % 7 == 0:  # occasional churn: freeze or thaw one channel
@@ -158,7 +159,7 @@ def test_lock_settle_refund_parity_under_random_traffic(data, operations):
         except InsufficientFundsError:
             outcome_ref = "insufficient"
         assert outcome_vec == outcome_ref, f"step {step} on {path}"
-        assert_stores_identical(vec, ref)
+        assert_stores_identical(vec, ref.network)
         if outcome_vec is not None:
             continue
         assert isinstance(lock_vec, PathLock)
@@ -173,7 +174,7 @@ def test_lock_settle_refund_parity_under_random_traffic(data, operations):
             ref.refund_path(path, lock_ref)
         else:
             held.append((path, lock_vec, lock_ref))
-        assert_stores_identical(vec, ref)
+        assert_stores_identical(vec, ref.network)
         vec.check_invariants()
     for index, (path, lock_vec, lock_ref) in enumerate(held):
         if index % 2 == 0:
@@ -182,8 +183,51 @@ def test_lock_settle_refund_parity_under_random_traffic(data, operations):
         else:
             vec.refund_path(path, lock_vec)
             ref.refund_path(path, lock_ref)
-    assert_stores_identical(vec, ref)
-    assert vec.total_inflight() == ref.total_inflight()
+    assert_stores_identical(vec, ref.network)
+    assert vec.total_inflight() == ref.network.total_inflight()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    network_specs(),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=63),  # path selector
+            st.floats(min_value=0.01, max_value=60.0, allow_nan=False),
+            st.booleans(),  # settle (else refund)
+        ),
+        min_size=1,
+        max_size=15,
+    ),
+)
+def test_fee_inclusive_locks_match_reference(data, operations):
+    """Locks carrying the fee recurrence's per-hop amounts — how a send
+    locks on fee-bearing channels — then settled or refunded: identical
+    amounts, outcomes and store bits on both twins."""
+    spec, paths = data
+    vec, ref = build_twins(spec)
+    for path_index, amount, settle in operations:
+        path = paths[path_index % len(paths)]
+        amounts = ref.hop_amounts(path, amount)
+        assert vec.hop_amounts(path, amount) == amounts
+        locks = []
+        for ops in (vec, ref):
+            try:
+                locks.append(ops.lock_path(path, amount, amounts=amounts))
+            except InsufficientFundsError:
+                locks.append(None)
+        lock_vec, lock_ref = locks
+        assert (lock_vec is None) == (lock_ref is None)
+        if lock_vec is not None:
+            assert [hop.amount for hop in lock_vec] == [hop.amount for hop in lock_ref]
+            if settle:
+                vec.settle_path(path, lock_vec)
+                ref.settle_path(path, lock_ref)
+            else:
+                vec.refund_path(path, lock_vec)
+                ref.refund_path(path, lock_ref)
+        assert_stores_identical(vec, ref.network)
+    vec.check_invariants()
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,7 +238,7 @@ def test_batch_probe_refreshes_after_mutations(data, rand):
     spec, paths = data
     vec, ref = build_twins(spec)
     channels_vec = list(vec.channels())
-    channels_ref = list(ref.channels())
+    channels_ref = list(ref.network.channels())
     for _ in range(6):
         assert vec.bottleneck_many(paths) == [ref.bottleneck(p) for p in paths]
         action = rand.draw(st.sampled_from(["lock", "freeze", "thaw", "deposit"]))
@@ -265,7 +309,7 @@ def test_compile_many_matches_per_path_compile(data, rand):
         for _ in range(rand.draw(st.integers(min_value=1, max_value=5)))
     ]
     batch, single = PathTable(network), PathTable(network)
-    network.use_path_table = False  # its own path ops: the per-channel loops
+    reference = ReferencePathOps(network)
     for paths in path_sets:  # already-compiled paths must be left alone
         if rand.draw(st.booleans()):
             batch.compile(paths[0])
@@ -318,7 +362,7 @@ def test_compile_many_matches_per_path_compile(data, rand):
             assert got.fee_free == want.fee_free
             for amount in (0.0, 13.7, 1e-3):
                 assert got.hop_amounts(amount) == want.hop_amounts(amount)
-                assert got.hop_amounts(amount) == network.hop_amounts(path, amount)
+                assert got.hop_amounts(amount) == reference.hop_amounts(path, amount)
         got, want = batch.probe_handle(paths), single.probe_handle(paths)
         assert (got is None) == (want is None)
         if got is None:
@@ -356,9 +400,8 @@ def test_batch_compiled_set_probes_the_arena_in_place():
 class TestMidPathRollback:
     """Deterministic pin of the engineered §lock_path failure semantics."""
 
-    def build(self, use_table: bool) -> PaymentNetwork:
+    def build(self) -> PaymentNetwork:
         network = PaymentNetwork()
-        network.use_path_table = use_table
         network.add_channel(0, 1, 100.0)
         network.add_channel(1, 2, 100.0, base_fee=1.0, fee_rate=0.05)
         network.add_channel(2, 3, 100.0)
@@ -366,14 +409,14 @@ class TestMidPathRollback:
         network.channel(2, 3).lock(2, 49.0)
         return network
 
-    def test_rollback_side_effects_match_scalar(self):
-        vec, ref = self.build(True), self.build(False)
-        for network in (vec, ref):
-            amounts = network.hop_amounts((0, 1, 2, 3), 10.0)
+    def test_rollback_side_effects_match_reference(self):
+        vec, ref = self.build(), ReferencePathOps(self.build())
+        for ops in (vec, ref):
+            amounts = ops.hop_amounts((0, 1, 2, 3), 10.0)
             with pytest.raises(InsufficientFundsError):
-                network.lock_path((0, 1, 2, 3), 10.0, amounts=amounts)
-        assert_stores_identical(vec, ref)
-        # The scalar loop's visible scars are reproduced: attempted value
+                ops.lock_path((0, 1, 2, 3), 10.0, amounts=amounts)
+        assert_stores_identical(vec, ref.network)
+        # The per-hop loop's visible scars are reproduced: attempted value
         # counted on the rolled-back hops, one refund each, no net funds.
         store = vec.state_store
         assert store.sent[0, 0] > 0.0
@@ -383,18 +426,17 @@ class TestMidPathRollback:
         vec.check_invariants()
 
     def test_frozen_mid_hop_rejects_all_or_nothing(self):
-        vec, ref = self.build(True), self.build(False)
-        for network in (vec, ref):
+        vec, ref = self.build(), ReferencePathOps(self.build())
+        for network, ops in ((vec, vec), (ref.network, ref)):
             network.channel(1, 2).freeze()
             with pytest.raises(InsufficientFundsError):
-                network.lock_path((0, 1, 2), 5.0)
-        assert_stores_identical(vec, ref)
+                ops.lock_path((0, 1, 2), 5.0)
+        assert_stores_identical(vec, ref.network)
 
 
 class TestPathLockLifecycle:
     def network(self) -> PaymentNetwork:
         network = PaymentNetwork()
-        network.use_path_table = True
         network.add_channel(0, 1, 100.0)
         network.add_channel(1, 2, 100.0)
         return network
@@ -434,15 +476,10 @@ class TestPathLockLifecycle:
         assert [hop.amount for hop in lock] == [5.0, 5.0]
         assert lock[1].amount == 5.0
 
-    def test_validation_errors_match_scalar_types(self):
-        network = self.network()
-        scalar = PaymentNetwork()
-        scalar.use_path_table = False
-        scalar.add_channel(0, 1, 100.0)
-        scalar.add_channel(1, 2, 100.0)
+    def test_validation_errors_match_reference_types(self):
         from repro.errors import TopologyError
 
-        for net in (network, scalar):
+        for net in (self.network(), ReferencePathOps(self.network())):
             with pytest.raises(ChannelError):
                 net.bottleneck([])
             with pytest.raises(TopologyError):

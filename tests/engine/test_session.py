@@ -164,6 +164,51 @@ class TestEmptyTrace:
         assert session.events_processed > 0  # the poll timer ticked
 
 
+class TestCheckInvariants:
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            "spider-waterfilling",
+            "shortest-path",
+            "spider-lp",
+            "spider-primal-dual",
+            "speedymurmurs",  # atomic: send_atomic's units
+        ],
+    )
+    def test_checked_run_resolves_in_batches_and_matches_plain_run(
+        self, scheme, monkeypatch
+    ):
+        """``check_invariants`` checks the path users run: resolution
+        flushes still go through ``apply_resolution_batch`` (each followed
+        by one conservation check), and the metrics bytes are the plain
+        run's."""
+        from repro.engine.store import ChannelStateStore
+        from repro.metrics.report import metrics_to_json
+        from repro.network.network import PaymentNetwork
+
+        plain = metrics_to_json(SimulationSession.from_config(_config(scheme=scheme)).run())
+        calls = {"batches": 0, "checks": 0}
+        batch = ChannelStateStore.apply_resolution_batch
+        check = PaymentNetwork.check_invariants
+
+        def counted_batch(store, *args):
+            calls["batches"] += 1
+            return batch(store, *args)
+
+        def counted_check(network):
+            calls["checks"] += 1
+            return check(network)
+
+        monkeypatch.setattr(ChannelStateStore, "apply_resolution_batch", counted_batch)
+        monkeypatch.setattr(PaymentNetwork, "check_invariants", counted_check)
+        checked = SimulationSession.from_config(
+            _config(scheme=scheme, check_invariants=True)
+        ).run()
+        assert metrics_to_json(checked) == plain
+        assert calls["batches"] > 0
+        assert calls["checks"] >= calls["batches"]
+
+
 class TestPrimalDualOnSession:
     def test_recurring_control_loop_runs_on_tick_engine(self):
         """spider-primal-dual drives a periodic timer off session.sim."""

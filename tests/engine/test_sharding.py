@@ -348,8 +348,8 @@ class TestProbeInvalidation:
         config = _config(scheme="spider-waterfilling", num_transactions=60)
         session = SimulationSession.from_config(config)
         session.run()
-        table = session.network.peek_path_table()
-        assert table is not None and table._probes
+        table = session.network.path_table
+        assert table._probes
         table.invalidate_probes()
         for probe in table._probes.values():
             if probe is not None:

@@ -1,35 +1,30 @@
-"""ControlPlane parity: vectorised kernels vs. the scalar baselines.
+"""ControlPlane kernels pinned against the per-element reference loops.
 
 The control plane's acceptance bar is float-for-float equality with the
-per-element implementations it replaces (``ControlPlane.vectorized_signals
-= False``), across random fee-bearing / frozen topologies: marks, prices,
-gradients and imbalance must agree exactly — not approximately — because
-the determinism suite pins byte-identical metrics JSON across both modes.
+reference loops in ``tests/reference/signals.py`` (and, for prices, with
+the per-channel :class:`ChannelPriceState` model), across random
+fee-bearing / frozen topologies: marks, prices, gradients, queue penalty,
+imbalance and tick must agree exactly — not approximately — because the
+determinism suite pins byte-identical metrics JSON for whole runs on the
+reference loops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.prices import PriceTable
 from repro.engine.signals import ControlPlane
 from repro.errors import ConfigError
 from repro.network.network import PaymentNetwork
 from repro.routing.base import PathCache
 from repro.simulator.rng import make_rng
 from repro.topology import ripple_topology
-from tests.engine.test_pathtable import network_specs
-
-
-@pytest.fixture(autouse=True)
-def _restore_flag():
-    """Every test leaves the class-wide parity flag as it found it."""
-    previous = ControlPlane.vectorized_signals
-    yield
-    ControlPlane.vectorized_signals = previous
+from tests.engine.test_pathtable import build_network, network_specs
+from tests.reference import signals as reference
+from tests.reference.signals import ReferencePriceTable
 
 
 def _random_network(rng, fees: bool = True, frozen: bool = True):
@@ -74,68 +69,93 @@ def _random_paths(network, rng, count: int = 12):
     return paths[:count]
 
 
-class TestPriceParity:
-    def _drive(self, network, paths, rng) -> PriceTable:
-        """One deterministic observe/update workload on a fresh table."""
-        table = PriceTable(network, delta=0.5)
-        for step in range(40):
-            path = paths[int(rng.integers(0, len(paths)))]
-            table.observe_path(path, float(rng.uniform(0.5, 40.0)))
-            if step % 5 == 4:
-                table.update_all(dt=1.0, eta=0.08, kappa=0.06)
-        return table
+def _planes(network):
+    """Two planes over one store: the network's own, for the kernels, and
+    a second one for the reference loops."""
+    return network.control_plane, ControlPlane(network)
 
+
+def _drive_prices(control, table, paths, rng):
+    """One deterministic observe/update workload, on the plane's kernels
+    and on the per-channel reference model alike."""
+    control.configure_prices(0.5)
+    for step in range(40):
+        path = paths[int(rng.integers(0, len(paths)))]
+        amount = float(rng.uniform(0.5, 40.0))
+        control.observe_path(path, amount)
+        table.observe_path(path, amount)
+        if step % 5 == 4:
+            control.update_prices(dt=1.0, eta=0.08, kappa=0.06)
+            table.update_all(dt=1.0, eta=0.08, kappa=0.06)
+
+
+def _assert_prices_match(network, control, table, paths):
+    """λ, both µ and every path price: plane arrays == reference objects."""
+    state = control.state
+    for u, v in network.edges():
+        cid, side = network.channel_id(u, v)
+        price = table.state(u, v)
+        assert float(state.lam[cid]) == price.lam
+        assert float(state.mu[cid, side]) == price.mu[(u, v)]
+        assert float(state.mu[cid, 1 - side]) == price.mu[(v, u)]
+    for path in paths:
+        assert control.path_price(path) == table.path_price(path)
+
+
+class TestPriceParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_lambda_mu_and_path_prices_match_exactly(self, seed):
-        """Vectorised λ/µ/path prices equal the scalar loop bit for bit."""
-        results = {}
-        for vectorized in (True, False):
-            ControlPlane.vectorized_signals = vectorized
-            rng = make_rng(100 + seed)
-            network = _random_network(rng)
-            paths = _random_paths(network, rng)
-            drive_rng = make_rng(200 + seed)
-            table = self._drive(network, paths, drive_rng)
-            lam = {}
-            mu = {}
-            for u, v in network.edges():
-                state = table.state(u, v)
-                lam[(u, v)] = state.lam
-                mu[(u, v)] = (state.mu[(u, v)], state.mu[(v, u)])
-            prices = [table.path_price(p) for p in paths]
-            results[vectorized] = (lam, mu, prices)
-        assert results[True] == results[False]
+        """Kernel λ/µ/path prices equal the per-channel model bit for bit."""
+        rng = make_rng(100 + seed)
+        network = _random_network(rng)
+        paths = _random_paths(network, rng)
+        table = ReferencePriceTable(network, delta=0.5)
+        _drive_prices(network.control_plane, table, paths, make_rng(200 + seed))
+        _assert_prices_match(network, network.control_plane, table, paths)
 
-    def test_mean_price_sample_matches_across_modes(self):
-        """The metrics sample (mean λ per update) is mode-independent."""
-        samples = {}
-        for vectorized in (True, False):
-            ControlPlane.vectorized_signals = vectorized
-            rng = make_rng(7)
-            network = _random_network(rng)
-            paths = _random_paths(network, rng)
-            table = self._drive(network, paths, make_rng(8))
-            samples[vectorized] = list(network.control_plane.price_samples)
-        assert samples[True] == samples[False]
-        assert samples[True]  # the workload updated at least once
+    def test_mean_price_samples_match(self):
+        """The metrics sample (mean λ per update) matches the model's."""
+        rng = make_rng(7)
+        network = _random_network(rng)
+        paths = _random_paths(network, rng)
+        table = ReferencePriceTable(network, delta=0.5)
+        control = network.control_plane
+        _drive_prices(control, table, paths, make_rng(8))
+        assert control.price_samples == table.price_samples
+        assert control.price_samples  # the workload updated at least once
 
-    def test_price_view_write_through(self):
-        """The dict-like view writes land in the control-plane arrays."""
-        network = PaymentNetwork()
-        network.add_channel(0, 1, 100.0)
-        table = PriceTable(network, delta=0.5)
-        table.state(0, 1).mu[(0, 1)] = 0.25
-        table.state(0, 1).lam = 0.5
-        assert table.path_price([0, 1]) == pytest.approx(0.75)
-        cid, side = network.channel_id(0, 1)
-        assert network.control_plane.state.mu[cid, side] == 0.25
+    def test_price_loops_match_kernels(self):
+        """The reference observe/update/path-price loops, run on a second
+        plane, land on the kernels' arrays bit for bit."""
+        rng = make_rng(9)
+        network = _random_network(rng)
+        paths = _random_paths(network, rng)
+        kernel, loop = _planes(network)
+        for plane in (kernel, loop):
+            plane.configure_prices(0.5)
+        drive = make_rng(10)
+        for step in range(30):
+            path = paths[int(drive.integers(0, len(paths)))]
+            amount = float(drive.uniform(0.5, 40.0))
+            kernel.observe_path(path, amount)
+            reference.observe_path(loop, path, amount)
+            assert np.array_equal(kernel.state.window, loop.state.window)
+            if step % 4 == 3:
+                kernel.update_prices(dt=1.0, eta=0.1, kappa=0.07)
+                reference.update_prices(loop, dt=1.0, eta=0.1, kappa=0.07)
+        for name in ("lam", "mu", "window"):
+            assert np.array_equal(getattr(kernel.state, name), getattr(loop.state, name))
+        assert kernel.price_samples == loop.price_samples
+        for path in paths:
+            assert kernel.path_price(path) == reference.path_price(loop, path)
 
     def test_update_rejects_non_positive_dt(self):
         network = PaymentNetwork()
         network.add_channel(0, 1, 100.0)
-        table = PriceTable(network, delta=0.5)
         with pytest.raises(ConfigError):
-            table.update_all(dt=0.0, eta=0.1, kappa=0.1)
+            network.control_plane.update_prices(dt=0.0, eta=0.1, kappa=0.1)
+        with pytest.raises(ConfigError):
+            reference.update_prices(network.control_plane, dt=0.0, eta=0.1, kappa=0.1)
 
 
 class _FakeUnit:
@@ -143,6 +163,29 @@ class _FakeUnit:
 
     def __init__(self, marked=False):
         self.marked = marked
+
+
+def _mark_outcome(observe, plane, side, delays, pre_marked):
+    """(newly marked, unit flags, mark counter, serviced counter)."""
+    units = [_FakeUnit(marked) for marked in pre_marked]
+    newly = observe(plane, 0, side, delays, units)
+    return (
+        newly,
+        [unit.marked for unit in units],
+        int(plane.state.marks[0, side]),
+        int(plane.state.serviced[0, side]),
+    )
+
+
+def _mark_scan_parity(delays, pre_marked, threshold, side=0):
+    network = PaymentNetwork()
+    network.add_channel(0, 1, 100.0)
+    kernel, loop = _planes(network)
+    for plane in (kernel, loop):
+        plane.configure_marking(threshold)
+    assert _mark_outcome(
+        ControlPlane.observe_service, kernel, side, delays, pre_marked
+    ) == _mark_outcome(reference.observe_service, loop, side, delays, pre_marked)
 
 
 class TestMarkScanParity:
@@ -153,22 +196,7 @@ class TestMarkScanParity:
         rng = make_rng(300 + seed)
         delays = [float(d) for d in rng.uniform(0.0, 1.0, size=batch)]
         pre_marked = [bool(b) for b in rng.random(batch) < 0.2]
-        outcomes = {}
-        for vectorized in (True, False):
-            ControlPlane.vectorized_signals = vectorized
-            network = PaymentNetwork()
-            network.add_channel(0, 1, 100.0)
-            control = network.control_plane
-            control.configure_marking(0.4)
-            units = [_FakeUnit(m) for m in pre_marked]
-            newly = control.observe_service(0, 0, delays, units)
-            outcomes[vectorized] = (
-                newly,
-                [u.marked for u in units],
-                int(control.state.marks[0, 0]),
-                int(control.state.serviced[0, 0]),
-            )
-        assert outcomes[True] == outcomes[False]
+        _mark_scan_parity(delays, pre_marked, 0.4)
 
     def test_disabled_marking_never_marks(self):
         network = PaymentNetwork()
@@ -200,17 +228,17 @@ class TestGradientParity:
         dist_u = [int(x) for x in rng.integers(-1, 10, size=n)]
         dist_v = [int(x) for x in rng.integers(-1, 10, size=n)]
         beta = float(rng.uniform(0.1, 2.0))
-        results = {}
-        for vectorized in (True, False):
-            ControlPlane.vectorized_signals = vectorized
-            network = PaymentNetwork()
-            network.add_channel(0, 1, 10.0)
-            results[vectorized] = network.control_plane.gradient_weights(
-                backlog_u, backlog_v, dist_u, dist_v, beta
-            )
-        assert results[True] == results[False]
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 10.0)
+        control = network.control_plane
+        args = (backlog_u, backlog_v, dist_u, dist_v, beta)
+        weights = control.gradient_weights(*args)
+        assert weights == reference.gradient_weights(control, *args)
+        # int64 distance rows (what the backpressure transport hands over).
+        rows = (backlog_u, backlog_v, np.array(dist_u), np.array(dist_v), beta)
+        assert control.gradient_weights(*rows) == weights
         for bu, bv, du, dv, w in zip(
-            backlog_u, backlog_v, dist_u, dist_v, results[True]
+            backlog_u, backlog_v, dist_u, dist_v, weights
         ):
             if du < 0 or dv < 0:
                 assert w == 0.0
@@ -218,24 +246,24 @@ class TestGradientParity:
                 assert w == (bu - bv) + beta * (du - dv)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_path_queue_penalty_matches(self, seed):
-        results = {}
-        for vectorized in (True, False):
-            ControlPlane.vectorized_signals = vectorized
-            rng = make_rng(500 + seed)
-            network = _random_network(rng, fees=False, frozen=False)
-            paths = _random_paths(network, rng)
-            control = network.control_plane
-            store = network.state_store
-            depth_rng = make_rng(600 + seed)
+    def test_tick_and_path_queue_penalty_match(self, seed):
+        rng = make_rng(500 + seed)
+        network = _random_network(rng, fees=False, frozen=False)
+        paths = _random_paths(network, rng)
+        kernel, loop = _planes(network)
+        store = network.state_store
+        depth_rng = make_rng(600 + seed)
+        for _ in range(4):
             store.queue_depth_view[:] = depth_rng.integers(
                 0, 12, size=store.queue_depth_view.shape
             )
-            for _ in range(4):
-                control.tick()
-            results[vectorized] = control.path_queue_penalty(paths)
-        assert results[True] == results[False]
-        assert any(p > 0 for p in results[True])
+            kernel.tick()
+            reference.tick(loop)
+        assert np.array_equal(kernel.state.ewma_qdepth, loop.state.ewma_qdepth)
+        assert kernel.ticks == loop.ticks == 4
+        penalty = kernel.path_queue_penalty(paths)
+        assert penalty == reference.path_queue_penalty(loop, paths)
+        assert any(p > 0 for p in penalty)
 
     def test_queue_gradient_reads_live_depths(self):
         network = PaymentNetwork()
@@ -252,45 +280,44 @@ class TestGradientParity:
 class TestImbalanceParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_path_imbalance_matches(self, seed):
-        results = {}
-        for vectorized in (True, False):
-            ControlPlane.vectorized_signals = vectorized
-            rng = make_rng(700 + seed)
-            network = _random_network(rng, frozen=False)
-            paths = _random_paths(network, rng)
-            control = network.control_plane
-            table = network.path_table
-            values = [control.path_imbalance(table.compile(p)) for p in paths]
-            # Mutate some balances, probe again: the stamp-driven refresh
-            # must track the store (not serve stale cache entries).
-            for channel in list(network.channels())[:5]:
-                amount = min(5.0, channel.balance(channel.node_a))
-                if amount > 0:
-                    channel.settle(channel.lock(channel.node_a, amount))
-            values += [control.path_imbalance(table.compile(p)) for p in paths]
-            results[vectorized] = values
-        assert results[True] == results[False]
+        rng = make_rng(700 + seed)
+        network = _random_network(rng, frozen=False)
+        paths = _random_paths(network, rng)
+        control = network.control_plane
+        table = network.path_table
+
+        def both():
+            for path in paths:
+                cpath = table.compile(path)
+                assert control.path_imbalance(cpath) == reference.path_imbalance(
+                    control, cpath
+                )
+
+        both()
+        # Mutate some balances, probe again: the stamp-driven refresh must
+        # track the store (not serve stale cache entries).
+        for channel in list(network.channels())[:5]:
+            amount = min(5.0, channel.balance(channel.node_a))
+            if amount > 0:
+                channel.settle(channel.lock(channel.node_a, amount))
+        both()
 
 
 class TestTickParity:
     def test_ewma_qdepth_matches_and_decays(self):
-        results = {}
-        for vectorized in (True, False):
-            ControlPlane.vectorized_signals = vectorized
-            rng = make_rng(11)
-            network = _random_network(rng, fees=False, frozen=False)
-            control = network.control_plane
-            store = network.state_store
-            store.queue_depth_view[:] = 10
-            control.tick()
-            store.queue_depth_view[:] = 0
-            control.tick()
-            control.tick()
-            results[vectorized] = control.state.ewma_qdepth.copy()
-        assert (results[True] == results[False]).all()
+        rng = make_rng(11)
+        network = _random_network(rng, fees=False, frozen=False)
+        kernel, loop = _planes(network)
+        store = network.state_store
+        for depth in (10, 0, 0):
+            store.queue_depth_view[:] = depth
+            kernel.tick()
+            reference.tick(loop)
+        smoothed = kernel.state.ewma_qdepth
+        assert np.array_equal(smoothed, loop.state.ewma_qdepth)
         # Rising then decaying toward the live (zero) depth.
-        assert (results[True] > 0).all()
-        assert (results[True] < 10).all()
+        assert (smoothed > 0).all()
+        assert (smoothed < 10).all()
 
     def test_invalid_ewma_alpha_rejected(self):
         network = PaymentNetwork()
@@ -298,36 +325,10 @@ class TestTickParity:
             ControlPlane(network, ewma_alpha=0.0)
 
 
-def _signal_twins(spec):
-    """Two identical networks; one plane vectorised, one scalar."""
-    twins = []
-    for vectorized in (True, False):
-        network = PaymentNetwork()
-        for u, v, capacity, balance_u, base_fee, fee_rate in spec[0]:
-            network.add_channel(
-                u, v, capacity, balance_u=balance_u,
-                base_fee=base_fee, fee_rate=fee_rate,
-            )
-        for index, frozen in enumerate(spec[1]):
-            if frozen:
-                list(network.channels())[index].freeze()
-        network.control_plane.vectorized = vectorized
-        twins.append(network)
-    return twins
-
-
-#: The module's autouse flag-restore fixture is function-scoped; these
-#: hypothesis tests flip per-instance flags only, so reuse is harmless.
-_HYPOTHESIS_SETTINGS = dict(
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-
-
 class TestHypothesisParity:
-    """Random fee/frozen topologies: vectorised twin == scalar twin."""
+    """Random fee/frozen topologies: kernels == reference loops."""
 
-    @settings(max_examples=40, **_HYPOTHESIS_SETTINGS)
+    @settings(max_examples=40, deadline=None)
     @given(
         network_specs(),
         st.lists(
@@ -343,31 +344,26 @@ class TestHypothesisParity:
     def test_prices_and_imbalance_parity(self, data, operations):
         """Identical observe/update mixes ⇒ identical λ/µ/z_p/imbalance."""
         spec, paths = data
-        vec, ref = _signal_twins(spec)
-        tables = [PriceTable(network, delta=0.5) for network in (vec, ref)]
+        network = build_network(spec)
+        control = network.control_plane
+        control.configure_prices(0.5)
+        table = ReferencePriceTable(network, delta=0.5)
         for selector, amount, update in operations:
             path = paths[selector % len(paths)]
-            for table in tables:
-                table.observe_path(path, amount)
+            control.observe_path(path, amount)
+            table.observe_path(path, amount)
             if update:
-                for table in tables:
-                    table.update_all(dt=1.0, eta=0.1, kappa=0.07)
+                control.update_prices(dt=1.0, eta=0.1, kappa=0.07)
+                table.update_all(dt=1.0, eta=0.1, kappa=0.07)
+        _assert_prices_match(network, control, table, paths)
+        assert control.price_samples == table.price_samples
         for path in paths:
-            assert tables[0].path_price(path) == tables[1].path_price(path)
-            imbalances = [
-                network.control_plane.path_imbalance(
-                    network.path_table.compile(path)
-                )
-                for network in (vec, ref)
-            ]
-            assert imbalances[0] == imbalances[1]
-        for u, v, *_ in spec[0]:
-            state_vec, state_ref = tables[0].state(u, v), tables[1].state(u, v)
-            assert state_vec.lam == state_ref.lam
-            assert state_vec.mu[(u, v)] == state_ref.mu[(u, v)]
-            assert state_vec.mu[(v, u)] == state_ref.mu[(v, u)]
+            cpath = network.path_table.compile(path)
+            assert control.path_imbalance(cpath) == reference.path_imbalance(
+                control, cpath
+            )
 
-    @settings(max_examples=40, **_HYPOTHESIS_SETTINGS)
+    @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
             st.tuples(
@@ -380,23 +376,12 @@ class TestHypothesisParity:
         st.floats(min_value=0.05, max_value=1.5, allow_nan=False),
     )
     def test_mark_scan_parity(self, batch, threshold):
-        delays = [delay for delay, _ in batch]
-        outcomes = {}
-        for vectorized in (True, False):
-            network = PaymentNetwork()
-            network.add_channel(0, 1, 10.0)
-            control = network.control_plane
-            control.vectorized = vectorized
-            control.configure_marking(threshold)
-            units = [_FakeUnit(marked) for _, marked in batch]
-            newly = control.observe_service(0, 1, delays, units)
-            outcomes[vectorized] = (
-                newly,
-                [unit.marked for unit in units],
-                int(control.state.marks[0, 1]),
-                int(control.state.serviced[0, 1]),
-            )
-        assert outcomes[True] == outcomes[False]
+        _mark_scan_parity(
+            [delay for delay, _ in batch],
+            [marked for _, marked in batch],
+            threshold,
+            side=1,
+        )
 
 
 class TestSizing:
