@@ -388,9 +388,6 @@ class PaymentNetwork:
         path (``len()`` and ``[j].amount`` give the per-hop locks), resolved
         through :meth:`settle_path` / :meth:`refund_path`.
         """
-        if len(path) < 2:
-            self.path_table.compile(path)  # raise the validation error
-            raise ChannelError("cannot lock funds on a path with fewer than 2 nodes")
         if amounts is None:
             amounts = [amount] * (len(path) - 1)
         return self.path_table.lock_path(path, amounts)

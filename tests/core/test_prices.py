@@ -49,6 +49,25 @@ class TestChannelPriceState:
         state.observe(1, 0, 30.0)
         state.update(dt=1.0, capacity_rate=100.0, eta=0.1, kappa=0.1)
         assert state.mu[(0, 1)] == pytest.approx(0.0)
+        assert state.mu[(1, 0)] == pytest.approx(0.0)
+
+    def test_overload_raises_lambda(self):
+        state = ChannelPriceState(0, 1)
+        state.observe(0, 1, 100.0)
+        state.observe(1, 0, 100.0)
+        state.update(dt=1.0, capacity_rate=100.0, eta=0.1, kappa=0.1)
+        assert state.lam > 0.0
+
+    def test_underload_decays_lambda_to_zero(self):
+        state = ChannelPriceState(0, 1)
+        state.lam = 0.05
+        state.update(dt=1.0, capacity_rate=100.0, eta=0.1, kappa=0.1)
+        assert state.lam == pytest.approx(0.0)  # clamped at zero
+
+    def test_window_resets_after_update(self):
+        state = ChannelPriceState(0, 1)
+        state.observe(0, 1, 10.0)
+        state.update(dt=1.0, capacity_rate=100.0, eta=0.1, kappa=0.1)
         assert state.window[(0, 1)] == 0.0
 
     def test_invalid_dt_rejected(self):

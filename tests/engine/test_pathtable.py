@@ -109,6 +109,14 @@ def test_bottleneck_and_hop_amounts_match_reference(data):
     for path in paths:
         assert vec.bottleneck(path) == ref.bottleneck(path)
         assert vec.hop_amounts(path, 13.7) == ref.hop_amounts(path, 13.7)
+        # The first short hop LND reports, at an arbitrary amount and just
+        # inside and just outside the 1e-9 tolerance above the bottleneck.
+        bottleneck = ref.bottleneck(path)
+        for amount in (13.7, bottleneck + 5e-10, bottleneck + 2e-9):
+            amounts = ref.hop_amounts(path, amount)
+            assert vec.path_table.unfunded_hop(path, amounts) == ref.unfunded_hop(
+                path, amounts
+            )
     # The batch probe agrees with the per-path reference, exactly.
     batch = vec.bottleneck_many(paths)
     assert batch == [ref.bottleneck(p) for p in paths]
@@ -210,6 +218,9 @@ def test_fee_inclusive_locks_match_reference(data, operations):
         path = paths[path_index % len(paths)]
         amounts = ref.hop_amounts(path, amount)
         assert vec.hop_amounts(path, amount) == amounts
+        assert vec.path_table.unfunded_hop(path, amounts) == ref.unfunded_hop(
+            path, amounts
+        )
         locks = []
         for ops in (vec, ref):
             try:

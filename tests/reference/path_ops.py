@@ -22,6 +22,8 @@ __all__ = ["ReferencePathOps"]
 
 Path = Sequence[int]
 
+_EPS = 1e-9
+
 
 class ReferencePathOps:
     """Path operations on ``network``, one channel object per hop."""
@@ -68,6 +70,16 @@ class ReferencePathOps:
             downstream = self.network.channel(*hops[i + 1])
             amounts[i] = amounts[i + 1] + downstream.forwarding_fee(amounts[i + 1])
         return amounts
+
+    def unfunded_hop(self, path: Path, amounts: Sequence[float]) -> Optional[int]:
+        """Index of the first hop, scanning from the source, whose
+        availability misses its lock amount; ``None`` when all are funded."""
+        self.validate(path)
+        hops = zip(path, path[1:])
+        for index, ((a, b), hop_amount) in enumerate(zip(hops, amounts)):
+            if self.network.available(a, b) + _EPS < hop_amount:
+                return index
+        return None
 
     def lock_path(
         self, path: Path, amount: float, amounts: Optional[Sequence[float]] = None
