@@ -12,7 +12,9 @@ attempt-eligible payments here at once; the plan then
 1. **probes** every payment's candidate path set with one grouped gather —
    :meth:`PathTable.refresh_probes <repro.engine.pathtable.PathTable.refresh_probes>`
    concatenates the cohort's stale probe caches and runs a single
-   ``availability`` gather + ``minimum.reduceat`` over all of them;
+   ``availability`` gather + ``minimum.reduceat`` over all of them (the
+   window rule skips this step: it reads first hops through the overlay
+   and never reads a probe value);
 2. **replays** each scheme's decision rule per payment against the cached
    estimates plus a **residual-state overlay** (below), staging accepted
    sends into struct-of-arrays buffers (payment refs, compiled paths,
@@ -99,11 +101,12 @@ pillars:
   state, exactly as the sequential loop would have at that payment's
   turn.  After the failed-lock replay this is reduced to degenerate path
   sets (no probe) and non-finite lock amounts (where ``lock_path``
-  raises ``ChannelError``).  As a backstop, a payment whose probe is
-  older than the store's version stamp — the store moved mid-cohort —
-  lands what is staged, drops the overlay and re-probes before it
-  replays.  Schemes without a declared ``cohort_rule`` run their own
-  ``attempt`` inside the cohort driver, in cohort order.
+  raises ``ChannelError``).  As a backstop for the probing rules, a
+  payment whose probe is older than the store's version stamp — the store
+  moved mid-cohort — lands what is staged, drops the overlay and
+  re-probes before it replays.  Schemes without a declared
+  ``cohort_rule`` run their own ``attempt`` inside the cohort driver, in
+  cohort order.
 
 Decision rules covered (``RoutingScheme.cohort_rule``): ``"waterfilling"``
 (argmax/min replay, the original envelope), ``"shortest-path"``
@@ -298,18 +301,24 @@ class DispatchPlan:
         profiles = [
             self._profile(payment.source, payment.dest) for payment in payments
         ]
-        probes = [prof.probe for prof in profiles if prof.probe is not None]
-        self.table.refresh_probes(probes)
-        # What a replay reads decides what the overlay is seeded with:
-        # every hop for waterfilling and shortest-path, nothing for the
-        # window rule (first hops only), which reads lazily like LND.
-        self._cohort_probes = () if rule == "spider-window" else probes
+        # What a replay reads decides what is probed and what the overlay
+        # is seeded with: every hop for waterfilling and shortest-path,
+        # nothing for the window rule, which reads first hops lazily
+        # through the overlay like LND (and every flush drops the
+        # overlay), so its probe values are never read.
+        probed = rule != "spider-window"
+        if probed:
+            probes = [prof.probe for prof in profiles if prof.probe is not None]
+            self.table.refresh_probes(probes)
+            self._cohort_probes = probes
+        else:
+            self._cohort_probes = ()
         for payment, prof in zip(payments, profiles):
             probe = prof.probe
             if not prof.batchable or probe is None:
                 self._fallback(payment)
                 continue
-            if probe.as_of != store.version:
+            if probed and probe.as_of != store.version:
                 # Version-stamp backstop: the store moved since the cohort
                 # probe.  Our own flushes drop the overlay themselves, so
                 # this is a fallback's attempt or an out-of-band
@@ -1005,7 +1014,8 @@ class DispatchPlan:
         keys.sort()
         shared = np.zeros(len(probes), dtype=bool)
         shared[keys[1:][keys[1:] == keys[:-1]] // len(self.store)] = True
-        cid_list = tuple(cids.tolist())
+        pool = self.session.network.direction_index().int_pool
+        cid_list = tuple(map(pool.__getitem__, cids.tolist()))
         ends = np.cumsum(hop_counts).tolist()
         for prof, start, end, overlap in zip(
             batchable, [0] + ends, ends, shared.tolist()

@@ -929,6 +929,11 @@ class PersistentCache:
         or carries another schema or key (renamed, copied, stale) is
         treated as absent: its pairs are recomputed and the next
         :meth:`flush` overwrites it.
+
+        The decoder mints a fresh ``int`` for every node of every path;
+        they are interned to one object per node id as the paths are
+        built (on the 3774-node Ripple graph, ~390k entries over ~3.8k
+        ids: 7 MB of peak RSS).
         """
         path = self._artifact_path()
         if path is None or not os.path.exists(path):
@@ -942,10 +947,14 @@ class PersistentCache:
             ):
                 return {}
             loaded: Dict[Pair, List[Path]] = {}
+            node_ids: Dict[int, int] = {}
+            intern = node_ids.setdefault
             for source, dest, paths in payload["pairs"]:
                 if type(paths) is not list or set(map(type, paths)) - {list}:
                     return {}
-                loaded[(source, dest)] = [tuple(p) for p in paths]
+                loaded[(source, dest)] = [
+                    tuple(map(intern, p, p)) for p in paths
+                ]
             return loaded
         except (OSError, ValueError, KeyError, TypeError):
             return {}

@@ -42,8 +42,10 @@ boundaries.  What the rest of the engine holds are views of it:
 
 * a :class:`CompiledPath` keeps ``dirs`` as a slice of the arena column
   and ``dir_list`` as a slice of the one Python tuple the column converts
-  to; it owns no fee schedule — :meth:`CompiledPath.hop_amounts` reads
-  the network-wide per-direction fee lists through ``dir_list``;
+  to (its ints drawn from the index's ``int_pool``, so every path shares
+  one object per direction id); it owns no fee schedule —
+  :meth:`CompiledPath.hop_amounts` reads the network-wide per-direction
+  fee lists through ``dir_list``;
 * a :class:`_ProbeCache` over paths that sit on consecutive arena rows
   (every pair the dispatch layer primes) takes ``dirs`` and ``offsets``
   as arena slices — no per-pair ``concatenate``/``cumsum``.
@@ -411,7 +413,7 @@ class PathTable:
         arena = _PathArena(dirs, hop_ptr)
         bearing = np.concatenate(([0], np.cumsum(index.fee_bearing[dirs])))
         fee_free = (bearing[hop_ptr[1:]] == bearing[hop_ptr[:-1]]).tolist()
-        dir_list = tuple(dirs.tolist())
+        dir_list = tuple(map(index.int_pool.__getitem__, dirs.tolist()))
         ptr = hop_ptr.tolist()
         for row, (key, start, end, free) in enumerate(
             zip(keys, ptr, ptr[1:], fee_free)

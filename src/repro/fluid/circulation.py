@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import ReproError, TopologyError
 
@@ -159,6 +158,10 @@ def max_circulation_lp(graph: PaymentGraph) -> Dict[DirectedEdge, float]:
         conservation[node_index[i], col] -= 1.0
         conservation[node_index[j], col] += 1.0
     bounds = [(0.0, demands[e]) for e in edges]
+    # Imported here: scipy.optimize adds ~24 MB of RSS, and only the LP
+    # schemes and analyses ever solve an LP.
+    from scipy.optimize import linprog
+
     result = linprog(
         objective,
         A_eq=conservation,

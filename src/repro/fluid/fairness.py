@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import ConfigError, ReproError
 from repro.fluid.paths import path_edges
@@ -188,6 +187,10 @@ def solve_fairness_lp(
         objective[u_pos[pair]] = -float(weights.get(pair, 1.0))
 
     bounds = [(0.0, None)] * num_x + [(None, None)] * len(pairs)
+    # Imported here: scipy.optimize adds ~24 MB of RSS, and only the LP
+    # schemes and analyses ever solve an LP.
+    from scipy.optimize import linprog
+
     result = linprog(
         objective,
         A_ub=np.vstack(a_ub),

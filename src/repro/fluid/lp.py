@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import ConfigError, ReproError
 from repro.fluid.paths import path_edges
@@ -251,6 +250,10 @@ def solve_fluid_lp(
     objective[:num_x] = -1.0
     if balance == "rebalance":
         objective[num_x:] = gamma
+
+    # Imported here: scipy.optimize adds ~24 MB of RSS, and only the LP
+    # schemes and analyses ever solve an LP.
+    from scipy.optimize import linprog
 
     result = linprog(
         objective,

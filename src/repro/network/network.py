@@ -69,16 +69,30 @@ class DirectionIndex:
       schedule), read by :meth:`CompiledPath.hop_amounts
       <repro.engine.pathtable.CompiledPath.hop_amounts>`;
       ``fee_bearing`` flags the directions with a non-zero schedule.
+    * ``int_pool`` — ``list(range(2·channels))``, one Python ``int`` per
+      direction id (and so per channel row).  The tuples of ids the engine
+      keeps per compiled path and per dispatch profile are built by
+      mapping through it, so they share these objects instead of each
+      batch's ``tolist()`` minting hundreds of thousands of fresh ones.
 
     Fee schedules are snapshotted here: like the edge set they are part
     of the static topology (§2) and must be configured before the first
     path is compiled.
     """
 
-    __slots__ = ("nodes", "keys", "dirs", "base_fees", "fee_rates", "fee_bearing")
+    __slots__ = (
+        "nodes",
+        "keys",
+        "dirs",
+        "base_fees",
+        "fee_rates",
+        "fee_bearing",
+        "int_pool",
+    )
 
     def __init__(self, network: "PaymentNetwork"):
         size = 2 * len(network.state_store)
+        self.int_pool: List[int] = list(range(size))
         self.base_fees: List[float] = [0.0] * size
         self.fee_rates: List[float] = [0.0] * size
         for channel in network.channels():

@@ -18,7 +18,7 @@ import math
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from repro.errors import ConfigError
 from repro.simulator.rng import SeedLike, make_rng
@@ -123,6 +123,10 @@ class TruncatedLognormalSize:
     The location parameter μ is found by bisection on the closed-form
     truncated-lognormal mean
     ``E[X | X ≤ T] = exp(μ + σ²/2) · Φ((lnT − μ − σ²)/σ) / Φ((lnT − μ)/σ)``.
+    Φ and Φ⁻¹ are :func:`scipy.special.ndtr`/``ndtri``, the kernels
+    ``scipy.stats.norm.cdf``/``.ppf`` evaluate, called directly so that
+    importing the workload layer does not load ``scipy.stats``
+    (``tests/reference/sizes.py`` keeps the ``norm`` form as the oracle).
     """
 
     def __init__(self, target_mean: float, max_value: float, sigma: float = 1.0):
@@ -142,10 +146,10 @@ class TruncatedLognormalSize:
     def _truncated_mean(self, mu: float) -> float:
         sigma = self._sigma
         log_t = math.log(self._max_value)
-        numerator = math.exp(mu + sigma * sigma / 2.0) * norm.cdf(
+        numerator = math.exp(mu + sigma * sigma / 2.0) * ndtr(
             (log_t - mu - sigma * sigma) / sigma
         )
-        denominator = norm.cdf((log_t - mu) / sigma)
+        denominator = ndtr((log_t - mu) / sigma)
         if denominator <= 0:
             return float("inf")
         return numerator / denominator
@@ -165,9 +169,9 @@ class TruncatedLognormalSize:
         # Inverse-CDF sampling restricted to the truncation region: draw
         # u ~ U(0, F(T)) and invert the untruncated lognormal CDF.
         sigma, mu = self._sigma, self._mu
-        cap = norm.cdf((math.log(self._max_value) - mu) / sigma)
+        cap = ndtr((math.log(self._max_value) - mu) / sigma)
         u = rng.uniform(0.0, cap, size=n)
-        z = norm.ppf(u)
+        z = ndtri(u)
         return np.exp(mu + sigma * z)
 
     @property

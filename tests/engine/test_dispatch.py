@@ -319,6 +319,61 @@ def test_mid_cohort_fallback_drops_the_seeded_overlay(scheme):
     plan.assert_drained()
 
 
+def _forbid_probe_refresh(monkeypatch):
+    from repro.engine.pathtable import PathTable
+
+    def refuse(self, probes):
+        raise AssertionError("a window cohort refreshed its probe caches")
+
+    monkeypatch.setattr(PathTable, "refresh_probes", refuse)
+
+
+@pytest.mark.parametrize("scheme", ["spider-window", "spider-window-imbalance"])
+@pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
+def test_window_cohorts_never_refresh_probes(monkeypatch, scheme, topology):
+    """The window rule reads first hops lazily through the overlay and
+    never a probe value, so its cohorts refresh no probe cache — and the
+    run still matches the sequential attempts byte for byte."""
+    _forbid_probe_refresh(monkeypatch)
+    _assert_modes_agree(
+        _config(scheme=scheme, topology=topology, num_transactions=150)
+    )
+
+
+def test_window_cohort_after_fallback_reads_live_state(monkeypatch):
+    """A scalar fallback mid-cohort needs no probe backstop for the
+    window rule: the fallback's flush drops the lazily filled overlay, so
+    the launches after it read what that attempt left.  Cohort
+    (replayed, forged fallback, replayed) on the line, where every pair
+    shares channels; the store ends bit for bit where the sequential
+    attempts leave it."""
+    from repro.engine.dispatch import _PairProfile
+
+    _forbid_probe_refresh(monkeypatch)
+    config = _config(scheme="spider-window", topology="line-5", num_transactions=40)
+    fast = _prepared(config)
+    slow = _prepared(config, batched=False)
+    cohort = [
+        TransactionRecord(900 + i, 0.0, source, dest, amount)
+        for i, (source, dest, amount) in enumerate(
+            [(0, 4, 60.0), (0, 3, 30.0), (0, 4, 60.0)]
+        )
+    ]
+    middle = cohort[1]
+    plan = fast._dispatch
+    plan._profiles[(middle.source, middle.dest)] = _PairProfile()
+    plan.attempt_cohort([fast._new_payment(r) for r in cohort])
+    for record in cohort:
+        slow.scheme.attempt(slow._new_payment(record), slow)
+    assert plan.scalar_fallbacks == 1
+    assert plan.batched_units > 0
+    _assert_same_store(
+        _store_arrays(fast.network.state_store),
+        _store_arrays(slow.network.state_store),
+    )
+    plan.assert_drained()
+
+
 def test_same_tick_settle_then_lock_ordering():
     """Resolution flushes and polls landing on one tick stay ordered.
 

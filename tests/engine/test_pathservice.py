@@ -487,6 +487,26 @@ class TestPersistentCache:
         warm.provider(4).provider = _Boom()
         assert warm.paths_many(pairs, k=4) == expected
 
+    def test_artifact_node_ids_are_interned(self, tmp_path):
+        """The loader keeps one ``int`` object per node id across every
+        path it decodes (ids above CPython's small-int cache, so equal
+        values would otherwise be distinct objects)."""
+        key = "intern-key"
+        pairs = [
+            [1000, 1002, [[1000, 1001, 1002], [1000, 1003, 1002]]],
+            [1001, 1003, [[1001, 1000, 1003]]],
+        ]
+        (tmp_path / f"paths-{key}.json").write_text(
+            json.dumps({"schema": 1, "key": key, "pairs": pairs})
+        )
+        PersistentCache.clear_shared()
+        cache = PersistentCache(None, key, cache_dir=str(tmp_path))
+        (first, second), (third,) = cache.paths(1000, 1002), cache.paths(1001, 1003)
+        assert first == (1000, 1001, 1002) and third == (1001, 1000, 1003)
+        assert first[0] is second[0] is third[1]
+        assert first[1] is third[0]
+        PersistentCache.clear_shared()
+
     def test_bulk_misses_reach_the_provider_as_one_batch(self):
         """``paths_many`` sends its misses through one provider
         ``paths_many`` (never pair by pair, or the lockstep kernel would

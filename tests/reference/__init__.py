@@ -10,5 +10,7 @@ path to an independent oracle instead of to a second copy of itself:
   :class:`~repro.network.channel.PaymentChannel` objects;
 * :mod:`tests.reference.signals` — the congestion control plane's marks,
   prices, gradients, queue penalty, imbalance and tick as per-element
-  loops, plus the per-channel :class:`ChannelPriceState` price model.
+  loops, plus the per-channel :class:`ChannelPriceState` price model;
+* :mod:`tests.reference.sizes` — the truncated-lognormal size model with
+  Φ and Φ⁻¹ taken from ``scipy.stats.norm``.
 """

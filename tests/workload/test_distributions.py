@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.simulator.rng import make_rng
@@ -16,6 +18,7 @@ from repro.workload.distributions import (
     ripple_full_sizes,
     ripple_isp_sizes,
 )
+from tests.reference.sizes import ReferenceTruncatedLognormal
 
 
 class TestConstant:
@@ -96,6 +99,42 @@ class TestTruncatedLognormal:
             TruncatedLognormalSize(-1.0, 50.0)
         with pytest.raises(ConfigError):
             TruncatedLognormalSize(10.0, 50.0, sigma=0.0)
+
+
+class TestTruncatedLognormalOracle:
+    """The ``scipy.special`` kernels against the ``scipy.stats.norm`` form
+    (``tests/reference/sizes.py``): same μ, same samples, bit for bit."""
+
+    @staticmethod
+    def _assert_matches_reference(dist, seed, n):
+        ref = ReferenceTruncatedLognormal(
+            dist.mean, dist.max_value, dist._sigma
+        )
+        assert dist._mu == ref.mu
+        got = dist._truncated_mean(dist._mu)
+        want = ref._truncated_mean(ref.mu)
+        assert type(got) is type(want)
+        assert got == want
+        assert np.array_equal(
+            dist.sample(make_rng(seed), n), ref.sample(make_rng(seed), n)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target_mean=st.floats(min_value=1e-3, max_value=1e5),
+        headroom=st.floats(min_value=1.001, max_value=1e3),
+        sigma=st.floats(min_value=0.05, max_value=4.0),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+    )
+    def test_matches_norm_reference(self, target_mean, headroom, sigma, seed, n):
+        dist = TruncatedLognormalSize(target_mean, target_mean * headroom, sigma)
+        self._assert_matches_reference(dist, seed, n)
+
+    @pytest.mark.parametrize("factory", [ripple_isp_sizes, ripple_full_sizes])
+    @pytest.mark.parametrize("seed", [0, 23, 4242])
+    def test_paper_presets_match_norm_reference(self, factory, seed):
+        self._assert_matches_reference(factory(), seed, 50_000)
 
 
 class TestEmpirical:
