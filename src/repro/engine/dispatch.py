@@ -1,7 +1,7 @@
 """Macro-tick batched dispatch: cohort kernels over the poll loop.
 
 The per-*operation* kernels are fast — one ``np.minimum.reduceat`` probes
-a whole path set, one scatter-add settles a whole tick's units — so what
+a whole path set, one scatter-add resolves a whole tick's units — so what
 is left per payment is Python glue: its own probe, its own decision loop
 and its own per-unit lock.  At 10k-node scale that glue is the hot path.
 
@@ -18,12 +18,12 @@ attempt-eligible payments here at once; the plan then
 2. **replays** each scheme's decision rule per payment against the cached
    estimates plus a **residual-state overlay** (below), staging accepted
    sends into struct-of-arrays buffers (payment refs, compiled paths,
-   per-hop fee-inclusive float64 amounts, pre-generated hash locks);
+   per-hop fee-inclusive amounts, pre-generated hash locks);
 3. **executes** the staged cohort through
    :meth:`ChannelStateStore.lock_many
-   <repro.engine.store.ChannelStateStore.lock_many>` — one grouped
-   scatter-add over the concatenated hop indices, applied in decision
-   order — then materialises the :class:`~repro.engine.pathtable.PathLock`
+   <repro.engine.store.ChannelStateStore.lock_many>` — one call over the
+   concatenated hop direction ids, applied per hop in decision order —
+   then materialises the :class:`~repro.engine.pathtable.PathLock`
    units and registers them with the session's tick-coalesced resolution
    batches (one reschedule per cohort, not per unit).
 
@@ -71,9 +71,9 @@ pillars:
   fee recurrence ``send_unit``/``send_atomic`` call — and the eager lock's
   semantics are replicated comparison for comparison:
   feasibility is ``amount <= balance + 1e-9`` on an unfrozen hop, the
-  booked actual is ``min(amount, balance)`` (``np.minimum`` bit for bit),
-  and the staged per-hop actuals flow unchanged into one ``lock_many``
-  scatter whose ``np.ufunc.at`` ordering matches the eager per-send locks.
+  booked actual is ``min(amount, balance)`` (the store's own clamp), and
+  the staged per-hop actuals flow unchanged into one ``lock_many`` call
+  whose in-order per-hop writes match the eager per-send locks.
   ``send_unit`` vetoes with *no* store side effects (dust clamps, fee-budget
   rejections) are replayed inline — including waterfilling's
   fresh-bottleneck re-probe — because an overlay read *is* the fresh
@@ -90,8 +90,8 @@ pillars:
   as the scheme's retry logic would (``replayed_locks``/``failed_locks``
   in :meth:`SimulationSession.dispatch_stats
   <repro.engine.session.SimulationSession.dispatch_stats>` count them).
-  A flush containing failed locks cannot be a plain scatter-add — no sum
-  of deltas reproduces a round-trip — so it still writes the tracked
+  A flush containing failed locks cannot be a plain ``lock_many`` — no
+  sum of deltas reproduces a round-trip — so it still writes the tracked
   final values back verbatim, bit-identical to the eager op sequence *by
   construction*: the key set of ``sent`` is the write set, and the three
   columns land with one fancy-index assignment each, the
@@ -156,6 +156,7 @@ from repro.errors import SimulationError
 from repro.network.htlc import HashLock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.window_control import PathWindow
     from repro.engine.pathtable import CompiledPath, _ProbeCache
     from repro.engine.session import SimulationSession
 
@@ -181,6 +182,11 @@ class _PairProfile:
     ``cids`` is every hop's channel row (what a cohort's touched set is
     tested against); the per-path ``path_cid_sets`` are only built once
     staged traffic actually lands on one of them (``None`` until then).
+    ``windows`` is the spider-window scheme's
+    :class:`~repro.core.window_control.PathWindow` per path, aligned with
+    ``cpaths`` — fetched through ``scheme.window`` on the pair's first
+    window replay (``None`` until then); the scheme never replaces a
+    path's state object, so holding it is the same as looking it up.
     """
 
     __slots__ = (
@@ -190,6 +196,7 @@ class _PairProfile:
         "cids",
         "path_cid_sets",
         "fast_exact",
+        "windows",
     )
 
     def __init__(self) -> None:
@@ -199,6 +206,7 @@ class _PairProfile:
         self.cids: Tuple[int, ...] = ()
         self.path_cid_sets: Optional[List[FrozenSet[int]]] = None
         self.fast_exact = False
+        self.windows: Optional[List["PathWindow"]] = None
 
 
 class DispatchPlan:
@@ -210,13 +218,13 @@ class DispatchPlan:
         self.table = session.network.path_table
         self._profiles: Dict[Tuple[int, int], _PairProfile] = {}
         # Struct-of-arrays staging: parallel lists appended in decision
-        # order, flushed through one grouped scatter-add.  A ``None`` hop
-        # array means "broadcast the delivered amount" (fee-free send).
+        # order, flushed through one ``lock_many``.  A ``None`` hop list
+        # means "broadcast the delivered amount" (fee-free send).
         self._staged_payments: List[Payment] = []
         self._staged_cpaths: List[CompiledPath] = []
         self._staged_amounts: List[float] = []
         self._staged_fees: List[float] = []
-        self._staged_hop_amounts: List[Optional[np.ndarray]] = []
+        self._staged_hop_amounts: List[Optional[List[float]]] = []
         self._staged_locks: List[HashLock] = []
         #: Hop-by-hop unit launches staged by the spider-window replay:
         #: (payment, compiled path, delivered amount, first-hop actual).
@@ -453,8 +461,8 @@ class DispatchPlan:
         """Replicate ``lock_path_funds`` against the overlay.
 
         On success: applies the per-hop lock arithmetic to the overlay and
-        returns the actuals (``np.minimum(required, balance)`` bit for
-        bit).  On the first frozen/under-funded hop ``k``: applies the
+        returns the actuals (the store's ``min(required, balance)`` clamp
+        bit for bit).  On the first frozen/under-funded hop ``k``: applies the
         eager failure's lock-then-rollback side effects to hops
         ``0..k-1`` — the ``(b - a) + a`` balance and ``(i + a) - a``
         inflight round-trips, the ``sent`` growth and the refund tick —
@@ -541,12 +549,8 @@ class DispatchPlan:
         self._staged_amounts.append(amount)
         self._staged_fees.append(fee)
         self._staged_locks.append(lock)
-        if actuals is not None:
-            self._staged_hop_amounts.append(
-                np.asarray(actuals, dtype=np.float64)
-            )
-        else:
-            self._staged_hop_amounts.append(None)
+        self._staged_hop_amounts.append(actuals)
+        if actuals is None:
             if self._seeded:
                 self._book(cpath.dir_list, [amount] * len(cpath))
             else:
@@ -742,9 +746,7 @@ class DispatchPlan:
                 self._staged_cpaths.append(cpath)
                 self._staged_amounts.append(amount)
                 self._staged_fees.append(fee)
-                self._staged_hop_amounts.append(
-                    np.asarray(actuals, dtype=np.float64)
-                )
+                self._staged_hop_amounts.append(actuals)
                 self._staged_locks.append(lock)
                 break
             failures_delta += 1
@@ -778,57 +780,72 @@ class DispatchPlan:
         replay never stages failures: every decision either stages a
         launch or replicates a side-effect-free break.  Window state
         (AIMD inflight) mutates eagerly, exactly as the sequential loop
-        does.
+        does.  The pair's window states are held on its profile; each
+        attempt reads every path's headroom once for the stable
+        descending sort (the scheme's ``sorted(..., reverse=True)`` tie
+        order), then carries the payment's ``remaining`` and the filled
+        path's headroom as locals, recomputed with the scheme's own
+        expressions after each launch.  Only ``_bal`` is booked: a launch
+        is never rolled back, so the flush's ``lock_many`` needs no write
+        set.
         """
         session = self.session
-        scheme = cast(Any, session.scheme)
         config = session.config
         min_unit = config.min_unit_value
         mtu = config.mtu
         self._open_overlay()
         store = self.store
         bal = self._bal
-        states = sorted(
-            ((scheme.window(cpath.nodes), cpath) for cpath in prof.cpaths),
-            key=lambda item: item[0].headroom,
-            reverse=True,
-        )
-        for state, cpath in states:
-            while (
-                payment.remaining >= min_unit and state.headroom >= min_unit
-            ):
-                d = cpath.dir_list[0]
-                first_hop = self._availability(d)
-                amount = min(
-                    payment.remaining, state.headroom, mtu, first_hop
-                )
+        cpaths = prof.cpaths
+        windows = prof.windows
+        if windows is None:
+            window = cast(Any, session.scheme).window
+            windows = prof.windows = [window(cpath.nodes) for cpath in cpaths]
+        heads = [max(0.0, state.window - state.inflight) for state in windows]
+        launches = self._staged_launches
+        remaining = payment.remaining
+        for i in sorted(range(len(heads)), key=heads.__getitem__, reverse=True):
+            if remaining < min_unit:
+                break
+            state = windows[i]
+            cpath = cpaths[i]
+            d = cpath.dir_list[0]
+            # Live, not heads[i]: a path set listing one path twice shares
+            # its state, which an earlier entry may have filled.
+            headroom = max(0.0, state.window - state.inflight)
+            while remaining >= min_unit and headroom >= min_unit:
+                balance = bal.get(d)
+                if balance is None:
+                    balance = bal[d] = store.balance_flat.item(d)
+                frozen = store.frozen_count and store.frozen[d >> 1]
+                first_hop = 0.0 if frozen else balance
+                amount = min(remaining, headroom, mtu, first_hop)
                 if amount < min_unit:
                     break
                 # try_lock replica (clean failure; unreachable after the
                 # first-hop availability clamp, kept for exactness).
-                if store.frozen_count and store.frozen[d >> 1]:
-                    break
-                balance = bal[d]
-                if amount > balance + 1e-9:
+                if frozen or amount > balance + 1e-9:
                     break
                 actual = amount if amount <= balance else balance
-                self._book((d,), (actual,))
-                self._staged_launches.append((payment, cpath, amount, actual))
+                bal[d] = balance - actual
+                launches.append((payment, cpath, amount, actual))
                 payment.register_inflight(amount)
+                remaining = payment.remaining
                 state.inflight += amount
+                headroom = max(0.0, state.window - state.inflight)
         return True
 
     # ------------------------------------------------------------------
     # Flush
     # ------------------------------------------------------------------
     def _flush(self) -> None:
-        """Execute every staged operation through one grouped store write.
+        """Execute every staged operation through one store write.
 
         Without replayed lock failures the staged sends are pure per-hop
-        subtractions/additions, applied in decision order by
-        ``lock_many``'s ``np.ufunc.at`` scatter — bit-identical to the
-        eager per-send locks.  With failures staged the op sequence
-        includes bit-changing round-trips a scatter-add cannot express;
+        subtractions/additions, applied in decision order by one
+        ``lock_many`` call — bit-identical to the eager per-send locks.
+        With failures staged the op sequence includes bit-changing
+        round-trips a sum of deltas cannot express;
         the overlay tracked every operation with the store's own float64
         arithmetic, so the final values are written back verbatim (equal
         by construction) and the ``sent``/``num_refunded`` deltas land
@@ -841,13 +858,11 @@ class DispatchPlan:
         if staged:
             cpaths = self._staged_cpaths
             amounts = self._staged_amounts
-            hop_arrays = self._staged_hop_amounts
-            for i, hop_array in enumerate(hop_arrays):
-                if hop_array is None:
-                    hop_arrays[i] = np.full(
-                        len(cpaths[i]), amounts[i], dtype=np.float64
-                    )
-            flat_arrays = cast(List[np.ndarray], hop_arrays)
+            hop_lists = self._staged_hop_amounts
+            for i, hop_list in enumerate(hop_lists):
+                if hop_list is None:
+                    hop_lists[i] = [amounts[i]] * len(cpaths[i])
+            flat_lists = cast(List[List[float]], hop_lists)
             if store.sanitizer is not None:
                 # Per-row payment attribution for shard-violation reports.
                 store.sanitizer.annotate(
@@ -859,26 +874,26 @@ class DispatchPlan:
             if self._has_failed_locks:
                 self._write_back_overlay()
             elif len(staged) == 1:
-                store.lock_many(cpaths[0].dirs, flat_arrays[0])
+                store.lock_many(cpaths[0].dir_list, flat_lists[0])
             else:
                 store.lock_many(
-                    np.concatenate([cpath.dirs for cpath in cpaths]),
-                    np.concatenate(flat_arrays),
+                    [d for cpath in cpaths for d in cpath.dir_list],
+                    [a for hop_list in flat_lists for a in hop_list],
                 )
             now = session.sim.now
-            for payment, cpath, amount, fee, lock, hop_array in zip(
+            for payment, cpath, amount, fee, lock, hop_list in zip(
                 staged,
                 cpaths,
                 amounts,
                 self._staged_fees,
                 self._staged_locks,
-                flat_arrays,
+                flat_lists,
             ):
                 unit = TransactionUnit.create(
                     payment=payment,
                     amount=amount,
                     path=cpath.nodes,
-                    htlcs=PathLock(cpath, hop_array),
+                    htlcs=PathLock(cpath, hop_list),
                     lock=lock,
                     sent_at=now,
                     fee=fee,
@@ -899,13 +914,8 @@ class DispatchPlan:
         if launches:
             count = len(launches)
             store.lock_many(
-                np.array(
-                    [cpath.dir_list[0] for _, cpath, _, _ in launches],
-                    dtype=np.intp,
-                ),
-                np.array(
-                    [actual for _, _, _, actual in launches], dtype=np.float64
-                ),
+                [cpath.dir_list[0] for _, cpath, _, _ in launches],
+                [actual for _, _, _, actual in launches],
             )
             transport = cast(Any, session.transport)
             now = session.sim.now

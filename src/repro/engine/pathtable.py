@@ -20,8 +20,9 @@ which:
 * :meth:`hop_amounts` short-circuits fee-free paths (the paper's setting)
   and otherwise runs the reverse fee recurrence over precompiled fee
   schedules;
-* :meth:`lock_path` / :meth:`settle` / :meth:`refund` are masked
-  scatter-adds with all-or-nothing semantics, returning a
+* :meth:`lock_path` / :meth:`settle` / :meth:`refund` are per-hop store
+  writes over ``dir_list`` (a path is a few hops, so a loop over Python
+  ints beats a NumPy call) with all-or-nothing semantics, returning a
   :class:`PathLock` instead of per-hop HTLC objects.
 
 All operations are float-for-float identical to per-hop loops over
@@ -201,18 +202,18 @@ class HopLock:
 
 
 class PathLock:
-    """A vectorised in-flight transfer: one record for the whole path.
+    """An in-flight transfer: one record for the whole path.
 
     One record instead of a per-hop ``Htlc`` list.  Sequence access
     (``lock[j].amount``, ``len(lock)``) is preserved for consumers like the
-    incentives collector; the amounts themselves live in one float64 array
-    that :meth:`PathTable.settle` / :meth:`refund` scatter straight into
-    the store.
+    incentives collector; the amounts themselves are one list of floats
+    that :meth:`PathTable.settle` / :meth:`refund` hand straight to the
+    store's per-hop kernels.
     """
 
     __slots__ = ("cpath", "amounts", "resolved")
 
-    def __init__(self, cpath: CompiledPath, amounts: np.ndarray):
+    def __init__(self, cpath: CompiledPath, amounts: List[float]):
         self.cpath = cpath
         self.amounts = amounts
         self.resolved = False
@@ -221,10 +222,10 @@ class PathLock:
         return len(self.amounts)
 
     def __getitem__(self, index: int) -> HopLock:
-        return HopLock(float(self.amounts[index]))
+        return HopLock(self.amounts[index])
 
     def __iter__(self) -> Iterator[HopLock]:
-        return (HopLock(a) for a in self.amounts.tolist())
+        return (HopLock(a) for a in self.amounts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "resolved" if self.resolved else "pending"
@@ -644,26 +645,27 @@ class PathTable:
             raise ChannelError(
                 "cannot lock funds on a path with fewer than 2 nodes"
             )
-        requested = np.asarray(amounts, dtype=np.float64)
-        if requested.shape[0] != hops:
+        requested = [float(amount) for amount in amounts]
+        if len(requested) != hops:
             raise ChannelError(
-                f"path has {hops} hops but {requested.shape[0]} "
+                f"path has {hops} hops but {len(requested)} "
                 "amounts were supplied"
             )
-        if not (requested > 0).all() or not np.isfinite(requested).all():
-            bad = int(np.argmin((requested > 0) & np.isfinite(requested)))
-            raise ChannelError(
-                f"lock amount must be positive and finite, got {amounts[bad]!r}"
-            )
-        actual = self._store.lock_path_funds(cpath.dirs, requested)
+        for bad, amount in enumerate(requested):
+            if not (amount > 0 and math.isfinite(amount)):
+                raise ChannelError(
+                    "lock amount must be positive and finite, "
+                    f"got {amounts[bad]!r}"
+                )
+        actual = self._store.lock_path_funds(cpath.dir_list, requested)
         return PathLock(cpath, actual)
 
     def settle(self, lock: PathLock) -> None:
-        """Settle every hop of ``lock`` (single vectorised store write)."""
+        """Settle every hop of ``lock`` (one per-hop store write)."""
         self._resolve(lock, settle=True)
 
     def refund(self, lock: PathLock) -> None:
-        """Refund every hop of ``lock`` (single vectorised store write)."""
+        """Refund every hop of ``lock`` (one per-hop store write)."""
         self._resolve(lock, settle=False)
 
     def _resolve(self, lock: PathLock, settle: bool) -> None:
@@ -673,9 +675,9 @@ class PathTable:
             )
         lock.resolved = True
         if settle:
-            self._store.settle_path_funds(lock.cpath.dirs, lock.amounts)
+            self._store.settle_path_funds(lock.cpath.dir_list, lock.amounts)
         else:
-            self._store.refund_path_funds(lock.cpath.dirs, lock.amounts)
+            self._store.refund_path_funds(lock.cpath.dir_list, lock.amounts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -34,7 +34,7 @@ low enough to run the sharded parity suite under it in CI.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -155,16 +155,16 @@ class ShardSanitizer:
                 owner=owner,
             )
 
-    def check_dirs(self, dirs: np.ndarray) -> None:
+    def check_dirs(self, dirs: Sequence[int]) -> None:
         """Vet a batch of hop directions (``d = 2·cid + side``, see
-        :class:`~repro.engine.store.ChannelStateStore`); consumes any
-        pending row annotation."""
+        :class:`~repro.engine.store.ChannelStateStore`; an array or a list
+        of ints); consumes any pending row annotation."""
         self.checks += 1
         row_payments, self._row_payments = self._row_payments, None
         lane = self._lane
         if lane is None or lane == BOUNDARY_LANE:
             return
-        owners = self.owner[dirs >> 1]
+        owners = self.owner[np.asarray(dirs, dtype=np.intp) >> 1]
         bad = owners != lane
         if not bad.any():
             return

@@ -186,7 +186,7 @@ class SimulationSession:
 
     Same-tick attempt cohorts (arrival bursts, poll retries) drain through
     the macro-tick :class:`~repro.engine.dispatch.DispatchPlan` — grouped
-    probes, staged decisions, one scatter-add lock per cohort.
+    probes, staged decisions, one ``lock_many`` per cohort.
     """
 
     def __init__(
@@ -483,7 +483,7 @@ class SimulationSession:
 
         Keys: ``cohorts`` (attempt cohorts driven), ``cohort_payments``
         (payments entering those cohorts), ``batched_units`` (units
-        executed through the staged scatter-add path),
+        executed through the staged ``lock_many`` path),
         ``scalar_fallbacks`` (payments that dropped to the scheme's
         sequential ``attempt``), ``replayed_locks`` (path locks the
         cohort replay attempted against its residual overlay) and
@@ -759,8 +759,8 @@ class SimulationSession:
             self._resolve_unit(units[0])
             return
         now = self.sim.now
-        dir_parts: List[np.ndarray] = []
-        amount_parts: List[np.ndarray] = []
+        dirs: List[int] = []
+        amounts: List[float] = []
         settled_parts: List[bool] = []
         hop_counts: List[int] = []
         unit_payments: List[int] = []
@@ -770,8 +770,8 @@ class SimulationSession:
             self._resolve_accounting(unit, now, settle)
             lock.resolved = True
             cpath = lock.cpath
-            dir_parts.append(cpath.dirs)
-            amount_parts.append(lock.amounts)
+            dirs.extend(cpath.dir_list)
+            amounts.extend(lock.amounts)
             settled_parts.append(settle)
             hop_counts.append(len(cpath))
             unit_payments.append(unit.payment.payment_id)
@@ -781,8 +781,8 @@ class SimulationSession:
             # just the lane.
             sanitizer.annotate(np.repeat(unit_payments, hop_counts))
         self.network.state_store.apply_resolution_batch(
-            np.concatenate(dir_parts),
-            np.concatenate(amount_parts),
+            np.array(dirs, dtype=np.intp),
+            np.array(amounts, dtype=np.float64),
             np.repeat(settled_parts, hop_counts),
         )
         if self.config.check_invariants:

@@ -23,7 +23,7 @@ return views trimmed to the allocated channel count.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -459,7 +459,10 @@ class ChannelStateStore:
         self.stamp[cid] = version
 
     # ------------------------------------------------------------------
-    # Direction-indexed path kernels (PathTable's backing primitives)
+    # Direction-indexed path kernels (PathTable's backing primitives).
+    # Probes and the per-tick resolution batch are array kernels; the
+    # per-unit lock/settle/refund kernels are loops over Python ints and
+    # floats, because their calls carry a few hop rows each.
     # ------------------------------------------------------------------
     def availability(self, dirs: np.ndarray) -> np.ndarray:
         """Spendable funds per hop direction; 0 where frozen."""
@@ -468,62 +471,78 @@ class ChannelStateStore:
             values = np.where(self.frozen[dirs >> 1], 0.0, values)
         return values
 
-    def lock_path_funds(self, dirs: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    def lock_path_funds(
+        self, dirs: Sequence[int], amounts: Sequence[float]
+    ) -> List[float]:
         """Atomically lock ``amounts[i]`` on every hop direction ``dirs[i]``.
 
         Returns the per-hop *actual* locked amounts (clamped exactly as the
         scalar :meth:`~repro.network.channel.PaymentChannel.lock` clamps).
         On a frozen or under-funded hop ``k`` it raises
-        :class:`~repro.errors.InsufficientFundsError` after reproducing the
-        scalar lock-then-rollback side effects on hops ``0..k-1`` bit for
-        bit: their balances round-trip through ``(b - a) + a``, their
-        ``sent`` totals grow, and their refund counters tick — all-or-
-        nothing for funds, but not traceless, exactly like the loop it
-        replaces.
+        :class:`~repro.errors.InsufficientFundsError` after rolling back
+        hops ``0..k-1``: their balances round-trip through ``(b - a) + a``,
+        their inflight through ``(i + a) - a``, their ``sent`` totals grow,
+        and their refund counters tick — all-or-nothing for funds, but not
+        traceless.
 
-        A path is a trail, so its directions are unique and plain
-        fancy-indexed updates are safe (no duplicate-index buffering).
+        A per-hop loop over Python ints and floats: paths are a few hops
+        long, so NumPy's per-call overhead would be the whole cost.  A path
+        is a trail, so its directions are unique and a hop's check never
+        sees an earlier hop's write.
         """
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        cids = dirs >> 1
-        balance = self.balance_flat[dirs]
-        ok = amounts <= balance + _LOCK_EPS
-        if self.frozen_count:
-            ok &= ~self.frozen[cids]
-        if ok.all():
-            actual = np.minimum(amounts, balance)
-            self.balance_flat[dirs] = balance - actual
-            self.inflight_flat[dirs] += actual
-            self.sent_flat[dirs] += actual
-            self.version = version = self.version + 1
-            self.stamp[cids] = version
-            return actual
-        k = int(np.argmin(ok))  # first failing hop
-        if k > 0:
-            pre_d, pre_c = dirs[:k], cids[:k]
-            pre_bal = balance[:k]
-            actual = np.minimum(amounts[:k], pre_bal)
-            inflight = self.inflight_flat[pre_d]
-            # Replicate the scalar rollback float-exactly: lock then refund.
-            self.balance_flat[pre_d] = (pre_bal - actual) + actual
-            self.inflight_flat[pre_d] = (inflight + actual) - actual
-            self.sent_flat[pre_d] += actual
-            self.num_refunded[pre_c] += 1
-            self.version = version = self.version + 1
-            self.stamp[pre_c] = version
-        cid = int(cids[k])
-        if self.frozen[cid]:
-            raise InsufficientFundsError(
-                f"channel {cid} is frozen (closing or endpoint offline)"
-            )
-        raise InsufficientFundsError(
-            f"hop {k} has {float(balance[k]):.6g} spendable on channel {cid}, "
-            f"cannot lock {float(amounts[k]):.6g}"
-        )
+        balance = self.balance_flat
+        inflight = self.inflight_flat
+        sent = self.sent_flat
+        frozen = self.frozen if self.frozen_count else None
+        actuals: List[float] = []
+        for d, amount in zip(dirs, amounts):
+            available = balance.item(d)
+            if not amount <= available + _LOCK_EPS or (
+                frozen is not None and frozen[d >> 1]
+            ):
+                self._roll_back(dirs, actuals)
+                k = len(actuals)
+                cid = d >> 1
+                if self.frozen[cid]:
+                    raise InsufficientFundsError(
+                        f"channel {cid} is frozen (closing or endpoint offline)"
+                    )
+                raise InsufficientFundsError(
+                    f"hop {k} has {available:.6g} spendable on channel {cid}, "
+                    f"cannot lock {float(amount):.6g}"
+                )
+            actual = amount if amount <= available else available
+            balance[d] = available - actual
+            inflight[d] += actual
+            sent[d] += actual
+            actuals.append(actual)
+        self.version = version = self.version + 1
+        stamp = self.stamp
+        for d in dirs:
+            stamp[d >> 1] = version
+        return actuals
 
-    def lock_many(self, dirs: np.ndarray, amounts: np.ndarray) -> None:
-        """Lock a verified cohort of sends in one grouped scatter-add.
+    def _roll_back(self, dirs: Sequence[int], actuals: List[float]) -> None:
+        """Refund the locked prefix of a failed :meth:`lock_path_funds`
+        (one stamp for the prefix; none when nothing was locked)."""
+        if not actuals:
+            return
+        balance = self.balance_flat
+        inflight = self.inflight_flat
+        num_refunded = self.num_refunded
+        stamp = self.stamp
+        self.version = version = self.version + 1
+        for d, actual in zip(dirs, actuals):
+            cid = d >> 1
+            balance[d] += actual
+            inflight[d] -= actual
+            num_refunded[cid] += 1
+            stamp[cid] = version
+
+    def lock_many(self, dirs: Sequence[int], amounts: Sequence[float]) -> None:
+        """Lock a verified cohort of sends, one hop row at a time.
 
         Caller contract (the dispatch layer's residual-replay invariant):
         every ``amounts[i]`` is the *pre-clamped actual* the scalar lock
@@ -534,42 +553,63 @@ class ChannelStateStore:
         lock-then-rollback on failure.  Fee-bearing sends therefore pass
         their per-hop fee-inclusive amounts (one entry per hop), not a
         broadcast delivered amount.  Repeated directions (several units of
-        one cohort crossing the same hop) are applied in array order via
-        ``np.ufunc.at``, matching the scalar per-send lock sequence bit for
-        bit.  One version bump covers the whole cohort: probe caches only
-        compare ``stamp > as_of``, so batch-granular stamping is
-        indistinguishable from per-send stamping.
+        one cohort crossing the same hop) are applied in list order,
+        matching the scalar per-send lock sequence bit for bit.  One version
+        bump covers the whole cohort: probe caches only compare
+        ``stamp > as_of``, so batch-granular stamping is indistinguishable
+        from per-send stamping.  Cohorts are a few rows long, so a loop over
+        Python ints and floats beats any NumPy call here.
         """
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        np.subtract.at(self.balance_flat, dirs, amounts)
-        np.add.at(self.inflight_flat, dirs, amounts)
-        np.add.at(self.sent_flat, dirs, amounts)
+        balance = self.balance_flat
+        inflight = self.inflight_flat
+        sent = self.sent_flat
+        stamp = self.stamp
         self.version = version = self.version + 1
-        self.stamp[dirs >> 1] = version
+        for d, amount in zip(dirs, amounts):
+            balance[d] -= amount
+            inflight[d] += amount
+            sent[d] += amount
+            stamp[d >> 1] = version
 
-    def settle_path_funds(self, dirs: np.ndarray, amounts: np.ndarray) -> None:
+    def settle_path_funds(
+        self, dirs: Sequence[int], amounts: Sequence[float]
+    ) -> None:
         """Settle a previously locked path: credit every receiving side."""
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        cids = dirs >> 1
-        self.inflight_flat[dirs] -= amounts
-        self.balance_flat[dirs ^ 1] += amounts
-        self.settled_flow_flat[dirs] += amounts
-        self.num_settled[cids] += 1
+        balance = self.balance_flat
+        inflight = self.inflight_flat
+        settled_flow = self.settled_flow_flat
+        num_settled = self.num_settled
+        stamp = self.stamp
         self.version = version = self.version + 1
-        self.stamp[cids] = version
+        for d, amount in zip(dirs, amounts):
+            cid = d >> 1
+            inflight[d] -= amount
+            balance[d ^ 1] += amount
+            settled_flow[d] += amount
+            num_settled[cid] += 1
+            stamp[cid] = version
 
-    def refund_path_funds(self, dirs: np.ndarray, amounts: np.ndarray) -> None:
+    def refund_path_funds(
+        self, dirs: Sequence[int], amounts: Sequence[float]
+    ) -> None:
         """Refund a previously locked path: return funds to every sender."""
         if self._sanitizer is not None:
             self._sanitizer.check_dirs(dirs)
-        cids = dirs >> 1
-        self.inflight_flat[dirs] -= amounts
-        self.balance_flat[dirs] += amounts
-        self.num_refunded[cids] += 1
+        balance = self.balance_flat
+        inflight = self.inflight_flat
+        num_refunded = self.num_refunded
+        stamp = self.stamp
         self.version = version = self.version + 1
-        self.stamp[cids] = version
+        for d, amount in zip(dirs, amounts):
+            cid = d >> 1
+            inflight[d] -= amount
+            balance[d] += amount
+            num_refunded[cid] += 1
+            stamp[cid] = version
 
     def apply_resolution_batch(
         self, dirs: np.ndarray, amounts: np.ndarray, settled: np.ndarray

@@ -129,7 +129,11 @@ class HopByHopTransport:
         self.units_queued = 0
         self.units_timed_out = 0
         self.units_marked = 0
-        self.queue_delays: List[float] = []
+        #: Running total and count of serviced units' queueing delays
+        #: (summed in service order, so the mean equals ``sum(delays) /
+        #: len(delays)`` over the full list bit for bit).
+        self.queue_delay_total = 0.0
+        self.queue_delay_count = 0
 
     def start(self) -> None:
         """Hook called before the trace is scheduled (no timers needed)."""
@@ -292,7 +296,8 @@ class HopByHopTransport:
             store.queue_depth[cid, side] -= 1
             now = self.sim.now
             delay = now - (unit.queued_at or now)
-            self.queue_delays.append(delay)
+            self.queue_delay_total += delay
+            self.queue_delay_count += 1
             serviced.append(unit)
             delays.append(delay)
             unit.queued_at = None
@@ -344,14 +349,14 @@ class HopByHopTransport:
         now = self.sim.now
         withhold = payment.expired(now) and not payment.is_complete
         cpath = unit.cpath
-        amounts = np.asarray(unit.locked, dtype=np.float64)
+        amounts = unit.locked
         if withhold:
-            # One vectorised refund; the sending directions regain funds.
-            self.store.refund_path_funds(cpath.dirs, amounts)
+            # One per-hop refund; the sending directions regain funds.
+            self.store.refund_path_funds(cpath.dir_list, amounts)
             credited: Sequence[DirectionKey] = cpath.dir_list
         else:
-            # One vectorised settle; the receiving directions gain funds.
-            self.store.settle_path_funds(cpath.dirs, amounts)
+            # One per-hop settle; the receiving directions gain funds.
+            self.store.settle_path_funds(cpath.dir_list, amounts)
             credited = [d ^ 1 for d in cpath.dir_list]
         hop_locks = PathLock(cpath, amounts)
         hop_locks.resolved = True  # pure record: the store writes are done
@@ -410,9 +415,9 @@ class HopByHopTransport:
     @property
     def mean_queue_delay(self) -> float:
         """Average time a serviced unit spent queued at routers."""
-        if not self.queue_delays:
+        if not self.queue_delay_count:
             return 0.0
-        return float(sum(self.queue_delays) / len(self.queue_delays))
+        return self.queue_delay_total / self.queue_delay_count
 
 
 class BackpressureTransport:

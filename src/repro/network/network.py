@@ -308,8 +308,8 @@ class PaymentNetwork:
         """The network's compiled-path operation table (created lazily).
 
         Compiles each distinct path once into flat direction-id index
-        arrays over the store, then serves bottleneck probes, fee passes
-        and lock/settle/refund as vectorised kernels — see
+        arrays over the store, then serves bottleneck probes (vectorised),
+        fee passes and lock/settle/refund (per-hop store loops) — see
         :mod:`repro.engine.pathtable`.
         """
         if self._path_table is None:

@@ -374,6 +374,78 @@ def test_window_cohort_after_fallback_reads_live_state(monkeypatch):
     plan.assert_drained()
 
 
+@pytest.mark.parametrize("scheme", ["spider-window", "spider-window-imbalance"])
+@pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
+def test_window_cache_matches_sequential_windows(scheme, topology):
+    """The per-pair window cache creates, fills and reads the scheme's
+    window states exactly as the sequential attempts do: the same
+    ``window_snapshot()`` — keys in the same creation order, same window
+    values — and every cached state is the scheme's own object."""
+    config = _config(scheme=scheme, topology=topology, num_transactions=150)
+    fast = _session(config)
+    fast.run()
+    slow = _session(config, batched=False)
+    slow.run()
+    fast_windows = fast.scheme.window_snapshot()
+    assert list(fast_windows.items()) == list(slow.scheme.window_snapshot().items())
+    cached = [
+        prof for prof in fast._dispatch._profiles.values() if prof.windows is not None
+    ]
+    assert cached
+    for prof in cached:
+        assert len(prof.windows) == len(prof.cpaths)
+        for cpath, state in zip(prof.cpaths, prof.windows):
+            assert fast.scheme.window(cpath.nodes) is state
+
+
+def test_window_headroom_is_recomputed_like_the_scheme():
+    """After each launch the replay's headroom is ``window - inflight``
+    again, not a running ``headroom - amount``: with a 1.0 window and a
+    0.3 MTU the two part at the fourth launch (0.10000000000000009 vs
+    0.09999999999999998), and the batched launches must land on the
+    sequential attempt's bits."""
+    config = _config(scheme="spider-window", topology="line-5", num_transactions=1, mtu=0.3)
+    arms = [_prepared(config), _prepared(config, batched=False)]
+    record = TransactionRecord(900, 0.0, 0, 4, 50.0)
+    payments = []
+    for session in arms:
+        for path in session.scheme.path_cache.paths(0, 4):
+            session.scheme.window(tuple(path)).window = 1.0
+        payments.append(session._new_payment(record))
+    arms[0]._dispatch.attempt_cohort([payments[0]])
+    arms[1].scheme.attempt(payments[1], arms[1])
+    assert payments[0].inflight == payments[1].inflight == 1.0
+    assert arms[0].scheme.window_snapshot() == arms[1].scheme.window_snapshot()
+    fast_states = [state.inflight for state in arms[0].scheme._windows.values()]
+    slow_states = [state.inflight for state in arms[1].scheme._windows.values()]
+    assert fast_states == slow_states
+    _assert_same_store(
+        _store_arrays(arms[0].network.state_store),
+        _store_arrays(arms[1].network.state_store),
+    )
+
+
+def test_window_cache_holds_a_state_created_before_the_first_cohort():
+    """A path's window made through ``scheme.window()`` before the pair's
+    first cohort is the object the cache holds, and the replay fills it."""
+    config = _config(scheme="spider-window", topology="ripple-small", num_transactions=20)
+    session = _prepared(config)
+    record = session.records[0]
+    paths = session.scheme.path_cache.paths(record.source, record.dest)
+    early = [session.scheme.window(tuple(path)) for path in paths]
+    early[0].window = 7.5  # a state the cache must not replace
+    plan = session._dispatch
+    payment = session._new_payment(record)
+    plan.attempt_cohort([payment])
+    prof = plan._profiles[(record.source, record.dest)]
+    assert prof.windows is not None
+    assert all(cached is state for cached, state in zip(prof.windows, early))
+    assert early[0].window == 7.5
+    assert sum(state.inflight for state in early) == pytest.approx(payment.inflight)
+    assert payment.inflight > 0
+    plan.assert_drained()
+
+
 def test_same_tick_settle_then_lock_ordering():
     """Resolution flushes and polls landing on one tick stay ordered.
 
@@ -567,15 +639,13 @@ def test_replay_lock_matches_lock_path_funds(locks, frozen):
         cpath = table.compile(path)
         required = amounts[: len(cpath)]
         actuals = plan._replay_lock(cpath, required)
-        twin_dirs = twin.path_table.compile(path).dirs
+        twin_dirs = twin.path_table.compile(path).dir_list
         try:
-            expected = twin.state_store.lock_path_funds(
-                twin_dirs, np.array(required)
-            )
+            expected = twin.state_store.lock_path_funds(twin_dirs, required)
         except InsufficientFundsError:
             assert actuals is None
             continue
-        assert actuals == expected.tolist()
+        assert actuals == expected
         plan._stage_send(
             payment, cpath, required[-1], required[0] - required[-1], actuals
         )

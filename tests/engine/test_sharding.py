@@ -259,10 +259,7 @@ class TestShardSanitizer:
         sanitizer.set_lane(0)
         sanitizer.annotate(np.array([5, 6]))
         with pytest.raises(ShardViolationError) as excinfo:
-            store.lock_many(
-                np.array([2 * cid0, 2 * cid1]),  # side 0 of each row
-                np.array([1.0, 1.0]),
-            )
+            store.lock_many([2 * cid0, 2 * cid1], [1.0, 1.0])  # side 0 of each row
         message = str(excinfo.value)
         assert "payment 6" in message  # the offending row's annotation
         assert f"cid={cid1}" in message

@@ -4,9 +4,12 @@
 ``d = 2*cid + side`` through 1-D views of the ``(n, 2)`` arrays.
 :class:`Reference2D` below is the addressing they replaced — plain
 ``[cid, side]`` element access, one Python-level operation per hop in array
-order — so it is the sequential semantics the batched kernels must match bit
-for bit: scatter order on repeated directions, the lock-then-rollback side
-effects of a failed path lock, and the one-stamp-per-call protocol.
+order — so it is the sequential semantics the kernels must match bit for
+bit: application order on repeated directions, the lock-then-rollback side
+effects of a failed path lock, and the one-stamp-per-call protocol.  The
+per-unit kernels (``lock_path_funds``, ``lock_many``, ``settle_path_funds``,
+``refund_path_funds``) are fed what their callers pass — lists of Python
+ints and floats — and ``apply_resolution_batch`` its arrays.
 
 Every op sequence is replayed four times against one store — as built,
 after ``_grow()``, across ``share()`` and after ``close_shared()`` — each of
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.sanitizer import ShardSanitizer, ShardViolationError
 from repro.engine.store import ChannelStateStore
 from repro.errors import InsufficientFundsError
 
@@ -110,8 +114,8 @@ class Reference2D:
         self._stamp([cid])
 
 
-def _dirs(hops) -> np.ndarray:
-    return np.array([2 * cid + side for cid, side in hops], dtype=np.intp)
+def _dirs(hops) -> list:
+    return [2 * cid + side for cid, side in hops]
 
 
 def _assert_same(store: ChannelStateStore, ref: Reference2D, context) -> None:
@@ -131,16 +135,19 @@ def _assert_same(store: ChannelStateStore, ref: Reference2D, context) -> None:
 def _apply(store: ChannelStateStore, ref: Reference2D, op) -> None:
     kind, hops, amounts, settled = op
     dirs = _dirs(hops)
-    values = np.array(amounts, dtype=np.float64)
+    amounts = [float(amount) for amount in amounts]
     if kind == "probe":
-        assert store.availability(dirs).tolist() == ref.availability(hops)
+        got = store.availability(np.array(dirs, dtype=np.intp))
+        assert got.tolist() == ref.availability(hops)
     elif kind == "lock_path":
         expected = ref.lock_path_funds(hops, amounts)
         if expected is None:
             with pytest.raises(InsufficientFundsError):
-                store.lock_path_funds(dirs, values)
+                store.lock_path_funds(dirs, amounts)
         else:
-            assert store.lock_path_funds(dirs, values).tolist() == expected
+            got = store.lock_path_funds(dirs, amounts)
+            assert got == expected
+            assert all(type(actual) is float for actual in got)
     elif kind == "try_lock":
         (cid, side), amount = hops[0], amounts[0]
         assert store.try_lock(2 * cid + side, amount) == ref.try_lock(
@@ -148,16 +155,20 @@ def _apply(store: ChannelStateStore, ref: Reference2D, op) -> None:
         )
     elif kind == "lock_many":
         ref.lock_many(hops, amounts)
-        store.lock_many(dirs, values)
+        store.lock_many(dirs, amounts)
     elif kind == "settle":
         ref.resolve(hops, amounts, [True] * len(hops))
-        store.settle_path_funds(dirs, values)
+        store.settle_path_funds(dirs, amounts)
     elif kind == "refund":
         ref.resolve(hops, amounts, [False] * len(hops))
-        store.refund_path_funds(dirs, values)
+        store.refund_path_funds(dirs, amounts)
     elif kind == "resolve_batch":
         ref.resolve(hops, amounts, settled)
-        store.apply_resolution_batch(dirs, values, np.array(settled, dtype=bool))
+        store.apply_resolution_batch(
+            np.array(dirs, dtype=np.intp),
+            np.array(amounts, dtype=np.float64),
+            np.array(settled, dtype=bool),
+        )
     else:  # freeze / unfreeze the first hop's channel
         cid = hops[0][0]
         ref.set_frozen(cid, settled[0])
@@ -245,3 +256,66 @@ def test_path_lock_failure_at_every_hop_rolls_back_like_the_loop(failing, frozen
     _replay_through_rebinds(store, [("lock_path", hops, amounts, None)])
     assert store.num_refunded[:5].tolist() == [4] * failing + [0] * (5 - failing)
     assert store.inflight_view.sum() == pytest.approx(0.0, abs=1e-12)
+
+
+def _line_store(n: int = 5) -> ChannelStateStore:
+    store = ChannelStateStore()
+    for cid in range(n):
+        store.allocate(10.0 + cid, 3.3 + 0.7 * cid)
+    return store
+
+
+def test_lock_many_applies_repeated_directions_in_order():
+    """Several units of one cohort crossing the same hops: each repeat
+    lands on the running value, in list order, as the per-send loop does
+    (amounts chosen so a different summation order changes the bits)."""
+    store = _line_store()
+    hops = [(1, 0), (2, 1), (1, 0), (1, 0), (2, 1), (0, 0)]
+    amounts = [0.1, 1e-17, 0.2, 0.3, 2.0**-60, 1.0 / 3.0]
+    _replay_through_rebinds(store, [("lock_many", hops, amounts, None)])
+
+
+@pytest.mark.parametrize("failing", range(5))
+def test_kernels_vet_list_dirs_with_a_sanitizer_attached(failing):
+    """With a sanitizer attached and the writing lane owning every row,
+    the list-fed kernels behave exactly as detached (failure at every hop
+    index included) and every call is vetted."""
+    store = _line_store()
+    sanitizer = ShardSanitizer(np.zeros(len(store), dtype=np.int8))
+    sanitizer.set_lane(0)
+    store.attach_sanitizer(sanitizer)
+    hops = [(cid, cid % 2) for cid in range(5)]
+    amounts = [float(store.balance[cid, side]) * 0.37 for cid, side in hops]
+    short = list(amounts)
+    short[failing] = float(store.balance[hops[failing]]) + 1.0
+    ops = [
+        ("lock_path", hops, short, None),
+        ("lock_path", hops, amounts, None),
+        ("settle", hops[:3], amounts[:3], None),
+        ("refund", hops[3:], amounts[3:], None),
+        ("lock_many", hops + hops[:2], amounts + amounts[:2], None),
+    ]
+    _replay_through_rebinds(store, ops)
+    assert sanitizer.checks == 4 * len(ops)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    ["lock_path_funds", "lock_many", "settle_path_funds", "refund_path_funds"],
+)
+def test_sanitizer_rejects_a_foreign_row_in_list_dirs(kernel):
+    """A list of direction ids naming another lane's row is refused before
+    any write, naming the offending (cid, side)."""
+    store = _line_store()
+    owner = np.zeros(len(store), dtype=np.int8)
+    owner[3] = 1
+    sanitizer = ShardSanitizer(owner)
+    sanitizer.set_lane(0)
+    store.attach_sanitizer(sanitizer)
+    before = {name: np.array(getattr(store, name)[:5]) for name in _ARRAYS}
+    dirs = [2 * 1 + 0, 2 * 3 + 1, 2 * 4 + 0]
+    with pytest.raises(ShardViolationError) as info:
+        getattr(store, kernel)(dirs, [0.5, 0.5, 0.5])
+    assert (info.value.cid, info.value.side, info.value.owner) == (3, 1, 1)
+    for name, values in before.items():
+        assert np.array_equal(getattr(store, name)[:5], values), name

@@ -190,6 +190,41 @@ class TestHopByHopNative:
         assert session.transport.mean_queue_delay > 0.0
         assert metrics.completed == 2
 
+    def test_queue_delay_stats_match_the_delays_observed(self, monkeypatch):
+        """The transport keeps a running total and count, not one float per
+        serviced unit: both equal what the service batches handed to the
+        control plane, and the mean is their left-to-right sum over the
+        count."""
+        from repro.engine.signals import ControlPlane
+
+        observed = []
+        observe = ControlPlane.observe_service
+
+        def record_delays(self, cid, side, delays, units):
+            observed.extend(delays)
+            return observe(self, cid, side, delays, units)
+
+        monkeypatch.setattr(ControlPlane, "observe_service", record_delays)
+        config = ExperimentConfig(
+            scheme="spider-window",
+            topology="line-5",
+            capacity=200.0,
+            num_transactions=250,
+            arrival_rate=50.0,
+            seed=17,
+        )
+        session = SimulationSession.from_config(config)
+        session.run()
+        transport = session.transport
+        assert len(observed) > 1
+        assert transport.queue_delay_count == len(observed)
+        total = 0.0
+        for delay in observed:
+            total += delay
+        assert transport.queue_delay_total == total
+        assert transport.mean_queue_delay == total / len(observed)
+        assert transport.mean_queue_delay > 0.0
+
     def test_invalid_transport_parameters_rejected(self):
         session = make_session([record(0, 1.0, 0, 3, 1.0)])
         with pytest.raises(ValueError):
