@@ -24,22 +24,14 @@ graph, a same-tick burst sweep at cohort sizes 1/16/256, and a fee-bearing
 workload with its cohort counters), a bounded ``scale`` smoke (a 10k-node
 Ripple-like waterfilling run plus a parallel SweepExecutor grid exercising
 the persistent path cache; ``prepare()`` — discovery, prefetch, trace
-scheduling — is timed apart from the event loop), and the ``sharding``
-section (one locality-weighted run on the 10k-node Ripple-like graph
-executed serially vs. split across 4 forked shard workers over the
-shared-memory ChannelStateStore — asserting byte-identical metrics between
-the two plans — with a 100k-node scale-free leg behind
-``REPRO_SLOW_TESTS=1``).
+scheduling — is timed apart from the event loop).
 
 Absolute rates are recorded, not gated: they move with the machine, and
 the end-to-end benchmark (``benchmarks/e2e/run.py --smoke``) is the speed
 gate.  Pass ``--assert-floor`` to fail on the same-run ratios and counts
-that do not: CSR path discovery under 28.6x the scalar BFS, a fee-bearing
-dispatch fallback rate above a fifth of the fee-free-only envelope, or a
-sharding section that loses serial/parallel parity or posts under its 2x
-wall-clock speedup at 4 shards (the speedup clause is waived, and recorded
-as waived with both numbers, on hosts with fewer cores than shards, where
-forked workers time-slice the cores; the parity clause is never waived).
+that do not: CSR path discovery under 28.6x the scalar BFS, or a
+fee-bearing dispatch fallback rate above a fifth of the fee-free-only
+envelope.
 """
 
 from __future__ import annotations
@@ -681,197 +673,6 @@ def run_scale_smoke(
     }
 
 
-# ----------------------------------------------------------------------
-# Spatial sharding: one run partitioned across worker processes over the
-# shared-memory store (serial parity plan vs forked shard workers).
-# ----------------------------------------------------------------------
-def _locality_trace(
-    adjacency, partition, transactions: int, arrival_rate: float,
-    cross_fraction: float = 0.1, seed: int = 31,
-):
-    """A locality-weighted trace: most pairs are graph-near within a segment.
-
-    Spatial sharding only parallelises traffic whose candidate paths stay
-    inside a segment, so the benchmark workload models the regime the
-    layer targets (geographically clustered payment demand): local pairs
-    take a short random walk over in-segment edges from a random node —
-    their shortest paths rarely leave the segment — while the
-    ``cross_fraction`` remainder is drawn network-wide and lands in the
-    boundary lane.
-    """
-    from repro.simulator.rng import make_rng
-    from repro.workload.generator import TransactionRecord
-
-    rng = make_rng(seed)
-    nodes = sorted(adjacency)
-    segment_of = partition.segment_of
-    in_segment = {
-        node: [n for n in adjacency[node] if segment_of(n) == segment_of(node)]
-        for node in nodes
-    }
-    records = []
-    now = 0.0
-    for txn_id in range(transactions):
-        now += float(rng.exponential(1.0 / arrival_rate))
-        source = dest = nodes[int(rng.integers(len(nodes)))]
-        if rng.uniform() >= cross_fraction:
-            for _ in range(1 + int(rng.integers(2))):  # 1-2 in-segment hops
-                steps = in_segment[dest]
-                if not steps:
-                    break
-                dest = steps[int(rng.integers(len(steps)))]
-        if source == dest:  # isolated-in-segment node or the walk looped
-            a, b = rng.choice(len(nodes), size=2, replace=False)
-            source, dest = nodes[int(a)], nodes[int(b)]
-        amount = round(float(rng.uniform(1.0, 10.0)), 2)
-        records.append(
-            TransactionRecord(txn_id, round(now, 6), source, dest, amount)
-        )
-    return records
-
-
-def run_sharding_benchmark(
-    transactions: int = 800,
-    preset: str = "huge",
-    shards: int = 4,
-    epoch: float = 2.0,
-    repeats: int = 2,
-) -> dict:
-    """Serial parity plan vs N forked shard workers on one run.
-
-    Both legs execute the *identical* partitioned epoch plan — same
-    partition, same traffic classification, same lane order — so the
-    wall-clock ratio isolates what multiprocessing buys and the metrics
-    must serialise byte-identically (asserted here, the at-scale parity
-    pin).  The workload is locality-weighted (90% intra-segment pairs,
-    ``shortest-path``'s k=1 candidates), the regime the sharding layer
-    targets; the recorded ``local_fraction`` documents how much of the
-    trace actually ran concurrently.
-
-    On a host with fewer cores than shards the parallel leg time-slices
-    the workers over the cores — a 4-lane speed-up cannot be expressed on
-    2 — so the ≥2x acceptance speedup is unmeasurable; the section then
-    records ``speedup_waived`` with the core and shard counts and the
-    floor gate skips that clause (never the parity clause) rather than
-    failing on hardware that cannot express the parallelism.  A 100k-node generated topology leg runs
-    when ``REPRO_SLOW_TESTS=1`` (several minutes of graph build alone).
-    """
-    from repro.engine.session import RuntimeConfig
-    from repro.engine.pathservice import PersistentCache
-    from repro.engine.sharding import ShardedSession
-    from repro.metrics.report import metrics_to_json
-    from repro.topology import partition_topology, scale_free_topology
-
-    def measure(topology, records, parallel: bool, sanitize: bool = False):
-        """(session, metrics, wall seconds) of one full sharded run."""
-        network = topology.build_network(default_capacity=500.0)
-        assert ShardedSession.sharded_execution  # default stays on
-        ShardedSession.sharded_execution = parallel
-        try:
-            session = ShardedSession(
-                network,
-                records,
-                "shortest-path",
-                config=RuntimeConfig(),
-                num_shards=shards,
-                epoch=epoch,
-                sanitize=True if sanitize else None,
-            )
-            start = time.perf_counter()
-            metrics = session.run()
-            elapsed = time.perf_counter() - start
-        finally:
-            ShardedSession.sharded_execution = True
-        return session, metrics, elapsed
-
-    def best_of(topology, records, parallel: bool, sanitize: bool = False):
-        best = None
-        for _ in range(repeats):
-            session, metrics, elapsed = measure(
-                topology, records, parallel, sanitize
-            )
-            if best is None or elapsed < best[2]:
-                best = (session, metrics, elapsed)
-        return best
-
-    def compare(topology, records):
-        serial_session, serial_metrics, serial_time = best_of(
-            topology, records, parallel=False
-        )
-        parallel_session, parallel_metrics, parallel_time = best_of(
-            topology, records, parallel=True
-        )
-        # The headline invariant: N worker processes, byte-identical JSON.
-        parity = metrics_to_json(serial_metrics) == metrics_to_json(
-            parallel_metrics
-        )
-        stats = parallel_session.dispatch_stats()
-        # One more parallel leg under the write-ownership sanitizer: the
-        # run completing at all means zero violations (a bad write raises
-        # ShardViolationError), and the wall-clock ratio against the plain
-        # parallel leg is the sanitizer's overhead (acceptance: <= 1.5x).
-        _, sanitized_metrics, sanitized_time = best_of(
-            topology, records, parallel=True, sanitize=True
-        )
-        sanitized_parity = metrics_to_json(parallel_metrics) == metrics_to_json(
-            sanitized_metrics
-        )
-        return {
-            "transactions": len(records),
-            "shards": shards,
-            "epoch": epoch,
-            "local_fraction": round(
-                stats["local_payments"] / max(len(records), 1), 3
-            ),
-            "cut_channels": stats["cut_channels"],
-            "serial_wall_seconds": round(serial_time, 3),
-            "parallel_wall_seconds": round(parallel_time, 3),
-            "serial_txns_per_sec": round(len(records) / serial_time, 1),
-            "parallel_txns_per_sec": round(len(records) / parallel_time, 1),
-            "speedup": round(serial_time / parallel_time, 3),
-            "parallel_mode_used": bool(stats["parallel"]),
-            "parity": parity,
-            "sanitized": {
-                "wall_seconds": round(sanitized_time, 3),
-                "slowdown": round(sanitized_time / parallel_time, 3),
-                "violations": 0,
-                "parity": sanitized_parity,
-            },
-        }
-
-    PersistentCache.clear_shared()
-    topology = ripple_topology(preset, seed=0)
-    partition = partition_topology(topology, shards)
-    records = _locality_trace(
-        topology.adjacency(), partition, transactions, arrival_rate=250.0
-    )
-    report = compare(topology, records)
-    report["network"] = {
-        "nodes": len(list(topology.nodes)),
-        "preset": f"ripple-{preset}",
-    }
-    cores = os.cpu_count() or 1
-    report["cpu_count"] = cores
-    if cores < shards:
-        report["speedup_waived"] = (
-            f"os.cpu_count()={cores} < {shards} shards: the forked shard "
-            "workers time-slice the cores, so the >=2x wall-clock "
-            "acceptance speedup cannot be expressed on this machine"
-        )
-    if os.environ.get("REPRO_SLOW_TESTS") == "1":
-        PersistentCache.clear_shared()
-        big = scale_free_topology(100_000, m=3, seed=7)
-        big_partition = partition_topology(big, shards)
-        big_records = _locality_trace(
-            big.adjacency(), big_partition, max(transactions, 2000),
-            arrival_rate=500.0,
-        )
-        big_report = compare(big, big_records)
-        big_report["network"] = {"nodes": 100_000, "preset": "scale-free-100k"}
-        report["nodes_100k"] = big_report
-    return report
-
-
 def check_floor(report: dict):
     """Regression gate over same-run ratios and counts; returns an error
     string, or ``None`` when every clause holds.
@@ -880,11 +681,7 @@ def check_floor(report: dict):
       (both providers timed on this machine in the same run) must stay
       above ``DISCOVERY_FLOOR``;
     * ``dispatch.fee_workload``: the fallback rate must stay under a fifth
-      of ``FEE_FREE_ONLY_FALLBACK_RATE``;
-    * ``sharding``: the serial and parallel plans (and the sanitized
-      parallel leg) must serialise identical metrics, the parallel leg must
-      be 2x faster at 4 shards unless waived for too few cores, and the
-      sanitizer may cost at most 1.5x.
+      of ``FEE_FREE_ONLY_FALLBACK_RATE``.
     """
     discovery = report.get("path_discovery")
     if discovery:
@@ -905,37 +702,6 @@ def check_floor(report: dict):
                 f"the fee-free-only envelope ({envelope}) — fee-aware "
                 "staging is not absorbing the cohort"
             )
-    sharding = report.get("sharding")
-    if sharding and not sharding.get("carried_forward"):
-        if sharding.get("parity") is not True:
-            return (
-                "sharded execution broke metrics parity: the serial plan "
-                "and the forked shard workers serialised different JSON"
-            )
-        if not sharding.get("speedup_waived"):
-            speedup = sharding["speedup"]
-            if speedup < 2.0:
-                return (
-                    f"sharded speedup {speedup:.2f}x at "
-                    f"{sharding['shards']} shards fell below the 2x "
-                    "acceptance floor (both modes timed on this machine "
-                    "in the same run)"
-                )
-        sanitized = sharding.get("sanitized")
-        if sanitized:
-            if sanitized.get("parity") is not True:
-                return (
-                    "sanitized sharded run broke metrics parity: the "
-                    "write-ownership sanitizer must be invisible to the "
-                    "simulation"
-                )
-            slowdown = sanitized["slowdown"]
-            if slowdown > 1.5:
-                return (
-                    f"shard-sanitizer slowdown {slowdown:.2f}x exceeds the "
-                    "1.5x acceptance ceiling (sanitized vs plain parallel, "
-                    "both timed on this machine in the same run)"
-                )
     return None
 
 
@@ -978,28 +744,14 @@ def main(argv=None) -> int:
         default=600,
         help="trace length of the macro-tick dispatch benchmark (0 disables it)",
     )
-    parser.add_argument(
-        "--sharding-transactions",
-        type=int,
-        default=800,
-        help="trace length of the spatial-sharding 1-vs-N-shard comparison "
-        "(0 disables it; the 100k-node leg additionally needs "
-        "REPRO_SLOW_TESTS=1)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="worker count of the sharding comparison (acceptance: 4)",
-    )
     parser.add_argument("--repeats", type=int, default=3, help="best-of repeats")
     parser.add_argument(
         "--assert-floor",
         action="store_true",
         help=(
             "fail (exit 1) if a same-run floor clause fails: discovery "
-            "speedup, fee-bearing dispatch fallback rate, sharding parity "
-            "and speedup (CI regression gate)"
+            "speedup or fee-bearing dispatch fallback rate (CI regression "
+            "gate)"
         ),
     )
     args = parser.parse_args(argv)
@@ -1040,12 +792,6 @@ def main(argv=None) -> int:
         # Keep the recorded entry rather than dropping it, but tag it so
         # nobody mistakes another machine's numbers for this run's.
         report["scale"] = dict(baseline["scale"], carried_forward=True)
-    if args.sharding_transactions > 0:
-        report["sharding"] = run_sharding_benchmark(
-            transactions=args.sharding_transactions, shards=args.shards
-        )
-    elif "sharding" in baseline:
-        report["sharding"] = dict(baseline["sharding"], carried_forward=True)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -1097,20 +843,6 @@ def main(argv=None) -> int:
             f"{scale['events_per_sec']} ev/s, sweep "
             f"{scale['sweep']['cells']} cells in "
             f"{scale['sweep']['wall_seconds']}s"
-        )
-    if "sharding" in report:
-        shard = report["sharding"]
-        waived = " (speedup floor waived: fewer cores than shards)" if shard.get(
-            "speedup_waived"
-        ) else ""
-        print(
-            f"sharding {shard['network']['nodes']:,} nodes @ "
-            f"{shard['shards']} shards: serial "
-            f"{shard['serial_txns_per_sec']} -> parallel "
-            f"{shard['parallel_txns_per_sec']} txn/s "
-            f"({shard['speedup']:.2f}x, local fraction "
-            f"{shard['local_fraction']}, parity "
-            f"{'ok' if shard.get('parity') else 'BROKEN'}){waived}"
         )
     print(f"wrote {args.out}")
     if args.assert_floor:

@@ -115,33 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the engine's dispatch counters after the run "
         "(cohorts, batched units, scalar fallbacks, replayed and failed "
-        "locks; plus shard counters "
-        "with --shards)",
-    )
-    run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="partition the network into N segments and run each "
-        "segment's traffic in its own worker process over a "
-        "shared-memory store (0 = single-process; metrics are "
-        "byte-identical either way)",
-    )
-    run_parser.add_argument(
-        "--shard-epoch",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="epoch-barrier period for --shards (default: 1.0)",
-    )
-    run_parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run the --shards execution under the write-ownership "
-        "sanitizer: every store row a shard lane writes is checked "
-        "against the partition's owner map (equivalent to setting "
-        "REPRO_SHARD_SANITIZE=1)",
+        "locks)",
     )
     _add_common_options(run_parser)
 
@@ -244,26 +218,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "run":
         config = _config_from_args(args, scheme=args.scheme)
-        if args.shards > 0:
-            from repro.engine.sharding import ShardedSession
-
-            if args.path_cache_dir is not None:
-                print(
-                    "error: --shards cannot use --path-cache-dir "
-                    "(shard lanes do not touch disk)",
-                    file=sys.stderr,
-                )
-                return 2
-            session = ShardedSession.from_config(
-                config,
-                num_shards=args.shards,
-                epoch=args.shard_epoch,
-                sanitize=True if args.sanitize else None,
-            )
-        else:
-            session = SimulationSession.from_config(
-                config, path_cache_dir=args.path_cache_dir
-            )
+        session = SimulationSession.from_config(
+            config, path_cache_dir=args.path_cache_dir
+        )
         metrics = session.run()
         print(format_metrics_table([metrics], title=f"{args.scheme} on {args.topology}"))
         if args.dispatch_stats:

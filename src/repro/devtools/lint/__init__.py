@@ -2,7 +2,7 @@
 
 Generic linters check style; this one checks the invariants the repo's
 correctness story actually rests on — byte-identical replay, version-
-stamped store mutation, integer-tick scheduling and shard safety.  See
+stamped store mutation and integer-tick scheduling.  See
 :mod:`repro.devtools.lint.rules` for the rule table and
 :mod:`repro.devtools.lint.index` for the suppression syntax
 (``# repro-lint: allow[RL003] one-line justification``).

@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant linter: determinism, ordered iteration, "
-            "store-mutation discipline, integer-tick discipline and "
-            "shard safety"
+            "store-mutation discipline and integer-tick discipline"
         ),
     )
     add_lint_arguments(parser)

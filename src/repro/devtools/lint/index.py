@@ -42,7 +42,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -274,12 +273,6 @@ class LintIndex:
             if not module.is_test:
                 yield module
 
-    def test_modules(self) -> Iterator[ModuleInfo]:
-        """Modules under a ``tests`` root."""
-        for module in self.modules:
-            if module.is_test:
-                yield module
-
     def modules_matching(self, *prefixes: str) -> Iterator[ModuleInfo]:
         """Source modules whose repo-relative path starts with a prefix."""
         for module in self.src_modules():
@@ -304,24 +297,3 @@ def _build_module(path: str, source: str, tree: ast.Module) -> ModuleInfo:
         suppressions=suppressions,
         import_aliases=_collect_import_aliases(tree),
     )
-
-
-def parent_map(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
-    """``child -> parent`` for one module tree (helper for scope rules)."""
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def enclosing_functions(
-    tree: ast.Module,
-) -> List[Tuple[ast.AST, int, int]]:
-    """Every function scope as ``(node, first_line, last_line)``."""
-    scopes: List[Tuple[ast.AST, int, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            end = getattr(node, "end_lineno", node.lineno)
-            scopes.append((node, node.lineno, end or node.lineno))
-    return scopes

@@ -863,14 +863,6 @@ class DispatchPlan:
                 if hop_list is None:
                     hop_lists[i] = [amounts[i]] * len(cpaths[i])
             flat_lists = cast(List[List[float]], hop_lists)
-            if store.sanitizer is not None:
-                # Per-row payment attribution for shard-violation reports.
-                store.sanitizer.annotate(
-                    np.repeat(
-                        [payment.payment_id for payment in staged],
-                        [len(cpath) for cpath in cpaths],
-                    )
-                )
             if self._has_failed_locks:
                 self._write_back_overlay()
             elif len(staged) == 1:
@@ -952,10 +944,6 @@ class DispatchPlan:
         sent = self._sent
         store = self.store
         dirs = np.array(list(sent), dtype=np.intp)
-        if store.sanitizer is not None:
-            # These writes go straight through the array views below,
-            # bypassing the store's guarded entry points — vet them here.
-            store.sanitizer.check_dirs(dirs)
         store.balance_flat[dirs] = list(map(self._bal.__getitem__, sent))
         store.inflight_flat[dirs] = list(self._infl.values())
         store.sent_flat[dirs] = list(sent.values())

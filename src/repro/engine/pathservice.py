@@ -985,17 +985,12 @@ class PersistentCache:
             blob = json.dumps(payload, sort_keys=True)
         except TypeError:
             return
-        # Shard lanes never attach a cache dir (ShardedSession._build_lane
-        # passes no path_cache_dir), so this flush only ever runs in the
-        # unsharded/parent process; the pid-suffixed tmp + os.replace keeps
-        # even an accidental concurrent flush atomic.
-        # repro-lint: allow[RL006] fork lanes attach no cache dir; unreachable
+        # A pid-suffixed tmp plus os.replace keeps concurrent flushes (sweep
+        # cells sharing one cache dir) atomic.
         os.makedirs(self._dir, exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
-        # repro-lint: allow[RL006] unreachable in forked lanes (no cache dir)
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(blob)
-        # repro-lint: allow[RL006] atomic publish; unreachable in forked lanes
         os.replace(tmp, path)
         self._dirty = False
 
@@ -1193,13 +1188,11 @@ class PathService:
         """Attach a cache directory to current and future providers."""
         self._cache_dir = cache_dir
         for cache in self._views.values():
-            # repro-lint: allow[RL006] sharded lanes never call persist_to
             cache.persist_to(cache_dir)
 
     def flush(self) -> None:
         """Write every provider's dirty pair sets to its artifact."""
         for cache in self._views.values():
-            # repro-lint: allow[RL006] no-op in lanes: no cache dir attached
             cache.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

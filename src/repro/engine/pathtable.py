@@ -474,31 +474,6 @@ class PathTable:
         """
         return self._probe_for(paths)
 
-    def invalidate_probes(self) -> None:
-        """Drop every memoised probe value, forcing full regathers.
-
-        The stamp-freshness protocol is exact *within one process*: every
-        store mutation bumps the per-process ``version`` counter and
-        stamps the touched rows with it.  Once the store is shared across
-        processes (:meth:`ChannelStateStore.share
-        <repro.engine.store.ChannelStateStore.share>`), a peer's writes
-        land in the shared arrays without bumping *this* process's
-        counter — and because peers run their own counters, a peer's
-        stamps need not exceed a local probe's ``as_of`` even when the
-        row changed.  The sharding driver therefore calls this at every
-        epoch barrier, in every lane: ``as_of`` drops to ``-1`` and the
-        cached values are discarded, so the next probe regathers from the
-        live arrays.  Semantically neutral in single-process runs (the
-        regather recomputes the identical values), which is exactly why
-        the serial parity baseline can run the same call unconditionally.
-        """
-        for probe in self._probes.values():
-            if probe is None:  # degenerate set: nothing memoised
-                continue
-            probe.values = None
-            probe.values_list = []
-            probe.as_of = -1
-
     def refresh_probes(self, probes: Sequence[_ProbeCache]) -> None:
         """Refresh a batch of probe caches with one concatenated gather.
 

@@ -330,7 +330,6 @@ class SimulationSession:
             if self._path_cache_dir is not None:
                 # Load known path artifacts before the scheme prepares; newly
                 # discovered pair sets are written back at the end of the run.
-                # repro-lint: allow[RL006] lane sessions get no path_cache_dir
                 self.network.path_service.persist_to(self._path_cache_dir)
             if transport_kind is not None:
                 transport_kwargs = (
@@ -428,7 +427,6 @@ class SimulationSession:
         self.sim.run(until=self._end_time)
         self._finish()
         if self._path_cache_dir is not None:
-            # repro-lint: allow[RL006] lane sessions get no path_cache_dir
             self.network.path_service.flush()
         control = self.network.peek_control_plane()
         if control is not None:
@@ -439,44 +437,6 @@ class SimulationSession:
         return self.collector.finalize(
             scheme=self.scheme.name, network=self.network, duration=self._end_time
         )
-
-    def run_window(self, until: float) -> None:
-        """Advance the run to ``until`` seconds, leaving future work queued.
-
-        The bulk-synchronous primitive the spatial-sharding driver
-        (:class:`~repro.engine.sharding.ShardedSession`) steps its
-        execution lanes with: every event due at or before ``until``
-        fires, then the clock lands on exactly ``until`` (quantised), and
-        in-flight resolutions or retries scheduled beyond it stay queued
-        for the next window.  The first call performs :meth:`prepare`;
-        subsequent calls resume where the previous window stopped.  Ended
-        by :meth:`finish_windowed` — a session driven through windows must
-        not also call :meth:`run`.
-        """
-        if self._finished:
-            raise SimulationError("cannot run a window on a finished session")
-        self.prepare()
-        self.sim.run(until=until)
-
-    def finish_windowed(self) -> None:
-        """Terminate a window-driven run: drain checks, fail the pending.
-
-        Performs exactly the end-of-run bookkeeping :meth:`run` performs —
-        dispatch/queue drain assertions, transport finish, failing
-        still-pending payments at the current clock, flushing the path
-        artifact — but does **not** finalize the collector: the sharding
-        driver merges lane collectors first and finalizes once.
-        Idempotent.
-        """
-        if self._finished:
-            return
-        self._finished = True
-        if not self._prepared or (not self.records and self.config.end_time is None):
-            return
-        self._finish()
-        if self._path_cache_dir is not None:
-            # repro-lint: allow[RL006] lane sessions get no path_cache_dir
-            self.network.path_service.flush()
 
     def dispatch_stats(self) -> Dict[str, int]:
         """Batched-dispatch counters for observability.
@@ -525,7 +485,6 @@ class SimulationSession:
         if fee > 0 and not payment.fee_budget_allows(fee):
             return False
         lock = HashLock.generate(payment.payment_id, payment.units_sent)
-        self._attribute_writes(payment.payment_id)
         try:
             htlcs = self.network.lock_path(path, amount, amounts=amounts)
         except InsufficientFundsError:
@@ -586,7 +545,6 @@ class SimulationSession:
             return False
         locked: List[TransactionUnit] = []
         base_lock = HashLock.generate(payment.payment_id, 0)
-        self._attribute_writes(payment.payment_id)
         try:
             for path, amount in allocations:
                 if amount <= _EPS:
@@ -763,7 +721,6 @@ class SimulationSession:
         amounts: List[float] = []
         settled_parts: List[bool] = []
         hop_counts: List[int] = []
-        unit_payments: List[int] = []
         for unit in units:
             lock = cast(PathLock, unit.htlcs)
             settle = self._resolve_decision(unit, now)
@@ -774,12 +731,6 @@ class SimulationSession:
             amounts.extend(lock.amounts)
             settled_parts.append(settle)
             hop_counts.append(len(cpath))
-            unit_payments.append(unit.payment.payment_id)
-        sanitizer = self.network.state_store.sanitizer
-        if sanitizer is not None:
-            # Per-row payment ids so a violation names the payment, not
-            # just the lane.
-            sanitizer.annotate(np.repeat(unit_payments, hop_counts))
         self.network.state_store.apply_resolution_batch(
             np.array(dirs, dtype=np.intp),
             np.array(amounts, dtype=np.float64),
@@ -831,17 +782,9 @@ class SimulationSession:
             # scheduling key — so re-seat it in the pending order.
             self._pending.touch(payment)
 
-    def _attribute_writes(self, payment_id: int) -> None:
-        """Tag upcoming store writes with ``payment_id`` for the shard
-        sanitizer's violation reports (no-op unless one is attached)."""
-        sanitizer = self.network.state_store.sanitizer
-        if sanitizer is not None:
-            sanitizer.set_payment(payment_id)
-
     def _resolve_unit(self, unit: TransactionUnit) -> None:
         now = self.sim.now
         settle = self._resolve_decision(unit, now)
-        self._attribute_writes(unit.payment.payment_id)
         if settle:
             self.network.settle_path(unit.path, unit.htlcs)
         else:

@@ -22,38 +22,16 @@ return views trimmed to the allocated channel count.
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ChannelError, InsufficientFundsError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.sanitizer import ShardSanitizer
-
 __all__ = ["ChannelStateStore"]
 
 _INITIAL_CAPACITY = 16
 _LOCK_EPS = 1e-9
-
-#: Arrays re-laid into the shared-memory block by :meth:`share`, in block
-#: order.  Offsets are rounded up to 8 bytes so every float64/int64 array
-#: stays aligned regardless of the bool array's length.
-_SHARED_ARRAYS = (
-    "balance",
-    "inflight",
-    "sent",
-    "settled_flow",
-    "queue_depth",
-    "capacity",
-    "total_deposited",
-    "num_settled",
-    "num_refunded",
-    "stamp",
-    "frozen",
-)
-
 
 class ChannelStateStore:
     """Flat per-channel state arrays shared by every channel view.
@@ -91,8 +69,6 @@ class ChannelStateStore:
         "frozen_count",
         "stamp",
         "version",
-        "_shm",
-        "_sanitizer",
         "balance_flat",
         "inflight_flat",
         "sent_flat",
@@ -115,10 +91,6 @@ class ChannelStateStore:
         self.frozen_count = 0
         self.stamp = np.zeros(reserve, dtype=np.int64)
         self.version = 0
-        #: Shared-memory block backing the arrays (``None`` = private heap).
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        #: Write-ownership sanitizer vetting mutations (``None`` = off).
-        self._sanitizer: Optional["ShardSanitizer"] = None
         self._bind_flat()
 
     # ------------------------------------------------------------------
@@ -130,11 +102,6 @@ class ChannelStateStore:
 
     def allocate(self, capacity: float, balance_a: float) -> int:
         """Allocate a row for a new channel; returns its channel id."""
-        if self._shm is not None:
-            raise ChannelError(
-                "cannot allocate channels on a shared-memory store: the "
-                "topology is frozen once share() re-lays the arrays"
-            )
         cid = self._n
         if cid == self.capacity.shape[0]:
             self._grow()
@@ -174,101 +141,6 @@ class ChannelStateStore:
         self.inflight_flat = self.inflight.reshape(-1)
         self.sent_flat = self.sent.reshape(-1)
         self.settled_flow_flat = self.settled_flow.reshape(-1)
-
-    # ------------------------------------------------------------------
-    # Shared-memory backing (spatial sharding)
-    # ------------------------------------------------------------------
-    @property
-    def is_shared(self) -> bool:
-        """Whether the state arrays live in a shared-memory block."""
-        return self._shm is not None
-
-    @property
-    def shared_memory_name(self) -> Optional[str]:
-        """The backing block's name, or ``None`` on a private-heap store."""
-        return self._shm.name if self._shm is not None else None
-
-    def share(self) -> str:
-        """Re-lay every state array into one shared-memory block, in place.
-
-        The array layout (dtypes, shapes, trimmed to the allocated channel
-        count) is unchanged — every existing consumer keeps reading
-        ``store.balance[cid, side]`` etc. through attribute access, so the
-        relocation is invisible.  After sharing, a ``fork()``-ed child
-        process inherits the mapping and its writes are visible to every
-        other process attached to the block: the substrate
-        :class:`~repro.engine.sharding.ShardedSession` partitions one run
-        across worker processes over.  ``version`` and ``frozen_count``
-        stay per-process plain ints — cross-process probe freshness is
-        handled by :meth:`PathTable.invalidate_probes
-        <repro.engine.pathtable.PathTable.invalidate_probes>` at every
-        epoch barrier, not by the stamp protocol.
-
-        Growth is frozen (``allocate`` raises) because the block's layout
-        is fixed at its creation size.  Idempotent; returns the block
-        name.  The creating process owns the block: call
-        :meth:`close_shared` (or drop the store) when the run finishes.
-        """
-        if self._shm is not None:
-            return self._shm.name
-        n = self._n
-        layout: list[Tuple[str, int, np.ndarray]] = []
-        offset = 0
-        for name in _SHARED_ARRAYS:
-            arr = getattr(self, name)[:n]
-            layout.append((name, offset, arr))
-            offset += (arr.nbytes + 7) & ~7
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 8))
-        for name, start, arr in layout:
-            view: np.ndarray = np.ndarray(
-                arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=start
-            )
-            view[...] = arr
-            setattr(self, name, view)
-        self._bind_flat()
-        self._shm = shm
-        return shm.name
-
-    def close_shared(self, unlink: bool = True) -> None:
-        """Detach from the shared block, restoring private array copies.
-
-        ``unlink=True`` (creator side) also removes the block from the
-        system once every attached process has closed it.  No-op on a
-        private-heap store.
-        """
-        shm = self._shm
-        if shm is None:
-            return
-        for name in _SHARED_ARRAYS:
-            setattr(self, name, np.array(getattr(self, name)))
-        self._bind_flat()
-        self._shm = None
-        shm.close()
-        if unlink:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # another owner already unlinked it
-                pass
-
-    # ------------------------------------------------------------------
-    # Write-ownership sanitizer (spatial sharding, REPRO_SHARD_SANITIZE)
-    # ------------------------------------------------------------------
-    @property
-    def sanitizer(self) -> Optional["ShardSanitizer"]:
-        """The attached write-ownership sanitizer, or ``None``."""
-        return self._sanitizer
-
-    def attach_sanitizer(self, sanitizer: "ShardSanitizer") -> None:
-        """Vet every subsequent mutation against ``sanitizer``.
-
-        Attach *before* forking shard workers so every child inherits its
-        own copy (lane context is per-process).
-        """
-        self._sanitizer = sanitizer
-
-    def detach_sanitizer(self) -> None:
-        """Stop vetting mutations (run teardown)."""
-        self._sanitizer = None
 
     # ------------------------------------------------------------------
     # Trimmed views (always sized to the allocated channel count)
@@ -371,15 +243,11 @@ class ChannelStateStore:
     # ------------------------------------------------------------------
     def touch(self, cid: int) -> None:
         """Stamp ``cid`` as modified (invalidates cached path probes)."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_one(cid)
         self.version = version = self.version + 1
         self.stamp[cid] = version
 
     def apply_lock(self, cid: int, side: int, amount: float) -> None:
         """Move ``amount`` of ``(cid, side)``'s balance into in-flight."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_one(cid, side)
         self.balance[cid, side] -= amount
         self.inflight[cid, side] += amount
         self.sent[cid, side] += amount
@@ -388,8 +256,6 @@ class ChannelStateStore:
 
     def apply_settle(self, cid: int, sender_side: int, amount: float) -> None:
         """Resolve an in-flight transfer by crediting the counterparty."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_one(cid, sender_side)
         self.inflight[cid, sender_side] -= amount
         self.balance[cid, 1 - sender_side] += amount
         self.settled_flow[cid, sender_side] += amount
@@ -399,8 +265,6 @@ class ChannelStateStore:
 
     def apply_refund(self, cid: int, sender_side: int, amount: float) -> None:
         """Resolve an in-flight transfer by returning it to the sender."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_one(cid, sender_side)
         self.inflight[cid, sender_side] -= amount
         self.balance[cid, sender_side] += amount
         self.num_refunded[cid] += 1
@@ -422,8 +286,6 @@ class ChannelStateStore:
         if amount > balance + _LOCK_EPS:
             return -1.0
         actual = amount if amount <= balance else balance
-        if self._sanitizer is not None:
-            self._sanitizer.check_one(cid, d & 1)
         self.balance_flat[d] = balance - actual
         self.inflight_flat[d] += actual
         self.sent_flat[d] += actual
@@ -440,8 +302,6 @@ class ChannelStateStore:
         ``freeze``/``unfreeze``) for the count to stay accurate.
         """
         flag = bool(flag)
-        if self._sanitizer is not None:
-            self._sanitizer.check_one(cid)
         if flag != bool(self.frozen[cid]):
             self.frozen[cid] = flag
             self.frozen_count += 1 if flag else -1
@@ -450,8 +310,6 @@ class ChannelStateStore:
 
     def deposit(self, cid: int, side: int, amount: float) -> None:
         """Credit on-chain funds: grows the side's balance and the capacity."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_one(cid, side)
         self.balance[cid, side] += amount
         self.capacity[cid] += amount
         self.total_deposited[cid] += amount
@@ -490,8 +348,6 @@ class ChannelStateStore:
         is a trail, so its directions are unique and a hop's check never
         sees an earlier hop's write.
         """
-        if self._sanitizer is not None:
-            self._sanitizer.check_dirs(dirs)
         balance = self.balance_flat
         inflight = self.inflight_flat
         sent = self.sent_flat
@@ -560,8 +416,6 @@ class ChannelStateStore:
         from per-send stamping.  Cohorts are a few rows long, so a loop over
         Python ints and floats beats any NumPy call here.
         """
-        if self._sanitizer is not None:
-            self._sanitizer.check_dirs(dirs)
         balance = self.balance_flat
         inflight = self.inflight_flat
         sent = self.sent_flat
@@ -577,8 +431,6 @@ class ChannelStateStore:
         self, dirs: Sequence[int], amounts: Sequence[float]
     ) -> None:
         """Settle a previously locked path: credit every receiving side."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_dirs(dirs)
         balance = self.balance_flat
         inflight = self.inflight_flat
         settled_flow = self.settled_flow_flat
@@ -597,8 +449,6 @@ class ChannelStateStore:
         self, dirs: Sequence[int], amounts: Sequence[float]
     ) -> None:
         """Refund a previously locked path: return funds to every sender."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_dirs(dirs)
         balance = self.balance_flat
         inflight = self.inflight_flat
         num_refunded = self.num_refunded
@@ -623,8 +473,6 @@ class ChannelStateStore:
         order — so hops are listed in resolution order and the float sums
         match the sequential per-unit writes bit for bit.
         """
-        if self._sanitizer is not None:
-            self._sanitizer.check_dirs(dirs)
         cids = dirs >> 1
         np.subtract.at(self.inflight_flat, dirs, amounts)
         if settled.all():

@@ -172,9 +172,9 @@ class ExperimentConfig:
         """``(network, records, scheme)`` exactly as a session consumes them.
 
         The single construction path shared by
-        :meth:`repro.engine.session.SimulationSession.from_config`,
-        :class:`~repro.engine.sharding.ShardedSession` and the benchmarks
-        — so comparisons always replay the identical network and trace.
+        :meth:`repro.engine.session.SimulationSession.from_config` and the
+        benchmarks — so comparisons always replay the identical network
+        and trace.
         """
         from repro.network.htlc import seed_hash_locks
         from repro.routing.registry import make_scheme

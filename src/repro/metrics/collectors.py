@@ -175,39 +175,6 @@ class MetricsCollector:
         self._mean_price = mean_price
 
     # ------------------------------------------------------------------
-    def merge_from(self, other: "MetricsCollector") -> None:
-        """Fold another collector's accumulated state into this one.
-
-        The spatial-sharding driver runs one collector per execution lane
-        and merges them in a fixed order (shard 0..S−1, then the boundary
-        lane) before a single :meth:`finalize` — float sums are
-        order-sensitive at the bit level, so the merge order is part of
-        the determinism contract.  Latencies concatenate in merge order
-        (the percentiles sort internally); throughput buckets add; queue
-        depth keeps the max; congestion summaries keep the last non-zero
-        pair (lanes that never instantiate a control plane report zeros).
-        """
-        self.attempted += other.attempted
-        self.attempted_value += other.attempted_value
-        self.completed += other.completed
-        self.completed_value += other.completed_value
-        self.failed += other.failed
-        self.delivered_value += other.delivered_value
-        self.units_settled += other.units_settled
-        self.units_cancelled += other.units_cancelled
-        self.total_fees_paid += other.total_fees_paid
-        if other.max_queue_depth > self.max_queue_depth:
-            self.max_queue_depth = other.max_queue_depth
-        self._queue_depth_sum += other._queue_depth_sum
-        self._queue_depth_events += other._queue_depth_events
-        if other._mark_rate or other._mean_price:
-            self._mark_rate = other._mark_rate
-            self._mean_price = other._mean_price
-        self._latencies.extend(other._latencies)
-        for bucket, value in sorted(other._settled_by_bucket.items()):
-            self._settled_by_bucket[bucket] += value
-
-    # ------------------------------------------------------------------
     def finalize(
         self,
         scheme: str,

@@ -1,10 +1,9 @@
 """Segment-aware source routing: route locally, stitch at cut channels.
 
-The first client of the spatial-sharding layer
-(:mod:`repro.engine.sharding`) and a scheme in its own right, following
-the locality lineage of SpeedyMurmurs and the segment-routing idea of the
-segflow line of work: partition the graph into contiguous segments
-(:func:`repro.topology.partition.partition_network`), serve intra-segment
+A locality scheme following the lineage of SpeedyMurmurs and the
+segment-routing idea of the segflow line of work: partition the graph into
+contiguous segments
+(:func:`repro.topology.partition.partition_adjacency`), serve intra-segment
 payments from path sets that never leave the segment, and carry
 cross-segment payments over an explicitly chosen *cut channel*, stitching
 a local leg to the cut endpoint, the cut channel itself, and a local leg
@@ -49,10 +48,6 @@ class SegmentRoutingScheme(RoutingScheme):
         fallback.
     partition_seed:
         Seed for the deterministic region growth.
-    partition:
-        A prebuilt :class:`~repro.topology.partition.GraphPartition` to
-        route against (the sharding driver passes its own so scheme and
-        driver agree); built from the network at ``prepare`` otherwise.
     """
 
     name = "segment-routing"
@@ -63,7 +58,6 @@ class SegmentRoutingScheme(RoutingScheme):
         num_segments: int = 4,
         num_paths: int = 4,
         partition_seed: int = 0,
-        partition: Optional[GraphPartition] = None,
     ):
         if num_segments <= 0:
             raise ValueError(
@@ -74,20 +68,19 @@ class SegmentRoutingScheme(RoutingScheme):
         self.num_segments = num_segments
         self.num_paths = num_paths
         self.partition_seed = partition_seed
-        self.partition: Optional[GraphPartition] = partition
+        self.partition: Optional[GraphPartition] = None
         self._adjacency: Dict[int, List[int]] = {}
         self._routes: Dict[Tuple[int, int], Optional[Path]] = {}
         self._legs: Dict[Tuple[int, int, int], Optional[Path]] = {}
 
     def prepare(self, runtime: "SimulationSession") -> None:
-        """Bind the path service view and build (or adopt) the partition."""
+        """Bind the path service view and build the partition."""
         super().prepare(runtime)
         service = runtime.network.path_service
         self._adjacency = service.sorted_adjacency()
-        if self.partition is None:
-            self.partition = partition_adjacency(
-                self._adjacency, self.num_segments, seed=self.partition_seed
-            )
+        self.partition = partition_adjacency(
+            self._adjacency, self.num_segments, seed=self.partition_seed
+        )
         self._routes = {}
         self._legs = {}
 

@@ -29,12 +29,7 @@ from repro.topology.io import (
     loads_topology,
 )
 from repro.topology.isp import ISP_NUM_EDGES, ISP_NUM_NODES, isp_topology
-from repro.topology.partition import (
-    GraphPartition,
-    partition_adjacency,
-    partition_network,
-    partition_topology,
-)
+from repro.topology.partition import GraphPartition, partition_adjacency
 from repro.topology.ripple import (
     RIPPLE_EDGE_NODE_RATIO,
     RIPPLE_PRESETS,
@@ -68,8 +63,6 @@ __all__ = [
     "load_topology",
     "loads_topology",
     "partition_adjacency",
-    "partition_network",
-    "partition_topology",
     "ripple_topology",
     "scale_free_topology",
     "small_world_topology",

@@ -1,37 +1,26 @@
-"""Deterministic graph partitioning for spatial sharding.
+"""Deterministic graph partitioning for segment routing.
 
-The sharding layer (:mod:`repro.engine.sharding`) splits one huge payment
-network into *segments* — contiguous node regions — and runs each
-segment's traffic in its own worker process over a shared-memory channel
-store, exchanging only boundary-channel traffic at epoch barriers.  The
-partition is the contract between the two layers: which nodes belong to
-which segment, and which channels are *cut* (cross-segment) and therefore
-boundary traffic.
+:class:`~repro.routing.segment.SegmentRoutingScheme` splits the channel
+graph into *segments* — contiguous node regions — and serves
+intra-segment payments from paths that stay inside one segment, carrying
+cross-segment payments over a *cut* (cross-segment) channel.  The
+partition says which nodes belong to which segment and which channels are
+cut.
 
 :func:`partition_adjacency` grows ``num_segments`` regions by seeded
 farthest-point sampling + round-robin breadth-first expansion.  The
 algorithm is a plain deterministic function of the adjacency, the segment
 count and the seed — no RNG state, no hash-order iteration — so every
-process (and every re-run) derives byte-identical partitions, which the
-sharding determinism contract depends on.
+re-run derives a byte-identical partition.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.network import PaymentNetwork
-    from repro.topology.base import Topology
-
-__all__ = [
-    "GraphPartition",
-    "partition_adjacency",
-    "partition_network",
-    "partition_topology",
-]
+__all__ = ["GraphPartition", "partition_adjacency"]
 
 Node = int
 Edge = Tuple[int, int]
@@ -47,7 +36,7 @@ class GraphPartition:
         Per-segment sorted node tuples; every node appears exactly once.
     cut_edges:
         Sorted ``(u, v)`` pairs (``u < v``) whose endpoints lie in
-        different segments — the boundary channels shards exchange over.
+        different segments — the channels cross-segment routes stitch over.
     seed:
         The seed the regions were grown from (recorded for artifacts).
     """
@@ -222,19 +211,3 @@ def partition_adjacency(
         segments=segments, cut_edges=tuple(sorted(cut)), seed=seed
     )
     return partition
-
-
-def partition_network(
-    network: "PaymentNetwork", num_segments: int, seed: int = 0
-) -> GraphPartition:
-    """Partition a payment network's channel graph."""
-    return partition_adjacency(
-        network.path_service.sorted_adjacency(), num_segments, seed=seed
-    )
-
-
-def partition_topology(
-    topology: "Topology", num_segments: int, seed: int = 0
-) -> GraphPartition:
-    """Partition a static topology's edge graph."""
-    return partition_adjacency(topology.adjacency(), num_segments, seed=seed)

@@ -9,12 +9,15 @@ bit: application order on repeated directions, the lock-then-rollback side
 effects of a failed path lock, and the one-stamp-per-call protocol.  The
 per-unit kernels (``lock_path_funds``, ``lock_many``, ``settle_path_funds``,
 ``refund_path_funds``) are fed what their callers pass — lists of Python
-ints and floats — and ``apply_resolution_batch`` its arrays.
+ints and floats — and ``apply_resolution_batch`` its arrays.  The
+single-channel mutators behind the ``PaymentChannel`` view (``apply_lock``,
+``apply_settle``, ``apply_refund``, ``touch``) replay against the same
+reference.
 
-Every op sequence is replayed four times against one store — as built,
-after ``_grow()``, across ``share()`` and after ``close_shared()`` — each of
-which re-binds the arrays, so a flat view that outlived its array would
-write memory the ``(n, 2)`` readers no longer see and fail the comparison.
+Every op sequence is replayed twice against one store — as built and after
+``_grow()``, which re-binds the arrays, so a flat view that outlived its
+array would write memory the ``(n, 2)`` readers no longer see and fail the
+comparison.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.sanitizer import ShardSanitizer, ShardViolationError
 from repro.engine.store import ChannelStateStore
 from repro.errors import InsufficientFundsError
 
@@ -162,6 +164,17 @@ def _apply(store: ChannelStateStore, ref: Reference2D, op) -> None:
     elif kind == "refund":
         ref.resolve(hops, amounts, [False] * len(hops))
         store.refund_path_funds(dirs, amounts)
+    elif kind == "apply_lock":
+        (cid, side), amount = hops[0], amounts[0]
+        ref.lock_many([(cid, side)], [amount])
+        store.apply_lock(cid, side, amount)
+    elif kind in ("apply_settle", "apply_refund"):
+        (cid, side), amount = hops[0], amounts[0]
+        ref.resolve([(cid, side)], [amount], [kind == "apply_settle"])
+        getattr(store, kind)(cid, side, amount)
+    elif kind == "touch":
+        ref._stamp([hops[0][0]])
+        store.touch(hops[0][0])
     elif kind == "resolve_batch":
         ref.resolve(hops, amounts, settled)
         store.apply_resolution_batch(
@@ -175,27 +188,24 @@ def _apply(store: ChannelStateStore, ref: Reference2D, op) -> None:
         store.set_frozen(cid, settled[0])
 
 
+_STAGES = ("built", "grown")
+
+
 def _replay_through_rebinds(store: ChannelStateStore, ops) -> None:
     """Run ``ops`` once per array binding the store can be in."""
     ref = Reference2D(store)
-    try:
-        for stage in ("built", "grown", "shared", "unshared"):
-            if stage == "grown":
-                store._grow()
-            elif stage == "shared":
-                store.share()
-            elif stage == "unshared":
-                store.close_shared()
-            _assert_same(store, ref, stage)
-            for index, op in enumerate(ops):
-                _apply(store, ref, op)
-                _assert_same(store, ref, (stage, index, op[0]))
-    finally:
-        store.close_shared()
+    for stage in _STAGES:
+        if stage == "grown":
+            store._grow()
+        _assert_same(store, ref, stage)
+        for index, op in enumerate(ops):
+            _apply(store, ref, op)
+            _assert_same(store, ref, (stage, index, op[0]))
 
 
 _TRAIL_OPS = ("lock_path", "settle", "refund")
 _BATCH_OPS = ("probe", "try_lock", "lock_many", "resolve_batch", "freeze")
+_SCALAR_OPS = ("apply_lock", "apply_settle", "apply_refund", "touch")
 _amount = st.floats(min_value=0.001, max_value=40.0, allow_nan=False)
 
 
@@ -213,7 +223,7 @@ def _scenario(draw):
     hop = st.tuples(st.integers(0, n - 1), st.integers(0, 1))
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
-        kind = draw(st.sampled_from(_TRAIL_OPS + _BATCH_OPS))
+        kind = draw(st.sampled_from(_TRAIL_OPS + _BATCH_OPS + _SCALAR_OPS))
         if kind in _TRAIL_OPS:
             # A trail crosses each channel at most once.
             cids = draw(
@@ -254,7 +264,9 @@ def test_path_lock_failure_at_every_hop_rolls_back_like_the_loop(failing, frozen
     else:
         amounts[failing] = float(store.balance[hops[failing]]) + 1.0
     _replay_through_rebinds(store, [("lock_path", hops, amounts, None)])
-    assert store.num_refunded[:5].tolist() == [4] * failing + [0] * (5 - failing)
+    assert store.num_refunded[:5].tolist() == (
+        [len(_STAGES)] * failing + [0] * (5 - failing)
+    )
     assert store.inflight_view.sum() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -275,15 +287,26 @@ def test_lock_many_applies_repeated_directions_in_order():
     _replay_through_rebinds(store, [("lock_many", hops, amounts, None)])
 
 
-@pytest.mark.parametrize("failing", range(5))
-def test_kernels_vet_list_dirs_with_a_sanitizer_attached(failing):
-    """With a sanitizer attached and the writing lane owning every row,
-    the list-fed kernels behave exactly as detached (failure at every hop
-    index included) and every call is vetted."""
+@pytest.mark.parametrize("kind", _SCALAR_OPS)
+def test_single_channel_mutators_match_the_2d_reference(kind):
+    """Each channel-view mutator, twice on one row and once on another,
+    moves exactly the reference's rows and stamps once per call."""
     store = _line_store()
-    sanitizer = ShardSanitizer(np.zeros(len(store), dtype=np.int8))
-    sanitizer.set_lane(0)
-    store.attach_sanitizer(sanitizer)
+    ops = [
+        (kind, [(2, 1)], [1.25], None),
+        (kind, [(2, 1)], [0.1], None),
+        (kind, [(4, 0)], [1.0 / 3.0], None),
+    ]
+    _replay_through_rebinds(store, ops)
+    assert store.version == 2 * len(ops)
+
+
+@pytest.mark.parametrize("failing", range(5))
+def test_list_fed_kernels_after_a_failed_lock_at_every_hop(failing):
+    """A path lock that runs dry at hop ``failing``, then the full lock,
+    its settle/refund halves and a cohort lock repeating two hops: the
+    list-fed kernels match the reference after each call."""
+    store = _line_store()
     hops = [(cid, cid % 2) for cid in range(5)]
     amounts = [float(store.balance[cid, side]) * 0.37 for cid, side in hops]
     short = list(amounts)
@@ -296,26 +319,4 @@ def test_kernels_vet_list_dirs_with_a_sanitizer_attached(failing):
         ("lock_many", hops + hops[:2], amounts + amounts[:2], None),
     ]
     _replay_through_rebinds(store, ops)
-    assert sanitizer.checks == 4 * len(ops)
-
-
-@pytest.mark.parametrize(
-    "kernel",
-    ["lock_path_funds", "lock_many", "settle_path_funds", "refund_path_funds"],
-)
-def test_sanitizer_rejects_a_foreign_row_in_list_dirs(kernel):
-    """A list of direction ids naming another lane's row is refused before
-    any write, naming the offending (cid, side)."""
-    store = _line_store()
-    owner = np.zeros(len(store), dtype=np.int8)
-    owner[3] = 1
-    sanitizer = ShardSanitizer(owner)
-    sanitizer.set_lane(0)
-    store.attach_sanitizer(sanitizer)
-    before = {name: np.array(getattr(store, name)[:5]) for name in _ARRAYS}
-    dirs = [2 * 1 + 0, 2 * 3 + 1, 2 * 4 + 0]
-    with pytest.raises(ShardViolationError) as info:
-        getattr(store, kernel)(dirs, [0.5, 0.5, 0.5])
-    assert (info.value.cid, info.value.side, info.value.owner) == (3, 1, 1)
-    for name, values in before.items():
-        assert np.array_equal(getattr(store, name)[:5], values), name
+    assert store.num_settled[:5].tolist() == [len(_STAGES)] * 3 + [0] * 2

@@ -69,51 +69,17 @@ class TestCommands:
         assert "cohorts" in out
         assert "batched_units" in out
 
-    def test_run_sharded_with_stats(self, capsys):
-        code = main(
-            [
-                "run",
-                "--scheme",
-                "shortest-path",
-                "--topology",
-                "ripple-tiny",
-                "--transactions",
-                "40",
-                "--capacity",
-                "1000",
-                "--shards",
-                "2",
-                "--dispatch-stats",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "success_ratio_%" in out
-        assert "num_shards" in out
-        assert "boundary_crossings" in out
-        assert "epoch_barriers" in out
-
-    def test_shards_reject_path_cache_dir(self, capsys, tmp_path):
-        code = main(
-            [
-                "run",
-                "--topology",
-                "line-4",
-                "--transactions",
-                "10",
-                "--shards",
-                "2",
-                "--path-cache-dir",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
-        assert "--path-cache-dir" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
     def test_engine_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--topology", "line-4", "--engine", "legacy"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "option", [["--shards", "2"], ["--shard-epoch", "5"], ["--sanitize"]]
+    )
+    def test_sharding_options_are_gone(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--topology", "line-4", *option])
         assert exc.value.code == 2
 
     def test_compare_runs_multiple_schemes(self, capsys):

@@ -3,9 +3,11 @@
 ``scipy.stats`` and ``scipy.optimize`` each cost tens of MB of resident
 memory on import, more than the data of a 100k-payment run.  Packet
 schemes need neither: transaction sizes use the ``scipy.special`` kernels
-directly, and the fluid LPs import their solver when they solve.  The
-check runs in a fresh interpreter, since any earlier test in this process
-may already have imported them.
+directly, and the fluid LPs import their solver when they solve.  A run
+is one process over a private-heap channel store, so
+``multiprocessing.shared_memory`` stays off it too.  The check runs in a
+fresh interpreter, since any earlier test in this process may already
+have imported them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ import repro
 from repro.engine.session import SimulationSession
 from repro.experiments.config import ExperimentConfig
 
-HEAVY = ("scipy.stats", "scipy.optimize", "networkx")
+HEAVY = (
+    "scipy.stats",
+    "scipy.optimize",
+    "networkx",
+    "multiprocessing.shared_memory",
+)
 
 
 def run(scheme):

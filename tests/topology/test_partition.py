@@ -8,7 +8,6 @@ from repro.topology import (
     GraphPartition,
     grid_topology,
     partition_adjacency,
-    partition_topology,
     ripple_topology,
 )
 
@@ -118,6 +117,6 @@ class TestPartitionQueries:
 class TestNetworkPartition:
     def test_ripple_partition_covers_network(self):
         topology = ripple_topology("small")
-        partition = partition_topology(topology, 4)
+        partition = partition_adjacency(topology.adjacency(), 4)
         assert sum(partition.sizes()) == len(list(topology.nodes))
         assert partition.cut_edges  # a real graph has cross-segment channels
