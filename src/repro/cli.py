@@ -188,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run repro-lint, the AST-based engine-invariant linter",
         description=(
-            "Check the tree against the engine's correctness invariants "
-            "(determinism, ordered iteration, store-mutation discipline, "
-            "scalar/vector parity coverage, integer ticks).  Equivalent to "
-            "`python -m repro.devtools.lint`."
+            "Check the tree against the engine's correctness invariants: "
+            "RL001 determinism, RL002 ordered iteration, RL003 "
+            "store-mutation discipline and RL005 integer ticks.  "
+            "Equivalent to `python -m repro.devtools.lint`."
         ),
     )
     from repro.devtools.lint.cli import add_lint_arguments

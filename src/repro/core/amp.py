@@ -9,8 +9,8 @@ unlock any of the transaction units until she has received all of them."*
 
 :class:`AmpWaterfillingScheme` is the atomic twin of Spider (Waterfilling):
 it allocates the payment across the k edge-disjoint paths by waterfilling
-the *probed* bottlenecks, but locks all shares under one base hash lock,
-all-or-nothing, with a single attempt.  Comparing it against the
+the *probed* bottlenecks, but locks all shares all-or-nothing (what the
+base key guarantees), with a single attempt.  Comparing it against the
 non-atomic variant quantifies exactly what atomicity costs
 (``benchmarks/bench_ablations.py``).
 """

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import PaymentError
-from repro.network.htlc import HashLock, Htlc
+from repro.network.htlc import Htlc
 
 __all__ = ["Payment", "PaymentState", "TransactionUnit", "UnitState"]
 
@@ -169,9 +169,7 @@ class Payment:
 class TransactionUnit:
     """One MTU-bounded slice of a payment traversing one path.
 
-    Holds the per-hop HTLC list so settlement/refund can resolve every hop,
-    and the hash lock whose key the sender reveals on confirmation (§4.1:
-    the sender generates a fresh key per unit).
+    Holds the per-hop HTLC list so settlement/refund can resolve every hop.
     """
 
     _ids = itertools.count(1)
@@ -181,7 +179,6 @@ class TransactionUnit:
     amount: float
     path: Tuple[int, ...]
     htlcs: List[Htlc]
-    lock: Optional[HashLock]
     sent_at: float
     fee: float = 0.0
     state: UnitState = UnitState.INFLIGHT
@@ -193,7 +190,6 @@ class TransactionUnit:
         amount: float,
         path: Tuple[int, ...],
         htlcs: List[Htlc],
-        lock: Optional[HashLock],
         sent_at: float,
         fee: float = 0.0,
     ) -> "TransactionUnit":
@@ -208,7 +204,6 @@ class TransactionUnit:
             amount=amount,
             path=path,
             htlcs=htlcs,
-            lock=lock,
             sent_at=sent_at,
             fee=fee,
         )

@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.payments import Payment
-from repro.network.htlc import HashLock
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +65,6 @@ class HopUnit:
         "cpath",
         "hop_index",
         "locked",
-        "lock",
         "launched_at",
         "queued_at",
         "queue_seq",
@@ -74,14 +72,13 @@ class HopUnit:
         "done",
     )
 
-    def __init__(self, payment: Payment, amount: float, path: Path, lock: HashLock, now: float):
+    def __init__(self, payment: Payment, amount: float, path: Path, now: float):
         self.payment = payment
         self.amount = amount
         self.path = path
         self.cpath = None  # CompiledPath, set by the transport at launch
         self.hop_index = 0  # next channel to lock: (path[i], path[i+1])
         self.locked: List[float] = []  # actual per-hop locked amounts
-        self.lock = lock
         self.launched_at = now
         self.queued_at: Optional[float] = None
         self.queue_seq = 0  # enqueue generation (lazy timeout cancellation)

@@ -18,7 +18,7 @@ attempt-eligible payments here at once; the plan then
 2. **replays** each scheme's decision rule per payment against the cached
    estimates plus a **residual-state overlay** (below), staging accepted
    sends into struct-of-arrays buffers (payment refs, compiled paths,
-   per-hop fee-inclusive amounts, pre-generated hash locks);
+   per-hop fee-inclusive amounts);
 3. **executes** the staged cohort through
    :meth:`ChannelStateStore.lock_many
    <repro.engine.store.ChannelStateStore.lock_many>` — one call over the
@@ -153,7 +153,6 @@ from repro.core.payments import Payment, TransactionUnit
 from repro.core.queueing import HopUnit
 from repro.engine.pathtable import PathLock
 from repro.errors import SimulationError
-from repro.network.htlc import HashLock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.window_control import PathWindow
@@ -225,7 +224,6 @@ class DispatchPlan:
         self._staged_amounts: List[float] = []
         self._staged_fees: List[float] = []
         self._staged_hop_amounts: List[Optional[List[float]]] = []
-        self._staged_locks: List[HashLock] = []
         #: Hop-by-hop unit launches staged by the spider-window replay:
         #: (payment, compiled path, delivered amount, first-hop actual).
         self._staged_launches: List[
@@ -536,19 +534,16 @@ class DispatchPlan:
         fee: float,
         actuals: Optional[List[float]],
     ) -> None:
-        """Stage one successful send (lock key, then inflight — the
-        ``send_unit`` order).  ``actuals=None`` marks the fee-free
-        broadcast case: booked on the overlay here if it is open, folded
-        in by :meth:`_open_overlay` otherwise; a non-``None`` value means
-        :meth:`_replay_lock` already booked it.
+        """Stage one successful send.  ``actuals=None`` marks the
+        fee-free broadcast case: booked on the overlay here if it is open,
+        folded in by :meth:`_open_overlay` otherwise; a non-``None`` value
+        means :meth:`_replay_lock` already booked it.
         """
-        lock = HashLock.generate(payment.payment_id, payment.units_sent)
         payment.register_inflight(amount)
         self._staged_payments.append(payment)
         self._staged_cpaths.append(cpath)
         self._staged_amounts.append(amount)
         self._staged_fees.append(fee)
-        self._staged_locks.append(lock)
         self._staged_hop_amounts.append(actuals)
         if actuals is None:
             if self._seeded:
@@ -740,14 +735,12 @@ class DispatchPlan:
                     # → fail_payment.
                     failed = True
                     break
-                lock = HashLock.generate(payment.payment_id, 0)  # base_lock
                 payment.register_inflight(amount)
                 self._staged_payments.append(payment)
                 self._staged_cpaths.append(cpath)
                 self._staged_amounts.append(amount)
                 self._staged_fees.append(fee)
                 self._staged_hop_amounts.append(actuals)
-                self._staged_locks.append(lock)
                 break
             failures_delta += 1
             hop = (path[failing_index], path[failing_index + 1])
@@ -873,20 +866,14 @@ class DispatchPlan:
                     [a for hop_list in flat_lists for a in hop_list],
                 )
             now = session.sim.now
-            for payment, cpath, amount, fee, lock, hop_list in zip(
-                staged,
-                cpaths,
-                amounts,
-                self._staged_fees,
-                self._staged_locks,
-                flat_lists,
+            for payment, cpath, amount, fee, hop_list in zip(
+                staged, cpaths, amounts, self._staged_fees, flat_lists
             ):
                 unit = TransactionUnit.create(
                     payment=payment,
                     amount=amount,
                     path=cpath.nodes,
                     htlcs=PathLock(cpath, hop_list),
-                    lock=lock,
                     sent_at=now,
                     fee=fee,
                 )
@@ -897,7 +884,6 @@ class DispatchPlan:
             amounts.clear()
             self._staged_fees.clear()
             self._staged_hop_amounts.clear()
-            self._staged_locks.clear()
         elif self._has_failed_locks:
             # A replay can end in failures only (every lock attempt
             # bounced): their side effects still have to land.
@@ -913,15 +899,9 @@ class DispatchPlan:
             now = session.sim.now
             units: List[HopUnit] = []
             for payment, cpath, amount, actual in launches:
-                # send_unit_hop_by_hop replica, launch half: the lock key
-                # regenerates deterministically from the same units_sent
-                # counter the sequential call would have used (register
-                # ran at stage time), then the HopUnit launches with its
-                # first-hop lock booked.
-                lock = HashLock.generate(
-                    payment.payment_id, payment.units_sent
-                )
-                unit = HopUnit(payment, amount, cpath.nodes, lock, now)
+                # send_unit_hop_by_hop replica, launch half: the HopUnit
+                # launches with its first-hop lock booked.
+                unit = HopUnit(payment, amount, cpath.nodes, now)
                 unit.cpath = cpath
                 unit.locked.append(actual)
                 unit.hop_index += 1

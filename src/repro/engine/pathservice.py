@@ -2,10 +2,10 @@
 
 The paper fixes every pair's path set before the run starts ("4 edge-disjoint
 shortest paths", §6.1), so path discovery is a precomputable, shareable
-artifact — yet the seed smeared it across three incompatible APIs
-(:class:`repro.routing.base.PathCache`, :func:`repro.fluid.paths.build_path_set`
-and ad-hoc BFS inside the landmark/LND/embedding schemes), each scheme
-rebuilding its own cache per run.  At 10k-node scale the per-pair
+artifact — yet the seed smeared it across three incompatible APIs (a
+per-scheme path cache, :func:`repro.fluid.paths.build_path_set` and ad-hoc
+BFS inside the landmark/LND/embedding schemes), each scheme rebuilding its
+own cache per run.  At 10k-node scale the per-pair
 ``k_edge_disjoint_paths`` BFS dominated wall time (~10 ms/pair on 33k edges).
 
 :class:`PathService` is now the only way the system discovers paths.  It
@@ -999,11 +999,11 @@ class PersistentCache:
 # The facade
 # ----------------------------------------------------------------------
 class PairPathView:
-    """A :class:`~repro.routing.base.PathCache`-compatible (k, method) view.
+    """One (k, method) view of the shared service.
 
     What ``RoutingScheme.prepare`` hands to schemes as ``self.path_cache``:
-    the same ``paths`` / ``shortest`` / ``k`` surface, served by the
-    session's shared service instead of a private per-scheme cache.
+    a ``paths`` / ``shortest`` / ``k`` surface served by the session's
+    shared service instead of a private per-scheme cache.
     """
 
     __slots__ = ("_cache", "_k")
@@ -1129,7 +1129,7 @@ class PathService:
         return cache
 
     def view(self, k: int, method: str = "edge-disjoint") -> PairPathView:
-        """A PathCache-compatible view of the (k, method) provider."""
+        """A :class:`PairPathView` of the (k, method) provider."""
         return PairPathView(self.provider(k, method), k)
 
     def landmark_provider(self, num_landmarks: int) -> LandmarkProvider:

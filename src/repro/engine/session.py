@@ -53,7 +53,6 @@ from repro.engine.pathtable import PathLock
 from repro.engine.transport import Transport, make_transport
 from repro.errors import ConfigError, InsufficientFundsError, SimulationError
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
-from repro.network.htlc import HashLock
 from repro.network.network import PaymentNetwork
 from repro.workload.generator import TransactionRecord
 
@@ -484,7 +483,6 @@ class SimulationSession:
         fee = amounts[0] - amount if amounts else 0.0
         if fee > 0 and not payment.fee_budget_allows(fee):
             return False
-        lock = HashLock.generate(payment.payment_id, payment.units_sent)
         try:
             htlcs = self.network.lock_path(path, amount, amounts=amounts)
         except InsufficientFundsError:
@@ -495,7 +493,6 @@ class SimulationSession:
             amount=amount,
             path=tuple(path),
             htlcs=htlcs,
-            lock=lock,
             sent_at=self.sim.now,
             fee=fee,
         )
@@ -544,7 +541,6 @@ class SimulationSession:
         if total_fee > 0 and not payment.fee_budget_allows(total_fee):
             return False
         locked: List[TransactionUnit] = []
-        base_lock = HashLock.generate(payment.payment_id, 0)
         try:
             for path, amount in allocations:
                 if amount <= _EPS:
@@ -558,7 +554,6 @@ class SimulationSession:
                         amount=amount,
                         path=tuple(path),
                         htlcs=htlcs,
-                        lock=base_lock,
                         sent_at=self.sim.now,
                         fee=amounts[0] - amount if amounts else 0.0,
                     )

@@ -39,7 +39,6 @@ from repro.core.queueing import HopUnit
 from repro.engine.pathtable import PathLock
 from repro.errors import ConfigError, InsufficientFundsError
 from repro.fluid.paths import bfs_distances
-from repro.network.htlc import HashLock
 from repro.routing.backpressure import BackpressureUnit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -152,8 +151,7 @@ class HopByHopTransport:
         amount = min(amount, payment.remaining, self.config.mtu)
         if amount < self.config.min_unit_value:
             return False
-        lock = HashLock.generate(payment.payment_id, payment.units_sent)
-        unit = HopUnit(payment, amount, tuple(path), lock, self.sim.now)
+        unit = HopUnit(payment, amount, tuple(path), self.sim.now)
         unit.cpath = self.network.path_table.compile(unit.path)
         if not self._try_lock_hop(unit):
             return False  # source itself lacks funds; caller may queue/poll
@@ -365,7 +363,6 @@ class HopByHopTransport:
             amount=unit.amount,
             path=unit.path,
             htlcs=hop_locks,
-            lock=unit.lock,
             sent_at=unit.launched_at,
         )
         if withhold:
@@ -667,7 +664,7 @@ class BackpressureTransport:
         u = unit.node
         channel = self.network.channel(u, v)
         try:
-            htlc = channel.lock(u, unit.amount, now=self.sim.now, lock=unit.lock)
+            htlc = channel.lock(u, unit.amount, now=self.sim.now)
         except InsufficientFundsError:  # pragma: no cover - availability checked
             return False
         unit.htlcs.append(htlc)
@@ -710,7 +707,6 @@ class BackpressureTransport:
             amount=unit.amount,
             path=self._trail(unit),
             htlcs=unit.htlcs,
-            lock=unit.lock,
             sent_at=unit.created_at,
         )
         if withhold:

@@ -176,12 +176,8 @@ class ExperimentConfig:
         benchmarks — so comparisons always replay the identical network
         and trace.
         """
-        from repro.network.htlc import seed_hash_locks
         from repro.routing.registry import make_scheme
 
-        # Reproducible per-unit hash-lock key material (counter mode,
-        # derived from the experiment seed like every other stream).
-        seed_hash_locks(derive_seed(self.seed, "hash-locks"))
         topology = self.build_topology()
         network = topology.build_network(
             default_capacity=self.capacity,

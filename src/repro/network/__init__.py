@@ -15,7 +15,7 @@ from repro.network.faults import (
     NodeOutage,
     random_churn_schedule,
 )
-from repro.network.htlc import HashLock, Htlc, HtlcState, seed_hash_locks
+from repro.network.htlc import HashLock, Htlc, HtlcState
 from repro.network.network import PaymentNetwork, canonical_edge
 from repro.network.node import Node, NodeRole
 from repro.network.onion import (
@@ -37,7 +37,6 @@ __all__ = [
     "HashLock",
     "Htlc",
     "HtlcState",
-    "seed_hash_locks",
     "MAX_HOPS",
     "Node",
     "NodeOutage",

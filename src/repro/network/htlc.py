@@ -13,13 +13,14 @@ layers:
   ``PENDING → SETTLED | REFUNDED`` state machine that
   :class:`~repro.network.channel.PaymentChannel` enforces.
 
-Lock generation is on the per-unit hot path (every transaction unit of
-every scheme mints one), so :meth:`HashLock.generate` runs in counter
-mode: keys are a seeded 24-byte stream prefix plus a 64-bit counter —
-unique by construction with no per-unit hashing — and the SHA-256 hash
-value is computed lazily, only when something actually inspects or
-verifies the lock.  :func:`seed_hash_locks` re-seeds the stream (wired to
-the experiment seed), keeping key material reproducible run to run.
+The simulation engine models withholding as a refund decision and never
+reads key material, so it mints no locks; :class:`HashLock` serves the
+channel-level API (:meth:`PaymentChannel.lock
+<repro.network.channel.PaymentChannel.lock>`) and its examples.
+:meth:`HashLock.generate` runs in counter mode — a fixed 24-byte stream
+prefix plus a 64-bit counter, unique by construction — and the SHA-256
+hash value is computed lazily, only when something inspects or verifies
+the lock.
 """
 
 from __future__ import annotations
@@ -32,25 +33,10 @@ from typing import Optional
 
 from repro.errors import ChannelError
 
-__all__ = ["HashLock", "Htlc", "HtlcState", "seed_hash_locks"]
+__all__ = ["HashLock", "Htlc", "HtlcState"]
 
 _hash_lock_counter = itertools.count()
 _key_stream_prefix = hashlib.sha256(b"spider-keystream:0").digest()[:24]
-
-
-def seed_hash_locks(seed: int = 0) -> None:
-    """Re-seed the counter-mode key stream (and restart its counter).
-
-    Called by the experiment construction path with a seed derived from
-    the experiment's, so the exact key bytes are reproducible run to run.
-    Simulation outcomes never depend on key material — locks are opaque
-    tokens — but reproducible bytes keep traces comparable.
-    """
-    global _key_stream_prefix, _hash_lock_counter
-    _key_stream_prefix = hashlib.sha256(
-        f"spider-keystream:{seed}".encode()
-    ).digest()[:24]
-    _hash_lock_counter = itertools.count()
 
 
 class HashLock:
@@ -78,7 +64,7 @@ class HashLock:
         """Derive a fresh lock for a transaction unit, in counter mode.
 
         Real implementations draw the key from a CSPRNG; the simulator
-        concatenates the seeded stream prefix with a monotone 64-bit
+        concatenates the fixed stream prefix with a monotone 64-bit
         counter, which preserves the uniqueness property the protocol
         needs at a fraction of the former two-SHA-256 cost.  The
         ``payment_id``/``sequence``/``salt`` identity is accepted for API

@@ -1,7 +1,7 @@
 """Routing schemes: the paper's baselines plus shared infrastructure."""
 
 from repro.routing.backpressure import CelerScheme
-from repro.routing.base import PathCache, RoutingScheme
+from repro.routing.base import RoutingScheme
 from repro.routing.embedding import PrefixEmbedding, SpeedyMurmursScheme, tree_distance
 from repro.routing.landmark import LandmarkScheme, contract_loops
 from repro.routing.lnd import LndScheme
@@ -19,7 +19,6 @@ __all__ = [
     "LandmarkScheme",
     "LndScheme",
     "MaxFlowScheme",
-    "PathCache",
     "PrefixEmbedding",
     "RoutingScheme",
     "SCHEME_FACTORIES",

@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.payments import Payment
-from repro.network.htlc import HashLock, Htlc
+from repro.network.htlc import Htlc
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,7 +65,6 @@ class BackpressureUnit:
         "visited",
         "hops",
         "htlcs",
-        "lock",
         "created_at",
         "parked_at",
         "steps",
@@ -80,7 +79,6 @@ class BackpressureUnit:
         self.visited: Set[int] = {payment.source}
         self.hops: List[Tuple[int, int]] = []
         self.htlcs: List[Htlc] = []
-        self.lock = HashLock.generate(payment.payment_id, payment.units_sent)
         self.created_at = now
         self.parked_at = now
         self.steps = 0

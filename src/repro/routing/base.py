@@ -14,81 +14,21 @@ Path discovery goes through the network's shared
 :class:`~repro.engine.pathservice.PathService`: the default
 :meth:`RoutingScheme.prepare` hands schemes a
 :class:`~repro.engine.pathservice.PairPathView` as ``self.path_cache`` —
-the same ``paths`` / ``shortest`` / ``k`` surface :class:`PathCache`
-exposed, but served from one per-network service (CSR array BFS,
-process-wide memoisation, optional disk artifacts) instead of a private
-per-scheme cache.  :class:`PathCache` itself remains as the standalone
-scalar reference implementation.
+a ``paths`` / ``shortest`` / ``k`` surface served from one per-network
+service (CSR array BFS, process-wide memoisation, optional disk artifacts)
+instead of a private per-scheme cache.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-from repro.fluid.paths import k_edge_disjoint_paths, k_shortest_paths
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
     from repro.engine.session import SimulationSession
 
-__all__ = ["RoutingScheme", "PathCache"]
-
-Path = Tuple[int, ...]
-
-
-class PathCache:
-    """Lazily computed, memoised path sets over a static topology.
-
-    Parameters
-    ----------
-    adjacency:
-        ``{node: [neighbours]}`` of the channel graph.
-    k:
-        Paths per pair (the paper uses 4).
-    method:
-        ``"edge-disjoint"`` (default, the paper's choice) or ``"yen"``.
-    """
-
-    def __init__(self, adjacency: Dict[int, List[int]], k: int = 4, method: str = "edge-disjoint"):
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if method not in ("edge-disjoint", "yen"):
-            raise ValueError(f"unknown path method {method!r}")
-        self._adjacency = adjacency
-        self._k = k
-        self._method = method
-        self._cache: Dict[Tuple[int, int], List[Path]] = {}
-
-    @classmethod
-    def from_network(cls, network, k: int = 4, method: str = "edge-disjoint") -> "PathCache":
-        """Build from a :class:`~repro.network.network.PaymentNetwork`."""
-        adjacency = {
-            node: sorted(network.neighbors(node)) for node in network.nodes()
-        }
-        return cls(adjacency, k=k, method=method)
-
-    @property
-    def k(self) -> int:
-        """Paths requested per pair."""
-        return self._k
-
-    def paths(self, source: int, dest: int) -> List[Path]:
-        """The pair's path set (possibly fewer than k paths; empty if
-        disconnected)."""
-        key = (source, dest)
-        if key not in self._cache:
-            if self._method == "edge-disjoint":
-                found = k_edge_disjoint_paths(self._adjacency, source, dest, self._k)
-            else:
-                found = k_shortest_paths(self._adjacency, source, dest, self._k)
-            self._cache[key] = found
-        return self._cache[key]
-
-    def shortest(self, source: int, dest: int) -> Optional[Path]:
-        """The pair's shortest path, or ``None`` if disconnected."""
-        paths = self.paths(source, dest)
-        return paths[0] if paths else None
+__all__ = ["RoutingScheme"]
 
 
 class RoutingScheme(abc.ABC):

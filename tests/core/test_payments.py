@@ -109,14 +109,14 @@ class TestTransactionUnit:
     def test_create_assigns_ids(self):
         payment = make_payment()
         payment.register_inflight(10.0)
-        a = TransactionUnit.create(payment, 5.0, (0, 1), [], None, sent_at=1.0)
-        b = TransactionUnit.create(payment, 5.0, (0, 1), [], None, sent_at=1.0)
+        a = TransactionUnit.create(payment, 5.0, (0, 1), [], sent_at=1.0)
+        b = TransactionUnit.create(payment, 5.0, (0, 1), [], sent_at=1.0)
         assert a.unit_id != b.unit_id
         assert a.state is UnitState.INFLIGHT
 
     def test_state_transitions(self):
         payment = make_payment()
-        unit = TransactionUnit.create(payment, 5.0, (0, 1), [], None, sent_at=1.0)
+        unit = TransactionUnit.create(payment, 5.0, (0, 1), [], sent_at=1.0)
         unit.mark_settled()
         assert unit.state is UnitState.SETTLED
         with pytest.raises(PaymentError):
@@ -124,7 +124,7 @@ class TestTransactionUnit:
 
     def test_cancel_transition(self):
         payment = make_payment()
-        unit = TransactionUnit.create(payment, 5.0, (0, 1), [], None, sent_at=1.0)
+        unit = TransactionUnit.create(payment, 5.0, (0, 1), [], sent_at=1.0)
         unit.mark_cancelled()
         assert unit.state is UnitState.CANCELLED
         with pytest.raises(PaymentError):

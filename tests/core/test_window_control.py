@@ -13,7 +13,6 @@ from repro.core.window_control import (
 )
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.network.htlc import HashLock
 from repro.topology.generators import cycle_topology, line_topology
 from repro.workload.generator import TransactionRecord
 
@@ -32,7 +31,7 @@ def make_unit(path=(0, 1, 2), amount=10.0, marked=False):
     payment = Payment(payment_id=1, source=path[0], dest=path[-1],
                       amount=amount, arrival_time=0.0)
     payment.register_inflight(amount)
-    unit = HopUnit(payment, amount, tuple(path), HashLock.generate(1, 0), now=0.0)
+    unit = HopUnit(payment, amount, tuple(path), now=0.0)
     unit.marked = marked
     return unit
 

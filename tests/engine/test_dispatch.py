@@ -195,9 +195,21 @@ def test_mid_cohort_conflicts_batch_through_residual_replay():
     pins the disjoint fast path alongside.  The parity tests above would
     pass vacuously if the batched arm were dead — this pins the counters,
     and the session's ``dispatch_stats`` accessor with them.
+
+    The fee-bearing cases hold every declared cohort rule to the same
+    zero: fee-inclusive per-hop amounts, fee-budget vetoes and failed
+    eager locks are all replayed in the batch, so no fee-bearing payment
+    may drop to the scheme's scalar ``attempt``.
     """
-    for topology in ["line-5", "ripple-small"]:
-        config = _config(topology=topology, num_transactions=150)
+    fees = dict(base_fee=0.01, fee_rate=0.001, max_fee_fraction=0.25)
+    cases = [dict(topology=topology) for topology in ["line-5", "ripple-small"]]
+    cases += [
+        dict(scheme=scheme, topology=topology, capacity=400.0, seed=1, **fees)
+        for scheme in ["spider-waterfilling", "shortest-path", "lnd", "spider-window"]
+        for topology in ["line-5", "ripple-small", "isp"]
+    ]
+    for case in cases:
+        config = _config(num_transactions=150, **case)
         network, records, scheme = config.build_simulation_inputs()
         session = SimulationSession(
             network, records, scheme, config.build_runtime_config()
@@ -541,8 +553,6 @@ def test_finish_asserts_dispatch_buffers_drained():
     plan = session._dispatch
 
     # Forge a staged send the cohort "forgot" to flush.
-    from repro.network.htlc import HashLock
-
     paths = scheme.path_cache.paths(records[0].source, records[0].dest)
     assert paths
     cpath = network.path_table.compile(paths[0])
@@ -552,7 +562,6 @@ def test_finish_asserts_dispatch_buffers_drained():
     plan._staged_amounts.append(1.0)
     plan._staged_fees.append(0.0)
     plan._staged_hop_amounts.append(None)
-    plan._staged_locks.append(HashLock.generate(payment.payment_id, 0))
     with pytest.raises(SimulationError) as excinfo:
         plan.assert_drained()
     # The failure is attributable: it names each non-empty staging buffer

@@ -208,7 +208,12 @@ class TestCsrParity:
     def test_scale_parity_on_ripple_huge(self):
         """Seeded pairs on the 10k-node graph, one batch: hub-sized
         frontiers, long rows and multi-level searches the small graphs
-        never produce, across three chunks of the real budget."""
+        never produce, across three chunks of the real budget.
+
+        The batch must reach one lockstep kernel sized to the chunk and
+        cross it in ⌈150 / width⌉ ``run`` calls: a pair-at-a-time search
+        (one kernel or one ``run`` per pair) is the 16.6× discovery
+        regression this pins, and it needs no clock to see."""
         adjacency = {
             node: sorted(neighbours)
             for node, neighbours in ripple_topology("huge", seed=0)
@@ -222,12 +227,25 @@ class TestCsrParity:
         for _ in range(150):
             a, b = rng.choice(len(nodes), size=2, replace=False)
             pairs.append((nodes[int(a)], nodes[int(b)]))
-        assert (
-            1
-            < pathservice._chunk_pairs(graph.num_nodes, graph.indices.shape[0])
-            < len(pairs)
-        )
-        got = CsrDisjointProvider(graph, 4).paths_many(pairs)
+        width = pathservice._chunk_pairs(graph.num_nodes, graph.indices.shape[0])
+        assert (graph.num_nodes, graph.indices.shape[0], width) == (10_000, 66_306, 57)
+        kernels, runs = [], []
+        init, run = pathservice._Lockstep.__init__, pathservice._Lockstep.run
+
+        def recording_init(self, graph, width):
+            init(self, graph, width)
+            kernels.append(width)
+
+        def recording_run(self, src, dst, budget):
+            runs.append(len(src))
+            return run(self, src, dst, budget)
+
+        with mock.patch.object(
+            pathservice._Lockstep, "__init__", recording_init
+        ), mock.patch.object(pathservice._Lockstep, "run", recording_run):
+            got = CsrDisjointProvider(graph, 4).paths_many(pairs)
+        assert kernels == [width]
+        assert runs == [width, width, len(pairs) - 2 * width]
         expected = ScalarDisjointProvider(adjacency, 4).paths_many(pairs)
         assert dict(zip(pairs, got)) == dict(zip(pairs, expected))
 
@@ -414,6 +432,12 @@ class TestPairPathView:
         assert paths and view.shortest(8, 20) == paths[0]
         assert view.shortest(8, 8) == (8,)  # scalar-parity degenerate pair
         assert view.paths_many([(8, 20)]) == [paths]
+        # k caps the path count.
+        assert len(paths) == 3
+        assert len(network.path_service.view(k=1).paths(8, 20)) == 1
+        disconnected = PathService.from_adjacency({0: [1], 1: [0], 2: []}).view(k=2)
+        assert disconnected.paths(0, 2) == []
+        assert disconnected.shortest(0, 2) is None
 
     def test_view_validation(self):
         network = isp_topology().build_network(default_capacity=100.0)

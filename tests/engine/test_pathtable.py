@@ -18,8 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.pathtable import PathLock, PathTable
+from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.errors import ChannelError, InsufficientFundsError
 from repro.network.network import PaymentNetwork
+from repro.routing.registry import make_scheme
+from repro.topology.generators import line_topology
+from repro.workload.generator import TransactionRecord
 from tests.reference.path_ops import ReferencePathOps
 
 
@@ -44,11 +48,17 @@ def build_twins(spec):
     return build_network(spec), ReferencePathOps(build_network(spec))
 
 
+#: Every mutable store array.
+STORE_STATE = (
+    "balance", "inflight", "sent", "settled_flow",
+    "num_settled", "num_refunded", "frozen",
+)
+
+
 def assert_stores_identical(vec: PaymentNetwork, ref: PaymentNetwork):
     """Byte-exact comparison of every mutable store array."""
     a, b = vec.state_store, ref.state_store
-    for field in ("balance", "inflight", "sent", "settled_flow",
-                  "num_settled", "num_refunded", "frozen"):
+    for field in STORE_STATE:
         va = getattr(a, field)[: len(a)]
         vb = getattr(b, field)[: len(b)]
         assert np.array_equal(va, vb), f"{field} diverged:\n{va}\nvs\n{vb}"
@@ -452,19 +462,55 @@ class TestPathLockLifecycle:
         network.add_channel(1, 2, 100.0)
         return network
 
-    def test_double_settle_raises(self):
+    def assert_second_resolution_refused(self, first: str, second: str):
+        """The refused call leaves the store as the first resolution left
+        it: no double credit, no double refund."""
         network = self.network()
         lock = network.lock_path((0, 1, 2), 5.0)
-        network.settle_path((0, 1, 2), lock)
-        with pytest.raises(ChannelError):
-            network.settle_path((0, 1, 2), lock)
+        getattr(network, f"{first}_path")((0, 1, 2), lock)
+        assert lock.resolved
+        store = network.state_store
+        before = {name: getattr(store, name).copy() for name in STORE_STATE}
+        with pytest.raises(ChannelError, match="already resolved"):
+            getattr(network, f"{second}_path")((0, 1, 2), lock)
+        for name in STORE_STATE:
+            assert np.array_equal(getattr(store, name), before[name]), name
+
+    def test_double_settle_raises(self):
+        self.assert_second_resolution_refused("settle", "settle")
 
     def test_refund_after_settle_raises(self):
-        network = self.network()
-        lock = network.lock_path((0, 1, 2), 5.0)
-        network.settle_path((0, 1, 2), lock)
-        with pytest.raises(ChannelError):
-            network.refund_path((0, 1, 2), lock)
+        self.assert_second_resolution_refused("settle", "refund")
+
+    def test_settle_after_refund_raises(self):
+        self.assert_second_resolution_refused("refund", "settle")
+
+    def test_batched_flush_resolves_every_lock(self):
+        """Units maturing on one tick resolve through one
+        ``_flush_resolutions`` batch, which marks every lock resolved, so
+        none of them can be settled again afterwards."""
+        records = [
+            TransactionRecord(i, 1.0, source, dest, 5.0)
+            for i, (source, dest) in enumerate([(0, 3), (3, 0), (1, 4), (4, 1)])
+        ]
+        network = line_topology(5).build_network(default_capacity=100.0)
+        session = SimulationSession(
+            network, records, make_scheme("shortest-path"), RuntimeConfig()
+        )
+        batches = []
+        flush = session._flush_resolutions
+
+        def recording(tick):
+            batches.append(list(session._resolve_batches[tick]))
+            flush(tick)
+
+        session._flush_resolutions = recording
+        session.run()
+        assert [len(units) for units in batches] == [4]
+        assert all(unit.htlcs.resolved for unit in batches[0])
+        unit = batches[0][0]
+        with pytest.raises(ChannelError, match="already resolved"):
+            network.settle_path(unit.path, unit.htlcs)
 
     def test_hop_count_mismatch_raises(self):
         network = self.network()

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.engine.signals import ControlPlane
 from repro.errors import ConfigError
 from repro.network.network import PaymentNetwork
-from repro.routing.base import PathCache
 from repro.simulator.rng import make_rng
 from repro.topology import ripple_topology
 from tests.engine.test_pathtable import build_network, network_specs
@@ -58,12 +57,12 @@ def _random_network(rng, fees: bool = True, frozen: bool = True):
 
 def _random_paths(network, rng, count: int = 12):
     """Sample ``count`` multi-hop paths through the network."""
-    cache = PathCache.from_network(network, k=4)
+    view = network.path_service.view(k=4)
     nodes = sorted(network.nodes())
     paths = []
     while len(paths) < count:
         i, j = rng.choice(len(nodes), size=2, replace=False)
-        for path in cache.paths(nodes[int(i)], nodes[int(j)]):
+        for path in view.paths(nodes[int(i)], nodes[int(j)]):
             if len(path) >= 2:
                 paths.append(path)
     return paths[:count]

@@ -165,7 +165,6 @@ class TestHopByHopNative:
         """A serviced-then-requeued unit must not be killed by the stale
         timeout scheduled for its first stint in the queue."""
         from repro.core.queueing import HopUnit
-        from repro.network.htlc import HashLock
 
         session = make_session([], end_time=1.0)
         transport = HopByHopTransport(session)

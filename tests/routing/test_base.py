@@ -1,49 +1,104 @@
-"""Tests for the scheme base class and path cache."""
+"""Tests for the routing scheme base class contract."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.routing.base import PathCache
-from repro.topology.generators import cycle_topology, line_topology
+from repro.engine.dispatch import _BATCH_RULES
+from repro.engine.session import SimulationSession
+from repro.engine.transport import _TRANSPORTS
+from repro.errors import ConfigError
+from repro.routing.base import RoutingScheme
+from repro.routing.registry import available_schemes, make_scheme
 from repro.topology.isp import isp_topology
+from repro.workload.generator import TransactionRecord
 
 
-class TestPathCache:
-    def test_paths_are_memoised(self):
-        cache = PathCache(cycle_topology(6).adjacency(), k=2)
-        first = cache.paths(0, 3)
-        second = cache.paths(0, 3)
-        assert first is second
+class NullScheme(RoutingScheme):
+    """Declares nothing and never sends."""
 
-    def test_k_limits_path_count(self):
-        cache = PathCache(isp_topology().adjacency(), k=4)
-        assert len(cache.paths(8, 20)) == 4
-        cache1 = PathCache(isp_topology().adjacency(), k=1)
-        assert len(cache1.paths(8, 20)) == 1
+    name = "test-null"
 
-    def test_shortest_returns_first(self):
-        cache = PathCache(cycle_topology(6).adjacency(), k=2)
-        shortest = cache.shortest(0, 2)
-        assert shortest == (0, 1, 2)
+    def attempt(self, payment, runtime):
+        return None
 
-    def test_disconnected_pair_returns_empty(self):
-        cache = PathCache({0: [1], 1: [0], 2: []}, k=2)
-        assert cache.paths(0, 2) == []
-        assert cache.shortest(0, 2) is None
 
-    def test_from_network(self):
-        network = line_topology(4).build_network(default_capacity=10.0)
-        cache = PathCache.from_network(network, k=3)
-        assert cache.paths(0, 3) == [(0, 1, 2, 3)]
+class BudgetScheme(NullScheme):
+    """Declares a per-pair path budget, so the default prepare binds a view."""
 
-    def test_yen_method(self):
-        cache = PathCache(cycle_topology(6).adjacency(), k=2, method="yen")
-        paths = cache.paths(0, 3)
-        assert len(paths) == 2
+    name = "test-budget"
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            PathCache({}, k=0)
-        with pytest.raises(ValueError):
-            PathCache({}, k=1, method="bogus")
+    def __init__(self, num_paths: int):
+        self.num_paths = num_paths
+
+
+def _session(scheme, network=None):
+    network = network or isp_topology().build_network(default_capacity=100.0)
+    records = [TransactionRecord(0, 0.0, 8, 20, 1.0, None)]
+    return SimulationSession(network, records, scheme)
+
+
+class TestRoutingSchemeContract:
+    def test_base_class_is_abstract(self):
+        with pytest.raises(TypeError):
+            RoutingScheme()
+
+    def test_subclass_without_attempt_is_abstract(self):
+        class NoAttempt(RoutingScheme):
+            name = "no-attempt"
+
+        with pytest.raises(TypeError):
+            NoAttempt()
+
+    def test_default_declarations(self):
+        scheme = NullScheme()
+        assert RoutingScheme.name == "base"
+        assert scheme.atomic is False
+        assert scheme.transport is None
+        assert scheme.cohort_rule is None
+
+    def test_prepare_binds_the_network_view(self):
+        session = _session(BudgetScheme(num_paths=3))
+        session.prepare()
+        view = session.scheme.path_cache
+        assert view.k == 3
+        shared = session.network.path_service.view(k=3)
+        assert view.paths(8, 20) is shared.paths(8, 20)
+        assert view.shortest(8, 20) == shared.paths(8, 20)[0]
+
+    def test_prepare_without_budget_binds_nothing(self):
+        session = _session(NullScheme())
+        session.prepare()
+        assert not hasattr(session.scheme, "path_cache")
+
+    def test_equal_budgets_share_pair_sets_across_schemes(self):
+        network = isp_topology().build_network(default_capacity=100.0)
+        first = _session(BudgetScheme(num_paths=4), network)
+        second = _session(make_scheme("spider-waterfilling", num_paths=4), network)
+        first.prepare()
+        second.prepare()
+        assert (
+            first.scheme.path_cache.paths(8, 20)
+            is second.scheme.path_cache.paths(8, 20)
+        )
+
+    def test_registered_cohort_rules_are_batchable(self):
+        # A misspelt rule would silently drop the scheme to sequential
+        # attempt() calls; every declared rule must be one dispatch replays.
+        for name in available_schemes():
+            rule = make_scheme(name).cohort_rule
+            assert rule is None or rule in _BATCH_RULES, (name, rule)
+
+    def test_registered_transports_are_known(self):
+        for name in available_schemes():
+            kind = make_scheme(name).transport
+            assert kind is None or kind in _TRANSPORTS, (name, kind)
+
+    def test_unknown_transport_is_rejected_at_prepare(self):
+        class Bogus(NullScheme):
+            name = "test-bogus-transport"
+            transport = "bogus"
+
+        session = _session(Bogus())
+        with pytest.raises(ConfigError, match="unknown transport 'bogus'"):
+            session.prepare()

@@ -119,7 +119,6 @@ ack_strategy = st.tuples(
 @given(st.lists(ack_strategy, min_size=1, max_size=60))
 def test_window_stays_within_bounds(acks):
     from repro.core.queueing import HopUnit
-    from repro.network.htlc import HashLock
 
     scheme = WindowedSpiderScheme(
         initial_window=100.0, min_window=5.0, max_window=400.0, rtt=0.25
@@ -130,7 +129,7 @@ def test_window_stays_within_bounds(acks):
             payment_id=i, source=0, dest=2, amount=amount, arrival_time=0.0
         )
         payment.register_inflight(amount)
-        unit = HopUnit(payment, amount, path, HashLock.generate(i, 0), now=now)
+        unit = HopUnit(payment, amount, path, now=now)
         unit.marked = marked
         scheme.on_unit_resolved(unit, outcome, now)
         state = scheme.window(path)
