@@ -29,7 +29,7 @@ from repro.workload.generator import TransactionRecord
 def section_queueing() -> None:
     print("=== 1. in-network router queues (§4.2) ===")
     network = line_topology(4).build_network(default_capacity=100.0)
-    network.channel(1, 2).lock(1, 45.0)  # router 1 nearly dry toward 2
+    network.lock_path((1, 2), 45.0)  # router 1 nearly dry toward 2
     records = [
         TransactionRecord(0, 1.0, 0, 3, 30.0),  # will park at router 1
         TransactionRecord(1, 2.0, 3, 0, 40.0),  # reverse flow releases it

@@ -18,7 +18,8 @@ Package map
 ``repro.engine``       the engine: tick clock, slab event queue,
                        array-backed channel store, SimulationSession
 ``repro.simulator``    seeded RNG streams
-``repro.network``      payment channels, HTLCs, the network state machine
+``repro.network``      payment channels, nodes, faults, the network's
+                       path operations
 ``repro.topology``     evaluation topologies (ISP, Ripple-like, Fig. 4)
 ``repro.workload``     transaction traces, size distributions, demand matrices
 ``repro.fluid``        circulation theory, fluid LPs, primal-dual iterates

@@ -19,10 +19,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import PaymentError
-from repro.network.htlc import Htlc
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.pathtable import PathLock
 
 __all__ = ["Payment", "PaymentState", "TransactionUnit", "UnitState"]
 
@@ -169,7 +171,9 @@ class Payment:
 class TransactionUnit:
     """One MTU-bounded slice of a payment traversing one path.
 
-    Holds the per-hop HTLC list so settlement/refund can resolve every hop.
+    ``htlcs`` is the unit's :class:`~repro.engine.pathtable.PathLock`:
+    one record of the per-hop locked amounts, through which settlement or
+    refund resolves every hop.
     """
 
     _ids = itertools.count(1)
@@ -178,7 +182,7 @@ class TransactionUnit:
     payment: Payment
     amount: float
     path: Tuple[int, ...]
-    htlcs: List[Htlc]
+    htlcs: PathLock
     sent_at: float
     fee: float = 0.0
     state: UnitState = UnitState.INFLIGHT
@@ -189,7 +193,7 @@ class TransactionUnit:
         payment: Payment,
         amount: float,
         path: Tuple[int, ...],
-        htlcs: List[Htlc],
+        htlcs: PathLock,
         sent_at: float,
         fee: float = 0.0,
     ) -> "TransactionUnit":

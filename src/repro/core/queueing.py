@@ -55,7 +55,7 @@ class HopUnit:
     of the next hop to traverse; ``cpath`` is the unit's
     :class:`~repro.engine.pathtable.CompiledPath`, set by the transport at
     launch, so every hop lock/settle/refund is a direct store-index
-    operation instead of a channel-object/HTLC round trip.
+    operation.
     """
 
     __slots__ = (

@@ -8,9 +8,9 @@ stamp internally).  A direct array write without a stamp leaves every
 cached probe silently stale — the exact bug class the upcoming
 mid-run-mutating PathService providers make easy to hit.
 
-The store's own module plus the two vectorised kernels that own batched
-writes (``pathtable.py``, ``dispatch.py``) maintain the stamps
-internally and are exempt.  Everywhere else, a subscripted write to a
+The store's own module maintains the stamps internally and is exempt;
+every funds write (lock, settle, refund, the dispatch overlay) is one of
+its methods.  Everywhere else, a subscripted write to a
 store array attribute (``x.balance[cid, side] = ...``, ``np.add.at(
 store.inflight, ...)``) must be paired — in the same function — with a
 ``.touch(...)`` call or a direct ``.version``/``.stamp[...]`` bump.
@@ -28,11 +28,7 @@ from repro.devtools.lint.report import Finding
 __all__ = ["StoreDisciplineRule"]
 
 #: Modules that own stamp maintenance and may write arrays freely.
-EXEMPT_MODULES = (
-    "src/repro/engine/store.py",
-    "src/repro/engine/pathtable.py",
-    "src/repro/engine/dispatch.py",
-)
+EXEMPT_MODULES = ("src/repro/engine/store.py",)
 
 #: The store's mutable array attributes (see ChannelStateStore.__slots__),
 #: including the direction-indexed 1-D views of the four funds arrays: a
@@ -164,9 +160,8 @@ class StoreDisciplineRule:
 
     id = "RL003"
     summary = (
-        "direct ChannelStateStore array writes outside "
-        "store.py/pathtable.py/dispatch.py must bump version/stamp (or "
-        "touch()) in the same function"
+        "direct ChannelStateStore array writes outside store.py must "
+        "bump version/stamp (or touch()) in the same function"
     )
 
     def check(self, index: LintIndex) -> Iterator[Finding]:

@@ -922,17 +922,14 @@ class DispatchPlan:
         written directions' three columns, one fancy-index assignment
         each (the write set holds each direction once)."""
         sent = self._sent
-        store = self.store
-        dirs = np.array(list(sent), dtype=np.intp)
-        store.balance_flat[dirs] = list(map(self._bal.__getitem__, sent))
-        store.inflight_flat[dirs] = list(self._infl.values())
-        store.sent_flat[dirs] = list(sent.values())
-        refunds = self._refund_deltas
-        # Channel rows of rolled-back hops: a subset of ``dirs >> 1``.
-        refunded = np.array(list(refunds), dtype=np.intp)
-        store.num_refunded[refunded] += list(refunds.values())
-        store.version = version = store.version + 1
-        store.stamp[dirs >> 1] = version
+        # Refunded channel rows are rows of written directions.
+        self.store.write_overlay(
+            np.array(list(sent), dtype=np.intp),
+            list(map(self._bal.__getitem__, sent)),
+            list(self._infl.values()),
+            list(sent.values()),
+            self._refund_deltas,
+        )
 
     # ------------------------------------------------------------------
     # Profiles

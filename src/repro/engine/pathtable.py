@@ -22,14 +22,14 @@ which:
   schedules;
 * :meth:`lock_path` / :meth:`settle` / :meth:`refund` are per-hop store
   writes over ``dir_list`` (a path is a few hops, so a loop over Python
-  ints beats a NumPy call) with all-or-nothing semantics, returning a
-  :class:`PathLock` instead of per-hop HTLC objects.
+  ints beats a NumPy call) with all-or-nothing semantics, returning one
+  :class:`PathLock` per path.
 
-All operations are float-for-float identical to per-hop loops over
-:class:`~repro.network.channel.PaymentChannel` objects — the reference
-in ``tests/reference/path_ops.py``, pinned by
-``tests/engine/test_pathtable.py`` — including the partial-lock rollback
-side effects on a mid-path :class:`~repro.errors.InsufficientFundsError`.
+All operations are float-for-float identical to plain per-hop arithmetic
+on the store arrays — the reference in ``tests/reference/path_ops.py``,
+pinned by ``tests/engine/test_pathtable.py`` — including the partial-lock
+rollback side effects on a mid-path
+:class:`~repro.errors.InsufficientFundsError`.
 
 **The path arena.**  Set-up compiles tens of thousands of paths before the
 first payment moves, so :meth:`PathTable.compile_many` is a batch kernel,
@@ -190,7 +190,7 @@ class CompiledPath:
 
 
 class HopLock:
-    """One hop's share of a :class:`PathLock` (duck-types ``Htlc.amount``)."""
+    """One hop's share of a :class:`PathLock`: its locked ``amount``."""
 
     __slots__ = ("amount",)
 
@@ -204,11 +204,10 @@ class HopLock:
 class PathLock:
     """An in-flight transfer: one record for the whole path.
 
-    One record instead of a per-hop ``Htlc`` list.  Sequence access
-    (``lock[j].amount``, ``len(lock)``) is preserved for consumers like the
-    incentives collector; the amounts themselves are one list of floats
-    that :meth:`PathTable.settle` / :meth:`refund` hand straight to the
-    store's per-hop kernels.
+    Sequence access (``lock[j].amount``, ``len(lock)``) serves consumers
+    like the incentives collector; the amounts themselves are one list of
+    floats that :meth:`PathTable.settle` / :meth:`refund` hand straight to
+    the store's per-hop kernels.
     """
 
     __slots__ = ("cpath", "amounts", "resolved")

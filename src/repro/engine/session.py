@@ -40,7 +40,7 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, cast
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from repro.core.scheduling import PendingHeap, get_policy
 from repro.engine.clock import DEFAULT_QUANTUM
 from repro.engine.dispatch import DispatchPlan
 from repro.engine.events import TickEngine, TickTimer
-from repro.engine.pathtable import PathLock
 from repro.engine.transport import Transport, make_transport
 from repro.errors import ConfigError, InsufficientFundsError, SimulationError
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
@@ -717,7 +716,7 @@ class SimulationSession:
         settled_parts: List[bool] = []
         hop_counts: List[int] = []
         for unit in units:
-            lock = cast(PathLock, unit.htlcs)
+            lock = unit.htlcs
             settle = self._resolve_decision(unit, now)
             self._resolve_accounting(unit, now, settle)
             lock.resolved = True

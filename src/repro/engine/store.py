@@ -22,7 +22,7 @@ return views trimmed to the allocated channel count.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +42,11 @@ class ChannelStateStore:
     row-major ``(n, 2)`` arrays.  ``balance_flat`` / ``inflight_flat`` /
     ``sent_flat`` / ``settled_flow_flat`` are 1-D views of those arrays
     indexed by ``d``; the receiving direction of a hop is ``d ^ 1`` and
-    its channel row (``stamp``, ``frozen``, the HTLC counters) ``d >> 1``.
-    Every path kernel below takes ``dirs``; ``store.balance[cid, side]``
-    readers see the same memory.  All values are float64 except the HTLC
-    counters (int64), the queue depths (int64) and the frozen flags (bool).
+    its channel row (``stamp``, ``frozen``, the settle/refund counters)
+    ``d >> 1``.  Every path kernel below takes ``dirs``;
+    ``store.balance[cid, side]`` readers see the same memory.  All values
+    are float64 except the settle/refund counters (int64), the queue
+    depths (int64) and the frozen flags (bool).
 
     Every mutation that can change a channel's *availability* (balance or
     frozen flag) stamps the channel with a monotonically increasing
@@ -152,7 +153,7 @@ class ChannelStateStore:
 
     @property
     def inflight_view(self) -> np.ndarray:
-        """``(n, 2)`` funds locked in pending HTLCs."""
+        """``(n, 2)`` funds locked in pending transfers."""
         return self.inflight[: self._n]
 
     @property
@@ -177,7 +178,7 @@ class ChannelStateStore:
 
     @property
     def frozen_view(self) -> np.ndarray:
-        """``(n,)`` flags for channels currently rejecting new HTLCs."""
+        """``(n,)`` flags for channels currently rejecting new locks."""
         return self.frozen[: self._n]
 
     # ------------------------------------------------------------------
@@ -188,7 +189,7 @@ class ChannelStateStore:
         return float(self.capacity_view.sum())
 
     def total_inflight(self) -> float:
-        """Funds locked in pending HTLCs across every channel."""
+        """Funds locked in pending transfers across every channel."""
         return float(self.inflight_view.sum())
 
     def total_queued(self) -> int:
@@ -239,27 +240,10 @@ class ChannelStateStore:
         return self.balance_view.copy()
 
     # ------------------------------------------------------------------
-    # Single-channel mutators used by the PaymentChannel view
+    # Single-channel mutators
     # ------------------------------------------------------------------
     def touch(self, cid: int) -> None:
         """Stamp ``cid`` as modified (invalidates cached path probes)."""
-        self.version = version = self.version + 1
-        self.stamp[cid] = version
-
-    def apply_lock(self, cid: int, side: int, amount: float) -> None:
-        """Move ``amount`` of ``(cid, side)``'s balance into in-flight."""
-        self.balance[cid, side] -= amount
-        self.inflight[cid, side] += amount
-        self.sent[cid, side] += amount
-        self.version = version = self.version + 1
-        self.stamp[cid] = version
-
-    def apply_settle(self, cid: int, sender_side: int, amount: float) -> None:
-        """Resolve an in-flight transfer by crediting the counterparty."""
-        self.inflight[cid, sender_side] -= amount
-        self.balance[cid, 1 - sender_side] += amount
-        self.settled_flow[cid, sender_side] += amount
-        self.num_settled[cid] += 1
         self.version = version = self.version + 1
         self.stamp[cid] = version
 
@@ -274,10 +258,10 @@ class ChannelStateStore:
     def try_lock(self, d: int, amount: float) -> float:
         """Lock ``amount`` on direction ``d`` if spendable; else return -1.
 
-        The no-exception twin of :meth:`apply_lock` for hot per-hop
-        forwarding: performs the frozen/balance check inline and returns
-        the *actual* locked value (clamped to the spendable balance within
-        the usual 1e-9 tolerance) or ``-1.0`` on failure.
+        The one-hop lock of the hop-by-hop and backpressure transports:
+        performs the frozen/balance check inline and returns the *actual*
+        locked value (clamped to the spendable balance within the usual
+        1e-9 tolerance) or ``-1.0`` on failure.
         """
         cid = d >> 1
         if self.frozen_count and self.frozen[cid]:
@@ -334,14 +318,14 @@ class ChannelStateStore:
     ) -> List[float]:
         """Atomically lock ``amounts[i]`` on every hop direction ``dirs[i]``.
 
-        Returns the per-hop *actual* locked amounts (clamped exactly as the
-        scalar :meth:`~repro.network.channel.PaymentChannel.lock` clamps).
-        On a frozen or under-funded hop ``k`` it raises
-        :class:`~repro.errors.InsufficientFundsError` after rolling back
-        hops ``0..k-1``: their balances round-trip through ``(b - a) + a``,
-        their inflight through ``(i + a) - a``, their ``sent`` totals grow,
-        and their refund counters tick — all-or-nothing for funds, but not
-        traceless.
+        Returns the per-hop *actual* locked amounts (each clamped to its
+        hop's spendable balance within the 1e-9 tolerance, as
+        :meth:`try_lock` clamps).  On a frozen or under-funded hop ``k``
+        it raises :class:`~repro.errors.InsufficientFundsError` after
+        rolling back hops ``0..k-1``: their balances round-trip through
+        ``(b - a) + a``, their inflight through ``(i + a) - a``, their
+        ``sent`` totals grow, and their refund counters tick —
+        all-or-nothing for funds, but not traceless.
 
         A per-hop loop over Python ints and floats: paths are a few hops
         long, so NumPy's per-call overhead would be the whole cost.  A path
@@ -460,6 +444,25 @@ class ChannelStateStore:
             balance[d] += amount
             num_refunded[cid] += 1
             stamp[cid] = version
+
+    def write_overlay(
+        self,
+        dirs: np.ndarray,
+        balances: List[float],
+        inflights: List[float],
+        sents: List[float],
+        refunds: Dict[int, int],
+    ) -> None:
+        """Land a dispatch overlay verbatim: the three funds columns of
+        ``dirs`` (each direction listed once) and ``refunds[cid]`` refund
+        ticks per rolled-back channel row, under one version stamp."""
+        self.balance_flat[dirs] = balances
+        self.inflight_flat[dirs] = inflights
+        self.sent_flat[dirs] = sents
+        refunded = np.array(list(refunds), dtype=np.intp)
+        self.num_refunded[refunded] += list(refunds.values())
+        self.version = version = self.version + 1
+        self.stamp[dirs >> 1] = version
 
     def apply_resolution_batch(
         self, dirs: np.ndarray, amounts: np.ndarray, settled: np.ndarray

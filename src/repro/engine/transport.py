@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.payments import Payment, TransactionUnit
 from repro.core.queueing import HopUnit
 from repro.engine.pathtable import PathLock
-from repro.errors import ConfigError, InsufficientFundsError
+from repro.errors import ConfigError
 from repro.fluid.paths import bfs_distances
 from repro.routing.backpressure import BackpressureUnit
 
@@ -447,6 +447,7 @@ class BackpressureTransport:
             raise ValueError(f"stuck_after must be positive, got {stuck_after}")
         self.session = session
         self.network = session.network
+        self.store = session.network.state_store
         self.sim = session.sim
         self.config = session.config
         self.collector = session.collector
@@ -564,18 +565,6 @@ class BackpressureTransport:
         self._dir_dist_cache[key] = (du, dv)
         return du, dv
 
-    def invalidate_topology(self) -> None:
-        """Drop every distance cache (BFS dicts, rows, direction gathers).
-
-        Never needed during a paper-config run — faults *freeze* channels
-        rather than removing edges, so hop distances are static — but the
-        hook keeps the cached-array layer honest for out-of-tree topology
-        mutation.
-        """
-        self._distance_cache.clear()
-        self._dist_rows.clear()
-        self._dir_dist_cache.clear()
-
     # ------------------------------------------------------------------
     # The service epoch
     # ------------------------------------------------------------------
@@ -652,7 +641,7 @@ class BackpressureTransport:
         if unit.done:
             return  # reached the destination; settlement is scheduled
         if (
-            len(unit.hops) >= self.max_hops
+            len(unit.dirs) >= self.max_hops
             or unit.steps >= 3 * self.max_hops
             or unit.payment.expired(self.sim.now)
         ):
@@ -662,13 +651,14 @@ class BackpressureTransport:
 
     def _push_hop(self, unit: BackpressureUnit, v: int) -> bool:
         u = unit.node
-        channel = self.network.channel(u, v)
-        try:
-            htlc = channel.lock(u, unit.amount, now=self.sim.now)
-        except InsufficientFundsError:  # pragma: no cover - availability checked
+        _, cid, side = self.network.direction(u, v)
+        d = 2 * cid + side
+        actual = self.store.try_lock(d, unit.amount)
+        if actual < 0.0:  # pragma: no cover - availability checked
             return False
-        unit.htlcs.append(htlc)
-        unit.hops.append((u, v))
+        unit.dirs.append(d)
+        unit.locked.append(actual)
+        unit.trail.append(v)
         unit.node = v
         unit.visited.add(v)
         self.total_hops += 1
@@ -678,14 +668,14 @@ class BackpressureTransport:
         return True
 
     def _pop_hop(self, unit: BackpressureUnit, v: int) -> None:
-        """Backtrack: undo the last hop, refunding its HTLC."""
+        """Backtrack: undo the last hop, refunding its lock."""
         if unit.backtrack_target != v:
             raise AssertionError(
                 f"pop to {v} but the unit came from {unit.backtrack_target}"
             )
-        a, b = unit.hops.pop()
-        htlc = unit.htlcs.pop()
-        self.network.channel(a, b).refund(htlc)
+        d = unit.dirs.pop()
+        self.store.apply_refund(d >> 1, d & 1, unit.locked.pop())
+        unit.trail.pop()
         unit.node = v
         self.total_pops += 1
 
@@ -696,17 +686,18 @@ class BackpressureTransport:
         payment = unit.payment
         now = self.sim.now
         withhold = payment.expired(now) and not payment.is_complete
-        for htlc, (a, b) in zip(unit.htlcs, unit.hops):
-            channel = self.network.channel(a, b)
-            if withhold:
-                channel.refund(htlc)
-            else:
-                channel.settle(htlc)
+        if withhold:
+            self.store.refund_path_funds(unit.dirs, unit.locked)
+        else:
+            self.store.settle_path_funds(unit.dirs, unit.locked)
+        trail = tuple(unit.trail)
+        hop_locks = PathLock(self.network.path_table.compile(trail), unit.locked)
+        hop_locks.resolved = True  # pure record: the store writes are done
         record = TransactionUnit.create(
             payment=payment,
             amount=unit.amount,
-            path=self._trail(unit),
-            htlcs=unit.htlcs,
+            path=trail,
+            htlcs=hop_locks,
             sent_at=unit.created_at,
         )
         if withhold:
@@ -731,17 +722,10 @@ class BackpressureTransport:
         """TTL hit or payment dead: unwind every locked hop."""
         unit.done = True
         self.units_expired += 1
-        for htlc, (a, b) in zip(unit.htlcs, unit.hops):
-            self.network.channel(a, b).refund(htlc)
+        self.store.refund_path_funds(unit.dirs, unit.locked)
         unit.payment.register_cancelled(unit.amount)
         if self.config.check_invariants:
             self.network.check_invariants()
-
-    @staticmethod
-    def _trail(unit: BackpressureUnit) -> Path:
-        if not unit.hops:
-            return (unit.payment.source,)
-        return tuple([unit.hops[0][0]] + [hop[1] for hop in unit.hops])
 
     # ------------------------------------------------------------------
     def finish(self) -> None:

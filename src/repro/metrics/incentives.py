@@ -10,7 +10,7 @@ routing-fee revenue per unit of escrowed capital per unit time.
 :class:`IncentiveCollector` extends the standard metrics collector with
 per-router attribution: when a unit settles, each intermediate router
 nets the difference between what it received upstream and what it
-forwarded downstream (the per-hop HTLC amounts carry the §2 fee
+forwarded downstream (the unit's per-hop lock amounts carry the §2 fee
 schedule).  The report functions aggregate revenue, escrow, yield and a
 Gini coefficient of revenue concentration — the quantity behind the
 routing-centralisation debate.

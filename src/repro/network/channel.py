@@ -4,8 +4,8 @@ A payment channel escrows a fixed total amount of funds between two parties
 (§2 of the paper).  At any instant the escrow is partitioned into:
 
 * ``balance(u)`` — funds party ``u`` can spend right now,
-* ``inflight(u)`` — funds ``u`` has committed to pending HTLCs that have not
-  yet settled or been refunded (Fig. 3: "pending funds").
+* ``inflight(u)`` — funds ``u`` has committed to pending transfers that
+  have not yet settled or been refunded (Fig. 3: "pending funds").
 
 The invariant ``balance(u) + balance(v) + inflight(u) + inflight(v) ==
 capacity`` holds at all times and is checked by
@@ -18,13 +18,11 @@ to estimate rate imbalance.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, Hashable, Iterator, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.engine.store import ChannelStateStore
-from repro.errors import ChannelError, InsufficientFundsError
-from repro.network.htlc import HashLock, Htlc, HtlcState
+from repro.errors import ChannelError
 
 __all__ = ["PaymentChannel"]
 
@@ -54,13 +52,15 @@ class PaymentChannel:
     -----
     The channel object itself is a *view*: balances, in-flight totals, flow
     counters and the frozen flag live in the store's NumPy arrays, indexed
-    by ``channel_id``.  All mutating operations are mediated by HTLCs so
-    that funds are held in-flight during the confirmation delay, exactly as
-    in §4.2: *"Funds received on a payment channel remain in a pending
-    state until the final receiver provides the key for the hash lock."*
+    by ``channel_id``.  The view locks nothing itself: in-flight funds are
+    moved only by the store's kernels, through
+    :meth:`PaymentNetwork.lock_path
+    <repro.network.network.PaymentNetwork.lock_path>` and the engine's
+    transports, so funds are held in-flight during the confirmation delay,
+    exactly as in §4.2: *"Funds received on a payment channel remain in a
+    pending state until the final receiver provides the key for the hash
+    lock."*
     """
-
-    _htlc_ids = itertools.count(1)
 
     __slots__ = (
         "node_a",
@@ -70,7 +70,6 @@ class PaymentChannel:
         "_store",
         "_cid",
         "_side",
-        "_htlcs",
     )
 
     def __init__(
@@ -102,7 +101,6 @@ class PaymentChannel:
         self._store = store if store is not None else ChannelStateStore(reserve=1)
         self._cid = self._store.allocate(float(capacity), float(balance_a))
         self._side: Dict[NodeId, int] = {node_a: 0, node_b: 1}
-        self._htlcs: Dict[int, Htlc] = {}
 
     # ------------------------------------------------------------------
     # Store plumbing
@@ -154,7 +152,7 @@ class PaymentChannel:
         return float(self._store.balance[self._cid, self._side[node]])
 
     def inflight(self, node: NodeId) -> float:
-        """Funds ``node`` has locked in pending HTLCs."""
+        """Funds ``node`` has locked in pending transfers."""
         self._require_endpoint(node)
         return float(self._store.inflight[self._cid, self._side[node]])
 
@@ -172,9 +170,9 @@ class PaymentChannel:
 
     @property
     def frozen(self) -> bool:
-        """Whether the channel currently rejects new HTLCs.
+        """Whether the channel currently rejects new locks.
 
-        Pending HTLCs still resolve — a closing channel (or one with an
+        Pending transfers still resolve — a closing channel (or one with an
         offline endpoint) lets in-flight transfers finish or time out, it
         just accepts no new ones.  Freezing never moves funds, so all
         conservation invariants are unaffected.
@@ -182,7 +180,7 @@ class PaymentChannel:
         return bool(self._store.frozen[self._cid])
 
     def freeze(self) -> None:
-        """Stop accepting new HTLCs (channel closure / endpoint outage)."""
+        """Stop accepting new locks (channel closure / endpoint outage)."""
         self._store.set_frozen(self._cid, True)
 
     def unfreeze(self) -> None:
@@ -219,83 +217,6 @@ class PaymentChannel:
         if amount <= 0:
             return 0.0
         return self.base_fee + self.fee_rate * amount
-
-    def pending_htlcs(self) -> Iterator[Htlc]:
-        """Iterate over HTLCs still pending on this channel."""
-        return (h for h in self._htlcs.values() if h.pending)
-
-    @property
-    def num_settled(self) -> int:
-        """Count of HTLCs settled over the channel's lifetime."""
-        return int(self._store.num_settled[self._cid])
-
-    @property
-    def num_refunded(self) -> int:
-        """Count of HTLCs refunded over the channel's lifetime."""
-        return int(self._store.num_refunded[self._cid])
-
-    # ------------------------------------------------------------------
-    # State machine
-    # ------------------------------------------------------------------
-    def lock(
-        self,
-        sender: NodeId,
-        amount: float,
-        now: float = 0.0,
-        lock: Optional[HashLock] = None,
-    ) -> Htlc:
-        """Lock ``amount`` of ``sender``'s balance into a new pending HTLC.
-
-        Raises
-        ------
-        InsufficientFundsError
-            If ``sender``'s spendable balance is below ``amount``.
-        """
-        self._require_endpoint(sender)
-        if amount <= 0 or not math.isfinite(amount):
-            raise ChannelError(f"lock amount must be positive and finite, got {amount!r}")
-        store, cid = self._store, self._cid
-        if store.frozen_count and store.frozen[cid]:
-            raise InsufficientFundsError(
-                f"channel ({self.node_a!r}, {self.node_b!r}) is frozen "
-                "(closing or endpoint offline)"
-            )
-        side = self._side[sender]
-        balance = float(store.balance[cid, side])
-        if amount > balance + 1e-9:
-            raise InsufficientFundsError(
-                f"{sender!r} has {balance:.6g} spendable on channel "
-                f"({self.node_a!r}, {self.node_b!r}), cannot lock {amount:.6g}"
-            )
-        amount = min(amount, balance)
-        htlc = Htlc(
-            htlc_id=next(self._htlc_ids),
-            sender=sender,
-            receiver=self.other(sender),
-            amount=amount,
-            created_at=now,
-            lock=lock,
-        )
-        store.balance[cid, side] = balance - amount
-        store.inflight[cid, side] += amount
-        store.sent[cid, side] += amount
-        store.touch(cid)
-        self._htlcs[htlc.htlc_id] = htlc
-        return htlc
-
-    def settle(self, htlc: Htlc) -> None:
-        """Complete a pending HTLC: credit the receiver's spendable balance."""
-        self._require_owned(htlc)
-        htlc.mark_settled()
-        self._store.apply_settle(self._cid, self._side[htlc.sender], htlc.amount)
-        del self._htlcs[htlc.htlc_id]
-
-    def refund(self, htlc: Htlc) -> None:
-        """Cancel a pending HTLC: return the funds to the sender."""
-        self._require_owned(htlc)
-        htlc.mark_refunded()
-        self._store.apply_refund(self._cid, self._side[htlc.sender], htlc.amount)
-        del self._htlcs[htlc.htlc_id]
 
     def deposit(self, node: NodeId, amount: float) -> None:
         """Add fresh on-chain funds to ``node``'s side (§5.2.3 rebalancing).
@@ -337,13 +258,6 @@ class PaymentChannel:
         if node != self.node_a and node != self.node_b:
             raise ChannelError(
                 f"{node!r} is not an endpoint of channel ({self.node_a!r}, {self.node_b!r})"
-            )
-
-    def _require_owned(self, htlc: Htlc) -> None:
-        if self._htlcs.get(htlc.htlc_id) is not htlc:
-            raise ChannelError(
-                f"HTLC {htlc.htlc_id} is not pending on channel "
-                f"({self.node_a!r}, {self.node_b!r})"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -6,7 +6,7 @@ deployed PCN loses channels and nodes mid-operation.  This module injects
 faults into a running simulation:
 
 * **channel closure** — a channel freezes at a given time: it accepts no
-  new HTLCs, while pending HTLCs still settle or time out (the
+  new locks, while pending transfers still settle or time out (the
   cooperative-close semantics of §2; no funds ever vanish);
 * **node outage** — every channel adjacent to a node freezes for an
   interval, then thaws (a router going offline and returning);

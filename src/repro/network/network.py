@@ -421,7 +421,7 @@ class PaymentNetwork:
         if len(path) - 1 != len(lock):
             raise ChannelError(
                 f"path has {max(len(path) - 1, 0)} hops but {len(lock)} "
-                "HTLCs were supplied"
+                "hop locks were supplied"
             )
 
     # ------------------------------------------------------------------
@@ -432,7 +432,7 @@ class PaymentNetwork:
         return self._store.total_funds()
 
     def total_inflight(self) -> float:
-        """Funds currently locked in pending HTLCs across the network."""
+        """Funds currently locked in pending transfers across the network."""
         return self._store.total_inflight()
 
     def check_invariants(self) -> None:
@@ -451,7 +451,7 @@ class PaymentNetwork:
         """Capture ``(balance_a, balance_b)`` per channel, keyed canonically.
 
         Intended for tests and what-if analyses; restoring is only valid when
-        no HTLCs are pending.
+        no transfer is pending.
         """
         return {
             key: (c.balance(c.node_a), c.balance(c.node_b))

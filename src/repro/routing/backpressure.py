@@ -21,14 +21,14 @@ Model
   spendable funds and the weight stays positive.  ``beta`` is the standard
   shortest-path bias that keeps pure backpressure from random-walking at
   low load.
-* Each forwarded hop locks an HTLC; a unit that reaches its destination
-  settles every hop after ``settle_delay`` (the end-to-end confirmation of
-  §4.2), a unit that exceeds its step budget or outlives its payment
-  refunds every hop.
+* Each forwarded hop locks the unit's value in the channel store; a unit
+  that reaches its destination settles every hop after ``settle_delay``
+  (the end-to-end confirmation of §4.2), a unit that exceeds its step
+  budget or outlives its payment refunds every hop.
 * Units never *re-lock* a node: pressing forward is restricted to
   unvisited nodes, and a unit that has sat in one queue for
   ``stuck_after`` seconds **backtracks** — it pops its last hop and that
-  hop's HTLC is refunded.  This mirrors how true backpressure drains
+  hop's lock is refunded.  This mirrors how true backpressure drains
   misrouted backlog (reverse pressure builds up over time), while keeping
   every *settled* trail a simple path as the paper requires.
 
@@ -42,10 +42,9 @@ expression per candidate batch rather than per-destination Python calls.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.core.payments import Payment
-from repro.network.htlc import Htlc
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,7 +54,12 @@ __all__ = ["BackpressureUnit", "CelerScheme"]
 
 
 class BackpressureUnit:
-    """One transaction unit drifting through the queue network."""
+    """One transaction unit drifting through the queue network.
+
+    ``trail`` lists the nodes crossed so far (source first), ``dirs`` the
+    store direction id of each hop and ``locked`` the amount each hop
+    actually locked; a backtrack pops one entry from all three.
+    """
 
     __slots__ = (
         "payment",
@@ -63,8 +67,9 @@ class BackpressureUnit:
         "dest",
         "node",
         "visited",
-        "hops",
-        "htlcs",
+        "trail",
+        "dirs",
+        "locked",
         "created_at",
         "parked_at",
         "steps",
@@ -77,8 +82,9 @@ class BackpressureUnit:
         self.dest = payment.dest
         self.node = payment.source
         self.visited: Set[int] = {payment.source}
-        self.hops: List[Tuple[int, int]] = []
-        self.htlcs: List[Htlc] = []
+        self.trail: List[int] = [payment.source]
+        self.dirs: List[int] = []
+        self.locked: List[float] = []
         self.created_at = now
         self.parked_at = now
         self.steps = 0
@@ -87,7 +93,7 @@ class BackpressureUnit:
     @property
     def backtrack_target(self) -> Optional[int]:
         """The node a pop would return to, or ``None`` at the source."""
-        return self.hops[-1][0] if self.hops else None
+        return self.trail[-2] if self.dirs else None
 
 
 class CelerScheme(RoutingScheme):

@@ -70,7 +70,7 @@ class TestHopByHopDelivery:
         unit advances to the dry hop and waits there, not at the source."""
         runtime = make_runtime([record(0, 1.0, 0, 3, 40.0)])
         # Drain channel 1->2 before the run (held HTLC, never resolved).
-        runtime.network.channel(1, 2).lock(1, 45.0)
+        runtime.network.lock_path((1, 2), 45.0)
         metrics = runtime.run()
         # The unit queued at router 1 (possibly several times: the pending
         # queue relaunches it after each timeout refund).
@@ -90,7 +90,7 @@ class TestHopByHopDelivery:
             queue_timeout=20.0,
         )
         # Leave only 5 spendable in the 1->2 direction.
-        held = runtime.network.channel(1, 2).lock(1, 45.0)
+        held = runtime.network.lock_path((1, 2), 45.0)
         metrics = runtime.run()
         assert runtime.transport.units_queued >= 1
         assert runtime.payments[0].is_complete
@@ -101,7 +101,7 @@ class TestHopByHopDelivery:
         runtime = make_runtime(
             [record(0, 1.0, 0, 3, 40.0)], queue_timeout=1.0, end_time=3.5
         )
-        runtime.network.channel(2, 3).lock(2, 45.0)
+        runtime.network.lock_path((2, 3), 45.0)
         runtime.run()
         # Hops 0->1 and 1->2 were locked, then refunded on timeout (the
         # relaunch cycle repeats while the run lasts).
@@ -119,7 +119,7 @@ class TestHopByHopDelivery:
 
     def test_stranded_queue_drained_at_end_of_run(self):
         runtime = make_runtime([record(0, 1.0, 0, 3, 40.0)], queue_timeout=500.0)
-        runtime.network.channel(1, 2).lock(1, 45.0)
+        runtime.network.lock_path((1, 2), 45.0)
         runtime.run()
         # The stranded unit was aborted and refunded; only the held test
         # HTLC remains in flight.
@@ -153,7 +153,7 @@ class TestHopByHopDelivery:
             record(3, 1.6, 3, 0, 10.0),  # reverse credit after the timeout
         ]
         runtime = make_runtime(records, queue_timeout=1.0, end_time=3.4)
-        runtime.network.channel(1, 2).lock(1, 50.0)  # drain 1->2 fully
+        runtime.network.lock_path((1, 2), 50.0)  # drain 1->2 fully
         runtime.run()
         assert runtime.transport.units_timed_out >= 1
         assert runtime.payments[1].is_complete
@@ -181,7 +181,7 @@ class TestHopByHopDelivery:
                     payment, paths[payment.payment_id], payment.remaining
                 )
 
-        network.channel(0, 1).lock(0, 50.0)  # direction (0,1) is dry
+        network.lock_path((0, 1), 50.0)  # direction (0,1) is dry
         runtime = SimulationSession(
             network,
             [
@@ -197,7 +197,7 @@ class TestHopByHopDelivery:
 
     def test_queue_depth_reported_to_collector(self):
         runtime = make_runtime([record(0, 1.0, 0, 3, 30.0)], end_time=3.0)
-        runtime.network.channel(1, 2).lock(1, 45.0)
+        runtime.network.lock_path((1, 2), 45.0)
         metrics = runtime.run()
         assert metrics.max_queue_depth >= 1
         assert metrics.mean_queue_depth > 0.0

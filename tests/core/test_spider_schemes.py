@@ -31,7 +31,7 @@ class TestWaterfilling:
 
     def test_prefers_higher_capacity_path(self, triangle):
         # Skew balances: direct 0-1 has 20 available, the 0-2-1 detour 50.
-        triangle.channel(0, 1).lock(0, 30.0)
+        triangle.lock_path((0, 1), 30.0)
         records = [TransactionRecord(0, 1.0, 0, 1, 10.0)]
         metrics, runtime = run(records, triangle, WaterfillingScheme(num_paths=2))
         assert metrics.completed == 1

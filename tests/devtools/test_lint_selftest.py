@@ -569,12 +569,16 @@ class TestParseCache:
 # ---------------------------------------------------------------------------
 # The shipped tree
 # ---------------------------------------------------------------------------
+#: What CI's lint job scans.
+SHIPPED_TREE = ("src", "tests", "examples", "benchmarks")
+
+
 class TestShippedTree:
     def test_real_tree_lints_clean_and_fast(self):
         """The acceptance gate: zero unsuppressed findings, < 5 s."""
         started = time.perf_counter()
         report = run_lint(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")], base=str(REPO_ROOT)
+            [str(REPO_ROOT / part) for part in SHIPPED_TREE], base=str(REPO_ROOT)
         )
         elapsed = time.perf_counter() - started
         assert report.findings == [], "\n".join(
@@ -604,9 +608,10 @@ class TestShippedTree:
             )
 
     def test_module_entrypoint_runs_clean_on_shipped_tree(self):
-        """``python -m repro.devtools.lint src tests`` exits 0 (JSON mode)."""
+        """``python -m repro.devtools.lint src tests examples benchmarks``
+        exits 0 (JSON mode)."""
         result = subprocess.run(
-            [sys.executable, "-m", "repro.devtools.lint", "src", "tests", "--format=json"],
+            [sys.executable, "-m", "repro.devtools.lint", *SHIPPED_TREE, "--format=json"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,

@@ -2,8 +2,9 @@
 
 The kernels (`repro.engine.pathtable`, behind every ``PaymentNetwork``
 path operation) must be *float-for-float* identical to the per-hop
-reference over channel objects (`tests.reference.path_ops`) — same
-results, same side effects, same exceptions — on arbitrary topologies with
+reference, plain arithmetic on the store arrays
+(`tests.reference.path_ops`) — same results, same side effects, same
+exceptions — on arbitrary topologies with
 fee-bearing channels, frozen channels and mid-path rollback.  Hypothesis
 drives random networks and operation mixes against two twins of the same
 network, one through the kernels and one through the reference, and
@@ -267,8 +268,8 @@ def test_batch_probe_refreshes_after_mutations(data, rand):
         cv, cr = channels_vec[index], channels_ref[index]
         if action == "lock" and not cv.frozen and cv.balance(cv.node_a) > 1.0:
             amount = cv.balance(cv.node_a) / 2.0
-            cv.lock(cv.node_a, amount)
-            cr.lock(cr.node_a, amount)
+            vec.lock_path((cv.node_a, cv.node_b), amount)
+            ref.lock_path((cr.node_a, cr.node_b), amount)
         elif action == "freeze":
             cv.freeze()
             cr.freeze()
@@ -427,7 +428,7 @@ class TestMidPathRollback:
         network.add_channel(1, 2, 100.0, base_fee=1.0, fee_rate=0.05)
         network.add_channel(2, 3, 100.0)
         # Drain 2->3 so the last hop fails after two hops locked.
-        network.channel(2, 3).lock(2, 49.0)
+        network.lock_path((2, 3), 49.0)
         return network
 
     def test_rollback_side_effects_match_reference(self):
@@ -453,6 +454,40 @@ class TestMidPathRollback:
             with pytest.raises(InsufficientFundsError):
                 ops.lock_path((0, 1, 2), 5.0)
         assert_stores_identical(vec, ref.network)
+
+
+class TestHopAvailability:
+    """``availabilities`` and ``unfunded_hop``, pinned on a 4-node line
+    whose hops hold 50, 30 and 20 spendable."""
+
+    PATH = (0, 1, 2, 3)
+
+    def network(self) -> PaymentNetwork:
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0)
+        network.add_channel(1, 2, 100.0, balance_u=30.0)
+        network.add_channel(2, 3, 100.0, balance_u=20.0)
+        return network
+
+    def test_availabilities_are_per_hop_and_zero_when_frozen(self):
+        network = self.network()
+        table = network.path_table
+        assert table.availabilities(self.PATH).tolist() == [50.0, 30.0, 20.0]
+        assert table.availabilities(self.PATH[::-1]).tolist() == [80.0, 70.0, 50.0]
+        network.channel(1, 2).freeze()
+        assert table.availabilities(self.PATH).tolist() == [50.0, 0.0, 20.0]
+
+    @pytest.mark.parametrize("short", range(3))
+    def test_unfunded_hop_names_the_first_short_hop(self, short):
+        table = self.network().path_table
+        amounts = [15.0, 15.0, 15.0]
+        amounts[short] = [50.0, 30.0, 20.0][short] + 2e-9
+        amounts[-1] = max(amounts[-1], 25.0)  # a later short hop is not named
+        assert table.unfunded_hop(self.PATH, amounts) == short
+
+    def test_funded_path_within_tolerance_has_no_unfunded_hop(self):
+        table = self.network().path_table
+        assert table.unfunded_hop(self.PATH, [50.0, 30.0, 20.0 + 5e-10]) is None
 
 
 class TestPathLockLifecycle:
@@ -484,6 +519,9 @@ class TestPathLockLifecycle:
 
     def test_settle_after_refund_raises(self):
         self.assert_second_resolution_refused("refund", "settle")
+
+    def test_double_refund_raises(self):
+        self.assert_second_resolution_refused("refund", "refund")
 
     def test_batched_flush_resolves_every_lock(self):
         """Units maturing on one tick resolve through one

@@ -31,23 +31,25 @@ def _random_network(rng, fees: bool = True, frozen: bool = True):
     network = ripple_topology("tiny", seed=int(rng.integers(0, 2**31))).build_network(
         default_capacity=200.0
     )
+    skews = []
     for channel in network.channels():
         # Skew balances so imbalance signals are non-trivial.
-        a, _ = channel.endpoints
         shift = float(rng.uniform(-80.0, 80.0))
         if shift > 0:
             shift = min(shift, channel.balance(channel.node_b))
             if shift > 0:
-                htlc = channel.lock(channel.node_b, shift)
-                channel.settle(htlc)
+                skews.append(((channel.node_b, channel.node_a), shift))
         elif shift < 0:
             take = min(-shift, channel.balance(channel.node_a))
             if take > 0:
-                htlc = channel.lock(channel.node_a, take)
-                channel.settle(htlc)
+                skews.append(((channel.node_a, channel.node_b), take))
         if fees and rng.random() < 0.3:
             channel.base_fee = float(rng.uniform(0.0, 0.5))
             channel.fee_rate = float(rng.uniform(0.0, 0.01))
+    # Fees are set before the first lock compiles a path (compiled paths
+    # snapshot the fee schedule).
+    for hop, amount in skews:
+        network.settle_path(hop, network.lock_path(hop, amount))
     if frozen:
         channels = list(network.channels())
         for channel in rng.choice(len(channels), size=2, replace=False):
@@ -298,7 +300,8 @@ class TestImbalanceParity:
         for channel in list(network.channels())[:5]:
             amount = min(5.0, channel.balance(channel.node_a))
             if amount > 0:
-                channel.settle(channel.lock(channel.node_a, amount))
+                hop = (channel.node_a, channel.node_b)
+                network.settle_path(hop, network.lock_path(hop, amount))
         both()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine.store import ChannelStateStore
-from repro.errors import InsufficientFundsError
+from repro.errors import ChannelError, InsufficientFundsError
 from repro.network.channel import PaymentChannel
 from repro.network.network import PaymentNetwork
 
@@ -49,10 +49,10 @@ class TestChannelIsView:
         network = PaymentNetwork()
         channel = network.add_channel(0, 1, 100.0)
         store = network.state_store
-        htlc = channel.lock(0, 30.0)
+        lock = network.lock_path((0, 1), 30.0)
         assert store.balance_view[0, 0] == pytest.approx(20.0)
         assert store.inflight_view[0, 0] == pytest.approx(30.0)
-        channel.settle(htlc)
+        network.settle_path((0, 1), lock)
         assert store.balance_view[0, 1] == pytest.approx(80.0)
         assert store.settled_flow_view[0, 0] == pytest.approx(30.0)
         assert store.num_settled[0] == 1
@@ -70,7 +70,7 @@ class TestChannelIsView:
         assert network.state_store.frozen_view[0]
         assert network.available(0, 1) == 0.0
         with pytest.raises(InsufficientFundsError):
-            channel.lock(0, 1.0)
+            network.lock_path((0, 1), 1.0)
         channel.unfreeze()
         assert network.available(0, 1) == pytest.approx(50.0)
 
@@ -92,7 +92,7 @@ class TestVectorisedAggregates:
 
     def test_totals_match_per_channel_sums(self):
         network = self._network()
-        network.channel(0, 1).lock(0, 20.0)
+        network.lock_path((0, 1), 20.0)
         assert network.total_funds() == pytest.approx(200.0)
         assert network.total_inflight() == pytest.approx(20.0)
         per_channel = sum(
@@ -121,6 +121,93 @@ class TestVectorisedAggregates:
     def test_snapshot_is_a_copy(self):
         network = self._network()
         snap = network.state_store.snapshot_balances()
-        network.channel(0, 1).lock(0, 10.0)
+        network.lock_path((0, 1), 10.0)
         assert snap[0, 0] == pytest.approx(70.0)  # unchanged
         assert network.state_store.balance_view[0, 0] == pytest.approx(60.0)
+
+
+class TestSingleHopKernels:
+    """``try_lock``/``apply_refund``, the one-hop lock and backtrack of the
+    hop-by-hop and backpressure transports, and the row-level helpers."""
+
+    def _store(self) -> ChannelStateStore:
+        store = ChannelStateStore()
+        store.allocate(10.0, 4.0)
+        store.allocate(20.0, 15.0)
+        return store
+
+    def test_try_lock_moves_funds_and_stamps_the_row(self):
+        store = self._store()
+        version = store.version
+        assert store.try_lock(3, 2.5) == 2.5  # channel 1, side 1
+        assert store.balance[1].tolist() == [15.0, 2.5]
+        assert store.inflight[1].tolist() == [0.0, 2.5]
+        assert store.sent[1].tolist() == [0.0, 2.5]
+        assert store.version == version + 1
+        assert store.stamp[1] == store.version
+        assert store.stamp[0] != store.version
+
+    def test_try_lock_beyond_balance_writes_nothing(self):
+        store = self._store()
+        before = {
+            name: getattr(store, name).copy()
+            for name in ("balance", "inflight", "sent", "stamp")
+        }
+        version = store.version
+        assert store.try_lock(0, 4.0 + 1e-6) == -1.0
+        for name, array in before.items():
+            assert np.array_equal(getattr(store, name), array), name
+        assert store.version == version
+
+    def test_try_lock_clamps_to_the_balance_within_tolerance(self):
+        store = self._store()
+        assert store.try_lock(0, 4.0 + 5e-10) == 4.0
+        assert store.balance[0, 0] == 0.0
+        assert store.inflight[0, 0] == 4.0
+
+    def test_try_lock_refuses_a_frozen_channel(self):
+        store = self._store()
+        store.set_frozen(0, True)
+        assert store.try_lock(0, 1.0) == -1.0
+        assert store.try_lock(1, 1.0) == -1.0
+        assert store.inflight[0].tolist() == [0.0, 0.0]
+        assert store.try_lock(2, 1.0) == 1.0  # other channel unaffected
+
+    def test_apply_refund_undoes_a_try_lock(self):
+        store = self._store()
+        balance = store.balance.copy()
+        store.try_lock(1, 3.0)
+        store.apply_refund(0, 1, 3.0)
+        assert np.array_equal(store.balance, balance)
+        assert store.inflight[0].tolist() == [0.0, 0.0]
+        assert store.num_refunded[0] == 1
+        assert store.sent[0, 1] == 3.0  # the attempt stays counted
+        assert store.stamp[0] == store.version
+
+    def test_frozen_count_counts_each_channel_once(self):
+        store = self._store()
+        for flag, expected in ((True, 1), (True, 1), (False, 0), (False, 0)):
+            version = store.version
+            store.set_frozen(0, flag)
+            assert store.frozen_count == expected
+            assert store.version == version + 1  # every call stamps
+        store.set_frozen(0, True)
+        store.set_frozen(1, True)
+        assert store.frozen_count == 2
+
+    def test_availability_is_zero_on_frozen_hops(self):
+        store = self._store()
+        dirs = np.array([0, 1, 2, 3])
+        assert store.availability(dirs).tolist() == [4.0, 6.0, 15.0, 5.0]
+        store.set_frozen(1, True)
+        assert store.availability(dirs).tolist() == [4.0, 6.0, 0.0, 0.0]
+
+    def test_describe_reports_the_row(self):
+        store = self._store()
+        store.try_lock(2, 5.0)
+        assert store.describe(1) == (20.0, 10.0, 5.0, 5.0, 0.0)
+
+    @pytest.mark.parametrize("cid", [-1, 2])
+    def test_describe_rejects_unknown_rows(self, cid):
+        with pytest.raises(ChannelError, match="unknown channel id"):
+            self._store().describe(cid)

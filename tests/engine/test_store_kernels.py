@@ -10,9 +10,8 @@ effects of a failed path lock, and the one-stamp-per-call protocol.  The
 per-unit kernels (``lock_path_funds``, ``lock_many``, ``settle_path_funds``,
 ``refund_path_funds``) are fed what their callers pass — lists of Python
 ints and floats — and ``apply_resolution_batch`` its arrays.  The
-single-channel mutators behind the ``PaymentChannel`` view (``apply_lock``,
-``apply_settle``, ``apply_refund``, ``touch``) replay against the same
-reference.
+single-channel mutators (``apply_refund``, the transports' backtrack and
+abort refund, and ``touch``) replay against the same reference.
 
 Every op sequence is replayed twice against one store — as built and after
 ``_grow()``, which re-binds the arrays, so a flat view that outlived its
@@ -164,14 +163,10 @@ def _apply(store: ChannelStateStore, ref: Reference2D, op) -> None:
     elif kind == "refund":
         ref.resolve(hops, amounts, [False] * len(hops))
         store.refund_path_funds(dirs, amounts)
-    elif kind == "apply_lock":
+    elif kind == "apply_refund":
         (cid, side), amount = hops[0], amounts[0]
-        ref.lock_many([(cid, side)], [amount])
-        store.apply_lock(cid, side, amount)
-    elif kind in ("apply_settle", "apply_refund"):
-        (cid, side), amount = hops[0], amounts[0]
-        ref.resolve([(cid, side)], [amount], [kind == "apply_settle"])
-        getattr(store, kind)(cid, side, amount)
+        ref.resolve([(cid, side)], [amount], [False])
+        store.apply_refund(cid, side, amount)
     elif kind == "touch":
         ref._stamp([hops[0][0]])
         store.touch(hops[0][0])
@@ -205,7 +200,7 @@ def _replay_through_rebinds(store: ChannelStateStore, ops) -> None:
 
 _TRAIL_OPS = ("lock_path", "settle", "refund")
 _BATCH_OPS = ("probe", "try_lock", "lock_many", "resolve_batch", "freeze")
-_SCALAR_OPS = ("apply_lock", "apply_settle", "apply_refund", "touch")
+_SCALAR_OPS = ("apply_refund", "touch")
 _amount = st.floats(min_value=0.001, max_value=40.0, allow_nan=False)
 
 

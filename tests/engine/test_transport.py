@@ -61,7 +61,7 @@ class TestHopByHopNative:
         session = make_session([record(0, 1.0, 0, 3, 30.0)], end_time=3.0)
         network = session.network
         # Drain 1->2 before the run (held HTLC, never resolved).
-        network.channel(1, 2).lock(1, 45.0)
+        network.lock_path((1, 2), 45.0)
         store = network.state_store
         cid, side = network.channel_id(1, 2)
         observed = {}
@@ -88,7 +88,7 @@ class TestHopByHopNative:
         )
         session.scheme.runtime_kwargs = lambda: {"queue_timeout": 1.0}
         network = session.network
-        network.channel(2, 3).lock(2, 45.0)
+        network.lock_path((2, 3), 45.0)
         session.run()
         transport = session.transport
         assert transport.units_timed_out >= 1
@@ -110,7 +110,7 @@ class TestHopByHopNative:
             end_time=3.4,
         )
         transport_timeout = 1.0
-        session.network.channel(1, 2).lock(1, 50.0)  # drain 1->2 fully
+        session.network.lock_path((1, 2), 50.0)  # drain 1->2 fully
         # Rebuild the transport parameters via a scheme-level override:
         # LaunchOnLine declares no runtime_kwargs, so patch the default by
         # constructing the transport eagerly through the scheme hook.
@@ -144,7 +144,7 @@ class TestHopByHopNative:
                     payment, paths[payment.payment_id], payment.remaining
                 )
 
-        network.channel(0, 1).lock(0, 50.0)  # direction (0,1) is dry
+        network.lock_path((0, 1), 50.0)  # direction (0,1) is dry
         session = SimulationSession(
             network,
             [
@@ -183,7 +183,7 @@ class TestHopByHopNative:
                 record(1, 2.0, 3, 0, 40.0),  # reverse flow replenishes 1->2
             ],
         )
-        session.network.channel(1, 2).lock(1, 45.0)
+        session.network.lock_path((1, 2), 45.0)
         metrics = session.run()
         assert session.transport.units_queued >= 1
         assert session.transport.mean_queue_delay > 0.0

@@ -74,8 +74,7 @@ class TestCollector:
         assert metrics.throughput_series == [(0.0, 30.0), (2.0, 5.0)]
 
     def test_channel_imbalance_reported(self, network):
-        htlc = network.channel(0, 1).lock(0, 30.0)
-        network.channel(0, 1).settle(htlc)
+        network.settle_path((0, 1), network.lock_path((0, 1), 30.0))
         collector = MetricsCollector()
         metrics = collector.finalize("x", network, duration=1.0)
         assert metrics.mean_channel_imbalance == pytest.approx(60.0)

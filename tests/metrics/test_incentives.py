@@ -91,7 +91,7 @@ class TestEscrow:
 
     def test_escrow_includes_inflight(self):
         network = line_topology(3).build_network(default_capacity=100.0)
-        network.channel(0, 1).lock(0, 20.0)
+        network.lock_path((0, 1), 20.0)
         escrow = escrow_by_node(network)
         assert escrow[0] == pytest.approx(50.0)  # 30 spendable + 20 in flight
 

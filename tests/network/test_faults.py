@@ -27,14 +27,14 @@ class TestChannelFreeze:
         assert channel.available(0) == 0.0
         assert channel.available(1) == 0.0
         with pytest.raises(InsufficientFundsError):
-            channel.lock(0, 10.0)
+            network.lock_path((0, 1), 10.0)
 
-    def test_pending_htlcs_resolve_while_frozen(self):
+    def test_pending_locks_resolve_while_frozen(self):
         network = PaymentNetwork()
         channel = network.add_channel(0, 1, 100.0)
-        htlc = channel.lock(0, 20.0)
+        lock = network.lock_path((0, 1), 20.0)
         channel.freeze()
-        channel.settle(htlc)  # in-flight transfers still complete (§2)
+        network.settle_path((0, 1), lock)  # in-flight transfers still complete (§2)
         assert channel.balance(1) == pytest.approx(70.0)
         channel.check_invariant()
 
@@ -45,7 +45,7 @@ class TestChannelFreeze:
         channel.unfreeze()
         assert not channel.frozen
         assert channel.available(0) == pytest.approx(50.0)
-        channel.lock(0, 10.0)
+        network.lock_path((0, 1), 10.0)
 
     def test_freeze_conserves_funds(self):
         network = PaymentNetwork()

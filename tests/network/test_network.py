@@ -74,11 +74,19 @@ class TestAvailability:
     def test_bottleneck_is_min_along_path(self, line3):
         # line 0-1-2, each channel 100 split 50/50
         assert line3.bottleneck([0, 1, 2]) == 50.0
-        line3.channel(0, 1).lock(0, 30.0)
+        line3.lock_path((0, 1), 30.0)
         assert line3.bottleneck([0, 1, 2]) == 20.0
 
     def test_bottleneck_of_single_node_is_infinite(self, line3):
         assert line3.bottleneck([0]) == math.inf
+
+    def test_direction_lookup(self, line3):
+        channel, cid, side = line3.direction(2, 1)
+        assert channel is line3.channel(1, 2)
+        assert (cid, side) == (channel.channel_id, channel.side(2))
+        assert line3.channel_id(2, 1) == (cid, side)
+        with pytest.raises(TopologyError):
+            line3.direction(0, 2)
 
     def test_path_validation(self, line3):
         with pytest.raises(ChannelError):
@@ -117,12 +125,38 @@ class TestPathLocking:
 
     def test_partial_lock_rolls_back_atomically(self, line3):
         # Drain channel 1->2 so the second hop fails.
-        line3.channel(1, 2).lock(1, 50.0)
+        line3.lock_path((1, 2), 50.0)
         before_first_hop = line3.available(0, 1)
         with pytest.raises(InsufficientFundsError):
             line3.lock_path([0, 1, 2], 10.0)
         assert line3.available(0, 1) == before_first_hop
         line3.check_invariants()
+
+    def test_string_ids_lock_and_settle_across_two_hops(self):
+        network = PaymentNetwork()
+        network.add_channel("alice", "bob", 10.0)
+        network.add_channel("bob", "carol", 10.0)
+        path = ("alice", "bob", "carol")
+        lock = network.lock_path(path, 2.0)
+        assert network.total_inflight() == 4.0
+        network.settle_path(path, lock)
+        assert network.available("carol", "bob") == 7.0
+        assert network.available("bob", "alice") == 7.0
+        assert network.total_inflight() == 0.0
+        network.check_invariants()
+
+    def test_lock_within_tolerance_clamps_to_the_balance(self, line3):
+        lock = line3.lock_path([0, 1, 2], 50.0 + 5e-10)
+        assert [hop.amount for hop in lock] == [50.0, 50.0]
+        assert line3.available(0, 1) == 0.0
+        assert line3.available(1, 2) == 0.0
+        line3.check_invariants()
+
+    def test_lock_beyond_tolerance_raises(self, line3):
+        before = line3.balance_snapshot()
+        with pytest.raises(InsufficientFundsError):
+            line3.lock_path([0, 1, 2], 50.0 + 2e-9)
+        assert line3.balance_snapshot() == before
 
     def test_lock_path_rejects_single_node(self, line3):
         with pytest.raises(ChannelError):

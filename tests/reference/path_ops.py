@@ -1,12 +1,14 @@
-"""Per-hop reference path operations over ``PaymentChannel`` objects.
+"""Per-hop reference path operations, written as plain store arithmetic.
 
 The oracle for :class:`~repro.engine.pathtable.PathTable` (which
 :class:`~repro.network.network.PaymentNetwork` routes every path operation
-through): each operation walks the path one hop at a time through the
-network's channel objects — ``available`` for probes,
-``forwarding_fee`` for the fee recurrence, ``lock`` / ``settle`` /
-``refund`` for the HTLC lifecycle — so results, store side effects and
-exceptions come from the channel state machine alone.
+through): each operation walks the path one hop at a time, looks the hop's
+``(channel row, side)`` up by node pair, and reads or writes that hop's
+cells of the store arrays directly — ``available`` for probes,
+``forwarding_fee`` for the fee recurrence, and its own balance / in-flight
+/ ``sent`` / counter updates for lock, settle and refund.  No store kernel
+and no compiled path is involved, so results, store side effects and
+exceptions come from this file's per-hop arithmetic alone.
 """
 
 from __future__ import annotations
@@ -15,18 +17,28 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.errors import ChannelError, InsufficientFundsError, TopologyError
-from repro.network.htlc import Htlc
 from repro.network.network import PaymentNetwork
 
-__all__ = ["ReferencePathOps"]
+__all__ = ["ReferenceHop", "ReferencePathOps"]
 
 Path = Sequence[int]
 
 _EPS = 1e-9
 
 
+class ReferenceHop:
+    """One locked hop: its store cell and the amount actually locked."""
+
+    __slots__ = ("cid", "side", "amount")
+
+    def __init__(self, cid: int, side: int, amount: float):
+        self.cid = cid
+        self.side = side
+        self.amount = amount
+
+
 class ReferencePathOps:
-    """Path operations on ``network``, one channel object per hop."""
+    """Path operations on ``network``, one store cell per hop."""
 
     def __init__(self, network: PaymentNetwork):
         self.network = network
@@ -83,9 +95,15 @@ class ReferencePathOps:
 
     def lock_path(
         self, path: Path, amount: float, amounts: Optional[Sequence[float]] = None
-    ) -> List[Htlc]:
-        """Lock every hop or none: a hop that cannot lock refunds the hops
-        locked before it and re-raises."""
+    ) -> List[ReferenceHop]:
+        """Lock every hop or none.
+
+        Per hop: a frozen channel or a balance below the amount (beyond the
+        1e-9 tolerance) refunds the hops locked before it, ticking each
+        one's refund counter, and raises :class:`InsufficientFundsError`;
+        otherwise the amount, clamped to the balance, moves from balance to
+        in-flight and grows ``sent``.
+        """
         self.validate(path)
         if len(path) < 2:
             raise ChannelError("cannot lock funds on a path with fewer than 2 nodes")
@@ -96,23 +114,49 @@ class ReferencePathOps:
             raise ChannelError(
                 f"path has {len(hops)} hops but {len(amounts)} amounts were supplied"
             )
-        htlcs: List[Htlc] = []
-        try:
-            for (a, b), hop_amount in zip(hops, amounts):
-                htlcs.append(self.network.channel(a, b).lock(a, hop_amount))
-        except InsufficientFundsError:
-            for htlc, (a, b) in zip(htlcs, hops):
-                self.network.channel(a, b).refund(htlc)
-            raise
-        return htlcs
+        for hop_amount in amounts:
+            if not (hop_amount > 0 and math.isfinite(hop_amount)):
+                raise ChannelError(
+                    f"lock amount must be positive and finite, got {hop_amount!r}"
+                )
+        store = self.network.state_store
+        locked: List[ReferenceHop] = []
+        for (a, b), hop_amount in zip(hops, amounts):
+            _, cid, side = self.network.direction(a, b)
+            balance = float(store.balance[cid, side])
+            if store.frozen[cid] or hop_amount > balance + _EPS:
+                self._refund(locked)
+                raise InsufficientFundsError(
+                    f"{a!r} cannot lock {hop_amount:.6g} toward {b!r}"
+                )
+            actual = min(float(hop_amount), balance)
+            store.balance[cid, side] = balance - actual
+            store.inflight[cid, side] += actual
+            store.sent[cid, side] += actual
+            store.touch(cid)
+            locked.append(ReferenceHop(cid, side, actual))
+        return locked
 
-    def settle_path(self, path: Path, htlcs: Sequence[Htlc]) -> None:
-        """Settle every hop of a locked transfer."""
-        for htlc, (a, b) in zip(htlcs, zip(path, path[1:])):
-            self.network.channel(a, b).settle(htlc)
+    def settle_path(self, path: Path, locked: Sequence[ReferenceHop]) -> None:
+        """Settle every hop of a locked transfer: the receiver is credited."""
+        store = self.network.state_store
+        for hop in locked:
+            cid, side = hop.cid, hop.side
+            store.inflight[cid, side] -= hop.amount
+            store.balance[cid, 1 - side] += hop.amount
+            store.settled_flow[cid, side] += hop.amount
+            store.num_settled[cid] += 1
+            store.touch(cid)
 
-    def refund_path(self, path: Path, htlcs: Sequence[Htlc]) -> None:
-        """Refund every hop of a locked transfer."""
-        for htlc, (a, b) in zip(htlcs, zip(path, path[1:])):
-            self.network.channel(a, b).refund(htlc)
+    def refund_path(self, path: Path, locked: Sequence[ReferenceHop]) -> None:
+        """Refund every hop of a locked transfer: the sender is re-credited."""
+        self._refund(locked)
 
+    def _refund(self, locked: Sequence[ReferenceHop]) -> None:
+        store = self.network.state_store
+        for hop in locked:
+            cid, side = hop.cid, hop.side
+            store.inflight[cid, side] -= hop.amount
+            store.balance[cid, side] += hop.amount
+            store.num_refunded[cid] += 1
+            store.touch(cid)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.engine.pathtable import PathLock
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.metrics.collectors import MetricsCollector
+from repro.metrics.incentives import IncentiveCollector
+from repro.network.network import PaymentNetwork
 from repro.routing.backpressure import CelerScheme
 from repro.topology.generators import cycle_topology, line_topology, star_topology
 from repro.workload.generator import TransactionRecord
@@ -19,6 +24,18 @@ def run(records, network, scheme=None, end_time=30.0, **transport_kwargs):
         RuntimeConfig(end_time=end_time, check_invariants=True),
     )
     return runtime.run(), runtime
+
+
+class UnitRecorder(MetricsCollector):
+    """Keeps every settled :class:`TransactionUnit` record."""
+
+    def __init__(self):
+        super().__init__()
+        self.units = []
+
+    def on_unit_settled(self, unit, now):
+        super().on_unit_settled(unit, now)
+        self.units.append(unit)
 
 
 def prepared(network, records=(), config=None):
@@ -79,29 +96,17 @@ class TestDelivery:
 
 
 class TestBacktracking:
-    def test_stuck_unit_backtracks_out_of_a_dead_end(self):
-        # Star with centre 0.  Edge order is chosen so that pure
-        # backpressure (beta=0) pushes the unit into dead-end leaf 3 before
-        # direction (0, 2) is serviced.  Reverse pressure then pops it back
-        # (refunding the 0->3 HTLC) and it delivers over 1-0-2.
-        from repro.network.network import PaymentNetwork
-        from repro.metrics.collectors import MetricsCollector
-
+    @staticmethod
+    def dead_end_run():
+        """Star with centre 0.  Edge order is chosen so that pure
+        backpressure (beta=0) pushes the unit into dead-end leaf 3 before
+        direction (0, 2) is serviced.  Reverse pressure then pops it back
+        (refunding the 0->3 lock) and it delivers over 1-0-2."""
         network = PaymentNetwork()
         network.add_channel(1, 0, 100.0)
         network.add_channel(0, 3, 100.0)
         network.add_channel(0, 2, 100.0)
-
-        class TrailCollector(MetricsCollector):
-            def __init__(self):
-                super().__init__()
-                self.trails = []
-
-            def on_unit_settled(self, unit, now):
-                super().on_unit_settled(unit, now)
-                self.trails.append(unit.path)
-
-        collector = TrailCollector()
+        collector = UnitRecorder()
         runtime = SimulationSession(
             network,
             [TransactionRecord(0, 1.0, 1, 2, 10.0)],
@@ -109,14 +114,35 @@ class TestBacktracking:
             RuntimeConfig(end_time=30.0, check_invariants=True),
             collector=collector,
         )
+        return runtime, collector
+
+    def test_stuck_unit_backtracks_out_of_a_dead_end(self):
+        runtime, collector = self.dead_end_run()
         metrics = runtime.run()
         assert metrics.completed == 1
         assert runtime.transport.total_pops >= 1  # it did visit and leave the dead end
-        assert collector.trails == [(1, 0, 2)]  # settled trail is the clean path
+        # The settled trail is the clean path.
+        assert [unit.path for unit in collector.units] == [(1, 0, 2)]
         # The popped hop refunded: leaf 3's channel is untouched at the end.
         channel = runtime.network.channel(0, 3)
         assert channel.balance(0) == pytest.approx(50.0)
         assert channel.inflight(0) == pytest.approx(0.0)
+
+    def test_backtrack_restores_the_leaf_channel_bit_for_bit(self):
+        runtime, _ = self.dead_end_run()
+        store = runtime.network.state_store
+        _, cid, side = runtime.network.direction(0, 3)
+        balance, inflight = store.balance[cid].copy(), store.inflight[cid].copy()
+        runtime.run()
+        pops = runtime.transport.total_pops
+        assert pops >= 1
+        assert np.array_equal(store.balance[cid], balance)
+        assert np.array_equal(store.inflight[cid], inflight)
+        # Each pop is one refund on the leaf channel; the attempts stay
+        # counted in ``sent``, and nothing ever settled there.
+        assert store.num_refunded[cid] == pops
+        assert store.sent[cid, side] == 10.0 * pops
+        assert store.num_settled[cid] == 0
 
     def test_pop_to_wrong_node_is_rejected(self):
         from repro.core.payments import Payment
@@ -175,6 +201,65 @@ class TestBookkeeping:
         runtime.network.check_invariants()  # explicit, beyond per-event checks
         assert metrics.attempted == 10
 
+    def test_frozen_channel_is_never_crossed(self):
+        # 0->2 on a 6-cycle: the short way over (0, 1) is frozen before
+        # the run, so the unit goes the long way round.
+        network = cycle_topology(6).build_network(default_capacity=100.0)
+        network.channel(0, 1).freeze()
+        store = network.state_store
+        cid = network.channel(0, 1).channel_id
+        before = {
+            name: getattr(store, name)[cid].copy()
+            for name in ("balance", "inflight", "sent", "num_settled", "num_refunded")
+        }
+        total = network.total_funds()
+        metrics, runtime = run([TransactionRecord(0, 1.0, 0, 2, 10.0)], network)
+        assert metrics.completed == 1
+        assert runtime.transport.total_hops == 4  # 0-5-4-3-2
+        for name, row in before.items():
+            assert np.array_equal(getattr(store, name)[cid], row), name
+        assert network.total_funds() == total
+        assert network.total_inflight() == 0.0
+
+    def test_settled_unit_carries_a_resolved_path_lock(self):
+        network = cycle_topology(6).build_network(default_capacity=100.0)
+        collector = UnitRecorder()
+        runtime = SimulationSession(
+            network,
+            [TransactionRecord(0, 1.0, 0, 3, 40.0)],
+            CelerScheme(unit_cap=15.0),
+            RuntimeConfig(end_time=30.0, check_invariants=True),
+            collector=collector,
+        )
+        runtime.run()
+        assert len(collector.units) == 3
+        for unit in collector.units:
+            lock = unit.htlcs
+            assert isinstance(lock, PathLock)
+            assert lock.resolved
+            assert lock.cpath.nodes == unit.path
+            assert [hop.amount for hop in lock] == [unit.amount] * (len(unit.path) - 1)
+
+    def test_incentive_collector_credits_forwarding_routers(self):
+        # Every leaf-to-leaf trail on a star crosses the centre once.
+        network = star_topology(5).build_network(default_capacity=100.0)
+        records = [
+            TransactionRecord(i, 1.0 + 0.1 * i, 1 + i, 1 + (i + 1) % 4, 5.0)
+            for i in range(4)
+        ]
+        collector = IncentiveCollector()
+        runtime = SimulationSession(
+            network,
+            records,
+            CelerScheme(),
+            RuntimeConfig(end_time=30.0, check_invariants=True),
+            collector=collector,
+        )
+        metrics = runtime.run()
+        assert metrics.completed == 4
+        assert dict(collector.router_forwarded) == {0: 20.0}
+        assert dict(collector.router_revenue) == {}  # fee-free channels
+
 
 class TestExpiry:
     def test_max_hops_expires_and_value_returns(self):
@@ -193,6 +278,23 @@ class TestExpiry:
         runtime.network.check_invariants()
         assert runtime.network.total_inflight() == pytest.approx(0.0)
 
+    def test_expired_units_refund_every_locked_hop(self):
+        network = line_topology(3).build_network(default_capacity=100.0)
+        store = network.state_store
+        _, cid, side = network.direction(0, 1)
+        balance, inflight = store.balance[cid].copy(), store.inflight[cid].copy()
+        _, runtime = run(
+            [TransactionRecord(0, 1.0, 0, 2, 10.0)], network, end_time=5.0, max_hops=1
+        )
+        # Every push onto (0, 1) expired there and was refunded in full.
+        pushes = runtime.transport.total_hops
+        assert pushes >= 1
+        assert store.sent[cid, side] == 10.0 * pushes
+        assert store.num_refunded[cid] == pushes
+        assert store.num_settled[cid] == 0
+        assert np.array_equal(store.balance[cid], balance)
+        assert np.array_equal(store.inflight[cid], inflight)
+
     def test_deadline_withholds_late_settlement(self):
         network = line_topology(3).build_network(default_capacity=100.0)
         records = [TransactionRecord(0, 1.0, 0, 2, 10.0, deadline=1.05)]
@@ -201,6 +303,41 @@ class TestExpiry:
         assert metrics.completed == 0
         assert metrics.delivered_value == pytest.approx(0.0)
         runtime.network.check_invariants()
+
+
+    def test_withheld_unit_is_cancelled_with_a_resolved_path_lock(self):
+        class CancelRecorder(MetricsCollector):
+            def __init__(self):
+                super().__init__()
+                self.units = []
+
+            def on_unit_cancelled(self, unit, now):
+                super().on_unit_cancelled(unit, now)
+                self.units.append(unit)
+
+        network = line_topology(3).build_network(default_capacity=100.0)
+        collector = CancelRecorder()
+        runtime = SimulationSession(
+            network,
+            [TransactionRecord(0, 1.0, 0, 2, 10.0, deadline=1.05)],
+            CelerScheme(),
+            RuntimeConfig(end_time=10.0, check_invariants=True),
+            collector=collector,
+        )
+        runtime.run()
+        [unit] = collector.units
+        assert unit.path == (0, 1, 2)
+        assert unit.htlcs.resolved
+        assert unit.htlcs.cpath.nodes == unit.path
+        assert [hop.amount for hop in unit.htlcs] == [10.0, 10.0]
+        # Withholding refunds both hops; neither settles.
+        store = network.state_store
+        for u, v in ((0, 1), (1, 2)):
+            cid = network.channel(u, v).channel_id
+            assert store.num_refunded[cid] == 1
+            assert store.num_settled[cid] == 0
+        assert network.available(0, 1) == 50.0
+        assert network.total_inflight() == 0.0
 
 
 class TestConstructionAndIntegration:

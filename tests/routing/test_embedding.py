@@ -84,7 +84,7 @@ class TestSpeedyMurmursScheme:
     def test_greedy_routing_respects_balances(self):
         network = line_topology(3).build_network(default_capacity=100.0)
         # Drain 0->1 so greedy routing dead-ends at the source.
-        network.channel(0, 1).lock(0, 50.0)
+        network.lock_path((0, 1), 50.0)
         records = [TransactionRecord(0, 1.0, 0, 2, 10.0)]
         metrics, _ = self._run(records, network, num_trees=1)
         assert metrics.failed == 1

@@ -63,10 +63,11 @@ class TestLandmarkScheme:
         metrics, runtime = self._run(records, network, num_landmarks=3)
         assert metrics.completed == 1
         # The value was split across more than one landmark path.
+        num_settled = runtime.network.state_store.num_settled
         used = [
             channel
             for channel in runtime.network.channels()
-            if channel.num_settled > 0
+            if num_settled[channel.channel_id] > 0
         ]
         assert len(used) > 3  # one 3-hop path alone would touch 3 channels
 

@@ -96,10 +96,8 @@ class TestRetriesAndMissionControl:
     def drained_short_route(self):
         """Short route 0-1-3 looks fine from gossip but 1→3 is unfunded."""
         network = two_route_network()
-        channel = network.channel(1, 3)
         # Shift all of node 1's funds to node 3's side.
-        htlc = channel.lock(1, 50.0, now=0.0)
-        channel.settle(htlc)
+        network.settle_path((1, 3), network.lock_path((1, 3), 50.0))
         return network
 
     def test_prunes_unfunded_hop_and_retries(self):
@@ -152,9 +150,8 @@ class TestRetriesAndMissionControl:
         # Every route to 3 is drained; with max_attempts=1 LND gives up
         # after the first reported failure.
         network = two_route_network()
-        for u, v in [(1, 3), (4, 3)]:
-            channel = network.channel(u, v)
-            channel.settle(channel.lock(u, 50.0, now=0.0))
+        for hop in [(1, 3), (4, 3)]:
+            network.settle_path(hop, network.lock_path(hop, 50.0))
         scheme = LndScheme(max_attempts=1)
         metrics, _ = run([TransactionRecord(0, 1.0, 0, 3, 10.0)], network, scheme=scheme)
         assert metrics.failed == 1
@@ -164,8 +161,7 @@ class TestRetriesAndMissionControl:
         # The sender's own 0→1 direction is drained: no retry is wasted on
         # it because senders see their own balances, not just capacity.
         network = two_route_network()
-        channel = network.channel(0, 1)
-        channel.settle(channel.lock(0, 50.0, now=0.0))
+        network.settle_path((0, 1), network.lock_path((0, 1), 50.0))
         scheme = LndScheme()
         metrics, runtime = run(
             [TransactionRecord(0, 1.0, 0, 3, 10.0)], network, scheme=scheme
@@ -228,8 +224,7 @@ class TestOnCycleTopology:
     def test_retry_finds_the_other_way_around(self):
         # 6-cycle: 0→3 has two 3-hop routes; drain one, LND finds the other.
         network = cycle_topology(6).build_network(default_capacity=100.0)
-        channel = network.channel(1, 2)
-        channel.settle(channel.lock(1, 50.0, now=0.0))
+        network.settle_path((1, 2), network.lock_path((1, 2), 50.0))
         scheme = LndScheme()
         metrics, _ = run([TransactionRecord(0, 1.0, 0, 3, 10.0)], network, scheme=scheme)
         assert metrics.completed == 1

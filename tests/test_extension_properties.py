@@ -86,12 +86,12 @@ def test_freeze_thaw_conserves_funds(operations):
     for op, amount in operations:
         if op == "lock":
             try:
-                pending.append(channel.lock(0, amount))
+                pending.append(network.lock_path((0, 1), amount))
             except InsufficientFundsError:
                 pass
         elif op == "settle_all":
-            for htlc in pending:
-                channel.settle(htlc)
+            for lock in pending:
+                network.settle_path((0, 1), lock)
             pending.clear()
         elif op == "freeze":
             channel.freeze()
