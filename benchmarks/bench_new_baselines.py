@@ -115,52 +115,3 @@ def test_lnd_retry_budget_matters(benchmark):
     assert light[1].success_ratio >= light[0].success_ratio
     assert heavy[1].success_ratio <= heavy[0].success_ratio + 0.01
 
-
-def test_imbalance_aware_window_ablation(benchmark):
-    """§4.1's imbalance-aware congestion control, measured.
-
-    On a ring with asymmetric two-way demand (heavy clockwise, light
-    counter-clockwise), scaling the additive increase by the path's
-    rebalance score is throughput-neutral but leaves channels measurably
-    closer to balance at moderate gain — rate aggressiveness *as a
-    rebalancing tool*, exactly the paper's suggestion.
-    """
-    from repro.engine.session import RuntimeConfig, SimulationSession
-    from repro.routing import make_scheme
-    from repro.topology import cycle_topology
-    from repro.workload import records_from_demand
-
-    n = 6
-    demands = {}
-    for i in range(n):
-        demands[(i, (i + 1) % n)] = 60.0
-        demands[((i + 1) % n, i)] = 20.0
-    records = records_from_demand(demands, duration=40.0, mean_size=8.0, seed=3)
-
-    def run_variant(scheme_name, **params):
-        network = cycle_topology(n).build_network(default_capacity=60.0)
-        scheme = make_scheme(scheme_name, **params)
-        runtime = SimulationSession(
-            network, records, scheme, RuntimeConfig(end_time=50.0, mtu=10.0)
-        )
-        return runtime.run()
-
-    def run():
-        return (
-            run_variant("spider-window"),
-            run_variant("spider-window-imbalance", imbalance_gain=1.0),
-        )
-
-    plain, aware = run_once(benchmark, run)
-    print(
-        f"\nplain window:      volume {100 * plain.success_volume:.1f}%  "
-        f"mean imbalance {plain.mean_channel_imbalance:.1f}"
-    )
-    print(
-        f"imbalance-aware:   volume {100 * aware.success_volume:.1f}%  "
-        f"mean imbalance {aware.mean_channel_imbalance:.1f}"
-    )
-    # Throughput-neutral...
-    assert abs(aware.success_volume - plain.success_volume) < 0.03
-    # ...while keeping channels closer to balance.
-    assert aware.mean_channel_imbalance < plain.mean_channel_imbalance

@@ -5,10 +5,7 @@ from repro.core.congestion import TokenBucket
 from repro.core.lp_routing import SpiderLPScheme
 from repro.core.payments import Payment, PaymentState, TransactionUnit, UnitState
 from repro.core.primal_dual_routing import SpiderPrimalDualScheme
-from repro.core.queueing import (
-    QueueGradientWaterfillingScheme,
-    SpiderQueueingScheme,
-)
+from repro.core.queueing import SpiderQueueingScheme
 from repro.core.scheduling import (
     PendingHeap,
     SCHEDULING_POLICIES,
@@ -16,20 +13,14 @@ from repro.core.scheduling import (
     order_payments,
 )
 from repro.core.waterfilling import WaterfillingScheme
-from repro.core.window_control import (
-    ImbalanceAwareWindowScheme,
-    PathWindow,
-    WindowedSpiderScheme,
-)
+from repro.core.window_control import PathWindow, WindowedSpiderScheme
 
 __all__ = [
     "AmpWaterfillingScheme",
-    "ImbalanceAwareWindowScheme",
     "PathWindow",
     "Payment",
     "PaymentState",
     "PendingHeap",
-    "QueueGradientWaterfillingScheme",
     "SCHEDULING_POLICIES",
     "SpiderLPScheme",
     "SpiderPrimalDualScheme",

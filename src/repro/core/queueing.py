@@ -39,11 +39,7 @@ from repro.routing.base import RoutingScheme
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.session import SimulationSession
 
-__all__ = [
-    "HopUnit",
-    "QueueGradientWaterfillingScheme",
-    "SpiderQueueingScheme",
-]
+__all__ = ["HopUnit", "SpiderQueueingScheme"]
 
 Path = Tuple[int, ...]
 
@@ -117,24 +113,6 @@ class SpiderQueueingScheme(RoutingScheme):
             raise ValueError(f"num_paths must be positive, got {num_paths}")
         self.num_paths = num_paths
 
-    def _selection_scores(self, paths, availability):
-        """Per-path selection keys for the waterfilling argmax.
-
-        The base scheme selects purely on balance headroom, so the scores
-        *are* the availability list (same object — in-loop availability
-        updates keep the scores current for free).  Subclasses may return
-        a separate list biased by other signals and refresh it through
-        :meth:`_rescore`.
-        """
-        return availability
-
-    def _rescore(self, scores, availability, index) -> None:
-        """Refresh ``scores[index]`` after ``availability[index]`` changed.
-
-        No-op when the scores alias the availability list (the base
-        scheme's choice).
-        """
-
     def attempt(self, payment: Payment, runtime: "SimulationSession") -> None:
         if not hasattr(getattr(runtime, "transport", None), "send_unit_hop_by_hop"):
             raise TypeError(
@@ -146,10 +124,9 @@ class SpiderQueueingScheme(RoutingScheme):
             runtime.fail_payment(payment)
             return
         availability = runtime.network.bottleneck_many(paths)
-        scores = self._selection_scores(paths, availability)
         min_unit = runtime.config.min_unit_value
         while payment.remaining >= min_unit:
-            best = max(range(len(paths)), key=lambda i: scores[i])
+            best = max(range(len(paths)), key=lambda i: availability[i])
             # First-hop availability is the launch constraint; bottleneck
             # only guides path preference (downstream scarcity queues).
             first_hop = runtime.network.available(paths[best][0], paths[best][1])
@@ -163,56 +140,8 @@ class SpiderQueueingScheme(RoutingScheme):
                 break
             if not runtime.send_unit_hop_by_hop(payment, paths[best], amount):
                 availability[best] = 0.0
-                self._rescore(scores, availability, best)
                 if all(a < min_unit for a in availability):
                     break
                 continue
             availability[best] = max(0.0, availability[best] - amount)
-            self._rescore(scores, availability, best)
 
-
-class QueueGradientWaterfillingScheme(SpiderQueueingScheme):
-    """Waterfilling over hop queues, steered by the live queue-depth signal.
-
-    The store's ``queue_depth`` arrays (written by the hop transport on
-    every enqueue/service/timeout) are a congestion signal no balance probe
-    can see: a direction may have plenty of spendable funds *and* a long
-    line of units already waiting for them.  This variant treats that
-    signal as a first-class routing input — each path's selection score is
-
-    ``bottleneck − queue_bias × Σ_hops ewma_qdepth(cid, side)``
-
-    where the smoothed per-direction queue depth comes from the
-    :class:`~repro.engine.signals.ControlPlane` (advanced once per session
-    poll) and the per-path sum is one compiled-path gather
-    (:meth:`~repro.engine.signals.ControlPlane.path_queue_penalty`).
-    Paths through backed-up routers are deprioritised even when their
-    balance headroom looks large; with ``queue_bias = 0`` the scheme is
-    exactly :class:`SpiderQueueingScheme` (pinned by the scheme tests).
-    """
-
-    name = "spider-queueing-qgrad"
-
-    def __init__(self, num_paths: int = 4, queue_bias: float = 1.0):
-        super().__init__(num_paths=num_paths)
-        if queue_bias < 0:
-            raise ValueError(f"queue_bias must be non-negative, got {queue_bias}")
-        self.queue_bias = queue_bias
-        self._control = None
-        self._penalty: List[float] = []
-
-    def prepare(self, runtime: "SimulationSession") -> None:
-        super().prepare(runtime)
-        self._control = runtime.network.control_plane
-
-    def _selection_scores(self, paths, availability):
-        """Bottleneck headroom minus the smoothed queue pressure per path."""
-        self._penalty = self._control.path_queue_penalty(paths)
-        return [
-            a - self.queue_bias * p for a, p in zip(availability, self._penalty)
-        ]
-
-    def _rescore(self, scores, availability, index) -> None:
-        scores[index] = (
-            availability[index] - self.queue_bias * self._penalty[index]
-        )

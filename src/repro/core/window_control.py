@@ -20,12 +20,6 @@ transport, reproduced here:
 The scheme runs on the in-network-queue transport, so a unit blocked
 mid-path parks at a router (building up the very delay that triggers
 marks) instead of failing — the closed loop the NSDI protocol relies on.
-
-:class:`ImbalanceAwareWindowScheme` adds §4.1's suggested refinement:
-*"if a sender discovers that payment channels on certain paths have a
-high imbalance in the downstream direction, it may aggressively increase
-its rate to balance those channels."*  Its additive increase is scaled by
-how much a path's channels are rebalanced by sending more on it.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
     from repro.engine.session import SimulationSession
 
-__all__ = ["ImbalanceAwareWindowScheme", "PathWindow", "WindowedSpiderScheme"]
+__all__ = ["PathWindow", "WindowedSpiderScheme"]
 
 Path = Tuple[int, ...]
 _EPS = 1e-9
@@ -245,58 +239,3 @@ class WindowedSpiderScheme(RoutingScheme):
         """Current window per path (diagnostics / convergence plots)."""
         return {path: state.window for path, state in self._windows.items()}
 
-
-class ImbalanceAwareWindowScheme(WindowedSpiderScheme):
-    """Windowed Spider with §4.1's imbalance-aware aggressiveness.
-
-    The additive increase on a clean ack is scaled by the path's
-    *rebalance score*: the mean over its hops (u, v) of
-    ``(balance_u − balance_v) / capacity`` — positive when sending more on
-    the path drains the fuller side of each channel, i.e. when higher rate
-    actively rebalances.  A clean ack on a rebalancing path grows the
-    window up to ``(1 + imbalance_gain)`` times faster; on an
-    anti-balancing path growth is damped (floored at 10% of the base
-    increase, never negative — marks alone shrink windows).
-    """
-
-    name = "spider-window-imbalance"
-
-    def __init__(self, imbalance_gain: float = 1.0, **kwargs):
-        super().__init__(**kwargs)
-        if imbalance_gain < 0:
-            raise ValueError(
-                f"imbalance_gain must be non-negative, got {imbalance_gain}"
-            )
-        self.imbalance_gain = imbalance_gain
-        self._network = None
-        self._control = None
-
-    def prepare(self, runtime: "SimulationSession") -> None:
-        super().prepare(runtime)
-        self._network = runtime.network
-        self._control = runtime.network.control_plane
-
-    def rebalance_score(self, path: Path) -> float:
-        """How much sending on ``path`` rebalances its channels, in [−1, 1]."""
-        if self._network is None or len(path) < 2:
-            return 0.0
-        # The control plane's stamp-cached per-channel imbalance: no
-        # balance arithmetic at all when the path's channels are unchanged
-        # since the last probe.
-        return self._control.path_imbalance(
-            self._network.path_table.compile(path)
-        )
-
-    def on_unit_resolved(self, unit: HopUnit, outcome: str, now: float) -> None:
-        congested = unit.marked or outcome == "lost"
-        if congested or outcome != "settled":
-            super().on_unit_resolved(unit, outcome, now)
-            return
-        # Clean settle: apply the imbalance-scaled additive increase.
-        state = self.window(unit.path)
-        state.inflight = max(0.0, state.inflight - unit.amount)
-        self.clean_acks += 1
-        scale = 1.0 + self.imbalance_gain * self.rebalance_score(unit.path)
-        scale = max(0.1, scale)
-        increment = scale * self.alpha * unit.amount / max(state.window, _EPS)
-        state.window = min(self.max_window, state.window + increment)

@@ -652,8 +652,6 @@ class SimulationSession:
     def _poll(self) -> None:
         control = self.network.peek_control_plane()
         if control is not None:
-            # One control-plane tick per poll interval: folds the store's
-            # live queue depths into the smoothed congestion signal.
             control.tick(self.sim.now)
         if not self._pending:
             return

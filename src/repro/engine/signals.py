@@ -5,25 +5,19 @@ queueing-delay marks that shrink per-path windows, and per-channel prices in
 the fluid/primal-dual view.  :class:`ControlPlane` keeps all of them over
 the :class:`~repro.engine.store.ChannelStateStore`:
 
-* **marking** — per-``(cid, side)`` mark thresholds, mark/serviced counters
-  and EWMA queueing delay; the hop transport hands each service batch to
-  :meth:`observe_service`, which scans delays against thresholds in one
-  vectorised comparison instead of a per-unit Python branch;
+* **marking** — per-``(cid, side)`` mark thresholds and mark/serviced
+  counters; the hop transport hands each service batch to
+  :meth:`observe_service`, which marks the units that waited too long;
 * **prices** — flat λ/µ/observation-window arrays with
   :meth:`update_prices` as one set of array ops per control period (the
   §5.3 dual step, eqs. 23–24 normalised) and :meth:`path_price` /
   :meth:`observe_path` as compiled-path gathers like
   :meth:`~repro.engine.pathtable.PathTable.bottleneck`;
-* **queue gradients** — :meth:`queue_gradient` over the store's live
-  ``queue_depth`` arrays, :meth:`gradient_weights` for the backpressure
-  service epoch, and :meth:`path_queue_penalty` (the summed smoothed queue
-  depth along a path) as a routing input;
-* **imbalance** — a per-channel ``(balance_a − balance_b)/capacity`` cache
-  refreshed via the store's per-channel version stamps, so untouched
-  channels cost nothing on repeated probes.
+* **backpressure** — :meth:`gradient_weights` for the backpressure
+  service epoch.
 
 :class:`~repro.engine.session.SimulationSession` ticks the plane once per
-poll interval (:meth:`tick`), advancing the smoothed queue-depth signal.
+poll interval (:meth:`tick`), which counts the intervals.
 
 Every kernel is pinned float for float against a per-element reference
 loop (``tests/reference/signals.py``) by ``tests/engine/test_signals.py``
@@ -39,15 +33,10 @@ import numpy as np
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.pathtable import CompiledPath
     from repro.network.network import PaymentNetwork
 
 __all__ = ["CongestionState", "ControlPlane"]
 
-#: Below this many serviced units a mark scan just loops: array dispatch
-#: overhead exceeds the comparison work (same rationale as the PathTable's
-#: ``_INCREMENTAL_MIN_HOPS``).
-_SCAN_MIN = 4
 #: Below this many candidate destinations the gradient weights loop.
 _GRADIENT_MIN = 4
 
@@ -57,12 +46,8 @@ class CongestionState:
 
     Pure storage: every behaviour lives on :class:`ControlPlane`.  The
     price block (λ, µ, observation window, capacity rate) follows the
-    normalised §5.3 duals; the marking block counts marks and serviced
-    units per direction and keeps an EWMA of observed queueing delay; the
-    queue block is the smoothed ``queue_depth`` signal advanced by
-    :meth:`ControlPlane.tick`; the imbalance block caches
-    ``(balance_a − balance_b)/capacity`` with the store stamp it was
-    computed at.
+    normalised §5.3 duals; the marking block holds each direction's
+    threshold and counts its marks and serviced units.
     """
 
     __slots__ = (
@@ -74,11 +59,6 @@ class CongestionState:
         "mark_threshold",
         "marks",
         "serviced",
-        "delay_sum",
-        "ewma_delay",
-        "ewma_qdepth",
-        "imbalance",
-        "imb_stamp",
     )
 
     def __init__(self, n: int):
@@ -90,11 +70,6 @@ class CongestionState:
         self.mark_threshold = np.full((n, 2), np.inf)
         self.marks = np.zeros((n, 2), dtype=np.int64)
         self.serviced = np.zeros((n, 2), dtype=np.int64)
-        self.delay_sum = np.zeros((n, 2))
-        self.ewma_delay = np.zeros((n, 2))
-        self.ewma_qdepth = np.zeros((n, 2))
-        self.imbalance = np.zeros(n)
-        self.imb_stamp = np.full(n, -1, dtype=np.int64)
 
     def grow_to(self, n: int) -> None:
         """Widen every array to ``n`` channels, preserving existing rows."""
@@ -114,11 +89,6 @@ class CongestionState:
         self.mark_threshold = widen(self.mark_threshold, np.inf)
         self.marks = widen(self.marks)
         self.serviced = widen(self.serviced)
-        self.delay_sum = widen(self.delay_sum)
-        self.ewma_delay = widen(self.ewma_delay)
-        self.ewma_qdepth = widen(self.ewma_qdepth)
-        self.imbalance = widen(self.imbalance)
-        self.imb_stamp = widen(self.imb_stamp, -1)
         self.n = n
 
 
@@ -131,13 +101,10 @@ class ControlPlane:
     metrics summary all read and write the same flat arrays.
     """
 
-    def __init__(self, network: "PaymentNetwork", ewma_alpha: float = 0.2):
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ConfigError(f"ewma_alpha must be in (0, 1], got {ewma_alpha!r}")
+    def __init__(self, network: "PaymentNetwork"):
         self._network = network
         self._store = network.state_store
         self.state = CongestionState(len(self._store))
-        self.ewma_alpha = ewma_alpha
         #: Mean λ sampled at every price update (feeds ``mean_price``).
         self.price_samples: List[float] = []
         self.ticks = 0
@@ -233,7 +200,7 @@ class ControlPlane:
         """Set the queue-delay mark threshold on every direction.
 
         ``None`` disables marking (the threshold becomes ``inf`` so no
-        delay can exceed it — serviced/delay statistics still accrue).
+        delay can exceed it — the serviced counter still accrues).
         """
         state = self._sync()
         state.mark_threshold[:, :] = np.inf if threshold is None else float(threshold)
@@ -247,49 +214,16 @@ class ControlPlane:
         whose delay exceeds the direction's threshold (and which was not
         already marked at an earlier hop) gets its ``marked`` flag set.
         Returns the number of units newly marked.
-
-        A batch of ``_SCAN_MIN`` or more units is scanned with one array
-        comparison and its mean delay folded into the EWMA once; a smaller
-        one loops — one branch, one counter update and one EWMA fold per
-        unit.  Marks and counters are identical either way; only the EWMA
-        delay diagnostic weights units inside one batch differently, which
-        nothing metric-visible consumes.
         """
-        count = len(delays)
-        if not count:
-            return 0
         state = self._sync()
-        threshold = state.mark_threshold[cid, side]
-        alpha = self.ewma_alpha
+        limit = float(state.mark_threshold[cid, side])
         newly = 0
-        if count >= _SCAN_MIN:
-            state.serviced[cid, side] += count
-            batch = np.asarray(delays)
-            late = batch > threshold
-            if late.any():
-                for index in np.flatnonzero(late).tolist():
-                    unit = units[index]
-                    if not unit.marked:
-                        unit.marked = True
-                        newly += 1
-            state.marks[cid, side] += newly
-            total_delay = float(batch.sum())
-            state.delay_sum[cid, side] += total_delay
-            previous = float(state.ewma_delay[cid, side])
-            state.ewma_delay[cid, side] = previous + alpha * (
-                total_delay / count - previous
-            )
-            return newly
-        limit = float(threshold)
         for delay, unit in zip(delays, units):
-            state.serviced[cid, side] += 1
-            state.delay_sum[cid, side] += delay
-            previous = float(state.ewma_delay[cid, side])
-            state.ewma_delay[cid, side] = previous + alpha * (delay - previous)
             if delay > limit and not unit.marked:
                 unit.marked = True
                 newly += 1
-                state.marks[cid, side] += 1
+        state.serviced[cid, side] += len(delays)
+        state.marks[cid, side] += newly
         return newly
 
     def mark_rate(self) -> float:
@@ -300,17 +234,8 @@ class ControlPlane:
         return int(self.state.marks.sum()) / serviced
 
     # ------------------------------------------------------------------
-    # Queue gradients
+    # Backpressure
     # ------------------------------------------------------------------
-    def queue_gradient(self, cids: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        """Per-hop queue-depth difference (sender minus receiver side).
-
-        Positive where forwarding moves units *down* the congestion
-        gradient — read live from the store's ``queue_depth`` arrays.
-        """
-        depth = self._store.queue_depth
-        return depth[cids, sides] - depth[cids, 1 - sides]
-
     def gradient_weights(
         self,
         backlog_from: Sequence[float],
@@ -350,61 +275,12 @@ class ControlPlane:
                 out.append((bu - bv) + beta * (du - dv))
         return out
 
-    def path_queue_penalty(self, paths: Sequence[Sequence[int]]) -> List[float]:
-        """Summed smoothed queue depth along each path (a routing bias).
-
-        The signal the queue-gradient waterfilling variant subtracts from
-        its bottleneck estimates: paths through already-backed-up router
-        directions are deprioritised even when their balance headroom looks
-        large.  Per-hop values come from ``ewma_qdepth`` (advanced once per
-        session poll by :meth:`tick`) and are summed left to right.
-        """
-        flat = self._sync().ewma_qdepth.reshape(-1)
-        table = self._network.path_table
-        return [
-            float(sum(flat[table.compile(path).dirs].tolist())) for path in paths
-        ]
-
-    # ------------------------------------------------------------------
-    # Imbalance (stamp-cached)
-    # ------------------------------------------------------------------
-    def path_imbalance(self, cpath: "CompiledPath") -> float:
-        """Mean signed ``(sender − receiver)/capacity`` along ``cpath``.
-
-        Positive when sending on the path drains the fuller side of each
-        channel — §4.1's rebalance score.  Reads a per-channel cache
-        refreshed via the store's version stamps, so a probe over unchanged
-        channels performs no balance arithmetic at all; flipping a cached
-        value's sign for reverse-orientation hops is exact, so the result
-        matches a direct balance gather bit for bit.
-        """
-        store = self._store
-        dirs = cpath.dirs
-        cids = dirs >> 1
-        state = self._sync()
-        stale = store.stamp[cids] > state.imb_stamp[cids]
-        if stale.any():
-            rows = cids[stale]
-            state.imbalance[rows] = (
-                store.balance[rows, 0] - store.balance[rows, 1]
-            ) / store.capacity[rows]
-            state.imb_stamp[rows] = store.stamp[rows]
-        values = state.imbalance[cids]
-        return float(np.where(dirs & 1, -values, values).mean())
-
     # ------------------------------------------------------------------
     # The session tick
     # ------------------------------------------------------------------
     def tick(self, now: Optional[float] = None) -> None:
-        """Advance the smoothed congestion signals one control interval.
-
-        Called by :class:`~repro.engine.session.SimulationSession` on every
-        poll: folds the store's live ``queue_depth`` into ``ewma_qdepth``
-        in one array op.
-        """
-        state = self._sync()
-        depth = self._store.queue_depth_view
-        state.ewma_qdepth += self.ewma_alpha * (depth - state.ewma_qdepth)
+        """Count one poll interval (called by the session on every poll)."""
+        # Kept, though it only counts: benchmarks/e2e/e2e_spec.py times it by name.
         self.ticks += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -339,7 +339,7 @@ class PaymentNetwork:
         """The network's congestion control plane (created lazily).
 
         Flat per-``(cid, side)`` congestion signals — queue-delay marks,
-        channel prices, queue gradients, imbalance — derived from the
+        channel prices, backpressure weights — derived from the
         state store; see :mod:`repro.engine.signals`.  Shared by the hop
         transport, the windowed/backpressure schemes, the price table and
         the metrics summary, and ticked once per poll by the session.

@@ -72,6 +72,10 @@ class PrefixEmbedding:
         """The tree's root node."""
         return self._root
 
+    def covers(self, node: int) -> bool:
+        """Whether ``node`` lies in the tree (its root's component)."""
+        return node in self._coordinates
+
     def coordinate(self, node: int) -> Coordinate:
         """The node's coordinate (raises KeyError for unreachable nodes)."""
         return self._coordinates[node]
@@ -130,6 +134,8 @@ class SpeedyMurmursScheme(RoutingScheme):
         ``reserved`` tracks balance already promised to other shares of the
         same payment so the shares don't double-spend a channel.
         """
+        if not (embedding.covers(source) and embedding.covers(dest)):
+            return None  # the tree spans another component of the graph
         path = [source]
         node = source
         for _ in range(self.max_hops):

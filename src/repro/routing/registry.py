@@ -26,7 +26,6 @@ SCHEME_FACTORIES: Dict[str, Union[str, SchemeFactory]] = {
     "max-flow": "repro.routing.max_flow:MaxFlowScheme",
     "lnd": "repro.routing.lnd:LndScheme",
     "celer": "repro.routing.backpressure:CelerScheme",
-    "segment-routing": "repro.routing.segment:SegmentRoutingScheme",
     "silentwhispers": "repro.routing.landmark:LandmarkScheme",
     "speedymurmurs": "repro.routing.embedding:SpeedyMurmursScheme",
     "spider-waterfilling": "repro.core.waterfilling:WaterfillingScheme",
@@ -34,9 +33,7 @@ SCHEME_FACTORIES: Dict[str, Union[str, SchemeFactory]] = {
     "spider-primal-dual": "repro.core.primal_dual_routing:SpiderPrimalDualScheme",
     "spider-amp": "repro.core.amp:AmpWaterfillingScheme",
     "spider-queueing": "repro.core.queueing:SpiderQueueingScheme",
-    "spider-queueing-qgrad": "repro.core.queueing:QueueGradientWaterfillingScheme",
     "spider-window": "repro.core.window_control:WindowedSpiderScheme",
-    "spider-window-imbalance": "repro.core.window_control:ImbalanceAwareWindowScheme",
     "spider-admission": "repro.core.admission:AdmissionControlScheme",
 }
 

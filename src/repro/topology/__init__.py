@@ -29,7 +29,6 @@ from repro.topology.io import (
     loads_topology,
 )
 from repro.topology.isp import ISP_NUM_EDGES, ISP_NUM_NODES, isp_topology
-from repro.topology.partition import GraphPartition, partition_adjacency
 from repro.topology.ripple import (
     RIPPLE_EDGE_NODE_RATIO,
     RIPPLE_PRESETS,
@@ -47,7 +46,6 @@ __all__ = [
     "ISP_NUM_NODES",
     "RIPPLE_EDGE_NODE_RATIO",
     "RIPPLE_PRESETS",
-    "GraphPartition",
     "Topology",
     "balanced_tree_topology",
     "complete_topology",
@@ -62,7 +60,6 @@ __all__ = [
     "line_topology",
     "load_topology",
     "loads_topology",
-    "partition_adjacency",
     "ripple_topology",
     "scale_free_topology",
     "small_world_topology",

@@ -258,3 +258,55 @@ class TestSpiderQueueingScheme:
         )
         assert metrics.attempted == 100
         assert metrics.completed > 0
+
+
+class TestSpiderQueueingPathChoice:
+    """Each unit goes on the path with the most bottleneck headroom left
+    (waterfilling), first path on ties; a refused launch retires its path."""
+
+    @staticmethod
+    def _sends(wide, refuse_first=False):
+        """The (path, amount) launches of one 40-value 0→2 payment on the
+        square 0-1-2-3-0: channels on (0, 1, 2) hold 100, those on
+        (0, 3, 2) hold ``wide``; the MTU is 10."""
+        from repro.network.network import PaymentNetwork
+
+        network = PaymentNetwork()
+        for u, v in ((0, 1), (1, 2)):
+            network.add_channel(u, v, 100.0)
+        for u, v in ((0, 3), (3, 2)):
+            network.add_channel(u, v, wide)
+        config = RuntimeConfig(end_time=5.0, mtu=10.0)
+        session = SimulationSession(network, [], SpiderQueueingScheme(), config)
+        session.prepare()
+        launch = session.send_unit_hop_by_hop
+        sends = []
+
+        def recording(payment, path, value):
+            sends.append((tuple(path), value))
+            if refuse_first and len(sends) == 1:
+                return False
+            return launch(payment, path, value)
+
+        session.send_unit_hop_by_hop = recording
+        payment = session._new_payment(record(0, 0.0, 0, 2, 40.0))
+        session.scheme.attempt(payment, session)
+        return sends
+
+    def test_units_go_on_the_widest_path(self):
+        assert self._sends(wide=300.0) == [((0, 3, 2), 10.0)] * 4
+
+    def test_equal_paths_are_filled_alternately(self):
+        paths = [path for path, _ in self._sends(wide=100.0)]
+        assert len(paths) == 4
+        assert paths[0] != paths[1]
+        assert paths == paths[:2] * 2
+
+    def test_refused_path_is_not_retried(self):
+        sends = self._sends(wide=300.0, refuse_first=True)
+        assert sends[0][0] == (0, 3, 2)
+        assert [path for path, _ in sends[1:]] == [(0, 1, 2)] * 4
+
+    def test_rejects_non_positive_num_paths(self):
+        with pytest.raises(ValueError):
+            SpiderQueueingScheme(num_paths=0)

@@ -6,11 +6,7 @@ import pytest
 
 from repro.core.payments import Payment
 from repro.core.queueing import HopUnit
-from repro.core.window_control import (
-    ImbalanceAwareWindowScheme,
-    PathWindow,
-    WindowedSpiderScheme,
-)
+from repro.core.window_control import PathWindow, WindowedSpiderScheme
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.topology.generators import cycle_topology, line_topology
@@ -208,85 +204,6 @@ class TestTransportIntegration:
         _, runtime = run(records, network, end_time=40.0)
         runtime.network.check_invariants()
         assert runtime.network.total_funds() == pytest.approx(total_before)
-
-
-class TestImbalanceAwareVariant:
-    def prepared_scheme(self, balance_first_hop, **kwargs):
-        """Scheme prepared on a 3-node line with a chosen 0-side balance."""
-        from repro.network.network import PaymentNetwork
-
-        network = PaymentNetwork()
-        network.add_channel(0, 1, 100.0, balance_u=balance_first_hop)
-        network.add_channel(1, 2, 100.0, balance_u=balance_first_hop)
-        defaults = dict(initial_window=100.0, alpha=10.0, beta=0.5, rtt=0.5)
-        defaults.update(kwargs)
-        scheme = ImbalanceAwareWindowScheme(**defaults)
-        runtime = SimulationSession(network, [], scheme, RuntimeConfig())
-        scheme.prepare(runtime)
-        return scheme
-
-    def test_rebalance_score_sign(self):
-        # Sender side holds 90 of 100: sending 0->2 drains the fuller side.
-        scheme = self.prepared_scheme(balance_first_hop=90.0)
-        assert scheme.rebalance_score((0, 1, 2)) == pytest.approx(0.8)
-        assert scheme.rebalance_score((2, 1, 0)) == pytest.approx(-0.8)
-
-    def test_balanced_channels_score_zero(self):
-        scheme = self.prepared_scheme(balance_first_hop=50.0)
-        assert scheme.rebalance_score((0, 1, 2)) == pytest.approx(0.0)
-
-    def test_rebalancing_path_grows_faster(self):
-        scheme = self.prepared_scheme(balance_first_hop=90.0, imbalance_gain=1.0)
-        state = scheme.window((0, 1, 2))
-        state.inflight = 10.0
-        scheme.on_unit_resolved(make_unit(), "settled", now=1.0)
-        # Base increment 1.0 scaled by (1 + 0.8) = 1.8.
-        assert state.window == pytest.approx(101.8)
-
-    def test_anti_balancing_path_growth_is_damped(self):
-        scheme = self.prepared_scheme(balance_first_hop=10.0, imbalance_gain=1.0)
-        state = scheme.window((0, 1, 2))
-        state.inflight = 10.0
-        scheme.on_unit_resolved(make_unit(), "settled", now=1.0)
-        # Scale (1 - 0.8) = 0.2: increment 0.2, still positive.
-        assert state.window == pytest.approx(100.2)
-
-    def test_growth_never_negative_even_at_max_gain(self):
-        scheme = self.prepared_scheme(balance_first_hop=0.0, imbalance_gain=5.0)
-        state = scheme.window((0, 1, 2))
-        state.inflight = 10.0
-        scheme.on_unit_resolved(make_unit(), "settled", now=1.0)
-        assert state.window >= 100.0  # floored at 10% of the base increase
-
-    def test_marks_still_shrink_the_window(self):
-        scheme = self.prepared_scheme(balance_first_hop=90.0, imbalance_gain=2.0)
-        state = scheme.window((0, 1, 2))
-        state.inflight = 10.0
-        scheme.on_unit_resolved(make_unit(marked=True), "settled", now=1.0)
-        assert state.window == pytest.approx(50.0)
-
-    def test_rejects_negative_gain(self):
-        with pytest.raises(ValueError):
-            ImbalanceAwareWindowScheme(imbalance_gain=-0.5)
-
-    def test_registered(self):
-        from repro.routing.registry import make_scheme
-
-        scheme = make_scheme("spider-window-imbalance", imbalance_gain=0.5)
-        assert isinstance(scheme, ImbalanceAwareWindowScheme)
-
-    def test_runs_via_experiment_runner(self):
-        config = ExperimentConfig(
-            scheme="spider-window-imbalance",
-            topology="cycle-5",
-            capacity=2_000.0,
-            num_transactions=40,
-            arrival_rate=20.0,
-            seed=9,
-        )
-        metrics = run_experiment(config)
-        assert metrics.attempted == 40
-        assert metrics.completed > 0
 
 
 class TestConstruction:

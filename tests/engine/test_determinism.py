@@ -53,14 +53,7 @@ def test_native_transport_determinism(scheme):
 
 
 @pytest.mark.parametrize(
-    "scheme",
-    [
-        "spider-window",
-        "spider-window-imbalance",
-        "celer",
-        "spider-primal-dual",
-        "spider-queueing-qgrad",
-    ],
+    "scheme", ["spider-window", "spider-queueing", "celer", "spider-primal-dual"]
 )
 @pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
 def test_signal_kernels_and_reference_loops_byte_identical(
@@ -71,10 +64,9 @@ def test_signal_kernels_and_reference_loops_byte_identical(
     The same seeded experiment runs once on the kernels and once with
     every kernel replaced by its reference loop (``tests/reference/
     signals.py``: per-unit marks, per-channel price steps, per-destination
-    gradients, per-hop penalties and imbalance, per-entry tick); the
-    serialised metrics — including the ``mean_mark_rate``/``mean_price``
-    columns — must match byte for byte across the windowed, backpressure
-    and primal-dual schemes.
+    gradients); the serialised metrics — including the
+    ``mean_mark_rate``/``mean_price`` columns — must match byte for byte
+    across the windowed, queueing, backpressure and primal-dual schemes.
     """
     from repro.engine.signals import ControlPlane
     from tests.reference.signals import KERNELS
@@ -86,25 +78,3 @@ def test_signal_kernels_and_reference_loops_byte_identical(
     loops = metrics_to_json(run_experiment(config))
     assert kernels.encode() == loops.encode()
 
-
-def test_queue_gradient_scheme_reduces_to_queueing_at_zero_bias():
-    """``queue_bias = 0`` makes the qgrad variant exactly spider-queueing.
-
-    Pinned byte-for-byte (modulo the scheme-name field): the gradient term
-    is the only behavioural delta, so zeroing it must reproduce the parent
-    scheme's run. This doubles as the incremental-heap determinism pin —
-    both runs poll through the PendingHeap drain order.
-    """
-    base = run_experiment(_config(scheme="spider-queueing", num_transactions=150))
-    qgrad = run_experiment(
-        _config(
-            scheme="spider-queueing-qgrad",
-            num_transactions=150,
-            scheme_params={"queue_bias": 0.0},
-        )
-    )
-    base_dict = base.to_dict()
-    qgrad_dict = qgrad.to_dict()
-    assert base_dict.pop("scheme") == "spider-queueing"
-    assert qgrad_dict.pop("scheme") == "spider-queueing-qgrad"
-    assert base_dict == qgrad_dict

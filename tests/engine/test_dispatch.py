@@ -43,7 +43,6 @@ BATCHED_SCHEMES = [
     "shortest-path",
     "lnd",
     "spider-window",
-    "spider-window-imbalance",
 ]
 
 
@@ -340,7 +339,7 @@ def _forbid_probe_refresh(monkeypatch):
     monkeypatch.setattr(PathTable, "refresh_probes", refuse)
 
 
-@pytest.mark.parametrize("scheme", ["spider-window", "spider-window-imbalance"])
+@pytest.mark.parametrize("scheme", ["spider-window"])
 @pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
 def test_window_cohorts_never_refresh_probes(monkeypatch, scheme, topology):
     """The window rule reads first hops lazily through the overlay and
@@ -386,7 +385,7 @@ def test_window_cohort_after_fallback_reads_live_state(monkeypatch):
     plan.assert_drained()
 
 
-@pytest.mark.parametrize("scheme", ["spider-window", "spider-window-imbalance"])
+@pytest.mark.parametrize("scheme", ["spider-window"])
 @pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
 def test_window_cache_matches_sequential_windows(scheme, topology):
     """The per-pair window cache creates, fills and reads the scheme's

@@ -3,8 +3,8 @@
 The control plane's acceptance bar is float-for-float equality with the
 reference loops in ``tests/reference/signals.py`` (and, for prices, with
 the per-channel :class:`ChannelPriceState` model), across random
-fee-bearing / frozen topologies: marks, prices, gradients, queue penalty,
-imbalance and tick must agree exactly — not approximately — because the
+fee-bearing / frozen topologies: marks, prices and gradients must agree
+exactly — not approximately — because the
 determinism suite pins byte-identical metrics JSON for whole runs on the
 reference loops.
 """
@@ -33,7 +33,7 @@ def _random_network(rng, fees: bool = True, frozen: bool = True):
     )
     skews = []
     for channel in network.channels():
-        # Skew balances so imbalance signals are non-trivial.
+        # Skew balances, as a network mid-run has them.
         shift = float(rng.uniform(-80.0, 80.0))
         if shift > 0:
             shift = min(shift, channel.balance(channel.node_b))
@@ -191,9 +191,11 @@ def _mark_scan_parity(delays, pre_marked, threshold, side=0):
 
 class TestMarkScanParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("batch", [1, 3, 7, 64])
+    @pytest.mark.parametrize("batch", [0, 1, 2, 3, 4, 7, 24, 64])
     def test_marks_and_counters_match(self, seed, batch):
-        """Batch scans mark exactly the units the per-unit branch marks."""
+        """The kernel marks exactly the units the per-unit reference
+        marks, for every batch size a service call hands over (empty
+        included)."""
         rng = make_rng(300 + seed)
         delays = [float(d) for d in rng.uniform(0.0, 1.0, size=batch)]
         pre_marked = [bool(b) for b in rng.random(batch) < 0.2]
@@ -209,6 +211,48 @@ class TestMarkScanParity:
         assert not any(u.marked for u in units)
         assert int(control.state.serviced[0, 1]) == 8
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_delay_at_the_threshold_is_not_late(self, side):
+        """Only a delay strictly above the threshold marks."""
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0)
+        control = network.control_plane
+        control.configure_marking(0.5)
+        units = [_FakeUnit() for _ in range(3)]
+        assert control.observe_service(0, side, [0.5, 0.5000001, 0.4], units) == 1
+        assert [u.marked for u in units] == [False, True, False]
+
+    def test_counters_are_per_direction(self):
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0)
+        control = network.control_plane
+        control.configure_marking(0.1)
+        control.observe_service(0, 0, [1.0, 0.0], [_FakeUnit(), _FakeUnit()])
+        control.observe_service(0, 1, [0.0] * 3, [_FakeUnit()] * 3)
+        assert control.state.marks[0].tolist() == [1, 0]
+        assert control.state.serviced[0].tolist() == [2, 3]
+
+    def test_mark_rate_spans_batches_and_directions(self):
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0)
+        network.add_channel(1, 2, 100.0)
+        control = network.control_plane
+        assert control.mark_rate() == 0.0
+        control.configure_marking(0.1)
+        units = [_FakeUnit() for _ in range(4)]
+        control.observe_service(0, 0, [1.0, 0.0, 0.0], units[:3])
+        control.observe_service(1, 1, [1.0], units[3:])
+        assert control.mark_rate() == 2 / 4
+
+    def test_empty_batch_changes_nothing(self):
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0)
+        control = network.control_plane
+        control.configure_marking(0.1)
+        assert control.observe_service(0, 0, [], []) == 0
+        assert not control.state.marks.any()
+        assert not control.state.serviced.any()
+
     def test_already_marked_units_not_double_counted(self):
         network = PaymentNetwork()
         network.add_channel(0, 1, 100.0)
@@ -220,6 +264,25 @@ class TestMarkScanParity:
 
 
 class TestGradientParity:
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 24])
+    def test_gradient_weights_match_around_the_loop_cutoff(self, n):
+        """Below ``_GRADIENT_MIN`` (4) candidates the kernel loops, from 4
+        up it is one array expression; both equal the reference."""
+        rng = make_rng(450 + n)
+        args = (
+            [float(x) for x in rng.uniform(0.0, 50.0, size=n)],
+            [float(x) for x in rng.uniform(0.0, 50.0, size=n)],
+            [int(x) for x in rng.integers(-1, 10, size=n)],
+            [int(x) for x in rng.integers(-1, 10, size=n)],
+            0.7,
+        )
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 10.0)
+        control = network.control_plane
+        weights = control.gradient_weights(*args)
+        assert len(weights) == n
+        assert weights == reference.gradient_weights(control, *args)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_weights_match(self, seed):
         rng = make_rng(400 + seed)
@@ -246,85 +309,24 @@ class TestGradientParity:
             else:
                 assert w == (bu - bv) + beta * (du - dv)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_tick_and_path_queue_penalty_match(self, seed):
-        rng = make_rng(500 + seed)
-        network = _random_network(rng, fees=False, frozen=False)
-        paths = _random_paths(network, rng)
-        kernel, loop = _planes(network)
-        store = network.state_store
-        depth_rng = make_rng(600 + seed)
-        for _ in range(4):
-            store.queue_depth_view[:] = depth_rng.integers(
-                0, 12, size=store.queue_depth_view.shape
-            )
-            kernel.tick()
-            reference.tick(loop)
-        assert np.array_equal(kernel.state.ewma_qdepth, loop.state.ewma_qdepth)
-        assert kernel.ticks == loop.ticks == 4
-        penalty = kernel.path_queue_penalty(paths)
-        assert penalty == reference.path_queue_penalty(loop, paths)
-        assert any(p > 0 for p in penalty)
 
-    def test_queue_gradient_reads_live_depths(self):
-        network = PaymentNetwork()
-        network.add_channel(0, 1, 100.0)
-        store = network.state_store
-        store.queue_depth[0, 0] = 5
-        store.queue_depth[0, 1] = 2
-        gradient = network.control_plane.queue_gradient(
-            np.array([0, 0]), np.array([0, 1])
-        )
-        assert gradient.tolist() == [3, -3]
-
-
-class TestImbalanceParity:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_path_imbalance_matches(self, seed):
-        rng = make_rng(700 + seed)
-        network = _random_network(rng, frozen=False)
-        paths = _random_paths(network, rng)
+class TestTick:
+    def test_tick_only_counts(self):
+        """A tick counts the poll and leaves every signal array as it was."""
+        network = _random_network(make_rng(11), fees=False, frozen=False)
         control = network.control_plane
-        table = network.path_table
-
-        def both():
-            for path in paths:
-                cpath = table.compile(path)
-                assert control.path_imbalance(cpath) == reference.path_imbalance(
-                    control, cpath
-                )
-
-        both()
-        # Mutate some balances, probe again: the stamp-driven refresh must
-        # track the store (not serve stale cache entries).
-        for channel in list(network.channels())[:5]:
-            amount = min(5.0, channel.balance(channel.node_a))
-            if amount > 0:
-                hop = (channel.node_a, channel.node_b)
-                network.settle_path(hop, network.lock_path(hop, amount))
-        both()
-
-
-class TestTickParity:
-    def test_ewma_qdepth_matches_and_decays(self):
-        rng = make_rng(11)
-        network = _random_network(rng, fees=False, frozen=False)
-        kernel, loop = _planes(network)
-        store = network.state_store
-        for depth in (10, 0, 0):
-            store.queue_depth_view[:] = depth
-            kernel.tick()
-            reference.tick(loop)
-        smoothed = kernel.state.ewma_qdepth
-        assert np.array_equal(smoothed, loop.state.ewma_qdepth)
-        # Rising then decaying toward the live (zero) depth.
-        assert (smoothed > 0).all()
-        assert (smoothed < 10).all()
-
-    def test_invalid_ewma_alpha_rejected(self):
-        network = PaymentNetwork()
-        with pytest.raises(ConfigError):
-            ControlPlane(network, ewma_alpha=0.0)
+        control.configure_prices(0.5)
+        control.configure_marking(0.3)
+        before = {
+            name: getattr(control.state, name).copy()
+            for name in control.state.__slots__
+            if name != "n"
+        }
+        for _ in range(3):
+            control.tick()
+        assert control.ticks == 3
+        for name, array in before.items():
+            assert np.array_equal(getattr(control.state, name), array), name
 
 
 class TestHypothesisParity:
@@ -344,7 +346,8 @@ class TestHypothesisParity:
         ),
     )
     def test_prices_and_imbalance_parity(self, data, operations):
-        """Identical observe/update mixes ⇒ identical λ/µ/z_p/imbalance."""
+        """Identical observe/update mixes ⇒ identical λ, imbalance price µ
+        and z_p."""
         spec, paths = data
         network = build_network(spec)
         control = network.control_plane
@@ -359,11 +362,6 @@ class TestHypothesisParity:
                 table.update_all(dt=1.0, eta=0.1, kappa=0.07)
         _assert_prices_match(network, control, table, paths)
         assert control.price_samples == table.price_samples
-        for path in paths:
-            cpath = network.path_table.compile(path)
-            assert control.path_imbalance(cpath) == reference.path_imbalance(
-                control, cpath
-            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -393,10 +391,10 @@ class TestSizing:
         control = network.control_plane
         assert control.state.n == 1
         network.add_channel(1, 2, 100.0)
-        control.tick()
+        control.configure_prices(1.0)
         assert control.state.n == 2
         assert control.state.mark_threshold[1, 0] == np.inf
-        # Every entry point grows on demand, not just tick().
+        # Every entry point grows on demand, not just configure_prices().
         assert control.observe_service(1, 0, [0.1], [_FakeUnit()]) == 0
         network.add_channel(2, 3, 100.0)
         assert control.path_price((2, 3)) == 0.0

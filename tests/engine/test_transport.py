@@ -270,12 +270,7 @@ def _hop_run(config):
 
 @pytest.mark.parametrize(
     "scheme",
-    [
-        "spider-window",
-        "spider-window-imbalance",
-        "spider-queueing",
-        "spider-queueing-qgrad",
-    ],
+    ["spider-window", "spider-queueing"],
 )
 @pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
 def test_advance_many_matches_per_unit_scheduling(scheme, topology, monkeypatch):

@@ -9,8 +9,8 @@ path to an independent oracle instead of to a second copy of itself:
   lock with rollback, settle and refund over
   :class:`~repro.network.channel.PaymentChannel` objects;
 * :mod:`tests.reference.signals` — the congestion control plane's marks,
-  prices, gradients, queue penalty, imbalance and tick as per-element
-  loops, plus the per-channel :class:`ChannelPriceState` price model;
+  prices and gradients as per-element loops, plus the per-channel
+  :class:`ChannelPriceState` price model;
 * :mod:`tests.reference.sizes` — the truncated-lognormal size model with
   Φ and Φ⁻¹ taken from ``scipy.stats.norm``.
 """

@@ -30,10 +30,7 @@ __all__ = [
     "gradient_weights",
     "observe_path",
     "observe_service",
-    "path_imbalance",
     "path_price",
-    "path_queue_penalty",
-    "tick",
     "update_prices",
 ]
 
@@ -46,16 +43,12 @@ def _hops(plane, path: Sequence[int]) -> List[Tuple[int, int]]:
 
 
 def observe_service(plane, cid: int, side: int, delays, units) -> int:
-    """One counter update, one EWMA fold and one mark check per unit."""
+    """One counter update and one mark check per unit."""
     state = plane._sync()
     limit = float(state.mark_threshold[cid, side])
-    alpha = plane.ewma_alpha
     newly = 0
     for delay, unit in zip(delays, units):
         state.serviced[cid, side] += 1
-        state.delay_sum[cid, side] += delay
-        previous = float(state.ewma_delay[cid, side])
-        state.ewma_delay[cid, side] = previous + alpha * (delay - previous)
         if delay > limit and not unit.marked:
             unit.marked = True
             newly += 1
@@ -113,43 +106,6 @@ def gradient_weights(
     return out
 
 
-def path_queue_penalty(plane, paths: Sequence[Sequence[int]]) -> List[float]:
-    """Smoothed queue depth summed hop by hop along each path."""
-    smoothed = plane._sync().ewma_qdepth
-    out = []
-    for path in paths:
-        total = 0.0
-        for cid, side in _hops(plane, path):
-            total += float(smoothed[cid, side])
-        out.append(total)
-    return out
-
-
-def path_imbalance(plane, cpath) -> float:
-    """Mean over the hops of ``(sender − receiver) / capacity``, read off
-    the channel objects (averaged by ``np.mean``, as the kernel is)."""
-    network = plane._network
-    path = cpath.nodes
-    scores = []
-    for u, v in zip(path, path[1:]):
-        channel = network.channel(u, v)
-        scores.append((channel.balance(u) - channel.balance(v)) / channel.capacity)
-    return float(np.mean(scores))
-
-
-def tick(plane, now=None) -> None:
-    """Fold the live queue depths into the smoothed signal, per entry."""
-    state = plane._sync()
-    depth = plane._store.queue_depth_view
-    alpha = plane.ewma_alpha
-    smoothed = state.ewma_qdepth
-    for cid in range(state.n):
-        for side in (0, 1):
-            previous = float(smoothed[cid, side])
-            smoothed[cid, side] = previous + alpha * (float(depth[cid, side]) - previous)
-    plane.ticks += 1
-
-
 #: Every ControlPlane kernel this module re-implements, by method name.
 KERNELS = {
     "observe_service": observe_service,
@@ -157,9 +113,6 @@ KERNELS = {
     "path_price": path_price,
     "update_prices": update_prices,
     "gradient_weights": gradient_weights,
-    "path_queue_penalty": path_queue_penalty,
-    "path_imbalance": path_imbalance,
-    "tick": tick,
 }
 
 

@@ -51,6 +51,12 @@ class TestPrefixEmbedding:
         for node in range(16):
             embedding.coordinate(node)  # must not raise
 
+    def test_covers_only_the_root_component(self):
+        adjacency = {0: [1], 1: [0], 2: [3], 3: [2]}
+        embedding = PrefixEmbedding(adjacency, root=0, seed=0)
+        assert embedding.covers(0) and embedding.covers(1)
+        assert not embedding.covers(2) and not embedding.covers(3)
+
 
 class TestSpeedyMurmursScheme:
     def _run(self, records, network, **kwargs):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError
@@ -12,6 +14,8 @@ from repro.routing.registry import (
     register_scheme,
     SCHEME_FACTORIES,
 )
+
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 class TestRegistry:
@@ -58,3 +62,15 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigError):
             register_scheme("max-flow", lambda: None)
+
+
+@pytest.mark.parametrize("name", available_schemes())
+def test_every_scheme_has_a_paper_claim_bench(name):
+    """Each registered scheme is named in a ``benchmarks/bench_*.py``
+    claim (the files CI's paper-claims job gates), so a scheme cannot be
+    registered without a claim that runs it."""
+    quoted = (f'"{name}"', f"'{name}'")
+    assert any(
+        any(q in path.read_text(encoding="utf-8") for q in quoted)
+        for path in sorted(BENCHMARKS.glob("bench_*.py"))
+    ), f"{name} appears in no paper-claim bench"

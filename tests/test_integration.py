@@ -12,10 +12,12 @@ import pytest
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import compare_schemes, run_experiment
+from repro.network.network import PaymentNetwork
 from repro.routing.registry import available_schemes, make_scheme
 from repro.topology.generators import cycle_topology
 from repro.topology.isp import isp_topology
 from repro.workload.demand import circulation_demand, records_from_demand
+from repro.workload.generator import TransactionRecord
 
 
 def small_config(**overrides):
@@ -56,6 +58,51 @@ class TestConservationAcrossSchemes:
         metrics = run_experiment(small_config(scheme=scheme, num_transactions=120))
         assert metrics.delivered_value <= metrics.attempted_value + 1e-6
         assert metrics.completed_value <= metrics.delivered_value + 1e-6
+
+
+class TestEverySchemeEndsResolved:
+    """Every registered scheme accounts for every payment: each one ends
+    completed or failed, the router queues are drained, and a payment
+    that cannot be routed leaves nothing locked."""
+
+    @pytest.mark.parametrize("scheme", sorted(available_schemes()))
+    def test_every_payment_completes_or_fails(self, scheme):
+        config = small_config(scheme=scheme, num_transactions=120)
+        session = SimulationSession.from_config(config)
+        metrics = session.run()
+        assert metrics.attempted == 120
+        assert metrics.completed + metrics.failed == metrics.attempted
+        assert session.network.state_store.total_queued() == 0
+
+    @staticmethod
+    def _two_islands():
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0)
+        network.add_channel(2, 3, 100.0)
+        return network
+
+    @pytest.mark.parametrize("scheme", sorted(available_schemes()))
+    def test_empty_trace(self, scheme):
+        network = self._two_islands()
+        session = SimulationSession(
+            network, [], make_scheme(scheme), RuntimeConfig(end_time=5.0)
+        )
+        metrics = session.run()
+        assert (metrics.attempted, metrics.completed, metrics.failed) == (0, 0, 0)
+        assert network.total_funds() == 200.0
+
+    @pytest.mark.parametrize("scheme", sorted(available_schemes()))
+    def test_disconnected_pair_fails_cleanly(self, scheme):
+        network = self._two_islands()
+        records = [TransactionRecord(0, 0.5, 0, 3, 10.0)]
+        session = SimulationSession(
+            network, records, make_scheme(scheme), RuntimeConfig(end_time=5.0)
+        )
+        metrics = session.run()
+        assert (metrics.attempted, metrics.completed, metrics.failed) == (1, 0, 1)
+        network.check_invariants()
+        assert not network.state_store.inflight_view.any()
+        assert network.total_funds() == 200.0
 
 
 class TestCirculationIsFullyRoutable:
