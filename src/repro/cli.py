@@ -113,9 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--dispatch-stats",
         action="store_true",
-        help="print the engine's dispatch counters after the run "
-        "(cohorts, batched units, scalar fallbacks, replayed and failed "
-        "locks)",
+        help="print the engine's dispatch counters after the run: "
+        "cohorts and their payments (every cohort), then the cohort "
+        "replay's batched units, scalar fallbacks, replayed and failed "
+        "locks (0 for a run that does not replay)",
     )
     _add_common_options(run_parser)
 

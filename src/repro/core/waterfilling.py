@@ -12,15 +12,16 @@ the path with the highest *remaining* estimated availability, decrementing
 the local estimate as it commits units.  Leftover value waits in the global
 queue for the next poll, making the scheme non-atomic.
 
-The scheme declares ``cohort_rule = "waterfilling"``: its decision loop is
-pure array arithmetic over the probe estimates, so the session's
-:class:`~repro.engine.dispatch.DispatchPlan` replays it over whole
+The scheme declares ``cohort_rule = "waterfilling"``: on a network where
+some channel charges a fee, the session's
+:class:`~repro.engine.dispatch.DispatchPlan` replays this loop over whole
 same-tick cohorts — one grouped probe refresh, per-payment argmax/min
-decisions with fee-aware per-hop staging, one scatter-add lock.  Path sets
-that share channels (with each other or with earlier staged sends) replay
-against the plan's residual-capacity overlay; only a *failing* lock —
-whose rollback side effects the replay must not fake — falls back to
-:meth:`attempt` exactly (flush-first).
+decisions against a residual-capacity overlay with fee-aware per-hop
+staging, failed locks replayed with their rollback side effects, one
+``lock_many`` per cohort.  That replay pays because fee-loaded hops make
+eager locks bounce (``ripple-full-fees-warm``: 5.43 s replayed vs 6.83 s
+sequential).  On a fee-free network no lock bounces, the replay measured
+no faster, and the plan runs :meth:`attempt` per payment.
 """
 
 from __future__ import annotations

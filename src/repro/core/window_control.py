@@ -98,7 +98,9 @@ class WindowedSpiderScheme(RoutingScheme):
     atomic = False
     transport = "hop"
     #: The launch loop (window-headroom sort, first-hop clamp, clean-fail
-    #: try_lock) is replayed batched by the session's DispatchPlan.
+    #: try_lock) is replayed batched by the session's DispatchPlan: its
+    #: launches land through one lock_many and one advance_many per
+    #: cohort (``isp-window`` ran 1.15× slower with every cohort sequential).
     cohort_rule = "spider-window"
 
     def __init__(

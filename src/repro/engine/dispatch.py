@@ -1,13 +1,30 @@
 """Macro-tick batched dispatch: cohort kernels over the poll loop.
 
-The per-*operation* kernels are fast — one ``np.minimum.reduceat`` probes
-a whole path set, one scatter-add resolves a whole tick's units — so what
-is left per payment is Python glue: its own probe, its own decision loop
-and its own per-unit lock.  At 10k-node scale that glue is the hot path.
+The session's ``_poll`` (and same-tick arrival bursts) hand the whole
+cohort of attempt-eligible payments to :class:`DispatchPlan` at once.
+The reference is the **sequential loop**: the scheme's own ``attempt``
+per payment, in cohort order, each committing its locks eagerly.  That is
+what the plan runs for every scheme and network except two, where a
+benchmark workload shows a cohort *replay* pays:
 
-:class:`DispatchPlan` restructures the loop around **macro-ticks**.  The
-session's ``_poll`` (and same-tick arrival bursts) hand the whole cohort of
-attempt-eligible payments here at once; the plan then
+* **Waterfilling on a network where some channel charges a fee**
+  (``ripple-full-fees-warm``: the sequential loop read 1.26× in wall
+  time, 6.83 vs 5.43 s).  Fee-loaded hops make eager locks bounce, and
+  each bounce costs the sequential loop a lock, a rollback and a
+  re-probe through the store.
+* **The spider-window launch loop** (``isp-window``: 1.15×, and still
+  1.07–1.10× with one ``advance_many`` per cohort): its launches land
+  through one ``lock_many`` and one
+  :meth:`HopByHopTransport.advance_many
+  <repro.engine.transport.HopByHopTransport.advance_many>`.
+
+Fee-free waterfilling, shortest-path and LND measured no faster replayed
+than through their own ``attempt``, so they have no replay.  Which of the
+two applies is worked out once per session, at :meth:`DispatchPlan.prime`
+or the first cohort, from the scheme's ``cohort_rule`` and the channels'
+fee schedules.
+
+A replay
 
 1. **probes** every payment's candidate path set with one grouped gather —
    :meth:`PathTable.refresh_probes <repro.engine.pathtable.PathTable.refresh_probes>`
@@ -15,7 +32,7 @@ attempt-eligible payments here at once; the plan then
    ``availability`` gather + ``minimum.reduceat`` over all of them (the
    window rule skips this step: it reads first hops through the overlay
    and never reads a probe value);
-2. **replays** each scheme's decision rule per payment against the cached
+2. **replays** the scheme's decision rule per payment against the cached
    estimates plus a **residual-state overlay** (below), staging accepted
    sends into struct-of-arrays buffers (payment refs, compiled paths,
    per-hop fee-inclusive amounts);
@@ -27,11 +44,8 @@ attempt-eligible payments here at once; the plan then
    units and registers them with the session's tick-coalesced resolution
    batches (one reschedule per cohort, not per unit).
 
-The reference is the **sequential loop**: the scheme's own ``attempt``
-per payment, in cohort order, each committing its locks eagerly — what
-this driver runs for a scheme whose ``cohort_rule`` is ``None``.
-Byte-identity with it is a proved invariant, not a hope (the dispatch
-tests run every batched rule both ways).  The proof rests on four
+Byte-identity with the sequential loop is a proved invariant, not a hope
+(the dispatch tests run both replays both ways).  The proof rests on four
 pillars:
 
 * **Residual replay.**  The plan keeps an overlay of *residual* channel
@@ -43,19 +57,16 @@ pillars:
   float64 arithmetic the store would use (a Python float *is* an
   IEEE-754 double, and its ops are deterministic functions of their
   operand bits, so replaying the identical op sequence yields identical
-  bits).  ``bal`` is **seeded**: the first replay of a cohort that needs
-  the overlay reads the balance of every direction the cohort's path
-  sets cover with one ``balance_flat[dirs].tolist()`` gather and folds
-  in the sends the fee-free fast path had staged until then; from there
-  to the flush every staged send is booked as it is staged, and a
-  probe, bottleneck or lock-feasibility check is a dict lookup, a
+  bits).  For waterfilling ``bal`` is **seeded**: the first replay of a
+  cohort reads the balance of every direction the cohort's path sets
+  cover with one ``balance_flat[dirs].tolist()`` gather, and from there
+  to the flush every staged send is booked as it is staged, so a probe,
+  bottleneck or lock-feasibility check is a dict lookup, a
   ``min(map(bal.__getitem__, dir_list))`` or a float comparison —
   returning exactly what the sequential loop, which commits each
-  operation eagerly, would have read from the live store at that payment's turn.
-  Waterfilling and shortest-path read every hop of their path sets, so
-  they seed; the window rule reads first hops only and LND finds its
-  paths per attempt, so for them nothing is known up front and ``bal``
-  fills lazily, one live read per direction on first use.
+  operation eagerly, would have read from the live store at that
+  payment's turn.  The window rule reads first hops only, so ``bal``
+  fills lazily there, one live read per direction on first use.
   ``infl``/``sent`` are opened only for directions a lock writes.  NumPy
   appears at the cohort boundary alone: the seed gather, and the flush.
   A seeded balance is only as good as the store is still: every flush
@@ -68,7 +79,7 @@ pillars:
 * **Fee-aware staging.**  Per-hop lock amounts come from
   :meth:`CompiledPath.hop_amounts
   <repro.engine.pathtable.CompiledPath.hop_amounts>` — the *same* reverse
-  fee recurrence ``send_unit``/``send_atomic`` call — and the eager lock's
+  fee recurrence ``send_unit`` calls — and the eager lock's
   semantics are replicated comparison for comparison:
   feasibility is ``amount <= balance + 1e-9`` on an unfrozen hop, the
   booked actual is ``min(amount, balance)`` (the store's own clamp), and
@@ -99,36 +110,25 @@ pillars:
 * **Exact fallback.**  Whatever cannot be replayed falls back: staged
   sends flush first, then the scheme's own ``attempt`` runs against live
   state, exactly as the sequential loop would have at that payment's
-  turn.  After the failed-lock replay this is reduced to degenerate path
-  sets (no probe) and non-finite lock amounts (where ``lock_path``
-  raises ``ChannelError``).  As a backstop for the probing rules, a
-  payment whose probe is older than the store's version stamp — the store
-  moved mid-cohort — lands what is staged, drops the overlay and
-  re-probes before it replays.  Schemes without a declared
-  ``cohort_rule`` run their own ``attempt`` inside the cohort driver, in
-  cohort order.
+  turn.  This is reduced to degenerate path sets (no probe) and
+  non-finite lock amounts (where ``lock_path`` raises ``ChannelError``).
+  As a backstop for waterfilling, a payment whose probe is older than
+  the store's version stamp — the store moved mid-cohort — lands what is
+  staged, drops the overlay and re-probes before it replays.
 
-Decision rules covered (``RoutingScheme.cohort_rule``): ``"waterfilling"``
-(argmax/min replay, the original envelope), ``"shortest-path"``
-(``send_on_path`` replay over the pair's single path), ``"lnd"``
-(backwards-Dijkstra probe with residual-aware source availability,
-mission-control deltas applied at commit), and ``"spider-window"``
-(AIMD-window launch replay; first-hop ``try_lock`` fails clean, so this
-rule never stages failures — launches flush through ``lock_many`` and a
-cohort ``advance_many``).
-
-**Profiles are built in bulk.**  The replay works off one
-:class:`_PairProfile` per (source, dest) pair — its probe handle, compiled
-paths and two static facts (``cids``, ``fast_exact``).
+**Profiles are built in bulk.**  A replay works off one
+:class:`_PairProfile` per (source, dest) pair — its probe handle,
+compiled paths and every hop's channel row (``cids``).
 :meth:`DispatchPlan.prime` builds them for every pair of the trace during
 the untimed ``prepare()``: one
 :meth:`PathTable.compile_many <repro.engine.pathtable.PathTable.compile_many>`
-over all their paths (a batch kernel filling the path arena), one probe
-view per pair, then channel-disjointness for all pairs at once as a
-sorted ``(pair, cid)`` key reduction over one flat hop array.  The
-per-path channel sets the overlay needs are only built for a pair once
-staged traffic actually lands on its channels.  A pair first seen
-mid-run goes through the same builder as a batch of one.
+over all their paths (a batch kernel filling the path arena) and one
+probe view per pair.  The per-path channel sets the overlay needs are
+only built for a pair once staged traffic actually lands on its channels.
+A pair first seen mid-run goes through the same builder as a batch of
+one.  For a scheme that decides through its own ``attempt``, ``prime``
+warms the same compile and probe caches the sequential path reads and
+builds no profile.
 """
 
 from __future__ import annotations
@@ -162,23 +162,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["DispatchPlan"]
 
 #: Decision rules the batched driver can replay byte-identically.
-_BATCH_RULES = frozenset(
-    {"waterfilling", "shortest-path", "lnd", "spider-window"}
-)
-#: Rules whose replay works off a per-pair path-set profile (everything
-#: except LND, which searches paths per attempt instead of caching them).
-_PROFILE_RULES = frozenset({"waterfilling", "shortest-path", "spider-window"})
+_BATCH_RULES = frozenset({"waterfilling", "spider-window"})
 
 
 class _PairProfile:
     """Static dispatch facts about one (source, dest) pair's path set.
 
-    ``batchable`` only requires a real probe (every path has at least one
-    hop); fee-bearing and channel-overlapping sets are replayed against
-    the residual overlay.  ``fast_exact`` marks the fee-free,
-    channel-disjoint subset where the decremented estimate is provably the
-    live bottleneck and the replay collapses to the original argmax loop.
-    ``cids`` is every hop's channel row (what a cohort's touched set is
+    A pair replays when it has a real ``probe`` (every path has at least
+    one hop); ``None`` sends it to the scheme's own ``attempt``.  ``cids``
+    is every hop's channel row (what a cohort's touched set is
     tested against); the per-path ``path_cid_sets`` are only built once
     staged traffic actually lands on one of them (``None`` until then).
     ``windows`` is the spider-window scheme's
@@ -189,22 +181,18 @@ class _PairProfile:
     """
 
     __slots__ = (
-        "batchable",
         "probe",
         "cpaths",
         "cids",
         "path_cid_sets",
-        "fast_exact",
         "windows",
     )
 
     def __init__(self) -> None:
-        self.batchable = False
         self.probe: Optional[_ProbeCache] = None
         self.cpaths: List[CompiledPath] = []
         self.cids: Tuple[int, ...] = ()
         self.path_cid_sets: Optional[List[FrozenSet[int]]] = None
-        self.fast_exact = False
         self.windows: Optional[List["PathWindow"]] = None
 
 
@@ -216,14 +204,17 @@ class DispatchPlan:
         self.store = session.network.state_store
         self.table = session.network.path_table
         self._profiles: Dict[Tuple[int, int], _PairProfile] = {}
+        #: The replay this session's cohorts run (``None``: the scheme's
+        #: own ``attempt``), once :meth:`_replay_rule` has worked it out.
+        self._rule: Optional[str] = None
+        self._rule_decided = False
         # Struct-of-arrays staging: parallel lists appended in decision
-        # order, flushed through one ``lock_many``.  A ``None`` hop list
-        # means "broadcast the delivered amount" (fee-free send).
+        # order, flushed through one ``lock_many``.
         self._staged_payments: List[Payment] = []
         self._staged_cpaths: List[CompiledPath] = []
         self._staged_amounts: List[float] = []
         self._staged_fees: List[float] = []
-        self._staged_hop_amounts: List[Optional[List[float]]] = []
+        self._staged_hop_amounts: List[List[float]] = []
         #: Hop-by-hop unit launches staged by the spider-window replay:
         #: (payment, compiled path, delivered amount, first-hop actual).
         self._staged_launches: List[
@@ -238,13 +229,12 @@ class DispatchPlan:
         self._bal: Dict[int, float] = {}
         self._infl: Dict[int, float] = {}
         self._sent: Dict[int, float] = {}
-        #: Whether the overlay is open: staged sends are applied to it as
-        #: they are staged (before that the fee-free fast path defers
-        #: them, and the common disjoint cohort never opens it at all).
+        #: Whether the overlay is open (seeded, for waterfilling) since
+        #: the last flush.
         self._seeded = False
         #: Probe caches of the running cohort's path sets — the
         #: directions :meth:`_open_overlay` seeds ``_bal`` with.  Empty
-        #: for the rules that read lazily (LND, spider-window).
+        #: for the window rule, which reads lazily.
         self._cohort_probes: Sequence["_ProbeCache"] = ()
         #: Per-channel ``num_refunded`` increments from replayed failed
         #: locks (applied at flush).
@@ -255,8 +245,9 @@ class DispatchPlan:
         #: Channel ids whose state the overlay has perturbed since the
         #: last flush.
         self._touched_cids: Set[int] = set()
-        # Observability (surfaced via SimulationSession.dispatch_stats and
-        # the dispatch microbenchmark).
+        # Observability (surfaced via SimulationSession.dispatch_stats):
+        # cohorts and their payments count every cohort driven; the rest
+        # count replay work only.
         self.cohorts = 0
         self.cohort_payments = 0
         self.batched_units = 0
@@ -269,7 +260,8 @@ class DispatchPlan:
     # Cohort driver
     # ------------------------------------------------------------------
     def attempt_cohort(self, payments: Sequence[Payment]) -> None:
-        """Run the scheme's attempt for every payment, batching where safe.
+        """Run the scheme's attempt for every payment, replaying where it
+        pays (see :meth:`_replay_rule`).
 
         Payments are processed in cohort order; the observable effects are
         byte-identical to calling ``scheme.attempt`` per payment in that
@@ -277,42 +269,28 @@ class DispatchPlan:
         """
         if not payments:
             return
-        session = self.session
-        scheme = session.scheme
-        rule = getattr(scheme, "cohort_rule", None)
-        if rule not in _BATCH_RULES:
-            # No batched decision rule declared: the macro-tick driver
-            # still owns triage/reschedule batching, but decisions run
-            # through the scheme's own attempt, sequentially.
-            for payment in payments:
-                scheme.attempt(payment, session)
-            return
         self.cohorts += 1
         self.cohort_payments += len(payments)
-        if rule == "lnd":
+        session = self.session
+        rule = self._replay_rule()
+        if rule is None:
+            # No replay: the macro-tick driver still owns triage/reschedule
+            # batching, but decisions run through the scheme's own
+            # attempt, sequentially.
+            scheme = session.scheme
             for payment in payments:
-                self._attempt_lnd(payment)
-            self._flush()
-            return
-        if rule == "spider-window" and not hasattr(
-            getattr(session, "transport", None), "send_unit_hop_by_hop"
-        ):
-            # No hop transport attached: the scheme's attempt raises its
-            # own TypeError — reproduce it via the fallback.
-            for payment in payments:
-                self._fallback(payment)
-            self._flush()
+                scheme.attempt(payment, session)
             return
         store = self.store
         profiles = [
             self._profile(payment.source, payment.dest) for payment in payments
         ]
         # What a replay reads decides what is probed and what the overlay
-        # is seeded with: every hop for waterfilling and shortest-path,
-        # nothing for the window rule, which reads first hops lazily
-        # through the overlay like LND (and every flush drops the
-        # overlay), so its probe values are never read.
-        probed = rule != "spider-window"
+        # is seeded with: every hop for waterfilling, nothing for the
+        # window rule, which reads first hops lazily through the overlay
+        # (and every flush drops the overlay), so its probe values are
+        # never read.
+        probed = rule == "waterfilling"
         if probed:
             probes = [prof.probe for prof in profiles if prof.probe is not None]
             self.table.refresh_probes(probes)
@@ -321,27 +299,49 @@ class DispatchPlan:
             self._cohort_probes = ()
         for payment, prof in zip(payments, profiles):
             probe = prof.probe
-            if not prof.batchable or probe is None:
+            if probe is None:
                 self._fallback(payment)
                 continue
-            if probed and probe.as_of != store.version:
-                # Version-stamp backstop: the store moved since the cohort
-                # probe.  Our own flushes drop the overlay themselves, so
-                # this is a fallback's attempt or an out-of-band
-                # mutation — either way every seeded balance is suspect:
-                # land what is staged, drop the overlay, re-probe live
-                # state.
-                self._flush()
-                self.table.refresh_probes((probe,))
-            if rule == "waterfilling":
-                ok = self._replay_waterfilling(payment, prof)
-            elif rule == "shortest-path":
-                ok = self._replay_shortest(payment, prof)
-            else:  # spider-window
-                ok = self._replay_window(payment, prof)
-            if not ok:
-                self._fallback(payment)
+            if probed:
+                if probe.as_of != store.version:
+                    # Version-stamp backstop: the store moved since the
+                    # cohort probe.  Our own flushes drop the overlay
+                    # themselves, so this is a fallback's attempt or an
+                    # out-of-band mutation — either way every seeded
+                    # balance is suspect: land what is staged, drop the
+                    # overlay, re-probe live state.
+                    self._flush()
+                    self.table.refresh_probes((probe,))
+                if not self._replay_waterfilling(payment, prof):
+                    self._fallback(payment)
+            else:
+                self._replay_window(payment, prof)
         self._flush()
+
+    def _replay_rule(self) -> Optional[str]:
+        """The replay this session's cohorts run, or ``None`` for the
+        scheme's own ``attempt`` — worked out once, at :meth:`prime` or
+        the first cohort.
+
+        Only the two replays a benchmark workload shows paying are run:
+        waterfilling where some channel's fee schedule charges a fee, and
+        the window launch loop where a hop transport is attached (without
+        one the scheme's ``attempt`` raises its own ``TypeError``).
+        """
+        if not self._rule_decided:
+            self._rule_decided = True
+            session = self.session
+            rule = getattr(session.scheme, "cohort_rule", None)
+            if rule == "waterfilling":
+                fees = session.network.direction_index()
+                if not fees.fee_bearing.any():
+                    rule = None
+            elif rule == "spider-window":
+                transport = getattr(session, "transport", None)
+                if not hasattr(transport, "send_unit_hop_by_hop"):
+                    rule = None
+            self._rule = rule if rule in _BATCH_RULES else None
+        return self._rule
 
     def _fallback(self, payment: Payment) -> None:
         """Sequential fallback: land staged sends first so this attempt
@@ -357,15 +357,13 @@ class DispatchPlan:
     # Residual overlay
     # ------------------------------------------------------------------
     def _open_overlay(self) -> None:
-        """Seed the overlay the first time a replay needs it.
+        """Open the overlay the first time a replay needs it.
 
         One gather reads the balance of every direction the cohort's path
-        sets cover, so the replay's reads are plain ``_bal[d]`` lookups;
-        the sends the fee-free fast path staged before this point (it
-        never reads the overlay) are then folded in, in staging order —
-        the same float64 arithmetic ``lock_many`` performs at flush.  From
-        here to the flush :meth:`_stage_send` books such sends as it
-        stages them.
+        sets cover, so the replay's reads are plain ``_bal[d]`` lookups
+        (the window rule has no cohort probes and fills ``_bal`` lazily).
+        From here to the flush every staged lock is booked as it is
+        replayed.
         """
         if self._seeded:
             return
@@ -380,8 +378,6 @@ class DispatchPlan:
             self._bal.update(
                 zip(dirs.tolist(), self.store.balance_flat[dirs].tolist())
             )
-        for cpath, amount in zip(self._staged_cpaths, self._staged_amounts):
-            self._book(cpath.dir_list, [amount] * len(cpath))
 
     def _book(self, hops: Sequence[int], amounts: Sequence[float]) -> None:
         """Apply one lock's per-hop arithmetic to the overlay (``amounts``
@@ -405,16 +401,8 @@ class DispatchPlan:
 
     def _availability(self, d: int) -> float:
         """Residual spendable funds (0 where frozen) — what
-        ``store.availability`` would report after a flush.  The lazy
-        read: a direction the seed did not cover is read from the live
-        store once and kept."""
-        store = self.store
-        value = self._bal.get(d)
-        if value is None:
-            value = self._bal[d] = store.balance_flat.item(d)
-        if store.frozen_count and store.frozen[d >> 1]:
-            return 0.0
-        return value
+        ``store.availability`` would report after a flush."""
+        return 0.0 if self.store.frozen[d >> 1] else self._bal[d]
 
     def _bottleneck(self, cpath: "CompiledPath") -> float:
         """Residual bottleneck of one path — ``network.bottleneck`` as the
@@ -438,7 +426,6 @@ class DispatchPlan:
         est = probe.values_list.copy()
         touched = self._touched_cids
         if touched and not touched.isdisjoint(prof.cids):
-            self._open_overlay()
             path_cid_sets = prof.path_cid_sets
             if path_cid_sets is None:
                 path_cid_sets = prof.path_cid_sets = [
@@ -469,8 +456,7 @@ class DispatchPlan:
 
         Callers must have validated ``required`` positive and finite
         (:meth:`_valid_lock_amounts`) and opened the overlay; every hop
-        must be in ``_bal`` (the seed covers the cohort's path sets,
-        LND's unfunded-hop scan loads its own).
+        must be in ``_bal`` (the seed covers the cohort's path sets).
         """
         store = self.store
         bal = self._bal
@@ -532,24 +518,16 @@ class DispatchPlan:
         cpath: "CompiledPath",
         amount: float,
         fee: float,
-        actuals: Optional[List[float]],
+        actuals: List[float],
     ) -> None:
-        """Stage one successful send.  ``actuals=None`` marks the
-        fee-free broadcast case: booked on the overlay here if it is open,
-        folded in by :meth:`_open_overlay` otherwise; a non-``None`` value
-        means :meth:`_replay_lock` already booked it.
-        """
+        """Stage one successful send; :meth:`_replay_lock` has already
+        booked its per-hop ``actuals`` on the overlay."""
         payment.register_inflight(amount)
         self._staged_payments.append(payment)
         self._staged_cpaths.append(cpath)
         self._staged_amounts.append(amount)
         self._staged_fees.append(fee)
         self._staged_hop_amounts.append(actuals)
-        if actuals is None:
-            if self._seeded:
-                self._book(cpath.dir_list, [amount] * len(cpath))
-            else:
-                self._touched_cids.update([d >> 1 for d in cpath.dir_list])
 
     # ------------------------------------------------------------------
     # Waterfilling replay
@@ -567,15 +545,8 @@ class DispatchPlan:
         config = self.session.config
         min_unit = config.min_unit_value
         mtu = config.mtu
-        est = self._estimates(prof)
-        if prof.fast_exact and self._touched_cids.isdisjoint(prof.cids):
-            # Fee-free, channel-disjoint, no staged traffic on its
-            # channels: the decremented estimate IS the live bottleneck
-            # (monotone IEEE-754 subtraction keeps the min on the locked
-            # hop), so no veto and no lock failure can occur.
-            self._fast_waterfilling(payment, prof, est)
-            return True
         self._open_overlay()
+        est = self._estimates(prof)
         cpaths = prof.cpaths
         remaining = payment.remaining  # moves only when a send is staged
         while remaining >= min_unit:
@@ -608,163 +579,10 @@ class DispatchPlan:
                 est[best] = fresh
         return True
 
-    def _fast_waterfilling(
-        self, payment: Payment, prof: _PairProfile, est: List[float]
-    ) -> None:
-        """The original exact-estimate loop for fee-free disjoint sets
-        (never fails, never falls back)."""
-        config = self.session.config
-        min_unit = config.min_unit_value
-        mtu = config.mtu
-        cpaths = prof.cpaths
-        remaining = payment.remaining  # moves only when a send is staged
-        while remaining >= min_unit:
-            headroom = max(est)
-            if headroom < min_unit:
-                break
-            best = est.index(headroom)  # first maximum, as np.argmax
-            amount = min(headroom, remaining, mtu)
-            if amount < min_unit:
-                # Scalar parity: send_unit refuses the dust send, the
-                # fresh probe matches the estimate, and the path is
-                # retired for this round.
-                est[best] = 0.0
-                continue
-            self._stage_send(payment, cpaths[best], amount, 0.0, None)
-            est[best] -= amount
-            remaining = payment.remaining
-
-    # ------------------------------------------------------------------
-    # Shortest-path replay
-    # ------------------------------------------------------------------
-    def _replay_shortest(self, payment: Payment, prof: _PairProfile) -> bool:
-        """Replay :meth:`ShortestPathScheme.attempt
-        <repro.routing.shortest_path.ShortestPathScheme.attempt>` —
-        ``send_on_path`` over the pair's single path, re-probing the
-        residual bottleneck before every unit exactly as the sequential
-        loop re-probes the live store.  A failed lock replays its side
-        effects and stops the loop, as the ``send_unit`` → ``False`` →
-        ``break`` sequence does."""
-        config = self.session.config
-        min_unit = config.min_unit_value
-        mtu = config.mtu
-        cpath = prof.cpaths[0]
-        self._open_overlay()
-        while payment.remaining >= min_unit:
-            available = self._bottleneck(cpath)
-            amount = min(available, payment.remaining, mtu)
-            if amount < min_unit:
-                break
-            required = cpath.hop_amounts(amount)
-            fee = required[0] - amount
-            if fee > 0 and not payment.fee_budget_allows(fee):
-                break  # send_unit returns False → send_on_path stops
-            if not self._valid_lock_amounts(required):
-                return False  # lock_path raises ChannelError
-            actuals = self._replay_lock(cpath, required)
-            if actuals is None:
-                break  # failed lock (effects replayed) → send_on_path breaks
-            self._stage_send(payment, cpath, amount, fee, actuals)
-        return True
-
-    # ------------------------------------------------------------------
-    # LND replay
-    # ------------------------------------------------------------------
-    def _attempt_lnd(self, payment: Payment) -> None:
-        """Replay :meth:`LndScheme.attempt
-        <repro.routing.lnd.LndScheme.attempt>` in probe mode.
-
-        The backwards Dijkstra runs with a residual-aware source
-        availability callable; retry-loop side effects (attempt counters,
-        mission-control failure stamps) accumulate locally and apply once
-        the payment reaches its committed outcome — ``pruned`` is
-        payment-local in ``LndScheme.attempt``, so the deferral is invisible
-        within the payment, and the deltas land before the next payment's
-        replay starts.
-        """
-        session = self.session
-        scheme = cast(Any, session.scheme)
-        network = session.network
-        self._open_overlay()
-        now = session.now
-        pruned: Set[Tuple[int, int]] = set()
-        attempts_delta = 0
-        failures_delta = 0
-        mission_updates: List[Tuple[int, int]] = []
-        failed = False
-        for _ in range(scheme.max_attempts):
-            attempts_delta += 1
-            path = scheme._find_path(
-                network,
-                payment.source,
-                payment.dest,
-                payment.amount,
-                pruned,
-                now,
-                avail=self._available_between,
-            )
-            if path is None:
-                failed = True
-                break
-            cpath = self.table.compile(path)
-            amount = payment.amount
-            required = cpath.hop_amounts(amount)
-            failing_index: Optional[int] = None
-            for i, (d, req) in enumerate(zip(cpath.dir_list, required)):
-                if self._availability(d) + 1e-9 < req:
-                    failing_index = i
-                    break
-            if failing_index is None:
-                # send_atomic([(path, amount)]) replica.
-                if amount <= 1e-9:
-                    break  # zero units locked: send_atomic returns True
-                fee = required[0] - amount
-                if fee > 0 and not payment.fee_budget_allows(fee):
-                    failed = True  # fee veto → no lock → fail_payment
-                    break
-                if not self._valid_lock_amounts(required):
-                    # lock_path raises ChannelError — let it.
-                    scheme.attempts_used += attempts_delta - 1
-                    self._fallback(payment)
-                    return
-                actuals = self._replay_lock(cpath, required)
-                if actuals is None:
-                    # The unfunded-hop scan and the lock disagree only in
-                    # the frozen/epsilon corner; the failure's side
-                    # effects are replayed and send_atomic returns False
-                    # → fail_payment.
-                    failed = True
-                    break
-                payment.register_inflight(amount)
-                self._staged_payments.append(payment)
-                self._staged_cpaths.append(cpath)
-                self._staged_amounts.append(amount)
-                self._staged_fees.append(fee)
-                self._staged_hop_amounts.append(actuals)
-                break
-            failures_delta += 1
-            hop = (path[failing_index], path[failing_index + 1])
-            pruned.add(hop)
-            if scheme.forget_time > 0:
-                mission_updates.append(hop)
-        else:
-            failed = True  # retry budget exhausted
-        scheme.attempts_used += attempts_delta
-        scheme.failures_reported += failures_delta
-        for hop in mission_updates:
-            scheme._mission_control[hop] = now
-        if failed:
-            session.fail_payment(payment)
-
-    def _available_between(self, u: int, v: int) -> float:
-        """Residual ``network.available(u, v)`` for the LND source check."""
-        cid, side = self.session.network.channel_id(u, v)
-        return self._availability(2 * cid + side)
-
     # ------------------------------------------------------------------
     # Spider-window replay
     # ------------------------------------------------------------------
-    def _replay_window(self, payment: Payment, prof: _PairProfile) -> bool:
+    def _replay_window(self, payment: Payment, prof: _PairProfile) -> None:
         """Replay :meth:`WindowedSpiderScheme.attempt
         <repro.core.window_control.WindowedSpiderScheme.attempt>`.
 
@@ -826,7 +644,6 @@ class DispatchPlan:
                 remaining = payment.remaining
                 state.inflight += amount
                 headroom = max(0.0, state.window - state.inflight)
-        return True
 
     # ------------------------------------------------------------------
     # Flush
@@ -852,22 +669,18 @@ class DispatchPlan:
             cpaths = self._staged_cpaths
             amounts = self._staged_amounts
             hop_lists = self._staged_hop_amounts
-            for i, hop_list in enumerate(hop_lists):
-                if hop_list is None:
-                    hop_lists[i] = [amounts[i]] * len(cpaths[i])
-            flat_lists = cast(List[List[float]], hop_lists)
             if self._has_failed_locks:
                 self._write_back_overlay()
             elif len(staged) == 1:
-                store.lock_many(cpaths[0].dir_list, flat_lists[0])
+                store.lock_many(cpaths[0].dir_list, hop_lists[0])
             else:
                 store.lock_many(
                     [d for cpath in cpaths for d in cpath.dir_list],
-                    [a for hop_list in flat_lists for a in hop_list],
+                    [a for hop_list in hop_lists for a in hop_list],
                 )
             now = session.sim.now
             for payment, cpath, amount, fee, hop_list in zip(
-                staged, cpaths, amounts, self._staged_fees, flat_lists
+                staged, cpaths, amounts, self._staged_fees, hop_lists
             ):
                 unit = TransactionUnit.create(
                     payment=payment,
@@ -883,7 +696,7 @@ class DispatchPlan:
             cpaths.clear()
             amounts.clear()
             self._staged_fees.clear()
-            self._staged_hop_amounts.clear()
+            hop_lists.clear()
         elif self._has_failed_locks:
             # A replay can end in failures only (every lock attempt
             # bounced): their side effects still have to land.
@@ -935,20 +748,34 @@ class DispatchPlan:
     # Profiles
     # ------------------------------------------------------------------
     def prime(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """Pre-build dispatch profiles (and their probe caches) for
-        ``pairs`` — called from ``SimulationSession.prepare`` right after
-        the path prefetch, so first-attempt cohorts skip per-pair path
-        compilation entirely.  Profiles are static facts about static
-        path sets; building them early changes nothing observable."""
-        if (
-            getattr(self.session.scheme, "cohort_rule", None)
-            not in _PROFILE_RULES
-        ):
-            return
-        profiles = self._profiles
-        self._build_profiles(
-            list(dict.fromkeys(pair for pair in pairs if pair not in profiles))
-        )
+        """Warm what this session's cohorts read for ``pairs`` — called
+        from ``SimulationSession.prepare`` right after the path prefetch,
+        so the first cohorts skip per-pair path compilation entirely.
+
+        A replay gets its dispatch profiles.  A scheme that decides
+        through its own ``attempt`` gets the caches its sequential path
+        reads: one batch compile of the pairs' path sets and one probe
+        handle per set.  Both are static facts about static path sets;
+        building them early changes nothing observable."""
+        if self._replay_rule() is not None:
+            profiles = self._profiles
+            self._build_profiles(
+                list(dict.fromkeys(pair for pair in pairs if pair not in profiles))
+            )
+        elif getattr(self.session.scheme, "path_cache", None) is not None:
+            self._warm(list(dict.fromkeys(pairs)))
+
+    def _warm(
+        self, pairs: List[Tuple[int, int]]
+    ) -> List[Optional["_ProbeCache"]]:
+        """One batch compile of every path of ``pairs``' path sets, then
+        each set's probe handle (``None`` for an empty or degenerate
+        set)."""
+        paths_of = self.session.scheme.path_cache.paths
+        path_sets = [paths_of(source, dest) for source, dest in pairs]
+        table = self.table
+        table.compile_many(path_sets)
+        return [table.probe_handle(paths) if paths else None for paths in path_sets]
 
     def _profile(self, source: int, dest: int) -> _PairProfile:
         key = (source, dest)
@@ -960,45 +787,25 @@ class DispatchPlan:
 
     def _build_profiles(self, pairs: List[Tuple[int, int]]) -> None:
         """Profile ``pairs`` in bulk: one batch compile of all their
-        paths, one probe view per pair, then ``cids``/``fast_exact`` for
-        every batchable pair from one flat array of their hops."""
-        paths_of = self.session.scheme.path_cache.paths
-        path_sets = [paths_of(source, dest) for source, dest in pairs]
-        table = self.table
-        table.compile_many(path_sets)
+        paths, one probe view per pair, then every hop's channel row from
+        one flat array of their hops."""
         profiles = self._profiles
-        batchable: List[_PairProfile] = []
-        probes: List[_ProbeCache] = []
-        for pair, paths in zip(pairs, path_sets):
+        probed: List[_PairProfile] = []
+        dirs: List[np.ndarray] = []
+        for pair, probe in zip(pairs, self._warm(pairs)):
             prof = profiles[pair] = _PairProfile()
-            probe = table.probe_handle(paths) if paths else None
             if probe is not None:
-                prof.batchable = True
                 prof.probe = probe
                 prof.cpaths = probe.cpaths
-                batchable.append(prof)
-                probes.append(probe)
-        if not batchable:
+                probed.append(prof)
+                dirs.append(probe.dirs)
+        if not probed:
             return
-        cids = np.concatenate([probe.dirs for probe in probes]) >> 1
-        hop_counts = np.array([probe.dirs.shape[0] for probe in probes])
-        # A channel used twice by one pair is a repeated (pair, cid) key:
-        # adjacent once sorted.
-        keys = np.repeat(np.arange(len(probes)), hop_counts) * len(self.store)
-        keys += cids
-        keys.sort()
-        shared = np.zeros(len(probes), dtype=bool)
-        shared[keys[1:][keys[1:] == keys[:-1]] // len(self.store)] = True
         pool = self.session.network.direction_index().int_pool
-        cid_list = tuple(map(pool.__getitem__, cids.tolist()))
-        ends = np.cumsum(hop_counts).tolist()
-        for prof, start, end, overlap in zip(
-            batchable, [0] + ends, ends, shared.tolist()
-        ):
+        cid_list = tuple(map(pool.__getitem__, (np.concatenate(dirs) >> 1).tolist()))
+        ends = np.cumsum([hops.shape[0] for hops in dirs]).tolist()
+        for prof, start, end in zip(probed, [0] + ends, ends):
             prof.cids = cid_list[start:end]
-            prof.fast_exact = not overlap and all(
-                cpath.fee_free for cpath in prof.cpaths
-            )
 
     # ------------------------------------------------------------------
     # End-of-run invariant

@@ -439,12 +439,13 @@ class SimulationSession:
     def dispatch_stats(self) -> Dict[str, int]:
         """Batched-dispatch counters for observability.
 
-        Keys: ``cohorts`` (attempt cohorts driven), ``cohort_payments``
-        (payments entering those cohorts), ``batched_units`` (units
-        executed through the staged ``lock_many`` path),
-        ``scalar_fallbacks`` (payments that dropped to the scheme's
-        sequential ``attempt``), ``replayed_locks`` (path locks the
-        cohort replay attempted against its residual overlay) and
+        Keys: ``cohorts`` (every attempt cohort driven, replayed or not)
+        and ``cohort_payments`` (payments entering them); the rest count
+        replay work only — ``batched_units`` (units executed through the
+        staged ``lock_many`` path), ``scalar_fallbacks`` (payments a
+        replay handed back to the scheme's own ``attempt``; a scheme that
+        does not replay is not a fallback), ``replayed_locks`` (path
+        locks the replay attempted against its residual overlay) and
         ``failed_locks`` (those that bounced off a frozen or under-funded
         hop — the wasted share of the former).  Deliberately *not* part of
         :class:`~repro.metrics.collectors.ExperimentMetrics`: they count

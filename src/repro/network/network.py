@@ -268,7 +268,7 @@ class PaymentNetwork:
 
         Routing schemes, fluid solvers and metrics collectors can read
         (vectorised) channel state here without copying; row indices come
-        from :meth:`channel_id` / :attr:`PaymentChannel.channel_id`.
+        from :meth:`direction` / :attr:`PaymentChannel.channel_id`.
         """
         return self._store
 
@@ -281,10 +281,6 @@ class PaymentNetwork:
             return self._directions[(u, v)]
         except KeyError:
             raise TopologyError(f"no channel between {u!r} and {v!r}") from None
-
-    def channel_id(self, u: NodeId, v: NodeId) -> Tuple[int, int]:
-        """``(store row, u's store column)`` for the ``u → v`` direction."""
-        return self.direction(u, v)[1:]
 
     def direction_index(self) -> DirectionIndex:
         """The array twin of :meth:`direction` plus the per-direction fee

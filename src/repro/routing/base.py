@@ -44,14 +44,17 @@ class RoutingScheme(abc.ABC):
     #: schemes pass the transport's constructor arguments through an
     #: optional ``runtime_kwargs()`` method.
     transport: Optional[str] = None
-    #: Name of the vectorised cohort decision rule the session's
-    #: :class:`~repro.engine.dispatch.DispatchPlan` may use in place of
-    #: per-payment :meth:`attempt` calls when draining a same-tick cohort
-    #: (``"waterfilling"``, ``"shortest-path"``, ``"lnd"`` or
-    #: ``"spider-window"``).  ``None`` means the dispatch layer drives
-    #: :meth:`attempt` sequentially — still batched at the event level,
-    #: with bit-identical results.  Declaring a rule is a promise that the
-    #: batched replay reproduces :meth:`attempt`'s decisions byte for
+    #: Name of the cohort replay the session's
+    #: :class:`~repro.engine.dispatch.DispatchPlan` may run in place of
+    #: per-payment :meth:`attempt` calls when draining a same-tick cohort.
+    #: There are two, each kept because a benchmark workload shows it
+    #: pays: ``"waterfilling"`` (replayed only on a network where some
+    #: channel charges a fee — 1.26× faster than sequential on
+    #: ``ripple-full-fees-warm``) and ``"spider-window"`` (the launch
+    #: loop, 1.15× on ``isp-window``).  ``None`` means the dispatch layer
+    #: drives :meth:`attempt` sequentially — still batched at the event
+    #: level, with bit-identical results.  Declaring a rule is a promise
+    #: that the replay reproduces :meth:`attempt`'s decisions byte for
     #: byte — fees, shared channels, frozen hops and all; the parity
     #: suite in ``tests/engine/test_dispatch.py`` enforces it.
     cohort_rule: Optional[str] = None

@@ -27,18 +27,17 @@ __all__ = ["ShortestPathScheme"]
 class ShortestPathScheme(RoutingScheme):
     """Single-shortest-path, non-atomic, queue-and-retry routing.
 
-    Declares ``cohort_rule = "shortest-path"``: the decision sequence is
-    ``send_on_path`` over one static path — a bottleneck re-probe before
-    every unit — which the session's
-    :class:`~repro.engine.dispatch.DispatchPlan` replays against its
-    residual-capacity overlay for whole same-tick cohorts (one grouped
-    probe, one scatter-add lock), byte-identical to this method.
+    The decision sequence is ``send_on_path`` over one static path — a
+    bottleneck re-probe before every unit.  The session's
+    :class:`~repro.engine.dispatch.DispatchPlan` runs this method per
+    payment: a cohort replay of it measured no faster (isp, 30k payments:
+    2.91/2.84 s sequential vs 3.66/2.84 s replayed), so the scheme
+    declares no ``cohort_rule``.
     """
 
     name = "shortest-path"
     atomic = False
     num_paths = 1
-    cohort_rule = "shortest-path"
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         path = self.path_cache.shortest(payment.source, payment.dest)

@@ -78,14 +78,14 @@ class TestChannelPriceState:
 class TestControlPlanePrices:
     def test_path_price_sums_hops(self, network, control):
         for (u, v), mu in (((0, 1), 0.2), ((1, 2), 0.3)):
-            cid, side = network.channel_id(u, v)
+            cid, side = network.direction(u, v)[1:]
             control.state.mu[cid, side] = mu
         assert control.path_price([0, 1, 2]) == pytest.approx(0.5)
 
     def test_observe_path_feeds_both_hops(self, network, control):
         control.observe_path([0, 1, 2], 10.0)
         for u, v in ((0, 1), (1, 2)):
-            assert control.state.window[network.channel_id(u, v)] == 10.0
+            assert control.state.window[network.direction(u, v)[1:]] == 10.0
 
     def test_update_prices_moves_prices(self, control):
         control.observe_path([0, 1], 500.0)

@@ -1,12 +1,15 @@
 """Macro-tick dispatch parity tests (batched replay ⇔ sequential attempts).
 
-The :class:`~repro.engine.dispatch.DispatchPlan` replays each declared
-``cohort_rule`` (grouped probes, staged scatter-add locks); its reference
-is the same session with ``scheme.cohort_rule = None``, where the plan
-runs the scheme's own ``attempt`` per payment, in cohort order.
-Everything here pins the two byte-for-byte on serialised metrics — and,
-below the metrics, bit for bit on the final store arrays — for every
-batched rule, including runs that force the interesting regimes:
+The :class:`~repro.engine.dispatch.DispatchPlan` has two cohort replays
+(grouped probes, staged scatter-add locks): waterfilling on a network
+where some channel charges a fee, and the spider-window launch loop.
+Every other scheme and network runs the scheme's own ``attempt`` per
+payment, in cohort order — which is also the replays' reference: the
+same session with ``scheme.cohort_rule = None``.  Which runs where is
+pinned by :func:`test_replay_runs_only_where_it_pays`.
+Everything else here pins the two arms byte-for-byte on serialised
+metrics — and, below the metrics, bit for bit on the final store arrays —
+for both replays, including runs that force the interesting regimes:
 mid-cohort conflict groups (shared-channel pairs replayed against the
 plan's residual-capacity overlay), fee-bearing and frozen topologies
 (staged with per-hop fee schedules), and resolution flushes landing on the
@@ -36,14 +39,16 @@ from repro.metrics.report import metrics_to_json
 from repro.errors import InsufficientFundsError, SimulationError
 from repro.workload.generator import TransactionRecord
 
-#: Schemes whose decision rule the DispatchPlan replays batched (every
-#: declared ``cohort_rule``); the parity tests sweep exactly these.
-BATCHED_SCHEMES = [
-    "spider-waterfilling",
-    "shortest-path",
-    "lnd",
-    "spider-window",
-]
+#: A fee schedule on every channel: what makes waterfilling replay.
+FEES = dict(base_fee=0.01, fee_rate=0.001, max_fee_fraction=0.25)
+
+#: The schemes the DispatchPlan replays, each with the config overrides
+#: that make it replay (waterfilling only where some channel charges a
+#: fee); the parity tests sweep exactly these.
+BATCHED_SCHEMES = {
+    "spider-waterfilling": FEES,
+    "spider-window": {},
+}
 
 
 def _config(**overrides):
@@ -113,8 +118,8 @@ def _assert_modes_agree(config, mutate=None):
     store bits — and the batched arm really ran batched."""
     fast_json, fast_store, fast_stats = _run(config, batched=True, mutate=mutate)
     slow_json, slow_store, slow_stats = _run(config, batched=False, mutate=mutate)
-    assert fast_stats["cohorts"] > 0
-    assert slow_stats["cohorts"] == 0
+    assert fast_stats["batched_units"] > 0
+    assert slow_stats["batched_units"] == 0
     assert fast_json == slow_json
     _assert_same_store(fast_store, slow_store)
 
@@ -125,11 +130,16 @@ def test_dispatch_modes_byte_identical(scheme, topology):
     """Batched replay and sequential attempts serialise identically.
 
     ``line-5`` forces every pair through shared channels (constant
-    mid-cohort conflicts, heavy fallback traffic); ``ripple-small`` gives
-    channel-disjoint path sets real batched coverage.
+    mid-cohort conflicts); ``ripple-small`` gives channel-disjoint path
+    sets real batched coverage.
     """
     _assert_modes_agree(
-        _config(scheme=scheme, topology=topology, num_transactions=150)
+        _config(
+            scheme=scheme,
+            topology=topology,
+            num_transactions=150,
+            **BATCHED_SCHEMES[scheme],
+        )
     )
 
 
@@ -152,12 +162,7 @@ def test_dispatch_parity_with_random_fees_and_frozen_channels(scheme):
             channel.freeze()
 
     config = _config(
-        scheme=scheme,
-        topology="ripple-small",
-        num_transactions=150,
-        base_fee=0.01,
-        fee_rate=0.001,
-        max_fee_fraction=0.25,
+        scheme=scheme, topology="ripple-small", num_transactions=150, **FEES
     )
     _assert_modes_agree(config, mutate=freeze_some)
 
@@ -169,42 +174,59 @@ def test_dispatch_parity_fee_bearing_shared_channels(scheme):
     ``line-5`` forces every pair through the same channels, so each
     cohort is one big conflict group: every payment's replay must read
     the residual capacities left by the payments staged before it, with
-    per-hop fee-inclusive amounts.  This is the regime PR 6 sent
-    wholesale to the scalar fallback.
+    per-hop fee-inclusive amounts.
     """
-    config = _config(
-        scheme=scheme,
-        topology="line-5",
-        num_transactions=150,
-        base_fee=0.01,
-        fee_rate=0.001,
-        max_fee_fraction=0.25,
-    )
+    config = _config(scheme=scheme, topology="line-5", num_transactions=150, **FEES)
     _assert_modes_agree(config)
+
+
+def test_dispatch_parity_where_only_some_channels_charge_fees():
+    """A network where an eighth of the channels charge a fee makes waterfilling
+    replay, and the path sets that avoid every fee-charging channel go
+    through the same residual overlay as the rest.  Both arms agree byte
+    for byte, and the run really held such fee-free path sets."""
+    import random
+
+    def charge_some(network):
+        rng = random.Random(5)
+        channels = list(network.channels())
+        for channel in rng.sample(channels, len(channels) // 8):
+            channel.base_fee = 0.01
+            channel.fee_rate = 0.001
+
+    config = _config(
+        topology="ripple-small", num_transactions=150, max_fee_fraction=0.25
+    )
+    _assert_modes_agree(config, mutate=charge_some)
+    session = _session(config, mutate=charge_some)
+    session.run()
+    profiles = session._dispatch._profiles.values()
+    fee_free = [
+        all(cpath.fee_free for cpath in prof.cpaths)
+        for prof in profiles
+        if prof.probe is not None
+    ]
+    assert any(fee_free) and not all(fee_free)
 
 
 def test_mid_cohort_conflicts_batch_through_residual_replay():
     """Shared-channel cohorts batch instead of falling back.
 
-    On ``line-5`` every payment's paths share channels — under PR 6 that
-    meant flush-then-scalar for the whole cohort; the residual replay now
-    stages those conflict groups, so batched units flow and the fallback
-    counter stays at zero (waterfilling decisions clamp to the residual
-    bottleneck, so no lock failure can be predicted).  ``ripple-small``
-    pins the disjoint fast path alongside.  The parity tests above would
-    pass vacuously if the batched arm were dead — this pins the counters,
-    and the session's ``dispatch_stats`` accessor with them.
+    On ``line-5`` every payment's paths share channels; the residual
+    replay stages those conflict groups, so batched units flow and the
+    fallback counter stays at zero.  The parity tests above would pass
+    vacuously if the batched arm were dead — this pins the counters, and
+    the session's ``dispatch_stats`` accessor with them.
 
-    The fee-bearing cases hold every declared cohort rule to the same
-    zero: fee-inclusive per-hop amounts, fee-budget vetoes and failed
-    eager locks are all replayed in the batch, so no fee-bearing payment
-    may drop to the scheme's scalar ``attempt``.
+    Fee-bearing waterfilling and window cohorts are held to that zero:
+    fee-inclusive per-hop amounts, fee-budget vetoes and failed eager
+    locks are all replayed in the batch, so no payment may drop to the
+    scheme's scalar ``attempt``.
     """
-    fees = dict(base_fee=0.01, fee_rate=0.001, max_fee_fraction=0.25)
-    cases = [dict(topology=topology) for topology in ["line-5", "ripple-small"]]
+    cases = [dict(topology=topology, **FEES) for topology in ["line-5", "ripple-small"]]
     cases += [
-        dict(scheme=scheme, topology=topology, capacity=400.0, seed=1, **fees)
-        for scheme in ["spider-waterfilling", "shortest-path", "lnd", "spider-window"]
+        dict(scheme=scheme, topology=topology, capacity=400.0, seed=1, **FEES)
+        for scheme in BATCHED_SCHEMES
         for topology in ["line-5", "ripple-small", "isp"]
     ]
     for case in cases:
@@ -237,7 +259,9 @@ def test_unbatchable_pair_takes_scalar_fallback():
     of the cohort driver honest."""
     from repro.engine.dispatch import _PairProfile
 
-    config = _config(topology="ripple-small", num_transactions=10)
+    # An MTU below the fresh bottleneck leaves room for the upstream fees,
+    # so the scalar attempt's locks land instead of bouncing.
+    config = _config(topology="ripple-small", num_transactions=10, mtu=10.0, **FEES)
     network, records, scheme = config.build_simulation_inputs()
     session = SimulationSession(
         network, records, scheme, config.build_runtime_config()
@@ -257,8 +281,8 @@ def test_lock_counters_count_the_fee_regime():
 
     On the fee-bearing shared-channel line waterfilling offers the
     bottleneck and the fee-loaded upstream hops then need more than it
-    holds, so locks bounce; on fee-free ``ripple-small`` the offer is the
-    bottleneck itself and none can.
+    holds, so locks bounce; on fee-free ``ripple-small`` no lock can
+    bounce, so no replay runs at all.
     """
 
     def stats(**overrides):
@@ -267,13 +291,117 @@ def test_lock_counters_count_the_fee_regime():
         session.run()
         return session.dispatch_stats()
 
-    fees = stats(
-        topology="line-5", base_fee=0.01, fee_rate=0.001, max_fee_fraction=0.25
-    )
+    fees = stats(topology="line-5", **FEES)
     assert 0 < fees["failed_locks"] < fees["replayed_locks"]
     free = stats(topology="ripple-small")
-    assert free["replayed_locks"] > 0
-    assert free["failed_locks"] == 0
+    assert free["cohorts"] > 0
+    assert free["replayed_locks"] == free["batched_units"] == 0
+
+
+def test_replay_runs_only_where_it_pays(monkeypatch):
+    """The plan replays fee-bearing waterfilling and the window launch
+    loop, and nothing else: fee-free waterfilling, shortest-path and LND
+    decide through their own ``attempt`` (every cohort still counted),
+    with no replayed unit and — fee-free waterfilling — no cohort probe
+    refresh."""
+    from repro.engine.pathtable import PathTable
+
+    refreshes = []
+    refresh = PathTable.refresh_probes
+
+    def counting(self, probes):
+        refreshes.append(len(probes))
+        refresh(self, probes)
+
+    monkeypatch.setattr(PathTable, "refresh_probes", counting)
+
+    def stats(scheme, **overrides):
+        refreshes.clear()
+        config = _config(
+            scheme=scheme, topology="ripple-small", num_transactions=150, **overrides
+        )
+        session = SimulationSession.from_config(config)
+        session.run()
+        stats = session.dispatch_stats()
+        assert stats["cohorts"] > 0
+        assert stats["scalar_fallbacks"] == 0
+        return stats
+
+    free = stats("spider-waterfilling")
+    assert free["batched_units"] == free["replayed_locks"] == 0
+    assert not refreshes
+    assert stats("spider-waterfilling", **FEES)["batched_units"] > 0
+    assert refreshes
+    for scheme in ["shortest-path", "lnd"]:
+        for overrides in [{}, FEES]:
+            sequential = stats(scheme, **overrides)
+            assert sequential["batched_units"] == sequential["replayed_locks"] == 0
+    assert stats("spider-window")["batched_units"] > 0
+
+
+def test_replay_rule_is_worked_out_at_prime_or_the_first_cohort():
+    """A scheme with a path view decides in ``prepare`` (its ``prime``);
+    LND has none, so its plan decides at the first cohort."""
+    primed = _prepared(_config(topology="ripple-small", num_transactions=10))
+    assert primed._dispatch._rule_decided
+    config = _config(scheme="lnd", topology="ripple-small", num_transactions=10)
+    session = _prepared(config)
+    plan = session._dispatch
+    assert not plan._rule_decided
+    plan.attempt_cohort([session._new_payment(session.records[0])])
+    assert plan._rule_decided and plan._rule is None
+
+
+@pytest.mark.parametrize("scheme", ["spider-waterfilling", "shortest-path"])
+def test_prime_warms_the_sequential_path(scheme):
+    """For a scheme that does not replay, ``prepare`` compiles every path
+    the trace routes over and holds one probe handle per path set, and
+    builds no dispatch profile; the run then compiles no path and builds
+    no probe of its own."""
+    config = _config(scheme=scheme, topology="ripple-small", num_transactions=150)
+    session = _prepared(config)
+    table = session.network.path_table
+    compiled, probes = len(table._compiled), len(table._probes)
+    pairs = {(record.source, record.dest) for record in session.records}
+    assert probes == len(pairs)
+    assert not session._dispatch._profiles
+    session.run()
+    assert session.dispatch_stats()["batched_units"] == 0
+    assert (len(table._compiled), len(table._probes)) == (compiled, probes)
+
+
+def test_window_without_a_hop_transport_runs_its_own_attempt():
+    """With no hop transport attached the window rule does not replay:
+    the scheme's own ``attempt`` raises its ``TypeError``, and no
+    fallback is counted."""
+    from repro.core.window_control import WindowedSpiderScheme
+    from repro.topology.generators import line_topology
+
+    network = line_topology(3).build_network(default_capacity=100.0)
+    session = SimulationSession(network, [], WindowedSpiderScheme())
+    plan = session._dispatch
+    payment = Payment(payment_id=1, source=0, dest=2, amount=1.0, arrival_time=0.0)
+    with pytest.raises(TypeError):
+        plan.attempt_cohort([payment])
+    assert plan._rule is None
+    assert plan.scalar_fallbacks == 0
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    ["spider-waterfilling", "spider-window", "shortest-path", "lnd", "spider-amp"],
+)
+def test_cohort_counters_count_every_attempt(scheme):
+    """``cohort_payments`` is every attempt the session made, whether the
+    cohort replayed or ran the scheme's own ``attempt`` — a scheme that
+    declares no ``cohort_rule`` at all included."""
+    config = _config(scheme=scheme, topology="ripple-small", num_transactions=150)
+    session = _session(config)
+    session.run()
+    stats = session.dispatch_stats()
+    attempts = sum(payment.attempts for payment in session.payments.values())
+    assert stats["cohort_payments"] == attempts > 0
+    assert 0 < stats["cohorts"] <= attempts
 
 
 def _prepared(config, batched=True):
@@ -282,7 +410,7 @@ def _prepared(config, batched=True):
     return session
 
 
-@pytest.mark.parametrize("scheme", ["spider-waterfilling", "shortest-path"])
+@pytest.mark.parametrize("scheme", ["spider-waterfilling"])
 def test_mid_cohort_fallback_drops_the_seeded_overlay(scheme):
     """A scalar fallback between two replays leaves no stale balance.
 
@@ -295,14 +423,7 @@ def test_mid_cohort_fallback_drops_the_seeded_overlay(scheme):
     """
     from repro.engine.dispatch import _PairProfile
 
-    config = _config(
-        scheme=scheme,
-        topology="line-5",
-        num_transactions=40,
-        base_fee=0.01,
-        fee_rate=0.001,
-        max_fee_fraction=0.25,
-    )
+    config = _config(scheme=scheme, topology="line-5", num_transactions=40, **FEES)
     fast = _prepared(config)
     slow = _prepared(config, batched=False)
     # 100 spendable per direction: the first payment takes 60 off every
@@ -334,7 +455,7 @@ def _forbid_probe_refresh(monkeypatch):
     from repro.engine.pathtable import PathTable
 
     def refuse(self, probes):
-        raise AssertionError("a window cohort refreshed its probe caches")
+        raise AssertionError("a cohort refreshed its probe caches")
 
     monkeypatch.setattr(PathTable, "refresh_probes", refuse)
 
@@ -470,6 +591,7 @@ def test_same_tick_settle_then_lock_ordering():
         num_transactions=200,
         confirmation_delay=0.25,
         poll_interval=0.25,
+        **FEES,
     )
     _assert_modes_agree(config)
 
@@ -560,7 +682,7 @@ def test_finish_asserts_dispatch_buffers_drained():
     plan._staged_cpaths.append(cpath)
     plan._staged_amounts.append(1.0)
     plan._staged_fees.append(0.0)
-    plan._staged_hop_amounts.append(None)
+    plan._staged_hop_amounts.append([1.0] * len(cpath))
     with pytest.raises(SimulationError) as excinfo:
         plan.assert_drained()
     # The failure is attributable: it names each non-empty staging buffer
@@ -669,5 +791,5 @@ def test_truncated_horizon_still_finishes_clean():
     """An ``end_time`` cutting the trace mid-flight finishes without
     tripping the drain assertions, batched and sequential, identically."""
     _assert_modes_agree(
-        _config(topology="ripple-small", num_transactions=250, end_time=1.5)
+        _config(topology="ripple-small", num_transactions=250, end_time=1.5, **FEES)
     )

@@ -114,7 +114,7 @@ class TestVectorisedAggregates:
 
     def test_channel_id_lookup(self):
         network = self._network()
-        cid, side = network.channel_id(1, 0)
+        cid, side = network.direction(1, 0)[1:]
         assert cid == 0 and side == 1
         assert network.state_store.balance[cid, side] == pytest.approx(30.0)
 

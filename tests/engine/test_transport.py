@@ -63,7 +63,7 @@ class TestHopByHopNative:
         # Drain 1->2 before the run (held HTLC, never resolved).
         network.lock_path((1, 2), 45.0)
         store = network.state_store
-        cid, side = network.channel_id(1, 2)
+        cid, side = network.direction(1, 2)[1:]
         observed = {}
 
         def probe():

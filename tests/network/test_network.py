@@ -84,7 +84,6 @@ class TestAvailability:
         channel, cid, side = line3.direction(2, 1)
         assert channel is line3.channel(1, 2)
         assert (cid, side) == (channel.channel_id, channel.side(2))
-        assert line3.channel_id(2, 1) == (cid, side)
         with pytest.raises(TopologyError):
             line3.direction(0, 2)
 

@@ -4,7 +4,7 @@ Each function takes a :class:`~repro.engine.signals.ControlPlane` as its
 first argument and computes what the plane's kernel of the same name
 computes, one unit, hop or channel at a time over the plane's
 :class:`~repro.engine.signals.CongestionState` arrays — hops resolved
-through ``network.channel_id`` rather than compiled direction ids.  The
+through ``network.direction`` rather than compiled direction ids.  The
 signatures match the methods, so a test can run a whole session on the
 reference by patching them onto the class.
 
@@ -38,8 +38,8 @@ DirectedEdge = Tuple[int, int]
 
 
 def _hops(plane, path: Sequence[int]) -> List[Tuple[int, int]]:
-    channel_id = plane._network.channel_id
-    return [channel_id(a, b) for a, b in zip(path, path[1:])]
+    direction = plane._network.direction
+    return [direction(a, b)[1:] for a, b in zip(path, path[1:])]
 
 
 def observe_service(plane, cid: int, side: int, delays, units) -> int:

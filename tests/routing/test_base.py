@@ -89,6 +89,18 @@ class TestRoutingSchemeContract:
             rule = make_scheme(name).cohort_rule
             assert rule is None or rule in _BATCH_RULES, (name, rule)
 
+    def test_only_waterfilling_and_window_declare_a_cohort_rule(self):
+        # The two replays that pay; every other scheme runs its attempt.
+        declared = {
+            name: make_scheme(name).cohort_rule
+            for name in available_schemes()
+            if make_scheme(name).cohort_rule is not None
+        }
+        assert declared == {
+            "spider-waterfilling": "waterfilling",
+            "spider-window": "spider-window",
+        }
+
     def test_registered_transports_are_known(self):
         for name in available_schemes():
             kind = make_scheme(name).transport
