@@ -22,6 +22,15 @@ staging, failed locks replayed with their rollback side effects, one
 eager locks bounce (``ripple-full-fees-warm``: 5.43 s replayed vs 6.83 s
 sequential).  On a fee-free network no lock bounces, the replay measured
 no faster, and the plan runs :meth:`attempt` per payment.
+
+:meth:`attempt` works off the pair's compiled handle
+(:meth:`SimulationSession.path_handle
+<repro.engine.session.SimulationSession.path_handle>`, built during
+``prepare()``): it probes the handle, and sends, locks and settles through
+its compiled paths (:meth:`SimulationSession.send_compiled
+<repro.engine.session.SimulationSession.send_compiled>`), never
+re-resolving a node tuple (``isp-waterfilling``: 5.78 → 5.09 s median
+wall, 0.88×, over ten alternating pairs on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -52,32 +61,40 @@ class WaterfillingScheme(RoutingScheme):
         self.num_paths = num_paths
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
-        paths = self.path_cache.paths(payment.source, payment.dest)
-        if not paths:
+        handle = runtime.path_handle(payment.source, payment.dest, self.num_paths)
+        if handle is None:
             runtime.fail_payment(payment)
             return
+        table = runtime.network.path_table
         # One batched probe for the whole path set; the table refreshes
         # only the paths whose channels changed since the pair's last
         # probe, so retries and polls stop re-walking unchanged paths.
-        availability = runtime.network.bottleneck_many(paths)
-        min_unit = runtime.config.min_unit_value
-        while payment.remaining >= min_unit:
-            # Waterfill: take the path with the largest remaining estimate.
-            best = max(range(len(paths)), key=lambda i: availability[i])
-            headroom = availability[best]
+        availability = table.bottleneck_many(handle)
+        cpaths = handle.cpaths
+        config = runtime.config
+        min_unit = config.min_unit_value
+        mtu = config.mtu
+        send = runtime.send_compiled
+        remaining = payment.remaining  # moves only when a unit is sent
+        while remaining >= min_unit:
+            # Waterfill: take the path with the largest remaining estimate
+            # (the first one on a tie).
+            headroom = max(availability)
             if headroom < min_unit:
                 break
-            amount = min(headroom, payment.remaining, runtime.config.mtu)
-            if not runtime.send_unit(payment, paths[best], amount):
+            best = availability.index(headroom)
+            amount = min(headroom, remaining, mtu)
+            if not send(payment, cpaths[best], amount):
                 # Either the estimate was stale (another payment raced us)
                 # or the send was vetoed for a non-capacity reason (fee
                 # budget, dust).  Re-probe; if the fresh estimate says the
                 # same send would fit, capacity was not the problem — stop
                 # using this path this round or we would spin forever.
-                fresh = runtime.network.bottleneck(paths[best])
+                fresh = table.bottleneck(cpaths[best])
                 if fresh >= amount - 1e-12 or fresh < min_unit:
                     availability[best] = 0.0
                 else:
                     availability[best] = fresh
                 continue
             availability[best] -= amount
+            remaining = payment.remaining

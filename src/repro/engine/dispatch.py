@@ -22,7 +22,8 @@ Fee-free waterfilling, shortest-path and LND measured no faster replayed
 than through their own ``attempt``, so they have no replay.  Which of the
 two applies is worked out once per session, at :meth:`DispatchPlan.prime`
 or the first cohort, from the scheme's ``cohort_rule`` and the channels'
-fee schedules.
+fee schedules.  The sequential loop works off the same compiled handles
+as a replay (see **Handles** below).
 
 A replay
 
@@ -116,19 +117,29 @@ pillars:
   the store's version stamp — the store moved mid-cohort — lands what is
   staged, drops the overlay and re-probes before it replays.
 
-**Profiles are built in bulk.**  A replay works off one
-:class:`_PairProfile` per (source, dest) pair — its probe handle,
-compiled paths and every hop's channel row (``cids``).
-:meth:`DispatchPlan.prime` builds them for every pair of the trace during
-the untimed ``prepare()``: one
-:meth:`PathTable.compile_many <repro.engine.pathtable.PathTable.compile_many>`
-over all their paths (a batch kernel filling the path arena) and one
-probe view per pair.  The per-path channel sets the overlay needs are
-only built for a pair once staged traffic actually lands on its channels.
-A pair first seen mid-run goes through the same builder as a batch of
-one.  For a scheme that decides through its own ``attempt``, ``prime``
-warms the same compile and probe caches the sequential path reads and
-builds no profile.
+**Handles.**  A pair's *handle* is the probe cache of its path set
+(:meth:`PathTable.probe_handle
+<repro.engine.pathtable.PathTable.probe_handle>`): the set's compiled
+paths (``cpaths``) plus its memoised bottlenecks.  The plan keeps one
+handle per pair and path budget ``k`` in a per-session map — on the
+plan, not on the scheme, because a handle is bound to this network's
+:class:`~repro.engine.pathtable.PathTable`.  :meth:`DispatchPlan.prime`
+fills it for every pair of the trace during the untimed ``prepare()``:
+one :meth:`PathTable.compile_many
+<repro.engine.pathtable.PathTable.compile_many>` over all their paths (a
+batch kernel filling the path arena) and one probe view per pair.  A pair
+first seen mid-run goes through the same builder as a batch of one.  Two
+readers share the map:
+
+* a scheme's own ``attempt`` (the sequential loop), through
+  :meth:`SimulationSession.path_handle
+  <repro.engine.session.SimulationSession.path_handle>` — fee-free
+  waterfilling probes with the handle and locks and settles through its
+  ``cpaths``, so the run compiles no path and keys no path set;
+* a replay's :class:`_PairProfile` per pair — the pair's handle and
+  compiled paths from the map, plus every hop's channel row (``cids``).
+  The per-path channel sets the overlay needs are only built for a pair
+  once staged traffic actually lands on its channels.
 """
 
 from __future__ import annotations
@@ -149,9 +160,8 @@ from typing import (
 
 import numpy as np
 
-from repro.core.payments import Payment, TransactionUnit
+from repro.core.payments import Payment
 from repro.core.queueing import HopUnit
-from repro.engine.pathtable import PathLock
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -168,12 +178,13 @@ _BATCH_RULES = frozenset({"waterfilling", "spider-window"})
 class _PairProfile:
     """Static dispatch facts about one (source, dest) pair's path set.
 
-    A pair replays when it has a real ``probe`` (every path has at least
-    one hop); ``None`` sends it to the scheme's own ``attempt``.  ``cids``
-    is every hop's channel row (what a cohort's touched set is
-    tested against); the per-path ``path_cid_sets`` are only built once
-    staged traffic actually lands on one of them (``None`` until then).
-    ``windows`` is the spider-window scheme's
+    ``probe`` is the pair's handle from the plan's map and ``cpaths`` its
+    compiled paths.  A pair replays when it has a real ``probe`` (every
+    path has at least one hop); ``None`` sends it to the scheme's own
+    ``attempt``.  ``cids`` is every hop's channel row (what a cohort's
+    touched set is tested against); the per-path ``path_cid_sets`` are
+    only built once staged traffic actually lands on one of them
+    (``None`` until then).  ``windows`` is the spider-window scheme's
     :class:`~repro.core.window_control.PathWindow` per path, aligned with
     ``cpaths`` — fetched through ``scheme.window`` on the pair's first
     window replay (``None`` until then); the scheme never replaces a
@@ -204,6 +215,16 @@ class DispatchPlan:
         self.store = session.network.state_store
         self.table = session.network.path_table
         self._profiles: Dict[Tuple[int, int], _PairProfile] = {}
+        #: ``k`` → ``(source, dest)`` → the compiled handle of the pair's
+        #: ``k``-path set (``None``: disconnected).  Built by :meth:`_warm`
+        #: and read by the profiles and by every scheme's sequential
+        #: ``attempt`` (:meth:`path_handle`); a handle is bound to this
+        #: network's table, so the map lives here, not on the scheme.
+        #: Keyed by the pair tuples the caller already holds (one per
+        #: pair of the trace), not by new ones.
+        self._handles: Dict[
+            int, Dict[Tuple[int, int], Optional["_ProbeCache"]]
+        ] = {}
         #: The replay this session's cohorts run (``None``: the scheme's
         #: own ``attempt``), once :meth:`_replay_rule` has worked it out.
         self._rule: Optional[str] = None
@@ -678,19 +699,11 @@ class DispatchPlan:
                     [d for cpath in cpaths for d in cpath.dir_list],
                     [a for hop_list in hop_lists for a in hop_list],
                 )
-            now = session.sim.now
+            book = session._book_unit
             for payment, cpath, amount, fee, hop_list in zip(
                 staged, cpaths, amounts, self._staged_fees, hop_lists
             ):
-                unit = TransactionUnit.create(
-                    payment=payment,
-                    amount=amount,
-                    path=cpath.nodes,
-                    htlcs=PathLock(cpath, hop_list),
-                    sent_at=now,
-                    fee=fee,
-                )
-                session._schedule_resolve(unit)
+                book(payment, cpath, amount, fee, hop_list)
             self.batched_units += len(staged)
             staged.clear()
             cpaths.clear()
@@ -748,34 +761,51 @@ class DispatchPlan:
     # Profiles
     # ------------------------------------------------------------------
     def prime(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """Warm what this session's cohorts read for ``pairs`` — called
+        """Build what this session's cohorts read for ``pairs`` — called
         from ``SimulationSession.prepare`` right after the path prefetch,
-        so the first cohorts skip per-pair path compilation entirely.
+        so the run compiles no path and keys no path set.
 
-        A replay gets its dispatch profiles.  A scheme that decides
-        through its own ``attempt`` gets the caches its sequential path
-        reads: one batch compile of the pairs' path sets and one probe
-        handle per set.  Both are static facts about static path sets;
-        building them early changes nothing observable."""
+        Every pair gets its handle (:meth:`_warm`): one batch compile of
+        the pairs' path sets and one probe handle per set, kept in the
+        handle map the scheme's own ``attempt`` reads through
+        :meth:`path_handle`.  A replay also gets its dispatch profiles,
+        built over the same handles.  Both are static facts about static
+        path sets; building them early changes nothing observable."""
+        pairs = list(dict.fromkeys(pairs))
+        k = getattr(self.session.scheme, "num_paths", None)
         if self._replay_rule() is not None:
             profiles = self._profiles
-            self._build_profiles(
-                list(dict.fromkeys(pair for pair in pairs if pair not in profiles))
-            )
-        elif getattr(self.session.scheme, "path_cache", None) is not None:
-            self._warm(list(dict.fromkeys(pairs)))
+            self._build_profiles([pair for pair in pairs if pair not in profiles])
+        elif k is not None:
+            self._warm(pairs, k)
+
+    def path_handle(
+        self, source: int, dest: int, k: int
+    ) -> Optional["_ProbeCache"]:
+        """The pair's ``k``-path handle from the map, built on first use
+        for a pair :meth:`prime` did not see."""
+        try:
+            return self._handles[k][source, dest]
+        except KeyError:
+            return self._warm([(source, dest)], k)[0]
 
     def _warm(
-        self, pairs: List[Tuple[int, int]]
+        self, pairs: List[Tuple[int, int]], k: int
     ) -> List[Optional["_ProbeCache"]]:
-        """One batch compile of every path of ``pairs``' path sets, then
-        each set's probe handle (``None`` for an empty or degenerate
-        set)."""
-        paths_of = self.session.scheme.path_cache.paths
-        path_sets = [paths_of(source, dest) for source, dest in pairs]
-        table = self.table
-        table.compile_many(path_sets)
-        return [table.probe_handle(paths) if paths else None for paths in path_sets]
+        """The handles of ``pairs``' ``k``-path sets (``None`` for an
+        empty or degenerate set), in pair order.  The pairs not yet in the
+        map get one batch compile of every path of their sets, then one
+        probe handle per set."""
+        handles = self._handles.setdefault(k, {})
+        missing = [pair for pair in pairs if pair not in handles]
+        if missing:
+            paths_of = self.session.network.path_service.view(k=k).paths
+            path_sets = [paths_of(source, dest) for source, dest in missing]
+            table = self.table
+            table.compile_many(path_sets)
+            for pair, paths in zip(missing, path_sets):
+                handles[pair] = table.probe_handle(paths) if paths else None
+        return [handles[pair] for pair in pairs]
 
     def _profile(self, source: int, dest: int) -> _PairProfile:
         key = (source, dest)
@@ -786,13 +816,14 @@ class DispatchPlan:
         return prof
 
     def _build_profiles(self, pairs: List[Tuple[int, int]]) -> None:
-        """Profile ``pairs`` in bulk: one batch compile of all their
-        paths, one probe view per pair, then every hop's channel row from
-        one flat array of their hops."""
+        """Profile ``pairs`` in bulk: their handles from the map
+        (:meth:`_warm` builds the missing ones in one batch), then every
+        hop's channel row from one flat array of their hops."""
         profiles = self._profiles
         probed: List[_PairProfile] = []
         dirs: List[np.ndarray] = []
-        for pair, probe in zip(pairs, self._warm(pairs)):
+        k = cast(Any, self.session.scheme).num_paths
+        for pair, probe in zip(pairs, self._warm(pairs, k)):
             prof = profiles[pair] = _PairProfile()
             if probe is not None:
                 prof.probe = probe

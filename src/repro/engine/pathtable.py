@@ -23,7 +23,8 @@ which:
 * :meth:`lock_path` / :meth:`settle` / :meth:`refund` are per-hop store
   writes over ``dir_list`` (a path is a few hops, so a loop over Python
   ints beats a NumPy call) with all-or-nothing semantics, returning one
-  :class:`PathLock` per path.
+  :class:`PathLock` per path; :meth:`lock_funds` is the same checked lock
+  on an already compiled path (the session's send core).
 
 All operations are float-for-float identical to plain per-hop arithmetic
 on the store arrays — the reference in ``tests/reference/path_ops.py``,
@@ -61,7 +62,17 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -234,6 +245,11 @@ class PathLock:
 class _ProbeCache:
     """Memoised bottlenecks of one path set, refreshed incrementally.
 
+    It is also the set's *handle*: ``cpaths`` are the set's compiled
+    paths, so a caller holding it probes (:meth:`PathTable.bottleneck_many`
+    takes it in place of the node tuples), locks and settles without
+    re-resolving a node tuple.
+
     ``dirs`` is the set's hops back to back and ``offsets[i]`` where path
     ``i`` starts in it.  Paths on consecutive rows of one arena already
     sit back to back there, so both are arena slices; any other set
@@ -266,6 +282,10 @@ class _ProbeCache:
         self.values: Optional[np.ndarray] = None
         self.values_list: List[float] = []
         self.as_of = -1
+
+    def __len__(self) -> int:
+        """Number of paths in the set."""
+        return len(self.cpaths)
 
     @property
     def bounds(self) -> List[Tuple[int, int]]:
@@ -431,11 +451,15 @@ class PathTable:
     # ------------------------------------------------------------------
     # Probes
     # ------------------------------------------------------------------
-    def bottleneck(self, path: Sequence[int]) -> float:
-        """Minimum directional availability along ``path``."""
-        cpath = (
-            self._compiled.get(path) if type(path) is tuple else None
-        ) or self.compile(path)
+    def bottleneck(self, path: Union[Sequence[int], CompiledPath]) -> float:
+        """Minimum directional availability along ``path`` (a node
+        sequence or an already compiled path)."""
+        if type(path) is CompiledPath:
+            cpath = path
+        else:
+            cpath = (
+                self._compiled.get(path) if type(path) is tuple else None
+            ) or self.compile(path)
         if not cpath.dir_list:
             return math.inf
         values = self._store.availability(cpath.dirs)
@@ -525,21 +549,29 @@ class PathTable:
             probe.as_of = version
 
     def bottleneck_many(
-        self, paths: Sequence[Sequence[int]], refresh: bool = False
+        self,
+        paths: Union[Sequence[Sequence[int]], _ProbeCache],
+        refresh: bool = False,
     ) -> List[float]:
         """Bottlenecks of a whole path set in one vectorised pass.
 
-        Results are memoised per path set: when the store version is
-        unchanged the cached values come back with no array work at all,
-        and a stale large probe recomputes only the paths containing a
-        channel the store stamped since the last call (small probes just
-        re-gather — the bookkeeping would cost more than the gather).
+        ``paths`` is the set's node sequences or its handle (what
+        :meth:`probe_handle` returns), which skips keying the set by its
+        node tuples.  Results are memoised per path set: when the store
+        version is unchanged the cached values come back with no array
+        work at all, and a stale large probe recomputes only the paths
+        containing a channel the store stamped since the last call (small
+        probes just re-gather — the bookkeeping would cost more than the
+        gather).
         ``refresh=True`` forces a full recompute (the microbenchmark uses
         it to time the gather itself).  Returns a fresh list of floats.
         """
-        probe = self._probe_for(paths)
-        if probe is None:  # degenerate set: per-path probes (inf for 1-node)
-            return [self.bottleneck(p) for p in paths]
+        if type(paths) is _ProbeCache:
+            probe: Optional[_ProbeCache] = paths
+        else:
+            probe = self._probe_for(paths)
+            if probe is None:  # degenerate set: per-path probes (inf for 1-node)
+                return [self.bottleneck(p) for p in paths]
         store = self._store
         version = store.version
         if probe.values is not None and not refresh:
@@ -614,6 +646,16 @@ class PathTable:
         :meth:`ChannelStateStore.lock_path_funds`).
         """
         cpath = self.compile(path)
+        return PathLock(cpath, self.lock_funds(cpath, amounts))
+
+    def lock_funds(
+        self, cpath: CompiledPath, amounts: Sequence[float]
+    ) -> List[float]:
+        """:meth:`lock_path` on an already compiled path, returning the
+        per-hop actual amounts instead of a :class:`PathLock` — the same
+        checks (a hop to lock on, one positive finite amount per hop, all
+        validated before the store is written) and the same
+        all-or-nothing store lock."""
         hops = len(cpath.dir_list)
         if hops == 0:
             raise ChannelError(
@@ -626,13 +668,13 @@ class PathTable:
                 "amounts were supplied"
             )
         for bad, amount in enumerate(requested):
-            if not (amount > 0 and math.isfinite(amount)):
+            # Positive and finite (NaN fails both comparisons).
+            if not 0.0 < amount < math.inf:
                 raise ChannelError(
                     "lock amount must be positive and finite, "
                     f"got {amounts[bad]!r}"
                 )
-        actual = self._store.lock_path_funds(cpath.dir_list, requested)
-        return PathLock(cpath, actual)
+        return self._store.lock_path_funds(cpath.dir_list, requested)
 
     def settle(self, lock: PathLock) -> None:
         """Settle every hop of ``lock`` (one per-hop store write)."""

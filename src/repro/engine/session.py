@@ -16,7 +16,9 @@ a network whose channel state lives in the flat arrays of a
 Routing schemes interact with the session through two primitives:
 
 * :meth:`SimulationSession.send_unit` — lock one MTU-bounded transaction
-  unit along a path (non-atomic schemes), and
+  unit along a path (non-atomic schemes; :meth:`~SimulationSession.send_compiled`
+  is the same send on a compiled path, such as one of the pair handle's
+  ``cpaths`` from :meth:`~SimulationSession.path_handle`), and
 * :meth:`SimulationSession.send_atomic` — lock a set of (path, amount)
   allocations all-or-nothing (atomic schemes).
 
@@ -40,7 +42,8 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from repro.core.scheduling import PendingHeap, get_policy
 from repro.engine.clock import DEFAULT_QUANTUM
 from repro.engine.dispatch import DispatchPlan
 from repro.engine.events import TickEngine, TickTimer
+from repro.engine.pathtable import CompiledPath, PathLock
 from repro.engine.transport import Transport, make_transport
 from repro.errors import ConfigError, InsufficientFundsError, SimulationError
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
@@ -57,6 +61,7 @@ from repro.workload.generator import TransactionRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.pathservice import PathService
+    from repro.engine.pathtable import _ProbeCache
     from repro.experiments.config import ExperimentConfig
     from repro.routing.base import RoutingScheme
 
@@ -96,6 +101,27 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
             if grown > _BULK_BUILD_OBJECTS:
                 gc.collect()
+
+
+def _check_trace(records: Sequence[TransactionRecord]) -> None:
+    """Reject a trace no scheme can run: a payment to its own source, or
+    two records sharing a ``txn_id`` (payments and the pending order are
+    keyed by it, so one would silently replace the other)."""
+    for record in records:
+        if record.source == record.dest:
+            raise ConfigError(
+                f"transaction {record.txn_id!r} pays its own source "
+                f"{record.source!r}; a payment needs two distinct endpoints"
+            )
+    # Sorted, a repeat sits next to its twin (no set: the trace can be
+    # large, and a hash table of its ids would outweigh one list).
+    ids = sorted([record.txn_id for record in records])
+    for previous, txn_id in zip(ids, islice(ids, 1, None)):
+        if previous == txn_id:
+            raise ConfigError(
+                f"transaction id {txn_id!r} appears more than once in the "
+                "trace; ids must be unique"
+            )
 
 
 @dataclass
@@ -199,6 +225,7 @@ class SimulationSession:
     ):
         self.network = network
         self.records = sorted(records, key=lambda r: r.arrival_time)
+        _check_trace(self.records)
         self.scheme = scheme
         self.config = config or RuntimeConfig()
         self.collector = collector or MetricsCollector()
@@ -213,8 +240,9 @@ class SimulationSession:
         self._path_cache_dir = path_cache_dir
         self._finished = False
         self._prepared = False
-        #: Macro-tick cohort kernels.
+        #: Macro-tick cohort kernels; also the owner of the pair handles.
         self._dispatch = DispatchPlan(self)
+        self._table = self._dispatch.table
         self._confirm_ticks = self.sim.clock.to_ticks(self.config.confirmation_delay)
         #: tick -> units resolving at that tick (coalesced store writes).
         self._resolve_batches: Dict[int, List[TransactionUnit]] = {}
@@ -466,6 +494,23 @@ class SimulationSession:
     # ------------------------------------------------------------------
     # Scheme-facing primitives
     # ------------------------------------------------------------------
+    def path_handle(
+        self, source: int, dest: int, k: int
+    ) -> Optional["_ProbeCache"]:
+        """The compiled handle of the pair's ``k``-path set, or ``None`` if
+        the pair is disconnected.
+
+        ``handle.cpaths`` are the set's compiled paths (what
+        :meth:`send_compiled` takes) and the handle itself is what
+        :meth:`PathTable.bottleneck_many
+        <repro.engine.pathtable.PathTable.bottleneck_many>` probes.  The
+        trace's pairs were built in bulk by ``prepare()``
+        (:meth:`DispatchPlan.prime
+        <repro.engine.dispatch.DispatchPlan.prime>`); a pair first seen
+        here goes through the same builder.
+        """
+        return self._dispatch.path_handle(source, dest, k)
+
     def send_unit(self, payment: Payment, path: Tuple[int, ...], amount: float) -> bool:
         """Lock one transaction unit delivering ``amount`` along ``path``.
 
@@ -475,44 +520,60 @@ class SimulationSession:
         fees (§2); units whose fee would blow the payment's ``max_fee``
         budget are not sent.  Returns ``True`` if the unit was locked (it
         will settle after the confirmation delay).
+
+        ``path`` is compiled once, through the table's memo, and the send
+        runs :meth:`send_compiled`.
         """
-        amount = min(amount, payment.remaining, self.config.mtu)
-        if amount < self.config.min_unit_value:
+        return self.send_compiled(payment, self._table.compile(path), amount)
+
+    def send_compiled(
+        self, payment: Payment, cpath: CompiledPath, amount: float
+    ) -> bool:
+        """:meth:`send_unit` on an already compiled path.
+
+        Every check is kept: the remaining/MTU clamp, the dust veto, the
+        fee budget, positive and finite per-hop amounts (else
+        :class:`~repro.errors.ChannelError`) and the all-or-nothing store
+        lock with its rollback (see :meth:`PathTable.lock_funds
+        <repro.engine.pathtable.PathTable.lock_funds>`).
+        """
+        config = self.config
+        amount = min(amount, payment.remaining, config.mtu)
+        if amount < config.min_unit_value:
             return False
-        amounts = self.network.hop_amounts(path, amount)
+        amounts = cpath.hop_amounts(amount)
         fee = amounts[0] - amount if amounts else 0.0
         if fee > 0 and not payment.fee_budget_allows(fee):
             return False
         try:
-            htlcs = self.network.lock_path(path, amount, amounts=amounts)
+            actuals = self._table.lock_funds(cpath, amounts)
         except InsufficientFundsError:
             return False
         payment.register_inflight(amount)
-        unit = TransactionUnit.create(
-            payment=payment,
-            amount=amount,
-            path=tuple(path),
-            htlcs=htlcs,
-            sent_at=self.sim.now,
-            fee=fee,
-        )
-        self._schedule_resolve(unit)
+        self._book_unit(payment, cpath, amount, fee, actuals)
         return True
 
-    def send_on_path(self, payment: Payment, path: Tuple[int, ...]) -> float:
+    def send_on_path(
+        self, payment: Payment, path: Union[Tuple[int, ...], CompiledPath]
+    ) -> float:
         """Send as many units as fit on ``path`` right now.
 
         Convenience for non-atomic schemes: repeatedly sends MTU-bounded
         units until the path bottleneck or the payment's remaining value is
-        exhausted.  Returns the total value locked.
+        exhausted.  ``path`` is a node tuple (compiled once here) or a
+        compiled path, such as a handle's ``cpaths[i]``.  Returns the total
+        value locked.
         """
+        table = self._table
+        cpath = path if type(path) is CompiledPath else table.compile(path)
+        min_unit = self.config.min_unit_value
         sent = 0.0
-        while payment.remaining >= self.config.min_unit_value:
-            available = self.network.bottleneck(path)
+        while payment.remaining >= min_unit:
+            available = table.bottleneck(cpath)
             amount = min(available, payment.remaining, self.config.mtu)
-            if amount < self.config.min_unit_value:
+            if amount < min_unit:
                 break
-            if not self.send_unit(payment, path, amount):
+            if not self.send_compiled(payment, cpath, amount):
                 break
             sent += amount
         return sent
@@ -681,6 +742,29 @@ class SimulationSession:
             for payment in eligible:
                 self._after_attempt(payment)
 
+    def _book_unit(
+        self,
+        payment: Payment,
+        cpath: CompiledPath,
+        amount: float,
+        fee: float,
+        actuals: List[float],
+    ) -> None:
+        """Turn one locked send into a :class:`TransactionUnit` over a
+        :class:`~repro.engine.pathtable.PathLock` of its per-hop
+        ``actuals``, resolving one confirmation delay from now (the
+        payment has already registered ``amount`` in flight)."""
+        self._schedule_resolve(
+            TransactionUnit.create(
+                payment=payment,
+                amount=amount,
+                path=cpath.nodes,
+                htlcs=PathLock(cpath, actuals),
+                sent_at=self.sim.now,
+                fee=fee,
+            )
+        )
+
     def _schedule_resolve(self, unit: TransactionUnit) -> None:
         """Register ``unit`` for resolution one confirmation delay from now.
 
@@ -779,9 +863,9 @@ class SimulationSession:
         now = self.sim.now
         settle = self._resolve_decision(unit, now)
         if settle:
-            self.network.settle_path(unit.path, unit.htlcs)
+            self._table.settle(unit.htlcs)
         else:
-            self.network.refund_path(unit.path, unit.htlcs)
+            self._table.refund(unit.htlcs)
         self._resolve_accounting(unit, now, settle)
         if self.config.check_invariants:
             self.network.check_invariants()

@@ -40,8 +40,8 @@ class ShortestPathScheme(RoutingScheme):
     num_paths = 1
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
-        path = self.path_cache.shortest(payment.source, payment.dest)
-        if path is None:
+        handle = runtime.path_handle(payment.source, payment.dest, self.num_paths)
+        if handle is None:
             runtime.fail_payment(payment)
             return
-        runtime.send_on_path(payment, path)
+        runtime.send_on_path(payment, handle.cpaths[0])

@@ -353,11 +353,16 @@ def test_replay_rule_is_worked_out_at_prime_or_the_first_cohort():
 
 
 @pytest.mark.parametrize("scheme", ["spider-waterfilling", "shortest-path"])
-def test_prime_warms_the_sequential_path(scheme):
+def test_prime_warms_the_sequential_path(scheme, monkeypatch):
     """For a scheme that does not replay, ``prepare`` compiles every path
     the trace routes over and holds one probe handle per path set, and
     builds no dispatch profile; the run then compiles no path and builds
-    no probe of its own."""
+    no probe of its own.  The scheme's ``attempt`` works off those
+    handles: no ``PathTable.compile`` call (not even a memo hit) and no
+    path-set lookup through the path service during the run."""
+    from repro.engine.pathservice import PersistentCache
+    from repro.engine.pathtable import PathTable
+
     config = _config(scheme=scheme, topology="ripple-small", num_transactions=150)
     session = _prepared(config)
     table = session.network.path_table
@@ -365,9 +370,24 @@ def test_prime_warms_the_sequential_path(scheme):
     pairs = {(record.source, record.dest) for record in session.records}
     assert probes == len(pairs)
     assert not session._dispatch._profiles
+    calls = {"compile": 0, "lookup": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PathTable, "compile", counted("compile", PathTable.compile))
+    monkeypatch.setattr(
+        PersistentCache, "paths", counted("lookup", PersistentCache.paths)
+    )
     session.run()
     assert session.dispatch_stats()["batched_units"] == 0
     assert (len(table._compiled), len(table._probes)) == (compiled, probes)
+    assert any(payment.delivered > 0 for payment in session.payments.values())
+    assert calls == {"compile": 0, "lookup": 0}
 
 
 def test_window_without_a_hop_transport_runs_its_own_attempt():

@@ -13,11 +13,14 @@ compares the raw store arrays exactly (no tolerance).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.payments import Payment
 from repro.engine.pathtable import PathLock, PathTable
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.errors import ChannelError, InsufficientFundsError
@@ -252,6 +255,104 @@ def test_fee_inclusive_locks_match_reference(data, operations):
     vec.check_invariants()
 
 
+def _newest_unit(session):
+    """The unit the session's last successful send booked."""
+    return [unit for batch in session._resolve_batches.values() for unit in batch][-1]
+
+
+def _resolve(session, unit, settle):
+    """Resolve ``unit`` the way the session does at maturity: settled, or
+    refunded because the sender withholds the key past the deadline."""
+    if not settle:
+        unit.payment.deadline = -1.0
+    session._resolve_unit(unit)
+
+
+def _send_session(network, **config):
+    return SimulationSession(
+        network, [], make_scheme("spider-waterfilling"), RuntimeConfig(**config)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    network_specs(),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=63),  # path selector
+            st.floats(min_value=0.0, max_value=80.0),  # offered amount
+            st.floats(min_value=1.0, max_value=60.0),  # payment amount
+            st.sampled_from([None, 0.0, 0.05, 5.0]),  # fee budget
+            st.sampled_from(["settle", "refund", "hold"]),
+            st.integers(min_value=0, max_value=63),  # freeze/unfreeze selector
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    st.sampled_from([math.inf, 7.5]),  # MTU
+)
+def test_compiled_send_matches_reference(data, operations, mtu):
+    """The session's send core against the per-hop oracle.  The same sends
+    — through a node tuple (``send_unit``) or a compiled path
+    (``send_compiled``) — take the same decision (dust, fee budget, a
+    short or frozen hop with its rollback), lock the same per-hop amounts
+    and leave bit-identical store arrays; resolving each unit straight
+    through its lock matches the oracle's settle or refund, and a second
+    resolution raises and writes nothing."""
+    spec, paths = data
+    vec, ref = build_twins(spec)
+    min_unit = 0.5
+    session = _send_session(vec, mtu=mtu, min_unit_value=min_unit)
+    table = vec.path_table
+    channels_vec = list(vec.channels())
+    channels_ref = list(ref.network.channels())
+    held = []
+    for step, (path_index, offer, value, max_fee, resolution, churn) in enumerate(
+        operations
+    ):
+        path = paths[path_index % len(paths)]
+        if churn % 5 == 0:  # occasional churn: freeze or thaw one channel
+            index = churn % len(channels_vec)
+            for channel in (channels_vec[index], channels_ref[index]):
+                if channel.frozen:
+                    channel.unfreeze()
+                else:
+                    channel.freeze()
+        payment = Payment(
+            payment_id=step, source=path[0], dest=path[-1], amount=value,
+            arrival_time=0.0, max_fee=max_fee,
+        )
+        if step % 2:
+            sent = session.send_compiled(payment, table.compile(path), offer)
+        else:
+            sent = session.send_unit(payment, path, offer)
+        want = ref.send_unit(
+            path, offer, remaining=value, mtu=mtu, min_unit=min_unit, max_fee=max_fee
+        )
+        assert sent == (want is not None), f"step {step} on {path}"
+        assert_stores_identical(vec, ref.network)
+        if want is None:
+            assert payment.inflight == 0.0
+            continue
+        delivered, fee, hops = want
+        unit = _newest_unit(session)
+        assert (unit.amount, unit.fee, payment.inflight) == (delivered, fee, delivered)
+        assert unit.htlcs.amounts == [hop.amount for hop in hops]
+        if resolution == "hold":
+            held.append((path, unit, hops))
+            continue
+        _resolve(session, unit, resolution == "settle")
+        getattr(ref, f"{resolution}_path")(path, hops)
+        assert_stores_identical(vec, ref.network)
+    for index, (path, unit, hops) in enumerate(held):
+        _resolve(session, unit, index % 2 == 0)
+        getattr(ref, "settle_path" if index % 2 == 0 else "refund_path")(path, hops)
+        with pytest.raises(ChannelError, match="already resolved"):
+            session._resolve_unit(unit)
+        assert_stores_identical(vec, ref.network)
+    vec.check_invariants()
+
+
 @settings(max_examples=60, deadline=None)
 @given(network_specs(), st.data())
 def test_batch_probe_refreshes_after_mutations(data, rand):
@@ -453,6 +554,51 @@ class TestMidPathRollback:
             network.channel(1, 2).freeze()
             with pytest.raises(InsufficientFundsError):
                 ops.lock_path((0, 1, 2), 5.0)
+        assert_stores_identical(vec, ref.network)
+
+    @pytest.mark.parametrize("veto", ["dust", "fee-budget", "rollback", "frozen"])
+    def test_compiled_send_vetoes_match_reference(self, veto):
+        """Each way the send core declines a unit, against the oracle:
+        dust and the fee budget write nothing, a short last hop and a
+        frozen middle hop leave the rollback's scars."""
+        vec, ref = self.build(), ReferencePathOps(self.build())
+        path, offer, max_fee = (0, 1, 2, 3), 10.0, None
+        if veto == "dust":
+            offer = 5e-4
+        elif veto == "fee-budget":
+            path, max_fee = (0, 1, 2), 0.5  # the (1, 2) hop charges 1.5
+        elif veto == "frozen":
+            path = (0, 1, 2)
+            vec.channel(1, 2).freeze()
+            ref.network.channel(1, 2).freeze()
+        session = _send_session(vec)
+        payment = Payment(1, 0, path[-1], 20.0, 0.0, max_fee=max_fee)
+        cpath = vec.path_table.compile(path)
+        assert session.send_compiled(payment, cpath, offer) is False
+        assert (
+            ref.send_unit(
+                path, offer, remaining=20.0, mtu=math.inf, min_unit=1e-3,
+                max_fee=max_fee,
+            )
+            is None
+        )
+        assert payment.inflight == 0.0 and not session._resolve_batches
+        assert_stores_identical(vec, ref.network)
+        scarred = vec.state_store.num_refunded.any()
+        assert scarred == (veto in ("rollback", "frozen"))
+
+    def test_non_finite_send_raises_and_writes_nothing(self):
+        vec, ref = self.build(), ReferencePathOps(self.build())
+        session = _send_session(vec)
+        payment = Payment(1, 0, 3, 20.0, 0.0)
+        cpath = vec.path_table.compile((0, 1, 2, 3))
+        with pytest.raises(ChannelError, match="positive and finite"):
+            session.send_compiled(payment, cpath, math.nan)
+        with pytest.raises(ChannelError, match="positive and finite"):
+            ref.send_unit(
+                (0, 1, 2, 3), math.nan, remaining=20.0, mtu=math.inf, min_unit=1e-3
+            )
+        assert payment.inflight == 0.0 and not session._resolve_batches
         assert_stores_identical(vec, ref.network)
 
 

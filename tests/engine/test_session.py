@@ -209,6 +209,37 @@ class TestCheckInvariants:
         assert calls["checks"] >= calls["batches"]
 
 
+class TestSchemeReuse:
+    """A scheme instance carries no session's state into the next: the
+    compiled path handles its ``attempt`` reads belong to the session's
+    plan, bound to that network's path table."""
+
+    @pytest.mark.parametrize("fee_rate", [0.0, 0.001])
+    def test_one_instance_through_two_networks_matches_fresh_instances(
+        self, fee_rate
+    ):
+        from repro.core.waterfilling import WaterfillingScheme
+        from repro.metrics import metrics_to_json
+
+        configs = [
+            _config(topology="line-5", fee_rate=fee_rate),
+            _config(topology="grid-3x3", capacity=60.0, seed=9, fee_rate=fee_rate),
+        ]
+
+        def run(config, scheme):
+            network, records, _ = config.build_simulation_inputs()
+            session = SimulationSession(
+                network, records, scheme, config.build_runtime_config()
+            )
+            return metrics_to_json(session.run())
+
+        shared = WaterfillingScheme()
+        reused = [run(config, shared) for config in configs]
+        fresh = [run(config, WaterfillingScheme()) for config in configs]
+        assert reused == fresh
+        assert reused[0] != reused[1]
+
+
 class TestPrimalDualOnSession:
     def test_recurring_control_loop_runs_on_tick_engine(self):
         """spider-primal-dual drives a periodic timer off session.sim."""

@@ -14,7 +14,7 @@ exceptions come from this file's per-hop arithmetic alone.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ChannelError, InsufficientFundsError, TopologyError
 from repro.network.network import PaymentNetwork
@@ -136,6 +136,39 @@ class ReferencePathOps:
             store.touch(cid)
             locked.append(ReferenceHop(cid, side, actual))
         return locked
+
+    def send_unit(
+        self,
+        path: Path,
+        amount: float,
+        *,
+        remaining: float,
+        mtu: float,
+        min_unit: float,
+        max_fee: Optional[float] = None,
+    ) -> Optional[Tuple[float, float, List[ReferenceHop]]]:
+        """One transaction unit of a payment that has paid no fee yet:
+        ``(delivered, fee, locked hops)``, or ``None`` when it is not sent.
+
+        The offer is clamped to the payment's ``remaining`` value and the
+        ``mtu``; below ``min_unit`` it is dust and nothing is written.  The
+        hops carry the fee recurrence's amounts; a fee above ``max_fee``
+        (1e-9 tolerance) vetoes the send with nothing written; otherwise
+        the lock runs, and a short or frozen hop leaves its rollback behind
+        (see :meth:`lock_path`).
+        """
+        amount = min(amount, remaining, mtu)
+        if amount < min_unit:
+            return None
+        amounts = self.hop_amounts(path, amount)
+        fee = amounts[0] - amount if amounts else 0.0
+        if fee > 0 and max_fee is not None and fee > max_fee + _EPS:
+            return None
+        try:
+            locked = self.lock_path(path, amount, amounts=amounts)
+        except InsufficientFundsError:
+            return None
+        return amount, fee, locked
 
     def settle_path(self, path: Path, locked: Sequence[ReferenceHop]) -> None:
         """Settle every hop of a locked transfer: the receiver is credited."""

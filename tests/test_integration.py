@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.session import RuntimeConfig, SimulationSession
+from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import compare_schemes, run_experiment
 from repro.network.network import PaymentNetwork
@@ -103,6 +104,25 @@ class TestEverySchemeEndsResolved:
         network.check_invariants()
         assert not network.state_store.inflight_view.any()
         assert network.total_funds() == 200.0
+
+    @pytest.mark.parametrize("scheme", sorted(available_schemes()))
+    def test_malformed_trace_is_rejected_at_the_door(self, scheme):
+        """A payment to its own source, or two records sharing one id,
+        raise a ``ConfigError`` naming the id before anything runs — not
+        a scheme-specific exception mid-run, nor a silently lost
+        payment."""
+        line = [TransactionRecord(0, 0.5, 0, 1, 10.0)]
+        self_payment = line + [TransactionRecord(7, 0.6, 1, 1, 10.0)]
+        repeated_id = line + [TransactionRecord(0, 0.7, 1, 0, 10.0)]
+        for records, reason in [
+            (self_payment, "transaction 7 pays its own source"),
+            (repeated_id, "transaction id 0 appears more than once"),
+        ]:
+            with pytest.raises(ConfigError, match=reason):
+                SimulationSession(
+                    self._two_islands(), records, make_scheme(scheme),
+                    RuntimeConfig(end_time=5.0),
+                )
 
 
 class TestCirculationIsFullyRoutable:
