@@ -114,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--dispatch-stats",
         action="store_true",
         help="print the engine's dispatch counters after the run: "
-        "cohorts and their payments (every cohort), then the cohort "
-        "replay's batched units, scalar fallbacks, replayed and failed "
-        "locks (0 for a run that does not replay)",
+        "cohorts and their payments, path locks that bounced off a frozen "
+        "or under-funded hop (failed_locks), and batched units and scalar "
+        "fallbacks (always 0: every scheme decides through its own attempt)",
     )
     _add_common_options(run_parser)
 

@@ -20,12 +20,23 @@ transport, reproduced here:
 The scheme runs on the in-network-queue transport, so a unit blocked
 mid-path parks at a router (building up the very delay that triggers
 marks) instead of failing — the closed loop the NSDI protocol relies on.
+
+The session's :class:`~repro.engine.dispatch.DispatchPlan` runs
+:meth:`WindowedSpiderScheme.attempt` per payment.  The attempt works off
+the pair's compiled handle (:meth:`SimulationSession.path_handle
+<repro.engine.session.SimulationSession.path_handle>`): it reads each
+path's first-hop funds from the store and launches units on the compiled
+path (:meth:`HopByHopTransport.launch
+<repro.engine.transport.HopByHopTransport.launch>`), so no path is
+compiled and no node tuple is looked up; the attempt's launches are
+scheduled with one :meth:`HopByHopTransport.advance_many
+<repro.engine.transport.HopByHopTransport.advance_many>`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.queueing import HopUnit
 from repro.routing.base import RoutingScheme
@@ -97,11 +108,6 @@ class WindowedSpiderScheme(RoutingScheme):
     name = "spider-window"
     atomic = False
     transport = "hop"
-    #: The launch loop (window-headroom sort, first-hop clamp, clean-fail
-    #: try_lock) is replayed batched by the session's DispatchPlan: its
-    #: launches land through one lock_many and one advance_many per
-    #: cohort (``isp-window`` ran 1.15× slower with every cohort sequential).
-    cohort_rule = "spider-window"
 
     def __init__(
         self,
@@ -141,6 +147,11 @@ class WindowedSpiderScheme(RoutingScheme):
         self.queue_timeout = queue_timeout
         self.rtt = rtt
         self._windows: Dict[Path, PathWindow] = {}
+        #: ``(source, dest)`` → the pair's window states, aligned with its
+        #: handle's ``cpaths``.  A session's handles are its network's, so
+        #: :meth:`prepare` starts the cache afresh; the states themselves
+        #: are ``_windows``' own objects.
+        self._pair_windows: Dict[Tuple[int, int], List[PathWindow]] = {}
         self.clean_acks = 0
         self.marked_acks = 0
         self.losses = 0
@@ -158,6 +169,7 @@ class WindowedSpiderScheme(RoutingScheme):
     # ------------------------------------------------------------------
     def prepare(self, runtime: "SimulationSession") -> None:
         super().prepare(runtime)
+        self._pair_windows = {}
         if self.rtt is None:
             # One confirmation delay is the natural RTT of this transport.
             self.rtt = max(runtime.config.confirmation_delay, 1e-3)
@@ -174,38 +186,69 @@ class WindowedSpiderScheme(RoutingScheme):
     # Sending
     # ------------------------------------------------------------------
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
-        if not hasattr(getattr(runtime, "transport", None), "send_unit_hop_by_hop"):
+        transport: Any = getattr(runtime, "transport", None)
+        if not hasattr(transport, "send_unit_hop_by_hop"):
             raise TypeError(
                 "WindowedSpiderScheme requires a session with "
                 "transport='hop'; see repro.engine.transport"
             )
-        paths = self.path_cache.paths(payment.source, payment.dest)
-        if not paths:
+        pair = (payment.source, payment.dest)
+        handle = runtime.path_handle(pair[0], pair[1], self.num_paths)
+        if handle is None:
             runtime.fail_payment(payment)
             return
-        min_unit = runtime.config.min_unit_value
+        cpaths = handle.cpaths
+        windows = self._pair_windows.get(pair)
+        if windows is None:
+            window = self.window
+            windows = self._pair_windows[pair] = [
+                window(cpath.nodes) for cpath in cpaths
+            ]
+        config = runtime.config
+        min_unit = config.min_unit_value
+        mtu = config.mtu
+        store = runtime.network.state_store
+        launch = transport.launch
+        units: List[HopUnit] = []
+        remaining = payment.remaining  # moves only when a unit launches
         # Fill paths in decreasing window-headroom order (the windowed
         # analogue of waterfilling: congestion-controlled paths that have
-        # room first).
-        states = sorted(
-            ((self.window(p), p) for p in paths),
-            key=lambda item: item[0].headroom,
-            reverse=True,
-        )
-        for state, path in states:
-            while payment.remaining >= min_unit and state.headroom >= min_unit:
+        # room first); the sort is stable, so ties keep path order.
+        # Headroom is ``PathWindow.headroom``'s expression, inlined.
+        heads = [max(0.0, state.window - state.inflight) for state in windows]
+        for i in sorted(range(len(heads)), key=heads.__getitem__, reverse=True):
+            if remaining < min_unit:
+                break
+            state = windows[i]
+            cpath = cpaths[i]
+            d = cpath.dir_list[0]
+            # Live, not heads[i]: a path set listing one path twice shares
+            # its state, which an earlier entry may have filled.
+            headroom = max(0.0, state.window - state.inflight)
+            while remaining >= min_unit and headroom >= min_unit:
                 # The launch constraint is the sender's own first hop;
                 # downstream scarcity parks the unit at a router (that is
                 # what builds the queueing delay the marks feed back).
-                first_hop = runtime.network.available(path[0], path[1])
-                amount = min(
-                    payment.remaining, state.headroom, runtime.config.mtu, first_hop
+                first_hop = (
+                    0.0
+                    if store.frozen_count and store.frozen[d >> 1]
+                    else store.balance_flat.item(d)
                 )
+                amount = min(remaining, headroom, mtu, first_hop)
                 if amount < min_unit:
                     break
-                if not runtime.send_unit_hop_by_hop(payment, path, amount):
+                unit = launch(payment, cpath, amount)
+                if unit is None:
                     break  # raced away; try the next path
+                units.append(unit)
+                remaining = payment.remaining
                 state.inflight += amount
+                headroom = max(0.0, state.window - state.inflight)
+        if units:
+            # Nothing else was scheduled since the first launch, so the
+            # launches occupy a contiguous seq run and one cohort schedule
+            # fires them in launch order (see advance_many).
+            transport.advance_many(units)
 
     # ------------------------------------------------------------------
     # The ack path (called by the queueing runtime)

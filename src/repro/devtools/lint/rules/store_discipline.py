@@ -1,7 +1,7 @@
 """RL003 — version-stamped ``ChannelStateStore`` mutation discipline.
 
-``PathTable`` probe caches, dispatch-cohort conflict detection and the
-control plane's stamp-cached signals all trust one invariant: any write
+``PathTable`` probe caches (the pair handles schemes probe) and the
+control plane's stamp-cached signals both trust one invariant: any write
 that changes a channel's state bumps ``store.version`` and ``store.stamp``
 (usually via ``store.touch(cid)`` or one of the ``apply_*`` methods that
 stamp internally).  A direct array write without a stamp leaves every
@@ -9,11 +9,11 @@ cached probe silently stale — the exact bug class the upcoming
 mid-run-mutating PathService providers make easy to hit.
 
 The store's own module maintains the stamps internally and is exempt;
-every funds write (lock, settle, refund, the dispatch overlay) is one of
-its methods.  Everywhere else, a subscripted write to a
-store array attribute (``x.balance[cid, side] = ...``, ``np.add.at(
-store.inflight, ...)``) must be paired — in the same function — with a
-``.touch(...)`` call or a direct ``.version``/``.stamp[...]`` bump.
+every funds write (lock, settle, refund) is one of its methods.
+Everywhere else, a subscripted write to a store array attribute
+(``x.balance[cid, side] = ...``, ``np.add.at(store.inflight, ...)``) must
+be paired — in the same function — with a ``.touch(...)`` call or a
+direct ``.version``/``.stamp[...]`` bump.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class StoreDisciplineRule:
                     message=(
                         f"direct write to store array '.{array}[...]' without "
                         "a version/stamp bump in the same function; cached "
-                        "path probes and dispatch conflict checks go stale — "
+                        "path probes and stamp-cached signals go stale — "
                         "call store.touch(cid) (or use an apply_* method)"
                     ),
                 )

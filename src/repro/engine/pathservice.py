@@ -1002,8 +1002,8 @@ class PairPathView:
     """One (k, method) view of the shared service.
 
     What ``RoutingScheme.prepare`` hands to schemes as ``self.path_cache``:
-    a ``paths`` / ``shortest`` / ``k`` surface served by the session's
-    shared service instead of a private per-scheme cache.
+    a ``paths`` / ``k`` surface served by the session's shared service
+    instead of a private per-scheme cache.
     """
 
     __slots__ = ("_cache", "_k")
@@ -1021,11 +1021,6 @@ class PairPathView:
         """The pair's path set (possibly fewer than k; empty if
         disconnected)."""
         return self._cache.paths(source, dest)
-
-    def shortest(self, source: int, dest: int) -> Optional[Path]:
-        """The pair's shortest path, or ``None`` if disconnected."""
-        paths = self._cache.paths(source, dest)
-        return paths[0] if paths else None
 
     def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
         """Path sets for every pair, in pair order."""

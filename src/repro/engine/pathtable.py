@@ -171,8 +171,9 @@ class CompiledPath:
         The reverse fee recurrence over the fee schedules of this path's
         directions, float-for-float identical to
         ``PaymentNetwork.hop_amounts`` / ``PathTable.hop_amounts`` (both
-        delegate here).  The dispatch layer calls this directly to price
-        staged sends without a path re-compile.
+        delegate here).  :meth:`SimulationSession.send_compiled
+        <repro.engine.session.SimulationSession.send_compiled>` calls this
+        directly to price a send without a path re-compile.
         """
         dir_list = self.dir_list
         hops = len(dir_list)
@@ -490,26 +491,26 @@ class PathTable:
         """The path set's memoised probe cache (``None`` for degenerate
         sets containing a hopless single-node path).
 
-        The dispatch layer holds these handles to batch-refresh many path
-        sets at once (:meth:`refresh_probes`) and to read the compiled
-        paths/refreshed bottleneck values without re-keying the set on
-        every cohort.
+        The dispatch plan holds these handles per pair, so a scheme's
+        ``attempt`` probes (:meth:`bottleneck_many`) and locks on the
+        compiled paths without re-keying the set on every attempt.
         """
         return self._probe_for(paths)
 
     def refresh_probes(self, probes: Sequence[_ProbeCache]) -> None:
         """Refresh a batch of probe caches with one concatenated gather.
 
-        The macro-tick cohort probe: instead of one ``availability``
+        A batched cohort probe: instead of one ``availability``
         gather + ``minimum.reduceat`` per path set, every stale probe's
         hop indices concatenate into a single gather and a single reduceat
         whose segment boundaries are each probe's offsets rebased into the
         combined array.  Segment minima over identical hop values are
         bit-identical to the per-set computation, so a probe refreshed
         here returns exactly what :meth:`bottleneck_many` would have
-        computed for it (the dispatch parity tests pin this end to end).
-        Already-fresh probes (``as_of`` at the current store version) are
-        skipped; duplicate handles refresh once.
+        computed for it.  Already-fresh probes (``as_of`` at the current
+        store version) are skipped; duplicate handles refresh once.  No
+        engine path calls it; it stays while the end-to-end benchmark's
+        span list wraps it by name.
         """
         store = self._store
         version = store.version

@@ -80,7 +80,7 @@ def _collector_paused() -> Iterator[None]:
 
     ``from_config`` and ``prepare()`` allocate hundreds of thousands of
     long-lived, cycle-free objects (records, channels, compiled paths,
-    profiles); the generational collector answers by re-walking that
+    handles); the generational collector answers by re-walking that
     growing heap once per 700 allocations and finds nothing.  The
     collector's prior state is restored on the way out — it stays off for
     a caller who had it off.  A build that itself left more than
@@ -209,8 +209,9 @@ class SimulationSession:
         writes newly discovered ones back when the run finishes.
 
     Same-tick attempt cohorts (arrival bursts, poll retries) drain through
-    the macro-tick :class:`~repro.engine.dispatch.DispatchPlan` — grouped
-    probes, staged decisions, one ``lock_many`` per cohort.
+    the macro-tick :class:`~repro.engine.dispatch.DispatchPlan`, which runs
+    the scheme's own ``attempt`` per payment; schemes read their pairs'
+    compiled handles through :meth:`path_handle`.
     """
 
     def __init__(
@@ -240,9 +241,12 @@ class SimulationSession:
         self._path_cache_dir = path_cache_dir
         self._finished = False
         self._prepared = False
-        #: Macro-tick cohort kernels; also the owner of the pair handles.
+        #: Macro-tick cohort driver; also the owner of the pair handles.
         self._dispatch = DispatchPlan(self)
         self._table = self._dispatch.table
+        #: Path locks :meth:`send_compiled` tried that bounced off a frozen
+        #: or under-funded hop (see :meth:`dispatch_stats`).
+        self._failed_locks = 0
         self._confirm_ticks = self.sim.clock.to_ticks(self.config.confirmation_delay)
         #: tick -> units resolving at that tick (coalesced store writes).
         self._resolve_batches: Dict[int, List[TransactionUnit]] = {}
@@ -395,9 +399,9 @@ class SimulationSession:
                 pairs.append(key)
         if pairs:
             self.network.path_service.view(k=num_paths).prepare(pairs)
-            # Also pre-build the dispatch profiles (compiled paths + probe
-            # caches) the cohort driver would otherwise fault in pair by
-            # pair during the first attempts.
+            # Also pre-build the pairs' compiled handles (compiled paths +
+            # probe caches) the schemes' attempts would otherwise fault in
+            # pair by pair.
             self._dispatch.prime(pairs)
 
     def _schedule_trace_batched(self) -> None:
@@ -465,30 +469,25 @@ class SimulationSession:
         )
 
     def dispatch_stats(self) -> Dict[str, int]:
-        """Batched-dispatch counters for observability.
+        """Dispatch counters for observability.
 
-        Keys: ``cohorts`` (every attempt cohort driven, replayed or not)
-        and ``cohort_payments`` (payments entering them); the rest count
-        replay work only — ``batched_units`` (units executed through the
-        staged ``lock_many`` path), ``scalar_fallbacks`` (payments a
-        replay handed back to the scheme's own ``attempt``; a scheme that
-        does not replay is not a fallback), ``replayed_locks`` (path
-        locks the replay attempted against its residual overlay) and
-        ``failed_locks`` (those that bounced off a frozen or under-funded
-        hop — the wasted share of the former).  Deliberately *not* part of
-        :class:`~repro.metrics.collectors.ExperimentMetrics`: they count
-        how the cohort driver reached its decisions, which the metrics are
-        pinned not to depend on (a scheme replayed batched and the same
-        scheme run through its own ``attempt`` serialise identically).
+        Keys: ``cohorts`` (every attempt cohort driven), ``cohort_payments``
+        (payments entering them) and ``failed_locks`` (path locks
+        :meth:`send_compiled` tried that bounced off a frozen or
+        under-funded hop — store work that moved no value).
+        ``batched_units`` and ``scalar_fallbacks`` always read 0 (every
+        payment decides through the scheme's own ``attempt``); the keys
+        stay because ``benchmarks/e2e`` reads them.  Deliberately *not*
+        part of :class:`~repro.metrics.collectors.ExperimentMetrics`: they
+        count how the run reached its decisions, not what it decided.
         """
         dispatch = self._dispatch
         return {
             "cohorts": dispatch.cohorts,
             "cohort_payments": dispatch.cohort_payments,
-            "batched_units": dispatch.batched_units,
-            "scalar_fallbacks": dispatch.scalar_fallbacks,
-            "replayed_locks": dispatch.replayed_locks,
-            "failed_locks": dispatch.failed_locks,
+            "batched_units": 0,
+            "scalar_fallbacks": 0,
+            "failed_locks": self._failed_locks,
         }
 
     # ------------------------------------------------------------------
@@ -548,6 +547,7 @@ class SimulationSession:
         try:
             actuals = self._table.lock_funds(cpath, amounts)
         except InsufficientFundsError:
+            self._failed_locks += 1
             return False
         payment.register_inflight(amount)
         self._book_unit(payment, cpath, amount, fee, actuals)
@@ -879,14 +879,11 @@ class SimulationSession:
     def _finish(self) -> None:
         """Mark still-pending payments failed at the end of the run.
 
-        Also asserts the run actually drained: the dispatch plan's
-        staging buffers must be empty (an exception mid-cohort would
-        otherwise strand decided-but-unlocked sends) and no due event may
-        remain in the slab queue — a truncated run that silently dropped
-        in-flight units or matured-but-unflushed resolutions would skew
-        every completion metric without failing anything.
+        Also asserts the run actually drained: no due event may remain in
+        the slab queue — a truncated run that silently dropped in-flight
+        units or matured-but-unflushed resolutions would skew every
+        completion metric without failing anything.
         """
-        self._dispatch.assert_drained()
         if self.transport is not None:
             # Drain router queues first (refunds may complete nothing, but
             # they release in-flight value).

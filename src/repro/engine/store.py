@@ -22,7 +22,7 @@ return views trimmed to the allocated channel count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -382,23 +382,23 @@ class ChannelStateStore:
             stamp[cid] = version
 
     def lock_many(self, dirs: Sequence[int], amounts: Sequence[float]) -> None:
-        """Lock a verified cohort of sends, one hop row at a time.
+        """Lock a verified batch of sends, one hop row at a time.
 
-        Caller contract (the dispatch layer's residual-replay invariant):
-        every ``amounts[i]`` is the *pre-clamped actual* the scalar lock
-        would have taken for that hop — at most the hop's residual balance
-        after all earlier entries in the batch, with frozen hops never
-        staged — so no clamping and no rollback path exist here, unlike
-        :meth:`lock_path_funds`, which must reproduce the scalar
+        Caller contract: every ``amounts[i]`` is the *pre-clamped actual*
+        the all-or-nothing lock would have taken for that hop — at most the
+        hop's balance after all earlier entries in the batch, with frozen
+        hops never listed — so no clamping and no rollback path exist here,
+        unlike :meth:`lock_path_funds`, which must reproduce the
         lock-then-rollback on failure.  Fee-bearing sends therefore pass
         their per-hop fee-inclusive amounts (one entry per hop), not a
-        broadcast delivered amount.  Repeated directions (several units of
-        one cohort crossing the same hop) are applied in list order,
-        matching the scalar per-send lock sequence bit for bit.  One version
-        bump covers the whole cohort: probe caches only compare
-        ``stamp > as_of``, so batch-granular stamping is indistinguishable
-        from per-send stamping.  Cohorts are a few rows long, so a loop over
-        Python ints and floats beats any NumPy call here.
+        broadcast delivered amount.  Repeated directions (several units
+        crossing the same hop) are applied in list order, matching the
+        per-send lock sequence bit for bit.  One version bump covers the
+        whole batch: probe caches only compare ``stamp > as_of``, so
+        batch-granular stamping is indistinguishable from per-send
+        stamping.  Batches are a few rows long, so a loop over Python ints
+        and floats beats any NumPy call here.  No engine path calls it; it
+        stays while the end-to-end benchmark's span list wraps it by name.
         """
         balance = self.balance_flat
         inflight = self.inflight_flat
@@ -444,25 +444,6 @@ class ChannelStateStore:
             balance[d] += amount
             num_refunded[cid] += 1
             stamp[cid] = version
-
-    def write_overlay(
-        self,
-        dirs: np.ndarray,
-        balances: List[float],
-        inflights: List[float],
-        sents: List[float],
-        refunds: Dict[int, int],
-    ) -> None:
-        """Land a dispatch overlay verbatim: the three funds columns of
-        ``dirs`` (each direction listed once) and ``refunds[cid]`` refund
-        ticks per rolled-back channel row, under one version stamp."""
-        self.balance_flat[dirs] = balances
-        self.inflight_flat[dirs] = inflights
-        self.sent_flat[dirs] = sents
-        refunded = np.array(list(refunds), dtype=np.intp)
-        self.num_refunded[refunded] += list(refunds.values())
-        self.version = version = self.version + 1
-        self.stamp[dirs >> 1] = version
 
     def apply_resolution_batch(
         self, dirs: np.ndarray, amounts: np.ndarray, settled: np.ndarray

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.payments import Payment, TransactionUnit
 from repro.core.queueing import HopUnit
-from repro.engine.pathtable import PathLock
+from repro.engine.pathtable import CompiledPath, PathLock
 from repro.errors import ConfigError
 from repro.fluid.paths import bfs_distances
 from repro.routing.backpressure import BackpressureUnit
@@ -148,16 +148,32 @@ class HopByHopTransport:
         is compiled once (per distinct path, network-wide) into flat store
         indices; every subsequent hop operation is a direct array access.
         """
-        amount = min(amount, payment.remaining, self.config.mtu)
-        if amount < self.config.min_unit_value:
-            return False
-        unit = HopUnit(payment, amount, tuple(path), self.sim.now)
-        unit.cpath = self.network.path_table.compile(unit.path)
-        if not self._try_lock_hop(unit):
+        unit = self.launch(
+            payment, self.network.path_table.compile(tuple(path)), amount
+        )
+        if unit is None:
             return False  # source itself lacks funds; caller may queue/poll
-        payment.register_inflight(amount)
         self._schedule_advance(unit)
         return True
+
+    def launch(
+        self, payment: Payment, cpath: CompiledPath, amount: float
+    ) -> Optional[HopUnit]:
+        """:meth:`send_unit_hop_by_hop` on an already compiled path, minus
+        the scheduling: the unit with its first hop locked, or ``None``.
+
+        The caller schedules what it launched with :meth:`advance_many` —
+        order-exact as long as it schedules nothing else in between.
+        """
+        amount = min(amount, payment.remaining, self.config.mtu)
+        if amount < self.config.min_unit_value:
+            return None
+        unit = HopUnit(payment, amount, cpath.nodes, self.sim.now)
+        unit.cpath = cpath
+        if not self._try_lock_hop(unit):
+            return None
+        payment.register_inflight(amount)
+        return unit
 
     # ------------------------------------------------------------------
     # Hop machinery

@@ -71,9 +71,9 @@ class DirectionIndex:
       ``fee_bearing`` flags the directions with a non-zero schedule.
     * ``int_pool`` — ``list(range(2·channels))``, one Python ``int`` per
       direction id (and so per channel row).  The tuples of ids the engine
-      keeps per compiled path and per dispatch profile are built by
-      mapping through it, so they share these objects instead of each
-      batch's ``tolist()`` minting hundreds of thousands of fresh ones.
+      keeps per compiled path are built by mapping through it, so they
+      share these objects instead of each batch's ``tolist()`` minting
+      hundreds of thousands of fresh ones.
 
     Fee schedules are snapshotted here: like the edge set they are part
     of the static topology (§2) and must be configured before the first

@@ -1,8 +1,11 @@
 """Routing scheme interface.
 
 A scheme is pure policy: it decides *which paths and how much*, and uses the
-session's two primitives (``send_unit`` / ``send_atomic``) to move money.
-The session (passed as ``runtime``) calls :meth:`RoutingScheme.attempt`:
+session's primitives (``send_unit`` / ``send_compiled`` / ``send_atomic``)
+to move money.  The session (passed as ``runtime``) calls
+:meth:`RoutingScheme.attempt` — the scheme's one decision path; the
+session's :class:`~repro.engine.dispatch.DispatchPlan` runs it per payment
+of every same-tick cohort:
 
 * once at arrival for **atomic** schemes (``atomic = True``) — if the
   attempt locks nothing, the runtime fails the payment (the paper's
@@ -14,9 +17,12 @@ Path discovery goes through the network's shared
 :class:`~repro.engine.pathservice.PathService`: the default
 :meth:`RoutingScheme.prepare` hands schemes a
 :class:`~repro.engine.pathservice.PairPathView` as ``self.path_cache`` —
-a ``paths`` / ``shortest`` / ``k`` surface served from one per-network
-service (CSR array BFS, process-wide memoisation, optional disk artifacts)
-instead of a private per-scheme cache.
+a ``paths`` / ``k`` surface served from one per-network service (CSR
+array BFS, process-wide memoisation, optional disk artifacts) instead of a
+private per-scheme cache.  A scheme with a path budget can skip the node
+tuples altogether: :meth:`SimulationSession.path_handle
+<repro.engine.session.SimulationSession.path_handle>` returns the pair's
+compiled handle, built in bulk during ``prepare()``.
 """
 
 from __future__ import annotations
@@ -44,20 +50,6 @@ class RoutingScheme(abc.ABC):
     #: schemes pass the transport's constructor arguments through an
     #: optional ``runtime_kwargs()`` method.
     transport: Optional[str] = None
-    #: Name of the cohort replay the session's
-    #: :class:`~repro.engine.dispatch.DispatchPlan` may run in place of
-    #: per-payment :meth:`attempt` calls when draining a same-tick cohort.
-    #: There are two, each kept because a benchmark workload shows it
-    #: pays: ``"waterfilling"`` (replayed only on a network where some
-    #: channel charges a fee — 1.26× faster than sequential on
-    #: ``ripple-full-fees-warm``) and ``"spider-window"`` (the launch
-    #: loop, 1.15× on ``isp-window``).  ``None`` means the dispatch layer
-    #: drives :meth:`attempt` sequentially — still batched at the event
-    #: level, with bit-identical results.  Declaring a rule is a promise
-    #: that the replay reproduces :meth:`attempt`'s decisions byte for
-    #: byte — fees, shared channels, frozen hops and all; the parity
-    #: suite in ``tests/engine/test_dispatch.py`` enforces it.
-    cohort_rule: Optional[str] = None
 
     def prepare(self, runtime: "SimulationSession") -> None:
         """One-time setup before the trace starts (path/LP precomputation).

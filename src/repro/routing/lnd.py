@@ -24,9 +24,7 @@ Model
   failing direction is avoided while fresh (LND's mission control).
 
 The session's :class:`~repro.engine.dispatch.DispatchPlan` runs
-:meth:`LndScheme.attempt` per payment: a cohort replay of the retry loop
-measured no faster (isp, 30k payments: 3.54/3.83 s sequential vs
-5.14/4.21 s replayed), so the scheme declares no ``cohort_rule``.
+:meth:`LndScheme.attempt` per payment, as it runs every scheme's.
 """
 
 from __future__ import annotations

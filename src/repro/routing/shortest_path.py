@@ -28,11 +28,11 @@ class ShortestPathScheme(RoutingScheme):
     """Single-shortest-path, non-atomic, queue-and-retry routing.
 
     The decision sequence is ``send_on_path`` over one static path — a
-    bottleneck re-probe before every unit.  The session's
+    bottleneck re-probe before every unit — on the pair's compiled handle
+    (:meth:`SimulationSession.path_handle
+    <repro.engine.session.SimulationSession.path_handle>`).  The session's
     :class:`~repro.engine.dispatch.DispatchPlan` runs this method per
-    payment: a cohort replay of it measured no faster (isp, 30k payments:
-    2.91/2.84 s sequential vs 3.66/2.84 s replayed), so the scheme
-    declares no ``cohort_rule``.
+    payment, as it runs every scheme's.
     """
 
     name = "shortest-path"

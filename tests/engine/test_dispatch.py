@@ -1,21 +1,16 @@
-"""Macro-tick dispatch parity tests (batched replay ⇔ sequential attempts).
+"""Dispatch parity tests: handle attempts ⇔ node-tuple reference attempts.
 
-The :class:`~repro.engine.dispatch.DispatchPlan` has two cohort replays
-(grouped probes, staged scatter-add locks): waterfilling on a network
-where some channel charges a fee, and the spider-window launch loop.
-Every other scheme and network runs the scheme's own ``attempt`` per
-payment, in cohort order — which is also the replays' reference: the
-same session with ``scheme.cohort_rule = None``.  Which runs where is
-pinned by :func:`test_replay_runs_only_where_it_pays`.
-Everything else here pins the two arms byte-for-byte on serialised
-metrics — and, below the metrics, bit for bit on the final store arrays —
-for both replays, including runs that force the interesting regimes:
-mid-cohort conflict groups (shared-channel pairs replayed against the
-plan's residual-capacity overlay), fee-bearing and frozen topologies
-(staged with per-hop fee schedules), and resolution flushes landing on the
-same tick as the poll that relocks the released funds.  The overlay's lock
-replay has its own store-level oracle: a hypothesis differential against
-``ChannelStateStore.lock_path_funds``.
+The :class:`~repro.engine.dispatch.DispatchPlan` runs every scheme's own
+``attempt`` per payment, in cohort order.  Waterfilling and the
+spider-window launch loop decide on the pair's compiled handle
+(``session.path_handle``); their reference is the same decision rule
+written over node tuples (:mod:`tests.reference.schemes`), swapped onto
+the same scheme in an otherwise identical session.  The tests here pin
+the two arms byte-for-byte on serialised metrics — and, below the
+metrics, bit for bit on the final store arrays — across the regimes that
+matter: shared-channel cohorts, fee-bearing and frozen topologies, a
+network where only some channels charge fees, and resolution flushes
+landing on the same tick as the poll that relocks the released funds.
 
 The bulk-scheduling substrate gets its own order pins:
 :meth:`TickEngine.schedule_many` must pop identically to repeated scalar
@@ -27,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.core.payments import Payment
 from repro.core.scheduling import PendingHeap, get_policy
@@ -36,16 +29,17 @@ from repro.engine.events import TickEngine
 from repro.engine.session import SimulationSession
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import metrics_to_json
-from repro.errors import InsufficientFundsError, SimulationError
+from repro.errors import InsufficientFundsError
 from repro.workload.generator import TransactionRecord
+from tests.reference.schemes import use_reference_attempt
 
-#: A fee schedule on every channel: what makes waterfilling replay.
+#: A fee schedule on every channel: what makes eager locks bounce.
 FEES = dict(base_fee=0.01, fee_rate=0.001, max_fee_fraction=0.25)
 
-#: The schemes the DispatchPlan replays, each with the config overrides
-#: that make it replay (waterfilling only where some channel charges a
-#: fee); the parity tests sweep exactly these.
-BATCHED_SCHEMES = {
+#: The schemes whose ``attempt`` decides on compiled handles, each with
+#: the config overrides of its busiest regime (waterfilling where every
+#: channel charges a fee); the parity tests sweep exactly these.
+HANDLE_SCHEMES = {
     "spider-waterfilling": FEES,
     "spider-window": {},
 }
@@ -85,26 +79,26 @@ def _assert_same_store(fast, slow):
         assert np.array_equal(fast[name], slow[name]), name
 
 
-def _session(config, batched=True, mutate=None):
-    """A session for ``config``; ``batched=False`` clears the scheme's
-    ``cohort_rule``, so the plan runs its ``attempt`` sequentially.
+def _session(config, reference=False, mutate=None):
+    """A session for ``config``; ``reference=True`` makes the scheme decide
+    through its node-tuple reference attempt.
 
     ``mutate(network)`` runs after the network is built and before the
-    session starts — both arms replay the identical mutation because the
+    session starts — both arms apply the identical mutation because the
     inputs are rebuilt from the config seed each time.
     """
     network, records, scheme = config.build_simulation_inputs()
-    if not batched:
-        scheme.cohort_rule = None
+    if reference:
+        use_reference_attempt(scheme)
     if mutate is not None:
         mutate(network)
     return SimulationSession(network, records, scheme, config.build_runtime_config())
 
 
-def _run(config, batched, mutate=None):
+def _run(config, reference, mutate=None):
     """Serialised metrics, final store arrays and dispatch counters of one
     session run."""
-    session = _session(config, batched, mutate)
+    session = _session(config, reference, mutate)
     metrics = session.run()
     return (
         metrics_to_json(metrics).encode(),
@@ -114,44 +108,43 @@ def _run(config, batched, mutate=None):
 
 
 def _assert_modes_agree(config, mutate=None):
-    """Batched replay and sequential attempts: same metrics bytes, same
-    store bits — and the batched arm really ran batched."""
-    fast_json, fast_store, fast_stats = _run(config, batched=True, mutate=mutate)
-    slow_json, slow_store, slow_stats = _run(config, batched=False, mutate=mutate)
-    assert fast_stats["batched_units"] > 0
-    assert slow_stats["batched_units"] == 0
+    """Handle attempts and reference attempts: same metrics bytes, same
+    store bits, same dispatch counters (failed locks included)."""
+    fast_json, fast_store, fast_stats = _run(config, reference=False, mutate=mutate)
+    slow_json, slow_store, slow_stats = _run(config, reference=True, mutate=mutate)
+    assert fast_stats["cohorts"] > 0
+    assert fast_stats == slow_stats
     assert fast_json == slow_json
     _assert_same_store(fast_store, slow_store)
 
 
-@pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
+@pytest.mark.parametrize("scheme", HANDLE_SCHEMES)
 @pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
 def test_dispatch_modes_byte_identical(scheme, topology):
-    """Batched replay and sequential attempts serialise identically.
+    """Handle attempts and reference attempts serialise identically.
 
     ``line-5`` forces every pair through shared channels (constant
     mid-cohort conflicts); ``ripple-small`` gives channel-disjoint path
-    sets real batched coverage.
+    sets real coverage.
     """
     _assert_modes_agree(
         _config(
             scheme=scheme,
             topology=topology,
             num_transactions=150,
-            **BATCHED_SCHEMES[scheme],
+            **HANDLE_SCHEMES[scheme],
         )
     )
 
 
-@pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
+@pytest.mark.parametrize("scheme", HANDLE_SCHEMES)
 def test_dispatch_parity_with_random_fees_and_frozen_channels(scheme):
-    """Fee-bearing hops and frozen channels batch byte-identically.
+    """Fee-bearing hops and frozen channels decide byte-identically.
 
     A proportional fee schedule plus a seeded random set of frozen
-    channels pushes every regime the fee-aware staging must replay — the
-    reverse fee recurrence, frozen-hop availability masking and the
-    predicted-lock-failure fallback — and the two arms must still agree
-    byte for byte.
+    channels pushes the regimes a handle attempt must match — the reverse
+    fee recurrence, frozen-hop availability masking and locks that bounce
+    mid-attempt — and the two arms must still agree byte for byte.
     """
     import random
 
@@ -167,24 +160,24 @@ def test_dispatch_parity_with_random_fees_and_frozen_channels(scheme):
     _assert_modes_agree(config, mutate=freeze_some)
 
 
-@pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
+@pytest.mark.parametrize("scheme", HANDLE_SCHEMES)
 def test_dispatch_parity_fee_bearing_shared_channels(scheme):
-    """Shared-channel path sets with fees batch byte-identically.
+    """Shared-channel path sets with fees decide byte-identically.
 
     ``line-5`` forces every pair through the same channels, so each
-    cohort is one big conflict group: every payment's replay must read
-    the residual capacities left by the payments staged before it, with
-    per-hop fee-inclusive amounts.
+    cohort is one big conflict group: every payment's attempt must read
+    the capacities left by the payments before it, with per-hop
+    fee-inclusive amounts.
     """
     config = _config(scheme=scheme, topology="line-5", num_transactions=150, **FEES)
     _assert_modes_agree(config)
 
 
 def test_dispatch_parity_where_only_some_channels_charge_fees():
-    """A network where an eighth of the channels charge a fee makes waterfilling
-    replay, and the path sets that avoid every fee-charging channel go
-    through the same residual overlay as the rest.  Both arms agree byte
-    for byte, and the run really held such fee-free path sets."""
+    """A network where an eighth of the channels charge a fee: the path
+    sets that avoid every fee-charging channel and the ones that cross
+    one decide through the same attempt.  Both arms agree byte for byte,
+    and the run really held both kinds of path set."""
     import random
 
     def charge_some(network):
@@ -200,90 +193,127 @@ def test_dispatch_parity_where_only_some_channels_charge_fees():
     _assert_modes_agree(config, mutate=charge_some)
     session = _session(config, mutate=charge_some)
     session.run()
-    profiles = session._dispatch._profiles.values()
+    handles = session._dispatch._handles[session.scheme.num_paths].values()
     fee_free = [
-        all(cpath.fee_free for cpath in prof.cpaths)
-        for prof in profiles
-        if prof.probe is not None
+        all(cpath.fee_free for cpath in handle.cpaths)
+        for handle in handles
+        if handle is not None
     ]
     assert any(fee_free) and not all(fee_free)
 
 
-def test_mid_cohort_conflicts_batch_through_residual_replay():
-    """Shared-channel cohorts batch instead of falling back.
+@pytest.mark.parametrize("topology", ["line-5", "ripple-small", "isp"])
+@pytest.mark.parametrize("scheme", HANDLE_SCHEMES)
+def test_mid_cohort_conflicts_decide_like_the_reference(scheme, topology):
+    """Fee-bearing cohorts whose pairs share channels decide like the
+    reference, on three topologies with more room to fill.
 
-    On ``line-5`` every payment's paths share channels; the residual
-    replay stages those conflict groups, so batched units flow and the
-    fallback counter stays at zero.  The parity tests above would pass
-    vacuously if the batched arm were dead — this pins the counters, and
-    the session's ``dispatch_stats`` accessor with them.
-
-    Fee-bearing waterfilling and window cohorts are held to that zero:
-    fee-inclusive per-hop amounts, fee-budget vetoes and failed eager
-    locks are all replayed in the batch, so no payment may drop to the
-    scheme's scalar ``attempt``.
+    Every payment's attempt reads what the attempts before it in the same
+    cohort locked — fee-inclusive per-hop amounts, fee-budget vetoes and
+    bounced locks included.  The counters come through the session's
+    ``dispatch_stats`` accessor from the plan and the send core.
     """
-    cases = [dict(topology=topology, **FEES) for topology in ["line-5", "ripple-small"]]
-    cases += [
-        dict(scheme=scheme, topology=topology, capacity=400.0, seed=1, **FEES)
-        for scheme in BATCHED_SCHEMES
-        for topology in ["line-5", "ripple-small", "isp"]
-    ]
-    for case in cases:
-        config = _config(num_transactions=150, **case)
-        network, records, scheme = config.build_simulation_inputs()
-        session = SimulationSession(
-            network, records, scheme, config.build_runtime_config()
-        )
-        session.run()
-        plan = session._dispatch
-        assert plan.cohorts > 0
-        assert plan.batched_units > 0
-        assert plan.scalar_fallbacks == 0
-        stats = session.dispatch_stats()
-        assert stats == {
-            "cohorts": plan.cohorts,
-            "cohort_payments": plan.cohort_payments,
-            "batched_units": plan.batched_units,
-            "scalar_fallbacks": plan.scalar_fallbacks,
-            "replayed_locks": plan.replayed_locks,
-            "failed_locks": plan.failed_locks,
-        }
-        assert stats["cohort_payments"] >= stats["cohorts"]
-        assert stats["replayed_locks"] >= stats["failed_locks"]
-
-
-def test_unbatchable_pair_takes_scalar_fallback():
-    """A payment whose pair profile is not batchable drops to the
-    scheme's scalar ``attempt`` (flush-first), keeping the fallback arm
-    of the cohort driver honest."""
-    from repro.engine.dispatch import _PairProfile
-
-    # An MTU below the fresh bottleneck leaves room for the upstream fees,
-    # so the scalar attempt's locks land instead of bouncing.
-    config = _config(topology="ripple-small", num_transactions=10, mtu=10.0, **FEES)
-    network, records, scheme = config.build_simulation_inputs()
-    session = SimulationSession(
-        network, records, scheme, config.build_runtime_config()
+    config = _config(
+        scheme=scheme,
+        topology=topology,
+        num_transactions=150,
+        capacity=400.0,
+        seed=1,
+        **FEES,
     )
-    session.prepare()
+    _assert_modes_agree(config)
+    session = _session(config)
+    session.run()
     plan = session._dispatch
-    payment = session._new_payment(records[0])
-    # Forge the degenerate profile (no probeable path set) for the pair.
-    plan._profiles[(payment.source, payment.dest)] = _PairProfile()
-    plan.attempt_cohort((payment,))
-    assert plan.scalar_fallbacks == 1
-    assert payment.units_sent > 0  # the scalar attempt really ran
+    stats = session.dispatch_stats()
+    assert stats == {
+        "cohorts": plan.cohorts,
+        "cohort_payments": plan.cohort_payments,
+        "batched_units": 0,
+        "scalar_fallbacks": 0,
+        "failed_locks": session._failed_locks,
+    }
+    assert stats["cohort_payments"] >= stats["cohorts"] > 0
 
 
-def test_lock_counters_count_the_fee_regime():
-    """``replayed_locks``/``failed_locks`` tell the fee regime apart.
+#: Hand-built cohorts on the fee-bearing line, where every pair shares
+#: channels (100 spendable per direction): the first payment takes 60 off
+#: every hop it crosses and the ones after it must decide on what is left.
+_SHARED_CHANNEL_COHORTS = {
+    "spider-waterfilling": [(0, 4, 60.0), (1, 3, 30.0), (0, 4, 60.0), (2, 4, 30.0)],
+    "spider-window": [(0, 4, 60.0), (0, 3, 30.0), (0, 4, 60.0)],
+}
 
-    On the fee-bearing shared-channel line waterfilling offers the
-    bottleneck and the fee-loaded upstream hops then need more than it
-    holds, so locks bounce; on fee-free ``ripple-small`` no lock can
-    bounce, so no replay runs at all.
-    """
+
+@pytest.mark.parametrize("scheme", HANDLE_SCHEMES)
+def test_shared_channel_cohort_reads_the_locks_before_it(scheme):
+    """One cohort of payments over shared channels, through the cohort
+    driver on handles and through reference attempts one by one: the
+    store ends bit for bit in the same place, and the later payments
+    really found less than the first one."""
+    config = _config(scheme=scheme, topology="line-5", num_transactions=40, **FEES)
+    fast = _prepared(config)
+    slow = _prepared(config, reference=True)
+    cohort = [
+        TransactionRecord(900 + i, 0.0, source, dest, amount)
+        for i, (source, dest, amount) in enumerate(_SHARED_CHANNEL_COHORTS[scheme])
+    ]
+    fast_payments = [fast._new_payment(record) for record in cohort]
+    fast._dispatch.attempt_cohort(fast_payments)
+    slow_payments = [slow._new_payment(record) for record in cohort]
+    for payment in slow_payments:
+        slow.scheme.attempt(payment, slow)
+    assert [p.inflight for p in fast_payments] == [p.inflight for p in slow_payments]
+    assert fast_payments[0].inflight > fast_payments[2].inflight
+    assert fast.dispatch_stats()["failed_locks"] == slow.dispatch_stats()["failed_locks"]
+    _assert_same_store(
+        _store_arrays(fast.network.state_store),
+        _store_arrays(slow.network.state_store),
+    )
+
+
+@pytest.mark.parametrize("scheme", HANDLE_SCHEMES)
+def test_pair_without_a_path_fails_like_the_reference(scheme):
+    """A pair with no path between its nodes has no handle: its attempt
+    fails the payment and moves nothing, as the reference does, while the
+    connected pair in the same run still routes."""
+    from repro.routing.registry import make_scheme
+    from repro.topology.base import Topology
+
+    topology = Topology(
+        name="two-lines", nodes=[0, 1, 2, 3, 4], edges=[(0, 1), (1, 2), (3, 4)]
+    )
+    records = [
+        TransactionRecord(0, 0.1, 0, 4, 5.0),
+        TransactionRecord(1, 0.2, 0, 2, 5.0),
+    ]
+    runs = []
+    for reference in (False, True):
+        scheme_obj = make_scheme(scheme)
+        if reference:
+            use_reference_attempt(scheme_obj)
+        session = SimulationSession(
+            topology.build_network(default_capacity=100.0), records, scheme_obj
+        )
+        metrics = session.run()
+        runs.append((session, metrics_to_json(metrics).encode()))
+    (fast, fast_json), (slow, slow_json) = runs
+    assert fast_json == slow_json
+    assert fast.path_handle(0, 4, fast.scheme.num_paths) is None
+    lost, routed = fast.payments[0], fast.payments[1]
+    assert lost.is_terminal and lost.delivered == 0.0 and lost.units_sent == 0
+    assert routed.delivered > 0
+    _assert_same_store(
+        _store_arrays(fast.network.state_store),
+        _store_arrays(slow.network.state_store),
+    )
+
+
+def test_failed_locks_tell_the_fee_regime_apart():
+    """With no fee anywhere waterfilling never offers more than a path's
+    bottleneck, so no lock bounces; on the fee-bearing line the
+    fee-loaded upstream hops need more than the bottleneck holds, so
+    some do."""
 
     def stats(**overrides):
         config = _config(num_transactions=150, **overrides)
@@ -292,74 +322,51 @@ def test_lock_counters_count_the_fee_regime():
         return session.dispatch_stats()
 
     fees = stats(topology="line-5", **FEES)
-    assert 0 < fees["failed_locks"] < fees["replayed_locks"]
+    assert fees["failed_locks"] > 0
     free = stats(topology="ripple-small")
     assert free["cohorts"] > 0
-    assert free["replayed_locks"] == free["batched_units"] == 0
+    assert free["failed_locks"] == 0
 
 
-def test_replay_runs_only_where_it_pays(monkeypatch):
-    """The plan replays fee-bearing waterfilling and the window launch
-    loop, and nothing else: fee-free waterfilling, shortest-path and LND
-    decide through their own ``attempt`` (every cohort still counted),
-    with no replayed unit and — fee-free waterfilling — no cohort probe
-    refresh."""
+def test_failed_locks_count_the_bounces_in_the_send_core(monkeypatch):
+    """``failed_locks`` is every ``InsufficientFundsError`` that
+    :meth:`PathTable.lock_funds` raises inside ``send_compiled``.
+
+    On fee-bearing ``ripple-small`` waterfilling offers a path's
+    bottleneck and the fee-loaded upstream hops then need more than it
+    holds, so locks bounce; the counter equals the raises counted at the
+    source.
+    """
     from repro.engine.pathtable import PathTable
 
-    refreshes = []
-    refresh = PathTable.refresh_probes
+    raised = []
+    lock_funds = PathTable.lock_funds
 
-    def counting(self, probes):
-        refreshes.append(len(probes))
-        refresh(self, probes)
+    def counting(self, cpath, amounts):
+        try:
+            return lock_funds(self, cpath, amounts)
+        except InsufficientFundsError:
+            raised.append(cpath)
+            raise
 
-    monkeypatch.setattr(PathTable, "refresh_probes", counting)
-
-    def stats(scheme, **overrides):
-        refreshes.clear()
-        config = _config(
-            scheme=scheme, topology="ripple-small", num_transactions=150, **overrides
-        )
-        session = SimulationSession.from_config(config)
-        session.run()
-        stats = session.dispatch_stats()
-        assert stats["cohorts"] > 0
-        assert stats["scalar_fallbacks"] == 0
-        return stats
-
-    free = stats("spider-waterfilling")
-    assert free["batched_units"] == free["replayed_locks"] == 0
-    assert not refreshes
-    assert stats("spider-waterfilling", **FEES)["batched_units"] > 0
-    assert refreshes
-    for scheme in ["shortest-path", "lnd"]:
-        for overrides in [{}, FEES]:
-            sequential = stats(scheme, **overrides)
-            assert sequential["batched_units"] == sequential["replayed_locks"] == 0
-    assert stats("spider-window")["batched_units"] > 0
+    monkeypatch.setattr(PathTable, "lock_funds", counting)
+    config = _config(topology="ripple-small", num_transactions=150, **FEES)
+    session = SimulationSession.from_config(config)
+    session.run()
+    stats = session.dispatch_stats()
+    assert stats["failed_locks"] == len(raised) > 0
+    assert stats["batched_units"] == stats["scalar_fallbacks"] == 0
 
 
-def test_replay_rule_is_worked_out_at_prime_or_the_first_cohort():
-    """A scheme with a path view decides in ``prepare`` (its ``prime``);
-    LND has none, so its plan decides at the first cohort."""
-    primed = _prepared(_config(topology="ripple-small", num_transactions=10))
-    assert primed._dispatch._rule_decided
-    config = _config(scheme="lnd", topology="ripple-small", num_transactions=10)
-    session = _prepared(config)
-    plan = session._dispatch
-    assert not plan._rule_decided
-    plan.attempt_cohort([session._new_payment(session.records[0])])
-    assert plan._rule_decided and plan._rule is None
-
-
-@pytest.mark.parametrize("scheme", ["spider-waterfilling", "shortest-path"])
+@pytest.mark.parametrize(
+    "scheme", ["spider-waterfilling", "spider-window", "shortest-path"]
+)
 def test_prime_warms_the_sequential_path(scheme, monkeypatch):
-    """For a scheme that does not replay, ``prepare`` compiles every path
-    the trace routes over and holds one probe handle per path set, and
-    builds no dispatch profile; the run then compiles no path and builds
-    no probe of its own.  The scheme's ``attempt`` works off those
-    handles: no ``PathTable.compile`` call (not even a memo hit) and no
-    path-set lookup through the path service during the run."""
+    """``prepare`` compiles every path the trace routes over and holds one
+    probe handle per path set; the run then compiles no path and builds no
+    probe of its own.  The scheme's ``attempt`` works off those handles:
+    no ``PathTable.compile`` call (not even a memo hit) and no path-set
+    lookup through the path service during the run."""
     from repro.engine.pathservice import PersistentCache
     from repro.engine.pathtable import PathTable
 
@@ -369,7 +376,6 @@ def test_prime_warms_the_sequential_path(scheme, monkeypatch):
     compiled, probes = len(table._compiled), len(table._probes)
     pairs = {(record.source, record.dest) for record in session.records}
     assert probes == len(pairs)
-    assert not session._dispatch._profiles
     calls = {"compile": 0, "lookup": 0}
 
     def counted(name, method):
@@ -384,16 +390,15 @@ def test_prime_warms_the_sequential_path(scheme, monkeypatch):
         PersistentCache, "paths", counted("lookup", PersistentCache.paths)
     )
     session.run()
-    assert session.dispatch_stats()["batched_units"] == 0
     assert (len(table._compiled), len(table._probes)) == (compiled, probes)
     assert any(payment.delivered > 0 for payment in session.payments.values())
     assert calls == {"compile": 0, "lookup": 0}
 
 
-def test_window_without_a_hop_transport_runs_its_own_attempt():
-    """With no hop transport attached the window rule does not replay:
-    the scheme's own ``attempt`` raises its ``TypeError``, and no
-    fallback is counted."""
+def test_window_without_a_hop_transport_raises():
+    """With no hop transport attached the window scheme's ``attempt``
+    raises its ``TypeError`` through the cohort driver, before it reads
+    a handle or moves a fund."""
     from repro.core.window_control import WindowedSpiderScheme
     from repro.topology.generators import line_topology
 
@@ -403,8 +408,8 @@ def test_window_without_a_hop_transport_runs_its_own_attempt():
     payment = Payment(payment_id=1, source=0, dest=2, amount=1.0, arrival_time=0.0)
     with pytest.raises(TypeError):
         plan.attempt_cohort([payment])
-    assert plan._rule is None
-    assert plan.scalar_fallbacks == 0
+    assert not plan._handles
+    assert payment.inflight == 0.0
 
 
 @pytest.mark.parametrize(
@@ -412,9 +417,9 @@ def test_window_without_a_hop_transport_runs_its_own_attempt():
     ["spider-waterfilling", "spider-window", "shortest-path", "lnd", "spider-amp"],
 )
 def test_cohort_counters_count_every_attempt(scheme):
-    """``cohort_payments`` is every attempt the session made, whether the
-    cohort replayed or ran the scheme's own ``attempt`` — a scheme that
-    declares no ``cohort_rule`` at all included."""
+    """``cohort_payments`` is every attempt the session made, for every
+    kind of scheme; nothing is batched or falls back, so those two
+    counters read 0."""
     config = _config(scheme=scheme, topology="ripple-small", num_transactions=150)
     session = _session(config)
     session.run()
@@ -422,150 +427,71 @@ def test_cohort_counters_count_every_attempt(scheme):
     attempts = sum(payment.attempts for payment in session.payments.values())
     assert stats["cohort_payments"] == attempts > 0
     assert 0 < stats["cohorts"] <= attempts
+    assert stats["batched_units"] == stats["scalar_fallbacks"] == 0
 
 
-def _prepared(config, batched=True):
-    session = _session(config, batched)
+def _prepared(config, reference=False):
+    session = _session(config, reference)
     session.prepare()
     return session
 
 
-@pytest.mark.parametrize("scheme", ["spider-waterfilling"])
-def test_mid_cohort_fallback_drops_the_seeded_overlay(scheme):
-    """A scalar fallback between two replays leaves no stale balance.
-
-    On the fee-bearing line every pair shares channels.  The cohort is
-    (replayed, forged fallback, replayed, replayed): the first replay
-    seeds the overlay with the whole cohort's balances, the fallback's
-    scalar attempt then moves the store behind it, and the replays after
-    it must decide on what that attempt left — the store ends bit for bit
-    where the sequential attempts leave it.
-    """
-    from repro.engine.dispatch import _PairProfile
-
-    config = _config(scheme=scheme, topology="line-5", num_transactions=40, **FEES)
-    fast = _prepared(config)
-    slow = _prepared(config, batched=False)
-    # 100 spendable per direction: the first payment takes 60 off every
-    # hop, the fallback 30 more off hops 1 -> 2 -> 3, and the third finds
-    # 10 there — or 40, if it still reads the balances seeded before the
-    # fallback.
-    cohort = [
-        TransactionRecord(900 + i, 0.0, source, dest, amount)
-        for i, (source, dest, amount) in enumerate(
-            [(0, 4, 60.0), (1, 3, 30.0), (0, 4, 60.0), (2, 4, 30.0)]
-        )
-    ]
-    middle = cohort[1]
-    plan = fast._dispatch
-    plan._profiles[(middle.source, middle.dest)] = _PairProfile()
-    plan.attempt_cohort([fast._new_payment(r) for r in cohort])
-    for record in cohort:
-        slow.scheme.attempt(slow._new_payment(record), slow)
-    assert plan.scalar_fallbacks == 1
-    assert plan.replayed_locks > 0
-    _assert_same_store(
-        _store_arrays(fast.network.state_store),
-        _store_arrays(slow.network.state_store),
-    )
-    plan.assert_drained()
-
-
-def _forbid_probe_refresh(monkeypatch):
+@pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
+def test_window_attempts_read_no_probe(monkeypatch, topology):
+    """The window attempt reads first hops straight from the store and
+    never a probe value, so a run refreshes and probes no path set — and
+    still matches the reference attempts byte for byte."""
     from repro.engine.pathtable import PathTable
 
-    def refuse(self, probes):
-        raise AssertionError("a cohort refreshed its probe caches")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a window attempt probed a path set")
 
     monkeypatch.setattr(PathTable, "refresh_probes", refuse)
-
-
-@pytest.mark.parametrize("scheme", ["spider-window"])
-@pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
-def test_window_cohorts_never_refresh_probes(monkeypatch, scheme, topology):
-    """The window rule reads first hops lazily through the overlay and
-    never a probe value, so its cohorts refresh no probe cache — and the
-    run still matches the sequential attempts byte for byte."""
-    _forbid_probe_refresh(monkeypatch)
+    monkeypatch.setattr(PathTable, "bottleneck_many", refuse)
     _assert_modes_agree(
-        _config(scheme=scheme, topology=topology, num_transactions=150)
+        _config(scheme="spider-window", topology=topology, num_transactions=150)
     )
 
 
-def test_window_cohort_after_fallback_reads_live_state(monkeypatch):
-    """A scalar fallback mid-cohort needs no probe backstop for the
-    window rule: the fallback's flush drops the lazily filled overlay, so
-    the launches after it read what that attempt left.  Cohort
-    (replayed, forged fallback, replayed) on the line, where every pair
-    shares channels; the store ends bit for bit where the sequential
-    attempts leave it."""
-    from repro.engine.dispatch import _PairProfile
-
-    _forbid_probe_refresh(monkeypatch)
-    config = _config(scheme="spider-window", topology="line-5", num_transactions=40)
-    fast = _prepared(config)
-    slow = _prepared(config, batched=False)
-    cohort = [
-        TransactionRecord(900 + i, 0.0, source, dest, amount)
-        for i, (source, dest, amount) in enumerate(
-            [(0, 4, 60.0), (0, 3, 30.0), (0, 4, 60.0)]
-        )
-    ]
-    middle = cohort[1]
-    plan = fast._dispatch
-    plan._profiles[(middle.source, middle.dest)] = _PairProfile()
-    plan.attempt_cohort([fast._new_payment(r) for r in cohort])
-    for record in cohort:
-        slow.scheme.attempt(slow._new_payment(record), slow)
-    assert plan.scalar_fallbacks == 1
-    assert plan.batched_units > 0
-    _assert_same_store(
-        _store_arrays(fast.network.state_store),
-        _store_arrays(slow.network.state_store),
-    )
-    plan.assert_drained()
-
-
-@pytest.mark.parametrize("scheme", ["spider-window"])
 @pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
-def test_window_cache_matches_sequential_windows(scheme, topology):
+def test_window_cache_matches_reference_windows(topology):
     """The per-pair window cache creates, fills and reads the scheme's
-    window states exactly as the sequential attempts do: the same
+    window states exactly as the reference attempts do: the same
     ``window_snapshot()`` — keys in the same creation order, same window
-    values — and every cached state is the scheme's own object."""
-    config = _config(scheme=scheme, topology=topology, num_transactions=150)
+    values — and every cached state is the scheme's own object, aligned
+    with the pair handle's compiled paths."""
+    config = _config(scheme="spider-window", topology=topology, num_transactions=150)
     fast = _session(config)
     fast.run()
-    slow = _session(config, batched=False)
+    slow = _session(config, reference=True)
     slow.run()
     fast_windows = fast.scheme.window_snapshot()
     assert list(fast_windows.items()) == list(slow.scheme.window_snapshot().items())
-    cached = [
-        prof for prof in fast._dispatch._profiles.values() if prof.windows is not None
-    ]
+    cached = fast.scheme._pair_windows
     assert cached
-    for prof in cached:
-        assert len(prof.windows) == len(prof.cpaths)
-        for cpath, state in zip(prof.cpaths, prof.windows):
+    for (source, dest), windows in cached.items():
+        cpaths = fast.path_handle(source, dest, fast.scheme.num_paths).cpaths
+        assert len(windows) == len(cpaths)
+        for cpath, state in zip(cpaths, windows):
             assert fast.scheme.window(cpath.nodes) is state
 
 
 def test_window_headroom_is_recomputed_like_the_scheme():
-    """After each launch the replay's headroom is ``window - inflight``
+    """After each launch the attempt's headroom is ``window - inflight``
     again, not a running ``headroom - amount``: with a 1.0 window and a
     0.3 MTU the two part at the fourth launch (0.10000000000000009 vs
-    0.09999999999999998), and the batched launches must land on the
-    sequential attempt's bits."""
+    0.09999999999999998), and the handle attempt's launches must land on
+    the reference attempt's bits."""
     config = _config(scheme="spider-window", topology="line-5", num_transactions=1, mtu=0.3)
-    arms = [_prepared(config), _prepared(config, batched=False)]
+    arms = [_prepared(config), _prepared(config, reference=True)]
     record = TransactionRecord(900, 0.0, 0, 4, 50.0)
     payments = []
     for session in arms:
         for path in session.scheme.path_cache.paths(0, 4):
             session.scheme.window(tuple(path)).window = 1.0
         payments.append(session._new_payment(record))
-    arms[0]._dispatch.attempt_cohort([payments[0]])
-    arms[1].scheme.attempt(payments[1], arms[1])
+    for session, payment in zip(arms, payments):
+        session._dispatch.attempt_cohort([payment])
     assert payments[0].inflight == payments[1].inflight == 1.0
     assert arms[0].scheme.window_snapshot() == arms[1].scheme.window_snapshot()
     fast_states = [state.inflight for state in arms[0].scheme._windows.values()]
@@ -579,23 +505,20 @@ def test_window_headroom_is_recomputed_like_the_scheme():
 
 def test_window_cache_holds_a_state_created_before_the_first_cohort():
     """A path's window made through ``scheme.window()`` before the pair's
-    first cohort is the object the cache holds, and the replay fills it."""
+    first cohort is the object the cache holds, and the attempt fills it."""
     config = _config(scheme="spider-window", topology="ripple-small", num_transactions=20)
     session = _prepared(config)
     record = session.records[0]
     paths = session.scheme.path_cache.paths(record.source, record.dest)
     early = [session.scheme.window(tuple(path)) for path in paths]
     early[0].window = 7.5  # a state the cache must not replace
-    plan = session._dispatch
     payment = session._new_payment(record)
-    plan.attempt_cohort([payment])
-    prof = plan._profiles[(record.source, record.dest)]
-    assert prof.windows is not None
-    assert all(cached is state for cached, state in zip(prof.windows, early))
+    session._dispatch.attempt_cohort([payment])
+    windows = session.scheme._pair_windows[record.source, record.dest]
+    assert all(cached is state for cached, state in zip(windows, early))
     assert early[0].window == 7.5
     assert sum(state.inflight for state in early) == pytest.approx(payment.inflight)
     assert payment.inflight > 0
-    plan.assert_drained()
 
 
 def test_same_tick_settle_then_lock_ordering():
@@ -603,8 +526,8 @@ def test_same_tick_settle_then_lock_ordering():
 
     With ``confirmation_delay == poll_interval`` every unit's maturity
     tick coincides with a poll tick, so each poll's cohort relocks value
-    released by the same tick's settlement flush.  Batched replay and
-    sequential attempts must sequence the two identically.
+    released by the same tick's settlement flush.  Handle attempts and
+    reference attempts must sequence the two identically.
     """
     config = _config(
         topology="ripple-small",
@@ -680,136 +603,10 @@ def test_pending_heap_add_many_matches_repeated_add():
         assert bulk.ordered() == one_by_one.ordered()
 
 
-def test_finish_asserts_dispatch_buffers_drained():
-    """A cohort that strands staged sends fails the run loudly.
-
-    ``finish``-time draining is the guard against truncated runs silently
-    dropping in-flight units: staged-but-unflushed sends are landed (so
-    the store stays conserved) and the session raises.
-    """
-    config = _config(topology="ripple-small", num_transactions=40)
-    network, records, scheme = config.build_simulation_inputs()
-    session = SimulationSession(network, records, scheme, config.build_runtime_config())
-    session.prepare()
-    plan = session._dispatch
-
-    # Forge a staged send the cohort "forgot" to flush.
-    paths = scheme.path_cache.paths(records[0].source, records[0].dest)
-    assert paths
-    cpath = network.path_table.compile(paths[0])
-    payment = session._new_payment(records[0])
-    plan._staged_payments.append(payment)
-    plan._staged_cpaths.append(cpath)
-    plan._staged_amounts.append(1.0)
-    plan._staged_fees.append(0.0)
-    plan._staged_hop_amounts.append([1.0] * len(cpath))
-    with pytest.raises(SimulationError) as excinfo:
-        plan.assert_drained()
-    # The failure is attributable: it names each non-empty staging buffer
-    # with its count and the payment ids of the stranded sends.
-    message = str(excinfo.value)
-    assert "staged_payments=1" in message
-    assert "staged_cpaths=1" in message
-    assert "staged_amounts=1" in message
-    assert f"payment ids [{payment.payment_id}]" in message
-    assert not plan._staged_payments  # funds were landed, buffers cleared
-
-
-@pytest.mark.parametrize(
-    "residue", ["_bal", "_infl", "_sent", "_refund_deltas", "_seeded"]
-)
-def test_finish_asserts_overlay_dropped(residue):
-    """An overlay that outlives its cohort fails the run too: nothing is
-    stranded, but the next cohort would decide on stale balances."""
-    config = _config(topology="ripple-small", num_transactions=40)
-    plan = _prepared(config)._dispatch
-    plan.assert_drained()  # clean after prepare()
-    if residue == "_seeded":
-        plan._seeded = True
-    else:
-        getattr(plan, residue)[0] = 1
-    with pytest.raises(SimulationError) as excinfo:
-        plan.assert_drained()
-    name = residue.lstrip("_")
-    assert f"{name}=1" in str(excinfo.value)
-    plan.assert_drained()  # dropped by the failing call
-
-
-#: A line of seven nodes: channel ``i`` joins nodes ``i`` and ``i + 1``,
-#: 100 spendable on either side.
-_LINE_CONFIG = dict(topology="line-7", num_transactions=1, capacity=200.0)
-_lock_amount = st.floats(min_value=0.001, max_value=70.0, allow_nan=False)
-_lock = st.tuples(
-    st.integers(0, 6),
-    st.integers(0, 6),
-    st.lists(_lock_amount, min_size=6, max_size=6),
-).filter(lambda lock: lock[0] != lock[1])
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    locks=st.lists(_lock, min_size=1, max_size=8),
-    frozen=st.sets(st.integers(0, 5), max_size=2),
-)
-@example(locks=[(0, 3, [200.0] * 6)], frozen=set())  # under-funded at hop 0
-@example(locks=[(0, 3, [5.0, 5.0, 200.0] + [1.0] * 3)], frozen=set())  # hop 2
-@example(locks=[(6, 2, [5.0] * 6)], frozen={5})  # frozen hop 0
-@example(locks=[(6, 2, [5.0] * 6), (0, 6, [7.0] * 6)], frozen={3})  # frozen hop 2
-@example(  # two successes drain hop 1, the third bounces there
-    locks=[(0, 4, [60.0] * 6), (1, 3, [39.5] * 6), (0, 2, [0.3, 0.6] + [1.0] * 4)],
-    frozen=set(),
-)
-def test_replay_lock_matches_lock_path_funds(locks, frozen):
-    """``_replay_lock`` + flush ⇔ ``lock_path_funds``, on the store itself.
-
-    A sequence of locks over random trails with random per-hop amounts —
-    some funded, some bouncing off a frozen or under-funded hop ``k``
-    (``k = 0``: traceless; ``k > 0``: lock-then-rollback side effects on
-    hops ``0..k-1``) — is replayed against the seeded overlay and flushed
-    once; its twin store takes the same locks eagerly.  Same six arrays,
-    bit for bit.
-    """
-    session = _prepared(_config(**_LINE_CONFIG))
-    twin = _config(**_LINE_CONFIG).build_simulation_inputs()[0]
-    for network in (session.network, twin):
-        for cid in sorted(frozen):
-            network.channel(cid, cid + 1).freeze()
-    plan = session._dispatch
-    table = session.network.path_table
-    paths = [
-        tuple(range(a, b + 1)) if a < b else tuple(range(a, b - 1, -1))
-        for a, b, _ in locks
-    ]
-    payment = Payment(
-        payment_id=10**6, source=0, dest=6, amount=1e9, arrival_time=0.0
-    )
-    plan._cohort_probes = [table.probe_handle(sorted(set(paths)))]
-    plan._open_overlay()
-    for path, (_, _, amounts) in zip(paths, locks):
-        cpath = table.compile(path)
-        required = amounts[: len(cpath)]
-        actuals = plan._replay_lock(cpath, required)
-        twin_dirs = twin.path_table.compile(path).dir_list
-        try:
-            expected = twin.state_store.lock_path_funds(twin_dirs, required)
-        except InsufficientFundsError:
-            assert actuals is None
-            continue
-        assert actuals == expected
-        plan._stage_send(
-            payment, cpath, required[-1], required[0] - required[-1], actuals
-        )
-    plan._flush()
-    plan.assert_drained()
-    _assert_same_store(
-        _store_arrays(session.network.state_store),
-        _store_arrays(twin.state_store),
-    )
-
-
 def test_truncated_horizon_still_finishes_clean():
     """An ``end_time`` cutting the trace mid-flight finishes without
-    tripping the drain assertions, batched and sequential, identically."""
+    tripping the drain assertions, on handles and on the reference,
+    identically."""
     _assert_modes_agree(
         _config(topology="ripple-small", num_transactions=250, end_time=1.5, **FEES)
     )

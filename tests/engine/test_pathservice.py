@@ -429,15 +429,14 @@ class TestPairPathView:
         view = network.path_service.view(k=3)
         assert view.k == 3
         paths = view.paths(8, 20)
-        assert paths and view.shortest(8, 20) == paths[0]
-        assert view.shortest(8, 8) == (8,)  # scalar-parity degenerate pair
+        assert paths and paths[0][0] == 8 and paths[0][-1] == 20
+        assert view.paths(8, 8)[0] == (8,)  # scalar-parity degenerate pair
         assert view.paths_many([(8, 20)]) == [paths]
         # k caps the path count.
         assert len(paths) == 3
         assert len(network.path_service.view(k=1).paths(8, 20)) == 1
         disconnected = PathService.from_adjacency({0: [1], 1: [0], 2: []}).view(k=2)
         assert disconnected.paths(0, 2) == []
-        assert disconnected.shortest(0, 2) is None
 
     def test_view_validation(self):
         network = isp_topology().build_network(default_capacity=100.0)

@@ -239,6 +239,35 @@ class TestSchemeReuse:
         assert reused == fresh
         assert reused[0] != reused[1]
 
+    def test_window_instance_through_two_networks_matches_the_reference(self):
+        """One window scheme run through ``line-5`` and then ``grid-3x3``
+        decides as a reference-attempt instance run through the same two
+        sessions: its per-pair window cache holds no compiled path of the
+        first network into the second.  (Window states are keyed by node
+        tuple and carry over on purpose, so both arms reuse one instance.)"""
+        from repro.core.window_control import WindowedSpiderScheme
+        from repro.metrics import metrics_to_json
+        from tests.reference.schemes import use_reference_attempt
+
+        configs = [
+            _config(scheme="spider-window", topology="line-5"),
+            _config(scheme="spider-window", topology="grid-3x3", capacity=60.0, seed=9),
+        ]
+
+        def run(config, scheme):
+            network, records, _ = config.build_simulation_inputs()
+            session = SimulationSession(
+                network, records, scheme, config.build_runtime_config()
+            )
+            return metrics_to_json(session.run())
+
+        shared = WindowedSpiderScheme()
+        reference = use_reference_attempt(WindowedSpiderScheme())
+        reused = [run(config, shared) for config in configs]
+        assert reused == [run(config, reference) for config in configs]
+        assert reused[0] != reused[1]
+        assert shared.window_snapshot() == reference.window_snapshot()
+
 
 class TestPrimalDualOnSession:
     def test_recurring_control_loop_runs_on_tick_engine(self):

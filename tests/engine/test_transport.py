@@ -253,6 +253,47 @@ class TestHopByHopNative:
             make_transport("warp", session)
 
 
+@pytest.mark.parametrize(
+    "amount, offer, locked",
+    [
+        (30.0, 10.0, 10.0),  # funded: the offer locks as is
+        (30.0, 100.0, 30.0),  # clamped to what the payment has left
+        (80.0, 50.0, 50.0),  # exactly what the first hop holds
+        (80.0, 60.0, None),  # more than the first hop holds: nothing moves
+        (30.0, 1e-9, None),  # dust: vetoed before the store is touched
+    ],
+    ids=["funded", "clamped", "whole-first-hop", "short-first-hop", "dust"],
+)
+def test_launch_locks_the_first_hop_and_schedules_nothing(amount, offer, locked):
+    """``launch`` is ``send_unit_hop_by_hop`` on a compiled path minus the
+    scheduling: the unit with its first hop locked (the offer clamped to
+    the payment's remainder and the MTU), or ``None`` with nothing moved.
+    Each direction of the line holds 50."""
+    from repro.core.payments import Payment
+
+    session = make_session([])
+    session.prepare()
+    store = session.network.state_store
+    payment = Payment(payment_id=7, source=0, dest=3, amount=amount, arrival_time=0.0)
+    cpath = session.network.path_table.compile((0, 1, 2, 3))
+    d = cpath.dir_list[0]
+    before = store.balance_flat.item(d)
+    assert before == 50.0
+    queued = len(session.sim.queue)
+    unit = session.transport.launch(payment, cpath, offer)
+    assert len(session.sim.queue) == queued
+    if locked is None:
+        assert unit is None
+        assert payment.inflight == 0.0
+        assert store.balance_flat.item(d) == before
+        return
+    assert unit.cpath is cpath and unit.payment is payment
+    assert unit.amount == unit.locked[0] == locked
+    assert unit.hop_index == 1
+    assert payment.inflight == locked
+    assert store.balance_flat.item(d) == before - locked
+
+
 def _advance_per_unit(transport, units):
     """Reference for ``advance_many``: one advance event per unit, in
     launch order."""

@@ -12,5 +12,8 @@ path to an independent oracle instead of to a second copy of itself:
   prices and gradients as per-element loops, plus the per-channel
   :class:`ChannelPriceState` price model;
 * :mod:`tests.reference.sizes` — the truncated-lognormal size model with
-  Φ and Φ⁻¹ taken from ``scipy.stats.norm``.
+  Φ and Φ⁻¹ taken from ``scipy.stats.norm``;
+* :mod:`tests.reference.schemes` — waterfilling's and the spider-window
+  launch loop's ``attempt`` over node-tuple paths, sends and probes,
+  swapped onto a scheme to pin its compiled-handle ``attempt``.
 """

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.dispatch import _BATCH_RULES
 from repro.engine.session import SimulationSession
 from repro.engine.transport import _TRANSPORTS
 from repro.errors import ConfigError
@@ -55,7 +54,6 @@ class TestRoutingSchemeContract:
         assert RoutingScheme.name == "base"
         assert scheme.atomic is False
         assert scheme.transport is None
-        assert scheme.cohort_rule is None
 
     def test_prepare_binds_the_network_view(self):
         session = _session(BudgetScheme(num_paths=3))
@@ -64,7 +62,6 @@ class TestRoutingSchemeContract:
         assert view.k == 3
         shared = session.network.path_service.view(k=3)
         assert view.paths(8, 20) is shared.paths(8, 20)
-        assert view.shortest(8, 20) == shared.paths(8, 20)[0]
 
     def test_prepare_without_budget_binds_nothing(self):
         session = _session(NullScheme())
@@ -81,25 +78,6 @@ class TestRoutingSchemeContract:
             first.scheme.path_cache.paths(8, 20)
             is second.scheme.path_cache.paths(8, 20)
         )
-
-    def test_registered_cohort_rules_are_batchable(self):
-        # A misspelt rule would silently drop the scheme to sequential
-        # attempt() calls; every declared rule must be one dispatch replays.
-        for name in available_schemes():
-            rule = make_scheme(name).cohort_rule
-            assert rule is None or rule in _BATCH_RULES, (name, rule)
-
-    def test_only_waterfilling_and_window_declare_a_cohort_rule(self):
-        # The two replays that pay; every other scheme runs its attempt.
-        declared = {
-            name: make_scheme(name).cohort_rule
-            for name in available_schemes()
-            if make_scheme(name).cohort_rule is not None
-        }
-        assert declared == {
-            "spider-waterfilling": "waterfilling",
-            "spider-window": "spider-window",
-        }
 
     def test_registered_transports_are_known(self):
         for name in available_schemes():
