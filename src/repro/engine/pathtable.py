@@ -17,6 +17,8 @@ which:
   ``np.minimum.reduceat`` — and memoises the result per path set,
   refreshing only the paths whose channels were stamped by the store since
   the last probe;
+* :meth:`deliverable` is the fee-inclusive twin of :meth:`bottleneck`
+  for one compiled path: one backward walk closing the fee recurrence;
 * :meth:`hop_amounts` short-circuits fee-free paths (the paper's setting)
   and otherwise runs the reverse fee recurrence over precompiled fee
   schedules;
@@ -454,7 +456,11 @@ class PathTable:
     # ------------------------------------------------------------------
     def bottleneck(self, path: Union[Sequence[int], CompiledPath]) -> float:
         """Minimum directional availability along ``path`` (a node
-        sequence or an already compiled path)."""
+        sequence or an already compiled path).
+
+        A raw hop minimum: on a fee-bearing path the upstream hops must
+        also carry the downstream fees, so less than this can be delivered
+        (see :meth:`deliverable`)."""
         if type(path) is CompiledPath:
             cpath = path
         else:
@@ -465,6 +471,42 @@ class PathTable:
             return math.inf
         values = self._store.availability(cpath.dirs)
         return float(values.min())
+
+    def deliverable(self, cpath: CompiledPath) -> float:
+        """Most value ``cpath`` can deliver right now, fees included.
+
+        :meth:`CompiledPath.hop_amounts` is affine per hop: hop ``i``
+        locks ``scale_i · x + shift_i`` to deliver ``x``.  One backward walk
+        builds both (``scale *= 1 + rate``, ``shift = shift · (1 + rate) +
+        base`` after each hop) and returns ``min_i (avail_i − shift_i) /
+        scale_i``, a frozen hop counting as 0 available.  On a fee-free
+        path this is exactly :meth:`bottleneck`; ``inf`` for a hopless
+        path.  Fee schedules are finite and non-negative (channels and
+        configs reject anything else), so ``scale`` never reaches 0.
+        """
+        dir_list = cpath.dir_list
+        if not dir_list:
+            return math.inf
+        store = self._store
+        balance = store.balance_flat
+        frozen = store.frozen if store.frozen_count else None
+        fees = cpath.fees
+        base_fees = fees.base_fees
+        fee_rates = fees.fee_rates
+        scale = 1.0
+        shift = 0.0
+        best = math.inf
+        for d in reversed(dir_list):
+            available = (
+                0.0 if frozen is not None and frozen[d >> 1] else balance.item(d)
+            )
+            value = (available - shift) / scale
+            if value < best:
+                best = value
+            growth = 1.0 + fee_rates[d]
+            scale *= growth
+            shift = shift * growth + base_fees[d]
+        return best
 
     def _probe_for(
         self, paths: Sequence[Sequence[int]]
@@ -565,7 +607,9 @@ class PathTable:
         probes just re-gather — the bookkeeping would cost more than the
         gather).
         ``refresh=True`` forces a full recompute (the microbenchmark uses
-        it to time the gather itself).  Returns a fresh list of floats.
+        it to time the gather itself).  Returns a fresh list of floats:
+        raw hop minima, without fees (:meth:`deliverable` prices those in
+        for one path).
         """
         if type(paths) is _ProbeCache:
             probe: Optional[_ProbeCache] = paths

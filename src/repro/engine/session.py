@@ -124,6 +124,14 @@ def _check_trace(records: Sequence[TransactionRecord]) -> None:
             )
 
 
+def check_fee_field(name: str, value: Optional[float]) -> None:
+    """Reject a fee input (``base_fee``, ``fee_rate``, ``max_fee_fraction``)
+    that is NaN, infinite or negative with a :class:`ConfigError` naming
+    it; ``None`` (no fee budget) passes."""
+    if value is not None and not 0.0 <= value < math.inf:
+        raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
+
+
 @dataclass
 class RuntimeConfig:
     """Knobs of the execution environment (not of any routing scheme).
@@ -178,10 +186,7 @@ class RuntimeConfig:
             raise ConfigError(
                 f"min_unit_value must be positive, got {self.min_unit_value!r}"
             )
-        if self.max_fee_fraction is not None and self.max_fee_fraction < 0:
-            raise ConfigError(
-                f"max_fee_fraction must be non-negative, got {self.max_fee_fraction!r}"
-            )
+        check_fee_field("max_fee_fraction", self.max_fee_fraction)
         get_policy(self.scheduling_policy)  # validate eagerly
 
 
@@ -474,7 +479,14 @@ class SimulationSession:
         Keys: ``cohorts`` (every attempt cohort driven), ``cohort_payments``
         (payments entering them) and ``failed_locks`` (path locks
         :meth:`send_compiled` tried that bounced off a frozen or
-        under-funded hop — store work that moved no value).
+        under-funded hop — store work that moved no value).  Waterfilling
+        (and ``spider-admission`` over it) offers a path's fee-inclusive
+        :meth:`PathTable.deliverable
+        <repro.engine.pathtable.PathTable.deliverable>` value, read off the
+        store just before the send, so its locks fit; the schemes that
+        offer a raw bottleneck on a fee-bearing network bounce on its
+        fee-loaded upstream hops: ``shortest-path`` (:meth:`send_on_path`),
+        ``spider-lp`` and ``spider-primal-dual`` (:meth:`send_unit`).
         ``batched_units`` and ``scalar_fallbacks`` always read 0 (every
         payment decides through the scheme's own ``attempt``); the keys
         stay because ``benchmarks/e2e`` reads them.  Deliberately *not*
@@ -592,6 +604,8 @@ class SimulationSession:
         total = sum(amount for _, amount in allocations)
         if total < payment.amount - 1e-6:
             return False
+        # Each share is priced once; the lock pass reuses its hop amounts.
+        shares: List[Tuple[Tuple[int, ...], float, List[float]]] = []
         total_fee = 0.0
         for path, amount in allocations:
             if amount <= _EPS:
@@ -599,14 +613,12 @@ class SimulationSession:
             amounts = self.network.hop_amounts(path, amount)
             if amounts:
                 total_fee += amounts[0] - amount
+            shares.append((path, amount, amounts))
         if total_fee > 0 and not payment.fee_budget_allows(total_fee):
             return False
         locked: List[TransactionUnit] = []
         try:
-            for path, amount in allocations:
-                if amount <= _EPS:
-                    continue
-                amounts = self.network.hop_amounts(path, amount)
+            for path, amount, amounts in shares:
                 htlcs = self.network.lock_path(path, amount, amounts=amounts)
                 payment.register_inflight(amount)
                 locked.append(

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.engine.session import RuntimeConfig
+from repro.engine.session import RuntimeConfig, check_fee_field
 from repro.errors import ConfigError
 from repro.simulator.rng import derive_seed
 from repro.topology import (
@@ -135,6 +135,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"num_transactions must be positive, got {self.num_transactions!r}"
             )
+        check_fee_field("base_fee", self.base_fee)
+        check_fee_field("fee_rate", self.fee_rate)
+        check_fee_field("max_fee_fraction", self.max_fee_fraction)
 
     # ------------------------------------------------------------------
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

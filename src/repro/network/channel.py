@@ -92,8 +92,12 @@ class PaymentChannel:
             raise ChannelError(
                 f"balance_a={balance_a!r} outside [0, capacity={capacity!r}]"
             )
-        if base_fee < 0 or fee_rate < 0:
-            raise ChannelError("fees must be non-negative")
+        # ``not 0 <= fee < inf`` also catches NaN, which fails both sides.
+        if not (0.0 <= base_fee < math.inf and 0.0 <= fee_rate < math.inf):
+            raise ChannelError(
+                "fees must be non-negative and finite, got "
+                f"base_fee={base_fee!r}, fee_rate={fee_rate!r}"
+            )
         self.node_a = node_a
         self.node_b = node_b
         self.base_fee = float(base_fee)

@@ -356,14 +356,18 @@ class PaymentNetwork:
         """Minimum directional availability along ``path``.
 
         This is the quantity waterfilling and the baselines probe as "path
-        capacity".  Returns ``inf`` for degenerate single-node paths.
+        capacity": a raw hop minimum, without fees.  On a fee-bearing path
+        the upstream hops also carry the downstream fees, so less can be
+        delivered (:meth:`PathTable.deliverable
+        <repro.engine.pathtable.PathTable.deliverable>`).  Returns ``inf``
+        for degenerate single-node paths.
         """
         return self.path_table.bottleneck(path)
 
     def bottleneck_many(self, paths: Sequence[Path]) -> List[float]:
-        """Bottlenecks of a whole path set in one batched probe, as a list
-        of Python floats (memoised per path set and refreshed only where
-        channels changed — see
+        """Bottlenecks (raw hop minima, without fees) of a whole path set in
+        one batched probe, as a list of Python floats (memoised per path
+        set and refreshed only where channels changed — see
         :meth:`~repro.engine.pathtable.PathTable.bottleneck_many`)."""
         if not paths:
             return []

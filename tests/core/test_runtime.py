@@ -225,6 +225,13 @@ class TestSendUnitEdgeCases:
         with pytest.raises(ConfigError):
             RuntimeConfig(scheduling_policy="bogus")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.01])
+    def test_bad_max_fee_fraction_rejected(self, value):
+        with pytest.raises(
+            ConfigError, match="max_fee_fraction must be non-negative and finite"
+        ):
+            RuntimeConfig(max_fee_fraction=value)
+
 
 class TestSchedulingIntegration:
     def test_srpt_lets_small_payment_jump_queue(self):

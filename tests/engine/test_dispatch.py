@@ -310,10 +310,11 @@ def test_pair_without_a_path_fails_like_the_reference(scheme):
 
 
 def test_failed_locks_tell_the_fee_regime_apart():
-    """With no fee anywhere waterfilling never offers more than a path's
-    bottleneck, so no lock bounces; on the fee-bearing line the
-    fee-loaded upstream hops need more than the bottleneck holds, so
-    some do."""
+    """Shortest-path offers a path's raw bottleneck, so on the fee-bearing
+    line the fee-loaded upstream hops need more than it holds and some
+    locks bounce.  Waterfilling offers what a path delivers with its fees
+    included (``PathTable.deliverable``), so no lock of its bounces — with
+    fees on the line and on ``ripple-small``, or with none at all."""
 
     def stats(**overrides):
         config = _config(num_transactions=150, **overrides)
@@ -321,8 +322,11 @@ def test_failed_locks_tell_the_fee_regime_apart():
         session.run()
         return session.dispatch_stats()
 
-    fees = stats(topology="line-5", **FEES)
-    assert fees["failed_locks"] > 0
+    assert stats(scheme="shortest-path", topology="line-5", **FEES)["failed_locks"] > 0
+    for topology in ("line-5", "ripple-small"):
+        fees = stats(topology=topology, **FEES)
+        assert fees["cohorts"] > 0
+        assert fees["failed_locks"] == 0, topology
     free = stats(topology="ripple-small")
     assert free["cohorts"] > 0
     assert free["failed_locks"] == 0
@@ -332,7 +336,7 @@ def test_failed_locks_count_the_bounces_in_the_send_core(monkeypatch):
     """``failed_locks`` is every ``InsufficientFundsError`` that
     :meth:`PathTable.lock_funds` raises inside ``send_compiled``.
 
-    On fee-bearing ``ripple-small`` waterfilling offers a path's
+    On fee-bearing ``ripple-small`` shortest-path offers a path's raw
     bottleneck and the fee-loaded upstream hops then need more than it
     holds, so locks bounce; the counter equals the raises counted at the
     source.
@@ -350,7 +354,9 @@ def test_failed_locks_count_the_bounces_in_the_send_core(monkeypatch):
             raise
 
     monkeypatch.setattr(PathTable, "lock_funds", counting)
-    config = _config(topology="ripple-small", num_transactions=150, **FEES)
+    config = _config(
+        scheme="shortest-path", topology="ripple-small", num_transactions=150, **FEES
+    )
     session = SimulationSession.from_config(config)
     session.run()
     stats = session.dispatch_stats()

@@ -108,12 +108,49 @@ def test_metrics_match_golden_bytes(golden, scheme):
     assert not mismatches, "metrics drifted from golden:\n" + "\n".join(mismatches)
 
 
+#: The fields :func:`_moved` reports for an entry that changed.
+SUMMARY_FIELDS = ("success_ratio", "success_volume", "completed")
+
+
+def _moved(old, new):
+    """One line per entry of ``new`` whose canonical JSON differs from
+    ``old`` (key, then old → new of each :data:`SUMMARY_FIELDS` field),
+    plus a closing count of the unchanged entries."""
+    lines = []
+    for key, entry in new.items():
+        before = old.get(key)
+        if before is not None and _canonical(before) == _canonical(entry):
+            continue
+        before = before or {}
+        changes = ", ".join(
+            f"{field} {before.get(field, '<absent>')!r} -> {entry.get(field)!r}"
+            for field in SUMMARY_FIELDS
+        )
+        lines.append(f"moved {key}: {changes}")
+    lines.append(f"unchanged: {len(new) - len(lines)} of {len(new)} entries")
+    return lines
+
+
 if __name__ == "__main__":
-    entries = [
-        f"{json.dumps(_key(scheme, topology, seed))}:{_run(scheme, topology, seed)}"
+    entries = {
+        _key(scheme, topology, seed): _run(scheme, topology, seed)
         for scheme in available_schemes()
         for topology in TOPOLOGIES
         for seed in SEEDS
-    ]
-    GOLDEN_PATH.write_text("{\n" + ",\n".join(entries) + "\n}\n", encoding="utf-8")
+    }
+    previous = (
+        json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        if GOLDEN_PATH.exists()
+        else {}
+    )
+    for line in _moved(
+        previous, {key: json.loads(value) for key, value in entries.items()}
+    ):
+        print(line)
+    GOLDEN_PATH.write_text(
+        "{\n"
+        + ",\n".join(f"{json.dumps(key)}:{value}" for key, value in entries.items())
+        + "\n}\n",
+        encoding="utf-8",
+    )
     print(f"wrote {len(entries)} entries to {GOLDEN_PATH}")

@@ -732,3 +732,145 @@ class TestPathLockLifecycle:
             with pytest.raises(ChannelError):
                 net.lock_path([0], 1.0)
             assert net.bottleneck([0]) == float("inf")
+
+
+# ----------------------------------------------------------------------
+# Fee-inclusive deliverable value
+# ----------------------------------------------------------------------
+def _route(edges, source, dest):
+    """A fewest-hop node path from ``source`` to ``dest`` (``None`` if
+    none), by breadth-first search over ``edges``."""
+    adjacency = {}
+    for u, v in edges:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    parent = {source: None}
+    frontier = [source]
+    while frontier and dest not in parent:
+        nxt = []
+        for u in frontier:
+            for v in adjacency.get(u, ()):
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    if dest not in parent:
+        return None
+    path = [dest]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def _deliverable_topologies():
+    from repro.experiments.config import build_topology
+
+    return {name: build_topology(name) for name in ("line-5", "ripple-small")}
+
+
+_DELIVERABLE_TOPOLOGIES = _deliverable_topologies()
+
+#: One path channel's draw: capacity, the sender's share of it, base fee,
+#: fee rate, frozen.
+_hop_draw = st.tuples(
+    st.floats(1.0, 1_000.0),
+    st.floats(0.0, 1.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    st.booleans(),
+)
+
+
+@st.composite
+def _fee_path(draw):
+    """A ``line-5``/``ripple-small`` network whose channels along one
+    drawn path carry drawn capacities, balances, fee schedules and frozen
+    flags (every other channel holds 100, evenly split, fee-free), and
+    that path's node tuple."""
+    name = draw(st.sampled_from(sorted(_DELIVERABLE_TOPOLOGIES)))
+    topology = _DELIVERABLE_TOPOLOGIES[name]
+    nodes = list(topology.nodes)
+    source = draw(st.sampled_from(nodes))
+    dest = draw(st.sampled_from([n for n in nodes if n != source]))
+    path = _route(topology.edges, source, dest)
+    assert path is not None
+    fee_free = draw(st.booleans())
+    frozen_ok = draw(st.integers(0, 3)) == 0
+    hops = {}
+    for u, v in zip(path, path[1:]):
+        capacity, share, base_fee, fee_rate, frozen = draw(_hop_draw)
+        if fee_free:
+            base_fee = fee_rate = 0.0
+        hops[frozenset((u, v))] = (u, capacity, share, base_fee, fee_rate, frozen_ok and frozen)
+    network = PaymentNetwork()
+    frozen_channels = []
+    for u, v in topology.edges:
+        hop = hops.get(frozenset((u, v)))
+        if hop is None:
+            network.add_channel(u, v, 100.0)
+            continue
+        sender, capacity, share, base_fee, fee_rate, frozen = hop
+        receiver = v if sender == u else u
+        channel = network.add_channel(
+            sender, receiver, capacity, balance_u=capacity * share,
+            base_fee=base_fee, fee_rate=fee_rate,
+        )
+        if frozen:
+            frozen_channels.append(channel)
+    for channel in frozen_channels:
+        channel.freeze()
+    return network, path, bool(frozen_channels)
+
+
+class TestDeliverable:
+    """``PathTable.deliverable`` against the per-hop fee recurrence it
+    closes: what it returns fits, and a hair more does not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fee_path())
+    def test_deliverable_is_the_largest_lockable_value(self, drawn):
+        from tests.reference.schemes import path_deliverable
+
+        network, path, has_frozen = drawn
+        table = network.path_table
+        cpath = table.compile(path)
+        value = table.deliverable(cpath)
+        avail = table.availabilities(path).tolist()
+        # The node-tuple twin the waterfilling reference arm prices with.
+        assert path_deliverable(network, path) == value
+        if cpath.fee_free:
+            assert value == table.bottleneck(cpath)
+        if has_frozen:
+            assert value < RuntimeConfig().min_unit_value
+
+        # A hair more than deliverable leaves some hop unfunded ...
+        more = max(value, 0.0) * (1 + 1e-6) + 1e-6
+        assert any(
+            need > have + 1e-9
+            for need, have in zip(cpath.hop_amounts(more), avail)
+        )
+        with pytest.raises(InsufficientFundsError):
+            table.lock_funds(cpath, cpath.hop_amounts(more))
+        # ... and deliverable itself fits every hop and locks.
+        if value > 0:
+            amounts = cpath.hop_amounts(value)
+            assert all(need <= have + 1e-9 for need, have in zip(amounts, avail))
+            actuals = table.lock_funds(cpath, amounts)
+            assert len(actuals) == len(path) - 1
+
+    def test_hopless_path_delivers_anything(self):
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 10.0)
+        table = network.path_table
+        assert table.deliverable(table.compile((0,))) == math.inf
+
+    def test_fees_come_off_the_upstream_hops(self):
+        """0 → 1 → 2 with 10 spendable on each hop and a 1 + 10 % fee on
+        the downstream channel: hop 0 must carry 1.1·x + 1 ≤ 10."""
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 20.0)
+        network.add_channel(1, 2, 20.0, base_fee=1.0, fee_rate=0.1)
+        table = network.path_table
+        cpath = table.compile((0, 1, 2))
+        assert table.bottleneck(cpath) == 10.0
+        assert table.deliverable(cpath) == pytest.approx(9.0 / 1.1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -90,3 +92,24 @@ class TestExperimentConfig:
             ExperimentConfig(capacity=0.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(num_transactions=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.01])
+    def test_bad_base_fee_rejected(self, value):
+        with pytest.raises(ConfigError, match="base_fee must be non-negative and finite"):
+            ExperimentConfig(base_fee=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.01])
+    def test_bad_fee_rate_rejected(self, value):
+        with pytest.raises(ConfigError, match="fee_rate must be non-negative and finite"):
+            ExperimentConfig(fee_rate=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.01])
+    def test_bad_max_fee_fraction_rejected(self, value):
+        with pytest.raises(
+            ConfigError, match="max_fee_fraction must be non-negative and finite"
+        ):
+            ExperimentConfig(max_fee_fraction=value)
+
+    def test_valid_fee_inputs_accepted(self):
+        config = ExperimentConfig(base_fee=0.0, fee_rate=0.001, max_fee_fraction=None)
+        assert config.build_runtime_config().max_fee_fraction is None

@@ -79,6 +79,16 @@ class TestConstruction:
         with pytest.raises(ChannelError, match="fees must be non-negative"):
             PaymentChannel("a", "b", capacity=10.0, **{fee: -0.1})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_base_fee_rejected(self, value):
+        with pytest.raises(ChannelError, match="fees must be non-negative and finite"):
+            PaymentChannel("a", "b", capacity=10.0, base_fee=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fee_rate_rejected(self, value):
+        with pytest.raises(ChannelError, match="fees must be non-negative and finite"):
+            PaymentChannel("a", "b", capacity=10.0, fee_rate=value)
+
     def test_endpoints_map_to_store_columns(self, network, channel):
         assert channel.endpoints == ("alice", "bob")
         store = network.state_store

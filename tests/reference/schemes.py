@@ -7,7 +7,8 @@
 pair's compiled handle.  The functions here are the same decision rules
 written the plain way: the pair's node-tuple paths from ``path_cache``,
 probes through ``network.bottleneck_many`` / ``network.bottleneck`` /
-``network.available`` and sends through ``session.send_unit`` /
+``network.available``, fee-inclusive offers off the channel objects'
+schedules, and sends through ``session.send_unit`` /
 ``session.send_unit_hop_by_hop``, one launch scheduled at a time.
 :func:`use_reference_attempt` swaps one onto a scheme instance, so a test
 runs the same session both ways and compares metrics bytes and store
@@ -16,13 +17,42 @@ arrays.
 
 from __future__ import annotations
 
+import math
 from types import MethodType
 from typing import Any
 
 from repro.core.waterfilling import WaterfillingScheme
 from repro.core.window_control import WindowedSpiderScheme
 
-__all__ = ["use_reference_attempt", "waterfilling_attempt", "window_attempt"]
+__all__ = [
+    "path_deliverable",
+    "use_reference_attempt",
+    "waterfilling_attempt",
+    "window_attempt",
+]
+
+
+def _fee_free(network: Any, path: Any) -> bool:
+    """No channel on ``path`` charges a fee (its first hop's included)."""
+    return not any(
+        network.channel(u, v).base_fee or network.channel(u, v).fee_rate
+        for u, v in zip(path, path[1:])
+    )
+
+
+def path_deliverable(network: Any, path: Any) -> float:
+    """Most value ``path`` delivers once every hop carries the downstream
+    fees: walking back from the destination, hop ``(u, v)`` must hold
+    ``scale · x + shift``, and its channel's schedule then grows both for
+    the hop before it."""
+    scale, shift, best = 1.0, 0.0, math.inf
+    for u, v in reversed(list(zip(path, path[1:]))):
+        channel = network.channel(u, v)
+        best = min(best, (network.available(u, v) - shift) / scale)
+        growth = 1.0 + channel.fee_rate
+        scale *= growth
+        shift = shift * growth + channel.base_fee
+    return best
 
 
 def waterfilling_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
@@ -40,6 +70,12 @@ def waterfilling_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
         if headroom < min_unit:
             break
         amount = min(headroom, payment.remaining, runtime.config.mtu)
+        if not _fee_free(runtime.network, paths[best]):
+            deliverable = path_deliverable(runtime.network, paths[best])
+            if deliverable < min_unit:
+                availability[best] = 0.0
+                continue
+            amount = min(amount, deliverable)
         if not runtime.send_unit(payment, paths[best], amount):
             fresh = runtime.network.bottleneck(paths[best])
             if fresh >= amount - 1e-12 or fresh < min_unit:
