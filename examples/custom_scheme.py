@@ -24,18 +24,19 @@ class RandomPathScheme(RoutingScheme):
 
     name = "random-path"
     atomic = False
-    num_paths = 4  # the base class builds self.path_cache with k paths
+    num_paths = 4  # the session builds each pair's k-path handle
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
 
     def attempt(self, payment, runtime):
-        paths = self.path_cache.paths(payment.source, payment.dest)
-        if not paths:
+        # The pair's compiled paths (None if the pair is disconnected).
+        handle = runtime.path_handle(payment.source, payment.dest, self.num_paths)
+        if handle is None:
             runtime.fail_payment(payment)
             return
-        path = paths[int(self._rng.integers(len(paths)))]
-        runtime.send_on_path(payment, path)
+        cpaths = handle.cpaths
+        runtime.send_on_path(payment, cpaths[int(self._rng.integers(len(cpaths)))])
 
 
 def main() -> None:

@@ -115,10 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the engine's dispatch counters after the run: "
         "cohorts and their payments, path locks that bounced off a frozen "
-        "or under-funded hop (failed_locks: on a fee-bearing network, "
-        "shortest-path, spider-lp and spider-primal-dual offer a raw "
-        "bottleneck and bounce; waterfilling offers what a path delivers "
-        "after fees), and batched units and scalar fallbacks (always 0: "
+        "or under-funded hop (failed_locks, atomic shares included: the "
+        "non-atomic schemes offer what a path delivers after fees and do "
+        "not bounce; an atomic share sized off raw balances can), and "
+        "batched units and scalar fallbacks (always 0: "
         "every scheme decides through its own attempt)",
     )
     _add_common_options(run_parser)

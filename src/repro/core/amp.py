@@ -17,7 +17,7 @@ non-atomic variant quantifies exactly what atomicity costs
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List
 
 from repro.routing.base import RoutingScheme
 
@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["AmpWaterfillingScheme", "waterfill_allocation"]
 
-Path = Tuple[int, ...]
 _EPS = 1e-9
 
 
@@ -88,19 +87,21 @@ class AmpWaterfillingScheme(RoutingScheme):
         self.num_paths = num_paths
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
-        paths = self.path_cache.paths(payment.source, payment.dest)
-        if not paths:
+        handle = runtime.path_handle(payment.source, payment.dest, self.num_paths)
+        if handle is None:
             runtime.fail_payment(payment)
             return
-        # Batched probe: one vectorised pass instead of one Python loop per
-        # path, refreshed incrementally across retries.
-        capacities = runtime.network.bottleneck_many(paths)
+        # One batched probe of the pair's compiled handle, refreshed
+        # incrementally across payments.
+        capacities = runtime.network.path_table.bottleneck_many(handle)
         if sum(capacities) < payment.amount - 1e-6:
             runtime.fail_payment(payment)
             return
         shares = waterfill_allocation(payment.amount, capacities)
         allocations = [
-            (path, share) for path, share in zip(paths, shares) if share > _EPS
+            (cpath, share)
+            for cpath, share in zip(handle.cpaths, shares)
+            if share > _EPS
         ]
         if not runtime.send_atomic(payment, allocations):
             runtime.fail_payment(payment)

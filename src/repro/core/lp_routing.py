@@ -28,11 +28,11 @@ from repro.workload.demand import estimate_demand_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
+    from repro.engine.pathtable import CompiledPath
     from repro.engine.session import SimulationSession
 
 __all__ = ["SpiderLPScheme"]
 
-Path = Tuple[int, ...]
 _EPS = 1e-9
 
 
@@ -49,7 +49,7 @@ class SpiderLPScheme(RoutingScheme):
         #: If set, solve the rebalancing LP (eqs. 6–11) with this γ instead
         #: of the pure balanced LP — an extension experiment.
         self.rebalancing_gamma = rebalancing_gamma
-        self._weights: Dict[Tuple[int, int], List[Tuple[Path, float]]] = {}
+        self._weights: Dict[Tuple[int, int], List[Tuple["CompiledPath", float]]] = {}
 
     def prepare(self, runtime: "SimulationSession") -> None:
         self.path_cache = runtime.network.path_service.view(k=self.num_paths)
@@ -88,23 +88,19 @@ class SpiderLPScheme(RoutingScheme):
                 balance="rebalance",
                 gamma=self.rebalancing_gamma,
             )
+        # The weighted paths are compiled into store indices once (the
+        # table's memo); the attempts probe and send on them.
+        compile = runtime.network.path_table.compile
         self._weights = {}
         for pair in demands:
             flows = solution.flows_for_pair(pair)
             total = sum(flows.values())
             if total <= _EPS:
                 continue
-            weighted = sorted(
-                ((path, rate / total) for path, rate in flows.items()),
+            self._weights[pair] = sorted(
+                ((compile(path), rate / total) for path, rate in flows.items()),
                 key=lambda item: -item[1],
             )
-            self._weights[pair] = weighted
-        # Precompile every LP-weighted path into store indices so the first
-        # attempt pays no compilation cost and every per-unit bottleneck
-        # probe is a pure vectorised gather.
-        runtime.network.path_table.compile_many(
-            [path for path, _ in weighted] for weighted in self._weights.values()
-        )
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         weighted = self._weights.get((payment.source, payment.dest))
@@ -113,7 +109,8 @@ class SpiderLPScheme(RoutingScheme):
             runtime.fail_payment(payment)
             return
         min_unit = runtime.config.min_unit_value
-        for path, weight in weighted:
+        table = runtime.network.path_table
+        for cpath, weight in weighted:
             if payment.remaining < min_unit:
                 break
             # Target this attempt's share for the path; the LP weight splits
@@ -121,10 +118,12 @@ class SpiderLPScheme(RoutingScheme):
             target = payment.remaining * weight
             sent = 0.0
             while sent < target - _EPS and payment.remaining >= min_unit:
-                available = runtime.network.bottleneck(path)
+                # What the path delivers with its fees included: a raw
+                # bottleneck would bounce on a fee-loaded upstream hop.
+                available = table.deliverable(cpath)
                 amount = min(available, target - sent, payment.remaining, runtime.config.mtu)
                 if amount < min_unit:
                     break
-                if not runtime.send_unit(payment, path, amount):
+                if not runtime.send_compiled(payment, cpath, amount):
                     break
                 sent += amount

@@ -34,27 +34,27 @@ from repro.routing.base import RoutingScheme
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
     from repro.engine.events import TickTimer
+    from repro.engine.pathtable import CompiledPath
     from repro.engine.session import SimulationSession
     from repro.engine.signals import ControlPlane
 
 __all__ = ["SpiderPrimalDualScheme"]
 
 Pair = Tuple[int, int]
-Path = Tuple[int, ...]
 _EPS = 1e-9
 
 
 class _PairState:
     """Per-pair primal state: paths, rates, buckets, demand estimate."""
 
-    __slots__ = ("paths", "rates", "buckets", "first_seen", "arrived_value")
+    __slots__ = ("cpaths", "rates", "buckets", "first_seen", "arrived_value")
 
-    def __init__(self, paths: List[Path], now: float, initial_rate: float):
-        self.paths = paths
-        self.rates = np.full(len(paths), initial_rate)
+    def __init__(self, cpaths: List["CompiledPath"], now: float, initial_rate: float):
+        self.cpaths = cpaths
+        self.rates = np.full(len(cpaths), initial_rate)
         self.buckets = [
             TokenBucket(rate=initial_rate, burst=max(initial_rate, 1.0), now=now)
-            for _ in paths
+            for _ in cpaths
         ]
         self.first_seen = now
         self.arrived_value = 0.0
@@ -114,7 +114,6 @@ class SpiderPrimalDualScheme(RoutingScheme):
 
     # ------------------------------------------------------------------
     def prepare(self, runtime: "SimulationSession") -> None:
-        self.path_cache = runtime.network.path_service.view(k=self.num_paths)
         delta = max(runtime.config.confirmation_delay, 1e-3)
         self._prices = runtime.network.control_plane
         self._prices.configure_prices(delta)
@@ -136,15 +135,15 @@ class SpiderPrimalDualScheme(RoutingScheme):
         pair = (payment.source, payment.dest)
         state = self._pairs.get(pair)
         if state is None:
-            paths = self.path_cache.paths(*pair)
-            if not paths:
+            # The pair's compiled handle: its paths are probed and sent on
+            # without re-resolving a node tuple.
+            handle = runtime.path_handle(payment.source, payment.dest, self.num_paths)
+            if handle is None:
                 runtime.fail_payment(payment)
                 return
-            # Compile the pair's paths once; every subsequent token-bucket
-            # probe is a vectorised gather over store indices.
-            runtime.network.path_table.compile_many([paths])
-            initial = max(payment.amount / len(paths), 1.0)
-            state = _PairState(paths, runtime.now, initial_rate=initial)
+            cpaths = handle.cpaths
+            initial = max(payment.amount / len(cpaths), 1.0)
+            state = _PairState(cpaths, runtime.now, initial_rate=initial)
             self._pairs[pair] = state
         if payment.attempts == 1:
             state.arrived_value += payment.amount
@@ -152,27 +151,30 @@ class SpiderPrimalDualScheme(RoutingScheme):
         now = runtime.now
         # Spend tokens path by path, cheapest (lowest price) first.
         order = sorted(
-            range(len(state.paths)),
-            key=lambda i: self._prices.path_price(state.paths[i]),
+            range(len(state.cpaths)),
+            key=lambda i: self._prices.path_price(state.cpaths[i].nodes),
         )
+        table = runtime.network.path_table
         for i in order:
             if payment.remaining < min_unit:
                 break
-            path = state.paths[i]
+            cpath = state.cpaths[i]
             bucket = state.buckets[i]
             while payment.remaining >= min_unit:
+                # What the path delivers with its fees included: a raw
+                # bottleneck would bounce on a fee-loaded upstream hop.
                 budget = min(
                     bucket.available(now),
-                    runtime.network.bottleneck(path),
+                    table.deliverable(cpath),
                     payment.remaining,
                     runtime.config.mtu,
                 )
                 if budget < min_unit:
                     break
-                if not runtime.send_unit(payment, path, budget):
+                if not runtime.send_compiled(payment, cpath, budget):
                     break
                 bucket.consume(budget, now)
-                self._prices.observe_path(path, budget)
+                self._prices.observe_path(cpath.nodes, budget)
 
     # ------------------------------------------------------------------
     def _control_step(self, runtime: "SimulationSession") -> None:
@@ -181,12 +183,12 @@ class SpiderPrimalDualScheme(RoutingScheme):
         self._prices.update_prices(self.update_interval, self.eta, self.kappa)
         for pair, state in self._pairs.items():
             prices = np.array(
-                [self._prices.path_price(p) for p in state.paths]
+                [self._prices.path_price(c.nodes) for c in state.cpaths]
             )
             rates = state.rates + self._alpha_value * (1.0 - prices)
             cap = max(
                 self.demand_headroom * state.demand_rate(now),
-                len(state.paths) * 1.0,
+                len(state.cpaths) * 1.0,
             )
             state.rates = project_capped_simplex(rates, cap)
             for bucket, rate in zip(state.buckets, state.rates):

@@ -19,9 +19,9 @@ which:
   the last probe;
 * :meth:`deliverable` is the fee-inclusive twin of :meth:`bottleneck`
   for one compiled path: one backward walk closing the fee recurrence;
-* :meth:`hop_amounts` short-circuits fee-free paths (the paper's setting)
-  and otherwise runs the reverse fee recurrence over precompiled fee
-  schedules;
+* :meth:`CompiledPath.hop_amounts` short-circuits fee-free paths (the
+  paper's setting) and otherwise runs the reverse fee recurrence over
+  precompiled fee schedules;
 * :meth:`lock_path` / :meth:`settle` / :meth:`refund` are per-hop store
   writes over ``dir_list`` (a path is a few hops, so a loop over Python
   ints beats a NumPy call) with all-or-nothing semantics, returning one
@@ -171,11 +171,12 @@ class CompiledPath:
         """Per-hop lock amounts delivering ``amount``, fees included.
 
         The reverse fee recurrence over the fee schedules of this path's
-        directions, float-for-float identical to
-        ``PaymentNetwork.hop_amounts`` / ``PathTable.hop_amounts`` (both
-        delegate here).  :meth:`SimulationSession.send_compiled
-        <repro.engine.session.SimulationSession.send_compiled>` calls this
-        directly to price a send without a path re-compile.
+        directions (``PaymentNetwork.hop_amounts`` compiles a node tuple
+        and delegates here).  The session's send core
+        (:meth:`SimulationSession.send_compiled
+        <repro.engine.session.SimulationSession.send_compiled>`,
+        :meth:`~repro.engine.session.SimulationSession.send_atomic`) prices
+        every send with it.
         """
         dir_list = self.dir_list
         hops = len(dir_list)
@@ -461,12 +462,7 @@ class PathTable:
         A raw hop minimum: on a fee-bearing path the upstream hops must
         also carry the downstream fees, so less than this can be delivered
         (see :meth:`deliverable`)."""
-        if type(path) is CompiledPath:
-            cpath = path
-        else:
-            cpath = (
-                self._compiled.get(path) if type(path) is tuple else None
-            ) or self.compile(path)
+        cpath = path if type(path) is CompiledPath else self.compile(path)
         if not cpath.dir_list:
             return math.inf
         values = self._store.availability(cpath.dirs)
@@ -646,36 +642,19 @@ class PathTable:
         probe.as_of = version
         return probe.values_list.copy()
 
-    def availabilities(self, path: Sequence[int]) -> np.ndarray:
-        """Per-hop spendable funds along ``path`` (0 where frozen)."""
-        cpath = self.compile(path)
-        return self._store.availability(cpath.dirs)
-
     def unfunded_hop(
-        self, path: Sequence[int], amounts: Sequence[float]
+        self, cpath: CompiledPath, amounts: Sequence[float]
     ) -> Optional[int]:
-        """Index of the first hop whose availability misses its lock amount.
+        """Index of the first hop of ``cpath`` whose availability (0 where
+        frozen) misses its lock amount.
 
         The quantity LND's onion error reports; ``None`` when every hop is
         funded.
         """
-        avail = self.availabilities(path)
-        short = avail + _EPS < np.asarray(amounts)
+        short = self._store.availability(cpath.dirs) + _EPS < np.asarray(amounts)
         if not short.any():
             return None
         return int(np.argmax(short))
-
-    # ------------------------------------------------------------------
-    # Fees
-    # ------------------------------------------------------------------
-    def hop_amounts(self, path: Sequence[int], amount: float) -> List[float]:
-        """Per-hop lock amounts delivering ``amount``, fees included.
-
-        The fee-free fast path performs no arithmetic at all, and
-        fee-bearing paths run the reverse recurrence over the compiled fee
-        schedule (no channel-object lookups).
-        """
-        return self.compile(path).hop_amounts(amount)
 
     # ------------------------------------------------------------------
     # Lock / settle / refund

@@ -13,14 +13,16 @@ a network whose channel state lives in the flat arrays of a
   (SRPT by default);
 * atomic payments (the baselines) get exactly one attempt.
 
-Routing schemes interact with the session through two primitives:
+Routing schemes move money through one send core on compiled paths
+(such as the pair handle's ``cpaths`` from
+:meth:`~SimulationSession.path_handle`), whose two sends price hops with
+fees and lock through one helper (:meth:`~SimulationSession._lock`):
 
-* :meth:`SimulationSession.send_unit` — lock one MTU-bounded transaction
-  unit along a path (non-atomic schemes; :meth:`~SimulationSession.send_compiled`
-  is the same send on a compiled path, such as one of the pair handle's
-  ``cpaths`` from :meth:`~SimulationSession.path_handle`), and
+* :meth:`SimulationSession.send_compiled` — lock one MTU-bounded
+  transaction unit along a path (non-atomic schemes;
+  :meth:`~SimulationSession.send_on_path` drains one path with it), and
 * :meth:`SimulationSession.send_atomic` — lock a set of (path, amount)
-  allocations all-or-nothing (atomic schemes).
+  shares all-or-nothing (atomic schemes).
 
 Settlement, refunds, deadline enforcement (the sender withholds the hash
 key for units that would settle after the deadline — §4.1), metrics hooks
@@ -43,7 +45,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -249,8 +251,8 @@ class SimulationSession:
         #: Macro-tick cohort driver; also the owner of the pair handles.
         self._dispatch = DispatchPlan(self)
         self._table = self._dispatch.table
-        #: Path locks :meth:`send_compiled` tried that bounced off a frozen
-        #: or under-funded hop (see :meth:`dispatch_stats`).
+        #: Path locks the send core (:meth:`_lock`) tried that bounced off a
+        #: frozen or under-funded hop (see :meth:`dispatch_stats`).
         self._failed_locks = 0
         self._confirm_ticks = self.sim.clock.to_ticks(self.config.confirmation_delay)
         #: tick -> units resolving at that tick (coalesced store writes).
@@ -477,16 +479,14 @@ class SimulationSession:
         """Dispatch counters for observability.
 
         Keys: ``cohorts`` (every attempt cohort driven), ``cohort_payments``
-        (payments entering them) and ``failed_locks`` (path locks
-        :meth:`send_compiled` tried that bounced off a frozen or
-        under-funded hop — store work that moved no value).  Waterfilling
-        (and ``spider-admission`` over it) offers a path's fee-inclusive
-        :meth:`PathTable.deliverable
-        <repro.engine.pathtable.PathTable.deliverable>` value, read off the
-        store just before the send, so its locks fit; the schemes that
-        offer a raw bottleneck on a fee-bearing network bounce on its
-        fee-loaded upstream hops: ``shortest-path`` (:meth:`send_on_path`),
-        ``spider-lp`` and ``spider-primal-dual`` (:meth:`send_unit`).
+        (payments entering them) and ``failed_locks`` (path locks the send
+        core tried — :meth:`send_compiled` units and :meth:`send_atomic`
+        shares alike — that bounced off a frozen or under-funded hop: store
+        work that moved no value).  The source-routed non-atomic schemes
+        offer a path's fee-inclusive :meth:`PathTable.deliverable
+        <repro.engine.pathtable.PathTable.deliverable>` value, so their
+        locks fit; an atomic share sized off raw balances can still bounce
+        on a fee-loaded upstream hop.
         ``batched_units`` and ``scalar_fallbacks`` always read 0 (every
         payment decides through the scheme's own ``attempt``); the keys
         stay because ``benchmarks/e2e`` reads them.  Deliberately *not*
@@ -522,31 +522,20 @@ class SimulationSession:
         """
         return self._dispatch.path_handle(source, dest, k)
 
-    def send_unit(self, payment: Payment, path: Tuple[int, ...], amount: float) -> bool:
-        """Lock one transaction unit delivering ``amount`` along ``path``.
+    def send_compiled(
+        self, payment: Payment, cpath: CompiledPath, amount: float
+    ) -> bool:
+        """Lock one transaction unit delivering ``amount`` along ``cpath``
+        (for instance one of :meth:`path_handle`'s ``cpaths``).
 
         The amount is clipped to the payment's remaining value and the MTU;
         values below ``min_unit_value`` are not sent.  On fee-charging
         networks the upstream hops lock ``amount`` plus the intermediaries'
         fees (§2); units whose fee would blow the payment's ``max_fee``
-        budget are not sent.  Returns ``True`` if the unit was locked (it
-        will settle after the confirmation delay).
-
-        ``path`` is compiled once, through the table's memo, and the send
-        runs :meth:`send_compiled`.
-        """
-        return self.send_compiled(payment, self._table.compile(path), amount)
-
-    def send_compiled(
-        self, payment: Payment, cpath: CompiledPath, amount: float
-    ) -> bool:
-        """:meth:`send_unit` on an already compiled path.
-
-        Every check is kept: the remaining/MTU clamp, the dust veto, the
-        fee budget, positive and finite per-hop amounts (else
-        :class:`~repro.errors.ChannelError`) and the all-or-nothing store
-        lock with its rollback (see :meth:`PathTable.lock_funds
-        <repro.engine.pathtable.PathTable.lock_funds>`).
+        budget are not sent.  Per-hop amounts must be positive and finite
+        (else :class:`~repro.errors.ChannelError`) and the store lock is
+        all-or-nothing (:meth:`_lock`).  Returns ``True`` if the unit was
+        locked (it will resolve after the confirmation delay).
         """
         config = self.config
         amount = min(amount, payment.remaining, config.mtu)
@@ -556,33 +545,28 @@ class SimulationSession:
         fee = amounts[0] - amount if amounts else 0.0
         if fee > 0 and not payment.fee_budget_allows(fee):
             return False
-        try:
-            actuals = self._table.lock_funds(cpath, amounts)
-        except InsufficientFundsError:
-            self._failed_locks += 1
+        actuals = self._lock(cpath, amounts)
+        if actuals is None:
             return False
         payment.register_inflight(amount)
         self._book_unit(payment, cpath, amount, fee, actuals)
         return True
 
-    def send_on_path(
-        self, payment: Payment, path: Union[Tuple[int, ...], CompiledPath]
-    ) -> float:
-        """Send as many units as fit on ``path`` right now.
+    def send_on_path(self, payment: Payment, cpath: CompiledPath) -> float:
+        """Send as many units as fit on ``cpath`` right now.
 
-        Convenience for non-atomic schemes: repeatedly sends MTU-bounded
-        units until the path bottleneck or the payment's remaining value is
-        exhausted.  ``path`` is a node tuple (compiled once here) or a
-        compiled path, such as a handle's ``cpaths[i]``.  Returns the total
-        value locked.
+        Convenience for non-atomic schemes: repeatedly offers
+        :meth:`send_compiled` what the path delivers with its fees included
+        (:meth:`PathTable.deliverable
+        <repro.engine.pathtable.PathTable.deliverable>`), until that or the
+        payment's remaining value is exhausted.  Returns the total value
+        locked.
         """
         table = self._table
-        cpath = path if type(path) is CompiledPath else table.compile(path)
         min_unit = self.config.min_unit_value
         sent = 0.0
         while payment.remaining >= min_unit:
-            available = table.bottleneck(cpath)
-            amount = min(available, payment.remaining, self.config.mtu)
+            amount = min(table.deliverable(cpath), payment.remaining, self.config.mtu)
             if amount < min_unit:
                 break
             if not self.send_compiled(payment, cpath, amount):
@@ -593,53 +577,49 @@ class SimulationSession:
     def send_atomic(
         self,
         payment: Payment,
-        allocations: Sequence[Tuple[Tuple[int, ...], float]],
+        shares: Sequence[Tuple[CompiledPath, float]],
     ) -> bool:
-        """Lock ``allocations`` all-or-nothing (AMP-style multi-path).
+        """Lock ``shares`` all-or-nothing (AMP-style multi-path).
 
-        Either every (path, amount) share locks — and the whole payment
-        settles after the confirmation delay — or nothing is locked and
-        ``False`` is returned.
+        Each ``(cpath, amount)`` share is priced once; the fees of all the
+        shares together must fit the payment's budget.  Either every share
+        locks — each becomes one unit and the whole payment settles after
+        the confirmation delay — or the shares already locked are refunded
+        and ``False`` is returned, leaving the payment as it was.  Shares
+        summing to less than the payment's amount send nothing.
         """
-        total = sum(amount for _, amount in allocations)
-        if total < payment.amount - 1e-6:
+        if sum(amount for _, amount in shares) < payment.amount - 1e-6:
             return False
-        # Each share is priced once; the lock pass reuses its hop amounts.
-        shares: List[Tuple[Tuple[int, ...], float, List[float]]] = []
+        priced = [(cpath, amount, cpath.hop_amounts(amount)) for cpath, amount in shares]
         total_fee = 0.0
-        for path, amount in allocations:
-            if amount <= _EPS:
-                continue
-            amounts = self.network.hop_amounts(path, amount)
-            if amounts:
-                total_fee += amounts[0] - amount
-            shares.append((path, amount, amounts))
+        for _, amount, amounts in priced:
+            total_fee += amounts[0] - amount if amounts else 0.0
         if total_fee > 0 and not payment.fee_budget_allows(total_fee):
             return False
-        locked: List[TransactionUnit] = []
-        try:
-            for path, amount, amounts in shares:
-                htlcs = self.network.lock_path(path, amount, amounts=amounts)
-                payment.register_inflight(amount)
-                locked.append(
-                    TransactionUnit.create(
-                        payment=payment,
-                        amount=amount,
-                        path=tuple(path),
-                        htlcs=htlcs,
-                        sent_at=self.sim.now,
-                        fee=amounts[0] - amount if amounts else 0.0,
-                    )
-                )
-        except InsufficientFundsError:
-            for unit in locked:
-                self.network.refund_path(unit.path, unit.htlcs)
-                payment.register_cancelled(unit.amount)
-                unit.mark_cancelled()
-            return False
-        for unit in locked:
-            self._schedule_resolve(unit)
+        locked: List[List[float]] = []
+        for cpath, _, amounts in priced:
+            actuals = self._lock(cpath, amounts)
+            if actuals is None:
+                for (cpath, _, _), actuals in zip(priced, locked):
+                    self._table.refund(PathLock(cpath, actuals))
+                return False
+            locked.append(actuals)
+        for (cpath, amount, amounts), actuals in zip(priced, locked):
+            payment.register_inflight(amount)
+            self._book_unit(payment, cpath, amount, amounts[0] - amount, actuals)
         return True
+
+    def _lock(self, cpath: CompiledPath, amounts: List[float]) -> Optional[List[float]]:
+        """The one store lock of every send: ``amounts`` on ``cpath``'s
+        hops through :meth:`PathTable.lock_funds
+        <repro.engine.pathtable.PathTable.lock_funds>`, returning the
+        per-hop actuals, or ``None`` (counted in ``failed_locks``) when a
+        frozen or under-funded hop bounced it and the store rolled back."""
+        try:
+            return self._table.lock_funds(cpath, amounts)
+        except InsufficientFundsError:
+            self._failed_locks += 1
+            return None
 
     def send_unit_hop_by_hop(
         self, payment: Payment, path: Tuple[int, ...], amount: float

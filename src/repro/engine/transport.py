@@ -590,14 +590,15 @@ class BackpressureTransport:
             self._service_direction(v, u)
 
     def _service_direction(self, u: int, v: int) -> None:
-        """Forward queued units across ``u→v`` down the steepest gradient."""
+        """Forward queued units across ``u→v`` down the steepest gradient.
+
+        A drained direction is still served: a stuck unit's pop back to
+        ``v`` refunds its last lock and needs no funds on ``u→v``."""
         node_queues = self._queues.get(u)
         if not node_queues:
             return
         while True:
             available = self.network.available(u, v)
-            if available < self.config.min_unit_value:
-                return
             dests = [dest for dest, queue in node_queues.items() if queue]
             weights = self._gradient_weights(u, v, dests)
             candidates = [(w, d) for w, d in zip(weights, dests) if w > _EPS]

@@ -1,12 +1,16 @@
 """The payment channel network state machine.
 
-:class:`PaymentNetwork` owns the node set, the channels, and the only
-operations the routing layer may use to move money:
+:class:`PaymentNetwork` owns the node set, the channels, and a thin path
+facade over its :class:`~repro.engine.pathtable.PathTable` for moving
+funds by hand (tests, examples):
 
 * :meth:`lock_path` — atomically lock an amount along a path (every hop or
   none: partial locks are rolled back),
 * :meth:`settle_path` / :meth:`refund_path` — resolve a previously locked
   transfer.
+
+Routing schemes never call it: they move money through the session's
+send core (``send_compiled``, ``send_on_path``, ``send_atomic``).
 
 This mirrors how the paper's simulator treats in-flight funds (§6.1): a
 routed unit holds funds on every hop for the confirmation delay, then either
@@ -382,7 +386,7 @@ class PaymentNetwork:
         ``amounts[i] = amounts[i+1] + fee(channel_{i+1}, amounts[i+1])``.
         With fee-free channels every entry equals ``amount``.
         """
-        return self.path_table.hop_amounts(path, amount)
+        return self.path_table.compile(path).hop_amounts(amount)
 
     def lock_path(
         self,

@@ -17,8 +17,9 @@ Model
 * A service epoch runs every ``service_interval`` seconds.  For each
   channel direction ``u→v`` it repeatedly picks the destination ``d``
   maximising ``backlog_u(d) − backlog_v(d) + beta·(dist(u,d) − dist(v,d))``
-  and forwards the oldest eligible unit of ``d`` while the direction has
-  spendable funds and the weight stays positive.  ``beta`` is the standard
+  and forwards the oldest eligible unit of ``d`` while the weight stays
+  positive: a unit pressing forward needs the direction's spendable funds,
+  a stuck unit popping back (below) needs none.  ``beta`` is the standard
   shortest-path bias that keeps pure backpressure from random-walking at
   low load.
 * Each forwarded hop locks the unit's value in the channel store; a unit

@@ -1,8 +1,10 @@
 """Routing scheme interface.
 
-A scheme is pure policy: it decides *which paths and how much*, and uses the
-session's primitives (``send_unit`` / ``send_compiled`` / ``send_atomic``)
-to move money.  The session (passed as ``runtime``) calls
+A scheme is pure policy: it decides *which paths and how much*, and moves
+money only through the session's one send core, on compiled paths —
+``send_compiled`` (one unit), ``send_on_path`` (drain one path) or
+``send_atomic`` (all-or-nothing shares) — or through a transport
+(``send_unit_hop_by_hop``, ``inject``).  The session (passed as ``runtime``) calls
 :meth:`RoutingScheme.attempt` — the scheme's one decision path; the
 session's :class:`~repro.engine.dispatch.DispatchPlan` runs it per payment
 of every same-tick cohort:
@@ -22,7 +24,9 @@ array BFS, process-wide memoisation, optional disk artifacts) instead of a
 private per-scheme cache.  A scheme with a path budget can skip the node
 tuples altogether: :meth:`SimulationSession.path_handle
 <repro.engine.session.SimulationSession.path_handle>` returns the pair's
-compiled handle, built in bulk during ``prepare()``.
+compiled handle (its ``cpaths``), built in bulk during ``prepare()``;
+a scheme that finds its own node paths compiles each through the
+memoising ``network.path_table.compile``.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from repro.simulator.rng import SeedLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
+    from repro.engine.pathtable import CompiledPath
     from repro.engine.session import SimulationSession
     from repro.network.network import PaymentNetwork
 
@@ -164,7 +165,7 @@ class SpeedyMurmursScheme(RoutingScheme):
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         shares = self._split_amount(payment.amount)
-        allocations: List[Tuple[Path, float]] = []
+        allocations: List[Tuple["CompiledPath", float]] = []
         reserved: Dict[Tuple[int, int], float] = {}
         for embedding, share in zip(self._embeddings, shares):
             if share <= _EPS:
@@ -182,7 +183,7 @@ class SpeedyMurmursScheme(RoutingScheme):
                 return
             for a, b in zip(path, path[1:]):
                 reserved[(a, b)] = reserved.get((a, b), 0.0) + share
-            allocations.append((path, share))
+            allocations.append((runtime.network.path_table.compile(path), share))
         if not allocations or not runtime.send_atomic(payment, allocations):
             runtime.fail_payment(payment)
 

@@ -105,5 +105,8 @@ class LandmarkScheme(RoutingScheme):
                     remaining -= take
                     if remaining <= _EPS:
                         break
-        if remaining > 1e-6 or not runtime.send_atomic(payment, allocations):
+        compile = runtime.network.path_table.compile
+        if remaining > 1e-6 or not runtime.send_atomic(
+            payment, [(compile(path), share) for path, share in allocations]
+        ):
             runtime.fail_payment(payment)

@@ -13,7 +13,7 @@ Model
 -----
 * Path search runs *backwards* from the destination accumulating the fees
   each intermediary charges (matching
-  :meth:`repro.network.network.PaymentNetwork.hop_amounts`), so the cost of
+  :meth:`repro.engine.pathtable.CompiledPath.hop_amounts`), so the cost of
   a candidate path is its true total fee plus ``hop_penalty`` per hop —
   with fee-free channels the search degenerates to hop-count shortest
   path, as in the paper's fee-free evaluation.
@@ -24,7 +24,9 @@ Model
   failing direction is avoided while fresh (LND's mission control).
 
 The session's :class:`~repro.engine.dispatch.DispatchPlan` runs
-:meth:`LndScheme.attempt` per payment, as it runs every scheme's.
+:meth:`LndScheme.attempt` per payment, as it runs every scheme's.  The
+path found is compiled once through the table's memo; the unfunded-hop
+check and the atomic send both read that compiled path.
 """
 
 from __future__ import annotations
@@ -108,13 +110,18 @@ class LndScheme(RoutingScheme):
             if path is None:
                 runtime.fail_payment(payment)
                 return
-            failing_hop = self._first_unfunded_hop(runtime.network, path, payment.amount)
-            if failing_hop is None:
-                if runtime.send_atomic(payment, [(path, payment.amount)]):
+            table = runtime.network.path_table
+            cpath = table.compile(path)
+            # The first hop whose balance cannot cover its lock, scanning
+            # from the source, as the onion error would report it.
+            index = table.unfunded_hop(cpath, cpath.hop_amounts(payment.amount))
+            if index is None:
+                if runtime.send_atomic(payment, [(cpath, payment.amount)]):
                     return
                 # A fee-budget rejection cannot be fixed by pruning a hop.
                 runtime.fail_payment(payment)
                 return
+            failing_hop = path[index : index + 2]
             self.failures_reported += 1
             pruned.add(failing_hop)
             if self.forget_time > 0:
@@ -193,15 +200,3 @@ class LndScheme(RoutingScheme):
         while path[-1] != dest:
             path.append(successor[path[-1]])
         return tuple(path)
-
-    @staticmethod
-    def _first_unfunded_hop(
-        network: "PaymentNetwork", path: Path, amount: float
-    ) -> Optional[Tuple[int, int]]:
-        """The hop whose balance cannot cover its lock, as the onion error
-        would report it: the first one scanning from the source."""
-        amounts = network.hop_amounts(path, amount)
-        index = network.path_table.unfunded_hop(path, amounts)
-        if index is None:
-            return None
-        return (path[index], path[index + 1])

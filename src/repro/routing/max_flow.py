@@ -26,6 +26,7 @@ from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
+    from repro.engine.pathtable import CompiledPath
     from repro.engine.session import SimulationSession
     from repro.network.network import PaymentNetwork
 
@@ -173,13 +174,14 @@ class MaxFlowScheme(RoutingScheme):
         if value < payment.amount - 1e-6:
             runtime.fail_payment(payment)
             return
-        allocations: List[Tuple[Path, float]] = []
+        compile = runtime.network.path_table.compile
+        allocations: List[Tuple["CompiledPath", float]] = []
         needed = payment.amount
         for path, path_value in decompose_flow(flow, payment.source, payment.dest):
             if needed <= _EPS:
                 break
             take = min(path_value, needed)
-            allocations.append((path, take))
+            allocations.append((compile(path), take))
             needed -= take
         if needed > 1e-6 or not runtime.send_atomic(payment, allocations):
             runtime.fail_payment(payment)

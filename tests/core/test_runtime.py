@@ -14,10 +14,11 @@ from repro.topology.generators import line_topology
 from repro.workload.generator import TransactionRecord
 
 
-def line_path(source, dest):
-    """Node sequence between two nodes of a line topology (either direction)."""
+def line_path(runtime, source, dest):
+    """The compiled path between two nodes of a line topology (either
+    direction)."""
     step = 1 if dest >= source else -1
-    return tuple(range(source, dest + step, step))
+    return runtime.network.path_table.compile(range(source, dest + step, step))
 
 
 class SingleShotScheme(RoutingScheme):
@@ -27,7 +28,7 @@ class SingleShotScheme(RoutingScheme):
     atomic = False
 
     def attempt(self, payment, runtime):
-        runtime.send_on_path(payment, line_path(payment.source, payment.dest))
+        runtime.send_on_path(payment, line_path(runtime, payment.source, payment.dest))
 
 
 class AtomicLineScheme(RoutingScheme):
@@ -35,8 +36,8 @@ class AtomicLineScheme(RoutingScheme):
     atomic = True
 
     def attempt(self, payment, runtime):
-        path = line_path(payment.source, payment.dest)
-        if not runtime.send_atomic(payment, [(path, payment.amount)]):
+        cpath = line_path(runtime, payment.source, payment.dest)
+        if not runtime.send_atomic(payment, [(cpath, payment.amount)]):
             runtime.fail_payment(payment)
 
 

@@ -68,7 +68,7 @@ class TestWaterfilling:
         assert metrics.failed == 1
 
     def test_fee_budget_veto_terminates(self):
-        # Regression: send_unit vetoed for a *non-capacity* reason (the fee
+        # Regression: a send vetoed for a *non-capacity* reason (the fee
         # budget) used to leave the path's availability estimate high and
         # spin the waterfilling loop forever.
         network = line_topology(3).build_network(default_capacity=1_000.0)

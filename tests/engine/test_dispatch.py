@@ -5,7 +5,10 @@ The :class:`~repro.engine.dispatch.DispatchPlan` runs every scheme's own
 spider-window launch loop decide on the pair's compiled handle
 (``session.path_handle``); their reference is the same decision rule
 written over node tuples (:mod:`tests.reference.schemes`), swapped onto
-the same scheme in an otherwise identical session.  The tests here pin
+the same scheme in an otherwise identical session.  The atomic schemes
+lock compiled shares through ``session.send_atomic``; their reference
+arm locks the same shares as node tuples through the network's path
+facade (``tests.reference.schemes.send_atomic``).  The tests here pin
 the two arms byte-for-byte on serialised metrics — and, below the
 metrics, bit for bit on the final store arrays — across the regimes that
 matter: shared-channel cohorts, fee-bearing and frozen topologies, a
@@ -43,6 +46,9 @@ HANDLE_SCHEMES = {
     "spider-waterfilling": FEES,
     "spider-window": {},
 }
+
+#: The atomic schemes: each locks its shares through ``send_atomic``.
+ATOMIC_SCHEMES = ["lnd", "max-flow", "silentwhispers", "speedymurmurs", "spider-amp"]
 
 
 def _config(**overrides):
@@ -137,7 +143,7 @@ def test_dispatch_modes_byte_identical(scheme, topology):
     )
 
 
-@pytest.mark.parametrize("scheme", HANDLE_SCHEMES)
+@pytest.mark.parametrize("scheme", [*HANDLE_SCHEMES, *ATOMIC_SCHEMES])
 def test_dispatch_parity_with_random_fees_and_frozen_channels(scheme):
     """Fee-bearing hops and frozen channels decide byte-identically.
 
@@ -160,7 +166,7 @@ def test_dispatch_parity_with_random_fees_and_frozen_channels(scheme):
     _assert_modes_agree(config, mutate=freeze_some)
 
 
-@pytest.mark.parametrize("scheme", HANDLE_SCHEMES)
+@pytest.mark.parametrize("scheme", [*HANDLE_SCHEMES, *ATOMIC_SCHEMES])
 def test_dispatch_parity_fee_bearing_shared_channels(scheme):
     """Shared-channel path sets with fees decide byte-identically.
 
@@ -309,37 +315,41 @@ def test_pair_without_a_path_fails_like_the_reference(scheme):
     )
 
 
+def _stats(**overrides):
+    config = _config(num_transactions=150, **overrides)
+    session = SimulationSession.from_config(config)
+    session.run()
+    return session.dispatch_stats()
+
+
 def test_failed_locks_tell_the_fee_regime_apart():
-    """Shortest-path offers a path's raw bottleneck, so on the fee-bearing
-    line the fee-loaded upstream hops need more than it holds and some
-    locks bounce.  Waterfilling offers what a path delivers with its fees
-    included (``PathTable.deliverable``), so no lock of its bounces — with
-    fees on the line and on ``ripple-small``, or with none at all."""
-
-    def stats(**overrides):
-        config = _config(num_transactions=150, **overrides)
-        session = SimulationSession.from_config(config)
-        session.run()
-        return session.dispatch_stats()
-
-    assert stats(scheme="shortest-path", topology="line-5", **FEES)["failed_locks"] > 0
+    """Max-flow sizes its atomic shares off raw balances, so on fee-bearing
+    ``ripple-small`` the fee-loaded upstream hops need more than they hold
+    and some share locks bounce.  The source-routed non-atomic schemes
+    offer what a path delivers with its fees included
+    (``PathTable.deliverable``), so no lock of theirs bounces — with fees
+    on the line and on ``ripple-small``, or with none at all."""
+    fee_network = dict(topology="ripple-small", **FEES)
+    assert _stats(scheme="max-flow", **fee_network)["failed_locks"] > 0
+    for scheme in ("shortest-path", "spider-lp", "spider-primal-dual"):
+        assert _stats(scheme=scheme, **fee_network)["failed_locks"] == 0, scheme
     for topology in ("line-5", "ripple-small"):
-        fees = stats(topology=topology, **FEES)
+        fees = _stats(topology=topology, **FEES)
         assert fees["cohorts"] > 0
         assert fees["failed_locks"] == 0, topology
-    free = stats(topology="ripple-small")
+    free = _stats(topology="ripple-small")
     assert free["cohorts"] > 0
     assert free["failed_locks"] == 0
 
 
 def test_failed_locks_count_the_bounces_in_the_send_core(monkeypatch):
     """``failed_locks`` is every ``InsufficientFundsError`` that
-    :meth:`PathTable.lock_funds` raises inside ``send_compiled``.
+    :meth:`PathTable.lock_funds` raises inside the send core.
 
-    On fee-bearing ``ripple-small`` shortest-path offers a path's raw
-    bottleneck and the fee-loaded upstream hops then need more than it
-    holds, so locks bounce; the counter equals the raises counted at the
-    source.
+    On fee-bearing ``ripple-small`` max-flow sizes its atomic shares off
+    raw balances and the fee-loaded upstream hops then need more than they
+    hold, so share locks bounce; the counter equals the raises counted at
+    the source.
     """
     from repro.engine.pathtable import PathTable
 
@@ -355,13 +365,57 @@ def test_failed_locks_count_the_bounces_in_the_send_core(monkeypatch):
 
     monkeypatch.setattr(PathTable, "lock_funds", counting)
     config = _config(
-        scheme="shortest-path", topology="ripple-small", num_transactions=150, **FEES
+        scheme="max-flow", topology="ripple-small", num_transactions=150, **FEES
     )
     session = SimulationSession.from_config(config)
     session.run()
     stats = session.dispatch_stats()
     assert stats["failed_locks"] == len(raised) > 0
     assert stats["batched_units"] == stats["scalar_fallbacks"] == 0
+
+
+def test_bounced_last_share_leaves_the_payment_as_it_was():
+    """An atomic send whose last share bounces mid-path refunds the shares
+    locked before it: the funds arrays end bit for bit where they started
+    (only the attempt counters ``sent``/``num_refunded`` record the
+    try), the payment's in-flight and remaining value are untouched, the
+    pending order is unchanged, no unit is booked — and the node-tuple
+    reference arm ends on the same store bits and counts the same bounce."""
+    from repro.network.network import PaymentNetwork
+    from repro.routing.registry import make_scheme
+    from tests.reference.schemes import send_atomic
+
+    def build():
+        network = PaymentNetwork()
+        for u, v in [(0, 1), (1, 4), (0, 2), (2, 4), (0, 3)]:
+            network.add_channel(u, v, 100.0)
+        network.add_channel(3, 4, 100.0, balance_u=5.0)  # the last share's hop 1
+        records = [TransactionRecord(0, 1.0, 0, 4, 60.0)]
+        session = SimulationSession(network, records, make_scheme("max-flow"))
+        payment = session._new_payment(records[0])
+        session._pending.add(payment)
+        paths = [(0, 1, 4), (0, 2, 4), (0, 3, 4)]
+        shares = [(network.path_table.compile(p), 20.0) for p in paths]
+        return session, payment, shares
+
+    runs = []
+    for send in (SimulationSession.send_atomic, send_atomic):
+        session, payment, shares = build()
+        store = session.network.state_store
+        before = _store_arrays(store)
+        pending = list(session._pending.ordered())
+        assert send(session, payment, shares) is False
+        after = _store_arrays(store)
+        for name in ("balance", "inflight", "settled_flow", "num_settled"):
+            assert np.array_equal(after[name], before[name]), name
+        # Two locked shares' two hops each, and the bounced share's hop 0.
+        assert after["num_refunded"].sum() == 5
+        assert (payment.inflight, payment.remaining) == (0.0, 60.0)
+        assert list(session._pending.ordered()) == pending
+        assert not session._resolve_batches
+        assert session.dispatch_stats()["failed_locks"] == 1
+        runs.append(after)
+    _assert_same_store(*runs)
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,8 @@ def test_bottleneck_and_hop_amounts_match_reference(data):
         bottleneck = ref.bottleneck(path)
         for amount in (13.7, bottleneck + 5e-10, bottleneck + 2e-9):
             amounts = ref.hop_amounts(path, amount)
-            assert vec.path_table.unfunded_hop(path, amounts) == ref.unfunded_hop(
+            cpath = vec.path_table.compile(path)
+            assert vec.path_table.unfunded_hop(cpath, amounts) == ref.unfunded_hop(
                 path, amounts
             )
     # The batch probe agrees with the per-path reference, exactly.
@@ -232,7 +233,8 @@ def test_fee_inclusive_locks_match_reference(data, operations):
         path = paths[path_index % len(paths)]
         amounts = ref.hop_amounts(path, amount)
         assert vec.hop_amounts(path, amount) == amounts
-        assert vec.path_table.unfunded_hop(path, amounts) == ref.unfunded_hop(
+        cpath = vec.path_table.compile(path)
+        assert vec.path_table.unfunded_hop(cpath, amounts) == ref.unfunded_hop(
             path, amounts
         )
         locks = []
@@ -293,9 +295,9 @@ def _send_session(network, **config):
 )
 def test_compiled_send_matches_reference(data, operations, mtu):
     """The session's send core against the per-hop oracle.  The same sends
-    — through a node tuple (``send_unit``) or a compiled path
-    (``send_compiled``) — take the same decision (dust, fee budget, a
-    short or frozen hop with its rollback), lock the same per-hop amounts
+    — through a path compiled by the table's memo (``send_compiled``) —
+    take the same decision (dust, fee budget, a short or frozen hop with
+    its rollback), lock the same per-hop amounts
     and leave bit-identical store arrays; resolving each unit straight
     through its lock matches the oracle's settle or refund, and a second
     resolution raises and writes nothing."""
@@ -322,10 +324,7 @@ def test_compiled_send_matches_reference(data, operations, mtu):
             payment_id=step, source=path[0], dest=path[-1], amount=value,
             arrival_time=0.0, max_fee=max_fee,
         )
-        if step % 2:
-            sent = session.send_compiled(payment, table.compile(path), offer)
-        else:
-            sent = session.send_unit(payment, path, offer)
+        sent = session.send_compiled(payment, table.compile(path), offer)
         want = ref.send_unit(
             path, offer, remaining=value, mtu=mtu, min_unit=min_unit, max_fee=max_fee
         )
@@ -603,7 +602,7 @@ class TestMidPathRollback:
 
 
 class TestHopAvailability:
-    """``availabilities`` and ``unfunded_hop``, pinned on a 4-node line
+    """Per-hop availability and ``unfunded_hop``, pinned on a 4-node line
     whose hops hold 50, 30 and 20 spendable."""
 
     PATH = (0, 1, 2, 3)
@@ -617,11 +616,15 @@ class TestHopAvailability:
 
     def test_availabilities_are_per_hop_and_zero_when_frozen(self):
         network = self.network()
-        table = network.path_table
-        assert table.availabilities(self.PATH).tolist() == [50.0, 30.0, 20.0]
-        assert table.availabilities(self.PATH[::-1]).tolist() == [80.0, 70.0, 50.0]
+        table, store = network.path_table, network.state_store
+
+        def availabilities(path):
+            return store.availability(table.compile(path).dirs).tolist()
+
+        assert availabilities(self.PATH) == [50.0, 30.0, 20.0]
+        assert availabilities(self.PATH[::-1]) == [80.0, 70.0, 50.0]
         network.channel(1, 2).freeze()
-        assert table.availabilities(self.PATH).tolist() == [50.0, 0.0, 20.0]
+        assert availabilities(self.PATH) == [50.0, 0.0, 20.0]
 
     @pytest.mark.parametrize("short", range(3))
     def test_unfunded_hop_names_the_first_short_hop(self, short):
@@ -629,11 +632,12 @@ class TestHopAvailability:
         amounts = [15.0, 15.0, 15.0]
         amounts[short] = [50.0, 30.0, 20.0][short] + 2e-9
         amounts[-1] = max(amounts[-1], 25.0)  # a later short hop is not named
-        assert table.unfunded_hop(self.PATH, amounts) == short
+        assert table.unfunded_hop(table.compile(self.PATH), amounts) == short
 
     def test_funded_path_within_tolerance_has_no_unfunded_hop(self):
         table = self.network().path_table
-        assert table.unfunded_hop(self.PATH, [50.0, 30.0, 20.0 + 5e-10]) is None
+        cpath = table.compile(self.PATH)
+        assert table.unfunded_hop(cpath, [50.0, 30.0, 20.0 + 5e-10]) is None
 
 
 class TestPathLockLifecycle:
@@ -835,7 +839,7 @@ class TestDeliverable:
         table = network.path_table
         cpath = table.compile(path)
         value = table.deliverable(cpath)
-        avail = table.availabilities(path).tolist()
+        avail = network.state_store.availability(cpath.dirs).tolist()
         # The node-tuple twin the waterfilling reference arm prices with.
         assert path_deliverable(network, path) == value
         if cpath.fee_free:

@@ -1,17 +1,26 @@
-"""Node-tuple reference attempts for the schemes that decide on handles.
+"""Node-tuple reference arms for the schemes' attempts and the atomic send.
 
 :meth:`WaterfillingScheme.attempt
-<repro.core.waterfilling.WaterfillingScheme.attempt>` and
+<repro.core.waterfilling.WaterfillingScheme.attempt>`,
 :meth:`WindowedSpiderScheme.attempt
-<repro.core.window_control.WindowedSpiderScheme.attempt>` work off the
-pair's compiled handle.  The functions here are the same decision rules
-written the plain way: the pair's node-tuple paths from ``path_cache``,
-probes through ``network.bottleneck_many`` / ``network.bottleneck`` /
+<repro.core.window_control.WindowedSpiderScheme.attempt>` and
+:meth:`AmpWaterfillingScheme.attempt
+<repro.core.amp.AmpWaterfillingScheme.attempt>` work off the pair's
+compiled handle.  The functions here are the same decision rules written
+the plain way: the pair's node-tuple paths from ``path_cache``, probes
+through ``network.bottleneck_many`` / ``network.bottleneck`` /
 ``network.available``, fee-inclusive offers off the channel objects'
-schedules, and sends through ``session.send_unit`` /
-``session.send_unit_hop_by_hop``, one launch scheduled at a time.
-:func:`use_reference_attempt` swaps one onto a scheme instance, so a test
-runs the same session both ways and compares metrics bytes and store
+schedules, one launch scheduled at a time through
+``session.send_unit_hop_by_hop``.
+
+:func:`send_atomic` is the atomic send as it was before it ran on
+compiled shares: node tuples priced by ``network.hop_amounts``, locked by
+``network.lock_path`` and rolled back by ``network.refund_path``.  The
+atomic schemes (LND, max-flow, the landmark and embedding schemes, AMP)
+lock through it in their reference arm.
+
+:func:`use_reference_attempt` swaps an arm onto a scheme instance, so a
+test runs the same session both ways and compares metrics bytes and store
 arrays.
 """
 
@@ -21,11 +30,21 @@ import math
 from types import MethodType
 from typing import Any
 
+from repro.core.amp import AmpWaterfillingScheme, waterfill_allocation
+from repro.core.payments import TransactionUnit
 from repro.core.waterfilling import WaterfillingScheme
 from repro.core.window_control import WindowedSpiderScheme
+from repro.errors import InsufficientFundsError
+from repro.routing.embedding import SpeedyMurmursScheme
+from repro.routing.landmark import LandmarkScheme
+from repro.routing.lnd import LndScheme
+from repro.routing.max_flow import MaxFlowScheme
 
 __all__ = [
+    "amp_attempt",
+    "atomic_attempt",
     "path_deliverable",
+    "send_atomic",
     "use_reference_attempt",
     "waterfilling_attempt",
     "window_attempt",
@@ -76,7 +95,8 @@ def waterfilling_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
                 availability[best] = 0.0
                 continue
             amount = min(amount, deliverable)
-        if not runtime.send_unit(payment, paths[best], amount):
+        cpath = runtime.network.path_table.compile(paths[best])
+        if not runtime.send_compiled(payment, cpath, amount):
             fresh = runtime.network.bottleneck(paths[best])
             if fresh >= amount - 1e-12 or fresh < min_unit:
                 availability[best] = 0.0
@@ -113,9 +133,87 @@ def window_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
             state.inflight += amount
 
 
+def send_atomic(session: Any, payment: Any, allocations: Any) -> bool:
+    """Lock ``allocations`` all-or-nothing over node tuples.
+
+    A share's path may be a compiled path (its ``nodes`` are used).  A
+    bounced lock counts in the session's ``failed_locks`` as the send core
+    counts it; the shares locked before it are refunded and their units
+    cancelled.
+    """
+    total = sum(amount for _, amount in allocations)
+    if total < payment.amount - 1e-6:
+        return False
+    network = session.network
+    shares = []
+    total_fee = 0.0
+    for path, amount in allocations:
+        if amount <= 1e-9:
+            continue
+        path = getattr(path, "nodes", path)
+        amounts = network.hop_amounts(path, amount)
+        if amounts:
+            total_fee += amounts[0] - amount
+        shares.append((path, amount, amounts))
+    if total_fee > 0 and not payment.fee_budget_allows(total_fee):
+        return False
+    locked = []
+    try:
+        for path, amount, amounts in shares:
+            htlcs = network.lock_path(path, amount, amounts=amounts)
+            payment.register_inflight(amount)
+            locked.append(
+                TransactionUnit.create(
+                    payment=payment,
+                    amount=amount,
+                    path=tuple(path),
+                    htlcs=htlcs,
+                    sent_at=session.sim.now,
+                    fee=amounts[0] - amount if amounts else 0.0,
+                )
+            )
+    except InsufficientFundsError:
+        session._failed_locks += 1
+        for unit in locked:
+            network.refund_path(unit.path, unit.htlcs)
+            payment.register_cancelled(unit.amount)
+            unit.mark_cancelled()
+        return False
+    for unit in locked:
+        session._schedule_resolve(unit)
+    return True
+
+
+def atomic_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
+    """The scheme's own attempt, its shares locked by :func:`send_atomic`."""
+    runtime.send_atomic = MethodType(send_atomic, runtime)
+    type(scheme).attempt(scheme, payment, runtime)
+
+
+def amp_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
+    """AMP over the pair's node-tuple paths, locked by :func:`send_atomic`."""
+    paths = scheme.path_cache.paths(payment.source, payment.dest)
+    if not paths:
+        runtime.fail_payment(payment)
+        return
+    capacities = runtime.network.bottleneck_many(paths)
+    if sum(capacities) < payment.amount - 1e-6:
+        runtime.fail_payment(payment)
+        return
+    shares = waterfill_allocation(payment.amount, capacities)
+    allocations = [(path, share) for path, share in zip(paths, shares) if share > 1e-9]
+    if not send_atomic(runtime, payment, allocations):
+        runtime.fail_payment(payment)
+
+
 _REFERENCE = {
     WaterfillingScheme: waterfilling_attempt,
     WindowedSpiderScheme: window_attempt,
+    AmpWaterfillingScheme: amp_attempt,
+    LndScheme: atomic_attempt,
+    MaxFlowScheme: atomic_attempt,
+    LandmarkScheme: atomic_attempt,
+    SpeedyMurmursScheme: atomic_attempt,
 }
 
 

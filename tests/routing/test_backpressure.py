@@ -144,6 +144,27 @@ class TestBacktracking:
         assert store.sent[cid, side] == 10.0 * pops
         assert store.num_settled[cid] == 0
 
+    def test_drained_direction_still_backtracks_the_unit_stuck_behind_it(self):
+        """Line 0-1-2 whose node 1 holds nothing on either channel: the unit
+        crosses 0->1 and is stuck there.  Popping it back to 0 refunds the
+        0->1 lock and needs no funds on 1->0, so the drained direction must
+        still serve it once it has waited ``stuck_after``."""
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0, balance_u=100.0)
+        network.add_channel(1, 2, 100.0, balance_u=0.0)
+        metrics, runtime = run(
+            [TransactionRecord(0, 1.0, 0, 2, 10.0)], network, end_time=5.0,
+            stuck_after=0.5,
+        )
+        assert runtime.transport.total_hops == 1
+        assert runtime.transport.total_pops == 1
+        assert metrics.completed == 0
+        store = runtime.network.state_store
+        _, cid, _ = runtime.network.direction(0, 1)
+        # The pop refunded the one lock; the unit never locked it again.
+        assert store.num_refunded[cid] == 1
+        assert network.channel(0, 1).balance(0) == 100.0
+
     def test_pop_to_wrong_node_is_rejected(self):
         from repro.core.payments import Payment
         from repro.routing.backpressure import BackpressureUnit
