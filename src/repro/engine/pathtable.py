@@ -462,7 +462,7 @@ class PathTable:
         A raw hop minimum: on a fee-bearing path the upstream hops must
         also carry the downstream fees, so less than this can be delivered
         (see :meth:`deliverable`)."""
-        cpath = path if type(path) is CompiledPath else self.compile(path)
+        cpath = path if isinstance(path, CompiledPath) else self.compile(path)
         if not cpath.dir_list:
             return math.inf
         values = self._store.availability(cpath.dirs)

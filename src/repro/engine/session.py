@@ -600,8 +600,8 @@ class SimulationSession:
         for cpath, _, amounts in priced:
             actuals = self._lock(cpath, amounts)
             if actuals is None:
-                for (cpath, _, _), actuals in zip(priced, locked):
-                    self._table.refund(PathLock(cpath, actuals))
+                for (held, _, _), held_actuals in zip(priced, locked):
+                    self._table.refund(PathLock(held, held_actuals))
                 return False
             locked.append(actuals)
         for (cpath, amount, amounts), actuals in zip(priced, locked):
