@@ -37,6 +37,7 @@ from repro.core.payments import Payment
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.pathtable import CompiledPath
     from repro.engine.session import SimulationSession
 
 __all__ = ["HopUnit", "SpiderQueueingScheme"]
@@ -45,12 +46,12 @@ Path = Tuple[int, ...]
 
 
 class HopUnit:
-    """A transaction unit travelling hop-by-hop.
+    """A transaction unit travelling hop-by-hop along ``cpath``.
 
     Tracks the amount locked per completed hop (``locked``) and the index
     of the next hop to traverse; ``cpath`` is the unit's
-    :class:`~repro.engine.pathtable.CompiledPath`, set by the transport at
-    launch, so every hop lock/settle/refund is a direct store-index
+    :class:`~repro.engine.pathtable.CompiledPath` (``path`` its node
+    tuple), so every hop lock/settle/refund is a direct store-index
     operation.
     """
 
@@ -68,11 +69,13 @@ class HopUnit:
         "done",
     )
 
-    def __init__(self, payment: Payment, amount: float, path: Path, now: float):
+    def __init__(
+        self, payment: Payment, amount: float, cpath: "CompiledPath", now: float
+    ):
         self.payment = payment
         self.amount = amount
-        self.path = path
-        self.cpath = None  # CompiledPath, set by the transport at launch
+        self.path: Path = cpath.nodes
+        self.cpath = cpath
         self.hop_index = 0  # next channel to lock: (path[i], path[i+1])
         self.locked: List[float] = []  # actual per-hop locked amounts
         self.launched_at = now
@@ -119,17 +122,24 @@ class SpiderQueueingScheme(RoutingScheme):
                 f"{type(self).__name__} requires a session with "
                 "transport='hop'; see repro.engine.transport"
             )
-        paths = self.path_cache.paths(payment.source, payment.dest)
-        if not paths:
+        handle = runtime.path_handle(payment.source, payment.dest, self.num_paths)
+        if handle is None:
             runtime.fail_payment(payment)
             return
-        availability = runtime.network.bottleneck_many(paths)
+        cpaths = handle.cpaths
+        availability = runtime.network.path_table.bottleneck_many(handle)
+        store = runtime.network.state_store
         min_unit = runtime.config.min_unit_value
         while payment.remaining >= min_unit:
-            best = max(range(len(paths)), key=lambda i: availability[i])
+            best = max(range(len(cpaths)), key=lambda i: availability[i])
             # First-hop availability is the launch constraint; bottleneck
             # only guides path preference (downstream scarcity queues).
-            first_hop = runtime.network.available(paths[best][0], paths[best][1])
+            d = cpaths[best].dir_list[0]
+            first_hop = (
+                0.0
+                if store.frozen_count and store.frozen[d >> 1]
+                else store.balance_flat.item(d)
+            )
             amount = min(
                 max(availability[best], 0.0) if availability[best] > min_unit else first_hop,
                 first_hop,
@@ -138,10 +148,9 @@ class SpiderQueueingScheme(RoutingScheme):
             )
             if amount < min_unit:
                 break
-            if not runtime.send_unit_hop_by_hop(payment, paths[best], amount):
+            if not runtime.send_unit_hop_by_hop(payment, cpaths[best], amount):
                 availability[best] = 0.0
                 if all(a < min_unit for a in availability):
                     break
                 continue
             availability[best] = max(0.0, availability[best] - amount)
-

@@ -14,7 +14,7 @@ This package is the execution core of the reproduction:
 """
 
 from repro.engine.clock import DEFAULT_QUANTUM, TickClock
-from repro.engine.events import SlabEventQueue, TickEngine, TickHandle, TickTimer
+from repro.engine.events import SlabEventQueue, TickEngine, TickTimer
 from repro.engine.pathtable import CompiledPath, PathLock, PathTable
 from repro.engine.signals import CongestionState, ControlPlane
 from repro.engine.store import ChannelStateStore
@@ -70,7 +70,6 @@ __all__ = [
     "SlabEventQueue",
     "TickClock",
     "TickEngine",
-    "TickHandle",
     "TickTimer",
     "make_transport",
 ]

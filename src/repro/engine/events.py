@@ -5,17 +5,14 @@ two allocations and several attribute loads per scheduled event; at
 millions of events per run that object churn dominates the simulation's
 cost.  Here an event is one flat three-cell record::
 
-    [key, callback, args]      key = tick·2^44 | priority·2^40 | seq
+    [key, callback, args]      key = tick·2^40 | seq
 
 The packed integer key makes heap ordering a single int comparison (``seq``
 is globally monotonic, so keys are unique and list comparison never looks
-past the first cell), and the record *is* the cancellation handle: firing
-or cancelling just clears the callback cell, with no wrapper object in the
-common fire-and-forget case.
-
-Cancelled records stay in the heap as corpses that pop skips lazily; when
-corpses outnumber live events the heap is compacted wholesale, keeping
-cancellation amortised O(log n).
+past the first cell), and the record *is* the cancellation handle:
+firing or cancelling just clears the callback cell.  A cancelled record
+stays in the heap as a corpse that the run loop skips when it reaches the
+top.
 """
 
 from __future__ import annotations
@@ -27,16 +24,14 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.engine.clock import DEFAULT_QUANTUM, TickClock
 from repro.errors import SimulationError
 
-__all__ = ["SlabEventQueue", "TickEngine", "TickHandle", "TickTimer"]
+__all__ = ["SlabEventQueue", "TickEngine", "TickTimer"]
 
-# Key layout (low to high): 40 seq bits, 4 priority bits, then the tick.
-# Python ints are unbounded, so the tick field never overflows; 2^40
-# sequence numbers outlast any realistic run.
+# Key layout (low to high): 40 seq bits, then the tick.  Python ints are
+# unbounded, so the tick field never overflows; 2^40 sequence numbers
+# outlast any realistic run.
 _SEQ_BITS = 40
-_PRIO_BITS = 4
 _SEQ_MASK = (1 << _SEQ_BITS) - 1
-_TICK_SHIFT = _SEQ_BITS + _PRIO_BITS
-_MAX_PRIORITY = (1 << _PRIO_BITS) - 1
+_TICK_SHIFT = _SEQ_BITS
 
 #: Type of one scheduled-event record.
 Entry = List[Any]  # [key: int, callback: Optional[Callable], args: tuple]
@@ -46,43 +41,28 @@ class SlabEventQueue:
     """Min-heap of flat ``[key, callback, args]`` event records.
 
     Pure mechanism: it knows nothing about clocks or float seconds.
-    :class:`TickEngine` composes it with a :class:`TickClock`.  The record
-    returned by :meth:`schedule` doubles as the cancellation handle.
+    :class:`TickEngine` composes it with a :class:`TickClock` and pops it
+    in its run loop.  The record returned by :meth:`schedule` doubles as
+    the cancellation handle.
     """
 
-    __slots__ = ("heap", "_seq", "_live", "_cancelled")
+    __slots__ = ("heap", "_seq")
 
     def __init__(self) -> None:
         self.heap: List[Entry] = []
         self._seq = 0
-        self._live = 0
-        self._cancelled = 0
-
-    def __len__(self) -> int:
-        """Number of live (scheduled, not cancelled) events."""
-        return self._live
 
     def schedule(
         self,
         tick: int,
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
-        priority: int = 0,
     ) -> Entry:
         """Schedule ``callback(*args)`` at ``tick``; returns the record."""
-        if not 0 <= priority <= _MAX_PRIORITY:
-            raise SimulationError(
-                f"priority must be in [0, {_MAX_PRIORITY}], got {priority!r}"
-            )
         seq = self._seq
         self._seq = seq + 1
-        entry: Entry = [
-            (((tick << _PRIO_BITS) | priority) << _SEQ_BITS) | (seq & _SEQ_MASK),
-            callback,
-            args,
-        ]
+        entry: Entry = [(tick << _TICK_SHIFT) | (seq & _SEQ_MASK), callback, args]
         heappush(self.heap, entry)
-        self._live += 1
         return entry
 
     def schedule_many(
@@ -90,7 +70,6 @@ class SlabEventQueue:
         ticks: List[int],
         callbacks: Callable[..., Any] | Sequence[Callable[..., Any]],
         args_list: List[Tuple[Any, ...]],
-        priority: int = 0,
     ) -> List[Entry]:
         """Schedule a batch of events in one slab append; returns records.
 
@@ -105,20 +84,11 @@ class SlabEventQueue:
         heapify, so the method picks per batch/heap size; both routes
         yield the same pop order for the same reason.
         """
-        if not 0 <= priority <= _MAX_PRIORITY:
-            raise SimulationError(
-                f"priority must be in [0, {_MAX_PRIORITY}], got {priority!r}"
-            )
         if callable(callbacks):
             callbacks = [callbacks] * len(ticks)
         seq = self._seq
         entries: List[Entry] = [
-            [
-                (((tick << _PRIO_BITS) | priority) << _SEQ_BITS)
-                | ((seq + i) & _SEQ_MASK),
-                callback,
-                args,
-            ]
+            [(tick << _TICK_SHIFT) | ((seq + i) & _SEQ_MASK), callback, args]
             for i, (tick, callback, args) in enumerate(
                 zip(ticks, callbacks, args_list)
             )
@@ -131,7 +101,6 @@ class SlabEventQueue:
         else:
             for entry in entries:
                 heappush(heap, entry)
-        self._live += len(entries)
         return entries
 
     def cancel(self, entry: Entry) -> bool:
@@ -143,84 +112,31 @@ class SlabEventQueue:
             return False
         entry[1] = None
         entry[2] = None
-        self._live -= 1
-        self._cancelled += 1
-        if self._cancelled > self._live and len(self.heap) >= 64:
-            self.compact()
         return True
-
-    def compact(self) -> None:
-        """Drop cancelled corpses and restore the heap invariant.
-
-        Compacts **in place** (slice assignment, not rebinding): a run()
-        loop holds a direct reference to this list, and compaction can
-        trigger mid-run from a callback that cancels events.
-        """
-        self.heap[:] = [entry for entry in self.heap if entry[1] is not None]
-        heapify(self.heap)
-        self._cancelled = 0
-
-    def pop(self) -> Optional[Tuple[int, Callable[..., Any], tuple]]:
-        """Remove and return the earliest live event as ``(tick, cb, args)``."""
-        heap = self.heap
-        while heap:
-            entry = heappop(heap)
-            callback = entry[1]
-            if callback is None:
-                self._cancelled -= 1
-                continue
-            entry[1] = None  # consumed: a late cancel() must be a no-op
-            self._live -= 1
-            return entry[0] >> _TICK_SHIFT, callback, entry[2]
-        return None
 
     def peek_tick(self) -> Optional[int]:
         """Tick of the earliest live event, or ``None`` if empty."""
         heap = self.heap
         while heap and heap[0][1] is None:
             heappop(heap)
-            self._cancelled -= 1
         if not heap:
             return None
         return heap[0][0] >> _TICK_SHIFT
 
 
-class TickHandle:
-    """Object handle (``cancel()`` / ``pending``) for events scheduled
-    through :meth:`TickEngine.call_at` / :meth:`TickEngine.call_after`.
-    The hot path returns bare records instead.
-    """
-
-    __slots__ = ("_queue", "_entry")
-
-    def __init__(self, queue: SlabEventQueue, entry: Entry):
-        self._queue = queue
-        self._entry = entry
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        self._queue.cancel(self._entry)
-
-    @property
-    def pending(self) -> bool:
-        """Whether the event is still scheduled."""
-        return self._entry[1] is not None
-
-
 class TickEngine:
     """Deterministic discrete-event engine on an integer-tick clock.
 
-    Events at equal ticks fire in ``(priority, scheduling order)``,
-    callbacks may schedule and cancel freely, and runs are reproducible
-    bit-for-bit.  Times given to and reported by the public API are float
-    seconds; internally everything is ticks of ``quantum`` seconds.
+    Events at equal ticks fire in scheduling order, callbacks may schedule
+    and cancel freely, and runs are reproducible bit-for-bit.  Times given
+    to and reported by the public API are float seconds; internally
+    everything is ticks of ``quantum`` seconds.
 
-    Two scheduling surfaces coexist:
-
-    * :meth:`schedule_after` / :meth:`schedule_at_tick` — the hot path;
-      returns the raw event record (pass it to :meth:`cancel` if needed).
-    * :meth:`call_at` / :meth:`call_after` — float-seconds convenience;
-      returns a :class:`TickHandle`.
+    Every scheduling call returns the raw event record, which
+    :meth:`cancel` takes: :meth:`schedule_after` (relative seconds),
+    :meth:`schedule_at_tick` and :meth:`schedule_many` (absolute ticks)
+    and :meth:`call_at` (absolute seconds).  :meth:`run` is the one loop
+    that fires them.
     """
 
     def __init__(self, start_time: float = 0.0, quantum: float = DEFAULT_QUANTUM):
@@ -230,7 +146,6 @@ class TickEngine:
         self._tick = self.clock.to_ticks(start_time)
         self._queue = SlabEventQueue()
         self._running = False
-        self._stopped = False
         self._events_processed = 0
 
     # ------------------------------------------------------------------
@@ -252,27 +167,22 @@ class TickEngine:
         return self._events_processed
 
     @property
-    def pending_events(self) -> int:
-        """Number of live scheduled events (O(1))."""
-        return len(self._queue)
-
-    @property
     def queue(self) -> SlabEventQueue:
         """The underlying slab queue (exposed for tests and benchmarks)."""
         return self._queue
 
     # ------------------------------------------------------------------
-    # Scheduling — hot path (raw records)
+    # Scheduling (raw records)
     # ------------------------------------------------------------------
     def schedule_at_tick(
-        self, tick: int, callback: Callable[..., Any], args: Tuple[Any, ...] = (), priority: int = 0
+        self, tick: int, callback: Callable[..., Any], args: Tuple[Any, ...] = ()
     ) -> Entry:
         """Schedule at an absolute ``tick``; returns the raw record."""
         if tick < self._tick:
             raise SimulationError(
                 f"cannot schedule event in the past (now_tick={self._tick}, requested={tick})"
             )
-        return self._queue.schedule(tick, callback, args, priority)
+        return self._queue.schedule(tick, callback, args)
 
     def schedule_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Entry:
         """Schedule after ``delay`` seconds; returns the raw record.
@@ -294,7 +204,6 @@ class TickEngine:
             args,
         ]
         heappush(queue.heap, entry)
-        queue._live += 1
         return entry
 
     def schedule_many(
@@ -302,7 +211,6 @@ class TickEngine:
         ticks: List[int],
         callbacks: Callable[..., Any] | Sequence[Callable[..., Any]],
         args_list: List[Tuple[Any, ...]],
-        priority: int = 0,
     ) -> List[Entry]:
         """Bulk-schedule events at absolute ``ticks`` (one slab append).
 
@@ -310,8 +218,8 @@ class TickEngine:
         firing order is identical to the equivalent sequence of
         :meth:`schedule_at_tick` calls (see
         :meth:`SlabEventQueue.schedule_many`).  The session uses this to
-        schedule the whole transaction trace — and the dispatch layer its
-        cohort reschedules — without one heap push per record.
+        schedule the whole transaction trace without one heap push per
+        record.
         """
         now = self._tick
         for tick in ticks:
@@ -320,7 +228,16 @@ class TickEngine:
                     f"cannot schedule event in the past "
                     f"(now_tick={now}, requested={tick})"
                 )
-        return self._queue.schedule_many(ticks, callbacks, args_list, priority)
+        return self._queue.schedule_many(ticks, callbacks, args_list)
+
+    def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Entry:
+        """Schedule at absolute ``time`` seconds; returns the raw record."""
+        tick = self.clock.to_ticks(time)
+        if tick < self._tick:
+            raise SimulationError(
+                f"cannot schedule event in the past (now={self.now:.6g}, requested={time:.6g})"
+            )
+        return self._queue.schedule(tick, callback, args)
 
     def delay_ticks(self, delay: float) -> int:
         """Ticks :meth:`schedule_after` adds for ``delay`` seconds.
@@ -335,45 +252,16 @@ class TickEngine:
         return self._queue.cancel(entry)
 
     # ------------------------------------------------------------------
-    # Scheduling — float-seconds convenience surface (handle objects)
-    # ------------------------------------------------------------------
-    def call_at(
-        self, time: float, callback: Callable[..., Any], *args: Any, priority: int = 0
-    ) -> TickHandle:
-        """Schedule at absolute ``time`` seconds; returns a cancellable handle."""
-        tick = self.clock.to_ticks(time)
-        if tick < self._tick:
-            raise SimulationError(
-                f"cannot schedule event in the past (now={self.now:.6g}, requested={time:.6g})"
-            )
-        return TickHandle(self._queue, self._queue.schedule(tick, callback, args, priority))
-
-    def call_after(
-        self, delay: float, callback: Callable[..., Any], *args: Any, priority: int = 0
-    ) -> TickHandle:
-        """Schedule after ``delay`` seconds; returns a cancellable handle."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        return TickHandle(
-            self._queue,
-            self._queue.schedule(
-                self._tick + self.clock.to_ticks(delay), callback, args, priority
-            ),
-        )
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Request that :meth:`run` return before firing the next event."""
-        self._stopped = True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Fire events in tick order.
 
-        With ``until`` given, events at ``time <= until`` fire and the clock
-        then advances to exactly ``until`` (quantised).  Returns the final
-        simulated time in seconds.
+        Events at ``time <= until`` fire and the clock then advances to
+        exactly ``until`` (quantised); later events stay scheduled for a
+        later call.  Without ``until`` the queue drains and the clock
+        stops at the last event.  Returns the final simulated time in
+        seconds.
         """
         if self._running:
             raise SimulationError("TickEngine.run() is not reentrant")
@@ -383,81 +271,32 @@ class TickEngine:
                 f"cannot run backwards (now={self.now:.6g}, until={until:.6g})"
             )
         self._running = True
-        self._stopped = False
-        executed = 0
-        budget = math.inf if max_events is None else max_events
-        queue = self._queue
-        heap = queue.heap
+        bound = math.inf if until_tick is None else until_tick
+        heap = self._queue.heap
         pop = heappop
         shift = _TICK_SHIFT
         try:
-            if budget <= 0:
-                pass  # nothing may fire; the clock still advances below
-            elif until_tick is None:
-                # Unbounded drain: pop directly (no peek) — the hot loop.
-                while heap:
-                    entry = pop(heap)
-                    callback = entry[1]
-                    if callback is None:  # cancelled corpse
-                        queue._cancelled -= 1
-                        continue
-                    entry[1] = None  # consumed: a late cancel() must be a no-op
-                    queue._live -= 1
-                    self._tick = entry[0] >> shift
-                    callback(*entry[2])
-                    self._events_processed += 1
-                    executed += 1
-                    if self._stopped or executed >= budget:
-                        break
-            else:
-                # Bounded run: peek before popping so events beyond the
-                # horizon stay scheduled for a later run() call.
-                while heap:
-                    entry = heap[0]
-                    callback = entry[1]
-                    if callback is None:
-                        pop(heap)
-                        queue._cancelled -= 1
-                        continue
-                    tick = entry[0] >> shift
-                    if tick > until_tick:
-                        break
+            # Peek before popping so events beyond the horizon stay
+            # scheduled for a later run() call.
+            while heap:
+                entry = heap[0]
+                callback = entry[1]
+                if callback is None:  # cancelled corpse
                     pop(heap)
-                    entry[1] = None
-                    queue._live -= 1
-                    self._tick = tick
-                    callback(*entry[2])
-                    self._events_processed += 1
-                    executed += 1
-                    if self._stopped or executed >= budget:
-                        break
-            if (
-                until_tick is not None
-                and not self._stopped
-                and until_tick > self._tick
-            ):
+                    continue
+                tick = entry[0] >> shift
+                if tick > bound:
+                    break
+                pop(heap)
+                entry[1] = None  # consumed: a late cancel() must be a no-op
+                self._tick = tick
+                callback(*entry[2])
+                self._events_processed += 1
+            if until_tick is not None and until_tick > self._tick:
                 self._tick = until_tick
         finally:
             self._running = False
         return self.now
-
-    def step(self) -> bool:
-        """Fire exactly one live event; ``False`` if the queue is empty."""
-        popped = self._queue.pop()
-        if popped is None:
-            return False
-        tick, callback, args = popped
-        self._tick = tick
-        callback(*args)
-        self._events_processed += 1
-        return True
-
-    def peek(self) -> Optional[float]:
-        """Time (seconds) of the next live event, or ``None`` if empty."""
-        tick = self._queue.peek_tick()
-        if tick is None:
-            return None
-        return self.clock.to_seconds(tick)
 
     def every(
         self,
@@ -469,7 +308,7 @@ class TickEngine:
         return TickTimer(self, interval, callback, start_delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TickEngine(now={self.now:.6g}, pending={len(self._queue)})"
+        return f"TickEngine(now={self.now:.6g}, queued={len(self._queue.heap)})"
 
 
 class TickTimer:

@@ -590,7 +590,6 @@ class PathTable:
     def bottleneck_many(
         self,
         paths: Union[Sequence[Sequence[int]], _ProbeCache],
-        refresh: bool = False,
     ) -> List[float]:
         """Bottlenecks of a whole path set in one vectorised pass.
 
@@ -601,11 +600,8 @@ class PathTable:
         work at all, and a stale large probe recomputes only the paths
         containing a channel the store stamped since the last call (small
         probes just re-gather — the bookkeeping would cost more than the
-        gather).
-        ``refresh=True`` forces a full recompute (the microbenchmark uses
-        it to time the gather itself).  Returns a fresh list of floats:
-        raw hop minima, without fees (:meth:`deliverable` prices those in
-        for one path).
+        gather).  Returns a fresh list of floats: raw hop minima, without
+        fees (:meth:`deliverable` prices those in for one path).
         """
         if type(paths) is _ProbeCache:
             probe: Optional[_ProbeCache] = paths
@@ -615,7 +611,7 @@ class PathTable:
                 return [self.bottleneck(p) for p in paths]
         store = self._store
         version = store.version
-        if probe.values is not None and not refresh:
+        if probe.values is not None:
             if probe.as_of == version:
                 return probe.values_list.copy()
             if probe.dirs.shape[0] >= _INCREMENTAL_MIN_HOPS:

@@ -32,7 +32,8 @@ queues and the windowed transport, ``"backpressure"`` for Celer-style
 gradients) get the matching :mod:`repro.engine.transport` layer attached
 to the session — hop-by-hop forwarding then runs through the slab event
 queue and writes live router queue depths into the store's
-``queue_depth`` arrays.  Typical use::
+``queue_depth`` arrays — and a unit the transport delivers resolves here
+too (:meth:`SimulationSession._resolve_unit`).  Typical use::
 
     session = SimulationSession.from_config(config)
     metrics = session.run()
@@ -622,18 +623,18 @@ class SimulationSession:
             return None
 
     def send_unit_hop_by_hop(
-        self, payment: Payment, path: Tuple[int, ...], amount: float
+        self, payment: Payment, cpath: CompiledPath, amount: float
     ) -> bool:
-        """Launch one §4.2 unit that forwards hop by hop, queueing when
-        starved; only valid while a hop transport is attached
-        (``transport="hop"``)."""
+        """Launch one §4.2 unit along ``cpath`` that forwards hop by hop,
+        queueing when starved; only valid while a hop transport is
+        attached (``transport="hop"``)."""
         transport = self.transport
         if transport is None or not hasattr(transport, "send_unit_hop_by_hop"):
             raise RuntimeError(
                 "no hop-by-hop transport is active on this session; the "
                 'scheme must declare transport = "hop"'
             )
-        return transport.send_unit_hop_by_hop(payment, path, amount)
+        return transport.send_unit_hop_by_hop(payment, cpath, amount)
 
     def inject(self, payment: Payment, amount: float) -> bool:
         """Park one unit of ``amount`` in the source's backpressure queue;
@@ -840,7 +841,8 @@ class SimulationSession:
             return
         was_complete = payment.is_complete
         payment.register_settled(unit.amount, now)
-        payment.fees_paid += unit.fee
+        if unit.fee:
+            payment.fees_paid += unit.fee
         unit.mark_settled()
         self.collector.on_unit_settled(unit, now)
         if payment.is_complete and not was_complete:
@@ -851,7 +853,16 @@ class SimulationSession:
             # scheduling key — so re-seat it in the pending order.
             self._pending.touch(payment)
 
-    def _resolve_unit(self, unit: TransactionUnit) -> None:
+    def _resolve_unit(self, unit: TransactionUnit) -> bool:
+        """Settle or withhold one maturing unit now: the store write, the
+        payment and collector bookkeeping and the conservation check.
+        Returns the :meth:`_resolve_decision` verdict (``True``: settled).
+
+        The one place a unit resolves on its own: a lone unit of a flush
+        batch, and every unit a transport delivers (its
+        :class:`~repro.engine.pathtable.PathLock` over the hops it
+        locked).
+        """
         now = self.sim.now
         settle = self._resolve_decision(unit, now)
         if settle:
@@ -861,6 +872,7 @@ class SimulationSession:
         self._resolve_accounting(unit, now, settle)
         if self.config.check_invariants:
             self.network.check_invariants()
+        return settle
 
     def _after_attempt(self, payment: Payment) -> None:
         if payment.is_terminal:

@@ -23,14 +23,21 @@ forwarding with in-router queues.  Two transports plug into
     channel direction — so backlog is reported through the collector's
     queue-depth hook rather than the store's directional arrays.
 
-Both transports drive the same collector hooks as source-routed sends, so
-metrics are comparable across schemes.
+Neither transport settles a unit itself: one that reaches its destination
+is handed, as a :class:`~repro.core.payments.TransactionUnit` over a
+:class:`~repro.engine.pathtable.PathLock` of the hops it locked, to
+:meth:`SimulationSession._resolve_unit
+<repro.engine.session.SimulationSession._resolve_unit>` — the one place a
+unit settles or is withheld, as source-routed units are, so metrics are
+comparable across schemes.  The transports keep only the refunds of units
+that never arrive (queue timeouts, backpressure expiry, the end-of-run
+drain).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BackpressureTransport", "HopByHopTransport", "Transport", "make_transport"]
 
-Path = Tuple[int, ...]
 DirectionKey = int  # the store's hop address, d = 2*cid + side
 _EPS = 1e-9
 
@@ -61,7 +67,9 @@ class HopByHopTransport:
       the live depth is written straight into
       ``store.queue_depth[cid, side]``;
     * advances, settlements and timeouts go through the engine's raw-record
-      fast path (no handle objects);
+      fast path (no handle objects); a settlement resolves the unit in the
+      session, then acks the scheme and services the directions it
+      credited;
     * timeouts are lazy-cancelled via the unit's queue generation counter,
       and timed-out units stay in the deque as corpses that service skips.
 
@@ -140,17 +148,17 @@ class HopByHopTransport:
     # ------------------------------------------------------------------
     # Scheme-facing primitive
     # ------------------------------------------------------------------
-    def send_unit_hop_by_hop(self, payment: Payment, path: Path, amount: float) -> bool:
-        """Launch one unit that forwards hop by hop, queueing when starved.
+    def send_unit_hop_by_hop(
+        self, payment: Payment, cpath: CompiledPath, amount: float
+    ) -> bool:
+        """Launch one unit along ``cpath`` that forwards hop by hop,
+        queueing when starved.
 
         Succeeds as long as the *first* hop can lock — downstream scarcity
-        parks the unit in a router queue rather than failing it.  The path
-        is compiled once (per distinct path, network-wide) into flat store
-        indices; every subsequent hop operation is a direct array access.
+        parks the unit in a router queue rather than failing it.  Every hop
+        operation is a direct store-array access on the compiled path.
         """
-        unit = self.launch(
-            payment, self.network.path_table.compile(tuple(path)), amount
-        )
+        unit = self.launch(payment, cpath, amount)
         if unit is None:
             return False  # source itself lacks funds; caller may queue/poll
         self._schedule_advance(unit)
@@ -159,8 +167,8 @@ class HopByHopTransport:
     def launch(
         self, payment: Payment, cpath: CompiledPath, amount: float
     ) -> Optional[HopUnit]:
-        """:meth:`send_unit_hop_by_hop` on an already compiled path, minus
-        the scheduling: the unit with its first hop locked, or ``None``.
+        """:meth:`send_unit_hop_by_hop` minus the scheduling: the unit
+        with its first hop locked, or ``None``.
 
         The caller schedules what it launched with :meth:`advance_many` —
         order-exact as long as it schedules nothing else in between.
@@ -168,8 +176,7 @@ class HopByHopTransport:
         amount = min(amount, payment.remaining, self.config.mtu)
         if amount < self.config.min_unit_value:
             return None
-        unit = HopUnit(payment, amount, cpath.nodes, self.sim.now)
-        unit.cpath = cpath
+        unit = HopUnit(payment, amount, cpath, self.sim.now)
         if not self._try_lock_hop(unit):
             return None
         payment.register_inflight(amount)
@@ -359,49 +366,21 @@ class HopByHopTransport:
         if unit.done:
             return
         unit.done = True
-        payment = unit.payment
-        now = self.sim.now
-        withhold = payment.expired(now) and not payment.is_complete
         cpath = unit.cpath
-        amounts = unit.locked
-        if withhold:
-            # One per-hop refund; the sending directions regain funds.
-            self.store.refund_path_funds(cpath.dir_list, amounts)
-            credited: Sequence[DirectionKey] = cpath.dir_list
-        else:
-            # One per-hop settle; the receiving directions gain funds.
-            self.store.settle_path_funds(cpath.dir_list, amounts)
-            credited = [d ^ 1 for d in cpath.dir_list]
-        hop_locks = PathLock(cpath, amounts)
-        hop_locks.resolved = True  # pure record: the store writes are done
-        record = TransactionUnit.create(
-            payment=payment,
-            amount=unit.amount,
-            path=unit.path,
-            htlcs=hop_locks,
-            sent_at=unit.launched_at,
+        settled = self.session._resolve_unit(
+            TransactionUnit.create(
+                payment=unit.payment,
+                amount=unit.amount,
+                path=unit.path,
+                htlcs=PathLock(cpath, unit.locked),
+                sent_at=unit.launched_at,
+            )
         )
-        if withhold:
-            payment.register_cancelled(unit.amount)
-            record.mark_cancelled()
-            self.collector.on_unit_cancelled(record, now)
-        else:
-            was_complete = payment.is_complete
-            payment.register_settled(unit.amount, now)
-            record.mark_settled()
-            self.collector.on_unit_settled(record, now)
-            if payment.is_complete and not was_complete:
-                self.session._pending.discard(payment.payment_id)
-                self.collector.on_payment_completed(payment, now)
-            else:
-                # Partial settle: the SRPT key (outstanding value) moved.
-                self.session._pending.touch(payment)
-        if self.config.check_invariants:
-            self.network.check_invariants()
-        self._notify_scheme(unit, "cancelled" if withhold else "settled")
-        # Freed/credited funds may unblock queued units downstream.
-        for direction in credited:
-            self._dequeue(direction)
+        self._notify_scheme(unit, "settled" if settled else "cancelled")
+        # Funds a settle credits to the receiving directions, or a withhold
+        # refunds to the sending ones, may unblock units queued there.
+        for d in cpath.dir_list:
+            self._dequeue(d ^ 1 if settled else d)
 
     def _notify_scheme(self, unit: HopUnit, outcome: str) -> None:
         """Deliver the end-to-end ack (with its congestion mark) to schemes
@@ -700,40 +679,16 @@ class BackpressureTransport:
     # Resolution
     # ------------------------------------------------------------------
     def _settle_unit(self, unit: BackpressureUnit) -> None:
-        payment = unit.payment
-        now = self.sim.now
-        withhold = payment.expired(now) and not payment.is_complete
-        if withhold:
-            self.store.refund_path_funds(unit.dirs, unit.locked)
-        else:
-            self.store.settle_path_funds(unit.dirs, unit.locked)
         trail = tuple(unit.trail)
-        hop_locks = PathLock(self.network.path_table.compile(trail), unit.locked)
-        hop_locks.resolved = True  # pure record: the store writes are done
-        record = TransactionUnit.create(
-            payment=payment,
-            amount=unit.amount,
-            path=trail,
-            htlcs=hop_locks,
-            sent_at=unit.created_at,
+        self.session._resolve_unit(
+            TransactionUnit.create(
+                payment=unit.payment,
+                amount=unit.amount,
+                path=trail,
+                htlcs=PathLock(self.network.path_table.compile(trail), unit.locked),
+                sent_at=unit.created_at,
+            )
         )
-        if withhold:
-            payment.register_cancelled(unit.amount)
-            record.mark_cancelled()
-            self.collector.on_unit_cancelled(record, now)
-        else:
-            was_complete = payment.is_complete
-            payment.register_settled(unit.amount, now)
-            record.mark_settled()
-            self.collector.on_unit_settled(record, now)
-            if payment.is_complete and not was_complete:
-                self.session._pending.discard(payment.payment_id)
-                self.collector.on_payment_completed(payment, now)
-            else:
-                # Partial settle: the SRPT key (outstanding value) moved.
-                self.session._pending.touch(payment)
-        if self.config.check_invariants:
-            self.network.check_invariants()
 
     def _expire_unit(self, unit: BackpressureUnit) -> None:
         """TTL hit or payment dead: unwind every locked hop."""

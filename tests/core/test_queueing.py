@@ -27,7 +27,8 @@ class LaunchOnLine(RoutingScheme):
     def attempt(self, payment, runtime):
         step = 1 if payment.dest >= payment.source else -1
         path = tuple(range(payment.source, payment.dest + step, step))
-        runtime.send_unit_hop_by_hop(payment, path, payment.remaining)
+        cpath = runtime.network.path_table.compile(path)
+        runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
 
 
 def make_runtime(records, capacity=100.0, nodes=4, end_time=30.0, **kwargs):
@@ -177,9 +178,10 @@ class TestHopByHopDelivery:
             transport = "hop"
 
             def attempt(self, payment, runtime):
-                runtime.send_unit_hop_by_hop(
-                    payment, paths[payment.payment_id], payment.remaining
+                cpath = runtime.network.path_table.compile(
+                    paths[payment.payment_id]
                 )
+                runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
 
         network.lock_path((0, 1), 50.0)  # direction (0,1) is dry
         runtime = SimulationSession(
@@ -282,11 +284,11 @@ class TestSpiderQueueingPathChoice:
         launch = session.send_unit_hop_by_hop
         sends = []
 
-        def recording(payment, path, value):
-            sends.append((tuple(path), value))
+        def recording(payment, cpath, value):
+            sends.append((cpath.nodes, value))
             if refuse_first and len(sends) == 1:
                 return False
-            return launch(payment, path, value)
+            return launch(payment, cpath, value)
 
         session.send_unit_hop_by_hop = recording
         payment = session._new_payment(record(0, 0.0, 0, 2, 40.0))

@@ -27,7 +27,8 @@ def make_unit(path=(0, 1, 2), amount=10.0, marked=False):
     payment = Payment(payment_id=1, source=path[0], dest=path[-1],
                       amount=amount, arrival_time=0.0)
     payment.register_inflight(amount)
-    unit = HopUnit(payment, amount, tuple(path), now=0.0)
+    network = line_topology(max(path) + 1).build_network(default_capacity=100.0)
+    unit = HopUnit(payment, amount, network.path_table.compile(path), now=0.0)
     unit.marked = marked
     return unit
 

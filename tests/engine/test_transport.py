@@ -27,7 +27,8 @@ class LaunchOnLine(RoutingScheme):
     def attempt(self, payment, runtime):
         step = 1 if payment.dest >= payment.source else -1
         path = tuple(range(payment.source, payment.dest + step, step))
-        runtime.send_unit_hop_by_hop(payment, path, payment.remaining)
+        cpath = runtime.network.path_table.compile(path)
+        runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
 
 
 def record(txn_id, t, source, dest, amount, deadline=None):
@@ -140,9 +141,10 @@ class TestHopByHopNative:
             transport = "hop"
 
             def attempt(self, payment, runtime):
-                runtime.send_unit_hop_by_hop(
-                    payment, paths[payment.payment_id], payment.remaining
+                cpath = runtime.network.path_table.compile(
+                    paths[payment.payment_id]
                 )
+                runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
 
         network.lock_path((0, 1), 50.0)  # direction (0,1) is dry
         session = SimulationSession(
@@ -279,9 +281,9 @@ def test_launch_locks_the_first_hop_and_schedules_nothing(amount, offer, locked)
     d = cpath.dir_list[0]
     before = store.balance_flat.item(d)
     assert before == 50.0
-    queued = len(session.sim.queue)
+    queued = len(session.sim.queue.heap)
     unit = session.transport.launch(payment, cpath, offer)
-    assert len(session.sim.queue) == queued
+    assert len(session.sim.queue.heap) == queued
     if locked is None:
         assert unit is None
         assert payment.inflight == 0.0

@@ -11,7 +11,8 @@ the plain way: the pair's node-tuple paths from ``path_cache``, probes
 through ``network.bottleneck_many`` / ``network.bottleneck`` /
 ``network.available``, fee-inclusive offers off the channel objects'
 schedules, one launch scheduled at a time through
-``session.send_unit_hop_by_hop``.
+``session.send_unit_hop_by_hop`` (on the node path, compiled right before
+the call).
 
 :func:`send_atomic` is the atomic send as it was before it ran on
 compiled shares: node tuples priced by ``network.hop_amounts``, locked by
@@ -128,7 +129,8 @@ def window_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
             )
             if amount < min_unit:
                 break
-            if not runtime.send_unit_hop_by_hop(payment, path, amount):
+            cpath = runtime.network.path_table.compile(path)
+            if not runtime.send_unit_hop_by_hop(payment, cpath, amount):
                 break
             state.inflight += amount
 

@@ -124,12 +124,16 @@ def test_window_stays_within_bounds(acks):
         initial_window=100.0, min_window=5.0, max_window=400.0, rtt=0.25
     )
     path = (0, 1, 2)
+    network = PaymentNetwork()
+    network.add_channel(0, 1, 100.0)
+    network.add_channel(1, 2, 100.0)
+    cpath = network.path_table.compile(path)
     for i, (outcome, marked, amount, now) in enumerate(acks):
         payment = Payment(
             payment_id=i, source=0, dest=2, amount=amount, arrival_time=0.0
         )
         payment.register_inflight(amount)
-        unit = HopUnit(payment, amount, path, now=now)
+        unit = HopUnit(payment, amount, cpath, now=now)
         unit.marked = marked
         scheme.on_unit_resolved(unit, outcome, now)
         state = scheme.window(path)
