@@ -640,6 +640,11 @@ class BackpressureTransport:
             len(unit.dirs) >= self.max_hops
             or unit.steps >= 3 * self.max_hops
             or unit.payment.expired(self.sim.now)
+            # Popped back to its source with every neighbour visited: it can
+            # neither press forward nor pop, so release its value for the
+            # payment to re-inject.
+            or not unit.dirs
+            and unit.visited.issuperset(self._adjacency[unit.node])
         ):
             self._expire_unit(unit)
         else:

@@ -25,7 +25,9 @@ Model
 * Each forwarded hop locks the unit's value in the channel store; a unit
   that reaches its destination settles every hop after ``settle_delay``
   (the end-to-end confirmation of §4.2), a unit that exceeds its step
-  budget or outlives its payment refunds every hop.
+  budget or outlives its payment refunds every hop.  So does a unit popped
+  back to its source once every neighbour of the source is visited (it
+  could never move again); its payment re-injects the value.
 * Units never *re-lock* a node: pressing forward is restricted to
   unvisited nodes, and a unit that has sat in one queue for
   ``stuck_after`` seconds **backtracks** — it pops its last hop and that

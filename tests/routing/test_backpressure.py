@@ -156,14 +156,50 @@ class TestBacktracking:
             [TransactionRecord(0, 1.0, 0, 2, 10.0)], network, end_time=5.0,
             stuck_after=0.5,
         )
-        assert runtime.transport.total_hops == 1
-        assert runtime.transport.total_pops == 1
+        transport = runtime.transport
+        # Each second from t=1 the payment injects a unit that crosses 0->1
+        # and pops back 0.5 s later.  Back at node 0 with its one neighbour
+        # visited, the unit expires and the next poll re-injects the value;
+        # the unit injected at t=5 is still parked at 1 when the run ends.
+        assert transport.units_injected == transport.total_hops == 5
+        assert transport.total_pops == 4
+        assert transport.units_expired == 5
         assert metrics.completed == 0
         store = runtime.network.state_store
         _, cid, _ = runtime.network.direction(0, 1)
-        # The pop refunded the one lock; the unit never locked it again.
-        assert store.num_refunded[cid] == 1
+        # Every lock on 0->1 was refunded: four pops and the final drain.
+        assert store.num_refunded[cid] == 5
         assert network.channel(0, 1).balance(0) == 100.0
+
+    def test_unit_popped_back_to_its_source_frees_the_payment(self):
+        """A unit popped back to its source has visited the source's only
+        neighbour, so it can never move again.  It must expire and release
+        the payment's value; the payment then re-injects, and once node 1
+        has funds on 1->2 (payment 1 delivers 20 there, settling at 1.7 s)
+        the new unit completes the payment."""
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0, balance_u=100.0)
+        network.add_channel(1, 2, 100.0, balance_u=0.0)
+        runtime = SimulationSession(
+            network,
+            [
+                TransactionRecord(0, 1.0, 0, 2, 10.0),
+                TransactionRecord(1, 1.2, 2, 1, 20.0),
+            ],
+            CelerScheme(stuck_after=0.5),
+            RuntimeConfig(end_time=5.0, check_invariants=True),
+        )
+        seen = {}
+        # After the pop at 1.5 s and before the re-injection at 2 s.
+        runtime.sim.call_at(
+            1.75, lambda: seen.update(inflight=runtime.payments[0].inflight)
+        )
+        metrics = runtime.run()
+        assert seen == {"inflight": 0.0}
+        assert metrics.completed == 2
+        assert runtime.payments[0].completed_at == pytest.approx(2.5)
+        assert runtime.transport.total_pops == 1
+        assert runtime.transport.units_expired == 1
 
     def test_pop_to_wrong_node_is_rejected(self):
         from repro.core.payments import Payment
