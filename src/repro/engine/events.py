@@ -29,9 +29,8 @@ __all__ = ["SlabEventQueue", "TickEngine", "TickTimer"]
 # Key layout (low to high): 40 seq bits, then the tick.  Python ints are
 # unbounded, so the tick field never overflows; 2^40 sequence numbers
 # outlast any realistic run.
-_SEQ_BITS = 40
-_SEQ_MASK = (1 << _SEQ_BITS) - 1
-_TICK_SHIFT = _SEQ_BITS
+_TICK_SHIFT = 40
+_SEQ_MASK = (1 << _TICK_SHIFT) - 1
 
 #: Type of one scheduled-event record.
 Entry = List[Any]  # [key: int, callback: Optional[Callable], args: tuple]
@@ -232,12 +231,7 @@ class TickEngine:
 
     def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Entry:
         """Schedule at absolute ``time`` seconds; returns the raw record."""
-        tick = self.clock.to_ticks(time)
-        if tick < self._tick:
-            raise SimulationError(
-                f"cannot schedule event in the past (now={self.now:.6g}, requested={time:.6g})"
-            )
-        return self._queue.schedule(tick, callback, args)
+        return self.schedule_at_tick(self.clock.to_ticks(time), callback, args)
 
     def delay_ticks(self, delay: float) -> int:
         """Ticks :meth:`schedule_after` adds for ``delay`` seconds.
