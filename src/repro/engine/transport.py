@@ -643,8 +643,7 @@ class BackpressureTransport:
             # Popped back to its source with every neighbour visited: it can
             # neither press forward nor pop, so release its value for the
             # payment to re-inject.
-            or not unit.dirs
-            and unit.visited.issuperset(self._adjacency[unit.node])
+            or (not unit.dirs and unit.visited.issuperset(self._adjacency[unit.node]))
         ):
             self._expire_unit(unit)
         else:
