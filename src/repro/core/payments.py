@@ -3,8 +3,9 @@
 A *payment* is the application-level transfer (§4.1).  Spider's transport
 splits payments into *transaction units*, each carrying at most MTU currency
 (§4: "Each transaction unit transfers an amount of money bounded by the
-maximum transaction unit").  A unit travels one path end-to-end, holding
-funds in-flight on every hop until it settles.
+maximum transaction unit").  A unit holds funds in flight on every hop it
+has locked until it settles or is cancelled, whether it was source-routed
+or forwarded hop by hop.
 
 State machine::
 
@@ -17,14 +18,13 @@ State machine::
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import PaymentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.pathtable import PathLock
+    from repro.engine.pathtable import CompiledPath
 
 __all__ = ["Payment", "PaymentState", "TransactionUnit", "UnitState"]
 
@@ -167,59 +167,59 @@ class Payment:
             self.failed_at = now
 
 
-@dataclass
 class TransactionUnit:
-    """One MTU-bounded slice of a payment traversing one path.
+    """One MTU-bounded slice of a payment, from its lock to its resolution.
 
-    ``htlcs`` is the unit's :class:`~repro.engine.pathtable.PathLock`:
-    one record of the per-hop locked amounts, through which settlement or
-    refund resolves every hop.
+    ``amount`` is the value delivered to the destination and ``fee`` the
+    extra value the sender committed for the intermediaries (§2).
+    ``cpath`` is the :class:`~repro.engine.pathtable.CompiledPath` the
+    unit holds funds on and ``locked[i]`` the amount hop ``i`` actually
+    locked, so one record carries everything a settle or refund writes.
+    The hop-by-hop and backpressure transports extend it with their
+    forwarding state (:class:`~repro.core.queueing.HopUnit`,
+    :class:`~repro.routing.backpressure.BackpressureUnit`) and hand the
+    same object to the session when it resolves.  ``state`` is the one
+    guard against resolving a unit twice.
     """
 
-    _ids = itertools.count(1)
+    __slots__ = ("payment", "amount", "cpath", "locked", "sent_at", "fee", "state")
 
-    unit_id: int
-    payment: Payment
-    amount: float
-    path: Tuple[int, ...]
-    htlcs: PathLock
-    sent_at: float
-    fee: float = 0.0
-    state: UnitState = UnitState.INFLIGHT
-
-    @classmethod
-    def create(
-        cls,
+    def __init__(
+        self,
         payment: Payment,
         amount: float,
-        path: Tuple[int, ...],
-        htlcs: PathLock,
+        cpath: "CompiledPath",
+        locked: List[float],
         sent_at: float,
         fee: float = 0.0,
-    ) -> "TransactionUnit":
-        """Construct a unit with a fresh id.
+    ):
+        self.payment = payment
+        self.amount = amount
+        self.cpath = cpath
+        self.locked = locked
+        self.sent_at = sent_at
+        self.fee = fee
+        self.state = UnitState.INFLIGHT
 
-        ``amount`` is the value delivered to the destination; ``fee`` is the
-        extra value the sender committed for the intermediaries (§2).
-        """
-        return cls(
-            unit_id=next(cls._ids),
-            payment=payment,
-            amount=amount,
-            path=path,
-            htlcs=htlcs,
-            sent_at=sent_at,
-            fee=fee,
-        )
+    @property
+    def path(self) -> Tuple[int, ...]:
+        """The node tuple of the unit's path."""
+        return self.cpath.nodes
 
     def mark_settled(self) -> None:
         """Record end-to-end settlement."""
         if self.state is not UnitState.INFLIGHT:
-            raise PaymentError(f"unit {self.unit_id} already resolved ({self.state.value})")
+            raise self._already_resolved()
         self.state = UnitState.SETTLED
 
     def mark_cancelled(self) -> None:
         """Record cancellation/refund."""
         if self.state is not UnitState.INFLIGHT:
-            raise PaymentError(f"unit {self.unit_id} already resolved ({self.state.value})")
+            raise self._already_resolved()
         self.state = UnitState.CANCELLED
+
+    def _already_resolved(self) -> PaymentError:
+        return PaymentError(
+            f"unit of payment {self.payment.payment_id} already resolved "
+            f"({self.state.value})"
+        )

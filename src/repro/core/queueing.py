@@ -19,21 +19,23 @@ A unit launched on a path locks funds one hop at a time.  At hop u→v:
   already-locked upstream hops refund (the HTLCs time out).
 
 When the unit reaches the destination, the receiver's confirmation
-propagates back and every hop settles after ``settle_delay`` — the same
-end-to-end pending period as the source-routed model, so results are
-comparable.
+propagates back and every hop settles after the configured confirmation
+delay — the same end-to-end pending period as the source-routed model, so
+results are comparable.
 
 The transport machinery itself lives in
 :class:`repro.engine.transport.HopByHopTransport`; this module keeps the
-:class:`HopUnit` record it moves and :class:`SpiderQueueingScheme`, which
-pairs the transport with waterfilling path selection.
+:class:`HopUnit` record it moves (a
+:class:`~repro.core.payments.TransactionUnit` plus its forwarding state)
+and :class:`SpiderQueueingScheme`, which pairs the transport with
+waterfilling path selection.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.payments import Payment
+from repro.core.payments import Payment, TransactionUnit
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,62 +44,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["HopUnit", "SpiderQueueingScheme"]
 
-Path = Tuple[int, ...]
 
-
-class HopUnit:
+class HopUnit(TransactionUnit):
     """A transaction unit travelling hop-by-hop along ``cpath``.
 
-    Tracks the amount locked per completed hop (``locked``) and the index
-    of the next hop to traverse; ``cpath`` is the unit's
-    :class:`~repro.engine.pathtable.CompiledPath` (``path`` its node
-    tuple), so every hop lock/settle/refund is a direct store-index
-    operation.
+    ``locked`` grows by one actual amount per hop as the unit advances and
+    ``hop_index`` is the next hop to traverse, so every hop
+    lock/settle/refund is a direct store-index operation on the compiled
+    path.  The rest is router-queue state: when it parked, its enqueue
+    generation (lazy timeout cancellation) and its congestion mark.  A
+    unit that arrives is handed to the session as it is.
     """
 
-    __slots__ = (
-        "payment",
-        "amount",
-        "path",
-        "cpath",
-        "hop_index",
-        "locked",
-        "launched_at",
-        "queued_at",
-        "queue_seq",
-        "marked",
-        "done",
-    )
+    __slots__ = ("hop_index", "queued_at", "queue_seq", "marked")
 
     def __init__(
         self, payment: Payment, amount: float, cpath: "CompiledPath", now: float
     ):
-        self.payment = payment
-        self.amount = amount
-        self.path: Path = cpath.nodes
-        self.cpath = cpath
+        super().__init__(payment, amount, cpath, [], now)
         self.hop_index = 0  # next channel to lock: (path[i], path[i+1])
-        self.locked: List[float] = []  # actual per-hop locked amounts
-        self.launched_at = now
         self.queued_at: Optional[float] = None
         self.queue_seq = 0  # enqueue generation (lazy timeout cancellation)
         self.marked = False  # congestion mark (router queue delay, §4.1)
-        self.done = False
 
     @property
     def at_destination(self) -> bool:
         """Whether every hop has been locked."""
-        return self.hop_index >= len(self.path) - 1
-
-    @property
-    def current_node(self) -> int:
-        """The node currently holding the unit."""
-        return self.path[self.hop_index]
-
-    @property
-    def next_node(self) -> int:
-        """The next hop's downstream node."""
-        return self.path[self.hop_index + 1]
+        return self.hop_index >= len(self.cpath.dir_list)
 
 
 class SpiderQueueingScheme(RoutingScheme):

@@ -1,8 +1,8 @@
 """repro-lint: an AST-based linter for the engine's correctness invariants.
 
 Generic linters check style; this one checks the invariants the repo's
-correctness story actually rests on — byte-identical replay, version-
-stamped store mutation and integer-tick scheduling.  See
+correctness story actually rests on — byte-identical replay, versioned
+store mutation and integer-tick scheduling.  See
 :mod:`repro.devtools.lint.rules` for the rule table and
 :mod:`repro.devtools.lint.index` for the suppression syntax
 (``# repro-lint: allow[RL003] one-line justification``).

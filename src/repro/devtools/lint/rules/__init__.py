@@ -10,7 +10,7 @@ RL001     :mod:`.determinism`           no wall-clock / unseeded RNG in the
 RL002     :mod:`.ordering`              no unordered iteration in scheduling /
                                         cohort-building modules
 RL003     :mod:`.store_discipline`      store array writes pair with a
-                                        version/stamp bump
+                                        version bump
 RL005     :mod:`.ticks`                 no float arithmetic in schedule tick
                                         arguments
 ========  ============================  =======================================

@@ -1,19 +1,18 @@
-"""RL003 — version-stamped ``ChannelStateStore`` mutation discipline.
+"""RL003 — versioned ``ChannelStateStore`` mutation discipline.
 
-``PathTable`` probe caches (the pair handles schemes probe) and the
-control plane's stamp-cached signals both trust one invariant: any write
-that changes a channel's state bumps ``store.version`` and ``store.stamp``
-(usually via ``store.touch(cid)`` or one of the ``apply_*`` methods that
-stamp internally).  A direct array write without a stamp leaves every
-cached probe silently stale — the exact bug class the upcoming
-mid-run-mutating PathService providers make easy to hit.
+``PathTable`` probe caches (the pair handles schemes probe) trust one
+invariant: any write that changes a channel's state bumps
+``store.version`` (usually via ``store.touch(cid)`` or one of the store
+methods that bump it internally).  A probe is fresh exactly while its
+snapshot equals ``version``, so a direct array write without a bump
+leaves every cached probe silently stale.
 
-The store's own module maintains the stamps internally and is exempt;
+The store's own module maintains the version internally and is exempt;
 every funds write (lock, settle, refund) is one of its methods.
 Everywhere else, a subscripted write to a store array attribute
 (``x.balance[cid, side] = ...``, ``np.add.at(store.inflight, ...)``) must
 be paired — in the same function — with a ``.touch(...)`` call or a
-direct ``.version``/``.stamp[...]`` bump.
+direct ``.version`` bump.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.devtools.lint.report import Finding
 
 __all__ = ["StoreDisciplineRule"]
 
-#: Modules that own stamp maintenance and may write arrays freely.
+#: Modules that own version maintenance and may write arrays freely.
 EXEMPT_MODULES = ("src/repro/engine/store.py",)
 
 #: The store's mutable array attributes (see ChannelStateStore.__slots__),
@@ -48,7 +47,6 @@ STORE_ARRAYS = {
     "num_settled",
     "num_refunded",
     "frozen",
-    "stamp",
 }
 
 #: ``np.<ufunc>.at`` in-place scatter calls that mutate their first arg.
@@ -80,13 +78,13 @@ def _written_array(target: ast.expr) -> Optional[Tuple[str, ast.expr]]:
 
 
 class _ScopeAuditor(ast.NodeVisitor):
-    """Collect store-array writes and stamp bumps per function scope."""
+    """Collect store-array writes and version bumps per function scope."""
 
     def __init__(self, module) -> None:
         self.module = module
         #: (scope-key, array name, node) per direct write.
         self.writes: List[Tuple[int, str, ast.AST]] = []
-        #: scope keys containing a version/stamp bump.
+        #: scope keys containing a version bump.
         self.bumped: set[int] = set()
         self._scope_stack: List[int] = [0]  # 0 == module scope
 
@@ -130,14 +128,8 @@ class _ScopeAuditor(ast.NodeVisitor):
             self._record_bump()
             return
         hit = _written_array(target)
-        if hit is None:
-            return
-        array, node = hit
-        if array == "stamp":
-            # `store.stamp[cids] = version` IS the bump.
-            self._record_bump()
-            return
-        self._record_write(array, node)
+        if hit is not None:
+            self._record_write(*hit)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -147,21 +139,19 @@ class _ScopeAuditor(ast.NodeVisitor):
             resolved = self.module.resolved_call_name(node)
             if resolved in _SCATTER_CALLS and node.args:
                 attr = _store_array_attr(node.args[0])
-                if attr == "stamp":
-                    self._record_bump()
-                elif attr is not None:
+                if attr is not None:
                     self._record_write(attr, node)
         self.generic_visit(node)
 
 
 @rule
 class StoreDisciplineRule:
-    """RL003: store array writes outside the store pair with a stamp bump."""
+    """RL003: store array writes outside the store pair with a version bump."""
 
     id = "RL003"
     summary = (
         "direct ChannelStateStore array writes outside store.py must "
-        "bump version/stamp (or touch()) in the same function"
+        "bump version (or touch()) in the same function"
     )
 
     def check(self, index: LintIndex) -> Iterator[Finding]:
@@ -180,8 +170,8 @@ class StoreDisciplineRule:
                     rule_id=self.id,
                     message=(
                         f"direct write to store array '.{array}[...]' without "
-                        "a version/stamp bump in the same function; cached "
-                        "path probes and stamp-cached signals go stale — "
-                        "call store.touch(cid) (or use an apply_* method)"
+                        "a version bump in the same function; cached path "
+                        "probes go stale — call store.touch(cid) (or use a "
+                        "store method)"
                     ),
                 )

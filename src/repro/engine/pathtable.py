@@ -14,19 +14,22 @@ which:
 * :meth:`bottleneck` is a fancy-indexed gather + masked min (frozen
   channels fold into the mask);
 * :meth:`bottleneck_many` probes a whole path set in one
-  ``np.minimum.reduceat`` — and memoises the result per path set,
-  refreshing only the paths whose channels were stamped by the store since
-  the last probe;
+  ``np.minimum.reduceat`` — and memoises the result per path set until
+  the store's ``version`` moves;
 * :meth:`deliverable` is the fee-inclusive twin of :meth:`bottleneck`
   for one compiled path: one backward walk closing the fee recurrence;
 * :meth:`CompiledPath.hop_amounts` short-circuits fee-free paths (the
   paper's setting) and otherwise runs the reverse fee recurrence over
   precompiled fee schedules;
-* :meth:`lock_path` / :meth:`settle` / :meth:`refund` are per-hop store
-  writes over ``dir_list`` (a path is a few hops, so a loop over Python
-  ints beats a NumPy call) with all-or-nothing semantics, returning one
-  :class:`PathLock` per path; :meth:`lock_funds` is the same checked lock
-  on an already compiled path (the session's send core).
+* :meth:`lock_funds` is the checked, all-or-nothing lock of the
+  session's send core on a compiled path: per-hop store writes over
+  ``dir_list`` (a path is a few hops, so a loop over Python ints beats a
+  NumPy call), returning the per-hop actuals that the unit's
+  :class:`~repro.core.payments.TransactionUnit` record carries to its
+  resolution;
+* :meth:`lock_path` / :meth:`settle` / :meth:`refund` are the node-tuple
+  facade of the same kernels (``PaymentNetwork.lock_path`` and friends),
+  recording each lock as one :class:`PathLock`.
 
 All operations are float-for-float identical to plain per-hop arithmetic
 on the store arrays — the reference in ``tests/reference/path_ops.py``,
@@ -68,7 +71,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -83,13 +85,10 @@ from repro.errors import ChannelError, TopologyError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.network import DirectionIndex, PaymentNetwork
 
-__all__ = ["CompiledPath", "HopLock", "PathLock", "PathTable", "int_node_array"]
+__all__ = ["CompiledPath", "PathLock", "PathTable", "int_node_array"]
 
 Path = Tuple[int, ...]
 _EPS = 1e-9
-#: Below this many total hops a stale probe just re-gathers: the per-path
-#: staleness bookkeeping costs more than the full vectorised recompute.
-_INCREMENTAL_MIN_HOPS = 64
 _MISSING = object()
 
 
@@ -204,25 +203,15 @@ class CompiledPath:
         return f"CompiledPath(nodes={self.nodes!r})"
 
 
-class HopLock:
-    """One hop's share of a :class:`PathLock`: its locked ``amount``."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, amount: float):
-        self.amount = amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HopLock(amount={self.amount:.6g})"
-
-
 class PathLock:
-    """An in-flight transfer: one record for the whole path.
+    """A transfer locked through the node-tuple facade
+    (:meth:`PathTable.lock_path`, ``PaymentNetwork.lock_path``).
 
-    Sequence access (``lock[j].amount``, ``len(lock)``) serves consumers
-    like the incentives collector; the amounts themselves are one list of
-    floats that :meth:`PathTable.settle` / :meth:`refund` hand straight to
-    the store's per-hop kernels.
+    ``amounts`` (one per hop, ``len(lock)`` of them) is the list of floats
+    :meth:`PathTable.settle` / :meth:`refund` hand straight to the store's
+    per-hop kernels; ``resolved`` makes a second resolution raise.  The
+    engine's own units carry the same two facts on their
+    :class:`~repro.core.payments.TransactionUnit` record instead.
     """
 
     __slots__ = ("cpath", "amounts", "resolved")
@@ -235,19 +224,14 @@ class PathLock:
     def __len__(self) -> int:
         return len(self.amounts)
 
-    def __getitem__(self, index: int) -> HopLock:
-        return HopLock(self.amounts[index])
-
-    def __iter__(self) -> Iterator[HopLock]:
-        return (HopLock(a) for a in self.amounts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "resolved" if self.resolved else "pending"
         return f"PathLock(path={self.cpath.nodes!r}, {state})"
 
 
 class _ProbeCache:
-    """Memoised bottlenecks of one path set, refreshed incrementally.
+    """Memoised bottlenecks of one path set, fresh while ``as_of`` equals
+    the store's ``version``.
 
     It is also the set's *handle*: ``cpaths`` are the set's compiled
     paths, so a caller holding it probes (:meth:`PathTable.bottleneck_many`
@@ -264,7 +248,6 @@ class _ProbeCache:
         "cpaths",
         "dirs",
         "offsets",
-        "values",
         "values_list",
         "as_of",
     )
@@ -283,19 +266,12 @@ class _ProbeCache:
             self.dirs = np.concatenate([c.dirs for c in cpaths])
             ends = np.cumsum([len(c) for c in cpaths])
             self.offsets = np.concatenate(([0], ends[:-1]))
-        self.values: Optional[np.ndarray] = None
         self.values_list: List[float] = []
         self.as_of = -1
 
     def __len__(self) -> int:
         """Number of paths in the set."""
         return len(self.cpaths)
-
-    @property
-    def bounds(self) -> List[Tuple[int, int]]:
-        """``(start, end)`` of each path's hops in ``dirs``."""
-        starts = self.offsets.tolist()
-        return list(zip(starts, starts[1:] + [self.dirs.shape[0]]))
 
 
 class PathTable:
@@ -564,28 +540,19 @@ class PathTable:
             todo.append(probe)
         if not todo:
             return
-        if len(todo) == 1:
-            probe = todo[0]
-            avail = store.availability(probe.dirs)
-            probe.values = np.minimum.reduceat(avail, probe.offsets)
-        else:
-            avail = store.availability(
-                np.concatenate([probe.dirs for probe in todo])
-            )
-            offset_parts: List[np.ndarray] = []
-            base = 0
-            for probe in todo:
-                offset_parts.append(probe.offsets + base)
-                base += probe.dirs.shape[0]
-            values = np.minimum.reduceat(avail, np.concatenate(offset_parts))
-            pos = 0
-            for probe in todo:
-                count = len(probe.cpaths)
-                probe.values = values[pos : pos + count].copy()
-                pos += count
+        avail = store.availability(np.concatenate([probe.dirs for probe in todo]))
+        offset_parts: List[np.ndarray] = []
+        base = 0
         for probe in todo:
-            probe.values_list = probe.values.tolist()
+            offset_parts.append(probe.offsets + base)
+            base += probe.dirs.shape[0]
+        values = np.minimum.reduceat(avail, np.concatenate(offset_parts)).tolist()
+        pos = 0
+        for probe in todo:
+            count = len(probe.cpaths)
+            probe.values_list = values[pos : pos + count]
             probe.as_of = version
+            pos += count
 
     def bottleneck_many(
         self,
@@ -595,13 +562,12 @@ class PathTable:
 
         ``paths`` is the set's node sequences or its handle (what
         :meth:`probe_handle` returns), which skips keying the set by its
-        node tuples.  Results are memoised per path set: when the store
-        version is unchanged the cached values come back with no array
-        work at all, and a stale large probe recomputes only the paths
-        containing a channel the store stamped since the last call (small
-        probes just re-gather — the bookkeeping would cost more than the
-        gather).  Returns a fresh list of floats: raw hop minima, without
-        fees (:meth:`deliverable` prices those in for one path).
+        node tuples.  Results are memoised per path set: a probe is fresh
+        exactly when its ``as_of`` equals the store's ``version``, and then
+        the cached values come back with no array work at all; otherwise
+        the whole set re-gathers once.  Returns a fresh list of floats:
+        raw hop minima, without fees (:meth:`deliverable` prices those in
+        for one path).
         """
         if type(paths) is _ProbeCache:
             probe: Optional[_ProbeCache] = paths
@@ -611,30 +577,10 @@ class PathTable:
                 return [self.bottleneck(p) for p in paths]
         store = self._store
         version = store.version
-        if probe.values is not None:
-            if probe.as_of == version:
-                return probe.values_list.copy()
-            if probe.dirs.shape[0] >= _INCREMENTAL_MIN_HOPS:
-                changed = store.stamp[probe.dirs >> 1] > probe.as_of
-                if not changed.any():
-                    probe.as_of = version
-                    return probe.values_list.copy()
-                if not changed.all():
-                    values = probe.values
-                    bounds = probe.bounds
-                    for index in np.flatnonzero(
-                        np.logical_or.reduceat(changed, probe.offsets)
-                    ).tolist():
-                        start, end = bounds[index]
-                        values[index] = store.availability(
-                            probe.dirs[start:end]
-                        ).min()
-                    probe.as_of = version
-                    probe.values_list = values.tolist()
-                    return probe.values_list.copy()
+        if probe.as_of == version:
+            return probe.values_list.copy()
         avail = store.availability(probe.dirs)
-        probe.values = np.minimum.reduceat(avail, probe.offsets)
-        probe.values_list = probe.values.tolist()
+        probe.values_list = np.minimum.reduceat(avail, probe.offsets).tolist()
         probe.as_of = version
         return probe.values_list.copy()
 

@@ -33,7 +33,10 @@ gradients) get the matching :mod:`repro.engine.transport` layer attached
 to the session — hop-by-hop forwarding then runs through the slab event
 queue and writes live router queue depths into the store's
 ``queue_depth`` arrays — and a unit the transport delivers resolves here
-too (:meth:`SimulationSession._resolve_unit`).  Typical use::
+too (:meth:`SimulationSession._resolve_unit`).  Every unit is one
+:class:`~repro.core.payments.TransactionUnit` record from its lock to its
+resolution: the send core books one per locked send, and a transport's
+own units extend it.  Typical use::
 
     session = SimulationSession.from_config(config)
     metrics = session.run()
@@ -55,7 +58,7 @@ from repro.core.scheduling import PendingHeap, get_policy
 from repro.engine.clock import DEFAULT_QUANTUM
 from repro.engine.dispatch import DispatchPlan
 from repro.engine.events import TickEngine, TickTimer
-from repro.engine.pathtable import CompiledPath, PathLock
+from repro.engine.pathtable import CompiledPath
 from repro.engine.transport import Transport, make_transport
 from repro.errors import ConfigError, InsufficientFundsError, SimulationError
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
@@ -601,8 +604,9 @@ class SimulationSession:
         for cpath, _, amounts in priced:
             actuals = self._lock(cpath, amounts)
             if actuals is None:
+                store = self.network.state_store
                 for (held, _, _), held_actuals in zip(priced, locked):
-                    self._table.refund(PathLock(held, held_actuals))
+                    store.refund_path_funds(held.dir_list, held_actuals)
                 return False
             locked.append(actuals)
         for (cpath, amount, amounts), actuals in zip(priced, locked):
@@ -743,19 +747,11 @@ class SimulationSession:
         fee: float,
         actuals: List[float],
     ) -> None:
-        """Turn one locked send into a :class:`TransactionUnit` over a
-        :class:`~repro.engine.pathtable.PathLock` of its per-hop
-        ``actuals``, resolving one confirmation delay from now (the
+        """Turn one locked send into a :class:`TransactionUnit` holding its
+        per-hop ``actuals``, resolving one confirmation delay from now (the
         payment has already registered ``amount`` in flight)."""
         self._schedule_resolve(
-            TransactionUnit.create(
-                payment=payment,
-                amount=amount,
-                path=cpath.nodes,
-                htlcs=PathLock(cpath, actuals),
-                sent_at=self.sim.now,
-                fee=fee,
-            )
+            TransactionUnit(payment, amount, cpath, actuals, self.sim.now, fee)
         )
 
     def _schedule_resolve(self, unit: TransactionUnit) -> None:
@@ -780,7 +776,8 @@ class SimulationSession:
         order; the units' store writes are coalesced into a single ordered
         scatter-add
         (:meth:`~repro.engine.store.ChannelStateStore.apply_resolution_batch`),
-        after which a ``check_invariants`` run checks conservation once.
+        after which a ``check_invariants`` run checks conservation once.  A
+        unit resolved before raises in its accounting, ahead of the write.
         """
         units = self._resolve_batches.pop(tick)
         if len(units) == 1:
@@ -792,13 +789,11 @@ class SimulationSession:
         settled_parts: List[bool] = []
         hop_counts: List[int] = []
         for unit in units:
-            lock = unit.htlcs
             settle = self._resolve_decision(unit, now)
             self._resolve_accounting(unit, now, settle)
-            lock.resolved = True
-            cpath = lock.cpath
+            cpath = unit.cpath
             dirs.extend(cpath.dir_list)
-            amounts.extend(lock.amounts)
+            amounts.extend(unit.locked)
             settled_parts.append(settle)
             hop_counts.append(len(cpath))
         self.network.state_store.apply_resolution_batch(
@@ -831,19 +826,21 @@ class SimulationSession:
         """Payment/collector bookkeeping for one maturing unit.
 
         ``settle`` is the :meth:`_resolve_decision` verdict; store writes
-        are the caller's responsibility.
+        are the caller's responsibility.  The unit's ``state`` flips first:
+        a unit resolved before raises here, before any payment, collector
+        or store update.
         """
         payment = unit.payment
         if not settle:
-            payment.register_cancelled(unit.amount)
             unit.mark_cancelled()
+            payment.register_cancelled(unit.amount)
             self.collector.on_unit_cancelled(unit, now)
             return
+        unit.mark_settled()
         was_complete = payment.is_complete
         payment.register_settled(unit.amount, now)
         if unit.fee:
             payment.fees_paid += unit.fee
-        unit.mark_settled()
         self.collector.on_unit_settled(unit, now)
         if payment.is_complete and not was_complete:
             self._pending.discard(payment.payment_id)
@@ -859,17 +856,19 @@ class SimulationSession:
         Returns the :meth:`_resolve_decision` verdict (``True``: settled).
 
         The one place a unit resolves on its own: a lone unit of a flush
-        batch, and every unit a transport delivers (its
-        :class:`~repro.engine.pathtable.PathLock` over the hops it
-        locked).
+        batch, and every unit a transport delivers (the transport's own
+        record, whose ``locked`` amounts are the hops it locked).  The
+        bookkeeping runs first, so a unit resolved before raises before the
+        store is written.
         """
         now = self.sim.now
         settle = self._resolve_decision(unit, now)
-        if settle:
-            self._table.settle(unit.htlcs)
-        else:
-            self._table.refund(unit.htlcs)
         self._resolve_accounting(unit, now, settle)
+        store = self.network.state_store
+        if settle:
+            store.settle_path_funds(unit.cpath.dir_list, unit.locked)
+        else:
+            store.refund_path_funds(unit.cpath.dir_list, unit.locked)
         if self.config.check_invariants:
             self.network.check_invariants()
         return settle

@@ -42,17 +42,16 @@ class ChannelStateStore:
     row-major ``(n, 2)`` arrays.  ``balance_flat`` / ``inflight_flat`` /
     ``sent_flat`` / ``settled_flow_flat`` are 1-D views of those arrays
     indexed by ``d``; the receiving direction of a hop is ``d ^ 1`` and
-    its channel row (``stamp``, ``frozen``, the settle/refund counters)
-    ``d >> 1``.  Every path kernel below takes ``dirs``;
+    its channel row (``frozen``, the settle/refund counters) ``d >> 1``.
+    Every path kernel below takes ``dirs``;
     ``store.balance[cid, side]`` readers see the same memory.  All values
     are float64 except the settle/refund counters (int64), the queue
     depths (int64) and the frozen flags (bool).
 
     Every mutation that can change a channel's *availability* (balance or
-    frozen flag) stamps the channel with a monotonically increasing
-    ``version`` counter.  :class:`~repro.engine.pathtable.PathTable` probe
-    caches compare their snapshot version against ``stamp`` to refresh only
-    the paths whose channels actually changed since the last probe.
+    frozen flag) bumps the store-wide ``version`` counter once per call.
+    A :class:`~repro.engine.pathtable.PathTable` probe cache is fresh
+    exactly while its snapshot equals ``version``; otherwise it re-gathers.
     """
 
     __slots__ = (
@@ -68,7 +67,6 @@ class ChannelStateStore:
         "num_refunded",
         "frozen",
         "frozen_count",
-        "stamp",
         "version",
         "balance_flat",
         "inflight_flat",
@@ -90,7 +88,6 @@ class ChannelStateStore:
         self.num_refunded = np.zeros(reserve, dtype=np.int64)
         self.frozen = np.zeros(reserve, dtype=bool)
         self.frozen_count = 0
-        self.stamp = np.zeros(reserve, dtype=np.int64)
         self.version = 0
         self._bind_flat()
 
@@ -131,7 +128,6 @@ class ChannelStateStore:
         self.num_settled = widen(self.num_settled)
         self.num_refunded = widen(self.num_refunded)
         self.frozen = widen(self.frozen)
-        self.stamp = widen(self.stamp)
         self._bind_flat()
 
     def _bind_flat(self) -> None:
@@ -155,11 +151,6 @@ class ChannelStateStore:
     def inflight_view(self) -> np.ndarray:
         """``(n, 2)`` funds locked in pending transfers."""
         return self.inflight[: self._n]
-
-    @property
-    def sent_view(self) -> np.ndarray:
-        """``(n, 2)`` cumulative value locked per direction."""
-        return self.sent[: self._n]
 
     @property
     def settled_flow_view(self) -> np.ndarray:
@@ -212,11 +203,6 @@ class ChannelStateStore:
         view = self.balance_view
         return np.abs(view[:, 0] - view[:, 1])
 
-    def flow_imbalances(self) -> np.ndarray:
-        """``(n,)`` per-channel ``|settled a→b − settled b→a|``."""
-        view = self.settled_flow_view
-        return np.abs(view[:, 0] - view[:, 1])
-
     def check_conservation(self, tolerance: float = 1e-6) -> Optional[int]:
         """Vectorised fund-conservation check over every channel.
 
@@ -243,17 +229,16 @@ class ChannelStateStore:
     # Single-channel mutators
     # ------------------------------------------------------------------
     def touch(self, cid: int) -> None:
-        """Stamp ``cid`` as modified (invalidates cached path probes)."""
-        self.version = version = self.version + 1
-        self.stamp[cid] = version
+        """Record a direct write to channel ``cid``'s arrays: bumps the
+        store-wide ``version``, which invalidates every cached path probe."""
+        self.version += 1
 
     def apply_refund(self, cid: int, sender_side: int, amount: float) -> None:
         """Resolve an in-flight transfer by returning it to the sender."""
         self.inflight[cid, sender_side] -= amount
         self.balance[cid, sender_side] += amount
         self.num_refunded[cid] += 1
-        self.version = version = self.version + 1
-        self.stamp[cid] = version
+        self.version += 1
 
     def try_lock(self, d: int, amount: float) -> float:
         """Lock ``amount`` on direction ``d`` if spendable; else return -1.
@@ -273,12 +258,11 @@ class ChannelStateStore:
         self.balance_flat[d] = balance - actual
         self.inflight_flat[d] += actual
         self.sent_flat[d] += actual
-        self.version = version = self.version + 1
-        self.stamp[cid] = version
+        self.version += 1
         return actual
 
     def set_frozen(self, cid: int, flag: bool) -> None:
-        """Freeze/unfreeze ``cid`` (stamped: availability changed).
+        """Freeze/unfreeze ``cid`` (a version bump: availability changed).
 
         Maintains ``frozen_count`` so hot paths skip frozen checks
         entirely on an all-healthy network (the common case).  The flag
@@ -289,16 +273,14 @@ class ChannelStateStore:
         if flag != bool(self.frozen[cid]):
             self.frozen[cid] = flag
             self.frozen_count += 1 if flag else -1
-        self.version = version = self.version + 1
-        self.stamp[cid] = version
+        self.version += 1
 
     def deposit(self, cid: int, side: int, amount: float) -> None:
         """Credit on-chain funds: grows the side's balance and the capacity."""
         self.balance[cid, side] += amount
         self.capacity[cid] += amount
         self.total_deposited[cid] += amount
-        self.version = version = self.version + 1
-        self.stamp[cid] = version
+        self.version += 1
 
     # ------------------------------------------------------------------
     # Direction-indexed path kernels (PathTable's backing primitives).
@@ -358,28 +340,22 @@ class ChannelStateStore:
             inflight[d] += actual
             sent[d] += actual
             actuals.append(actual)
-        self.version = version = self.version + 1
-        stamp = self.stamp
-        for d in dirs:
-            stamp[d >> 1] = version
+        self.version += 1
         return actuals
 
     def _roll_back(self, dirs: Sequence[int], actuals: List[float]) -> None:
         """Refund the locked prefix of a failed :meth:`lock_path_funds`
-        (one stamp for the prefix; none when nothing was locked)."""
+        (one version bump for the prefix; none when nothing was locked)."""
         if not actuals:
             return
         balance = self.balance_flat
         inflight = self.inflight_flat
         num_refunded = self.num_refunded
-        stamp = self.stamp
-        self.version = version = self.version + 1
+        self.version += 1
         for d, actual in zip(dirs, actuals):
-            cid = d >> 1
             balance[d] += actual
             inflight[d] -= actual
-            num_refunded[cid] += 1
-            stamp[cid] = version
+            num_refunded[d >> 1] += 1
 
     def lock_many(self, dirs: Sequence[int], amounts: Sequence[float]) -> None:
         """Lock a verified batch of sends, one hop row at a time.
@@ -394,22 +370,19 @@ class ChannelStateStore:
         broadcast delivered amount.  Repeated directions (several units
         crossing the same hop) are applied in list order, matching the
         per-send lock sequence bit for bit.  One version bump covers the
-        whole batch: probe caches only compare ``stamp > as_of``, so
-        batch-granular stamping is indistinguishable from per-send
-        stamping.  Batches are a few rows long, so a loop over Python ints
+        whole batch: a probe cache only asks whether ``version`` moved, so
+        one bump per batch is indistinguishable from one per send.  Batches are a few rows long, so a loop over Python ints
         and floats beats any NumPy call here.  No engine path calls it; it
         stays while the end-to-end benchmark's span list wraps it by name.
         """
         balance = self.balance_flat
         inflight = self.inflight_flat
         sent = self.sent_flat
-        stamp = self.stamp
-        self.version = version = self.version + 1
+        self.version += 1
         for d, amount in zip(dirs, amounts):
             balance[d] -= amount
             inflight[d] += amount
             sent[d] += amount
-            stamp[d >> 1] = version
 
     def settle_path_funds(
         self, dirs: Sequence[int], amounts: Sequence[float]
@@ -419,15 +392,12 @@ class ChannelStateStore:
         inflight = self.inflight_flat
         settled_flow = self.settled_flow_flat
         num_settled = self.num_settled
-        stamp = self.stamp
-        self.version = version = self.version + 1
+        self.version += 1
         for d, amount in zip(dirs, amounts):
-            cid = d >> 1
             inflight[d] -= amount
             balance[d ^ 1] += amount
             settled_flow[d] += amount
-            num_settled[cid] += 1
-            stamp[cid] = version
+            num_settled[d >> 1] += 1
 
     def refund_path_funds(
         self, dirs: Sequence[int], amounts: Sequence[float]
@@ -436,14 +406,11 @@ class ChannelStateStore:
         balance = self.balance_flat
         inflight = self.inflight_flat
         num_refunded = self.num_refunded
-        stamp = self.stamp
-        self.version = version = self.version + 1
+        self.version += 1
         for d, amount in zip(dirs, amounts):
-            cid = d >> 1
             inflight[d] -= amount
             balance[d] += amount
-            num_refunded[cid] += 1
-            stamp[cid] = version
+            num_refunded[d >> 1] += 1
 
     def apply_resolution_batch(
         self, dirs: np.ndarray, amounts: np.ndarray, settled: np.ndarray
@@ -468,8 +435,7 @@ class ChannelStateStore:
             np.add.at(self.settled_flow_flat, dirs[settled], amounts[settled])
             np.add.at(self.num_settled, cids[settled], 1)
             np.add.at(self.num_refunded, cids[~settled], 1)
-        self.version = version = self.version + 1
-        self.stamp[cids] = version
+        self.version += 1
 
     def describe(self, cid: int) -> Tuple[float, float, float, float, float]:
         """``(capacity, balance_a, balance_b, inflight_a, inflight_b)``."""

@@ -23,10 +23,10 @@ forwarding with in-router queues.  Two transports plug into
     channel direction — so backlog is reported through the collector's
     queue-depth hook rather than the store's directional arrays.
 
-Neither transport settles a unit itself: one that reaches its destination
-is handed, as a :class:`~repro.core.payments.TransactionUnit` over a
-:class:`~repro.engine.pathtable.PathLock` of the hops it locked, to
-:meth:`SimulationSession._resolve_unit
+Neither transport settles a unit itself: both units are
+:class:`~repro.core.payments.TransactionUnit` records (the compiled path
+plus the amount each hop locked), and one that reaches its destination is
+handed as it is to :meth:`SimulationSession._resolve_unit
 <repro.engine.session.SimulationSession._resolve_unit>` — the one place a
 unit settles or is withheld, as source-routed units are, so metrics are
 comparable across schemes.  The transports keep only the refunds of units
@@ -41,9 +41,9 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.payments import Payment, TransactionUnit
+from repro.core.payments import Payment, UnitState
 from repro.core.queueing import HopUnit
-from repro.engine.pathtable import CompiledPath, PathLock
+from repro.engine.pathtable import CompiledPath
 from repro.errors import ConfigError
 from repro.fluid.paths import bfs_distances
 from repro.routing.backpressure import BackpressureUnit
@@ -77,15 +77,9 @@ class HopByHopTransport:
 
     hop_delay:
         Per-hop forwarding latency in seconds.
-    settle_delay:
-        Delay between destination arrival and settlement of all hops
-        (defaults to the configured confirmation delay).
     queue_timeout:
         Maximum time a unit may sit in one router queue before its HTLCs
         are abandoned and refunded.
-    queue_policy:
-        ``"fifo"`` (default) or ``"srpt"`` (smallest payment-remainder
-        first) service order.
     mark_threshold:
         If set, a router marks any unit whose queueing delay exceeds this
         many seconds — the windowed transport's 1-bit congestion signal.
@@ -97,17 +91,13 @@ class HopByHopTransport:
         self,
         session: "SimulationSession",
         hop_delay: float = 0.05,
-        settle_delay: Optional[float] = None,
         queue_timeout: float = 5.0,
-        queue_policy: str = "fifo",
         mark_threshold: Optional[float] = None,
     ):
         if hop_delay < 0:
             raise ValueError(f"hop_delay must be non-negative, got {hop_delay}")
         if queue_timeout <= 0:
             raise ValueError(f"queue_timeout must be positive, got {queue_timeout}")
-        if queue_policy not in ("fifo", "srpt"):
-            raise ValueError(f"unknown queue_policy {queue_policy!r}")
         if mark_threshold is not None and mark_threshold < 0:
             raise ValueError(
                 f"mark_threshold must be non-negative, got {mark_threshold}"
@@ -119,11 +109,10 @@ class HopByHopTransport:
         self.config = session.config
         self.collector = session.collector
         self.hop_delay = hop_delay
-        self.settle_delay = (
-            settle_delay if settle_delay is not None else self.config.confirmation_delay
-        )
+        #: Destination arrival to settlement of every hop: the same
+        #: end-to-end pending period as a source-routed unit's.
+        self.confirmation_delay = self.config.confirmation_delay
         self.queue_timeout = queue_timeout
-        self.queue_policy = queue_policy
         self.mark_threshold = mark_threshold
         #: Congestion signalling: thresholds, mark/serviced counters and
         #: delay EWMAs live on the network control plane, which scans each
@@ -197,7 +186,7 @@ class HopByHopTransport:
 
     def _schedule_advance(self, unit: HopUnit) -> None:
         if unit.at_destination:
-            self.sim.schedule_after(self.settle_delay, self._settle_unit, unit)
+            self.sim.schedule_after(self.confirmation_delay, self._settle_unit, unit)
         else:
             self.sim.schedule_after(self.hop_delay, self._forward, unit)
 
@@ -211,8 +200,8 @@ class HopByHopTransport:
         cohort event in their place preserves order against every other
         event), and — enforced here — forwards and settles must land on
         *different* ticks to be split into separate cohorts.  When
-        ``hop_delay`` and ``settle_delay`` round to the same tick and both
-        kinds are present, splitting would reorder them against each
+        ``hop_delay`` and the confirmation delay round to the same tick and
+        both kinds are present, splitting would reorder them against each
         other, so the batch falls back to per-unit scheduling.
         """
         if len(units) == 1:
@@ -226,7 +215,8 @@ class HopByHopTransport:
         if (
             forwards
             and settles
-            and sim.delay_ticks(self.hop_delay) == sim.delay_ticks(self.settle_delay)
+            and sim.delay_ticks(self.hop_delay)
+            == sim.delay_ticks(self.confirmation_delay)
         ):
             for unit in units:
                 self._schedule_advance(unit)
@@ -240,10 +230,12 @@ class HopByHopTransport:
                 )
         if settles:
             if len(settles) == 1:
-                sim.schedule_after(self.settle_delay, self._settle_unit, settles[0])
+                sim.schedule_after(
+                    self.confirmation_delay, self._settle_unit, settles[0]
+                )
             else:
                 sim.schedule_after(
-                    self.settle_delay, self._settle_cohort, tuple(settles)
+                    self.confirmation_delay, self._settle_cohort, tuple(settles)
                 )
 
     def _advance_cohort(self, units: Tuple[HopUnit, ...]) -> None:
@@ -255,7 +247,7 @@ class HopByHopTransport:
             self._settle_unit(unit)
 
     def _forward(self, unit: HopUnit) -> None:
-        if unit.done:
+        if unit.state is not UnitState.INFLIGHT:
             return
         if self._try_lock_hop(unit):
             self._schedule_advance(unit)
@@ -290,19 +282,12 @@ class HopByHopTransport:
             return
         cid, side = key >> 1, key & 1
         store = self.store
-        if self.queue_policy == "srpt":
-            ordered = sorted(
-                (u for u in queue if not u.done),
-                key=lambda u: (u.payment.outstanding, u.launched_at),
-            )
-            queue.clear()
-            queue.extend(ordered)
         serviced: List[HopUnit] = []
         delays: List[float] = []
         launched: List[HopUnit] = []
         while queue:
             unit = queue[0]
-            if unit.done:  # lazily-cancelled corpse (timed out)
+            if unit.state is not UnitState.INFLIGHT:  # timed-out corpse
                 queue.popleft()
                 continue
             available = (
@@ -341,7 +326,11 @@ class HopByHopTransport:
     def _timeout_unit(self, unit: HopUnit, queue_seq: int) -> None:
         # Lazy cancel: the record always fires; a unit serviced (or even
         # re-queued at a later hop) since then carries a newer generation.
-        if unit.done or unit.queued_at is None or unit.queue_seq != queue_seq:
+        if (
+            unit.state is not UnitState.INFLIGHT
+            or unit.queued_at is None
+            or unit.queue_seq != queue_seq
+        ):
             return
         d = unit.cpath.dir_list[unit.hop_index]
         # repro-lint: allow[RL003] queue_depth is router telemetry, not availability; probe caches never gather it
@@ -352,7 +341,7 @@ class HopByHopTransport:
 
     def _abort_unit(self, unit: HopUnit) -> None:
         """Refund all hops locked so far and release the payment value."""
-        unit.done = True
+        unit.mark_cancelled()
         store = self.store
         for d, amount in zip(unit.cpath.dir_list, unit.locked):
             store.apply_refund(d >> 1, d & 1, amount)
@@ -363,23 +352,11 @@ class HopByHopTransport:
         self._notify_scheme(unit, "lost")
 
     def _settle_unit(self, unit: HopUnit) -> None:
-        if unit.done:
-            return
-        unit.done = True
-        cpath = unit.cpath
-        settled = self.session._resolve_unit(
-            TransactionUnit.create(
-                payment=unit.payment,
-                amount=unit.amount,
-                path=unit.path,
-                htlcs=PathLock(cpath, unit.locked),
-                sent_at=unit.launched_at,
-            )
-        )
+        settled = self.session._resolve_unit(unit)
         self._notify_scheme(unit, "settled" if settled else "cancelled")
         # Funds a settle credits to the receiving directions, or a withhold
         # refunds to the sending ones, may unblock units queued there.
-        for d in cpath.dir_list:
+        for d in unit.cpath.dir_list:
             self._dequeue(d ^ 1 if settled else d)
 
     def _notify_scheme(self, unit: HopUnit, outcome: str) -> None:
@@ -397,7 +374,7 @@ class HopByHopTransport:
         for d, queue in list(self._queues.items()):
             while queue:
                 unit = queue.popleft()
-                if unit.done:
+                if unit.state is not UnitState.INFLIGHT:
                     continue
                 # repro-lint: allow[RL003] queue_depth is router telemetry, not availability; probe caches never gather it
                 self.store.queue_depth[d >> 1, d & 1] -= 1
@@ -430,7 +407,6 @@ class BackpressureTransport:
         beta: float = 1.0,
         max_hops: int = 10,
         stuck_after: float = 1.0,
-        settle_delay: Optional[float] = None,
     ):
         if service_interval <= 0:
             raise ValueError(f"service_interval must be positive, got {service_interval}")
@@ -450,9 +426,7 @@ class BackpressureTransport:
         self.beta = beta
         self.max_hops = max_hops
         self.stuck_after = stuck_after
-        self.settle_delay = (
-            settle_delay if settle_delay is not None else self.config.confirmation_delay
-        )
+        self.confirmation_delay = self.config.confirmation_delay
         #: Gradient-weight kernel (vectorised over candidate destinations).
         self.control = session.network.control_plane
         #: node -> destination -> FIFO of parked units.
@@ -664,7 +638,11 @@ class BackpressureTransport:
         self.total_hops += 1
         if v == unit.dest:
             unit.done = True
-            self.sim.schedule_after(self.settle_delay, self._settle_unit, unit)
+            unit.cpath = self.network.path_table.compile(tuple(unit.trail))
+            # The session settles it (or withholds the key) when it matures.
+            self.sim.schedule_after(
+                self.confirmation_delay, self.session._resolve_unit, unit
+            )
         return True
 
     def _pop_hop(self, unit: BackpressureUnit, v: int) -> None:
@@ -682,21 +660,10 @@ class BackpressureTransport:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def _settle_unit(self, unit: BackpressureUnit) -> None:
-        trail = tuple(unit.trail)
-        self.session._resolve_unit(
-            TransactionUnit.create(
-                payment=unit.payment,
-                amount=unit.amount,
-                path=trail,
-                htlcs=PathLock(self.network.path_table.compile(trail), unit.locked),
-                sent_at=unit.created_at,
-            )
-        )
-
     def _expire_unit(self, unit: BackpressureUnit) -> None:
         """TTL hit or payment dead: unwind every locked hop."""
         unit.done = True
+        unit.mark_cancelled()
         self.units_expired += 1
         self.store.refund_path_funds(unit.dirs, unit.locked)
         unit.payment.register_cancelled(unit.amount)

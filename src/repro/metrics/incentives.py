@@ -49,12 +49,14 @@ class IncentiveCollector(MetricsCollector):
 
     def on_unit_settled(self, unit: TransactionUnit, now: float) -> None:
         super().on_unit_settled(unit, now)
-        # Intermediate node path[j] received htlcs[j-1].amount and forwarded
-        # htlcs[j].amount; the difference is its fee for this unit.
-        for j in range(1, len(unit.path) - 1):
-            upstream = unit.htlcs[j - 1].amount
-            downstream = unit.htlcs[j].amount
-            router = unit.path[j]
+        # Intermediate node path[j] received locked[j-1] and forwarded
+        # locked[j]; the difference is its fee for this unit.
+        path = unit.path
+        locked = unit.locked
+        for j in range(1, len(path) - 1):
+            upstream = locked[j - 1]
+            downstream = locked[j]
+            router = path[j]
             self.router_forwarded[router] += downstream
             fee = upstream - downstream
             if fee > 0:

@@ -32,7 +32,6 @@ from repro.engine.signals import ControlPlane
 from repro.engine.store import ChannelStateStore
 from repro.errors import ChannelError, TopologyError
 from repro.network.channel import PaymentChannel
-from repro.network.node import Node, NodeRole
 
 __all__ = ["DirectionIndex", "PaymentNetwork", "canonical_edge"]
 
@@ -139,7 +138,6 @@ class PaymentNetwork:
     """
 
     def __init__(self) -> None:
-        self._nodes: Dict[NodeId, Node] = {}
         self._channels: Dict[Tuple[NodeId, NodeId], PaymentChannel] = {}
         self._adjacency: Dict[NodeId, set] = {}
         # All channel state lives in one flat array store; channels are views.
@@ -155,15 +153,12 @@ class PaymentNetwork:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_node(self, node_id: NodeId, role: NodeRole = NodeRole.HYBRID) -> Node:
-        """Add a node; returns the existing node if already present."""
-        if node_id in self._nodes:
-            return self._nodes[node_id]
-        node = Node(node_id=node_id, role=role)
-        self._nodes[node_id] = node
+    def add_node(self, node_id: NodeId) -> None:
+        """Add a node (a no-op if it is already present)."""
+        if node_id in self._adjacency:
+            return
         self._adjacency[node_id] = set()
         self._direction_index = None
-        return node
 
     def add_channel(
         self,
@@ -211,7 +206,7 @@ class PaymentNetwork:
     @property
     def num_nodes(self) -> int:
         """Number of nodes."""
-        return len(self._nodes)
+        return len(self._adjacency)
 
     @property
     def num_channels(self) -> int:
@@ -220,18 +215,11 @@ class PaymentNetwork:
 
     def nodes(self) -> Iterator[NodeId]:
         """Iterate over node identifiers."""
-        return iter(self._nodes)
-
-    def node(self, node_id: NodeId) -> Node:
-        """Look up the :class:`Node` record for ``node_id``."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise TopologyError(f"unknown node {node_id!r}") from None
+        return iter(self._adjacency)
 
     def has_node(self, node_id: NodeId) -> bool:
         """Whether ``node_id`` is part of the network."""
-        return node_id in self._nodes
+        return node_id in self._adjacency
 
     def neighbors(self, node_id: NodeId) -> Iterable[NodeId]:
         """Nodes sharing a channel with ``node_id``."""
@@ -403,8 +391,8 @@ class PaymentNetwork:
         and :class:`~repro.errors.InsufficientFundsError` propagates.
 
         Returns one :class:`~repro.engine.pathtable.PathLock` for the whole
-        path (``len()`` and ``[j].amount`` give the per-hop locks), resolved
-        through :meth:`settle_path` / :meth:`refund_path`.
+        path (its ``amounts`` are the per-hop locks), resolved through
+        :meth:`settle_path` / :meth:`refund_path`.
         """
         if amounts is None:
             amounts = [amount] * (len(path) - 1)

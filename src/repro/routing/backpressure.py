@@ -23,11 +23,12 @@ Model
   shortest-path bias that keeps pure backpressure from random-walking at
   low load.
 * Each forwarded hop locks the unit's value in the channel store; a unit
-  that reaches its destination settles every hop after ``settle_delay``
-  (the end-to-end confirmation of §4.2), a unit that exceeds its step
-  budget or outlives its payment refunds every hop.  So does a unit popped
-  back to its source once every neighbour of the source is visited (it
-  could never move again); its payment re-injects the value.
+  that reaches its destination settles every hop after the configured
+  confirmation delay (the end-to-end confirmation of §4.2), a unit that
+  exceeds its step budget or outlives its payment refunds every hop.  So
+  does a unit popped back to its source once every neighbour of the
+  source is visited (it could never move again); its payment re-injects
+  the value.
 * Units never *re-lock* a node: pressing forward is restricted to
   unvisited nodes, and a unit that has sat in one queue for
   ``stuck_after`` seconds **backtracks** — it pops its last hop and that
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.core.payments import Payment
+from repro.core.payments import Payment, TransactionUnit, UnitState
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,24 +57,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BackpressureUnit", "CelerScheme"]
 
 
-class BackpressureUnit:
+class BackpressureUnit(TransactionUnit):
     """One transaction unit drifting through the queue network.
 
     ``trail`` lists the nodes crossed so far (source first), ``dirs`` the
     store direction id of each hop and ``locked`` the amount each hop
-    actually locked; a backtrack pops one entry from all three.
+    actually locked; a backtrack pops one entry from all three.  ``done``
+    means arrived or expired.  ``cpath`` stays unset while the unit
+    drifts: it is compiled from ``trail`` on arrival, and the unit then
+    resolves in the session like any other.
     """
 
     __slots__ = (
-        "payment",
-        "amount",
         "dest",
         "node",
         "visited",
         "trail",
         "dirs",
-        "locked",
-        "created_at",
         "parked_at",
         "steps",
         "done",
@@ -82,13 +82,15 @@ class BackpressureUnit:
     def __init__(self, payment: Payment, amount: float, now: float):
         self.payment = payment
         self.amount = amount
+        self.locked = []
+        self.sent_at = now
+        self.fee = 0.0
+        self.state = UnitState.INFLIGHT
         self.dest = payment.dest
         self.node = payment.source
         self.visited: Set[int] = {payment.source}
         self.trail: List[int] = [payment.source]
         self.dirs: List[int] = []
-        self.locked: List[float] = []
-        self.created_at = now
         self.parked_at = now
         self.steps = 0
         self.done = False

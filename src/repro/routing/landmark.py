@@ -71,8 +71,8 @@ class LandmarkScheme(RoutingScheme):
         if not paths:
             runtime.fail_payment(payment)
             return
-        # Batched probe: the landmark path set is fixed per pair, so
-        # repeat attempts refresh only the paths whose channels changed.
+        # Batched probe: the landmark path set is fixed per pair, so a
+        # repeat attempt with no store write in between reuses the cache.
         capacities = runtime.network.bottleneck_many(paths)
         total = sum(capacities)
         if total < payment.amount - 1e-6:

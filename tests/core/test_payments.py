@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.payments import Payment, PaymentState, TransactionUnit, UnitState
 from repro.errors import PaymentError
+from repro.network.network import PaymentNetwork
 
 
 def make_payment(amount=100.0, deadline=None, atomic=False):
@@ -105,18 +106,18 @@ class TestDeadlines:
         assert payment.expired(10.1)
 
 
-class TestTransactionUnit:
-    def test_create_assigns_ids(self):
-        payment = make_payment()
-        payment.register_inflight(10.0)
-        a = TransactionUnit.create(payment, 5.0, (0, 1), [], sent_at=1.0)
-        b = TransactionUnit.create(payment, 5.0, (0, 1), [], sent_at=1.0)
-        assert a.unit_id != b.unit_id
-        assert a.state is UnitState.INFLIGHT
+def make_unit(payment):
+    line = PaymentNetwork()
+    line.add_channel(0, 1, 100.0)
+    return TransactionUnit(payment, 5.0, line.path_table.compile((0, 1)), [5.0], 1.0)
 
+
+class TestTransactionUnit:
     def test_state_transitions(self):
         payment = make_payment()
-        unit = TransactionUnit.create(payment, 5.0, (0, 1), [], sent_at=1.0)
+        unit = make_unit(payment)
+        assert unit.state is UnitState.INFLIGHT
+        assert unit.path == (0, 1)
         unit.mark_settled()
         assert unit.state is UnitState.SETTLED
         with pytest.raises(PaymentError):
@@ -124,7 +125,7 @@ class TestTransactionUnit:
 
     def test_cancel_transition(self):
         payment = make_payment()
-        unit = TransactionUnit.create(payment, 5.0, (0, 1), [], sent_at=1.0)
+        unit = make_unit(payment)
         unit.mark_cancelled()
         assert unit.state is UnitState.CANCELLED
         with pytest.raises(PaymentError):

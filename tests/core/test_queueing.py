@@ -33,9 +33,7 @@ class LaunchOnLine(RoutingScheme):
 
 def make_runtime(records, capacity=100.0, nodes=4, end_time=30.0, **kwargs):
     network = line_topology(nodes).build_network(default_capacity=capacity)
-    defaults = dict(
-        hop_delay=0.05, queue_timeout=5.0, settle_delay=0.5
-    )
+    defaults = dict(hop_delay=0.05, queue_timeout=5.0)
     defaults.update(kwargs)
     return SimulationSession(
         network,
@@ -127,22 +125,6 @@ class TestHopByHopDelivery:
         assert runtime.network.total_inflight() == pytest.approx(45.0)
         assert runtime.payments[0].inflight == pytest.approx(0.0)
 
-    def test_srpt_queue_policy_orders_by_remaining(self):
-        # Two units queue at router 1; when funds free up, SRPT services the
-        # smaller payment first.
-        records = [
-            record(0, 1.0, 0, 3, 45.0),                 # drains
-            record(1, 1.2, 0, 3, 30.0),                 # queues (larger)
-            record(2, 1.3, 0, 3, 5.0),                  # queues (smaller)
-            record(3, 3.0, 3, 0, 12.0),                 # frees 12
-        ]
-        runtime = make_runtime(records, queue_policy="srpt", queue_timeout=30.0)
-        runtime.run()
-        small = runtime.payments[2]
-        large = runtime.payments[1]
-        assert small.is_complete
-        assert not large.is_complete
-
     def test_timed_out_corpse_is_skipped_at_service(self):
         """Timeouts are lazily cancelled: the timed-out unit stays in the
         deque as a corpse (no O(n) remove) and service must skip it to
@@ -210,7 +192,6 @@ class TestHopByHopDelivery:
         for bad in (
             dict(hop_delay=-1.0),
             dict(queue_timeout=0.0),
-            dict(queue_policy="bogus"),
         ):
             session = SimulationSession(network, [], LaunchOnLine(**bad), config)
             with pytest.raises(ValueError):

@@ -242,7 +242,7 @@ class TestRL002OrderedIteration:
 # RL003 — store-mutation discipline
 # ---------------------------------------------------------------------------
 class TestRL003StoreDiscipline:
-    def test_true_positive_unstamped_array_write(self):
+    def test_true_positive_unbumped_array_write(self):
         report = lint_sources(
             {
                 ROUTING: (
@@ -259,7 +259,7 @@ class TestRL003StoreDiscipline:
         assert ".balance[...]" in hits[0].message
         assert ".inflight[...]" in hits[1].message
 
-    def test_near_miss_stamped_write_exempt_module_and_lookalike(self):
+    def test_near_miss_bumped_write_exempt_module_and_lookalike(self):
         report = lint_sources(
             {
                 # Same write paired with touch(): the documented discipline.
@@ -269,7 +269,7 @@ class TestRL003StoreDiscipline:
                     "    store.inflight[cid, side] += amount\n"
                     "    store.touch(cid)\n"
                 ),
-                # store.py owns stamp maintenance: exempt wholesale.
+                # store.py owns version maintenance: exempt wholesale.
                 "src/repro/engine/store.py": (
                     "def apply(store, cid, side, amount):\n"
                     "    store.balance[cid, side] -= amount\n"
@@ -284,38 +284,49 @@ class TestRL003StoreDiscipline:
         )
         assert report.findings == []
 
-    def test_direct_stamp_write_counts_as_bump(self):
+    def test_direct_version_bump_counts_as_bump(self):
         report = lint_sources(
             {
                 ROUTING: (
                     "def lock(store, cid, side, amount):\n"
                     "    store.balance[cid, side] -= amount\n"
-                    "    store.version = version = store.version + 1\n"
-                    "    store.stamp[cid] = version\n"
+                    "    store.version = store.version + 1\n"
                 )
             },
             select=["RL003"],
         )
         assert report.findings == []
+        # A per-channel stamp write is no bump: the store keeps no stamps.
+        report = lint_sources(
+            {
+                ROUTING: (
+                    "def lock(store, cid, side, amount):\n"
+                    "    store.balance[cid, side] -= amount\n"
+                    "    store.stamp[cid] = 1\n"
+                )
+            },
+            select=["RL003"],
+        )
+        assert [hit.line for hit in rule_hits(report, "RL003")] == [2]
 
     def test_flat_view_writes_are_store_writes(self):
         report = lint_sources(
             {
                 # Direction-indexed views alias the (n, 2) arrays: an
-                # unstamped write through one is the same stale-probe bug.
+                # unbumped write through one is the same stale-probe bug.
                 ROUTING: (
                     "import numpy as np\n"
                     "def leak(store, dirs, amounts):\n"
                     "    store.balance_flat[dirs] -= amounts\n"
                     "    np.add.at(store.inflight_flat, dirs, amounts)\n"
                 ),
-                # Near miss: the same writes stamped in the same function.
+                # Near miss: the same writes with a version bump in the
+                # same function.
                 "src/repro/core/fixture_mod.py": (
                     "def lock(store, dirs, amounts):\n"
                     "    store.balance_flat[dirs] -= amounts\n"
                     "    store.sent_flat[dirs] += amounts\n"
-                    "    store.version = version = store.version + 1\n"
-                    "    store.stamp[dirs >> 1] = version\n"
+                    "    store.version += 1\n"
                 ),
             },
             select=["RL003"],

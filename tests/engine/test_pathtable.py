@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.payments import Payment
+from repro.core.payments import Payment, UnitState
 from repro.engine.pathtable import PathLock, PathTable
 from repro.engine.session import RuntimeConfig, SimulationSession
-from repro.errors import ChannelError, InsufficientFundsError
+from repro.errors import ChannelError, InsufficientFundsError, PaymentError
 from repro.network.network import PaymentNetwork
 from repro.routing.registry import make_scheme
 from repro.topology.generators import line_topology
@@ -188,7 +188,7 @@ def test_lock_settle_refund_parity_under_random_traffic(data, operations):
         assert isinstance(lock_vec, PathLock)
         assert len(lock_vec) == len(lock_ref) == len(path) - 1
         for j in range(len(lock_ref)):
-            assert lock_vec[j].amount == lock_ref[j].amount
+            assert lock_vec.amounts[j] == lock_ref[j].amount
         if resolution == "settle":
             vec.settle_path(path, lock_vec)
             ref.settle_path(path, lock_ref)
@@ -246,7 +246,7 @@ def test_fee_inclusive_locks_match_reference(data, operations):
         lock_vec, lock_ref = locks
         assert (lock_vec is None) == (lock_ref is None)
         if lock_vec is not None:
-            assert [hop.amount for hop in lock_vec] == [hop.amount for hop in lock_ref]
+            assert lock_vec.amounts == [hop.amount for hop in lock_ref]
             if settle:
                 vec.settle_path(path, lock_vec)
                 ref.settle_path(path, lock_ref)
@@ -336,7 +336,7 @@ def test_compiled_send_matches_reference(data, operations, mtu):
         delivered, fee, hops = want
         unit = _newest_unit(session)
         assert (unit.amount, unit.fee, payment.inflight) == (delivered, fee, delivered)
-        assert unit.htlcs.amounts == [hop.amount for hop in hops]
+        assert unit.locked == [hop.amount for hop in hops]
         if resolution == "hold":
             held.append((path, unit, hops))
             continue
@@ -346,17 +346,41 @@ def test_compiled_send_matches_reference(data, operations, mtu):
     for index, (path, unit, hops) in enumerate(held):
         _resolve(session, unit, index % 2 == 0)
         getattr(ref, "settle_path" if index % 2 == 0 else "refund_path")(path, hops)
-        with pytest.raises(ChannelError, match="already resolved"):
+        with pytest.raises(PaymentError, match="already resolved"):
             session._resolve_unit(unit)
         assert_stores_identical(vec, ref.network)
     vec.check_invariants()
 
 
+@st.composite
+def long_line_specs(draw):
+    """A fee-bearing line of 34 nodes probed along a path set of at least
+    64 hops: both end-to-end trails plus a few short sub-trails, so a
+    single-channel mutation changes some paths of the set but not all."""
+    n = 34
+    edges = []
+    for u in range(n - 1):
+        capacity = draw(st.floats(min_value=10.0, max_value=200.0))
+        balance_u = draw(st.floats(min_value=0.0, max_value=1.0)) * capacity
+        base_fee = draw(st.floats(min_value=0.0, max_value=2.0))
+        fee_rate = draw(st.floats(min_value=0.0, max_value=0.1))
+        edges.append((u, u + 1, capacity, balance_u, base_fee, fee_rate))
+    frozen = [draw(st.booleans()) and draw(st.booleans()) for _ in edges]
+    paths = [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        start = draw(st.integers(min_value=0, max_value=n - 2))
+        end = draw(st.integers(min_value=start + 1, max_value=min(n - 1, start + 3)))
+        path = tuple(range(start, end + 1))
+        paths.append(path if draw(st.booleans()) else path[::-1])
+    return (edges, frozen), paths
+
+
 @settings(max_examples=60, deadline=None)
-@given(network_specs(), st.data())
+@given(st.one_of(network_specs(), long_line_specs()), st.data())
 def test_batch_probe_refreshes_after_mutations(data, rand):
     """The memoised batch probe must track every kind of store mutation:
-    locks, settles, refunds, freezes, thaws and deposits."""
+    locks, settles, refunds, freezes, thaws and deposits — on small path
+    sets and on sets of 64 hops or more alike."""
     spec, paths = data
     vec, ref = build_twins(spec)
     channels_vec = list(vec.channels())
@@ -490,10 +514,9 @@ def test_compile_many_matches_per_path_compile(data, rand):
         if got is None:
             continue
         assert got.offsets.tolist() == want.offsets.tolist()
-        assert got.bounds == want.bounds
         batch.refresh_probes([got])
         single.refresh_probes([want])
-        assert got.values.tolist() == want.values.tolist()
+        assert got.values_list == want.values_list
         assert got.values_list == [
             float(store.availability(c.dirs).min()) for c in want.cpaths
         ]
@@ -675,8 +698,8 @@ class TestPathLockLifecycle:
 
     def test_batched_flush_resolves_every_lock(self):
         """Units maturing on one tick resolve through one
-        ``_flush_resolutions`` batch, which marks every lock resolved, so
-        none of them can be settled again afterwards."""
+        ``_flush_resolutions`` batch, which marks every unit resolved, so
+        none of them can be resolved again afterwards."""
         records = [
             TransactionRecord(i, 1.0, source, dest, 5.0)
             for i, (source, dest) in enumerate([(0, 3), (3, 0), (1, 4), (4, 1)])
@@ -695,10 +718,10 @@ class TestPathLockLifecycle:
         session._flush_resolutions = recording
         session.run()
         assert [len(units) for units in batches] == [4]
-        assert all(unit.htlcs.resolved for unit in batches[0])
+        assert all(unit.state is UnitState.SETTLED for unit in batches[0])
         unit = batches[0][0]
-        with pytest.raises(ChannelError, match="already resolved"):
-            network.settle_path(unit.path, unit.htlcs)
+        with pytest.raises(PaymentError, match="already resolved"):
+            session._resolve_unit(unit)
 
     def test_hop_count_mismatch_raises(self):
         network = self.network()
@@ -718,8 +741,8 @@ class TestPathLockLifecycle:
         network = self.network()
         lock = network.lock_path((0, 1, 2), 5.0)
         assert len(lock) == 2
-        assert [hop.amount for hop in lock] == [5.0, 5.0]
-        assert lock[1].amount == 5.0
+        assert lock.amounts == [5.0, 5.0]
+        assert lock.amounts[1] == 5.0
 
     def test_validation_errors_match_reference_types(self):
         from repro.errors import TopologyError

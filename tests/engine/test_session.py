@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import gc
 
+import numpy as np
 import pytest
 
+from repro.core.payments import TransactionUnit, UnitState
+from repro.core.queueing import HopUnit, SpiderQueueingScheme
 from repro.engine import session as session_module
 from repro.engine.session import RuntimeConfig, SimulationSession
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PaymentError
 from repro.experiments.config import ExperimentConfig
+from repro.metrics.collectors import MetricsCollector
 from repro.routing.registry import make_scheme
 from repro.topology import line_topology
 from repro.workload.generator import TransactionRecord
@@ -108,6 +112,83 @@ class TestNativeTransports:
             session.send_unit_hop_by_hop(payment_stub, (0, 1), 1.0)
         with pytest.raises(RuntimeError):
             session.inject(payment_stub, 1.0)
+
+
+class _SettledUnits(MetricsCollector):
+    """Keeps every unit the session settled, in settlement order."""
+
+    def __init__(self):
+        super().__init__()
+        self.units = []
+
+    def on_unit_settled(self, unit, now):
+        super().on_unit_settled(unit, now)
+        self.units.append(unit)
+
+
+#: Every per-channel array of the store.
+_STORE_ARRAYS = (
+    "balance", "inflight", "sent", "settled_flow", "queue_depth",
+    "capacity", "total_deposited", "num_settled", "num_refunded", "frozen",
+)
+
+
+def _settled_run(scheme):
+    """Run ``scheme`` over the line trace; returns the session and the
+    units it settled."""
+    network, records, _ = _line_setup()
+    collector = _SettledUnits()
+    session = SimulationSession(
+        network, records, scheme, RuntimeConfig(check_invariants=True),
+        collector=collector,
+    )
+    session.run()
+    assert collector.units
+    return session, collector.units
+
+
+class TestOneUnitRecord:
+    """A unit is one record from its lock to its resolution, in the send
+    core and in the hop transport alike."""
+
+    def test_hop_transport_hands_one_object_to_collector_and_scheme(self):
+        class RecordingQueueing(SpiderQueueingScheme):
+            def __init__(self):
+                super().__init__()
+                self.resolved = []
+
+            def on_unit_resolved(self, unit, outcome, now):
+                self.resolved.append((unit, outcome))
+
+        scheme = RecordingQueueing()
+        _, settled = _settled_run(scheme)
+        acked = [unit for unit, outcome in scheme.resolved if outcome == "settled"]
+        assert len(acked) == len(settled) == 20
+        assert all(isinstance(unit, HopUnit) for unit in settled)
+        assert all(a is b for a, b in zip(acked, settled))
+
+    @pytest.mark.parametrize(
+        "scheme_name, unit_type",
+        [("shortest-path", TransactionUnit), ("spider-queueing", HopUnit)],
+    )
+    def test_a_second_resolve_raises_and_writes_nothing(self, scheme_name, unit_type):
+        session, settled = _settled_run(make_scheme(scheme_name))
+        unit = settled[0]
+        assert type(unit) is unit_type
+        assert unit.state is UnitState.SETTLED
+        store = session.network.state_store
+        before = {name: getattr(store, name).copy() for name in _STORE_ARRAYS}
+        version = store.version
+        payment = (unit.payment.delivered, unit.payment.inflight)
+        units_settled = session.collector.units_settled
+        with pytest.raises(PaymentError, match="already resolved"):
+            session._resolve_unit(unit)
+        for name in _STORE_ARRAYS:
+            assert np.array_equal(getattr(store, name), before[name]), name
+        assert store.version == version
+        assert (unit.payment.delivered, unit.payment.inflight) == payment
+        assert session.collector.units_settled == units_settled
+        assert unit.state is UnitState.SETTLED
 
 
 class TestRetiredDeclarations:

@@ -136,7 +136,7 @@ class TestSingleHopKernels:
         store.allocate(20.0, 15.0)
         return store
 
-    def test_try_lock_moves_funds_and_stamps_the_row(self):
+    def test_try_lock_moves_funds_and_bumps_the_version(self):
         store = self._store()
         version = store.version
         assert store.try_lock(3, 2.5) == 2.5  # channel 1, side 1
@@ -144,14 +144,12 @@ class TestSingleHopKernels:
         assert store.inflight[1].tolist() == [0.0, 2.5]
         assert store.sent[1].tolist() == [0.0, 2.5]
         assert store.version == version + 1
-        assert store.stamp[1] == store.version
-        assert store.stamp[0] != store.version
 
     def test_try_lock_beyond_balance_writes_nothing(self):
         store = self._store()
         before = {
             name: getattr(store, name).copy()
-            for name in ("balance", "inflight", "sent", "stamp")
+            for name in ("balance", "inflight", "sent")
         }
         version = store.version
         assert store.try_lock(0, 4.0 + 1e-6) == -1.0
@@ -177,12 +175,13 @@ class TestSingleHopKernels:
         store = self._store()
         balance = store.balance.copy()
         store.try_lock(1, 3.0)
+        version = store.version
         store.apply_refund(0, 1, 3.0)
         assert np.array_equal(store.balance, balance)
         assert store.inflight[0].tolist() == [0.0, 0.0]
         assert store.num_refunded[0] == 1
         assert store.sent[0, 1] == 3.0  # the attempt stays counted
-        assert store.stamp[0] == store.version
+        assert store.version == version + 1
 
     def test_frozen_count_counts_each_channel_once(self):
         store = self._store()
@@ -190,7 +189,7 @@ class TestSingleHopKernels:
             version = store.version
             store.set_frozen(0, flag)
             assert store.frozen_count == expected
-            assert store.version == version + 1  # every call stamps
+            assert store.version == version + 1  # every call bumps
         store.set_frozen(0, True)
         store.set_frozen(1, True)
         assert store.frozen_count == 2

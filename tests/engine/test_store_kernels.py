@@ -6,7 +6,7 @@
 ``[cid, side]`` element access, one Python-level operation per hop in array
 order — so it is the sequential semantics the kernels must match bit for
 bit: application order on repeated directions, the lock-then-rollback side
-effects of a failed path lock, and the one-stamp-per-call protocol.  The
+effects of a failed path lock, and one ``version`` bump per call.  The
 per-unit kernels (``lock_path_funds``, ``lock_many``, ``settle_path_funds``,
 ``refund_path_funds``) are fed what their callers pass — lists of Python
 ints and floats — and ``apply_resolution_batch`` its arrays.  The
@@ -37,7 +37,6 @@ _ARRAYS = (
     "settled_flow",
     "num_settled",
     "num_refunded",
-    "stamp",
     "frozen",
 )
 
@@ -51,10 +50,8 @@ class Reference2D:
             setattr(self, name, np.array(getattr(store, name)[:n]))
         self.version = store.version
 
-    def _stamp(self, cids) -> None:
+    def _bump(self) -> None:
         self.version += 1
-        for cid in cids:
-            self.stamp[cid] = self.version
 
     def availability(self, hops):
         return [
@@ -73,14 +70,14 @@ class Reference2D:
                     self.balance[pc, ps] += actual
                     self.num_refunded[pc] += 1
                 if locked:
-                    self._stamp(cid for cid, _ in hops[: len(locked)])
+                    self._bump()
                 return None
             actual = min(amount, balance)
             self.balance[cid, side] -= actual
             self.inflight[cid, side] += actual
             self.sent[cid, side] += actual
             locked.append(actual)
-        self._stamp(cid for cid, _ in hops)
+        self._bump()
         return locked
 
     def try_lock(self, cid, side, amount):
@@ -95,7 +92,7 @@ class Reference2D:
             self.balance[cid, side] -= amount
             self.inflight[cid, side] += amount
             self.sent[cid, side] += amount
-        self._stamp(cid for cid, _ in hops)
+        self._bump()
 
     def resolve(self, hops, amounts, settled):
         """Settle (credit the receiver) or refund (credit the sender)."""
@@ -108,11 +105,11 @@ class Reference2D:
             else:
                 self.balance[cid, side] += amount
                 self.num_refunded[cid] += 1
-        self._stamp(cid for cid, _ in hops)
+        self._bump()
 
     def set_frozen(self, cid, flag):
         self.frozen[cid] = flag
-        self._stamp([cid])
+        self._bump()
 
 
 def _dirs(hops) -> list:
@@ -168,7 +165,7 @@ def _apply(store: ChannelStateStore, ref: Reference2D, op) -> None:
         ref.resolve([(cid, side)], [amount], [False])
         store.apply_refund(cid, side, amount)
     elif kind == "touch":
-        ref._stamp([hops[0][0]])
+        ref._bump()
         store.touch(hops[0][0])
     elif kind == "resolve_batch":
         ref.resolve(hops, amounts, settled)
@@ -285,7 +282,8 @@ def test_lock_many_applies_repeated_directions_in_order():
 @pytest.mark.parametrize("kind", _SCALAR_OPS)
 def test_single_channel_mutators_match_the_2d_reference(kind):
     """Each channel-view mutator, twice on one row and once on another,
-    moves exactly the reference's rows and stamps once per call."""
+    moves exactly the reference's rows and bumps the version once per
+    call."""
     store = _line_store()
     ops = [
         (kind, [(2, 1)], [1.25], None),

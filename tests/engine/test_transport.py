@@ -166,6 +166,7 @@ class TestHopByHopNative:
     def test_requeue_generation_guards_stale_timeouts(self):
         """A serviced-then-requeued unit must not be killed by the stale
         timeout scheduled for its first stint in the queue."""
+        from repro.core.payments import UnitState
         from repro.core.queueing import HopUnit
 
         session = make_session([], end_time=1.0)
@@ -173,7 +174,7 @@ class TestHopByHopNative:
         unit = HopUnit.__new__(HopUnit)
         unit.queued_at = 5.0
         unit.queue_seq = 2  # re-queued since the seq=1 timeout was armed
-        unit.done = False
+        unit.state = UnitState.INFLIGHT
         transport._timeout_unit(unit, 1)  # stale: must be a no-op
         assert unit.queued_at == 5.0
         assert transport.units_timed_out == 0
@@ -232,8 +233,6 @@ class TestHopByHopNative:
             HopByHopTransport(session, hop_delay=-1.0)
         with pytest.raises(ValueError):
             HopByHopTransport(session, queue_timeout=0.0)
-        with pytest.raises(ValueError):
-            HopByHopTransport(session, queue_policy="bogus")
         with pytest.raises(ValueError):
             HopByHopTransport(session, mark_threshold=-0.5)
 

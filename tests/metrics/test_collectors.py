@@ -15,7 +15,9 @@ def make_payment(pid=0, amount=100.0, arrival=1.0):
 
 def make_unit(payment, amount):
     payment.register_inflight(amount)
-    return TransactionUnit.create(payment, amount, (0, 1), [], sent_at=1.0)
+    line = PaymentNetwork()
+    line.add_channel(0, 1, 100.0)
+    return TransactionUnit(payment, amount, line.path_table.compile((0, 1)), [], 1.0)
 
 
 @pytest.fixture

@@ -162,26 +162,25 @@ def send_atomic(session: Any, payment: Any, allocations: Any) -> bool:
     locked = []
     try:
         for path, amount, amounts in shares:
-            htlcs = network.lock_path(path, amount, amounts=amounts)
+            lock = network.lock_path(path, amount, amounts=amounts)
             payment.register_inflight(amount)
-            locked.append(
-                TransactionUnit.create(
-                    payment=payment,
-                    amount=amount,
-                    path=tuple(path),
-                    htlcs=htlcs,
-                    sent_at=session.sim.now,
-                    fee=amounts[0] - amount if amounts else 0.0,
-                )
+            unit = TransactionUnit(
+                payment,
+                amount,
+                lock.cpath,
+                lock.amounts,
+                session.sim.now,
+                amounts[0] - amount if amounts else 0.0,
             )
+            locked.append((path, lock, unit))
     except InsufficientFundsError:
         session._failed_locks += 1
-        for unit in locked:
-            network.refund_path(unit.path, unit.htlcs)
+        for path, lock, unit in locked:
+            network.refund_path(path, lock)
             payment.register_cancelled(unit.amount)
             unit.mark_cancelled()
         return False
-    for unit in locked:
+    for _, _, unit in locked:
         session._schedule_resolve(unit)
     return True
 

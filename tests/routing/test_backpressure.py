@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.pathtable import PathLock
+from repro.core.payments import UnitState
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.incentives import IncentiveCollector
 from repro.network.network import PaymentNetwork
-from repro.routing.backpressure import CelerScheme
+from repro.routing.backpressure import BackpressureUnit, CelerScheme
 from repro.topology.generators import cycle_topology, line_topology, star_topology
 from repro.workload.generator import TransactionRecord
 
@@ -278,7 +278,7 @@ class TestBookkeeping:
         assert network.total_funds() == total
         assert network.total_inflight() == 0.0
 
-    def test_settled_unit_carries_a_resolved_path_lock(self):
+    def test_settled_unit_carries_its_resolved_hop_locks(self):
         network = cycle_topology(6).build_network(default_capacity=100.0)
         collector = UnitRecorder()
         runtime = SimulationSession(
@@ -291,11 +291,10 @@ class TestBookkeeping:
         runtime.run()
         assert len(collector.units) == 3
         for unit in collector.units:
-            lock = unit.htlcs
-            assert isinstance(lock, PathLock)
-            assert lock.resolved
-            assert lock.cpath.nodes == unit.path
-            assert [hop.amount for hop in lock] == [unit.amount] * (len(unit.path) - 1)
+            assert isinstance(unit, BackpressureUnit)
+            assert unit.state is UnitState.SETTLED
+            assert unit.cpath.nodes == unit.path == tuple(unit.trail)
+            assert unit.locked == [unit.amount] * (len(unit.path) - 1)
 
     def test_incentive_collector_credits_forwarding_routers(self):
         # Every leaf-to-leaf trail on a star crosses the centre once.
@@ -355,14 +354,15 @@ class TestExpiry:
     def test_deadline_withholds_late_settlement(self):
         network = line_topology(3).build_network(default_capacity=100.0)
         records = [TransactionRecord(0, 1.0, 0, 2, 10.0, deadline=1.05)]
-        # Settlement takes settle_delay=0.5 > the 0.05s deadline slack.
+        # Settlement takes the 0.5s confirmation delay > the 0.05s deadline
+        # slack.
         metrics, runtime = run(records, network, end_time=10.0)
         assert metrics.completed == 0
         assert metrics.delivered_value == pytest.approx(0.0)
         runtime.network.check_invariants()
 
 
-    def test_withheld_unit_is_cancelled_with_a_resolved_path_lock(self):
+    def test_withheld_unit_is_cancelled_with_its_hop_locks(self):
         class CancelRecorder(MetricsCollector):
             def __init__(self):
                 super().__init__()
@@ -384,9 +384,9 @@ class TestExpiry:
         runtime.run()
         [unit] = collector.units
         assert unit.path == (0, 1, 2)
-        assert unit.htlcs.resolved
-        assert unit.htlcs.cpath.nodes == unit.path
-        assert [hop.amount for hop in unit.htlcs] == [10.0, 10.0]
+        assert unit.state is UnitState.CANCELLED
+        assert unit.cpath.nodes == unit.path == tuple(unit.trail)
+        assert unit.locked == [10.0, 10.0]
         # Withholding refunds both hops; neither settles.
         store = network.state_store
         for u, v in ((0, 1), (1, 2)):
