@@ -35,7 +35,6 @@ from repro.engine.session import SimulationSession
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.runner import compare_schemes
-from repro.experiments.sweeps import capacity_sweep
 from repro.fluid.circulation import decompose_payment_graph
 from repro.metrics.report import format_metrics_table, format_table
 from repro.routing.registry import available_schemes
@@ -145,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--parallel",
         type=int,
-        default=0,
+        default=1,
         metavar="N",
-        help="run sweep cells on N worker processes through SweepExecutor "
-        "(0 = serial, identical traces across schemes per cell)",
+        help="run sweep cells on N worker processes (identical traces "
+        "across schemes per cell)",
     )
     sweep_parser.add_argument(
         "--cache-dir",
@@ -253,21 +252,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "sweep":
         capacities = [float(c) for c in args.capacities.split(",") if c.strip()]
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        if (
-            args.parallel > 0
-            or args.cache_dir is not None
-            or args.path_cache_dir is not None
-        ):
-            executor = SweepExecutor(
-                _config_from_args(args),
-                processes=max(1, args.parallel),
-                cache_dir=args.cache_dir,
-                reseed_cells=False,  # match the serial sweep cell for cell
-                path_cache_dir=args.path_cache_dir,
-            )
-            results = executor.capacity_sweep(capacities, schemes)
-        else:
-            results = capacity_sweep(_config_from_args(args), capacities, schemes)
+        executor = SweepExecutor(
+            _config_from_args(args),
+            processes=max(1, args.parallel),
+            cache_dir=args.cache_dir,
+            reseed_cells=False,  # identical traces across schemes per cell
+            path_cache_dir=args.path_cache_dir,
+        )
+        results = executor.capacity_sweep(capacities, schemes)
         rows = []
         for capacity in capacities:
             for scheme in schemes:
@@ -307,7 +299,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _config_from_args(args), args.out_dir, budgets=(args.k,)
         )
         elapsed = time.perf_counter() - start
-        path_sets = service.paths_many(pairs, k=args.k)
+        path_sets = service.view(args.k).paths_many(pairs)
         total_paths = sum(len(paths) for paths in path_sets)
         print(
             f"precomputed {len(pairs)} pairs ({total_paths} paths, k={args.k}) "

@@ -182,7 +182,7 @@ class TransactionUnit:
     guard against resolving a unit twice.
     """
 
-    __slots__ = ("payment", "amount", "cpath", "locked", "sent_at", "fee", "state")
+    __slots__ = ("payment", "amount", "cpath", "locked", "fee", "state")
 
     def __init__(
         self,
@@ -190,14 +190,12 @@ class TransactionUnit:
         amount: float,
         cpath: "CompiledPath",
         locked: List[float],
-        sent_at: float,
         fee: float = 0.0,
     ):
         self.payment = payment
         self.amount = amount
         self.cpath = cpath
         self.locked = locked
-        self.sent_at = sent_at
         self.fee = fee
         self.state = UnitState.INFLIGHT
 

@@ -58,10 +58,8 @@ class HopUnit(TransactionUnit):
 
     __slots__ = ("hop_index", "queued_at", "queue_seq", "marked")
 
-    def __init__(
-        self, payment: Payment, amount: float, cpath: "CompiledPath", now: float
-    ):
-        super().__init__(payment, amount, cpath, [], now)
+    def __init__(self, payment: Payment, amount: float, cpath: "CompiledPath"):
+        super().__init__(payment, amount, cpath, [])
         self.hop_index = 0  # next channel to lock: (path[i], path[i+1])
         self.queued_at: Optional[float] = None
         self.queue_seq = 0  # enqueue generation (lazy timeout cancellation)

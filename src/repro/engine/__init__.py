@@ -6,8 +6,8 @@ This package is the execution core of the reproduction:
 ``events``     slab-allocated event queue and the :class:`TickEngine`
 ``store``      flat NumPy arrays holding every channel's mutable state
 ``pathtable``  compiled-path index cache + vectorised path operations
-``pathservice`` :class:`PathService` — pluggable, batched, persistent
-               path discovery (CSR bidirectional search + providers)
+``pathservice`` :class:`PathService` — batched, memoised, persistent
+               path discovery (CSR bidirectional search, landmark trees)
 ``signals``    :class:`ControlPlane` — array-backed congestion signalling
 ``transport``  hop-by-hop / backpressure transports on the tick engine
 ``session``    :class:`SimulationSession` — runs a trace; :class:`RuntimeConfig`
@@ -15,6 +15,13 @@ This package is the execution core of the reproduction:
 
 from repro.engine.clock import DEFAULT_QUANTUM, TickClock
 from repro.engine.events import SlabEventQueue, TickEngine, TickTimer
+from repro.engine.pathservice import (
+    CsrDisjointProvider,
+    CsrGraph,
+    LandmarkProvider,
+    PathService,
+    PersistentCache,
+)
 from repro.engine.pathtable import CompiledPath, PathLock, PathTable
 from repro.engine.signals import CongestionState, ControlPlane
 from repro.engine.store import ChannelStateStore
@@ -33,19 +40,6 @@ def __getattr__(name: str) -> object:
         from repro.engine import transport
 
         return getattr(transport, name)
-    if name in (
-        "CsrDisjointProvider",
-        "CsrGraph",
-        "LandmarkProvider",
-        "PairPathView",
-        "PathService",
-        "PersistentCache",
-        "ScalarDisjointProvider",
-    ):
-        # pathservice pulls in repro.fluid (scipy) — keep it lazy too.
-        from repro.engine import pathservice
-
-        return getattr(pathservice, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -59,13 +53,11 @@ __all__ = [
     "DEFAULT_QUANTUM",
     "HopByHopTransport",
     "LandmarkProvider",
-    "PairPathView",
     "PathLock",
     "PathService",
     "PathTable",
     "PersistentCache",
     "RuntimeConfig",
-    "ScalarDisjointProvider",
     "SimulationSession",
     "SlabEventQueue",
     "TickClock",

@@ -2,16 +2,11 @@
 
 The paper fixes every pair's path set before the run starts ("4 edge-disjoint
 shortest paths", §6.1), so path discovery is a precomputable, shareable
-artifact — yet the seed smeared it across three incompatible APIs (a
-per-scheme path cache, :func:`repro.fluid.paths.build_path_set` and ad-hoc
-BFS inside the landmark/LND/embedding schemes), each scheme rebuilding its
-own cache per run.  At 10k-node scale the per-pair
-``k_edge_disjoint_paths`` BFS dominated wall time (~10 ms/pair on 33k edges).
-
-:class:`PathService` is now the only way the system discovers paths.  It
-owns one sorted adjacency per network and serves every consumer through a
-small provider protocol — ``prepare(pairs)`` / ``paths(src, dst)`` /
-``paths_many(pairs)``:
+artifact.  :class:`PathService` is the only way the system discovers paths.
+It owns one sorted adjacency per network and serves discovery one way:
+``view(k)`` returns the memoising :class:`PersistentCache` for ``k`` paths
+per pair, whose ``paths(src, dst)`` / ``paths_many(pairs)`` /
+``prepare(pairs)`` every consumer calls.
 
 * :class:`CsrDisjointProvider` — CSR adjacency (flat ``indptr``/``indices``
   arrays, rows sorted so the BFS tie-break is explicit) searched from both
@@ -22,21 +17,23 @@ small provider protocol — ``prepare(pairs)`` / ``paths(src, dst)`` /
   of pairs per NumPy call — every operation is keyed by ``(pair, node)``,
   each pair has its own labels and edge mask — so cold discovery costs
   element work, not call overhead; ``paths`` is a batch of one.  Paths are
-  **byte-identical** to the scalar per-pair BFS (pinned by
-  ``tests/engine/test_pathservice.py``).
-* :class:`ScalarDisjointProvider` — the per-pair
-  :func:`~repro.fluid.paths.k_edge_disjoint_paths` /
-  :func:`~repro.fluid.paths.k_shortest_paths` loops: ``method="yen"``, and
-  the graphs the CSR kernel cannot express (one-way edges, node ids
-  without a total order).  The tests use it as the discovery oracle.
+  **byte-identical** to the per-pair
+  :func:`~repro.fluid.paths.k_edge_disjoint_paths` loop, the oracle
+  ``tests/engine/test_pathservice.py`` pins them against.
 * :class:`LandmarkProvider` — SilentWhispers pair assembly from shared BFS
   trees (one tree per landmark plus one per distinct source) instead of two
   fresh BFS runs per (pair, landmark).
-* :class:`PersistentCache` — wraps any provider: memoises in-process
-  (shared across networks with identical topology, keyed by a
-  topology/k/method/provider hash) and persists path sets to disk next to
-  the sweep JSON cache, so repeat runs and :class:`SweepExecutor` cells
-  load discovery artifacts instead of recomputing them.
+* :class:`PersistentCache` — memoises the CSR provider's pair sets
+  in-process (shared across networks with identical topology, keyed by a
+  topology/k hash) and persists them to disk next to the sweep JSON cache,
+  so repeat runs and :class:`SweepExecutor` cells load discovery artifacts
+  instead of recomputing them.
+
+Both kernels need a channel graph whose node ids are totally ordered and
+whose every edge has its reverse — what a
+:class:`~repro.network.network.PaymentNetwork` always builds.  Any other
+input is rejected with a :class:`~repro.errors.TopologyError` naming the
+node or edge.
 
 Discovery output feeds :meth:`repro.engine.pathtable.PathTable.compile_many`
 directly, so pair list → path sets → compiled store-index arrays is one
@@ -48,23 +45,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.network import PaymentNetwork
 
 import numpy as np
 
-from repro.fluid.paths import k_edge_disjoint_paths, k_shortest_paths
+from repro.errors import TopologyError
 
 __all__ = [
     "CsrGraph",
     "CsrDisjointProvider",
-    "ScalarDisjointProvider",
     "LandmarkProvider",
     "PersistentCache",
-    "PairPathView",
     "PathService",
     "contract_loops",
 ]
@@ -94,12 +88,21 @@ def contract_loops(path: Sequence[int]) -> Path:
     return tuple(out)
 
 
-def _sorted_ids(ids: Iterable) -> Tuple[List, bool]:
-    """``(sorted list, natural)`` — ``natural`` is False on the repr fallback."""
+def _sorted_ids(ids: Iterable) -> List:
+    """``ids`` in ascending order.
+
+    Raises :class:`~repro.errors.TopologyError` naming an id that cannot
+    be compared with the first: the CSR layout and every BFS tie-break
+    need a total order.
+    """
     try:
-        return sorted(ids), True
+        return sorted(ids)
     except TypeError:
-        return sorted(ids, key=repr), False
+        first, *rest = ids
+        odd = next((i for i in rest if type(i) is not type(first)), first)
+        raise TopologyError(
+            f"node id {odd!r} cannot be ordered against {first!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -117,39 +120,21 @@ class CsrGraph:
     the CSR position of entry ``pos``'s reverse edge, so masking an
     undirected edge is two array writes.
 
-    Two flags keep discovery on the scalar provider when the CSR kernels
-    cannot reproduce it: ``consistent`` is False when the node ids are not
-    totally ordered (repr-sort fallback, whose per-row sort semantics the
-    layout cannot express), ``symmetric`` is False when some edge lacks
-    its reverse (the bidirectional search reads the same entries from
-    both endpoints; ``twin`` is meaningless then).
+    The graph must be symmetric — the bidirectional search reads the same
+    entries from both endpoints, and ``twin`` is meaningless otherwise —
+    so an edge without its reverse raises
+    :class:`~repro.errors.TopologyError`.
     """
 
-    __slots__ = (
-        "nodes",
-        "index",
-        "indptr",
-        "indices",
-        "degree",
-        "twin",
-        "consistent",
-        "symmetric",
-        "_arange",
-    )
+    __slots__ = ("nodes", "index", "indptr", "indices", "degree", "twin", "_arange")
 
     def __init__(
-        self,
-        nodes: List,
-        index: Dict,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        consistent: bool,
+        self, nodes: List, index: Dict, indptr: np.ndarray, indices: np.ndarray
     ):
         self.nodes = nodes
         self.index = index
         self.indptr = indptr
         self.indices = indices
-        self.consistent = consistent
         # Entries are sorted by (owner, neighbour); sorting them by
         # (neighbour, owner) instead lists every reverse edge in the same
         # rank order, so on a symmetric graph the permutation itself is
@@ -159,10 +144,18 @@ class CsrGraph:
             np.arange(indptr.shape[0] - 1, dtype=np.int32), self.degree
         )
         self.twin = np.lexsort((owners, indices)).astype(np.int32)
-        self.symmetric = bool(
+        if not (
             (indices[self.twin] == owners).all()
             and (owners[self.twin] == indices).all()
-        )
+        ):
+            # Rows hold no repeats, so some entry's reverse is missing.
+            size = np.int64(len(nodes))
+            forward = owners * size + indices
+            pos = np.isin(indices * size + owners, forward, invert=True).argmax()
+            raise TopologyError(
+                f"edge {nodes[owners[pos]]!r} -> {nodes[indices[pos]]!r} "
+                "has no reverse; path discovery needs an undirected graph"
+            )
         self._arange: Optional[np.ndarray] = None
 
     @property
@@ -179,7 +172,7 @@ class CsrGraph:
     @classmethod
     def from_adjacency(cls, adjacency: Dict) -> "CsrGraph":
         """Compile an adjacency mapping into the sorted CSR layout."""
-        nodes, natural = _sorted_ids(adjacency)
+        nodes = _sorted_ids(adjacency)
         index = {node: i for i, node in enumerate(nodes)}
         indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
         rows: List[np.ndarray] = []
@@ -198,7 +191,7 @@ class CsrGraph:
         indices = (
             np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
         )
-        return cls(nodes, index, indptr, indices, natural)
+        return cls(nodes, index, indptr, indices)
 
     @property
     def num_nodes(self) -> int:
@@ -282,41 +275,8 @@ def _parent_chain(
 
 
 # ----------------------------------------------------------------------
-# Providers (protocol: prepare(pairs) / paths(src, dst) / paths_many(pairs))
+# Providers
 # ----------------------------------------------------------------------
-class ScalarDisjointProvider:
-    """The per-pair BFS loops over the adjacency dict.
-
-    Serves what :class:`CsrDisjointProvider` cannot: ``method="yen"``
-    (k shortest, not edge-disjoint), graphs with a one-way edge (the
-    bidirectional search reads each edge from both ends) and node ids
-    without a total order (no sorted CSR layout).  It is also the oracle
-    the CSR kernel is pinned against, path for path.
-    """
-
-    kind = "scalar"
-
-    def __init__(self, adjacency: Dict, k: int, method: str = "edge-disjoint"):
-        self._adjacency = adjacency
-        self._k = k
-        self._method = method
-
-    def prepare(self, pairs: Iterable[Pair]) -> None:
-        """Eagerly compute every pair (memoisation is the wrapper's job)."""
-        for source, dest in pairs:
-            self.paths(source, dest)
-
-    def paths(self, source: int, dest: int) -> List[Path]:
-        """The pair's path set (fewer than k when the graph runs out)."""
-        if self._method == "edge-disjoint":
-            return k_edge_disjoint_paths(self._adjacency, source, dest, self._k)
-        return k_shortest_paths(self._adjacency, source, dest, self._k)
-
-    def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
-        """Path sets for every pair, in pair order."""
-        return [self.paths(source, dest) for source, dest in pairs]
-
-
 #: Scratch one ``paths_many`` call may allocate for the pairs it searches
 #: side by side.  Throughput is flat from ~50 pairs per chunk up
 #: (ripple-huge: 0.27 ms/pair at 16, 0.16 at 57, 0.15 at 128 and 256),
@@ -352,10 +312,10 @@ def _chunk_pairs(num_nodes: int, num_entries: int) -> int:
 class CsrDisjointProvider:
     """k edge-disjoint shortest paths via bidirectional search over CSR.
 
-    Output is byte-identical to :class:`ScalarDisjointProvider` with
-    ``method="edge-disjoint"`` — including the degenerate cases the scalar
-    loop produces (``src == dst`` yields ``k`` copies of the single-node
-    path; unknown endpoints yield an empty set).
+    Output is byte-identical to the per-pair
+    :func:`~repro.fluid.paths.k_edge_disjoint_paths` loop — including the
+    degenerate cases it produces (``src == dst`` yields ``k`` copies of the
+    single-node path; unknown endpoints yield an empty set).
 
     **Why a distance-only search returns the scalar BFS's path.**  The
     scalar FIFO BFS visits neighbours in ascending order, so by induction
@@ -372,8 +332,8 @@ class CsrDisjointProvider:
     distances back from the meeting set to the source-side nodes that
     reach it along shortest paths, and walks from the source down those
     distances.  It reads the same CSR entries from both ends, so it needs
-    a symmetric graph (:attr:`CsrGraph.symmetric`) and an edge mask that
-    always covers both directions of an edge.
+    a symmetric graph (which :class:`CsrGraph` guarantees) and an edge
+    mask that always covers both directions of an edge.
 
     **One kernel, many pairs at a time.**  A search touches a few hundred
     CSR entries per step, so run pair by pair it is NumPy call overhead,
@@ -389,15 +349,9 @@ class CsrDisjointProvider:
     for one :meth:`paths_many` call, and is gone before the run starts.
     """
 
-    kind = "csr"
-
     def __init__(self, graph: CsrGraph, k: int):
         self._graph = graph
         self._k = k
-
-    def prepare(self, pairs: Iterable[Pair]) -> None:
-        """Eagerly compute every pair (memoisation is the wrapper's job)."""
-        self.paths_many(list(pairs))
 
     def paths(self, source: int, dest: int) -> List[Path]:
         """The pair's path set (fewer than k when the graph runs out)."""
@@ -716,42 +670,6 @@ class _ArrayTree:
         return tuple(nodes[i] for i in chain)
 
 
-class _DictTree:
-    """BFS parent tree as a plain dict (graphs the CSR layout cannot hold)."""
-
-    __slots__ = ("_parent", "_root")
-
-    def __init__(self, parent: Dict, root: int):
-        self._parent = parent
-        self._root = root
-
-    def path_from_root(self, node: int) -> Optional[Path]:
-        """Root → node path with root-side BFS tie-breaks, or ``None``."""
-        if node not in self._parent:
-            return None
-        chain = [node]
-        while chain[-1] != self._root:
-            chain.append(self._parent[chain[-1]])
-        return tuple(reversed(chain))
-
-
-#: Both BFS parent-tree backings share the ``path_from_root`` surface.
-BfsTree = Union["_ArrayTree", "_DictTree"]
-
-
-def _dict_bfs_tree(adjacency: Dict, root: int) -> Dict:
-    """Full FIFO BFS parent map (adjacency rows must be pre-sorted)."""
-    parent = {root: root}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for neighbour in adjacency.get(node, ()):
-            if neighbour not in parent:
-                parent[neighbour] = node
-                queue.append(neighbour)
-    return parent
-
-
 class LandmarkProvider:
     """SilentWhispers pair paths assembled from shared BFS trees.
 
@@ -767,7 +685,6 @@ class LandmarkProvider:
     later sends to a *new* destination — known pairs stay memoised).
     """
 
-    kind = "landmark"
     #: Source-rooted trees kept at once (landmark trees are unbounded —
     #: there are only ``num_landmarks`` of them and every pair reuses
     #: them).  64 trees × O(4·nodes) bytes stays a few MB at 10k nodes.
@@ -776,18 +693,18 @@ class LandmarkProvider:
     def __init__(self, service: "PathService", landmarks: Sequence):
         self._service = service
         self.landmarks = list(landmarks)
-        self._trees: Dict[int, BfsTree] = {}
-        self._source_trees: Dict[int, BfsTree] = {}
+        self._trees: Dict[int, _ArrayTree] = {}
+        self._source_trees: Dict[int, _ArrayTree] = {}
         self._pairs: Dict[Pair, List[Path]] = {}
 
-    def _tree(self, root: int) -> BfsTree:
+    def _tree(self, root: int) -> _ArrayTree:
         tree = self._trees.get(root)
         if tree is None:
             tree = self._service.bfs_tree(root)
             self._trees[root] = tree
         return tree
 
-    def _source_tree(self, source: int) -> BfsTree:
+    def _source_tree(self, source: int) -> _ArrayTree:
         if source in self._trees:  # a landmark sending: reuse its tree
             return self._trees[source]
         tree = self._source_trees.get(source)
@@ -797,11 +714,6 @@ class LandmarkProvider:
                 self._source_trees.pop(next(iter(self._source_trees)))
             self._source_trees[source] = tree
         return tree
-
-    def prepare(self, pairs: Iterable[Pair]) -> None:
-        """Assemble (and memoise) every pair's landmark path set."""
-        for source, dest in pairs:
-            self.paths(source, dest)
 
     def paths(self, source: int, dest: int) -> List[Path]:
         """One loop-free path per landmark (deduplicated), memoised."""
@@ -826,26 +738,18 @@ class LandmarkProvider:
         self._pairs[key] = paths
         return paths
 
-    def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
-        """Path sets for every pair, in pair order."""
-        return [self.paths(source, dest) for source, dest in pairs]
-
-
-#: The three provider implementations share the ``paths`` / ``paths_many``
-#: / ``prepare`` discovery surface the cache wraps.
-PathProvider = Union[ScalarDisjointProvider, CsrDisjointProvider, LandmarkProvider]
-
 
 # ----------------------------------------------------------------------
 # Persistence
 # ----------------------------------------------------------------------
 class PersistentCache:
-    """Provider wrapper: in-process memoisation + on-disk path artifacts.
+    """Discovery for one ``k``: in-process memoisation + on-disk artifacts.
 
-    Pair sets live in a process-wide store keyed by the
-    topology/k/method/provider hash, so two networks with identical
-    adjacency (repeat runs, multi-scheme comparisons, sweep cells in one
-    process) share one computation.  :meth:`persist_to` attaches a cache
+    What :meth:`PathService.view` returns: every pair set comes from the
+    wrapped :class:`CsrDisjointProvider` at most once.  Pair sets live in
+    a process-wide store keyed by the topology/k hash, so two networks
+    with identical adjacency (repeat runs, multi-scheme comparisons, sweep
+    cells in one process) share one computation.  :meth:`persist_to` attaches a cache
     directory: known artifacts are loaded eagerly and :meth:`flush`
     (called by :meth:`prepare` and at session end) writes the merged pair
     sets back atomically — the same share-by-content discipline as the
@@ -857,7 +761,9 @@ class PersistentCache:
     #: Process-wide pair stores, keyed by the full cache key.
     _shared: Dict[str, Dict[Pair, List[Path]]] = {}
 
-    def __init__(self, provider: PathProvider, key: str, cache_dir: Optional[str] = None):
+    def __init__(
+        self, provider: CsrDisjointProvider, key: str, cache_dir: Optional[str] = None
+    ):
         self.provider = provider
         self.key = key
         self._pairs = self._shared.setdefault(key, {})
@@ -998,61 +904,29 @@ class PersistentCache:
 # ----------------------------------------------------------------------
 # The facade
 # ----------------------------------------------------------------------
-class PairPathView:
-    """One (k, method) view of the shared service.
-
-    What ``RoutingScheme.prepare`` hands to schemes as ``self.path_cache``:
-    a ``paths`` / ``k`` surface served by the session's shared service
-    instead of a private per-scheme cache.
-    """
-
-    __slots__ = ("_cache", "_k")
-
-    def __init__(self, cache: PersistentCache, k: int):
-        self._cache = cache
-        self._k = k
-
-    @property
-    def k(self) -> int:
-        """Paths requested per pair."""
-        return self._k
-
-    def paths(self, source: int, dest: int) -> List[Path]:
-        """The pair's path set (possibly fewer than k; empty if
-        disconnected)."""
-        return self._cache.paths(source, dest)
-
-    def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
-        """Path sets for every pair, in pair order."""
-        return self._cache.paths_many(pairs)
-
-    def prepare(self, pairs: Iterable[Pair]) -> None:
-        """Batch-discover ``pairs`` and flush the disk artifact (if any)."""
-        self._cache.prepare(pairs)
-
-
 class PathService:
     """One network's path-discovery facade — the only discovery entry point.
 
     Owns the sorted adjacency (built once, shared by every consumer that
     previously re-derived it), compiles the CSR graph lazily, and serves
-    (k, method) :class:`PairPathView` views whose pair sets are memoised
-    process-wide and optionally persisted via :class:`PersistentCache`.
+    discovery through :meth:`view`: one memoising
+    :class:`PersistentCache` per ``k`` whose pair sets are shared
+    process-wide and optionally persisted to disk.
 
-    Discovery runs on the CSR kernels whenever the graph allows it; a
-    graph they cannot serve (node ids without a total order, or an edge
-    without its reverse) stays on the scalar per-pair loops.
+    Node ids without a total order, or an edge without its reverse, raise
+    :class:`~repro.errors.TopologyError` naming the node or edge (when
+    the adjacency is sorted, and when the CSR graph is compiled).
     """
 
     def __init__(self, adjacency: Dict, cache_dir: Optional[str] = None):
         self._adjacency: Dict[object, List] = {
-            node: _sorted_ids(neighbours)[0]
+            node: _sorted_ids(neighbours)
             for node, neighbours in adjacency.items()
         }
         self._cache_dir = cache_dir
         self._graph: Optional[CsrGraph] = None
         self._fingerprint: Optional[str] = None
-        self._views: Dict[Tuple[int, str], PersistentCache] = {}
+        self._views: Dict[int, PersistentCache] = {}
         self._landmark_providers: Dict[int, LandmarkProvider] = {}
 
     @classmethod
@@ -1093,39 +967,24 @@ class PathService:
             self._fingerprint = self.graph.fingerprint()
         return self._fingerprint
 
-    def _vectorized_ok(self) -> bool:
-        """Whether the CSR kernels can reproduce the scalar loops here."""
-        graph = self.graph
-        return graph.consistent and graph.symmetric
+    # -- discovery ------------------------------------------------------
+    def view(self, k: int) -> PersistentCache:
+        """The memoising discovery cache for ``k`` paths per pair.
 
-    # -- providers ------------------------------------------------------
-    def provider(self, k: int, method: str = "edge-disjoint") -> PersistentCache:
-        """The (k, method) discovery provider, wrapped for caching.
-
-        ``edge-disjoint`` runs on the CSR provider when the graph allows
-        it; ``yen`` uses the scalar loops.
+        Repeated calls return the same :class:`PersistentCache`, over a
+        :class:`CsrDisjointProvider` for this graph.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if method not in ("edge-disjoint", "yen"):
-            raise ValueError(f"unknown path method {method!r}")
-        view_key = (k, method)
-        cache = self._views.get(view_key)
+        cache = self._views.get(k)
         if cache is None:
-            if method == "edge-disjoint" and self._vectorized_ok():
-                inner = CsrDisjointProvider(self.graph, k)
-            else:
-                inner = ScalarDisjointProvider(self._adjacency, k, method)
-            cache_key = (
-                f"{self.topology_fingerprint}-k{k}-{method}-{inner.kind}"
+            cache = PersistentCache(
+                CsrDisjointProvider(self.graph, k),
+                f"{self.topology_fingerprint}-k{k}",
+                self._cache_dir,
             )
-            cache = PersistentCache(inner, cache_key, self._cache_dir)
-            self._views[view_key] = cache
+            self._views[k] = cache
         return cache
-
-    def view(self, k: int, method: str = "edge-disjoint") -> PairPathView:
-        """A :class:`PairPathView` of the (k, method) provider."""
-        return PairPathView(self.provider(k, method), k)
 
     def landmark_provider(self, num_landmarks: int) -> LandmarkProvider:
         """The tree-backed landmark provider (landmarks = top degree).
@@ -1147,46 +1006,24 @@ class PathService:
             self._landmark_providers[num_landmarks] = provider
         return provider
 
-    def bfs_tree(self, root: int) -> BfsTree:
-        """A full BFS parent tree rooted at ``root``.
-
-        Array-backed when the CSR kernels can serve the graph, dict-backed
-        otherwise; parent chains are identical either way (pinned).
-        """
-        if root not in self._adjacency:
-            return _DictTree({root: root}, root)
-        if self._vectorized_ok():
-            graph = self.graph
-            parent = _csr_level_bfs(graph, graph.index[root])
-            return _ArrayTree(graph, parent, graph.index[root])
-        return _DictTree(_dict_bfs_tree(self._adjacency, root), root)
-
-    # -- convenience discovery -----------------------------------------
-    def paths(self, source: int, dest: int, k: int = 4, method: str = "edge-disjoint") -> List[Path]:
-        """One pair's path set through the (k, method) provider."""
-        return self.provider(k, method).paths(source, dest)
-
-    def paths_many(
-        self, pairs: Sequence[Pair], k: int = 4, method: str = "edge-disjoint"
-    ) -> List[List[Path]]:
-        """Path sets for every pair, in pair order."""
-        return self.provider(k, method).paths_many(pairs)
-
-    def prepare(
-        self, pairs: Iterable[Pair], k: int = 4, method: str = "edge-disjoint"
-    ) -> None:
-        """Batch-discover ``pairs`` and flush the artifact (if persisted)."""
-        self.provider(k, method).prepare(pairs)
+    def bfs_tree(self, root: int) -> _ArrayTree:
+        """A full BFS parent tree rooted at ``root`` (one that reaches
+        nothing for a root outside the graph)."""
+        graph = self.graph
+        index = graph.index.get(root)
+        if index is None:
+            return _ArrayTree(graph, np.full(graph.num_nodes, -1, dtype=np.int32), -1)
+        return _ArrayTree(graph, _csr_level_bfs(graph, index), index)
 
     # -- persistence ----------------------------------------------------
     def persist_to(self, cache_dir: str) -> None:
-        """Attach a cache directory to current and future providers."""
+        """Attach a cache directory to current and future views."""
         self._cache_dir = cache_dir
         for cache in self._views.values():
             cache.persist_to(cache_dir)
 
     def flush(self) -> None:
-        """Write every provider's dirty pair sets to its artifact."""
+        """Write every view's dirty pair sets to its artifact."""
         for cache in self._views.values():
             cache.flush()
 

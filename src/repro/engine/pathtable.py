@@ -343,10 +343,10 @@ class PathTable:
     ) -> None:
         """Compile every path of an iterable of path sets, as one batch.
 
-        Accepts :meth:`PathService.paths_many
-        <repro.engine.pathservice.PathService.paths_many>` output
+        Accepts :meth:`PersistentCache.paths_many
+        <repro.engine.pathservice.PersistentCache.paths_many>` output
         directly, so discovery → compiled store-index arrays is one
-        pipeline: ``table.compile_many(service.paths_many(pairs))``.
+        pipeline: ``table.compile_many(service.view(k).paths_many(pairs))``.
 
         Every not-yet-compiled path is flattened into one node array and
         checked there — known nodes, no revisit, a channel under every hop

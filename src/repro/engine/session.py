@@ -393,8 +393,7 @@ class SimulationSession:
         Pure cache warm-up through the PathService (discovery is a
         deterministic function of the static topology, so prefetching
         cannot change any path set, only when it is computed); only
-        schemes that declare ``num_paths`` — i.e. resolve a
-        ``path_cache`` view in ``prepare`` — participate.
+        schemes that declare a ``num_paths`` budget participate.
         """
         num_paths = getattr(self.scheme, "num_paths", None)
         if num_paths is None:
@@ -750,9 +749,7 @@ class SimulationSession:
         """Turn one locked send into a :class:`TransactionUnit` holding its
         per-hop ``actuals``, resolving one confirmation delay from now (the
         payment has already registered ``amount`` in flight)."""
-        self._schedule_resolve(
-            TransactionUnit(payment, amount, cpath, actuals, self.sim.now, fee)
-        )
+        self._schedule_resolve(TransactionUnit(payment, amount, cpath, actuals, fee))
 
     def _schedule_resolve(self, unit: TransactionUnit) -> None:
         """Register ``unit`` for resolution one confirmation delay from now.

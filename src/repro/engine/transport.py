@@ -165,7 +165,7 @@ class HopByHopTransport:
         amount = min(amount, payment.remaining, self.config.mtu)
         if amount < self.config.min_unit_value:
             return None
-        unit = HopUnit(payment, amount, cpath, self.sim.now)
+        unit = HopUnit(payment, amount, cpath)
         if not self._try_lock_hop(unit):
             return None
         payment.register_inflight(amount)

@@ -90,7 +90,7 @@ def precompute_trace_paths(
     service = network.path_service
     service.persist_to(cache_dir)
     for k in sorted({int(k) for k in budgets}):
-        service.prepare(pairs, k=k)
+        service.view(k).prepare(pairs)
     return pairs, service
 
 

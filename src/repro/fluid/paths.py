@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.engine.pathservice import PathService
 from repro.errors import NoPathError
 
 __all__ = [
@@ -229,31 +230,25 @@ def build_path_set(
 
     Notes
     -----
-    ``edge-disjoint`` and ``yen`` sets are discovered through a
-    :class:`~repro.engine.pathservice.PathService` over ``adj`` — the CSR
-    array-frontier BFS plus the process-wide pair memoisation — so fluid
-    LP / primal-dual path-set construction shares artifacts with the
-    routing schemes.  ``all`` enumerates in place (exact LPs on small
-    graphs only).
+    ``edge-disjoint`` sets are discovered through a
+    :class:`~repro.engine.pathservice.PathService` view over ``adj`` — the
+    CSR bidirectional search plus the process-wide pair memoisation — so
+    fluid LP / primal-dual path-set construction shares artifacts with the
+    routing schemes; ``adj`` must then be undirected with orderable node
+    ids (:class:`~repro.errors.TopologyError` otherwise).  ``yen`` and
+    ``all`` enumerate per pair in place.
     """
     pair_list = list(pairs)
-    path_set: Dict[Tuple[NodeId, NodeId], List[Path]] = {}
-    if method in ("edge-disjoint", "yen"):
-        # Imported here: pathservice depends on this module.
-        from repro.engine.pathservice import PathService
-
-        service = PathService.from_adjacency(adj)
-        for (source, target), paths in zip(
-            pair_list, service.paths_many(pair_list, k=k, method=method)
-        ):
-            if not paths:
-                raise NoPathError(f"no path from {source!r} to {target!r}")
-            path_set[(source, target)] = paths
-        return path_set
-    if method != "all":
+    if method == "edge-disjoint":
+        found = PathService.from_adjacency(adj).view(k).paths_many(pair_list)
+    elif method == "yen":
+        found = [k_shortest_paths(adj, s, t, k) for s, t in pair_list]
+    elif method == "all":
+        found = [all_simple_paths(adj, s, t, cutoff=cutoff) for s, t in pair_list]
+    else:
         raise ValueError(f"unknown path method {method!r}")
-    for source, target in pair_list:
-        paths = all_simple_paths(adj, source, target, cutoff=cutoff)
+    path_set: Dict[Tuple[NodeId, NodeId], List[Path]] = {}
+    for (source, target), paths in zip(pair_list, found):
         if not paths:
             raise NoPathError(f"no path from {source!r} to {target!r}")
         path_set[(source, target)] = paths

@@ -83,7 +83,6 @@ class BackpressureUnit(TransactionUnit):
         self.payment = payment
         self.amount = amount
         self.locked = []
-        self.sent_at = now
         self.fee = 0.0
         self.state = UnitState.INFLIGHT
         self.dest = payment.dest

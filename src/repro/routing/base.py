@@ -16,17 +16,15 @@ of every same-tick cohort:
   payment has remaining value and has not expired.
 
 Path discovery goes through the network's shared
-:class:`~repro.engine.pathservice.PathService`: the default
-:meth:`RoutingScheme.prepare` hands schemes a
-:class:`~repro.engine.pathservice.PairPathView` as ``self.path_cache`` —
-a ``paths`` / ``k`` surface served from one per-network service (CSR
-array BFS, process-wide memoisation, optional disk artifacts) instead of a
-private per-scheme cache.  A scheme with a path budget can skip the node
-tuples altogether: :meth:`SimulationSession.path_handle
-<repro.engine.session.SimulationSession.path_handle>` returns the pair's
-compiled handle (its ``cpaths``), built in bulk during ``prepare()``;
-a scheme that finds its own node paths compiles each through the
-memoising ``network.path_table.compile``.
+:class:`~repro.engine.pathservice.PathService`.  A scheme with a path
+budget reads its pair's compiled handle (its ``cpaths``) through
+:meth:`SimulationSession.path_handle
+<repro.engine.session.SimulationSession.path_handle>`, built in bulk
+during ``prepare()``; one that needs node tuples asks
+``runtime.network.path_service.view(k)`` — the memoising per-``k`` cache
+every scheme and run over the same topology shares — and a scheme that
+finds its own node paths compiles each through the memoising
+``network.path_table.compile``.
 """
 
 from __future__ import annotations
@@ -58,15 +56,9 @@ class RoutingScheme(abc.ABC):
     def prepare(self, runtime: "SimulationSession") -> None:
         """One-time setup before the trace starts (path/LP precomputation).
 
-        The default implementation binds the network's shared
-        :class:`~repro.engine.pathservice.PathService` view as
-        ``self.path_cache`` if the subclass declared a ``num_paths``
-        attribute — repeated runs and multi-scheme comparisons over the
-        same topology share one set of pair computations.
+        The default does nothing: the session primes every ``num_paths``
+        scheme's pair handles itself.
         """
-        num_paths = getattr(self, "num_paths", None)
-        if num_paths is not None:
-            self.path_cache = runtime.network.path_service.view(k=num_paths)
 
     @abc.abstractmethod
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:

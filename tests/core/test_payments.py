@@ -109,7 +109,7 @@ class TestDeadlines:
 def make_unit(payment):
     line = PaymentNetwork()
     line.add_channel(0, 1, 100.0)
-    return TransactionUnit(payment, 5.0, line.path_table.compile((0, 1)), [5.0], 1.0)
+    return TransactionUnit(payment, 5.0, line.path_table.compile((0, 1)), [5.0])
 
 
 class TestTransactionUnit:

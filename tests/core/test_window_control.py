@@ -28,7 +28,7 @@ def make_unit(path=(0, 1, 2), amount=10.0, marked=False):
                       amount=amount, arrival_time=0.0)
     payment.register_inflight(amount)
     network = line_topology(max(path) + 1).build_network(default_capacity=100.0)
-    unit = HopUnit(payment, amount, network.path_table.compile(path), now=0.0)
+    unit = HopUnit(payment, amount, network.path_table.compile(path))
     unit.marked = marked
     return unit
 

@@ -547,7 +547,8 @@ def test_window_headroom_is_recomputed_like_the_scheme():
     record = TransactionRecord(900, 0.0, 0, 4, 50.0)
     payments = []
     for session in arms:
-        for path in session.scheme.path_cache.paths(0, 4):
+        view = session.network.path_service.view(session.scheme.num_paths)
+        for path in view.paths(0, 4):
             session.scheme.window(tuple(path)).window = 1.0
         payments.append(session._new_payment(record))
     for session, payment in zip(arms, payments):
@@ -569,7 +570,8 @@ def test_window_cache_holds_a_state_created_before_the_first_cohort():
     config = _config(scheme="spider-window", topology="ripple-small", num_transactions=20)
     session = _prepared(config)
     record = session.records[0]
-    paths = session.scheme.path_cache.paths(record.source, record.dest)
+    view = session.network.path_service.view(session.scheme.num_paths)
+    paths = view.paths(record.source, record.dest)
     early = [session.scheme.window(tuple(path)) for path in paths]
     early[0].window = 7.5  # a state the cache must not replace
     payment = session._new_payment(record)

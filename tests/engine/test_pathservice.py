@@ -1,27 +1,27 @@
-"""PathService: provider parity, persistence, and discovery determinism.
+"""PathService: CSR parity with the per-pair loops, persistence, determinism.
 
-The CSR bidirectional search must reproduce the scalar per-pair loops *byte
-for byte* — path discovery feeds every routing decision, so a single
-tie-break divergence would silently change every downstream metric.  These
-tests pin:
+The CSR bidirectional search must reproduce the per-pair
+:func:`~repro.fluid.paths.k_edge_disjoint_paths` loop *byte for byte* —
+path discovery feeds every routing decision, so a single tie-break
+divergence would silently change every downstream metric.  These tests pin:
 
-* :class:`CsrDisjointProvider` against :class:`ScalarDisjointProvider` —
-  whole pair lists through **one** ``paths_many`` call, which is how the
-  lockstep kernel is used — on random topologies (disconnected pairs,
+* :class:`CsrDisjointProvider` against that loop (the oracle) — whole pair
+  lists through **one** ``paths_many`` call, which is how the lockstep
+  kernel is used — on random topologies (disconnected pairs,
   ``src == dst``, ``k`` larger than the graph supports), on
   hypothesis-drawn G(n, p) and hub-heavy graphs with the scratch budget
   patched so chunks hold 1, 2, 3 and 7 pairs, on a line deeper than an
   int8 label, and on the 10k-node Ripple-like graph;
 * the chunk-size rule, and that scratch does not outlive a call (so a call
   that raised mid-chunk cannot poison the next);
-* asymmetric adjacencies staying on the scalar provider;
-* the landmark tree provider on array and dict trees and against the
-  legacy two-BFS-per-pair assembly;
+* one-way edges and unorderable node ids rejected with a named error;
+* the landmark tree provider against the two-BFS-per-pair assembly;
+* ``view(k)`` as the one memoising cache per budget;
 * persistent-cache round trips (disk artifacts serve the exact path sets),
   bulk misses going to the provider as one batch, and cold-vs-warm
   byte-identical metrics JSON;
-* byte-identical metrics with discovery forced onto the scalar provider,
-  for the schemes that consume discovery.
+* byte-identical metrics with both discovery kernels swapped for their
+  per-pair loops, for the schemes that consume discovery.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from repro.engine import pathservice
 from repro.engine.pathservice import (
     CsrDisjointProvider,
     CsrGraph,
+    LandmarkProvider,
     PathService,
     PersistentCache,
-    ScalarDisjointProvider,
     contract_loops,
 )
 from repro.engine.session import SimulationSession
@@ -49,7 +49,12 @@ from repro.errors import TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.runner import run_experiment
-from repro.fluid.paths import bfs_shortest_path, build_path_set
+from repro.fluid.paths import (
+    bfs_shortest_path,
+    build_path_set,
+    k_edge_disjoint_paths,
+    k_shortest_paths,
+)
 from repro.metrics.report import metrics_to_json
 from repro.simulator.rng import make_rng
 from repro.topology import isp_topology, ripple_topology, scale_free_topology
@@ -80,6 +85,28 @@ def all_pairs(n: int) -> list:
     return [(source, dest) for source in range(n) for dest in range(n)]
 
 
+def disjoint_oracle(adjacency: dict, k: int, pairs) -> list:
+    """The per-pair k edge-disjoint loop over every pair, in pair order."""
+    return [k_edge_disjoint_paths(adjacency, s, d, k) for s, d in pairs]
+
+
+def legacy_landmark_paths(adjacency, landmarks, source, dest):
+    """The landmark assembly without trees: two BFS per (pair, landmark)."""
+    paths, seen = [], set()
+    for landmark in landmarks:
+        first = bfs_shortest_path(adjacency, source, landmark)
+        second = bfs_shortest_path(adjacency, landmark, dest)
+        if first is None or second is None:
+            continue
+        merged = contract_loops(tuple(first) + tuple(second[1:]))
+        if len(merged) < 2 or merged[0] != source or merged[-1] != dest:
+            continue
+        if merged not in seen:
+            seen.add(merged)
+            paths.append(merged)
+    return paths
+
+
 def chunks_of(graph: CsrGraph, pairs: int):
     """Patch the scratch budget so a lockstep chunk holds ``pairs`` pairs."""
     per_pair = pathservice._pair_scratch_bytes(
@@ -101,7 +128,7 @@ class TestCsrParity:
         pairs = all_pairs(n)
         for k in (1, 2, 4, 9):
             got = CsrDisjointProvider(graph, k).paths_many(pairs)
-            expected = ScalarDisjointProvider(adjacency, k).paths_many(pairs)
+            expected = disjoint_oracle(adjacency, k, pairs)
             assert dict(zip(pairs, got)) == dict(zip(pairs, expected)), (seed, k)
 
     def test_first_path_matches_bfs_shortest_path(self):
@@ -117,20 +144,18 @@ class TestCsrParity:
     def test_unknown_endpoints_and_self_pairs(self):
         adjacency = {0: [1], 1: [0]}
         csr = CsrDisjointProvider(CsrGraph.from_adjacency(adjacency), 3)
-        scalar = ScalarDisjointProvider(adjacency, 3)
         pairs = [(0, 7), (7, 0), (0, 0), (7, 7)]
-        for pair in pairs:
-            assert csr.paths(*pair) == scalar.paths(*pair)
-        assert csr.paths_many(pairs) == scalar.paths_many(pairs)
+        expected = disjoint_oracle(adjacency, 3, pairs)
+        assert [csr.paths(*pair) for pair in pairs] == expected
+        assert csr.paths_many(pairs) == expected
 
     def test_duplicate_neighbour_entries_stay_edge_disjoint(self):
         """Parallel entries in the input adjacency must not leave the
         k-disjoint edge mask covering only one CSR slot (regression)."""
         adjacency = {0: [1, 1], 1: [0, 0, 2, 3], 2: [1, 3], 3: [1, 2]}
         csr = CsrDisjointProvider(CsrGraph.from_adjacency(adjacency), 3)
-        scalar = ScalarDisjointProvider(adjacency, 3)
         pairs = all_pairs(len(adjacency))
-        assert csr.paths_many(pairs) == scalar.paths_many(pairs)
+        assert csr.paths_many(pairs) == disjoint_oracle(adjacency, 3, pairs)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -146,7 +171,7 @@ class TestCsrParity:
         self, hubs, seed, n, density, k, extra, chunk
     ):
         """One ``paths_many`` call over a shuffled pair list against the
-        scalar loops and against pair-at-a-time ``paths()``.
+        per-pair loop and against pair-at-a-time ``paths()``.
 
         The graph is G(n, p) or preferential attachment (a few hubs carry
         most edges, so the search alternates sides), plus ``extra``
@@ -173,7 +198,6 @@ class TestCsrParity:
         adjacency[a], adjacency[b] = [b], [a]
         adjacency = {node: row + row for node, row in adjacency.items()}
         graph = CsrGraph.from_adjacency(adjacency)
-        assert graph.symmetric
         total = len(adjacency)
         unknown = total + 5
         pairs = all_pairs(total) + [(0, unknown), (unknown, 0), (unknown, unknown)]
@@ -185,7 +209,7 @@ class TestCsrParity:
         provider = CsrDisjointProvider(graph, k)
         with chunks_of(graph, chunk):
             got = provider.paths_many(pairs)
-        expected = ScalarDisjointProvider(adjacency, k).paths_many(pairs)
+        expected = disjoint_oracle(adjacency, k, pairs)
         assert dict(zip(pairs, got)) == dict(zip(pairs, expected))
         assert got == expected  # and the repeated pair, in place
         for pair, paths in list(zip(pairs, got))[:12]:
@@ -200,9 +224,7 @@ class TestCsrParity:
         }
         csr = CsrDisjointProvider(CsrGraph.from_adjacency(adjacency), 2)
         pairs = [(0, n - 1), (n - 1, 0), (3, 300), (150, 151), (7, 7)]
-        assert csr.paths_many(pairs) == ScalarDisjointProvider(
-            adjacency, 2
-        ).paths_many(pairs)
+        assert csr.paths_many(pairs) == disjoint_oracle(adjacency, 2, pairs)
         assert csr.paths(0, n - 1) == [tuple(range(n))]
 
     def test_scale_parity_on_ripple_huge(self):
@@ -246,7 +268,7 @@ class TestCsrParity:
             got = CsrDisjointProvider(graph, 4).paths_many(pairs)
         assert kernels == [width]
         assert runs == [width, width, len(pairs) - 2 * width]
-        expected = ScalarDisjointProvider(adjacency, 4).paths_many(pairs)
+        expected = disjoint_oracle(adjacency, 4, pairs)
         assert dict(zip(pairs, got)) == dict(zip(pairs, expected))
 
     def test_chunk_size_rule(self):
@@ -295,7 +317,7 @@ class TestCsrParity:
         graph = CsrGraph.from_adjacency(adjacency)
         csr = CsrDisjointProvider(graph, 4)
         pairs = [(0, 5), (5, 0), (2, 9), (9, 1), (3, 4)]
-        expected = ScalarDisjointProvider(adjacency, 4).paths_many(pairs)
+        expected = disjoint_oracle(adjacency, 4, pairs)
         twin = graph.twin
         graph.twin = np.full_like(twin, 10 * twin.shape[0])
         try:
@@ -311,29 +333,45 @@ class TestCsrParity:
         adjacency = random_adjacency(11, 40, p=0.15)
         graph = CsrGraph.from_adjacency(adjacency)
         owners = np.repeat(np.arange(40), np.diff(graph.indptr))
-        assert graph.symmetric
         assert (graph.indices[graph.twin] == owners).all()
         assert (owners[graph.twin] == graph.indices).all()
 
-    def test_one_way_edge_stays_on_scalar_provider(self):
-        """The bidirectional search is only valid when every edge has its
-        reverse; a one-way edge must route discovery to the scalar loops
-        (which follow edge direction) instead of returning wrong paths."""
-        adjacency = {0: [1, 2], 1: [0, 3], 2: [3], 3: [1, 2]}  # 2 -/-> 0
-        assert not CsrGraph.from_adjacency(adjacency).symmetric
-        # A rotation has equal in- and out-degree everywhere, so only the
-        # pairwise check can tell it from a symmetric graph.
-        assert not CsrGraph.from_adjacency({0: [1], 1: [2], 2: [0]}).symmetric
+    @pytest.mark.parametrize(
+        "adjacency, edge",
+        [
+            ({0: [1, 2], 1: [0, 3], 2: [3], 3: [1, 2]}, "0 -> 2"),
+            # A rotation has equal in- and out-degree everywhere, so only
+            # the pairwise check can tell it from a symmetric graph.
+            ({0: [1], 1: [2], 2: [0]}, "0 -> 1"),
+        ],
+        ids=["one-way-edge", "rotation"],
+    )
+    def test_one_way_edge_is_rejected(self, adjacency, edge):
+        """The bidirectional search reads every edge from both ends, so an
+        edge without its reverse is a named error, not wrong paths."""
+        with pytest.raises(TopologyError, match=f"edge {edge} has no reverse"):
+            CsrGraph.from_adjacency(adjacency)
         service = PathService.from_adjacency(adjacency)
-        assert service.provider(4).provider.kind == "scalar"
-        scalar = ScalarDisjointProvider(adjacency, 4)
-        for source in adjacency:
-            for dest in adjacency:
-                assert service.paths(source, dest, k=4) == scalar.paths(
-                    source, dest
-                )
-        assert service.paths(2, 0, k=4) == [(2, 3, 1, 0)]
-        assert service.bfs_tree(2).path_from_root(0) == (2, 3, 1, 0)
+        with pytest.raises(TopologyError, match=f"edge {edge} has no reverse"):
+            service.view(4)
+        with pytest.raises(TopologyError, match="has no reverse"):
+            build_path_set(adjacency, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            {0: [1, "a"], 1: [0], "a": [0]},  # a row that mixes types
+            {0: [1], 1: [0], "a": []},  # only the node set mixes types
+        ],
+        ids=["row", "nodes"],
+    )
+    def test_unorderable_node_ids_are_rejected(self, adjacency):
+        """Mixed ``int``/``str`` ids have no sorted CSR layout and no BFS
+        tie-break order; the error names the odd id."""
+        with pytest.raises(TopologyError, match="node id 'a' cannot be ordered against"):
+            PathService.from_adjacency(adjacency).view(4)
+        with pytest.raises(TopologyError, match="node id 'a'"):
+            build_path_set(adjacency, [(0, 1)])
 
     def test_paths_many_order(self):
         adjacency = random_adjacency(5, 12, p=0.3)
@@ -351,7 +389,7 @@ class TestCsrParity:
             row = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
             assert list(row) == sorted(row)
 
-    def test_service_matches_scalar_provider_on_ripple(self):
+    def test_service_matches_the_loop_on_ripple(self):
         """Service-level parity on a real topology."""
         network = ripple_topology("small", seed=0).build_network(
             default_capacity=100.0
@@ -365,28 +403,12 @@ class TestCsrParity:
             )
         ]
         service = PathService.from_network(network)
-        assert service.provider(4).provider.kind == "csr"
-        scalar = ScalarDisjointProvider(service.sorted_adjacency(), 4)
-        assert service.paths_many(pairs, k=4) == scalar.paths_many(pairs)
+        assert service.view(4).paths_many(pairs) == disjoint_oracle(
+            service.sorted_adjacency(), 4, pairs
+        )
 
 
 class TestLandmarkProvider:
-    def _legacy_landmark_paths(self, adjacency, landmarks, source, dest):
-        """The pre-service construction: two BFS per (pair, landmark)."""
-        paths, seen = [], set()
-        for landmark in landmarks:
-            first = bfs_shortest_path(adjacency, source, landmark)
-            second = bfs_shortest_path(adjacency, landmark, dest)
-            if first is None or second is None:
-                continue
-            merged = contract_loops(tuple(first) + tuple(second[1:]))
-            if len(merged) < 2 or merged[0] != source or merged[-1] != dest:
-                continue
-            if merged not in seen:
-                seen.add(merged)
-                paths.append(merged)
-        return paths
-
     @pytest.mark.parametrize("seed", range(4))
     def test_tree_assembly_matches_per_pair_bfs(self, seed):
         """Tree-based leg assembly is byte-identical to the legacy two
@@ -396,25 +418,9 @@ class TestLandmarkProvider:
         provider = service.landmark_provider(3)
         for source in range(18):
             for dest in range(18):
-                assert provider.paths(source, dest) == (
-                    self._legacy_landmark_paths(
-                        adjacency, provider.landmarks, source, dest
-                    )
+                assert provider.paths(source, dest) == legacy_landmark_paths(
+                    adjacency, provider.landmarks, source, dest
                 ), (seed, source, dest)
-
-    def test_array_and_dict_trees_agree(self):
-        adjacency = random_adjacency(42, 20, p=0.2)
-        vector = PathService.from_adjacency(adjacency).landmark_provider(3)
-        scalar = PathService.from_adjacency(adjacency).landmark_provider(3)
-        with mock.patch.object(PathService, "_vectorized_ok", lambda self: False):
-            for root in range(20):  # trees are built on first use
-                scalar.paths(root, (root + 1) % 20)
-        assert type(vector._tree(vector.landmarks[0])).__name__ == "_ArrayTree"
-        assert type(scalar._tree(scalar.landmarks[0])).__name__ == "_DictTree"
-        assert vector.landmarks == scalar.landmarks
-        for source in range(20):
-            for dest in range(20):
-                assert vector.paths(source, dest) == scalar.paths(source, dest)
 
     def test_landmarks_are_highest_degree(self):
         network = isp_topology().build_network(default_capacity=100.0)
@@ -423,14 +429,14 @@ class TestLandmarkProvider:
         assert all(landmark < 8 for landmark in provider.landmarks)
 
 
-class TestPairPathView:
+class TestView:
     def test_view_surface(self):
         network = isp_topology().build_network(default_capacity=100.0)
         view = network.path_service.view(k=3)
-        assert view.k == 3
+        assert isinstance(view, PersistentCache)
         paths = view.paths(8, 20)
         assert paths and paths[0][0] == 8 and paths[0][-1] == 20
-        assert view.paths(8, 8)[0] == (8,)  # scalar-parity degenerate pair
+        assert view.paths(8, 8)[0] == (8,)  # the loop's degenerate pair
         assert view.paths_many([(8, 20)]) == [paths]
         # k caps the path count.
         assert len(paths) == 3
@@ -442,16 +448,6 @@ class TestPairPathView:
         network = isp_topology().build_network(default_capacity=100.0)
         with pytest.raises(ValueError):
             network.path_service.view(k=0)
-        with pytest.raises(ValueError):
-            network.path_service.view(k=2, method="bogus")
-
-    def test_yen_method_matches_scalar_reference(self):
-        network = isp_topology().build_network(default_capacity=100.0)
-        from repro.fluid.paths import k_shortest_paths
-
-        view = network.path_service.view(k=3, method="yen")
-        adjacency = network.path_service.sorted_adjacency()
-        assert view.paths(8, 20) == k_shortest_paths(adjacency, 8, 20, 3)
 
     def test_shared_across_schemes_per_network(self):
         """Two views with the same budget serve the same pair store."""
@@ -466,8 +462,12 @@ class TestBuildPathSetThroughService:
         adjacency = random_adjacency(9, 16, p=0.3)
         pairs = [(0, 5), (3, 12)]
         path_set = build_path_set(adjacency, pairs, k=4)
-        scalar = ScalarDisjointProvider(adjacency, 4)
-        assert path_set == {pair: scalar.paths(*pair) for pair in pairs}
+        assert path_set == dict(zip(pairs, disjoint_oracle(adjacency, 4, pairs)))
+
+    def test_yen_runs_the_per_pair_loop(self):
+        adjacency = isp_topology().adjacency()
+        path_set = build_path_set(adjacency, [(8, 20)], k=3, method="yen")
+        assert path_set == {(8, 20): k_shortest_paths(adjacency, 8, 20, 3)}
 
     def test_no_path_error(self):
         from repro.errors import NoPathError
@@ -490,8 +490,8 @@ class TestPersistentCache:
             )
         )
         service = PathService.from_network(network, cache_dir=str(tmp_path))
-        service.prepare(pairs, k=4)
-        expected = service.paths_many(pairs, k=4)
+        service.view(4).prepare(pairs)
+        expected = service.view(4).paths_many(pairs)
         artifacts = [f for f in os.listdir(tmp_path) if f.startswith("paths-")]
         assert len(artifacts) == 1
 
@@ -507,8 +507,8 @@ class TestPersistentCache:
                 raise AssertionError("artifact miss: provider was invoked")
 
         warm = PathService.from_network(network, cache_dir=str(tmp_path))
-        warm.provider(4).provider = _Boom()
-        assert warm.paths_many(pairs, k=4) == expected
+        warm.view(4).provider = _Boom()
+        assert warm.view(4).paths_many(pairs) == expected
 
     def test_artifact_node_ids_are_interned(self, tmp_path):
         """The loader keeps one ``int`` object per node id across every
@@ -568,7 +568,7 @@ class TestPersistentCache:
             service = PathService.from_network(
                 network, cache_dir=str(tmp_path / subdir)
             )
-            service.prepare(pairs, k=4)
+            service.view(4).prepare(pairs)
             (name,) = os.listdir(tmp_path / subdir)
             return (tmp_path / subdir / name).read_bytes()
 
@@ -579,10 +579,10 @@ class TestPersistentCache:
         earlier service instance) must still reach the artifact
         (regression: per-instance dirty flag vs. process-wide store)."""
         network = isp_topology().build_network(default_capacity=100.0)
-        PathService.from_network(network).prepare([(8, 20)], k=4)  # no dir
+        PathService.from_network(network).view(4).prepare([(8, 20)])  # no dir
         late = PathService.from_network(network)
         late.persist_to(str(tmp_path))
-        late.prepare([(8, 20)], k=4)  # nothing missing — must still write
+        late.view(4).prepare([(8, 20)])  # nothing missing — must still write
         assert any(f.startswith("paths-") for f in os.listdir(tmp_path))
         PersistentCache.clear_shared()
         warm = PathService.from_network(network, cache_dir=str(tmp_path))
@@ -594,8 +594,8 @@ class TestPersistentCache:
             def paths_many(self, *args):
                 raise AssertionError("artifact miss")
 
-        warm.provider(4).provider = _Boom()
-        assert warm.paths(8, 20, k=4)
+        warm.view(4).provider = _Boom()
+        assert warm.view(4).paths(8, 20)
 
     def test_concurrent_writers_leave_a_valid_artifact(self, tmp_path):
         """Two processes precomputing the same topology concurrently must
@@ -624,7 +624,7 @@ class TestPersistentCache:
                 rng.choice(len(nodes), size=2, replace=False) for _ in range(25)
             )
         )
-        expected = PathService.from_network(network).paths_many(pairs, k=4)
+        expected = PathService.from_network(network).view(4).paths_many(pairs)
 
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(2)
@@ -638,7 +638,7 @@ class TestPersistentCache:
                     network, cache_dir=str(tmp_path)
                 )
                 barrier.wait(timeout=60.0)  # maximise flush overlap
-                service.prepare(pairs, k=4)
+                service.view(4).prepare(pairs)
                 conn.send("ok")
             except BaseException as exc:  # pragma: no cover - failure path
                 conn.send(f"{type(exc).__name__}: {exc}")
@@ -675,19 +675,19 @@ class TestPersistentCache:
                 raise AssertionError("artifact miss: provider was invoked")
 
         warm = PathService.from_network(network, cache_dir=str(tmp_path))
-        warm.provider(4).provider = _Boom()
-        assert warm.paths_many(pairs, k=4) == expected
+        warm.view(4).provider = _Boom()
+        assert warm.view(4).paths_many(pairs) == expected
         PersistentCache.clear_shared()
 
     def test_unreadable_artifact_recomputed(self, tmp_path):
         network = isp_topology().build_network(default_capacity=100.0)
         service = PathService.from_network(network, cache_dir=str(tmp_path))
-        service.prepare([(8, 20)], k=4)
+        service.view(4).prepare([(8, 20)])
         (name,) = os.listdir(tmp_path)
         (tmp_path / name).write_text("not json")
         PersistentCache.clear_shared()
         fresh = PathService.from_network(network, cache_dir=str(tmp_path))
-        assert fresh.paths(8, 20, k=4)  # silently recomputed
+        assert fresh.view(4).paths(8, 20)  # silently recomputed
 
     @pytest.mark.parametrize(
         "tamper",
@@ -707,8 +707,8 @@ class TestPersistentCache:
         replaces the file."""
         network = isp_topology().build_network(default_capacity=100.0)
         service = PathService.from_network(network, cache_dir=str(tmp_path))
-        service.prepare([(8, 20)], k=4)
-        expected = service.paths(8, 20, k=4)
+        service.view(4).prepare([(8, 20)])
+        expected = service.view(4).paths(8, 20)
         (name,) = os.listdir(tmp_path)
         good = json.loads((tmp_path / name).read_text())
         bad = json.loads((tmp_path / name).read_text())
@@ -717,20 +717,20 @@ class TestPersistentCache:
         (tmp_path / name).write_text(json.dumps(bad))
         PersistentCache.clear_shared()
         fresh = PathService.from_network(network, cache_dir=str(tmp_path))
-        fresh.prepare([(8, 20)], k=4)
-        assert fresh.paths(8, 20, k=4) == expected != [(8, 20)]
+        fresh.view(4).prepare([(8, 20)])
+        assert fresh.view(4).paths(8, 20) == expected != [(8, 20)]
         assert json.loads((tmp_path / name).read_text()) == good
 
     def test_truncated_artifact_recomputed(self, tmp_path):
         network = isp_topology().build_network(default_capacity=100.0)
         service = PathService.from_network(network, cache_dir=str(tmp_path))
-        service.prepare([(8, 20)], k=4)
+        service.view(4).prepare([(8, 20)])
         (name,) = os.listdir(tmp_path)
         text = (tmp_path / name).read_text()
         (tmp_path / name).write_text(text[: len(text) // 2])
         PersistentCache.clear_shared()
         fresh = PathService.from_network(network, cache_dir=str(tmp_path))
-        fresh.prepare([(8, 20)], k=4)
+        fresh.view(4).prepare([(8, 20)])
         assert (tmp_path / name).read_text() == text
 
     def test_artifact_path_over_missing_channel_fails_in_prepare(self, tmp_path):
@@ -823,9 +823,11 @@ class TestDiscoveryModeDeterminism:
         "scheme",
         ["spider-waterfilling", "spider-lp", "silentwhispers", "spider-queueing"],
     )
-    def test_metrics_byte_identical_across_providers(self, scheme):
-        """A run whose discovery is forced onto the scalar provider (and
-        dict BFS trees) reproduces the CSR run byte for byte."""
+    def test_metrics_byte_identical_with_the_per_pair_loops(self, scheme):
+        """A run whose discovery goes through the per-pair loops — the k
+        edge-disjoint loop for every CSR batch, two BFS per (pair,
+        landmark) for the landmark legs — reproduces the kernels' run
+        byte for byte."""
         config = ExperimentConfig(
             scheme=scheme,
             topology="ripple-tiny",
@@ -834,13 +836,31 @@ class TestDiscoveryModeDeterminism:
             arrival_rate=50.0,
             seed=29,
         )
-        vector = metrics_to_json(run_experiment(config))
-        assert all(key.endswith("-csr") for key in PersistentCache._shared)
+        kernels = metrics_to_json(run_experiment(config))
         PersistentCache.clear_shared()
-        with mock.patch.object(PathService, "_vectorized_ok", lambda self: False):
-            scalar = metrics_to_json(run_experiment(config))
-        assert all(key.endswith("-scalar") for key in PersistentCache._shared)
-        assert vector.encode() == scalar.encode()
+        calls = []
+
+        def per_pair_disjoint(self, pairs):
+            graph = self._graph
+            adjacency = {
+                node: [graph.nodes[j] for j in graph.indices[lo:hi]]
+                for node, lo, hi in zip(graph.nodes, graph.indptr, graph.indptr[1:])
+            }
+            calls.append(len(pairs))
+            return disjoint_oracle(adjacency, self._k, pairs)
+
+        def per_pair_landmarks(self, source, dest):
+            calls.append(1)
+            return legacy_landmark_paths(
+                self._service.sorted_adjacency(), self.landmarks, source, dest
+            )
+
+        with mock.patch.object(
+            CsrDisjointProvider, "paths_many", per_pair_disjoint
+        ), mock.patch.object(LandmarkProvider, "paths", per_pair_landmarks):
+            loops = metrics_to_json(run_experiment(config))
+        assert calls  # the run discovered through the loops
+        assert kernels.encode() == loops.encode()
 
 
 class TestRepeatRunSharing:

@@ -17,7 +17,7 @@ def make_unit(payment, amount):
     payment.register_inflight(amount)
     line = PaymentNetwork()
     line.add_channel(0, 1, 100.0)
-    return TransactionUnit(payment, amount, line.path_table.compile((0, 1)), [], 1.0)
+    return TransactionUnit(payment, amount, line.path_table.compile((0, 1)), [])
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@
 :meth:`AmpWaterfillingScheme.attempt
 <repro.core.amp.AmpWaterfillingScheme.attempt>` work off the pair's
 compiled handle.  The functions here are the same decision rules written
-the plain way: the pair's node-tuple paths from ``path_cache``, probes
+the plain way: the pair's node-tuple paths from
+``network.path_service.view(k)``, probes
 through ``network.bottleneck_many`` / ``network.bottleneck`` /
 ``network.available``, fee-inclusive offers off the channel objects'
 schedules, one launch scheduled at a time through
@@ -75,9 +76,15 @@ def path_deliverable(network: Any, path: Any) -> float:
     return best
 
 
+def pair_paths(scheme: Any, payment: Any, runtime: Any) -> Any:
+    """The pair's node-tuple paths from the scheme's discovery view."""
+    view = runtime.network.path_service.view(scheme.num_paths)
+    return view.paths(payment.source, payment.dest)
+
+
 def waterfilling_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
     """Waterfilling over the pair's node-tuple paths."""
-    paths = scheme.path_cache.paths(payment.source, payment.dest)
+    paths = pair_paths(scheme, payment, runtime)
     if not paths:
         runtime.fail_payment(payment)
         return
@@ -111,7 +118,7 @@ def window_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
     """The windowed launch loop over the pair's node-tuple paths."""
     if not hasattr(getattr(runtime, "transport", None), "send_unit_hop_by_hop"):
         raise TypeError("the window loop needs a hop transport")
-    paths = scheme.path_cache.paths(payment.source, payment.dest)
+    paths = pair_paths(scheme, payment, runtime)
     if not paths:
         runtime.fail_payment(payment)
         return
@@ -169,7 +176,6 @@ def send_atomic(session: Any, payment: Any, allocations: Any) -> bool:
                 amount,
                 lock.cpath,
                 lock.amounts,
-                session.sim.now,
                 amounts[0] - amount if amounts else 0.0,
             )
             locked.append((path, lock, unit))
@@ -193,7 +199,7 @@ def atomic_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
 
 def amp_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
     """AMP over the pair's node-tuple paths, locked by :func:`send_atomic`."""
-    paths = scheme.path_cache.paths(payment.source, payment.dest)
+    paths = pair_paths(scheme, payment, runtime)
     if not paths:
         runtime.fail_payment(payment)
         return

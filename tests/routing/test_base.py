@@ -23,7 +23,7 @@ class NullScheme(RoutingScheme):
 
 
 class BudgetScheme(NullScheme):
-    """Declares a per-pair path budget, so the default prepare binds a view."""
+    """Declares a per-pair path budget."""
 
     name = "test-budget"
 
@@ -55,29 +55,35 @@ class TestRoutingSchemeContract:
         assert scheme.atomic is False
         assert scheme.transport is None
 
-    def test_prepare_binds_the_network_view(self):
+    def test_view_is_one_cache_per_budget(self):
+        """``view(k)`` is the memoising cache itself: repeated calls return
+        the same object, and a budget's pair lists are the ones the
+        session's prepare discovered."""
         session = _session(BudgetScheme(num_paths=3))
         session.prepare()
-        view = session.scheme.path_cache
-        assert view.k == 3
-        shared = session.network.path_service.view(k=3)
-        assert view.paths(8, 20) is shared.paths(8, 20)
+        service = session.network.path_service
+        view = service.view(k=3)
+        assert service.view(k=3) is view
+        assert service.view(k=4) is not view
+        assert view.paths(8, 20) is view.paths(8, 20)
+        assert len(view.paths(8, 20)) == 3
 
-    def test_prepare_without_budget_binds_nothing(self):
-        session = _session(NullScheme())
-        session.prepare()
-        assert not hasattr(session.scheme, "path_cache")
+    def test_prepare_binds_no_path_cache(self):
+        for scheme in (NullScheme(), BudgetScheme(num_paths=3)):
+            session = _session(scheme)
+            session.prepare()
+            assert not hasattr(session.scheme, "path_cache")
 
-    def test_equal_budgets_share_pair_sets_across_schemes(self):
-        network = isp_topology().build_network(default_capacity=100.0)
-        first = _session(BudgetScheme(num_paths=4), network)
-        second = _session(make_scheme("spider-waterfilling", num_paths=4), network)
+    def test_equal_budgets_share_pair_lists_across_sessions(self):
+        """Two sessions over separately built networks of one topology get
+        different caches serving the same memoised pair lists."""
+        first = _session(BudgetScheme(num_paths=4))
+        second = _session(make_scheme("spider-waterfilling", num_paths=4))
         first.prepare()
         second.prepare()
-        assert (
-            first.scheme.path_cache.paths(8, 20)
-            is second.scheme.path_cache.paths(8, 20)
-        )
+        views = [s.network.path_service.view(k=4) for s in (first, second)]
+        assert views[0] is not views[1]
+        assert views[0].paths(8, 20) is views[1].paths(8, 20)
 
     def test_registered_transports_are_known(self):
         for name in available_schemes():

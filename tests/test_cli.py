@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _config_from_args, build_parser, main
+from repro.experiments.sweeps import capacity_sweep
+from repro.metrics.report import format_table
 
 
 class TestParser:
@@ -100,22 +102,39 @@ class TestCommands:
         assert "spider-waterfilling" in out
 
     def test_sweep_prints_rows_per_capacity(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--capacities",
-                "500,1000",
-                "--schemes",
-                "shortest-path",
-                "--topology",
-                "cycle-5",
-                "--transactions",
-                "20",
-            ]
-        )
+        argv = [
+            "sweep",
+            "--capacities",
+            "500,1000",
+            "--schemes",
+            "shortest-path",
+            "--topology",
+            "cycle-5",
+            "--transactions",
+            "20",
+        ]
+        code = main(argv)
         assert code == 0
         out = capsys.readouterr().out
         assert "500" in out and "1000" in out
+        # The executor prints the table the serial sweep builds.
+        config = _config_from_args(build_parser().parse_args(argv))
+        results = capacity_sweep(config, [500.0, 1000.0], ["shortest-path"])
+        rows = [
+            [
+                f"{capacity:g}",
+                "shortest-path",
+                f"{100 * results[('shortest-path', capacity)].success_ratio:.2f}",
+                f"{100 * results[('shortest-path', capacity)].success_volume:.2f}",
+            ]
+            for capacity in (500.0, 1000.0)
+        ]
+        table = format_table(
+            ["capacity", "scheme", "success_ratio_%", "success_volume_%"],
+            rows,
+            title="capacity sweep on cycle-5",
+        )
+        assert out == table + "\n"
 
     def test_decompose_fig4(self, capsys):
         assert main(["decompose", "--topology", "fig4"]) == 0

@@ -133,7 +133,7 @@ def test_window_stays_within_bounds(acks):
             payment_id=i, source=0, dest=2, amount=amount, arrival_time=0.0
         )
         payment.register_inflight(amount)
-        unit = HopUnit(payment, amount, cpath, now=now)
+        unit = HopUnit(payment, amount, cpath)
         unit.marked = marked
         scheme.on_unit_resolved(unit, outcome, now)
         state = scheme.window(path)
