@@ -29,7 +29,9 @@ from repro.workload.generator import TransactionRecord
 def section_queueing() -> None:
     print("=== 1. in-network router queues (§4.2) ===")
     network = line_topology(4).build_network(default_capacity=100.0)
-    network.lock_path((1, 2), 45.0)  # router 1 nearly dry toward 2
+    # Router 1 nearly dry toward 2: a held lock of 45 on the (1, 2) hop.
+    table = network.path_table
+    table.lock_funds(table.compile((1, 2)), [45.0])
     records = [
         TransactionRecord(0, 1.0, 0, 3, 30.0),  # will park at router 1
         TransactionRecord(1, 2.0, 3, 0, 40.0),  # reverse flow releases it

@@ -69,16 +69,19 @@ class AdmissionControlScheme(RoutingScheme):
         self.rejected = 0
 
     def prepare(self, runtime: "SimulationSession") -> None:
-        # Shared service view: when the inner scheme probes the same k it
-        # reuses exactly these pair sets.
-        self.path_cache = runtime.network.path_service.view(k=self.num_paths)
         self.rejected = 0
         self.inner.prepare(runtime)
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         if payment.attempts <= 1:  # admission decision happens once
-            paths = self.path_cache.paths(payment.source, payment.dest)
-            capacity = sum(runtime.network.bottleneck_many(paths))
+            # The pair's handle, shared with an inner scheme probing the
+            # same k; a disconnected pair (no handle) has no capacity.
+            handle = runtime.path_handle(payment.source, payment.dest, self.num_paths)
+            capacity = (
+                0.0
+                if handle is None
+                else sum(runtime.network.path_table.bottleneck_many(handle))
+            )
             if payment.amount > self.admit_fraction * capacity:
                 self.rejected += 1
                 runtime.fail_payment(payment)

@@ -22,7 +22,7 @@ from repro.engine.pathservice import (
     PathService,
     PersistentCache,
 )
-from repro.engine.pathtable import CompiledPath, PathLock, PathTable
+from repro.engine.pathtable import CompiledPath, PathTable
 from repro.engine.signals import CongestionState, ControlPlane
 from repro.engine.store import ChannelStateStore
 
@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_QUANTUM",
     "HopByHopTransport",
     "LandmarkProvider",
-    "PathLock",
     "PathService",
     "PathTable",
     "PersistentCache",

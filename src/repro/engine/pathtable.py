@@ -26,10 +26,8 @@ which:
   ``dir_list`` (a path is a few hops, so a loop over Python ints beats a
   NumPy call), returning the per-hop actuals that the unit's
   :class:`~repro.core.payments.TransactionUnit` record carries to its
-  resolution;
-* :meth:`lock_path` / :meth:`settle` / :meth:`refund` are the node-tuple
-  facade of the same kernels (``PaymentNetwork.lock_path`` and friends),
-  recording each lock as one :class:`PathLock`.
+  resolution, where the store's per-hop ``settle_path_funds`` /
+  ``refund_path_funds`` take ``dir_list`` and those actuals back.
 
 All operations are float-for-float identical to plain per-hop arithmetic
 on the store arrays — the reference in ``tests/reference/path_ops.py``,
@@ -75,7 +73,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -85,7 +82,7 @@ from repro.errors import ChannelError, TopologyError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.network import DirectionIndex, PaymentNetwork
 
-__all__ = ["CompiledPath", "PathLock", "PathTable", "int_node_array"]
+__all__ = ["CompiledPath", "PathTable", "int_node_array"]
 
 Path = Tuple[int, ...]
 _EPS = 1e-9
@@ -170,8 +167,8 @@ class CompiledPath:
         """Per-hop lock amounts delivering ``amount``, fees included.
 
         The reverse fee recurrence over the fee schedules of this path's
-        directions (``PaymentNetwork.hop_amounts`` compiles a node tuple
-        and delegates here).  The session's send core
+        directions: working back from the destination, each hop adds its
+        downstream channel's forwarding fee (§2).  The session's send core
         (:meth:`SimulationSession.send_compiled
         <repro.engine.session.SimulationSession.send_compiled>`,
         :meth:`~repro.engine.session.SimulationSession.send_atomic`) prices
@@ -203,40 +200,13 @@ class CompiledPath:
         return f"CompiledPath(nodes={self.nodes!r})"
 
 
-class PathLock:
-    """A transfer locked through the node-tuple facade
-    (:meth:`PathTable.lock_path`, ``PaymentNetwork.lock_path``).
-
-    ``amounts`` (one per hop, ``len(lock)`` of them) is the list of floats
-    :meth:`PathTable.settle` / :meth:`refund` hand straight to the store's
-    per-hop kernels; ``resolved`` makes a second resolution raise.  The
-    engine's own units carry the same two facts on their
-    :class:`~repro.core.payments.TransactionUnit` record instead.
-    """
-
-    __slots__ = ("cpath", "amounts", "resolved")
-
-    def __init__(self, cpath: CompiledPath, amounts: List[float]):
-        self.cpath = cpath
-        self.amounts = amounts
-        self.resolved = False
-
-    def __len__(self) -> int:
-        return len(self.amounts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "resolved" if self.resolved else "pending"
-        return f"PathLock(path={self.cpath.nodes!r}, {state})"
-
-
 class _ProbeCache:
     """Memoised bottlenecks of one path set, fresh while ``as_of`` equals
     the store's ``version``.
 
     It is also the set's *handle*: ``cpaths`` are the set's compiled
     paths, so a caller holding it probes (:meth:`PathTable.bottleneck_many`
-    takes it in place of the node tuples), locks and settles without
-    re-resolving a node tuple.
+    takes it), locks and settles without re-resolving a node tuple.
 
     ``dirs`` is the set's hops back to back and ``offsets[i]`` where path
     ``i`` starts in it.  Paths on consecutive rows of one arena already
@@ -278,9 +248,9 @@ class PathTable:
     """Compiled-path index cache + vectorised path ops for one network.
 
     Owned lazily by :class:`~repro.network.network.PaymentNetwork`
-    (``network.path_table``); the network's path API delegates here, and
-    schemes reach the batch probe through
-    :meth:`PaymentNetwork.bottleneck_many`.
+    (``network.path_table``).  Schemes probe a pair's path set through
+    its handle (:meth:`probe_handle`, which the session's
+    ``path_handle`` serves per pair) and :meth:`bottleneck_many`.
     """
 
     def __init__(self, network: "PaymentNetwork"):
@@ -431,14 +401,13 @@ class PathTable:
     # ------------------------------------------------------------------
     # Probes
     # ------------------------------------------------------------------
-    def bottleneck(self, path: Union[Sequence[int], CompiledPath]) -> float:
-        """Minimum directional availability along ``path`` (a node
-        sequence or an already compiled path).
+    def bottleneck(self, cpath: CompiledPath) -> float:
+        """Minimum directional availability along ``cpath`` (``inf`` for
+        a hopless path).
 
         A raw hop minimum: on a fee-bearing path the upstream hops must
         also carry the downstream fees, so less than this can be delivered
         (see :meth:`deliverable`)."""
-        cpath = path if isinstance(path, CompiledPath) else self.compile(path)
         if not cpath.dir_list:
             return math.inf
         values = self._store.availability(cpath.dirs)
@@ -480,12 +449,16 @@ class PathTable:
             shift = shift * growth + base_fees[d]
         return best
 
-    def _probe_for(
+    def probe_handle(
         self, paths: Sequence[Sequence[int]]
     ) -> Optional[_ProbeCache]:
-        """The path set's probe cache; ``None`` for degenerate sets
-        (a single-node path has no hops to concatenate — the caller falls
-        back to per-path probes, which return ``inf`` for it)."""
+        """The path set's memoised probe cache (``None`` for degenerate
+        sets containing a hopless single-node path).
+
+        The dispatch plan holds these handles per pair, so a scheme's
+        ``attempt`` probes (:meth:`bottleneck_many`) and locks on the
+        compiled paths without re-keying the set on every attempt.
+        """
         try:
             key = tuple(paths)
             probe = self._probes.get(key, _MISSING)
@@ -499,18 +472,6 @@ class PathTable:
             self._probes[key] = probe
         return probe
 
-    def probe_handle(
-        self, paths: Sequence[Sequence[int]]
-    ) -> Optional[_ProbeCache]:
-        """The path set's memoised probe cache (``None`` for degenerate
-        sets containing a hopless single-node path).
-
-        The dispatch plan holds these handles per pair, so a scheme's
-        ``attempt`` probes (:meth:`bottleneck_many`) and locks on the
-        compiled paths without re-keying the set on every attempt.
-        """
-        return self._probe_for(paths)
-
     def refresh_probes(self, probes: Sequence[_ProbeCache]) -> None:
         """Refresh a batch of probe caches with one concatenated gather.
 
@@ -522,9 +483,10 @@ class PathTable:
         bit-identical to the per-set computation, so a probe refreshed
         here returns exactly what :meth:`bottleneck_many` would have
         computed for it.  Already-fresh probes (``as_of`` at the current
-        store version) are skipped; duplicate handles refresh once.  No
-        engine path calls it; it stays while the end-to-end benchmark's
-        span list wraps it by name.
+        store version) are skipped; duplicate handles refresh once.
+
+        Nothing in the engine calls it: it stays only while the end-to-end
+        benchmark's span list wraps it by name.
         """
         store = self._store
         version = store.version
@@ -554,27 +516,17 @@ class PathTable:
             probe.as_of = version
             pos += count
 
-    def bottleneck_many(
-        self,
-        paths: Union[Sequence[Sequence[int]], _ProbeCache],
-    ) -> List[float]:
+    def bottleneck_many(self, probe: _ProbeCache) -> List[float]:
         """Bottlenecks of a whole path set in one vectorised pass.
 
-        ``paths`` is the set's node sequences or its handle (what
-        :meth:`probe_handle` returns), which skips keying the set by its
-        node tuples.  Results are memoised per path set: a probe is fresh
-        exactly when its ``as_of`` equals the store's ``version``, and then
-        the cached values come back with no array work at all; otherwise
-        the whole set re-gathers once.  Returns a fresh list of floats:
-        raw hop minima, without fees (:meth:`deliverable` prices those in
-        for one path).
+        ``probe`` is the set's handle (what :meth:`probe_handle` returns).
+        Results are memoised per path set: a probe is fresh exactly when
+        its ``as_of`` equals the store's ``version``, and then the cached
+        values come back with no array work at all; otherwise the whole
+        set re-gathers once.  Returns a fresh list of floats: raw hop
+        minima, without fees (:meth:`deliverable` prices those in for one
+        path).
         """
-        if type(paths) is _ProbeCache:
-            probe: Optional[_ProbeCache] = paths
-        else:
-            probe = self._probe_for(paths)
-            if probe is None:  # degenerate set: per-path probes (inf for 1-node)
-                return [self.bottleneck(p) for p in paths]
         store = self._store
         version = store.version
         if probe.as_of == version:
@@ -599,29 +551,31 @@ class PathTable:
         return int(np.argmax(short))
 
     # ------------------------------------------------------------------
-    # Lock / settle / refund
+    # Locks
     # ------------------------------------------------------------------
     def lock_path(
         self, path: Sequence[int], amounts: Sequence[float]
-    ) -> PathLock:
-        """Atomically lock ``amounts[i]`` on hop ``i``; returns the lock.
+    ) -> List[float]:
+        """:meth:`lock_funds` on the compiled ``path``.
 
-        All-or-nothing: a frozen or under-funded hop raises
-        :class:`~repro.errors.InsufficientFundsError` and the store is left
-        exactly as a per-hop lock-then-rollback loop leaves it (see
-        :meth:`ChannelStateStore.lock_path_funds`).
+        Nothing in the engine calls it: it stays only while the end-to-end
+        benchmark's span list wraps it by name.
         """
-        cpath = self.compile(path)
-        return PathLock(cpath, self.lock_funds(cpath, amounts))
+        return self.lock_funds(self.compile(path), amounts)
 
     def lock_funds(
         self, cpath: CompiledPath, amounts: Sequence[float]
     ) -> List[float]:
-        """:meth:`lock_path` on an already compiled path, returning the
-        per-hop actual amounts instead of a :class:`PathLock` — the same
-        checks (a hop to lock on, one positive finite amount per hop, all
-        validated before the store is written) and the same
-        all-or-nothing store lock."""
+        """Atomically lock ``amounts[i]`` on hop ``i`` of ``cpath``;
+        returns the per-hop actual amounts.
+
+        Every check (a hop to lock on, one positive finite amount per hop)
+        runs before the store is written.  All-or-nothing: a frozen or
+        under-funded hop raises
+        :class:`~repro.errors.InsufficientFundsError` and the store is left
+        exactly as a per-hop lock-then-rollback loop leaves it (see
+        :meth:`ChannelStateStore.lock_path_funds`).
+        """
         hops = len(cpath.dir_list)
         if hops == 0:
             raise ChannelError(
@@ -641,25 +595,6 @@ class PathTable:
                     f"got {amounts[bad]!r}"
                 )
         return self._store.lock_path_funds(cpath.dir_list, requested)
-
-    def settle(self, lock: PathLock) -> None:
-        """Settle every hop of ``lock`` (one per-hop store write)."""
-        self._resolve(lock, settle=True)
-
-    def refund(self, lock: PathLock) -> None:
-        """Refund every hop of ``lock`` (one per-hop store write)."""
-        self._resolve(lock, settle=False)
-
-    def _resolve(self, lock: PathLock, settle: bool) -> None:
-        if lock.resolved:
-            raise ChannelError(
-                f"path lock on {lock.cpath.nodes!r} was already resolved"
-            )
-        lock.resolved = True
-        if settle:
-            self._store.settle_path_funds(lock.cpath.dir_list, lock.amounts)
-        else:
-            self._store.refund_path_funds(lock.cpath.dir_list, lock.amounts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -352,16 +352,6 @@ class SimulationSession:
             return
         with _collector_paused():
             transport_kind = getattr(self.scheme, "transport", None)
-            if transport_kind is None and (
-                getattr(self.scheme, "runtime_class", None) is not None
-                or getattr(self.scheme, "hop_by_hop", False)
-            ):
-                # Such a scheme expects per-hop queues; running it source-routed
-                # would silently produce different numbers.
-                raise ConfigError(
-                    f"scheme {self.scheme.name!r} declares runtime_class/hop_by_hop "
-                    "but no transport; declare transport = 'hop' or 'backpressure'"
-                )
             self._prepared = True
             if not self.records and self.config.end_time is None:
                 # Empty trace, no horizon: nothing can ever arrive.  run()

@@ -53,9 +53,9 @@ class PaymentChannel:
     The channel object itself is a *view*: balances, in-flight totals, flow
     counters and the frozen flag live in the store's NumPy arrays, indexed
     by ``channel_id``.  The view locks nothing itself: in-flight funds are
-    moved only by the store's kernels, through
-    :meth:`PaymentNetwork.lock_path
-    <repro.network.network.PaymentNetwork.lock_path>` and the engine's
+    moved only by the store's kernels, through the compiled-path lock
+    (:meth:`PathTable.lock_funds
+    <repro.engine.pathtable.PathTable.lock_funds>`) and the engine's
     transports, so funds are held in-flight during the confirmation delay,
     exactly as in §4.2: *"Funds received on a payment channel remain in a
     pending state until the final receiver provides the key for the hash

@@ -1,21 +1,14 @@
 """The payment channel network state machine.
 
-:class:`PaymentNetwork` owns the node set, the channels, and a thin path
-facade over its :class:`~repro.engine.pathtable.PathTable` for moving
-funds by hand (tests, examples):
-
-* :meth:`lock_path` — atomically lock an amount along a path (every hop or
-  none: partial locks are rolled back),
-* :meth:`settle_path` / :meth:`refund_path` — resolve a previously locked
-  transfer.
-
-Routing schemes never call it: they move money through the session's
-send core (``send_compiled``, ``send_on_path``, ``send_atomic``).
-
-This mirrors how the paper's simulator treats in-flight funds (§6.1): a
-routed unit holds funds on every hop for the confirmation delay, then either
-settles (each hop credits downstream) or is cancelled (each hop refunds
-upstream).
+:class:`PaymentNetwork` owns the node set, the channels, the flat
+:class:`~repro.engine.store.ChannelStateStore` they are views of, and
+the lazily built per-network services: the compiled-path table
+(:class:`~repro.engine.pathtable.PathTable`), path discovery and the
+congestion control plane.  Routing schemes move funds only through the
+session's send core (``send_compiled``, ``send_on_path``,
+``send_atomic``), which locks on compiled paths and resolves each unit
+after the confirmation delay (§6.1): it either settles (each hop credits
+downstream) or is cancelled (each hop refunds upstream).
 
 The class deliberately contains no routing policy; schemes live in
 :mod:`repro.routing` and :mod:`repro.core`.
@@ -23,20 +16,19 @@ The class deliberately contains no routing policy; schemes live in
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.pathtable import PathLock, PathTable, int_node_array
+from repro.engine.pathtable import PathTable, int_node_array
 from repro.engine.signals import ControlPlane
 from repro.engine.store import ChannelStateStore
-from repro.errors import ChannelError, TopologyError
+from repro.errors import TopologyError
 from repro.network.channel import PaymentChannel
 
 __all__ = ["DirectionIndex", "PaymentNetwork", "canonical_edge"]
 
 NodeId = Hashable
-Path = Sequence[NodeId]
 
 
 def canonical_edge(u: NodeId, v: NodeId) -> Tuple[NodeId, NodeId]:
@@ -127,8 +119,8 @@ class PaymentNetwork:
     """A collection of nodes joined by bidirectional payment channels.
 
     The network exposes a graph view (``neighbors``, ``edges``) for routing
-    algorithms and a funds view (``available``, ``lock_path``...) for the
-    execution layer.
+    algorithms and a funds view (``available``, ``state_store``,
+    ``path_table``) for the execution layer.
 
     Notes
     -----
@@ -297,7 +289,7 @@ class PaymentNetwork:
 
         Compiles each distinct path once into flat direction-id index
         arrays over the store, then serves bottleneck probes (vectorised),
-        fee passes and lock/settle/refund (per-hop store loops) — see
+        fee passes and the checked all-or-nothing lock — see
         :mod:`repro.engine.pathtable`.
         """
         if self._path_table is None:
@@ -343,78 +335,6 @@ class PaymentNetwork:
         without forcing planes onto runs whose schemes never signal.
         """
         return self._control_plane
-
-    def bottleneck(self, path: Path) -> float:
-        """Minimum directional availability along ``path``.
-
-        This is the quantity waterfilling and the baselines probe as "path
-        capacity": a raw hop minimum, without fees.  On a fee-bearing path
-        the upstream hops also carry the downstream fees, so less can be
-        delivered (:meth:`PathTable.deliverable
-        <repro.engine.pathtable.PathTable.deliverable>`).  Returns ``inf``
-        for degenerate single-node paths.
-        """
-        return self.path_table.bottleneck(path)
-
-    def bottleneck_many(self, paths: Sequence[Path]) -> List[float]:
-        """Bottlenecks (raw hop minima, without fees) of a whole path set in
-        one batched probe, as a list of Python floats (memoised per path
-        set and refreshed only where channels changed — see
-        :meth:`~repro.engine.pathtable.PathTable.bottleneck_many`)."""
-        if not paths:
-            return []
-        return self.path_table.bottleneck_many(paths)
-
-    def hop_amounts(self, path: Path, amount: float) -> List[float]:
-        """Per-hop lock amounts delivering ``amount``, fees included.
-
-        Intermediate node ``path[j]`` charges its downstream channel's
-        forwarding fee (§2), so upstream hops must carry the delivered value
-        plus all downstream fees: working backward from the destination,
-        ``amounts[i] = amounts[i+1] + fee(channel_{i+1}, amounts[i+1])``.
-        With fee-free channels every entry equals ``amount``.
-        """
-        return self.path_table.compile(path).hop_amounts(amount)
-
-    def lock_path(
-        self,
-        path: Path,
-        amount: float,
-        amounts: Optional[Sequence[float]] = None,
-    ) -> PathLock:
-        """Atomically lock funds on every hop of ``path``.
-
-        By default every hop locks ``amount``; passing ``amounts`` locks a
-        different value per hop (how routing fees are carried — see
-        :meth:`hop_amounts`).  Either all hops lock or none do: if an
-        intermediate hop lacks funds, the already-locked hops are refunded
-        and :class:`~repro.errors.InsufficientFundsError` propagates.
-
-        Returns one :class:`~repro.engine.pathtable.PathLock` for the whole
-        path (its ``amounts`` are the per-hop locks), resolved through
-        :meth:`settle_path` / :meth:`refund_path`.
-        """
-        if amounts is None:
-            amounts = [amount] * (len(path) - 1)
-        return self.path_table.lock_path(path, amounts)
-
-    def settle_path(self, path: Path, lock: PathLock) -> None:
-        """Settle every hop of a previously locked transfer."""
-        self._check_hops(path, lock)
-        self.path_table.settle(lock)
-
-    def refund_path(self, path: Path, lock: PathLock) -> None:
-        """Refund every hop of a previously locked transfer."""
-        self._check_hops(path, lock)
-        self.path_table.refund(lock)
-
-    @staticmethod
-    def _check_hops(path: Path, lock: PathLock) -> None:
-        if len(path) - 1 != len(lock):
-            raise ChannelError(
-                f"path has {max(len(path) - 1, 0)} hops but {len(lock)} "
-                "hop locks were supplied"
-            )
 
     # ------------------------------------------------------------------
     # Aggregates & invariants

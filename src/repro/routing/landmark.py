@@ -71,9 +71,11 @@ class LandmarkScheme(RoutingScheme):
         if not paths:
             runtime.fail_payment(payment)
             return
-        # Batched probe: the landmark path set is fixed per pair, so a
-        # repeat attempt with no store write in between reuses the cache.
-        capacities = runtime.network.bottleneck_many(paths)
+        # Batched probe through the set's handle: the landmark path set is
+        # fixed per pair, so a repeat attempt with no store write in between
+        # reuses the cache.
+        table = runtime.network.path_table
+        capacities = table.bottleneck_many(table.probe_handle(paths))
         total = sum(capacities)
         if total < payment.amount - 1e-6:
             runtime.fail_payment(payment)
@@ -105,7 +107,7 @@ class LandmarkScheme(RoutingScheme):
                     remaining -= take
                     if remaining <= _EPS:
                         break
-        compile = runtime.network.path_table.compile
+        compile = table.compile
         if remaining > 1e-6 or not runtime.send_atomic(
             payment, [(compile(path), share) for path, share in allocations]
         ):

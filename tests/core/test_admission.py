@@ -7,6 +7,8 @@ import pytest
 from repro.core.admission import AdmissionControlScheme
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.metrics.collectors import MetricsCollector
+from repro.network.network import PaymentNetwork
+from repro.routing.registry import make_scheme
 from repro.topology.generators import line_topology
 from repro.workload.generator import TransactionRecord
 
@@ -109,6 +111,29 @@ class TestAdmissionControl:
         # Plain mode partially delivers the doomed whales.
         assert plain_metrics.delivered_value > controlled_metrics.delivered_value
 
+    def test_pair_without_a_path_is_rejected_at_arrival(self):
+        """A disconnected pair has no path handle: its probed capacity is
+        0, so the payment is rejected at arrival and locks nothing, while
+        a connected pair's payment goes through."""
+        network = PaymentNetwork()
+        network.add_channel(0, 1, 100.0)
+        network.add_channel(2, 3, 100.0)
+        records = [
+            TransactionRecord(0, 1.0, 0, 3, 10.0),  # no path 0 -> 3
+            TransactionRecord(1, 1.5, 0, 1, 10.0),
+        ]
+        scheme = make_scheme("spider-admission")
+        runtime = SimulationSession(
+            network, records, scheme, RuntimeConfig(end_time=20.0)
+        )
+        assert runtime.path_handle(0, 3, scheme.num_paths) is None
+        metrics = runtime.run()
+        assert scheme.rejected == 1
+        assert (metrics.failed, metrics.completed) == (1, 1)
+        assert runtime.payments[0].attempts == 1
+        assert network.channel(2, 3).attempted_flow(2) == 0.0
+        assert network.channel(0, 1).attempted_flow(0) == 10.0
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             AdmissionControlScheme(admit_fraction=0.0)
@@ -116,7 +141,5 @@ class TestAdmissionControl:
             AdmissionControlScheme(num_paths=0)
 
     def test_registry_integration(self):
-        from repro.routing.registry import make_scheme
-
         scheme = make_scheme("spider-admission", inner="shortest-path")
         assert scheme.name == "admission(shortest-path)"

@@ -26,11 +26,11 @@ def run(network, records, **config_kwargs):
 class TestHopAmounts:
     def test_fee_free_network_locks_flat(self):
         network = fee_network()
-        assert network.hop_amounts((0, 1, 2, 3), 100.0) == [100.0, 100.0, 100.0]
+        assert network.path_table.compile((0, 1, 2, 3)).hop_amounts(100.0) == [100.0, 100.0, 100.0]
 
     def test_proportional_fees_compound_upstream(self):
         network = fee_network(fee_rate=0.01)
-        amounts = network.hop_amounts((0, 1, 2, 3), 100.0)
+        amounts = network.path_table.compile((0, 1, 2, 3)).hop_amounts(100.0)
         # Last hop delivers 100; node 2 charges 1% of 100; node 1 charges 1%
         # of 101.
         assert amounts[2] == pytest.approx(100.0)
@@ -39,13 +39,13 @@ class TestHopAmounts:
 
     def test_base_fees_add_per_intermediate(self):
         network = fee_network(base_fee=2.0)
-        amounts = network.hop_amounts((0, 1, 2, 3), 100.0)
+        amounts = network.path_table.compile((0, 1, 2, 3)).hop_amounts(100.0)
         assert amounts == pytest.approx([104.0, 102.0, 100.0])
 
     def test_direct_path_has_no_fee(self):
         network = fee_network(base_fee=5.0, fee_rate=0.1)
         # No intermediaries on a single hop: sender pays exactly the amount.
-        assert network.hop_amounts((0, 1), 100.0) == [100.0]
+        assert network.path_table.compile((0, 1)).hop_amounts(100.0) == [100.0]
 
 
 class TestFeeSettlement:

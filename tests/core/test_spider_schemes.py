@@ -12,6 +12,7 @@ from repro.topology.generators import cycle_topology, line_topology
 from repro.topology.isp import isp_topology
 from repro.workload.demand import records_from_demand
 from repro.workload.generator import TransactionRecord
+from tests.path_helpers import lock
 
 
 def run(records, network, scheme, **config_kwargs):
@@ -31,7 +32,7 @@ class TestWaterfilling:
 
     def test_prefers_higher_capacity_path(self, triangle):
         # Skew balances: direct 0-1 has 20 available, the 0-2-1 detour 50.
-        triangle.lock_path((0, 1), 30.0)
+        lock(triangle, (0, 1), 30.0)
         records = [TransactionRecord(0, 1.0, 0, 1, 10.0)]
         metrics, runtime = run(records, triangle, WaterfillingScheme(num_paths=2))
         assert metrics.completed == 1

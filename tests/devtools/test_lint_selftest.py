@@ -586,17 +586,21 @@ SHIPPED_TREE = ("src", "tests", "examples", "benchmarks")
 
 class TestShippedTree:
     def test_real_tree_lints_clean_and_fast(self):
-        """The acceptance gate: zero unsuppressed findings, < 5 s."""
-        started = time.perf_counter()
+        """The acceptance gate: zero unsuppressed findings, < 5 s of CPU.
+
+        ``run_lint`` runs in this process on one thread, so its process
+        CPU time is the linter's own cost; wall-clock time would also
+        count whatever else the host is running."""
+        started = time.process_time()
         report = run_lint(
             [str(REPO_ROOT / part) for part in SHIPPED_TREE], base=str(REPO_ROOT)
         )
-        elapsed = time.perf_counter() - started
+        elapsed = time.process_time() - started
         assert report.findings == [], "\n".join(
             finding.format_text() for finding in report.findings
         )
         assert report.files_scanned > 100  # really scanned the tree
-        assert elapsed < 5.0, f"lint run took {elapsed:.2f}s"
+        assert elapsed < 5.0, f"lint run took {elapsed:.2f}s of CPU"
         # Every suppression in the shipped tree is justified: the comment
         # carries prose beyond the bare allow[...] marker.
         for finding in report.suppressed:

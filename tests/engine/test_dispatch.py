@@ -7,8 +7,8 @@ spider-window launch loop decide on the pair's compiled handle
 written over node tuples (:mod:`tests.reference.schemes`), swapped onto
 the same scheme in an otherwise identical session.  The atomic schemes
 lock compiled shares through ``session.send_atomic``; their reference
-arm locks the same shares as node tuples through the network's path
-facade (``tests.reference.schemes.send_atomic``).  The tests here pin
+arm locks the same shares as node tuples with per-hop store arithmetic
+(``tests.reference.schemes.send_atomic``).  The tests here pin
 the two arms byte-for-byte on serialised metrics — and, below the
 metrics, bit for bit on the final store arrays — across the regimes that
 matter: shared-channel cohorts, fee-bearing and frozen topologies, a

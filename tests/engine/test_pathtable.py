@@ -1,8 +1,8 @@
 """PathTable correctness: the path-op kernels pinned against per-hop loops.
 
-The kernels (`repro.engine.pathtable`, behind every ``PaymentNetwork``
-path operation) must be *float-for-float* identical to the per-hop
-reference, plain arithmetic on the store arrays
+The kernels (`repro.engine.pathtable`, behind every probe, lock and
+settle the engine makes on a compiled path) must be *float-for-float*
+identical to the per-hop reference, plain arithmetic on the store arrays
 (`tests.reference.path_ops`) — same results, same side effects, same
 exceptions — on arbitrary topologies with
 fee-bearing channels, frozen channels and mid-path rollback.  Hypothesis
@@ -21,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.payments import Payment, UnitState
-from repro.engine.pathtable import PathLock, PathTable
+from repro.engine.pathtable import PathTable
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.errors import ChannelError, InsufficientFundsError, PaymentError
 from repro.network.network import PaymentNetwork
 from repro.routing.registry import make_scheme
 from repro.topology.generators import line_topology
 from repro.workload.generator import TransactionRecord
+from tests import path_helpers as compiled
 from tests.reference.path_ops import ReferencePathOps
 
 
@@ -47,8 +48,8 @@ def build_network(spec) -> PaymentNetwork:
 
 
 def build_twins(spec):
-    """Two identical networks: one driven through its own (kernel) path
-    ops, the other wrapped in the per-hop reference."""
+    """Two identical networks: one driven through the compiled-path
+    kernels, the other wrapped in the per-hop reference."""
     return build_network(spec), ReferencePathOps(build_network(spec))
 
 
@@ -120,23 +121,24 @@ def network_specs(draw):
 def test_bottleneck_and_hop_amounts_match_reference(data):
     spec, paths = data
     vec, ref = build_twins(spec)
+    table = vec.path_table
     for path in paths:
-        assert vec.bottleneck(path) == ref.bottleneck(path)
-        assert vec.hop_amounts(path, 13.7) == ref.hop_amounts(path, 13.7)
+        cpath = table.compile(path)
+        assert table.bottleneck(cpath) == ref.bottleneck(path)
+        assert cpath.hop_amounts(13.7) == ref.hop_amounts(path, 13.7)
         # The first short hop LND reports, at an arbitrary amount and just
         # inside and just outside the 1e-9 tolerance above the bottleneck.
         bottleneck = ref.bottleneck(path)
         for amount in (13.7, bottleneck + 5e-10, bottleneck + 2e-9):
             amounts = ref.hop_amounts(path, amount)
-            cpath = vec.path_table.compile(path)
-            assert vec.path_table.unfunded_hop(cpath, amounts) == ref.unfunded_hop(
+            assert table.unfunded_hop(cpath, amounts) == ref.unfunded_hop(
                 path, amounts
             )
     # The batch probe agrees with the per-path reference, exactly.
-    batch = vec.bottleneck_many(paths)
+    batch = compiled.probe(vec, paths)
     assert batch == [ref.bottleneck(p) for p in paths]
     # And the memoised re-probe (no mutations in between) is identical.
-    assert vec.bottleneck_many(paths) == batch
+    assert compiled.probe(vec, paths) == batch
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,7 +176,7 @@ def test_lock_settle_refund_parity_under_random_traffic(data, operations):
                 channels_ref[index].freeze()
         outcome_vec = outcome_ref = None
         try:
-            lock_vec = vec.lock_path(path, amount)
+            lock_vec = compiled.lock(vec, path, amount)
         except InsufficientFundsError:
             outcome_vec = "insufficient"
         try:
@@ -185,15 +187,13 @@ def test_lock_settle_refund_parity_under_random_traffic(data, operations):
         assert_stores_identical(vec, ref.network)
         if outcome_vec is not None:
             continue
-        assert isinstance(lock_vec, PathLock)
-        assert len(lock_vec) == len(lock_ref) == len(path) - 1
-        for j in range(len(lock_ref)):
-            assert lock_vec.amounts[j] == lock_ref[j].amount
+        assert len(lock_vec.amounts) == len(lock_ref) == len(path) - 1
+        assert lock_vec.amounts == [hop.amount for hop in lock_ref]
         if resolution == "settle":
-            vec.settle_path(path, lock_vec)
+            compiled.settle(vec, lock_vec)
             ref.settle_path(path, lock_ref)
         elif resolution == "refund":
-            vec.refund_path(path, lock_vec)
+            compiled.refund(vec, lock_vec)
             ref.refund_path(path, lock_ref)
         else:
             held.append((path, lock_vec, lock_ref))
@@ -201,10 +201,10 @@ def test_lock_settle_refund_parity_under_random_traffic(data, operations):
         vec.check_invariants()
     for index, (path, lock_vec, lock_ref) in enumerate(held):
         if index % 2 == 0:
-            vec.settle_path(path, lock_vec)
+            compiled.settle(vec, lock_vec)
             ref.settle_path(path, lock_ref)
         else:
-            vec.refund_path(path, lock_vec)
+            compiled.refund(vec, lock_vec)
             ref.refund_path(path, lock_ref)
     assert_stores_identical(vec, ref.network)
     assert vec.total_inflight() == ref.network.total_inflight()
@@ -232,26 +232,28 @@ def test_fee_inclusive_locks_match_reference(data, operations):
     for path_index, amount, settle in operations:
         path = paths[path_index % len(paths)]
         amounts = ref.hop_amounts(path, amount)
-        assert vec.hop_amounts(path, amount) == amounts
         cpath = vec.path_table.compile(path)
+        assert cpath.hop_amounts(amount) == amounts
         assert vec.path_table.unfunded_hop(cpath, amounts) == ref.unfunded_hop(
             path, amounts
         )
-        locks = []
-        for ops in (vec, ref):
-            try:
-                locks.append(ops.lock_path(path, amount, amounts=amounts))
-            except InsufficientFundsError:
-                locks.append(None)
-        lock_vec, lock_ref = locks
+        lock_vec = lock_ref = None
+        try:
+            lock_vec = compiled.lock(vec, path, amount, amounts)
+        except InsufficientFundsError:
+            pass
+        try:
+            lock_ref = ref.lock_path(path, amount, amounts=amounts)
+        except InsufficientFundsError:
+            pass
         assert (lock_vec is None) == (lock_ref is None)
         if lock_vec is not None:
             assert lock_vec.amounts == [hop.amount for hop in lock_ref]
             if settle:
-                vec.settle_path(path, lock_vec)
+                compiled.settle(vec, lock_vec)
                 ref.settle_path(path, lock_ref)
             else:
-                vec.refund_path(path, lock_vec)
+                compiled.refund(vec, lock_vec)
                 ref.refund_path(path, lock_ref)
         assert_stores_identical(vec, ref.network)
     vec.check_invariants()
@@ -386,13 +388,13 @@ def test_batch_probe_refreshes_after_mutations(data, rand):
     channels_vec = list(vec.channels())
     channels_ref = list(ref.network.channels())
     for _ in range(6):
-        assert vec.bottleneck_many(paths) == [ref.bottleneck(p) for p in paths]
+        assert compiled.probe(vec, paths) == [ref.bottleneck(p) for p in paths]
         action = rand.draw(st.sampled_from(["lock", "freeze", "thaw", "deposit"]))
         index = rand.draw(st.integers(min_value=0, max_value=len(channels_vec) - 1))
         cv, cr = channels_vec[index], channels_ref[index]
         if action == "lock" and not cv.frozen and cv.balance(cv.node_a) > 1.0:
             amount = cv.balance(cv.node_a) / 2.0
-            vec.lock_path((cv.node_a, cv.node_b), amount)
+            compiled.lock(vec, (cv.node_a, cv.node_b), amount)
             ref.lock_path((cr.node_a, cr.node_b), amount)
         elif action == "freeze":
             cv.freeze()
@@ -539,7 +541,7 @@ def test_batch_compiled_set_probes_the_arena_in_place():
     assert not arena.dirs.flags.writeable
     mixed = table.probe_handle([(0, 1, 2), table.compile((2, 1)).nodes])
     assert not np.shares_memory(mixed.dirs, arena.dirs)
-    assert network.bottleneck_many(pair) == [50.0, 50.0]
+    assert table.bottleneck_many(probe) == [50.0, 50.0]
 
 
 class TestMidPathRollback:
@@ -551,15 +553,18 @@ class TestMidPathRollback:
         network.add_channel(1, 2, 100.0, base_fee=1.0, fee_rate=0.05)
         network.add_channel(2, 3, 100.0)
         # Drain 2->3 so the last hop fails after two hops locked.
-        network.lock_path((2, 3), 49.0)
+        compiled.lock(network, (2, 3), 49.0)
         return network
 
     def test_rollback_side_effects_match_reference(self):
         vec, ref = self.build(), ReferencePathOps(self.build())
-        for ops in (vec, ref):
-            amounts = ops.hop_amounts((0, 1, 2, 3), 10.0)
-            with pytest.raises(InsufficientFundsError):
-                ops.lock_path((0, 1, 2, 3), 10.0, amounts=amounts)
+        path = (0, 1, 2, 3)
+        amounts = ref.hop_amounts(path, 10.0)
+        assert vec.path_table.compile(path).hop_amounts(10.0) == amounts
+        with pytest.raises(InsufficientFundsError):
+            compiled.lock(vec, path, 10.0, amounts)
+        with pytest.raises(InsufficientFundsError):
+            ref.lock_path(path, 10.0, amounts=amounts)
         assert_stores_identical(vec, ref.network)
         # The per-hop loop's visible scars are reproduced: attempted value
         # counted on the rolled-back hops, one refund each, no net funds.
@@ -572,10 +577,12 @@ class TestMidPathRollback:
 
     def test_frozen_mid_hop_rejects_all_or_nothing(self):
         vec, ref = self.build(), ReferencePathOps(self.build())
-        for network, ops in ((vec, vec), (ref.network, ref)):
-            network.channel(1, 2).freeze()
-            with pytest.raises(InsufficientFundsError):
-                ops.lock_path((0, 1, 2), 5.0)
+        vec.channel(1, 2).freeze()
+        ref.network.channel(1, 2).freeze()
+        with pytest.raises(InsufficientFundsError):
+            compiled.lock(vec, (0, 1, 2), 5.0)
+        with pytest.raises(InsufficientFundsError):
+            ref.lock_path((0, 1, 2), 5.0)
         assert_stores_identical(vec, ref.network)
 
     @pytest.mark.parametrize("veto", ["dust", "fee-budget", "rollback", "frozen"])
@@ -663,38 +670,12 @@ class TestHopAvailability:
         assert table.unfunded_hop(cpath, [50.0, 30.0, 20.0 + 5e-10]) is None
 
 
-class TestPathLockLifecycle:
+class TestLockLifecycle:
     def network(self) -> PaymentNetwork:
         network = PaymentNetwork()
         network.add_channel(0, 1, 100.0)
         network.add_channel(1, 2, 100.0)
         return network
-
-    def assert_second_resolution_refused(self, first: str, second: str):
-        """The refused call leaves the store as the first resolution left
-        it: no double credit, no double refund."""
-        network = self.network()
-        lock = network.lock_path((0, 1, 2), 5.0)
-        getattr(network, f"{first}_path")((0, 1, 2), lock)
-        assert lock.resolved
-        store = network.state_store
-        before = {name: getattr(store, name).copy() for name in STORE_STATE}
-        with pytest.raises(ChannelError, match="already resolved"):
-            getattr(network, f"{second}_path")((0, 1, 2), lock)
-        for name in STORE_STATE:
-            assert np.array_equal(getattr(store, name), before[name]), name
-
-    def test_double_settle_raises(self):
-        self.assert_second_resolution_refused("settle", "settle")
-
-    def test_refund_after_settle_raises(self):
-        self.assert_second_resolution_refused("settle", "refund")
-
-    def test_settle_after_refund_raises(self):
-        self.assert_second_resolution_refused("refund", "settle")
-
-    def test_double_refund_raises(self):
-        self.assert_second_resolution_refused("refund", "refund")
 
     def test_batched_flush_resolves_every_lock(self):
         """Units maturing on one tick resolve through one
@@ -723,42 +704,35 @@ class TestPathLockLifecycle:
         with pytest.raises(PaymentError, match="already resolved"):
             session._resolve_unit(unit)
 
-    def test_hop_count_mismatch_raises(self):
-        network = self.network()
-        lock = network.lock_path((0, 1, 2), 5.0)
-        with pytest.raises(ChannelError):
-            network.settle_path((0, 1), lock)
-        network.settle_path((0, 1, 2), lock)
-
     def test_degenerate_single_node_path_in_batch(self):
-        network = self.network()
-        values = network.bottleneck_many([(0, 1, 2), (1,)])
-        assert values == [50.0, float("inf")]
-        # And again, to exercise the cached degenerate-set branch.
-        assert network.bottleneck_many([(0, 1, 2), (1,)]) == values
-
-    def test_lock_sequence_protocol(self):
-        network = self.network()
-        lock = network.lock_path((0, 1, 2), 5.0)
-        assert len(lock) == 2
-        assert lock.amounts == [5.0, 5.0]
-        assert lock.amounts[1] == 5.0
+        """A set holding a hopless path has no probe handle (the dispatch
+        plan keeps no handle for it); the path alone probes as ``inf``."""
+        table = self.network().path_table
+        assert table.probe_handle([(0, 1, 2), (1,)]) is None
+        assert table.probe_handle([(0, 1, 2), (1,)]) is None  # memoised
+        assert table.bottleneck(table.compile((1,))) == float("inf")
 
     def test_validation_errors_match_reference_types(self):
         from repro.errors import TopologyError
 
-        for net in (self.network(), ReferencePathOps(self.network())):
-            with pytest.raises(ChannelError):
-                net.bottleneck([])
-            with pytest.raises(TopologyError):
-                net.bottleneck([0, 2])
-            with pytest.raises(TopologyError):
-                net.bottleneck([0, 9])
-            with pytest.raises(ChannelError):
-                net.lock_path([0, 1, 0], 1.0)
-            with pytest.raises(ChannelError):
-                net.lock_path([0], 1.0)
-            assert net.bottleneck([0]) == float("inf")
+        network, ref = self.network(), ReferencePathOps(self.network())
+        table = network.path_table
+        for path, error in (
+            ([], ChannelError),
+            ([0, 2], TopologyError),
+            ([0, 9], TopologyError),
+            ([0, 1, 0], ChannelError),
+        ):
+            with pytest.raises(error):
+                table.compile(path)
+            with pytest.raises(error):
+                ref.bottleneck(path)
+        with pytest.raises(ChannelError):
+            compiled.lock(network, [0], 1.0)
+        with pytest.raises(ChannelError):
+            ref.lock_path([0], 1.0)
+        assert table.bottleneck(table.compile([0])) == float("inf")
+        assert ref.bottleneck([0]) == float("inf")
 
 
 # ----------------------------------------------------------------------

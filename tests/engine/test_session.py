@@ -11,7 +11,7 @@ from repro.core.payments import TransactionUnit, UnitState
 from repro.core.queueing import HopUnit, SpiderQueueingScheme
 from repro.engine import session as session_module
 from repro.engine.session import RuntimeConfig, SimulationSession
-from repro.errors import ConfigError, PaymentError
+from repro.errors import PaymentError
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import MetricsCollector
 from repro.routing.registry import make_scheme
@@ -189,30 +189,6 @@ class TestOneUnitRecord:
         assert (unit.payment.delivered, unit.payment.inflight) == payment
         assert session.collector.units_settled == units_settled
         assert unit.state is UnitState.SETTLED
-
-
-class TestRetiredDeclarations:
-    """``runtime_class`` / ``hop_by_hop`` used to select a second engine;
-    without a ``transport`` they must fail loudly, not run source-routed."""
-
-    def _session(self, **declared):
-        from repro.routing.shortest_path import ShortestPathScheme
-
-        scheme_class = type(
-            "Retired", (ShortestPathScheme,), {"name": "retired", **declared}
-        )
-        network, records, _ = _line_setup()
-        return SimulationSession(network, records, scheme_class())
-
-    def test_runtime_class_without_transport_is_rejected(self):
-        session = self._session(runtime_class=object)
-        with pytest.raises(ConfigError, match="'retired'.*transport = 'hop'"):
-            session.prepare()
-
-    def test_hop_by_hop_without_transport_is_rejected(self):
-        session = self._session(hop_by_hop=True)
-        with pytest.raises(ConfigError, match="'retired'.*transport = 'hop'"):
-            session.run()
 
 
 class TestEmptyTrace:

@@ -21,6 +21,7 @@ from repro.errors import ConfigError
 from repro.network.network import PaymentNetwork
 from repro.simulator.rng import make_rng
 from repro.topology import ripple_topology
+from tests.path_helpers import pay
 from tests.engine.test_pathtable import build_network, network_specs
 from tests.reference import signals as reference
 from tests.reference.signals import ReferencePriceTable
@@ -49,7 +50,7 @@ def _random_network(rng, fees: bool = True, frozen: bool = True):
     # Fees are set before the first lock compiles a path (compiled paths
     # snapshot the fee schedule).
     for hop, amount in skews:
-        network.settle_path(hop, network.lock_path(hop, amount))
+        pay(network, hop, amount)
     if frozen:
         channels = list(network.channels())
         for channel in rng.choice(len(channels), size=2, replace=False):

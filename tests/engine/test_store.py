@@ -9,6 +9,7 @@ from repro.engine.store import ChannelStateStore
 from repro.errors import ChannelError, InsufficientFundsError
 from repro.network.channel import PaymentChannel
 from repro.network.network import PaymentNetwork
+from tests.path_helpers import lock, settle
 
 
 class TestAllocation:
@@ -49,10 +50,10 @@ class TestChannelIsView:
         network = PaymentNetwork()
         channel = network.add_channel(0, 1, 100.0)
         store = network.state_store
-        lock = network.lock_path((0, 1), 30.0)
+        held = lock(network, (0, 1), 30.0)
         assert store.balance_view[0, 0] == pytest.approx(20.0)
         assert store.inflight_view[0, 0] == pytest.approx(30.0)
-        network.settle_path((0, 1), lock)
+        settle(network, held)
         assert store.balance_view[0, 1] == pytest.approx(80.0)
         assert store.settled_flow_view[0, 0] == pytest.approx(30.0)
         assert store.num_settled[0] == 1
@@ -70,7 +71,7 @@ class TestChannelIsView:
         assert network.state_store.frozen_view[0]
         assert network.available(0, 1) == 0.0
         with pytest.raises(InsufficientFundsError):
-            network.lock_path((0, 1), 1.0)
+            lock(network, (0, 1), 1.0)
         channel.unfreeze()
         assert network.available(0, 1) == pytest.approx(50.0)
 
@@ -92,7 +93,7 @@ class TestVectorisedAggregates:
 
     def test_totals_match_per_channel_sums(self):
         network = self._network()
-        network.lock_path((0, 1), 20.0)
+        lock(network, (0, 1), 20.0)
         assert network.total_funds() == pytest.approx(200.0)
         assert network.total_inflight() == pytest.approx(20.0)
         per_channel = sum(
@@ -121,7 +122,7 @@ class TestVectorisedAggregates:
     def test_snapshot_is_a_copy(self):
         network = self._network()
         snap = network.state_store.snapshot_balances()
-        network.lock_path((0, 1), 10.0)
+        lock(network, (0, 1), 10.0)
         assert snap[0, 0] == pytest.approx(70.0)  # unchanged
         assert network.state_store.balance_view[0, 0] == pytest.approx(60.0)
 

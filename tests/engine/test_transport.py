@@ -15,6 +15,7 @@ from repro.routing.base import RoutingScheme
 from repro.routing.registry import make_scheme
 from repro.topology.generators import line_topology
 from repro.workload.generator import TransactionRecord
+from tests.path_helpers import lock
 
 
 class LaunchOnLine(RoutingScheme):
@@ -62,7 +63,7 @@ class TestHopByHopNative:
         session = make_session([record(0, 1.0, 0, 3, 30.0)], end_time=3.0)
         network = session.network
         # Drain 1->2 before the run (held HTLC, never resolved).
-        network.lock_path((1, 2), 45.0)
+        lock(network, (1, 2), 45.0)
         store = network.state_store
         cid, side = network.direction(1, 2)[1:]
         observed = {}
@@ -89,7 +90,7 @@ class TestHopByHopNative:
         )
         session.scheme.runtime_kwargs = lambda: {"queue_timeout": 1.0}
         network = session.network
-        network.lock_path((2, 3), 45.0)
+        lock(network, (2, 3), 45.0)
         session.run()
         transport = session.transport
         assert transport.units_timed_out >= 1
@@ -111,7 +112,7 @@ class TestHopByHopNative:
             end_time=3.4,
         )
         transport_timeout = 1.0
-        session.network.lock_path((1, 2), 50.0)  # drain 1->2 fully
+        lock(session.network, (1, 2), 50.0)  # drain 1->2 fully
         # Rebuild the transport parameters via a scheme-level override:
         # LaunchOnLine declares no runtime_kwargs, so patch the default by
         # constructing the transport eagerly through the scheme hook.
@@ -146,7 +147,7 @@ class TestHopByHopNative:
                 )
                 runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
 
-        network.lock_path((0, 1), 50.0)  # direction (0,1) is dry
+        lock(network, (0, 1), 50.0)  # direction (0,1) is dry
         session = SimulationSession(
             network,
             [
@@ -186,7 +187,7 @@ class TestHopByHopNative:
                 record(1, 2.0, 3, 0, 40.0),  # reverse flow replenishes 1->2
             ],
         )
-        session.network.lock_path((1, 2), 45.0)
+        lock(session.network, (1, 2), 45.0)
         metrics = session.run()
         assert session.transport.units_queued >= 1
         assert session.transport.mean_queue_delay > 0.0

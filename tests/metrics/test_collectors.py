@@ -7,6 +7,7 @@ import pytest
 from repro.core.payments import Payment, TransactionUnit
 from repro.metrics.collectors import MetricsCollector
 from repro.network.network import PaymentNetwork
+from tests.path_helpers import pay
 
 
 def make_payment(pid=0, amount=100.0, arrival=1.0):
@@ -76,7 +77,7 @@ class TestCollector:
         assert metrics.throughput_series == [(0.0, 30.0), (2.0, 5.0)]
 
     def test_channel_imbalance_reported(self, network):
-        network.settle_path((0, 1), network.lock_path((0, 1), 30.0))
+        pay(network, (0, 1), 30.0)
         collector = MetricsCollector()
         metrics = collector.finalize("x", network, duration=1.0)
         assert metrics.mean_channel_imbalance == pytest.approx(60.0)

@@ -15,6 +15,7 @@ from repro.network.network import PaymentNetwork
 from repro.routing import make_scheme
 from repro.topology.generators import line_topology, star_topology
 from repro.workload.generator import TransactionRecord
+from tests.path_helpers import lock
 
 
 def run_with_fees(network, records, end_time=30.0):
@@ -91,7 +92,7 @@ class TestEscrow:
 
     def test_escrow_includes_inflight(self):
         network = line_topology(3).build_network(default_capacity=100.0)
-        network.lock_path((0, 1), 20.0)
+        lock(network, (0, 1), 20.0)
         escrow = escrow_by_node(network)
         assert escrow[0] == pytest.approx(50.0)  # 30 spendable + 20 in flight
 

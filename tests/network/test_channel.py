@@ -1,6 +1,6 @@
 """Tests for the payment channel view: construction, balances, flow
 accounting and deposits.  Funds move the way the engine moves them,
-through the network's path operations on the shared store."""
+through compiled-path locks and the store's per-hop resolutions."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ import pytest
 from repro.errors import ChannelError, InsufficientFundsError
 from repro.network.channel import PaymentChannel
 from repro.network.network import PaymentNetwork
+from tests import path_helpers
+from tests.path_helpers import lock, refund, settle
 
 
 @pytest.fixture
@@ -29,8 +31,7 @@ def channel(network) -> PaymentChannel:
 
 def pay(network: PaymentNetwork, sender: str, receiver: str, amount: float) -> None:
     """Lock ``amount`` from ``sender`` to ``receiver`` and settle it."""
-    path = (sender, receiver)
-    network.settle_path(path, network.lock_path(path, amount))
+    path_helpers.pay(network, (sender, receiver), amount)
 
 
 class TestConstruction:
@@ -131,50 +132,45 @@ class TestFig1Scenario:
         assert channel.balance("alice") == 4.0
         assert channel.balance("bob") == 3.0
         # Alice -> Bob: 2 tokens.
-        lock = network.lock_path(("alice", "bob"), 2.0)
-        network.settle_path(("alice", "bob"), lock)
+        pay(network, "alice", "bob", 2.0)
         assert channel.balance("alice") == 2.0
         assert channel.balance("bob") == 5.0
         channel.check_invariant()
-        # A settled transfer cannot settle again.
-        with pytest.raises(ChannelError, match="already resolved"):
-            network.settle_path(("alice", "bob"), lock)
-        assert channel.balance("bob") == 5.0
 
 
 class TestLocking:
     def test_lock_moves_funds_to_inflight(self, network, channel):
-        network.lock_path(("alice", "bob"), 2.0)
+        lock(network, ("alice", "bob"), 2.0)
         assert channel.balance("alice") == 1.0
         assert channel.inflight("alice") == 2.0
         channel.check_invariant()
 
     def test_lock_beyond_balance_raises(self, network):
         with pytest.raises(InsufficientFundsError):
-            network.lock_path(("alice", "bob"), 3.5)
+            lock(network, ("alice", "bob"), 3.5)
 
     def test_inflight_funds_are_unspendable(self, network):
-        network.lock_path(("alice", "bob"), 3.0)
+        lock(network, ("alice", "bob"), 3.0)
         with pytest.raises(InsufficientFundsError):
-            network.lock_path(("alice", "bob"), 0.5)
+            lock(network, ("alice", "bob"), 0.5)
 
     def test_non_positive_lock_raises(self, network):
         with pytest.raises(ChannelError):
-            network.lock_path(("alice", "bob"), 0.0)
+            lock(network, ("alice", "bob"), 0.0)
         with pytest.raises(ChannelError):
-            network.lock_path(("alice", "bob"), -1.0)
+            lock(network, ("alice", "bob"), -1.0)
 
     @pytest.mark.parametrize("amount", [math.inf, math.nan])
     def test_non_finite_lock_raises_and_writes_nothing(self, network, channel, amount):
         with pytest.raises(ChannelError, match="positive and finite"):
-            network.lock_path(("alice", "bob"), amount)
+            lock(network, ("alice", "bob"), amount)
         assert channel.balance("alice") == 3.0
         assert channel.inflight("alice") == 0.0
         assert channel.attempted_flow("alice") == 0.0
 
     def test_per_hop_amount_count_must_match_the_path(self, network, channel):
         with pytest.raises(ChannelError, match="1 hops but 2 amounts"):
-            network.lock_path(("alice", "bob"), 1.0, amounts=[1.0, 1.0])
+            lock(network, ("alice", "bob"), 1.0, [1.0, 1.0])
         assert channel.inflight("alice") == 0.0
 
     def test_frozen_channel_offers_nothing_either_way(self, network, channel):
@@ -184,7 +180,7 @@ class TestLocking:
         # Freezing moves no funds: the balances are still there.
         assert (channel.balance("alice"), channel.balance("bob")) == (3.0, 4.0)
         with pytest.raises(InsufficientFundsError, match="frozen"):
-            network.lock_path(("bob", "alice"), 1.0)
+            lock(network, ("bob", "alice"), 1.0)
         channel.unfreeze()
         assert channel.available("bob") == 4.0
 
@@ -195,21 +191,20 @@ class TestLocking:
         assert network.state_store.num_settled[channel.channel_id] == 1
 
     def test_refund_returns_to_sender(self, network, channel):
-        lock = network.lock_path(("alice", "bob"), 2.0)
-        network.refund_path(("alice", "bob"), lock)
+        refund(network, lock(network, ("alice", "bob"), 2.0))
         assert channel.balance("alice") == 3.0
         assert channel.balance("bob") == 4.0
         assert network.state_store.num_refunded[channel.channel_id] == 1
 
     def test_multiple_concurrent_locks(self, network, channel):
-        first = network.lock_path(("alice", "bob"), 1.0)
-        second = network.lock_path(("alice", "bob"), 1.5)
-        third = network.lock_path(("bob", "alice"), 2.0)
+        first = lock(network, ("alice", "bob"), 1.0)
+        second = lock(network, ("alice", "bob"), 1.5)
+        third = lock(network, ("bob", "alice"), 2.0)
         assert channel.inflight("alice") == 2.5
         assert channel.inflight("bob") == 2.0
-        network.settle_path(("alice", "bob"), first)
-        network.refund_path(("alice", "bob"), second)
-        network.settle_path(("bob", "alice"), third)
+        settle(network, first)
+        refund(network, second)
+        settle(network, third)
         # alice: 3 − 1 − 1.5 + 1.5 (refund) + 2 (from bob) = 4
         assert channel.balance("alice") == 4.0
         # bob:   4 − 2 + 1 (from alice) = 3
@@ -220,8 +215,7 @@ class TestLocking:
 class TestAccounting:
     def test_flow_counters(self, network, channel):
         pay(network, "alice", "bob", 2.0)
-        lock = network.lock_path(("alice", "bob"), 1.0)
-        network.refund_path(("alice", "bob"), lock)
+        refund(network, lock(network, ("alice", "bob"), 1.0))
         assert channel.settled_flow("alice") == 2.0
         assert channel.attempted_flow("alice") == 3.0
         assert channel.settled_flow("bob") == 0.0
@@ -277,15 +271,15 @@ class TestDeposit:
 
     def test_deposit_enables_larger_sends(self, network, channel):
         with pytest.raises(InsufficientFundsError):
-            network.lock_path(("alice", "bob"), 5.0)
+            lock(network, ("alice", "bob"), 5.0)
         channel.deposit("alice", 5.0)
-        network.lock_path(("alice", "bob"), 5.0)
+        lock(network, ("alice", "bob"), 5.0)
         channel.check_invariant()
 
 
 class TestInvariant:
     def test_lost_funds_are_reported(self, network, channel):
-        network.lock_path(("alice", "bob"), 1.0)
+        lock(network, ("alice", "bob"), 1.0)
         network.state_store.inflight[channel.channel_id, 0] -= 0.5
         with pytest.raises(ChannelError, match="conservation violated"):
             channel.check_invariant()

@@ -16,6 +16,7 @@ from repro.network.network import PaymentNetwork
 from repro.routing import make_scheme
 from repro.topology.generators import cycle_topology, line_topology
 from repro.workload.generator import TransactionRecord
+from tests.path_helpers import lock, settle
 
 
 class TestChannelFreeze:
@@ -27,14 +28,14 @@ class TestChannelFreeze:
         assert channel.available(0) == 0.0
         assert channel.available(1) == 0.0
         with pytest.raises(InsufficientFundsError):
-            network.lock_path((0, 1), 10.0)
+            lock(network, (0, 1), 10.0)
 
     def test_pending_locks_resolve_while_frozen(self):
         network = PaymentNetwork()
         channel = network.add_channel(0, 1, 100.0)
-        lock = network.lock_path((0, 1), 20.0)
+        held = lock(network, (0, 1), 20.0)
         channel.freeze()
-        network.settle_path((0, 1), lock)  # in-flight transfers still complete (§2)
+        settle(network, held)  # in-flight transfers still complete (§2)
         assert channel.balance(1) == pytest.approx(70.0)
         channel.check_invariant()
 
@@ -45,7 +46,7 @@ class TestChannelFreeze:
         channel.unfreeze()
         assert not channel.frozen
         assert channel.available(0) == pytest.approx(50.0)
-        network.lock_path((0, 1), 10.0)
+        lock(network, (0, 1), 10.0)
 
     def test_freeze_conserves_funds(self):
         network = PaymentNetwork()

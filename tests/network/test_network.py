@@ -8,6 +8,13 @@ import pytest
 
 from repro.errors import ChannelError, InsufficientFundsError, TopologyError
 from repro.network.network import PaymentNetwork, canonical_edge
+from tests.path_helpers import lock, refund, settle
+
+
+def bottleneck(network: PaymentNetwork, path) -> float:
+    """``path``'s bottleneck, probed on its compiled form."""
+    table = network.path_table
+    return table.bottleneck(table.compile(path))
 
 
 class TestCanonicalEdge:
@@ -72,12 +79,12 @@ class TestAvailability:
 
     def test_bottleneck_is_min_along_path(self, line3):
         # line 0-1-2, each channel 100 split 50/50
-        assert line3.bottleneck([0, 1, 2]) == 50.0
-        line3.lock_path((0, 1), 30.0)
-        assert line3.bottleneck([0, 1, 2]) == 20.0
+        assert bottleneck(line3, [0, 1, 2]) == 50.0
+        lock(line3, (0, 1), 30.0)
+        assert bottleneck(line3, [0, 1, 2]) == 20.0
 
     def test_bottleneck_of_single_node_is_infinite(self, line3):
-        assert line3.bottleneck([0]) == math.inf
+        assert bottleneck(line3, [0]) == math.inf
 
     def test_direction_lookup(self, line3):
         channel, cid, side = line3.direction(2, 1)
@@ -88,24 +95,23 @@ class TestAvailability:
 
     def test_path_validation(self, line3):
         with pytest.raises(ChannelError):
-            line3.bottleneck([])
+            bottleneck(line3, [])
         with pytest.raises(TopologyError):
-            line3.bottleneck([0, 2])  # no channel 0-2
+            bottleneck(line3, [0, 2])  # no channel 0-2
         with pytest.raises(TopologyError):
-            line3.bottleneck([0, 9])
+            bottleneck(line3, [0, 9])
 
 
 class TestPathLocking:
     def test_lock_path_locks_every_hop(self, line3):
-        htlcs = line3.lock_path([0, 1, 2], 10.0)
-        assert len(htlcs) == 2
+        htlcs = lock(line3, [0, 1, 2], 10.0)
+        assert htlcs.amounts == [10.0, 10.0]
         assert line3.available(0, 1) == 40.0
         assert line3.available(1, 2) == 40.0
         line3.check_invariants()
 
     def test_settle_path_credits_downstream(self, line3):
-        htlcs = line3.lock_path([0, 1, 2], 10.0)
-        line3.settle_path([0, 1, 2], htlcs)
+        settle(line3, lock(line3, [0, 1, 2], 10.0))
         assert line3.available(1, 0) == 60.0
         assert line3.available(2, 1) == 60.0
         # Relay node 1 is net flat: paid 10 downstream, received 10 upstream.
@@ -116,17 +122,16 @@ class TestPathLocking:
 
     def test_refund_path_restores_balances(self, line3):
         before = line3.balance_snapshot()
-        htlcs = line3.lock_path([0, 1, 2], 10.0)
-        line3.refund_path([0, 1, 2], htlcs)
+        refund(line3, lock(line3, [0, 1, 2], 10.0))
         assert line3.balance_snapshot() == before
         line3.check_invariants()
 
     def test_partial_lock_rolls_back_atomically(self, line3):
         # Drain channel 1->2 so the second hop fails.
-        line3.lock_path((1, 2), 50.0)
+        lock(line3, (1, 2), 50.0)
         before_first_hop = line3.available(0, 1)
         with pytest.raises(InsufficientFundsError):
-            line3.lock_path([0, 1, 2], 10.0)
+            lock(line3, [0, 1, 2], 10.0)
         assert line3.available(0, 1) == before_first_hop
         line3.check_invariants()
 
@@ -135,17 +140,17 @@ class TestPathLocking:
         network.add_channel("alice", "bob", 10.0)
         network.add_channel("bob", "carol", 10.0)
         path = ("alice", "bob", "carol")
-        lock = network.lock_path(path, 2.0)
+        held = lock(network, path, 2.0)
         assert network.total_inflight() == 4.0
-        network.settle_path(path, lock)
+        settle(network, held)
         assert network.available("carol", "bob") == 7.0
         assert network.available("bob", "alice") == 7.0
         assert network.total_inflight() == 0.0
         network.check_invariants()
 
     def test_lock_within_tolerance_clamps_to_the_balance(self, line3):
-        lock = line3.lock_path([0, 1, 2], 50.0 + 5e-10)
-        assert lock.amounts == [50.0, 50.0]
+        held = lock(line3, [0, 1, 2], 50.0 + 5e-10)
+        assert held.amounts == [50.0, 50.0]
         assert line3.available(0, 1) == 0.0
         assert line3.available(1, 2) == 0.0
         line3.check_invariants()
@@ -153,22 +158,16 @@ class TestPathLocking:
     def test_lock_beyond_tolerance_raises(self, line3):
         before = line3.balance_snapshot()
         with pytest.raises(InsufficientFundsError):
-            line3.lock_path([0, 1, 2], 50.0 + 2e-9)
+            lock(line3, [0, 1, 2], 50.0 + 2e-9)
         assert line3.balance_snapshot() == before
 
     def test_lock_path_rejects_single_node(self, line3):
         with pytest.raises(ChannelError):
-            line3.lock_path([0], 1.0)
+            lock(line3, [0], 1.0)
 
     def test_lock_path_rejects_revisiting_paths(self, triangle):
         with pytest.raises(ChannelError):
-            triangle.lock_path([0, 1, 0], 1.0)
-
-    def test_htlc_count_mismatch_raises(self, line3):
-        htlcs = line3.lock_path([0, 1, 2], 5.0)
-        with pytest.raises(ChannelError):
-            line3.settle_path([0, 1], htlcs)
-        line3.settle_path([0, 1, 2], htlcs)
+            lock(triangle, [0, 1, 0], 1.0)
 
 
 class TestAggregates:
@@ -177,15 +176,13 @@ class TestAggregates:
 
     def test_total_inflight_tracks_locks(self, line3):
         assert line3.total_inflight() == 0.0
-        line3.lock_path([0, 1, 2], 10.0)
+        lock(line3, [0, 1, 2], 10.0)
         assert line3.total_inflight() == 20.0  # 10 on each hop
 
     def test_funds_conserved_after_traffic(self, triangle):
         total_before = triangle.total_funds()
         for _ in range(5):
-            htlcs = triangle.lock_path([0, 1, 2], 5.0)
-            triangle.settle_path([0, 1, 2], htlcs)
-            htlcs = triangle.lock_path([2, 0], 3.0)
-            triangle.refund_path([2, 0], htlcs)
+            settle(triangle, lock(triangle, [0, 1, 2], 5.0))
+            refund(triangle, lock(triangle, [2, 0], 3.0))
         assert triangle.total_funds() == total_before
         triangle.check_invariants()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InsufficientFundsError
 from repro.network.network import PaymentNetwork
+from tests.path_helpers import lock, refund, settle
 
 PATHS = [
     (0, 1),
@@ -52,23 +53,23 @@ def test_funds_conserved_under_arbitrary_traffic(operations):
     for path_index, amount, resolution in operations:
         path = PATHS[path_index]
         try:
-            htlcs = network.lock_path(path, amount)
+            htlcs = lock(network, path, amount)
         except InsufficientFundsError:
             continue
         if resolution == "settle":
-            network.settle_path(path, htlcs)
+            settle(network, htlcs)
         elif resolution == "refund":
-            network.refund_path(path, htlcs)
+            refund(network, htlcs)
         else:
-            held.append((path, htlcs))
+            held.append(htlcs)
         network.check_invariants()
         assert network.total_funds() == pytest.approx(total)
     # Resolve the held transfers both ways; conservation must still hold.
-    for index, (path, htlcs) in enumerate(held):
+    for index, htlcs in enumerate(held):
         if index % 2 == 0:
-            network.settle_path(path, htlcs)
+            settle(network, htlcs)
         else:
-            network.refund_path(path, htlcs)
+            refund(network, htlcs)
     network.check_invariants()
     assert network.total_inflight() == pytest.approx(0.0)
     assert network.total_funds() == pytest.approx(total)
@@ -84,10 +85,8 @@ def test_repeated_roundtrips_preserve_balances(amount, repetitions):
     network = build_triangle()
     before = network.balance_snapshot()
     for _ in range(repetitions):
-        htlcs = network.lock_path((0, 1, 2), amount)
-        network.settle_path((0, 1, 2), htlcs)
-        htlcs = network.lock_path((2, 1, 0), amount)
-        network.settle_path((2, 1, 0), htlcs)
+        settle(network, lock(network, (0, 1, 2), amount))
+        settle(network, lock(network, (2, 1, 0), amount))
     after = network.balance_snapshot()
     for key in before:
         assert after[key][0] == pytest.approx(before[key][0])
@@ -100,6 +99,5 @@ def test_lock_refund_is_identity(amount, count):
     network = build_triangle()
     before = network.balance_snapshot()
     for _ in range(count):
-        htlcs = network.lock_path((0, 1, 2), amount)
-        network.refund_path((0, 1, 2), htlcs)
+        refund(network, lock(network, (0, 1, 2), amount))
     assert network.balance_snapshot() == before

@@ -1,14 +1,15 @@
 """Per-hop reference path operations, written as plain store arithmetic.
 
-The oracle for :class:`~repro.engine.pathtable.PathTable` (which
-:class:`~repro.network.network.PaymentNetwork` routes every path operation
-through): each operation walks the path one hop at a time, looks the hop's
-``(channel row, side)`` up by node pair, and reads or writes that hop's
-cells of the store arrays directly — ``available`` for probes,
-``forwarding_fee`` for the fee recurrence, and its own balance / in-flight
-/ ``sent`` / counter updates for lock, settle and refund.  No store kernel
-and no compiled path is involved, so results, store side effects and
-exceptions come from this file's per-hop arithmetic alone.
+The oracle for :class:`~repro.engine.pathtable.PathTable`'s compiled-path
+kernels, and the path operations of the schemes' reference arms
+(``tests/reference/schemes.py``): each operation walks the path one hop
+at a time, looks the hop's ``(channel row, side)`` up by node pair, and
+reads or writes that hop's cells of the store arrays directly —
+``available`` for probes, ``forwarding_fee`` for the fee recurrence, and
+its own balance / in-flight / ``sent`` / counter updates for lock, settle
+and refund.  No store kernel and no compiled path is involved, so
+results, store side effects and exceptions come from this file's per-hop
+arithmetic alone.
 """
 
 from __future__ import annotations

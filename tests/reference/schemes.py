@@ -8,18 +8,19 @@
 <repro.core.amp.AmpWaterfillingScheme.attempt>` work off the pair's
 compiled handle.  The functions here are the same decision rules written
 the plain way: the pair's node-tuple paths from
-``network.path_service.view(k)``, probes
-through ``network.bottleneck_many`` / ``network.bottleneck`` /
+``network.path_service.view(k)``, probes through the per-hop
+:class:`~tests.reference.path_ops.ReferencePathOps` and
 ``network.available``, fee-inclusive offers off the channel objects'
 schedules, one launch scheduled at a time through
 ``session.send_unit_hop_by_hop`` (on the node path, compiled right before
 the call).
 
-:func:`send_atomic` is the atomic send as it was before it ran on
-compiled shares: node tuples priced by ``network.hop_amounts``, locked by
-``network.lock_path`` and rolled back by ``network.refund_path``.  The
-atomic schemes (LND, max-flow, the landmark and embedding schemes, AMP)
-lock through it in their reference arm.
+:func:`send_atomic` is the atomic send written over node tuples and
+per-hop store arithmetic: shares priced, locked and rolled back by
+:class:`~tests.reference.path_ops.ReferencePathOps`, with no path-table
+kernel involved; only the unit record the session resolves carries the
+share's compiled path.  The atomic schemes (LND, max-flow, the landmark
+and embedding schemes, AMP) lock through it in their reference arm.
 
 :func:`use_reference_attempt` swaps an arm onto a scheme instance, so a
 test runs the same session both ways and compares metrics bytes and store
@@ -41,6 +42,7 @@ from repro.routing.embedding import SpeedyMurmursScheme
 from repro.routing.landmark import LandmarkScheme
 from repro.routing.lnd import LndScheme
 from repro.routing.max_flow import MaxFlowScheme
+from tests.reference.path_ops import ReferencePathOps
 
 __all__ = [
     "amp_attempt",
@@ -88,7 +90,8 @@ def waterfilling_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
     if not paths:
         runtime.fail_payment(payment)
         return
-    availability = runtime.network.bottleneck_many(paths)
+    ops = ReferencePathOps(runtime.network)
+    availability = [ops.bottleneck(path) for path in paths]
     min_unit = runtime.config.min_unit_value
     while payment.remaining >= min_unit:
         # The path with the largest remaining estimate (first on a tie).
@@ -105,7 +108,7 @@ def waterfilling_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
             amount = min(amount, deliverable)
         cpath = runtime.network.path_table.compile(paths[best])
         if not runtime.send_compiled(payment, cpath, amount):
-            fresh = runtime.network.bottleneck(paths[best])
+            fresh = ops.bottleneck(paths[best])
             if fresh >= amount - 1e-12 or fresh < min_unit:
                 availability[best] = 0.0
             else:
@@ -153,36 +156,37 @@ def send_atomic(session: Any, payment: Any, allocations: Any) -> bool:
     total = sum(amount for _, amount in allocations)
     if total < payment.amount - 1e-6:
         return False
-    network = session.network
+    ops = ReferencePathOps(session.network)
     shares = []
     total_fee = 0.0
     for path, amount in allocations:
         if amount <= 1e-9:
             continue
         path = getattr(path, "nodes", path)
-        amounts = network.hop_amounts(path, amount)
+        amounts = ops.hop_amounts(path, amount)
         if amounts:
             total_fee += amounts[0] - amount
         shares.append((path, amount, amounts))
     if total_fee > 0 and not payment.fee_budget_allows(total_fee):
         return False
+    compile_path = session.network.path_table.compile
     locked = []
     try:
         for path, amount, amounts in shares:
-            lock = network.lock_path(path, amount, amounts=amounts)
+            hops = ops.lock_path(path, amount, amounts=amounts)
             payment.register_inflight(amount)
             unit = TransactionUnit(
                 payment,
                 amount,
-                lock.cpath,
-                lock.amounts,
+                compile_path(path),
+                [hop.amount for hop in hops],
                 amounts[0] - amount if amounts else 0.0,
             )
-            locked.append((path, lock, unit))
+            locked.append((path, hops, unit))
     except InsufficientFundsError:
         session._failed_locks += 1
-        for path, lock, unit in locked:
-            network.refund_path(path, lock)
+        for path, hops, unit in locked:
+            ops.refund_path(path, hops)
             payment.register_cancelled(unit.amount)
             unit.mark_cancelled()
         return False
@@ -203,7 +207,8 @@ def amp_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
     if not paths:
         runtime.fail_payment(payment)
         return
-    capacities = runtime.network.bottleneck_many(paths)
+    ops = ReferencePathOps(runtime.network)
+    capacities = [ops.bottleneck(path) for path in paths]
     if sum(capacities) < payment.amount - 1e-6:
         runtime.fail_payment(payment)
         return

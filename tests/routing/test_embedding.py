@@ -9,6 +9,7 @@ from repro.routing.embedding import PrefixEmbedding, SpeedyMurmursScheme, tree_d
 from repro.topology.generators import grid_topology, line_topology, star_topology
 from repro.topology.isp import isp_topology
 from repro.workload.generator import TransactionRecord
+from tests.path_helpers import lock
 
 
 class TestTreeDistance:
@@ -90,7 +91,7 @@ class TestSpeedyMurmursScheme:
     def test_greedy_routing_respects_balances(self):
         network = line_topology(3).build_network(default_capacity=100.0)
         # Drain 0->1 so greedy routing dead-ends at the source.
-        network.lock_path((0, 1), 50.0)
+        lock(network, (0, 1), 50.0)
         records = [TransactionRecord(0, 1.0, 0, 2, 10.0)]
         metrics, _ = self._run(records, network, num_trees=1)
         assert metrics.failed == 1

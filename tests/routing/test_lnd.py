@@ -9,6 +9,7 @@ from repro.network.network import PaymentNetwork
 from repro.routing.lnd import LndScheme
 from repro.topology.generators import cycle_topology, line_topology
 from repro.workload.generator import TransactionRecord
+from tests.path_helpers import pay
 
 
 def run(records, network, scheme=None, **config_kwargs):
@@ -97,7 +98,7 @@ class TestRetriesAndMissionControl:
         """Short route 0-1-3 looks fine from gossip but 1→3 is unfunded."""
         network = two_route_network()
         # Shift all of node 1's funds to node 3's side.
-        network.settle_path((1, 3), network.lock_path((1, 3), 50.0))
+        pay(network, (1, 3), 50.0)
         return network
 
     def test_prunes_unfunded_hop_and_retries(self):
@@ -151,7 +152,7 @@ class TestRetriesAndMissionControl:
         # after the first reported failure.
         network = two_route_network()
         for hop in [(1, 3), (4, 3)]:
-            network.settle_path(hop, network.lock_path(hop, 50.0))
+            pay(network, hop, 50.0)
         scheme = LndScheme(max_attempts=1)
         metrics, _ = run([TransactionRecord(0, 1.0, 0, 3, 10.0)], network, scheme=scheme)
         assert metrics.failed == 1
@@ -161,7 +162,7 @@ class TestRetriesAndMissionControl:
         # The sender's own 0→1 direction is drained: no retry is wasted on
         # it because senders see their own balances, not just capacity.
         network = two_route_network()
-        network.settle_path((0, 1), network.lock_path((0, 1), 50.0))
+        pay(network, (0, 1), 50.0)
         scheme = LndScheme()
         metrics, runtime = run(
             [TransactionRecord(0, 1.0, 0, 3, 10.0)], network, scheme=scheme
@@ -224,7 +225,7 @@ class TestOnCycleTopology:
     def test_retry_finds_the_other_way_around(self):
         # 6-cycle: 0→3 has two 3-hop routes; drain one, LND finds the other.
         network = cycle_topology(6).build_network(default_capacity=100.0)
-        network.settle_path((1, 2), network.lock_path((1, 2), 50.0))
+        pay(network, (1, 2), 50.0)
         scheme = LndScheme()
         metrics, _ = run([TransactionRecord(0, 1.0, 0, 3, 10.0)], network, scheme=scheme)
         assert metrics.completed == 1

@@ -17,6 +17,7 @@ from repro.core.payments import Payment
 from repro.core.window_control import WindowedSpiderScheme
 from repro.errors import InsufficientFundsError
 from repro.network.network import PaymentNetwork
+from tests.path_helpers import lock, settle
 
 
 # ----------------------------------------------------------------------
@@ -86,12 +87,12 @@ def test_freeze_thaw_conserves_funds(operations):
     for op, amount in operations:
         if op == "lock":
             try:
-                pending.append(network.lock_path((0, 1), amount))
+                pending.append(lock(network, (0, 1), amount))
             except InsufficientFundsError:
                 pass
         elif op == "settle_all":
-            for lock in pending:
-                network.settle_path((0, 1), lock)
+            for held in pending:
+                settle(network, held)
             pending.clear()
         elif op == "freeze":
             channel.freeze()
@@ -184,7 +185,7 @@ def brute_force_cheapest(network, source, dest, amount, hop_penalty):
         nonlocal best_cost, best_path
         node = path[-1]
         if node == dest:
-            amounts = network.hop_amounts(tuple(path), amount)
+            amounts = network.path_table.compile(path).hop_amounts(amount)
             cost = (amounts[0] - amount) + hop_penalty * (len(path) - 1)
             if cost < best_cost - 1e-12:
                 best_cost, best_path = cost, tuple(path)
@@ -211,7 +212,7 @@ def test_lnd_dijkstra_matches_brute_force(graph_and_n, amount):
     found = scheme._find_path(network, source, dest, amount, set(), now=0.0)
     expected_cost, _ = brute_force_cheapest(network, source, dest, amount, 0.5)
     assert found is not None
-    amounts = network.hop_amounts(found, amount)
+    amounts = network.path_table.compile(found).hop_amounts(amount)
     found_cost = (amounts[0] - amount) + 0.5 * (len(found) - 1)
     assert found_cost == pytest.approx(expected_cost, abs=1e-6)
 
