@@ -1,4 +1,4 @@
-"""RL001 — determinism: no wall-clock or unseeded randomness in the engine.
+"""RL001 — determinism: no wall-clock or unseeded randomness in the simulation.
 
 The evaluation's core claim (throughput/success-rate comparisons across
 schemes, §6 of the paper) rests on byte-identical replay: the same seed
@@ -7,7 +7,9 @@ mode.  One ``time.time()`` folded into a tick, one draw from the global
 ``random`` module or one ``np.random.default_rng()`` (seedless) inside
 the simulation layers silently breaks that.
 
-Scope: ``src/repro/engine``, ``src/repro/routing`` and ``src/repro/core``.
+Scope: ``src/repro/engine``, ``src/repro/routing`` and ``src/repro/core``,
+plus the generators that draw every run's randomness:
+``src/repro/workload``, ``src/repro/topology`` and ``src/repro/simulator``.
 Wall-clock timing belongs in benchmarks and the CLI (``time.perf_counter``
 around a run is fine *there*); randomness must flow from an explicitly
 seeded generator (``np.random.default_rng(seed)``, ``random.Random(seed)``)
@@ -30,6 +32,9 @@ SIMULATION_PREFIXES = (
     "src/repro/engine/",
     "src/repro/routing/",
     "src/repro/core/",
+    "src/repro/workload/",
+    "src/repro/topology/",
+    "src/repro/simulator/",
 )
 
 #: Fully-resolved callables that read the wall clock.
@@ -99,12 +104,13 @@ _SEEDABLE_CONSTRUCTORS = {
 
 @rule
 class DeterminismRule:
-    """RL001: wall-clock and unseeded randomness are banned in the engine."""
+    """RL001: wall-clock and unseeded randomness are banned in the
+    simulation and its generators."""
 
     id = "RL001"
     summary = (
         "no time.time/datetime.now/global-random/seedless default_rng in "
-        "engine, routing or core modules"
+        "engine, routing, core, workload, topology or simulator modules"
     )
 
     def check(self, index: LintIndex) -> Iterator[Finding]:

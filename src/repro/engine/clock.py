@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 __all__ = ["TickClock", "DEFAULT_QUANTUM"]
@@ -46,6 +48,22 @@ class TickClock:
         if not math.isfinite(seconds):
             raise ConfigError(f"cannot quantise non-finite time {seconds!r}")
         return round(seconds * self._inv_quantum)
+
+    def to_ticks_many(self, seconds: np.ndarray) -> np.ndarray:
+        """:meth:`to_ticks` over an array, as ``int64`` ticks.
+
+        ``np.rint`` rounds half to even like ``round``, on the same float
+        product, so every tick equals its scalar twin.
+        """
+        seconds = np.asarray(seconds, dtype=np.float64)
+        scaled = seconds * self._inv_quantum
+        bad = np.flatnonzero(~(np.abs(scaled) < 2.0**63))
+        if bad.size:
+            time = seconds.item(bad[0])
+            if not math.isfinite(time):
+                raise ConfigError(f"cannot quantise non-finite time {time!r}")
+            raise ConfigError(f"time {time!r} is beyond the tick range")
+        return np.rint(scaled).astype(np.int64)
 
     def to_seconds(self, ticks: int) -> float:
         """Float seconds represented by ``ticks``."""

@@ -221,12 +221,12 @@ class TickEngine:
         record.
         """
         now = self._tick
-        for tick in ticks:
-            if tick < now:
-                raise SimulationError(
-                    f"cannot schedule event in the past "
-                    f"(now_tick={now}, requested={tick})"
-                )
+        if ticks and min(ticks) < now:
+            tick = next(tick for tick in ticks if tick < now)
+            raise SimulationError(
+                f"cannot schedule event in the past "
+                f"(now_tick={now}, requested={tick})"
+            )
         return self._queue.schedule_many(ticks, callbacks, args_list)
 
     def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Entry:

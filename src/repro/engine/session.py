@@ -48,8 +48,7 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +62,7 @@ from repro.engine.transport import Transport, make_transport
 from repro.errors import ConfigError, InsufficientFundsError, SimulationError
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
 from repro.network.network import PaymentNetwork
-from repro.workload.generator import TransactionRecord
+from repro.workload.generator import Trace, TransactionRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.pathservice import PathService
@@ -109,25 +108,33 @@ def _collector_paused() -> Iterator[None]:
                 gc.collect()
 
 
-def _check_trace(records: Sequence[TransactionRecord]) -> None:
-    """Reject a trace no scheme can run: a payment to its own source, or
-    two records sharing a ``txn_id`` (payments and the pending order are
-    keyed by it, so one would silently replace the other)."""
-    for record in records:
-        if record.source == record.dest:
-            raise ConfigError(
-                f"transaction {record.txn_id!r} pays its own source "
-                f"{record.source!r}; a payment needs two distinct endpoints"
-            )
-    # Sorted, a repeat sits next to its twin (no set: the trace can be
-    # large, and a hash table of its ids would outweigh one list).
-    ids = sorted([record.txn_id for record in records])
-    for previous, txn_id in zip(ids, islice(ids, 1, None)):
-        if previous == txn_id:
-            raise ConfigError(
-                f"transaction id {txn_id!r} appears more than once in the "
-                "trace; ids must be unique"
-            )
+def _check_trace(trace: Trace) -> None:
+    """Reject a trace no scheme can run: a payment to its own source, an
+    arrival time that is NaN (it has no place in the arrival order), or two
+    records sharing a ``txn_id`` (payments and the pending order are keyed
+    by it, so one would silently replace the other).  Each check names the
+    first offending row in trace order (the smallest repeated id)."""
+    rows = np.flatnonzero(trace.source == trace.dest)
+    if rows.size:
+        txn_id, _, source, _, _, _ = trace.row(rows[0])
+        raise ConfigError(
+            f"transaction {txn_id!r} pays its own source "
+            f"{source!r}; a payment needs two distinct endpoints"
+        )
+    rows = np.flatnonzero(np.isnan(trace.arrival_time))
+    if rows.size:
+        raise ConfigError(
+            f"transaction {trace.row(rows[0])[0]!r} arrives at time nan; "
+            "arrival times must be numbers"
+        )
+    # Sorted, a repeat sits next to its twin.
+    ids = np.sort(trace.txn_id)
+    rows = np.flatnonzero(ids[1:] == ids[:-1])
+    if rows.size:
+        raise ConfigError(
+            f"transaction id {ids.item(rows[0] + 1)!r} appears more than once in the "
+            "trace; ids must be unique"
+        )
 
 
 def check_fee_field(name: str, value: Optional[float]) -> None:
@@ -204,7 +211,10 @@ class SimulationSession:
     network:
         The payment network (mutated in place).
     records:
-        The transaction trace, sorted by arrival time.
+        The transaction trace: a :class:`~repro.workload.generator.Trace`
+        or any sequence of records.  The session holds it as a
+        :class:`~repro.workload.generator.Trace` (``self.records``),
+        stably sorted by arrival time.
     scheme:
         A :class:`~repro.routing.base.RoutingScheme`.
     config:
@@ -236,7 +246,7 @@ class SimulationSession:
         path_cache_dir: Optional[str] = None,
     ):
         self.network = network
-        self.records = sorted(records, key=lambda r: r.arrival_time)
+        self.records = Trace.from_records(records).sorted_by_arrival()
         _check_trace(self.records)
         self.scheme = scheme
         self.config = config or RuntimeConfig()
@@ -263,9 +273,10 @@ class SimulationSession:
         self._resolve_batches: Dict[int, List[TransactionUnit]] = {}
         if self.config.end_time is not None:
             self._end_time = self.config.end_time
-        elif self.records:
+        elif len(self.records):
             self._end_time = (
-                self.records[-1].arrival_time + 10.0 * max(self.config.confirmation_delay, 0.1)
+                self.records.arrival_time.item(-1)
+                + 10.0 * max(self.config.confirmation_delay, 0.1)
             )
         else:
             self._end_time = 0.0
@@ -353,7 +364,7 @@ class SimulationSession:
         with _collector_paused():
             transport_kind = getattr(self.scheme, "transport", None)
             self._prepared = True
-            if not self.records and self.config.end_time is None:
+            if not len(self.records) and self.config.end_time is None:
                 # Empty trace, no horizon: nothing can ever arrive.  run()
                 # finalizes an empty run instead of arming machinery that
                 # never fires.
@@ -388,15 +399,10 @@ class SimulationSession:
         num_paths = getattr(self.scheme, "num_paths", None)
         if num_paths is None:
             return
-        pairs = []
-        seen = set()
-        for record in self.records:
-            if record.arrival_time > self._end_time:
-                break
-            key = (record.source, record.dest)
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
+        trace = self.records
+        first, _ = trace.pair_groups(self._arrivals_in_run())
+        rows = np.sort(first)  # the pairs in order of first arrival
+        pairs = list(zip(trace.source[rows].tolist(), trace.dest[rows].tolist()))
         if pairs:
             self.network.path_service.view(k=num_paths).prepare(pairs)
             # Also pre-build the pairs' compiled handles (compiled paths +
@@ -404,40 +410,34 @@ class SimulationSession:
             # pair by pair.
             self._dispatch.prime(pairs)
 
+    def _arrivals_in_run(self) -> int:
+        """How many rows of the (arrival-sorted) trace arrive by the end
+        of the run; the rest are never scheduled."""
+        return int(np.searchsorted(self.records.arrival_time, self._end_time, side="right"))
+
     def _schedule_trace_batched(self) -> None:
         """Schedule the trace in one slab append, coalescing same-tick
-        arrival bursts into single cohort events."""
-        clock = self.sim.clock
-        records = self.records
+        arrival bursts into single cohort events.
+
+        A lone arrival is ``_arrive(row)``, a burst ``_arrive_cohort(start,
+        stop)`` over its rows.
+        """
+        count = self._arrivals_in_run()
+        if not count:
+            return
+        ticks = self.sim.clock.to_ticks_many(self.records.arrival_time[:count])
+        new_tick = np.ones(count, dtype=bool)
+        new_tick[1:] = ticks[1:] != ticks[:-1]
+        starts = np.flatnonzero(new_tick)
+        args_list: List[tuple] = list(zip(starts.tolist()))
         # Bound once: each ``self._arrive`` mints a new method object.
-        arrive, arrive_cohort = self._arrive, self._arrive_cohort
-        ticks: List[int] = []
-        callbacks: List[object] = []
-        args_list: List[tuple] = []
-        i = 0
-        count = len(records)
-        while i < count:
-            record = records[i]
-            if record.arrival_time > self._end_time:
-                break
-            tick = clock.to_ticks(record.arrival_time)
-            j = i + 1
-            while (
-                j < count
-                and records[j].arrival_time <= self._end_time
-                and clock.to_ticks(records[j].arrival_time) == tick
-            ):
-                j += 1
-            ticks.append(tick)
-            if j - i == 1:
-                callbacks.append(arrive)
-                args_list.append((record,))
-            else:
-                callbacks.append(arrive_cohort)
-                args_list.append((tuple(records[i:j]),))
-            i = j
-        if ticks:
-            self.sim.schedule_many(ticks, callbacks, args_list)
+        callbacks: List[Callable[..., None]] = [self._arrive] * len(starts)
+        stops = np.append(starts[1:], count)
+        arrive_cohort = self._arrive_cohort
+        for group in np.flatnonzero(stops - starts > 1).tolist():
+            callbacks[group] = arrive_cohort
+            args_list[group] = (starts.item(group), stops.item(group))
+        self.sim.schedule_many(ticks[starts].tolist(), callbacks, args_list)
 
     def run(self) -> ExperimentMetrics:
         """Execute the full trace and return the run's metrics.
@@ -450,7 +450,7 @@ class SimulationSession:
             raise RuntimeError("a SimulationSession runs exactly once")
         self._finished = True
         self.prepare()
-        if not self.records and self.config.end_time is None:
+        if not len(self.records) and self.config.end_time is None:
             return self.collector.finalize(
                 scheme=self.scheme.name, network=self.network, duration=0.0
             )
@@ -651,20 +651,30 @@ class SimulationSession:
     # ------------------------------------------------------------------
     # Internal event handlers
     # ------------------------------------------------------------------
-    def _new_payment(self, record: TransactionRecord) -> Payment:
-        """Materialise a trace record as a pending payment (no attempt)."""
+    def _new_payment(
+        self,
+        txn_id: int,
+        arrival_time: float,
+        source: int,
+        dest: int,
+        amount: float,
+        deadline: Optional[float] = None,
+    ) -> Payment:
+        """Materialise one transaction (a trace row's fields, in
+        :class:`TransactionRecord` order) as a pending payment (no
+        attempt)."""
         max_fee = (
-            self.config.max_fee_fraction * record.amount
+            self.config.max_fee_fraction * amount
             if self.config.max_fee_fraction is not None
             else None
         )
         payment = Payment(
-            payment_id=record.txn_id,
-            source=record.source,
-            dest=record.dest,
-            amount=record.amount,
-            arrival_time=record.arrival_time,
-            deadline=record.deadline,
+            payment_id=txn_id,
+            source=source,
+            dest=dest,
+            amount=amount,
+            arrival_time=arrival_time,
+            deadline=deadline,
             atomic=self.scheme.atomic,
             max_fee=max_fee,
         )
@@ -672,24 +682,26 @@ class SimulationSession:
         self.collector.on_payment_arrival(payment)
         return payment
 
-    def _arrive(self, record: TransactionRecord) -> None:
-        payment = self._new_payment(record)
+    def _arrive(self, row: int) -> None:
+        payment = self._new_payment(*self.records.row(row))
         self._pending.add(payment)
         payment.attempts += 1
         self._dispatch.attempt_cohort((payment,))
         self._after_attempt(payment)
 
-    def _arrive_cohort(self, records: Tuple[TransactionRecord, ...]) -> None:
-        """Handle an arrival burst that landed on one tick as one cohort.
+    def _arrive_cohort(self, start: int, stop: int) -> None:
+        """Handle the arrival burst of trace rows ``[start, stop)``, which
+        landed on one tick, as one cohort.
 
         Bookkeeping (payment creation, arrival hooks, pending
-        registration, attempt counters) runs per record in trace order,
+        registration, attempt counters) runs per row in trace order,
         then the first attempts drain through
         :meth:`DispatchPlan.attempt_cohort
         <repro.engine.dispatch.DispatchPlan.attempt_cohort>` so
         same-tick probes and locks batch.
         """
-        payments = [self._new_payment(record) for record in records]
+        row = self.records.row
+        payments = [self._new_payment(*row(i)) for i in range(start, stop)]
         self._pending.add_many(payments)
         for payment in payments:
             payment.attempts += 1

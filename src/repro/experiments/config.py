@@ -36,7 +36,7 @@ from repro.workload.distributions import (
     ripple_full_sizes,
     ripple_isp_sizes,
 )
-from repro.workload.generator import TransactionRecord, WorkloadConfig, generate_workload
+from repro.workload.generator import Trace, WorkloadConfig, generate_workload
 
 __all__ = ["ExperimentConfig", "build_topology", "build_size_distribution"]
 
@@ -131,10 +131,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ConfigError(f"capacity must be positive, got {self.capacity!r}")
-        if self.num_transactions <= 0:
-            raise ConfigError(
-                f"num_transactions must be positive, got {self.num_transactions!r}"
-            )
+        # The workload fields, checked by the workload's own config.
+        self._workload_config()
         check_fee_field("base_fee", self.base_fee)
         check_fee_field("fee_rate", self.fee_rate)
         check_fee_field("max_fee_fraction", self.max_fee_fraction)
@@ -158,16 +156,23 @@ class ExperimentConfig:
             fee_rate=self.fee_rate,
         )
 
-    def build_workload(self, nodes: List[int]) -> List[TransactionRecord]:
-        """The run's transaction trace (independent of the scheme)."""
-        workload = WorkloadConfig(
+    def _workload_config(
+        self, size_distribution: Optional[SizeDistribution] = None, seed: int = 0
+    ) -> WorkloadConfig:
+        return WorkloadConfig(
             num_transactions=self.num_transactions,
             arrival_rate=self.arrival_rate,
-            size_distribution=build_size_distribution(self.sizes),
+            size_distribution=size_distribution,
             sender_exponential_scale=self.sender_exponential_scale,
             rotation_interval=self.rotation_interval,
             deadline=self.deadline,
-            seed=derive_seed(self.seed, "workload"),
+            seed=seed,
+        )
+
+    def build_workload(self, nodes: List[int]) -> Trace:
+        """The run's transaction trace (independent of the scheme)."""
+        workload = self._workload_config(
+            build_size_distribution(self.sizes), derive_seed(self.seed, "workload")
         )
         return generate_workload(nodes, workload)
 

@@ -85,8 +85,9 @@ def precompute_trace_paths(
         base_fee=config.base_fee,
         fee_rate=config.fee_rate,
     )
-    records = config.build_workload(list(topology.nodes))
-    pairs = sorted({(record.source, record.dest) for record in records})
+    trace = config.build_workload(list(topology.nodes))
+    first, _ = trace.pair_groups()  # one row per pair, in sorted pair order
+    pairs = list(zip(trace.source[first].tolist(), trace.dest[first].tolist()))
     service = network.path_service
     service.persist_to(cache_dir)
     for k in sorted({int(k) for k in budgets}):

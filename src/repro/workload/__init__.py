@@ -19,7 +19,7 @@ from repro.workload.distributions import (
     ripple_full_sizes,
     ripple_isp_sizes,
 )
-from repro.workload.generator import TransactionRecord, WorkloadConfig, generate_workload
+from repro.workload.generator import Trace, TransactionRecord, WorkloadConfig, generate_workload
 from repro.workload.traces import dump_trace, dumps_trace, load_trace, loads_trace
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "EmpiricalSize",
     "ExponentialSize",
     "SizeDistribution",
+    "Trace",
     "TransactionRecord",
     "TruncatedLognormalSize",
     "UniformSize",

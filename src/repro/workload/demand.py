@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.fluid.circulation import PaymentGraph
 from repro.simulator.rng import SeedLike, make_rng
-from repro.workload.generator import TransactionRecord
+from repro.workload.generator import Trace, TransactionRecord
 
 __all__ = [
     "estimate_demand_matrix",
@@ -40,18 +40,24 @@ def estimate_demand_matrix(
 ) -> Dict[Pair, float]:
     """Average payment *rate* (value/second) per source/destination pair.
 
-    ``duration`` defaults to the last arrival time in the trace.
+    ``duration`` defaults to the last arrival time in the trace.  The
+    pairs come in order of first appearance, and each pair's value is
+    summed in trace order from 0.0, as a loop over the records would.
     """
-    if not records:
+    trace = Trace.from_records(records)
+    if not len(trace):
         return {}
     if duration is None:
-        duration = max(r.arrival_time for r in records)
+        duration = trace.arrival_time.max().item()
     if duration <= 0:
         raise ConfigError(f"duration must be positive, got {duration!r}")
-    totals: Dict[Pair, float] = defaultdict(float)
-    for record in records:
-        totals[(record.source, record.dest)] += record.amount
-    return {pair: value / duration for pair, value in totals.items()}
+    first, group = trace.pair_groups()
+    totals = np.zeros(len(first))
+    np.add.at(totals, group, trace.amount)  # unbuffered: row by row, in order
+    order = np.argsort(first)
+    rows = first[order]
+    pairs = zip(trace.source[rows].tolist(), trace.dest[rows].tolist())
+    return dict(zip(pairs, (totals[order] / duration).tolist()))
 
 
 def payment_graph_from_records(

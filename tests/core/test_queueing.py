@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.core.queueing import SpiderQueueingScheme
@@ -273,7 +275,7 @@ class TestSpiderQueueingPathChoice:
             return launch(payment, cpath, value)
 
         session.send_unit_hop_by_hop = recording
-        payment = session._new_payment(record(0, 0.0, 0, 2, 40.0))
+        payment = session._new_payment(*astuple(record(0, 0.0, 0, 2, 40.0)))
         session.scheme.attempt(payment, session)
         return sends
 

@@ -124,6 +124,9 @@ class TestRL001Determinism:
             ("src/repro/engine/fixture_mod.py", True),
             ("src/repro/routing/fixture_mod.py", True),
             ("src/repro/core/fixture_mod.py", True),
+            ("src/repro/workload/fixture_mod.py", True),
+            ("src/repro/topology/fixture_mod.py", True),
+            ("src/repro/simulator/fixture_mod.py", True),
             ("src/repro/metrics/fixture_mod.py", False),
             ("src/repro/experiments/fixture_mod.py", False),
             (TESTS, False),
@@ -135,6 +138,29 @@ class TestRL001Determinism:
             select=["RL001"],
         )
         assert bool(rule_hits(report, "RL001")) is flagged
+
+    def test_true_positive_in_a_workload_generator(self):
+        # The generators draw every run's randomness: a seedless generator
+        # or a global-RNG draw there breaks replay like one in the engine.
+        report = lint_sources(
+            {
+                "src/repro/workload/fixture_gen.py": (
+                    "import random\n"
+                    "import numpy as np\n"
+                    "def trace(count):\n"
+                    "    rng = np.random.default_rng()\n"
+                    "    gaps = rng.exponential(1.0, size=count)\n"
+                    "    return gaps, random.choice(range(count))\n"
+                )
+            },
+            select=["RL001"],
+        )
+        hits = rule_hits(report, "RL001")
+        assert [(hit.line, hit.path) for hit in hits] == [
+            (4, "src/repro/workload/fixture_gen.py"),
+            (6, "src/repro/workload/fixture_gen.py"),
+        ]
+        assert "seed" in hits[0].message and "random.choice" in hits[1].message
 
     def test_seeded_constructors_by_position_or_keyword_are_clean(self):
         report = lint_sources(

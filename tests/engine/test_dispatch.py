@@ -23,6 +23,8 @@ repeated :meth:`add` calls.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -264,9 +266,9 @@ def test_shared_channel_cohort_reads_the_locks_before_it(scheme):
         TransactionRecord(900 + i, 0.0, source, dest, amount)
         for i, (source, dest, amount) in enumerate(_SHARED_CHANNEL_COHORTS[scheme])
     ]
-    fast_payments = [fast._new_payment(record) for record in cohort]
+    fast_payments = [fast._new_payment(*astuple(record)) for record in cohort]
     fast._dispatch.attempt_cohort(fast_payments)
-    slow_payments = [slow._new_payment(record) for record in cohort]
+    slow_payments = [slow._new_payment(*astuple(record)) for record in cohort]
     for payment in slow_payments:
         slow.scheme.attempt(payment, slow)
     assert [p.inflight for p in fast_payments] == [p.inflight for p in slow_payments]
@@ -392,7 +394,7 @@ def test_bounced_last_share_leaves_the_payment_as_it_was():
         network.add_channel(3, 4, 100.0, balance_u=5.0)  # the last share's hop 1
         records = [TransactionRecord(0, 1.0, 0, 4, 60.0)]
         session = SimulationSession(network, records, make_scheme("max-flow"))
-        payment = session._new_payment(records[0])
+        payment = session._new_payment(*astuple(records[0]))
         session._pending.add(payment)
         paths = [(0, 1, 4), (0, 2, 4), (0, 3, 4)]
         shares = [(network.path_table.compile(p), 20.0) for p in paths]
@@ -550,7 +552,7 @@ def test_window_headroom_is_recomputed_like_the_scheme():
         view = session.network.path_service.view(session.scheme.num_paths)
         for path in view.paths(0, 4):
             session.scheme.window(tuple(path)).window = 1.0
-        payments.append(session._new_payment(record))
+        payments.append(session._new_payment(*astuple(record)))
     for session, payment in zip(arms, payments):
         session._dispatch.attempt_cohort([payment])
     assert payments[0].inflight == payments[1].inflight == 1.0
@@ -574,7 +576,7 @@ def test_window_cache_holds_a_state_created_before_the_first_cohort():
     paths = view.paths(record.source, record.dest)
     early = [session.scheme.window(tuple(path)) for path in paths]
     early[0].window = 7.5  # a state the cache must not replace
-    payment = session._new_payment(record)
+    payment = session._new_payment(*astuple(record))
     session._dispatch.attempt_cohort([payment])
     windows = session.scheme._pair_windows[record.source, record.dest]
     assert all(cached is state for cached, state in zip(windows, early))

@@ -8,6 +8,9 @@ against it.
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +43,39 @@ class TestTickClock:
     def test_non_finite_time(self):
         with pytest.raises(ConfigError):
             TickClock().to_ticks(float("inf"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1e7, 1e7, allow_nan=False),
+                # Exact half-tick times, where rounding must go to even.
+                st.integers(-10**9, 10**9).map(lambda n: (n + 0.5) * 1e-6),
+            ),
+            max_size=50,
+        )
+    )
+    def test_to_ticks_many_equals_to_ticks_elementwise(self, times):
+        clock = TickClock(1e-6)
+        ticks = clock.to_ticks_many(np.array(times, dtype=np.float64))
+        assert ticks.dtype == np.int64
+        assert ticks.tolist() == [clock.to_ticks(t) for t in times]
+
+    def test_to_ticks_many_rounds_half_to_even(self):
+        clock = TickClock(1.0)
+        assert clock.to_ticks_many(np.array([0.5, 1.5, 2.5, -0.5])).tolist() == [0, 2, 2, 0]
+
+    @pytest.mark.parametrize(
+        "time,message",
+        [
+            (float("nan"), "cannot quantise non-finite time nan"),
+            (float("-inf"), "cannot quantise non-finite time -inf"),
+            (1e300, "time 1e+300 is beyond the tick range"),
+        ],
+    )
+    def test_to_ticks_many_rejects_what_no_tick_holds(self, time, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TickClock(1e-6).to_ticks_many(np.array([0.25, time]))
 
 
 class TestSlabEventQueue:

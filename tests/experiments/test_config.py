@@ -110,6 +110,25 @@ class TestExperimentConfig:
         ):
             ExperimentConfig(max_fee_fraction=value)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("num_transactions", True),
+            ("num_transactions", 2.5),
+            ("arrival_rate", math.nan),
+            ("arrival_rate", math.inf),
+            ("sender_exponential_scale", math.nan),
+            ("sender_exponential_scale", 0.0),
+            ("rotation_interval", math.nan),
+            ("deadline", math.nan),
+        ],
+    )
+    def test_malformed_workload_field_rejected_by_name(self, field, value):
+        # A NaN deadline or rotation interval used to run to completion as
+        # "never expires" / "never rotates" with success ratio 1.0.
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            ExperimentConfig(**{field: value})
+
     def test_valid_fee_inputs_accepted(self):
         config = ExperimentConfig(base_fee=0.0, fee_rate=0.001, max_fee_fraction=None)
         assert config.build_runtime_config().max_fee_fraction is None

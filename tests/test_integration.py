@@ -107,16 +107,19 @@ class TestEverySchemeEndsResolved:
 
     @pytest.mark.parametrize("scheme", sorted(available_schemes()))
     def test_malformed_trace_is_rejected_at_the_door(self, scheme):
-        """A payment to its own source, or two records sharing one id,
-        raise a ``ConfigError`` naming the id before anything runs — not
+        """A payment to its own source, two records sharing one id, or an
+        arrival time of NaN (no place in the arrival order) raise a
+        ``ConfigError`` naming the id before anything runs — not
         a scheme-specific exception mid-run, nor a silently lost
         payment."""
         line = [TransactionRecord(0, 0.5, 0, 1, 10.0)]
         self_payment = line + [TransactionRecord(7, 0.6, 1, 1, 10.0)]
         repeated_id = line + [TransactionRecord(0, 0.7, 1, 0, 10.0)]
+        unordered = line + [TransactionRecord(5, float("nan"), 1, 0, 10.0)]
         for records, reason in [
             (self_payment, "transaction 7 pays its own source"),
             (repeated_id, "transaction id 0 appears more than once"),
+            (unordered, "transaction 5 arrives at time nan"),
         ]:
             with pytest.raises(ConfigError, match=reason):
                 SimulationSession(

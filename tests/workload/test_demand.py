@@ -40,6 +40,26 @@ class TestEstimation:
         with pytest.raises(ConfigError):
             estimate_demand_matrix([record(0, 1.0, 0, 1, 1.0)], duration=0.0)
 
+    @pytest.mark.parametrize("nodes", [3, 32, 400])
+    def test_columns_sum_like_a_loop_over_the_records(self, nodes):
+        """Same float sums, same first-appearance key order, as the
+        per-record accumulation the column pass replaced."""
+        from collections import defaultdict
+
+        from repro.workload.generator import WorkloadConfig, generate_workload
+
+        trace = generate_workload(
+            range(nodes), WorkloadConfig(num_transactions=3000, arrival_rate=100.0, seed=9)
+        )
+        totals = defaultdict(float)
+        for r in trace:
+            totals[(r.source, r.dest)] += r.amount
+        duration = max(r.arrival_time for r in trace)
+        expected = {pair: value / duration for pair, value in totals.items()}
+        estimated = estimate_demand_matrix(trace)
+        assert list(estimated.items()) == list(expected.items())
+        assert estimate_demand_matrix(list(trace)) == estimated
+
     def test_payment_graph_from_records(self):
         records = [record(0, 1.0, 0, 1, 10.0)]
         graph = payment_graph_from_records(records, duration=1.0)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.workload.distributions import ConstantSize
-from repro.workload.generator import TransactionRecord, WorkloadConfig, generate_workload
+from repro.workload.generator import Trace, TransactionRecord, WorkloadConfig, generate_workload
+from tests.reference.workload import choice_workload
 
 
 def make_config(**overrides):
@@ -96,35 +99,6 @@ class TestRotation:
         assert len(halves_rotating) == 2
 
 
-def _trace_by_choice(nodes, config):
-    """The trace as the per-record ``rng.choice(n, p=weights)`` draw
-    produces it — the O(nodes)-per-record loop the cached-CDF draw
-    replaced, kept here as its reference."""
-    from repro.simulator.rng import exponential_weights, make_rng
-    from repro.workload.distributions import ripple_isp_sizes
-
-    nodes = list(nodes)
-    rng = make_rng(config.seed)
-    scale = config.sender_exponential_scale
-    probs = exponential_weights(len(nodes), scale, rng)
-    next_rotation = config.rotation_interval
-    amounts = ripple_isp_sizes().sample(rng, config.num_transactions)
-    gaps = rng.exponential(1.0 / config.arrival_rate, size=config.num_transactions)
-    now = 0.0
-    rows = []
-    for txn_id in range(config.num_transactions):
-        now += float(gaps[txn_id])
-        if next_rotation is not None and now >= next_rotation:
-            probs = exponential_weights(len(nodes), scale, rng)
-            next_rotation += config.rotation_interval
-        source = nodes[int(rng.choice(len(nodes), p=probs))]
-        dest = source
-        while dest == source:
-            dest = nodes[int(rng.integers(len(nodes)))]
-        rows.append((txn_id, now, source, dest, float(amounts[txn_id])))
-    return rows
-
-
 class TestSenderDrawMatchesChoice:
     """The sender draw keeps one CDF per rotation epoch; the RNG stream —
     and so the whole trace — must equal a twin generator's ``rng.choice``."""
@@ -143,7 +117,7 @@ class TestSenderDrawMatchesChoice:
         records = generate_workload(range(num_nodes), config)
         assert [
             (r.txn_id, r.arrival_time, r.source, r.dest, r.amount) for r in records
-        ] == _trace_by_choice(range(num_nodes), config)
+        ] == choice_workload(range(num_nodes), config)
         assert all(
             type(r.arrival_time) is float and type(r.amount) is float
             for r in records
@@ -164,3 +138,103 @@ class TestValidation:
             WorkloadConfig(num_transactions=1, arrival_rate=1.0, rotation_interval=0.0)
         with pytest.raises(ConfigError):
             WorkloadConfig(num_transactions=1, arrival_rate=1.0, deadline=-1.0)
+
+    @pytest.mark.parametrize("value", [True, 2.5, "3"])
+    def test_non_integer_trace_length_rejected(self, value):
+        with pytest.raises(ConfigError, match="^num_transactions must be a positive integer"):
+            WorkloadConfig(num_transactions=value, arrival_rate=1.0)
+
+    def test_numpy_integer_trace_length_accepted(self):
+        assert len(generate_workload(range(4), make_config(num_transactions=np.int64(7)))) == 7
+
+    @pytest.mark.parametrize(
+        "field",
+        ["arrival_rate", "sender_exponential_scale", "rotation_interval", "deadline"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, "1.0"])
+    def test_non_finite_or_non_positive_field_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be positive and finite"):
+            make_config(**{field: value})
+
+    def test_duplicate_nodes_rejected(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            generate_workload([1, 2, 2], make_config())
+
+    def test_generator_other_than_pcg64_rejected(self):
+        rng = np.random.Generator(np.random.MT19937(5))
+        with pytest.raises(ConfigError, match="PCG64"):
+            generate_workload(range(4), make_config(seed=rng))
+
+
+def _rows():
+    return [
+        TransactionRecord(4, 0.5, 1, 2, 10.0),
+        TransactionRecord(2, 0.25, 2, 1, 20.0, deadline=3.0),
+        TransactionRecord(9, 0.25, 1, 2, 30.0),
+        TransactionRecord(1, 0.75, 1, 3, 40.0),
+    ]
+
+
+class TestTrace:
+    def test_rows_read_back_as_records_of_python_scalars(self):
+        rows = _rows()
+        trace = Trace.from_records(rows)
+        assert len(trace) == 4
+        assert trace[1] == rows[1] and trace[-1] == rows[-1]
+        assert trace[0].deadline is None and trace[1].deadline == 3.0
+        assert trace.row(1) == (2, 0.25, 2, 1, 20.0, 3.0)
+        assert {type(value) for value in trace.row(0)} == {int, float, type(None)}
+        assert list(trace) == rows
+        with pytest.raises(IndexError):
+            trace[4]
+
+    def test_equals_the_same_rows_in_a_list_either_way_round(self):
+        rows = _rows()
+        trace = Trace.from_records(rows)
+        assert trace == rows and rows == trace
+        assert trace == Trace.from_records(rows)
+        assert trace != rows[:3] and trace != list(reversed(rows))
+        assert trace != "abcd"
+
+    def test_slices_are_traces(self):
+        trace = Trace.from_records(_rows())
+        head = trace[:2]
+        assert isinstance(head, Trace)
+        assert head == _rows()[:2]
+
+    def test_iterates_past_one_chunk(self):
+        config = make_config(num_transactions=10_000, deadline=2.0)
+        trace = generate_workload(range(6), config)
+        rows = list(trace)
+        assert len(rows) == 10_000
+        assert rows[5000] == trace[5000]
+        assert rows[-1].txn_id == 9999
+
+    def test_columns_are_read_only_and_the_caller_keeps_its_arrays(self):
+        amounts = np.array([1.0, 2.0])
+        trace = Trace([0, 1], [0.1, 0.2], [0, 1], [1, 0], amounts)
+        with pytest.raises(ValueError):
+            trace.amount[0] = 5.0
+        amounts[0] = 5.0  # the caller's own array stays writable
+        assert np.isnan(trace.deadline).all()
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ConfigError, match="arrival_time"):
+            Trace([0, 1], [0.1], [0, 1], [1, 0], [1.0, 2.0])
+
+    def test_arrival_sort_is_stable_like_sorted(self):
+        rows = _rows()
+        ordered = Trace.from_records(rows).sorted_by_arrival()
+        assert ordered == sorted(rows, key=lambda r: r.arrival_time)
+        assert [r.txn_id for r in ordered] == [2, 9, 4, 1]
+        in_order = Trace.from_records(ordered)
+        assert in_order.sorted_by_arrival() is in_order
+
+    def test_pair_groups_number_pairs_in_sorted_order(self):
+        trace = Trace.from_records(_rows())
+        first, group = trace.pair_groups()
+        # Pairs (1, 2), (1, 3), (2, 1): first seen at rows 0, 3 and 1.
+        assert first.tolist() == [0, 3, 1]
+        assert group.tolist() == [0, 2, 0, 1]
+        first, group = trace.pair_groups(2)
+        assert first.tolist() == [0, 1] and group.tolist() == [0, 1]
