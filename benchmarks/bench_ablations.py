@@ -22,7 +22,7 @@ import math
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments import ExperimentConfig, parameter_sweep, run_experiment
+from repro.experiments import ExperimentConfig, SweepExecutor, run_experiment
 from repro.metrics import format_table
 
 BASE = dict(
@@ -39,11 +39,10 @@ def test_mtu_ablation(benchmark):
     """Smaller MTU improves packing (volume) until event overhead dominates."""
     mtus = [math.inf, 170.0, 50.0]
 
+    executor = SweepExecutor(ExperimentConfig(**BASE), processes=1)
     results = run_once(
         benchmark,
-        lambda: parameter_sweep(
-            ExperimentConfig(**BASE), "mtu", mtus, ["spider-waterfilling"]
-        ),
+        lambda: executor.parameter_sweep("mtu", mtus, ["spider-waterfilling"]),
     )
     rows = [
         [
@@ -76,13 +75,11 @@ def test_scheduling_policy_ablation(benchmark):
     """SRPT maximises completed payments among the polled policies (§4.2)."""
     policies = ["srpt", "fifo", "lifo", "edf", "largest-remaining"]
 
+    executor = SweepExecutor(ExperimentConfig(**BASE), processes=1)
     results = run_once(
         benchmark,
-        lambda: parameter_sweep(
-            ExperimentConfig(**BASE),
-            "scheduling_policy",
-            policies,
-            ["spider-waterfilling"],
+        lambda: executor.parameter_sweep(
+            "scheduling_policy", policies, ["spider-waterfilling"]
         ),
     )
     rows = [

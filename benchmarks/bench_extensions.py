@@ -114,15 +114,17 @@ def test_fee_budget_sweep(benchmark):
     With a 2% max-fee budget, success degrades as the per-hop proportional
     fee climbs — the economics knob the paper's §7 discussion anticipates.
     """
-    from repro.experiments import fee_sweep
+    from repro.experiments import SweepExecutor
 
     config = ExperimentConfig(**BASE).with_overrides(
         capacity=3_000.0, max_fee_fraction=0.02
     )
     rates = [0.0, 0.005, 0.02, 0.05]
 
+    executor = SweepExecutor(config, processes=1)
     results = run_once(
-        benchmark, lambda: fee_sweep(config, rates, ["spider-waterfilling"])
+        benchmark,
+        lambda: executor.parameter_sweep("fee_rate", rates, ["spider-waterfilling"]),
     )
     rows = []
     for rate in rates:

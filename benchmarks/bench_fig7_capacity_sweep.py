@@ -42,10 +42,10 @@ def base_config():
 @pytest.fixture(scope="module")
 def sweep_results():
     # 24 cells (6 schemes × 4 capacities) across worker processes on the
-    # SimulationSession engine.  reseed_cells=False keeps one seed for the
-    # whole grid so the monotonicity checks below compare identical traces.
-    executor = SweepExecutor(base_config(), processes=4, reseed_cells=False)
-    return executor.capacity_sweep(CAPACITIES, FIG6_SCHEMES)
+    # SimulationSession engine.  Every cell runs at the base seed, so the
+    # monotonicity checks below compare identical traces.
+    executor = SweepExecutor(base_config(), processes=4)
+    return executor.parameter_sweep("capacity", CAPACITIES, FIG6_SCHEMES)
 
 
 def _series(results, scheme, metric):

@@ -13,7 +13,7 @@ less locked-up capital for the same service level.
 
 from __future__ import annotations
 
-from repro import ExperimentConfig, capacity_sweep
+from repro import ExperimentConfig, SweepExecutor
 from repro.metrics import format_table
 
 
@@ -27,7 +27,9 @@ def main() -> None:
     )
     capacities = [500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0]
     schemes = ["spider-waterfilling", "shortest-path", "silentwhispers"]
-    results = capacity_sweep(base, capacities, schemes)
+    results = SweepExecutor(base, processes=1).parameter_sweep(
+        "capacity", capacities, schemes
+    )
 
     rows = []
     for capacity in capacities:

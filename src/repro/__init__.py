@@ -28,7 +28,7 @@ Package map
 ``repro.core``         Spider: payments, scheduling, waterfilling,
                        LP routing, online primal-dual protocol
 ``repro.metrics``      success ratio/volume collectors and report tables
-``repro.experiments``  experiment configs, runners, sweeps
+``repro.experiments``  experiment configs, runners, the sweep executor
 """
 
 from repro.core import (
@@ -54,9 +54,7 @@ from repro.engine.pathservice import PathService
 from repro.experiments import (
     ExperimentConfig,
     SweepExecutor,
-    capacity_sweep,
     compare_schemes,
-    parameter_sweep,
     run_experiment,
 )
 from repro.fluid import (
@@ -129,7 +127,6 @@ __all__ = [
     "WindowedSpiderScheme",
     "WorkloadConfig",
     "available_schemes",
-    "capacity_sweep",
     "compare_schemes",
     "decompose_payment_graph",
     "fig4_topology",
@@ -139,7 +136,6 @@ __all__ = [
     "make_scheme",
     "max_balanced_throughput",
     "metrics_to_json",
-    "parameter_sweep",
     "random_churn_schedule",
     "register_scheme",
     "ripple_topology",

@@ -256,10 +256,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             _config_from_args(args),
             processes=max(1, args.parallel),
             cache_dir=args.cache_dir,
-            reseed_cells=False,  # identical traces across schemes per cell
             path_cache_dir=args.path_cache_dir,
         )
-        results = executor.capacity_sweep(capacities, schemes)
+        results = executor.parameter_sweep("capacity", capacities, schemes)
         rows = []
         for capacity in capacities:
             for scheme in schemes:

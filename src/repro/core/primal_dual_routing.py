@@ -152,7 +152,7 @@ class SpiderPrimalDualScheme(RoutingScheme):
         # Spend tokens path by path, cheapest (lowest price) first.
         order = sorted(
             range(len(state.cpaths)),
-            key=lambda i: self._prices.path_price(state.cpaths[i].nodes),
+            key=lambda i: self._prices.path_price(state.cpaths[i]),
         )
         table = runtime.network.path_table
         for i in order:
@@ -174,7 +174,7 @@ class SpiderPrimalDualScheme(RoutingScheme):
                 if not runtime.send_compiled(payment, cpath, budget):
                     break
                 bucket.consume(budget, now)
-                self._prices.observe_path(cpath.nodes, budget)
+                self._prices.observe_path(cpath, budget)
 
     # ------------------------------------------------------------------
     def _control_step(self, runtime: "SimulationSession") -> None:
@@ -183,7 +183,7 @@ class SpiderPrimalDualScheme(RoutingScheme):
         self._prices.update_prices(self.update_interval, self.eta, self.kappa)
         for pair, state in self._pairs.items():
             prices = np.array(
-                [self._prices.path_price(c.nodes) for c in state.cpaths]
+                [self._prices.path_price(c) for c in state.cpaths]
             )
             rates = state.rates + self._alpha_value * (1.0 - prices)
             cap = max(

@@ -11,10 +11,10 @@ read from the same table.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Type
+from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Type
 
 from repro.devtools.lint.index import LintIndex
-from repro.devtools.lint.report import Finding, LintReport
+from repro.devtools.lint.report import Finding
 
 __all__ = ["LintRule", "rule", "all_rules", "get_rule", "rule_ids"]
 
@@ -91,14 +91,3 @@ def all_rules(select: Optional[Sequence[str]] = None) -> List[LintRule]:
             chosen.append(rule_id)
         chosen = sorted(set(chosen))
     return [_REGISTRY[rule_id]() for rule_id in chosen]
-
-
-def run_rules(
-    index: LintIndex,
-    select: Optional[Sequence[str]] = None,
-    on_rule: Optional[Callable[[str], None]] = None,
-) -> "LintReport":
-    """Run the (selected) rules over ``index``; see :mod:`.runner`."""
-    from repro.devtools.lint.runner import run_over_index
-
-    return run_over_index(index, select=select, on_rule=on_rule)

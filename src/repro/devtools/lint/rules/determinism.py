@@ -7,13 +7,15 @@ mode.  One ``time.time()`` folded into a tick, one draw from the global
 ``random`` module or one ``np.random.default_rng()`` (seedless) inside
 the simulation layers silently breaks that.
 
-Scope: ``src/repro/engine``, ``src/repro/routing`` and ``src/repro/core``,
-plus the generators that draw every run's randomness:
-``src/repro/workload``, ``src/repro/topology`` and ``src/repro/simulator``.
-Wall-clock timing belongs in benchmarks and the CLI (``time.perf_counter``
-around a run is fine *there*); randomness must flow from an explicitly
-seeded generator (``np.random.default_rng(seed)``, ``random.Random(seed)``)
-threaded through the experiment config.
+Scope: ``src/repro/engine``, ``src/repro/routing``, ``src/repro/core``,
+``src/repro/network`` and ``src/repro/fluid``; the generators that draw
+every run's randomness: ``src/repro/workload``, ``src/repro/topology`` and
+``src/repro/simulator``; and the modules that derive each run's config and
+seed and report its results: ``src/repro/experiments`` and
+``src/repro/metrics``.  Wall-clock timing belongs in benchmarks and the
+CLI (``time.perf_counter`` around a run is fine *there*); randomness must
+flow from an explicitly seeded generator (``np.random.default_rng(seed)``,
+``random.Random(seed)``) threaded through the experiment config.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ SIMULATION_PREFIXES = (
     "src/repro/workload/",
     "src/repro/topology/",
     "src/repro/simulator/",
+    "src/repro/network/",
+    "src/repro/fluid/",
+    "src/repro/experiments/",
+    "src/repro/metrics/",
 )
 
 #: Fully-resolved callables that read the wall clock.
@@ -105,12 +111,13 @@ _SEEDABLE_CONSTRUCTORS = {
 @rule
 class DeterminismRule:
     """RL001: wall-clock and unseeded randomness are banned in the
-    simulation and its generators."""
+    simulation, its generators, and the experiment and metrics layers."""
 
     id = "RL001"
     summary = (
         "no time.time/datetime.now/global-random/seedless default_rng in "
-        "engine, routing, core, workload, topology or simulator modules"
+        "engine, routing, core, network, fluid, workload, topology, "
+        "simulator, experiments or metrics modules"
     )
 
     def check(self, index: LintIndex) -> Iterator[Finding]:

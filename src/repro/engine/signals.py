@@ -33,6 +33,7 @@ import numpy as np
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.pathtable import CompiledPath
     from repro.network.network import PaymentNetwork
 
 __all__ = ["CongestionState", "ControlPlane"]
@@ -137,25 +138,22 @@ class ControlPlane:
         state.mu[:] = 0.0
         state.window[:] = 0.0
 
-    def observe_path(self, path: Sequence[int], amount: float) -> None:
-        """Record ``amount`` locked along every hop of ``path``.
+    def observe_path(self, cpath: "CompiledPath", amount: float) -> None:
+        """Record ``amount`` locked along every hop of ``cpath``.
 
-        One compiled-path scatter over the path's direction ids (``d =
-        2·cid + side`` indexes the row-major ``(n, 2)`` arrays flat; paths
-        are trails, so directions are unique and a plain fancy-indexed add
-        is exact).
+        One scatter over the path's direction ids (``d = 2·cid + side``
+        indexes the row-major ``(n, 2)`` arrays flat; paths are trails, so
+        directions are unique and a plain fancy-indexed add is exact).
         """
-        cpath = self._network.path_table.compile(path)
         state = self._sync()
         state.window.reshape(-1)[cpath.dirs] += amount
 
-    def path_price(self, path: Sequence[int]) -> float:
-        """``z_p`` — the sum of directed hop prices along ``path``.
+    def path_price(self, cpath: "CompiledPath") -> float:
+        """``z_p`` — the sum of directed hop prices along ``cpath``.
 
-        A gather over the compiled path; the per-hop prices are summed
-        left to right, as a per-hop loop would sum them.
+        A gather over the path's direction ids; the per-hop prices are
+        summed left to right, as a per-hop loop would sum them.
         """
-        cpath = self._network.path_table.compile(path)
         if len(cpath) == 0:
             return 0.0
         state = self._sync()

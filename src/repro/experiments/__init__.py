@@ -1,25 +1,19 @@
-"""Experiment harness: configs, runners, sweeps."""
+"""Experiment harness: configs, runners, the sweep executor."""
 
 from repro.experiments.config import (
     ExperimentConfig,
     build_size_distribution,
     build_topology,
 )
-from repro.experiments.executor import SweepCell, SweepExecutor, derive_cell_seed
-from repro.experiments.runner import build_session, compare_schemes, run_experiment
-from repro.experiments.sweeps import capacity_sweep, fee_sweep, parameter_sweep
+from repro.experiments.executor import SweepCell, SweepExecutor
+from repro.experiments.runner import compare_schemes, run_experiment
 
 __all__ = [
     "ExperimentConfig",
     "SweepCell",
     "SweepExecutor",
-    "build_session",
     "build_size_distribution",
     "build_topology",
-    "capacity_sweep",
     "compare_schemes",
-    "derive_cell_seed",
-    "fee_sweep",
-    "parameter_sweep",
     "run_experiment",
 ]

@@ -148,14 +148,6 @@ class ExperimentConfig:
             self.capacity
         )
 
-    def build_network(self):
-        """The run's payment network (capacity + fee schedule applied)."""
-        return self.build_topology().build_network(
-            default_capacity=self.capacity,
-            base_fee=self.base_fee,
-            fee_rate=self.fee_rate,
-        )
-
     def _workload_config(
         self, size_distribution: Optional[SizeDistribution] = None, seed: int = 0
     ) -> WorkloadConfig:
@@ -180,9 +172,9 @@ class ExperimentConfig:
         """``(network, records, scheme)`` exactly as a session consumes them.
 
         The single construction path shared by
-        :meth:`repro.engine.session.SimulationSession.from_config` and the
-        benchmarks — so comparisons always replay the identical network
-        and trace.
+        :meth:`repro.engine.session.SimulationSession.from_config`, the
+        sweep executor's path precompute and the benchmarks — so
+        comparisons always replay the identical network and trace.
         """
         from repro.routing.registry import make_scheme
 

@@ -1,16 +1,13 @@
-"""Parallel parameter-sweep execution.
+"""Parameter-sweep execution: the one way to run a grid of cells.
 
 The paper's figures are grids of independent simulation cells (scheme ×
-capacity, scheme × fee rate, ...).  The serial helpers in
-:mod:`repro.experiments.sweeps` run them one by one;
-:class:`SweepExecutor` runs them across worker processes, with:
+capacity, scheme × fee rate, ...).  :class:`SweepExecutor` runs them
+serially in-process or across worker processes, with:
 
-* **reproducible per-cell seeds** — each cell's seed is derived from the
-  base config's seed and the cell's parameter coordinates (never from
-  worker scheduling), so a sweep gives byte-identical results whether it
-  runs on 1 process or 16, in any completion order.  Schemes at the same
-  parameter value share a seed, preserving the paper's methodology of
-  comparing schemes on identical traces;
+* **one seed for the whole grid** — every cell runs at the base config's
+  seed, so schemes and swept values compare on identical traces (as
+  Fig. 7 needs) and a sweep gives byte-identical results whether it runs
+  on 1 process or 16, in any completion order;
 * **JSON result caching** — each finished cell is written to
   ``cache_dir/<sha256-of-config>.json``; re-running a sweep (or extending
   it with more values) only simulates the missing cells.
@@ -30,13 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import ExperimentMetrics
-from repro.simulator.rng import derive_seed
 
 __all__ = [
     "SweepCell",
     "SweepCellError",
     "SweepExecutor",
-    "derive_cell_seed",
     "precompute_trace_paths",
 ]
 
@@ -70,22 +65,16 @@ def precompute_trace_paths(
 ):
     """Discover a config's trace pair path sets once and persist them.
 
-    Builds the config's topology, network and workload exactly as
-    :meth:`ExperimentConfig.build_simulation_inputs` does (same node
-    ordering, so the trace pairs match what a real run will ask for),
-    then batch-discovers each ``k`` in ``budgets`` through the network's
+    Builds the config's network and trace through
+    :meth:`ExperimentConfig.build_simulation_inputs` (so the trace pairs
+    match what a real run will ask for), then batch-discovers each ``k``
+    in ``budgets`` through the network's
     :class:`~repro.engine.pathservice.PathService` and writes the
     artifacts to ``cache_dir``.  Shared by
     :meth:`SweepExecutor.run_cells`'s parent-side precompute and the
     ``spider-repro paths precompute`` CLI.  Returns ``(pairs, service)``.
     """
-    topology = config.build_topology()
-    network = topology.build_network(
-        default_capacity=config.capacity,
-        base_fee=config.base_fee,
-        fee_rate=config.fee_rate,
-    )
-    trace = config.build_workload(list(topology.nodes))
+    network, trace, _ = config.build_simulation_inputs()
     first, _ = trace.pair_groups()  # one row per pair, in sorted pair order
     pairs = list(zip(trace.source[first].tolist(), trace.dest[first].tolist()))
     service = network.path_service
@@ -93,16 +82,6 @@ def precompute_trace_paths(
     for k in sorted({int(k) for k in budgets}):
         service.view(k).prepare(pairs)
     return pairs, service
-
-
-def derive_cell_seed(base_seed: int, field: str, value: object) -> int:
-    """Deterministic seed for the sweep cell at ``field=value``.
-
-    Depends only on the base seed and the cell's coordinates — not on the
-    scheme (schemes compare on identical traces) and not on execution
-    order — so sweeps are reproducible cell by cell.
-    """
-    return derive_seed(base_seed, "sweep-cell", field, repr(value))
 
 
 @dataclass(frozen=True)
@@ -157,24 +136,20 @@ def _run_cell(
 
 
 class SweepExecutor:
-    """Runs sweep cells in parallel worker processes with result caching.
+    """Runs a sweep grid's cells, in-process or in worker processes,
+    with result caching.
 
     Parameters
     ----------
     base_config:
-        The sweep's shared configuration; cells override one field plus the
-        scheme and (by default) reseed per parameter value.
+        The sweep's shared configuration; each cell overrides one field
+        plus the scheme and keeps the base seed.
     processes:
         Worker process count.  ``None`` uses ``os.cpu_count()``; values
         ``<= 1`` run serially in-process (handy under debuggers and in
         tests — results are identical by construction).
     cache_dir:
         Directory for per-cell JSON results.  ``None`` disables caching.
-    reseed_cells:
-        When true (default), each parameter value gets its own derived
-        seed via :func:`derive_cell_seed`.  When false, every cell keeps
-        the base config's seed, matching the serial
-        :func:`repro.experiments.sweeps.parameter_sweep` exactly.
     path_cache_dir:
         Directory for persistent path-discovery artifacts (see
         :class:`~repro.engine.pathservice.PersistentCache`).  Defaults to
@@ -189,13 +164,11 @@ class SweepExecutor:
         base_config: ExperimentConfig,
         processes: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        reseed_cells: bool = True,
         path_cache_dir: Optional[str] = None,
     ):
         self.base_config = base_config
         self.processes = os.cpu_count() or 1 if processes is None else int(processes)
         self.cache_dir = cache_dir
-        self.reseed_cells = reseed_cells
         if path_cache_dir is None and cache_dir is not None:
             path_cache_dir = os.path.join(cache_dir, "paths")
         self.path_cache_dir = path_cache_dir
@@ -208,21 +181,15 @@ class SweepExecutor:
     def cells(
         self, field: str, values: Sequence[object], schemes: Sequence[str]
     ) -> List[SweepCell]:
-        """The fully resolved ``values × schemes`` cell grid."""
+        """The fully resolved ``values × schemes`` cell grid, in row-major
+        order, every cell at the base config's seed."""
         grid: List[SweepCell] = []
-        index = 0
         for value in values:
-            seed = (
-                derive_cell_seed(self.base_config.seed, field, value)
-                if self.reseed_cells
-                else self.base_config.seed
-            )
             for scheme in schemes:
                 config = self.base_config.with_overrides(
-                    **{field: value}, scheme=scheme, seed=seed
+                    **{field: value}, scheme=scheme
                 )
-                grid.append(SweepCell(index, scheme, field, value, config))
-                index += 1
+                grid.append(SweepCell(len(grid), scheme, field, value, config))
         return grid
 
     # ------------------------------------------------------------------
@@ -286,7 +253,7 @@ class SweepExecutor:
     def parameter_sweep(
         self, field: str, values: Sequence[object], schemes: Sequence[str]
     ) -> Dict[Tuple[str, object], ExperimentMetrics]:
-        """Parallel drop-in for :func:`repro.experiments.sweeps.parameter_sweep`.
+        """Run ``schemes × values`` over one config field.
 
         Returns ``{(scheme, value): metrics}``.
         """
@@ -295,12 +262,6 @@ class SweepExecutor:
         return {
             (cell.scheme, cell.value): result for cell, result in zip(grid, metrics)
         }
-
-    def capacity_sweep(
-        self, capacities: Sequence[float], schemes: Sequence[str]
-    ) -> Dict[Tuple[str, float], ExperimentMetrics]:
-        """Parallel Fig. 7: success metrics as per-channel capacity varies."""
-        return self.parameter_sweep("capacity", list(capacities), schemes)
 
     # ------------------------------------------------------------------
     # Path-discovery precompute

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.runner import compare_schemes
-from repro.experiments.sweeps import capacity_sweep
 from repro.fluid import (
     PaymentGraph,
     all_simple_paths,
@@ -122,7 +122,9 @@ def fig7_data(
 ) -> Dict[Tuple[str, float], ExperimentMetrics]:
     """Fig. 7: the capacity sweep on the ISP topology."""
     config = _base_config("isp", seed).with_overrides(num_transactions=1_500)
-    return capacity_sweep(config, list(capacities), list(schemes or FIG6_SCHEMES))
+    return SweepExecutor(config, processes=1).parameter_sweep(
+        "capacity", list(capacities), list(schemes or FIG6_SCHEMES)
+    )
 
 
 def baselines_data(seed: int = 42) -> List[ExperimentMetrics]:

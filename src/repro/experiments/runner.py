@@ -6,17 +6,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.engine.session import SimulationSession
 from repro.experiments.config import ExperimentConfig
-from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
+from repro.metrics.collectors import ExperimentMetrics
 
-__all__ = ["build_session", "run_experiment", "compare_schemes"]
-
-
-def build_session(
-    config: ExperimentConfig,
-    collector: Optional[MetricsCollector] = None,
-) -> SimulationSession:
-    """Build (but do not run) the config's :class:`SimulationSession`."""
-    return SimulationSession.from_config(config, collector=collector)
+__all__ = ["run_experiment", "compare_schemes"]
 
 
 def run_experiment(

@@ -182,7 +182,7 @@ class MetricsCollector:
         duration: float,
     ) -> ExperimentMetrics:
         """Produce the immutable summary for this run."""
-        imbalances = [c.imbalance() for c in network.channels()]
+        imbalances = network.state_store.imbalances()
         latencies = np.asarray(self._latencies) if self._latencies else None
         series = sorted(
             (bucket * self._bucket, value)
@@ -215,10 +215,10 @@ class MetricsCollector:
             units_cancelled=self.units_cancelled,
             total_fees_paid=self.total_fees_paid,
             mean_channel_imbalance=(
-                float(np.mean(imbalances)) if imbalances else 0.0
+                float(np.mean(imbalances)) if imbalances.size else 0.0
             ),
             max_channel_imbalance=(
-                float(np.max(imbalances)) if imbalances else 0.0
+                float(np.max(imbalances)) if imbalances.size else 0.0
             ),
             total_inflight_at_end=network.total_inflight(),
             duration=duration,

@@ -20,6 +20,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.pathservice import PathService
 from repro.engine.pathtable import PathTable, int_node_array
 from repro.engine.signals import ControlPlane
 from repro.engine.store import ChannelStateStore
@@ -140,7 +141,7 @@ class PaymentNetwork:
         self._direction_index: Optional[DirectionIndex] = None
         self._path_table: Optional[PathTable] = None
         self._control_plane: Optional[ControlPlane] = None
-        self._path_service = None
+        self._path_service: Optional[PathService] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -297,7 +298,7 @@ class PaymentNetwork:
         return self._path_table
 
     @property
-    def path_service(self):
+    def path_service(self) -> PathService:
         """The network's path-discovery service (created lazily).
 
         One :class:`~repro.engine.pathservice.PathService` per network —
@@ -307,10 +308,6 @@ class PaymentNetwork:
         once and shared instead of once per scheme.
         """
         if self._path_service is None:
-            # Imported lazily: pathservice pulls in the fluid package,
-            # which this module must not depend on at import time.
-            from repro.engine.pathservice import PathService
-
             self._path_service = PathService.from_network(self)
         return self._path_service
 

@@ -75,14 +75,16 @@ class LandmarkScheme(RoutingScheme):
         # fixed per pair, so a repeat attempt with no store write in between
         # reuses the cache.
         table = runtime.network.path_table
-        capacities = table.bottleneck_many(table.probe_handle(paths))
+        handle = table.probe_handle(paths)
+        capacities = table.bottleneck_many(handle)
         total = sum(capacities)
         if total < payment.amount - 1e-6:
             runtime.fail_payment(payment)
             return
         # Allocate proportionally to capacity, then fix rounding greedily so
         # no share exceeds its path capacity and the shares sum to amount.
-        allocations: List[Tuple[Path, float]] = []
+        # Shares are keyed by path index (the set is deduplicated).
+        allocations: List[Tuple[int, float]] = []
         remaining = payment.amount
         order = sorted(range(len(paths)), key=lambda i: -capacities[i])
         for rank, i in enumerate(order):
@@ -94,21 +96,21 @@ class LandmarkScheme(RoutingScheme):
                 share = min(payment.amount * capacities[i] / total, capacities[i])
             share = min(share, remaining, capacities[i])
             if share > _EPS:
-                allocations.append((paths[i], share))
+                allocations.append((i, share))
                 remaining -= share
         # Any residue (rounding) goes to paths with leftover capacity.
         if remaining > _EPS:
             for i in order:
-                used = sum(a for p, a in allocations if p == paths[i])
+                used = sum(a for j, a in allocations if j == i)
                 slack = capacities[i] - used
                 if slack > _EPS:
                     take = min(slack, remaining)
-                    allocations.append((paths[i], take))
+                    allocations.append((i, take))
                     remaining -= take
                     if remaining <= _EPS:
                         break
-        compile = table.compile
+        cpaths = handle.cpaths
         if remaining > 1e-6 or not runtime.send_atomic(
-            payment, [(compile(path), share) for path, share in allocations]
+            payment, [(cpaths[i], share) for i, share in allocations]
         ):
             runtime.fail_payment(payment)

@@ -28,6 +28,12 @@ def control(network):
     return control
 
 
+@pytest.fixture
+def compiled(network):
+    """Node path → its compiled path, the plane's path argument."""
+    return lambda *nodes: network.path_table.compile(nodes)
+
+
 class TestChannelPriceState:
     def test_initial_prices_are_zero(self):
         state = ChannelPriceState(0, 1)
@@ -76,30 +82,30 @@ class TestChannelPriceState:
 
 
 class TestControlPlanePrices:
-    def test_path_price_sums_hops(self, network, control):
+    def test_path_price_sums_hops(self, network, control, compiled):
         for (u, v), mu in (((0, 1), 0.2), ((1, 2), 0.3)):
             cid, side = network.direction(u, v)[1:]
             control.state.mu[cid, side] = mu
-        assert control.path_price([0, 1, 2]) == pytest.approx(0.5)
+        assert control.path_price(compiled(0, 1, 2)) == pytest.approx(0.5)
 
-    def test_observe_path_feeds_both_hops(self, network, control):
-        control.observe_path([0, 1, 2], 10.0)
+    def test_observe_path_feeds_both_hops(self, network, control, compiled):
+        control.observe_path(compiled(0, 1, 2), 10.0)
         for u, v in ((0, 1), (1, 2)):
             assert control.state.window[network.direction(u, v)[1:]] == 10.0
 
-    def test_update_prices_moves_prices(self, control):
-        control.observe_path([0, 1], 500.0)
+    def test_update_prices_moves_prices(self, control, compiled):
+        control.observe_path(compiled(0, 1), 500.0)
         control.update_prices(dt=1.0, eta=0.1, kappa=0.1)
-        assert control.path_price([0, 1]) > 0.0
+        assert control.path_price(compiled(0, 1)) > 0.0
         assert control.price_samples and control.price_samples[-1] > 0.0
 
-    def test_imbalance_price_steers_against_skewed_direction(self, control):
+    def test_imbalance_price_steers_against_skewed_direction(self, control, compiled):
         """The §5.3 property: heavy one-way traffic must make that direction
         expensive relative to the reverse, steering senders to rebalance."""
         for _ in range(10):
-            control.observe_path([0, 1], 100.0)
+            control.observe_path(compiled(0, 1), 100.0)
             control.update_prices(dt=1.0, eta=0.05, kappa=0.05)
-        assert control.path_price([0, 1]) > control.path_price([1, 0])
+        assert control.path_price(compiled(0, 1)) > control.path_price(compiled(1, 0))
 
     def test_invalid_delta_rejected(self, network):
         with pytest.raises(ConfigError):

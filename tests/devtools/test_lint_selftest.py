@@ -127,8 +127,12 @@ class TestRL001Determinism:
             ("src/repro/workload/fixture_mod.py", True),
             ("src/repro/topology/fixture_mod.py", True),
             ("src/repro/simulator/fixture_mod.py", True),
-            ("src/repro/metrics/fixture_mod.py", False),
-            ("src/repro/experiments/fixture_mod.py", False),
+            ("src/repro/network/fixture_mod.py", True),
+            ("src/repro/fluid/fixture_mod.py", True),
+            ("src/repro/metrics/fixture_mod.py", True),
+            ("src/repro/experiments/fixture_mod.py", True),
+            ("src/repro/cli.py", False),
+            ("src/repro/devtools/fixture_mod.py", False),
             (TESTS, False),
         ],
     )
@@ -161,6 +165,25 @@ class TestRL001Determinism:
             (6, "src/repro/workload/fixture_gen.py"),
         ]
         assert "seed" in hits[0].message and "random.choice" in hits[1].message
+
+    def test_true_positive_in_an_experiment_module(self):
+        # Experiments derive every cell's config and seed: a wall-clock
+        # seed there gives each sweep different traces.
+        path = "src/repro/experiments/fixture_sweep.py"
+        report = lint_sources(
+            {
+                path: (
+                    "import time\n"
+                    "def cell_config(base, value):\n"
+                    "    return base.with_overrides(capacity=value,\n"
+                    "                               seed=int(time.time()))\n"
+                )
+            },
+            select=["RL001"],
+        )
+        hits = rule_hits(report, "RL001")
+        assert [(hit.line, hit.path) for hit in hits] == [(4, path)]
+        assert "time.time" in hits[0].message
 
     def test_seeded_constructors_by_position_or_keyword_are_clean(self):
         report = lint_sources(

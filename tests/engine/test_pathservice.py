@@ -793,12 +793,10 @@ class TestSweepPrecompute:
             arrival_rate=50.0,
             seed=7,
         )
-        executor = SweepExecutor(
-            base, processes=1, cache_dir=str(tmp_path), reseed_cells=False
-        )
+        executor = SweepExecutor(base, processes=1, cache_dir=str(tmp_path))
         assert executor.path_cache_dir == os.path.join(str(tmp_path), "paths")
-        results = executor.capacity_sweep(
-            [150.0, 250.0], ["spider-waterfilling"]
+        results = executor.parameter_sweep(
+            "capacity", [150.0, 250.0], ["spider-waterfilling"]
         )
         assert len(results) == 2
         paths_dir = tmp_path / "paths"
@@ -807,11 +805,9 @@ class TestSweepPrecompute:
         # A fresh executor over the same grid: cells come from the JSON
         # cache, and a widened grid's new cell loads paths from disk.
         PersistentCache.clear_shared()
-        second = SweepExecutor(
-            base, processes=1, cache_dir=str(tmp_path), reseed_cells=False
-        )
-        widened = second.capacity_sweep(
-            [150.0, 250.0, 350.0], ["spider-waterfilling"]
+        second = SweepExecutor(base, processes=1, cache_dir=str(tmp_path))
+        widened = second.parameter_sweep(
+            "capacity", [150.0, 250.0, 350.0], ["spider-waterfilling"]
         )
         assert second.cache_hits == 2 and second.cache_misses == 1
         for key, metrics in results.items():

@@ -77,15 +77,18 @@ def _planes(network):
     return network.control_plane, ControlPlane(network)
 
 
-def _drive_prices(control, table, paths, rng):
+def _drive_prices(network, table, paths, rng):
     """One deterministic observe/update workload, on the plane's kernels
-    and on the per-channel reference model alike."""
+    (compiled paths) and on the per-channel reference model (node tuples)
+    alike."""
+    control = network.control_plane
+    cpaths = [network.path_table.compile(path) for path in paths]
     control.configure_prices(0.5)
     for step in range(40):
-        path = paths[int(rng.integers(0, len(paths)))]
+        i = int(rng.integers(0, len(paths)))
         amount = float(rng.uniform(0.5, 40.0))
-        control.observe_path(path, amount)
-        table.observe_path(path, amount)
+        control.observe_path(cpaths[i], amount)
+        table.observe_path(paths[i], amount)
         if step % 5 == 4:
             control.update_prices(dt=1.0, eta=0.08, kappa=0.06)
             table.update_all(dt=1.0, eta=0.08, kappa=0.06)
@@ -101,7 +104,8 @@ def _assert_prices_match(network, control, table, paths):
         assert float(state.mu[cid, side]) == price.mu[(u, v)]
         assert float(state.mu[cid, 1 - side]) == price.mu[(v, u)]
     for path in paths:
-        assert control.path_price(path) == table.path_price(path)
+        cpath = network.path_table.compile(path)
+        assert control.path_price(cpath) == table.path_price(path)
 
 
 class TestPriceParity:
@@ -112,7 +116,7 @@ class TestPriceParity:
         network = _random_network(rng)
         paths = _random_paths(network, rng)
         table = ReferencePriceTable(network, delta=0.5)
-        _drive_prices(network.control_plane, table, paths, make_rng(200 + seed))
+        _drive_prices(network, table, paths, make_rng(200 + seed))
         _assert_prices_match(network, network.control_plane, table, paths)
 
     def test_mean_price_samples_match(self):
@@ -122,7 +126,7 @@ class TestPriceParity:
         paths = _random_paths(network, rng)
         table = ReferencePriceTable(network, delta=0.5)
         control = network.control_plane
-        _drive_prices(control, table, paths, make_rng(8))
+        _drive_prices(network, table, paths, make_rng(8))
         assert control.price_samples == table.price_samples
         assert control.price_samples  # the workload updated at least once
 
@@ -132,15 +136,16 @@ class TestPriceParity:
         rng = make_rng(9)
         network = _random_network(rng)
         paths = _random_paths(network, rng)
+        cpaths = [network.path_table.compile(path) for path in paths]
         kernel, loop = _planes(network)
         for plane in (kernel, loop):
             plane.configure_prices(0.5)
         drive = make_rng(10)
         for step in range(30):
-            path = paths[int(drive.integers(0, len(paths)))]
+            i = int(drive.integers(0, len(paths)))
             amount = float(drive.uniform(0.5, 40.0))
-            kernel.observe_path(path, amount)
-            reference.observe_path(loop, path, amount)
+            kernel.observe_path(cpaths[i], amount)
+            reference.observe_path(loop, paths[i], amount)
             assert np.array_equal(kernel.state.window, loop.state.window)
             if step % 4 == 3:
                 kernel.update_prices(dt=1.0, eta=0.1, kappa=0.07)
@@ -148,8 +153,8 @@ class TestPriceParity:
         for name in ("lam", "mu", "window"):
             assert np.array_equal(getattr(kernel.state, name), getattr(loop.state, name))
         assert kernel.price_samples == loop.price_samples
-        for path in paths:
-            assert kernel.path_price(path) == reference.path_price(loop, path)
+        for path, cpath in zip(paths, cpaths):
+            assert kernel.path_price(cpath) == reference.path_price(loop, path)
 
     def test_update_rejects_non_positive_dt(self):
         network = PaymentNetwork()
@@ -354,10 +359,11 @@ class TestHypothesisParity:
         control = network.control_plane
         control.configure_prices(0.5)
         table = ReferencePriceTable(network, delta=0.5)
+        cpaths = [network.path_table.compile(path) for path in paths]
         for selector, amount, update in operations:
-            path = paths[selector % len(paths)]
-            control.observe_path(path, amount)
-            table.observe_path(path, amount)
+            i = selector % len(paths)
+            control.observe_path(cpaths[i], amount)
+            table.observe_path(paths[i], amount)
             if update:
                 control.update_prices(dt=1.0, eta=0.1, kappa=0.07)
                 table.update_all(dt=1.0, eta=0.1, kappa=0.07)
@@ -398,4 +404,4 @@ class TestSizing:
         # Every entry point grows on demand, not just configure_prices().
         assert control.observe_service(1, 0, [0.1], [_FakeUnit()]) == 0
         network.add_channel(2, 3, 100.0)
-        assert control.path_price((2, 3)) == 0.0
+        assert control.path_price(network.path_table.compile((2, 3))) == 0.0

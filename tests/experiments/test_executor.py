@@ -1,4 +1,4 @@
-"""Tests for the parallel SweepExecutor."""
+"""Tests for SweepExecutor, the one runner of sweep grids."""
 
 from __future__ import annotations
 
@@ -8,13 +8,8 @@ import os
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.executor import (
-    SweepCell,
-    SweepCellError,
-    SweepExecutor,
-    derive_cell_seed,
-)
-from repro.experiments.sweeps import parameter_sweep
+from repro.experiments.executor import SweepCell, SweepCellError, SweepExecutor
+from repro.experiments.runner import run_experiment
 from repro.metrics.collectors import ExperimentMetrics
 from repro.metrics.report import metrics_to_json
 
@@ -36,30 +31,32 @@ def _base(**overrides):
 
 
 class TestCellGrid:
-    def test_grid_shape_and_seeds(self):
-        executor = SweepExecutor(_base(), processes=1)
-        cells = executor.cells("capacity", CAPACITIES, SCHEMES)
-        assert len(cells) == 8
-        # Schemes at the same value share a seed (identical traces)...
-        by_value = {}
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize(
+        "field, values",
+        [("capacity", CAPACITIES[:2]), ("fee_rate", [0.0, 0.01])],
+        ids=["capacity", "fee_rate"],
+    )
+    def test_every_cell_is_its_own_run_at_the_base_seed(
+        self, processes, field, values
+    ):
+        """A cell is exactly ``run_experiment`` of the base config with the
+        swept field and the scheme replaced — seed included — whether it
+        runs in-process or in a worker."""
+        executor = SweepExecutor(_base(), processes=processes)
+        cells = executor.cells(field, values, SCHEMES)
+        assert [(c.value, c.scheme) for c in cells] == [
+            (value, scheme) for value in values for scheme in SCHEMES
+        ]
+        results = executor.parameter_sweep(field, values, SCHEMES)
+        assert len(results) == len(cells)
         for cell in cells:
-            by_value.setdefault(cell.value, set()).add(cell.config.seed)
-        assert all(len(seeds) == 1 for seeds in by_value.values())
-        # ...and different values get different derived seeds.
-        assert len({next(iter(s)) for s in by_value.values()}) == len(CAPACITIES)
-
-    def test_cell_seeds_reproducible(self):
-        assert derive_cell_seed(11, "capacity", 100.0) == derive_cell_seed(
-            11, "capacity", 100.0
-        )
-        assert derive_cell_seed(11, "capacity", 100.0) != derive_cell_seed(
-            12, "capacity", 100.0
-        )
-
-    def test_reseed_disabled_keeps_base_seed(self):
-        executor = SweepExecutor(_base(), processes=1, reseed_cells=False)
-        cells = executor.cells("capacity", CAPACITIES, SCHEMES)
-        assert {cell.config.seed for cell in cells} == {11}
+            expected = _base().with_overrides(**{field: cell.value}, scheme=cell.scheme)
+            assert cell.config == expected
+            assert cell.config.seed == 11
+            assert metrics_to_json(results[(cell.scheme, cell.value)]) == (
+                metrics_to_json(run_experiment(expected))
+            )
 
 
 class TestParallelExecution:
@@ -75,13 +72,6 @@ class TestParallelExecution:
         assert parallel.keys() == serial.keys()
         for key in parallel:
             assert metrics_to_json(parallel[key]) == metrics_to_json(serial[key])
-
-    def test_matches_serial_sweeps_module_when_not_reseeded(self):
-        executor = SweepExecutor(_base(), processes=2, reseed_cells=False)
-        via_executor = executor.parameter_sweep("capacity", CAPACITIES[:2], SCHEMES)
-        via_sweeps = parameter_sweep(_base(), "capacity", CAPACITIES[:2], SCHEMES)
-        for key, metrics in via_sweeps.items():
-            assert metrics_to_json(via_executor[key]) == metrics_to_json(metrics)
 
 
 class TestFailureIdentity:
@@ -157,8 +147,6 @@ class TestCaching:
 
 class TestMetricsRoundTrip:
     def test_to_dict_from_dict_is_lossless(self):
-        from repro.experiments.runner import run_experiment
-
         metrics = run_experiment(_base())
         clone = ExperimentMetrics.from_dict(
             json.loads(json.dumps(metrics.to_dict()))

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.runner import compare_schemes, run_experiment
-from repro.experiments.sweeps import capacity_sweep, parameter_sweep
 
 
 def small_config(**overrides):
@@ -67,30 +67,23 @@ class TestCompareSchemes:
 
 class TestSweeps:
     def test_capacity_sweep_shape(self):
-        results = capacity_sweep(
-            small_config(num_transactions=100),
-            capacities=[500.0, 5000.0],
-            schemes=["shortest-path"],
-        )
+        results = SweepExecutor(
+            small_config(num_transactions=100), processes=1
+        ).parameter_sweep("capacity", [500.0, 5000.0], ["shortest-path"])
         assert set(results) == {("shortest-path", 500.0), ("shortest-path", 5000.0)}
 
     def test_more_capacity_never_hurts_much(self):
         """Fig. 7's premise: success improves with capacity."""
-        results = capacity_sweep(
-            small_config(num_transactions=200),
-            capacities=[300.0, 30_000.0],
-            schemes=["spider-waterfilling"],
-        )
+        results = SweepExecutor(
+            small_config(num_transactions=200), processes=1
+        ).parameter_sweep("capacity", [300.0, 30_000.0], ["spider-waterfilling"])
         poor = results[("spider-waterfilling", 300.0)]
         rich = results[("spider-waterfilling", 30_000.0)]
         assert rich.success_volume >= poor.success_volume
         assert rich.success_ratio >= poor.success_ratio
 
     def test_parameter_sweep_over_mtu(self):
-        results = parameter_sweep(
-            small_config(num_transactions=60),
-            field="mtu",
-            values=[25.0, float("inf")],
-            schemes=["spider-waterfilling"],
-        )
+        results = SweepExecutor(
+            small_config(num_transactions=60), processes=1
+        ).parameter_sweep("mtu", [25.0, float("inf")], ["spider-waterfilling"])
         assert len(results) == 2

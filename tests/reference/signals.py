@@ -4,9 +4,10 @@ Each function takes a :class:`~repro.engine.signals.ControlPlane` as its
 first argument and computes what the plane's kernel of the same name
 computes, one unit, hop or channel at a time over the plane's
 :class:`~repro.engine.signals.CongestionState` arrays — hops resolved
-through ``network.direction`` rather than compiled direction ids.  The
-signatures match the methods, so a test can run a whole session on the
-reference by patching them onto the class.
+through ``network.direction`` rather than compiled direction ids, so the
+path loops take node tuples where the methods take compiled paths.
+:data:`KERNELS` adapts them to the methods' signatures, so a test can run
+a whole session on the reference by patching them onto the class.
 
 :class:`ChannelPriceState` / :class:`ReferencePriceTable` are the §5.3
 price model as per-channel objects (λ, per-direction µ and observation
@@ -106,11 +107,14 @@ def gradient_weights(
     return out
 
 
-#: Every ControlPlane kernel this module re-implements, by method name.
+#: Every ControlPlane kernel this module re-implements, by method name,
+#: with the method's signature (the path loops read ``cpath.nodes``).
 KERNELS = {
     "observe_service": observe_service,
-    "observe_path": observe_path,
-    "path_price": path_price,
+    "observe_path": lambda plane, cpath, amount: observe_path(
+        plane, cpath.nodes, amount
+    ),
+    "path_price": lambda plane, cpath: path_price(plane, cpath.nodes),
     "update_prices": update_prices,
     "gradient_weights": gradient_weights,
 }

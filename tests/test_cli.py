@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import _config_from_args, build_parser, main
-from repro.experiments.sweeps import capacity_sweep
+from repro.experiments.runner import run_experiment
 from repro.metrics.report import format_table
 
 
@@ -117,18 +117,21 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "500" in out and "1000" in out
-        # The executor prints the table the serial sweep builds.
+        # Each row is the single run of its cell, at the base seed.
         config = _config_from_args(build_parser().parse_args(argv))
-        results = capacity_sweep(config, [500.0, 1000.0], ["shortest-path"])
-        rows = [
-            [
-                f"{capacity:g}",
-                "shortest-path",
-                f"{100 * results[('shortest-path', capacity)].success_ratio:.2f}",
-                f"{100 * results[('shortest-path', capacity)].success_volume:.2f}",
-            ]
-            for capacity in (500.0, 1000.0)
-        ]
+        rows = []
+        for capacity in (500.0, 1000.0):
+            metrics = run_experiment(
+                config.with_overrides(capacity=capacity, scheme="shortest-path")
+            )
+            rows.append(
+                [
+                    f"{capacity:g}",
+                    "shortest-path",
+                    f"{100 * metrics.success_ratio:.2f}",
+                    f"{100 * metrics.success_volume:.2f}",
+                ]
+            )
         table = format_table(
             ["capacity", "scheme", "success_ratio_%", "success_volume_%"],
             rows,
