@@ -52,7 +52,7 @@ class SpiderLPScheme(RoutingScheme):
         self._weights: Dict[Tuple[int, int], List[Tuple["CompiledPath", float]]] = {}
 
     def prepare(self, runtime: "SimulationSession") -> None:
-        self.path_cache = runtime.network.path_service.view(k=self.num_paths)
+        view = runtime.network.path_service.view(k=self.num_paths)
         demands = estimate_demand_matrix(runtime.records, duration=runtime.end_time)
         demands = {pair: rate for pair, rate in demands.items() if rate > _EPS}
         if not demands:
@@ -60,10 +60,10 @@ class SpiderLPScheme(RoutingScheme):
             return
         # One batched discovery pass over the demand pairs (and one disk
         # flush, when the session persists path artifacts).
-        self.path_cache.prepare(sorted(demands))
+        view.prepare(sorted(demands))
         path_set = {}
         for pair in demands:
-            paths = self.path_cache.paths(*pair)
+            paths = view.paths(*pair)
             if paths:
                 path_set[pair] = paths
         demands = {pair: demands[pair] for pair in path_set}
@@ -71,23 +71,15 @@ class SpiderLPScheme(RoutingScheme):
             channel.endpoints: channel.capacity
             for channel in runtime.network.channels()
         }
-        if self.rebalancing_gamma is None:
-            solution = solve_fluid_lp(
-                demands,
-                path_set,
-                capacities=capacities,
-                delta=max(runtime.config.confirmation_delay, 1e-3),
-                balance="equality",
-            )
-        else:
-            solution = solve_fluid_lp(
-                demands,
-                path_set,
-                capacities=capacities,
-                delta=max(runtime.config.confirmation_delay, 1e-3),
-                balance="rebalance",
-                gamma=self.rebalancing_gamma,
-            )
+        gamma = self.rebalancing_gamma
+        solution = solve_fluid_lp(
+            demands,
+            path_set,
+            capacities=capacities,
+            delta=max(runtime.config.confirmation_delay, 1e-3),
+            balance="equality" if gamma is None else "rebalance",
+            gamma=0.0 if gamma is None else gamma,
+        )
         # The weighted paths are compiled into store indices once (the
         # table's memo); the attempts probe and send on them.
         compile = runtime.network.path_table.compile

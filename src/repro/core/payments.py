@@ -176,8 +176,8 @@ class TransactionUnit:
     unit holds funds on and ``locked[i]`` the amount hop ``i`` actually
     locked, so one record carries everything a settle or refund writes.
     The hop-by-hop and backpressure transports extend it with their
-    forwarding state (:class:`~repro.core.queueing.HopUnit`,
-    :class:`~repro.routing.backpressure.BackpressureUnit`) and hand the
+    forwarding state (:class:`~repro.engine.transport.HopUnit`,
+    :class:`~repro.engine.transport.BackpressureUnit`) and hand the
     same object to the session when it resolves.  ``state`` is the one
     guard against resolving a unit twice.
     """

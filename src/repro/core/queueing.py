@@ -23,76 +23,46 @@ propagates back and every hop settles after the configured confirmation
 delay — the same end-to-end pending period as the source-routed model, so
 results are comparable.
 
-The transport machinery itself lives in
-:class:`repro.engine.transport.HopByHopTransport`; this module keeps the
-:class:`HopUnit` record it moves (a
-:class:`~repro.core.payments.TransactionUnit` plus its forwarding state)
-and :class:`SpiderQueueingScheme`, which pairs the transport with
+The transport machinery and the
+:class:`~repro.engine.transport.HopUnit` record it moves live in
+:mod:`repro.engine.transport`; this module keeps
+:class:`SpiderQueueingScheme`, which builds a
+:class:`~repro.engine.transport.HopByHopTransport` and pairs it with
 waterfilling path selection.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.core.payments import Payment, TransactionUnit
+from repro.core.payments import Payment
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.pathtable import CompiledPath
     from repro.engine.session import SimulationSession
+    from repro.engine.transport import HopByHopTransport
 
-__all__ = ["HopUnit", "SpiderQueueingScheme"]
-
-
-class HopUnit(TransactionUnit):
-    """A transaction unit travelling hop-by-hop along ``cpath``.
-
-    ``locked`` grows by one actual amount per hop as the unit advances and
-    ``hop_index`` is the next hop to traverse, so every hop
-    lock/settle/refund is a direct store-index operation on the compiled
-    path.  The rest is router-queue state: when it parked, its enqueue
-    generation (lazy timeout cancellation) and its congestion mark.  A
-    unit that arrives is handed to the session as it is.
-    """
-
-    __slots__ = ("hop_index", "queued_at", "queue_seq", "marked")
-
-    def __init__(self, payment: Payment, amount: float, cpath: "CompiledPath"):
-        super().__init__(payment, amount, cpath, [])
-        self.hop_index = 0  # next channel to lock: (path[i], path[i+1])
-        self.queued_at: Optional[float] = None
-        self.queue_seq = 0  # enqueue generation (lazy timeout cancellation)
-        self.marked = False  # congestion mark (router queue delay, §4.1)
-
-    @property
-    def at_destination(self) -> bool:
-        """Whether every hop has been locked."""
-        return self.hop_index >= len(self.cpath.dir_list)
+__all__ = ["SpiderQueueingScheme"]
 
 
 class SpiderQueueingScheme(RoutingScheme):
-    """Waterfilling path choice over hop-by-hop queueing transport.
-
-    The ``transport = "hop"`` declaration attaches a
-    :class:`~repro.engine.transport.HopByHopTransport` to the session.
-    """
+    """Waterfilling path choice over the hop-by-hop queueing transport
+    (a default :class:`~repro.engine.transport.HopByHopTransport`)."""
 
     name = "spider-queueing"
     atomic = False
-    transport = "hop"
 
     def __init__(self, num_paths: int = 4):
         if num_paths <= 0:
             raise ValueError(f"num_paths must be positive, got {num_paths}")
         self.num_paths = num_paths
 
+    def make_transport(self, session: "SimulationSession") -> "HopByHopTransport":
+        from repro.engine.transport import HopByHopTransport
+
+        return HopByHopTransport(session)
+
     def attempt(self, payment: Payment, runtime: "SimulationSession") -> None:
-        if not hasattr(getattr(runtime, "transport", None), "send_unit_hop_by_hop"):
-            raise TypeError(
-                f"{type(self).__name__} requires a session with "
-                "transport='hop'; see repro.engine.transport"
-            )
         handle = runtime.path_handle(payment.source, payment.dest, self.num_paths)
         if handle is None:
             runtime.fail_payment(payment)
@@ -101,6 +71,7 @@ class SpiderQueueingScheme(RoutingScheme):
         availability = runtime.network.path_table.bottleneck_many(handle)
         store = runtime.network.state_store
         min_unit = runtime.config.min_unit_value
+        send = runtime.transport.send_unit_hop_by_hop
         while payment.remaining >= min_unit:
             best = max(range(len(cpaths)), key=lambda i: availability[i])
             # First-hop availability is the launch constraint; bottleneck
@@ -119,7 +90,7 @@ class SpiderQueueingScheme(RoutingScheme):
             )
             if amount < min_unit:
                 break
-            if not runtime.send_unit_hop_by_hop(payment, cpaths[best], amount):
+            if not send(payment, cpaths[best], amount):
                 availability[best] = 0.0
                 if all(a < min_unit for a in availability):
                     break

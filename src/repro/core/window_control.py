@@ -36,14 +36,14 @@ scheduled with one :meth:`HopByHopTransport.advance_many
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.queueing import HopUnit
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
     from repro.engine.session import SimulationSession
+    from repro.engine.transport import HopByHopTransport, HopUnit
 
 __all__ = ["PathWindow", "WindowedSpiderScheme"]
 
@@ -107,7 +107,6 @@ class WindowedSpiderScheme(RoutingScheme):
 
     name = "spider-window"
     atomic = False
-    transport = "hop"
 
     def __init__(
         self,
@@ -156,13 +155,15 @@ class WindowedSpiderScheme(RoutingScheme):
         self.marked_acks = 0
         self.losses = 0
 
-    def runtime_kwargs(self) -> Dict[str, object]:
-        """Constructor arguments for the session's transport."""
-        return {
-            "mark_threshold": self.mark_threshold,
-            "hop_delay": self.hop_delay,
-            "queue_timeout": self.queue_timeout,
-        }
+    def make_transport(self, session: "SimulationSession") -> "HopByHopTransport":
+        from repro.engine.transport import HopByHopTransport
+
+        return HopByHopTransport(
+            session,
+            hop_delay=self.hop_delay,
+            queue_timeout=self.queue_timeout,
+            mark_threshold=self.mark_threshold,
+        )
 
     # ------------------------------------------------------------------
     # Window state
@@ -186,12 +187,6 @@ class WindowedSpiderScheme(RoutingScheme):
     # Sending
     # ------------------------------------------------------------------
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
-        transport: Any = getattr(runtime, "transport", None)
-        if not hasattr(transport, "send_unit_hop_by_hop"):
-            raise TypeError(
-                "WindowedSpiderScheme requires a session with "
-                "transport='hop'; see repro.engine.transport"
-            )
         pair = (payment.source, payment.dest)
         handle = runtime.path_handle(pair[0], pair[1], self.num_paths)
         if handle is None:
@@ -208,6 +203,7 @@ class WindowedSpiderScheme(RoutingScheme):
         min_unit = config.min_unit_value
         mtu = config.mtu
         store = runtime.network.state_store
+        transport = runtime.transport
         launch = transport.launch
         units: List[HopUnit] = []
         remaining = payment.remaining  # moves only when a unit launches

@@ -36,7 +36,7 @@ def __getattr__(name: str) -> object:
         from repro.engine import session
 
         return getattr(session, name)
-    if name in ("BackpressureTransport", "HopByHopTransport", "make_transport"):
+    if name in ("BackpressureTransport", "HopByHopTransport"):
         from repro.engine import transport
 
         return getattr(transport, name)
@@ -62,5 +62,4 @@ __all__ = [
     "TickClock",
     "TickEngine",
     "TickTimer",
-    "make_transport",
 ]

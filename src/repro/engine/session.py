@@ -27,10 +27,10 @@ fees and lock through one helper (:meth:`~SimulationSession._lock`):
 Settlement, refunds, deadline enforcement (the sender withholds the hash
 key for units that would settle after the deadline — §4.1), metrics hooks
 and fund-conservation checks all live here, so schemes stay pure policy.
-Schemes that declare a ``transport`` (``"hop"`` for §4.2 in-network
-queues and the windowed transport, ``"backpressure"`` for Celer-style
-gradients) get the matching :mod:`repro.engine.transport` layer attached
-to the session — hop-by-hop forwarding then runs through the slab event
+Schemes that route on a transport (§4.2 in-network queues and the
+windowed transport hop by hop, Celer-style gradients by backpressure)
+build their :mod:`repro.engine.transport` layer for the session in
+``make_transport`` — hop-by-hop forwarding then runs through the slab event
 queue and writes live router queue depths into the store's
 ``queue_depth`` arrays — and a unit the transport delivers resolves here
 too (:meth:`SimulationSession._resolve_unit`).  Every unit is one
@@ -58,7 +58,7 @@ from repro.engine.clock import DEFAULT_QUANTUM
 from repro.engine.dispatch import DispatchPlan
 from repro.engine.events import TickEngine, TickTimer
 from repro.engine.pathtable import CompiledPath
-from repro.engine.transport import Transport, make_transport
+from repro.engine.transport import Transport
 from repro.errors import ConfigError, InsufficientFundsError, SimulationError
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
 from repro.network.network import PaymentNetwork
@@ -258,7 +258,7 @@ class SimulationSession:
         #: (replaces the per-poll full sort; see PendingHeap).
         self._pending = PendingHeap(self._policy)
         self._poll_timer: Optional[TickTimer] = None
-        self.transport: Optional[Transport] = None  # set when the scheme declares a native transport
+        self.transport: Optional[Transport] = None  # built by the scheme in prepare()
         self._path_cache_dir = path_cache_dir
         self._finished = False
         self._prepared = False
@@ -362,7 +362,6 @@ class SimulationSession:
         if self._prepared:
             return
         with _collector_paused():
-            transport_kind = getattr(self.scheme, "transport", None)
             self._prepared = True
             if not len(self.records) and self.config.end_time is None:
                 # Empty trace, no horizon: nothing can ever arrive.  run()
@@ -373,16 +372,9 @@ class SimulationSession:
                 # Load known path artifacts before the scheme prepares; newly
                 # discovered pair sets are written back at the end of the run.
                 self.network.path_service.persist_to(self._path_cache_dir)
-            if transport_kind is not None:
-                transport_kwargs = (
-                    self.scheme.runtime_kwargs()
-                    if hasattr(self.scheme, "runtime_kwargs")
-                    else {}
-                )
-                self.transport = make_transport(transport_kind, self, **transport_kwargs)
-                # Started before the trace is scheduled: its timers must order
-                # ahead of same-tick arrivals.
-                self.transport.start()
+            # Built before the trace is scheduled: a transport's timers must
+            # order ahead of same-tick arrivals.
+            self.transport = self.scheme.make_transport(self)
             self.scheme.prepare(self)
             self._prefetch_paths()
             self._schedule_trace_batched()
@@ -442,9 +434,9 @@ class SimulationSession:
     def run(self) -> ExperimentMetrics:
         """Execute the full trace and return the run's metrics.
 
-        Schemes declaring a ``transport`` (hop-by-hop queueing,
-        backpressure) run through the matching
-        :mod:`repro.engine.transport` layer.
+        Schemes that build a transport (hop-by-hop queueing,
+        backpressure) run through that :mod:`repro.engine.transport`
+        layer.
         """
         if self._finished:
             raise RuntimeError("a SimulationSession runs exactly once")
@@ -614,31 +606,6 @@ class SimulationSession:
         except InsufficientFundsError:
             self._failed_locks += 1
             return None
-
-    def send_unit_hop_by_hop(
-        self, payment: Payment, cpath: CompiledPath, amount: float
-    ) -> bool:
-        """Launch one §4.2 unit along ``cpath`` that forwards hop by hop,
-        queueing when starved; only valid while a hop transport is
-        attached (``transport="hop"``)."""
-        transport = self.transport
-        if transport is None or not hasattr(transport, "send_unit_hop_by_hop"):
-            raise RuntimeError(
-                "no hop-by-hop transport is active on this session; the "
-                'scheme must declare transport = "hop"'
-            )
-        return transport.send_unit_hop_by_hop(payment, cpath, amount)
-
-    def inject(self, payment: Payment, amount: float) -> bool:
-        """Park one unit of ``amount`` in the source's backpressure queue;
-        only valid while a backpressure transport is attached."""
-        transport = self.transport
-        if transport is None or not hasattr(transport, "inject"):
-            raise RuntimeError(
-                "no backpressure transport is active on this session; the "
-                'scheme must declare transport = "backpressure"'
-            )
-        return transport.inject(payment, amount)
 
     def fail_payment(self, payment: Payment) -> None:
         """Terminally fail a payment (atomic miss or scheme decision)."""

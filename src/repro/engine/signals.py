@@ -103,7 +103,6 @@ class ControlPlane:
     """
 
     def __init__(self, network: "PaymentNetwork"):
-        self._network = network
         self._store = network.state_store
         self.state = CongestionState(len(self._store))
         #: Mean λ sampled at every price update (feeds ``mean_price``).

@@ -2,11 +2,12 @@
 
 The paper's headline transport is §4.2's hop-by-hop transaction-unit
 forwarding with in-router queues.  Two transports plug into
-:class:`~repro.engine.session.SimulationSession`
-(selected by the scheme's declarative ``transport`` attribute):
+:class:`~repro.engine.session.SimulationSession`; a scheme that needs one
+builds it in :meth:`RoutingScheme.make_transport
+<repro.routing.base.RoutingScheme.make_transport>`:
 
-:class:`HopByHopTransport` (``transport = "hop"``)
-    §4.2 in-network queues.  A :class:`~repro.core.queueing.HopUnit` locks
+:class:`HopByHopTransport`
+    §4.2 in-network queues.  A :class:`HopUnit` locks
     funds one hop at a time through the slab event queue; a starved hop
     parks the unit in that channel direction's queue.  Queues are keyed by
     the direction's *store index* ``(channel id, side)``, and the store's
@@ -17,13 +18,14 @@ forwarding with in-router queues.  Two transports plug into
     recognised by its generation counter and skipped — no O(n)
     ``deque.remove``, no handle bookkeeping on the hot path.
 
-:class:`BackpressureTransport` (``transport = "backpressure"``)
+:class:`BackpressureTransport`
     Celer-style per-destination queue gradients, epoch-serviced on a
     tick-exact timer.  Its queues live per (node, destination) — not per
     channel direction — so backlog is reported through the collector's
     queue-depth hook rather than the store's directional arrays.
 
-Neither transport settles a unit itself: both units are
+Neither transport settles a unit itself: both units
+(:class:`HopUnit`, :class:`BackpressureUnit`) are
 :class:`~repro.core.payments.TransactionUnit` records (the compiled path
 plus the amount each hop locked), and one that reaches its destination is
 handed as it is to :meth:`SimulationSession._resolve_unit
@@ -37,24 +39,97 @@ drain).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.payments import Payment, UnitState
-from repro.core.queueing import HopUnit
+from repro.core.payments import Payment, TransactionUnit, UnitState
 from repro.engine.pathtable import CompiledPath
-from repro.errors import ConfigError
 from repro.fluid.paths import bfs_distances
-from repro.routing.backpressure import BackpressureUnit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.events import TickTimer
     from repro.engine.session import SimulationSession
 
-__all__ = ["BackpressureTransport", "HopByHopTransport", "Transport", "make_transport"]
+__all__ = [
+    "BackpressureTransport",
+    "BackpressureUnit",
+    "HopByHopTransport",
+    "HopUnit",
+    "Transport",
+]
 
 DirectionKey = int  # the store's hop address, d = 2*cid + side
 _EPS = 1e-9
+
+
+class HopUnit(TransactionUnit):
+    """A transaction unit travelling hop-by-hop along ``cpath``.
+
+    ``locked`` grows by one actual amount per hop as the unit advances and
+    ``hop_index`` is the next hop to traverse, so every hop
+    lock/settle/refund is a direct store-index operation on the compiled
+    path.  The rest is router-queue state: when it parked, its enqueue
+    generation (lazy timeout cancellation) and its congestion mark.  A
+    unit that arrives is handed to the session as it is.
+    """
+
+    __slots__ = ("hop_index", "queued_at", "queue_seq", "marked")
+
+    def __init__(self, payment: Payment, amount: float, cpath: CompiledPath) -> None:
+        super().__init__(payment, amount, cpath, [])
+        self.hop_index = 0  # next channel to lock: (path[i], path[i+1])
+        self.queued_at: Optional[float] = None
+        self.queue_seq = 0  # enqueue generation (lazy timeout cancellation)
+        self.marked = False  # congestion mark (router queue delay, §4.1)
+
+    @property
+    def at_destination(self) -> bool:
+        """Whether every hop has been locked."""
+        return self.hop_index >= len(self.cpath.dir_list)
+
+
+class BackpressureUnit(TransactionUnit):
+    """One transaction unit drifting through the queue network.
+
+    ``trail`` lists the nodes crossed so far (source first), ``dirs`` the
+    store direction id of each hop and ``locked`` the amount each hop
+    actually locked; a backtrack pops one entry from all three.  ``done``
+    means arrived or expired.  ``cpath`` stays unset while the unit
+    drifts: it is compiled from ``trail`` on arrival, and the unit then
+    resolves in the session like any other.
+    """
+
+    __slots__ = (
+        "dest",
+        "node",
+        "visited",
+        "trail",
+        "dirs",
+        "parked_at",
+        "steps",
+        "done",
+    )
+
+    def __init__(self, payment: Payment, amount: float, now: float) -> None:
+        self.payment = payment
+        self.amount = amount
+        self.locked = []
+        self.fee = 0.0
+        self.state = UnitState.INFLIGHT
+        self.dest = payment.dest
+        self.node = payment.source
+        self.visited: Set[int] = {payment.source}
+        self.trail: List[int] = [payment.source]
+        self.dirs: List[int] = []
+        self.parked_at = now
+        self.steps = 0
+        self.done = False
+
+    @property
+    def backtrack_target(self) -> Optional[int]:
+        """The node a pop would return to, or ``None`` at the source."""
+        return self.trail[-2] if self.dirs else None
 
 
 class HopByHopTransport:
@@ -85,15 +160,13 @@ class HopByHopTransport:
         many seconds — the windowed transport's 1-bit congestion signal.
     """
 
-    kind = "hop"
-
     def __init__(
         self,
         session: "SimulationSession",
         hop_delay: float = 0.05,
         queue_timeout: float = 5.0,
         mark_threshold: Optional[float] = None,
-    ):
+    ) -> None:
         if hop_delay < 0:
             raise ValueError(f"hop_delay must be non-negative, got {hop_delay}")
         if queue_timeout <= 0:
@@ -130,9 +203,12 @@ class HopByHopTransport:
         #: len(delays)`` over the full list bit for bit).
         self.queue_delay_total = 0.0
         self.queue_delay_count = 0
-
-    def start(self) -> None:
-        """Hook called before the trace is scheduled (no timers needed)."""
+        #: The end-to-end ack (with its congestion mark) of schemes that
+        #: implement ``on_unit_resolved`` — the windowed transport's
+        #: feedback channel.
+        self._on_unit_resolved: Optional[Callable[[HopUnit, str, float], None]] = (
+            getattr(session.scheme, "on_unit_resolved", None)
+        )
 
     # ------------------------------------------------------------------
     # Scheme-facing primitive
@@ -300,8 +376,8 @@ class HopByHopTransport:
             queue.popleft()
             # repro-lint: allow[RL003] queue_depth is router telemetry, not availability; probe caches never gather it
             store.queue_depth[cid, side] -= 1
-            now = self.sim.now
-            delay = now - (unit.queued_at or now)
+            # A unit parked in a queue always carries its enqueue time.
+            delay = self.sim.now - unit.queued_at  # type: ignore[operator]
             self.queue_delay_total += delay
             self.queue_delay_count += 1
             serviced.append(unit)
@@ -349,23 +425,19 @@ class HopByHopTransport:
         unit.payment.register_cancelled(unit.amount)
         if self.config.check_invariants:
             self.network.check_invariants()
-        self._notify_scheme(unit, "lost")
+        if self._on_unit_resolved is not None:
+            self._on_unit_resolved(unit, "lost", self.sim.now)
 
     def _settle_unit(self, unit: HopUnit) -> None:
         settled = self.session._resolve_unit(unit)
-        self._notify_scheme(unit, "settled" if settled else "cancelled")
+        if self._on_unit_resolved is not None:
+            self._on_unit_resolved(
+                unit, "settled" if settled else "cancelled", self.sim.now
+            )
         # Funds a settle credits to the receiving directions, or a withhold
         # refunds to the sending ones, may unblock units queued there.
         for d in unit.cpath.dir_list:
             self._dequeue(d ^ 1 if settled else d)
-
-    def _notify_scheme(self, unit: HopUnit, outcome: str) -> None:
-        """Deliver the end-to-end ack (with its congestion mark) to schemes
-        implementing ``on_unit_resolved`` — the windowed transport's
-        feedback channel."""
-        callback = getattr(self.session.scheme, "on_unit_resolved", None)
-        if callback is not None:
-            callback(unit, outcome, self.sim.now)
 
     # ------------------------------------------------------------------
     def finish(self) -> None:
@@ -396,9 +468,10 @@ class BackpressureTransport:
     per (node, destination), a service epoch every ``service_interval``
     seconds on a tick-exact :class:`~repro.engine.events.TickTimer`,
     shortest-path-biased gradient weights, backtracking for stuck units.
+    The epoch timer is armed on construction, which the session does
+    before it schedules the trace, so an epoch fires ahead of same-tick
+    arrivals.
     """
-
-    kind = "backpressure"
 
     def __init__(
         self,
@@ -407,7 +480,7 @@ class BackpressureTransport:
         beta: float = 1.0,
         max_hops: int = 10,
         stuck_after: float = 1.0,
-    ):
+    ) -> None:
         if service_interval <= 0:
             raise ValueError(f"service_interval must be positive, got {service_interval}")
         if beta < 0:
@@ -452,16 +525,13 @@ class BackpressureTransport:
         #: relative to the epoch interval), so the per-direction gather is
         #: worth memoising; bounded and dropped wholesale on overflow.
         self._dir_dist_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        self._service_timer = None
         self.units_injected = 0
         self.units_expired = 0
         self.total_hops = 0
         self.total_pops = 0
-
-    def start(self) -> None:
-        """Arm the service-epoch timer (before the trace is scheduled, so
-        an epoch fires ahead of same-tick arrivals)."""
-        self._service_timer = self.sim.every(self.service_interval, self._service_epoch)
+        self._service_timer: "TickTimer" = self.sim.every(
+            self.service_interval, self._service_epoch
+        )
 
     # ------------------------------------------------------------------
     # Scheme-facing primitive
@@ -680,26 +750,8 @@ class BackpressureTransport:
                 while queue:
                     self._expire_unit(queue.popleft())
         self._backlog.clear()
-        if self._service_timer is not None:
-            self._service_timer.stop()
+        self._service_timer.stop()
 
 
-#: The duck-typed transport contract (``start``/``finish`` plus unit
-#: ingestion) has exactly these implementations.
+#: What a scheme's ``make_transport`` builds and the session holds.
 Transport = Union[HopByHopTransport, BackpressureTransport]
-
-_TRANSPORTS = {
-    HopByHopTransport.kind: HopByHopTransport,
-    BackpressureTransport.kind: BackpressureTransport,
-}
-
-
-def make_transport(kind: str, session: "SimulationSession", **kwargs: Any) -> Transport:
-    """Instantiate the transport a scheme's ``transport`` attribute names."""
-    try:
-        transport_class = _TRANSPORTS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown transport {kind!r}; available: {sorted(_TRANSPORTS)}"
-        ) from None
-    return transport_class(session, **kwargs)

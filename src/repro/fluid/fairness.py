@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import ConfigError, ReproError
 from repro.fluid.paths import path_edges
+from repro.network.network import canonical_edge
 
 __all__ = ["FairnessSolution", "solve_fairness_lp", "jain_index"]
 
@@ -38,13 +39,6 @@ Path = Tuple[NodeId, ...]
 DirectedEdge = Tuple[NodeId, NodeId]
 
 _EPS = 1e-9
-
-
-def _canonical(u: NodeId, v: NodeId) -> DirectedEdge:
-    try:
-        return (u, v) if u <= v else (v, u)
-    except TypeError:
-        return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -130,7 +124,7 @@ def solve_fairness_lp(
     for col, (_, path) in enumerate(x_index):
         for e in path_edges(path):
             usage[edge_pos[e], col] += 1.0
-    channels = sorted({_canonical(u, v) for u, v in directed}, key=repr)
+    channels = sorted({canonical_edge(u, v) for u, v in directed}, key=repr)
 
     a_ub: List[np.ndarray] = []
     b_ub: List[float] = []

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigError, ReproError
 from repro.fluid.paths import path_edges
+from repro.network.network import canonical_edge
 
 __all__ = [
     "FluidSolution",
@@ -44,13 +45,6 @@ DirectedEdge = Tuple[NodeId, NodeId]
 _EPS = 1e-9
 
 _BALANCE_MODES = ("none", "equality", "rebalance", "budget")
-
-
-def _canonical(u: NodeId, v: NodeId) -> DirectedEdge:
-    try:
-        return (u, v) if u <= v else (v, u)
-    except TypeError:
-        return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 @dataclass
@@ -167,7 +161,7 @@ def solve_fluid_lp(
     )
     edge_pos = {e: i for i, e in enumerate(directed_edges)}
     undirected: List[DirectedEdge] = sorted(
-        {_canonical(u, v) for (u, v) in directed_edges}, key=repr
+        {canonical_edge(u, v) for (u, v) in directed_edges}, key=repr
     )
 
     with_b = balance in ("rebalance", "budget")

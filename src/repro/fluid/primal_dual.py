@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.fluid.paths import path_edges
+from repro.network.network import canonical_edge
 
 __all__ = ["PrimalDualConfig", "PrimalDualResult", "solve_primal_dual", "project_capped_simplex"]
 
@@ -35,13 +36,6 @@ NodeId = Hashable
 Pair = Tuple[NodeId, NodeId]
 Path = Tuple[NodeId, ...]
 DirectedEdge = Tuple[NodeId, NodeId]
-
-
-def _canonical(u: NodeId, v: NodeId) -> DirectedEdge:
-    try:
-        return (u, v) if u <= v else (v, u)
-    except TypeError:
-        return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 def project_capped_simplex(x: np.ndarray, cap: float) -> np.ndarray:
@@ -157,7 +151,7 @@ def solve_primal_dual(
         {e for _, path in x_index for e in path_edges(path)}, key=repr
     )
     channels: List[DirectedEdge] = sorted(
-        {_canonical(u, v) for u, v in directed}, key=repr
+        {canonical_edge(u, v) for u, v in directed}, key=repr
     )
     channel_pos = {e: i for i, e in enumerate(channels)}
     dir_list: List[DirectedEdge] = []
@@ -200,7 +194,7 @@ def solve_primal_dual(
         z_dir = np.empty(len(dir_list))
         for i, (u, v) in enumerate(dir_list):
             j = dir_pos[(v, u)]
-            z_dir[i] = lam[channel_pos[_canonical(u, v)]] + mu[i] - mu[j]
+            z_dir[i] = lam[channel_pos[canonical_edge(u, v)]] + mu[i] - mu[j]
         z_path = usage.T @ z_dir
 
         # --- primal step (eq. 21): per-pair projected gradient ----------

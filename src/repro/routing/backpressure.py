@@ -36,9 +36,11 @@ Model
   misrouted backlog (reverse pressure builds up over time), while keeping
   every *settled* trail a simple path as the paper requires.
 
-:class:`CelerScheme` injects payment value; the queues, gradients,
-forwarding, settlement and refunds live in
-:class:`repro.engine.transport.BackpressureTransport`.  The service
+:class:`CelerScheme` builds a
+:class:`~repro.engine.transport.BackpressureTransport` and injects payment
+value into it; the queues, gradients, forwarding, settlement and refunds,
+and the :class:`~repro.engine.transport.BackpressureUnit` records they
+move, live in :mod:`repro.engine.transport`.  The service
 epoch's gradient weights compute through the
 network :class:`~repro.engine.signals.ControlPlane` — one vectorised
 expression per candidate batch rather than per-destination Python calls.
@@ -46,58 +48,16 @@ expression per candidate batch rather than per-destination Python calls.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.payments import Payment, TransactionUnit, UnitState
+from repro.core.payments import Payment
 from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.session import SimulationSession
+    from repro.engine.transport import BackpressureTransport
 
-__all__ = ["BackpressureUnit", "CelerScheme"]
-
-
-class BackpressureUnit(TransactionUnit):
-    """One transaction unit drifting through the queue network.
-
-    ``trail`` lists the nodes crossed so far (source first), ``dirs`` the
-    store direction id of each hop and ``locked`` the amount each hop
-    actually locked; a backtrack pops one entry from all three.  ``done``
-    means arrived or expired.  ``cpath`` stays unset while the unit
-    drifts: it is compiled from ``trail`` on arrival, and the unit then
-    resolves in the session like any other.
-    """
-
-    __slots__ = (
-        "dest",
-        "node",
-        "visited",
-        "trail",
-        "dirs",
-        "parked_at",
-        "steps",
-        "done",
-    )
-
-    def __init__(self, payment: Payment, amount: float, now: float):
-        self.payment = payment
-        self.amount = amount
-        self.locked = []
-        self.fee = 0.0
-        self.state = UnitState.INFLIGHT
-        self.dest = payment.dest
-        self.node = payment.source
-        self.visited: Set[int] = {payment.source}
-        self.trail: List[int] = [payment.source]
-        self.dirs: List[int] = []
-        self.parked_at = now
-        self.steps = 0
-        self.done = False
-
-    @property
-    def backtrack_target(self) -> Optional[int]:
-        """The node a pop would return to, or ``None`` at the source."""
-        return self.trail[-2] if self.dirs else None
+__all__ = ["CelerScheme"]
 
 
 class CelerScheme(RoutingScheme):
@@ -108,15 +68,14 @@ class CelerScheme(RoutingScheme):
     unit_cap:
         Optional per-unit value cap below the runtime MTU (finer queue
         granularity at the cost of more units).
-    service_interval, beta, max_hops:
-        Forwarded to the session's
-        :class:`~repro.engine.transport.BackpressureTransport` through
-        :meth:`runtime_kwargs`.
+    service_interval, beta, max_hops, stuck_after:
+        Parameters of the
+        :class:`~repro.engine.transport.BackpressureTransport` the scheme
+        builds.
     """
 
     name = "celer"
     atomic = False
-    transport = "backpressure"
 
     def __init__(
         self,
@@ -134,27 +93,25 @@ class CelerScheme(RoutingScheme):
         self.max_hops = max_hops
         self.stuck_after = stuck_after
 
-    def runtime_kwargs(self) -> Dict[str, object]:
-        """Constructor arguments for the session's transport."""
-        return {
-            "service_interval": self.service_interval,
-            "beta": self.beta,
-            "max_hops": self.max_hops,
-            "stuck_after": self.stuck_after,
-        }
+    def make_transport(self, session: "SimulationSession") -> "BackpressureTransport":
+        from repro.engine.transport import BackpressureTransport
+
+        return BackpressureTransport(
+            session,
+            service_interval=self.service_interval,
+            beta=self.beta,
+            max_hops=self.max_hops,
+            stuck_after=self.stuck_after,
+        )
 
     def attempt(self, payment: Payment, runtime: "SimulationSession") -> None:
-        if not hasattr(getattr(runtime, "transport", None), "inject"):
-            raise TypeError(
-                "CelerScheme requires a session with "
-                "transport='backpressure'; see repro.engine.transport"
-            )
+        inject = runtime.transport.inject
         injected_any = False
         while payment.remaining >= runtime.config.min_unit_value:
             chunk = payment.remaining
             if self.unit_cap is not None:
                 chunk = min(chunk, self.unit_cap)
-            if not runtime.inject(payment, chunk):
+            if not inject(payment, chunk):
                 break
             injected_any = True
         if not injected_any and payment.units_sent == 0:

@@ -3,8 +3,10 @@
 A scheme is pure policy: it decides *which paths and how much*, and moves
 money only through the session's one send core, on compiled paths —
 ``send_compiled`` (one unit), ``send_on_path`` (drain one path) or
-``send_atomic`` (all-or-nothing shares) — or through a transport
-(``send_unit_hop_by_hop``, ``inject``).  The session (passed as ``runtime``) calls
+``send_atomic`` (all-or-nothing shares) — or through the transport it
+builds in :meth:`RoutingScheme.make_transport` (``runtime.transport``'s
+``send_unit_hop_by_hop``/``launch``/``advance_many`` or ``inject``).
+The session (passed as ``runtime``) calls
 :meth:`RoutingScheme.attempt` — the scheme's one decision path; the
 session's :class:`~repro.engine.dispatch.DispatchPlan` runs it per payment
 of every same-tick cohort:
@@ -35,6 +37,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
     from repro.engine.session import SimulationSession
+    from repro.engine.transport import Transport
 
 __all__ = ["RoutingScheme"]
 
@@ -46,12 +49,20 @@ class RoutingScheme(abc.ABC):
     name: str = "base"
     #: Whether payments are delivered all-or-nothing with a single attempt.
     atomic: bool = False
-    #: Native session transport the scheme needs: ``None`` (source-routed),
-    #: ``"hop"`` (§4.2 in-network queues / windowed transport) or
-    #: ``"backpressure"`` — see :mod:`repro.engine.transport`.  Transport
-    #: schemes pass the transport's constructor arguments through an
-    #: optional ``runtime_kwargs()`` method.
-    transport: Optional[str] = None
+
+    def make_transport(self, session: "SimulationSession") -> Optional["Transport"]:
+        """The transport the scheme routes on, built for ``session``.
+
+        The session calls this in ``prepare()``, before
+        :meth:`prepare` and before the trace is scheduled, and keeps the
+        result as ``session.transport``.  The default, ``None``, is a
+        source-routed scheme; the §4.2 hop-by-hop and backpressure schemes
+        return a :mod:`repro.engine.transport` transport with their own
+        parameters.  They import the transport class inside this method:
+        the transport module imports ``repro.core.payments``, and the
+        ``repro.core`` package imports every scheme module in it.
+        """
+        return None
 
     def prepare(self, runtime: "SimulationSession") -> None:
         """One-time setup before the trace starts (path/LP precomputation).

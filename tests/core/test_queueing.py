@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.queueing import SpiderQueueingScheme
 from repro.engine.session import RuntimeConfig, SimulationSession
+from repro.engine.transport import HopByHopTransport
 from repro.routing.base import RoutingScheme
 from repro.topology.generators import line_topology
 from repro.workload.generator import TransactionRecord
@@ -19,19 +20,18 @@ class LaunchOnLine(RoutingScheme):
 
     name = "test-hop-launch"
     atomic = False
-    transport = "hop"
 
     def __init__(self, **transport_kwargs):
         self.transport_kwargs = transport_kwargs
 
-    def runtime_kwargs(self):
-        return self.transport_kwargs
+    def make_transport(self, session):
+        return HopByHopTransport(session, **self.transport_kwargs)
 
     def attempt(self, payment, runtime):
         step = 1 if payment.dest >= payment.source else -1
         path = tuple(range(payment.source, payment.dest + step, step))
         cpath = runtime.network.path_table.compile(path)
-        runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
+        runtime.transport.send_unit_hop_by_hop(payment, cpath, payment.remaining)
 
 
 def make_runtime(records, capacity=100.0, nodes=4, end_time=30.0, **kwargs):
@@ -157,16 +157,16 @@ class TestHopByHopDelivery:
 
         paths = {0: (2, 0, 1), 1: (1, 2, 0)}
 
-        class LaunchFixedPaths(RoutingScheme):
+        class LaunchFixedPaths(LaunchOnLine):
             name = "test-fixed-paths"
-            atomic = False
-            transport = "hop"
 
             def attempt(self, payment, runtime):
                 cpath = runtime.network.path_table.compile(
                     paths[payment.payment_id]
                 )
-                runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
+                runtime.transport.send_unit_hop_by_hop(
+                    payment, cpath, payment.remaining
+                )
 
         lock(network, (0, 1), 50.0)  # direction (0,1) is dry
         runtime = SimulationSession(
@@ -214,20 +214,6 @@ class TestSpiderQueueingScheme:
         metrics = runtime.run()
         assert metrics.completed == 2
 
-    def test_rejects_plain_runtime(self):
-        """A session with no hop transport attached cannot run the scheme."""
-
-        class NoTransport(SpiderQueueingScheme):
-            transport = None
-
-        records = [record(0, 1.0, 0, 2, 10.0)]
-        network = line_topology(3).build_network(default_capacity=100.0)
-        runtime = SimulationSession(
-            network, records, NoTransport(), RuntimeConfig(end_time=5.0)
-        )
-        with pytest.raises(TypeError):
-            runtime.run()
-
     def test_registry_and_runner_integration(self):
         from repro.experiments import ExperimentConfig, run_experiment
 
@@ -265,7 +251,7 @@ class TestSpiderQueueingPathChoice:
         config = RuntimeConfig(end_time=5.0, mtu=10.0)
         session = SimulationSession(network, [], SpiderQueueingScheme(), config)
         session.prepare()
-        launch = session.send_unit_hop_by_hop
+        launch = session.transport.send_unit_hop_by_hop
         sends = []
 
         def recording(payment, cpath, value):
@@ -274,7 +260,7 @@ class TestSpiderQueueingPathChoice:
                 return False
             return launch(payment, cpath, value)
 
-        session.send_unit_hop_by_hop = recording
+        session.transport.send_unit_hop_by_hop = recording
         payment = session._new_payment(*astuple(record(0, 0.0, 0, 2, 40.0)))
         session.scheme.attempt(payment, session)
         return sends

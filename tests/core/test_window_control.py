@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.payments import Payment
-from repro.core.queueing import HopUnit
 from repro.core.window_control import PathWindow, WindowedSpiderScheme
 from repro.engine.session import RuntimeConfig, SimulationSession
+from repro.engine.transport import HopUnit
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.topology.generators import cycle_topology, line_topology
 from repro.workload.generator import TransactionRecord
@@ -168,13 +168,6 @@ class TestTransportIntegration:
         assert runtime.network.channel(0, 1).attempted_flow(0) > 0
         assert runtime.network.channel(0, 5).attempted_flow(0) > 0
 
-    def test_requires_queueing_runtime(self):
-        network = line_topology(3).build_network(default_capacity=100.0)
-        runtime = SimulationSession(network, [], WindowedSpiderScheme())  # no transport attached
-        payment = Payment(payment_id=1, source=0, dest=2, amount=1.0, arrival_time=0.0)
-        with pytest.raises(TypeError):
-            WindowedSpiderScheme().attempt(payment, runtime)
-
     def test_no_path_fails_payment(self):
         network = line_topology(3).build_network(default_capacity=100.0)
         network.add_node(99)
@@ -230,16 +223,6 @@ class TestConstruction:
         scheme = make_scheme("spider-window", alpha=5.0)
         assert isinstance(scheme, WindowedSpiderScheme)
         assert scheme.alpha == 5.0
-
-    def test_runtime_kwargs(self):
-        scheme = WindowedSpiderScheme(
-            mark_threshold=0.2, hop_delay=0.01, queue_timeout=3.0
-        )
-        assert scheme.runtime_kwargs() == {
-            "mark_threshold": 0.2,
-            "hop_delay": 0.01,
-            "queue_timeout": 3.0,
-        }
 
     def test_queueing_runtime_rejects_negative_mark_threshold(self):
         network = line_topology(3).build_network(default_capacity=100.0)

@@ -56,9 +56,7 @@ def test_native_transport_determinism(scheme):
     "scheme", ["spider-window", "spider-queueing", "celer", "spider-primal-dual"]
 )
 @pytest.mark.parametrize("topology", ["line-5", "ripple-small"])
-def test_signal_kernels_and_reference_loops_byte_identical(
-    scheme, topology, monkeypatch
-):
+def test_signal_kernels_and_reference_loops_byte_identical(scheme, topology):
     """The ControlPlane kernels reproduce the per-element loops bit for bit.
 
     The same seeded experiment runs once on the kernels and once with
@@ -68,13 +66,13 @@ def test_signal_kernels_and_reference_loops_byte_identical(
     ``mean_mark_rate``/``mean_price`` columns — must match byte for byte
     across the windowed, queueing, backpressure and primal-dual schemes.
     """
-    from repro.engine.signals import ControlPlane
-    from tests.reference.signals import KERNELS
+    from repro.engine.session import SimulationSession
+    from tests.reference.signals import use_reference_kernels
 
     config = _config(scheme=scheme, topology=topology, num_transactions=150)
     kernels = metrics_to_json(run_experiment(config))
-    for name, loop in KERNELS.items():
-        monkeypatch.setattr(ControlPlane, name, loop)
-    loops = metrics_to_json(run_experiment(config))
+    session = SimulationSession.from_config(config)
+    use_reference_kernels(session.network)
+    loops = metrics_to_json(session.run())
     assert kernels.encode() == loops.encode()
 

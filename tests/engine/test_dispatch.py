@@ -457,23 +457,6 @@ def test_prime_warms_the_sequential_path(scheme, monkeypatch):
     assert calls == {"compile": 0, "lookup": 0}
 
 
-def test_window_without_a_hop_transport_raises():
-    """With no hop transport attached the window scheme's ``attempt``
-    raises its ``TypeError`` through the cohort driver, before it reads
-    a handle or moves a fund."""
-    from repro.core.window_control import WindowedSpiderScheme
-    from repro.topology.generators import line_topology
-
-    network = line_topology(3).build_network(default_capacity=100.0)
-    session = SimulationSession(network, [], WindowedSpiderScheme())
-    plan = session._dispatch
-    payment = Payment(payment_id=1, source=0, dest=2, amount=1.0, arrival_time=0.0)
-    with pytest.raises(TypeError):
-        plan.attempt_cohort([payment])
-    assert not plan._handles
-    assert payment.inflight == 0.0
-
-
 @pytest.mark.parametrize(
     "scheme",
     ["spider-waterfilling", "spider-window", "shortest-path", "lnd", "spider-amp"],

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core.payments import TransactionUnit, UnitState
-from repro.core.queueing import HopUnit, SpiderQueueingScheme
+from repro.core.queueing import SpiderQueueingScheme
 from repro.engine import session as session_module
 from repro.engine.session import RuntimeConfig, SimulationSession
+from repro.engine.transport import HopUnit
 from repro.errors import PaymentError
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import MetricsCollector
@@ -102,16 +103,6 @@ class TestNativeTransports:
         metrics = session.run()
         assert isinstance(session.transport, BackpressureTransport)
         assert metrics.attempted == 100
-
-    def test_transport_primitives_require_a_transport(self):
-        """send_unit_hop_by_hop/inject on a plain session are errors."""
-        network, records, scheme = _line_setup()
-        session = SimulationSession(network, records, scheme)
-        payment_stub = object()
-        with pytest.raises(RuntimeError):
-            session.send_unit_hop_by_hop(payment_stub, (0, 1), 1.0)
-        with pytest.raises(RuntimeError):
-            session.inject(payment_stub, 1.0)
 
 
 class _SettledUnits(MetricsCollector):

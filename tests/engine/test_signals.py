@@ -145,7 +145,7 @@ class TestPriceParity:
             i = int(drive.integers(0, len(paths)))
             amount = float(drive.uniform(0.5, 40.0))
             kernel.observe_path(cpaths[i], amount)
-            reference.observe_path(loop, paths[i], amount)
+            reference.observe_path(loop, network, paths[i], amount)
             assert np.array_equal(kernel.state.window, loop.state.window)
             if step % 4 == 3:
                 kernel.update_prices(dt=1.0, eta=0.1, kappa=0.07)
@@ -154,7 +154,7 @@ class TestPriceParity:
             assert np.array_equal(getattr(kernel.state, name), getattr(loop.state, name))
         assert kernel.price_samples == loop.price_samples
         for path, cpath in zip(paths, cpaths):
-            assert kernel.path_price(cpath) == reference.path_price(loop, path)
+            assert kernel.path_price(cpath) == reference.path_price(loop, network, path)
 
     def test_update_rejects_non_positive_dt(self):
         network = PaymentNetwork()

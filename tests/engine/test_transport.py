@@ -7,8 +7,7 @@ import pytest
 
 from repro.engine.session import RuntimeConfig
 from repro.engine.session import SimulationSession
-from repro.engine.transport import BackpressureTransport, HopByHopTransport
-from repro.errors import ConfigError
+from repro.engine.transport import BackpressureTransport, HopByHopTransport, HopUnit
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import metrics_to_json
 from repro.routing.base import RoutingScheme
@@ -19,17 +18,23 @@ from tests.path_helpers import lock
 
 
 class LaunchOnLine(RoutingScheme):
-    """Minimal hop-by-hop scheme: launch the remaining value on the line."""
+    """Minimal hop-by-hop scheme: launch the remaining value on the line,
+    over a hop transport built with ``transport_kwargs``."""
 
     name = "test-hop-launch"
     atomic = False
-    transport = "hop"
+
+    def __init__(self, **transport_kwargs):
+        self.transport_kwargs = transport_kwargs
+
+    def make_transport(self, session):
+        return HopByHopTransport(session, **self.transport_kwargs)
 
     def attempt(self, payment, runtime):
         step = 1 if payment.dest >= payment.source else -1
         path = tuple(range(payment.source, payment.dest + step, step))
         cpath = runtime.network.path_table.compile(path)
-        runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
+        runtime.transport.send_unit_hop_by_hop(payment, cpath, payment.remaining)
 
 
 def record(txn_id, t, source, dest, amount, deadline=None):
@@ -86,9 +91,10 @@ class TestHopByHopNative:
 
     def test_lazy_timeout_refunds_and_clears_depth(self):
         session = make_session(
-            [record(0, 1.0, 0, 3, 40.0)], end_time=3.5
+            [record(0, 1.0, 0, 3, 40.0)],
+            end_time=3.5,
+            scheme=LaunchOnLine(queue_timeout=1.0),
         )
-        session.scheme.runtime_kwargs = lambda: {"queue_timeout": 1.0}
         network = session.network
         lock(network, (2, 3), 45.0)
         session.run()
@@ -110,14 +116,10 @@ class TestHopByHopNative:
                 record(3, 1.6, 3, 0, 10.0),  # reverse credit after timeout
             ],
             end_time=3.4,
+            scheme=LaunchOnLine(queue_timeout=1.0),
         )
-        transport_timeout = 1.0
         lock(session.network, (1, 2), 50.0)  # drain 1->2 fully
-        # Rebuild the transport parameters via a scheme-level override:
-        # LaunchOnLine declares no runtime_kwargs, so patch the default by
-        # constructing the transport eagerly through the scheme hook.
-        session.scheme.runtime_kwargs = lambda: {"queue_timeout": transport_timeout}
-        metrics = session.run()
+        session.run()
         assert session.transport.units_timed_out >= 1
         assert session.payments[1].is_complete
         assert session.network.state_store.total_queued() == 0
@@ -136,16 +138,16 @@ class TestHopByHopNative:
 
         paths = {0: (2, 0, 1), 1: (1, 2, 0)}
 
-        class LaunchFixedPaths(RoutingScheme):
+        class LaunchFixedPaths(LaunchOnLine):
             name = "test-fixed-paths"
-            atomic = False
-            transport = "hop"
 
             def attempt(self, payment, runtime):
                 cpath = runtime.network.path_table.compile(
                     paths[payment.payment_id]
                 )
-                runtime.send_unit_hop_by_hop(payment, cpath, payment.remaining)
+                runtime.transport.send_unit_hop_by_hop(
+                    payment, cpath, payment.remaining
+                )
 
         lock(network, (0, 1), 50.0)  # direction (0,1) is dry
         session = SimulationSession(
@@ -168,7 +170,6 @@ class TestHopByHopNative:
         """A serviced-then-requeued unit must not be killed by the stale
         timeout scheduled for its first stint in the queue."""
         from repro.core.payments import UnitState
-        from repro.core.queueing import HopUnit
 
         session = make_session([], end_time=1.0)
         transport = HopByHopTransport(session)
@@ -237,22 +238,28 @@ class TestHopByHopNative:
         with pytest.raises(ValueError):
             HopByHopTransport(session, mark_threshold=-0.5)
 
-    def test_scheme_guard_rejects_session_without_matching_transport(self):
-        """The schemes' type guard sees through the session facade: a
-        session with no (or the wrong) transport is rejected up front."""
-        network = line_topology(3).build_network(default_capacity=10.0)
-        plain = SimulationSession(network, [], make_scheme("shortest-path"))
-        with pytest.raises(TypeError):
-            make_scheme("spider-queueing").attempt(object(), plain)
-        with pytest.raises(TypeError):
-            make_scheme("celer").attempt(object(), plain)
-
-    def test_unknown_transport_kind_rejected(self):
-        from repro.engine.transport import make_transport
-
-        session = make_session([])
-        with pytest.raises(ConfigError):
-            make_transport("warp", session)
+    def test_units_queued_at_time_zero_count_their_delay(self):
+        """A unit parked at t = 0 reads its true queueing delay.  A 3-unit
+        0→2 payment queues behind a 5-unit 1→2 payment whose key is
+        withheld at 0.5 s (past its deadline), so it waits 0.5 s — beyond
+        the 0.3 s threshold — and is marked, exactly as in the same trace
+        shifted to 1 s."""
+        observed = {}
+        for start in (0.0, 1.0):
+            network = line_topology(3).build_network(default_capacity=10.0)
+            session = SimulationSession(
+                network,
+                [
+                    record(0, start, 1, 2, 5.0, deadline=start + 0.4),
+                    record(1, start, 0, 2, 3.0),
+                ],
+                LaunchOnLine(hop_delay=0.0, mark_threshold=0.3),
+                RuntimeConfig(end_time=start + 5.0, check_invariants=True),
+            )
+            session.run()
+            transport = session.transport
+            observed[start] = (transport.queue_delay_total, transport.units_marked)
+        assert observed[0.0] == observed[1.0] == (pytest.approx(0.5), 1)
 
 
 @pytest.mark.parametrize(

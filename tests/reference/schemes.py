@@ -12,8 +12,8 @@ the plain way: the pair's node-tuple paths from
 :class:`~tests.reference.path_ops.ReferencePathOps` and
 ``network.available``, fee-inclusive offers off the channel objects'
 schedules, one launch scheduled at a time through
-``session.send_unit_hop_by_hop`` (on the node path, compiled right before
-the call).
+``session.transport.send_unit_hop_by_hop`` (on the node path, compiled
+right before the call).
 
 :func:`send_atomic` is the atomic send written over node tuples and
 per-hop store arithmetic: shares priced, locked and rolled back by
@@ -119,8 +119,6 @@ def waterfilling_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
 
 def window_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
     """The windowed launch loop over the pair's node-tuple paths."""
-    if not hasattr(getattr(runtime, "transport", None), "send_unit_hop_by_hop"):
-        raise TypeError("the window loop needs a hop transport")
     paths = pair_paths(scheme, payment, runtime)
     if not paths:
         runtime.fail_payment(payment)
@@ -140,7 +138,7 @@ def window_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
             if amount < min_unit:
                 break
             cpath = runtime.network.path_table.compile(path)
-            if not runtime.send_unit_hop_by_hop(payment, cpath, amount):
+            if not runtime.transport.send_unit_hop_by_hop(payment, cpath, amount):
                 break
             state.inflight += amount
 

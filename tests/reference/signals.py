@@ -3,11 +3,12 @@
 Each function takes a :class:`~repro.engine.signals.ControlPlane` as its
 first argument and computes what the plane's kernel of the same name
 computes, one unit, hop or channel at a time over the plane's
-:class:`~repro.engine.signals.CongestionState` arrays — hops resolved
-through ``network.direction`` rather than compiled direction ids, so the
-path loops take node tuples where the methods take compiled paths.
-:data:`KERNELS` adapts them to the methods' signatures, so a test can run
-a whole session on the reference by patching them onto the class.
+:class:`~repro.engine.signals.CongestionState` arrays.  The path loops
+also take the plane's network and resolve hops through
+``network.direction`` rather than compiled direction ids, so they take
+node tuples where the methods take compiled paths.
+:func:`use_reference_kernels` adapts them to the methods' signatures on a
+network's own plane, so a test can run a whole session on the reference.
 
 :class:`ChannelPriceState` / :class:`ReferencePriceTable` are the §5.3
 price model as per-channel objects (λ, per-direction µ and observation
@@ -17,6 +18,7 @@ plane's flat price arrays.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +27,6 @@ from repro.errors import ConfigError
 from repro.network.network import PaymentNetwork, canonical_edge
 
 __all__ = [
-    "KERNELS",
     "ChannelPriceState",
     "ReferencePriceTable",
     "gradient_weights",
@@ -33,13 +34,14 @@ __all__ = [
     "observe_service",
     "path_price",
     "update_prices",
+    "use_reference_kernels",
 ]
 
 DirectedEdge = Tuple[int, int]
 
 
-def _hops(plane, path: Sequence[int]) -> List[Tuple[int, int]]:
-    direction = plane._network.direction
+def _hops(network: PaymentNetwork, path: Sequence[int]) -> List[Tuple[int, int]]:
+    direction = network.direction
     return [direction(a, b)[1:] for a, b in zip(path, path[1:])]
 
 
@@ -57,18 +59,18 @@ def observe_service(plane, cid: int, side: int, delays, units) -> int:
     return newly
 
 
-def observe_path(plane, path: Sequence[int], amount: float) -> None:
+def observe_path(plane, network, path: Sequence[int], amount: float) -> None:
     """Add ``amount`` to each hop's observation window."""
     state = plane._sync()
-    for cid, side in _hops(plane, path):
+    for cid, side in _hops(network, path):
         state.window[cid, side] += amount
 
 
-def path_price(plane, path: Sequence[int]) -> float:
+def path_price(plane, network, path: Sequence[int]) -> float:
     """Sum of ``λ + µ_(u,v) − µ_(v,u)`` over the hops, left to right."""
     state = plane._sync()
     total = 0.0
-    for cid, side in _hops(plane, path):
+    for cid, side in _hops(network, path):
         total += float(state.lam[cid] + state.mu[cid, side] - state.mu[cid, 1 - side])
     return total
 
@@ -107,17 +109,18 @@ def gradient_weights(
     return out
 
 
-#: Every ControlPlane kernel this module re-implements, by method name,
-#: with the method's signature (the path loops read ``cpath.nodes``).
-KERNELS = {
-    "observe_service": observe_service,
-    "observe_path": lambda plane, cpath, amount: observe_path(
-        plane, cpath.nodes, amount
-    ),
-    "path_price": lambda plane, cpath: path_price(plane, cpath.nodes),
-    "update_prices": update_prices,
-    "gradient_weights": gradient_weights,
-}
+def use_reference_kernels(network: PaymentNetwork) -> None:
+    """Replace every ControlPlane kernel this module re-implements, on
+    ``network``'s own plane, by its loop with the method's signature (the
+    path loops read ``cpath.nodes``)."""
+    plane = network.control_plane
+    plane.observe_service = partial(observe_service, plane)
+    plane.observe_path = lambda cpath, amount: observe_path(
+        plane, network, cpath.nodes, amount
+    )
+    plane.path_price = lambda cpath: path_price(plane, network, cpath.nodes)
+    plane.update_prices = partial(update_prices, plane)
+    plane.gradient_weights = partial(gradient_weights, plane)
 
 
 class ChannelPriceState:

@@ -7,11 +7,12 @@ import pytest
 
 from repro.core.payments import UnitState
 from repro.engine.session import RuntimeConfig, SimulationSession
+from repro.engine.transport import BackpressureUnit
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.incentives import IncentiveCollector
 from repro.network.network import PaymentNetwork
-from repro.routing.backpressure import BackpressureUnit, CelerScheme
+from repro.routing.backpressure import CelerScheme
 from repro.topology.generators import cycle_topology, line_topology, star_topology
 from repro.workload.generator import TransactionRecord
 
@@ -203,7 +204,6 @@ class TestBacktracking:
 
     def test_pop_to_wrong_node_is_rejected(self):
         from repro.core.payments import Payment
-        from repro.routing.backpressure import BackpressureUnit
 
         network = line_topology(3).build_network(default_capacity=100.0)
         runtime = prepared(network)
@@ -226,7 +226,7 @@ class TestBookkeeping:
         payment = Payment(
             payment_id=7, source=0, dest=2, amount=10.0, arrival_time=0.0
         )
-        assert runtime.inject(payment, 10.0)
+        assert runtime.transport.inject(payment, 10.0)
         assert runtime.transport.backlog(0, 2) == pytest.approx(10.0)
         assert runtime.transport.backlog(1, 2) == 0.0
         assert payment.remaining == 0.0  # value is owned by the queues
@@ -239,7 +239,7 @@ class TestBookkeeping:
         from repro.core.payments import Payment
 
         payment = Payment(payment_id=1, source=0, dest=2, amount=0.5, arrival_time=0.0)
-        assert not runtime.inject(payment, 0.5)
+        assert not runtime.transport.inject(payment, 0.5)
 
     def test_unreachable_destination_fails_payment(self):
         network = line_topology(3).build_network(default_capacity=100.0)
@@ -419,15 +419,6 @@ class TestConstructionAndIntegration:
         with pytest.raises(ValueError):
             CelerScheme(unit_cap=0.0)
 
-    def test_scheme_requires_backpressure_runtime(self):
-        from repro.core.payments import Payment
-
-        network = line_topology(3).build_network(default_capacity=100.0)
-        runtime = SimulationSession(network, [], CelerScheme())  # no transport attached
-        payment = Payment(payment_id=1, source=0, dest=2, amount=1.0, arrival_time=0.0)
-        with pytest.raises(TypeError):
-            CelerScheme().attempt(payment, runtime)
-
     def test_registered_and_runs_via_experiment_runner(self):
         config = ExperimentConfig(
             scheme="celer",
@@ -441,12 +432,3 @@ class TestConstructionAndIntegration:
         metrics = run_experiment(config)
         assert metrics.attempted == 50
         assert metrics.completed > 0
-
-    def test_runtime_kwargs_plumbed(self):
-        scheme = CelerScheme(service_interval=0.25, beta=3.0, max_hops=6)
-        assert scheme.runtime_kwargs() == {
-            "service_interval": 0.25,
-            "beta": 3.0,
-            "max_hops": 6,
-            "stuck_after": 1.0,
-        }

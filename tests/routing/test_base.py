@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.session import SimulationSession
-from repro.engine.transport import _TRANSPORTS
-from repro.errors import ConfigError
+from repro.engine.transport import BackpressureTransport, HopByHopTransport
 from repro.routing.base import RoutingScheme
 from repro.routing.registry import available_schemes, make_scheme
 from repro.topology.isp import isp_topology
@@ -53,7 +52,7 @@ class TestRoutingSchemeContract:
         scheme = NullScheme()
         assert RoutingScheme.name == "base"
         assert scheme.atomic is False
-        assert scheme.transport is None
+        assert scheme.make_transport(_session(scheme)) is None
 
     def test_view_is_one_cache_per_budget(self):
         """``view(k)`` is the memoising cache itself: repeated calls return
@@ -85,16 +84,44 @@ class TestRoutingSchemeContract:
         assert views[0] is not views[1]
         assert views[0].paths(8, 20) is views[1].paths(8, 20)
 
-    def test_registered_transports_are_known(self):
-        for name in available_schemes():
-            kind = make_scheme(name).transport
-            assert kind is None or kind in _TRANSPORTS, (name, kind)
 
-    def test_unknown_transport_is_rejected_at_prepare(self):
-        class Bogus(NullScheme):
-            name = "test-bogus-transport"
-            transport = "bogus"
+#: The transport each transport scheme builds: its class, the scheme
+#: arguments, and the transport parameters those arguments must give.
+TRANSPORT_SCHEMES = {
+    "spider-queueing": (
+        HopByHopTransport,
+        {},
+        {"hop_delay": 0.05, "queue_timeout": 5.0, "mark_threshold": None},
+    ),
+    "spider-window": (
+        HopByHopTransport,
+        {"hop_delay": 0.01, "queue_timeout": 3.0, "mark_threshold": 0.2},
+        {"hop_delay": 0.01, "queue_timeout": 3.0, "mark_threshold": 0.2},
+    ),
+    "celer": (
+        BackpressureTransport,
+        {"service_interval": 0.25, "beta": 3.0, "max_hops": 6, "stuck_after": 2.0},
+        {"service_interval": 0.25, "beta": 3.0, "max_hops": 6, "stuck_after": 2.0},
+    ),
+}
 
-        session = _session(Bogus())
-        with pytest.raises(ConfigError, match="unknown transport 'bogus'"):
-            session.prepare()
+
+@pytest.mark.parametrize("name", available_schemes())
+def test_scheme_builds_the_transport_it_needs(name):
+    """Every registered scheme's ``make_transport`` returns ``None`` (a
+    source-routed scheme) or the transport class it routes on, built for
+    the session with the scheme's parameters."""
+    transport_class, scheme_kwargs, params = TRANSPORT_SCHEMES.get(name, (None, {}, {}))
+    scheme = make_scheme(name, **scheme_kwargs)
+    session = _session(scheme)
+    transport = scheme.make_transport(session)
+    if transport_class is None:
+        assert transport is None
+        return
+    assert type(transport) is transport_class
+    assert transport.session is session
+    assert {key: getattr(transport, key) for key in params} == params
+
+
+def test_every_transport_scheme_is_registered():
+    assert set(TRANSPORT_SCHEMES) <= set(available_schemes())

@@ -1,8 +1,9 @@
 """Schemes move money through one way in: the session's send core.
 
 Every scheme module under ``repro/core`` and ``repro/routing`` locks funds
-only through ``send_compiled``, ``send_on_path``, ``send_atomic`` or a
-transport (``send_unit_hop_by_hop``, ``inject``).  None of them locks,
+only through ``send_compiled``, ``send_on_path``, ``send_atomic`` or the
+transport the scheme builds (``runtime.transport``'s
+``send_unit_hop_by_hop``, ``launch`` or ``inject``).  None of them locks,
 settles or refunds on the network's path facade, the path table or the
 store itself, and none calls the node-tuple ``send_unit`` the send core
 replaced.  The check reads the source (no import), so a direct call fails
@@ -81,7 +82,9 @@ def test_the_scan_passes_the_send_core_entries():
         "runtime.send_compiled(payment, cpath, 1.0)\n"
         "runtime.send_on_path(payment, cpath)\n"
         "runtime.send_atomic(payment, shares)\n"
-        "runtime.send_unit_hop_by_hop(payment, path, 1.0)\n"
+        "runtime.transport.send_unit_hop_by_hop(payment, cpath, 1.0)\n"
+        "runtime.transport.launch(payment, cpath, 1.0)\n"
+        "runtime.transport.inject(payment, 1.0)\n"
         "lock = runtime.send_unit\n"
     )
     assert forbidden_calls(source) == []

@@ -119,7 +119,7 @@ ack_strategy = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(ack_strategy, min_size=1, max_size=60))
 def test_window_stays_within_bounds(acks):
-    from repro.core.queueing import HopUnit
+    from repro.engine.transport import HopUnit
 
     scheme = WindowedSpiderScheme(
         initial_window=100.0, min_window=5.0, max_window=400.0, rtt=0.25
