@@ -48,10 +48,11 @@ def main() -> None:
     )
 
     # Sample the forward path's window once a second.
+    forward_path = network.path_table.compile((0, 1, 2))
     samples = []
 
     def sample():
-        samples.append((runtime.now, scheme.window((0, 1, 2)).window))
+        samples.append((runtime.now, scheme.window(forward_path).window))
 
     runtime.sim.every(1.0, sample)
     metrics = runtime.run()

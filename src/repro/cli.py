@@ -174,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     precompute_parser = paths_sub.add_parser(
         "precompute",
         help="discover a config's trace pair path sets once and persist "
-        "them for later runs and sweeps",
+        "them as a binary paths-<topology/k hash>.npz artifact (integer "
+        "path columns, loaded with allow_pickle=False) for later runs and "
+        "sweeps",
     )
     precompute_parser.add_argument(
         "--k", type=int, default=4, help="paths per pair (paper: 4)"
@@ -183,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir",
         required=True,
         help="artifact directory (pass the same directory as "
-        "--path-cache-dir / sweep --cache-dir later)",
+        "--path-cache-dir / sweep --cache-dir later; an older JSON "
+        "artifact of the same topology there is replaced)",
     )
     _add_common_options(precompute_parser)
 

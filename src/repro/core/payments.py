@@ -201,7 +201,8 @@ class TransactionUnit:
 
     @property
     def path(self) -> Tuple[int, ...]:
-        """The node tuple of the unit's path."""
+        """The node tuple of the unit's path (built from its compiled path
+        on each call)."""
         return self.cpath.nodes
 
     def mark_settled(self) -> None:

@@ -30,7 +30,9 @@ path (:meth:`HopByHopTransport.launch
 <repro.engine.transport.HopByHopTransport.launch>`), so no path is
 compiled and no node tuple is looked up; the attempt's launches are
 scheduled with one :meth:`HopByHopTransport.advance_many
-<repro.engine.transport.HopByHopTransport.advance_many>`.
+<repro.engine.transport.HopByHopTransport.advance_many>`.  Window states
+are keyed by a path's hop direction ids (``CompiledPath.dir_list``), which
+every launch and every ack already holds, so neither builds a node tuple.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.routing.base import RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payments import Payment
+    from repro.engine.pathtable import CompiledPath
     from repro.engine.session import SimulationSession
     from repro.engine.transport import HopByHopTransport, HopUnit
 
@@ -145,6 +148,7 @@ class WindowedSpiderScheme(RoutingScheme):
         self.hop_delay = hop_delay
         self.queue_timeout = queue_timeout
         self.rtt = rtt
+        #: A path's hop direction ids → its window state.
         self._windows: Dict[Path, PathWindow] = {}
         #: ``(source, dest)`` → the pair's window states, aligned with its
         #: handle's ``cpaths``.  A session's handles are its network's, so
@@ -175,12 +179,14 @@ class WindowedSpiderScheme(RoutingScheme):
             # One confirmation delay is the natural RTT of this transport.
             self.rtt = max(runtime.config.confirmation_delay, 1e-3)
 
-    def window(self, path: Path) -> PathWindow:
-        """The AIMD state of ``path`` (created on first use)."""
-        state = self._windows.get(path)
+    def window(self, cpath: "CompiledPath") -> PathWindow:
+        """The AIMD state of compiled path ``cpath`` (created on first
+        use), keyed by its hop direction ids."""
+        key = cpath.dir_list
+        state = self._windows.get(key)
         if state is None:
             state = PathWindow(window=self.initial_window)
-            self._windows[path] = state
+            self._windows[key] = state
         return state
 
     # ------------------------------------------------------------------
@@ -197,7 +203,7 @@ class WindowedSpiderScheme(RoutingScheme):
         if windows is None:
             window = self.window
             windows = self._pair_windows[pair] = [
-                window(cpath.nodes) for cpath in cpaths
+                window(cpath) for cpath in cpaths
             ]
         config = runtime.config
         min_unit = config.min_unit_value
@@ -251,7 +257,7 @@ class WindowedSpiderScheme(RoutingScheme):
     # ------------------------------------------------------------------
     def on_unit_resolved(self, unit: HopUnit, outcome: str, now: float) -> None:
         """AIMD reaction to one end-to-end ack or loss."""
-        state = self.window(unit.path)
+        state = self.window(unit.cpath)
         state.inflight = max(0.0, state.inflight - unit.amount)
         congested = unit.marked or outcome == "lost"
         if outcome == "lost":
@@ -277,6 +283,7 @@ class WindowedSpiderScheme(RoutingScheme):
 
     # ------------------------------------------------------------------
     def window_snapshot(self) -> Dict[Path, float]:
-        """Current window per path (diagnostics / convergence plots)."""
-        return {path: state.window for path, state in self._windows.items()}
+        """Current window per path, keyed by the path's hop direction ids
+        (diagnostics / convergence plots)."""
+        return {key: state.window for key, state in self._windows.items()}
 

@@ -13,9 +13,12 @@ RL003     :mod:`.store_discipline`      store array writes pair with a
                                         version bump
 RL005     :mod:`.ticks`                 no float arithmetic in schedule tick
                                         arguments
+RL010     :mod:`.artifacts`             ``np.load`` passes
+                                        ``allow_pickle=False`` literally
 ========  ============================  =======================================
 """
 
+from repro.devtools.lint.rules.artifacts import NoPickleLoadRule
 from repro.devtools.lint.rules.determinism import DeterminismRule
 from repro.devtools.lint.rules.ordering import OrderedIterationRule
 from repro.devtools.lint.rules.store_discipline import StoreDisciplineRule
@@ -26,4 +29,5 @@ __all__ = [
     "OrderedIterationRule",
     "StoreDisciplineRule",
     "IntegerTickRule",
+    "NoPickleLoadRule",
 ]

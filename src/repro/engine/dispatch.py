@@ -8,17 +8,20 @@ The cohort itself is what the session batches: triage, attempt counters
 and rescheduling run once per tick, not once per payment.
 
 **Handles.**  A pair's *handle* is the probe cache of its path set
-(:meth:`PathTable.probe_handle
-<repro.engine.pathtable.PathTable.probe_handle>`): the set's compiled
-paths (``cpaths``) plus its memoised bottlenecks.  The plan keeps one
-handle per pair and path budget ``k`` in a per-session map — on the
-plan, not on the scheme, because a handle is bound to this network's
+(:meth:`PathTable.handle <repro.engine.pathtable.PathTable.handle>`): the
+set's compiled paths (``cpaths``) plus its memoised bottlenecks.  The plan
+keeps one handle per pair and path budget ``k`` in a per-session map — on
+the plan, not on the scheme, because a handle is bound to this network's
 :class:`~repro.engine.pathtable.PathTable`.  :meth:`DispatchPlan.prime`
 fills it for every pair of the trace during the untimed ``prepare()``:
-one :meth:`PathTable.compile_many
-<repro.engine.pathtable.PathTable.compile_many>` over all their paths (a
-batch kernel filling the path arena) and one probe view per pair.  A pair
-first seen mid-run goes through the same builder as a batch of one.  A
+the pairs' path sets come out of the discovery cache as columns
+(:meth:`PersistentCache.columns
+<repro.engine.pathservice.PersistentCache.columns>`), one
+:meth:`PathTable.compile_columns
+<repro.engine.pathtable.PathTable.compile_columns>` lays all their paths
+out in the path arena, and each pair's handle is built from its run of
+arena rows — no node tuple is made or keyed on the way.  A pair first
+seen mid-run goes through the same builder as a batch of one.  A
 scheme's ``attempt`` reads the map through
 :meth:`SimulationSession.path_handle
 <repro.engine.session.SimulationSession.path_handle>`, then probes, locks
@@ -97,17 +100,17 @@ class DispatchPlan:
     ) -> List[Optional["_ProbeCache"]]:
         """The handles of ``pairs``' ``k``-path sets (``None`` for an
         empty or degenerate set), in pair order.  The pairs not yet in the
-        map get one batch compile of every path of their sets, then one
-        probe handle per set."""
+        map get their sets' columns in one batch, one compile of every
+        path of them, then one handle per set from its arena rows."""
         handles = self._handles.setdefault(k, {})
         missing = [pair for pair in pairs if pair not in handles]
         if missing:
-            paths_of = self.session.network.path_service.view(k=k).paths
-            path_sets = [paths_of(source, dest) for source, dest in missing]
+            columns = self.session.network.path_service.view(k=k).columns(missing)
             table = self.table
-            table.compile_many(path_sets)
-            for pair, paths in zip(missing, path_sets):
-                handles[pair] = table.probe_handle(paths) if paths else None
+            cpaths = table.compile_columns(columns)
+            bounds = columns.set_ptr.tolist()
+            for pair, start, stop in zip(missing, bounds, bounds[1:]):
+                handles[pair] = table.handle(cpaths[start:stop])
         return [handles[pair] for pair in pairs]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,8 +5,8 @@ shortest paths", §6.1), so path discovery is a precomputable, shareable
 artifact.  :class:`PathService` is the only way the system discovers paths.
 It owns one sorted adjacency per network and serves discovery one way:
 ``view(k)`` returns the memoising :class:`PersistentCache` for ``k`` paths
-per pair, whose ``paths(src, dst)`` / ``paths_many(pairs)`` /
-``prepare(pairs)`` every consumer calls.
+per pair, whose ``columns(pairs)`` / ``paths(src, dst)`` /
+``paths_many(pairs)`` / ``prepare(pairs)`` every consumer calls.
 
 * :class:`CsrDisjointProvider` — CSR adjacency (flat ``indptr``/``indices``
   arrays, rows sorted so the BFS tie-break is explicit) searched from both
@@ -29,22 +29,34 @@ per pair, whose ``paths(src, dst)`` / ``paths_many(pairs)`` /
   so repeat runs and :class:`SweepExecutor` cells load discovery artifacts
   instead of recomputing them.
 
+**The path store is columnar.**  From the kernel to the compiler a set of
+paths is one :class:`PathColumns` — per-set path pointers, per-path node
+pointers and one column of node indices into the graph's sorted node
+list — never a tuple per path or an ``int`` per node: :class:`_Lockstep`
+appends the chains it walks to columns, :class:`PersistentCache` keeps one
+columnar store per key process-wide and writes it as an ``.npz`` archive
+of the same columns (schema 2; loaded with ``allow_pickle=False`` and
+validated column by column, anything else counts as absent), and
+:meth:`PersistentCache.columns` hands the columns of a pair list to
+:meth:`repro.engine.pathtable.PathTable.compile_columns`.  Node tuples
+are built on request only, by :meth:`PersistentCache.paths` /
+:meth:`PersistentCache.paths_many`, for the callers that walk node ids
+(the LP and fluid path sets, the CLI).
+
 Both kernels need a channel graph whose node ids are totally ordered and
 whose every edge has its reverse — what a
 :class:`~repro.network.network.PaymentNetwork` always builds.  Any other
 input is rejected with a :class:`~repro.errors.TopologyError` naming the
 node or edge.
-
-Discovery output feeds :meth:`repro.engine.pathtable.PathTable.compile_many`
-directly, so pair list → path sets → compiled store-index arrays is one
-pipeline.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import json
+import io
 import os
+import zipfile
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,12 +64,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 import numpy as np
 
+from repro.engine.pathtable import int_node_array
 from repro.errors import TopologyError
 
 __all__ = [
     "CsrGraph",
     "CsrDisjointProvider",
     "LandmarkProvider",
+    "PathColumns",
     "PersistentCache",
     "PathService",
     "contract_loops",
@@ -105,6 +119,75 @@ def _sorted_ids(ids: Iterable) -> List:
         ) from None
 
 
+def _pointers(sizes: np.ndarray) -> np.ndarray:
+    """The pointer column of segments of ``sizes``: ``[0, cumsum...]``."""
+    ptr = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    return ptr
+
+
+def _ragged_take(
+    ptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Segments ``rows`` of pointer column ``ptr``, back to back: their
+    new pointer column and the positions of their elements."""
+    starts = ptr[rows]
+    sizes = ptr[rows + 1] - starts
+    out = _pointers(sizes)
+    return out, np.arange(out[-1]) + (starts - out[:-1]).repeat(sizes)
+
+
+class PathColumns:
+    """Pair path sets as integer columns.
+
+    Set ``i``'s paths are rows ``set_ptr[i]:set_ptr[i + 1]``, and path
+    ``j``'s nodes are ``nodes[path_ptr[j]:path_ptr[j + 1]]`` — indices
+    into ``graph.nodes``, the ascending node ids, so no column holds a
+    Python object per node or per path.  Both pointer columns start at 0.
+
+    What discovery produces (:meth:`CsrDisjointProvider.columns`),
+    :class:`PersistentCache` keeps and persists, and
+    :meth:`PathTable.compile_columns
+    <repro.engine.pathtable.PathTable.compile_columns>` compiles.  Node
+    tuples are built only when asked for (:meth:`to_lists`).
+    """
+
+    __slots__ = ("graph", "set_ptr", "path_ptr", "nodes")
+
+    def __init__(
+        self,
+        graph: "CsrGraph",
+        set_ptr: np.ndarray,
+        path_ptr: np.ndarray,
+        nodes: np.ndarray,
+    ):
+        self.graph = graph
+        self.set_ptr = set_ptr
+        self.path_ptr = path_ptr
+        self.nodes = nodes
+
+    def take(self, rows: np.ndarray) -> "PathColumns":
+        """The sets at ``rows``, in that order (repeats allowed)."""
+        set_ptr, paths = _ragged_take(self.set_ptr, rows)
+        path_ptr, positions = _ragged_take(self.path_ptr, paths)
+        return PathColumns(self.graph, set_ptr, path_ptr, self.nodes[positions])
+
+    def to_lists(self) -> List[List[Path]]:
+        """Every set as a list of node-id tuples."""
+        names = self.graph.nodes
+        ids = list(map(names.__getitem__, self.nodes.tolist()))
+        ptr = self.path_ptr.tolist()
+        paths = [tuple(ids[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
+        sets = self.set_ptr.tolist()
+        return [paths[lo:hi] for lo, hi in zip(sets, sets[1:])]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"PathColumns(sets={self.set_ptr.shape[0] - 1}, "
+            f"paths={self.path_ptr.shape[0] - 1})"
+        )
+
+
 # ----------------------------------------------------------------------
 # CSR graph + full-tree array-frontier BFS
 # ----------------------------------------------------------------------
@@ -126,12 +209,24 @@ class CsrGraph:
     :class:`~repro.errors.TopologyError`.
     """
 
-    __slots__ = ("nodes", "index", "indptr", "indices", "degree", "twin", "_arange")
+    __slots__ = (
+        "nodes",
+        "ids",
+        "index",
+        "indptr",
+        "indices",
+        "degree",
+        "twin",
+        "_arange",
+    )
 
     def __init__(
         self, nodes: List, index: Dict, indptr: np.ndarray, indices: np.ndarray
     ):
         self.nodes = nodes
+        #: The node ids as an int64 array (``None`` unless every id is a
+        #: plain ``int``): what a node index column maps through.
+        self.ids = int_node_array(nodes)
         self.index = index
         self.indptr = indptr
         self.indices = indices
@@ -353,44 +448,81 @@ class CsrDisjointProvider:
         self._graph = graph
         self._k = k
 
+    @property
+    def graph(self) -> CsrGraph:
+        """The CSR graph searched (its node list names the columns' indices)."""
+        return self._graph
+
     def paths(self, source: int, dest: int) -> List[Path]:
         """The pair's path set (fewer than k when the graph runs out)."""
         return self.paths_many([(source, dest)])[0]
 
     def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
-        """Path sets for every pair, in pair order."""
+        """Path sets for every pair, in pair order, as node tuples."""
+        index = self._graph.index
+        out: List[List[Path]] = []
+        known: List[Pair] = []
+        slots: List[int] = []
+        for source, dest in pairs:
+            if source in index and dest in index:
+                slots.append(len(out))
+                known.append((source, dest))
+            # Parity: the scalar loop re-finds the single-node path k
+            # times, and finds nothing for an endpoint outside the graph.
+            out.append([(source,)] * self._k if source == dest else [])
+        for slot, paths in zip(slots, self.columns(known).to_lists()):
+            out[slot] = paths
+        return out
+
+    def columns(self, pairs: Sequence[Pair]) -> "PathColumns":
+        """The path sets of ``pairs`` as columns, in pair order.
+
+        Both endpoints of every pair must be graph nodes (a
+        :class:`KeyError` names the first that is not).
+        """
         graph = self._graph
         index = graph.index
-        out: List[List[Path]] = []
-        slots: List[int] = []
-        ends: List[Tuple[int, int]] = []
-        for source, dest in pairs:
-            if source == dest:
-                # Parity: the scalar loop re-finds the single-node path k times.
-                out.append([(source,)] * self._k)
-                continue
-            src, dst = index.get(source), index.get(dest)
-            if src is not None and dst is not None:
-                slots.append(len(out))
-                ends.append((src, dst))
-            out.append([])
-        if not slots:
-            return out
-        src, dst = np.array(ends, dtype=np.intp).T
-        # Every simple path uses up one edge at each endpoint, so the
-        # search after the min(deg)-th path is known to fail.
-        degree = graph.degree
-        budget = np.minimum(self._k, np.minimum(degree[src], degree[dst]))
-        width = min(
-            len(slots), _chunk_pairs(graph.num_nodes, graph.indices.shape[0])
+        src = np.array([index[source] for source, _ in pairs], dtype=np.intp)
+        dst = np.array([index[dest] for _, dest in pairs], dtype=np.intp)
+        k = self._k
+        # A pair sends to itself along the single-node path, k times.
+        loops = np.flatnonzero(src == dst).repeat(k)
+        owners = [loops]
+        sizes = [np.ones(loops.shape[0], dtype=np.intp)]
+        chains = [src[loops]]
+        slots = np.flatnonzero(src != dst)
+        if slots.shape[0]:
+            src_s, dst_s = src[slots], dst[slots]
+            # Every simple path uses up one edge at each endpoint, so the
+            # search after the min(deg)-th path is known to fail.
+            degree = graph.degree
+            budget = np.minimum(k, np.minimum(degree[src_s], degree[dst_s]))
+            width = min(
+                slots.shape[0],
+                _chunk_pairs(graph.num_nodes, graph.indices.shape[0]),
+            )
+            kernel = _Lockstep(graph, width)
+            for lo in range(0, slots.shape[0], width):
+                hi = lo + width
+                owner, size, chain = kernel.run(
+                    src_s[lo:hi], dst_s[lo:hi], budget[lo:hi]
+                )
+                owners.append(slots[lo:hi][owner])
+                sizes.append(size)
+                chains.append(chain)
+        # Group the paths by pair; the sort is stable, so each pair's
+        # paths keep the order the search found them in.
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        path_ptr, positions = _ragged_take(
+            _pointers(np.concatenate(sizes)), order
         )
-        kernel = _Lockstep(graph, width)
-        for lo in range(0, len(slots), width):
-            hi = lo + width
-            found = kernel.run(src[lo:hi], dst[lo:hi], budget[lo:hi])
-            for slot, paths in zip(slots[lo:hi], found):
-                out[slot] = paths
-        return out
+        return PathColumns(
+            graph,
+            _pointers(np.bincount(owner, minlength=src.shape[0])),
+            path_ptr,
+            np.concatenate(chains)[positions].astype(np.int32),
+        )
 
 
 class _Lockstep:
@@ -445,10 +577,17 @@ class _Lockstep:
 
     def run(
         self, src: np.ndarray, dst: np.ndarray, budget: np.ndarray
-    ) -> List[List[Path]]:
-        """Up to ``budget`` paths for each ``(src, dst)`` index pair."""
-        nodes, twin = self.graph.nodes, self.graph.twin
-        found: List[List[Path]] = [[] for _ in range(src.shape[0])]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Up to ``budget`` paths for each ``(src, dst)`` index pair.
+
+        Returns the paths as three columns, in the order they were found
+        (round by round, so each pair's paths in its own order): per path
+        its local pair number and its node count, and every path's node
+        indices back to back.
+        """
+        twin = self.graph.twin
+        empty = np.zeros(0, dtype=np.intp)
+        owners, sizes, chains = [empty], [empty], [empty]
         masked: List[np.ndarray] = []
         active = np.arange(src.shape[0])
         for done in range(int(budget.max())):
@@ -470,16 +609,13 @@ class _Lockstep:
                 dead = np.concatenate([used + offset, twin.take(used) + offset])
                 self.alive[dead] = False
                 masked.append(dead)
-                for pair, row, hop_count in zip(
-                    active.tolist(), chain.T.tolist(), lengths.tolist()
-                ):
-                    found[pair].append(
-                        tuple([nodes[i] for i in row[: hop_count + 1]])
-                    )
+                owners.append(active)
+                sizes.append(lengths + 1)
+                chains.append(chain.T[np.arange(chain.shape[0]) <= lengths[:, None]])
             self.dist[np.concatenate(touched)] = -1
         if masked:
             self.alive[np.concatenate(masked)] = True
-        return found
+        return np.concatenate(owners), np.concatenate(sizes), np.concatenate(chains)
 
     # -- shared steps ---------------------------------------------------
     def _rows(
@@ -742,31 +878,169 @@ class LandmarkProvider:
 # ----------------------------------------------------------------------
 # Persistence
 # ----------------------------------------------------------------------
+class _PathStore:
+    """Every known path set of one topology and ``k``: one
+    :class:`PathColumns` and the pair → set-row map beside it."""
+
+    __slots__ = ("rows", "sets")
+
+    def __init__(self, graph: CsrGraph):
+        self.rows: Dict[Pair, int] = {}
+        self.sets = PathColumns(
+            graph,
+            np.zeros(1, dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
+        )
+
+    def __len__(self) -> int:
+        """Number of pairs known."""
+        return len(self.rows)
+
+    def append(self, pairs: Sequence[Pair], sets: PathColumns) -> None:
+        """Add new ``pairs`` with their path ``sets`` (in pair order)."""
+        base = len(self.rows)
+        self.rows.update(zip(pairs, range(base, base + len(pairs))))
+        old = self.sets
+        if base == 0:
+            self.sets = sets
+            return
+        self.sets = PathColumns(
+            old.graph,
+            np.concatenate((old.set_ptr, sets.set_ptr[1:] + old.set_ptr[-1])),
+            np.concatenate((old.path_ptr, sets.path_ptr[1:] + old.path_ptr[-1])),
+            np.concatenate((old.nodes, sets.nodes)),
+        )
+
+
+#: The arrays of a path artifact (``<name>.npy`` members of its ``.npz``).
+_ARTIFACT_ARRAYS = (
+    "schema",
+    "key",
+    "pair_src",
+    "pair_dst",
+    "set_ptr",
+    "path_ptr",
+    "nodes",
+)
+
+
+def _artifact_columns(
+    arrays: Dict[str, np.ndarray], schema: int, key: str, graph: CsrGraph
+) -> Optional[Tuple[List[Pair], PathColumns]]:
+    """The pairs and path sets an artifact's arrays hold, ``None`` unless
+    they are exactly what :meth:`PersistentCache.flush` writes for this
+    ``schema``, ``key`` and graph.
+
+    Checked before any column is used as an index: integer 1-d columns;
+    pairs strictly ascending (so none repeats); pointer columns that
+    start at 0, never decrease (a set may be empty; a path holds at least
+    one node) and end at the length of the column they point into; every
+    node and endpoint a node index of ``graph``; every path starting at
+    its pair's source and ending at its destination.  Whether a path's
+    hops are channels is :meth:`PathTable.compile_columns
+    <repro.engine.pathtable.PathTable.compile_columns>`' to check.
+    """
+    tag, name = arrays["schema"], arrays["key"]
+    if tag.shape != () or tag.dtype.kind not in "iu" or int(tag) != schema:
+        return None
+    if name.shape != () or name.dtype.kind != "U" or str(name) != key:
+        return None
+    columns = [arrays[field] for field in _ARTIFACT_ARRAYS[2:]]
+    if any(column.ndim != 1 or column.dtype.kind not in "iu" for column in columns):
+        return None
+    nodes = columns.pop()
+    src, dst, set_ptr, path_ptr = (
+        column.astype(np.int64, copy=False) for column in columns
+    )
+    num_nodes = graph.num_nodes
+    count = src.shape[0]
+    if (
+        dst.shape[0] != count
+        or set_ptr.shape[0] != count + 1
+        or set_ptr[0] != 0
+        or set_ptr[-1] != path_ptr.shape[0] - 1
+        or path_ptr[0] != 0
+        or path_ptr[-1] != nodes.shape[0]
+        or (np.diff(set_ptr) < 0).any()
+        or (np.diff(path_ptr) < 1).any()
+    ):
+        return None
+    for column in (src, dst, nodes):
+        if column.shape[0] and (column.min() < 0 or column.max() >= num_nodes):
+            return None
+    if (np.diff(src * num_nodes + dst) <= 0).any():
+        return None
+    owner = np.arange(count).repeat(np.diff(set_ptr))
+    if (nodes[path_ptr[:-1]] != src[owner]).any() or (
+        nodes[path_ptr[1:] - 1] != dst[owner]
+    ).any():
+        return None
+    names = graph.nodes
+    pairs = list(
+        zip(
+            map(names.__getitem__, src.tolist()),
+            map(names.__getitem__, dst.tolist()),
+        )
+    )
+    return pairs, PathColumns(
+        graph, set_ptr, path_ptr, nodes.astype(np.int32, copy=False)
+    )
+
+
+def _write_npz(path: str, arrays: Dict[str, np.ndarray]) -> None:
+    """``arrays`` as an uncompressed ``.npz`` archive at ``path``.
+
+    Every member carries the same fixed timestamp (``np.savez`` stamps
+    the clock), so equal arrays give equal bytes.
+    """
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+        for name, array in arrays.items():
+            member = io.BytesIO()
+            np.lib.format.write_array(member, array, allow_pickle=False)
+            archive.writestr(zipfile.ZipInfo(f"{name}.npy"), member.getvalue())
+
+
 class PersistentCache:
     """Discovery for one ``k``: in-process memoisation + on-disk artifacts.
 
     What :meth:`PathService.view` returns: every pair set comes from the
     wrapped :class:`CsrDisjointProvider` at most once.  Pair sets live in
-    a process-wide store keyed by the topology/k hash, so two networks
-    with identical adjacency (repeat runs, multi-scheme comparisons, sweep
-    cells in one process) share one computation.  :meth:`persist_to` attaches a cache
-    directory: known artifacts are loaded eagerly and :meth:`flush`
-    (called by :meth:`prepare` and at session end) writes the merged pair
-    sets back atomically — the same share-by-content discipline as the
-    sweep JSON cache, so ``SweepExecutor`` workers load discovery from
-    disk instead of recomputing it per cell.
+    a process-wide columnar store (a :class:`PathColumns` plus a pair →
+    row map) keyed by the topology/k hash, so two networks with identical
+    adjacency (repeat runs, multi-scheme comparisons, sweep cells in one
+    process) share one computation.  :meth:`columns` serves the store's
+    columns to the compiler; :meth:`paths` / :meth:`paths_many` build
+    node tuples from them on request.
+
+    :meth:`persist_to` attaches a cache directory: a known artifact is
+    loaded eagerly and :meth:`flush` (called by :meth:`prepare` and at
+    session end) writes the merged pair sets back atomically — the same
+    share-by-content discipline as the sweep JSON cache, so
+    ``SweepExecutor`` workers load discovery from disk instead of
+    recomputing it per cell.  The artifact is the store's columns as an
+    ``.npz`` archive (:data:`_ARTIFACT_ARRAYS`), loaded with
+    ``allow_pickle=False`` and validated before use
+    (:func:`_artifact_columns`).
+
+    A pair with an endpoint outside the graph is never stored: its set is
+    trivial (empty, or the single-node path ``k`` times) and has no node
+    index to be written with, so the provider answers it on every call.
     """
 
-    _ARTIFACT_SCHEMA = 1
+    _ARTIFACT_SCHEMA = 2
     #: Process-wide pair stores, keyed by the full cache key.
-    _shared: Dict[str, Dict[Pair, List[Path]]] = {}
+    _shared: Dict[str, _PathStore] = {}
 
     def __init__(
         self, provider: CsrDisjointProvider, key: str, cache_dir: Optional[str] = None
     ):
         self.provider = provider
         self.key = key
-        self._pairs = self._shared.setdefault(key, {})
+        store = self._shared.get(key)
+        if store is None:
+            store = self._shared[key] = _PathStore(provider.graph)
+        self._store = store
         self._dir: Optional[str] = None
         self._dirty = False
         if cache_dir is not None:
@@ -780,42 +1054,66 @@ class PersistentCache:
     # -- discovery ------------------------------------------------------
     def paths(self, source: int, dest: int) -> List[Path]:
         """The pair's path set, computed at most once per process."""
-        key = (source, dest)
-        if key not in self._pairs:
-            self._pairs[key] = self.provider.paths(source, dest)
-            self._dirty = True
-        return self._pairs[key]
+        return self.paths_many([(source, dest)])[0]
 
     def paths_many(self, pairs: Sequence[Pair]) -> List[List[Path]]:
-        """Path sets for every pair, in pair order (repeats included);
-        the misses go to the provider as one batch."""
+        """Path sets for every pair, in pair order (repeats included), as
+        node tuples; the misses go to the provider as one batch."""
         keys = [(source, dest) for source, dest in pairs]
-        self._discover(keys)
-        known = self._pairs
-        return [known[key] for key in keys]
+        rows = self._rows(keys)
+        known = iter(
+            self._store.sets.take(
+                np.array([row for row in rows if row is not None], dtype=np.intp)
+            ).to_lists()
+        )
+        odd = [key for key, row in zip(keys, rows) if row is None]
+        other = iter(self.provider.paths_many(odd) if odd else ())
+        return [next(known) if row is not None else next(other) for row in rows]
+
+    def columns(self, pairs: Sequence[Pair]) -> PathColumns:
+        """The pairs' path sets as columns, in pair order (repeats
+        included; a pair with an endpoint outside the graph has none);
+        the misses go to the provider as one batch."""
+        rows = self._rows([(source, dest) for source, dest in pairs])
+        present = [row for row in rows if row is not None]
+        sets = self._store.sets.take(np.array(present, dtype=np.intp))
+        if len(present) < len(rows):
+            sizes = np.zeros(len(rows), dtype=np.int64)
+            sizes[[i for i, row in enumerate(rows) if row is not None]] = np.diff(
+                sets.set_ptr
+            )
+            sets = PathColumns(sets.graph, _pointers(sizes), sets.path_ptr, sets.nodes)
+        return sets
 
     def prepare(self, pairs: Iterable[Pair]) -> None:
         """Batch-compute every missing pair, then flush the artifact."""
-        self._discover((source, dest) for source, dest in pairs)
+        self._rows([(source, dest) for source, dest in pairs])
         self.flush()
 
-    def _discover(self, keys: Iterable[Pair]) -> None:
-        """One provider ``paths_many`` over the distinct unknown ``keys``."""
-        known = self._pairs
-        missing = [key for key in dict.fromkeys(keys) if key not in known]
+    def _rows(self, keys: List[Pair]) -> List[Optional[int]]:
+        """The store rows of ``keys`` (``None`` for a pair with an
+        endpoint outside the graph), after one provider ``columns`` call
+        over the distinct unknown ones."""
+        store = self._store
+        rows = store.rows
+        index = store.sets.graph.index
+        missing = [
+            key
+            for key in dict.fromkeys(keys)
+            if key not in rows and key[0] in index and key[1] in index
+        ]
         if missing:
-            known.update(zip(missing, self.provider.paths_many(missing)))
+            store.append(missing, self.provider.columns(missing))
             self._dirty = True
+        get = rows.get
+        return [get(key) for key in keys]
 
     # -- disk artifacts -------------------------------------------------
     def persist_to(self, cache_dir: str) -> None:
         """Attach ``cache_dir`` and load this key's artifact if present."""
         self._dir = cache_dir
-        loaded = self._read_artifact()
-        if loaded:
-            for pair, paths in loaded.items():
-                self._pairs.setdefault(pair, paths)
-        if any(pair not in loaded for pair in self._pairs):
+        known = len(self._store)
+        if self._merge_artifact() < known:
             # The process-wide store already holds pairs the artifact
             # lacks (discovered before this directory was attached, by
             # this or an earlier service instance) — mark dirty so the
@@ -825,79 +1123,78 @@ class PersistentCache:
     def _artifact_path(self) -> Optional[str]:
         if self._dir is None:
             return None
-        return os.path.join(self._dir, f"paths-{self.key}.json")
+        return os.path.join(self._dir, f"paths-{self.key}.npz")
 
-    def _read_artifact(self) -> Dict[Pair, List[Path]]:
-        """This key's artifact as pair sets, ``{}`` if there is none.
+    def _merge_artifact(self) -> int:
+        """Add the artifact's pairs the store lacks; returns how many of
+        its pairs the store already knew (0 without a usable artifact).
 
-        A file that cannot be read, is not the JSON :meth:`flush` writes
-        (``[source, dest, [path, ...]]`` entries, every path a list),
-        or carries another schema or key (renamed, copied, stale) is
-        treated as absent: its pairs are recomputed and the next
-        :meth:`flush` overwrites it.
-
-        The decoder mints a fresh ``int`` for every node of every path;
-        they are interned to one object per node id as the paths are
-        built (on the 3774-node Ripple graph, ~390k entries over ~3.8k
-        ids: 7 MB of peak RSS).
+        A file that cannot be read, is not the archive :meth:`flush`
+        writes, or carries another schema or key (renamed, copied, stale,
+        a schema-1 JSON file) is treated as absent: its pairs are
+        recomputed and the next :meth:`flush` overwrites it.
         """
         path = self._artifact_path()
         if path is None or not os.path.exists(path):
-            return {}
+            return 0
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if (
-                payload["schema"] != self._ARTIFACT_SCHEMA
-                or payload["key"] != self.key
-            ):
-                return {}
-            loaded: Dict[Pair, List[Path]] = {}
-            node_ids: Dict[int, int] = {}
-            intern = node_ids.setdefault
-            for source, dest, paths in payload["pairs"]:
-                if type(paths) is not list or set(map(type, paths)) - {list}:
-                    return {}
-                loaded[(source, dest)] = [
-                    tuple(map(intern, p, p)) for p in paths
-                ]
-            return loaded
-        except (OSError, ValueError, KeyError, TypeError):
-            return {}
+            with np.load(path, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in _ARTIFACT_ARRAYS}
+        except Exception:  # whatever a damaged file makes the zip/.npy reader raise
+            return 0
+        store = self._store
+        loaded = _artifact_columns(
+            arrays, self._ARTIFACT_SCHEMA, self.key, store.sets.graph
+        )
+        if loaded is None:
+            return 0
+        pairs, sets = loaded
+        rows = store.rows
+        new = [i for i, pair in enumerate(pairs) if pair not in rows]
+        if len(new) == len(pairs):
+            store.append(pairs, sets)
+        elif new:
+            store.append(
+                [pairs[i] for i in new], sets.take(np.array(new, dtype=np.intp))
+            )
+        return len(pairs) - len(new)
 
     def flush(self) -> None:
         """Write the merged pair sets to the artifact (atomic replace).
 
-        A no-op without a cache directory or new pairs; silently skips
-        node ids JSON cannot represent (artifacts are for the integer
-        topologies the experiments use).
+        A no-op without a cache directory or new pairs.  Pairs another
+        writer added to the file since it was loaded are merged in first;
+        a schema-1 JSON artifact of the same key is removed.
         """
         path = self._artifact_path()
         if path is None or not self._dirty:
             return
-        merged = self._read_artifact()
-        merged.update(self._pairs)
-        payload = {
-            "schema": self._ARTIFACT_SCHEMA,
-            "key": self.key,
-            "pairs": [
-                [source, dest, [list(p) for p in paths]]
-                for (source, dest), paths in sorted(
-                    merged.items(), key=repr
-                )
-            ],
-        }
-        try:
-            blob = json.dumps(payload, sort_keys=True)
-        except TypeError:
-            return
+        self._merge_artifact()
+        store = self._store
+        index = store.sets.graph.index
+        src = np.array([index[source] for source, _ in store.rows], dtype=np.int32)
+        dst = np.array([index[dest] for _, dest in store.rows], dtype=np.int32)
+        order = np.lexsort((dst, src))
+        sets = store.sets.take(order)
         # A pid-suffixed tmp plus os.replace keeps concurrent flushes (sweep
         # cells sharing one cache dir) atomic.
         os.makedirs(self._dir, exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(blob)
+        _write_npz(
+            tmp,
+            {
+                "schema": np.array(self._ARTIFACT_SCHEMA),
+                "key": np.array(self.key),
+                "pair_src": src[order],
+                "pair_dst": dst[order],
+                "set_ptr": sets.set_ptr,
+                "path_ptr": sets.path_ptr,
+                "nodes": sets.nodes,
+            },
+        )
         os.replace(tmp, path)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.splitext(path)[0] + ".json")
         self._dirty = False
 
 

@@ -36,39 +36,43 @@ rollback side effects on a mid-path
 :class:`~repro.errors.InsufficientFundsError`.
 
 **The path arena.**  Set-up compiles tens of thousands of paths before the
-first payment moves, so :meth:`PathTable.compile_many` is a batch kernel,
-not a loop: it flattens every new path of the given path sets, validates
-all of them with array operations against the network's
+first payment moves, so :meth:`PathTable.compile_columns` is a batch
+kernel, not a loop: it takes discovery's columns
+(:class:`~repro.engine.pathservice.PathColumns`) as they are, validates
+every path with array operations against the network's
 :class:`~repro.network.network.DirectionIndex` (one ``searchsorted`` over
 the sorted directed-edge keys answers "channel exists" and "which
 direction" for every hop at once) and lays their hops out in one
-:class:`_PathArena` — a flat ``dirs`` column plus the ``hop_ptr`` row
-boundaries.  What the rest of the engine holds are views of it:
+:class:`_PathArena` — a flat ``dirs`` column, the ``hop_ptr`` row
+boundaries and the paths' node ids.  Per path the engine then holds one
+small :class:`CompiledPath`:
 
-* a :class:`CompiledPath` keeps ``dirs`` as a slice of the arena column
-  and ``dir_list`` as a slice of the one Python tuple the column converts
-  to (its ints drawn from the index's ``int_pool``, so every path shares
-  one object per direction id); it owns no fee schedule —
-  :meth:`CompiledPath.hop_amounts` reads the network-wide per-direction
-  fee lists through ``dir_list``;
+* ``dir_list``, a slice of the one Python tuple the ``dirs`` column
+  converts to (its ints drawn from the index's ``int_pool``, so every
+  path shares one object per direction id), and ``fee_free`` — what the
+  per-hop send loops read; it owns no fee schedule
+  (:meth:`CompiledPath.hop_amounts` reads the network-wide per-direction
+  fee lists through ``dir_list``);
+* no NumPy view and no node tuple: ``dirs`` and ``nodes`` are derived
+  from its arena row when asked;
 * a :class:`_ProbeCache` over paths that sit on consecutive arena rows
-  (every pair the dispatch layer primes) takes ``dirs`` and ``offsets``
-  as arena slices — no per-pair ``concatenate``/``cumsum``.
+  (every set :meth:`PathTable.compile_columns` lays out, so every pair
+  the dispatch layer primes) takes ``dirs`` and ``offsets`` as arena
+  slices — no per-pair ``concatenate``/``cumsum``.
 
 :meth:`PathTable.compile` stays the one-path entry for ad-hoc paths (LND
-attempts, hop transport) and the arbiter of error type and text: a batch
-with an invalid path re-runs its first offender through it and registers
-nothing.
+attempts, hop transport), each laid out as an arena of one row, and the
+arbiter of error type and text: a batch with an invalid path re-runs its
+first offender through it and returns nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -80,6 +84,7 @@ import numpy as np
 from repro.errors import ChannelError, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.pathservice import PathColumns
     from repro.network.network import DirectionIndex, PaymentNetwork
 
 __all__ = ["CompiledPath", "PathTable", "int_node_array"]
@@ -102,38 +107,47 @@ def int_node_array(values: List[object]) -> Optional[np.ndarray]:
 
 
 class _PathArena:
-    """The hops of one compiled batch as flat columns.
+    """The paths of one compiled batch as flat columns.
 
-    Row ``r``'s hop direction ids are ``dirs[hop_ptr[r]:hop_ptr[r + 1]]``.
-    Columns are written once and never resized, so the slices
+    Row ``r``'s hop direction ids are ``dirs[hop_ptr[r]:hop_ptr[r + 1]]``
+    and its nodes ``nodes[hop_ptr[r] + r:hop_ptr[r + 1] + r + 1]`` (a path
+    has one node more than hops), as positions in ``ids``, the node ids —
+    for a batch, discovery's node column and its graph's id array as they
+    are.  Columns are written once and never resized, so the slices
     :class:`CompiledPath` and :class:`_ProbeCache` take of them stay valid
     for the life of the table.
     """
 
-    __slots__ = ("dirs", "hop_ptr")
+    __slots__ = ("dirs", "hop_ptr", "nodes", "ids")
 
-    def __init__(self, dirs: np.ndarray, hop_ptr: np.ndarray):
+    def __init__(
+        self,
+        dirs: np.ndarray,
+        hop_ptr: np.ndarray,
+        nodes: np.ndarray,
+        ids: np.ndarray,
+    ):
         self.dirs = dirs
         self.hop_ptr = hop_ptr
+        self.nodes = nodes
+        self.ids = ids
 
 
 class CompiledPath:
     """One path flattened into store indices.
 
-    ``dirs[i]`` is hop ``i``'s sender direction id in the store's flat
-    views (its channel row is ``dirs[i] >> 1``) and ``dir_list`` the same
-    ids as Python ints for per-hop forwarding loops (a side is ``d & 1``
-    where one is still needed).  ``fees`` is the network's
-    :class:`~repro.network.network.DirectionIndex`, whose per-direction
-    lists hold the fee schedule *of hop i's channel* (the fee an upstream
-    hop pays to route through it) at ``dir_list[i]``; ``fee_free`` flags
-    the all-zero common case.  ``arena``/``row`` locate a batch-compiled
-    path in its :class:`_PathArena` (``None`` for a path compiled alone).
+    ``dir_list[i]`` is hop ``i``'s sender direction id in the store's flat
+    views (its channel row is ``d >> 1``, a side ``d & 1`` where one is
+    still needed), as Python ints for per-hop forwarding loops.  ``fees``
+    is the network's :class:`~repro.network.network.DirectionIndex`,
+    whose per-direction lists hold the fee schedule *of hop i's channel*
+    (the fee an upstream hop pays to route through it) at ``dir_list[i]``;
+    ``fee_free`` flags the all-zero common case.  ``arena``/``row``
+    locate the path in its :class:`_PathArena`, from which :attr:`dirs`
+    and :attr:`nodes` are read when asked.
     """
 
     __slots__ = (
-        "nodes",
-        "dirs",
         "dir_list",
         "fee_free",
         "fees",
@@ -143,21 +157,31 @@ class CompiledPath:
 
     def __init__(
         self,
-        nodes: Path,
-        dirs: np.ndarray,
         dir_list: Tuple[int, ...],
         fee_free: bool,
         fees: "DirectionIndex",
-        arena: Optional[_PathArena] = None,
-        row: int = -1,
+        arena: _PathArena,
+        row: int,
     ):
-        self.nodes = nodes
-        self.dirs = dirs
         self.dir_list = dir_list
         self.fee_free = fee_free
         self.fees = fees
         self.arena = arena
         self.row = row
+
+    @property
+    def dirs(self) -> np.ndarray:
+        """The hop direction ids, a view of the arena's ``dirs`` column."""
+        ptr = self.arena.hop_ptr
+        return self.arena.dirs[ptr[self.row] : ptr[self.row + 1]]
+
+    @property
+    def nodes(self) -> Path:
+        """The node ids, as a tuple built from the arena's node column."""
+        arena, row = self.arena, self.row
+        ptr = arena.hop_ptr
+        rows = arena.nodes[ptr[row] + row : ptr[row + 1] + row + 1]
+        return tuple(arena.ids[rows].tolist())
 
     def __len__(self) -> int:
         """Number of hops."""
@@ -225,7 +249,7 @@ class _ProbeCache:
     def __init__(self, cpaths: List[CompiledPath]):
         self.cpaths = cpaths
         arena, row = cpaths[0].arena, cpaths[0].row
-        if arena is not None and all(
+        if all(
             cpath.arena is arena and cpath.row == row + i
             for i, cpath in enumerate(cpaths)
         ):
@@ -244,13 +268,70 @@ class _ProbeCache:
         return len(self.cpaths)
 
 
+@functools.lru_cache(maxsize=None)
+def _one_row(length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``hop_ptr`` and node positions of an arena holding one path of
+    ``length`` nodes: read-only, and shared by every such arena, so an
+    ad-hoc :meth:`PathTable.compile` allocates only the path's own
+    ``dirs`` and ids."""
+    hop_ptr, positions = np.array([0, length - 1]), np.arange(length)
+    hop_ptr.setflags(write=False)
+    positions.setflags(write=False)
+    return hop_ptr, positions
+
+
+#: Nodes :meth:`PathTable.compile_columns` validates per step.  Its
+#: scratch is ~70 bytes per node, so a batch of any size stays within a
+#: few MB of transient arrays.
+_COMPILE_CHUNK_NODES = 1 << 16
+
+
+def _hop_dirs(
+    index: "DirectionIndex", nodes: np.ndarray, flat: np.ndarray, lengths: np.ndarray
+) -> Tuple[int, np.ndarray]:
+    """Resolve the hops of paths laid end to end (node ids ``flat``,
+    ``lengths`` nodes each) against ``index``, whose sorted node ids are
+    ``nodes``.
+
+    Returns ``(-1, dirs)``, every hop's direction id in path order, or
+    ``(i, ...)`` for the first path ``i`` that is empty, names a node the
+    index does not know, revisits a node or crosses a hop without a
+    channel.
+    """
+    n = len(nodes)
+    path_of_node = np.arange(lengths.shape[0]).repeat(lengths)
+    rank = np.minimum(np.searchsorted(nodes, flat), n - 1)
+    known = nodes[rank] == flat
+    # A revisit is a repeated (path, node) visit: adjacent once sorted.
+    visits = path_of_node * n + rank
+    visits.sort()
+    revisit = visits[1:] == visits[:-1]
+    # Hop i -> i + 1 wherever both nodes belong to the same path.
+    heads = np.flatnonzero(path_of_node[1:] == path_of_node[:-1])
+    hop_keys = rank[heads] * n + rank[heads + 1]
+    slot = np.minimum(np.searchsorted(index.keys, hop_keys), len(index.keys) - 1)
+    found = index.keys[slot] == hop_keys
+    offenders = np.concatenate(
+        (
+            np.flatnonzero(lengths == 0)[:1],
+            path_of_node[~known][:1],
+            visits[1:][revisit][:1] // n,
+            path_of_node[heads[~found][:1]],
+        )
+    )
+    if offenders.size:
+        return int(offenders.min()), slot
+    return -1, index.dirs[slot]
+
+
 class PathTable:
     """Compiled-path index cache + vectorised path ops for one network.
 
     Owned lazily by :class:`~repro.network.network.PaymentNetwork`
     (``network.path_table``).  Schemes probe a pair's path set through
-    its handle (:meth:`probe_handle`, which the session's
-    ``path_handle`` serves per pair) and :meth:`bottleneck_many`.
+    its handle (:meth:`handle` over :meth:`compile_columns` rows, which
+    the session's ``path_handle`` serves per pair) and
+    :meth:`bottleneck_many`.
     """
 
     def __init__(self, network: "PaymentNetwork"):
@@ -298,105 +379,107 @@ class PathTable:
             _, cid, side = direction(u, v)
             dir_list.append(2 * cid + side)
         fees = network.direction_index()
-        compiled = CompiledPath(
-            key,
+        arena = _PathArena(
             np.array(dir_list, dtype=np.intp),
+            *_one_row(len(key)),
+            np.fromiter(key, dtype=object, count=len(key)),
+        )
+        compiled = CompiledPath(
             tuple(dir_list),
             not any(fees.base_fees[d] or fees.fee_rates[d] for d in dir_list),
             fees,
+            arena,
+            0,
         )
         self._compiled[key] = compiled
         return compiled
 
-    def compile_many(
-        self, path_sets: Iterable[Sequence[Sequence[int]]]
-    ) -> None:
-        """Compile every path of an iterable of path sets, as one batch.
+    def compile_columns(self, columns: "PathColumns") -> List[CompiledPath]:
+        """Compile every path of columnar path sets, as one batch.
 
-        Accepts :meth:`PersistentCache.paths_many
-        <repro.engine.pathservice.PersistentCache.paths_many>` output
-        directly, so discovery → compiled store-index arrays is one
-        pipeline: ``table.compile_many(service.view(k).paths_many(pairs))``.
+        Takes :meth:`PersistentCache.columns
+        <repro.engine.pathservice.PersistentCache.columns>` output as it
+        is, so discovery → compiled store-index arrays is one pipeline
+        with no node tuple in between:
+        ``table.compile_columns(service.view(k).columns(pairs))``.
+        Returns one :class:`CompiledPath` per path row, in row order (set
+        ``i``'s are ``columns.set_ptr[i]:columns.set_ptr[i + 1]``; hand
+        them to :meth:`handle`).
 
-        Every not-yet-compiled path is flattened into one node array and
-        checked there — known nodes, no revisit, a channel under every hop
-        — against the network's
-        :class:`~repro.network.network.DirectionIndex`; the batch's hops
-        then become one :class:`_PathArena` whose rows the new
-        :class:`CompiledPath` objects view.  All or nothing: if any path
-        is invalid, the first offender in input order is handed to
-        :meth:`compile`, which raises exactly what it raises for that path
-        alone, and no path of the batch is registered.  Batches the index
+        The node column, mapped to node ids, is checked as one array —
+        known nodes, no revisit, a channel under every hop — against the
+        network's :class:`~repro.network.network.DirectionIndex`; the
+        batch's hops then become one :class:`_PathArena` whose rows the
+        new paths view.  All or nothing: if any path is invalid, the first
+        offender in row order is handed to :meth:`compile`, which raises
+        exactly what it raises for that path alone.  Batches the index
         cannot resolve (non-integer node ids) compile path by path under
         the same rule.
         """
-        compiled = self._compiled
-        keys: List[Path] = [
-            key
-            for key in dict.fromkeys(map(tuple, chain.from_iterable(path_sets)))
-            if key not in compiled
-        ]
-        if not keys:
-            return
         index = self._network.direction_index()
-        nodes = index.nodes
-        flat = int_node_array(list(chain.from_iterable(keys)))
-        if nodes is None or flat is None:
-            try:
-                for key in keys:
-                    self.compile(key)
-            except (ChannelError, TopologyError):
-                for key in keys:
-                    compiled.pop(key, None)
-                raise
-            return
-        n = len(nodes)
-        lengths = np.array([len(key) for key in keys])
-        path_of_node = np.repeat(np.arange(len(keys)), lengths)
-        rank = np.minimum(np.searchsorted(nodes, flat), n - 1)
-        known = nodes[rank] == flat
-        # A revisit is a repeated (path, node) visit: adjacent once sorted.
-        visits = path_of_node * n + rank
-        visits.sort()
-        revisit = visits[1:] == visits[:-1]
-        # Hop i -> i + 1 wherever both nodes belong to the same path.
-        heads = np.flatnonzero(path_of_node[1:] == path_of_node[:-1])
-        hop_keys = rank[heads] * n + rank[heads + 1]
-        slot = np.minimum(
-            np.searchsorted(index.keys, hop_keys), len(index.keys) - 1
-        )
-        found = index.keys[slot] == hop_keys
-        offenders = np.concatenate(
-            (
-                np.flatnonzero(lengths == 0)[:1],
-                path_of_node[~known][:1],
-                visits[1:][revisit][:1] // n,
-                path_of_node[heads[~found][:1]],
+        nodes, ids = index.nodes, columns.graph.ids
+        if nodes is None or ids is None:
+            return self._compile_each(
+                [path for paths in columns.to_lists() for path in paths]
             )
-        )
-        if offenders.size:
-            self.compile(keys[int(offenders.min())])  # raises
-            raise AssertionError("compile() accepted a path the batch rejected")
-        dirs = index.dirs[slot]
+        path_ptr, column = columns.path_ptr, columns.nodes
+        lengths = np.diff(path_ptr)
+        count = lengths.shape[0]
+        pieces: List[np.ndarray] = []
+        lo = 0
+        while lo < count:
+            # The paths whose nodes fit the scratch budget (at least one).
+            hi = int(
+                np.searchsorted(
+                    path_ptr, path_ptr[lo] + _COMPILE_CHUNK_NODES, side="right"
+                )
+            )
+            hi = min(max(hi - 1, lo + 1), count)
+            flat = ids[column[path_ptr[lo] : path_ptr[hi]]]
+            bad, dirs = _hop_dirs(index, nodes, flat, lengths[lo:hi])
+            if bad >= 0:
+                start, end = path_ptr[lo + bad], path_ptr[lo + bad + 1]
+                self.compile(tuple(ids[column[start:end]].tolist()))  # raises
+                raise AssertionError("compile() accepted a path the batch rejected")
+            pieces.append(dirs)
+            lo = hi
+        dirs = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.intp)
         dirs.setflags(write=False)
-        hop_ptr = np.concatenate(([0], np.cumsum(np.maximum(lengths - 1, 0))))
-        arena = _PathArena(dirs, hop_ptr)
+        hop_ptr = path_ptr - np.arange(count + 1)
+        arena = _PathArena(dirs, hop_ptr, column, ids)
         bearing = np.concatenate(([0], np.cumsum(index.fee_bearing[dirs])))
         fee_free = (bearing[hop_ptr[1:]] == bearing[hop_ptr[:-1]]).tolist()
-        dir_list = tuple(map(index.int_pool.__getitem__, dirs.tolist()))
+        dir_list = tuple(index.int_pool[dirs])
         ptr = hop_ptr.tolist()
-        for row, (key, start, end, free) in enumerate(
-            zip(keys, ptr, ptr[1:], fee_free)
-        ):
-            compiled[key] = CompiledPath(
-                key,
-                dirs[start:end],
-                dir_list[start:end],
-                free,
-                index,
-                arena,
-                row,
-            )
+        return [
+            CompiledPath(dir_list[start:end], free, index, arena, row)
+            for row, (start, end, free) in enumerate(zip(ptr, ptr[1:], fee_free))
+        ]
+
+    def _compile_each(self, paths: List[Path]) -> List[CompiledPath]:
+        """:meth:`compile` over ``paths``, all or nothing: on an invalid
+        path, the ones this call registered are dropped again."""
+        fresh = [path for path in dict.fromkeys(paths) if path not in self._compiled]
+        try:
+            return [self.compile(path) for path in paths]
+        except (ChannelError, TopologyError):
+            for path in fresh:
+                self._compiled.pop(path, None)
+            raise
+
+    def handle(self, cpaths: List[CompiledPath]) -> Optional[_ProbeCache]:
+        """The probe handle of a path set (``None`` for an empty set or
+        one holding a hopless single-node path).
+
+        A set :meth:`compile_columns` laid out (consecutive arena rows)
+        probes its arena slices in place; the dispatch plan keeps one
+        handle per pair, so a scheme's ``attempt`` probes
+        (:meth:`bottleneck_many`) and locks on the compiled paths without
+        re-keying the set on every attempt.
+        """
+        if not cpaths or not all(cpath.dir_list for cpath in cpaths):
+            return None
+        return _ProbeCache(cpaths)
 
     # ------------------------------------------------------------------
     # Probes
@@ -452,12 +535,11 @@ class PathTable:
     def probe_handle(
         self, paths: Sequence[Sequence[int]]
     ) -> Optional[_ProbeCache]:
-        """The path set's memoised probe cache (``None`` for degenerate
-        sets containing a hopless single-node path).
+        """:meth:`handle` of node-tuple paths, memoised per set (``None``
+        for an empty set or one holding a hopless single-node path).
 
-        The dispatch plan holds these handles per pair, so a scheme's
-        ``attempt`` probes (:meth:`bottleneck_many`) and locks on the
-        compiled paths without re-keying the set on every attempt.
+        For ad-hoc sets (landmark legs, tests); the dispatch plan builds
+        its handles from :meth:`compile_columns` rows instead.
         """
         try:
             key = tuple(paths)
@@ -467,8 +549,7 @@ class PathTable:
             probe = self._probes.get(key, _MISSING)
         if probe is _MISSING:
             lookup = self._compiled.get
-            cpaths = [lookup(p) or self.compile(p) for p in key]
-            probe = _ProbeCache(cpaths) if all(len(c) for c in cpaths) else None
+            probe = self.handle([lookup(p) or self.compile(p) for p in key])
             self._probes[key] = probe
         return probe
 
@@ -519,7 +600,7 @@ class PathTable:
     def bottleneck_many(self, probe: _ProbeCache) -> List[float]:
         """Bottlenecks of a whole path set in one vectorised pass.
 
-        ``probe`` is the set's handle (what :meth:`probe_handle` returns).
+        ``probe`` is the set's handle (what :meth:`handle` returns).
         Results are memoised per path set: a probe is fresh exactly when
         its ``as_of`` equals the store's ``version``, and then the cached
         values come back with no array work at all; otherwise the whole

@@ -48,8 +48,8 @@ class DirectionIndex:
     """Array twin of the network's ``(u, v) → direction`` dictionary.
 
     What the batch path compiler
-    (:meth:`PathTable.compile_many
-    <repro.engine.pathtable.PathTable.compile_many>`) resolves whole
+    (:meth:`PathTable.compile_columns
+    <repro.engine.pathtable.PathTable.compile_columns>`) resolves whole
     batches of hops against, built once per topology (the network drops it
     whenever a node or channel is added):
 
@@ -65,11 +65,11 @@ class DirectionIndex:
       schedule), read by :meth:`CompiledPath.hop_amounts
       <repro.engine.pathtable.CompiledPath.hop_amounts>`;
       ``fee_bearing`` flags the directions with a non-zero schedule.
-    * ``int_pool`` — ``list(range(2·channels))``, one Python ``int`` per
+    * ``int_pool`` — an object array holding one Python ``int`` per
       direction id (and so per channel row).  The tuples of ids the engine
-      keeps per compiled path are built by mapping through it, so they
-      share these objects instead of each batch's ``tolist()`` minting
-      hundreds of thousands of fresh ones.
+      keeps per compiled path are gathered from it, so they share these
+      objects instead of each batch's ``tolist()`` minting hundreds of
+      thousands of fresh ones.
 
     Fee schedules are snapshotted here: like the edge set they are part
     of the static topology (§2) and must be configured before the first
@@ -88,7 +88,7 @@ class DirectionIndex:
 
     def __init__(self, network: "PaymentNetwork"):
         size = 2 * len(network.state_store)
-        self.int_pool: List[int] = list(range(size))
+        self.int_pool = np.arange(size).astype(object)
         self.base_fees: List[float] = [0.0] * size
         self.fee_rates: List[float] = [0.0] * size
         for channel in network.channels():

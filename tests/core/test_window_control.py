@@ -24,6 +24,8 @@ def run(records, network, scheme=None, end_time=30.0):
 
 
 def make_unit(path=(0, 1, 2), amount=10.0, marked=False):
+    # Each unit's network is a fresh line of the same shape, so equal node
+    # paths compile to equal hop direction ids: the key of a window state.
     payment = Payment(payment_id=1, source=path[0], dest=path[-1],
                       amount=amount, arrival_time=0.0)
     payment.register_inflight(amount)
@@ -42,7 +44,7 @@ class TestAimdRules:
     def test_clean_ack_grows_window_additively(self):
         scheme = self.make_scheme()
         unit = make_unit(amount=10.0)
-        state = scheme.window(unit.path)
+        state = scheme.window(unit.cpath)
         state.inflight = 10.0
         scheme.on_unit_resolved(unit, "settled", now=1.0)
         # +alpha * amount / window = 10 * 10 / 100 = 1.
@@ -53,7 +55,7 @@ class TestAimdRules:
     def test_marked_ack_halves_window(self):
         scheme = self.make_scheme()
         unit = make_unit(marked=True)
-        state = scheme.window(unit.path)
+        state = scheme.window(unit.cpath)
         state.inflight = 10.0
         scheme.on_unit_resolved(unit, "settled", now=1.0)
         assert state.window == pytest.approx(50.0)
@@ -62,15 +64,14 @@ class TestAimdRules:
     def test_loss_decreases_like_a_mark(self):
         scheme = self.make_scheme()
         unit = make_unit()
-        scheme.window(unit.path).inflight = 10.0
+        scheme.window(unit.cpath).inflight = 10.0
         scheme.on_unit_resolved(unit, "lost", now=1.0)
-        assert scheme.window(unit.path).window == pytest.approx(50.0)
+        assert scheme.window(unit.cpath).window == pytest.approx(50.0)
         assert scheme.losses == 1
 
     def test_at_most_one_decrease_per_rtt(self):
         scheme = self.make_scheme(rtt=1.0)
-        path = (0, 1, 2)
-        state = scheme.window(path)
+        state = scheme.window(make_unit().cpath)
         state.inflight = 20.0
         scheme.on_unit_resolved(make_unit(marked=True), "settled", now=1.0)
         scheme.on_unit_resolved(make_unit(marked=True), "settled", now=1.4)
@@ -81,7 +82,7 @@ class TestAimdRules:
 
     def test_window_never_below_min(self):
         scheme = self.make_scheme(min_window=30.0, rtt=0.1)
-        state = scheme.window((0, 1, 2))
+        state = scheme.window(make_unit().cpath)
         for i in range(10):
             state.inflight = 10.0
             scheme.on_unit_resolved(make_unit(marked=True), "settled", now=float(i))
@@ -89,7 +90,7 @@ class TestAimdRules:
 
     def test_window_never_above_max(self):
         scheme = self.make_scheme(max_window=101.5)
-        state = scheme.window((0, 1, 2))
+        state = scheme.window(make_unit().cpath)
         for i in range(10):
             state.inflight = 10.0
             scheme.on_unit_resolved(make_unit(amount=50.0), "settled", now=float(i))
@@ -97,7 +98,7 @@ class TestAimdRules:
 
     def test_deadline_cancel_is_congestion_neutral(self):
         scheme = self.make_scheme()
-        state = scheme.window((0, 1, 2))
+        state = scheme.window(make_unit().cpath)
         state.inflight = 10.0
         scheme.on_unit_resolved(make_unit(marked=False), "cancelled", now=1.0)
         assert state.window == pytest.approx(100.0)  # unchanged
@@ -155,7 +156,8 @@ class TestTransportIntegration:
         runtime.run()
         assert runtime.transport.units_marked > 0
         assert scheme.marked_acks > 0
-        window = scheme.window_snapshot()[(0, 1, 2)]
+        hops = network.path_table.compile((0, 1, 2)).dir_list
+        window = scheme.window_snapshot()[hops]
         assert window < 500.0  # congestion shrank it
 
     def test_uses_multiple_paths(self):

@@ -456,6 +456,50 @@ class TestRL005IntegerTicks:
 
 
 # ---------------------------------------------------------------------------
+# RL010 — np.load never unpickles
+# ---------------------------------------------------------------------------
+class TestRL010NoPickleLoad:
+    def test_true_positive_default_variable_true_and_splat(self):
+        report = lint_sources(
+            {
+                ENGINE: (
+                    "import numpy as np\n"
+                    "from numpy import load\n"
+                    "def read(path, flag, options):\n"
+                    "    a = np.load(path)\n"
+                    "    b = np.load(path, allow_pickle=flag)\n"
+                    "    c = np.load(path, allow_pickle=True)\n"
+                    "    d = load(path, **options)\n"
+                    "    e = np.load(path, None, False)\n"
+                    "    return a, b, c, d, e\n"
+                )
+            },
+            select=["RL010"],
+        )
+        hits = rule_hits(report, "RL010")
+        assert [hit.line for hit in hits] == [4, 5, 6, 7, 8]
+        assert "allow_pickle=False" in hits[0].message
+
+    def test_near_miss_literal_false_other_loads_and_tests(self):
+        report = lint_sources(
+            {
+                ENGINE: (
+                    "import json\n"
+                    "import numpy as np\n"
+                    "def read(path, handle, store):\n"
+                    "    with np.load(path, allow_pickle=False) as archive:\n"
+                    "        columns = dict(archive)\n"
+                    "    return columns, json.load(handle), store.load(path)\n"
+                ),
+                # Tests may load whatever they wrote: out of scope.
+                TESTS: "import numpy as np\nARRAYS = np.load('fixture.npz')\n",
+            },
+            select=["RL010"],
+        )
+        assert rule_hits(report, "RL010") == []
+
+
+# ---------------------------------------------------------------------------
 # Suppressions, parse failures, output formats, CLI
 # ---------------------------------------------------------------------------
 class TestSuppressionsAndReporting:
@@ -711,4 +755,5 @@ class TestShippedTree:
             "RL002",
             "RL003",
             "RL005",
+            "RL010",
         ]

@@ -76,3 +76,33 @@ def test_signal_kernels_and_reference_loops_byte_identical(scheme, topology):
     loops = metrics_to_json(session.run())
     assert kernels.encode() == loops.encode()
 
+
+@pytest.mark.parametrize(
+    "topology, marked, serviced", [("line-5", 16, 34), ("ripple-small", 12, 21)]
+)
+def test_window_marks_straddling_the_threshold_match_the_reference_loop(
+    topology, marked, serviced
+):
+    """The mark kernel against the per-unit reference loop where the
+    threshold decides: at ``mark_threshold=1.0`` some serviced units
+    queued past it and some did not, so a rule that marks every serviced
+    unit (or none) reads other metrics.  At the default 0.3 nearly every
+    serviced unit of these runs is marked, which cannot tell the two
+    apart."""
+    from repro.engine.session import SimulationSession
+    from tests.reference.signals import use_reference_kernels
+
+    config = _config(
+        scheme="spider-window",
+        topology=topology,
+        num_transactions=150,
+        scheme_params={"mark_threshold": 1.0},
+    )
+    session = SimulationSession.from_config(config)
+    kernels = metrics_to_json(session.run())
+    state = session.network.peek_control_plane().state
+    assert (int(state.marks.sum()), int(state.serviced.sum())) == (marked, serviced)
+    reference = SimulationSession.from_config(config)
+    use_reference_kernels(reference.network)
+    assert kernels.encode() == metrics_to_json(reference.run()).encode()
+

@@ -436,8 +436,10 @@ def test_prime_warms_the_sequential_path(scheme, monkeypatch):
     session = _prepared(config)
     table = session.network.path_table
     compiled, probes = len(table._compiled), len(table._probes)
+    handles = session._dispatch._handles[session.scheme.num_paths]
+    primed = dict(handles)
     pairs = {(record.source, record.dest) for record in session.records}
-    assert probes == len(pairs)
+    assert set(primed) == pairs
     calls = {"compile": 0, "lookup": 0}
 
     def counted(name, method):
@@ -447,14 +449,62 @@ def test_prime_warms_the_sequential_path(scheme, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(PathTable, "compile", counted("compile", PathTable.compile))
-    monkeypatch.setattr(
-        PersistentCache, "paths", counted("lookup", PersistentCache.paths)
-    )
+    for name in ("compile", "compile_columns"):
+        monkeypatch.setattr(PathTable, name, counted("compile", getattr(PathTable, name)))
+    for name in ("paths", "columns"):
+        monkeypatch.setattr(
+            PersistentCache, name, counted("lookup", getattr(PersistentCache, name))
+        )
     session.run()
     assert (len(table._compiled), len(table._probes)) == (compiled, probes)
+    assert handles == primed and all(
+        handles[pair] is handle for pair, handle in primed.items()
+    )
     assert any(payment.delivered > 0 for payment in session.payments.values())
     assert calls == {"compile": 0, "lookup": 0}
+
+
+#: Bytes :meth:`DispatchPlan.prime` keeps per primed path on the warm
+#: ``ripple-small`` session below (1874 pairs, 6643 paths): 354 measured —
+#: a :class:`CompiledPath`, its ``dir_list`` slice, its share of the arena
+#: columns and of its pair's handle.  The bound leaves 46 bytes of
+#: margin; keeping a node tuple per path reads 437, a NumPy view per
+#: path 474.
+PRIMED_BYTES_PER_PATH = 400
+
+
+def test_prime_keeps_no_per_path_tuples_or_views(tmp_path, monkeypatch):
+    """Priming a warm session — every pair set loaded from the artifact —
+    keeps a few hundred bytes per path: no node tuple, no NumPy view."""
+    import tracemalloc
+
+    from repro.engine.dispatch import DispatchPlan
+    from repro.engine.pathservice import PersistentCache
+
+    config = _config(topology="ripple-small", num_transactions=2000, seed=5)
+    SimulationSession.from_config(config, path_cache_dir=str(tmp_path)).prepare()
+    PersistentCache.clear_shared()
+    session = SimulationSession.from_config(config, path_cache_dir=str(tmp_path))
+    session.network.direction_index()  # per network, not per path
+    prime = DispatchPlan.prime
+    kept = []
+
+    def measured(self, pairs):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prime(self, pairs)
+            kept.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(DispatchPlan, "prime", measured)
+    session.prepare()
+    PersistentCache.clear_shared()
+    handles = session._dispatch._handles[session.scheme.num_paths]
+    paths = sum(len(handle.cpaths) for handle in handles.values() if handle)
+    assert (len(handles), paths) == (1874, 6643)
+    assert kept[0] / paths < PRIMED_BYTES_PER_PATH
 
 
 @pytest.mark.parametrize(
@@ -518,7 +568,7 @@ def test_window_cache_matches_reference_windows(topology):
         cpaths = fast.path_handle(source, dest, fast.scheme.num_paths).cpaths
         assert len(windows) == len(cpaths)
         for cpath, state in zip(cpaths, windows):
-            assert fast.scheme.window(cpath.nodes) is state
+            assert fast.scheme.window(cpath) is state
 
 
 def test_window_headroom_is_recomputed_like_the_scheme():
@@ -533,8 +583,9 @@ def test_window_headroom_is_recomputed_like_the_scheme():
     payments = []
     for session in arms:
         view = session.network.path_service.view(session.scheme.num_paths)
+        compile = session.network.path_table.compile
         for path in view.paths(0, 4):
-            session.scheme.window(tuple(path)).window = 1.0
+            session.scheme.window(compile(path)).window = 1.0
         payments.append(session._new_payment(*astuple(record)))
     for session, payment in zip(arms, payments):
         session._dispatch.attempt_cohort([payment])
@@ -557,7 +608,8 @@ def test_window_cache_holds_a_state_created_before_the_first_cohort():
     record = session.records[0]
     view = session.network.path_service.view(session.scheme.num_paths)
     paths = view.paths(record.source, record.dest)
-    early = [session.scheme.window(tuple(path)) for path in paths]
+    compile = session.network.path_table.compile
+    early = [session.scheme.window(compile(path)) for path in paths]
     early[0].window = 7.5  # a state the cache must not replace
     payment = session._new_payment(*astuple(record))
     session._dispatch.attempt_cohort([payment])

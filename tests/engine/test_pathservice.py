@@ -20,6 +20,9 @@ divergence would silently change every downstream metric.  These tests pin:
 * persistent-cache round trips (disk artifacts serve the exact path sets),
   bulk misses going to the provider as one batch, and cold-vs-warm
   byte-identical metrics JSON;
+* the artifact loader: tampered, poisoned, truncated and byte-garbled
+  ``.npz`` files and a previous-format JSON file all count as absent —
+  recomputed and overwritten, never an ``IndexError``, never served;
 * byte-identical metrics with both discovery kernels swapped for their
   per-pair loops, for the schemes that consume discovery.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -58,6 +62,7 @@ from repro.fluid.paths import (
 from repro.metrics.report import metrics_to_json
 from repro.simulator.rng import make_rng
 from repro.topology import isp_topology, ripple_topology, scale_free_topology
+from tests.path_helpers import path_columns
 
 
 @pytest.fixture(autouse=True)
@@ -105,6 +110,30 @@ def legacy_landmark_paths(adjacency, landmarks, source, dest):
             seen.add(merged)
             paths.append(merged)
     return paths
+
+
+class _Boom:
+    """A provider that must not be reached: every pair is in the store."""
+
+    def paths(self, *args):
+        raise AssertionError("artifact miss: provider was invoked")
+
+    def paths_many(self, *args):
+        raise AssertionError("artifact miss: provider was invoked")
+
+    def columns(self, *args):
+        raise AssertionError("artifact miss: provider was invoked")
+
+
+def read_artifact(path) -> dict:
+    """An artifact's arrays, by name."""
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def write_artifact(path, arrays: dict) -> None:
+    """``arrays`` as an ``.npz`` archive at ``path`` (tampered artifacts)."""
+    np.savez(path, **arrays)
 
 
 def chunks_of(graph: CsrGraph, pairs: int):
@@ -454,7 +483,8 @@ class TestView:
         network = isp_topology().build_network(default_capacity=100.0)
         service = network.path_service
         first = service.view(k=4).paths(8, 20)
-        assert service.view(k=4).paths(8, 20) is first  # memoised list
+        service.view(k=4).provider = _Boom()  # memoised: not searched again
+        assert service.view(k=4).paths(8, 20) == first
 
 
 class TestBuildPathSetThroughService:
@@ -499,65 +529,47 @@ class TestPersistentCache:
         # touching the provider.
         PersistentCache.clear_shared()
 
-        class _Boom:
-            def paths(self, *args):
-                raise AssertionError("artifact miss: provider was invoked")
-
-            def paths_many(self, *args):
-                raise AssertionError("artifact miss: provider was invoked")
 
         warm = PathService.from_network(network, cache_dir=str(tmp_path))
         warm.view(4).provider = _Boom()
         assert warm.view(4).paths_many(pairs) == expected
 
-    def test_artifact_node_ids_are_interned(self, tmp_path):
-        """The loader keeps one ``int`` object per node id across every
-        path it decodes (ids above CPython's small-int cache, so equal
-        values would otherwise be distinct objects)."""
-        key = "intern-key"
-        pairs = [
-            [1000, 1002, [[1000, 1001, 1002], [1000, 1003, 1002]]],
-            [1001, 1003, [[1001, 1000, 1003]]],
-        ]
-        (tmp_path / f"paths-{key}.json").write_text(
-            json.dumps({"schema": 1, "key": key, "pairs": pairs})
-        )
-        PersistentCache.clear_shared()
-        cache = PersistentCache(None, key, cache_dir=str(tmp_path))
-        (first, second), (third,) = cache.paths(1000, 1002), cache.paths(1001, 1003)
-        assert first == (1000, 1001, 1002) and third == (1001, 1000, 1003)
-        assert first[0] is second[0] is third[1]
-        assert first[1] is third[0]
-        PersistentCache.clear_shared()
-
     def test_bulk_misses_reach_the_provider_as_one_batch(self):
-        """``paths_many`` sends its misses through one provider
-        ``paths_many`` (never pair by pair, or the lockstep kernel would
-        run as batches of one), keeps input order and repeats, and does
-        not flush."""
+        """``paths_many`` and ``columns`` send their misses through one
+        provider ``columns`` call (never pair by pair, or the lockstep
+        kernel would run as batches of one), keep input order and
+        repeats, and do not flush; a pair outside the graph is answered
+        by the provider's tuple API and never stored."""
+        graph = CsrGraph.from_adjacency({node: [] for node in range(10)})
 
         class Counting:
             def __init__(self):
+                self.graph = graph
                 self.batches = []
 
-            def paths(self, source, dest):
-                raise AssertionError("pair-at-a-time discovery")
-
             def paths_many(self, pairs):
-                self.batches.append(list(pairs))
                 return [[(source, dest)] for source, dest in pairs]
+
+            def columns(self, pairs):
+                self.batches.append(list(pairs))
+                return path_columns(self.paths_many(pairs), graph)
 
         provider = Counting()
         cache = PersistentCache(provider, "counting-key")
-        cache._pairs[(9, 9)] = [(9,)]  # already known: not asked for again
-        asked = [(1, 2), (9, 9), (3, 4), (1, 2), [5, 6]]
+        cache.paths(9, 9)  # already known: not asked for again
+        provider.batches.clear()
+        asked = [(1, 2), (9, 9), (3, 4), (1, 2), [5, 6], (5, 77)]
         with mock.patch.object(PersistentCache, "flush") as flush:
             got = cache.paths_many(asked)
         assert provider.batches == [[(1, 2), (3, 4), (5, 6)]]
-        assert got == [[(1, 2)], [(9,)], [(3, 4)], [(1, 2)], [(5, 6)]]
-        assert got[0] is got[3]
+        assert got == [[(1, 2)], [(9, 9)], [(3, 4)], [(1, 2)], [(5, 6)], [(5, 77)]]
         assert cache._dirty and not flush.called
+        assert len(PersistentCache._shared["counting-key"]) == 4
         assert cache.paths_many(asked) == got and len(provider.batches) == 1
+        columns = cache.columns(asked)
+        assert columns.set_ptr.tolist() == [0, 1, 2, 3, 4, 5, 5]
+        assert columns.to_lists() == got[:5] + [[]]
+        assert len(provider.batches) == 1
 
     def test_artifact_bytes_deterministic(self, tmp_path):
         network = isp_topology().build_network(default_capacity=100.0)
@@ -587,25 +599,19 @@ class TestPersistentCache:
         PersistentCache.clear_shared()
         warm = PathService.from_network(network, cache_dir=str(tmp_path))
 
-        class _Boom:
-            def paths(self, *args):
-                raise AssertionError("artifact miss")
-
-            def paths_many(self, *args):
-                raise AssertionError("artifact miss")
 
         warm.view(4).provider = _Boom()
         assert warm.view(4).paths(8, 20)
 
     def test_concurrent_writers_leave_a_valid_artifact(self, tmp_path):
         """Two processes precomputing the same topology concurrently must
-        not corrupt or double-write the JSON artifact.
+        not corrupt or double-write the artifact.
 
         Each flush writes to a pid-suffixed temp file and atomically
         ``os.replace``s it over the artifact, so simultaneous writers can
         only ever race whole consistent files into place.  Both workers
         compute the same pair set here, so whichever lands last the
-        artifact is complete; the test asserts a single valid JSON file,
+        artifact is complete; the test asserts a single valid archive,
         no temp-file litter, and a warm service that serves every pair
         without touching the provider.
         """
@@ -662,17 +668,13 @@ class TestPersistentCache:
         assert [n for n in names if ".tmp." in n] == []  # no litter
         artifacts = [n for n in names if n.startswith("paths-")]
         assert len(artifacts) == 1  # one artifact, not one per writer
-        with open(tmp_path / artifacts[0], "r", encoding="utf-8") as handle:
-            json.load(handle)  # whole consistent JSON, not interleaved
+        # One whole consistent archive, not interleaved writes.
+        assert sorted(read_artifact(tmp_path / artifacts[0])) == sorted(
+            pathservice._ARTIFACT_ARRAYS
+        )
 
         PersistentCache.clear_shared()
 
-        class _Boom:
-            def paths(self, *args):
-                raise AssertionError("artifact miss: provider was invoked")
-
-            def paths_many(self, *args):
-                raise AssertionError("artifact miss: provider was invoked")
 
         warm = PathService.from_network(network, cache_dir=str(tmp_path))
         warm.view(4).provider = _Boom()
@@ -692,12 +694,12 @@ class TestPersistentCache:
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda payload: payload.update(key="paths-of-another-graph"),
-            lambda payload: payload.update(schema=payload["schema"] + 1),
-            lambda payload: payload["pairs"][0].pop(),  # a 2-element entry
-            lambda payload: payload["pairs"][0].__setitem__(2, ["8-20"]),
-            lambda payload: payload["pairs"][0].__setitem__(2, "8-20"),
-            lambda payload: payload.clear(),
+            lambda arrays: arrays.update(key=np.array("paths-of-another-graph")),
+            lambda arrays: arrays.update(schema=np.array(1)),
+            lambda arrays: arrays.pop("pair_dst"),
+            lambda arrays: arrays.update(nodes=arrays["nodes"].astype(float)),
+            lambda arrays: arrays.update(path_ptr=arrays["path_ptr"][None, :]),
+            lambda arrays: arrays.clear(),
         ],
         ids=["key", "schema", "arity", "path-type", "paths-type", "empty"],
     )
@@ -705,33 +707,160 @@ class TestPersistentCache:
         """A renamed, stale-schema or misshapen artifact is not trusted:
         its (poisoned) pair set is never served, and the next flush
         replaces the file."""
+        self._assert_recomputed(tmp_path, tamper)
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            lambda arrays, n: arrays["nodes"].__setitem__(0, 9),
+            lambda arrays, n: arrays["nodes"].__setitem__(-1, 21),
+            lambda arrays, n: arrays["nodes"].__setitem__(0, n + 8),
+            lambda arrays, n: arrays["nodes"].__setitem__(0, -1),
+            lambda arrays, n: arrays["path_ptr"].__setitem__(-1, 7),
+            lambda arrays, n: arrays.update(
+                path_ptr=np.array([0, 1, 2]), set_ptr=np.array([0, 2])
+            ),
+            lambda arrays, n: arrays.update(set_ptr=np.array([1, 1])),
+            lambda arrays, n: arrays.update(
+                pair_src=np.array([8, 8]),
+                pair_dst=np.array([20, 20]),
+                set_ptr=np.array([0, 1, 1]),
+            ),
+            lambda arrays, n: arrays.update(
+                set_ptr=np.array([0, 2**63 + 1], dtype=np.uint64)
+            ),
+            lambda arrays, n: arrays.update(pair_src=np.array([n + 8])),
+        ],
+        ids=[
+            "other-source",
+            "other-dest",
+            "node-past-graph",
+            "negative-node",
+            "pointer-past-end",
+            "one-node-paths",
+            "set-ptr-offset",
+            "repeated-pair",
+            "uint-overflow",
+            "pair-past-graph",
+        ],
+    )
+    def test_poisoned_artifact_recomputed_and_overwritten(self, tmp_path, poison):
+        """An artifact of the right schema and key whose columns do not
+        hold up — a path off its pair (or split into one-node paths), a
+        node or pair outside the graph, a pointer out of bounds or out of
+        order, a pair twice — is
+        treated as absent: no ``IndexError``, its paths are never served,
+        and the next flush replaces it."""
+        self._assert_recomputed(
+            tmp_path, lambda arrays: poison(arrays, isp_topology().num_nodes)
+        )
+
+    def _assert_recomputed(self, tmp_path, tamper):
+        """Write the artifact of pair (8, 20) with its set replaced by the
+        one-hop path ``(8, 20)`` (what trusting it would serve), apply
+        ``tamper``, and check a fresh service recomputes and rewrites."""
         network = isp_topology().build_network(default_capacity=100.0)
         service = PathService.from_network(network, cache_dir=str(tmp_path))
         service.view(4).prepare([(8, 20)])
         expected = service.view(4).paths(8, 20)
         (name,) = os.listdir(tmp_path)
-        good = json.loads((tmp_path / name).read_text())
-        bad = json.loads((tmp_path / name).read_text())
-        bad["pairs"][0][2] = [[8, 20]]  # what trusting the file would serve
-        tamper(bad)
-        (tmp_path / name).write_text(json.dumps(bad))
+        good = (tmp_path / name).read_bytes()
+        arrays = read_artifact(tmp_path / name)
+        assert service.graph.nodes == list(range(32))  # index == node id
+        arrays.update(
+            set_ptr=np.array([0, 1]), path_ptr=np.array([0, 2]), nodes=np.array([8, 20])
+        )
+        tamper(arrays)
+        write_artifact(tmp_path / name, arrays)
         PersistentCache.clear_shared()
         fresh = PathService.from_network(network, cache_dir=str(tmp_path))
         fresh.view(4).prepare([(8, 20)])
         assert fresh.view(4).paths(8, 20) == expected != [(8, 20)]
-        assert json.loads((tmp_path / name).read_text()) == good
+        assert (tmp_path / name).read_bytes() == good
+
+    def test_trusted_tamper_would_be_served(self, tmp_path):
+        """The tamper tests are not vacuous: the same replaced set with
+        nothing else changed is a valid artifact, and it is served."""
+        network = isp_topology().build_network(default_capacity=100.0)
+        service = PathService.from_network(network, cache_dir=str(tmp_path))
+        service.view(4).prepare([(8, 20)])
+        (name,) = os.listdir(tmp_path)
+        arrays = read_artifact(tmp_path / name)
+        arrays.update(
+            set_ptr=np.array([0, 1]), path_ptr=np.array([0, 2]), nodes=np.array([8, 20])
+        )
+        write_artifact(tmp_path / name, arrays)
+        PersistentCache.clear_shared()
+        fresh = PathService.from_network(network, cache_dir=str(tmp_path))
+        fresh.view(4).provider = _Boom()
+        assert fresh.view(4).paths(8, 20) == [(8, 20)]
+
+    def test_schema1_json_artifact_is_replaced(self, tmp_path):
+        """A JSON artifact of the previous format is never read: its pairs
+        are recomputed, and the flush writes the archive and removes it."""
+        network = isp_topology().build_network(default_capacity=100.0)
+        view = PathService.from_network(network).view(4)
+        expected = view.paths(8, 20)
+        legacy = tmp_path / f"paths-{view.key}.json"
+        legacy.write_text(
+            json.dumps({"schema": 1, "key": view.key, "pairs": [[8, 20, [[8, 20]]]]})
+        )
+        PersistentCache.clear_shared()
+        fresh = PathService.from_network(network, cache_dir=str(tmp_path))
+        fresh.view(4).prepare([(8, 20)])
+        assert fresh.view(4).paths(8, 20) == expected != [(8, 20)]
+        assert os.listdir(tmp_path) == [f"paths-{view.key}.npz"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cut=st.one_of(st.none(), st.integers(min_value=0)),
+        flips=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=4
+        ),
+    )
+    def test_fuzzed_artifact_never_breaks_a_run(self, cut, flips):
+        """Truncated or byte-garbled artifacts: loading never raises, the
+        pairs served are the discovered ones, and the file left behind
+        serves them without discovery."""
+        pairs = [(8, 20), (9, 21), (10, 31), (31, 2)]
+        network = isp_topology().build_network(default_capacity=100.0)
+        with tempfile.TemporaryDirectory() as directory:
+            PersistentCache.clear_shared()
+            service = PathService.from_network(network, cache_dir=directory)
+            service.view(4).prepare(pairs)
+            expected = service.view(4).paths_many(pairs)
+            (name,) = os.listdir(directory)
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                blob = bytearray(handle.read())
+            if cut is not None:
+                del blob[cut % len(blob) :]
+            for position, value in flips:
+                if blob:
+                    blob[position % len(blob)] = value
+            with open(path, "wb") as handle:
+                handle.write(blob)
+            PersistentCache.clear_shared()
+            fresh = PathService.from_network(network, cache_dir=directory)
+            fresh.view(4).prepare(pairs)
+            assert fresh.view(4).paths_many(pairs) == expected
+            PersistentCache.clear_shared()
+            warm = PathService.from_network(network, cache_dir=directory)
+            warm.view(4).provider = _Boom()
+            assert warm.view(4).paths_many(pairs) == expected
+        PersistentCache.clear_shared()
 
     def test_truncated_artifact_recomputed(self, tmp_path):
         network = isp_topology().build_network(default_capacity=100.0)
         service = PathService.from_network(network, cache_dir=str(tmp_path))
         service.view(4).prepare([(8, 20)])
         (name,) = os.listdir(tmp_path)
-        text = (tmp_path / name).read_text()
-        (tmp_path / name).write_text(text[: len(text) // 2])
+        blob = (tmp_path / name).read_bytes()
+        (tmp_path / name).write_bytes(blob[: len(blob) // 2])
         PersistentCache.clear_shared()
         fresh = PathService.from_network(network, cache_dir=str(tmp_path))
         fresh.view(4).prepare([(8, 20)])
-        assert (tmp_path / name).read_text() == text
+        assert (tmp_path / name).read_bytes() == blob
 
     def test_artifact_path_over_missing_channel_fails_in_prepare(self, tmp_path):
         """A well-formed artifact is trusted as far as discovery goes, but
@@ -747,12 +876,20 @@ class TestPersistentCache:
         )
         SimulationSession.from_config(config, path_cache_dir=str(tmp_path)).prepare()
         (name,) = os.listdir(tmp_path)
-        payload = json.loads((tmp_path / name).read_text())
-        entry = next(e for e in payload["pairs"] if len(e[2][0]) > 2)
-        # The pair's shortest path has an intermediate node, so no channel
-        # joins its endpoints directly.
-        entry[2][0] = [entry[0], entry[1]]
-        (tmp_path / name).write_text(json.dumps(payload))
+        arrays = read_artifact(tmp_path / name)
+        set_ptr, path_ptr, nodes = (
+            arrays[field] for field in ("set_ptr", "path_ptr", "nodes")
+        )
+        # The first path with an intermediate node: no channel joins its
+        # endpoints directly.  Cut it down to those two endpoints.
+        first = set_ptr[:-1][np.diff(set_ptr) > 0]
+        path = next(int(p) for p in first if path_ptr[p + 1] - path_ptr[p] > 2)
+        lo, hi = path_ptr[path], path_ptr[path + 1]
+        arrays["nodes"] = np.concatenate((nodes[: lo + 1], nodes[hi - 1 :]))
+        arrays["path_ptr"] = np.concatenate(
+            (path_ptr[: path + 1], path_ptr[path + 1 :] - (hi - lo - 2))
+        )
+        write_artifact(tmp_path / name, arrays)
         PersistentCache.clear_shared()
         session = SimulationSession.from_config(config, path_cache_dir=str(tmp_path))
         with pytest.raises(TopologyError, match="no channel between"):
@@ -843,7 +980,7 @@ class TestDiscoveryModeDeterminism:
                 for node, lo, hi in zip(graph.nodes, graph.indptr, graph.indptr[1:])
             }
             calls.append(len(pairs))
-            return disjoint_oracle(adjacency, self._k, pairs)
+            return path_columns(disjoint_oracle(adjacency, self._k, pairs), graph)
 
         def per_pair_landmarks(self, source, dest):
             calls.append(1)
@@ -852,7 +989,7 @@ class TestDiscoveryModeDeterminism:
             )
 
         with mock.patch.object(
-            CsrDisjointProvider, "paths_many", per_pair_disjoint
+            CsrDisjointProvider, "columns", per_pair_disjoint
         ), mock.patch.object(LandmarkProvider, "paths", per_pair_landmarks):
             loops = metrics_to_json(run_experiment(config))
         assert calls  # the run discovered through the loops
@@ -878,8 +1015,8 @@ class TestRepeatRunSharing:
         assert store_sizes  # discovery went through the shared store
 
         with mock.patch.object(
-            CsrDisjointProvider, "paths_many", autospec=True
-        ) as discover:  # paths() is a batch of one, so this sees every search
+            CsrDisjointProvider, "columns", autospec=True
+        ) as discover:  # every search of the cache goes through it
             second = metrics_to_json(run_experiment(config))
         assert not discover.called  # every pair served from the shared store
         assert first.encode() == second.encode()

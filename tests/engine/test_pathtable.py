@@ -14,6 +14,7 @@ compares the raw store arrays exactly (no tolerance).
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.payments import Payment, UnitState
+from repro.engine import pathtable
 from repro.engine.pathtable import PathTable
 from repro.engine.session import RuntimeConfig, SimulationSession
 from repro.errors import ChannelError, InsufficientFundsError, PaymentError
@@ -430,10 +432,11 @@ def _invalid_path(kind, base, joined, position):
 
 @settings(max_examples=150, deadline=None)
 @given(network_specs(), st.data())
-def test_compile_many_matches_per_path_compile(data, rand):
+def test_compile_columns_matches_per_path_compile(data, rand):
     """The batch kernel against ``compile``, path by path: same compiled
-    columns, fees, probes and — for an invalid batch — the same exception
-    as the first offender alone raises, with nothing registered."""
+    hops, nodes, fees, probes and — for an invalid batch — the same
+    exception as the first offender alone raises, with nothing
+    registered; whatever the scratch budget splits the batch into."""
     (edges, _), trails = data
     # Sparse integer ids resolve through the array index, any other id
     # path by path.
@@ -458,13 +461,10 @@ def test_compile_many_matches_per_path_compile(data, rand):
     ]
     batch, single = PathTable(network), PathTable(network)
     reference = ReferencePathOps(network)
-    for paths in path_sets:  # already-compiled paths must be left alone
-        if rand.draw(st.booleans()):
-            batch.compile(paths[0])
     invalid = False
     for kind in rand.draw(
         st.lists(
-            st.sampled_from(["empty", "unknown", "foreign", "revisit", "missing"]),
+            st.sampled_from(["empty", "unknown", "revisit", "missing"]),
             max_size=2,
             unique=True,
         )
@@ -479,11 +479,10 @@ def test_compile_many_matches_per_path_compile(data, rand):
             invalid = True
             target = rand.draw(st.sampled_from(path_sets))
             target.insert(rand.draw(st.integers(0, len(target))), bad)
-    if rand.draw(st.booleans()):
-        path_sets = [[list(path) for path in paths] for paths in path_sets]
+    columns = compiled.path_columns(path_sets)
+    budget = rand.draw(st.sampled_from([1, 3, pathtable._COMPILE_CHUNK_NODES]))
 
     if invalid:
-        before = dict(batch._compiled)
         expected = None
         for path in (path for paths in path_sets for path in paths):
             try:
@@ -491,19 +490,24 @@ def test_compile_many_matches_per_path_compile(data, rand):
             except Exception as error:  # the first offender, in input order
                 expected = error
                 break
-        with pytest.raises(type(expected)) as raised:
-            batch.compile_many(path_sets)
+        with mock.patch.object(pathtable, "_COMPILE_CHUNK_NODES", budget):
+            with pytest.raises(type(expected)) as raised:
+                batch.compile_columns(columns)
         assert type(raised.value) is type(expected)
         assert str(raised.value) == str(expected)
-        assert batch._compiled == before and not batch._probes
+        assert not batch._compiled and not batch._probes
         return
 
-    batch.compile_many(path_sets)
+    with mock.patch.object(pathtable, "_COMPILE_CHUNK_NODES", budget):
+        cpaths = batch.compile_columns(columns)
+    assert len(cpaths) == sum(len(paths) for paths in path_sets)
     store = network.state_store
+    rows = iter(cpaths)
     for paths in path_sets:
-        for path in paths:
-            got, want = batch._compiled[tuple(path)], single.compile(path)
-            assert got.nodes == want.nodes
+        got_set = [next(rows) for _ in paths]
+        for got, path in zip(got_set, paths):
+            want = single.compile(path)
+            assert got.nodes == want.nodes == tuple(path)
             assert got.dirs.dtype == want.dirs.dtype
             assert got.dirs.tolist() == want.dirs.tolist()
             assert got.dir_list == want.dir_list
@@ -511,7 +515,7 @@ def test_compile_many_matches_per_path_compile(data, rand):
             for amount in (0.0, 13.7, 1e-3):
                 assert got.hop_amounts(amount) == want.hop_amounts(amount)
                 assert got.hop_amounts(amount) == reference.hop_amounts(path, amount)
-        got, want = batch.probe_handle(paths), single.probe_handle(paths)
+        got, want = batch.handle(got_set), single.probe_handle(paths)
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -525,23 +529,27 @@ def test_compile_many_matches_per_path_compile(data, rand):
 
 
 def test_batch_compiled_set_probes_the_arena_in_place():
-    """Paths compiled in one batch are views of its arena, and so is the
-    probe of a set sitting on consecutive rows; a set that mixes in a
-    path compiled elsewhere concatenates its own copy."""
+    """Paths compiled in one batch are rows of its arena — their hops and
+    nodes read from its columns — and so is the handle of a set sitting
+    on consecutive rows; a set that mixes in a path compiled elsewhere
+    concatenates its own copy."""
     network = PaymentNetwork()
     for u, v in ((0, 1), (1, 2), (0, 3), (3, 2)):
         network.add_channel(u, v, 100.0)
     table = network.path_table
     pair = [(0, 1, 2), (0, 3, 2)]
-    table.compile_many([pair, [(1, 2)]])
-    probe = table.probe_handle(pair)
+    cpaths = table.compile_columns(compiled.path_columns([pair, [(1, 2)]]))
+    assert [cpath.nodes for cpath in cpaths] == pair + [(1, 2)]
+    probe = table.handle(cpaths[:2])
     arena = probe.cpaths[0].arena
+    assert all(cpath.arena is arena for cpath in cpaths)
     assert all(np.shares_memory(c.dirs, arena.dirs) for c in probe.cpaths)
     assert np.shares_memory(probe.dirs, arena.dirs)
     assert not arena.dirs.flags.writeable
-    mixed = table.probe_handle([(0, 1, 2), table.compile((2, 1)).nodes])
+    mixed = table.handle([cpaths[0], table.compile((2, 1))])
     assert not np.shares_memory(mixed.dirs, arena.dirs)
     assert table.bottleneck_many(probe) == [50.0, 50.0]
+    assert table.handle([]) is None
 
 
 class TestMidPathRollback:

@@ -291,8 +291,9 @@ class TestSchemeReuse:
         """One window scheme run through ``line-5`` and then ``grid-3x3``
         decides as a reference-attempt instance run through the same two
         sessions: its per-pair window cache holds no compiled path of the
-        first network into the second.  (Window states are keyed by node
-        tuple and carry over on purpose, so both arms reuse one instance.)"""
+        first network into the second.  (Window states are keyed by hop
+        direction ids and carry over on purpose, so both arms reuse one
+        instance.)"""
         from repro.core.window_control import WindowedSpiderScheme
         from repro.metrics import metrics_to_json
         from tests.reference.schemes import use_reference_attempt

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence
 
+import numpy as np
+
+from repro.engine.pathservice import CsrGraph, PathColumns
 from repro.engine.pathtable import CompiledPath
 from repro.network.network import PaymentNetwork
 
-__all__ = ["Held", "lock", "pay", "probe", "refund", "settle"]
+__all__ = ["Held", "lock", "pay", "path_columns", "probe", "refund", "settle"]
 
 
 class Held(NamedTuple):
@@ -60,3 +63,24 @@ def probe(network: PaymentNetwork, paths: Sequence[Sequence]) -> List[float]:
     """The batch bottlenecks of a path set, probed through its handle."""
     table = network.path_table
     return table.bottleneck_many(table.probe_handle(paths))
+
+
+def path_columns(
+    path_sets: Sequence[Sequence[Sequence]], graph: Optional[CsrGraph] = None
+) -> PathColumns:
+    """Node-tuple path sets as the columns discovery hands the compiler,
+    over ``graph`` (default: an edgeless graph of every node they name)."""
+    if graph is None:
+        names = {node for paths in path_sets for path in paths for node in path}
+        graph = CsrGraph.from_adjacency({node: [] for node in names})
+    paths = [path for paths in path_sets for path in paths]
+
+    def pointers(sizes: List[int]) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+    return PathColumns(
+        graph,
+        pointers([len(paths) for paths in path_sets]),
+        pointers([len(path) for path in paths]),
+        np.array([graph.index[node] for path in paths for node in path], dtype=np.int32),
+    )

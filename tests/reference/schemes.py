@@ -13,7 +13,8 @@ the plain way: the pair's node-tuple paths from
 ``network.available``, fee-inclusive offers off the channel objects'
 schedules, one launch scheduled at a time through
 ``session.transport.send_unit_hop_by_hop`` (on the node path, compiled
-right before the call).
+right before the call; the window arm looks each path's window state up
+by its compiled path, as the scheme keys them).
 
 :func:`send_atomic` is the atomic send written over node tuples and
 per-hop store arithmetic: shares priced, locked and rolled back by
@@ -124,8 +125,9 @@ def window_attempt(scheme: Any, payment: Any, runtime: Any) -> None:
         runtime.fail_payment(payment)
         return
     min_unit = runtime.config.min_unit_value
+    compile = runtime.network.path_table.compile
     states = sorted(
-        ((scheme.window(p), p) for p in paths),
+        ((scheme.window(compile(p)), p) for p in paths),
         key=lambda item: item[0].headroom,
         reverse=True,
     )

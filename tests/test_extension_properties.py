@@ -137,7 +137,7 @@ def test_window_stays_within_bounds(acks):
         unit = HopUnit(payment, amount, cpath)
         unit.marked = marked
         scheme.on_unit_resolved(unit, outcome, now)
-        state = scheme.window(path)
+        state = scheme.window(cpath)
         assert 5.0 <= state.window <= 400.0
         assert state.inflight >= 0.0
 
