@@ -46,12 +46,13 @@ class AdmissionControlScheme(RoutingScheme):
     """
 
     atomic = False
+    num_paths = 4
 
     def __init__(
         self,
         inner: object = "spider-waterfilling",
         admit_fraction: float = 1.0,
-        num_paths: int = 4,
+        num_paths: int = num_paths,
         **inner_kwargs,
     ):
         if admit_fraction <= 0:

@@ -80,8 +80,9 @@ class AmpWaterfillingScheme(RoutingScheme):
 
     name = "spider-amp"
     atomic = True
+    num_paths = 4
 
-    def __init__(self, num_paths: int = 4):
+    def __init__(self, num_paths: int = num_paths):
         if num_paths <= 0:
             raise ValueError(f"num_paths must be positive, got {num_paths}")
         self.num_paths = num_paths

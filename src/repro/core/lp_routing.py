@@ -41,8 +41,9 @@ class SpiderLPScheme(RoutingScheme):
 
     name = "spider-lp"
     atomic = False
+    num_paths = 4
 
-    def __init__(self, num_paths: int = 4, rebalancing_gamma: Optional[float] = None):
+    def __init__(self, num_paths: int = num_paths, rebalancing_gamma: Optional[float] = None):
         if num_paths <= 0:
             raise ValueError(f"num_paths must be positive, got {num_paths}")
         self.num_paths = num_paths
@@ -67,9 +68,10 @@ class SpiderLPScheme(RoutingScheme):
             if paths:
                 path_set[pair] = paths
         demands = {pair: demands[pair] for pair in path_set}
+        network = runtime.network
         capacities = {
-            channel.endpoints: channel.capacity
-            for channel in runtime.network.channels()
+            network.endpoints_of(cid): capacity
+            for cid, capacity in enumerate(network.state_store.capacity_view.tolist())
         }
         gamma = self.rebalancing_gamma
         solution = solve_fluid_lp(

@@ -85,10 +85,11 @@ class SpiderPrimalDualScheme(RoutingScheme):
 
     name = "spider-primal-dual"
     atomic = False
+    num_paths = 4
 
     def __init__(
         self,
-        num_paths: int = 4,
+        num_paths: int = num_paths,
         alpha: Optional[float] = None,
         eta: float = 0.1,
         kappa: float = 0.1,
@@ -122,7 +123,7 @@ class SpiderPrimalDualScheme(RoutingScheme):
             # Default primal step: a small fraction of the mean channel
             # capacity rate, so rates move meaningfully within a few control
             # periods at any capacity scale.
-            mean_cap = np.mean([c.capacity for c in runtime.network.channels()])
+            mean_cap = np.mean(runtime.network.state_store.capacity_view)
             self._alpha_value = 0.05 * float(mean_cap) / delta
         else:
             self._alpha_value = self.alpha

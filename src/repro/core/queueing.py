@@ -51,8 +51,9 @@ class SpiderQueueingScheme(RoutingScheme):
 
     name = "spider-queueing"
     atomic = False
+    num_paths = 4
 
-    def __init__(self, num_paths: int = 4):
+    def __init__(self, num_paths: int = num_paths):
         if num_paths <= 0:
             raise ValueError(f"num_paths must be positive, got {num_paths}")
         self.num_paths = num_paths

@@ -56,8 +56,9 @@ class WaterfillingScheme(RoutingScheme):
 
     name = "spider-waterfilling"
     atomic = False
+    num_paths = 4
 
-    def __init__(self, num_paths: int = 4):
+    def __init__(self, num_paths: int = num_paths):
         if num_paths <= 0:
             raise ValueError(f"num_paths must be positive, got {num_paths}")
         self.num_paths = num_paths

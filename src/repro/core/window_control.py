@@ -110,10 +110,11 @@ class WindowedSpiderScheme(RoutingScheme):
 
     name = "spider-window"
     atomic = False
+    num_paths = 4
 
     def __init__(
         self,
-        num_paths: int = 4,
+        num_paths: int = num_paths,
         initial_window: float = 500.0,
         alpha: float = 10.0,
         beta: float = 0.5,

@@ -3,7 +3,10 @@
 The paper fixes every pair's path set before the run starts ("4 edge-disjoint
 shortest paths", §6.1), so path discovery is a precomputable, shareable
 artifact.  :class:`PathService` is the only way the system discovers paths.
-It owns one sorted adjacency per network and serves discovery one way:
+It owns one CSR graph per network — a network's service shares the
+arrays of its :class:`~repro.network.network.ChannelGraph`, and builds
+the ``{node: neighbours}`` mapping only for the schemes that walk it —
+and serves discovery one way:
 ``view(k)`` returns the memoising :class:`PersistentCache` for ``k`` paths
 per pair, whose ``columns(pairs)`` / ``paths(src, dst)`` /
 ``paths_many(pairs)`` / ``prepare(pairs)`` every consumer calls.
@@ -1204,8 +1207,9 @@ class PersistentCache:
 class PathService:
     """One network's path-discovery facade — the only discovery entry point.
 
-    Owns the sorted adjacency (built once, shared by every consumer that
-    previously re-derived it), compiles the CSR graph lazily, and serves
+    Owns the CSR graph (a network's, shared as it is; a plain adjacency's,
+    compiled lazily) and the sorted adjacency mapping (built on first
+    request, shared by every consumer that walks node ids), and serves
     discovery through :meth:`view`: one memoising
     :class:`PersistentCache` per ``k`` whose pair sets are shared
     process-wide and optionally persisted to disk.
@@ -1215,13 +1219,22 @@ class PathService:
     the adjacency is sorted, and when the CSR graph is compiled).
     """
 
-    def __init__(self, adjacency: Dict, cache_dir: Optional[str] = None):
-        self._adjacency: Dict[object, List] = {
-            node: _sorted_ids(neighbours)
-            for node, neighbours in adjacency.items()
-        }
+    def __init__(
+        self,
+        adjacency: Optional[Dict],
+        cache_dir: Optional[str] = None,
+        graph: Optional[CsrGraph] = None,
+    ):
+        """Over ``adjacency`` (compiled into the CSR graph when first
+        needed) or, when it is ``None``, over the compiled ``graph``."""
+        self._adjacency: Optional[Dict[object, List]] = None
+        if adjacency is not None:
+            self._adjacency = {
+                node: _sorted_ids(neighbours)
+                for node, neighbours in adjacency.items()
+            }
         self._cache_dir = cache_dir
-        self._graph: Optional[CsrGraph] = None
+        self._graph = graph
         self._fingerprint: Optional[str] = None
         self._views: Dict[int, PersistentCache] = {}
         self._landmark_providers: Dict[int, LandmarkProvider] = {}
@@ -1229,11 +1242,16 @@ class PathService:
     @classmethod
     def from_network(cls, network: "PaymentNetwork", cache_dir: Optional[str] = None) -> "PathService":
         """Build the service over a
-        :class:`~repro.network.network.PaymentNetwork`'s channel graph."""
-        return cls(
-            {node: list(network.neighbors(node)) for node in network.nodes()},
-            cache_dir=cache_dir,
+        :class:`~repro.network.network.PaymentNetwork`'s channel graph:
+        its :class:`~repro.network.network.ChannelGraph` already is the
+        sorted CSR layout, so the service shares its arrays."""
+        channels = network.graph()
+        if not channels.ordered:
+            _sorted_ids(channels.nodes)  # raises, naming the odd id
+        graph = CsrGraph(
+            channels.nodes, channels.index, channels.indptr, channels.indices
         )
+        return cls(None, cache_dir=cache_dir, graph=graph)
 
     @classmethod
     def from_adjacency(cls, adjacency: Dict, cache_dir: Optional[str] = None) -> "PathService":
@@ -1242,12 +1260,20 @@ class PathService:
 
     # -- shared graph structure ----------------------------------------
     def sorted_adjacency(self) -> Dict[object, List]:
-        """``{node: sorted neighbour list}`` — built once per network.
+        """``{node: sorted neighbour list}`` — built once per network,
+        when first asked for.
 
         The explicit neighbour ordering every BFS tie-break derives from;
-        consumers (LND's gossip view, the embedding trees) must not
-        mutate it.
+        consumers (the embedding trees) must not mutate it.
         """
+        if self._adjacency is None:
+            graph = self.graph
+            nodes, ptr = graph.nodes, graph.indptr.tolist()
+            row = graph.indices.tolist()
+            self._adjacency = {
+                node: [nodes[j] for j in row[ptr[r] : ptr[r + 1]]]
+                for r, node in enumerate(nodes)
+            }
         return self._adjacency
 
     @property
@@ -1295,11 +1321,13 @@ class PathService:
             )
         provider = self._landmark_providers.get(num_landmarks)
         if provider is None:
-            adjacency = self._adjacency
-            by_degree = sorted(
-                adjacency, key=lambda n: (-len(adjacency[n]), n)
+            graph = self.graph
+            # Ranks follow id order, so a stable sort by degree breaks
+            # ties by id.
+            by_degree = np.argsort(-graph.degree, kind="stable")
+            provider = LandmarkProvider(
+                self, [graph.nodes[r] for r in by_degree[:num_landmarks].tolist()]
             )
-            provider = LandmarkProvider(self, by_degree[:num_landmarks])
             self._landmark_providers[num_landmarks] = provider
         return provider
 
@@ -1326,6 +1354,6 @@ class PathService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"PathService(nodes={len(self._adjacency)}, "
+            f"PathService(nodes={self.graph.num_nodes}, "
             f"views={len(self._views)})"
         )

@@ -351,11 +351,10 @@ class PathTable:
         :class:`~repro.errors.TopologyError` — runs once per distinct path
         instead of on every operation.
 
-        The hop fee schedules (``base_fee``/``fee_rate``) are the ones the
-        network's :class:`~repro.network.network.DirectionIndex`
-        snapshotted: like the edge set itself, fees are part of the static
-        topology (§2) and must be configured before the first path is
-        compiled.
+        The hop fee schedules (``base_fee``/``fee_rate``) are read through
+        the network's :class:`~repro.network.network.DirectionIndex`: like
+        the edge set itself, fees are part of the static topology (§2), and
+        once the index exists the network refuses to change them.
         """
         key = tuple(path)
         cached = self._compiled.get(key)
@@ -373,11 +372,8 @@ class PathTable:
                     f"path revisits node {node!r} (paths must be trails)"
                 )
             seen.add(node)
-        dir_list: List[int] = []
-        direction = network.direction
-        for u, v in zip(key, key[1:]):
-            _, cid, side = direction(u, v)
-            dir_list.append(2 * cid + side)
+        direction_id = network.direction_id
+        dir_list = [direction_id(u, v) for u, v in zip(key, key[1:])]
         fees = network.direction_index()
         arena = _PathArena(
             np.array(dir_list, dtype=np.intp),

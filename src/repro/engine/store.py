@@ -11,13 +11,16 @@ all mutable per-channel state in flat NumPy arrays indexed by channel id
 batched path kernels address one hop by a single integer, its *direction
 id* ``d = 2·cid + side``, through 1-D views of the same memory (see
 :class:`ChannelStateStore`).
-:class:`~repro.network.channel.PaymentChannel` and
-:class:`~repro.network.network.PaymentNetwork` are thin views over these
-arrays, so routers, the fluid solvers, and metrics collectors can read the
-same memory without copies — and aggregate queries vectorise.
+:class:`~repro.network.network.PaymentNetwork` keeps its channel graph as
+columns beside this store (endpoints, fees, a CSR adjacency) and hands
+out :class:`~repro.network.channel.PaymentChannel` objects only as
+memoised ``(network, cid)`` views of both, so routers, the fluid solvers
+and metrics collectors read the same memory without copies — and
+aggregate queries vectorise.
 
-Arrays grow by amortised doubling; the public ``*_view`` properties always
-return views trimmed to the allocated channel count.
+Arrays grow by amortised doubling, or once to their final size for a
+bulk :meth:`ChannelStateStore.allocate_many`; the public ``*_view``
+properties always return views trimmed to the allocated channel count.
 """
 
 from __future__ import annotations
@@ -109,8 +112,24 @@ class ChannelStateStore:
         self.balance[cid, 1] = capacity - balance_a
         return cid
 
-    def _grow(self) -> None:
-        new = max(2 * self.capacity.shape[0], _INITIAL_CAPACITY)
+    def allocate_many(self, capacity: np.ndarray, balance_a: np.ndarray) -> int:
+        """Allocate one row per entry of ``capacity`` (``balance_a`` the
+        first side's share), growing the arrays at most once; returns the
+        first new channel id."""
+        first = self._n
+        total = first + capacity.shape[0]
+        if total > self.capacity.shape[0]:
+            self._grow(total)
+        self._n = total
+        self.capacity[first:total] = capacity
+        self.balance[first:total, 0] = balance_a
+        self.balance[first:total, 1] = capacity - balance_a
+        return first
+
+    def _grow(self, minimum: int = 0) -> None:
+        """Widen every array: to ``minimum`` rows when a bulk allocation
+        needs more than doubling gives, else by doubling."""
+        new = max(2 * self.capacity.shape[0], _INITIAL_CAPACITY, minimum)
 
         def widen(arr: np.ndarray) -> np.ndarray:
             shape = (new,) + arr.shape[1:]
@@ -239,6 +258,12 @@ class ChannelStateStore:
         self.balance[cid, sender_side] += amount
         self.num_refunded[cid] += 1
         self.version += 1
+
+    def available(self, d: int) -> float:
+        """Spendable funds on direction ``d``; 0 while its channel is frozen."""
+        if self.frozen_count and self.frozen[d >> 1]:
+            return 0.0
+        return self.balance_flat.item(d)
 
     def try_lock(self, d: int, amount: float) -> float:
         """Lock ``amount`` on direction ``d`` if spendable; else return -1.

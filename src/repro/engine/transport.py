@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.payments import Payment, TransactionUnit, UnitState
 from repro.engine.pathtable import CompiledPath
-from repro.fluid.paths import bfs_distances
+from repro.network.network import canonical_edge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.events import TickTimer
@@ -506,19 +506,21 @@ class BackpressureTransport:
         self._queues: Dict[int, Dict[int, Deque[BackpressureUnit]]] = {}
         #: node -> destination -> queued value (the gradient signal).
         self._backlog: Dict[int, Dict[int, float]] = {}
-        self._distance_cache: Dict[int, Dict[int, int]] = {}
-        self._adjacency = {
-            node: sorted(self.network.neighbors(node)) for node in self.network.nodes()
-        }
-        # The edge set is static during a run (faults freeze channels, never
-        # remove them), so snapshot it once instead of rebuilding the list
-        # every service epoch.
-        self._edges = list(self.network.edges())
-        #: node id -> dense row index into the per-destination distance rows.
-        self._node_index = {node: i for i, node in enumerate(self._adjacency)}
-        #: dest -> np.int64 distance row over dense node indices (-1 means
-        #: unreachable) — the array form of ``_distance(dest)``, gathered
-        #: once and reused by every gradient evaluation.
+        #: The network's CSR adjacency; distance rows are over its ranks.
+        self._graph = self.network.graph()
+        self._nodes = list(self.network.nodes())
+        # The service epoch walks the channels in order, each from its
+        # canonically-first endpoint: the direction served first.
+        nodes = self._nodes
+        flip = [
+            canonical_edge(nodes[a], nodes[b])[0] != nodes[a]
+            for a, b in self.network.endpoints.tolist()
+        ]
+        self._first_dirs = 2 * np.arange(len(flip), dtype=np.int64) + np.array(
+            flip, dtype=np.int64
+        )
+        #: dest -> np.int64 hop-distance row over the graph's ranks (-1
+        #: means unreachable), from one CSR level BFS per destination.
         self._dist_rows: Dict[int, np.ndarray] = {}
         #: (u, v, dests) -> (du, dv) int64 gathers.  Candidate destination
         #: sets recur heavily across service epochs (queues drain slowly
@@ -541,7 +543,8 @@ class BackpressureTransport:
         amount = min(amount, payment.remaining, self.config.mtu)
         if amount < self.config.min_unit_value:
             return False
-        if self._distance(payment.dest).get(payment.source) is None:
+        source = self._graph.index.get(payment.source)
+        if source is None or self._distance_row(payment.dest)[source] < 0:
             return False
         unit = BackpressureUnit(payment, amount, self.sim.now)
         payment.register_inflight(amount)
@@ -570,20 +573,12 @@ class BackpressureTransport:
         backlog = self._backlog[unit.node]
         backlog[unit.dest] = max(0.0, backlog[unit.dest] - unit.amount)
 
-    def _distance(self, dest: int) -> Dict[int, int]:
-        if dest not in self._distance_cache:
-            self._distance_cache[dest] = bfs_distances(self._adjacency, dest)
-        return self._distance_cache[dest]
-
     def _distance_row(self, dest: int) -> np.ndarray:
-        """``_distance(dest)`` as a dense int64 row (-1 = unreachable)."""
+        """Hop distances to ``dest`` over the graph's ranks (-1 =
+        unreachable)."""
         row = self._dist_rows.get(dest)
         if row is None:
-            distances = self._distance(dest)
-            row = np.full(len(self._node_index), -1, dtype=np.int64)
-            for node, dist in distances.items():
-                row[self._node_index[node]] = dist
-            self._dist_rows[dest] = row
+            row = self._dist_rows[dest] = self._graph.hop_distances(dest)
         return row
 
     def _direction_distances(
@@ -595,8 +590,8 @@ class BackpressureTransport:
         if cached is not None:
             return cached
         rows = [self._distance_row(dest) for dest in dests]
-        iu = self._node_index[u]
-        iv = self._node_index[v]
+        iu = self._graph.index[u]
+        iv = self._graph.index[v]
         du = np.fromiter((row[iu] for row in rows), dtype=np.int64, count=len(rows))
         dv = np.fromiter((row[iv] for row in rows), dtype=np.int64, count=len(rows))
         if len(self._dir_dist_cache) >= 4096:
@@ -608,11 +603,14 @@ class BackpressureTransport:
     # The service epoch
     # ------------------------------------------------------------------
     def _service_epoch(self) -> None:
-        for u, v in self._edges:
-            self._service_direction(u, v)
-            self._service_direction(v, u)
+        nodes, first = self._nodes, self._first_dirs
+        ends = self.network.endpoints.reshape(-1)  # direction d sends from ends[d]
+        for d, a, b in zip(first.tolist(), ends[first].tolist(), ends[first ^ 1].tolist()):
+            u, v = nodes[a], nodes[b]
+            self._service_direction(u, v, d)
+            self._service_direction(v, u, d ^ 1)
 
-    def _service_direction(self, u: int, v: int) -> None:
+    def _service_direction(self, u: int, v: int, d: int) -> None:
         """Forward queued units across ``u→v`` down the steepest gradient.
 
         A drained direction is still served: a stuck unit's pop back to
@@ -621,10 +619,10 @@ class BackpressureTransport:
         if not node_queues:
             return
         while True:
-            available = self.network.available(u, v)
+            available = self.store.available(d)
             dests = [dest for dest, queue in node_queues.items() if queue]
             weights = self._gradient_weights(u, v, dests)
-            candidates = [(w, d) for w, d in zip(weights, dests) if w > _EPS]
+            candidates = [(w, dest) for w, dest in zip(weights, dests) if w > _EPS]
             candidates.sort(reverse=True)
             unit = None
             for _, dest in candidates:
@@ -635,7 +633,7 @@ class BackpressureTransport:
                 # Every positive-gradient unit either already visited v or
                 # exceeds the direction's spendable funds.
                 return
-            self._forward(unit, v)
+            self._forward(unit, v, d)
 
     def _gradient_weights(self, u: int, v: int, dests: List[int]) -> List[float]:
         """Service weights of every candidate destination across ``u→v``.
@@ -670,12 +668,12 @@ class BackpressureTransport:
                 return unit  # stuck: pop backward (refunds, needs no funds)
         return None
 
-    def _forward(self, unit: BackpressureUnit, v: int) -> None:
+    def _forward(self, unit: BackpressureUnit, v: int, d: int) -> None:
         self._unpark(unit)
         unit.steps += 1
         if v in unit.visited:
             self._pop_hop(unit, v)
-        elif not self._push_hop(unit, v):
+        elif not self._push_hop(unit, v, d):
             self._park(unit)  # the lock raced away; retry next epoch
             return
         if unit.done:
@@ -687,16 +685,16 @@ class BackpressureTransport:
             # Popped back to its source with every neighbour visited: it can
             # neither press forward nor pop, so release its value for the
             # payment to re-inject.
-            or (not unit.dirs and unit.visited.issuperset(self._adjacency[unit.node]))
+            or (
+                not unit.dirs
+                and unit.visited.issuperset(self.network.neighbors(unit.node))
+            )
         ):
             self._expire_unit(unit)
         else:
             self._park(unit)
 
-    def _push_hop(self, unit: BackpressureUnit, v: int) -> bool:
-        u = unit.node
-        _, cid, side = self.network.direction(u, v)
-        d = 2 * cid + side
+    def _push_hop(self, unit: BackpressureUnit, v: int, d: int) -> bool:
         actual = self.store.try_lock(d, unit.amount)
         if actual < 0.0:  # pragma: no cover - availability checked
             return False

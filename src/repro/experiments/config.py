@@ -168,25 +168,30 @@ class ExperimentConfig:
         )
         return generate_workload(nodes, workload)
 
-    def build_simulation_inputs(self):
-        """``(network, records, scheme)`` exactly as a session consumes them.
-
-        The single construction path shared by
-        :meth:`repro.engine.session.SimulationSession.from_config`, the
-        sweep executor's path precompute and the benchmarks — so
-        comparisons always replay the identical network and trace.
-        """
-        from repro.routing.registry import make_scheme
-
+    def build_network_and_trace(self):
+        """``(network, records)``: the scheme-independent simulation
+        inputs, as :meth:`build_simulation_inputs` builds them."""
         topology = self.build_topology()
         network = topology.build_network(
             default_capacity=self.capacity,
             base_fee=self.base_fee,
             fee_rate=self.fee_rate,
         )
-        records = self.build_workload(list(topology.nodes))
-        scheme = make_scheme(self.scheme, **self.scheme_params)
-        return network, records, scheme
+        return network, self.build_workload(list(topology.nodes))
+
+    def build_simulation_inputs(self):
+        """``(network, records, scheme)`` exactly as a session consumes them.
+
+        The single construction path shared by
+        :meth:`repro.engine.session.SimulationSession.from_config`, the
+        sweep executor's path precompute (which takes the first two, from
+        :meth:`build_network_and_trace`) and the benchmarks — so
+        comparisons always replay the identical network and trace.
+        """
+        from repro.routing.registry import make_scheme
+
+        network, records = self.build_network_and_trace()
+        return network, records, make_scheme(self.scheme, **self.scheme_params)
 
     def build_runtime_config(self) -> RuntimeConfig:
         """The runtime parameters of this experiment."""

@@ -66,15 +66,16 @@ def precompute_trace_paths(
     """Discover a config's trace pair path sets once and persist them.
 
     Builds the config's network and trace through
-    :meth:`ExperimentConfig.build_simulation_inputs` (so the trace pairs
-    match what a real run will ask for), then batch-discovers each ``k``
+    :meth:`ExperimentConfig.build_network_and_trace` (so the trace pairs
+    match what a real run will ask for; no scheme is built), then
+    batch-discovers each ``k``
     in ``budgets`` through the network's
     :class:`~repro.engine.pathservice.PathService` and writes the
     artifacts to ``cache_dir``.  Shared by
     :meth:`SweepExecutor.run_cells`'s parent-side precompute and the
     ``spider-repro paths precompute`` CLI.  Returns ``(pairs, service)``.
     """
-    network, trace, _ = config.build_simulation_inputs()
+    network, trace = config.build_network_and_trace()
     first, _ = trace.pair_groups()  # one row per pair, in sorted pair order
     pairs = list(zip(trace.source[first].tolist(), trace.dest[first].tolist()))
     service = network.path_service
@@ -274,9 +275,11 @@ class SweepExecutor:
         pass whose artifact every worker then loads from
         ``path_cache_dir``.  Only schemes with a ``num_paths`` budget
         (the k edge-disjoint family) are precomputable; other schemes
-        discover lazily in the worker as before.
+        discover lazily in the worker as before.  Budgets are read off
+        the registry (:func:`~repro.routing.registry.path_budget`), so
+        no scheme is built here.
         """
-        from repro.routing.registry import make_scheme
+        from repro.routing.registry import path_budget
 
         groups: Dict[Tuple, List[ExperimentConfig]] = {}
         for config in configs:
@@ -294,10 +297,11 @@ class SweepExecutor:
         for members in groups.values():
             budgets = set()
             for config in members:
-                scheme = make_scheme(config.scheme, **config.scheme_params)
-                num_paths = getattr(scheme, "num_paths", None)
-                if num_paths is not None:
-                    budgets.add(int(num_paths))
+                num_paths = path_budget(config.scheme, **config.scheme_params)
+                # A non-positive budget is the cell's own error, raised
+                # when its worker builds the scheme.
+                if num_paths is not None and num_paths > 0:
+                    budgets.add(num_paths)
             if not budgets:
                 continue
             precompute_trace_paths(

@@ -82,10 +82,13 @@ def escrow_by_node(network: PaymentNetwork) -> Dict[int, float]:
     cannot use elsewhere (§1).  Call on the freshly built network to get
     the *initial* commitment the yield is measured against.
     """
+    store = network.state_store
+    balances = store.balance_view.reshape(-1).tolist()
+    inflight = store.inflight_view.reshape(-1).tolist()
     escrow: Dict[int, float] = defaultdict(float)
-    for channel in network.channels():
-        for node in channel.endpoints:
-            escrow[node] += channel.balance(node) + channel.inflight(node)
+    # Direction d's sender holds balance_flat[d] and inflight_flat[d].
+    for (node, _), balance, locked in zip(network.directed_edges(), balances, inflight):
+        escrow[node] += balance + locked
     return dict(escrow)
 
 

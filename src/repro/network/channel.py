@@ -14,15 +14,28 @@ capacity`` holds at all times and is checked by
 The channel also tracks cumulative flow in each direction, which the metrics
 layer uses to report imbalance, and which Spider's price updates (§5.3) use
 to estimate rate imbalance.
+
+A :class:`PaymentChannel` holds no state of its own: it is a ``(network,
+cid)`` view of row ``cid`` of its network's columns (endpoints, fee
+schedule) and of its state store (funds, flows, the frozen flag).  A
+network makes a channel's view on first request and memoises it, so
+``network.channel(0, 1) is network.channel(1, 0)``.  The fee setters
+write the network's fee columns, and raise
+:class:`~repro.errors.ChannelError` once the network has compiled paths
+against them (see :meth:`PaymentNetwork.set_fees
+<repro.network.network.PaymentNetwork.set_fees>`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Hashable, Optional, Tuple
 
 from repro.engine.store import ChannelStateStore
 from repro.errors import ChannelError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.network import PaymentNetwork
 
 __all__ = ["PaymentChannel"]
 
@@ -31,6 +44,14 @@ NodeId = Hashable
 
 class PaymentChannel:
     """One bidirectional payment channel between ``node_a`` and ``node_b``.
+
+    Constructed directly, it is the only channel of a private
+    :class:`~repro.network.network.PaymentNetwork` (with its own
+    single-row store), so the view API is uniform either way; inside a
+    network, :meth:`PaymentNetwork.add_channel
+    <repro.network.network.PaymentNetwork.add_channel>` and
+    :meth:`PaymentNetwork.channel
+    <repro.network.network.PaymentNetwork.channel>` hand out views.
 
     Parameters
     ----------
@@ -42,17 +63,15 @@ class PaymentChannel:
         ``node_a``'s initial spendable balance.  Defaults to an even split,
         matching the paper's experiments ("equally split between the two
         parties", §6.2).
-    store:
-        The :class:`~repro.engine.store.ChannelStateStore` holding this
-        channel's mutable state.  A network passes its shared store so all
-        channels live in the same flat arrays; a standalone channel gets a
-        private single-row store, so the view API is uniform either way.
+    base_fee, fee_rate:
+        The affine forwarding-fee schedule (§2), fee-free by default.
 
     Notes
     -----
-    The channel object itself is a *view*: balances, in-flight totals, flow
-    counters and the frozen flag live in the store's NumPy arrays, indexed
-    by ``channel_id``.  The view locks nothing itself: in-flight funds are
+    The channel object is a *view*: balances, in-flight totals, flow
+    counters and the frozen flag live in the store's NumPy arrays, the
+    endpoints and fees in the network's columns, all indexed by
+    ``channel_id``.  The view locks nothing itself: in-flight funds are
     moved only by the store's kernels, through the compiled-path lock
     (:meth:`PathTable.lock_funds
     <repro.engine.pathtable.PathTable.lock_funds>`) and the engine's
@@ -62,15 +81,7 @@ class PaymentChannel:
     lock."*
     """
 
-    __slots__ = (
-        "node_a",
-        "node_b",
-        "base_fee",
-        "fee_rate",
-        "_store",
-        "_cid",
-        "_side",
-    )
+    __slots__ = ("_network", "_cid")
 
     def __init__(
         self,
@@ -80,39 +91,63 @@ class PaymentChannel:
         balance_a: Optional[float] = None,
         base_fee: float = 0.0,
         fee_rate: float = 0.0,
-        store: Optional[ChannelStateStore] = None,
     ):
-        if node_a == node_b:
-            raise ChannelError(f"channel endpoints must differ, got {node_a!r} twice")
-        if capacity <= 0 or not math.isfinite(capacity):
-            raise ChannelError(f"capacity must be positive and finite, got {capacity!r}")
-        if balance_a is None:
-            balance_a = capacity / 2.0
-        if balance_a < 0 or balance_a > capacity:
-            raise ChannelError(
-                f"balance_a={balance_a!r} outside [0, capacity={capacity!r}]"
-            )
-        # ``not 0 <= fee < inf`` also catches NaN, which fails both sides.
-        if not (0.0 <= base_fee < math.inf and 0.0 <= fee_rate < math.inf):
-            raise ChannelError(
-                "fees must be non-negative and finite, got "
-                f"base_fee={base_fee!r}, fee_rate={fee_rate!r}"
-            )
-        self.node_a = node_a
-        self.node_b = node_b
-        self.base_fee = float(base_fee)
-        self.fee_rate = float(fee_rate)
-        self._store = store if store is not None else ChannelStateStore(reserve=1)
-        self._cid = self._store.allocate(float(capacity), float(balance_a))
-        self._side: Dict[NodeId, int] = {node_a: 0, node_b: 1}
+        from repro.network.network import PaymentNetwork
+
+        network = PaymentNetwork()
+        network.add_channel(node_a, node_b, capacity, balance_a, base_fee, fee_rate)
+        self._network = network
+        self._cid = 0
+        network._views[0] = self
+
+    @classmethod
+    def _of(cls, network: "PaymentNetwork", cid: int) -> "PaymentChannel":
+        """The view of ``network``'s channel ``cid`` (networks memoise it)."""
+        view = cls.__new__(cls)
+        view._network = network
+        view._cid = cid
+        return view
 
     # ------------------------------------------------------------------
     # Store plumbing
     # ------------------------------------------------------------------
     @property
+    def network(self) -> "PaymentNetwork":
+        """The network whose columns this channel views."""
+        return self._network
+
+    @property
     def store(self) -> ChannelStateStore:
         """The state store backing this channel view."""
-        return self._store
+        return self._network.state_store
+
+    @property
+    def node_a(self) -> NodeId:
+        """The endpoint whose funds are the store's side 0."""
+        return self._network.endpoints_of(self._cid)[0]
+
+    @property
+    def node_b(self) -> NodeId:
+        """The endpoint whose funds are the store's side 1."""
+        return self._network.endpoints_of(self._cid)[1]
+
+    @property
+    def base_fee(self) -> float:
+        """Flat part of the forwarding fee."""
+        return self._network.base_fees.item(self._cid)
+
+    @base_fee.setter
+    def base_fee(self, value: float) -> None:
+        self._network.set_fees(self._cid, base_fee=value)
+
+    @property
+    def fee_rate(self) -> float:
+        """Proportional part of the forwarding fee."""
+        return self._network.fee_rates.item(self._cid)
+
+    @fee_rate.setter
+    def fee_rate(self, value: float) -> None:
+        self._network.set_fees(self._cid, fee_rate=value)
 
     @property
     def channel_id(self) -> int:
@@ -121,18 +156,24 @@ class PaymentChannel:
 
     def side(self, node: NodeId) -> int:
         """Store column (0 = ``node_a``, 1 = ``node_b``) for ``node``."""
-        self._require_endpoint(node)
-        return self._side[node]
+        node_a, node_b = self.endpoints
+        if node == node_a:
+            return 0
+        if node == node_b:
+            return 1
+        raise ChannelError(
+            f"{node!r} is not an endpoint of channel ({node_a!r}, {node_b!r})"
+        )
 
     @property
     def capacity(self) -> float:
         """Total escrowed funds (grows when :meth:`deposit` adds collateral)."""
-        return float(self._store.capacity[self._cid])
+        return float(self.store.capacity[self._cid])
 
     @property
     def total_deposited(self) -> float:
         """Cumulative on-chain deposits made through :meth:`deposit`."""
-        return float(self._store.total_deposited[self._cid])
+        return float(self.store.total_deposited[self._cid])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -140,25 +181,24 @@ class PaymentChannel:
     @property
     def endpoints(self) -> Tuple[NodeId, NodeId]:
         """The channel's two endpoints as given at construction."""
-        return (self.node_a, self.node_b)
+        return self._network.endpoints_of(self._cid)
 
     def other(self, node: NodeId) -> NodeId:
         """The counterparty of ``node`` on this channel."""
-        if node == self.node_a:
-            return self.node_b
-        if node == self.node_b:
-            return self.node_a
+        node_a, node_b = self.endpoints
+        if node == node_a:
+            return node_b
+        if node == node_b:
+            return node_a
         raise ChannelError(f"{node!r} is not an endpoint of {self!r}")
 
     def balance(self, node: NodeId) -> float:
         """Spendable funds currently held by ``node``."""
-        self._require_endpoint(node)
-        return float(self._store.balance[self._cid, self._side[node]])
+        return float(self.store.balance[self._cid, self.side(node)])
 
     def inflight(self, node: NodeId) -> float:
         """Funds ``node`` has locked in pending transfers."""
-        self._require_endpoint(node)
-        return float(self._store.inflight[self._cid, self._side[node]])
+        return float(self.store.inflight[self._cid, self.side(node)])
 
     def available(self, sender: NodeId) -> float:
         """Funds ``sender`` can commit to a new transfer right now.
@@ -168,7 +208,7 @@ class PaymentChannel:
         until settlement (§6.1).  A frozen channel (closing, or an offline
         endpoint — see :mod:`repro.network.faults`) accepts nothing.
         """
-        if self._store.frozen_count and self._store.frozen[self._cid]:
+        if self.store.frozen_count and self.store.frozen[self._cid]:
             return 0.0
         return self.balance(sender)
 
@@ -181,34 +221,32 @@ class PaymentChannel:
         just accepts no new ones.  Freezing never moves funds, so all
         conservation invariants are unaffected.
         """
-        return bool(self._store.frozen[self._cid])
+        return bool(self.store.frozen[self._cid])
 
     def freeze(self) -> None:
         """Stop accepting new locks (channel closure / endpoint outage)."""
-        self._store.set_frozen(self._cid, True)
+        self.store.set_frozen(self._cid, True)
 
     def unfreeze(self) -> None:
         """Resume normal operation (endpoint back online)."""
-        self._store.set_frozen(self._cid, False)
+        self.store.set_frozen(self._cid, False)
 
     def settled_flow(self, sender: NodeId) -> float:
         """Cumulative value settled in the ``sender →`` direction."""
-        self._require_endpoint(sender)
-        return float(self._store.settled_flow[self._cid, self._side[sender]])
+        return float(self.store.settled_flow[self._cid, self.side(sender)])
 
     def attempted_flow(self, sender: NodeId) -> float:
         """Cumulative value locked (settled or not) in the ``sender →`` direction."""
-        self._require_endpoint(sender)
-        return float(self._store.sent[self._cid, self._side[sender]])
+        return float(self.store.sent[self._cid, self.side(sender)])
 
     def imbalance(self) -> float:
         """Absolute difference between the two spendable balances."""
-        row = self._store.balance[self._cid]
+        row = self.store.balance[self._cid]
         return abs(float(row[0]) - float(row[1]))
 
     def flow_imbalance(self) -> float:
         """|settled flow a→b − settled flow b→a|, the paper's rate-imbalance notion."""
-        row = self._store.settled_flow[self._cid]
+        row = self.store.settled_flow[self._cid]
         return abs(float(row[0]) - float(row[1]))
 
     def forwarding_fee(self, amount: float) -> float:
@@ -228,44 +266,35 @@ class PaymentChannel:
         This models the ``b_(u,v)`` rebalancing rate: an on-chain transaction
         that increases both the node's balance and the channel capacity.
         """
-        self._require_endpoint(node)
+        side = self.side(node)
         if amount <= 0 or not math.isfinite(amount):
             raise ChannelError(f"deposit must be positive and finite, got {amount!r}")
-        self._store.deposit(self._cid, self._side[node], amount)
+        self.store.deposit(self._cid, side, amount)
 
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
     def check_invariant(self, tolerance: float = 1e-6) -> None:
         """Assert conservation of escrowed funds; raises on violation."""
-        store, cid = self._store, self._cid
+        store, cid = self.store, self._cid
         balances = store.balance[cid]
         inflight = store.inflight[cid]
         total = float(balances[0] + balances[1] + inflight[0] + inflight[1])
+        node_a, node_b = self.endpoints
         if abs(total - self.capacity) > tolerance:
             raise ChannelError(
-                f"conservation violated on ({self.node_a!r}, {self.node_b!r}): "
+                f"conservation violated on ({node_a!r}, {node_b!r}): "
                 f"parts sum to {total:.9g}, capacity is {self.capacity:.9g}"
             )
-        for node in self.endpoints:
-            side = self._side[node]
+        for side, node in enumerate((node_a, node_b)):
             if balances[side] < -tolerance or inflight[side] < -tolerance:
                 raise ChannelError(
                     f"negative funds at {node!r}: balance={float(balances[side]):.9g}, "
                     f"inflight={float(inflight[side]):.9g}"
                 )
 
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _require_endpoint(self, node: NodeId) -> None:
-        if node != self.node_a and node != self.node_b:
-            raise ChannelError(
-                f"{node!r} is not an endpoint of channel ({self.node_a!r}, {self.node_b!r})"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        row = self._store.balance[self._cid]
+        row = self.store.balance[self._cid]
         return (
             f"PaymentChannel({self.node_a!r}<->{self.node_b!r}, "
             f"cap={self.capacity:.6g}, "

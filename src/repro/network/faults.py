@@ -116,14 +116,14 @@ class FaultSchedule:
     def _freeze(self, network: "PaymentNetwork", u: int, v: int) -> None:
         key = canonical_edge(u, v)
         self._freeze_counts[key] = self._freeze_counts.get(key, 0) + 1
-        network.channel(u, v).freeze()
+        network.state_store.set_frozen(network.direction_id(u, v) >> 1, True)
 
     def _thaw(self, network: "PaymentNetwork", u: int, v: int) -> None:
         key = canonical_edge(u, v)
         count = self._freeze_counts.get(key, 0) - 1
         if count <= 0:
             self._freeze_counts.pop(key, None)
-            network.channel(u, v).unfreeze()
+            network.state_store.set_frozen(network.direction_id(u, v) >> 1, False)
         else:
             self._freeze_counts[key] = count
 

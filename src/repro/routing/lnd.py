@@ -89,14 +89,22 @@ class LndScheme(RoutingScheme):
 
     # ------------------------------------------------------------------
     def prepare(self, runtime: "SimulationSession") -> None:
-        """Snapshot the gossip view: adjacency with per-channel capacity.
+        self._snapshot(runtime.network)
 
-        The sorted adjacency comes from the network's shared
-        :class:`~repro.engine.pathservice.PathService` — one construction
-        per network instead of one per scheme (read-only)."""
-        self._adjacency: Dict[int, List[int]] = (
-            runtime.network.path_service.sorted_adjacency()
+    def _snapshot(self, network: "PaymentNetwork") -> None:
+        """Snapshot the gossip view: ``{v: [(u, d), ...]}`` over every
+        neighbour ``u`` of ``v`` in ascending order, ``d`` the ``u → v``
+        direction id, read off the network's CSR graph (a row lists
+        ``v → u``; its twin is ``d ^ 1``).  Capacities and fees are read
+        by ``d`` during the search, so no hop is looked up by pair."""
+        graph = network.graph()
+        nodes, ptr = graph.nodes, graph.indptr.tolist()
+        hops = list(
+            zip([nodes[j] for j in graph.indices.tolist()], (graph.dirs ^ 1).tolist())
         )
+        self._inbound: Dict[int, List[Tuple[int, int]]] = {
+            node: hops[ptr[r] : ptr[r + 1]] for r, node in enumerate(nodes)
+        }
 
     def attempt(self, payment: "Payment", runtime: "SimulationSession") -> None:
         pruned: set = set()
@@ -158,7 +166,8 @@ class LndScheme(RoutingScheme):
         the hop penalty.  Fees are affine and non-negative, so labels are
         monotone and plain Dijkstra is exact.
         """
-        if source == dest or source not in self._adjacency:
+        inbound = self._inbound
+        if source == dest or source not in inbound:
             return None
         # lock[v]: value carried by the hop entering v on the best suffix.
         best_cost: Dict[int, float] = {dest: 0.0}
@@ -166,6 +175,10 @@ class LndScheme(RoutingScheme):
         successor: Dict[int, int] = {}
         heap: List[Tuple[float, int]] = [(0.0, dest)]
         visited: set = set()
+        store = network.state_store
+        capacity = store.capacity
+        fees = network.direction_index()
+        base_fees, fee_rates = fees.base_fees, fees.fee_rates
         while heap:
             cost, v = heapq.heappop(heap)
             if v in visited:
@@ -174,19 +187,18 @@ class LndScheme(RoutingScheme):
             if v == source:
                 break
             carried = lock[v]
-            for u in self._adjacency.get(v, ()):
+            for u, d in inbound.get(v, ()):
                 if u in visited or self._excluded((u, v), pruned, now):
                     continue
-                channel = network.channel(u, v)
-                if channel.capacity + _EPS < carried:
+                if capacity.item(d >> 1) + _EPS < carried:
                     continue  # gossip says this channel can never carry it
                 if u == source:
-                    if network.available(u, v) + _EPS < carried:
+                    if store.available(d) + _EPS < carried:
                         continue  # the sender knows its own balances
                     candidate_lock = carried
                     fee_step = 0.0  # the sender pays no fee on its own hop
                 else:
-                    fee_step = channel.forwarding_fee(carried)
+                    fee_step = base_fees[d] + fee_rates[d] * carried
                     candidate_lock = carried + fee_step
                 candidate_cost = cost + fee_step + self.hop_penalty
                 if candidate_cost + _EPS < best_cost.get(u, float("inf")):

@@ -188,9 +188,6 @@ class MaxFlowScheme(RoutingScheme):
 
     @staticmethod
     def _directional_balances(network: "PaymentNetwork") -> Dict[Tuple[int, int], float]:
-        capacity: Dict[Tuple[int, int], float] = {}
-        for channel in network.channels():
-            a, b = channel.endpoints
-            capacity[(a, b)] = channel.balance(a)
-            capacity[(b, a)] = channel.balance(b)
-        return capacity
+        # Direction d's sender holds balance_flat[d].
+        balances = network.state_store.balance_view.reshape(-1).tolist()
+        return dict(zip(network.directed_edges(), balances))

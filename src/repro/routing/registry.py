@@ -11,12 +11,18 @@ infrastructure, so eager imports here would be circular.
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import ConfigError
 from repro.routing.base import RoutingScheme
 
-__all__ = ["SCHEME_FACTORIES", "make_scheme", "register_scheme", "available_schemes"]
+__all__ = [
+    "SCHEME_FACTORIES",
+    "available_schemes",
+    "make_scheme",
+    "path_budget",
+    "register_scheme",
+]
 
 SchemeFactory = Callable[..., RoutingScheme]
 
@@ -60,12 +66,25 @@ def _resolve(entry: Union[str, SchemeFactory]) -> SchemeFactory:
     return getattr(module, attribute)
 
 
-def make_scheme(name: str, **kwargs) -> RoutingScheme:
-    """Instantiate the named scheme with constructor keyword arguments."""
+def _factory(name: str) -> SchemeFactory:
     try:
         entry = SCHEME_FACTORIES[name]
     except KeyError:
         raise ConfigError(
             f"unknown scheme {name!r}; available: {available_schemes()}"
         ) from None
-    return _resolve(entry)(**kwargs)
+    return _resolve(entry)
+
+
+def make_scheme(name: str, **kwargs) -> RoutingScheme:
+    """Instantiate the named scheme with constructor keyword arguments."""
+    return _factory(name)(**kwargs)
+
+
+def path_budget(name: str, **kwargs) -> Optional[int]:
+    """The ``num_paths`` a scheme built as ``make_scheme(name, **kwargs)``
+    would have, read without building it: the keyword itself, else the
+    scheme class's ``num_paths`` default; ``None`` for a scheme without a
+    per-pair path budget."""
+    budget = kwargs.get("num_paths", getattr(_factory(name), "num_paths", None))
+    return None if budget is None else int(budget)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.network.network import PaymentNetwork, canonical_edge
 
@@ -120,6 +122,10 @@ class Topology:
     ) -> PaymentNetwork:
         """Instantiate a :class:`PaymentNetwork` from this topology.
 
+        One bulk :meth:`PaymentNetwork.add_channels
+        <repro.network.network.PaymentNetwork.add_channels>` call: channel
+        ``k`` is edge ``k``, its first endpoint holding side 0.
+
         Parameters
         ----------
         default_capacity:
@@ -141,18 +147,18 @@ class Topology:
                 f"balance_fraction must lie in [0, 1], got {balance_fraction!r}"
             )
         network = PaymentNetwork()
-        for node in self.nodes:
-            network.add_node(node)
-        for u, v in self.edges:
-            capacity = self.capacities.get((u, v), default_capacity)
-            network.add_channel(
-                u,
-                v,
-                capacity,
-                balance_u=capacity * balance_fraction,
-                base_fee=base_fee,
-                fee_rate=fee_rate,
-            )
+        network.add_nodes(self.nodes)
+        capacities = [self.capacities.get(edge, default_capacity) for edge in self.edges]
+        us = [u for u, _ in self.edges]
+        vs = [v for _, v in self.edges]
+        network.add_channels(
+            us,
+            vs,
+            capacities,
+            np.asarray(capacities, dtype=np.float64) * balance_fraction,
+            base_fee=base_fee,
+            fee_rate=fee_rate,
+        )
         return network
 
     def with_capacity(self, capacity: float) -> "Topology":

@@ -3,16 +3,19 @@
 A tiny line-oriented text format so experiments can be saved, shared, and
 re-run: comments start with ``#``, the header line is ``topology <name>``,
 node lines are ``node <id>`` and edge lines are ``edge <u> <v> [capacity]``.
-Node ids are integers.
+Node ids are integers; a capacity is a positive finite number, and lines
+repeating a channel must agree on it.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
-from typing import Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import TopologyError
+from repro.network.network import canonical_edge
 from repro.topology.base import Topology
 
 __all__ = ["dump_topology", "dumps_topology", "load_topology", "loads_topology"]
@@ -39,11 +42,18 @@ def dump_topology(topology: Topology, path: Union[str, Path]) -> None:
 
 
 def loads_topology(text: str) -> Topology:
-    """Parse a topology from the text format."""
+    """Parse a topology from the text format.
+
+    A capacity must be a positive finite number, and two edge lines for
+    the same channel (in either direction) must agree on it; either fault
+    raises a :class:`~repro.errors.TopologyError` naming the line.
+    """
     name = "unnamed"
     nodes = []
     edges = []
     capacities = {}
+    #: canonical edge -> (line number, capacity field or None)
+    seen: Dict[Tuple[int, int], Tuple[int, Optional[float]]] = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -57,15 +67,29 @@ def loads_topology(text: str) -> Topology:
                 nodes.append(int(parts[1]))
             elif kind == "edge":
                 u, v = int(parts[1]), int(parts[2])
-                edges.append((u, v))
-                if len(parts) > 3:
-                    capacities[(u, v)] = float(parts[3])
+                capacity = float(parts[3]) if len(parts) > 3 else None
             else:
                 raise TopologyError(
                     f"line {line_number}: unknown directive {kind!r}"
                 )
         except (IndexError, ValueError) as exc:
             raise TopologyError(f"line {line_number}: malformed line {raw!r}") from exc
+        if kind != "edge":
+            continue
+        if capacity is not None and not 0.0 < capacity < math.inf:
+            raise TopologyError(
+                f"line {line_number}: capacity must be positive and finite, "
+                f"got {parts[3]!r}"
+            )
+        earlier = seen.setdefault(canonical_edge(u, v), (line_number, capacity))
+        if earlier[0] != line_number and earlier[1] != capacity:
+            raise TopologyError(
+                f"line {line_number}: edge {u} {v} conflicts with line "
+                f"{earlier[0]} (capacity {earlier[1]!r}, now {capacity!r})"
+            )
+        edges.append((u, v))
+        if capacity is not None:
+            capacities[(u, v)] = capacity
     return Topology(name, nodes, edges, capacities)
 
 

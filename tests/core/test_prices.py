@@ -84,14 +84,16 @@ class TestChannelPriceState:
 class TestControlPlanePrices:
     def test_path_price_sums_hops(self, network, control, compiled):
         for (u, v), mu in (((0, 1), 0.2), ((1, 2), 0.3)):
-            cid, side = network.direction(u, v)[1:]
+            d = network.direction_id(u, v)
+            cid, side = d >> 1, d & 1
             control.state.mu[cid, side] = mu
         assert control.path_price(compiled(0, 1, 2)) == pytest.approx(0.5)
 
     def test_observe_path_feeds_both_hops(self, network, control, compiled):
         control.observe_path(compiled(0, 1, 2), 10.0)
         for u, v in ((0, 1), (1, 2)):
-            assert control.state.window[network.direction(u, v)[1:]] == 10.0
+            d = network.direction_id(u, v)
+            assert control.state.window[d >> 1, d & 1] == 10.0
 
     def test_update_prices_moves_prices(self, control, compiled):
         control.observe_path(compiled(0, 1), 500.0)

@@ -448,7 +448,7 @@ def test_compile_columns_matches_per_path_compile(data, rand):
             node_of(u), node_of(v), capacity, balance_u=balance_u,
             base_fee=base_fee, fee_rate=fee_rate,
         )
-    joined = set(network._directions)
+    joined = set(network.directed_edges())
     trails = [tuple(node_of(n) for n in trail) for trail in trails]
     # Path sets with paths shared between sets and repeated within one,
     # a hopless path among them.

@@ -98,7 +98,8 @@ def _assert_prices_match(network, control, table, paths):
     """λ, both µ and every path price: plane arrays == reference objects."""
     state = control.state
     for u, v in network.edges():
-        cid, side = network.direction(u, v)[1:]
+        d = network.direction_id(u, v)
+        cid, side = d >> 1, d & 1
         price = table.state(u, v)
         assert float(state.lam[cid]) == price.lam
         assert float(state.mu[cid, side]) == price.mu[(u, v)]

@@ -115,7 +115,8 @@ class TestVectorisedAggregates:
 
     def test_channel_id_lookup(self):
         network = self._network()
-        cid, side = network.direction(1, 0)[1:]
+        d = network.direction_id(1, 0)
+        cid, side = d >> 1, d & 1
         assert cid == 0 and side == 1
         assert network.state_store.balance[cid, side] == pytest.approx(30.0)
 

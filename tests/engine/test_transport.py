@@ -70,7 +70,8 @@ class TestHopByHopNative:
         # Drain 1->2 before the run (held HTLC, never resolved).
         lock(network, (1, 2), 45.0)
         store = network.state_store
-        cid, side = network.direction(1, 2)[1:]
+        d = network.direction_id(1, 2)
+        cid, side = d >> 1, d & 1
         observed = {}
 
         def probe():

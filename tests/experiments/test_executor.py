@@ -152,3 +152,53 @@ class TestMetricsRoundTrip:
             json.loads(json.dumps(metrics.to_dict()))
         )
         assert metrics_to_json(clone) == metrics_to_json(metrics)
+
+
+class TestPrecompute:
+    def test_precompute_builds_no_scheme_and_writes_the_same_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        """Budgets come off the registry: precompute constructs no scheme,
+        and writes byte for byte what budgets read off built schemes give."""
+        from repro.engine.pathservice import PersistentCache
+        from repro.experiments.executor import precompute_trace_paths
+        from repro.routing import registry
+
+        configs = [
+            _base(scheme=scheme, capacity=capacity, scheme_params=params)
+            for scheme, params in [
+                ("spider-waterfilling", {}),
+                ("shortest-path", {}),
+                ("celer", {}),
+                ("spider-window", {"num_paths": 2}),
+            ]
+            for capacity in (100.0, 140.0)
+        ]
+        budgets = {
+            registry.make_scheme(c.scheme, **c.scheme_params).num_paths
+            for c in configs
+            if c.scheme != "celer"
+        }
+        assert budgets == {1, 2, 4}
+        PersistentCache.clear_shared()
+        precompute_trace_paths(configs[0], str(tmp_path / "want"), budgets=budgets)
+        PersistentCache.clear_shared()
+
+        built = []
+        make_scheme = registry.make_scheme
+        monkeypatch.setattr(
+            registry,
+            "make_scheme",
+            lambda *args, **kwargs: built.append(args) or make_scheme(*args, **kwargs),
+        )
+        executor = SweepExecutor(_base(), processes=1, path_cache_dir=str(tmp_path / "got"))
+        executor._precompute_paths(configs)
+        PersistentCache.clear_shared()
+        assert built == []
+        want = sorted(os.listdir(tmp_path / "want"))
+        assert len(want) == 3
+        assert sorted(os.listdir(tmp_path / "got")) == want
+        for name in want:
+            assert (tmp_path / "got" / name).read_bytes() == (
+                tmp_path / "want" / name
+            ).read_bytes()

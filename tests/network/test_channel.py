@@ -96,7 +96,7 @@ class TestConstruction:
         for node, side in (("alice", 0), ("bob", 1)):
             assert channel.side(node) == side
             assert store.balance[channel.channel_id, side] == channel.balance(node)
-        assert network.direction("bob", "alice")[1:] == (channel.channel_id, 1)
+        assert network.direction_id("bob", "alice") == 2 * channel.channel_id + 1
 
     @pytest.mark.parametrize(
         "query",

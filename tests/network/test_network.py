@@ -87,11 +87,11 @@ class TestAvailability:
         assert bottleneck(line3, [0]) == math.inf
 
     def test_direction_lookup(self, line3):
-        channel, cid, side = line3.direction(2, 1)
-        assert channel is line3.channel(1, 2)
-        assert (cid, side) == (channel.channel_id, channel.side(2))
+        d = line3.direction_id(2, 1)
+        channel = line3.channel(1, 2)
+        assert (d >> 1, d & 1) == (channel.channel_id, channel.side(2))
         with pytest.raises(TopologyError):
-            line3.direction(0, 2)
+            line3.direction_id(0, 2)
 
     def test_path_validation(self, line3):
         with pytest.raises(ChannelError):

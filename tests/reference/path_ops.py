@@ -123,7 +123,8 @@ class ReferencePathOps:
         store = self.network.state_store
         locked: List[ReferenceHop] = []
         for (a, b), hop_amount in zip(hops, amounts):
-            _, cid, side = self.network.direction(a, b)
+            d = self.network.direction_id(a, b)
+            cid, side = d >> 1, d & 1
             balance = float(store.balance[cid, side])
             if store.frozen[cid] or hop_amount > balance + _EPS:
                 self._refund(locked)

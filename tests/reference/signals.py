@@ -4,8 +4,8 @@ Each function takes a :class:`~repro.engine.signals.ControlPlane` as its
 first argument and computes what the plane's kernel of the same name
 computes, one unit, hop or channel at a time over the plane's
 :class:`~repro.engine.signals.CongestionState` arrays.  The path loops
-also take the plane's network and resolve hops through
-``network.direction`` rather than compiled direction ids, so they take
+also take the plane's network and resolve hops one pair at a time through
+``network.direction_id`` rather than compiled paths, so they take
 node tuples where the methods take compiled paths.
 :func:`use_reference_kernels` adapts them to the methods' signatures on a
 network's own plane, so a test can run a whole session on the reference.
@@ -41,8 +41,8 @@ DirectedEdge = Tuple[int, int]
 
 
 def _hops(network: PaymentNetwork, path: Sequence[int]) -> List[Tuple[int, int]]:
-    direction = network.direction
-    return [direction(a, b)[1:] for a, b in zip(path, path[1:])]
+    direction_id = network.direction_id
+    return [divmod(direction_id(a, b), 2) for a, b in zip(path, path[1:])]
 
 
 def observe_service(plane, cid: int, side: int, delays, units) -> int:

@@ -132,7 +132,8 @@ class TestBacktracking:
     def test_backtrack_restores_the_leaf_channel_bit_for_bit(self):
         runtime, _ = self.dead_end_run()
         store = runtime.network.state_store
-        _, cid, side = runtime.network.direction(0, 3)
+        d = runtime.network.direction_id(0, 3)
+        cid, side = d >> 1, d & 1
         balance, inflight = store.balance[cid].copy(), store.inflight[cid].copy()
         runtime.run()
         pops = runtime.transport.total_pops
@@ -167,7 +168,7 @@ class TestBacktracking:
         assert transport.units_expired == 5
         assert metrics.completed == 0
         store = runtime.network.state_store
-        _, cid, _ = runtime.network.direction(0, 1)
+        cid = runtime.network.direction_id(0, 1) >> 1
         # Every lock on 0->1 was refunded: four pops and the final drain.
         assert store.num_refunded[cid] == 5
         assert network.channel(0, 1).balance(0) == 100.0
@@ -337,7 +338,8 @@ class TestExpiry:
     def test_expired_units_refund_every_locked_hop(self):
         network = line_topology(3).build_network(default_capacity=100.0)
         store = network.state_store
-        _, cid, side = network.direction(0, 1)
+        d = network.direction_id(0, 1)
+        cid, side = d >> 1, d & 1
         balance, inflight = store.balance[cid].copy(), store.inflight[cid].copy()
         _, runtime = run(
             [TransactionRecord(0, 1.0, 0, 2, 10.0)], network, end_time=5.0, max_hops=1

@@ -11,6 +11,7 @@ from repro.routing.base import RoutingScheme
 from repro.routing.registry import (
     available_schemes,
     make_scheme,
+    path_budget,
     register_scheme,
     SCHEME_FACTORIES,
 )
@@ -74,3 +75,13 @@ def test_every_scheme_has_a_paper_claim_bench(name):
         any(q in path.read_text(encoding="utf-8") for q in quoted)
         for path in sorted(BENCHMARKS.glob("bench_*.py"))
     ), f"{name} appears in no paper-claim bench"
+
+
+@pytest.mark.parametrize("name", available_schemes())
+def test_path_budget_is_the_built_schemes_without_building_it(name):
+    """The sweep precompute reads budgets off the registry; they must be
+    what the scheme itself would carry."""
+    budget = path_budget(name)
+    assert budget == getattr(make_scheme(name), "num_paths", None)
+    if budget is not None and name != "shortest-path":  # its budget is fixed
+        assert path_budget(name, num_paths=2) == make_scheme(name, num_paths=2).num_paths == 2

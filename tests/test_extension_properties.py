@@ -205,9 +205,7 @@ def test_lnd_dijkstra_matches_brute_force(graph_and_n, amount):
 
     network, n = graph_and_n
     scheme = LndScheme(hop_penalty=0.5)
-    scheme._adjacency = {
-        node: sorted(network.neighbors(node)) for node in network.nodes()
-    }
+    scheme._snapshot(network)
     source, dest = 0, n - 1
     found = scheme._find_path(network, source, dest, amount, set(), now=0.0)
     expected_cost, _ = brute_force_cheapest(network, source, dest, amount, 0.5)
