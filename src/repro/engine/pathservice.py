@@ -3,10 +3,12 @@
 The paper fixes every pair's path set before the run starts ("4 edge-disjoint
 shortest paths", §6.1), so path discovery is a precomputable, shareable
 artifact.  :class:`PathService` is the only way the system discovers paths.
-It owns one CSR graph per network — a network's service shares the
-arrays of its :class:`~repro.network.network.ChannelGraph`, and builds
-the ``{node: neighbours}`` mapping only for the schemes that walk it —
-and serves discovery one way:
+It reads the one channel graph, :class:`CsrGraph` — the sorted CSR
+adjacency a :class:`~repro.network.network.PaymentNetwork` builds and
+its lookups, the path compiler and the transports read too, addressed
+by node *rank* (position in the ascending node ids) — and builds the
+``{node: neighbours}`` mapping only for the schemes that walk it.  It
+serves discovery one way:
 ``view(k)`` returns the memoising :class:`PersistentCache` for ``k`` paths
 per pair, whose ``columns(pairs)`` / ``paths(src, dst)`` /
 ``paths_many(pairs)`` / ``prepare(pairs)`` every consumer calls.
@@ -34,14 +36,16 @@ per pair, whose ``columns(pairs)`` / ``paths(src, dst)`` /
 
 **The path store is columnar.**  From the kernel to the compiler a set of
 paths is one :class:`PathColumns` — per-set path pointers, per-path node
-pointers and one column of node indices into the graph's sorted node
-list — never a tuple per path or an ``int`` per node: :class:`_Lockstep`
-appends the chains it walks to columns, :class:`PersistentCache` keeps one
+pointers and one column of node ranks in the graph — never a tuple per
+path or an ``int`` per node: :class:`_Lockstep` appends the chains it
+walks to columns, :class:`PersistentCache` keeps one
 columnar store per key process-wide and writes it as an ``.npz`` archive
 of the same columns (schema 2; loaded with ``allow_pickle=False`` and
 validated column by column, anything else counts as absent), and
-:meth:`PersistentCache.columns` hands the columns of a pair list to
-:meth:`repro.engine.pathtable.PathTable.compile_columns`.  Node tuples
+:meth:`PersistentCache.columns` hands the columns of a pair list, over
+the asking network's own graph, to
+:meth:`repro.engine.pathtable.PathTable.compile_columns`, which resolves
+their hops by rank against that graph's ``keys``.  Node tuples
 are built on request only, by :meth:`PersistentCache.paths` /
 :meth:`PersistentCache.paths_many`, for the callers that walk node ids
 (the LP and fluid path sets, the CLI).
@@ -67,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 import numpy as np
 
-from repro.engine.pathtable import int_node_array
 from repro.errors import TopologyError
 
 __all__ = [
@@ -78,6 +81,7 @@ __all__ = [
     "PersistentCache",
     "PathService",
     "contract_loops",
+    "id_order",
 ]
 
 Path = Tuple[int, ...]
@@ -105,15 +109,15 @@ def contract_loops(path: Sequence[int]) -> Path:
     return tuple(out)
 
 
-def _sorted_ids(ids: Iterable) -> List:
-    """``ids`` in ascending order.
+def id_order(ids: Sequence) -> np.ndarray:
+    """Positions of ``ids`` in ascending id order.
 
     Raises :class:`~repro.errors.TopologyError` naming an id that cannot
     be compared with the first: the CSR layout and every BFS tie-break
     need a total order.
     """
     try:
-        return sorted(ids)
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
     except TypeError:
         first, *rest = ids
         odd = next((i for i in rest if type(i) is not type(first)), first)
@@ -144,9 +148,9 @@ class PathColumns:
     """Pair path sets as integer columns.
 
     Set ``i``'s paths are rows ``set_ptr[i]:set_ptr[i + 1]``, and path
-    ``j``'s nodes are ``nodes[path_ptr[j]:path_ptr[j + 1]]`` — indices
-    into ``graph.nodes``, the ascending node ids, so no column holds a
-    Python object per node or per path.  Both pointer columns start at 0.
+    ``j``'s nodes are ``nodes[path_ptr[j]:path_ptr[j + 1]]`` — ranks in
+    ``graph``, so no column holds a Python object per node or per path.
+    Both pointer columns start at 0.
 
     What discovery produces (:meth:`CsrDisjointProvider.columns`),
     :class:`PersistentCache` keeps and persists, and
@@ -192,69 +196,110 @@ class PathColumns:
 
 
 # ----------------------------------------------------------------------
-# CSR graph + full-tree array-frontier BFS
+# The channel graph + full-tree array-frontier BFS
 # ----------------------------------------------------------------------
 class CsrGraph:
-    """Sorted CSR adjacency over dense node indices.
+    """The channel graph as a sorted CSR adjacency, addressed by rank.
 
-    ``indices[indptr[i]:indptr[i+1]]`` are node ``i``'s neighbours in
-    ascending index order; node ids are mapped to indices in ascending id
-    order, so index order and id order agree and the BFS neighbour
-    tie-break is the *explicit* sorted order the scalar
-    :func:`~repro.fluid.paths.bfs_shortest_path` applies implicitly on
-    every visit.  ``degree[i]`` is row ``i``'s length and ``twin[pos]``
-    the CSR position of entry ``pos``'s reverse edge, so masking an
-    undirected edge is two array writes.
+    One graph serves every reader: a network's lookups, path discovery,
+    the path compiler, Celer's distance rows and LND's gossip view.
 
-    The graph must be symmetric — the bidirectional search reads the same
-    entries from both endpoints, and ``twin`` is meaningless otherwise —
-    so an edge without its reverse raises
-    :class:`~repro.errors.TopologyError`.
+    * ``nodes`` — the node ids in ascending order; a node's *rank* is its
+      position there and ``index`` maps id → rank.  (A network whose ids
+      have no total order keeps them in insertion order: its lookups
+      work, discovery raises.)
+    * ``indptr`` / ``indices`` — rank ``r``'s neighbours are
+      ``indices[indptr[r]:indptr[r + 1]]``, ascending (int32), so the BFS
+      neighbour tie-break is the *explicit* sorted order the scalar
+      :func:`~repro.fluid.paths.bfs_shortest_path` applies implicitly on
+      every visit; ``degree[r]`` is row ``r``'s length.
+    * ``dirs`` — entry ``pos``'s direction id ``d = 2·cid + side``, row
+      owner → neighbour, where channel ``cid`` is row ``cid`` of the
+      constructor's ``ends`` and side 0 sends from ``ends[cid, 0]``.
+    * ``keys`` — entry ``pos`` as ``rank(u)·n + rank(v)``; CSR order is
+      key order, so one ``searchsorted`` finds a whole batch of hops.
+      :meth:`find`, the one-pair lookup, reads the same rows as
+      ``{u: {v: direction id}}`` dicts, made on its first call.
+    * ``twin`` — the position of entry ``pos``'s reverse (the entry of
+      direction ``d ^ 1``), so masking an undirected edge is two writes.
+
+    Every channel is an entry in both rows, so the graph is symmetric,
+    which the bidirectional search needs.
     """
 
     __slots__ = (
         "nodes",
-        "ids",
         "index",
         "indptr",
         "indices",
         "degree",
+        "dirs",
+        "keys",
         "twin",
+        "_rows",
         "_arange",
     )
 
-    def __init__(
-        self, nodes: List, index: Dict, indptr: np.ndarray, indices: np.ndarray
-    ):
+    def __init__(self, nodes: List, ends: np.ndarray):
+        """Over ``nodes`` in rank order and ``ends``, one row per channel
+        holding its endpoints' ranks."""
+        n, m = len(nodes), ends.shape[0]
         self.nodes = nodes
-        #: The node ids as an int64 array (``None`` unless every id is a
-        #: plain ``int``): what a node index column maps through.
-        self.ids = int_node_array(nodes)
-        self.index = index
-        self.indptr = indptr
-        self.indices = indices
-        # Entries are sorted by (owner, neighbour); sorting them by
-        # (neighbour, owner) instead lists every reverse edge in the same
-        # rank order, so on a symmetric graph the permutation itself is
-        # the entry -> reverse-entry map.
-        self.degree = np.diff(indptr)
-        owners = np.repeat(
-            np.arange(indptr.shape[0] - 1, dtype=np.int32), self.degree
-        )
-        self.twin = np.lexsort((owners, indices)).astype(np.int32)
-        if not (
-            (indices[self.twin] == owners).all()
-            and (owners[self.twin] == indices).all()
-        ):
-            # Rows hold no repeats, so some entry's reverse is missing.
-            size = np.int64(len(nodes))
-            forward = owners * size + indices
-            pos = np.isin(indices * size + owners, forward, invert=True).argmax()
+        self.index: Dict = {node: r for r, node in enumerate(nodes)}
+        # Entry cid is ends[cid, 0] → ends[cid, 1] (direction 2·cid),
+        # entry m + cid the reverse; sorting by key lays out the rows.
+        owners = np.concatenate((ends[:, 0], ends[:, 1]))
+        neighbours = np.concatenate((ends[:, 1], ends[:, 0]))
+        keys = owners * n + neighbours
+        sort = np.argsort(keys)
+        self.keys = keys[sort]
+        forward = 2 * np.arange(m, dtype=np.intp)
+        self.dirs = np.concatenate((forward, forward + 1))[sort]
+        self.indices = neighbours[sort].astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(owners, minlength=n), out=self.indptr[1:])
+        self.degree = np.diff(self.indptr)
+        position = np.empty(2 * m, dtype=np.intp)
+        position[self.dirs] = np.arange(2 * m)
+        self.twin = position[self.dirs ^ 1].astype(np.int32)
+        self._rows: Optional[Dict] = None
+        self._arange: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_adjacency(cls, adjacency: Dict) -> "CsrGraph":
+        """Compile an adjacency mapping: one channel per listed pair of
+        distinct nodes.
+
+        Parallel entries count once; an edge listed from one end only
+        raises :class:`~repro.errors.TopologyError` naming it (the first
+        in CSR order), as do node ids without a total order.
+        """
+        ids = list(adjacency)
+        nodes = [ids[i] for i in id_order(ids).tolist()]
+        index = {node: r for r, node in enumerate(nodes)}
+        rows = [
+            np.unique(np.fromiter(map(index.__getitem__, adjacency[node]), np.int64))
+            for node in nodes
+        ]
+        size = np.int64(len(nodes))
+        owners = np.arange(size).repeat([row.shape[0] for row in rows])
+        neighbours = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        forward = owners * size + neighbours
+        one_way = np.isin(neighbours * size + owners, forward, invert=True)
+        if one_way.any():
+            pos = one_way.argmax()
             raise TopologyError(
-                f"edge {nodes[owners[pos]]!r} -> {nodes[indices[pos]]!r} "
+                f"edge {nodes[owners[pos]]!r} -> {nodes[neighbours[pos]]!r} "
                 "has no reverse; path discovery needs an undirected graph"
             )
-        self._arange: Optional[np.ndarray] = None
+        # A self-loop lies on no path; every other edge is one channel.
+        ahead = owners < neighbours
+        return cls(nodes, np.stack((owners[ahead], neighbours[ahead]), axis=1))
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of nodes."""
+        return len(self.nodes)
 
     @property
     def arange(self) -> np.ndarray:
@@ -267,34 +312,90 @@ class CsrGraph:
             )
         return self._arange
 
-    @classmethod
-    def from_adjacency(cls, adjacency: Dict) -> "CsrGraph":
-        """Compile an adjacency mapping into the sorted CSR layout."""
-        nodes = _sorted_ids(adjacency)
-        index = {node: i for i, node in enumerate(nodes)}
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
-        rows: List[np.ndarray] = []
-        for i, node in enumerate(nodes):
-            # unique = sort + dedup: parallel entries in the input would
-            # otherwise leave the edge mask covering only one of them and
-            # break the k-disjoint loop's edge removal.
-            row = np.unique(
-                np.fromiter(
-                    (index[nb] for nb in adjacency[node]),
-                    dtype=np.int32,
-                )
-            )
-            rows.append(row)
-            indptr[i + 1] = indptr[i] + row.shape[0]
-        indices = (
-            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
-        )
-        return cls(nodes, index, indptr, indices)
+    def find(self, u, v) -> int:
+        """The ``u → v`` direction id, ``-1`` when there is no channel."""
+        rows = self._rows
+        if rows is None:
+            # Scalar callers (LND, the embedding, ad-hoc compiles) probe
+            # per hop; the batch compiler and a run's hot loop never
+            # build these dicts.
+            nodes, ptr = self.nodes, self.indptr.tolist()
+            ids = [nodes[j] for j in self.indices.tolist()]
+            dirs = self.dirs.tolist()
+            rows = self._rows = {
+                node: dict(zip(ids[ptr[r] : ptr[r + 1]], dirs[ptr[r] : ptr[r + 1]]))
+                for r, node in enumerate(nodes)
+            }
+        row = rows.get(u)
+        return -1 if row is None else row.get(v, -1)
 
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes."""
-        return len(self.nodes)
+    def neighbours(self, rank: int) -> List:
+        """Rank ``rank``'s neighbour ids, ascending."""
+        nodes = self.nodes
+        row = self.indices[self.indptr[rank] : self.indptr[rank + 1]]
+        return [nodes[j] for j in row.tolist()]
+
+    def level_bfs(self, node) -> Tuple[np.ndarray, np.ndarray]:
+        """Full array-frontier BFS from ``node``: every rank's parent rank
+        (int32) and hop count (int64), ``-1`` where unreached (everywhere
+        for a node outside the graph).
+
+        Whole levels expand as NumPy index operations: gather every
+        frontier node's row and keep each node's *first occurrence* in
+        candidate order — which is exactly the parent the scalar FIFO BFS
+        assigns (frontier order × sorted-neighbour order), so parent chains
+        are bit-identical to :func:`~repro.fluid.paths.bfs_shortest_path`.
+        """
+        indptr, indices = self.indptr, self.indices
+        num_nodes = indptr.shape[0] - 1
+        parent = np.full(num_nodes, -1, dtype=np.int32)
+        dist = np.full(num_nodes, -1, dtype=np.int64)
+        source = self.index.get(node)
+        if source is None:
+            return parent, dist
+        ramp = self.arange
+        parent[source] = source
+        dist[source] = 0
+        # Scratch for the first-occurrence dedup below; never reset — every
+        # entry read in a level was scatter-written in that same level.
+        stamp = np.empty(num_nodes, dtype=np.int32)
+        frontier = np.array([source], dtype=np.int32)
+        level = 0
+        while frontier.size:
+            starts = indptr[frontier]
+            deg = indptr[frontier + 1] - starts
+            total = int(deg.sum())
+            if total == 0:
+                break
+            csum = deg.cumsum()
+            pos = ramp[:total] + (starts - (csum - deg)).repeat(deg)
+            cand = indices[pos]
+            # First occurrence of each candidate wins — the scalar FIFO
+            # parent assignment — found in O(m) by a reversed scatter
+            # (later writes win, so reversing makes the *earliest* position
+            # stick) instead of a sort-based unique.  Already-visited
+            # candidates dedup too, then drop in the (much smaller)
+            # per-node check below; their presence never displaces a new
+            # node's first occurrence.
+            order = ramp[:total]
+            stamp[cand[::-1]] = order[::-1]
+            sel = (stamp[cand] == order).nonzero()[0].astype(np.int32)
+            fresh = cand[sel]
+            new = parent[fresh] == -1
+            if not new.all():
+                fresh = fresh[new]
+                sel = sel[new]
+            if fresh.shape[0] == 0:
+                break
+            level += 1
+            parent[fresh] = frontier.repeat(deg)[sel]
+            dist[fresh] = level
+            frontier = fresh
+        return parent, dist
+
+    def hop_distances(self, node) -> np.ndarray:
+        """Hop count from every rank to ``node`` (``-1`` = unreachable)."""
+        return self.level_bfs(node)[1]
 
     def fingerprint(self) -> str:
         """Stable hash of the graph structure (nodes + sorted edges)."""
@@ -309,54 +410,6 @@ class CsrGraph:
             f"CsrGraph(nodes={self.num_nodes}, "
             f"edges={self.indices.shape[0] // 2})"
         )
-
-
-def _csr_level_bfs(graph: CsrGraph, source: int) -> np.ndarray:
-    """Full array-frontier BFS tree over sorted CSR; returns the parent array.
-
-    Whole levels expand as NumPy index operations: gather every frontier
-    node's row and keep each node's *first occurrence* in candidate order
-    — which is exactly the parent the scalar FIFO BFS assigns (frontier
-    order × sorted-neighbour order), so parent chains are bit-identical to
-    :func:`~repro.fluid.paths.bfs_shortest_path`.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    ramp = graph.arange
-    num_nodes = indptr.shape[0] - 1
-    parent = np.full(num_nodes, -1, dtype=np.int32)
-    parent[source] = source
-    # Scratch for the first-occurrence dedup below; never reset — every
-    # entry read in a level was scatter-written in that same level.
-    stamp = np.empty(num_nodes, dtype=np.int32)
-    frontier = np.array([source], dtype=np.int32)
-    while frontier.size:
-        starts = indptr[frontier]
-        deg = indptr[frontier + 1] - starts
-        total = int(deg.sum())
-        if total == 0:
-            break
-        csum = deg.cumsum()
-        pos = ramp[:total] + (starts - (csum - deg)).repeat(deg)
-        cand = indices[pos]
-        # First occurrence of each candidate wins — the scalar FIFO parent
-        # assignment — found in O(m) by a reversed scatter (later writes
-        # win, so reversing makes the *earliest* position stick) instead
-        # of a sort-based unique.  Already-visited candidates dedup too,
-        # then drop in the (much smaller) per-node check below; their
-        # presence never displaces a new node's first occurrence.
-        order = ramp[:total]
-        stamp[cand[::-1]] = order[::-1]
-        sel = (stamp[cand] == order).nonzero()[0].astype(np.int32)
-        fresh = cand[sel]
-        new = parent[fresh] == -1
-        if not new.all():
-            fresh = fresh[new]
-            sel = sel[new]
-        if fresh.shape[0] == 0:
-            break
-        parent[fresh] = frontier.repeat(deg)[sel]
-        frontier = fresh
-    return parent
 
 
 def _parent_chain(
@@ -1040,9 +1093,11 @@ class PersistentCache:
     ):
         self.provider = provider
         self.key = key
+        #: The asking network's graph: the one its columns are over.
+        self._graph = provider.graph
         store = self._shared.get(key)
         if store is None:
-            store = self._shared[key] = _PathStore(provider.graph)
+            store = self._shared[key] = _PathStore(self._graph)
         self._store = store
         self._dir: Optional[str] = None
         self._dirty = False
@@ -1074,19 +1129,25 @@ class PersistentCache:
         return [next(known) if row is not None else next(other) for row in rows]
 
     def columns(self, pairs: Sequence[Pair]) -> PathColumns:
-        """The pairs' path sets as columns, in pair order (repeats
-        included; a pair with an endpoint outside the graph has none);
-        the misses go to the provider as one batch."""
+        """The pairs' path sets as columns over this view's own graph, in
+        pair order (repeats included; a pair with an endpoint outside the
+        graph has none); the misses go to the provider as one batch.
+
+        The process-wide store may hold another same-fingerprint
+        network's graph: the ranks are the same, but only this view's
+        graph is the one its network compiles against.
+        """
         rows = self._rows([(source, dest) for source, dest in pairs])
         present = [row for row in rows if row is not None]
         sets = self._store.sets.take(np.array(present, dtype=np.intp))
+        set_ptr = sets.set_ptr
         if len(present) < len(rows):
             sizes = np.zeros(len(rows), dtype=np.int64)
             sizes[[i for i, row in enumerate(rows) if row is not None]] = np.diff(
-                sets.set_ptr
+                set_ptr
             )
-            sets = PathColumns(sets.graph, _pointers(sizes), sets.path_ptr, sets.nodes)
-        return sets
+            set_ptr = _pointers(sizes)
+        return PathColumns(self._graph, set_ptr, sets.path_ptr, sets.nodes)
 
     def prepare(self, pairs: Iterable[Pair]) -> None:
         """Batch-compute every missing pair, then flush the artifact."""
@@ -1207,34 +1268,22 @@ class PersistentCache:
 class PathService:
     """One network's path-discovery facade — the only discovery entry point.
 
-    Owns the CSR graph (a network's, shared as it is; a plain adjacency's,
-    compiled lazily) and the sorted adjacency mapping (built on first
-    request, shared by every consumer that walks node ids), and serves
-    discovery through :meth:`view`: one memoising
+    Holds one :class:`CsrGraph` (a network's, shared as it is, or one
+    compiled from a plain adjacency) and the sorted adjacency mapping
+    (built on first request, shared by every consumer that walks node
+    ids), and serves discovery through :meth:`view`: one memoising
     :class:`PersistentCache` per ``k`` whose pair sets are shared
     process-wide and optionally persisted to disk.
 
     Node ids without a total order, or an edge without its reverse, raise
-    :class:`~repro.errors.TopologyError` naming the node or edge (when
-    the adjacency is sorted, and when the CSR graph is compiled).
+    :class:`~repro.errors.TopologyError` naming the node or edge when the
+    service is built.
     """
 
-    def __init__(
-        self,
-        adjacency: Optional[Dict],
-        cache_dir: Optional[str] = None,
-        graph: Optional[CsrGraph] = None,
-    ):
-        """Over ``adjacency`` (compiled into the CSR graph when first
-        needed) or, when it is ``None``, over the compiled ``graph``."""
-        self._adjacency: Optional[Dict[object, List]] = None
-        if adjacency is not None:
-            self._adjacency = {
-                node: _sorted_ids(neighbours)
-                for node, neighbours in adjacency.items()
-            }
+    def __init__(self, graph: CsrGraph, cache_dir: Optional[str] = None):
+        self.graph = graph
         self._cache_dir = cache_dir
-        self._graph = graph
+        self._adjacency: Optional[Dict[object, List]] = None
         self._fingerprint: Optional[str] = None
         self._views: Dict[int, PersistentCache] = {}
         self._landmark_providers: Dict[int, LandmarkProvider] = {}
@@ -1242,21 +1291,16 @@ class PathService:
     @classmethod
     def from_network(cls, network: "PaymentNetwork", cache_dir: Optional[str] = None) -> "PathService":
         """Build the service over a
-        :class:`~repro.network.network.PaymentNetwork`'s channel graph:
-        its :class:`~repro.network.network.ChannelGraph` already is the
-        sorted CSR layout, so the service shares its arrays."""
-        channels = network.graph()
-        if not channels.ordered:
-            _sorted_ids(channels.nodes)  # raises, naming the odd id
-        graph = CsrGraph(
-            channels.nodes, channels.index, channels.indptr, channels.indices
-        )
-        return cls(None, cache_dir=cache_dir, graph=graph)
+        :class:`~repro.network.network.PaymentNetwork`'s channel graph,
+        shared as it is."""
+        graph = network.graph()
+        id_order(graph.nodes)  # ids without a total order raise, named
+        return cls(graph, cache_dir)
 
     @classmethod
     def from_adjacency(cls, adjacency: Dict, cache_dir: Optional[str] = None) -> "PathService":
         """Build the service over a plain adjacency mapping."""
-        return cls(adjacency, cache_dir=cache_dir)
+        return cls(CsrGraph.from_adjacency(adjacency), cache_dir)
 
     # -- shared graph structure ----------------------------------------
     def sorted_adjacency(self) -> Dict[object, List]:
@@ -1275,13 +1319,6 @@ class PathService:
                 for r, node in enumerate(nodes)
             }
         return self._adjacency
-
-    @property
-    def graph(self) -> CsrGraph:
-        """The compiled CSR adjacency (built lazily, cached)."""
-        if self._graph is None:
-            self._graph = CsrGraph.from_adjacency(self._adjacency)
-        return self._graph
 
     @property
     def topology_fingerprint(self) -> str:
@@ -1335,10 +1372,7 @@ class PathService:
         """A full BFS parent tree rooted at ``root`` (one that reaches
         nothing for a root outside the graph)."""
         graph = self.graph
-        index = graph.index.get(root)
-        if index is None:
-            return _ArrayTree(graph, np.full(graph.num_nodes, -1, dtype=np.int32), -1)
-        return _ArrayTree(graph, _csr_level_bfs(graph, index), index)
+        return _ArrayTree(graph, graph.level_bfs(root)[0], graph.index.get(root, -1))
 
     # -- persistence ----------------------------------------------------
     def persist_to(self, cache_dir: str) -> None:

@@ -39,13 +39,13 @@ rollback side effects on a mid-path
 first payment moves, so :meth:`PathTable.compile_columns` is a batch
 kernel, not a loop: it takes discovery's columns
 (:class:`~repro.engine.pathservice.PathColumns`) as they are, validates
-every path with array operations against the network's
-:class:`~repro.network.network.DirectionIndex` (one ``searchsorted`` over
-the sorted directed-edge keys answers "channel exists" and "which
-direction" for every hop at once) and lays their hops out in one
-:class:`_PathArena` — a flat ``dirs`` column, the ``hop_ptr`` row
-boundaries and the paths' node ids.  Per path the engine then holds one
-small :class:`CompiledPath`:
+every path with array operations against the network's channel graph
+(:class:`~repro.engine.pathservice.CsrGraph`, the graph discovery ran
+on: one ``searchsorted`` of the hops' rank keys over its sorted ``keys``
+answers "channel exists" and "which direction" for every hop at once)
+and lays their hops out in one :class:`_PathArena` — a flat ``dirs``
+column, the ``hop_ptr`` row boundaries and the paths' node ranks.  Per
+path the engine then holds one small :class:`CompiledPath`:
 
 * ``dir_list``, a slice of the one Python tuple the ``dirs`` column
   converts to (its ints drawn from the index's ``int_pool``, so every
@@ -84,26 +84,14 @@ import numpy as np
 from repro.errors import ChannelError, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.pathservice import PathColumns
+    from repro.engine.pathservice import CsrGraph, PathColumns
     from repro.network.network import DirectionIndex, PaymentNetwork
 
-__all__ = ["CompiledPath", "PathTable", "int_node_array"]
+__all__ = ["CompiledPath", "PathTable"]
 
 Path = Tuple[int, ...]
 _EPS = 1e-9
 _MISSING = object()
-
-
-def int_node_array(values: List[object]) -> Optional[np.ndarray]:
-    """``values`` as an int64 array — ``None`` unless every one is a
-    plain ``int`` that fits (the node ids the batch kernels can rank with
-    ``searchsorted``; anything else resolves through the dictionaries)."""
-    if set(map(type, values)) != {int}:
-        return None
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return None
 
 
 class _PathArena:
@@ -112,7 +100,7 @@ class _PathArena:
     Row ``r``'s hop direction ids are ``dirs[hop_ptr[r]:hop_ptr[r + 1]]``
     and its nodes ``nodes[hop_ptr[r] + r:hop_ptr[r + 1] + r + 1]`` (a path
     has one node more than hops), as positions in ``ids``, the node ids —
-    for a batch, discovery's node column and its graph's id array as they
+    for a batch, discovery's rank column and its graph's node list as they
     are.  Columns are written once and never resized, so the slices
     :class:`CompiledPath` and :class:`_ProbeCache` take of them stay valid
     for the life of the table.
@@ -125,7 +113,7 @@ class _PathArena:
         dirs: np.ndarray,
         hop_ptr: np.ndarray,
         nodes: np.ndarray,
-        ids: np.ndarray,
+        ids: Sequence,
     ):
         self.dirs = dirs
         self.hop_ptr = hop_ptr
@@ -181,7 +169,7 @@ class CompiledPath:
         arena, row = self.arena, self.row
         ptr = arena.hop_ptr
         rows = arena.nodes[ptr[row] + row : ptr[row + 1] + row + 1]
-        return tuple(arena.ids[rows].tolist())
+        return tuple(map(arena.ids.__getitem__, rows.tolist()))
 
     def __len__(self) -> int:
         """Number of hops."""
@@ -273,7 +261,7 @@ def _one_row(length: int) -> Tuple[np.ndarray, np.ndarray]:
     """``hop_ptr`` and node positions of an arena holding one path of
     ``length`` nodes: read-only, and shared by every such arena, so an
     ad-hoc :meth:`PathTable.compile` allocates only the path's own
-    ``dirs`` and ids."""
+    ``dirs``."""
     hop_ptr, positions = np.array([0, length - 1]), np.arange(length)
     hop_ptr.setflags(write=False)
     positions.setflags(write=False)
@@ -287,41 +275,37 @@ _COMPILE_CHUNK_NODES = 1 << 16
 
 
 def _hop_dirs(
-    index: "DirectionIndex", nodes: np.ndarray, flat: np.ndarray, lengths: np.ndarray
+    graph: "CsrGraph", ranks: np.ndarray, lengths: np.ndarray
 ) -> Tuple[int, np.ndarray]:
-    """Resolve the hops of paths laid end to end (node ids ``flat``,
-    ``lengths`` nodes each) against ``index``, whose sorted node ids are
-    ``nodes``.
+    """Resolve the hops of paths laid end to end (node ranks ``ranks``,
+    ``lengths`` nodes each) against ``graph``'s sorted keys.
 
     Returns ``(-1, dirs)``, every hop's direction id in path order, or
-    ``(i, ...)`` for the first path ``i`` that is empty, names a node the
-    index does not know, revisits a node or crosses a hop without a
-    channel.
+    ``(i, ...)`` for the first path ``i`` that is empty, revisits a node
+    or crosses a hop without a channel.
     """
-    n = len(nodes)
+    n, keys = graph.num_nodes, graph.keys
     path_of_node = np.arange(lengths.shape[0]).repeat(lengths)
-    rank = np.minimum(np.searchsorted(nodes, flat), n - 1)
-    known = nodes[rank] == flat
     # A revisit is a repeated (path, node) visit: adjacent once sorted.
-    visits = path_of_node * n + rank
+    visits = path_of_node * n + ranks
     visits.sort()
     revisit = visits[1:] == visits[:-1]
     # Hop i -> i + 1 wherever both nodes belong to the same path.
     heads = np.flatnonzero(path_of_node[1:] == path_of_node[:-1])
-    hop_keys = rank[heads] * n + rank[heads + 1]
-    slot = np.minimum(np.searchsorted(index.keys, hop_keys), len(index.keys) - 1)
-    found = index.keys[slot] == hop_keys
+    hop_keys = ranks[heads].astype(np.int64) * n + ranks[heads + 1]
+    slot = np.searchsorted(keys, hop_keys)
+    found = slot < keys.shape[0]
+    found[found] = keys[slot[found]] == hop_keys[found]
     offenders = np.concatenate(
         (
             np.flatnonzero(lengths == 0)[:1],
-            path_of_node[~known][:1],
             visits[1:][revisit][:1] // n,
             path_of_node[heads[~found][:1]],
         )
     )
     if offenders.size:
         return int(offenders.min()), slot
-    return -1, index.dirs[slot]
+    return -1, graph.dirs[slot]
 
 
 class PathTable:
@@ -376,9 +360,7 @@ class PathTable:
         dir_list = [direction_id(u, v) for u, v in zip(key, key[1:])]
         fees = network.direction_index()
         arena = _PathArena(
-            np.array(dir_list, dtype=np.intp),
-            *_one_row(len(key)),
-            np.fromiter(key, dtype=object, count=len(key)),
+            np.array(dir_list, dtype=np.intp), *_one_row(len(key)), key
         )
         compiled = CompiledPath(
             tuple(dir_list),
@@ -402,23 +384,24 @@ class PathTable:
         ``i``'s are ``columns.set_ptr[i]:columns.set_ptr[i + 1]``; hand
         them to :meth:`handle`).
 
-        The node column, mapped to node ids, is checked as one array —
-        known nodes, no revisit, a channel under every hop — against the
-        network's :class:`~repro.network.network.DirectionIndex`; the
-        batch's hops then become one :class:`_PathArena` whose rows the
-        new paths view.  All or nothing: if any path is invalid, the first
-        offender in row order is handed to :meth:`compile`, which raises
-        exactly what it raises for that path alone.  Batches the index
-        cannot resolve (non-integer node ids) compile path by path under
-        the same rule.
+        The rank column is checked as one array — no revisit, a channel
+        under every hop — against the network's channel graph, which must
+        be the graph the columns were discovered over (columns over any
+        other graph, say one from before the network grew, raise
+        :class:`~repro.errors.TopologyError`); the batch's hops then
+        become one :class:`_PathArena` whose rows the new paths view.  All
+        or nothing: if any path is invalid, the first offender in row
+        order is handed to :meth:`compile`, which raises exactly what it
+        raises for that path alone.
         """
-        index = self._network.direction_index()
-        nodes, ids = index.nodes, columns.graph.ids
-        if nodes is None or ids is None:
-            return self._compile_each(
-                [path for paths in columns.to_lists() for path in paths]
+        graph = self._network.graph()
+        if columns.graph is not graph:
+            raise TopologyError(
+                "path columns were discovered over another channel graph "
+                "than the network's current one"
             )
-        path_ptr, column = columns.path_ptr, columns.nodes
+        index = self._network.direction_index()
+        path_ptr, column, nodes = columns.path_ptr, columns.nodes, graph.nodes
         lengths = np.diff(path_ptr)
         count = lengths.shape[0]
         pieces: List[np.ndarray] = []
@@ -431,18 +414,19 @@ class PathTable:
                 )
             )
             hi = min(max(hi - 1, lo + 1), count)
-            flat = ids[column[path_ptr[lo] : path_ptr[hi]]]
-            bad, dirs = _hop_dirs(index, nodes, flat, lengths[lo:hi])
+            ranks = column[path_ptr[lo] : path_ptr[hi]]
+            bad, dirs = _hop_dirs(graph, ranks, lengths[lo:hi])
             if bad >= 0:
                 start, end = path_ptr[lo + bad], path_ptr[lo + bad + 1]
-                self.compile(tuple(ids[column[start:end]].tolist()))  # raises
+                path = map(nodes.__getitem__, column[start:end].tolist())
+                self.compile(tuple(path))  # raises
                 raise AssertionError("compile() accepted a path the batch rejected")
             pieces.append(dirs)
             lo = hi
         dirs = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.intp)
         dirs.setflags(write=False)
         hop_ptr = path_ptr - np.arange(count + 1)
-        arena = _PathArena(dirs, hop_ptr, column, ids)
+        arena = _PathArena(dirs, hop_ptr, column, nodes)
         bearing = np.concatenate(([0], np.cumsum(index.fee_bearing[dirs])))
         fee_free = (bearing[hop_ptr[1:]] == bearing[hop_ptr[:-1]]).tolist()
         dir_list = tuple(index.int_pool[dirs])
@@ -451,17 +435,6 @@ class PathTable:
             CompiledPath(dir_list[start:end], free, index, arena, row)
             for row, (start, end, free) in enumerate(zip(ptr, ptr[1:], fee_free))
         ]
-
-    def _compile_each(self, paths: List[Path]) -> List[CompiledPath]:
-        """:meth:`compile` over ``paths``, all or nothing: on an invalid
-        path, the ones this call registered are dropped again."""
-        fresh = [path for path in dict.fromkeys(paths) if path not in self._compiled]
-        try:
-            return [self.compile(path) for path in paths]
-        except (ChannelError, TopologyError):
-            for path in fresh:
-                self._compiled.pop(path, None)
-            raise
 
     def handle(self, cpaths: List[CompiledPath]) -> Optional[_ProbeCache]:
         """The probe handle of a path set (``None`` for an empty set or

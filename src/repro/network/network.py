@@ -7,11 +7,13 @@
 * per-channel columns: the endpoints' node positions (``node_a``,
   ``node_b``; the store's sides 0 and 1) and the fee schedule
   (``base_fee``, ``fee_rate``);
-* a :class:`ChannelGraph`, built when first needed and rebuilt on the
-  first lookup after the network grew: the CSR adjacency over the nodes
-  in ascending id order with sorted neighbour rows, each entry carrying
-  its direction id.  It is the one direction lookup: batches search its
-  sorted ``(u, v)`` keys, a single pair reads its rows as dicts.
+* the channel graph, a :class:`~repro.engine.pathservice.CsrGraph`
+  built when first needed and rebuilt on the first lookup after the
+  network grew: the CSR adjacency over the nodes in ascending id order
+  (a node's *rank*) with sorted neighbour rows, each entry carrying its
+  direction id.  It is the one graph: the direction lookup (a single
+  pair reads its rows as dicts), path discovery, which shares it as it
+  is, and the path compiler, which searches its sorted rank keys.
 
 Channel ``cid`` is the ``cid``-th channel opened and its direction ids
 are ``d = 2·cid + side`` (side 0 sends from ``node_a``).
@@ -55,14 +57,14 @@ from typing import (
 
 import numpy as np
 
-from repro.engine.pathservice import PathService
-from repro.engine.pathtable import PathTable, int_node_array
+from repro.engine.pathservice import CsrGraph, PathService, id_order
+from repro.engine.pathtable import PathTable
 from repro.engine.signals import ControlPlane
 from repro.engine.store import ChannelStateStore
 from repro.errors import ChannelError, TopologyError
 from repro.network.channel import PaymentChannel
 
-__all__ = ["ChannelGraph", "DirectionIndex", "PaymentNetwork", "canonical_edge"]
+__all__ = ["DirectionIndex", "PaymentNetwork", "canonical_edge"]
 
 NodeId = Hashable
 FloatColumn = Union[float, Sequence[float], np.ndarray]
@@ -78,19 +80,6 @@ def canonical_edge(u: NodeId, v: NodeId) -> Tuple[NodeId, NodeId]:
         return (u, v) if u <= v else (v, u)
     except TypeError:
         return (u, v) if repr(u) <= repr(v) else (v, u)
-
-
-def _id_order(nodes: List[NodeId]) -> Optional[np.ndarray]:
-    """Positions of ``nodes`` in ascending id order; ``None`` when the
-    ids have no total order (mixed types)."""
-    ids = int_node_array(nodes)
-    if ids is not None:
-        return np.argsort(ids, kind="stable")
-    try:
-        order = sorted(range(len(nodes)), key=nodes.__getitem__)
-    except TypeError:
-        return None
-    return np.array(order, dtype=np.int64)
 
 
 def _pair(i: int, j: int) -> int:
@@ -157,135 +146,11 @@ def _per_direction(column: np.ndarray) -> List[float]:
     return pool[np.repeat(inverse, 2)].tolist()
 
 
-class ChannelGraph:
-    """The network's channels as a CSR adjacency, and its direction lookup.
-
-    * ``nodes`` — the node ids in ascending order (insertion order when
-      the ids have no total order, ``ordered`` False); a node's *rank* is
-      its position there and ``index`` maps id → rank.
-    * ``indptr`` / ``indices`` — rank ``r``'s neighbours are
-      ``indices[indptr[r]:indptr[r + 1]]``, ascending (int32, the layout
-      :class:`~repro.engine.pathservice.CsrGraph` takes as it is).
-    * ``dirs`` — entry ``pos``'s direction id, row owner → neighbour.
-    * ``keys`` — entry ``pos`` as ``rank(u)·n + rank(v)``; CSR order is
-      key order, so one ``searchsorted`` finds a whole batch of
-      directions.  :meth:`find`, the one-pair lookup, reads the same rows
-      as ``{u: {v: direction id}}`` dicts, made on its first call.
-
-    Built in one pass over the network's endpoint columns; a network
-    rebuilds it after it grows.
-    """
-
-    __slots__ = (
-        "nodes",
-        "ordered",
-        "index",
-        "indptr",
-        "indices",
-        "dirs",
-        "keys",
-        "num_channels",
-        "_rows",
-    )
-
-    def __init__(self, nodes: List[NodeId], ends: np.ndarray):
-        n = len(nodes)
-        order = _id_order(nodes)
-        self.ordered = order is not None
-        if order is None:
-            order = np.arange(n, dtype=np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n, dtype=np.int64)
-        self.nodes: List[NodeId] = [nodes[i] for i in order.tolist()]
-        self.index: Dict[NodeId, int] = {
-            node: r for r, node in enumerate(self.nodes)
-        }
-        m = ends.shape[0]
-        self.num_channels = m
-        # Entry cid is node_a → node_b (direction 2·cid), entry m + cid
-        # the reverse (2·cid + 1); sorting by key lays out the CSR rows.
-        ra, rb = rank[ends[:, 0]], rank[ends[:, 1]]
-        owners = np.concatenate((ra, rb))
-        neighbours = np.concatenate((rb, ra))
-        keys = owners * n + neighbours
-        sort = np.argsort(keys)
-        self.keys = keys[sort]
-        forward = 2 * np.arange(m, dtype=np.intp)
-        self.dirs = np.concatenate((forward, forward + 1))[sort]
-        self.indices = neighbours[sort].astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(owners, minlength=n), out=self.indptr[1:])
-        self._rows: Optional[Dict[NodeId, Dict[NodeId, int]]] = None
-
-    def find(self, u: NodeId, v: NodeId) -> int:
-        """The ``u → v`` direction id, ``-1`` when there is no channel."""
-        rows = self._rows
-        if rows is None:
-            # Scalar callers (LND, the embedding, ad-hoc compiles) probe
-            # per hop; the batch compiler and a run's hot loop never
-            # build these dicts.
-            nodes, ptr = self.nodes, self.indptr.tolist()
-            ids = [nodes[j] for j in self.indices.tolist()]
-            dirs = self.dirs.tolist()
-            rows = self._rows = {
-                node: dict(zip(ids[ptr[r] : ptr[r + 1]], dirs[ptr[r] : ptr[r + 1]]))
-                for r, node in enumerate(nodes)
-            }
-        row = rows.get(u)
-        return -1 if row is None else row.get(v, -1)
-
-    def neighbours(self, rank: int) -> List[NodeId]:
-        """Rank ``rank``'s neighbour ids, ascending."""
-        nodes = self.nodes
-        row = self.indices[self.indptr[rank] : self.indptr[rank + 1]]
-        return [nodes[j] for j in row.tolist()]
-
-    def hop_distances(self, node: NodeId) -> np.ndarray:
-        """Hop count from every node to ``node`` as an int64 row over
-        ranks (``-1`` = unreachable): a level BFS, one NumPy step per
-        level."""
-        n = len(self.nodes)
-        dist = np.full(n, -1, dtype=np.int64)
-        source = self.index.get(node)
-        if source is None:
-            return dist
-        indptr, indices = self.indptr, self.indices
-        dist[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            starts = indptr[frontier].astype(np.int64)
-            sizes = indptr[frontier + 1] - starts
-            total = int(sizes.sum())
-            # Positions of every frontier row's entries, back to back.
-            shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-            reached = indices[shift + np.arange(total)]
-            reached = np.unique(reached[dist[reached] < 0])
-            dist[reached] = level
-            frontier = reached
-        return dist
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ChannelGraph(nodes={len(self.nodes)}, channels={self.num_channels})"
-
-
 class DirectionIndex:
-    """The direction lookup and per-direction fee lists the batch path
-    compiler reads.
+    """The per-direction fee lists the path compiler reads, built once
+    per topology (the network drops it whenever a node or channel is
+    added):
 
-    What :meth:`PathTable.compile_columns
-    <repro.engine.pathtable.PathTable.compile_columns>` resolves whole
-    batches of hops against, built once per topology (the network drops it
-    whenever a node or channel is added):
-
-    * ``nodes`` — the sorted node ids; a node's *rank* is its position.
-      ``None`` when some id is not a plain integer (or there is no
-      channel yet): paths then compile one by one.
-    * ``keys`` / ``dirs`` — the :class:`ChannelGraph`'s sorted directed
-      edge keys ``rank(u)·n + rank(v)`` and their direction ids
-      ``d = 2·cid + side``; one ``searchsorted`` answers "does this hop
-      have a channel, and which direction is it".
     * ``base_fees`` / ``fee_rates`` — the fee columns as per-direction
       Python lists (both directions of a channel carry its schedule),
       read by :meth:`CompiledPath.hop_amounts
@@ -302,28 +167,14 @@ class DirectionIndex:
     already read.
     """
 
-    __slots__ = (
-        "nodes",
-        "keys",
-        "dirs",
-        "base_fees",
-        "fee_rates",
-        "fee_bearing",
-        "int_pool",
-    )
+    __slots__ = ("base_fees", "fee_rates", "fee_bearing", "int_pool")
 
     def __init__(self, network: "PaymentNetwork"):
-        graph = network.graph()
-        m = network.num_channels
-        self.int_pool = np.arange(2 * m).astype(object)
+        self.int_pool = np.arange(2 * network.num_channels).astype(object)
         base, rate = network.base_fees, network.fee_rates
         self.base_fees: List[float] = _per_direction(base)
         self.fee_rates: List[float] = _per_direction(rate)
         self.fee_bearing = ((base != 0) | (rate != 0)).repeat(2)
-        self.keys, self.dirs = graph.keys, graph.dirs
-        self.nodes: Optional[np.ndarray] = None
-        if graph.ordered and m:
-            self.nodes = int_node_array(graph.nodes)
 
 
 class PaymentNetwork:
@@ -356,7 +207,7 @@ class PaymentNetwork:
         # (_stale).  A run of add_channel calls checks for duplicates
         # against the graph built before the run plus the node-position
         # pairs (_pair) it appended; add_channels drops the graph.
-        self._graph: Optional[ChannelGraph] = None
+        self._graph: Optional[CsrGraph] = None
         self._stale = True
         self._appended: Set[int] = set()
         self._views: Dict[int, PaymentChannel] = {}
@@ -530,13 +381,22 @@ class PaymentNetwork:
         """The ``u → v`` direction id, ``-1`` when there is no channel."""
         return self.graph().find(u, v)
 
-    def graph(self) -> ChannelGraph:
-        """The CSR adjacency of every node and channel (see
-        :class:`ChannelGraph`), rebuilt after the network grows."""
+    def graph(self) -> CsrGraph:
+        """The channel graph over every node and channel (see
+        :class:`~repro.engine.pathservice.CsrGraph`), rebuilt after the
+        network grows."""
         graph = self._graph
         if graph is None or self._stale:
-            graph = self._graph = ChannelGraph(
-                self._nodes, self._ends[: self.num_channels]
+            nodes = self._nodes
+            try:
+                order = id_order(nodes)
+            except TopologyError:  # lookups still work; discovery raises
+                order = np.arange(len(nodes))
+            rank = np.empty(len(nodes), dtype=np.int64)
+            rank[order] = np.arange(len(nodes))
+            graph = self._graph = CsrGraph(
+                [nodes[i] for i in order.tolist()],
+                rank[self._ends[: self.num_channels]],
             )
             self._stale = False
             self._appended.clear()
@@ -687,9 +547,8 @@ class PaymentNetwork:
         return d
 
     def direction_index(self) -> DirectionIndex:
-        """The array direction lookup plus the per-direction fee lists
-        (see :class:`DirectionIndex`), rebuilt after the topology grows.
-        Fixes the fee schedule."""
+        """The per-direction fee lists (see :class:`DirectionIndex`),
+        rebuilt after the topology grows.  Fixes the fee schedule."""
         index = self._direction_index
         if index is None:
             index = self._direction_index = DirectionIndex(self)

@@ -1,4 +1,4 @@
-"""Workload substrate: sizes, arrivals, demand matrices, trace files."""
+"""Workload substrate: sizes, arrivals, demand matrices, traces."""
 
 from repro.workload.demand import (
     circulation_demand,
@@ -20,7 +20,6 @@ from repro.workload.distributions import (
     ripple_isp_sizes,
 )
 from repro.workload.generator import Trace, TransactionRecord, WorkloadConfig, generate_workload
-from repro.workload.traces import dump_trace, dumps_trace, load_trace, loads_trace
 
 __all__ = [
     "ConstantSize",
@@ -34,12 +33,8 @@ __all__ = [
     "WorkloadConfig",
     "circulation_demand",
     "dag_demand",
-    "dump_trace",
-    "dumps_trace",
     "estimate_demand_matrix",
     "generate_workload",
-    "load_trace",
-    "loads_trace",
     "mixed_demand",
     "payment_graph_from_records",
     "records_from_demand",

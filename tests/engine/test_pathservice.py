@@ -54,12 +54,14 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.runner import run_experiment
 from repro.fluid.paths import (
+    bfs_distances,
     bfs_shortest_path,
     build_path_set,
     k_edge_disjoint_paths,
     k_shortest_paths,
 )
 from repro.metrics.report import metrics_to_json
+from repro.network.network import PaymentNetwork
 from repro.simulator.rng import make_rng
 from repro.topology import isp_topology, ripple_topology, scale_free_topology
 from tests.path_helpers import path_columns
@@ -380,9 +382,8 @@ class TestCsrParity:
         edge without its reverse is a named error, not wrong paths."""
         with pytest.raises(TopologyError, match=f"edge {edge} has no reverse"):
             CsrGraph.from_adjacency(adjacency)
-        service = PathService.from_adjacency(adjacency)
         with pytest.raises(TopologyError, match=f"edge {edge} has no reverse"):
-            service.view(4)
+            PathService.from_adjacency(adjacency)
         with pytest.raises(TopologyError, match="has no reverse"):
             build_path_set(adjacency, [(0, 1)])
 
@@ -435,6 +436,77 @@ class TestCsrParity:
         assert service.view(4).paths_many(pairs) == disjoint_oracle(
             service.sorted_adjacency(), 4, pairs
         )
+
+
+class TestOneGraph:
+    """The one channel graph: its BFS kernel, its id order and what an
+    adjacency mapping compiles to."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_level_bfs_is_the_scalar_bfs(self, seed):
+        """One kernel serves the landmark trees' parents and Celer's
+        distance rows: each parent chain is the scalar BFS path, each hop
+        count the scalar BFS distance, and ``-1`` marks the unreached
+        (every rank, from a node outside the graph)."""
+        n = 24
+        adjacency = random_adjacency(seed + 40, n, p=0.09)
+        graph = CsrGraph.from_adjacency(adjacency)
+        for root in range(n):
+            parent, dist = graph.level_bfs(root)
+            want = bfs_distances(adjacency, root)
+            got = {graph.nodes[r]: d for r, d in enumerate(dist.tolist()) if d >= 0}
+            assert got == want
+            assert ((parent >= 0) == (dist >= 0)).all()
+            assert graph.hop_distances(root).tolist() == dist.tolist()
+            for node in range(n):
+                chain = pathservice._parent_chain(parent, root, graph.index[node])
+                want_path = bfs_shortest_path(adjacency, root, node)
+                got_path = None if chain is None else tuple(graph.nodes[r] for r in chain)
+                assert got_path == want_path
+        parent, dist = graph.level_bfs("nowhere")
+        assert (parent == -1).all() and (dist == -1).all()
+
+    @pytest.mark.parametrize(
+        "ids, error",
+        [
+            ([5, -3, 12, 0], None),
+            (["b", "a", "c"], None),
+            ([], None),
+            ([2, 1, "a"], "node id 'a' cannot be ordered against 2"),
+        ],
+        ids=["ints", "strings", "empty", "mixed"],
+    )
+    def test_id_order_is_the_sorted_order(self, ids, error):
+        """The one helper that orders node ids: positions in ascending id
+        order, or a named error when the ids have no total order."""
+        if error is not None:
+            with pytest.raises(TopologyError, match=error):
+                pathservice.id_order(ids)
+            return
+        order = pathservice.id_order(ids)
+        assert [ids[i] for i in order.tolist()] == sorted(ids)
+
+    def test_adjacency_counts_each_channel_once(self):
+        """Parallel entries and self-loops lie on no other path than the
+        plain edges do: the graph is the one of the plain edges."""
+        clean = {0: [1, 2], 1: [0, 2], 2: [0, 1], 3: []}
+        noisy = {0: [2, 1, 1, 0], 1: [0, 2, 0], 2: [1, 0, 2], 3: [3]}
+        got, want = CsrGraph.from_adjacency(noisy), CsrGraph.from_adjacency(clean)
+        for name in ("indptr", "indices", "degree", "keys", "dirs", "twin"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        assert got.fingerprint() == want.fingerprint()
+
+    def test_a_network_without_id_order_looks_up_but_does_not_discover(self):
+        """A network may mix id types: its channels are found, but
+        discovery, which needs the ids' order, raises naming the odd id."""
+        network = PaymentNetwork()
+        network.add_channel(1, "a", 10.0)
+        network.add_channel("a", 2, 10.0)
+        assert network.has_channel("a", 1) and not network.has_channel(1, 2)
+        assert network.direction_id(2, "a") == 3
+        assert network.neighbors("a") == [1, 2]
+        with pytest.raises(TopologyError, match="node id 'a' cannot be ordered against 1"):
+            network.path_service
 
 
 class TestLandmarkProvider:

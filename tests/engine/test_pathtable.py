@@ -23,12 +23,14 @@ from hypothesis import strategies as st
 
 from repro.core.payments import Payment, UnitState
 from repro.engine import pathtable
+from repro.engine.pathservice import PersistentCache
 from repro.engine.pathtable import PathTable
 from repro.engine.session import RuntimeConfig, SimulationSession
-from repro.errors import ChannelError, InsufficientFundsError, PaymentError
+from repro.errors import ChannelError, InsufficientFundsError, PaymentError, TopologyError
 from repro.network.network import PaymentNetwork
 from repro.routing.registry import make_scheme
 from repro.topology.generators import line_topology
+from repro.topology.ripple import ripple_topology
 from repro.workload.generator import TransactionRecord
 from tests import path_helpers as compiled
 from tests.reference.path_ops import ReferencePathOps
@@ -420,8 +422,6 @@ def _invalid_path(kind, base, joined, position):
         node = base[position % len(base)]
         alias = node - 1 if isinstance(node, int) else node + "?"
         return tuple(alias if n == node else n for n in base)
-    if kind == "foreign":  # an id no integer array can hold
-        return base + ("nowhere",)
     if kind == "revisit":
         return base + (base[0],)
     for node in sorted({u for u, _ in joined}):
@@ -436,10 +436,11 @@ def test_compile_columns_matches_per_path_compile(data, rand):
     """The batch kernel against ``compile``, path by path: same compiled
     hops, nodes, fees, probes and — for an invalid batch — the same
     exception as the first offender alone raises, with nothing
-    registered; whatever the scratch budget splits the batch into."""
+    registered; whatever the scratch budget splits the batch into.  The
+    columns are ranks in the network's own graph, so integer and string
+    ids alike run the batch kernel, and a node outside the graph is
+    ``compile``'s case alone: no rank column can name one."""
     (edges, _), trails = data
-    # Sparse integer ids resolve through the array index, any other id
-    # path by path.
     named = rand.draw(st.booleans())
     node_of = (lambda n: f"n{n}") if named else (lambda n: 3 * n + 1)
     network = PaymentNetwork()
@@ -475,11 +476,15 @@ def test_compile_columns_matches_per_path_compile(data, rand):
             joined,
             rand.draw(st.integers(min_value=0, max_value=7)),
         )
+        if kind == "unknown":
+            with pytest.raises(TopologyError, match="unknown node"):
+                single.compile(bad)
+            continue
         if bad is not None:
             invalid = True
             target = rand.draw(st.sampled_from(path_sets))
             target.insert(rand.draw(st.integers(0, len(target))), bad)
-    columns = compiled.path_columns(path_sets)
+    columns = compiled.path_columns(path_sets, network.graph())
     budget = rand.draw(st.sampled_from([1, 3, pathtable._COMPILE_CHUNK_NODES]))
 
     if invalid:
@@ -538,7 +543,9 @@ def test_batch_compiled_set_probes_the_arena_in_place():
         network.add_channel(u, v, 100.0)
     table = network.path_table
     pair = [(0, 1, 2), (0, 3, 2)]
-    cpaths = table.compile_columns(compiled.path_columns([pair, [(1, 2)]]))
+    cpaths = table.compile_columns(
+        compiled.path_columns([pair, [(1, 2)]], network.graph())
+    )
     assert [cpath.nodes for cpath in cpaths] == pair + [(1, 2)]
     probe = table.handle(cpaths[:2])
     arena = probe.cpaths[0].arena
@@ -550,6 +557,65 @@ def test_batch_compiled_set_probes_the_arena_in_place():
     assert not np.shares_memory(mixed.dirs, arena.dirs)
     assert table.bottleneck_many(probe) == [50.0, 50.0]
     assert table.handle([]) is None
+
+
+def test_columns_from_before_the_network_grew_are_refused():
+    """Columns name ranks in the graph they were discovered over; once
+    the network grows it has another graph, so compiling them raises a
+    named error instead of resolving stale ranks."""
+    network = PaymentNetwork()
+    for u, v in ((0, 1), (1, 2), (0, 3), (3, 2)):
+        network.add_channel(u, v, 100.0)
+    PersistentCache.clear_shared()
+    columns = network.path_service.view(2).columns([(0, 2)])
+    network.add_channel(2, 4, 100.0)
+    with pytest.raises(TopologyError, match="another channel graph"):
+        network.path_table.compile_columns(columns)
+    assert not network.path_table._compiled
+
+
+def test_columns_over_a_graph_without_channels():
+    """A graph with no channel has no keys to search: a hop is refused
+    as ``compile`` refuses it, a hopless path compiles."""
+    network = PaymentNetwork()
+    network.add_nodes([0, 1])
+    table = network.path_table
+    hop = compiled.path_columns([[(0,)], [(0, 1)]], network.graph())
+    with pytest.raises(TopologyError, match="no channel between 0 and 1"):
+        table.compile_columns(hop)
+    assert not table._compiled
+    (alone,) = table.compile_columns(compiled.path_columns([[(1,)]], network.graph()))
+    assert alone.dir_list == () and alone.nodes == (1,)
+
+
+def test_networks_sharing_a_pair_store_compile_their_own_columns():
+    """Two networks of one topology share the process-wide pair store,
+    whose columns hang off whichever graph discovered them first; each
+    view hands out columns over its own network's graph, and each
+    network compiles them to the direction ids of its own channels —
+    also when it numbers its channels otherwise."""
+    topology = ripple_topology("small", seed=0)
+    first = topology.build_network(default_capacity=100.0)
+    second = topology.build_network(default_capacity=100.0)
+    edges = list(first.edges())[::-1]
+    renumbered = PaymentNetwork()
+    renumbered.add_channels([u for u, _ in edges], [v for _, v in edges], 100.0)
+    nodes = sorted(first.nodes())
+    pairs = [(nodes[i], nodes[-1 - 3 * i]) for i in range(20)]
+    PersistentCache.clear_shared()
+    views = [net.path_service.view(4) for net in (first, second, renumbered)]
+    assert views[0]._store is views[1]._store is views[2]._store
+    compiled_dirs = []
+    for net, view in zip((first, second, renumbered), views):
+        columns = view.columns(pairs)
+        assert columns.graph is net.graph()
+        cpaths = net.path_table.compile_columns(columns)
+        assert [c.dir_list for c in cpaths] == [
+            PathTable(net).compile(c.nodes).dir_list for c in cpaths
+        ]
+        compiled_dirs.append([c.dirs.tolist() for c in cpaths])
+    assert compiled_dirs[0] == compiled_dirs[1]
+    assert compiled_dirs[2] != compiled_dirs[0]
 
 
 class TestMidPathRollback:

@@ -124,19 +124,24 @@ def test_bulk_build_matches_one_channel_at_a_time(data):
         assert bulk.neighbors(node) == single.neighbors(node)
         assert bulk.degree(node) == single.degree(node)
     got, want = bulk.direction_index(), single.direction_index()
-    assert got.keys.tolist() == want.keys.tolist()
-    assert got.dirs.tolist() == want.dirs.tolist()
     assert got.base_fees == want.base_fees
     assert got.fee_rates == want.fee_rates
     assert got.fee_bearing.tolist() == want.fee_bearing.tolist()
     assert got.int_pool.tolist() == want.int_pool.tolist()
-    assert (got.nodes is None) == (want.nodes is None)
-    # The CSR graph the path service shares is the one an adjacency
-    # mapping compiles to.
+    # One channel graph: both builds make the same one, and it is the
+    # graph an adjacency mapping of the same edges compiles to (whose
+    # channels are numbered otherwise, so only its dirs may differ).
+    graph = bulk.graph()
     adjacency = {node: single.neighbors(node) for node in single.nodes()}
-    fingerprint = CsrGraph.from_adjacency(adjacency).fingerprint()
-    assert PathService.from_network(bulk).topology_fingerprint == fingerprint
-    assert PathService.from_network(single).topology_fingerprint == fingerprint
+    for other in (single.graph(), CsrGraph.from_adjacency(adjacency)):
+        assert other.nodes == graph.nodes
+        for name in ("indptr", "indices", "degree", "keys", "twin"):
+            assert getattr(other, name).tolist() == getattr(graph, name).tolist()
+        assert other.fingerprint() == graph.fingerprint()
+    assert single.graph().dirs.tolist() == graph.dirs.tolist()
+    assert graph.dirs[graph.twin].tolist() == (graph.dirs ^ 1).tolist()
+    assert PathService.from_network(bulk).graph is graph
+    assert PathService.from_network(bulk).topology_fingerprint == graph.fingerprint()
     for u, v in single.directed_edges():
         assert bulk.direction_id(u, v) == single.direction_id(u, v)
 

@@ -66,13 +66,11 @@ def probe(network: PaymentNetwork, paths: Sequence[Sequence]) -> List[float]:
 
 
 def path_columns(
-    path_sets: Sequence[Sequence[Sequence]], graph: Optional[CsrGraph] = None
+    path_sets: Sequence[Sequence[Sequence]], graph: CsrGraph
 ) -> PathColumns:
     """Node-tuple path sets as the columns discovery hands the compiler,
-    over ``graph`` (default: an edgeless graph of every node they name)."""
-    if graph is None:
-        names = {node for paths in path_sets for path in paths for node in path}
-        graph = CsrGraph.from_adjacency({node: [] for node in names})
+    over ``graph`` (a network's compiles only columns over its own
+    ``network.graph()``); every node must be one of ``graph``'s."""
     paths = [path for paths in path_sets for path in paths]
 
     def pointers(sizes: List[int]) -> np.ndarray:
